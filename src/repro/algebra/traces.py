@@ -30,7 +30,7 @@ class Trace:
     <e ~f>
     """
 
-    __slots__ = ("events", "_hash")
+    __slots__ = ("events", "_hash", "_index")
 
     def __init__(self, events: Sequence[Event] = ()):
         events = tuple(events)
@@ -45,6 +45,7 @@ class Trace:
             seen.add(ev)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "_hash", hash(("Trace", events)))
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("Trace is immutable")
@@ -63,7 +64,22 @@ class Trace:
         return self.events[index]
 
     def __contains__(self, event: Event) -> bool:
-        return event in self.events
+        return event in self._positions()
+
+    def _positions(self) -> dict[Event, int]:
+        """The ``event -> position`` index, built on first use.
+
+        Well defined because Definition 1 (checked in ``__init__``)
+        forbids an event from occurring twice."""
+        index = self._index
+        if index is None:
+            index = {ev: i for i, ev in enumerate(self.events)}
+            object.__setattr__(self, "_index", index)
+        return index
+
+    def position(self, event: Event) -> int | None:
+        """Where ``event`` occurs on the trace, or ``None``."""
+        return self._positions().get(event)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Trace) and other.events == self.events
@@ -105,6 +121,10 @@ class Trace:
 EMPTY_TRACE = Trace()
 
 
+#: ``earliest_end`` of an expression no interval can satisfy
+_NEVER = float("inf")
+
+
 def satisfies(trace: Trace, expr: Expr) -> bool:
     """The satisfaction relation ``u |= E`` (Semantics 1-5).
 
@@ -114,6 +134,54 @@ def satisfies(trace: Trace, expr: Expr) -> bool:
       ``w |= E2``;
     * ``E1 | E2`` iff both conjuncts are satisfied;
     * ``T`` always; ``0`` never.
+
+    Decided in O(|E|) dictionary lookups, independent of the trace
+    length, as ``earliest_end(E, 0) <= |u|`` where ``earliest_end(E, s)``
+    is the least ``e`` with ``u[s:e] |= E``.  Every operator is monotone
+    under widening the interval (an atom "occurs anywhere"), so for
+    ``E1 . E2`` the earliest split that satisfies ``E1`` leaves ``E2``
+    the largest suffix: if that split fails, every later one does.
+    :func:`satisfies_by_definition` is the split-enumerating reference.
+    """
+    return _earliest_end(expr, 0, trace._positions()) <= len(trace.events)
+
+
+def _earliest_end(expr: Expr, start: int, positions: dict) -> float:
+    if isinstance(expr, Atom):
+        at = positions.get(expr.event)
+        return _NEVER if at is None or at < start else at + 1
+    if isinstance(expr, Seq):
+        for part in expr.parts:
+            start = _earliest_end(part, start, positions)
+            if start == _NEVER:
+                break
+        return start
+    if isinstance(expr, Choice):
+        best = _NEVER
+        for part in expr.parts:
+            end = _earliest_end(part, start, positions)
+            if end < best:
+                best = end
+        return best
+    if isinstance(expr, Conj):
+        worst = start
+        for part in expr.parts:
+            end = _earliest_end(part, start, positions)
+            if end > worst:
+                worst = end
+        return worst
+    if isinstance(expr, Top):
+        return start
+    if isinstance(expr, Zero):
+        return _NEVER
+    raise TypeError(f"unknown expression: {expr!r}")  # pragma: no cover
+
+
+def satisfies_by_definition(trace: Trace, expr: Expr) -> bool:
+    """Semantics 1-5 read literally: every ``Seq`` tries every split.
+
+    The reference the tests hold :func:`satisfies` to; nothing at run
+    time calls it.
     """
     memo: dict[tuple[int, int, int], bool] = {}
     return _satisfies(trace.events, 0, len(trace.events), expr, memo)

@@ -34,7 +34,7 @@ count or wall-clock interleaving.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.algebra.parser import parse
@@ -365,8 +365,21 @@ def run_group(tasks: Sequence[ShardTask], max_rounds: int = 1000) -> GroupOutcom
         outcomes.append(
             _flatten_outcome(task, scheduler, tracer, profiler, template)
         )
+    # the spanning check is the group's share of post-run verification;
+    # it is charged to the lead shard's profile so merged shard
+    # profiles account for it
+    lead_profiler = members[0][2]
+    if lead_profiler is not None:
+        lead_profiler.push("verify")
+        try:
+            cross_violations = _spanning_violations(tasks, outcomes)
+        finally:
+            lead_profiler.pop()
+        outcomes[0] = replace(outcomes[0], profile=lead_profiler.report())
+    else:
+        cross_violations = _spanning_violations(tasks, outcomes)
     return GroupOutcome(
         outcomes=outcomes,
         cross_stats=gateway.network.stats.as_dict(),
-        cross_violations=_spanning_violations(tasks, outcomes),
+        cross_violations=cross_violations,
     )

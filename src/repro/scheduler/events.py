@@ -160,11 +160,13 @@ class ExecutionResult:
         Appends (and returns) violations for dependencies the trace
         fails -- the post-hoc form of Theorem 6's guarantee.
         """
-        found = []
-        for dep in dependencies:
-            if not satisfies(self.trace, dep):
-                found.append(
-                    Violation("dependency", f"trace {self.trace!r} violates {dep!r}")
-                )
+        if not dependencies:
+            return []  # nothing to check: do not even build the trace
+        trace = self.trace  # built, validated and indexed once
+        found = [
+            Violation("dependency", f"trace {trace!r} violates {dep!r}")
+            for dep in dependencies
+            if not satisfies(trace, dep)
+        ]
         self.violations.extend(found)
         return found

@@ -297,6 +297,7 @@ class DistributedScheduler:
         #: construction spec per monitor index, kept so a crashed
         #: site's monitors can be rebuilt and resynced
         self._monitor_specs: list[tuple[list[Expr], frozenset[Event]]] = []
+        self._sorted_bases_cache: tuple[Event, ...] | None = None
         self._build_monitors()
         # base -> holders; a holder is (requester, round_id) so a stale
         # release (from an aborted round) cannot void a newer freeze
@@ -332,10 +333,19 @@ class DistributedScheduler:
         by_site: dict[str, set[Event]] = {}
         for b in triggerable:
             by_site.setdefault(self.site_of(b), set()).add(b)
+        all_deps = self.dependencies + self.cross_dependencies
+        mentioning: dict[Event, list[int]] = {b: [] for b in triggerable}
+        for position, dep in enumerate(all_deps):
+            for b in dep.bases() & triggerable:
+                mentioning[b].append(position)
         for site, bases in sorted(by_site.items()):
+            # positions, not the dependencies themselves: keeps the
+            # list order (and any duplicate entries) of ``all_deps``
             deps = [
-                d for d in self.dependencies + self.cross_dependencies
-                if any(b in d.bases() for b in bases)
+                all_deps[position]
+                for position in sorted(
+                    {p for b in bases for p in mentioning[b]}
+                )
             ]
             if not deps:
                 continue
@@ -383,6 +393,15 @@ class DistributedScheduler:
         if self._owned is not None:
             bases = {b for b in bases if b.base in self._owned}
         return frozenset(bases)
+
+    def _sorted_bases(self) -> tuple[Event, ...]:
+        """``_all_bases()`` in settlement order; computed once and
+        dropped wherever ``self.dependencies`` changes at runtime."""
+        cached = self._sorted_bases_cache
+        if cached is None:
+            cached = tuple(sorted(self._all_bases(), key=Event.sort_key))
+            self._sorted_bases_cache = cached
+        return cached
 
     # ------------------------------------------------------------------
     # actor-facing services
@@ -744,6 +763,7 @@ class DistributedScheduler:
         from repro.temporal.cubes import TRUE_GUARD
 
         self.dependencies.append(dependency)
+        self._sorted_bases_cache = None
         for event in sorted(residual.alphabet(), key=Event.sort_key):
             actor = self.actors.get(event)
             if actor is None:
@@ -785,6 +805,7 @@ class DistributedScheduler:
         if dependency not in self.dependencies:
             return False
         self.dependencies.remove(dependency)
+        self._sorted_bases_cache = None
         settled = self._settled_sequence()
         residuals = [
             residuate_trace(dep, settled) for dep in self.dependencies
@@ -1409,7 +1430,7 @@ class DistributedScheduler:
         quiescence no further message will arrive to unpark it, so the
         base must be resolved by its complement (which may itself park,
         in which case the base is recorded as making no progress)."""
-        for base in sorted(self._all_bases(), key=Event.sort_key):
+        for base in self._sorted_bases():
             if base in self._settled:
                 continue
             if base in self._no_progress_bases:
@@ -1429,8 +1450,7 @@ class DistributedScheduler:
         self.result.messages_by_kind = dict(self.network.stats.by_kind)
         self.result.max_site_load = self.network.max_site_load()
         self.result.unsettled = [
-            b for b in sorted(self._all_bases(), key=Event.sort_key)
-            if b not in self._settled
+            b for b in self._sorted_bases() if b not in self._settled
         ]
         for actor in self.actors.values():
             if actor.granted_to and actor.status is not ActorStatus.OCCURRED:
@@ -1451,4 +1471,11 @@ class DistributedScheduler:
                 for dep in self.cross_dependencies
                 if all(self._owns(b) for b in dep.bases())
             )
-            self.result.verify(deps)
+            if self.profiler.active:
+                self.profiler.push("verify")
+                try:
+                    self.result.verify(deps)
+                finally:
+                    self.profiler.pop()
+            else:
+                self.result.verify(deps)

@@ -38,6 +38,7 @@ from repro.scheduler.events import (
     Violation,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import Simulator
 from repro.sim.network import LatencyModel, Network
@@ -215,15 +216,22 @@ class CentralizedScheduler:
         tracer=None,
         metrics: MetricsRegistry | None = None,
         watch_mode: bool = True,
+        profiler=None,
     ):
         self.dependencies = list(dependencies)
+        #: every mentioned base in settlement order (the dependency
+        #: list is fixed for the scheduler's lifetime)
+        self._sorted_bases = tuple(
+            sorted(self._all_bases(), key=Event.sort_key)
+        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.sim = Simulator()
         service = {CENTER: decision_service_time} if decision_service_time else None
         self.network = Network(
             self.sim, latency=latency, rng=rng, service_times=service,
-            tracer=self.tracer,
+            tracer=self.tracer, profiler=self.profiler,
         )
         self._sites = {e.base: s for e, s in (sites or {}).items()}
         self._attributes = {e.base: a for e, a in (attributes or {}).items()}
@@ -621,7 +629,7 @@ class CentralizedScheduler:
         )
 
     def _next_settlement(self) -> Event | None:
-        for base in sorted(self._all_bases(), key=Event.sort_key):
+        for base in self._sorted_bases:
             if base in self._settled or base in self._no_progress_bases:
                 continue
             if not self.attributes(base).auto_complement:
@@ -651,8 +659,14 @@ class CentralizedScheduler:
         self.result.max_site_load = self.network.max_site_load()
         self.result.central_queue_wait = self.network.stats.max_queue_wait
         self.result.unsettled = [
-            b for b in sorted(self._all_bases(), key=Event.sort_key)
-            if b not in self._settled
+            b for b in self._sorted_bases if b not in self._settled
         ]
         if verify:
-            self.result.verify(self.dependencies)
+            if self.profiler.active:
+                self.profiler.push("verify")
+                try:
+                    self.result.verify(self.dependencies)
+                finally:
+                    self.profiler.pop()
+            else:
+                self.result.verify(self.dependencies)

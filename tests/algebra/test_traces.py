@@ -1,5 +1,8 @@
 """Traces, universes, satisfaction (Definition 1, Semantics 1-5, Example 1)."""
 
+import math
+import sys
+
 import pytest
 
 from repro.algebra.parser import parse
@@ -11,6 +14,8 @@ from repro.algebra.traces import (
     universe,
     universe_size,
 )
+
+from tests.conftest import run_stamped_travel
 
 E, F, G = Event("e"), Event("f"), Event("g")
 
@@ -45,6 +50,34 @@ class TestTraceValidation:
     def test_maximality(self):
         assert Trace([E, ~F]).is_maximal([E, F])
         assert not Trace([E]).is_maximal([E, F])
+
+
+class TestPositionIndex:
+    def test_position_of_present_and_absent_events(self):
+        t = Trace([E, ~F, G])
+        assert [t.position(ev) for ev in (E, ~F, G)] == [0, 1, 2]
+        assert t.position(F) is None
+        assert t.position(~E) is None
+        assert Trace([]).position(E) is None
+
+    def test_contains_distinguishes_event_from_complement(self):
+        t = Trace([E, ~F])
+        assert E in t and ~F in t
+        assert ~E not in t and F not in t and G not in t
+        assert E not in Trace([])
+
+    def test_slice_gets_its_own_index(self):
+        h, k = Event("h"), Event("k")
+        t = Trace([E, F, G, h, k])
+        assert t.position(G) == 2  # parent index built before slicing
+        piece = t[2:5]
+        assert piece == Trace([G, h, k])
+        assert [piece.position(ev) for ev in (G, h, k)] == [0, 1, 2]
+        assert piece.position(E) is None and E not in piece
+        assert t.position(k) == 4  # the parent's index is untouched
+
+    def test_equal_events_built_separately_are_found(self):
+        assert Trace([Event("e")]).position(Event("e")) == 0
 
 
 class TestSatisfaction:
@@ -106,6 +139,46 @@ class TestSatisfaction:
         assert satisfies(Trace([E, ~F]), d)
         # the empty trace satisfies no disjunct: atoms demand occurrence
         assert not satisfies(Trace([]), d)
+
+
+def _count_calls(fn) -> int:
+    """Python + C function calls made while ``fn()`` runs."""
+    calls = 0
+
+    def on_event(_frame, event, _arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestVerifyScaling:
+    def test_verify_call_count_grows_linearly(self):
+        """``result.verify`` on N stamped travel bookings costs
+        O(|trace| + sum |dep|): a log-log slope near 1 over N = 32, 64,
+        128.  The split-enumerating checker measured about 2.7 here, so
+        a quadratic one cannot come back unnoticed."""
+        sizes = (32, 64, 128)
+        counts = []
+        for n in sizes:
+            outcomes = ["failure" if k % 3 == 0 else "success" for k in range(n)]
+            result, deps = run_stamped_travel(outcomes)
+            counts.append(_count_calls(lambda: result.verify(deps)))
+            assert result.violations == []
+        xs = [math.log(n) for n in sizes]
+        ys = [math.log(c) for c in counts]
+        mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+        exponent = sum(
+            (x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)
+        ) / sum((x - mean_x) ** 2 for x in xs)
+        assert exponent <= 1.15, (exponent, counts)
 
 
 class TestUniverse:

@@ -11,11 +11,18 @@ Also registers the Hypothesis profiles the suite runs under:
   exploration is opt-in via ``--hypothesis-profile=dev``).
 """
 
+import random
+
 import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
+from repro.scheduler import DistributedScheduler
+from repro.sim import ConstantLatency
+from repro.workflows import WorkflowTemplate
+from repro.workflows.template import rename_script
+from repro.workloads.scenarios import make_travel_booking
 
 hypothesis_settings.register_profile(
     "ci", max_examples=100, derandomize=True, deadline=None
@@ -58,6 +65,37 @@ def assert_kernel_schema(stats):
     for counter in COMPILED_STATS_KEYS:
         assert isinstance(stats["compiled"][counter], int)
     assert {"residuate", "to_normal_form"} <= set(stats["memo"])
+
+
+def run_stamped_travel(outcomes):
+    """One merged run of a stamped travel booking per entry of
+    ``outcomes`` (``"success"`` / ``"failure"``), unverified.
+
+    Returns ``(result, dependencies)`` so a test can call
+    ``result.verify(dependencies)`` itself (and tamper with the
+    entries first)."""
+    scenarios = {
+        outcome: make_travel_booking(outcome) for outcome in set(outcomes)
+    }
+    template = WorkflowTemplate(make_travel_booking("success").workflow)
+    suffixes = [f"_i{k}" for k in range(len(outcomes))]
+    merged, guards = template.instantiate_merged(suffixes)
+    scripts = [
+        rename_script(script, template.mapping_for(suffix), suffix)
+        for suffix, outcome in zip(suffixes, outcomes)
+        for script in scenarios[outcome].scripts
+    ]
+    sched = DistributedScheduler(
+        merged.dependencies,
+        sites=merged.sites,
+        attributes=merged.attributes,
+        guards=guards,
+        latency=ConstantLatency(1.0),
+        rng=random.Random(1),
+    )
+    result = sched.run(scripts, verify=False)
+    assert result.ok, (result.violations, result.unsettled)
+    return result, list(merged.dependencies)
 
 
 @pytest.fixture

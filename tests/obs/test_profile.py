@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 import pytest
 
@@ -15,6 +16,9 @@ from repro.obs.profile import (
     to_chrome,
     to_collapsed,
 )
+from repro.scale import instance_spec, plan_shards, run_sharded
+from repro.scheduler import CentralizedScheduler, DistributedScheduler
+from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 
 class TestNullProfiler:
@@ -168,3 +172,61 @@ class TestMergeProfiles:
         assert merge_profiles([])["phases"] == {}
         one = _sample_report()
         assert merge_profiles([one])["phases"] == one["phases"]
+
+
+class TestVerifySpan:
+    """Post-run dependency checking is an attributed phase."""
+
+    @pytest.mark.parametrize(
+        "scheduler_cls", [DistributedScheduler, CentralizedScheduler]
+    )
+    def test_profiled_run_attributes_verify_and_default_does_not(
+        self, scheduler_cls
+    ):
+        scenario = make_travel_booking("success")
+
+        def build(**observe):
+            return scheduler_cls(
+                scenario.workflow.dependencies,
+                sites=scenario.workflow.sites,
+                attributes=scenario.workflow.attributes,
+                rng=random.Random(3),
+                **observe,
+            )
+
+        profiler = Profiler()
+        profiled = build(profiler=profiler).run(scenario.scripts)
+        node = profiler.report()["phases"]["verify"]
+        assert node["calls"] == 1 and node["cum_seconds"] >= 0.0
+
+        unverified = Profiler()
+        build(profiler=unverified).run(scenario.scripts, verify=False)
+        assert "verify" not in unverified.report()["phases"]
+
+        plain_sched = build()
+        plain = plain_sched.run(scenario.scripts)
+        assert plain_sched.profiler is NULL_PROFILER
+        assert plain_sched.profiler.report()["phases"] == {}
+        assert repr(plain.trace) == repr(profiled.trace)
+
+    def test_group_spanning_check_lands_in_the_merged_shard_profile(self):
+        family = make_mutex_family(4, cluster=2)
+        instances = [
+            instance_spec(suffix, scripts)
+            for suffix, scripts in family.instances
+        ]
+        tasks = plan_shards(
+            family.template, instances, 2, seed=7, profile=True,
+            cross_deps=family.cross_dependencies,  # round robin: spanning
+        )
+        assert tasks.cut_weight > 0
+        sharded = run_sharded(tasks, workers=1)
+        assert sharded.result.ok, sharded.result.violations
+        per_shard = [
+            outcome.profile["phases"]["verify"]["calls"]
+            for outcome in sharded.outcomes
+        ]
+        # each shard verifies its own dependencies; the lead shard also
+        # carries the group's check of the spanning ones
+        assert per_shard == [2, 1]
+        assert sharded.profile["phases"]["verify"]["calls"] == 3

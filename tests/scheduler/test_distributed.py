@@ -10,6 +10,8 @@ from repro.algebra.traces import satisfies
 from repro.scheduler import DistributedScheduler, EventAttributes
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.sim.network import ConstantLatency
+from repro.workflows import WorkflowTemplate
+from repro.workloads.scenarios import make_travel_booking
 
 E, F, G = Event("e"), Event("f"), Event("g")
 D_PREC = parse("~e + ~f + e . f")
@@ -172,3 +174,30 @@ class TestResultInvariants:
         sched = DistributedScheduler([D_ARROW])
         with pytest.raises(KeyError):
             sched.attempt(Event("zzz"))
+
+
+class TestMonitorDependencyIndex:
+    def test_each_monitor_gets_the_dependencies_mentioning_its_bases(self):
+        """``_build_monitors`` picks dependencies through a base index;
+        the result must equal the plain filter, order included."""
+        workflow = make_travel_booking("success").workflow
+        merged, _guards = WorkflowTemplate(workflow).instantiate_merged(
+            ["_i0", "_i1", "_i2"]
+        )
+        sched = DistributedScheduler(
+            merged.dependencies,
+            sites=merged.sites,
+            attributes=merged.attributes,
+        )
+        assert sched._monitor_specs
+        subs: dict = {}
+        for index, (deps, bases) in enumerate(sched._monitor_specs):
+            assert deps == [
+                d
+                for d in sched.dependencies
+                if any(b in d.bases() for b in bases)
+            ]
+            for dep in deps:
+                for base in dep.bases():
+                    subs.setdefault(base, []).append(index)
+        assert sched._monitor_subs == subs

@@ -2,12 +2,14 @@
 
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
+from repro.algebra.traces import satisfies_by_definition
 from repro.scheduler.events import (
     AttemptOutcome,
     EventAttributes,
     ExecutionResult,
     SchedulerPolicy,
     TraceEntry,
+    Violation,
 )
 from repro.scheduler.messages import (
     Announce,
@@ -21,6 +23,8 @@ from repro.scheduler.messages import (
     Release,
     TriggerMsg,
 )
+
+from tests.conftest import run_stamped_travel
 
 E, F = Event("e"), Event("f")
 
@@ -88,6 +92,42 @@ class TestTraceEntryAndResult:
         result.entries.append(TraceEntry(E, 2.0, 0.0, AttemptOutcome.ACCEPTED))
         found = result.verify([parse("~e + ~f + e . f")])
         assert found and not result.ok
+
+    def test_verify_reports_exactly_the_injected_violations(self):
+        """Tamper with a clean travel run so one ``Seq`` dependency and
+        one ``Choice`` dependency fail; ``verify`` must report what the
+        by-definition reference reports, string for string."""
+        result, deps = run_stamped_travel(
+            ["success", "failure", "success", "failure"]
+        )
+        assert result.verify(deps) == []
+        where = {entry.event: i for i, entry in enumerate(result.entries)}
+        # instance 0 (success): buy before book breaks ``c_book . c_buy``
+        book, buy = where[Event("c_book_i0")], where[Event("c_buy_i0")]
+        entries = result.entries
+        entries[book], entries[buy] = entries[buy], entries[book]
+        # instance 1 (failure): no compensation breaks the three-way choice
+        del entries[where[Event("s_cancel_i1")]]
+
+        found = result.verify(deps)
+
+        trace = result.trace
+        expected = [
+            Violation("dependency", f"trace {trace!r} violates {dep!r}")
+            for dep in deps
+            if not satisfies_by_definition(trace, dep)
+        ]
+        assert found == expected
+        assert result.violations == expected
+        assert [v.detail.split(" violates ")[1] for v in found] == [
+            "~c_buy_i0 + c_book_i0 . c_buy_i0",
+            "~c_book_i1 + c_buy_i1 + s_cancel_i1",
+        ]
+
+    def test_verify_without_dependencies_checks_nothing(self):
+        result = ExecutionResult()
+        result.entries.append(TraceEntry(E, 1.0, 0.0, AttemptOutcome.ACCEPTED))
+        assert result.verify([]) == [] and result.ok
 
 
 class TestMessages:

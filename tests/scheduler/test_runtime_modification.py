@@ -135,3 +135,28 @@ class TestModificationWithTriggers:
         occurred = {en.event for en in result.entries}
         assert s_cancel in occurred
         assert result.ok
+
+
+class TestSettlementOrderCache:
+    def test_sorted_bases_follow_runtime_dependency_changes(self):
+        """The settlement scan reads a cached sorted base tuple; adding
+        or removing a dependency mid-run must refresh it, or new bases
+        would never be settled by complement."""
+        extra = parse("~g + h")
+        sched = DistributedScheduler([parse("~e + f")])
+        assert sched._sorted_bases() == (E, F)
+        assert sched._sorted_bases() is sched._sorted_bases()
+        assert sched.add_dependency_runtime(extra)
+        assert sched._sorted_bases() == (E, F, G, Event("h"))
+        assert sched.remove_dependency_runtime(extra)
+        assert sched._sorted_bases() == (E, F)
+
+    def test_bases_added_after_a_settlement_round_still_settle(self):
+        sched = DistributedScheduler([parse("~e + f")])
+        sched.run(settle=True)  # warms the cache with {e, f}
+        assert sched.add_dependency_runtime(parse("~g + h"))
+        result = sched.run(settle=True)
+        assert result.unsettled == []
+        assert {en.event.base for en in result.entries} == {
+            E, F, G, Event("h"),
+        }
