@@ -25,15 +25,18 @@ Runs three workload families and emits a machine-readable
   sharded (required: the N=256 min-cut run wins), round-robin with
   gateway routing, and a skewed layout with and without work stealing
   (required: stealing wins over the skew it rebalances);
-* **compiled guards** (PF4, when the scheduler supports
-  ``compiled_guards=``) -- per-announcement guard-eval cost of the
-  cube engine (``simplify_under`` with its ``O(|K| log |K|)`` memo-key
-  build) vs the compiled automaton cursor (one interned edge hop) at
-  fan-in n in {10, 100} (required: compiled >= 3x cheaper per
-  announcement at fan-in 100), plus the four-way ablation
-  cube / watch / compiled / watch+compiled on a mixed parked+coupled
-  workload (required: identical observables across arms, and
-  watch+compiled the best arm at n=100).
+* **guard engine** (PF3/PF4, when the scheduler has
+  ``reference_engine=``) -- the one production engine (watch index +
+  compiled cursors) against the paper-literal reference engine the
+  differential tests use: the announce phase over n in {10, 100, 1000}
+  parked guards (PF3; required: identical timelines, zero production
+  re-evaluations, production wins at n=1000) and over a mixed
+  parked+coupled population at n in {10, 100} (PF4; required:
+  identical observables).  The PF4 kernel micro rows need no
+  scheduler: per-announcement guard-eval cost of ``simplify_under``
+  (with its ``O(|K| log |K|)`` memo-key build) vs the compiled
+  automaton cursor (one interned edge hop) at fan-in n in {10, 100}
+  (required: compiled >= 3x cheaper per announcement at fan-in 100).
 
 Timings are reported both raw and *normalized* by a pure-Python
 calibration spin, so a checked-in baseline from one machine can gate
@@ -283,9 +286,9 @@ def bench_end_to_end(rounds: int) -> dict:
     return out
 
 
-def _supports_watching() -> bool:
+def _supports_reference_engine() -> bool:
     params = inspect.signature(DistributedScheduler.__init__).parameters
-    return "watch_mode" in params
+    return "reference_engine" in params
 
 
 def _supports_sharding() -> bool:
@@ -547,7 +550,7 @@ def bench_scale_mutex(rounds: int) -> dict:
     return out
 
 
-def _pf3_run(n: int, hubs: int, watch: bool):
+def _pf3_run(n: int, hubs: int, reference: bool):
     """The PF3 workload: ``n`` parked guards that have already stopped
     caring about the ``hubs`` shared bases.
 
@@ -555,9 +558,9 @@ def _pf3_run(n: int, hubs: int, watch: bool):
     actors subscribe to the hub bases, but once ``~kill`` settles the
     first cube is dead and each residual only mentions the private
     ``g_i`` (which never settles, so everyone stays parked).  The
-    measured phase then announces the hubs one by one: the naive
+    measured phase then announces the hubs one by one: the reference
     engine re-evaluates all ``n`` parked guards per announcement, the
-    watched engine skips them all.  Returns the announce-phase wall
+    production engine skips them all.  Returns the announce-phase wall
     time and the deterministic observables.
     """
     from repro.temporal.cubes import TRUE_GUARD, literal
@@ -581,7 +584,7 @@ def _pf3_run(n: int, hubs: int, watch: bool):
         guards=guards,
         latency=ConstantLatency(1.0),
         rng=random.Random(3),
-        watch_mode=watch,
+        reference_engine=reference,
     )
     for f_i in parked:
         sched.attempt(f_i)
@@ -610,16 +613,17 @@ def bench_watch_scaling(rounds: int) -> dict:
     """PF3: per-announcement assimilation cost vs parked-event count.
 
     The ROADMAP item the watch index closes is "assimilation cost
-    grows linearly with the number of parked events": the naive engine
-    re-evaluates every parked guard per announcement (``evals ==
-    n``/announcement), the watched engine re-evaluates none (flat 0 --
-    every residual dropped the hub bases), which the deterministic
-    wake/skip counters witness exactly.  Wall-clock shows the same win
-    as a constant-factor speedup per delivery; the announcement
-    *fan-out* is deliberately identical in both engines (same
-    messages, same rng stream -- that is what lets the differential
-    harness fuzz drop/dup/crash schedules), so pure wall time still
-    contains the linear per-message fabric cost in both columns.
+    grows linearly with the number of parked events": the reference
+    engine re-evaluates every parked guard per announcement (``evals
+    == n``/announcement), the production engine re-evaluates none
+    (flat 0 -- every residual dropped the hub bases), which the
+    deterministic wake/skip counters witness exactly.  Wall-clock
+    shows the same win as a constant-factor speedup per delivery; the
+    announcement *fan-out* is deliberately identical in both engines
+    (same messages, same rng stream -- that is what lets the
+    differential harness fuzz drop/dup/crash schedules), so pure wall
+    time still contains the linear per-message fabric cost in both
+    columns.
     Also asserts the two engines settle the identical timeline (the
     cheap always-on shadow of tests/properties/
     test_watch_equivalence.py).
@@ -628,44 +632,41 @@ def bench_watch_scaling(rounds: int) -> dict:
     out: dict[str, dict] = {}
     speedup_at: dict[int, float] = {}
     for n in (10, 100, 1000):
-        watched_best = naive_best = float("inf")
-        watched = naive = None
+        production_best = reference_best = float("inf")
+        production = reference = None
         for _ in range(rounds):
-            record = _pf3_run(n, hubs, watch=True)
-            if record["seconds"] < watched_best:
-                watched_best, watched = record["seconds"], record
-            record = _pf3_run(n, hubs, watch=False)
-            if record["seconds"] < naive_best:
-                naive_best, naive = record["seconds"], record
-        assert watched["timeline"] == naive["timeline"], (
-            f"watched/naive timelines diverge at n={n}"
+            record = _pf3_run(n, hubs, reference=False)
+            if record["seconds"] < production_best:
+                production_best, production = record["seconds"], record
+            record = _pf3_run(n, hubs, reference=True)
+            if record["seconds"] < reference_best:
+                reference_best, reference = record["seconds"], record
+        assert production["timeline"] == reference["timeline"], (
+            f"production/reference timelines diverge at n={n}"
         )
-        assert watched["messages"] == naive["messages"]
-        # the flat-cost witness: the watched announce phase re-evaluates
-        # no guard at any n, the naive one re-evaluates all n per
-        # announcement
-        assert watched["wakes"] == 0, watched
-        assert watched["skips"] == n * hubs, watched
-        assert naive["wakes"] == n * hubs, naive
-        speedup_at[n] = naive["seconds"] / watched["seconds"]
-        for name, record in (("watch", watched), ("naive", naive)):
+        assert production["messages"] == reference["messages"]
+        # the flat-cost witness: the production announce phase
+        # re-evaluates no guard at any n, the reference one re-evaluates
+        # all n per announcement
+        assert production["wakes"] == 0, production
+        assert production["skips"] == n * hubs, production
+        assert reference["wakes"] == n * hubs, reference
+        speedup_at[n] = reference["seconds"] / production["seconds"]
+        for name, record in (
+            ("production", production), ("reference", reference)
+        ):
             record = dict(record)
             del record["timeline"]
             record["per_announcement"] = record["seconds"] / hubs
             record["evals_per_announcement"] = record["wakes"] // hubs
             out[f"pf3_{name}_n{n}"] = record
     # the speedup must be real where it matters: at 100x the parked
-    # population the watched engine wins clearly on wall clock too
+    # population the production engine wins clearly on wall clock too
     assert speedup_at[1000] > 1.5, (
-        "watched announce phase must beat naive at n=1000: "
+        "production announce phase must beat the reference at n=1000: "
         f"speedups {speedup_at}"
     )
     return out
-
-
-def _supports_compiled() -> bool:
-    params = inspect.signature(DistributedScheduler.__init__).parameters
-    return "compiled_guards" in params
 
 
 def bench_compiled_eval(evals: int, rounds: int) -> dict:
@@ -753,21 +754,20 @@ def bench_compiled_eval(evals: int, rounds: int) -> dict:
     return out
 
 
-def _pf4_run(n: int, hubs: int, watch: bool, compiled, engine=None) -> dict:
-    """The PF4 ablation workload: ``2n`` parked actors that dropped
-    the hub bases (the watch index's win -- their wake sets are stable,
-    so skipping them is churn-free) plus a hot frontier of ``n // 2``
+def _pf4_run(n: int, hubs: int, reference: bool) -> dict:
+    """The PF4 workload: ``2n`` parked actors that dropped the hub
+    bases (the watch index's win -- their wake sets are stable, so
+    skipping them is churn-free) plus a hot frontier of ``n // 2``
     coupled actors whose guards keep every hub relevant (the compiled
     automaton's win -- their residuals shrink on every announcement,
     which is exactly where ``simplify_under`` is expensive and where
     watching alone cannot help).
 
-    Per hub announcement the cube engine re-evaluates every unsettled
-    guard with ``simplify_under``; watching skips the parked
-    population; compilation turns each remaining re-evaluation into
-    O(1) edge hops; watch+compiled does the least work of all four
-    arms.  The announcement fan-out is identical in every arm (same
-    messages, same rng stream), so all four settle the same timeline.
+    Per hub announcement the reference engine re-evaluates every
+    unsettled guard with ``simplify_under``; the production engine
+    skips the parked population and walks automaton edges for the
+    rest.  The announcement fan-out is identical in both (same
+    messages, same rng stream), so both settle the same timeline.
     """
     from repro.temporal.cubes import TRUE_GUARD, literal
 
@@ -790,18 +790,12 @@ def _pf4_run(n: int, hubs: int, watch: bool, compiled, engine=None) -> dict:
         waiting.append(c_i)
     for h in hub_events:
         guards[h] = TRUE_GUARD  # fires on attempt
-    kwargs = {"watch_mode": watch}
-    if compiled:
-        # a shared engine keeps the automata interned across rounds --
-        # the steady state the cube arms get for free from the
-        # process-wide simplify_under memo table
-        kwargs["compiled_guards"] = engine if engine is not None else True
     sched = DistributedScheduler(
         [],
         guards=guards,
         latency=ConstantLatency(1.0),
         rng=random.Random(3),
-        **kwargs,
+        reference_engine=reference,
     )
     for ev in waiting:
         sched.attempt(ev)
@@ -810,10 +804,10 @@ def _pf4_run(n: int, hubs: int, watch: bool, compiled, engine=None) -> dict:
     sched.sim.run()
     wakes_before = sched.watch.wakes
     skips_before = sched.watch.skips
-    hops_before = sched.compiled.counts()["hops"] if compiled else 0
+    before = sched.compiled.counts()
     # the measured phase is a few ms; a collection triggered by an
     # earlier workload's garbage landing inside it would swamp the
-    # arm-to-arm margins
+    # arm-to-arm margin
     gc.collect()
     start = time.perf_counter()
     for h in hub_events:
@@ -821,87 +815,56 @@ def _pf4_run(n: int, hubs: int, watch: bool, compiled, engine=None) -> dict:
     sched.sim.run()
     elapsed = time.perf_counter() - start
     assert len(sched.result.entries) == hubs + 1, sched.result.entries
-    record = {
+    after = sched.compiled.counts()
+    return {
         "seconds": elapsed,
         "settled": len(sched.result.entries),
         "messages": sched.network.stats.messages,
         "wakes": sched.watch.wakes - wakes_before,
         "skips": sched.watch.skips - skips_before,
+        # every scheduler owns a private engine, so each run walks a
+        # cold automaton: first traversals (edges) plus cached reads
+        "hops": after["hops"] - before["hops"],
+        "edges": after["edges"] - before["edges"],
         "timeline": [(repr(e.event), e.time) for e in sched.result.entries],
     }
-    if compiled:
-        record["hops"] = sched.compiled.counts()["hops"] - hops_before
-        assert record["hops"] > 0, record
-    return record
 
 
-def bench_compiled_ablation(rounds: int) -> dict:
-    """PF4: the four-way cube / watch / compiled / watch+compiled
-    ablation on the mixed parked+coupled workload of :func:`_pf4_run`.
+def bench_engine_reference(rounds: int) -> dict:
+    """PF4: the production engine against the reference engine on the
+    mixed parked+coupled workload of :func:`_pf4_run`.
 
-    The deterministic witnesses: all four arms settle the identical
-    timeline with identical message counts (receiver-side design --
-    that is what lets the differential harness fuzz fault schedules
-    across arms), the watch arms re-evaluate strictly fewer guards,
-    and the compiled arms report automaton edge hops.  On wall clock,
-    watch+compiled is required to be the best arm at n=100.
+    The deterministic witnesses: both settle the identical timeline
+    with identical message counts (receiver-side design -- that is
+    what lets the differential harness fuzz fault schedules across
+    them), production re-evaluates strictly fewer guards and reports
+    automaton transitions, the reference reports none.  Wall clock is
+    reported, not asserted: the measured phase is a few milliseconds.
     """
-    from repro.temporal.compiled import CompiledGuardEngine
-
-    # the best-arm assertion compares ~20% wall-clock margins, so keep
-    # enough repetitions for a stable minimum even in --quick mode
-    rounds = max(rounds, 5)
     hubs = 8
-    arms = (
-        ("cube", False, False),
-        ("watch", True, False),
-        ("compiled", False, True),
-        ("watch_compiled", True, True),
-    )
     out: dict[str, dict] = {}
     for n in (10, 100):
-        # one engine per size: both compiled arms (and every round)
-        # share the interned automata, so best-of measures the warm
-        # steady state on all four arms
-        engine = CompiledGuardEngine()
         best: dict[str, dict] = {}
-        for name, watch, compiled in arms:
-            # one discarded warm-up run per arm: the timed rounds then
-            # walk fully interned automata, which also pins the hop
-            # counter (a cold round books expansions instead of hops)
-            _pf4_run(n, hubs, watch=watch, compiled=compiled, engine=engine)
+        for name, reference in (("reference", True), ("production", False)):
             for _ in range(rounds):
-                record = _pf4_run(
-                    n, hubs, watch=watch, compiled=compiled, engine=engine
-                )
+                record = _pf4_run(n, hubs, reference)
                 if (
                     name not in best
                     or record["seconds"] < best[name]["seconds"]
                 ):
                     best[name] = record
-        reference = best["cube"]
-        for name, record in best.items():
-            assert record["timeline"] == reference["timeline"], (
-                f"pf4 arm {name} settled a different timeline at n={n}"
-            )
-            assert record["messages"] == reference["messages"], (
-                f"pf4 arm {name} changed the message count at n={n}"
-            )
-        # watching must skip the parked population in both watch arms
-        for name in ("watch", "watch_compiled"):
-            assert best[name]["wakes"] < reference["wakes"], (n, name)
-            assert best[name]["skips"] > 0, (n, name)
-        if n == 100:
-            others = {
-                name: record["seconds"]
-                for name, record in best.items()
-                if name != "watch_compiled"
-            }
-            assert best["watch_compiled"]["seconds"] < min(others.values()), (
-                "watch+compiled is required to be the best PF4 arm at "
-                f"n=100: {best['watch_compiled']['seconds']:.4f}s vs "
-                f"{others}"
-            )
+        reference, production = best["reference"], best["production"]
+        assert production["timeline"] == reference["timeline"], (
+            f"pf4 production settled a different timeline at n={n}"
+        )
+        assert production["messages"] == reference["messages"], (
+            f"pf4 production changed the message count at n={n}"
+        )
+        # watching must skip the parked population
+        assert production["wakes"] < reference["wakes"], n
+        assert production["skips"] > 0, n
+        assert production["hops"] + production["edges"] > 0, production
+        assert reference["hops"] + reference["edges"] == 0, reference
         for name, record in best.items():
             record = dict(record)
             del record["timeline"]
@@ -956,11 +919,10 @@ def collect(quick: bool) -> dict:
         workloads.update(bench_scale_out(rounds))
     if _supports_cross_shard():
         workloads.update(bench_scale_mutex(rounds))
-    if _supports_watching():
+    workloads.update(bench_compiled_eval(evals, rounds))
+    if _supports_reference_engine():
         workloads.update(bench_watch_scaling(rounds))
-    if _supports_compiled():
-        workloads.update(bench_compiled_eval(evals, rounds))
-        workloads.update(bench_compiled_ablation(rounds))
+        workloads.update(bench_engine_reference(rounds))
     workloads.update(bench_chaos(rounds))
     for record in workloads.values():
         if "seconds" in record:
@@ -968,9 +930,8 @@ def collect(quick: bool) -> dict:
     features = {
         "batching": _supports_batching(),
         "sharding": _supports_sharding(),
-        "watching": _supports_watching(),
         "cross_shard": _supports_cross_shard(),
-        "compiled": _supports_compiled(),
+        "reference_engine": _supports_reference_engine(),
     }
     try:
         from repro.algebra.expressions import intern_stats  # noqa: F401

@@ -285,14 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "by deterministic work stealing",
     )
     p_run.add_argument(
-        "--compiled-guards",
-        action="store_true",
-        help="evaluate guards on compiled interned decision diagrams "
-        "(O(1) per announcement) instead of re-simplifying the cube "
-        "DNF; byte-identical outcomes, reported under kernel.compiled "
-        "(distributed scheduler only)",
-    )
-    p_run.add_argument(
         "--profile",
         action="store_true",
         help="attribute wall time to scheduler phases (synthesis, guard "
@@ -617,12 +609,6 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.compiled_guards and args.scheduler != "distributed":
-        print(
-            "--compiled-guards needs --scheduler distributed",
-            file=sys.stderr,
-        )
-        return 2
     if args.sample_every is not None and args.sample_every <= 0:
         print("--sample-every must be positive", file=sys.stderr)
         return 2
@@ -687,8 +673,6 @@ def _cmd_run(args) -> int:
         extra["profiler"] = Profiler()
     if args.sample_every is not None:
         extra["sample_every"] = args.sample_every
-    if args.compiled_guards:
-        extra["compiled_guards"] = True
     sched = scheduler_cls(
         workflow.dependencies,
         sites=workflow.sites,
@@ -970,7 +954,6 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
             latency=args.latency,
             profile=args.profile,
             sample_every=args.sample_every,
-            compiled_guards=args.compiled_guards,
             placement=args.placement.replace("-", "_"),
             cross_deps=args.cross_dep,
             flight_record=args.flight_record,

@@ -221,15 +221,16 @@ def _merge_kernel(sections: Sequence[Mapping[str, Any]]) -> dict:
 
     Cache-shape snapshots (interning/synthesis/simplify/memo) take the
     element-wise max -- summing caches that shared nothing would
-    fabricate work.  The ``watch`` subsection is different: each
-    scheduler overlays its own wake/skip/rewatch/registered counters
-    there (see ``metrics_report``), which count real per-shard work
-    and therefore sum.
+    fabricate work.  The ``watch`` and ``compiled`` subsections are
+    different: each scheduler overlays its own wake index's and its
+    private guard engine's counters there (see ``metrics_report``),
+    which count real per-shard work and therefore sum.
     """
     merged = _elementwise_max(sections)
-    watch = [s["watch"] for s in sections if isinstance(s.get("watch"), Mapping)]
-    if watch:
-        merged["watch"] = _elementwise_sum(watch)
+    for key in ("watch", "compiled"):
+        own = [s[key] for s in sections if isinstance(s.get(key), Mapping)]
+        if own:
+            merged[key] = _elementwise_sum(own)
     return merged
 
 

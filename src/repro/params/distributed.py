@@ -38,6 +38,9 @@ class DistributedParamRunner:
     tracer / metrics / provenance:
         Observability hooks, forwarded to the underlying
         :class:`DistributedScheduler` (see :mod:`repro.obs`).
+    reference_engine:
+        Tests only, forwarded likewise: the paper-literal guard
+        evaluation the production engine is compared against.
     """
 
     def __init__(
@@ -47,8 +50,7 @@ class DistributedParamRunner:
         tracer=None,
         metrics=None,
         provenance: bool | None = None,
-        watch_mode: bool = True,
-        compiled_guards: bool = False,
+        reference_engine: bool = False,
     ):
         self.templates: list[Expr] = [
             parse(t) if isinstance(t, str) else t for t in templates
@@ -58,8 +60,7 @@ class DistributedParamRunner:
         self._materialized: set = set()
         self.sched = DistributedScheduler(
             [], attributes={}, tracer=tracer, metrics=metrics,
-            provenance=provenance, watch_mode=watch_mode,
-            compiled_guards=compiled_guards,
+            provenance=provenance, reference_engine=reference_engine,
         )
         # per-name attributes are resolved lazily per ground base
         self.sched.attributes = self._attributes_for  # type: ignore[assignment]

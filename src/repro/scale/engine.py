@@ -228,7 +228,6 @@ def _build_member(
         tracer=tracer,
         profiler=profiler,
         sample_every=task.sample_every,
-        compiled_guards=task.compiled_guards,
         sim=sim,
         owned=owned,
         cross_dependencies=cross,

@@ -151,8 +151,6 @@ class ShardTask:
     latency: float | None = None  # constant per-hop latency, None = default
     profile: bool = False
     sample_every: float | None = None
-    #: run the shard's scheduler on the compiled guard automata
-    compiled_guards: bool = False
     #: flight-recorder mode: bound the shard's tracer to a ring of this
     #: many records (implies tracing); the merged trace carries one
     #: window header per shard
@@ -268,7 +266,6 @@ def plan_shards(
     latency: float | None = None,
     profile: bool = False,
     sample_every: float | None = None,
-    compiled_guards: bool = False,
     placement: str = "round_robin",
     cross_deps: Sequence = (),
     assignment: Sequence[Sequence[int]] | None = None,
@@ -396,7 +393,6 @@ def plan_shards(
             latency=latency,
             profile=profile,
             sample_every=sample_every,
-            compiled_guards=compiled_guards,
             cross_dependencies=tuple(per_shard_cross[shard]),
             cross_drop=cross_drop_probability,
             cross_dup=cross_duplicate_probability,
@@ -450,7 +446,6 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
         tracer=tracer,
         profiler=profiler,
         sample_every=task.sample_every,
-        compiled_guards=task.compiled_guards,
         cross_dependencies=[
             parse(text) for text in task.cross_dependencies
         ],

@@ -101,12 +101,9 @@ class EventActor:
         self.status = ActorStatus.IDLE
         self.attempted_at: float | None = None
         self.knowledge: dict[Event, int] = {}
-        #: compiled-guard cursor (one pointer into the scheduler's
-        #: interned automaton); ``None`` runs the cube engine.  The
-        #: ``getattr`` covers every construction site -- schedulers
-        #: without the feature simply have no ``compiled`` attribute.
-        engine = getattr(scheduler, "compiled", None)
-        self.cursor = engine.cursor(guard) if engine is not None else None
+        #: guard-evaluation state: one pointer into the scheduler's
+        #: interned automaton, moved in step with ``(guard, knowledge)``
+        self.cursor = scheduler.new_cursor(guard)
         # -- own not-yet round --
         self.round_active = False
         self.round_id = 0  # scheduler-issued; replies echo it
@@ -148,8 +145,7 @@ class EventActor:
         if updated != current:
             self.knowledge[base] = updated
             self._knowledge_dirty = True
-            if self.cursor is not None:
-                self.cursor.learn(base, updated)
+            self.cursor.learn(base, updated)
             if self.sched.provenance.active:
                 self.sched.provenance.learned(self, base, mask, source, origin)
 
@@ -173,13 +169,9 @@ class EventActor:
 
     def _assimilate(self) -> None:
         """Advance the residual past ``simplify_under``: a pointer hop
-        on the compiled automaton, a cube rewrite otherwise.  The
-        compiled residual equals the cube one value for value (the
-        node caches the very ``simplify_under`` result it replaces)."""
-        if self.cursor is not None:
-            self.guard = self.cursor.assimilate()
-        else:
-            self.guard = self.guard.simplify_under(self.knowledge)
+        on the compiled automaton (the node caches the very
+        ``simplify_under`` result it replaces)."""
+        self.guard = self.cursor.assimilate()
 
     def note_occurrence(self, event: Event) -> None:
         """The watched-evaluation skip path: record the announced fact
@@ -242,13 +234,10 @@ class EventActor:
         cube structure changed.
         """
         self._durable_guard = self._durable_guard & extra
-        if self.cursor is not None:
-            # incremental recompile: re-enter the automaton at the
-            # strengthened guard, then assimilate as the cube engine does
-            self.cursor.reset(self.guard & extra, self.knowledge)
-            self.guard = self.cursor.assimilate()
-        else:
-            self.guard = (self.guard & extra).simplify_under(self.knowledge)
+        # incremental recompile: re-enter the automaton at the
+        # strengthened guard, then assimilate everything already known
+        self.cursor.reset(self.guard & extra, self.knowledge)
+        self._assimilate()
         self._escalated_cubes = set()
         self._knowledge_dirty = True
         self.try_fire()
@@ -262,11 +251,8 @@ class EventActor:
         already be in flight).
         """
         self._durable_guard = new_guard
-        if self.cursor is not None:
-            self.cursor.reset(new_guard, self.knowledge)
-            self.guard = self.cursor.assimilate()
-        else:
-            self.guard = new_guard.simplify_under(self.knowledge)
+        self.cursor.reset(new_guard, self.knowledge)
+        self._assimilate()
         self._escalated_cubes = set()
         self._knowledge_dirty = True
         self.try_fire()
@@ -296,7 +282,7 @@ class EventActor:
             return
         if self.sched.is_frozen(self.event.base, exclude=self.event):
             return  # some requester holds a certificate on our base
-        verdict = self._evaluate_guard(self.knowledge)
+        verdict = self._evaluate_guard()
         if verdict == "fire":
             self._fire()
             return
@@ -311,37 +297,24 @@ class EventActor:
         self.sched.note_parked(self.event)
         self._solicit()
 
-    def _evaluate_guard(self, knowledge: dict[Event, int]) -> str:
-        """Decide fire/park/never for the residual guard under
-        ``knowledge`` (Section 4.3's evaluation rule), optionally
-        timed, traced, and profiled.  The untraced, unprofiled path
-        computes nothing extra beyond the evaluation counter."""
+    def _evaluate_guard(self) -> str:
+        """Decide fire/park/never for the residual guard under current
+        knowledge (Section 4.3's evaluation rule), optionally timed,
+        traced, and profiled.  The untraced, unprofiled path computes
+        nothing extra beyond the evaluation counter."""
         sched = self.sched
         sched.metrics.inc("guard_evals", site=self.site)
         timed = sched.tracer.active or sched.metrics.timed
         profiled = sched.profiler.active
         if not timed and not profiled:
-            if self.cursor is not None:
-                return self.cursor.verdict()
-            if self.guard.region_subsumes(knowledge):
-                return "fire"
-            if not self.guard.possible_under(knowledge):
-                return "never"
-            return "park"
+            return self.cursor.verdict()
         if profiled:
             sched.profiler.push(
                 "guard_eval", site=self.site, event=self.event_label
             )
         try:
             start = time.perf_counter()
-            if self.cursor is not None:
-                verdict = self.cursor.verdict()
-            elif self.guard.region_subsumes(knowledge):
-                verdict = "fire"
-            elif not self.guard.possible_under(knowledge):
-                verdict = "never"
-            else:
-                verdict = "park"
+            verdict = self.cursor.verdict()
             elapsed = time.perf_counter() - start
         finally:
             if profiled:
@@ -354,7 +327,7 @@ class EventActor:
                 guard=self._durable_guard, residual=self.guard,
                 verdict=verdict, elapsed=elapsed,
                 cubes=self._structured_cubes(),
-                knowledge=self._structured_knowledge(knowledge),
+                knowledge=self._structured_knowledge(self.knowledge),
             )
         return verdict
 
@@ -757,17 +730,17 @@ class EventActor:
             self._conclude_round()
 
     def _conclude_round(self) -> None:
-        transient = dict(self.knowledge)
-        for base in self.round_certified:
-            transient[base] = transient.get(base, FULL) & NOT_YET_MASK
         if (
             self.status is ActorStatus.PENDING
             and not self.sched.is_frozen(self.event.base, exclude=self.event)
-            and self._subsumed_under_transient(transient)
+            and self._subsumed_under_transient()
         ):
             if self.sched.tracer.active:
                 # the certificate-backed evaluation justifying this
                 # firing: the transient facts exist only in this instant
+                transient = dict(self.knowledge)
+                for base in self.round_certified:
+                    transient[base] = transient.get(base, FULL) & NOT_YET_MASK
                 self.sched.tracer.guard_eval(
                     self.sched.sim.now, self.site, self.event,
                     guard=self._durable_guard, residual=self.guard,
@@ -783,17 +756,15 @@ class EventActor:
         self._finish_round(fired=False)
         self.try_fire()
 
-    def _subsumed_under_transient(self, transient: dict[Event, int]) -> bool:
+    def _subsumed_under_transient(self) -> bool:
         """Does the residual fire under knowledge plus this round's
-        certificate facts?  Compiled cursors descend along refinement
-        edges without moving -- the transient facts exist only for
-        this evaluation and are never committed."""
-        if self.cursor is not None:
-            return self.cursor.transient_verdict(
-                (base, NOT_YET_MASK)
-                for base in sorted(self.round_certified, key=Event.sort_key)
-            ) == "fire"
-        return self.guard.region_subsumes(transient)
+        certificate facts?  The cursor descends along refinement edges
+        without moving -- the transient facts exist only for this
+        evaluation and are never committed."""
+        return self.cursor.transient_verdict(
+            (base, NOT_YET_MASK)
+            for base in sorted(self.round_certified, key=Event.sort_key)
+        ) == "fire"
 
     def _finish_round(self, fired: bool) -> None:
         if not self.round_active and not self.round_holds:
@@ -914,11 +885,10 @@ class EventActor:
         """
         self.guard = self._durable_guard
         self.knowledge = {}
-        if self.cursor is not None:
-            # resurrection re-enters the automaton at the durable
-            # guard's root -- the same interned node every fresh
-            # instance of this guard starts from
-            self.cursor.reset(self._durable_guard, self.knowledge)
+        # resurrection re-enters the automaton at the durable guard's
+        # root -- the same interned node every fresh instance of this
+        # guard starts from
+        self.cursor.reset(self._durable_guard, self.knowledge)
         self.round_active = False
         self.round_id = 0
         self.round_awaiting = set()

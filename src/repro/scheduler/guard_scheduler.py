@@ -61,10 +61,10 @@ from repro.sim.clock import Simulator
 from repro.sim.faults import ChaosReport, FaultInjector, FaultPlan
 from repro.sim.network import BatchingChannel, LatencyModel, Network
 from repro.sim.reliable import ReliableNetwork
-from repro.temporal.compiled import CompiledGuardEngine
+from repro.temporal.compiled import CompiledGuardEngine, ReferenceCursor
 from repro.temporal.cubes import GuardExpr
 from repro.temporal.guards import guard_and, guard_table, workflow_guards
-from repro.temporal.watch import ALL, WatchIndex, watch_bases
+from repro.temporal.watch import ALL, WatchIndex
 
 _DEFAULT_ATTRS = EventAttributes()
 
@@ -100,6 +100,12 @@ class DistributedScheduler:
         envelope (:class:`~repro.sim.network.BatchingChannel`).  Off
         by default; purely a message-count optimization -- the settled
         timeline is unchanged.
+    reference_engine:
+        Tests only: evaluate every guard on every announcement with
+        the paper-literal cube calls (no wake index, no compiled
+        automata).  Byte-identical traces by construction -- it is the
+        reference the differential harnesses hold the one production
+        engine against, not a user option.
     tracer:
         A :class:`repro.obs.Tracer` to record the run as a causal
         Lamport-stamped event trace.  Defaults to the inert
@@ -142,14 +148,12 @@ class DistributedScheduler:
         policy: SchedulerPolicy | None = None,
         drop_probability: float = 0.0,
         duplicate_probability: float = 0.0,
-        minimize_guards: bool = False,
         reliable: bool = False,
         fault_plan: FaultPlan | None = None,
         retransmit_timeout: float = 4.0,
         max_retries: int = 20,
         batch_announcements: bool = False,
-        watch_mode: bool = True,
-        compiled_guards: bool | CompiledGuardEngine = False,
+        reference_engine: bool = False,
         tracer=None,
         metrics: MetricsRegistry | None = None,
         provenance: bool | None = None,
@@ -167,16 +171,15 @@ class DistributedScheduler:
         )
         self.gateway = gateway
         self.policy = policy or SchedulerPolicy()
-        #: compiled-guard automaton store; must exist before any actor
-        #: is constructed (``EventActor.__init__`` attaches a cursor
-        #: when the scheduler carries an engine).  ``compiled_guards``
-        #: may be a :class:`CompiledGuardEngine` to share interned
-        #: automata across schedulers (the template "compile once,
-        #: stamp instances" path), or ``True`` for a private engine.
-        if isinstance(compiled_guards, CompiledGuardEngine):
-            self.compiled = compiled_guards
-        else:
-            self.compiled = CompiledGuardEngine() if compiled_guards else None
+        #: compiled-guard automaton store, and the factory every
+        #: ``EventActor.__init__`` takes its cursor from: a pointer into
+        #: this store -- or, for the differential tests'
+        #: ``reference_engine``, the cube calls it caches
+        self.compiled = CompiledGuardEngine()
+        self.reference_engine = reference_engine
+        self.new_cursor = (
+            ReferenceCursor if reference_engine else self.compiled.cursor
+        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: span profiler with hierarchical phase attribution; the inert
@@ -267,10 +270,6 @@ class DistributedScheduler:
                     if existing is None
                     else guard_and([existing, contribution])
                 )
-        if minimize_guards:
-            from repro.temporal.simplify import minimize
-
-            table = {event: minimize(g) for event, g in table.items()}
         self.actors: dict[Event, EventActor] = {}
         for event, g in table.items():
             self.actors[event] = EventActor(
@@ -283,14 +282,10 @@ class DistributedScheduler:
                 self._subscribers.setdefault(base, []).append(event)
         #: watched-literal wake index: an announcement only wakes the
         #: actors whose residual (or armed protocol state) can react;
-        #: the rest take the learn-only skip path.  ``watch_mode=False``
-        #: is the naive reference engine the differential harness
-        #: compares against.
-        self.watch_mode = watch_mode
+        #: the rest take the learn-only skip path
         self.watch = WatchIndex()
-        if self.watch_mode:
-            for actor in self.actors.values():
-                self._rewatch(actor)
+        for actor in self.actors.values():
+            self._rewatch(actor)
         # per-site requirement monitors for triggerable events
         self._monitors: list[tuple[str, RequirementMonitor]] = []
         self._monitor_subs: dict[Event, list[int]] = {}
@@ -449,19 +444,14 @@ class DistributedScheduler:
         engine.  Over-wide entries are always safe (a woken actor runs
         exactly the naive path), so staleness between hooks can only
         cost a wake, never correctness."""
-        if not self.watch_mode:
-            return
+        if self.reference_engine:
+            return  # unregistered actors wake on everything
         if actor.pending_grant_reqs or actor.solicit_would_act():
             self.watch.register(actor.event, ALL)
             return
-        if actor.cursor is not None:
-            # composed engines: the wake set is a cached slot on the
-            # actor's current automaton node, not a recomputation
-            self.watch.register(actor.event, actor.cursor.watches())
-            return
-        self.watch.register(
-            actor.event, watch_bases(actor.guard, actor.knowledge)
-        )
+        # the wake set is a cached slot on the actor's current
+        # automaton node, not a recomputation
+        self.watch.register(actor.event, actor.cursor.watches())
 
     def _rewatch_base(self, base: Event) -> None:
         """Refresh both polarity actors of ``base``."""
@@ -472,9 +462,7 @@ class DistributedScheduler:
 
     def _dispatch(self, actor: EventActor, message) -> None:
         if isinstance(message, Announce):
-            if self.watch_mode and not self.watch.should_wake(
-                actor.event, message.event.base
-            ):
+            if not self.watch.should_wake(actor.event, message.event.base):
                 # the watched-literal skip: record the fact, touch
                 # nothing else -- the index proved re-evaluation would
                 # be a no-op (and the learn cannot invalidate any
@@ -1051,10 +1039,9 @@ class DistributedScheduler:
         report["kernel"]["watch"] = dict(
             report["kernel"]["watch"], **self.watch.counts()
         )
-        if self.compiled is not None:
-            report["kernel"]["compiled"] = dict(
-                report["kernel"]["compiled"], **self.compiled.counts()
-            )
+        report["kernel"]["compiled"] = dict(
+            report["kernel"]["compiled"], **self.compiled.counts()
+        )
         if self.timeseries is not None:
             report["timeseries"] = self.timeseries.as_dict()
         if self.faults is not None:

@@ -138,6 +138,15 @@ def _set_know(know: Know, base: Event, mask: int) -> Know:
     return tuple(out)
 
 
+def _verdict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> str:
+    """Section 4.3's evaluation rule: ``"fire"`` / ``"never"`` / ``"park"``."""
+    if guard.region_subsumes(knowledge):
+        return "fire"
+    if not guard.possible_under(knowledge):
+        return "never"
+    return "park"
+
+
 class GuardNode:
     """One interned automaton state: ``(residual, restricted knowledge)``.
 
@@ -237,14 +246,7 @@ class GuardNode:
         if v is None:
             _CompiledStats.expansions += 1
             self.engine.expansions += 1
-            knowledge = dict(self.know)
-            if self.residual.region_subsumes(knowledge):
-                v = "fire"
-            elif not self.residual.possible_under(knowledge):
-                v = "never"
-            else:
-                v = "park"
-            self._verdict = v
+            v = self._verdict = _verdict(self.residual, dict(self.know))
         else:
             _CompiledStats.hops += 1
             self.engine.hops += 1
@@ -323,6 +325,44 @@ class GuardCursor:
         _CompiledStats.recompiles += 1
         self.engine.recompiles += 1
         self.node = self.engine._node(guard, _restrict(guard, knowledge))
+
+
+class ReferenceCursor:
+    """The paper-literal evaluation behind the cursor interface: every
+    method *is* the cube-engine call the compiled cursor caches, run
+    afresh on the actor's ``(residual guard, knowledge)`` pair.
+
+    Only the differential tests use it
+    (``DistributedScheduler(reference_engine=True)``); it is what the
+    compiled engine is proved byte-identical against."""
+
+    __slots__ = ("guard", "knowledge")
+
+    def __init__(self, guard: GuardExpr, knowledge: Mapping[Event, int] = ()):
+        self.reset(guard, knowledge)
+
+    def learn(self, base: Event, mask: int) -> None:
+        self.knowledge[base] = mask
+
+    def assimilate(self) -> GuardExpr:
+        self.guard = self.guard.simplify_under(self.knowledge)
+        return self.guard
+
+    def verdict(self) -> str:
+        return _verdict(self.guard, self.knowledge)
+
+    def watches(self):
+        return watch_bases(self.guard, self.knowledge)
+
+    def transient_verdict(self, facts: Iterable[tuple[Event, int]]) -> str:
+        transient = dict(self.knowledge)
+        for base, mask in facts:
+            transient[base] = transient.get(base, FULL) & mask
+        return _verdict(self.guard, transient)
+
+    def reset(self, guard: GuardExpr, knowledge: Mapping[Event, int]) -> None:
+        self.guard = guard
+        self.knowledge = dict(knowledge)
 
 
 class CompiledGuardEngine:

@@ -1,153 +1,104 @@
 """The compiled guard automata are an optimization, not a semantics
 change.
 
-A ``DistributedScheduler`` with ``compiled_guards=True`` evaluates
-each actor's guard by following interned decision-diagram edges
-instead of re-simplifying the cube DNF.  The compiled engine is
-receiver-side only -- fan-out, message streams, and rng draws are
-untouched -- so it must stay in lock-step with the cube engine under
-**any** fault schedule: drops, duplicates, crash/restart plans,
-Example 14 resurrection, and run-time guard growth (incremental
-recompile).  The differential harness here runs the full four-way
-ablation (cube / watch / compiled / watch+compiled) over fuzzed
-workflows with identical fault schedules and asserts byte-identical
-timelines, final actor states, and causal traces (``diff_traces``
-already ignores the volatile wall-clock fields).
+A ``DistributedScheduler`` evaluates each actor's guard by following
+interned decision-diagram edges instead of re-simplifying the cube
+DNF.  The compiled engine is receiver-side only -- fan-out, message
+streams, and rng draws are untouched -- so it must stay in lock-step
+with the paper-literal ``reference_engine`` under **any** fault
+schedule: drops, duplicates, crash/restart plans, Example 14
+resurrection, and run-time guard growth (incremental recompile).  The
+production-vs-reference harness is shared with
+``test_watch_equivalence.py`` (``run_engine`` / ``assert_equivalent``
+and the growth / resurrection drivers); the tests here add what is
+specific to the automaton: every cursor mirrors its actor's
+``(residual, knowledge)`` pair at the end of any run, the
+guard-evaluation records carry the reference's payloads, recompiles
+are counted, and the counters surface in the metrics report.
 
 Below the scheduler, a pure kernel property checks the automaton
-itself: a :class:`GuardCursor` driven through randomized guard tables
-and knowledge orders must report, at every step, exactly the verdict,
-residual, and watch set the ``simplify_under`` engine computes.
+itself: a :class:`GuardCursor` (and the tests' :class:`ReferenceCursor`)
+driven through randomized guard tables and knowledge orders must
+report, at every step, exactly the verdict, residual, and watch set
+the ``simplify_under`` engine computes.
 """
-
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.obs import Tracer
-from repro.obs.diff import diff_traces
-from repro.params.distributed import DistributedParamRunner
-from repro.scheduler.guard_scheduler import DistributedScheduler
-from repro.sim.network import ConstantLatency
-from repro.temporal.compiled import CompiledGuardEngine
+from repro.temporal.compiled import (
+    CompiledGuardEngine,
+    ReferenceCursor,
+    _restrict,
+)
 from repro.temporal.cubes import FULL, literal
 from repro.temporal.watch import watch_bases
 from repro.workloads.scenarios import make_travel_booking
 
-from .test_chaos_properties import fault_schedules, scenario_sites
 from .test_watch_equivalence import (
     SCENARIOS,
+    assert_equivalent,
     final_state,
+    grow_run,
     observables,
+    param_run,
+    run_engine,
+    shrink_run,
+    token_sequences,
+    watch_cases,
 )
 
-#: the four ablation arms as (watch_mode, compiled_guards)
-ARMS = {
-    "cube": (False, False),
-    "watch": (True, False),
-    "compiled": (False, True),
-    "watch+compiled": (True, True),
-}
 
-
-def run_arm(scenario, plan, seed, arm, drop=0.0, dup=0.0, tracer=None):
-    """One deterministic run of one ablation arm."""
-    watch, compiled = ARMS[arm]
-    sched = DistributedScheduler(
-        scenario.workflow.dependencies,
-        sites=scenario.workflow.sites,
-        attributes=scenario.workflow.attributes,
-        latency=ConstantLatency(1.0),
-        rng=random.Random(seed),
-        drop_probability=drop,
-        duplicate_probability=dup,
-        reliable=True,
-        fault_plan=plan,
-        watch_mode=watch,
-        compiled_guards=compiled,
-        tracer=tracer,
-    )
-    result = sched.run(scenario.scripts, verify=False)
-    return sched, result
-
-
-def assert_arms_equivalent(scenario, plan, seed, drop=0.0, dup=0.0):
-    """Run all four arms; every one must match the cube reference."""
-    tracers = {arm: Tracer() for arm in ARMS}
-    runs = {
-        arm: run_arm(scenario, plan, seed, arm, drop=drop, dup=dup,
-                     tracer=tracers[arm])
-        for arm in ARMS
-    }
-    ref_sched, ref = runs["cube"]
-    for arm, (sched, result) in runs.items():
-        if arm == "cube":
-            continue
-        if observables(result) != observables(ref):
-            # localize before failing: diff the causal traces (minus
-            # the guard-evaluation records the unwatched arms emit
-            # extra) so the report names the first divergent
-            # site/event instead of dumping two observables dicts
-            diff = diff_traces(
-                [r for r in tracers["cube"].records
-                 if r.get("cat") != "guard"],
-                [r for r in tracers[arm].records
-                 if r.get("cat") != "guard"],
-            )
-            raise AssertionError(
-                f"{arm} arm diverged from cube engine "
-                f"(seed {seed}, drop {drop}, dup {dup}); trace diff:\n"
-                + diff.summary()
-            )
-        assert final_state(sched) == final_state(ref_sched), arm
-    return runs
-
-
-@st.composite
-def compiled_cases(draw):
-    name = draw(st.sampled_from(sorted(SCENARIOS)))
-    scenario = SCENARIOS[name]()
-    plan = draw(fault_schedules(scenario_sites(scenario), False))
-    drop = draw(st.sampled_from([0.0, 0.15, 0.3]))
-    dup = draw(st.sampled_from([0.0, 0.15, 0.3]))
-    seed = draw(st.integers(0, 2**16))
-    return name, scenario, plan, drop, dup, seed
+def assert_cursors_in_step(sched):
+    """Every actor's cursor sits on the node of the actor's own
+    ``(residual guard, knowledge)`` pair -- after crash resets,
+    recompiles and resurrections alike."""
+    for actor in sched.actors.values():
+        node = actor.cursor.node
+        assert node.residual == actor.guard, actor.event
+        assert node.know == _restrict(actor.guard, actor.knowledge), actor.event
 
 
 class TestCompiledEquivalence:
-    """four-way ablation == cube engine on Examples 10-13 under
-    fuzzed faults."""
+    """production == reference on Examples 10-13 under fuzzed faults,
+    with the cursors in step."""
 
     @settings(max_examples=60, deadline=None)
-    @given(compiled_cases())
+    @given(watch_cases())
     def test_fuzzed_faults_are_observably_identical(self, case):
         name, scenario, plan, drop, dup, seed = case
-        assert_arms_equivalent(scenario, plan, seed, drop=drop, dup=dup)
+        _, sched = assert_equivalent(scenario, plan, seed, drop=drop, dup=dup)
+        assert_cursors_in_step(sched)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(sorted(SCENARIOS)), st.integers(0, 2**16))
     def test_traces_are_byte_identical(self, name, seed):
-        """Same watch mode, cube vs compiled: the causal traces must
-        agree record for record -- including the guard-evaluation
-        records, whose verdict/residual/knowledge payloads the
-        compiled engine reproduces exactly (``diff_traces`` ignores
-        only the volatile wall-clock fields)."""
+        """The guard-evaluation records the production engine emits
+        are, payload for payload (verdict, residual, knowledge, cubes),
+        records the reference emits, in the same order -- the compiled
+        node caches the very values the cube calls compute.  The
+        reference's extra records are exactly the evaluations watching
+        skips; only the Lamport counter and the wall-clock ``elapsed``
+        are projected away."""
         scenario = SCENARIOS[name]()
-        for cube_arm, compiled_arm in (
-            ("cube", "compiled"),
-            ("watch", "watch+compiled"),
-        ):
-            a, b = Tracer(), Tracer()
-            run_arm(scenario, None, seed, cube_arm, tracer=a)
-            run_arm(scenario, None, seed, compiled_arm, tracer=b)
-            diff = diff_traces(a.records, b.records)
-            assert diff.identical, (
-                f"{cube_arm} vs {compiled_arm} trace diff:\n"
-                + diff.summary()
-            )
+        reference_tr, production_tr = Tracer(), Tracer()
+        run_engine(scenario, None, seed, reference=True, tracer=reference_tr)
+        run_engine(scenario, None, seed, reference=False, tracer=production_tr)
+
+        def guard_records(tracer):
+            return [
+                {k: v for k, v in record.items() if k not in ("lc", "elapsed")}
+                for record in tracer.records
+                if record.get("cat") == "guard"
+            ]
+
+        emitted = guard_records(production_tr)
+        assert emitted
+        remaining = iter(guard_records(reference_tr))
+        for record in emitted:
+            assert record in remaining, record
 
     def test_compiled_engine_actually_engages(self):
         """The interned automaton must serve real transitions on the
@@ -155,16 +106,15 @@ class TestCompiledEquivalence:
         itself."""
         hops = 0
         for factory in SCENARIOS.values():
-            runs = assert_arms_equivalent(factory(), None, 0)
-            counts = runs["compiled"][0].compiled.counts()
+            reference, sched = assert_equivalent(factory(), None, 0)
+            counts = sched.compiled.counts()
             hops += counts["hops"] + counts["reused"]
             assert counts["cursors"] > 0
+            assert reference.compiled.counts()["cursors"] == 0
         assert hops > 0
 
     def test_counters_surface_in_metrics_report(self, kernel_schema):
-        sched, _ = run_arm(
-            make_travel_booking("success"), None, 0, "watch+compiled"
-        )
+        sched, _ = run_engine(make_travel_booking("success"), None, 0, False)
         kernel = sched.metrics_report()["kernel"]
         kernel_schema(kernel)
         assert kernel["compiled"]["nodes"] == len(sched.compiled)
@@ -174,60 +124,24 @@ class TestCompiledEquivalence:
 class TestCompiledRuntimeGrowth:
     """Run-time guard-table modification recompiles incrementally."""
 
-    DEP = "~ship + pay . ship"
-
-    def _grow_run(self, arm, extra):
-        watch, compiled = ARMS[arm]
-        sched = DistributedScheduler(
-            [parse(self.DEP)],
-            latency=ConstantLatency(1.0),
-            rng=random.Random(5),
-            watch_mode=watch,
-            compiled_guards=compiled,
-        )
-        pay, ship = Event("pay"), Event("ship")
-        sched.attempt(ship)  # parks: pay has not settled
-        sched.sim.run()
-        if extra:
-            # growth: ship now also needs the audit to have run
-            assert sched.add_dependency_runtime(parse("~ship + audit . ship"))
-            sched.attempt(Event("audit"))
-            sched.sim.run()
-        sched.attempt(pay)
-        result = sched.run(settle=True, verify=False)
-        return sched, result
-
     def test_added_dependency_equivalence(self):
         for extra in (False, True):
-            ref_sched, ref = self._grow_run("cube", extra)
-            for arm in ("compiled", "watch+compiled"):
-                sched, result = self._grow_run(arm, extra)
-                assert observables(result) == observables(ref), arm
-                assert final_state(sched) == final_state(ref_sched), arm
-                if extra:
-                    # strengthen_guard re-entered the automaton
-                    assert sched.compiled.counts()["recompiles"] > 0
+            ref_sched, ref = grow_run(True, extra)
+            sched, result = grow_run(False, extra)
+            assert observables(result) == observables(ref)
+            assert final_state(sched) == final_state(ref_sched)
+            assert_cursors_in_step(sched)
+            # strengthen_guard re-entered the automaton
+            assert (sched.compiled.counts()["recompiles"] > 0) == extra
 
     def test_removed_dependency_equivalence(self):
-        def run(arm):
-            watch, compiled = ARMS[arm]
-            sched = DistributedScheduler(
-                [parse(self.DEP)],
-                latency=ConstantLatency(1.0),
-                rng=random.Random(5),
-                watch_mode=watch,
-                compiled_guards=compiled,
-            )
-            sched.attempt(Event("ship"))  # parks behind pay
-            sched.sim.run()
-            assert sched.remove_dependency_runtime(parse(self.DEP))
-            return sched, sched.run(settle=True, verify=False)
-
-        ref_sched, ref = run("cube")
-        for arm in ("compiled", "watch+compiled"):
-            sched, result = run(arm)
-            assert observables(result) == observables(ref), arm
-            assert final_state(sched) == final_state(ref_sched), arm
+        ref_sched, ref = shrink_run(True)
+        sched, result = shrink_run(False)
+        assert observables(result) == observables(ref)
+        assert final_state(sched) == final_state(ref_sched)
+        assert_cursors_in_step(sched)
+        # replace_guard re-entered the automaton
+        assert sched.compiled.counts()["recompiles"] > 0
 
 
 class TestResurrectionEquivalence:
@@ -235,41 +149,15 @@ class TestResurrectionEquivalence:
     cursors must attach to every materialized actor and follow
     crash-reset re-entries."""
 
-    TEMPLATES = [
-        "b2[y] . b1[x] + ~e1[x] + ~b2[y] + e1[x] . b2[y]",
-        "b1[x] . b2[y] + ~e2[y] + ~b1[x] + e2[y] . b1[x]",
-        "~b1[x] + e1[x]",
-        "~b2[y] + e2[y]",
-    ]
-
-    def _run(self, tokens, arm):
-        watch, compiled = ARMS[arm]
-        runner = DistributedParamRunner(
-            self.TEMPLATES, watch_mode=watch, compiled_guards=compiled
-        )
-        for name, value in tokens:
-            runner.attempt(Event(name, params=(value,)))
-        result = runner.finish(verify=False)
-        return runner.sched, result
-
     @settings(max_examples=10, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["b1", "e1", "b2", "e2"]),
-                st.integers(0, 1),
-            ),
-            min_size=1,
-            max_size=5,
-            unique=True,
-        )
-    )
+    @given(token_sequences)
     def test_token_sequences_are_observably_identical(self, tokens):
-        ref_sched, ref = self._run(tokens, "cube")
-        for arm in ("compiled", "watch+compiled"):
-            sched, result = self._run(tokens, arm)
-            assert observables(result) == observables(ref), arm
-            assert final_state(sched) == final_state(ref_sched), arm
+        ref_sched, ref = param_run(tokens, reference=True)
+        sched, result = param_run(tokens, reference=False)
+        assert observables(result) == observables(ref)
+        assert final_state(sched) == final_state(ref_sched)
+        assert sched.compiled.counts()["cursors"] == len(sched.actors)
+        assert_cursors_in_step(sched)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +210,7 @@ class TestCursorTracksCubeEngine:
     @given(guard_exprs(), knowledge_steps())
     def test_verdict_residual_and_watches_agree(self, guard, steps):
         engine = CompiledGuardEngine()
-        cursor = engine.cursor(guard)
+        cursors = (engine.cursor(guard), ReferenceCursor(guard))
         residual = guard
         knowledge: dict[Event, int] = {}
         for base, mask, assimilate in steps:
@@ -331,17 +219,24 @@ class TestCursorTracksCubeEngine:
             if updated != current:
                 # exactly EventActor.learn's commit + cursor hook
                 knowledge[base] = updated
-                cursor.learn(base, updated)
+                for cursor in cursors:
+                    cursor.learn(base, updated)
             if assimilate:
                 residual = residual.simplify_under(knowledge)
-                assert cursor.assimilate() == residual
+                for cursor in cursors:
+                    assert cursor.assimilate() == residual
             expected = (
                 "fire" if residual.region_subsumes(knowledge)
                 else "never" if not residual.possible_under(knowledge)
                 else "park"
             )
-            assert cursor.verdict() == expected, (residual, knowledge)
-            assert cursor.watches() == watch_bases(residual, knowledge)
+            for cursor in cursors:
+                assert cursor.verdict() == expected, (residual, knowledge)
+                assert cursor.watches() == watch_bases(residual, knowledge)
+            # a certificate-round read: evaluated, never committed
+            fact = [(base, mask)]
+            compiled, reference = (c.transient_verdict(fact) for c in cursors)
+            assert compiled == reference
 
     @settings(max_examples=100, deadline=None)
     @given(guard_exprs(), knowledge_steps(), knowledge_steps())

@@ -1,17 +1,20 @@
 """The watched-literal guard engine is an optimization, not a
 semantics change.
 
-A ``DistributedScheduler`` with ``watch_mode=True`` indexes each
-parked guard by the event bases that can still move it and skips
-re-evaluating guards an announcement cannot affect.  Because the skip
-happens on the *receiver* -- fan-out, message streams, and rng draws
-are untouched -- the watched and naive engines must stay in lock-step
-under **any** fault schedule: drops, duplicates, crash/restart plans,
-Example 14 resurrection, and run-time guard-table growth.  The
-differential harness here runs fuzzed workflows under both engines
+A ``DistributedScheduler`` indexes each parked guard by the event
+bases that can still move it and skips re-evaluating guards an
+announcement cannot affect; ``reference_engine=True`` is the naive
+engine that re-evaluates everything with the paper-literal cube calls.
+Because the skip happens on the *receiver* -- fan-out, message
+streams, and rng draws are untouched -- the production and reference
+engines must stay in lock-step under **any** fault schedule: drops,
+duplicates, crash/restart plans, Example 14 resurrection, and run-time
+guard-table growth.  The differential harness here (shared with
+``test_compiled_equivalence.py``: :func:`run_engine`,
+:func:`assert_equivalent`) runs fuzzed workflows under both engines
 with identical fault schedules and asserts byte-identical timelines,
 final actor states, and (modulo the guard-evaluation records the
-naive engine emits extra) causal traces.
+reference engine emits extra) causal traces.
 
 The centralized :class:`ResiduationScheduler` gets the same
 treatment: component-factored scan skipping must decide exactly what
@@ -63,8 +66,8 @@ SCENARIOS = {
 }
 
 
-def run_engine(scenario, plan, seed, watch, drop=0.0, dup=0.0, tracer=None):
-    """One deterministic run of either engine.
+def run_engine(scenario, plan, seed, reference, drop=0.0, dup=0.0, tracer=None):
+    """One deterministic run of the production or the reference engine.
 
     Receiver-side skipping leaves fan-out intact, so -- unlike the
     PR 3 batching comparison -- drops and duplicates are fair game:
@@ -79,7 +82,7 @@ def run_engine(scenario, plan, seed, watch, drop=0.0, dup=0.0, tracer=None):
         duplicate_probability=dup,
         reliable=True,
         fault_plan=plan,
-        watch_mode=watch,
+        reference_engine=reference,
         tracer=tracer,
     )
     result = sched.run(scenario.scripts, verify=False)
@@ -116,9 +119,9 @@ def final_state(sched):
 
 def assert_equivalent(scenario, plan, seed, drop=0.0, dup=0.0):
     naive_tr, watch_tr = Tracer(), Tracer()
-    naive_sched, naive = run_engine(scenario, plan, seed, watch=False,
+    naive_sched, naive = run_engine(scenario, plan, seed, reference=True,
                                     drop=drop, dup=dup, tracer=naive_tr)
-    watch_sched, watched = run_engine(scenario, plan, seed, watch=True,
+    watch_sched, watched = run_engine(scenario, plan, seed, reference=False,
                                       drop=drop, dup=dup, tracer=watch_tr)
     if observables(watched) != observables(naive):
         # localize before failing: diff the causal traces (minus the
@@ -132,7 +135,7 @@ def assert_equivalent(scenario, plan, seed, drop=0.0, dup=0.0):
             [r for r in watch_tr.records if r.get("cat") != "guard"],
         )
         raise AssertionError(
-            "watched engine diverged from naive engine "
+            "production engine diverged from reference engine "
             f"(seed {seed}, drop {drop}, dup {dup}); trace diff:\n"
             + diff.summary()
         )
@@ -171,8 +174,8 @@ class TestWatchedEquivalence:
         the projection drops those two fields and nothing else."""
         scenario = SCENARIOS[name]()
         naive_tr, watch_tr = Tracer(), Tracer()
-        run_engine(scenario, None, seed, watch=False, tracer=naive_tr)
-        run_engine(scenario, None, seed, watch=True, tracer=watch_tr)
+        run_engine(scenario, None, seed, reference=True, tracer=naive_tr)
+        run_engine(scenario, None, seed, reference=False, tracer=watch_tr)
 
         def project(records):
             return [
@@ -195,95 +198,107 @@ class TestWatchedEquivalence:
         assert total > 0
 
     def test_counters_surface_in_metrics_report(self, kernel_schema):
-        sched, _ = run_engine(make_travel_booking("success"), None, 0, True)
+        sched, _ = run_engine(make_travel_booking("success"), None, 0, False)
         kernel = sched.metrics_report()["kernel"]
         kernel_schema(kernel)
         assert kernel["watch"]["registered"] == len(sched.watch)
 
 
+GROWTH_DEP = "~ship + pay . ship"
+
+
+def grow_run(reference, extra):
+    """Park ``ship`` behind ``pay``; with ``extra``, add a second
+    dependency mid-run (``strengthen_guard``) before ``pay`` arrives."""
+    sched = DistributedScheduler(
+        [parse(GROWTH_DEP)],
+        latency=ConstantLatency(1.0),
+        rng=random.Random(5),
+        reference_engine=reference,
+    )
+    pay, ship = Event("pay"), Event("ship")
+    sched.attempt(ship)  # parks: pay has not settled
+    sched.sim.run()
+    if extra:
+        # growth: ship now also needs the audit to have run
+        assert sched.add_dependency_runtime(parse("~ship + audit . ship"))
+        sched.attempt(Event("audit"))
+        sched.sim.run()
+    sched.attempt(pay)
+    result = sched.run(settle=True, verify=False)
+    return sched, result
+
+
+def shrink_run(reference):
+    """Park ``ship`` behind ``pay``, then remove the dependency
+    (``replace_guard``)."""
+    sched = DistributedScheduler(
+        [parse(GROWTH_DEP)],
+        latency=ConstantLatency(1.0),
+        rng=random.Random(5),
+        reference_engine=reference,
+    )
+    sched.attempt(Event("ship"))  # parks behind pay
+    sched.sim.run()
+    assert sched.remove_dependency_runtime(parse(GROWTH_DEP))
+    return sched, sched.run(settle=True, verify=False)
+
+
 class TestWatchedRuntimeGrowth:
     """Run-time guard-table modification re-registers watches."""
 
-    DEP = "~ship + pay . ship"
-
-    def _grow_run(self, watch, extra):
-        sched = DistributedScheduler(
-            [parse(self.DEP)],
-            latency=ConstantLatency(1.0),
-            rng=random.Random(5),
-            watch_mode=watch,
-        )
-        pay, ship = Event("pay"), Event("ship")
-        sched.attempt(ship)  # parks: pay has not settled
-        sched.sim.run()
-        if extra:
-            # growth: ship now also needs the audit to have run
-            assert sched.add_dependency_runtime(parse("~ship + audit . ship"))
-            sched.attempt(Event("audit"))
-            sched.sim.run()
-        sched.attempt(pay)
-        result = sched.run(settle=True, verify=False)
-        return sched, result
-
     def test_added_dependency_equivalence(self):
         for extra in (False, True):
-            naive_sched, naive = self._grow_run(False, extra)
-            watch_sched, watched = self._grow_run(True, extra)
+            naive_sched, naive = grow_run(True, extra)
+            watch_sched, watched = grow_run(False, extra)
             assert observables(watched) == observables(naive)
             assert final_state(watch_sched) == final_state(naive_sched)
 
     def test_removed_dependency_equivalence(self):
-        def run(watch):
-            sched = DistributedScheduler(
-                [parse(self.DEP)],
-                latency=ConstantLatency(1.0),
-                rng=random.Random(5),
-                watch_mode=watch,
-            )
-            sched.attempt(Event("ship"))  # parks behind pay
-            sched.sim.run()
-            assert sched.remove_dependency_runtime(parse(self.DEP))
-            return sched, sched.run(settle=True, verify=False)
-
-        naive_sched, naive = run(False)
-        watch_sched, watched = run(True)
+        naive_sched, naive = shrink_run(True)
+        watch_sched, watched = shrink_run(False)
         assert observables(watched) == observables(naive)
         assert final_state(watch_sched) == final_state(naive_sched)
+
+
+#: Example 14's parametrized mutual-exclusion loop
+MUTEX_TEMPLATES = [
+    "b2[y] . b1[x] + ~e1[x] + ~b2[y] + e1[x] . b2[y]",
+    "b1[x] . b2[y] + ~e2[y] + ~b1[x] + e2[y] . b1[x]",
+    "~b1[x] + e1[x]",
+    "~b2[y] + e2[y]",
+]
+
+token_sequences = st.lists(
+    st.tuples(
+        st.sampled_from(["b1", "e1", "b2", "e2"]),
+        st.integers(0, 1),
+    ),
+    min_size=1,
+    max_size=5,
+    unique=True,
+)
+
+
+def param_run(tokens, reference):
+    runner = DistributedParamRunner(
+        MUTEX_TEMPLATES, reference_engine=reference
+    )
+    for name, value in tokens:
+        runner.attempt(Event(name, params=(value,)))
+    result = runner.finish(verify=False)
+    return runner.sched, result
 
 
 class TestResurrectionEquivalence:
     """Example 14: parametrized loops mint fresh instances; watches
     must follow the growing guard table and resurrected actors."""
 
-    TEMPLATES = [
-        "b2[y] . b1[x] + ~e1[x] + ~b2[y] + e1[x] . b2[y]",
-        "b1[x] . b2[y] + ~e2[y] + ~b1[x] + e2[y] . b1[x]",
-        "~b1[x] + e1[x]",
-        "~b2[y] + e2[y]",
-    ]
-
-    def _run(self, tokens, watch):
-        runner = DistributedParamRunner(self.TEMPLATES, watch_mode=watch)
-        for name, value in tokens:
-            runner.attempt(Event(name, params=(value,)))
-        result = runner.finish(verify=False)
-        return runner.sched, result
-
     @settings(max_examples=12, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["b1", "e1", "b2", "e2"]),
-                st.integers(0, 1),
-            ),
-            min_size=1,
-            max_size=5,
-            unique=True,
-        )
-    )
+    @given(token_sequences)
     def test_token_sequences_are_observably_identical(self, tokens):
-        naive_sched, naive = self._run(tokens, watch=False)
-        watch_sched, watched = self._run(tokens, watch=True)
+        naive_sched, naive = param_run(tokens, reference=True)
+        watch_sched, watched = param_run(tokens, reference=False)
         assert observables(watched) == observables(naive)
         assert final_state(watch_sched) == final_state(naive_sched)
 

@@ -366,3 +366,17 @@ class TestShardedObservability:
         assert "repro_kernel_watch_wakes" in text
         assert "repro_kernel_interning" in text
         assert "repro_ts_parked_events" in text
+
+    def test_compiled_counters_sum_across_shards(self):
+        # regression: same defect as the watch counters above -- each
+        # shard's scheduler overlays its private guard engine's work
+        # counters on kernel["compiled"], so the merge must sum them
+        sharded = self._run()
+        assert len(sharded.outcomes) == 2
+        compiled = sharded.metrics["kernel"]["compiled"]
+        assert compiled["hops"] > 0
+        for key, value in compiled.items():
+            assert value == sum(
+                o.metrics["kernel"]["compiled"][key] for o in sharded.outcomes
+            ), key
+        assert "repro_kernel_compiled_hops" in render_prometheus(sharded.metrics)

@@ -201,3 +201,28 @@ class TestMonitorDependencyIndex:
                 for base in dep.bases():
                     subs.setdefault(base, []).append(index)
         assert sched._monitor_subs == subs
+
+
+class TestOneGuardEngine:
+    def test_no_engine_selectors_on_the_runtime_surface(self):
+        """One production engine: nothing on the scheduler, the shard
+        task or the shard planner selects a guard-evaluation path
+        (``reference_engine`` is the tests' reference, scheduler and
+        param runner only)."""
+        import dataclasses
+        import inspect
+
+        from repro.scale import ShardTask, plan_shards
+
+        retired = {"compiled_guards", "minimize_guards", "watch_mode"}
+        names = {
+            "DistributedScheduler": set(
+                inspect.signature(DistributedScheduler.__init__).parameters
+            ),
+            "ShardTask": {f.name for f in dataclasses.fields(ShardTask)},
+            "plan_shards": set(inspect.signature(plan_shards).parameters),
+        }
+        for owner, exposed in names.items():
+            assert not exposed & retired, owner
+        assert "reference_engine" in names["DistributedScheduler"]
+        assert "reference_engine" not in names["ShardTask"] | names["plan_shards"]

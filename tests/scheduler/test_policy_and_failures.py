@@ -12,6 +12,7 @@ from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.events import SchedulerPolicy
 from repro.sim.clock import Simulator
 from repro.sim.network import Network
+from repro.temporal import minimize, workflow_guards
 from repro.workloads.generators import chain_workflow, scripts_for
 from repro.workloads.scenarios import make_travel_booking
 
@@ -24,6 +25,14 @@ def run_scenario(scenario, **kwargs):
         w.dependencies, sites=w.sites, attributes=w.attributes, **kwargs
     )
     return sched.run(scenario.scripts)
+
+
+def minimized_guards(workflow):
+    """The ``guards=`` recipe for prime-cover-minimized actors."""
+    return {
+        event: minimize(g)
+        for event, g in workflow_guards(workflow.dependencies).items()
+    }
 
 
 class TestPromiseChainingAblation:
@@ -249,7 +258,9 @@ class TestMinimizedGuards:
     def test_travel_scenarios(self, outcome):
         scenario = make_travel_booking(outcome)
         plain = run_scenario(scenario)
-        minimized = run_scenario(scenario, minimize_guards=True)
+        minimized = run_scenario(
+            scenario, guards=minimized_guards(scenario.workflow)
+        )
         assert plain.ok and minimized.ok
         assert {en.event for en in plain.entries} == {
             en.event for en in minimized.entries
@@ -259,7 +270,9 @@ class TestMinimizedGuards:
         from repro.workloads.scenarios import make_mutex_scenario
 
         scenario = make_mutex_scenario("t1")
-        result = run_scenario(scenario, minimize_guards=True)
+        result = run_scenario(
+            scenario, guards=minimized_guards(scenario.workflow)
+        )
         assert result.ok
         order = [en.event.name for en in result.entries]
         b1, e1 = order.index("b1"), order.index("e1")
@@ -276,7 +289,7 @@ class TestMinimizedGuards:
         )
         small = DistributedScheduler(
             w.dependencies, sites=w.sites, attributes=w.attributes,
-            minimize_guards=True,
+            guards=minimized_guards(w),
         )
         plain_size = sum(a.guard.literal_count() for a in plain.actors.values())
         small_size = sum(a.guard.literal_count() for a in small.actors.values())

@@ -209,44 +209,26 @@ class TestStats:
 
 
 class TestSharedEngine:
-    def test_schedulers_can_share_one_interned_engine(self):
-        import random
-
-        from repro.scheduler.guard_scheduler import DistributedScheduler
-        from repro.sim.network import ConstantLatency
-
-        e, f = Event("se_e"), Event("se_f")
+    def test_cursors_share_one_interned_engine(self):
         engine = CompiledGuardEngine()
 
-        def run():
-            sched = DistributedScheduler(
-                [],
-                guards={e: literal("box", f), f: TRUE_GUARD},
-                latency=ConstantLatency(1.0),
-                rng=random.Random(0),
-                compiled_guards=engine,
-            )
-            sched.attempt(f)
-            sched.attempt(e)
-            sched.sim.run()
-            return sched
+        def walk():
+            cursor = engine.cursor(GUARD)
+            cursor.learn(A, E_OCC)
+            residual = cursor.assimilate()
+            return cursor, residual, cursor.verdict()
 
-        first = run()
-        assert first.compiled is engine
+        first, residual, verdict = walk()
         nodes_after_first = len(engine)
         reused_after_first = engine.counts()["reused"]
-        second = run()
-        # the second scheduler walked entirely interned automata...
+        second, residual2, verdict2 = walk()
+        # the second cursor walked entirely interned automata...
         assert len(engine) == nodes_after_first
         assert engine.counts()["reused"] > reused_after_first
-        # ...and settled the identical timeline
-        assert [
-            (repr(entry.event), entry.time)
-            for entry in first.result.entries
-        ] == [
-            (repr(entry.event), entry.time)
-            for entry in second.result.entries
-        ]
+        assert engine.counts()["cursors"] == 2
+        # ...to the very same state
+        assert second.node is first.node
+        assert (residual2, verdict2) == (residual, verdict)
 
 
 class TestTemplateStamping:

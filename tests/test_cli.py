@@ -114,29 +114,30 @@ class TestRun:
         assert "ok=True" in capsys.readouterr().out
 
     def test_compiled_guards_run(self, spec_file, capsys):
-        code = main(
-            [
-                "run", spec_file,
-                "--attempt", "e=0",
-                "--scheduler", "distributed",
-                "--compiled-guards",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "ok=True" in out
+        """A default distributed run evaluates on the compiled cursors
+        and ``--json`` carries *this run's* counters (a second run
+        reports the same numbers, not process-wide totals)."""
+        argv = [
+            "run", spec_file,
+            "--attempt", "e=0",
+            "--scheduler", "distributed",
+            "--json",
+        ]
+        assert main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert first["ok"] is True
+        compiled = first["metrics"]["kernel"]["compiled"]
+        assert compiled["hops"] > 0
+        assert compiled["cursors"] > 0
+        assert main(argv) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert second["metrics"]["kernel"]["compiled"] == compiled
 
-    def test_compiled_guards_needs_distributed(self, spec_file, capsys):
-        code = main(
-            [
-                "run", spec_file,
-                "--attempt", "e=0",
-                "--scheduler", "centralized",
-                "--compiled-guards",
-            ]
-        )
-        assert code == 2
-        assert "--scheduler distributed" in capsys.readouterr().err
+    def test_compiled_guards_flag_is_gone(self, spec_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", spec_file, "--attempt", "e=0", "--compiled-guards"])
+        assert excinfo.value.code == 2
+        assert "--compiled-guards" in capsys.readouterr().err
 
     def test_bad_attempt_syntax(self, spec_file, capsys):
         assert main(["run", spec_file, "--attempt", "e"]) == 2
