@@ -16,11 +16,7 @@ from repro.algebra.normal_form import to_normal_form
 from repro.algebra.residuation import residuate
 from repro.temporal.compiled import clear_compiled
 from repro.temporal.cubes import clear_simplify_cache
-from repro.temporal.guards import (
-    clear_synthesis_caches,
-    guard,
-    guard_formula,
-)
+from repro.temporal.guards import clear_synthesis_caches
 from repro.temporal.watch import clear_watch_stats
 
 
@@ -28,8 +24,6 @@ def clear_symbolic_caches() -> None:
     """Clear memoization so benchmarks time the real computation."""
     residuate.cache_clear()
     to_normal_form.cache_clear()
-    guard.cache_clear()
-    guard_formula.cache_clear()
     clear_synthesis_caches()
     clear_simplify_cache()
     clear_watch_stats()

@@ -15,16 +15,21 @@ Runs three workload families and emits a machine-readable
   (reliable sessions, drop/dup, one crash/restart);
 * **scale-out** (PF2/SC6, when :mod:`repro.scale` is available) --
   template-instantiated guard synthesis vs per-instance synthesis at
-  N=64 (required: >= 5x), and the N=64 workload sharded 4 ways on the
-  process-pool runner vs one merged scheduler (``speedup_vs_merged``
-  is reported, not required: re-measured with the linear trace oracle,
-  sharded lost one of twenty alternating repetitions to a host stall,
-  and only comparisons that win every repetition are asserted);
+  N=64 (required: identical tables; ``speedup`` is reported, not
+  required: per-instance ``workflow_guards`` is itself one synthesis
+  plus 63 renames since synthesis works modulo renaming), and the N=64
+  workload sharded 4 ways on the process-pool runner vs one merged
+  scheduler (``speedup_vs_merged`` is reported, not required:
+  re-measured with the linear trace oracle, sharded lost one of twenty
+  alternating repetitions to a host stall, and only comparisons that
+  win every repetition are asserted);
 * **cross-shard** (SC7, when :mod:`repro.scale.engine` is available)
   -- the Example 13 mutex family at N in {64, 256}, merged vs min-cut
-  sharded (required: the N=256 min-cut run wins), round-robin with
-  gateway routing, and a skewed layout with and without work stealing
-  (required: stealing wins over the skew it rebalances);
+  sharded (``speedup_vs_merged`` is reported, not required: what
+  sharding bought at N=256 was splitting redundant synthesis, which
+  the shape table removed), round-robin with gateway routing, and a
+  skewed layout with and without work stealing (required: stealing
+  wins over the skew it rebalances);
 * **guard engine** (PF3/PF4, when the scheduler has
   ``reference_engine=``) -- the one production engine (watch index +
   compiled cursors) against the paper-literal reference engine the
@@ -340,13 +345,11 @@ def bench_template_synthesis(rounds: int) -> dict:
         "seconds": tseconds, "table_size": tsize, "cubes": tcubes,
         "speedup": speedup,
     }
-    # the template path must produce the same tables, just faster
+    # the template path must produce the same tables; no wall-clock
+    # assert: both arms now synthesize each shape once and rename the
+    # other 63 copies, so ``speedup`` is only reported
     assert (tsize, tcubes) == (size, cubes), (
         f"template tables differ: {(tsize, tcubes)} vs {(size, cubes)}"
-    )
-    assert speedup >= 5.0, (
-        "template instantiation is required to beat per-instance "
-        f"synthesis by >= 5x at N=64; measured {speedup:.1f}x"
     )
     return out
 
@@ -501,13 +504,10 @@ def bench_scale_mutex(rounds: int) -> dict:
             == {repr(e.event) for e in merged_result.entries}
         ), "sharded mutex run settled a different event set than merged"
 
+        # no wall-clock assert against merged: the sharded win at
+        # N=256 was redundant synthesis split across workers, gone
+        # with the shape table (EXPERIMENTS.md, SC7)
         if n == 256:
-            assert cut_best < merged_best, (
-                "the min-cut sharded N=256 mutex family is required to "
-                "beat the merged single scheduler: "
-                f"{cut_best:.3f}s vs {merged_best:.3f}s"
-            )
-
             routed_best, rr_tasks, routed = sharded(n, heavy_rounds)
             out["sc7_mutex_n256_routed"] = record(
                 routed_best,

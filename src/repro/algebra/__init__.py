@@ -19,7 +19,13 @@ dependencies:
   (Semantics 6, Rules 1-8) both symbolically and model-theoretically.
 """
 
-from repro.algebra.symbols import Event, Variable, alphabet_of, bases_of
+from repro.algebra.symbols import (
+    Event,
+    Variable,
+    alphabet_of,
+    bases_of,
+    rename_event,
+)
 from repro.algebra.expressions import (
     Atom,
     Choice,
@@ -30,6 +36,7 @@ from repro.algebra.expressions import (
     ZERO,
     Top,
     Zero,
+    rename_expr,
 )
 from repro.algebra.parser import parse
 from repro.algebra.traces import (
@@ -65,6 +72,8 @@ __all__ = [
     "equivalent",
     "maximal_universe",
     "parse",
+    "rename_event",
+    "rename_expr",
     "residuate",
     "residuate_trace",
     "satisfies",

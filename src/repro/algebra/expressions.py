@@ -22,13 +22,14 @@ an event together with its complement).  Heavier rewriting lives in
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.algebra.symbols import (
     Event,
     alphabet_of,
     clear_event_intern_table,
     event_intern_stats,
+    rename_event,
 )
 
 # Hash-consing: every expression node is interned here, keyed by its
@@ -532,6 +533,26 @@ def _struct_key(expr: Expr) -> tuple:
         raise TypeError(f"unknown expression: {expr!r}")
     object.__setattr__(expr, "_skey", skey)
     return skey
+
+
+def rename_expr(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
+    """Rename every event of an expression through a base mapping.
+
+    Rebuilds through the interning ``.of`` constructors, so the result
+    is the same canonical node a from-scratch parse of the renamed text
+    would produce (``Choice``/``Conj`` re-sort their parts under the
+    *renamed* structural keys).
+    """
+    if isinstance(expr, Atom):
+        renamed = rename_event(expr.event, mapping)
+        return expr if renamed is expr.event else Atom(renamed)
+    if isinstance(expr, Seq):
+        return Seq.of([rename_expr(p, mapping) for p in expr.parts])
+    if isinstance(expr, Choice):
+        return Choice.of([rename_expr(p, mapping) for p in expr.parts])
+    if isinstance(expr, Conj):
+        return Conj.of([rename_expr(p, mapping) for p in expr.parts])
+    return expr  # Zero / Top carry no events
 
 
 def _wrap(expr: Expr, for_seq: bool, for_conj: bool = False) -> str:

@@ -15,7 +15,7 @@ variable is an event *type*, a fully ground event is an event *token*.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 class Variable:
@@ -220,6 +220,14 @@ def clear_event_intern_table() -> None:
     Event._intern.clear()
     Event._hits = 0
     Event._misses = 0
+
+
+def rename_event(event: Event, mapping: Mapping[Event, Event]) -> Event:
+    """Rename one (possibly negated) event through a base mapping."""
+    target = mapping.get(event.base)
+    if target is None:
+        return event
+    return target.complement if event.negated else target
 
 
 def events(names: str | Iterable[str]) -> tuple[Event, ...]:

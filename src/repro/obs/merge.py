@@ -224,13 +224,22 @@ def _merge_kernel(sections: Sequence[Mapping[str, Any]]) -> dict:
     fabricate work.  The ``watch`` and ``compiled`` subsections are
     different: each scheduler overlays its own wake index's and its
     private guard engine's counters there (see ``metrics_report``),
-    which count real per-shard work and therefore sum.
+    which count real per-shard work and therefore sum.  So do the
+    shape-table lookups its constructor made, overlaid on
+    ``synthesis`` (the table's size stays a cache shape).
     """
     merged = _elementwise_max(sections)
     for key in ("watch", "compiled"):
         own = [s[key] for s in sections if isinstance(s.get(key), Mapping)]
         if own:
             merged[key] = _elementwise_sum(own)
+    for key in ("shape_hits", "shape_misses"):
+        own = [
+            s["synthesis"][key] for s in sections
+            if key in s.get("synthesis", ())
+        ]
+        if own:
+            merged["synthesis"][key] = sum(own)
     return merged
 
 

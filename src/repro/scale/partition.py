@@ -28,10 +28,11 @@ engine (:mod:`repro.scale.engine`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
+from repro.temporal.cubes import GuardExpr
 from repro.temporal.guards import guard_table
 
 
@@ -74,9 +75,15 @@ def shared_event_graph(
     event-sharing count -- a dependency whose guards never make one
     side wait on the other contributes nothing.
     """
+    return _coupling_edges(map(guard_table, cross_deps), suffixes)
+
+
+def _coupling_edges(
+    tables: Iterable[Mapping[Event, GuardExpr]], suffixes: Sequence[str]
+) -> dict[tuple[int, int], int]:
+    """:func:`shared_event_graph` over already-synthesized tables."""
     edges: dict[tuple[int, int], int] = {}
-    for dep in cross_deps:
-        table = guard_table(dep)
+    for table in tables:
         for event, g in table.items():
             i = instance_of(event.base, suffixes)
             if i is None:
@@ -194,7 +201,10 @@ def plan_partition(
     deliberately skewed or adversarial layouts; otherwise the greedy
     partitioner runs on the shared-event graph.
     """
-    edges = shared_event_graph(cross_deps, suffixes)
+    # one table per dependency, feeding both the coupling graph and
+    # the spanning/egress pass below
+    tables = [guard_table(dep) for dep in cross_deps]
+    edges = _coupling_edges(tables, suffixes)
     if assignment is None:
         placed = partition_instances(count, shards, edges)
     else:
@@ -210,7 +220,7 @@ def plan_partition(
     spanning: list[int] = []
     owner_sets: list[frozenset[int]] = []
     egress: dict[Event, set[int]] = {}
-    for index, dep in enumerate(cross_deps):
+    for index, (dep, table) in enumerate(zip(cross_deps, tables)):
         owners = frozenset(
             shard_of[i] for i in dependency_instances(dep, suffixes)
         )
@@ -218,7 +228,6 @@ def plan_partition(
             continue
         spanning.append(index)
         owner_sets.append(owners)
-        table = guard_table(dep)
         for event, g in table.items():
             i = instance_of(event.base, suffixes)
             if i is None:

@@ -63,7 +63,12 @@ from repro.sim.network import BatchingChannel, LatencyModel, Network
 from repro.sim.reliable import ReliableNetwork
 from repro.temporal.compiled import CompiledGuardEngine, ReferenceCursor
 from repro.temporal.cubes import GuardExpr
-from repro.temporal.guards import guard_and, guard_table, workflow_guards
+from repro.temporal.guards import (
+    guard_and,
+    guard_table,
+    shape_lookups,
+    workflow_guards,
+)
 from repro.temporal.watch import ALL, WatchIndex
 
 _DEFAULT_ATTRS = EventAttributes()
@@ -241,6 +246,11 @@ class DistributedScheduler:
         #: global snapshot protocol driver (lazy list of snapshots)
         self.snapshots = SnapshotCoordinator(self)
 
+        # this constructor's own shape-table lookups, overlaid on the
+        # process-wide totals by ``metrics_report`` like the watch and
+        # compiled counters; a table handed in whole looks nothing up
+        synthesizes = guards is None or self.cross_dependencies
+        before = shape_lookups() if synthesizes else None
         if guards is not None:
             table = dict(guards)
         elif self.profiler.active:
@@ -270,6 +280,10 @@ class DistributedScheduler:
                     if existing is None
                     else guard_and([existing, contribution])
                 )
+        self._shape_lookups = {"shape_hits": 0, "shape_misses": 0}
+        if synthesizes:
+            after = shape_lookups()
+            self._shape_lookups = {k: after[k] - before[k] for k in after}
         self.actors: dict[Event, EventActor] = {}
         for event, g in table.items():
             self.actors[event] = EventActor(
@@ -1041,6 +1055,9 @@ class DistributedScheduler:
         )
         report["kernel"]["compiled"] = dict(
             report["kernel"]["compiled"], **self.compiled.counts()
+        )
+        report["kernel"]["synthesis"] = dict(
+            report["kernel"]["synthesis"], **self._shape_lookups
         )
         if self.timeseries is not None:
             report["timeseries"] = self.timeseries.as_dict()

@@ -18,6 +18,16 @@ of eventualities -- the paper's "small insight": the guards on the
 remaining event to be guaranteed.  Theorem 6 (checked in the test
 suite and the theorem bench) validates the collective correctness.
 
+Synthesis works *modulo renaming*: ``G(D, e)`` depends only on the
+shape of ``D``, so :func:`guard`, :func:`guard_table` and
+:func:`workflow_guards` all go through :func:`_guards_modulo_renaming`,
+which renames the bases of a query onto canonical slot events in
+``Event.sort_key`` order, synthesizes each distinct slot-space query
+once (:func:`_synthesize`, the direct computation) and renames the
+stored guard back.  Every fold below runs in canonical event order, so
+an order-preserving injective rename commutes with it exactly: the
+result is cube-for-cube what direct synthesis on the real names gives.
+
 Also here: ``Pi(D)`` -- the accepting paths of Definition 3 -- the
 path-sum form of Lemma 5, and the per-event guard table of a whole
 workflow (the conjunction over its dependencies, Section 4.2).
@@ -36,10 +46,11 @@ from repro.algebra.expressions import (
     Seq,
     Top,
     Zero,
+    rename_expr,
 )
 from repro.algebra.normal_form import to_normal_form
 from repro.algebra.residuation import residuate, residuate_nf
-from repro.algebra.symbols import Event
+from repro.algebra.symbols import Event, Variable, rename_event
 from repro.temporal.cubes import (
     FALSE_GUARD,
     GuardExpr,
@@ -136,11 +147,25 @@ class _Closure:
 
 _CLOSURES: dict[Expr, _Closure] = {}
 
+#: ``(slot-space dependencies, slot-space event) -> guard``: one entry
+#: per distinct query shape, shared by every renamed copy
+_SHAPES: dict[tuple[tuple[Expr, ...], Event], GuardExpr] = {}
+
+#: ``_SLOTS[i]`` is the ``i``-th canonical base, as a ground event and
+#: as a variable-carrying one (``Seq.of`` / ``Conj.of`` only collapse
+#: ground contradictions, so a slot keeps its base's groundness).  The
+#: ``#`` keeps slot names outside the parser's identifier grammar;
+#: fixed-width digits make name order equal index order.  Grown on
+#: demand, never at import.
+_SLOTS: list[tuple[Event, Event]] = []
+
 
 class _SynthStats:
     closure_hits = 0
     closure_misses = 0
     columns = 0
+    shape_hits = 0
+    shape_misses = 0
 
 
 def _closure_for(dep_nf: Expr) -> _Closure:
@@ -154,9 +179,20 @@ def _closure_for(dep_nf: Expr) -> _Closure:
     return closure
 
 
-def synthesis_stats() -> dict:
-    """Closure-table counters (exposed via ``metrics_report()``)."""
+def shape_lookups() -> dict:
+    """The shape table's lookup counters alone: callers difference two
+    snapshots to attribute lookups to a stretch of their own work."""
     return {
+        "shape_hits": _SynthStats.shape_hits,
+        "shape_misses": _SynthStats.shape_misses,
+    }
+
+
+def synthesis_stats() -> dict:
+    """Shape- and closure-table counters (exposed via ``metrics_report()``)."""
+    return {
+        "shapes": len(_SHAPES),
+        **shape_lookups(),
         "closures": len(_CLOSURES),
         "closure_states": sum(len(c.transitions) for c in _CLOSURES.values()),
         "closure_hits": _SynthStats.closure_hits,
@@ -166,18 +202,24 @@ def synthesis_stats() -> dict:
 
 
 def clear_synthesis_caches() -> None:
-    """Drop closure tables (benchmarks measure cold synthesis)."""
+    """Drop every synthesis memo and reset the counters (benchmarks
+    measure cold synthesis)."""
+    _SHAPES.clear()
+    _SLOTS.clear()
     _CLOSURES.clear()
     _EVENTUALLY_CACHE.clear()
+    guard_formula.cache_clear()
     _SynthStats.closure_hits = 0
     _SynthStats.closure_misses = 0
     _SynthStats.columns = 0
+    _SynthStats.shape_hits = 0
+    _SynthStats.shape_misses = 0
 
 
 def kernel_stats() -> dict:
     """One JSON-ready snapshot of every symbolic-kernel cache.
 
-    Aggregates the intern tables (hash-consing), the residual-closure
+    Aggregates the intern tables (hash-consing), the shape/closure
     synthesis counters, the ``simplify_under`` memo, and the lru memo
     tables of the kernel entry points.  Surfaced per run through
     ``DistributedScheduler.metrics_report()`` and ``repro run --json``.
@@ -200,21 +242,71 @@ def kernel_stats() -> dict:
         "memo": {
             "residuate": lru_counts(residuate),
             "to_normal_form": lru_counts(to_normal_form),
-            "guard": lru_counts(guard),
             "guard_formula": lru_counts(guard_formula),
         },
     }
 
 
-@lru_cache(maxsize=65536)
+def _synthesize(deps_nf: Sequence[Expr], event: Event) -> GuardExpr:
+    """``AND_D G(D, event)`` over normal-form dependencies, computed
+    directly on the names given (Definition 2 per dependency, Section
+    4.2's conjunction across them, folded in the order given).
+
+    The shape table calls this on slot-space input; the tests call it
+    on real-space input as the oracle.
+    """
+    return guard_and(_closure_for(d).column(event)[d] for d in deps_nf)
+
+
+def _guards_modulo_renaming(
+    deps_nf: Sequence[Expr], events: Sequence[Event]
+) -> list[GuardExpr]:
+    """``_synthesize(deps_nf, e)`` for each ``e`` of ``events``, paying
+    one synthesis per query *shape* and one rename per copy.
+
+    Every base the query mentions is renamed onto ``_SLOTS`` in
+    ``Event.sort_key`` order.  The rename is injective and preserves
+    that order (and groundness), hence commutes with every step of
+    synthesis: ``Choice/Conj.of`` sorting, the closure walk, the column
+    folds and ``_absorb``'s sorted passes all see isomorphic input.
+    Closures, columns and eventualities live in slot space, so copies
+    share them; the guard renamed back is at the ``_absorb`` fixpoint
+    already (:meth:`GuardExpr.rename`, injective case).
+    """
+    bases = {e.base for e in events}
+    for dep in deps_nf:
+        bases |= dep.bases()
+    while len(_SLOTS) < len(bases):
+        name = f"#{len(_SLOTS):08d}"
+        _SLOTS.append((Event(name), Event(name, params=(Variable("_"),))))
+    to_slot = {
+        base: _SLOTS[i][0 if base.is_ground else 1]
+        for i, base in enumerate(sorted(bases, key=Event.sort_key))
+    }
+    from_slot = {slot: base for base, slot in to_slot.items()}
+    slot_deps = tuple(rename_expr(dep, to_slot) for dep in deps_nf)
+    guards = []
+    for event in events:
+        key = (slot_deps, rename_event(event, to_slot))
+        found = _SHAPES.get(key)
+        if found is None:
+            _SynthStats.shape_misses += 1
+            found = _SHAPES[key] = _synthesize(*key)
+        else:
+            _SynthStats.shape_hits += 1
+        guards.append(found.rename(from_slot))
+    return guards
+
+
 def guard(dependency: Expr, event: Event) -> GuardExpr:
     """Compute ``G(D, e)`` as a cube guard (Definition 2).
 
     Definition 2 reads as a recursion over residuals; here it is
     evaluated over the dependency's residual closure: the closure is
-    computed once per dependency and shared by every event, and each
-    event's guards for *all* closure states are derived in a single
-    bottom-up pass (see :class:`_Closure`).
+    computed once per dependency *shape* and shared by every event and
+    every renamed copy, and each event's guards for *all* closure
+    states are derived in a single bottom-up pass (see
+    :class:`_Closure`).
 
     >>> from repro.algebra.parser import parse
     >>> from repro.algebra.symbols import Event
@@ -223,8 +315,8 @@ def guard(dependency: Expr, event: Event) -> GuardExpr:
     >>> guard(parse("~e + ~f + e . f"), Event("f"))
     ([]e + <>~e)
     """
-    dep = to_normal_form(dependency)
-    return _closure_for(dep).column(event)[dep]
+    (found,) = _guards_modulo_renaming((to_normal_form(dependency),), (event,))
+    return found
 
 
 def guard_table(dependency: Expr) -> dict[Event, GuardExpr]:
@@ -234,11 +326,13 @@ def guard_table(dependency: Expr) -> dict[Event, GuardExpr]:
     >>> sorted(map(repr, guard_table(parse("~e + f")).values()))
     ['<>f', '<>~e', 'T', 'T']
     """
-    dep = to_normal_form(dependency)
-    closure = _closure_for(dep)
-    return {
-        e: closure.column(e)[dep] for e in _alphabet(dependency)
-    }
+    events = _alphabet(dependency)
+    return dict(
+        zip(
+            events,
+            _guards_modulo_renaming((to_normal_form(dependency),), events),
+        )
+    )
 
 
 def explain_guard(
@@ -399,21 +493,33 @@ def workflow_guards(
     """
     originals = list(dependencies)
     deps = [to_normal_form(d) for d in originals]
-    # The alphabet comes from the *original* expressions: a dependency
-    # that normalizes to 0 (e.g. ``e . e``) still constrains every
-    # event it mentioned -- nothing may occur at all -- so its events
-    # need (false) guards in the table.
-    alphabet: set[Event] = set()
-    for dep in originals:
-        alphabet |= dep.alphabet()
+    # base -> positions of the dependencies mentioning it.  Bases come
+    # from the *original* expressions: a dependency that normalizes to
+    # 0 (e.g. ``e . e``) still constrains every event it mentioned --
+    # nothing may occur at all -- so its events need (false) guards in
+    # the table.
+    mentions: dict[Event, list[int]] = {}
+    for position, original in enumerate(originals):
+        for base in original.bases():
+            mentions.setdefault(base, []).append(position)
+    # events constrained by the same dependencies share one renaming;
+    # the table is keyed up front, in the canonical event order the
+    # grouping loses
+    everything = tuple(range(len(deps)))
+    groups: dict[tuple[int, ...], list[Event]] = {}
     table: dict[Event, GuardExpr] = {}
-    for e in sorted(alphabet, key=Event.sort_key):
-        relevant = [
-            nf
-            for original, nf in zip(originals, deps)
-            if (not mentioned_only) or e.base in original.bases()
-        ]
-        table[e] = guard_and(guard(d, e) for d in relevant)
+    for base in sorted(mentions, key=Event.sort_key):
+        relevant = tuple(mentions[base]) if mentioned_only else everything
+        for event in (base, base.complement):
+            groups.setdefault(relevant, []).append(event)
+            table[event] = FALSE_GUARD
+    for relevant, events in groups.items():
+        table.update(
+            zip(
+                events,
+                _guards_modulo_renaming([deps[i] for i in relevant], events),
+            )
+        )
     return table
 
 

@@ -29,6 +29,7 @@ from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
 from repro.scheduler.residuation_scheduler import joint_completion_exists
 from repro.temporal.compiled import table_stats
+from repro.temporal.guards import shape_lookups
 from repro.workflows.compiler import compile_workflow
 from repro.workflows.spec import Workflow
 
@@ -149,6 +150,11 @@ class AnalysisReport:
     #: an event in ``constant_false`` compiles to the constant-false
     #: terminal and is dead at run time
     compiled: dict = field(default_factory=dict)
+    #: shape-table lookups compiling the guard table made: one per
+    #: signed event, ``shape_misses`` of them synthesized (in a fresh
+    #: process, the number of distinct shapes the workflow has) and
+    #: ``shape_hits`` served by renaming an earlier copy
+    synthesis: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -183,6 +189,7 @@ class AnalysisReport:
                 for event, bases in self.notyet_needs.items()
             },
             "compiled": dict(self.compiled),
+            "synthesis": dict(self.synthesis),
         }
 
     def summary(self) -> str:
@@ -222,6 +229,12 @@ class AnalysisReport:
                 f"{self.compiled['cubes']} cubes / "
                 f"{self.compiled['literals']} literals"
             )
+        if self.synthesis:
+            lines.append(
+                "  guard synthesis: "
+                f"{self.synthesis['shape_misses']} shapes synthesized, "
+                f"{self.synthesis['shape_hits']} guards renamed from them"
+            )
             if self.compiled["constant_false"]:
                 names = ", ".join(self.compiled["constant_false"])
                 lines.append(
@@ -234,7 +247,9 @@ class AnalysisReport:
 def analyze(workflow: Workflow) -> AnalysisReport:
     """Run the full compile-time analysis on a workflow."""
     deps = list(workflow.dependencies)
+    before = shape_lookups()
     compiled = compile_workflow(workflow)
+    after = shape_lookups()
     mandatory = mandatory_events(deps)
     unsupported = frozenset(
         ev
@@ -259,6 +274,7 @@ def analyze(workflow: Workflow) -> AnalysisReport:
         promise_pairs=compiled.promise_pairs,
         notyet_needs=compiled.notyet_needs,
         compiled=table_stats(compiled.guards),
+        synthesis={key: after[key] - before[key] for key in after},
     )
 
 

@@ -20,8 +20,11 @@ from-scratch synthesis on the renamed workflow exactly when the rename
 preserves that order.  Appending one suffix to every name *usually*
 preserves lexicographic order but not always (``"t1" < "t10"`` yet
 ``"t1_i1" > "t10_i1"``); :meth:`WorkflowTemplate.instantiate` checks
-order preservation per suffix and falls back to a fresh synthesis for
-the rare violating suffix, so instantiated guards are *always*
+order preservation per suffix and falls back to
+:func:`~repro.temporal.guards.workflow_guards` on the renamed
+dependencies for the rare violating suffix -- a shape-table hit there
+whenever the suffix merely reorders names the same way an earlier one
+did, not a re-synthesis -- so instantiated guards are *always*
 structurally identical to from-scratch synthesis (a property the test
 suite checks over the workload generators).
 """
@@ -31,41 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.algebra.expressions import Atom, Choice, Conj, Expr, Seq
-from repro.algebra.symbols import Event
+from repro.algebra.expressions import rename_expr
+from repro.algebra.symbols import Event, rename_event
 from repro.obs.profile import NULL_PROFILER
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.temporal.cubes import GuardExpr
 from repro.temporal.guards import rename_guard_table, workflow_guards
 from repro.workflows.spec import Workflow
-
-
-def rename_event(event: Event, mapping: Mapping[Event, Event]) -> Event:
-    """Rename one (possibly negated) event through a base mapping."""
-    target = mapping.get(event.base)
-    if target is None:
-        return event
-    return target.complement if event.negated else target
-
-
-def rename_expr(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
-    """Rename every event of an expression through a base mapping.
-
-    Rebuilds through the interning ``.of`` constructors, so the result
-    is the same canonical node a from-scratch parse of the renamed text
-    would produce (``Choice``/``Conj`` re-sort their parts under the
-    *renamed* structural keys).
-    """
-    if isinstance(expr, Atom):
-        renamed = rename_event(expr.event, mapping)
-        return expr if renamed is expr.event else Atom(renamed)
-    if isinstance(expr, Seq):
-        return Seq.of([rename_expr(p, mapping) for p in expr.parts])
-    if isinstance(expr, Choice):
-        return Choice.of([rename_expr(p, mapping) for p in expr.parts])
-    if isinstance(expr, Conj):
-        return Conj.of([rename_expr(p, mapping) for p in expr.parts])
-    return expr  # Zero / Top carry no events
 
 
 def rename_script(
@@ -126,7 +101,7 @@ class WorkflowTemplate:
         )
         #: instantiations served by the rename fast path
         self.fast_instantiations = 0
-        #: instantiations that re-synthesized (order-violating suffix)
+        #: instantiations through ``workflow_guards`` (order-violating suffix)
         self.fallback_instantiations = 0
 
     @property

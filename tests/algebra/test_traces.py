@@ -1,8 +1,5 @@
 """Traces, universes, satisfaction (Definition 1, Semantics 1-5, Example 1)."""
 
-import math
-import sys
-
 import pytest
 
 from repro.algebra.parser import parse
@@ -15,7 +12,7 @@ from repro.algebra.traces import (
     universe_size,
 )
 
-from tests.conftest import run_stamped_travel
+from tests.conftest import count_calls, fitted_exponent, run_stamped_travel
 
 E, F, G = Event("e"), Event("f"), Event("g")
 
@@ -141,24 +138,6 @@ class TestSatisfaction:
         assert not satisfies(Trace([]), d)
 
 
-def _count_calls(fn) -> int:
-    """Python + C function calls made while ``fn()`` runs."""
-    calls = 0
-
-    def on_event(_frame, event, _arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(on_event)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous)
-    return calls
-
-
 class TestVerifyScaling:
     def test_verify_call_count_grows_linearly(self):
         """``result.verify`` on N stamped travel bookings costs
@@ -170,14 +149,9 @@ class TestVerifyScaling:
         for n in sizes:
             outcomes = ["failure" if k % 3 == 0 else "success" for k in range(n)]
             result, deps = run_stamped_travel(outcomes)
-            counts.append(_count_calls(lambda: result.verify(deps)))
+            counts.append(count_calls(lambda: result.verify(deps)))
             assert result.violations == []
-        xs = [math.log(n) for n in sizes]
-        ys = [math.log(c) for c in counts]
-        mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
-        exponent = sum(
-            (x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)
-        ) / sum((x - mean_x) ** 2 for x in xs)
+        exponent = fitted_exponent(sizes, counts)
         assert exponent <= 1.15, (exponent, counts)
 
 

@@ -11,7 +11,10 @@ Also registers the Hypothesis profiles the suite runs under:
   exploration is opt-in via ``--hypothesis-profile=dev``).
 """
 
+import math
 import random
+import statistics
+import sys
 
 import pytest
 from hypothesis import settings as hypothesis_settings
@@ -39,6 +42,10 @@ hypothesis_settings.load_profile("default")
 KERNEL_STATS_KEYS = {
     "interning", "synthesis", "simplify", "watch", "compiled", "memo"
 }
+SYNTHESIS_STATS_KEYS = {
+    "shapes", "shape_hits", "shape_misses",
+    "closures", "closure_hits", "closure_misses",
+}
 WATCH_STATS_KEYS = {"wakes", "skips", "rewatches"}
 COMPILED_STATS_KEYS = {
     "nodes", "reused", "edges", "hops", "expansions", "cursors", "recompiles"
@@ -56,6 +63,9 @@ def assert_kernel_schema(stats):
     this guards against."""
     assert KERNEL_STATS_KEYS <= set(stats), sorted(stats)
     assert {"exprs", "events"} <= set(stats["interning"])
+    assert SYNTHESIS_STATS_KEYS <= set(stats["synthesis"]), sorted(
+        stats["synthesis"]
+    )
     assert WATCH_STATS_KEYS <= set(stats["watch"]), sorted(stats["watch"])
     for counter in WATCH_STATS_KEYS:
         assert isinstance(stats["watch"][counter], int)
@@ -65,6 +75,31 @@ def assert_kernel_schema(stats):
     for counter in COMPILED_STATS_KEYS:
         assert isinstance(stats["compiled"][counter], int)
     assert {"residuate", "to_normal_form"} <= set(stats["memo"])
+
+
+def count_calls(fn) -> int:
+    """Python + C function calls made while ``fn()`` runs."""
+    calls = 0
+
+    def on_event(_frame, event, _arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def fitted_exponent(sizes, counts) -> float:
+    """Least-squares slope of ``log(count)`` against ``log(size)``."""
+    return statistics.linear_regression(
+        [math.log(n) for n in sizes], [math.log(c) for c in counts]
+    ).slope
 
 
 def run_stamped_travel(outcomes):

@@ -117,6 +117,26 @@ class TestPlanPartition:
                 4, 2, cross, suffixes, assignment=[[0, 1, 2], [2, 3]]
             )
 
+    def test_each_cross_table_is_synthesized_once_per_plan(self, monkeypatch):
+        # regression: the coupling graph and the spanning/egress pass
+        # each used to ask for every dependency's guard table
+        from repro.scale import partition
+
+        asked = []
+
+        def counting(dep):
+            asked.append(dep)
+            return guard_table(dep)
+
+        guard_table = partition.guard_table
+        monkeypatch.setattr(partition, "guard_table", counting)
+        cross, suffixes = family(4, cluster=2)
+        plan = plan_partition(
+            4, 2, cross, suffixes, assignment=[[0, 2], [1, 3]]
+        )
+        assert len(plan.spanning) == len(cross)
+        assert asked == list(cross)
+
     def test_plan_is_deterministic(self):
         cross, suffixes = family(12, cluster=3)
         assert plan_partition(12, 4, cross, suffixes) == plan_partition(

@@ -18,7 +18,7 @@ from repro.scale import (
 from repro.scale.shards import _run_shard
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.guard_scheduler import DistributedScheduler
-from repro.workloads.scenarios import make_travel_booking
+from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 
 def travel_instances(count, rng_seed=0):
@@ -380,3 +380,33 @@ class TestShardedObservability:
                 o.metrics["kernel"]["compiled"][key] for o in sharded.outcomes
             ), key
         assert "repro_kernel_compiled_hops" in render_prometheus(sharded.metrics)
+
+    def test_shape_lookups_sum_across_shards(self):
+        # regression, same defect again: each shard's scheduler
+        # overlays the shape-table lookups its own constructor made on
+        # kernel["synthesis"].  Both shards run in this process, so
+        # summing the process-wide counters would count shard 0 twice
+        family = make_mutex_family(8, cluster=2)
+        tasks = plan_shards(
+            family.template,
+            [instance_spec(sfx, scripts) for sfx, scripts in family.instances],
+            2,
+            seed=3,
+            cross_deps=family.cross_dependencies,
+            placement="min_cut",
+        )
+        sharded = run_sharded(tasks, workers=1)
+        assert len(sharded.outcomes) == 2
+        synthesis = sharded.metrics["kernel"]["synthesis"]
+        for key in ("shape_hits", "shape_misses"):
+            assert synthesis[key] == sum(
+                o.metrics["kernel"]["synthesis"][key] for o in sharded.outcomes
+            ), key
+        # every cross dependency is local to one shard: one lookup per
+        # signed event of its table
+        assert synthesis["shape_hits"] + synthesis["shape_misses"] == sum(
+            len(dep.alphabet()) for dep in family.cross_dependencies
+        )
+        assert synthesis["shapes"] == max(
+            o.metrics["kernel"]["synthesis"]["shapes"] for o in sharded.outcomes
+        )

@@ -3,20 +3,27 @@
 import pytest
 
 from repro.algebra.expressions import TOP, ZERO
+from repro.algebra.normal_form import to_normal_form
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.algebra.traces import maximal_universe, satisfies
 from repro.temporal.cubes import FALSE_GUARD, TRUE_GUARD, literal
 from repro.temporal.guards import (
     accepting_paths,
+    clear_synthesis_caches,
     generates,
     guard,
     guard_formula,
+    kernel_stats,
     lemma5_guard,
     path_guard,
+    synthesis_stats,
     workflow_guards,
 )
 from repro.temporal.semantics import holds, t_equivalent
+from repro.workloads.scenarios import make_mutex_family
+
+from tests.conftest import count_calls, fitted_exponent
 
 E, F, G = Event("e"), Event("f"), Event("g")
 D_PREC = parse("~e + ~f + e . f")
@@ -255,3 +262,49 @@ class TestWorkflowGuards:
         """Exact formula for G(D_<, e) is equivalent to !f."""
         exact = guard_formula(D_PREC, E)
         assert t_equivalent(exact, literal("notyet", F).to_formula())
+
+
+def _cold_mutex_synthesis(n):
+    """(call count, synthesis stats) of one cold ``workflow_guards``
+    over the merged Example-13 family of ``n`` tasks, clusters of 4."""
+    workflow, _scripts = make_mutex_family(n, cluster=4).merged()
+    to_normal_form.cache_clear()
+    clear_synthesis_caches()
+    calls = count_calls(lambda: workflow_guards(workflow.dependencies))
+    return calls, synthesis_stats()
+
+
+class TestSynthesisScaling:
+    def test_coupled_family_synthesizes_once_per_shape(self):
+        """Synthesis is O(shapes * synthesis + copies * rename) with the
+        shape count constant in N: the closures built do not grow from
+        N = 32 to N = 128 (one per *dependency* made it 112 -> 448) and
+        the call count has a log-log slope near 1."""
+        sizes = (32, 64, 128)
+        runs = [_cold_mutex_synthesis(n) for n in sizes]
+        stats = [run[1] for run in runs]
+        assert stats[0]["closure_misses"] == stats[-1]["closure_misses"]
+        assert stats[0]["shape_misses"] == stats[-1]["shape_misses"]
+        for n, found in zip(sizes, stats):
+            # one lookup per signed event: b, ~b, e, ~e of each task
+            assert found["shape_hits"] + found["shape_misses"] == 4 * n
+        counts = [run[0] for run in runs]
+        exponent = fitted_exponent(sizes, counts)
+        assert exponent <= 1.1, (exponent, counts)
+
+
+class TestSynthesisCaches:
+    def test_clear_makes_the_next_synthesis_cold(self):
+        """``clear_synthesis_caches`` drops *every* synthesis memo: the
+        same table synthesized after it re-counts the same misses."""
+        _calls, first = _cold_mutex_synthesis(8)
+        assert first["shape_misses"] > 0 and first["closure_misses"] > 0
+        guard_formula(D_PREC, E)
+        _calls, second = _cold_mutex_synthesis(8)
+        assert second == first
+        assert kernel_stats()["memo"]["guard_formula"]["size"] == 0
+
+    def test_guard_has_one_memo(self):
+        # the shape table is the only memo in front of ``guard``
+        assert not hasattr(guard, "cache_info")
+        assert "guard" not in kernel_stats()["memo"]

@@ -44,7 +44,9 @@ class TestAnalyze:
 
     def test_reports_compiled_guard_table(self, spec_file, capsys):
         assert main(["analyze", spec_file]) == 0
-        assert "compiled guard table:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "compiled guard table:" in out
+        assert "guard synthesis:" in out
 
     def test_json_report(self, spec_file, capsys):
         assert main(["analyze", spec_file, "--json"]) == 0
@@ -53,6 +55,12 @@ class TestAnalyze:
         assert report["workflow"] == "demo"
         assert report["compiled"]["guards"] > 0
         assert report["compiled"]["constant_false"] == []
+        # one shape-table lookup per guard, synthesized or renamed
+        lookups = report["synthesis"]
+        assert (
+            lookups["shape_hits"] + lookups["shape_misses"]
+            == report["compiled"]["guards"]
+        )
 
     def test_json_report_keeps_exit_contract_on_findings(
         self, tmp_path, capsys
