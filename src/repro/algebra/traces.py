@@ -146,6 +146,12 @@ def satisfies(trace: Trace, expr: Expr) -> bool:
     return _earliest_end(expr, 0, trace._positions()) <= len(trace.events)
 
 
+def unsatisfied(trace: Trace, deps: Iterable[Expr]) -> Iterator[Expr]:
+    """The dependencies ``trace`` fails, in the order given -- the one
+    loop under every post-run check (scheduler, audit, shard group)."""
+    return (dep for dep in deps if not satisfies(trace, dep))
+
+
 def _earliest_end(expr: Expr, start: int, positions: dict) -> float:
     if isinstance(expr, Atom):
         at = positions.get(expr.event)

@@ -691,20 +691,43 @@ def _cmd_run(args) -> int:
     if attempts:
         scripts.append(AgentScript("cli", attempts))
     result = sched.run(scripts, settle=not args.no_settle)
-    snapshots = []
+    json_extra: dict = {}
+    text_extra: list[str] = []
     if snapshotting:
         snapshots = [s.as_dict() for s in sched.snapshots.snapshots]
         if args.snapshot_out:
             with open(args.snapshot_out, "w", encoding="utf-8") as handle:
                 json.dump(snapshots, handle, indent=2)
+        complete = sum(1 for s in snapshots if s["complete"])
+        json_extra["snapshots"] = {
+            "taken": len(snapshots),
+            "complete": complete,
+            "file": args.snapshot_out,
+        }
+        text_extra.append(f"snapshots: {complete}/{len(snapshots)} complete")
+    return _finish_run(
+        args, slo_doc, result, sched.metrics_report(),
+        tracer.records if tracer is not None else None,
+        extra["profiler"].report() if args.profile else None,
+        json_extra, text_extra,
+        recorder=tracer if args.flight_record is not None else None,
+    )
+
+
+def _finish_run(
+    args, slo_doc, result, metrics, records, profile,
+    json_extra, text_extra, recorder=None, shard_rows=None,
+) -> int:
+    """The tail every ``repro run`` ends in, single or sharded:
+    report -> SLO gate -> trace/prom/profile/record -> print -> exit.
+
+    ``recorder`` is the single run's flight recorder (shards keep
+    their own rings and dump nothing); ``json_extra`` / ``text_extra``
+    carry what only one command reports (snapshots, sharding).
+    """
     report = None
     if args.json or args.slo or args.record:
-        report = _run_report(
-            result,
-            sched.metrics_report(),
-            tracer.records if tracer is not None else None,
-            args.trace,
-        )
+        report = _run_report(result, metrics, records, args.trace)
     slo_failures = []
     if slo_doc is not None:
         slo_results = _evaluate_slo_gate(report, slo_doc, args.slo)
@@ -712,71 +735,59 @@ def _cmd_run(args) -> int:
             return 2
         slo_failures = [r for r in slo_results if not r["ok"]]
         report["slo"] = {"ok": not slo_failures, "results": slo_results}
-    if args.flight_record is not None:
+    if recorder is not None:
         from repro.obs.check import check_records
 
-        diags = check_records(tracer.window_records())
+        diags = check_records(recorder.window_records())
         if diags:
-            tracer.note_anomaly(
+            recorder.note_anomaly(
                 f"{len(diags)} checker diagnostic(s) on the retained window"
             )
         if result.violations:
-            tracer.note_anomaly(
+            recorder.note_anomaly(
                 f"{len(result.violations)} dependency violation(s)"
             )
         if result.unsettled:
-            tracer.note_anomaly(f"{len(result.unsettled)} unsettled base(s)")
+            recorder.note_anomaly(f"{len(result.unsettled)} unsettled base(s)")
         for failure in slo_failures:
-            tracer.note_anomaly(f"SLO failed: {failure['name']}")
-        dumped = tracer.flush()
+            recorder.note_anomaly(f"SLO failed: {failure['name']}")
+        dumped = recorder.flush()
         if dumped:
             print(
                 f"flight recorder: retained window dumped to {dumped}",
                 file=sys.stderr,
             )
-        if report is not None:
-            # refresh post-flush so dumps/anomalies counters are final
-            report["metrics"]["recorder"] = tracer.recorder_stats()
-    if args.trace and tracer is not None:
-        tracer.dump(args.trace)
+        # refresh post-flush so dumps/anomalies counters are final
+        # (``report["metrics"]`` is this same dict)
+        metrics["recorder"] = recorder.recorder_stats()
+        records = recorder.window_records()
+    if args.trace and records is not None:
+        with open_trace(args.trace, "w") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
     if args.prom:
         from repro.obs.prom import write_prometheus
 
-        write_prometheus(sched.metrics_report(), args.prom)
-    profile_report = (
-        extra["profiler"].report() if args.profile else None
-    )
-    if profile_report is not None and args.profile_out:
-        _write_profile(profile_report, args.profile_out, args.profile_format)
+        write_prometheus(metrics, args.prom)
+    if profile is not None and args.profile_out:
+        _write_profile(profile, args.profile_out, args.profile_format)
     if args.record:
-        _store_run(
-            args,
-            report,
-            tracer.window_records() if tracer is not None else None,
-            profile_report,
-        )
+        _store_run(args, report, records, profile, shards=shard_rows)
     if args.json:
-        if profile_report is not None:
-            report["profile"] = profile_report
-        if snapshotting:
-            report["snapshots"] = {
-                "taken": len(snapshots),
-                "complete": sum(1 for s in snapshots if s["complete"]),
-                "file": args.snapshot_out,
-            }
+        if profile is not None:
+            report["profile"] = profile
+        report.update(json_extra)
         print(json.dumps(report, indent=2))
     else:
         print(result_to_text(result))
-        if snapshotting:
-            complete = sum(1 for s in snapshots if s["complete"])
-            print(f"snapshots: {complete}/{len(snapshots)} complete")
-        if profile_report is not None and not args.profile_out:
+        for line in text_extra:
+            print(line)
+        if profile is not None and not args.profile_out:
             from repro.obs.profile import format_report
 
-            print(format_report(profile_report))
-        if result.violations:
-            for violation in result.violations:
-                print(f"violation[{violation.kind}]: {violation.detail}")
+            print(format_report(profile))
+        for violation in result.violations:
+            print(f"violation[{violation.kind}]: {violation.detail}")
     # the exit contract: clean means no violations, every base settled,
     # and every --slo rule holding
     return 0 if (
@@ -962,86 +973,47 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
         print(f"cannot plan shards: {exc}", file=sys.stderr)
         return 2
     sharded = run_sharded(tasks, workers=args.workers, steal=args.steal)
-    result = sharded.result
-    if args.trace and sharded.trace_records is not None:
-        with open_trace(args.trace, "w") as handle:
-            for record in sharded.trace_records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-    if args.prom:
-        from repro.obs.prom import write_prometheus
-
-        write_prometheus(sharded.metrics, args.prom)
-    if sharded.profile is not None and args.profile_out:
-        _write_profile(sharded.profile, args.profile_out, args.profile_format)
-    report = None
-    if args.json or args.slo or args.record:
-        report = _run_report(
-            result, sharded.metrics, sharded.trace_records, args.trace
-        )
-    slo_failures = []
-    if slo_doc is not None:
-        slo_results = _evaluate_slo_gate(report, slo_doc, args.slo)
-        if slo_results is None:
-            return 2
-        slo_failures = [r for r in slo_results if not r["ok"]]
-        report["slo"] = {"ok": not slo_failures, "results": slo_results}
-    if args.record:
-        shard_rows = [
-            {
-                "shard": outcome.shard,
-                "makespan": outcome.makespan,
-                "messages": outcome.messages,
-                "violations": len(outcome.violations),
-                "unsettled": len(outcome.unsettled),
-                "trace_records": (
-                    len(outcome.trace_records)
-                    if outcome.trace_records is not None else None
-                ),
-                "recorder": outcome.metrics.get("recorder"),
-            }
-            for outcome in sharded.outcomes
-        ]
-        _store_run(
-            args, report, sharded.trace_records, sharded.profile,
-            shards=shard_rows,
-        )
-    if args.json:
-        if sharded.profile is not None:
-            report["profile"] = sharded.profile
-        report["sharding"] = {
-            "shards": sharded.shards,
-            "instances": count,
-            "workers": sharded.workers,
-            "placement": args.placement,
-            "cut_weight": getattr(tasks, "cut_weight", 0),
-            "cross_messages": sharded.cross_messages,
-            "steals": sharded.steals,
+    shard_rows = [
+        {
+            "shard": outcome.shard,
+            "makespan": outcome.makespan,
+            "messages": outcome.messages,
+            "violations": len(outcome.violations),
+            "unsettled": len(outcome.unsettled),
+            "trace_records": (
+                len(outcome.trace_records)
+                if outcome.trace_records is not None else None
+            ),
+            "recorder": outcome.metrics.get("recorder"),
         }
-        print(json.dumps(report, indent=2))
-    else:
-        print(result_to_text(result))
-        extras = ""
-        if args.cross_dep:
-            extras += (
-                f", cut {getattr(tasks, 'cut_weight', 0)}"
-                f", {sharded.cross_messages} routed message(s)"
-            )
-        if args.steal:
-            extras += f", {sharded.steals} steal(s)"
-        print(
-            f"sharded: {count} instances over {sharded.shards} shard(s), "
-            f"{sharded.workers} worker(s){extras}"
+        for outcome in sharded.outcomes
+    ]
+    cut_weight = getattr(tasks, "cut_weight", 0)
+    summary = (
+        f"sharded: {count} instances over {sharded.shards} shard(s), "
+        f"{sharded.workers} worker(s)"
+    )
+    if args.cross_dep:
+        summary += (
+            f", cut {cut_weight}"
+            f", {sharded.cross_messages} routed message(s)"
         )
-        if sharded.profile is not None and not args.profile_out:
-            from repro.obs.profile import format_report
-
-            print(format_report(sharded.profile))
-        if result.violations:
-            for violation in result.violations:
-                print(f"violation[{violation.kind}]: {violation.detail}")
-    return 0 if (
-        not result.violations and not result.unsettled and not slo_failures
-    ) else 1
+    if args.steal:
+        summary += f", {sharded.steals} steal(s)"
+    sharding = {
+        "shards": sharded.shards,
+        "instances": count,
+        "workers": sharded.workers,
+        "placement": args.placement,
+        "cut_weight": cut_weight,
+        "cross_messages": sharded.cross_messages,
+        "steals": sharded.steals,
+    }
+    return _finish_run(
+        args, slo_doc, sharded.result, sharded.metrics,
+        sharded.trace_records, sharded.profile,
+        {"sharding": sharding}, [summary], shard_rows=shard_rows,
+    )
 
 
 def _cmd_trace(args) -> int:

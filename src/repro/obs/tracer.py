@@ -45,7 +45,6 @@ run length; see :mod:`repro.obs.recorder` for the auto-dump triggers.
 from __future__ import annotations
 
 import gzip
-import io
 import json
 from collections import deque
 from typing import Any, Iterable
@@ -68,14 +67,13 @@ def open_trace(path, mode: str = "r"):
     """
     path = str(path)
     if "r" in mode:
-        handle = open(path, "rb")
-        magic = handle.read(2)
-        handle.seek(0)
+        with open(path, "rb") as handle:
+            magic = handle.read(2)
         if magic == b"\x1f\x8b":
-            return io.TextIOWrapper(
-                gzip.GzipFile(fileobj=handle, mode="rb"), encoding="utf-8"
-            )
-        return io.TextIOWrapper(handle, encoding="utf-8")
+            # reopened by name: a GzipFile wrapped around the sniffing
+            # handle would not own it, and the raw file would leak
+            return gzip.open(path, "rt", encoding="utf-8")
+        return open(path, "r", encoding="utf-8")
     if path.endswith(".gz"):
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")

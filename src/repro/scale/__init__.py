@@ -18,10 +18,11 @@ exclusion, resource pools).  Those route through three further layers:
   per-dependency guard tables builds the inter-instance shared-event
   graph and places instances to minimize the cut
   (``placement="min_cut"``), keeping coupled instances colocated;
-* :mod:`repro.scale.engine` -- shards a spanning dependency couples
-  anyway run co-simulated on one virtual clock, exchanging
-  announcements and certificate traffic through an exactly-once FIFO
-  gateway channel;
+* :mod:`repro.scale.engine` -- the one shard runner: every work item
+  is a group of shards on one virtual clock (an independent shard is a
+  group of one), and shards a spanning dependency couples anyway
+  exchange announcements and certificate traffic through an
+  exactly-once FIFO gateway channel;
 * work stealing (``run_sharded(steal=True)``) -- independent shards
   split into dependency-closed chunks that idle workers steal from
   the most-loaded queue, deterministically.

@@ -1,14 +1,15 @@
-"""Coordinated execution of coupled shards (the cross-shard engine).
+"""The shard runner: one work item of a sharded run, start to finish.
 
-:func:`repro.scale.shards.run_sharded` keeps treating *independent*
-shards exactly as before: one process each, private simulators, no
-communication.  Shards coupled by spanning cross dependencies (the
-partition plan's ``groups``) cannot run that way -- a guard on one
-shard waits on announcements from another -- so each coupled group
-runs here instead: every member shard keeps its own
-:class:`DistributedScheduler`, network, metrics, and trace, but all of
-them share **one** virtual clock (:class:`~repro.sim.clock.Simulator`)
-and exchange traffic through a :class:`ShardGateway`.
+:func:`run_group` executes every work item :func:`repro.scale.shards.
+run_sharded` hands out.  Each member shard keeps its own
+:class:`DistributedScheduler`, network, metrics, and trace; all members
+share **one** virtual clock (:class:`~repro.sim.clock.Simulator`) and
+walk the one run lifecycle (``start`` -> ``drain`` -> ``finish``, see
+:mod:`repro.scheduler.guard_scheduler`) together.  An independent
+shard is simply a group of one.  Shards coupled by spanning cross
+dependencies (the partition plan's ``groups``) -- a guard on one shard
+waits on announcements from another -- additionally exchange traffic
+through a :class:`ShardGateway`.
 
 The gateway is the only inter-shard path.  It owns a dedicated
 network whose sites are the shards themselves, wrapped in the
@@ -34,17 +35,23 @@ count or wall-clock interleaving.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
-from repro.algebra.traces import Trace, satisfies
+from repro.algebra.traces import Trace, unsatisfied
 from repro.obs.profile import Profiler
 from repro.obs.tracer import Tracer
-from repro.scale.shards import ShardOutcome, ShardTask, _flatten_outcome
-from repro.scheduler.events import Violation
-from repro.scheduler.guard_scheduler import DistributedScheduler
+from repro.scale.shards import (
+    ShardOutcome,
+    ShardTask,
+    _event_from_repr,
+    _flatten_outcome,
+    shard_seed,
+)
+from repro.scheduler.guard_scheduler import DistributedScheduler, drain
 from repro.sim.clock import Simulator
 from repro.sim.network import ConstantLatency, Network
 from repro.sim.reliable import ReliableNetwork
@@ -197,30 +204,37 @@ class GroupOutcome:
 
 
 def _build_member(
-    task: ShardTask, sim: Simulator, gateway: ShardGateway
+    task: ShardTask, sim: Simulator, gateway: ShardGateway | None
 ) -> tuple[DistributedScheduler, Tracer | None, Profiler | None, object]:
-    """One shard's scheduler wired into the group (mirrors
-    :func:`repro.scale.shards._run_shard` construction)."""
+    """Build one shard's scheduler on ``sim`` -- the only place
+    :mod:`repro.scale` constructs one.
+
+    With a ``gateway`` the member owns just its shard's bases and
+    registers for routing.  A lone shard gets neither: it owns every
+    base it knows, and its cross dependencies (all local, or the
+    planner would have grouped it) are enforced and verified exactly
+    like workflow dependencies.
+    """
     profiler = Profiler() if task.profile else None
     template = task.build_template(profiler=profiler)
     merged, guards = template.instantiate_merged(
         [instance.suffix for instance in task.instances]
     )
     tracer = task.build_tracer()
-    latency = (
-        ConstantLatency(task.latency) if task.latency is not None else None
-    )
-    owned: set[Event] = set()
-    for dep in merged.dependencies:
-        owned |= dep.bases()
-    owned |= {event.base for event in merged.attributes}
-    owned |= {event.base for event in merged.sites}
-    cross = [parse(text) for text in task.cross_dependencies]
+    owned: set[Event] | None = None
+    if gateway is not None:
+        owned = set()
+        for dep in merged.dependencies:
+            owned |= dep.bases()
+        owned |= {event.base for event in merged.attributes}
+        owned |= {event.base for event in merged.sites}
     scheduler = DistributedScheduler(
         merged.dependencies,
         sites=merged.sites,
         attributes=merged.attributes,
-        latency=latency,
+        latency=(
+            ConstantLatency(task.latency) if task.latency is not None else None
+        ),
         rng=random.Random(task.seed),
         guards=guards,
         reliable=task.reliable,
@@ -230,43 +244,12 @@ def _build_member(
         sample_every=task.sample_every,
         sim=sim,
         owned=owned,
-        cross_dependencies=cross,
+        cross_dependencies=[parse(text) for text in task.cross_dependencies],
         gateway=gateway,
     )
-    gateway.register(task.shard, scheduler)
+    if gateway is not None:
+        gateway.register(task.shard, scheduler)
     return scheduler, tracer, profiler, template
-
-
-def _drain_group(
-    schedulers: Sequence[DistributedScheduler],
-    sim: Simulator,
-    max_rounds: int,
-) -> bool:
-    """The group form of ``DistributedScheduler._drain``.
-
-    Each round sweeps orphan freezes, runs escalation, and attempts
-    one settlement batch *per shard*; remote announcements between
-    batches clear the peers' no-progress sets, so a base one shard
-    could not settle is retried once another shard's settlement
-    unblocks it.  Stops when no shard has anything left to try.
-    Returns False when the round budget runs out (non-convergence).
-    """
-    for _ in range(max_rounds):
-        swept = False
-        for sched in schedulers:
-            if sched._sweep_orphan_freezes():
-                swept = True
-        if swept:
-            sim.run()
-        for sched in schedulers:
-            sched._escalation_rounds(max_rounds)
-        attempted = False
-        for sched in schedulers:
-            if sched._settle_one():
-                attempted = True
-        if not attempted and not swept:
-            return True
-    return False
 
 
 def _spanning_violations(
@@ -279,18 +262,10 @@ def _spanning_violations(
     ``(time, shard, position)`` order ``run_sharded`` uses, so a
     passing check certifies exactly the trace the caller will see.
     """
-    spanning: dict[str, object] = {}
-    per_task: list[set[str]] = []
-    for task in tasks:
-        texts = set(task.cross_dependencies)
-        per_task.append(texts)
-        for text in texts:
-            spanning.setdefault(text, parse(text))
-    shared = {
-        text: dep
-        for text, dep in spanning.items()
-        if sum(text in texts for texts in per_task) > 1
-    }
+    carriers = Counter(
+        text for task in tasks for text in set(task.cross_dependencies)
+    )
+    shared = [parse(text) for text in sorted(carriers) if carriers[text] > 1]
     if not shared:
         return []
     tagged = []
@@ -300,83 +275,71 @@ def _spanning_violations(
         ):
             tagged.append((time, index, position, event))
     tagged.sort(key=lambda item: item[:3])
-    from repro.scale.shards import _event_from_repr
-
     timeline = Trace([_event_from_repr(text) for *_key, text in tagged])
     return [
         (
             "dependency",
             f"merged trace {timeline!r} violates spanning {dep!r}",
         )
-        for text, dep in sorted(shared.items())
-        if not satisfies(timeline, dep)
+        for dep in unsatisfied(timeline, shared)
     ]
 
 
 def run_group(tasks: Sequence[ShardTask], max_rounds: int = 1000) -> GroupOutcome:
-    """Run one coupled group of shards to completion (one process).
+    """Run one work item -- a lone shard or a coupled group -- to
+    completion in this process: the only shard runner.
 
-    The group shares a single simulator; each member shard keeps its
-    own scheduler and observability surfaces.  Cross-channel fault
-    rates and latency are taken from the first task (the planner
-    stamps them uniformly).
+    Members share a single simulator; each keeps its own scheduler and
+    observability surfaces, and all of them walk the one run lifecycle
+    of :mod:`repro.scheduler.guard_scheduler` together (``start`` each,
+    run the clock, ``drain`` all, ``finish`` each).  A group of two or
+    more gets a :class:`ShardGateway` (its fault rates and latency come
+    from the first task -- the planner stamps them uniformly) and the
+    spanning check on the merged timeline; a lone shard needs neither.
     """
     if not tasks:
         raise ValueError("run_group needs at least one task")
     tasks = sorted(tasks, key=lambda task: task.shard)
     sim = Simulator()
     lead = tasks[0]
-    from repro.scale.shards import shard_seed
-
-    gateway = ShardGateway(
-        sim,
-        # a dedicated stream, disjoint from every shard's own seed
-        rng=random.Random(shard_seed(lead.seed, 1 << 20)),
-        latency=lead.latency,
-        drop_probability=lead.cross_drop,
-        duplicate_probability=lead.cross_dup,
-    )
-    members = [_build_member(task, sim, gateway) for task in tasks]
-    gateway.finalize()
-
-    for task, (scheduler, _tracer, _profiler, _template) in zip(tasks, members):
-        for instance in task.instances:
-            for spec in instance.scripts:
-                scheduler.schedule_script(spec.build())
-        if scheduler.faults is not None:
-            scheduler.faults.arm()
-        for _site, monitor in scheduler._monitors:
-            monitor.evaluate()
-    sim.run()
-    schedulers = [scheduler for scheduler, *_rest in members]
-    converged = True
-    if lead.settle:
-        converged = _drain_group(schedulers, sim, max_rounds)
-    outcomes = []
-    for task, (scheduler, tracer, profiler, template) in zip(tasks, members):
-        if scheduler.timeseries is not None:
-            scheduler._sample(sim.now)
-        scheduler._finalize(verify=True)
-        if not converged:
-            scheduler.result.violations.append(
-                Violation("settlement", "group settlement did not converge")
-            )
-        outcomes.append(
-            _flatten_outcome(task, scheduler, tracer, profiler, template)
+    gateway = None
+    if len(tasks) > 1:
+        gateway = ShardGateway(
+            sim,
+            # a dedicated stream, disjoint from every shard's own seed
+            rng=random.Random(shard_seed(lead.seed, 1 << 20)),
+            latency=lead.latency,
+            drop_probability=lead.cross_drop,
+            duplicate_probability=lead.cross_dup,
         )
+    members = [_build_member(task, sim, gateway) for task in tasks]
+    if gateway is not None:
+        gateway.finalize()
+    schedulers = [scheduler for scheduler, *_rest in members]
+    for task, scheduler in zip(tasks, schedulers):
+        scheduler.start(
+            spec.build()
+            for instance in task.instances
+            for spec in instance.scripts
+        )
+    sim.run()
+    converged = not lead.settle or drain(schedulers, sim, max_rounds)
+    outcomes = []
+    for task, member in zip(tasks, members):
+        member[0].finish(verify=True, converged=converged)
+        outcomes.append(_flatten_outcome(task, *member))
+    if gateway is None:
+        return GroupOutcome(outcomes, cross_stats={}, cross_violations=[])
     # the spanning check is the group's share of post-run verification;
     # it is charged to the lead shard's profile so merged shard
     # profiles account for it
     lead_profiler = members[0][2]
     if lead_profiler is not None:
         lead_profiler.push("verify")
-        try:
-            cross_violations = _spanning_violations(tasks, outcomes)
-        finally:
-            lead_profiler.pop()
+    cross_violations = _spanning_violations(tasks, outcomes)
+    if lead_profiler is not None:
+        lead_profiler.pop()
         outcomes[0] = replace(outcomes[0], profile=lead_profiler.report())
-    else:
-        cross_violations = _spanning_violations(tasks, outcomes)
     return GroupOutcome(
         outcomes=outcomes,
         cross_stats=gateway.network.stats.as_dict(),

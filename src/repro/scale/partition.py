@@ -143,11 +143,16 @@ def partition_instances(
     )
 
 
-def _coupled_groups(
-    shards: int, spanning_owner_sets: Sequence[frozenset[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """Union shards connected by spanning dependencies into groups."""
-    parent = list(range(shards))
+def connected_components(
+    n: int, member_sets: Iterable[Iterable[int]]
+) -> list[list[int]]:
+    """Components of ``0..n-1`` when each member set is connected.
+
+    Members ascend within a component and components are ordered by
+    their smallest member, so the grouping is deterministic -- shard
+    groups, task groups and steal chunks all come from here.
+    """
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -155,18 +160,16 @@ def _coupled_groups(
             x = parent[x]
         return x
 
-    for owners in spanning_owner_sets:
-        owners = sorted(owners)
-        for other in owners[1:]:
-            ra, rb = find(owners[0]), find(other)
+    for members in member_sets:
+        members = sorted(members)
+        for other in members[1:]:
+            ra, rb = find(members[0]), find(other)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for s in range(shards):
-        groups.setdefault(find(s), []).append(s)
-    return tuple(
-        tuple(members) for _root, members in sorted(groups.items())
-    )
+    components: dict[int, list[int]] = {}
+    for x in range(n):
+        components.setdefault(find(x), []).append(x)
+    return [members for _root, members in sorted(components.items())]
 
 
 @dataclass(frozen=True)
@@ -253,5 +256,8 @@ def plan_partition(
                 egress.items(), key=lambda kv: kv[0].sort_key()
             )
         },
-        groups=_coupled_groups(len(placed), owner_sets),
+        groups=tuple(
+            tuple(group)
+            for group in connected_components(len(placed), owner_sets)
+        ),
     )

@@ -1,4 +1,4 @@
-"""The shard runner: plan, execute, and merge per-shard schedulers.
+"""Sharded runs: plan, dispatch, and merge per-shard schedulers.
 
 Everything that crosses a process boundary here is plain picklable
 data -- strings, numbers, tuples.  :class:`~repro.algebra.symbols.
@@ -10,9 +10,10 @@ dependencies as their ``repr`` strings and every worker re-parses them
 into its own intern tables (``repr`` round-trips through the parser --
 a property the algebra test suite pins down).
 
-The worker rebuilds the workflow *template*, instantiates its shard's
-instances through :class:`~repro.workflows.template.WorkflowTemplate`
-(guard synthesis runs once per worker, renames do the rest), runs one
+The worker (:func:`repro.scale.engine.run_group`) rebuilds the workflow
+*template*, instantiates its shard's instances through
+:class:`~repro.workflows.template.WorkflowTemplate` (guard synthesis
+runs once per worker, renames do the rest), runs one
 :class:`DistributedScheduler` over the merged instances, and returns a
 :class:`ShardOutcome` of plain data.  The parent merges outcomes into
 one :class:`~repro.scheduler.events.ExecutionResult` plus merged
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import atexit
 import logging
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -31,8 +31,12 @@ from typing import Iterable, Sequence
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.obs.merge import merge_metrics, merge_profiles, merge_traces
-from repro.obs.profile import Profiler
 from repro.obs.tracer import Tracer
+from repro.scale.partition import (
+    connected_components,
+    dependency_instances,
+    plan_partition,
+)
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.events import (
     AttemptOutcome,
@@ -328,11 +332,6 @@ def plan_shards(
             for event, site in workflow.sites.items()
         )
     )
-    from repro.scale.partition import (
-        dependency_instances,
-        plan_partition,
-    )
-
     suffixes = [instance.suffix for instance in instances]
     cross = [
         parse(dep) if isinstance(dep, str) else dep for dep in cross_deps
@@ -410,60 +409,13 @@ def plan_shards(
 
 
 # ----------------------------------------------------------------------
-# the worker
-
-
-def _run_shard(task: ShardTask) -> ShardOutcome:
-    """Execute one shard (top-level so worker processes can import it).
-
-    Any ``cross_dependencies`` on the task are fully local here (the
-    planner sends spanning ones through :func:`repro.scale.engine.
-    run_group` instead): they are enforced and verified exactly like
-    workflow dependencies.
-    """
-    from repro.scheduler.guard_scheduler import DistributedScheduler
-
-    profiler = Profiler() if task.profile else None
-    template = task.build_template(profiler=profiler)
-    merged, guards = template.instantiate_merged(
-        [instance.suffix for instance in task.instances]
-    )
-    tracer = task.build_tracer()
-    latency = None
-    if task.latency is not None:
-        from repro.sim.network import ConstantLatency
-
-        latency = ConstantLatency(task.latency)
-    scheduler = DistributedScheduler(
-        merged.dependencies,
-        sites=merged.sites,
-        attributes=merged.attributes,
-        latency=latency,
-        rng=random.Random(task.seed),
-        guards=guards,
-        reliable=task.reliable,
-        batch_announcements=task.batch_announcements,
-        tracer=tracer,
-        profiler=profiler,
-        sample_every=task.sample_every,
-        cross_dependencies=[
-            parse(text) for text in task.cross_dependencies
-        ],
-    )
-    scripts = [
-        spec.build()
-        for instance in task.instances
-        for spec in instance.scripts
-    ]
-    scheduler.run(scripts, settle=task.settle)
-    return _flatten_outcome(task, scheduler, tracer, profiler, template)
+# execution + merge
 
 
 def _flatten_outcome(
     task: ShardTask, scheduler, tracer, profiler, template
 ) -> ShardOutcome:
-    """Flatten a finished shard scheduler to wire-format plain data
-    (shared by the independent path above and the group engine)."""
+    """Flatten a finished shard scheduler to wire-format plain data."""
     result = scheduler.result
     return ShardOutcome(
         shard=task.shard,
@@ -504,9 +456,6 @@ def _flatten_outcome(
     )
 
 
-# ----------------------------------------------------------------------
-# execution + merge
-
 #: the process pool is hoisted to module level so repeated
 #: ``run_sharded`` calls (benchmark loops, long-lived services) reuse
 #: warm workers instead of forking a fresh pool per call
@@ -538,36 +487,25 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def _run_work(group: tuple[ShardTask, ...]):
-    """Execute one work item: a lone shard, or a coupled group
-    co-simulated on a shared clock.  Top-level so worker processes can
-    import it; always returns an engine ``GroupOutcome``."""
-    from repro.scale.engine import GroupOutcome, run_group
-
-    if len(group) == 1:
-        return GroupOutcome(
-            outcomes=[_run_shard(group[0])],
-            cross_stats={},
-            cross_violations=[],
-        )
-    return run_group(group)
-
-
 def _execute(
     work: Sequence[tuple[ShardTask, ...]], workers: int
 ) -> list:
+    """Run every work item -- a lone shard or a coupled group, both
+    through the one shard runner -- in-process or on the pool."""
+    from repro.scale.engine import run_group
+
     if workers <= 1 or len(work) <= 1:
-        return [_run_work(group) for group in work]
+        return [run_group(group) for group in work]
     try:
         pool = _get_pool(min(workers, len(work)))
-        return list(pool.map(_run_work, work))
+        return list(pool.map(run_group, work))
     except (OSError, ImportError, PermissionError, ValueError, RuntimeError):
         # no usable process pool (platform without fork, a sandbox that
         # denies semaphores, or a broken pool): same plan, one process
         # -- work items are independent, so the merged outcome is
         # identical
         shutdown_pool()
-        return [_run_work(group) for group in work]
+        return [run_group(group) for group in work]
 
 
 def _task_groups(
@@ -581,30 +519,13 @@ def _task_groups(
     with no shared dependencies stay singleton -- the fully
     independent fast path.
     """
-    order = {id(task): index for index, task in enumerate(tasks)}
-    parent = list(range(len(tasks)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     by_text: dict[str, list[int]] = {}
     for index, task in enumerate(tasks):
         for text in task.cross_dependencies:
             by_text.setdefault(text, []).append(index)
-    for indices in by_text.values():
-        for other in indices[1:]:
-            ra, rb = find(indices[0]), find(other)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    components: dict[int, list[ShardTask]] = {}
-    for index, task in enumerate(tasks):
-        components.setdefault(find(index), []).append(task)
     return [
-        tuple(members)
-        for _root, members in sorted(components.items())
+        tuple(tasks[index] for index in component)
+        for component in connected_components(len(tasks), by_text.values())
     ]
 
 
@@ -620,33 +541,14 @@ def _chunk_task(task: ShardTask) -> list[ShardTask]:
     """
     if len(task.instances) <= 1:
         return [task]
-    from repro.scale.partition import dependency_instances
-
     suffixes = [instance.suffix for instance in task.instances]
-    parent = list(range(len(suffixes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     deps = [parse(text) for text in task.cross_dependencies]
-    members_of: list[frozenset[int]] = []
-    for dep in deps:
-        touched = sorted(dependency_instances(dep, suffixes))
-        members_of.append(frozenset(touched))
-        for other in touched[1:]:
-            ra, rb = find(touched[0]), find(other)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    components: dict[int, list[int]] = {}
-    for index in range(len(suffixes)):
-        components.setdefault(find(index), []).append(index)
+    members_of = [dependency_instances(dep, suffixes) for dep in deps]
+    components = connected_components(len(suffixes), members_of)
     if len(components) <= 1:
         return [task]
     chunks = []
-    for chunk, (_root, indices) in enumerate(sorted(components.items())):
+    for chunk, indices in enumerate(components):
         owned = set(indices)
         chunks.append(
             replace(

@@ -192,38 +192,21 @@ class EventActor:
         """Would the next announcement-driven pass take a protocol
         action regardless of the announced base?
 
-        Mirrors :meth:`try_fire` + :meth:`_solicit` without side
-        effects.  Any announcement's learn marks knowledge dirty, so a
-        parked actor whose first requestable cube carries certificate
-        needs would start a not-yet round, and one whose promise
-        requests lost their dedup entries (a refusal or a peer
-        recovery cleared them) would re-send -- the naive engine does
-        both from *irrelevant* announcements, so the watch index must
-        wake such actors on everything."""
+        Reads the same :meth:`_solicit_plan` that :meth:`_solicit`
+        executes, so the prediction cannot drift from the action.  Any
+        announcement's learn marks knowledge dirty, so a parked actor
+        whose first requestable cube carries certificate needs would
+        start a not-yet round, and one whose promise requests lost
+        their dedup entries (a refusal or a peer recovery cleared
+        them) would re-send -- the naive engine does both from
+        *irrelevant* announcements, so the watch index must wake such
+        actors on everything."""
         if self.status is not ActorStatus.PENDING:
             return False
         if self.sched.is_frozen(self.event.base, exclude=self.event):
             return False  # try_fire returns before soliciting
-        possible = [
-            c for c in sorted(self.guard.cubes) if self._cube_possible(c)
-        ]
-        mandatory = len(possible) == 1
-        for cube in possible:
-            plan = self._cube_plan(cube)
-            if plan is None:
-                continue
-            promises, certificates = plan
-            level = 1 if mandatory else 0
-            for target in promises:
-                if target.base == self.event.base:
-                    continue
-                key = (target, (self.event,))
-                if self.promise_requested.get(key, -1) < level:
-                    return True  # an un-deduped request would be sent
-            if certificates and not self.round_active:
-                return True  # a dirty learn would start a round
-            return False  # _solicit stops at the first planned cube
-        return False
+        requests, _demand, certificates = self._solicit_plan()
+        return bool(requests) or bool(certificates and not self.round_active)
 
     def strengthen_guard(self, extra: GuardExpr) -> None:
         """Conjoin a contribution from a dependency added at run time.
@@ -381,24 +364,44 @@ class EventActor:
     # ------------------------------------------------------------------
     # solicitation: figure out which facts could complete a cube
 
-    def _solicit(self) -> None:
+    def _solicit_plan(self) -> tuple[list[Event], bool, list[Event]]:
+        """What soliciting would do now, without doing it.
+
+        Returns ``(requests, demand, certificates)`` for the first
+        requestable cube: the promise targets not yet requested at the
+        required demand level, that level, and the bases a not-yet
+        round would certify.  One requestable cube at a time keeps
+        traffic low.
+        """
         possible = [c for c in sorted(self.guard.cubes) if self._cube_possible(c)]
         # With a single live alternative the requests are mandatory:
         # carry demand so idle triggerable targets are caused at once
         # ("information flows as soon as it is available", Section 6).
         # With alternatives, stay lazy; quiescence escalation demands
         # cube-by-cube later if nothing else resolves first.
-        mandatory = len(possible) == 1
+        demand = len(possible) == 1
+        level = 1 if demand else 0
         for cube in possible:
             plan = self._cube_plan(cube)
             if plan is None:
                 continue
             promises, certificates = plan
-            for target in promises:
-                self._request_promise(target, demand=mandatory)
-            if certificates and not self.round_active and self._knowledge_dirty:
-                self._start_round(certificates)
-            return  # one requestable cube at a time keeps traffic low
+            requests = [
+                target
+                for target in promises
+                if target.base != self.event.base
+                and self.promise_requested.get((target, (self.event,)), -1)
+                < level
+            ]
+            return requests, demand, certificates
+        return [], False, []
+
+    def _solicit(self) -> None:
+        requests, demand, certificates = self._solicit_plan()
+        for target in requests:
+            self._send_promise_request(target, demand, (self.event,))
+        if certificates and not self.round_active and self._knowledge_dirty:
+            self._start_round(certificates)
 
     def _cube_possible(self, cube) -> bool:
         return all(
@@ -459,7 +462,15 @@ class EventActor:
         key = (target, chain)
         if self.promise_requested.get(key, -1) >= level:
             return False
-        self.promise_requested[key] = level
+        self._send_promise_request(target, demand, chain)
+        return True
+
+    def _send_promise_request(
+        self, target: Event, demand: bool, chain: tuple
+    ) -> None:
+        """Record the request at its demand level and send it (the
+        caller has established it is not a repeat)."""
+        self.promise_requested[(target, chain)] = 1 if demand else 0
         self.sched.send_to_actor(
             self.event,
             target,
@@ -470,7 +481,6 @@ class EventActor:
                 chain=chain,
             ),
         )
-        return True
 
     def escalate(self) -> bool:
         """Quiescence escalation: demand the facts for ONE further cube.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
-from repro.algebra.traces import Trace, satisfies
+from repro.algebra.traces import Trace, unsatisfied
 
 
 class AttemptOutcome(enum.Enum):
@@ -165,8 +165,7 @@ class ExecutionResult:
         trace = self.trace  # built, validated and indexed once
         found = [
             Violation("dependency", f"trace {trace!r} violates {dep!r}")
-            for dep in dependencies
-            if not satisfies(trace, dep)
+            for dep in unsatisfied(trace, dependencies)
         ]
         self.violations.extend(found)
         return found

@@ -8,22 +8,26 @@ certificates.  There is no central node; the requirement monitors that
 trigger triggerable events run at the sites of those events, fed by
 the same announcements.
 
-The runner drives scripted task agents, lets the simulator drain, and
-then performs *settlement*: unsettled base events have their
-complements attempted (the task abandons the transition), one base per
-quiescent round so cascades are ordered, until the trace is maximal or
-no further progress is possible.
+The run lifecycle is defined here once, as three steps every driver
+(``DistributedScheduler.run``, the shard runner, the CLI) goes
+through: :meth:`DistributedScheduler.start` schedules the scripted task
+agents, the caller runs the simulator to quiescence, :func:`drain`
+performs *settlement* -- unsettled base events have their complements
+attempted (the task abandons the transition), a batch per quiescent
+round so cascades are ordered, until the trace is maximal or no further
+progress is possible -- and :meth:`DistributedScheduler.finish` sums
+up and verifies.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
 from repro.scheduler.actors import ActorStatus, EventActor
-from repro.scheduler.agents import AgentScript
+from repro.scheduler.agents import AgentScript, schedule_gated
 from repro.scheduler.events import (
     AttemptOutcome,
     EventAttributes,
@@ -77,6 +81,13 @@ _DEFAULT_ATTRS = EventAttributes()
 class DistributedScheduler:
     """Compile a workflow into actors and run it on the simulated network.
 
+    Construction synthesizes the guards and places the actors;
+    :meth:`run` is then ``start(scripts)``, ``sim.run()``,
+    ``drain([self], sim, max_rounds)``, ``finish(verify, converged)``.
+    Drivers that own the clock themselves -- a shard group sharing one
+    simulator, a test stepping the run by hand -- call the same three
+    steps instead of ``run``.
+
     Parameters
     ----------
     dependencies:
@@ -97,8 +108,6 @@ class DistributedScheduler:
     fault_plan:
         Scheduled site crashes/restarts (:class:`FaultPlan`); armed
         when the run starts.
-    retransmit_timeout / max_retries:
-        Session-layer tuning, forwarded to :class:`ReliableNetwork`.
     batch_announcements:
         Coalesce the announcement fan-out: announcements issued to the
         same site within one virtual instant travel as a single
@@ -155,8 +164,6 @@ class DistributedScheduler:
         duplicate_probability: float = 0.0,
         reliable: bool = False,
         fault_plan: FaultPlan | None = None,
-        retransmit_timeout: float = 4.0,
-        max_retries: int = 20,
         batch_announcements: bool = False,
         reference_engine: bool = False,
         tracer=None,
@@ -214,12 +221,7 @@ class DistributedScheduler:
         #: where protocol messages travel: the raw fabric, or the
         #: exactly-once FIFO session layer on top of it
         self.channel = (
-            ReliableNetwork(
-                self.network,
-                faults=self.faults,
-                timeout=retransmit_timeout,
-                max_retries=max_retries,
-            )
+            ReliableNetwork(self.network, faults=self.faults)
             if reliable
             else self.network
         )
@@ -1271,21 +1273,35 @@ class DistributedScheduler:
     def schedule_script(self, script: AgentScript) -> None:
         """Schedule an agent's attempts, honouring its ``after`` gates."""
         for attempt in script.attempts:
-            self._schedule_attempt(script, attempt)
+            schedule_gated(self, attempt, self.attempt)
 
-    def _schedule_attempt(self, script: AgentScript, attempt) -> None:
-        def fire() -> None:
-            if attempt.after is not None:
-                gate = self._settled.get(attempt.after.base)
-                if gate is None:
-                    # prerequisite pending: re-run when the base settles
-                    self._waiters.setdefault(attempt.after.base, []).append(fire)
-                    return
-                if gate != attempt.after:
-                    return  # settled against us: the task path is dead
-            self.attempt(attempt.event)
+    def start(self, scripts: Iterable[AgentScript] = ()) -> None:
+        """Lifecycle step 1: schedule the scripts, arm the fault plan,
+        and give every requirement monitor its initial evaluation.
+        Nothing moves until the caller runs the simulator."""
+        for script in scripts:
+            self.schedule_script(script)
+        if self.faults is not None:
+            self.faults.arm()
+        for _site, monitor in self._monitors:
+            monitor.evaluate()
 
-        self.sim.schedule(attempt.time, fire)
+    def finish(
+        self, verify: bool = True, converged: bool = True
+    ) -> ExecutionResult:
+        """Lifecycle step 3: the closing time-series sample, the result
+        summary and post-run verification, and -- when :func:`drain`
+        ran out of rounds -- the non-convergence violation."""
+        if self.timeseries is not None:
+            # closing sample so the series end at the final state
+            self._sample(self.sim.now)
+        self._finalize(verify)
+        if not converged:
+            scope = "" if self.gateway is None else "group "
+            self.result.violations.append(
+                Violation("settlement", f"{scope}settlement did not converge")
+            )
+        return self.result
 
     def run(
         self,
@@ -1294,33 +1310,12 @@ class DistributedScheduler:
         verify: bool = True,
         max_rounds: int = 1000,
     ) -> ExecutionResult:
-        for script in scripts:
-            self.schedule_script(script)
-        if self.faults is not None:
-            self.faults.arm()
-        for _site, monitor in self._monitors:
-            monitor.evaluate()
+        """The whole lifecycle for a scheduler on a private simulator:
+        :meth:`start`, run to quiescence, :func:`drain`, :meth:`finish`."""
+        self.start(scripts)
         self.sim.run()
-        if settle:
-            self._drain(max_rounds)
-        if self.timeseries is not None:
-            # closing sample so the series end at the final state
-            self._sample(self.sim.now)
-        self._finalize(verify)
-        return self.result
-
-    def _drain(self, max_rounds: int) -> None:
-        """Alternate escalation and settlement until the trace is
-        maximal or neither makes progress."""
-        for _ in range(max_rounds):
-            if self._sweep_orphan_freezes():
-                self.sim.run()
-            self._escalation_rounds(max_rounds)
-            if not self._settle_one():
-                return
-        self.result.violations.append(
-            Violation("settlement", "settlement did not converge")
-        )
+        converged = not settle or drain([self], self.sim, max_rounds)
+        return self.finish(verify, converged)
 
     def _sweep_orphan_freezes(self) -> bool:
         """Void freezes that no live round can ever release.
@@ -1483,3 +1478,37 @@ class DistributedScheduler:
                     self.profiler.pop()
             else:
                 self.result.verify(deps)
+
+
+def drain(
+    schedulers: Sequence[DistributedScheduler],
+    sim: Simulator,
+    max_rounds: int,
+) -> bool:
+    """Lifecycle step 2: settle the quiescent schedulers sharing ``sim``
+    until the trace is maximal or nothing makes progress.
+
+    Each round sweeps orphan freezes, runs escalation, and attempts one
+    settlement batch *per scheduler*; in a shard group, remote
+    announcements between batches clear the peers' no-progress sets, so
+    a base one shard could not settle is retried once another shard's
+    settlement unblocks it.  Stops when no scheduler swept or attempted
+    anything.  Returns False when the round budget runs out
+    (non-convergence; :meth:`DistributedScheduler.finish` records it).
+    """
+    for _ in range(max_rounds):
+        swept = False
+        for sched in schedulers:
+            if sched._sweep_orphan_freezes():
+                swept = True
+        if swept:
+            sim.run()
+        for sched in schedulers:
+            sched._escalation_rounds(max_rounds)
+        attempted = False
+        for sched in schedulers:
+            if sched._settle_one():
+                attempted = True
+        if not attempted and not swept:
+            return True
+    return False

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
-from repro.algebra.traces import Trace, satisfies
+from repro.algebra.traces import Trace, unsatisfied
 from repro.scheduler.events import ExecutionResult
 from repro.temporal.guards import workflow_guards
 
@@ -54,9 +54,8 @@ def validate_trace(
 ) -> AuditReport:
     """End-result audit: satisfaction and maximality."""
     report = AuditReport()
-    for dep in dependencies:
-        if not satisfies(trace, dep):
-            report.add("dependency", f"{trace!r} violates {dep!r}")
+    for dep in unsatisfied(trace, dependencies):
+        report.add("dependency", f"{trace!r} violates {dep!r}")
     if require_maximal:
         bases: set[Event] = set()
         for dep in dependencies:

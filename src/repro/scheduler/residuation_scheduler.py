@@ -29,7 +29,7 @@ from repro.algebra.expressions import Atom, Choice, Conj, Expr, Seq, Top, Zero
 from repro.algebra.normal_form import to_normal_form
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event
-from repro.scheduler.agents import AgentScript
+from repro.scheduler.agents import AgentScript, schedule_gated
 from repro.scheduler.events import (
     AttemptOutcome,
     EventAttributes,
@@ -581,20 +581,7 @@ class CentralizedScheduler:
 
     def schedule_script(self, script: AgentScript) -> None:
         for attempt in script.attempts:
-            self._schedule_attempt(attempt)
-
-    def _schedule_attempt(self, attempt) -> None:
-        def fire() -> None:
-            if attempt.after is not None:
-                gate = self._settled.get(attempt.after.base)
-                if gate is None:
-                    self._waiters.setdefault(attempt.after.base, []).append(fire)
-                    return
-                if gate != attempt.after:
-                    return
-            self._agent_attempt(attempt.event)
-
-        self.sim.schedule(attempt.time, fire)
+            schedule_gated(self, attempt, self._agent_attempt)
 
     def run(
         self,

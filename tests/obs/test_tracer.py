@@ -1,6 +1,8 @@
 """The causal tracer: Lamport clocks, record envelopes, serialization."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -84,6 +86,23 @@ class TestRecordEnvelope:
         assert len(lines) == 3
         for line in lines:
             json.loads(line)
+
+    def test_reading_a_gz_trace_leaves_no_open_handle(self, tmp_path):
+        # regression: the magic-byte sniffing handle was wrapped in a
+        # GzipFile that did not own it, so the raw file leaked (a
+        # ResourceWarning at collection, an error under CI's -W error)
+        t = Tracer()
+        t.actor(0.0, "a", "e", "attempted")
+        gz = tmp_path / "trace.jsonl.gz"
+        t.dump(gz)
+        bare = tmp_path / "renamed.jsonl"  # sniffed, not suffix-matched
+        bare.write_bytes(gz.read_bytes())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert read_jsonl(gz) == t.records
+            assert read_jsonl(bare) == t.records
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
 
 
 class TestNullTracer:

@@ -1,5 +1,7 @@
 """The cross-shard group engine (repro.scale.engine)."""
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -121,6 +123,53 @@ class TestRunGroup:
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError):
             run_group([])
+
+    def test_lone_shard_is_a_group_of_one_without_a_gateway(self):
+        # one shard owns the whole coupled pair: its cross dependencies
+        # are local, so there is nothing to route and nothing to span
+        _family, [task] = mutex_tasks(2, 1)
+        assert task.cross_dependencies
+        group = run_group([task])
+        assert group.cross_stats == {}
+        assert group.cross_violations == []
+        sharded = run_sharded([task], workers=1)
+        assert "x0/" not in json.dumps(sharded.metrics)
+
+        def comparable(outcome):
+            fields = dataclasses.asdict(outcome)
+            # cache counters are process-wide: they move between runs
+            fields["metrics"] = {
+                key: value
+                for key, value in fields["metrics"].items()
+                if key != "kernel"
+            }
+            return fields
+
+        [outcome] = group.outcomes
+        assert not outcome.violations and not outcome.unsettled
+        assert comparable(outcome) == comparable(sharded.outcomes[0])
+
+    def test_exhausted_round_budget_is_a_group_violation(self):
+        # nothing is attempted, so every base is left to complement
+        # settlement -- more than the single round allowed
+        family = make_mutex_family(2)
+        idle = [instance_spec(suffix, []) for suffix, _ in family.instances]
+
+        def outcomes(shards):
+            tasks = plan_shards(
+                family.template, idle, shards,
+                cross_deps=family.cross_dependencies,
+            )
+            return run_group(list(tasks), max_rounds=1).outcomes
+
+        stuck = ("settlement", "group settlement did not converge")
+        for outcome in outcomes(2):
+            assert outcome.violations.count(stuck) == 1
+        [lone] = outcomes(1)
+        assert lone.violations.count(
+            ("settlement", "settlement did not converge")
+        ) == 1
+        assert stuck not in lone.violations
 
     def test_spanning_violation_detected_on_merged_timeline(self):
         # manufacture a timeline where both tasks enter before either

@@ -15,7 +15,7 @@ from repro.scale import (
     run_sharded,
     shard_seed,
 )
-from repro.scale.shards import _run_shard
+from repro.scale.engine import run_group
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
@@ -123,7 +123,7 @@ class TestPlanning:
 class TestExecution:
     def test_shard_runs_clean_and_uses_fast_path(self):
         [task] = plan_shards(TEMPLATE, travel_instances(3), 1, seed=2)
-        outcome = _run_shard(task)
+        outcome = run_group([task]).outcomes[0]
         assert not outcome.violations
         assert not outcome.unsettled
         assert outcome.fast_instantiations == 3

@@ -9,9 +9,10 @@ from repro.algebra.symbols import Event
 from repro.algebra.traces import satisfies
 from repro.scheduler import DistributedScheduler, EventAttributes
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
+from repro.scheduler.guard_scheduler import drain
 from repro.sim.network import ConstantLatency
 from repro.workflows import WorkflowTemplate
-from repro.workloads.scenarios import make_travel_booking
+from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 E, F, G = Event("e"), Event("f"), Event("g")
 D_PREC = parse("~e + ~f + e . f")
@@ -214,7 +215,10 @@ class TestOneGuardEngine:
 
         from repro.scale import ShardTask, plan_shards
 
-        retired = {"compiled_guards", "minimize_guards", "watch_mode"}
+        retired = {
+            "compiled_guards", "minimize_guards", "watch_mode",
+            "retransmit_timeout", "max_retries",
+        }
         names = {
             "DistributedScheduler": set(
                 inspect.signature(DistributedScheduler.__init__).parameters
@@ -226,3 +230,53 @@ class TestOneGuardEngine:
             assert not exposed & retired, owner
         assert "reference_engine" in names["DistributedScheduler"]
         assert "reference_engine" not in names["ShardTask"] | names["plan_shards"]
+
+
+def _travel():
+    scenario = make_travel_booking("failure")
+    return scenario.workflow, scenario.scripts
+
+
+def _mutex():
+    return make_mutex_family(2, cluster=2).merged()
+
+
+class TestRunLifecycle:
+    """``run`` is ``start`` -> ``sim.run`` -> ``drain`` -> ``finish``,
+    and a driver that owns the clock gets the same run from the steps."""
+
+    @staticmethod
+    def _build(workload):
+        workflow, scripts = workload()
+        sched = DistributedScheduler(
+            workflow.dependencies,
+            sites=workflow.sites,
+            attributes=workflow.attributes,
+            rng=random.Random(3),
+        )
+        return sched, scripts
+
+    @pytest.mark.parametrize("workload", [_travel, _mutex])
+    def test_hand_driven_steps_reproduce_run(self, workload):
+        sched, scripts = self._build(workload)
+        whole = sched.run(scripts)
+        sched, scripts = self._build(workload)
+        sched.start(scripts)
+        sched.sim.run()
+        assert drain([sched], sched.sim, 1000) is True
+        stepped = sched.finish()
+        assert whole.entries and stepped.entries == whole.entries
+        assert stepped.messages == whole.messages
+        assert stepped.messages_by_kind == whole.messages_by_kind
+        assert stepped.violations == whole.violations == []
+        assert stepped.unsettled == whole.unsettled == []
+
+    def test_exhausted_round_budget_is_one_settlement_violation(self):
+        # the failure scenario needs complement settlement, which takes
+        # more than the one round allowed
+        sched, scripts = self._build(_travel)
+        result = sched.run(scripts, max_rounds=1)
+        assert [
+            (v.kind, v.detail) for v in result.violations
+            if v.kind == "settlement"
+        ] == [("settlement", "settlement did not converge")]

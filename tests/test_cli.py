@@ -830,6 +830,7 @@ class TestSloCheck:
 
 
 GZ_RUN = ["--attempt", "s_buy=0", "--attempt", "c_buy=2"]
+LONE_SHARD = ["--shards", "1", "--instances", "1"]
 
 
 class TestGzipTraces:
@@ -1075,6 +1076,38 @@ class TestRunSloGate:
         bad.write_text("not json")
         assert main(["run", travel_spec, "--slo", str(bad)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "mode", [[], LONE_SHARD], ids=["single", "lone-shard"]
+    )
+    def test_exit_contract_single_and_lone_shard(
+        self, mode, travel_spec, tmp_path, capsys
+    ):
+        """Both ``repro run`` commands end in one tail: 0 clean, 1 on an
+        unsettled base or a failing rule, 2 on an unusable rule file."""
+        sane = self._slo(tmp_path, {"slos": [
+            {"name": "sane", "indicator": "violations", "max": 0}
+        ]})
+        run = ["run", travel_spec, *mode]
+        assert main([*run, *GZ_RUN, "--slo", sane]) == 0
+        assert main([*run, "--attempt", "c_buy=0", "--no-settle"]) == 1
+        impossible = self._slo(tmp_path, {"slos": [
+            {"name": "impossible", "indicator": "makespan", "max": 0.001}
+        ]})
+        assert main([*run, *GZ_RUN, "--slo", impossible]) == 1
+        malformed = self._slo(tmp_path, {"slos": [{"name": "no indicator"}]})
+        assert main([*run, *GZ_RUN, "--slo", malformed]) == 2
+        capsys.readouterr()
+
+    def test_single_and_lone_shard_reports_have_the_same_keys(
+        self, travel_spec, capsys
+    ):
+        assert main(["run", travel_spec, *GZ_RUN, "--json"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert main(["run", travel_spec, *GZ_RUN, *LONE_SHARD, "--json"]) == 0
+        lone = json.loads(capsys.readouterr().out)
+        assert set(lone) - set(single) == {"sharding"}
+        assert set(single) <= set(lone)
 
 
 class TestRunsCommands:
