@@ -2,11 +2,11 @@
 
 SC6 (bench_scale_schedulers / bench_scale_latency) shards *independent*
 instances; here every cluster of critical-section tasks is coupled by
-cross-instance mutex dependencies, so the sharded runs exercise the
-cross-shard machinery end to end: constraint-aware min-cut placement
-(cut 0, no routing), round-robin placement with announcements routed
-over the exactly-once gateway channel, and work-stealing rebalancing
-of a deliberately skewed layout.  Absolute timings are the perf
+cross-instance mutex dependencies, so the sharded runs exercise
+coupled planning end to end: constraint-aware min-cut placement (cut 0,
+nothing fused), round-robin placement whose split clusters the planner
+fuses back onto one shard, and work-stealing rebalancing of a
+deliberately skewed layout.  Absolute timings are the perf
 suite's job (``perf_suite.py`` gates the N=256 speedups); this bench
 pins the *shape* at a CI-friendly size: every variant settles exactly
 the merged baseline's event set.
@@ -76,8 +76,9 @@ def test_bench_mutex_min_cut(benchmark, baseline):
     tasks, run = benchmark.pedantic(
         lambda: sharded_run(placement="min_cut"), rounds=3, iterations=1
     )
-    # clusters colocate: nothing crosses the cut, nothing routes
+    # clusters colocate: nothing crosses the cut, nothing is fused
     assert tasks.cut_weight == 0
+    assert len(tasks) == SHARDS
     assert run.cross_messages == 0
     assert run.result.ok, run.result.violations
     assert settled(run.result) == settled(baseline)
@@ -85,9 +86,11 @@ def test_bench_mutex_min_cut(benchmark, baseline):
 
 def test_bench_mutex_round_robin_routed(benchmark, baseline):
     tasks, run = benchmark.pedantic(sharded_run, rounds=3, iterations=1)
-    # round-robin splits every cluster: the coupling routes instead
+    # round-robin splits every cluster: the planner fuses the shards
+    # back together, so the coupling stays inside one scheduler
     assert tasks.cut_weight > 0
-    assert run.cross_messages > 0
+    assert len(tasks) < SHARDS
+    assert run.cross_messages == 0
     assert run.result.ok, run.result.violations
     assert settled(run.result) == settled(baseline)
 

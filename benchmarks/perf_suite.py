@@ -23,13 +23,12 @@ Runs three workload families and emits a machine-readable
   re-measured with the linear trace oracle, sharded lost one of twenty
   alternating repetitions to a host stall, and only comparisons that
   win every repetition are asserted);
-* **cross-shard** (SC7, when :mod:`repro.scale.engine` is available)
-  -- the Example 13 mutex family at N in {64, 256}, merged vs min-cut
-  sharded (``speedup_vs_merged`` is reported, not required: what
-  sharding bought at N=256 was splitting redundant synthesis, which
-  the shape table removed), round-robin with gateway routing, and a
-  skewed layout with and without work stealing (required: stealing
-  wins over the skew it rebalances);
+* **coupled instances** (SC7, when ``plan_shards`` takes
+  ``cross_deps``) -- the Example 13 mutex family at N in {64, 256},
+  merged vs min-cut sharded (``speedup_vs_merged`` is reported, not
+  required: it has fallen either way as synthesis got cheaper, see
+  EXPERIMENTS.md), and a skewed layout with and without work stealing
+  (required: stealing wins over the skew it rebalances);
 * **guard engine** (PF3/PF4, when the scheduler has
   ``reference_engine=``) -- the one production engine (watch index +
   compiled cursors) against the paper-literal reference engine the
@@ -106,7 +105,6 @@ EXACT_FIELDS = (
     "wakes",
     "skips",
     "cut_weight",
-    "cross_messages",
     "steals",
     "hops",
 )
@@ -411,24 +409,26 @@ def bench_scale_out(rounds: int) -> dict:
 
 def _supports_cross_shard() -> bool:
     try:
-        from repro.scale.engine import run_group  # noqa: F401
+        import inspect
+
+        from repro.scale import plan_shards
         from repro.workloads.scenarios import make_mutex_family  # noqa: F401
 
-        return True
+        return "cross_deps" in inspect.signature(plan_shards).parameters
     except ImportError:
         return False
 
 
 def bench_scale_mutex(rounds: int) -> dict:
-    """SC7: the Example 13 mutex family, merged vs sharded 3 ways.
+    """SC7: the Example 13 mutex family, merged vs sharded.
 
     Unlike SC6's independent travel instances, every cluster of four
     critical-section tasks here is *coupled* by cross-instance mutex
-    dependencies, so sharding is only legal with the cross-shard
-    machinery: min-cut placement colocates each cluster (cut 0),
-    round-robin splits every cluster and routes the announcements over
-    the exactly-once gateway channel, and a deliberately skewed
-    explicit layout exercises work-stealing rebalancing.
+    dependencies, so a cluster must stay on one scheduler: min-cut
+    placement colocates each cluster (cut 0, nothing fused), and a
+    deliberately skewed explicit layout exercises work-stealing
+    rebalancing.  (A layout that splits clusters is fused back by the
+    planner, i.e. it *is* a merged run; there is no row for it.)
     """
     from repro.scale import instance_spec, plan_shards, run_sharded
     from repro.workloads.scenarios import make_mutex_family
@@ -492,7 +492,6 @@ def bench_scale_mutex(rounds: int) -> dict:
             cut_best,
             cut_run.result,
             cut_weight=tasks.cut_weight,
-            cross_messages=cut_run.cross_messages,
             speedup_vs_merged=merged_best / cut_best if cut_best else 0.0,
         )
         assert tasks.cut_weight == 0, (
@@ -504,23 +503,10 @@ def bench_scale_mutex(rounds: int) -> dict:
             == {repr(e.event) for e in merged_result.entries}
         ), "sharded mutex run settled a different event set than merged"
 
-        # no wall-clock assert against merged: the sharded win at
-        # N=256 was redundant synthesis split across workers, gone
-        # with the shape table (EXPERIMENTS.md, SC7)
+        # no wall-clock assert against merged: the comparison has
+        # fallen both ways as synthesis got cheaper (EXPERIMENTS.md,
+        # SC7), so ``speedup_vs_merged`` is only reported
         if n == 256:
-            routed_best, rr_tasks, routed = sharded(n, heavy_rounds)
-            out["sc7_mutex_n256_routed"] = record(
-                routed_best,
-                routed.result,
-                cut_weight=rr_tasks.cut_weight,
-                cross_messages=routed.cross_messages,
-            )
-            assert rr_tasks.cut_weight > 0 and routed.cross_messages > 0
-            assert (
-                {repr(e.event) for e in routed.result.entries}
-                == {repr(e.event) for e in merged_result.entries}
-            ), "routed mutex run settled a different event set than merged"
-
             # skewed layout: shard 0 gets 3/4 of the clusters
             skew = [
                 list(range(0, 192)),

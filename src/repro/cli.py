@@ -264,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="round-robin",
         help="with --shards: how instances are placed -- round-robin "
         "(baseline) or min-cut (the constraint-aware partitioner "
-        "colocates instances coupled by --cross-dep dependencies, "
-        "minimizing routed cross-shard announcements)",
+        "colocates instances coupled by --cross-dep dependencies, so "
+        "fewer shards have to be fused)",
     )
     p_run.add_argument(
         "--cross-dep",
@@ -274,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="EXPR",
         help="with --shards: a dependency over events of *different* "
         "instances (suffixed names, e.g. \"~b_i1 + e_i0 . b_i1\"); "
-        "repeatable.  Shards sharing one co-simulate, exchanging "
-        "announcements over an exactly-once session channel",
+        "repeatable.  One shard enforces each: shards a dependency "
+        "would span are fused into one",
     )
     p_run.add_argument(
         "--steal",
@@ -988,16 +988,12 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
         }
         for outcome in sharded.outcomes
     ]
-    cut_weight = getattr(tasks, "cut_weight", 0)
     summary = (
         f"sharded: {count} instances over {sharded.shards} shard(s), "
         f"{sharded.workers} worker(s)"
     )
     if args.cross_dep:
-        summary += (
-            f", cut {cut_weight}"
-            f", {sharded.cross_messages} routed message(s)"
-        )
+        summary += f", cut {tasks.cut_weight}"
     if args.steal:
         summary += f", {sharded.steals} steal(s)"
     sharding = {
@@ -1005,8 +1001,7 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
         "instances": count,
         "workers": sharded.workers,
         "placement": args.placement,
-        "cut_weight": cut_weight,
-        "cross_messages": sharded.cross_messages,
+        "cut_weight": tasks.cut_weight,
         "steals": sharded.steals,
     }
     return _finish_run(

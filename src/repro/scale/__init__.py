@@ -1,5 +1,5 @@
-"""Scale-out execution: shard workflow instances across worker
-processes -- including instances coupled by cross-shard constraints.
+"""Scale-out execution: shard independent workflow instances across
+worker processes.
 
 The paper's Example 12 workload -- ``N`` independent instances of one
 workflow template, distinguished only by an identifier suffix -- has
@@ -12,29 +12,30 @@ shard in a process pool, and merges the results, metrics, and causal
 traces back into single artifacts (:mod:`repro.obs.merge`).
 
 Example 13-style workloads add *cross-instance* dependencies (mutual
-exclusion, resource pools).  Those route through three further layers:
+exclusion, resource pools).  A dependency is enforced by the one
+scheduler holding all its events, so the unit of placement is the
+coupled *component*:
 
 * :mod:`repro.scale.partition` -- a planning pass over the
   per-dependency guard tables builds the inter-instance shared-event
-  graph and places instances to minimize the cut
-  (``placement="min_cut"``), keeping coupled instances colocated;
-* :mod:`repro.scale.engine` -- the one shard runner: every work item
-  is a group of shards on one virtual clock (an independent shard is a
-  group of one), and shards a spanning dependency couples anyway
-  exchange announcements and certificate traffic through an
-  exactly-once FIFO gateway channel;
-* work stealing (``run_sharded(steal=True)``) -- independent shards
-  split into dependency-closed chunks that idle workers steal from
-  the most-loaded queue, deterministically.
+  graph, places instances to keep coupled ones together
+  (``placement="min_cut"``), and fuses whatever shards a dependency
+  still spans into one;
+* :func:`repro.scale.shards.run_shard` -- the one shard runner: a plain
+  scheduler whose dependencies are the stamped instances' plus the
+  cross dependencies its shard carries;
+* work stealing (``run_sharded(steal=True)``) -- shards split into
+  dependency-closed chunks that idle workers steal from the
+  most-loaded queue, deterministically.
 
 Determinism contract: for a fixed ``(seed, shard count, placement)``
 the merged outcome is identical regardless of worker count -- the
 partition is a pure function of the plan inputs, each shard's RNG
-seed is derived from the run seed and the shard index alone, and all
-inter-shard traffic flows on the shared simulator's deterministic
-clock.  Changing the *shard count* or placement regroups instances
-and therefore legitimately changes message interleavings within each
-scheduler (settled outcomes stay the same; timings may not).
+seed is derived from the run seed and the shard index alone, and
+nothing travels between shards.  Changing the *shard count* or
+placement regroups instances and therefore legitimately changes
+message interleavings within each scheduler (settled outcomes stay the
+same; timings may not).
 """
 
 from repro.scale.partition import (

@@ -1,61 +1,82 @@
-"""Constraint-aware shard placement: the planning half of cross-shard
-execution.
+"""Constraint-aware shard placement: the planning half of a sharded run.
 
 Independent instances can go anywhere; instances coupled by
-cross-instance dependencies should go *together*, because every
-coupling edge that crosses the shard cut becomes routed announcements
-(and possibly certificate rounds) on the inter-shard channel at run
-time.  This module scores the coupling from the same artifact the
-runtime enforces it with -- the per-dependency guard tables
+cross-instance dependencies must run *together*, because a dependency
+is enforced by the one scheduler that holds all its events (the
+paper's rule: an event's guard conjoins ``G(D, e)`` over every
+dependency mentioning it, and one actor per event enforces it).  This
+module scores the coupling from the same artifact the runtime enforces
+it with -- the per-dependency guard tables
 (:func:`repro.temporal.guards.guard_table`): a guard literal that
-makes one instance's event wait on another instance's base is exactly
-one announcement the cut would have to carry.
+makes one instance's event wait on another instance's base is one unit
+of coupling between the two.
 
 The partitioner itself is the classic greedy heuristic (heaviest-
 coupled instance first, placed with the shard holding most of its
-already-placed neighbors, under a balance capacity).  It is
-deterministic: ties break toward the lighter-loaded, lower-numbered
-shard, so a plan is a pure function of ``(instances, shards,
-cross_deps)``.
+already-placed neighbors, under a balance capacity).  Whatever shards a
+dependency still spans afterwards are *fused* into one, so the unit of
+placement is the coupled component and every dependency has exactly
+one owning shard.  Deterministic: ties break toward the lighter-loaded,
+lower-numbered shard, so a plan is a pure function of ``(instances,
+shards, cross_deps)``.
 
-Everything here is *planning*: no scheduler state, no simulation.  The
-outputs -- assignment, cut weight, spanning dependencies, egress
-tables, coupled shard groups -- parameterize
-:func:`repro.scale.shards.plan_shards` and the coordinated group
-engine (:mod:`repro.scale.engine`).
+Everything here is *planning*: no scheduler state, no simulation.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
-from repro.temporal.cubes import GuardExpr
 from repro.temporal.guards import guard_table
 
+logger = logging.getLogger(__name__)
 
-def instance_of(base: Event, suffixes: Sequence[str]) -> int | None:
+
+class SuffixIndex:
+    """Instance suffixes indexed for :func:`instance_of`, built once
+    per plan: ``{suffix: first index}`` plus the distinct suffix
+    lengths, longest first."""
+
+    def __init__(self, suffixes: Sequence[str]):
+        self.first: dict[str, int] = {}
+        for index, suffix in enumerate(suffixes):
+            if suffix:
+                self.first.setdefault(suffix, index)
+        self.lengths = sorted({len(s) for s in self.first}, reverse=True)
+
+
+def _indexed(given: Sequence[str] | SuffixIndex) -> SuffixIndex:
+    return given if isinstance(given, SuffixIndex) else SuffixIndex(given)
+
+
+def instance_of(
+    base: Event, suffixes: Sequence[str] | SuffixIndex
+) -> int | None:
     """Map a (suffixed) base event to its instance index.
 
     Longest-suffix match, so overlapping suffixes (``_i1`` vs
-    ``_i11``) resolve to the more specific instance.  Returns None for
-    events that belong to no instance (template-level or foreign).
+    ``_i11``) resolve to the more specific instance; a suffix listed
+    twice resolves to its first index.  Returns None for events that
+    belong to no instance (template-level or foreign).
     """
+    suffixes = _indexed(suffixes)
     name = base.base.name
-    best: int | None = None
-    best_len = -1
-    for index, suffix in enumerate(suffixes):
-        if suffix and name.endswith(suffix) and len(suffix) > best_len:
-            best, best_len = index, len(suffix)
-    return best
+    for length in suffixes.lengths:
+        index = suffixes.first.get(name[-length:])
+        if index is not None:
+            return index
+    return None
 
 
 def dependency_instances(
-    dep: Expr, suffixes: Sequence[str]
+    dep: Expr, suffixes: Sequence[str] | SuffixIndex
 ) -> frozenset[int]:
     """The instances a cross dependency mentions."""
+    suffixes = _indexed(suffixes)
     return frozenset(
         index
         for base in dep.bases()
@@ -64,27 +85,21 @@ def dependency_instances(
 
 
 def shared_event_graph(
-    cross_deps: Sequence[Expr], suffixes: Sequence[str]
+    cross_deps: Sequence[Expr], suffixes: Sequence[str] | SuffixIndex
 ) -> dict[tuple[int, int], int]:
     """The weighted inter-instance coupling graph.
 
     For each cross dependency its guard table is synthesized; every
     guard literal under which instance ``i``'s event waits on instance
     ``j``'s base adds one unit to edge ``(i, j)``.  The weight is thus
-    a count of *potential routed announcements*, not a syntactic
+    a count of *cross-instance waits*, not a syntactic
     event-sharing count -- a dependency whose guards never make one
     side wait on the other contributes nothing.
     """
-    return _coupling_edges(map(guard_table, cross_deps), suffixes)
-
-
-def _coupling_edges(
-    tables: Iterable[Mapping[Event, GuardExpr]], suffixes: Sequence[str]
-) -> dict[tuple[int, int], int]:
-    """:func:`shared_event_graph` over already-synthesized tables."""
+    suffixes = _indexed(suffixes)
     edges: dict[tuple[int, int], int] = {}
-    for table in tables:
-        for event, g in table.items():
+    for dep in cross_deps:
+        for event, g in guard_table(dep).items():
             i = instance_of(event.base, suffixes)
             if i is None:
                 continue
@@ -149,8 +164,8 @@ def connected_components(
     """Components of ``0..n-1`` when each member set is connected.
 
     Members ascend within a component and components are ordered by
-    their smallest member, so the grouping is deterministic -- shard
-    groups, task groups and steal chunks all come from here.
+    their smallest member, so the grouping is deterministic -- fused
+    shards and steal chunks both come from here.
     """
     parent = list(range(n))
 
@@ -174,40 +189,52 @@ def connected_components(
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """The planning pass's full output (see module docstring)."""
+    """The planning pass's output (see module docstring)."""
 
-    #: per shard, the instance indices it owns (ascending)
+    #: per shard, the instance indices it owns (ascending); a shard
+    #: fused into a lower-numbered one is left empty
     assignment: tuple[tuple[int, ...], ...]
-    #: coupling weight crossing the cut (0 = fully colocated)
+    #: coupling weight the *requested* placement separated (0 = every
+    #: coupled component was already colocated, nothing was fused)
     cut_weight: int
     #: total coupling weight in the shared-event graph
     total_weight: int
-    #: indices (into ``cross_deps``) of dependencies spanning shards
-    spanning: tuple[int, ...]
-    #: owner-side egress: base -> shards that must hear its occurrence
-    egress: Mapping[Event, tuple[int, ...]]
-    #: connected components of shards coupled by spanning dependencies
-    groups: tuple[tuple[int, ...], ...]
 
 
 def plan_partition(
     count: int,
     shards: int,
     cross_deps: Sequence[Expr],
-    suffixes: Sequence[str],
+    suffixes: Sequence[str] | SuffixIndex,
     assignment: Sequence[Sequence[int]] | None = None,
 ) -> PartitionPlan:
-    """Place instances and derive the cut's runtime consequences.
+    """Place instances, then fuse the shards a dependency still spans.
 
     With ``assignment`` given (one instance-index list per shard) the
     placement is taken as-is -- benchmarks use this to construct
     deliberately skewed or adversarial layouts; otherwise the greedy
-    partitioner runs on the shared-event graph.
+    partitioner runs on the shared-event graph.  Either way a coupled
+    component ends up on one shard (the lowest-numbered of those it was
+    spread over, with a logged warning): there is no parallelism inside
+    a component for separate schedulers to buy.
+
+    Raises :class:`ValueError` for a dependency mentioning a base that
+    belongs to no instance (or no base at all) -- no shard could own it.
     """
-    # one table per dependency, feeding both the coupling graph and
-    # the spanning/egress pass below
-    tables = [guard_table(dep) for dep in cross_deps]
-    edges = _coupling_edges(tables, suffixes)
+    index = _indexed(suffixes)
+    members_of = []
+    for dep in cross_deps:
+        owner = {base: instance_of(base, index) for base in dep.bases()}
+        foreign = sorted(
+            (b for b, i in owner.items() if i is None), key=Event.sort_key
+        )
+        if foreign or not owner:
+            raise ValueError(
+                f"cross dependency {dep!r} must mention events of planned "
+                f"instances, and only those; {foreign!r} belong to none"
+            )
+        members_of.append(frozenset(owner.values()))
+    edges = shared_event_graph(cross_deps, index)
     if assignment is None:
         placed = partition_instances(count, shards, edges)
     else:
@@ -220,44 +247,25 @@ def plan_partition(
     shard_of: dict[int, int] = {
         i: s for s, part in enumerate(placed) for i in part
     }
-    spanning: list[int] = []
-    owner_sets: list[frozenset[int]] = []
-    egress: dict[Event, set[int]] = {}
-    for index, (dep, table) in enumerate(zip(cross_deps, tables)):
-        owners = frozenset(
-            shard_of[i] for i in dependency_instances(dep, suffixes)
-        )
-        if len(owners) <= 1:
-            continue
-        spanning.append(index)
-        owner_sets.append(owners)
-        for event, g in table.items():
-            i = instance_of(event.base, suffixes)
-            if i is None:
-                continue
-            subscriber = shard_of[i]
-            for base in g.bases():
-                j = instance_of(base, suffixes)
-                if j is None:
-                    continue
-                if shard_of[j] != subscriber:
-                    egress.setdefault(base.base, set()).add(subscriber)
     cut = sum(
         w for (i, j), w in edges.items() if shard_of[i] != shard_of[j]
     )
+    fused = [()] * len(placed)
+    for component in connected_components(
+        len(placed), ({shard_of[i] for i in members} for members in members_of)
+    ):
+        fused[component[0]] = tuple(
+            sorted(i for shard in component for i in placed[shard])
+        )
+        if len(component) > 1:
+            logger.warning(
+                "plan_partition: fusing shards %s into shard %d -- cross "
+                "dependencies span them, and a coupled component runs "
+                "on one scheduler",
+                component, component[0],
+            )
     return PartitionPlan(
-        assignment=placed,
+        assignment=tuple(fused),
         cut_weight=cut,
         total_weight=sum(edges.values()),
-        spanning=tuple(spanning),
-        egress={
-            base: tuple(sorted(subs))
-            for base, subs in sorted(
-                egress.items(), key=lambda kv: kv[0].sort_key()
-            )
-        },
-        groups=tuple(
-            tuple(group)
-            for group in connected_components(len(placed), owner_sets)
-        ),
     )

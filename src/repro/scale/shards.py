@@ -10,13 +10,15 @@ dependencies as their ``repr`` strings and every worker re-parses them
 into its own intern tables (``repr`` round-trips through the parser --
 a property the algebra test suite pins down).
 
-The worker (:func:`repro.scale.engine.run_group`) rebuilds the workflow
-*template*, instantiates its shard's instances through
+The worker (:func:`run_shard`) rebuilds the workflow *template*,
+instantiates its shard's instances through
 :class:`~repro.workflows.template.WorkflowTemplate` (guard synthesis
 runs once per worker, renames do the rest), runs one
-:class:`DistributedScheduler` over the merged instances, and returns a
-:class:`ShardOutcome` of plain data.  The parent merges outcomes into
-one :class:`~repro.scheduler.events.ExecutionResult` plus merged
+:class:`DistributedScheduler` over the merged instances plus the cross
+dependencies the shard carries -- ordinary dependencies of that
+scheduler -- and returns a :class:`ShardOutcome` of plain data.  The
+parent merges outcomes into one
+:class:`~repro.scheduler.events.ExecutionResult` plus merged
 metrics/trace artifacts (:mod:`repro.obs.merge`).
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import atexit
 import logging
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -31,8 +34,10 @@ from typing import Iterable, Sequence
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.obs.merge import merge_metrics, merge_profiles, merge_traces
+from repro.obs.profile import Profiler
 from repro.obs.tracer import Tracer
 from repro.scale.partition import (
+    SuffixIndex,
     connected_components,
     dependency_instances,
     plan_partition,
@@ -45,6 +50,8 @@ from repro.scheduler.events import (
     TraceEntry,
     Violation,
 )
+from repro.scheduler.guard_scheduler import DistributedScheduler
+from repro.sim.network import ConstantLatency
 from repro.workflows.spec import Workflow
 from repro.workflows.template import WorkflowTemplate
 
@@ -159,13 +166,9 @@ class ShardTask:
     #: many records (implies tracing); the merged trace carries one
     #: window header per shard
     flight_record: int | None = None
-    #: cross-instance dependency reprs this shard participates in; a
-    #: dependency whose instances span several shards appears on every
-    #: one of them (and couples them into one execution group)
+    #: cross-instance dependency reprs this shard carries: the planner
+    #: gives each one to the single shard owning all its instances
     cross_dependencies: tuple[str, ...] = ()
-    #: drop/duplicate probabilities of the cross-shard channel
-    cross_drop: float = 0.0
-    cross_dup: float = 0.0
     #: work-stealing sub-unit of the shard (0 when the shard runs whole)
     chunk: int = 0
 
@@ -225,8 +228,6 @@ class ShardedResult:
     outcomes: list[ShardOutcome]
     workers: int
     profile: dict | None = None
-    #: announcements + protocol traffic routed between shards
-    cross_messages: int = 0
     #: instances reassigned off their home shard by work stealing
     steals: int = 0
 
@@ -234,27 +235,27 @@ class ShardedResult:
     def shards(self) -> int:
         return len({outcome.shard for outcome in self.outcomes})
 
+    @property
+    def cross_messages(self) -> int:
+        """Always 0: nothing travels between shards.  Kept only
+        because ``benchmarks/e2e`` reads it (see ROADMAP)."""
+        return 0
+
 
 # ----------------------------------------------------------------------
 # planning
 
 
 class ShardPlan(list):
-    """A shard task list plus the planning pass's metadata.
-
-    Behaves exactly like the plain ``list[ShardTask]`` earlier
-    releases returned; the extra attributes record how the
-    constraint-aware partitioner placed the instances (benchmarks and
-    the CLI report them).
-    """
+    """A ``list[ShardTask]`` plus the planning pass's metadata: how
+    the partitioner placed the instances (benchmarks and the CLI
+    report it)."""
 
     placement: str = "round_robin"
     cut_weight: int = 0
     total_weight: int = 0
     #: per shard, the instance indices it owns
     assignment: tuple[tuple[int, ...], ...] = ()
-    #: shard ids coupled by spanning dependencies, as components
-    groups: tuple[tuple[int, ...], ...] = ()
 
 
 def plan_shards(
@@ -273,21 +274,22 @@ def plan_shards(
     placement: str = "round_robin",
     cross_deps: Sequence = (),
     assignment: Sequence[Sequence[int]] | None = None,
-    cross_drop_probability: float = 0.0,
-    cross_duplicate_probability: float = 0.0,
     flight_record: int | None = None,
 ) -> ShardPlan:
     """Partition ``instances`` into ``shards`` tasks.
 
     ``workflow`` is the un-suffixed template.  ``cross_deps`` are
     dependencies (expressions or their texts) coupling *different*
-    instances; every shard owning one of a dependency's instances
-    carries it, and shards sharing a spanning dependency form one
-    execution group (run co-simulated by :mod:`repro.scale.engine`).
+    instances; each is carried by the one shard owning all its
+    instances -- shards a dependency would span are fused
+    (:func:`~repro.scale.partition.plan_partition`), so a placement
+    that splits coupled instances yields fewer tasks than ``shards``.
     ``placement`` chooses the partitioner: ``"round_robin"`` (the
     baseline) or ``"min_cut"`` (the constraint-aware greedy
     partitioner over the shared-event graph); an explicit
     ``assignment`` (instance-index lists per shard) overrides both.
+    Raises :class:`ValueError` for a cross dependency naming an event
+    of no planned instance.
 
     The partition and the per-shard seeds depend only on
     ``(instances, shards, seed, placement, cross_deps)`` -- never on
@@ -332,13 +334,24 @@ def plan_shards(
             for event, site in workflow.sites.items()
         )
     )
-    suffixes = [instance.suffix for instance in instances]
+    suffixes = SuffixIndex([instance.suffix for instance in instances])
     cross = [
         parse(dep) if isinstance(dep, str) else dep for dep in cross_deps
     ]
-    if assignment is None and placement == "round_robin":
+    if assignment is not None:
+        # an explicit assignment may leave a shard with no instances;
+        # such a shard has nothing to run (and nothing to own), so it
+        # is dropped from the task list -- the others keep their ids
+        empty = [shard for shard, part in enumerate(assignment) if not part]
+        if empty:
+            logger.warning(
+                "plan_shards: dropping %d empty shard(s) %s from the "
+                "explicit assignment",
+                len(empty), empty,
+            )
+    elif placement == "round_robin":
         # the legacy layout, expressed as an explicit assignment so the
-        # same planning pass derives cut/spanning/groups for it
+        # same planning pass derives the cut and the fusing for it
         assignment = [
             list(range(len(instances)))[shard::shards]
             for shard in range(shards)
@@ -351,29 +364,11 @@ def plan_shards(
         for shard, part in enumerate(partition.assignment)
         for index in part
     }
-    # each cross dependency travels to every shard owning one of its
-    # instances; shards sharing one are coupled into a group
-    per_shard_cross: list[list[str]] = [[] for _ in range(shards)]
+    # after fusing, all of a dependency's instances share one shard
+    per_shard_cross: dict[int, list[str]] = {}
     for dep in cross:
-        owners = sorted(
-            {shard_of[i] for i in dependency_instances(dep, suffixes)}
-        )
-        for owner in owners:
-            per_shard_cross[owner].append(repr(dep))
-    # an explicit assignment may leave a shard with no instances; such
-    # a shard has nothing to run (and nothing to own), so it is
-    # dropped from the task list -- the shard ids of the others stay
-    empty = [
-        shard
-        for shard in range(shards)
-        if not partition.assignment[shard]
-    ]
-    if empty:
-        logger.warning(
-            "plan_shards: dropping %d empty shard(s) %s from the "
-            "explicit assignment",
-            len(empty), empty,
-        )
+        owner = shard_of[min(dependency_instances(dep, suffixes))]
+        per_shard_cross.setdefault(owner, []).append(repr(dep))
     plan = ShardPlan(
         ShardTask(
             shard=shard,
@@ -382,9 +377,7 @@ def plan_shards(
             dependencies=dependencies,
             attributes=attributes,
             sites=sites,
-            instances=tuple(
-                instances[index] for index in partition.assignment[shard]
-            ),
+            instances=tuple(instances[index] for index in part),
             reliable=reliable,
             batch_announcements=batch_announcements,
             trace=trace,
@@ -392,19 +385,16 @@ def plan_shards(
             latency=latency,
             profile=profile,
             sample_every=sample_every,
-            cross_dependencies=tuple(per_shard_cross[shard]),
-            cross_drop=cross_drop_probability,
-            cross_dup=cross_duplicate_probability,
+            cross_dependencies=tuple(per_shard_cross.get(shard, ())),
             flight_record=flight_record,
         )
-        for shard in range(shards)
-        if partition.assignment[shard]
+        for shard, part in enumerate(partition.assignment)
+        if part
     )
     plan.placement = placement
     plan.cut_weight = partition.cut_weight
     plan.total_weight = partition.total_weight
     plan.assignment = partition.assignment
-    plan.groups = partition.groups
     return plan
 
 
@@ -412,11 +402,47 @@ def plan_shards(
 # execution + merge
 
 
-def _flatten_outcome(
-    task: ShardTask, scheduler, tracer, profiler, template
-) -> ShardOutcome:
-    """Flatten a finished shard scheduler to wire-format plain data."""
-    result = scheduler.result
+def run_shard(task: ShardTask, max_rounds: int = 1000) -> ShardOutcome:
+    """Run one shard to completion in this process -- the only shard
+    runner, and the only place :mod:`repro.scale` builds a scheduler.
+
+    The shard's cross dependencies are ordinary dependencies of its
+    scheduler: synthesized (through the shape table), enforced,
+    monitored and verified by the same code as the workflow's own.  The
+    stamped table covers only the template, so it is handed over whole
+    only when the shard carries none.
+    """
+    profiler = Profiler() if task.profile else None
+    template = task.build_template(profiler=profiler)
+    merged, stamped = template.instantiate_merged(
+        [instance.suffix for instance in task.instances]
+    )
+    cross = [parse(text) for text in task.cross_dependencies]
+    tracer = task.build_tracer()
+    scheduler = DistributedScheduler(
+        merged.dependencies + cross,
+        sites=merged.sites,
+        attributes=merged.attributes,
+        latency=(
+            ConstantLatency(task.latency) if task.latency is not None else None
+        ),
+        rng=random.Random(task.seed),
+        guards=None if cross else stamped,
+        reliable=task.reliable,
+        batch_announcements=task.batch_announcements,
+        tracer=tracer,
+        profiler=profiler,
+        sample_every=task.sample_every,
+    )
+    result = scheduler.run(
+        (
+            spec.build()
+            for instance in task.instances
+            for spec in instance.scripts
+        ),
+        settle=task.settle,
+        max_rounds=max_rounds,
+    )
     return ShardOutcome(
         shard=task.shard,
         chunk=task.chunk,
@@ -487,53 +513,33 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def _execute(
-    work: Sequence[tuple[ShardTask, ...]], workers: int
-) -> list:
-    """Run every work item -- a lone shard or a coupled group, both
-    through the one shard runner -- in-process or on the pool."""
-    from repro.scale.engine import run_group
-
+def _execute(work: Sequence[ShardTask], workers: int) -> list[ShardOutcome]:
+    """Run every work item (a shard, or a stolen chunk of one) through
+    the one shard runner, in-process or on the pool."""
     if workers <= 1 or len(work) <= 1:
-        return [run_group(group) for group in work]
+        return [run_shard(task) for task in work]
     try:
         pool = _get_pool(min(workers, len(work)))
-        return list(pool.map(run_group, work))
-    except (OSError, ImportError, PermissionError, ValueError, RuntimeError):
+        return list(pool.map(run_shard, work))
+    except (OSError, ImportError, ValueError, RuntimeError) as exc:
         # no usable process pool (platform without fork, a sandbox that
-        # denies semaphores, or a broken pool): same plan, one process
-        # -- work items are independent, so the merged outcome is
-        # identical
+        # denies semaphores -- PermissionError is an OSError -- or a
+        # broken pool): same plan, one process -- work items are
+        # independent, so the merged outcome is identical
+        logger.warning(
+            "run_sharded: process pool unusable (%s: %s); rerunning all "
+            "%d shard(s) in-process",
+            type(exc).__name__, exc, len(work),
+        )
         shutdown_pool()
-        return [run_group(group) for group in work]
-
-
-def _task_groups(
-    tasks: Sequence[ShardTask],
-) -> list[tuple[ShardTask, ...]]:
-    """Partition tasks into execution groups.
-
-    Two shards carrying the same cross-dependency text share that
-    dependency's instances across the cut, so they must co-simulate;
-    the groups are the connected components of that relation.  Tasks
-    with no shared dependencies stay singleton -- the fully
-    independent fast path.
-    """
-    by_text: dict[str, list[int]] = {}
-    for index, task in enumerate(tasks):
-        for text in task.cross_dependencies:
-            by_text.setdefault(text, []).append(index)
-    return [
-        tuple(tasks[index] for index in component)
-        for component in connected_components(len(tasks), by_text.values())
-    ]
+        return [run_shard(task) for task in work]
 
 
 def _chunk_task(task: ShardTask) -> list[ShardTask]:
-    """Split a lone shard into stealable chunks.
+    """Split a shard into stealable chunks.
 
     A chunk is a connected component of the shard's instances under
-    its (local) cross dependencies -- the smallest unit that can move
+    its cross dependencies -- the smallest unit that can move
     to another worker without breaking a dependency apart.  Chunk
     contents and seeds are fixed here, before any execution, so the
     merged outcome is independent of which worker ultimately runs
@@ -541,10 +547,10 @@ def _chunk_task(task: ShardTask) -> list[ShardTask]:
     """
     if len(task.instances) <= 1:
         return [task]
-    suffixes = [instance.suffix for instance in task.instances]
+    suffixes = SuffixIndex([instance.suffix for instance in task.instances])
     deps = [parse(text) for text in task.cross_dependencies]
     members_of = [dependency_instances(dep, suffixes) for dep in deps]
-    components = connected_components(len(suffixes), members_of)
+    components = connected_components(len(task.instances), members_of)
     if len(components) <= 1:
         return [task]
     chunks = []
@@ -636,58 +642,38 @@ def run_sharded(
     """Run a shard plan and merge the outcomes.
 
     ``workers`` defaults to one per work item (capped by CPU count);
-    any value <= 1 runs in-process.  Shards coupled by spanning cross
-    dependencies run co-simulated as one work item
-    (:mod:`repro.scale.engine`); independent shards run exactly as
-    before.  With ``steal=True``, independent shards are split into
-    stealable chunks (dependency-closed instance sets) and scheduled
-    by deterministic work stealing, recovering balance under skewed
+    any value <= 1 runs in-process.  Shards are independent of each
+    other by construction (the planner fused what a dependency
+    spanned).  With ``steal=True`` each shard is split into stealable
+    chunks (dependency-closed instance sets) and scheduled by
+    deterministic work stealing, recovering balance under skewed
     placements.  The merged :class:`ExecutionResult` pools entries
     across shards in virtual-time order, sums the additive counters,
     and maxes the per-scheduler aggregates (makespan, peak site load).
     """
     if not tasks:
         raise ValueError("run_sharded needs at least one task")
-    groups = _task_groups(tasks)
+    work = list(tasks)
     steals = 0
-    stolen_instances = 0
-    steal_series = None
+    steal_report = None
     if steal:
-        chunked: dict[int, list[ShardTask]] = {}
-        coupled: list[tuple[ShardTask, ...]] = []
-        for group in groups:
-            if len(group) == 1:
-                task = group[0]
-                chunked[task.shard] = _chunk_task(task)
-            else:
-                # a coupled group co-simulates as one unit; it cannot
-                # be split without migrating scheduler state
-                coupled.append(group)
-        order, steals, stolen_instances, steal_series = _steal_schedule(
-            chunked, workers or _default_workers(len(chunked) or 1)
-        ) if chunked else ([], 0, 0, None)
-        work = [(task,) for task in order] + coupled
-    else:
-        work = groups
+        chunked = {task.shard: _chunk_task(task) for task in tasks}
+        work, steals, stolen_instances, series = _steal_schedule(
+            chunked, workers or _default_workers(len(chunked))
+        )
+        steal_report = {
+            "counters": {
+                "chunks_stolen": {"total": steals},
+                "instances_stolen": {"total": stolen_instances},
+            },
+            "timeseries": series.as_dict(),
+        }
     if workers is None:
         workers = _default_workers(len(work))
-    group_outcomes = _execute(work, workers)
-
-    outcomes: list[ShardOutcome] = []
-    cross_reports: list[dict] = []
-    cross_violations: list[tuple[str, str]] = []
-    cross_messages = 0
-    cross_by_kind: dict[str, int] = {}
-    for group_outcome in group_outcomes:
-        outcomes.extend(group_outcome.outcomes)
-        if group_outcome.cross_stats:
-            stats = group_outcome.cross_stats
-            cross_reports.append({"network": stats})
-            cross_messages += stats.get("messages", 0)
-            for kind, count in stats.get("by_kind", {}).items():
-                cross_by_kind[kind] = cross_by_kind.get(kind, 0) + count
-        cross_violations.extend(group_outcome.cross_violations)
-    outcomes.sort(key=lambda outcome: (outcome.shard, outcome.chunk))
+    outcomes = sorted(
+        _execute(work, workers),
+        key=lambda outcome: (outcome.shard, outcome.chunk),
+    )
     chunk_counts: dict[int, int] = {}
     for outcome in outcomes:
         chunk_counts[outcome.shard] = chunk_counts.get(outcome.shard, 0) + 1
@@ -732,32 +718,11 @@ def run_sharded(
         )
     tagged.sort(key=lambda item: item[:3])
     result.entries = [entry for _, _, _, entry in tagged]
-    # the cross-shard channel's traffic is part of the run's cost
-    result.messages += cross_messages
-    for kind, count in cross_by_kind.items():
-        by_kind[kind] = by_kind.get(kind, 0) + count
     result.messages_by_kind = dict(sorted(by_kind.items()))
-    result.violations.extend(
-        Violation(kind, detail) for kind, detail in cross_violations
-    )
 
     reports = [outcome.metrics for outcome in outcomes]
     report_prefixes = list(prefixes)
-    # the gateway channels ride along as network-only pseudo-reports,
-    # so the merged metrics (and the Prometheus export) account for
-    # routed cross-shard traffic
-    for index, report in enumerate(cross_reports):
-        reports.append(report)
-        report_prefixes.append(f"x{index}/")
-    if steal:
-        steal_report: dict = {
-            "counters": {
-                "chunks_stolen": {"total": steals},
-                "instances_stolen": {"total": stolen_instances},
-            }
-        }
-        if steal_series is not None:
-            steal_report["timeseries"] = steal_series.as_dict()
+    if steal_report is not None:
         reports.append(steal_report)
         report_prefixes.append("steal/")
     metrics = merge_metrics(reports, prefixes=report_prefixes)
@@ -777,7 +742,6 @@ def run_sharded(
         outcomes=outcomes,
         workers=workers,
         profile=profile,
-        cross_messages=cross_messages,
         steals=steals,
     )
 

@@ -8,21 +8,21 @@ certificates.  There is no central node; the requirement monitors that
 trigger triggerable events run at the sites of those events, fed by
 the same announcements.
 
-The run lifecycle is defined here once, as three steps every driver
-(``DistributedScheduler.run``, the shard runner, the CLI) goes
-through: :meth:`DistributedScheduler.start` schedules the scripted task
-agents, the caller runs the simulator to quiescence, :func:`drain`
-performs *settlement* -- unsettled base events have their complements
-attempted (the task abandons the transition), a batch per quiescent
-round so cascades are ordered, until the trace is maximal or no further
-progress is possible -- and :meth:`DistributedScheduler.finish` sums
-up and verifies.
+The run lifecycle is defined here once, as the three steps
+``DistributedScheduler.run`` (and through it the shard runner and the
+CLI) goes through: :meth:`DistributedScheduler.start` schedules the
+scripted task agents, the simulator runs to quiescence,
+:meth:`DistributedScheduler.drain` performs *settlement* -- unsettled
+base events have their complements attempted (the task abandons the
+transition), a batch per quiescent round so cascades are ordered, until
+the trace is maximal or no further progress is possible -- and
+:meth:`DistributedScheduler.finish` sums up and verifies.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
@@ -67,12 +67,7 @@ from repro.sim.network import BatchingChannel, LatencyModel, Network
 from repro.sim.reliable import ReliableNetwork
 from repro.temporal.compiled import CompiledGuardEngine, ReferenceCursor
 from repro.temporal.cubes import GuardExpr
-from repro.temporal.guards import (
-    guard_and,
-    guard_table,
-    shape_lookups,
-    workflow_guards,
-)
+from repro.temporal.guards import shape_lookups, workflow_guards
 from repro.temporal.watch import ALL, WatchIndex
 
 _DEFAULT_ATTRS = EventAttributes()
@@ -83,10 +78,9 @@ class DistributedScheduler:
 
     Construction synthesizes the guards and places the actors;
     :meth:`run` is then ``start(scripts)``, ``sim.run()``,
-    ``drain([self], sim, max_rounds)``, ``finish(verify, converged)``.
-    Drivers that own the clock themselves -- a shard group sharing one
-    simulator, a test stepping the run by hand -- call the same three
-    steps instead of ``run``.
+    ``drain(max_rounds)``, ``finish(verify, converged)``.  A driver
+    that steps the clock itself calls the same three steps instead of
+    ``run``.
 
     Parameters
     ----------
@@ -139,16 +133,6 @@ class DistributedScheduler:
         untraced run does not.  Pass ``True``/``False`` to force.
         :meth:`explain` works either way -- without the log it falls
         back to the settlement record for justifications.
-    sim / owned / cross_dependencies / gateway:
-        Cross-shard execution (see :mod:`repro.scale.engine`).  A
-        scheduler normally owns every base it knows about and runs on
-        a private simulator; in a coupled shard *group* each member
-        scheduler owns only its shard's bases (``owned``), shares one
-        ``sim`` with its peers, carries the spanning
-        ``cross_dependencies`` whose guards are conjoined onto its
-        owned events, and routes protocol traffic for unknown events
-        through the ``gateway``.  All four default to the
-        single-scheduler behaviour, which is byte-identical to before.
     """
 
     def __init__(
@@ -171,17 +155,8 @@ class DistributedScheduler:
         provenance: bool | None = None,
         profiler=None,
         sample_every: float | None = None,
-        sim: Simulator | None = None,
-        owned: Iterable[Event] | None = None,
-        cross_dependencies: Iterable[Expr] | None = None,
-        gateway=None,
     ):
         self.dependencies = list(dependencies)
-        self.cross_dependencies = list(cross_dependencies or ())
-        self._owned = (
-            None if owned is None else frozenset(e.base for e in owned)
-        )
-        self.gateway = gateway
         self.policy = policy or SchedulerPolicy()
         #: compiled-guard automaton store, and the factory every
         #: ``EventActor.__init__`` takes its cursor from: a pointer into
@@ -203,7 +178,7 @@ class DistributedScheduler:
         self.provenance = (
             ProvenanceLog() if record_provenance else NULL_PROVENANCE
         )
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.network = Network(
             self.sim,
             latency=latency,
@@ -251,8 +226,7 @@ class DistributedScheduler:
         # this constructor's own shape-table lookups, overlaid on the
         # process-wide totals by ``metrics_report`` like the watch and
         # compiled counters; a table handed in whole looks nothing up
-        synthesizes = guards is None or self.cross_dependencies
-        before = shape_lookups() if synthesizes else None
+        before = shape_lookups() if guards is None else None
         if guards is not None:
             table = dict(guards)
         elif self.profiler.active:
@@ -263,27 +237,8 @@ class DistributedScheduler:
                 self.profiler.pop()
         else:
             table = workflow_guards(self.dependencies)
-        # cross-shard dependencies constrain our *owned* events too:
-        # conjoin each spanning dependency's guard contribution onto
-        # the owned side of its alphabet.  The remote bases those
-        # guards mention get no actors here -- their occurrences
-        # arrive through the gateway as routed announcements
-        # (:meth:`observe_remote`), waking the same watch indexes a
-        # local announcement would.
-        for dep in self.cross_dependencies:
-            for event, contribution in sorted(
-                guard_table(dep).items(), key=lambda kv: kv[0].sort_key()
-            ):
-                if not self._owns(event.base):
-                    continue
-                existing = table.get(event)
-                table[event] = (
-                    contribution
-                    if existing is None
-                    else guard_and([existing, contribution])
-                )
         self._shape_lookups = {"shape_hits": 0, "shape_misses": 0}
-        if synthesizes:
+        if before is not None:
             after = shape_lookups()
             self._shape_lookups = {k: after[k] - before[k] for k in after}
         self.actors: dict[Event, EventActor] = {}
@@ -329,11 +284,6 @@ class DistributedScheduler:
     def site_of(self, base: Event) -> str:
         return self._sites.get(base.base, f"site_{base.base.name}")
 
-    def _owns(self, base: Event) -> bool:
-        """Does this scheduler host ``base``'s actors?  Always true
-        outside a shard group."""
-        return self._owned is None or base.base in self._owned
-
     def attributes(self, base: Event) -> EventAttributes:
         return self._attributes.get(base.base, _DEFAULT_ATTRS)
 
@@ -344,16 +294,15 @@ class DistributedScheduler:
         by_site: dict[str, set[Event]] = {}
         for b in triggerable:
             by_site.setdefault(self.site_of(b), set()).add(b)
-        all_deps = self.dependencies + self.cross_dependencies
         mentioning: dict[Event, list[int]] = {b: [] for b in triggerable}
-        for position, dep in enumerate(all_deps):
+        for position, dep in enumerate(self.dependencies):
             for b in dep.bases() & triggerable:
                 mentioning[b].append(position)
         for site, bases in sorted(by_site.items()):
             # positions, not the dependencies themselves: keeps the
-            # list order (and any duplicate entries) of ``all_deps``
+            # list order (and any duplicate entries) of the dependencies
             deps = [
-                all_deps[position]
+                self.dependencies[position]
                 for position in sorted(
                     {p for b in bases for p in mentioning[b]}
                 )
@@ -399,10 +348,6 @@ class DistributedScheduler:
         bases: set[Event] = set()
         for d in self.dependencies:
             bases |= d.bases()
-        for d in self.cross_dependencies:
-            bases |= d.bases()
-        if self._owned is not None:
-            bases = {b for b in bases if b.base in self._owned}
         return frozenset(bases)
 
     def _sorted_bases(self) -> tuple[Event, ...]:
@@ -420,8 +365,6 @@ class DistributedScheduler:
     def send_to_actor(self, src_event: Event, dst_event: Event, message) -> None:
         actor = self.actors.get(dst_event)
         if actor is None:
-            if self.gateway is not None:
-                self.gateway.route(self, src_event, dst_event, message)
             return
         self.channel.send(
             self.site_of(src_event.base),
@@ -437,8 +380,6 @@ class DistributedScheduler:
         if coordinator is None:
             coordinator = self.actors.get(base.base.complement)
         if coordinator is None:
-            if self.gateway is not None:
-                self.gateway.route_base(self, src_event, base, message)
             return
         self.channel.send(
             self.site_of(src_event.base),
@@ -680,15 +621,6 @@ class DistributedScheduler:
                 self.tracer.actor(self.sim.now, comp.site, comp.event, "dead")
             comp.cancel_protocols()
         self._rewatch_base(event)
-        self._fanout_occurrence(event)
-        if self.gateway is not None:
-            self.gateway.announce_from(self, event)
-
-    def _fanout_occurrence(self, event: Event) -> None:
-        """Fan an occurrence out to everything that listens locally:
-        guard subscribers, settlement waiters, requirement monitors.
-        Shared by local settlement (:meth:`record_occurrence`) and
-        routed remote announcements (:meth:`observe_remote`)."""
         # announcements to guard subscribers
         for sub_event in self._subscribers.get(event.base, ()):
             if sub_event.base == event.base:
@@ -707,28 +639,6 @@ class DistributedScheduler:
                 event,
                 (lambda m: (lambda ev: m.observe(ev)))(monitor),
             )
-
-    def observe_remote(self, event: Event) -> None:
-        """A routed announcement from another shard: ``event`` settled
-        at its owner.
-
-        Receiver-side dedup on the settlement map makes redelivery
-        (session-layer retransmit racing an ack, or a duplicate on the
-        raw fabric) idempotent.  The fact is recorded and fanned out
-        exactly like a local occurrence -- watched-literal wake
-        indexes decide who reacts, so guard-eval counts stay flat --
-        but no trace entry is appended: the owner shard's trace is the
-        single source of truth for the merged timeline.
-        """
-        base = event.base
-        if self._settled.get(base) is not None:
-            self.metrics.inc("remote_duplicates")
-            return
-        self._settled[base] = event
-        self.metrics.inc("remote_announcements")
-        self._fanout_occurrence(event)
-        # remote progress can revive bases we had given up settling
-        self._no_progress_bases.clear()
 
     # ------------------------------------------------------------------
     # run-time workflow modification (Section 1: "declarative
@@ -1290,16 +1200,15 @@ class DistributedScheduler:
         self, verify: bool = True, converged: bool = True
     ) -> ExecutionResult:
         """Lifecycle step 3: the closing time-series sample, the result
-        summary and post-run verification, and -- when :func:`drain`
+        summary and post-run verification, and -- when :meth:`drain`
         ran out of rounds -- the non-convergence violation."""
         if self.timeseries is not None:
             # closing sample so the series end at the final state
             self._sample(self.sim.now)
         self._finalize(verify)
         if not converged:
-            scope = "" if self.gateway is None else "group "
             self.result.violations.append(
-                Violation("settlement", f"{scope}settlement did not converge")
+                Violation("settlement", "settlement did not converge")
             )
         return self.result
 
@@ -1310,12 +1219,30 @@ class DistributedScheduler:
         verify: bool = True,
         max_rounds: int = 1000,
     ) -> ExecutionResult:
-        """The whole lifecycle for a scheduler on a private simulator:
-        :meth:`start`, run to quiescence, :func:`drain`, :meth:`finish`."""
+        """The whole lifecycle: :meth:`start`, run to quiescence,
+        :meth:`drain`, :meth:`finish`."""
         self.start(scripts)
         self.sim.run()
-        converged = not settle or drain([self], self.sim, max_rounds)
+        converged = not settle or self.drain(max_rounds)
         return self.finish(verify, converged)
+
+    def drain(self, max_rounds: int) -> bool:
+        """Lifecycle step 2: settle the quiescent scheduler until the
+        trace is maximal or nothing makes progress.
+
+        Each round sweeps orphan freezes, runs escalation, and attempts
+        one settlement batch; stops when a round neither swept nor
+        attempted anything.  Returns False when the round budget runs
+        out (non-convergence; :meth:`finish` records it).
+        """
+        for _ in range(max_rounds):
+            swept = self._sweep_orphan_freezes()
+            if swept:
+                self.sim.run()
+            self._escalation_rounds(max_rounds)
+            if not self._settle_one() and not swept:
+                return True
+        return False
 
     def _sweep_orphan_freezes(self) -> bool:
         """Void freezes that no live round can ever release.
@@ -1337,10 +1264,6 @@ class DistributedScheduler:
             def orphaned(holder: tuple[Event, int], base=base) -> bool:
                 requester, round_id = holder
                 actor = self.actors.get(requester)
-                if actor is None and self.gateway is not None:
-                    # the requester may live on a peer shard: its
-                    # round state is just as consultable there
-                    actor = self.gateway.find_actor(requester)
                 if actor is None:
                     return True
                 if not actor.round_active or actor.round_id != round_id:
@@ -1460,55 +1383,11 @@ class DistributedScheduler:
                     )
                 )
         if verify:
-            # local dependencies always; a cross dependency only when
-            # every base it mentions settles here -- spanning ones are
-            # verified by the group engine on the merged timeline,
-            # where both sides' entries exist
-            deps = list(self.dependencies)
-            deps.extend(
-                dep
-                for dep in self.cross_dependencies
-                if all(self._owns(b) for b in dep.bases())
-            )
             if self.profiler.active:
                 self.profiler.push("verify")
                 try:
-                    self.result.verify(deps)
+                    self.result.verify(self.dependencies)
                 finally:
                     self.profiler.pop()
             else:
-                self.result.verify(deps)
-
-
-def drain(
-    schedulers: Sequence[DistributedScheduler],
-    sim: Simulator,
-    max_rounds: int,
-) -> bool:
-    """Lifecycle step 2: settle the quiescent schedulers sharing ``sim``
-    until the trace is maximal or nothing makes progress.
-
-    Each round sweeps orphan freezes, runs escalation, and attempts one
-    settlement batch *per scheduler*; in a shard group, remote
-    announcements between batches clear the peers' no-progress sets, so
-    a base one shard could not settle is retried once another shard's
-    settlement unblocks it.  Stops when no scheduler swept or attempted
-    anything.  Returns False when the round budget runs out
-    (non-convergence; :meth:`DistributedScheduler.finish` records it).
-    """
-    for _ in range(max_rounds):
-        swept = False
-        for sched in schedulers:
-            if sched._sweep_orphan_freezes():
-                swept = True
-        if swept:
-            sim.run()
-        for sched in schedulers:
-            sched._escalation_rounds(max_rounds)
-        attempted = False
-        for sched in schedulers:
-            if sched._settle_one():
-                attempted = True
-        if not attempted and not swept:
-            return True
-    return False
+                self.result.verify(self.dependencies)

@@ -197,8 +197,7 @@ def make_mutex_family(
     entry).  Within each cluster of ``cluster`` consecutive instances,
     adjacent instances are coupled by the symmetric pair of Example-13
     mutex dependencies, so a later task's entry waits on its
-    predecessor's exit -- across shards, that wait is exactly one
-    routed announcement.
+    predecessor's exit -- which is why a cluster must share a scheduler.
     """
     if count < 1:
         raise ValueError(f"need at least one instance, got {count}")

@@ -217,7 +217,7 @@ class TestVerifySpan:
         ]
         tasks = plan_shards(
             family.template, instances, 2, seed=7, profile=True,
-            cross_deps=family.cross_dependencies,  # round robin: spanning
+            cross_deps=family.cross_dependencies,  # round robin: fused
         )
         assert tasks.cut_weight > 0
         sharded = run_sharded(tasks, workers=1)
@@ -226,7 +226,10 @@ class TestVerifySpan:
             outcome.profile["phases"]["verify"]["calls"]
             for outcome in sharded.outcomes
         ]
-        # each shard verifies its own dependencies; the lead shard also
-        # carries the group's check of the spanning ones
-        assert per_shard == [2, 1]
-        assert sharded.profile["phases"]["verify"]["calls"] == 3
+        # cross dependencies are verified with the shard's own: one
+        # verify span per shard, no separate group check
+        assert per_shard == [1] * len(tasks)
+        assert sharded.profile["phases"]["verify"]["calls"] == len(tasks)
+        # a shard carrying cross dependencies synthesizes its table in
+        # the scheduler, under the profiler like any other synthesis
+        assert "synthesis" in sharded.profile["phases"]

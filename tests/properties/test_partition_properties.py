@@ -1,0 +1,136 @@
+"""Properties of shard planning (repro.scale.partition / plan_shards).
+
+* ``instance_of`` resolves a base through a suffix index built once
+  per plan; the linear scan over every suffix it replaced is kept here
+  as the reference and the two must agree on any suffix list --
+  overlapping (``_i1`` / ``_i11``), repeated and empty suffixes
+  included.
+* A coupled component is one scheduler: whatever shard count,
+  placement or explicit assignment is requested on a mutex family,
+  every cross dependency is carried by exactly one task, that task
+  owns all the dependency's instances, every instance is placed once,
+  and the run settles what the single merged scheduler settles.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algebra.parser import parse
+from repro.algebra.symbols import Event
+from repro.scale import instance_spec, plan_shards, run_sharded
+from repro.scale.partition import (
+    SuffixIndex,
+    dependency_instances,
+    instance_of,
+)
+from repro.scheduler import DistributedScheduler
+from repro.workloads.scenarios import make_mutex_family
+
+
+def instance_of_by_scan(base, suffixes):
+    """The documented rule, read literally: longest matching suffix,
+    first index among equals."""
+    name = base.base.name
+    best, best_len = None, -1
+    for index, suffix in enumerate(suffixes):
+        if suffix and name.endswith(suffix) and len(suffix) > best_len:
+            best, best_len = index, len(suffix)
+    return best
+
+
+suffix_lists = st.lists(
+    st.one_of(
+        st.just(""),
+        st.integers(min_value=0, max_value=30).map(lambda k: f"_i{k}"),
+        st.text(alphabet="_i1", max_size=4),
+    ),
+    max_size=12,
+)
+stems = st.text(alphabet="be_i1", max_size=4)
+
+
+@given(suffix_lists, stems, st.data())
+def test_indexed_lookup_equals_linear_scan(suffixes, stem, data):
+    tail = data.draw(st.sampled_from(suffixes)) if suffixes else ""
+    base = Event("x" + stem + tail)
+    expected = instance_of_by_scan(base, suffixes)
+    assert instance_of(base, suffixes) == expected
+    assert instance_of(base, SuffixIndex(suffixes)) == expected
+    assert instance_of(~base, suffixes) == expected
+
+
+@st.composite
+def mutex_plans(draw):
+    cluster = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=1, max_value=9))
+    shards = draw(st.integers(min_value=1, max_value=5))
+    placement = draw(st.sampled_from(["round_robin", "min_cut"]))
+    assignment = None
+    if draw(st.booleans()):
+        owner = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=shards - 1),
+                min_size=count, max_size=count,
+            )
+        )
+        assignment = [
+            [i for i in range(count) if owner[i] == shard]
+            for shard in range(shards)
+        ]
+    return count, cluster, shards, placement, assignment
+
+
+@settings(max_examples=40)
+@given(mutex_plans())
+def test_each_cross_dependency_has_exactly_one_owner(plan):
+    count, cluster, shards, placement, assignment = plan
+    family = make_mutex_family(count, cluster=cluster)
+    instances = [
+        instance_spec(suffix, scripts) for suffix, scripts in family.instances
+    ]
+    tasks = plan_shards(
+        family.template, instances, shards, seed=5,
+        placement=placement, assignment=assignment,
+        cross_deps=family.cross_dependencies,
+    )
+    suffixes = family.suffixes()
+    owned = {
+        task.shard: {suffixes.index(i.suffix) for i in task.instances}
+        for task in tasks
+    }
+    assert len(owned) == len(tasks) <= shards
+    # ``assignment`` covers each instance once and is what the tasks run
+    placed = sorted(i for part in tasks.assignment for i in part)
+    assert placed == list(range(count))
+    for shard, part in enumerate(tasks.assignment):
+        assert set(part) == owned.get(shard, set())
+    for dep in family.cross_dependencies:
+        carriers = [
+            task.shard for task in tasks
+            if repr(dep) in task.cross_dependencies
+        ]
+        assert len(carriers) == 1
+        assert dependency_instances(dep, suffixes) <= owned[carriers[0]]
+    for task in tasks:
+        assert len(set(task.cross_dependencies)) == len(
+            task.cross_dependencies
+        )
+        assert {parse(text) for text in task.cross_dependencies} <= set(
+            family.cross_dependencies
+        )
+
+    sharded = run_sharded(tasks, workers=1)
+    assert sharded.result.ok, sharded.result.violations
+    workflow, scripts = family.merged()
+    merged = DistributedScheduler(
+        workflow.dependencies,
+        sites=workflow.sites,
+        attributes=workflow.attributes,
+        rng=random.Random(9),
+    ).run(scripts)
+    assert merged.ok
+    assert {e.event for e in sharded.result.entries} == {
+        e.event for e in merged.entries
+    }

@@ -1,4 +1,5 @@
-"""The cross-shard group engine (repro.scale.engine)."""
+"""Coupled components on one scheduler: fused plans and the one shard
+runner (repro.scale.shards.run_shard)."""
 
 import dataclasses
 import json
@@ -6,10 +7,13 @@ import random
 
 import pytest
 
+from repro.algebra.parser import parse
+from repro.algebra.symbols import Event
 from repro.obs.check import check_records
 from repro.obs.prom import lint_prometheus, render_prometheus
+from repro.obs.tracer import Tracer
 from repro.scale import instance_spec, plan_shards, run_sharded
-from repro.scale.engine import _spanning_violations, run_group
+from repro.scale.shards import run_shard
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_mutex_family
 
@@ -48,6 +52,7 @@ class TestDifferential:
     def test_min_cut_colocates_and_matches_merged(self):
         family, tasks = mutex_tasks(8, 4, placement="min_cut")
         assert tasks.cut_weight == 0
+        assert len(tasks) == 4
         sharded = run_sharded(tasks, workers=1)
         assert sharded.result.ok, sharded.result.violations
         assert sharded.cross_messages == 0
@@ -56,30 +61,35 @@ class TestDifferential:
         assert settled(sharded.result) == settled(merged)
 
     def test_round_robin_routes_and_matches_merged(self):
-        family, tasks = mutex_tasks(8, 4)  # round_robin splits clusters
+        # round robin splits every cluster, so the planner fuses the
+        # shards each dependency spans: fewer tasks, nothing routed
+        family, tasks = mutex_tasks(8, 4)
         assert tasks.cut_weight > 0
+        assert len(tasks) < 4
         sharded = run_sharded(tasks, workers=1)
         assert sharded.result.ok, sharded.result.violations
-        assert sharded.cross_messages > 0
+        assert sharded.cross_messages == 0
         merged = merged_baseline(family)
         assert settled(sharded.result) == settled(merged)
 
     def test_faulty_cross_channel_still_settles(self):
-        family, tasks = mutex_tasks(
-            8,
-            2,
-            cross_drop_probability=0.2,
-            cross_duplicate_probability=0.2,
-            trace=True,
-        )
+        # there is no cross-shard channel left to make faulty: the
+        # options are gone, and the fused plan settles like the merged
+        # scheduler with a checkable trace
+        family = make_mutex_family(8)
+        instances = [
+            instance_spec(suffix, scripts)
+            for suffix, scripts in family.instances
+        ]
+        for option in (
+            "cross_drop_probability", "cross_duplicate_probability"
+        ):
+            with pytest.raises(TypeError):
+                plan_shards(family.template, instances, 2, **{option: 0.2})
+        _family, tasks = mutex_tasks(8, 2, trace=True, reliable=True)
         sharded = run_sharded(tasks, workers=1)
         assert sharded.result.ok, sharded.result.violations
-        # retransmissions mean strictly more channel traffic...
-        _family, clean = mutex_tasks(8, 2, trace=True)
-        baseline = run_sharded(clean, workers=1)
-        assert sharded.cross_messages > baseline.cross_messages
-        # ...but identical settled outcomes and a checkable trace
-        assert settled(sharded.result) == settled(baseline.result)
+        assert settled(sharded.result) == settled(merged_baseline(family))
         assert check_records(sharded.trace_records) == []
 
     def test_merged_trace_and_metrics_are_exportable(self):
@@ -88,19 +98,19 @@ class TestDifferential:
         assert check_records(sharded.trace_records) == []
         text = render_prometheus(sharded.metrics)
         assert lint_prometheus(text) == []
-        # the gateway channel's accounting reaches the merged export
         assert "network" in sharded.metrics
 
 
 class TestDeterminism:
     def test_identical_across_worker_counts(self):
         _family, tasks = mutex_tasks(8, 4)
+        assert len(tasks) > 1
         a = run_sharded(tasks, workers=1)
         b = run_sharded(tasks, workers=3)
         assert [
             (repr(e.event), e.time, e.outcome) for e in a.result.entries
         ] == [(repr(e.event), e.time, e.outcome) for e in b.result.entries]
-        assert a.cross_messages == b.cross_messages
+        assert a.result.messages == b.result.messages
         assert a.result.makespan == b.result.makespan
 
     def test_rerun_is_byte_identical(self):
@@ -109,29 +119,32 @@ class TestDeterminism:
         b = run_sharded(tasks, workers=1)
         assert settled(a.result) == settled(b.result)
         assert a.result.messages == b.result.messages
-        assert a.cross_messages == b.cross_messages
+        assert a.result.messages_by_kind == b.result.messages_by_kind
 
 
 class TestRunGroup:
+    """The runner of a coupled group is now the runner of any shard."""
+
     def test_direct_group_run_reports_channel_stats(self):
         _family, tasks = mutex_tasks(4, 2)
-        group = run_group(list(tasks))
-        assert len(group.outcomes) == 2
-        assert group.cross_violations == []
-        assert group.cross_stats.get("messages", 0) > 0
+        [task] = tasks  # both clusters span both shards: one fused shard
+        assert len(task.instances) == 4
+        outcome = run_shard(task)
+        assert outcome.violations == () and outcome.unsettled == ()
+        # the coupling traffic is the shard's own network traffic
+        assert outcome.metrics["network"]["messages"] == outcome.messages > 0
 
     def test_rejects_empty_group(self):
+        _family, [task] = mutex_tasks(2, 1)
         with pytest.raises(ValueError):
-            run_group([])
+            run_shard(dataclasses.replace(task, instances=()))
+        with pytest.raises(ValueError):
+            run_sharded([])
 
     def test_lone_shard_is_a_group_of_one_without_a_gateway(self):
-        # one shard owns the whole coupled pair: its cross dependencies
-        # are local, so there is nothing to route and nothing to span
         _family, [task] = mutex_tasks(2, 1)
         assert task.cross_dependencies
-        group = run_group([task])
-        assert group.cross_stats == {}
-        assert group.cross_violations == []
+        outcome = run_shard(task)
         sharded = run_sharded([task], workers=1)
         assert "x0/" not in json.dumps(sharded.metrics)
 
@@ -145,53 +158,102 @@ class TestRunGroup:
             }
             return fields
 
-        [outcome] = group.outcomes
         assert not outcome.violations and not outcome.unsettled
         assert comparable(outcome) == comparable(sharded.outcomes[0])
 
     def test_exhausted_round_budget_is_a_group_violation(self):
         # nothing is attempted, so every base is left to complement
-        # settlement -- more than the single round allowed
+        # settlement -- more than the single round allowed.  Whatever
+        # the requested plan, it is the one scheduler-level violation
         family = make_mutex_family(2)
         idle = [instance_spec(suffix, []) for suffix, _ in family.instances]
-
-        def outcomes(shards):
-            tasks = plan_shards(
+        stuck = ("settlement", "settlement did not converge")
+        for shards in (1, 2):
+            [task] = plan_shards(
                 family.template, idle, shards,
                 cross_deps=family.cross_dependencies,
             )
-            return run_group(list(tasks), max_rounds=1).outcomes
-
-        stuck = ("settlement", "group settlement did not converge")
-        for outcome in outcomes(2):
+            outcome = run_shard(task, max_rounds=1)
             assert outcome.violations.count(stuck) == 1
-        [lone] = outcomes(1)
-        assert lone.violations.count(
-            ("settlement", "settlement did not converge")
-        ) == 1
-        assert stuck not in lone.violations
+            assert not any(
+                "group" in detail for _kind, detail in outcome.violations
+            )
 
     def test_spanning_violation_detected_on_merged_timeline(self):
-        # manufacture a timeline where both tasks enter before either
-        # exits: the merged-trace check must flag the spanning mutex
-        _family, tasks = mutex_tasks(2, 2)
-        group = run_group(list(tasks))
-        assert group.cross_violations == []
-        forged = {"b_i0": 0.0, "b_i1": 1.0, "e_i0": 2.0, "e_i1": 3.0}
-        bad = []
-        for outcome in group.outcomes:
-            entries = tuple(
-                (event, forged.get(event, 9.0), attempted, op)
-                for event, _time, attempted, op in outcome.entries
-            )
-            bad.append(
-                type(outcome)(
-                    **{
-                        **outcome.__dict__,
-                        "entries": entries,
-                    }
-                )
-            )
-        violations = _spanning_violations(list(tasks), bad)
-        assert violations
-        assert all(kind == "dependency" for kind, _ in violations)
+        # a nonrejectable, non-delayable entry is forced through
+        # against its guard; the violated cross dependency is found by
+        # the shard's own post-run verification, like any dependency
+        family = make_mutex_family(2)
+        family.template.set_attributes(
+            Event("b"), rejectable=False, delayable=False
+        )
+        instances = [
+            instance_spec(suffix, scripts)
+            for suffix, scripts in family.instances
+        ]
+        [task] = plan_shards(
+            family.template, instances, 2,
+            cross_deps=family.cross_dependencies,
+        )
+        outcome = run_shard(task)
+        violated = [
+            detail for kind, detail in outcome.violations
+            if kind == "dependency"
+        ]
+        assert violated
+        assert all(
+            any(text in detail for text in task.cross_dependencies)
+            for detail in violated
+        )
+        sharded = run_sharded([task], workers=1)
+        assert not sharded.result.ok
+
+    def test_fused_shard_is_a_single_scheduler_record_for_record(self):
+        # round robin over 3 shards splits both clusters of three;
+        # fusing leaves one shard, whose run is exactly the run of one
+        # DistributedScheduler over the same instances, cross
+        # dependencies and seed
+        family, tasks = mutex_tasks(6, 3, cluster=3, trace=True)
+        [task] = tasks
+        assert len(task.instances) == 6 and tasks.cut_weight > 0
+        outcome = run_shard(task)
+
+        merged, _stamped = task.build_template().instantiate_merged(
+            [instance.suffix for instance in task.instances]
+        )
+        tracer = Tracer()
+        scheduler = DistributedScheduler(
+            merged.dependencies
+            + [parse(text) for text in task.cross_dependencies],
+            sites=merged.sites,
+            attributes=merged.attributes,
+            rng=random.Random(task.seed),
+            tracer=tracer,
+        )
+        result = scheduler.run(
+            [
+                spec.build()
+                for instance in task.instances
+                for spec in instance.scripts
+            ]
+        )
+        assert result.ok, result.violations
+
+        def comparable(records):
+            # ``elapsed`` is wall-clock; the merge prefixes sites s0/
+            return [
+                {
+                    key: value[len("s0/"):]
+                    if isinstance(value, str) and value.startswith("s0/")
+                    else value
+                    for key, value in record.items()
+                    if key != "elapsed"
+                }
+                for record in records
+            ]
+
+        reference = comparable(tracer.window_records())
+        assert len(reference) > 100
+        assert comparable(outcome.trace_records) == reference
+        sharded = run_sharded(tasks, workers=1)
+        assert comparable(sharded.trace_records) == reference

@@ -88,25 +88,40 @@ class TestPlanPartition:
         cross, suffixes = family(8, cluster=2)
         plan = plan_partition(8, 4, cross, suffixes)
         assert plan.cut_weight == 0
-        assert plan.spanning == ()
-        assert plan.egress == {}
-        # independent shards stay their own singleton groups
-        assert plan.groups == ((0,), (1,), (2,), (3,))
+        # nothing to fuse: every shard keeps its two coupled instances
+        assert sorted(plan.assignment) == [(0, 1), (2, 3), (4, 5), (6, 7)]
+        shard_of = {
+            i: s for s, part in enumerate(plan.assignment) for i in part
+        }
+        for dep in cross:
+            owners = {shard_of[i] for i in dependency_instances(dep, suffixes)}
+            assert len(owners) == 1
 
-    def test_round_robin_layout_exposes_the_cut(self):
+    def test_round_robin_layout_exposes_the_cut(self, caplog):
         cross, suffixes = family(4, cluster=2)
-        plan = plan_partition(
-            4, 2, cross, suffixes, assignment=[[0, 2], [1, 3]]
-        )
+        with caplog.at_level("WARNING", logger="repro.scale.partition"):
+            plan = plan_partition(
+                4, 2, cross, suffixes, assignment=[[0, 2], [1, 3]]
+            )
+        # the cut is what the *requested* layout separated ...
         assert plan.cut_weight == plan.total_weight > 0
-        assert len(plan.spanning) == len(cross)
-        # both clusters span both shards -> one coupled group
-        assert plan.groups == ((0, 1),)
-        # every egress base is subscribed to by the *other* shard
-        shard_of = {i: s for s, part in enumerate(plan.assignment) for i in part}
-        for base, subscribers in plan.egress.items():
-            owner = shard_of[instance_of(base, suffixes)]
-            assert owner not in subscribers
+        # ... and both clusters span both shards, so they are fused
+        # into the lower-numbered one, loudly
+        assert plan.assignment == ((0, 1, 2, 3), ())
+        assert any("fusing" in record.message for record in caplog.records)
+
+    def test_fusing_leaves_uncoupled_shards_alone(self):
+        cross, suffixes = family(6, cluster=2)
+        plan = plan_partition(
+            6, 3, cross, suffixes, assignment=[[0, 2], [1, 3], [4, 5]]
+        )
+        assert plan.assignment == ((0, 1, 2, 3), (), (4, 5))
+
+    def test_dependency_on_an_unknown_instance_is_rejected(self):
+        cross, suffixes = family(2)
+        for text in ("~b_i7 + e_i9 . b_i7", "~b_i0 + e_i9 . b_i0", "0"):
+            with pytest.raises(ValueError, match="planned instance"):
+                plan_partition(2, 2, [parse(text)], suffixes)
 
     def test_explicit_assignment_must_cover_every_instance(self):
         cross, suffixes = family(4)
@@ -118,8 +133,8 @@ class TestPlanPartition:
             )
 
     def test_each_cross_table_is_synthesized_once_per_plan(self, monkeypatch):
-        # regression: the coupling graph and the spanning/egress pass
-        # each used to ask for every dependency's guard table
+        # regression: planning used to ask for every dependency's
+        # guard table more than once
         from repro.scale import partition
 
         asked = []
@@ -134,7 +149,7 @@ class TestPlanPartition:
         plan = plan_partition(
             4, 2, cross, suffixes, assignment=[[0, 2], [1, 3]]
         )
-        assert len(plan.spanning) == len(cross)
+        assert plan.cut_weight > 0
         assert asked == list(cross)
 
     def test_plan_is_deterministic(self):

@@ -15,7 +15,7 @@ from repro.scale import (
     run_sharded,
     shard_seed,
 )
-from repro.scale.engine import run_group
+from repro.scale.shards import run_shard
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
@@ -103,7 +103,46 @@ class TestPlanning:
         assert tasks.placement == "round_robin"
         assert tasks.cut_weight == 0
         assert tasks.assignment == ((0, 2), (1, 3))
-        assert tasks.groups == ((0,), (1,))
+        assert not hasattr(tasks, "groups")
+        # a coupled request: the cut is what round robin separated, the
+        # assignment is what runs -- each cross dependency on one task
+        family = make_mutex_family(4)
+        coupled = plan_shards(
+            family.template,
+            [instance_spec(sfx, scripts) for sfx, scripts in family.instances],
+            2,
+            cross_deps=family.cross_dependencies,
+        )
+        assert coupled.cut_weight == coupled.total_weight > 0
+        assert coupled.assignment == ((0, 1, 2, 3), ())
+        [task] = coupled
+        assert task.shard == 0
+        assert task.cross_dependencies == tuple(
+            repr(dep) for dep in family.cross_dependencies
+        )
+
+    @pytest.mark.parametrize(
+        "text, unknown",
+        [
+            # names no planned instance at all: used to be dropped
+            # silently (no shard owned it), the run reporting ok
+            ("~b_i7 + e_i9 . b_i7", ["b_i7", "e_i9"]),
+            # one foreign base is enough: two components sharing it
+            # would each grow their own actor for it
+            ("~b_i0 + e_i9 . b_i0", ["e_i9"]),
+        ],
+    )
+    def test_cross_dep_on_unplanned_instance_is_rejected(self, text, unknown):
+        family = make_mutex_family(2)
+        instances = [
+            instance_spec(sfx, scripts) for sfx, scripts in family.instances
+        ]
+        with pytest.raises(ValueError) as raised:
+            plan_shards(family.template, instances, 2, cross_deps=[text])
+        message = str(raised.value)
+        # names the dependency, and exactly the bases nobody owns
+        assert text in message
+        assert f"[{', '.join(unknown)}] belong to none" in message
 
     def test_seed_mix_is_deterministic_and_separated(self):
         seeds = [shard_seed(42, k) for k in range(16)]
@@ -123,7 +162,7 @@ class TestPlanning:
 class TestExecution:
     def test_shard_runs_clean_and_uses_fast_path(self):
         [task] = plan_shards(TEMPLATE, travel_instances(3), 1, seed=2)
-        outcome = run_group([task]).outcomes[0]
+        outcome = run_shard(task)
         assert not outcome.violations
         assert not outcome.unsettled
         assert outcome.fast_instantiations == 3
@@ -225,6 +264,32 @@ class TestPersistentPool:
         bigger = _get_pool(3)
         assert bigger is not pool
         shutdown_pool()
+
+    def test_broken_pool_falls_back_in_process_and_says_so(
+        self, monkeypatch, caplog
+    ):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.scale import shards
+
+        def broken(workers):
+            raise BrokenProcessPool("a worker died")
+
+        tasks = plan_shards(TEMPLATE, travel_instances(4), 2, seed=3)
+        expected = run_sharded(tasks, workers=1)
+        monkeypatch.setattr(shards, "_get_pool", broken)
+        with caplog.at_level("WARNING", logger="repro.scale.shards"):
+            fallen_back = run_sharded(tasks, workers=2)
+        [warning] = [
+            record.getMessage() for record in caplog.records
+            if "in-process" in record.getMessage()
+        ]
+        assert "BrokenProcessPool" in warning
+        assert "a worker died" in warning
+        assert "2 shard(s)" in warning
+        assert fallen_back.result.entries == expected.result.entries
+        assert fallen_back.result.messages == expected.result.messages
+        assert fallen_back.result.violations == expected.result.violations == []
 
     def test_default_workers_bounded_by_work(self):
         from repro.scale.shards import _default_workers
@@ -402,11 +467,10 @@ class TestShardedObservability:
             assert synthesis[key] == sum(
                 o.metrics["kernel"]["synthesis"][key] for o in sharded.outcomes
             ), key
-        # every cross dependency is local to one shard: one lookup per
-        # signed event of its table
-        assert synthesis["shape_hits"] + synthesis["shape_misses"] == sum(
-            len(dep.alphabet()) for dep in family.cross_dependencies
-        )
+        # a shard carrying cross dependencies synthesizes its whole
+        # table, one lookup per signed event: each instance has b, e
+        # and their complements
+        assert synthesis["shape_hits"] + synthesis["shape_misses"] == 4 * 8
         assert synthesis["shapes"] == max(
             o.metrics["kernel"]["synthesis"]["shapes"] for o in sharded.outcomes
         )

@@ -9,7 +9,6 @@ from repro.algebra.symbols import Event
 from repro.algebra.traces import satisfies
 from repro.scheduler import DistributedScheduler, EventAttributes
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.scheduler.guard_scheduler import drain
 from repro.sim.network import ConstantLatency
 from repro.workflows import WorkflowTemplate
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
@@ -218,6 +217,9 @@ class TestOneGuardEngine:
         retired = {
             "compiled_guards", "minimize_guards", "watch_mode",
             "retransmit_timeout", "max_retries",
+            # the co-simulated shard group and its gateway channel
+            "sim", "owned", "gateway", "cross_drop", "cross_dup",
+            "cross_drop_probability", "cross_duplicate_probability",
         }
         names = {
             "DistributedScheduler": set(
@@ -228,6 +230,11 @@ class TestOneGuardEngine:
         }
         for owner, exposed in names.items():
             assert not exposed & retired, owner
+        # a shard *task* carries its cross dependencies; the scheduler
+        # just gets them as dependencies
+        assert "cross_dependencies" not in names["DistributedScheduler"]
+        with pytest.raises(TypeError):
+            plan_shards(None, [], 1, cross_drop_probability=0.1)
         assert "reference_engine" in names["DistributedScheduler"]
         assert "reference_engine" not in names["ShardTask"] | names["plan_shards"]
 
@@ -263,7 +270,7 @@ class TestRunLifecycle:
         sched, scripts = self._build(workload)
         sched.start(scripts)
         sched.sim.run()
-        assert drain([sched], sched.sim, 1000) is True
+        assert sched.drain(1000) is True
         stepped = sched.finish()
         assert whole.entries and stepped.entries == whole.entries
         assert stepped.messages == whole.messages

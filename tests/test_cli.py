@@ -457,8 +457,7 @@ class TestShardedRun:
         report = json.loads(capsys.readouterr().out)
         assert report["sharding"] == {
             "shards": 2, "instances": 6, "workers": 1,
-            "placement": "round-robin", "cut_weight": 0,
-            "cross_messages": 0, "steals": 0,
+            "placement": "round-robin", "cut_weight": 0, "steals": 0,
         }
         assert report["ok"] is True
 
@@ -503,8 +502,14 @@ class TestShardedRun:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
+        # round robin separated the coupled pair; the planner fused
+        # the two shards, so one scheduler enforces the mutex
         assert report["sharding"]["cut_weight"] > 0
-        assert report["sharding"]["cross_messages"] > 0
+        assert report["sharding"]["shards"] == 1
+        assert "cross_messages" not in report["sharding"]
+        assert sorted(entry["event"] for entry in report["timeline"]) == [
+            "b_i0", "b_i1", "e_i0", "e_i1",
+        ]
 
     def test_min_cut_placement_colocates(self, mutex_spec, capsys):
         code = main(
@@ -517,7 +522,8 @@ class TestShardedRun:
         )
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "cut 0, 0 routed message(s)" in out
+        assert "2 shard(s)" in out and "cut 0" in out
+        assert "routed" not in out
 
     def test_steal_reports_in_text_output(self, travel_spec, capsys):
         code = main(
@@ -530,6 +536,28 @@ class TestShardedRun:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "steal(s)" in out
+
+    @pytest.mark.parametrize(
+        "cross_dep", ["~b_i7 + e_i9 . b_i7", "~b_i0 + e_i9 . b_i0"]
+    )
+    def test_cross_dep_on_unknown_instance_exits_two(
+        self, mutex_spec, capsys, cross_dep
+    ):
+        # used to print ok=True and exit 0: no shard owned the
+        # dependency, so it was never enforced or verified
+        code = main(
+            [
+                "run", mutex_spec, "--scheduler", "distributed",
+                "--attempt", "b=0", "--attempt", "e=3",
+                "--shards", "2", "--instances", "2", "--workers", "1",
+                "--cross-dep", cross_dep,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot plan shards" in captured.err
+        assert "e_i9" in captured.err
+        assert "ok=" not in captured.out
 
     def test_unplannable_cross_dep_exits_two(self, mutex_spec, capsys):
         code = main(
