@@ -50,6 +50,7 @@ from repro.temporal.cubes import (
     P_E,
     classify_mask,
     closure,
+    covers,
     mask_text,
 )
 
@@ -62,41 +63,11 @@ StrCube = tuple[tuple[str, int], ...]
 # ----------------------------------------------------------------------
 # string-keyed region operations (mirror GuardExpr's, over names)
 
-def _points(names: list[str]):
-    if not names:
-        yield {}
-        return
-    head, rest = names[0], names[1:]
-    for sub in _points(rest):
-        for world in (E_OCC, C_OCC, P_E, P_C):
-            point = dict(sub)
-            point[head] = world
-            yield point
-
-
-def _point_in(cubes: Iterable[StrCube], worlds: Mapping[str, int]) -> bool:
-    return any(
-        all(worlds.get(name, 0) & mask for name, mask in cube)
-        for cube in cubes
-    )
-
-
 def region_subsumes(cubes: Iterable[StrCube], knowledge: Mapping[str, int]) -> bool:
     """Every world point consistent with ``knowledge`` is inside the
-    cube union -- the fire rule of Section 4.3, over string keys."""
-    cubes = list(cubes)
-    if not cubes:
-        return False
-    if () in cubes:
-        return True
-    names = sorted({name for cube in cubes for name, _mask in cube})
-    for worlds in _points(names):
-        consistent = all(
-            worlds[name] & knowledge.get(name, FULL) for name in names
-        )
-        if consistent and not _point_in(cubes, worlds):
-            return False
-    return True
+    cube union -- the fire rule of Section 4.3, over string keys (the
+    cube kernel's cover check only needs hashable bases)."""
+    return covers(list(cubes), knowledge)
 
 
 def region_possible(cubes: Iterable[StrCube], knowledge: Mapping[str, int]) -> bool:

@@ -2,10 +2,9 @@
 
 The cube engine *rewrites* a guard on every assimilated announcement:
 ``simplify_under`` walks the cube DNF, and -- although the rewrite is
-memoized -- the memo key is built from the actor's **entire**
-knowledge map, so each hot-loop hit still costs ``O(|K| log |K|)``
-tuple-building and hashing at fan-in ``|K|``.  The verdict checks
-(``region_subsumes`` / ``possible_under``) re-run on top.
+memoized -- each hot-loop hit still builds and hashes a key over the
+guard's bases.  The verdict checks (``region_subsumes`` /
+``possible_under``) re-run on top.
 
 This module compiles each synthesized :class:`GuardExpr` into a
 hash-consed *guard automaton* whose runtime state is a single node
@@ -106,9 +105,8 @@ def clear_compiled() -> None:
 def _restrict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> Know:
     """Project a knowledge map onto the guard's base support.
 
-    ``O(|bases(guard)|)`` -- this replaces the cube engine's
-    ``O(|K| log |K|)`` whole-map memo key, and it shrinks with the
-    residual as announcements assimilate."""
+    ``O(|bases(guard)|)``, and it shrinks with the residual as
+    announcements assimilate."""
     if not knowledge:
         return ()
     return tuple(

@@ -29,11 +29,32 @@ Worlds evolve over time only by ``P_E -> E_OCC`` and ``P_C -> C_OCC``;
 ``closure`` computes the future-reachable set of a mask, which is what
 distinguishes *parked* (may become true) from *never* (permanently
 false) during execution (Section 4.3).
+
+Two primitives carry the algebra, and both are polynomial in the
+cubes:
+
+* :func:`_absorb` keeps every :class:`GuardExpr` canonical (no cube
+  inside another, no two cubes differing in one mask only).  Cubes
+  are coded as ints, so containment is one bitwise test, and merges
+  are found through buckets keyed by a cube's code with one base's
+  nibble cleared.
+* :func:`covers` is Section 4.3's "certainly true now"
+  (:meth:`GuardExpr.region_subsumes`): a cover check that restricts
+  the cubes by the knowledge region and then splits on the base most
+  cubes constrain, instead of walking the ``4**k`` world points.
+
+Each has its definition next to it, kept **only** as the tests'
+reference and called by nothing in ``src/``: :func:`_absorb_batch`
+(the pairwise sweeps whose merge order fixes the canonical form, with
+its helpers ``_cube_subsumes`` / ``_cube_merge``) and
+:func:`_subset_check` (the enumerator).  :meth:`GuardExpr.entails` and
+:meth:`GuardExpr.equivalent` enumerate on purpose: they are the
+independent oracle of the tests and ``bench_theorems.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from repro.algebra.symbols import Event
 from repro.algebra.traces import Trace
@@ -261,11 +282,7 @@ class GuardExpr:
         currently be in (bases absent from the map are unconstrained).
         This is the "guard is certainly true now" test of Section 4.3.
         """
-        if not self.cubes:
-            return False
-        if () in self.cubes:
-            return True
-        return _subset_check(self.cubes, list(self._sorted_bases()), knowledge)
+        return covers(self.cubes, knowledge)
 
     def possible_under(self, knowledge: Mapping[Event, int]) -> bool:
         """Can the guard still become true, given knowledge closures?
@@ -292,14 +309,15 @@ class GuardExpr:
         ``!e`` to ``T`` when ``[]~e`` or ``<>~e`` is received; ``[]e``
         and ``!e`` are unaffected by ``<>e``".
 
-        Memoized on ``(guard, knowledge)``: actors re-simplify their
-        guard on every assimilated fact, and distributed instances of
-        the same workflow shape pass through the same (guard,
-        knowledge) states, so the hit rate is high.
+        Memoized on the guard and the knowledge of *its own* bases
+        (the only entries read): actors re-simplify their guard on
+        every assimilated fact, and distributed instances of the same
+        workflow shape pass through the same (guard, knowledge)
+        states, so the hit rate is high.
         """
         if not knowledge or not self.cubes or () in self.cubes:
             return self
-        key = (self, tuple(sorted(knowledge.items(), key=_knowledge_sort)))
+        key = (self, tuple(map(knowledge.get, self._sorted_bases())))
         cached = _SIMPLIFY_CACHE.get(key)
         if cached is not None:
             _SimplifyStats.hits += 1
@@ -425,10 +443,6 @@ def _canonical_guard(cubes: frozenset[Cube]) -> GuardExpr:
     return self
 
 
-def _knowledge_sort(item: tuple[Event, int]) -> tuple:
-    return item[0].sort_key()
-
-
 _SIMPLIFY_CACHE: dict = {}
 _SIMPLIFY_LIMIT = 65536
 
@@ -471,14 +485,122 @@ def guard_and(items: Iterable[GuardExpr]) -> GuardExpr:
 # -- internals ---------------------------------------------------------
 
 
+_TOP_CUBES: frozenset[Cube] = frozenset({()})
+
+
 def _absorb(cubes: frozenset[Cube]) -> frozenset[Cube]:
     """Drop subsumed cubes and merge cubes differing in one event only.
 
-    Runs the absorption/merge passes to a fixpoint over a sorted view,
-    so the result is deterministic.  The pairwise primitives walk the
-    sorted cube tuples directly (two pointers) instead of building dict
-    views; the pass structure -- and therefore the fixpoint reached --
-    is unchanged.
+    The canonical form every :class:`GuardExpr` stores: cube for cube
+    the fixpoint :func:`_absorb_batch` (the tests' reference, which
+    spells the pass structure out) reaches, without its pairwise
+    rescans.  Each cube is coded as one int, a nibble per base holding
+    the worlds its literal *rejects* (zero where unconstrained), so
+    "``b``'s region contains ``a``'s" is ``b & ~a == 0`` and the
+    absorption sweep -- whose result is the unique antichain of
+    maximal cubes, whatever the order -- costs no tuple walk.
+    """
+    if len(cubes) < 2:
+        return cubes
+    if () in cubes:
+        return _TOP_CUBES
+    shifts: dict[Event, int] = {}
+    coded: dict[int, tuple[int, Cube]] = {}
+    for cube in cubes:
+        code = support = 0
+        for base, mask in cube:
+            shift = shifts.get(base)
+            if shift is None:
+                shift = shifts[base] = 4 * len(shifts)
+            code |= (mask ^ FULL) << shift
+            support |= FULL << shift
+        coded[code] = support, cube
+    alive: dict[int, Cube] = {}
+    supports = set()
+    for code, (support, cube) in coded.items():
+        for other in coded:
+            if not other & ~code and other != code:
+                break
+        else:
+            alive[code] = cube
+            supports.add(support)
+    if len(supports) < len(alive):
+        # only cubes constraining the same bases can merge
+        _merge_indexed(alive, shifts)
+    if len(alive) == len(cubes):
+        return cubes  # a drop or a merge shrinks the set: nothing happened
+    return frozenset(alive.values())
+
+
+def _merge_indexed(alive: dict[int, Cube], shifts: Mapping[Event, int]) -> None:
+    """Run the batch's merges, in the batch's order, on a coded antichain.
+
+    On an antichain :func:`_cube_merge` and the batch's ``merged != a
+    and merged != b`` test accept exactly the pairs with one support
+    whose masks differ at one base, so every cube is filed under its
+    code with one constrained nibble cleared: the cubes of one bucket
+    merge pairwise, cubes of different buckets never do.  The batch
+    takes the first mergeable pair of ``sorted(work)``, which is the
+    least ``(smallest, second smallest)`` over the buckets holding two
+    cubes or more; after a merge nothing subsumes the merged cube and
+    only the merged cube subsumes anything else, so the antichain is
+    repaired by one scan instead of a restart.
+    """
+    buckets: dict[tuple[int, int], list[int]] = {}
+    crowded: set[tuple[int, int]] = set()
+
+    def file(code: int, entering: bool) -> None:
+        rest, shift = code, 0
+        while rest:
+            if rest & FULL:
+                key = (code ^ ((rest & FULL) << shift), shift)
+                members = buckets.get(key)
+                if not entering:
+                    members.remove(code)
+                    if len(members) == 1:
+                        crowded.discard(key)
+                elif members:
+                    members.append(code)
+                    crowded.add(key)
+                else:
+                    buckets[key] = [code]
+            rest >>= 4
+            shift += 4
+
+    for code in alive:
+        file(code, True)
+    while crowded:
+        # within a bucket cubes differ in one mask only, and a smaller
+        # mask rejects more: tuple order is descending code order
+        pair = None
+        for key in crowded:
+            second, first = sorted(buckets[key])[-2:]
+            candidate = (alive[first], alive[second], key, first & second)
+            if pair is None or candidate < pair:
+                pair = candidate
+        smallest, _, (hole, shift), both = pair
+        merged = hole | (both & (FULL << shift))
+        union = FULL ^ (merged >> shift & FULL)
+        cube = []
+        for base, mask in smallest:
+            if shifts[base] != shift:
+                cube.append((base, mask))
+            elif union != FULL:
+                cube.append((base, union))
+        for code in [code for code in alive if not merged & ~code]:
+            del alive[code]
+            file(code, False)
+        alive[merged] = tuple(cube)
+        file(merged, True)
+
+
+def _absorb_batch(cubes: frozenset[Cube]) -> frozenset[Cube]:
+    """The tests' reference for :func:`_absorb`: the pass structure
+    that *defines* the canonical form, run pairwise.
+
+    An absorption sweep, then the first mergeable pair of the sorted
+    view, restarted until neither changes anything.  Nothing in
+    ``src/`` calls it.
     """
     work = set(cubes)
     if () in work:
@@ -630,6 +752,119 @@ def _cube_merge(a: Cube, b: Cube) -> Cube | None:
     return tuple(out)
 
 
+_WORLDS = (E_OCC, C_OCC, P_E, P_C)
+
+#: ``_OUTSIDE[mask]``: positions in ``_WORLDS`` of the worlds not in ``mask``.
+_OUTSIDE = tuple(
+    tuple(slot for slot, world in enumerate(_WORLDS) if not mask & world)
+    for mask in range(FULL + 1)
+)
+
+
+def covers(cubes: Collection[Cube], knowledge: Mapping) -> bool:
+    """Is every world point ``knowledge`` allows inside the union of ``cubes``?
+
+    The cover check behind :meth:`GuardExpr.region_subsumes`, equal on
+    every input to the enumerator :func:`_subset_check` but branching
+    on the cubes' structure instead of walking the ``4**k`` points.
+    Bases only need ``hash``/``==``, so the string-keyed regions of
+    :mod:`repro.obs.provenance` go through it too.
+
+    First the cubes are restricted by the region: one that misses it
+    is dropped, one whose every literal covers its base's region
+    contains it, and fewer than two of the others leave a point out
+    (each has a literal that does).  What is left is numbered, and a
+    base becomes a *column* holding, for each world its knowledge
+    allows, the set (an int, one bit per cube) of cubes whose literal
+    rejects that world.  A point is outside the union exactly when the
+    rejecting sets it picks, one per column, add up to every cube,
+    which :func:`_some_cube_admits` decides by splitting.
+    """
+    if knowledge and EMPTY in knowledge.values():
+        for cube in cubes:
+            for base, _ in cube:
+                if knowledge.get(base) == EMPTY:
+                    # no consistent point at all: vacuously inside (the
+                    # enumerator's answer for any base the cubes mention)
+                    return True
+    partial = []
+    for cube in cubes:
+        contains = True
+        for base, mask in cube:
+            known = knowledge.get(base, FULL) if knowledge else FULL
+            if not known & mask:
+                break
+            if known & ~mask:
+                contains = False
+        else:
+            if contains:
+                return True
+            partial.append(cube)
+    if len(partial) < 2:
+        return False
+    columns: dict = {}
+    bit = 1
+    for cube in partial:
+        for base, mask in cube:
+            column = columns.get(base)
+            if column is None:
+                column = columns[base] = [0, 0, 0, 0]
+            for slot in _OUTSIDE[mask]:
+                column[slot] |= bit
+        bit <<= 1
+    if knowledge:
+        for base, column in columns.items():
+            known = knowledge.get(base, FULL)
+            if known != FULL:
+                columns[base] = [
+                    column[slot] for slot in _OUTSIDE[known ^ FULL]
+                ]
+    return _some_cube_admits(bit - 1, list(columns.values()))
+
+
+def _some_cube_admits(alive: int, columns: list) -> bool:
+    """Does every choice of one world class per column leave a cube of
+    ``alive`` that no chosen class rejects?
+
+    ``columns`` holds, per base, the rejecting sets of its allowed
+    worlds; equal sets are one class: the base's worlds grouped by
+    which cubes admit them (at most four classes, usually two).  No
+    cube left means the point is outside; a cube no column constrains
+    contains every remaining point; a lone constrained cube has a
+    world outside it.  Otherwise split on the base most cubes
+    constrain and require every class's admitting cubes to cover the
+    remaining columns.
+    """
+    if not alive:
+        return False
+    constrained = 0
+    most = 0
+    for column in columns:
+        touched = 0
+        for rejects in column:
+            touched |= rejects
+        touched &= alive
+        if touched:
+            constrained |= touched
+            count = touched.bit_count()
+            if count > most:
+                most = count
+                pivot = column
+    if alive & ~constrained:
+        return True
+    if not alive & (alive - 1):
+        return False
+    rest = [column for column in columns if column is not pivot]
+    split = []
+    for rejects in pivot:
+        rejects &= alive
+        if rejects not in split:
+            split.append(rejects)
+            if not _some_cube_admits(alive & ~rejects, rest):
+                return False
+    return True
+
+
 def _point_in(cubes: frozenset[Cube], worlds: Mapping[Event, int]) -> bool:
     return any(
         all(worlds.get(base, 0) & mask for base, mask in cube) for cube in cubes
@@ -642,7 +877,7 @@ def _world_points(bases: list[Event]) -> Iterator[dict[Event, int]]:
         return
     head, rest = bases[0], bases[1:]
     for sub in _world_points(rest):
-        for world in (E_OCC, C_OCC, P_E, P_C):
+        for world in _WORLDS:
             point = dict(sub)
             point[head] = world
             yield point
@@ -656,7 +891,11 @@ def _regions_equal(left: frozenset[Cube], right: frozenset[Cube], bases) -> bool
 
 
 def _subset_check(cubes: frozenset[Cube], bases: list[Event], knowledge) -> bool:
-    """Every world point consistent with ``knowledge`` is inside the union."""
+    """Every world point consistent with ``knowledge`` is inside the union.
+
+    The tests' reference for :func:`covers`: the definition, by
+    enumeration of all ``4**len(bases)`` points.  Nothing in ``src/``
+    calls it."""
     if not cubes:
         return False
     if () in cubes:

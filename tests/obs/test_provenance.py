@@ -13,11 +13,13 @@ from repro.obs.provenance import (
     region_subsumes,
     region_verdict,
 )
+from repro.obs import provenance
 from repro.obs.tracer import Tracer
 from repro.scheduler.guard_scheduler import DistributedScheduler
-from repro.temporal.cubes import C_OCC, E_OCC, P_C, P_E
-from repro.temporal.guards import explain_guard
+from repro.temporal.cubes import C_OCC, E_OCC, P_C, P_E, _subset_check
+from repro.temporal.guards import explain_guard, workflow_guards
 from repro.workloads.scenarios import make_travel_booking
+from tests.conftest import count_calls
 
 
 def travel_scheduler(**kwargs):
@@ -50,6 +52,72 @@ class TestRegionOps:
             )
             is None
         )
+
+
+def enumerated_subsumes(cubes, knowledge):
+    """What ``region_subsumes`` was before it called the cube kernel's
+    cover check: every world point over the mentioned names."""
+    cubes = [tuple(cube) for cube in cubes]
+    names = sorted({name for cube in cubes for name, _mask in cube})
+    return _subset_check(cubes, names, knowledge)
+
+
+def region_cases():
+    """Every region this file explains (at most five names each), plus
+    the travel workflow's whole guard table under a few knowledge maps."""
+    cases = [
+        (TestRegionOps.BOX_CUBES, {"c_book": E_OCC}),
+        (TestRegionOps.BOX_CUBES, {}),
+        (TestRegionOps.BOX_CUBES, {"c_book": C_OCC}),
+        ([[("f", E_OCC | P_E)], [("g", E_OCC)]], {}),
+        ([[("f", E_OCC), ("g", E_OCC)]], {}),
+        ([[("f", E_OCC | P_E)], [("g", C_OCC)]], {"g": E_OCC}),
+        ([[("f", C_OCC | P_E | P_C)]], {}),  # Example 9: !f
+        ([[("f", C_OCC | P_E | P_C)]], {"f": P_E | P_C}),
+    ]
+    table = workflow_guards(make_travel_booking().workflow.dependencies)
+    for guard in table.values():
+        cubes = [[(repr(b), m) for b, m in cube] for cube in guard.cubes]
+        for knowledge in (
+            {},
+            {"c_book": E_OCC},
+            {"c_buy": P_E | P_C, "s_buy": E_OCC},
+            {"c_book": C_OCC, "s_cancel": E_OCC | P_E},
+            {"c_buy": 0},
+        ):
+            cases.append((cubes, knowledge))
+    return cases
+
+
+class TestRegionKernel:
+    """``repro explain`` used to carry its own copy of the enumerator."""
+
+    @pytest.mark.parametrize("cubes, knowledge", region_cases())
+    def test_verdict_and_unblocking_match_the_enumerator(
+        self, monkeypatch, cubes, knowledge
+    ):
+        report = explain_region(cubes, knowledge)
+        monkeypatch.setattr(provenance, "region_subsumes", enumerated_subsumes)
+        old = explain_region(cubes, knowledge)
+        assert report["verdict"] == old["verdict"]
+        assert report["unblocking"] == old["unblocking"]
+
+    def test_fourteen_literal_cube_is_explained(self):
+        # 4**14 world points for each of some 1 400 candidate fact sets
+        cube = [(f"f{i:02d}", E_OCC) for i in range(14)]
+        reports = []
+        calls = count_calls(
+            lambda: reports.append(explain_region([cube], {}))
+        )
+        (report,) = reports
+        assert report["verdict"] == "park"
+        assert report["unblocking"] == []  # fourteen facts, not three
+        assert calls < 200_000
+        # two announcements short of firing: exactly those are named
+        known = {name: E_OCC for name, _mask in cube[2:]}
+        assert explain_region([cube], known)["unblocking"] == [
+            [Fact("announce", "f00"), Fact("announce", "f01")]
+        ]
 
 
 class TestMinimalUnblocking:

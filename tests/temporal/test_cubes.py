@@ -16,12 +16,17 @@ from repro.temporal.cubes import (
     P_C,
     P_E,
     TRUE_GUARD,
+    _absorb,
+    _cube_product,
+    clear_simplify_cache,
     closure,
     flip,
     literal,
+    simplify_cache_stats,
     worlds_at,
 )
 from repro.temporal.semantics import holds
+from tests.conftest import count_calls, fitted_exponent
 
 E, F = Event("e"), Event("f")
 
@@ -179,6 +184,69 @@ class TestKnowledgeReasoning:
         g = literal("box", E) & literal("dia", F)
         out = g.simplify_under({F: E_OCC})
         assert out == literal("box", E)
+
+    def test_simplify_memo_ignores_bases_outside_the_guard(self):
+        g = literal("box", E) & literal("dia", F)
+        clear_simplify_cache()
+        first = g.simplify_under({F: E_OCC, Event("far"): P_E})
+        assert simplify_cache_stats()["misses"] == 1
+        again = g.simplify_under({F: E_OCC, Event("far"): C_OCC})
+        assert again is first
+        assert simplify_cache_stats()["hits"] == 1
+        # a base of the guard still separates the entries
+        assert g.simplify_under({F: E_OCC, E: E_OCC}).is_true
+        assert simplify_cache_stats()["misses"] == 2
+
+
+class TestKernelScaling:
+    """The two kernel primitives are polynomial in the cubes: fitted
+    call-count exponents (exact, host-independent) stay near 2 where
+    the enumerator grew as ``4**k`` and the batch absorb as the cube
+    count squared per pass."""
+
+    def tautology(self, k):
+        """``k + 1`` cubes over ``k`` bases covering every world point,
+        no two of them subsuming or merging: ``<>b_i`` after ``<>~b_j``
+        for every earlier ``j``, then ``!b_j`` for all ``j``."""
+        bases = [Event(f"b{i:02d}") for i in range(k)]
+        cubes = [
+            tuple((b, DIA_COMP_MASK) for b in bases[:i])
+            + ((bases[i], DIA_MASK),)
+            for i in range(k)
+        ]
+        cubes.append(tuple((b, NOTYET_MASK) for b in bases))
+        assert GuardExpr(frozenset(cubes)).cube_count() == k + 1
+        return cubes, bases
+
+    def test_region_subsumes_on_the_k_base_tautology(self):
+        sizes = (8, 12, 16)
+        counts = []
+        for k in sizes:
+            cubes, bases = self.tautology(k)
+            guard = GuardExpr(frozenset(cubes))
+            assert guard.region_subsumes({})
+            # without the last cube the points with no <>b_i are
+            # outside, unless the last base is known to have occurred
+            short = GuardExpr(frozenset(cubes[:-1]))
+            assert not short.region_subsumes({})
+            assert short.region_subsumes({bases[-1]: E_OCC})
+            counts.append(count_calls(lambda: guard.region_subsumes({})))
+        assert fitted_exponent(sizes, counts) <= 2.2, counts
+        assert counts[-1] < 5_000, counts  # 4**16 points
+
+    def test_absorb_on_a_product_of_fixpoints(self):
+        sizes = (8, 16, 32)
+        counts = []
+        for c in sizes:
+            left = [((Event(f"l{i:02d}"), E_OCC),) for i in range(c)]
+            right = [((Event(f"r{i:02d}"), E_OCC),) for i in range(c)]
+            product = frozenset(
+                _cube_product(a, b) for a in left for b in right
+            )
+            assert _absorb(product) == product
+            counts.append(count_calls(lambda: _absorb(product)))
+        # c * c cubes: linear in the cubes is exponent 2 in c
+        assert fitted_exponent(sizes, counts) <= 2.2, counts
 
 
 class TestRendering:
