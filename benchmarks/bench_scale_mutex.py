@@ -4,10 +4,9 @@ SC6 (bench_scale_schedulers / bench_scale_latency) shards *independent*
 instances; here every cluster of critical-section tasks is coupled by
 cross-instance mutex dependencies, so the sharded runs exercise
 coupled planning end to end: constraint-aware min-cut placement (cut 0,
-nothing fused), round-robin placement whose split clusters the planner
-fuses back onto one shard, and work-stealing rebalancing of a
-deliberately skewed layout.  Absolute timings are the perf
-suite's job (``perf_suite.py`` gates the N=256 speedups); this bench
+nothing fused) and round-robin placement whose split clusters the
+planner fuses back onto one shard.  Absolute timings are the perf
+suite's job (``perf_suite.py`` reports the N=256 rows); this bench
 pins the *shape* at a CI-friendly size: every variant settles exactly
 the merged baseline's event set.
 """
@@ -42,7 +41,7 @@ def merged_baseline():
     return result
 
 
-def sharded_run(steal=False, **plan_kwargs):
+def sharded_run(**plan_kwargs):
     fam = family()
     instances = [
         instance_spec(suffix, scripts) for suffix, scripts in fam.instances
@@ -55,7 +54,7 @@ def sharded_run(steal=False, **plan_kwargs):
         cross_deps=fam.cross_dependencies,
         **plan_kwargs,
     )
-    return tasks, run_sharded(tasks, workers=1, steal=steal)
+    return tasks, run_sharded(tasks, workers=1)
 
 
 def settled(result):
@@ -94,15 +93,3 @@ def test_bench_mutex_round_robin_routed(benchmark, baseline):
     assert run.result.ok, run.result.violations
     assert settled(run.result) == settled(baseline)
 
-
-def test_bench_mutex_skewed_with_stealing(benchmark, baseline):
-    # shard 0 gets 3/4 of the clusters; stealing rebalances it
-    skew = [list(range(0, 12)), [12, 13, 14, 15], [], []]
-    tasks, run = benchmark.pedantic(
-        lambda: sharded_run(assignment=skew, steal=True),
-        rounds=3,
-        iterations=1,
-    )
-    assert run.steals > 0
-    assert run.result.ok, run.result.violations
-    assert settled(run.result) == settled(baseline)

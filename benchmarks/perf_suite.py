@@ -10,8 +10,7 @@ Runs three workload families and emits a machine-readable
   ``region_subsumes`` throughput on a compiled guard (the actor loop's
   hot operations);
 * **end-to-end** -- SC1's N=16 merged travel instances on the
-  distributed scheduler (raw fabric, plus the announcement-batching
-  variant when the scheduler supports it) and an SC5-style chaos run
+  distributed scheduler (raw fabric) and an SC5-style chaos run
   (reliable sessions, drop/dup, one crash/restart);
 * **scale-out** (PF2/SC6, when :mod:`repro.scale` is available) --
   template-instantiated guard synthesis vs per-instance synthesis at
@@ -27,8 +26,7 @@ Runs three workload families and emits a machine-readable
   ``cross_deps``) -- the Example 13 mutex family at N in {64, 256},
   merged vs min-cut sharded (``speedup_vs_merged`` is reported, not
   required: it has fallen either way as synthesis got cheaper, see
-  EXPERIMENTS.md), and a skewed layout with and without work stealing
-  (required: stealing wins over the skew it rebalances);
+  EXPERIMENTS.md);
 * **guard engine** (PF3/PF4, when the scheduler has
   ``reference_engine=``) -- the one production engine (watch index +
   compiled cursors) against the paper-literal reference engine the
@@ -43,21 +41,19 @@ Runs three workload families and emits a machine-readable
   (required: compiled >= 3x cheaper per announcement at fan-in 100).
 
 Timings are reported both raw and *normalized* by a pure-Python
-calibration spin, so a checked-in baseline from one machine can gate
-another machine's run: ``--baseline FILE`` fails (exit 1) when any
-workload's normalized time regresses by more than ``--tolerance``
-(default 25%), or when any deterministic observable (virtual makespan,
-message counts, cube counts) changed at all -- the optimizations this
-harness guards are required to be semantics-preserving.
+calibration spin.  ``--baseline FILE`` fails (exit 1) when a workload
+of the baseline is missing or any deterministic observable (virtual
+makespan, message counts, cube counts) changed at all -- the
+optimizations this harness guards are required to be
+semantics-preserving -- and prints the normalized-time changes without
+gating them (performance claims are made on ``benchmarks/e2e``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_suite.py              # full
     PYTHONPATH=src python benchmarks/perf_suite.py --quick      # CI
     PYTHONPATH=src python benchmarks/perf_suite.py \
-        --baseline BENCH_PERF.json --tolerance 0.25             # gate
-    PYTHONPATH=src python benchmarks/perf_suite.py \
-        --compare benchmarks/baselines/perf_before.json         # PF1
+        --baseline BENCH_PERF.json                              # gate
 """
 
 from __future__ import annotations
@@ -105,7 +101,6 @@ EXACT_FIELDS = (
     "wakes",
     "skips",
     "cut_weight",
-    "steals",
     "hops",
 )
 
@@ -224,16 +219,8 @@ def bench_guard_eval(evals: int, rounds: int) -> dict:
     return result
 
 
-def _supports_batching() -> bool:
-    params = inspect.signature(DistributedScheduler.__init__).parameters
-    return "batch_announcements" in params
-
-
-def _run_sc1(count: int, batch: bool) -> tuple[float, object, object]:
+def _run_sc1(count: int) -> tuple[float, object, object]:
     workflow, scripts = merged_travel_instances(count)
-    kwargs = {}
-    if batch:
-        kwargs["batch_announcements"] = True
     start = time.perf_counter()
     sched = DistributedScheduler(
         workflow.dependencies,
@@ -241,7 +228,6 @@ def _run_sc1(count: int, batch: bool) -> tuple[float, object, object]:
         attributes=workflow.attributes,
         latency=ConstantLatency(1.0),
         rng=random.Random(1),
-        **kwargs,
     )
     result = sched.run(scripts)
     elapsed = time.perf_counter() - start
@@ -254,7 +240,7 @@ def bench_end_to_end(rounds: int) -> dict:
     best = float("inf")
     result = None
     for _ in range(rounds):
-        elapsed, result, _sched = _run_sc1(16, batch=False)
+        elapsed, result, _sched = _run_sc1(16)
         best = min(best, elapsed)
     out["sc1_n16"] = {
         "seconds": best,
@@ -263,29 +249,6 @@ def bench_end_to_end(rounds: int) -> dict:
         "announce_messages": result.messages_by_kind.get("announce", 0),
         "settled": len(result.entries),
     }
-    if _supports_batching():
-        best = float("inf")
-        for _ in range(rounds):
-            elapsed, bresult, _sched = _run_sc1(16, batch=True)
-            best = min(best, elapsed)
-        out["sc1_n16_batched"] = {
-            "seconds": best,
-            "makespan": bresult.makespan,
-            "messages": bresult.messages,
-            "announce_messages": bresult.messages_by_kind.get("announce", 0),
-            "settled": len(bresult.entries),
-        }
-        # batching must not change what happened, only how many
-        # envelopes carried it
-        assert bresult.makespan == result.makespan, (
-            bresult.makespan, result.makespan)
-        assert [
-            (repr(e.event), e.time) for e in bresult.entries
-        ] == [(repr(e.event), e.time) for e in result.entries]
-        assert bresult.messages < result.messages, (
-            "announcement batching did not reduce the SC1 message count: "
-            f"{bresult.messages} vs {result.messages}"
-        )
     return out
 
 
@@ -361,7 +324,7 @@ def bench_scale_out(rounds: int) -> dict:
     merged_best = float("inf")
     merged_result = None
     for _ in range(rounds):
-        elapsed, merged_result, _sched = _run_sc1(64, batch=False)
+        elapsed, merged_result, _sched = _run_sc1(64)
         merged_best = min(merged_best, elapsed)
     out["sc1_n64"] = {
         "seconds": merged_best,
@@ -425,10 +388,9 @@ def bench_scale_mutex(rounds: int) -> dict:
     Unlike SC6's independent travel instances, every cluster of four
     critical-section tasks here is *coupled* by cross-instance mutex
     dependencies, so a cluster must stay on one scheduler: min-cut
-    placement colocates each cluster (cut 0, nothing fused), and a
-    deliberately skewed explicit layout exercises work-stealing
-    rebalancing.  (A layout that splits clusters is fused back by the
-    planner, i.e. it *is* a merged run; there is no row for it.)
+    placement colocates each cluster (cut 0, nothing fused).  (A layout
+    that splits clusters is fused back by the planner, i.e. it *is* a
+    merged run; there is no row for it.)
     """
     from repro.scale import instance_spec, plan_shards, run_sharded
     from repro.workloads.scenarios import make_mutex_family
@@ -450,13 +412,12 @@ def bench_scale_mutex(rounds: int) -> dict:
         assert result.ok, result.violations
         return result
 
-    def sharded(n, reps, **plan_kwargs):
+    def sharded(n, reps):
         family = make_mutex_family(n, cluster=4)
         instances = [
             instance_spec(suffix, scripts)
             for suffix, scripts in family.instances
         ]
-        steal = plan_kwargs.pop("steal", False)
 
         def run():
             tasks = plan_shards(
@@ -464,10 +425,10 @@ def bench_scale_mutex(rounds: int) -> dict:
                 instances,
                 4,
                 seed=1,
+                placement="min_cut",
                 cross_deps=family.cross_dependencies,
-                **plan_kwargs,
             )
-            return tasks, run_sharded(tasks, workers=4, steal=steal)
+            return tasks, run_sharded(tasks, workers=4)
 
         seconds, (tasks, sharded_run) = _best_of(run, reps)
         assert sharded_run.result.ok, sharded_run.result.violations
@@ -487,7 +448,7 @@ def bench_scale_mutex(rounds: int) -> dict:
         merged_best, merged_result = _best_of(lambda n=n: merged(n), reps)
         out[f"sc7_mutex_n{n}_merged"] = record(merged_best, merged_result)
 
-        cut_best, tasks, cut_run = sharded(n, reps, placement="min_cut")
+        cut_best, tasks, cut_run = sharded(n, reps)
         out[f"sc7_mutex_n{n}_min_cut"] = record(
             cut_best,
             cut_run.result,
@@ -506,33 +467,6 @@ def bench_scale_mutex(rounds: int) -> dict:
         # no wall-clock assert against merged: the comparison has
         # fallen both ways as synthesis got cheaper (EXPERIMENTS.md,
         # SC7), so ``speedup_vs_merged`` is only reported
-        if n == 256:
-            # skewed layout: shard 0 gets 3/4 of the clusters
-            skew = [
-                list(range(0, 192)),
-                list(range(192, 208)),
-                list(range(208, 224)),
-                list(range(224, 256)),
-            ]
-            skew_best, _tasks, skew_run = sharded(
-                n, heavy_rounds, assignment=skew
-            )
-            out["sc7_mutex_n256_skewed"] = record(skew_best, skew_run.result)
-            steal_best, _tasks, steal_run = sharded(
-                n, heavy_rounds, assignment=skew, steal=True
-            )
-            out["sc7_mutex_n256_steal"] = record(
-                steal_best, steal_run.result, steals=steal_run.steals
-            )
-            assert steal_run.steals > 0
-            assert (
-                {repr(e.event) for e in steal_run.result.entries}
-                == {repr(e.event) for e in skew_run.result.entries}
-            ), "stealing changed what the skewed mutex run settled"
-            assert steal_best < skew_best, (
-                "work stealing is required to beat the skewed layout it "
-                f"rebalances: {steal_best:.3f}s vs {skew_best:.3f}s"
-            )
     return out
 
 
@@ -914,7 +848,6 @@ def collect(quick: bool) -> dict:
         if "seconds" in record:
             record["normalized"] = record["seconds"] / calibration
     features = {
-        "batching": _supports_batching(),
         "sharding": _supports_sharding(),
         "cross_shard": _supports_cross_shard(),
         "reference_engine": _supports_reference_engine(),
@@ -934,17 +867,13 @@ def collect(quick: bool) -> dict:
     }
 
 
-# Absolute slack added on top of the relative tolerance, in normalized
-# units (seconds / calibration spin).  0.02 normalized units is ~0.5 ms
-# at the recorded calibration: enough that sub-millisecond workloads
-# (pf3_watch_n10, synthesis_cold_k2, ...) don't flap the gate on
-# scheduler jitter alone, and negligible (~1%) for every workload whose
-# timing the gate actually protects.
-ABS_SLACK = 0.02
+def check_regression(current: dict, baseline: dict) -> list[str]:
+    """Exact-observable comparison; returns failures.
 
-
-def check_regression(current: dict, baseline: dict, tolerance: float) -> list[str]:
-    """Normalized-time and exact-observable comparison; returns failures."""
+    Wall-clock is not gated -- on a shared host the normalized times
+    move more between two runs of one tree than between commits -- so
+    normalized-time changes are printed as information only.
+    """
     failures: list[str] = []
     base_workloads = baseline.get("workloads", {})
     for name, base in sorted(base_workloads.items()):
@@ -954,15 +883,9 @@ def check_regression(current: dict, baseline: dict, tolerance: float) -> list[st
             continue
         base_norm = base.get("normalized")
         now_norm = now.get("normalized")
-        if (
-            base_norm
-            and now_norm
-            and now_norm > base_norm * (1.0 + tolerance) + ABS_SLACK
-        ):
-            failures.append(
-                f"{name}: normalized time {now_norm:.3f} exceeds baseline "
-                f"{base_norm:.3f} by more than {tolerance:.0%}"
-            )
+        if base_norm and now_norm:
+            print(f"  {name}: normalized {base_norm:.3f} -> {now_norm:.3f} "
+                  f"({now_norm / base_norm - 1.0:+.0%}, not gated)")
         for field in EXACT_FIELDS:
             if field in base and field in now and base[field] != now[field]:
                 failures.append(
@@ -970,24 +893,6 @@ def check_regression(current: dict, baseline: dict, tolerance: float) -> list[st
                     f"{base[field]!r} (semantics drift)"
                 )
     return failures
-
-
-def compare_table(current: dict, before: dict) -> str:
-    """The PF1 before/after table (markdown) with speedups."""
-    lines = [
-        "| workload | before (s) | after (s) | speedup |",
-        "|---|---|---|---|",
-    ]
-    for name, base in sorted(before.get("workloads", {}).items()):
-        now = current["workloads"].get(name)
-        if now is None or "seconds" not in base or "seconds" not in now:
-            continue
-        speedup = base["seconds"] / now["seconds"] if now["seconds"] else 0.0
-        lines.append(
-            f"| {name} | {base['seconds']:.6f} | {now['seconds']:.6f} "
-            f"| {speedup:.2f}x |"
-        )
-    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1000,13 +905,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default="BENCH_PERF.json")
     parser.add_argument(
         "--baseline", metavar="FILE",
-        help="fail (exit 1) on >tolerance normalized-time regression or "
-        "any deterministic-observable drift against this JSON",
-    )
-    parser.add_argument("--tolerance", type=float, default=0.25)
-    parser.add_argument(
-        "--compare", metavar="FILE",
-        help="print a before/after speedup table against this JSON",
+        help="fail (exit 1) on a missing workload or any deterministic-"
+        "observable drift against this JSON; timing changes are printed",
     )
     args = parser.parse_args(argv)
 
@@ -1021,23 +921,18 @@ def main(argv: list[str] | None = None) -> int:
                   f"(normalized {record['normalized']:.3f})")
 
     status = 0
-    if args.compare:
-        with open(args.compare, encoding="utf-8") as handle:
-            before = json.load(handle)
-        print()
-        print(compare_table(report, before))
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as handle:
             baseline = json.load(handle)
-        failures = check_regression(report, baseline, args.tolerance)
+        print(f"\nvs {args.baseline}:")
+        failures = check_regression(report, baseline)
         if failures:
-            print(f"\nPERF REGRESSION vs {args.baseline}:", file=sys.stderr)
+            print(f"\nDRIFT vs {args.baseline}:", file=sys.stderr)
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             status = 1
         else:
-            print(f"\nno regression vs {args.baseline} "
-                  f"(tolerance {args.tolerance:.0%})")
+            print(f"\nno drift vs {args.baseline}")
     return status
 
 

@@ -278,13 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "would span are fused into one",
     )
     p_run.add_argument(
-        "--steal",
-        action="store_true",
-        help="with --shards: split independent shards into stealable "
-        "dependency-closed chunks and rebalance them across workers "
-        "by deterministic work stealing",
-    )
-    p_run.add_argument(
         "--profile",
         action="store_true",
         help="attribute wall time to scheduler phases (synthesis, guard "
@@ -972,7 +965,11 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
     except ValueError as exc:
         print(f"cannot plan shards: {exc}", file=sys.stderr)
         return 2
-    sharded = run_sharded(tasks, workers=args.workers, steal=args.steal)
+    try:
+        sharded = run_sharded(tasks, workers=args.workers)
+    except TimeoutError as exc:
+        print(f"sharded run aborted: {exc}", file=sys.stderr)
+        return 1
     shard_rows = [
         {
             "shard": outcome.shard,
@@ -994,15 +991,12 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
     )
     if args.cross_dep:
         summary += f", cut {tasks.cut_weight}"
-    if args.steal:
-        summary += f", {sharded.steals} steal(s)"
     sharding = {
         "shards": sharded.shards,
         "instances": count,
         "workers": sharded.workers,
         "placement": args.placement,
         "cut_weight": tasks.cut_weight,
-        "steals": sharded.steals,
     }
     return _finish_run(
         args, slo_doc, sharded.result, sharded.metrics,

@@ -1,11 +1,11 @@
 """Causal trace diffing and divergence localization (``repro diff``).
 
 The repo's correctness story leans on differential execution: watched
-vs naive guard engines, batched vs unbatched delivery, sharded vs
-merged runs -- all demand decision-identical traces.  When two runs
-*do* diverge, a raw equality assert over thousands of records says
-nothing about *where* or *why*.  This module aligns two trace record
-streams causally and answers both questions:
+vs naive guard engines, sharded vs merged runs -- all demand
+decision-identical traces.  When two runs *do* diverge, a raw equality
+assert over thousands of records says nothing about *where* or *why*.
+This module aligns two trace record streams causally and answers both
+questions:
 
 * **alignment** is per-site, by each site's record stream in Lamport
   order (the order the tracer wrote them), never line-by-line across

@@ -130,7 +130,7 @@ class SnapshotCoordinator:
                 sites=len(sites),
             )
         sched.metrics.inc("snapshots_initiated")
-        sched._set_delivery_hook(self._on_delivery)
+        sched.channel.delivery_hook = self._on_delivery
         self._record_site(snap, initiator)
         if not snap._awaiting:
             self._finish(snap)
@@ -193,7 +193,7 @@ class SnapshotCoordinator:
         snap.complete = True
         snap.completed_at = self.sched.sim.now
         self._active = None
-        self.sched._set_delivery_hook(None)
+        self.sched.channel.delivery_hook = None
         if self.sched.tracer.active:
             self.sched.tracer.snapshot(
                 self.sched.sim.now, snap.initiator, "complete", snap.id,
@@ -204,7 +204,7 @@ class SnapshotCoordinator:
     def _abandon(self, snap: Snapshot) -> None:
         snap.aborted = True
         self._active = None
-        self.sched._set_delivery_hook(None)
+        self.sched.channel.delivery_hook = None
         if self.sched.tracer.active:
             self.sched.tracer.snapshot(
                 self.sched.sim.now, snap.initiator, "abandon", snap.id,

@@ -83,14 +83,6 @@ class ParamScheduler:
         self._guards[event_type] = result
         return result
 
-    def _event_types(self) -> dict[str, Event]:
-        types: dict[str, Event] = {}
-        for dep in self.dependencies:
-            for atom in dep.events():
-                if not atom.negated:
-                    types.setdefault(atom.name, atom)
-        return types
-
     # ------------------------------------------------------------------
     # runtime
 

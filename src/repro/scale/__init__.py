@@ -23,10 +23,7 @@ coupled *component*:
   still spans into one;
 * :func:`repro.scale.shards.run_shard` -- the one shard runner: a plain
   scheduler whose dependencies are the stamped instances' plus the
-  cross dependencies its shard carries;
-* work stealing (``run_sharded(steal=True)``) -- shards split into
-  dependency-closed chunks that idle workers steal from the
-  most-loaded queue, deterministically.
+  cross dependencies its shard carries.
 
 Determinism contract: for a fixed ``(seed, shard count, placement)``
 the merged outcome is identical regardless of worker count -- the

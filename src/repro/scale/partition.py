@@ -164,8 +164,7 @@ def connected_components(
     """Components of ``0..n-1`` when each member set is connected.
 
     Members ascend within a component and components are ordered by
-    their smallest member, so the grouping is deterministic -- fused
-    shards and steal chunks both come from here.
+    their smallest member, so the grouping is deterministic.
     """
     parent = list(range(n))
 
@@ -211,9 +210,9 @@ def plan_partition(
     """Place instances, then fuse the shards a dependency still spans.
 
     With ``assignment`` given (one instance-index list per shard) the
-    placement is taken as-is -- benchmarks use this to construct
-    deliberately skewed or adversarial layouts; otherwise the greedy
-    partitioner runs on the shared-event graph.  Either way a coupled
+    placement is taken as-is -- ``plan_shards`` hands its round-robin
+    layout over this way; otherwise the greedy partitioner runs on the
+    shared-event graph.  Either way a coupled
     component ends up on one shard (the lowest-numbered of those it was
     spread over, with a logged warning): there is no parallelism inside
     a component for separate schedulers to buy.

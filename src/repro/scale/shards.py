@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import atexit
 import logging
+import multiprocessing
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from concurrent.futures import ProcessPoolExecutor, wait
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.algebra.parser import parse
@@ -38,7 +40,6 @@ from repro.obs.profile import Profiler
 from repro.obs.tracer import Tracer
 from repro.scale.partition import (
     SuffixIndex,
-    connected_components,
     dependency_instances,
     plan_partition,
 )
@@ -156,7 +157,6 @@ class ShardTask:
     sites: tuple[tuple[str, str], ...]
     instances: tuple[InstanceSpec, ...]
     reliable: bool = False
-    batch_announcements: bool = False
     trace: bool = False
     settle: bool = True
     latency: float | None = None  # constant per-hop latency, None = default
@@ -169,8 +169,6 @@ class ShardTask:
     #: cross-instance dependency reprs this shard carries: the planner
     #: gives each one to the single shard owning all its instances
     cross_dependencies: tuple[str, ...] = ()
-    #: work-stealing sub-unit of the shard (0 when the shard runs whole)
-    chunk: int = 0
 
     def build_tracer(self) -> Tracer | None:
         """The shard's tracer: ring-bounded when flight recording."""
@@ -215,7 +213,6 @@ class ShardOutcome:
     fast_instantiations: int
     fallback_instantiations: int
     profile: dict | None = None
-    chunk: int = 0
 
 
 @dataclass
@@ -228,12 +225,10 @@ class ShardedResult:
     outcomes: list[ShardOutcome]
     workers: int
     profile: dict | None = None
-    #: instances reassigned off their home shard by work stealing
-    steals: int = 0
 
     @property
     def shards(self) -> int:
-        return len({outcome.shard for outcome in self.outcomes})
+        return len(self.outcomes)
 
     @property
     def cross_messages(self) -> int:
@@ -265,7 +260,6 @@ def plan_shards(
     *,
     seed: int = 0,
     reliable: bool = False,
-    batch_announcements: bool = False,
     trace: bool = False,
     settle: bool = True,
     latency: float | None = None,
@@ -273,7 +267,6 @@ def plan_shards(
     sample_every: float | None = None,
     placement: str = "round_robin",
     cross_deps: Sequence = (),
-    assignment: Sequence[Sequence[int]] | None = None,
     flight_record: int | None = None,
 ) -> ShardPlan:
     """Partition ``instances`` into ``shards`` tasks.
@@ -286,10 +279,9 @@ def plan_shards(
     that splits coupled instances yields fewer tasks than ``shards``.
     ``placement`` chooses the partitioner: ``"round_robin"`` (the
     baseline) or ``"min_cut"`` (the constraint-aware greedy
-    partitioner over the shared-event graph); an explicit
-    ``assignment`` (instance-index lists per shard) overrides both.
-    Raises :class:`ValueError` for a cross dependency naming an event
-    of no planned instance.
+    partitioner over the shared-event graph).  Raises
+    :class:`ValueError` for a cross dependency naming an event of no
+    planned instance.
 
     The partition and the per-shard seeds depend only on
     ``(instances, shards, seed, placement, cross_deps)`` -- never on
@@ -338,18 +330,8 @@ def plan_shards(
     cross = [
         parse(dep) if isinstance(dep, str) else dep for dep in cross_deps
     ]
-    if assignment is not None:
-        # an explicit assignment may leave a shard with no instances;
-        # such a shard has nothing to run (and nothing to own), so it
-        # is dropped from the task list -- the others keep their ids
-        empty = [shard for shard, part in enumerate(assignment) if not part]
-        if empty:
-            logger.warning(
-                "plan_shards: dropping %d empty shard(s) %s from the "
-                "explicit assignment",
-                len(empty), empty,
-            )
-    elif placement == "round_robin":
+    assignment = None
+    if placement == "round_robin":
         # the legacy layout, expressed as an explicit assignment so the
         # same planning pass derives the cut and the fusing for it
         assignment = [
@@ -379,7 +361,6 @@ def plan_shards(
             sites=sites,
             instances=tuple(instances[index] for index in part),
             reliable=reliable,
-            batch_announcements=batch_announcements,
             trace=trace,
             settle=settle,
             latency=latency,
@@ -429,7 +410,6 @@ def run_shard(task: ShardTask, max_rounds: int = 1000) -> ShardOutcome:
         rng=random.Random(task.seed),
         guards=None if cross else stamped,
         reliable=task.reliable,
-        batch_announcements=task.batch_announcements,
         tracer=tracer,
         profiler=profiler,
         sample_every=task.sample_every,
@@ -445,7 +425,6 @@ def run_shard(task: ShardTask, max_rounds: int = 1000) -> ShardOutcome:
     )
     return ShardOutcome(
         shard=task.shard,
-        chunk=task.chunk,
         entries=tuple(
             (
                 _event_repr(entry.event),
@@ -482,6 +461,9 @@ def run_shard(task: ShardTask, max_rounds: int = 1000) -> ShardOutcome:
     )
 
 
+#: wall-clock budget of one pooled run; shards still out then are hung
+SHARD_TIMEOUT_S = 600.0
+
 #: the process pool is hoisted to module level so repeated
 #: ``run_sharded`` calls (benchmark loops, long-lived services) reuse
 #: warm workers instead of forking a fresh pool per call
@@ -492,10 +474,7 @@ _POOL_WORKERS = 0
 def _get_pool(workers: int) -> ProcessPoolExecutor:
     global _POOL, _POOL_WORKERS
     if _POOL is None or _POOL_WORKERS < workers:
-        if _POOL is not None:
-            _POOL.shutdown(wait=True)
-        import multiprocessing
-
+        shutdown_pool()
         context = multiprocessing.get_context("fork")
         _POOL = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         _POOL_WORKERS = workers
@@ -514,13 +493,17 @@ atexit.register(shutdown_pool)
 
 
 def _execute(work: Sequence[ShardTask], workers: int) -> list[ShardOutcome]:
-    """Run every work item (a shard, or a stolen chunk of one) through
-    the one shard runner, in-process or on the pool."""
+    """Run every shard through :func:`run_shard`, in-process or pooled
+    (the pool's call queue hands the next shard to an idle worker)."""
+    global _POOL, _POOL_WORKERS
     if workers <= 1 or len(work) <= 1:
         return [run_shard(task) for task in work]
     try:
         pool = _get_pool(min(workers, len(work)))
-        return list(pool.map(run_shard, work))
+        futures = [pool.submit(run_shard, task) for task in work]
+        hung = wait(futures, timeout=SHARD_TIMEOUT_S).not_done
+        if not hung:
+            return [future.result() for future in futures]
     except (OSError, ImportError, ValueError, RuntimeError) as exc:
         # no usable process pool (platform without fork, a sandbox that
         # denies semaphores -- PermissionError is an OSError -- or a
@@ -533,156 +516,43 @@ def _execute(work: Sequence[ShardTask], workers: int) -> list[ShardOutcome]:
         )
         shutdown_pool()
         return [run_shard(task) for task in work]
-
-
-def _chunk_task(task: ShardTask) -> list[ShardTask]:
-    """Split a shard into stealable chunks.
-
-    A chunk is a connected component of the shard's instances under
-    its cross dependencies -- the smallest unit that can move
-    to another worker without breaking a dependency apart.  Chunk
-    contents and seeds are fixed here, before any execution, so the
-    merged outcome is independent of which worker ultimately runs
-    which chunk.
-    """
-    if len(task.instances) <= 1:
-        return [task]
-    suffixes = SuffixIndex([instance.suffix for instance in task.instances])
-    deps = [parse(text) for text in task.cross_dependencies]
-    members_of = [dependency_instances(dep, suffixes) for dep in deps]
-    components = connected_components(len(task.instances), members_of)
-    if len(components) <= 1:
-        return [task]
-    chunks = []
-    for chunk, indices in enumerate(components):
-        owned = set(indices)
-        chunks.append(
-            replace(
-                task,
-                chunk=chunk,
-                seed=shard_seed(task.seed, chunk),
-                instances=tuple(task.instances[i] for i in indices),
-                cross_dependencies=tuple(
-                    repr(dep)
-                    for dep, touched in zip(deps, members_of)
-                    if touched and touched <= owned
-                ),
-            )
-        )
-    return chunks
-
-
-def _steal_schedule(
-    chunked: dict[int, list[ShardTask]], workers: int
-):
-    """Deterministic work-stealing schedule over per-shard queues.
-
-    Queue depth is measured in scripted attempts (the work a chunk
-    will inject).  Workers are home-assigned to shards round-robin; a
-    worker whose home queue is empty steals from the *tail* of the
-    queue with the largest remaining backlog (ties toward the lowest
-    shard id).  Everything -- victim choice, chunk order, the gauges
-    -- is a pure function of the plan and ``workers``, so a sharded
-    run with stealing stays reproducible.
-
-    Returns ``(order, steals, stolen_instances, timeseries)``.
-    """
-    from repro.obs.timeseries import TimeSeriesRegistry
-
-    def weight(task: ShardTask) -> int:
-        return sum(
-            len(spec.attempts)
-            for instance in task.instances
-            for spec in instance.scripts
-        ) or 1
-
-    shard_ids = sorted(chunked)
-    queues = {shard: list(chunked[shard]) for shard in shard_ids}
-    backlog = {
-        shard: sum(weight(task) for task in queues[shard])
-        for shard in shard_ids
-    }
-    homes = [shard_ids[w % len(shard_ids)] for w in range(workers)]
-    busy = [0.0] * workers
-    series = TimeSeriesRegistry(interval=1.0)
-    order: list[ShardTask] = []
-    steals = 0
-    stolen_instances = 0
-    while any(queues.values()):
-        worker = min(range(workers), key=lambda w: (busy[w], w))
-        home = homes[worker]
-        if queues[home]:
-            task = queues[home].pop(0)
-        else:
-            victim = max(
-                (shard for shard in shard_ids if queues[shard]),
-                key=lambda shard: (backlog[shard], -shard),
-            )
-            task = queues[victim].pop()  # thief takes the tail
-            steals += 1
-            stolen_instances += len(task.instances)
-        backlog[task.shard] -= weight(task)
-        for shard in shard_ids:
-            series.record(
-                f"queue_depth_s{shard}", busy[worker], len(queues[shard])
-            )
-            series.record(
-                f"queue_backlog_s{shard}", busy[worker], backlog[shard]
-            )
-        order.append(task)
-        busy[worker] += weight(task)
-    return order, steals, stolen_instances, series
+    # a hung shard, handled outside the ``try`` (TimeoutError is an
+    # OSError: the fallback above would rerun the shard in-process):
+    # terminate the workers -- no public way before Python 3.14 -- and
+    # drop the pool without waiting on them
+    _POOL, _POOL_WORKERS = None, 0
+    for process in list(pool._processes.values()):
+        process.terminate()
+    pool.shutdown(wait=False, cancel_futures=True)
+    late = [task.shard for task, f in zip(work, futures) if f in hung]
+    raise TimeoutError(
+        f"shard(s) {late} did not finish within {SHARD_TIMEOUT_S:g} s; "
+        "worker processes terminated"
+    )
 
 
 def run_sharded(
-    tasks: Sequence[ShardTask],
-    workers: int | None = None,
-    steal: bool = False,
+    tasks: Sequence[ShardTask], workers: int | None = None
 ) -> ShardedResult:
     """Run a shard plan and merge the outcomes.
 
-    ``workers`` defaults to one per work item (capped by CPU count);
-    any value <= 1 runs in-process.  Shards are independent of each
-    other by construction (the planner fused what a dependency
-    spanned).  With ``steal=True`` each shard is split into stealable
-    chunks (dependency-closed instance sets) and scheduled by
-    deterministic work stealing, recovering balance under skewed
-    placements.  The merged :class:`ExecutionResult` pools entries
-    across shards in virtual-time order, sums the additive counters,
-    and maxes the per-scheduler aggregates (makespan, peak site load).
+    ``workers`` defaults to one per shard (capped by CPU count); any
+    value <= 1 runs in-process.  Shards are independent of each other
+    by construction (the planner fused what a dependency spanned).
+    The merged :class:`ExecutionResult` pools entries across shards in
+    virtual-time order, sums the additive counters, and maxes the
+    per-scheduler aggregates (makespan, peak site load).  Raises
+    :class:`TimeoutError` naming the shards the pool did not finish
+    within :data:`SHARD_TIMEOUT_S`.
     """
     if not tasks:
         raise ValueError("run_sharded needs at least one task")
-    work = list(tasks)
-    steals = 0
-    steal_report = None
-    if steal:
-        chunked = {task.shard: _chunk_task(task) for task in tasks}
-        work, steals, stolen_instances, series = _steal_schedule(
-            chunked, workers or _default_workers(len(chunked))
-        )
-        steal_report = {
-            "counters": {
-                "chunks_stolen": {"total": steals},
-                "instances_stolen": {"total": stolen_instances},
-            },
-            "timeseries": series.as_dict(),
-        }
     if workers is None:
-        workers = _default_workers(len(work))
+        workers = _default_workers(len(tasks))
     outcomes = sorted(
-        _execute(work, workers),
-        key=lambda outcome: (outcome.shard, outcome.chunk),
+        _execute(tasks, workers), key=lambda outcome: outcome.shard
     )
-    chunk_counts: dict[int, int] = {}
-    for outcome in outcomes:
-        chunk_counts[outcome.shard] = chunk_counts.get(outcome.shard, 0) + 1
-    prefixes = [
-        f"s{outcome.shard}/"
-        if chunk_counts[outcome.shard] == 1
-        else f"s{outcome.shard}c{outcome.chunk}/"
-        for outcome in outcomes
-    ]
+    prefixes = [f"s{outcome.shard}/" for outcome in outcomes]
 
     result = ExecutionResult()
     tagged: list[tuple[float, int, int, TraceEntry]] = []
@@ -720,12 +590,9 @@ def run_sharded(
     result.entries = [entry for _, _, _, entry in tagged]
     result.messages_by_kind = dict(sorted(by_kind.items()))
 
-    reports = [outcome.metrics for outcome in outcomes]
-    report_prefixes = list(prefixes)
-    if steal_report is not None:
-        reports.append(steal_report)
-        report_prefixes.append("steal/")
-    metrics = merge_metrics(reports, prefixes=report_prefixes)
+    metrics = merge_metrics(
+        [outcome.metrics for outcome in outcomes], prefixes=prefixes
+    )
     trace_records = None
     if all(outcome.trace_records is not None for outcome in outcomes):
         trace_records = merge_traces(
@@ -742,11 +609,8 @@ def run_sharded(
         outcomes=outcomes,
         workers=workers,
         profile=profile,
-        steals=steals,
     )
 
 
 def _default_workers(work_items: int) -> int:
-    import os
-
     return min(work_items, os.cpu_count() or 1)

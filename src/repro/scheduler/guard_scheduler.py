@@ -63,7 +63,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.scheduler.monitors import RequirementMonitor
 from repro.sim.clock import Simulator
 from repro.sim.faults import ChaosReport, FaultInjector, FaultPlan
-from repro.sim.network import BatchingChannel, LatencyModel, Network
+from repro.sim.network import LatencyModel, Network
 from repro.sim.reliable import ReliableNetwork
 from repro.temporal.compiled import CompiledGuardEngine, ReferenceCursor
 from repro.temporal.cubes import GuardExpr
@@ -102,12 +102,6 @@ class DistributedScheduler:
     fault_plan:
         Scheduled site crashes/restarts (:class:`FaultPlan`); armed
         when the run starts.
-    batch_announcements:
-        Coalesce the announcement fan-out: announcements issued to the
-        same site within one virtual instant travel as a single
-        envelope (:class:`~repro.sim.network.BatchingChannel`).  Off
-        by default; purely a message-count optimization -- the settled
-        timeline is unchanged.
     reference_engine:
         Tests only: evaluate every guard on every announcement with
         the paper-literal cube calls (no wake index, no compiled
@@ -148,7 +142,6 @@ class DistributedScheduler:
         duplicate_probability: float = 0.0,
         reliable: bool = False,
         fault_plan: FaultPlan | None = None,
-        batch_announcements: bool = False,
         reference_engine: bool = False,
         tracer=None,
         metrics: MetricsRegistry | None = None,
@@ -200,10 +193,6 @@ class DistributedScheduler:
             if reliable
             else self.network
         )
-        if batch_announcements:
-            # coalesce the announcement fan-out: one envelope per
-            # (src, dst) pair per virtual instant (see BatchingChannel)
-            self.channel = BatchingChannel(self.channel, self.sim)
         if self.faults is not None:
             self.faults.on_crash(self._crash_site)
             # restart order matters: sessions first, then the actors'
@@ -1047,18 +1036,6 @@ class DistributedScheduler:
             ],
         }
 
-    def _set_delivery_hook(self, hook) -> None:
-        """Install (or clear) the snapshot coordinator's channel hook
-        on the transport that performs application delivery.
-
-        A :class:`BatchingChannel` proxies attribute *reads* to its
-        inner channel but takes attribute writes itself, so the hook
-        must land on the unwrapped transport."""
-        channel = self.channel
-        if isinstance(channel, BatchingChannel):
-            channel = channel.inner
-        channel.delivery_hook = hook
-
     def snapshot(self, wait: bool = True) -> Snapshot | None:
         """Take a consistent global snapshot now.
 
@@ -1143,11 +1120,8 @@ class DistributedScheduler:
 
     def _session_backlog(self) -> int:
         """Unacknowledged session-layer payloads (0 on a raw channel)."""
-        channel = self.channel
-        if isinstance(channel, BatchingChannel):
-            channel = channel.inner
-        if isinstance(channel, ReliableNetwork):
-            return channel.in_flight()
+        if isinstance(self.channel, ReliableNetwork):
+            return self.channel.in_flight()
         return 0
 
     def _sample(self, t: float) -> None:

@@ -42,24 +42,11 @@ from repro.obs.profile import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import Simulator
 from repro.sim.network import LatencyModel, Network
-from repro.temporal.guards import accepting_paths
 from repro.temporal.watch import WatchIndex
 
 _DEFAULT_ATTRS = EventAttributes()
 
 CENTER = "center"
-
-
-def has_accepting_completion(residual: Expr, settled_bases: frozenset[Event]) -> bool:
-    """Does any completion over unsettled events discharge the residual?"""
-    if isinstance(residual, Top):
-        return True
-    if isinstance(residual, Zero):
-        return False
-    return any(
-        all(ev.base not in settled_bases for ev in path)
-        for path in accepting_paths(residual, minimal=True)
-    )
 
 
 def expression_terms(expr: Expr):

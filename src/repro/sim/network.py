@@ -111,9 +111,6 @@ class NetworkStats:
     crash_lost: int = 0         # deliveries into a crashed site
     stale_session: int = 0      # arrivals from a pre-restart session
     session_resets: int = 0     # channel resets performed at restarts
-    # -- announcement batching (BatchingChannel) --
-    announce_batches: int = 0   # multi-announce envelopes sent
-    announce_batched: int = 0   # announcements carried inside them
 
     def record(self, kind: str, src: str, dst: str, latency: float) -> None:
         if kind not in KNOWN_KINDS:
@@ -167,8 +164,6 @@ class NetworkStats:
             "crash_lost": self.crash_lost,
             "stale_session": self.stale_session,
             "session_resets": self.session_resets,
-            "announce_batches": self.announce_batches,
-            "announce_batched": self.announce_batched,
         }
 
 
@@ -328,95 +323,3 @@ class Network:
         handled = self.stats.per_site_handled
         return max(handled.values()) if handled else 0
 
-
-class BatchingChannel:
-    """Coalesce same-instant ``announce`` traffic per (src, dst) pair.
-
-    When an event occurs, the scheduler fans the announcement out to
-    every subscribed actor and monitor in one burst -- many of which
-    live on the same site.  Each such message crosses the fabric (and,
-    under ``reliable=True``, the session layer with its acks and
-    retransmission timers) individually.  This wrapper buffers
-    ``announce`` sends issued within a single virtual instant and
-    flushes them as one envelope per (src, dst) pair: the envelope
-    carries the payload tuple, and delivery replays the per-item
-    handlers in their original send order.
-
-    Semantics are preserved by construction where it matters:
-
-    * flushing happens via a zero-delay callback scheduled when the
-      first announcement is buffered, so the batch leaves the site at
-      the same virtual time the individual messages would have;
-    * any non-announce ``send`` flushes first, keeping per-pair FIFO
-      order across message kinds;
-    * a single buffered announcement is sent plainly -- batching never
-      adds an envelope where there is nothing to coalesce;
-    * ``reset_site`` flushes before delegating, so pending
-      announcements enter the session layer and receive the normal
-      crash treatment.
-
-    The wrapper has the same ``send`` signature as :class:`Network`
-    and :class:`~repro.sim.reliable.ReliableNetwork` and proxies every
-    other attribute to the wrapped channel.
-    """
-
-    BATCH_KIND = "announce"
-
-    def __init__(self, inner, sim: Simulator):
-        self.inner = inner
-        self.sim = sim
-        self.stats = inner.stats
-        #: (src, dst) -> [(payload, handler), ...] in send order
-        self._pending: dict[tuple[str, str], list] = {}
-        self._flush_scheduled = False
-
-    def send(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: Any,
-        handler: Callable[[Any], None],
-    ) -> None:
-        if kind != self.BATCH_KIND:
-            # keep per-pair FIFO across kinds: everything buffered so
-            # far was logically sent before this message
-            self.flush()
-            self.inner.send(src, dst, kind, payload, handler)
-            return
-        self._pending.setdefault((src, dst), []).append((payload, handler))
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            # zero delay: the flush fires at the same virtual instant,
-            # after the currently-running callback completes
-            self.sim.schedule(0.0, self.flush)
-
-    def flush(self) -> None:
-        """Send every buffered announcement, one envelope per pair."""
-        self._flush_scheduled = False
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, {}
-        for (src, dst), items in pending.items():
-            if len(items) == 1:
-                payload, handler = items[0]
-                self.inner.send(src, dst, self.BATCH_KIND, payload, handler)
-                continue
-            self.stats.announce_batches += 1
-            self.stats.announce_batched += len(items)
-            payloads = tuple(p for p, _ in items)
-            handlers = [h for _, h in items]
-
-            def deliver(batch, handlers=handlers):
-                for item_handler, item in zip(handlers, batch):
-                    item_handler(item)
-
-            self.inner.send(src, dst, self.BATCH_KIND, payloads, deliver)
-
-    def reset_site(self, site: str) -> None:
-        """Flush, then re-establish the wrapped channel's sessions."""
-        self.flush()
-        self.inner.reset_site(site)
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)

@@ -25,10 +25,6 @@ with sequence numbers, cumulative acks, and timeout retransmission:
 
 Within one session lifetime the layer gives exactly-once FIFO
 delivery, which is what the actor protocols were written against.
-
-:class:`~repro.sim.network.BatchingChannel` can wrap this layer: a
-coalesced announcement envelope occupies a single sequence number, so
-batching also cuts the ack and retransmission-timer volume.
 """
 
 from __future__ import annotations

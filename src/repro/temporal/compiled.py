@@ -90,7 +90,7 @@ def compiled_stats() -> dict:
 
 
 def clear_compiled() -> None:
-    """Reset the counters and the default engine's intern table."""
+    """Reset the process-wide counters."""
     _CompiledStats.nodes = 0
     _CompiledStats.reused = 0
     _CompiledStats.edges = 0
@@ -98,8 +98,6 @@ def clear_compiled() -> None:
     _CompiledStats.expansions = 0
     _CompiledStats.cursors = 0
     _CompiledStats.recompiles = 0
-    DEFAULT_ENGINE._nodes.clear()
-    DEFAULT_ENGINE._reset_counts()
 
 
 def _restrict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> Know:
@@ -364,8 +362,7 @@ class ReferenceCursor:
 
 
 class CompiledGuardEngine:
-    """The hash-consing node store (one per scheduler, or the module
-    :data:`DEFAULT_ENGINE` for template/analysis compilation)."""
+    """The hash-consing node store (one per scheduler)."""
 
     def __init__(self) -> None:
         self._nodes: dict[tuple[GuardExpr, Know], GuardNode] = {}
@@ -402,20 +399,6 @@ class CompiledGuardEngine:
     ) -> GuardCursor:
         return GuardCursor(self, guard, knowledge or {})
 
-    def compile_table(
-        self, guards: Mapping[Event, GuardExpr]
-    ) -> dict[Event, GuardNode]:
-        """Compile a per-event guard table to its root nodes.
-
-        Identical guards intern to one node, so the result exposes the
-        table's sharing structure (see :func:`table_stats`)."""
-        return {
-            event: self.root(g)
-            for event, g in sorted(
-                guards.items(), key=lambda kv: kv[0].sort_key()
-            )
-        }
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -431,10 +414,6 @@ class CompiledGuardEngine:
             "cursors": self.cursors,
             "recompiles": self.recompiles,
         }
-
-
-#: Shared engine for template stamping and compile-time analysis.
-DEFAULT_ENGINE = CompiledGuardEngine()
 
 
 def table_stats(guards: Mapping[Event, GuardExpr]) -> dict:

@@ -112,19 +112,6 @@ def _holds_seq(events, offset, index, end, parts, part_index, memo) -> bool:
     return False
 
 
-def truth_vector(
-    formula: TFormula,
-    bases: Iterable[Event],
-) -> frozenset[tuple[Trace, int]]:
-    """All ``(maximal trace, index)`` points at which the formula holds."""
-    points = []
-    for u in maximal_universe(bases):
-        for i in range(len(u) + 1):
-            if holds(u, i, formula):
-                points.append((u, i))
-    return frozenset(points)
-
-
 def t_equivalent(
     left: TFormula,
     right: TFormula,

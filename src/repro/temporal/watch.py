@@ -43,7 +43,7 @@ through ``kernel_stats()['watch']`` and thus ``metrics_report()`` and
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.algebra.symbols import Event
 
@@ -52,56 +52,17 @@ from .cubes import FULL, GuardExpr, closure
 #: Sentinel wake-set: the actor must be woken by every announcement.
 ALL = None
 
-#: Memo tables keyed on interned identity (hash-consed guards and
-#: literal tuples) plus the knowledge masks *restricted to the bases
-#: the key mentions* -- the only knowledge either function reads, so
-#: the restriction is exact, and the key build is O(guard), not O(|K|).
-#: At high fan-in the same (guard, masks) pair recurs once per
-#: registration; these tables collapse that to one computation.
-_CUBE_WATCH_CACHE: dict = {}
+#: Memo table keyed on interned identity (hash-consed guards) plus the
+#: knowledge masks *restricted to the bases the guard mentions* -- the
+#: only knowledge :func:`watch_bases` reads, so the restriction is
+#: exact, and the key build is O(guard), not O(|K|).  At high fan-in
+#: the same (guard, masks) pair recurs once per registration; the
+#: table collapses that to one computation.
 _WATCH_BASES_CACHE: dict = {}
 _WATCH_MEMO_LIMIT = 65536
 
 #: distinguishes "cached ALL" (None) from "not cached" in the memo.
 _UNSET = object()
-
-
-def cube_watches(
-    cube: Iterable[tuple[Event, int]], knowledge: Mapping[Event, int]
-) -> frozenset[Event]:
-    """The watch literals of one cube: bases of its undecided literals.
-
-    A literal is *decided* under ``knowledge`` when the base's
-    reachable worlds are confined to the mask (guaranteed -> the
-    literal simplifies to T) or disjoint from it (dead -> the cube
-    simplifies to 0); either way no future announcement on that base
-    changes the cube, so it needs no watch.  An undecided literal can
-    still flip, so its base is watched.  Mirrors ``simplify_under``'s
-    keep rule exactly.  Memoized on the cube's interned identity and
-    the masks of its own bases (hit/miss in :func:`watch_stats`).
-    """
-    cube = tuple(cube)
-    key = (cube, tuple(knowledge.get(base) for base, _ in cube))
-    cached = _CUBE_WATCH_CACHE.get(key)
-    if cached is not None:
-        _WatchStats.memo_hits += 1
-        return cached
-    _WatchStats.memo_misses += 1
-    watches: set[Event] = set()
-    for base, mask in cube:
-        known = knowledge.get(base)
-        if known is None:
-            watches.add(base)
-            continue
-        reach = closure(known)
-        hit = reach & mask
-        if hit != 0 and hit != reach:
-            watches.add(base)
-    result = frozenset(watches)
-    if len(_CUBE_WATCH_CACHE) >= _WATCH_MEMO_LIMIT:
-        _CUBE_WATCH_CACHE.clear()
-    _CUBE_WATCH_CACHE[key] = result
-    return result
 
 
 def is_reduced(guard: GuardExpr, knowledge: Mapping[Event, int]) -> bool:
@@ -184,7 +145,6 @@ def clear_watch_stats() -> None:
     _WatchStats.rewatches = 0
     _WatchStats.memo_hits = 0
     _WatchStats.memo_misses = 0
-    _CUBE_WATCH_CACHE.clear()
     _WATCH_BASES_CACHE.clear()
 
 

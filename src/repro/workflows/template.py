@@ -177,22 +177,6 @@ class WorkflowTemplate:
             mapping=mapping,
         )
 
-    def compile_instance(self, suffix: str, engine=None):
-        """Compile one instance's guard table to automaton root nodes.
-
-        The template's guards synthesize once (:attr:`guards`); each
-        instance's table is stamped by interned rename and its roots
-        interned into ``engine`` (default: the process-wide
-        :data:`repro.temporal.compiled.DEFAULT_ENGINE`), so instances
-        sharing a guard shape share its compiled automaton -- the
-        second instance's compilation is pure dict probes.
-        """
-        from repro.temporal.compiled import DEFAULT_ENGINE
-
-        if engine is None:
-            engine = DEFAULT_ENGINE
-        return engine.compile_table(self.instantiate(suffix).guards)
-
     def instantiate_merged(
         self, suffixes: Iterable[str]
     ) -> tuple[Workflow, dict[Event, GuardExpr]]:

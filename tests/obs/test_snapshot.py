@@ -51,6 +51,20 @@ class TestPlainRun:
         assert snap is not None and snap.complete
         assert check_snapshot(snap, sched.tracer.records) == []
 
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_in_channel_messages_are_recorded(self, reliable):
+        # the coordinator hooks whichever transport delivers: the raw
+        # fabric, or the session layer over it
+        scenario, sched = travel_scheduler(reliable=reliable)
+        sched.schedule_snapshots(1.0)
+        sched.run(scenario.scripts)
+        snaps = sched.snapshots.snapshots
+        assert snaps and all(snap.complete for snap in snaps)
+        assert any(
+            messages for snap in snaps for messages in snap.channels.values()
+        )
+        assert sched.channel.delivery_hook is None  # cleared when done
+
     def test_marker_messages_are_counted_by_kind(self):
         scenario, sched = travel_scheduler()
         sched.run(scenario.scripts)

@@ -5,11 +5,13 @@
   as the reference and the two must agree on any suffix list --
   overlapping (``_i1`` / ``_i11``), repeated and empty suffixes
   included.
-* A coupled component is one scheduler: whatever shard count,
-  placement or explicit assignment is requested on a mutex family,
-  every cross dependency is carried by exactly one task, that task
-  owns all the dependency's instances, every instance is placed once,
-  and the run settles what the single merged scheduler settles.
+* A coupled component is one scheduler: whatever shard count or
+  placement is requested on a mutex family, every cross dependency is
+  carried by exactly one task, that task owns all the dependency's
+  instances, every instance is placed once, and the run settles what
+  the single merged scheduler settles.  The planner underneath
+  (``plan_partition``) gives the same ownership for any explicit
+  assignment, empty shards included.
 """
 
 import random
@@ -24,6 +26,7 @@ from repro.scale.partition import (
     SuffixIndex,
     dependency_instances,
     instance_of,
+    plan_partition,
 )
 from repro.scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_mutex_family
@@ -67,33 +70,55 @@ def mutex_plans(draw):
     count = draw(st.integers(min_value=1, max_value=9))
     shards = draw(st.integers(min_value=1, max_value=5))
     placement = draw(st.sampled_from(["round_robin", "min_cut"]))
-    assignment = None
-    if draw(st.booleans()):
-        owner = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=shards - 1),
-                min_size=count, max_size=count,
-            )
+    return count, cluster, shards, placement
+
+
+@st.composite
+def explicit_plans(draw):
+    count, cluster, shards, _placement = draw(mutex_plans())
+    owner = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=shards - 1),
+            min_size=count, max_size=count,
         )
-        assignment = [
-            [i for i in range(count) if owner[i] == shard]
-            for shard in range(shards)
-        ]
-    return count, cluster, shards, placement, assignment
+    )
+    assignment = [
+        [i for i in range(count) if owner[i] == shard]
+        for shard in range(shards)
+    ]
+    return count, cluster, shards, assignment
+
+
+@given(explicit_plans())
+def test_explicit_assignment_fuses_to_one_owner_per_dependency(plan):
+    count, cluster, shards, assignment = plan
+    family = make_mutex_family(count, cluster=cluster)
+    suffixes = family.suffixes()
+    fused = plan_partition(
+        count, shards, family.cross_dependencies, suffixes,
+        assignment=assignment,
+    ).assignment
+    assert len(fused) == shards
+    assert sorted(i for part in fused for i in part) == list(range(count))
+    for dep in family.cross_dependencies:
+        members = dependency_instances(dep, suffixes)
+        assert sum(1 for part in fused if members <= set(part)) == 1
+    # a shard is absorbed whole (left empty) or keeps what it was given
+    for shard, part in enumerate(fused):
+        assert not part or set(assignment[shard]) <= set(part)
 
 
 @settings(max_examples=40)
 @given(mutex_plans())
 def test_each_cross_dependency_has_exactly_one_owner(plan):
-    count, cluster, shards, placement, assignment = plan
+    count, cluster, shards, placement = plan
     family = make_mutex_family(count, cluster=cluster)
     instances = [
         instance_spec(suffix, scripts) for suffix, scripts in family.instances
     ]
     tasks = plan_shards(
         family.template, instances, shards, seed=5,
-        placement=placement, assignment=assignment,
-        cross_deps=family.cross_dependencies,
+        placement=placement, cross_deps=family.cross_dependencies,
     )
     suffixes = family.suffixes()
     owned = {

@@ -1,29 +1,14 @@
 """The performance kernel is an optimization, not a semantics change.
 
-Two families of properties guard the hash-consed symbolic kernel and
-the announcement-batching fabric:
-
-* **interning**: constructing an expression is observationally the
-  same as structural construction -- the same value is the same
-  object, hashes and equality agree with a structural rebuild, and
-  objects that straddle an intern-table reset (benchmarks clear the
-  tables) still compare structurally;
-* **batching**: a scheduler run with ``batch_announcements=True`` is
-  indistinguishable from the unbatched run in every virtual
-  observable -- settled timeline, unsettled bases, violations --
-  under fuzzed crash/restart schedules, while sending no more (and,
-  whenever announcements coalesce, strictly fewer) messages.
-
-The batching comparison pins ``drop = dup = 0`` and constant latency:
-then the fabric draws nothing from the rng, so batched and unbatched
-runs consume identical random streams and any divergence is a real
-semantics change, not noise.
+These properties guard the hash-consed symbolic kernel:
+constructing an expression is observationally the same as structural
+construction -- the same value is the same object, hashes and equality
+agree with a structural rebuild, and objects that straddle an
+intern-table reset (benchmarks clear the tables) still compare
+structurally.
 """
 
-import random
-
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algebra.expressions import (
     Atom,
@@ -39,17 +24,8 @@ from repro.algebra.expressions import (
 from repro.algebra.parser import parse
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event
-from repro.scheduler.guard_scheduler import DistributedScheduler
-from repro.sim import FaultPlan, SiteCrash
-from repro.sim.network import ConstantLatency
-from repro.workloads.scenarios import (
-    make_mutex_scenario,
-    make_order_fulfillment,
-    make_travel_booking,
-)
 
 from .strategies import expressions, signed_events
-from .test_chaos_properties import fault_schedules, scenario_sites
 
 
 def rebuild(expr: Expr) -> Expr:
@@ -122,79 +98,3 @@ class TestInterning:
 
         kernel_schema(kernel_stats())
 
-
-SCENARIOS = {
-    "travel_success": lambda: make_travel_booking("success"),
-    "travel_failure": lambda: make_travel_booking("failure"),
-    "mutex_t1": lambda: make_mutex_scenario("t1"),
-    "order_bounce": lambda: make_order_fulfillment(False),
-}
-
-
-def run_deterministic(scenario, plan, seed, batch):
-    """A run whose only randomness is the seeded scheduler rng.
-
-    No drops, no duplicates, constant latency: the fabric never draws
-    from the rng, so the batched and unbatched runs see identical
-    random streams and must produce identical virtual observables.
-    """
-    sched = DistributedScheduler(
-        scenario.workflow.dependencies,
-        sites=scenario.workflow.sites,
-        attributes=scenario.workflow.attributes,
-        latency=ConstantLatency(1.0),
-        rng=random.Random(seed),
-        reliable=True,
-        fault_plan=plan,
-        batch_announcements=batch,
-    )
-    result = sched.run(scenario.scripts, verify=False)
-    return sched, result
-
-
-def observables(result):
-    return {
-        "timeline": [(repr(e.event), e.time) for e in result.entries],
-        "makespan": result.makespan,
-        "unsettled": sorted(map(repr, result.unsettled)),
-        "violations": sorted(v.kind for v in result.violations),
-    }
-
-
-@st.composite
-def batching_cases(draw):
-    name = draw(st.sampled_from(sorted(SCENARIOS)))
-    scenario = SCENARIOS[name]()
-    plan = draw(fault_schedules(scenario_sites(scenario), False))
-    seed = draw(st.integers(0, 2**16))
-    return name, scenario, plan, seed
-
-
-class TestBatchingEquivalence:
-    """``batch_announcements=True`` changes message counts, nothing
-    else."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(batching_cases())
-    def test_batched_run_is_observably_identical(self, case):
-        name, scenario, plan, seed = case
-        _, plain = run_deterministic(scenario, plan, seed, batch=False)
-        sched, batched = run_deterministic(scenario, plan, seed, batch=True)
-        assert observables(batched) == observables(plain), name
-        assert batched.messages <= plain.messages
-
-    def test_batching_reduces_fanout_messages(self):
-        """A workflow with co-located subscribers must actually
-        coalesce (guards against the wrapper silently degrading to
-        pass-through)."""
-        scenario = make_travel_booking("success")
-        _, plain = run_deterministic(scenario, None, 0, batch=False)
-        sched, batched = run_deterministic(scenario, None, 0, batch=True)
-        assert observables(batched) == observables(plain)
-        assert batched.messages < plain.messages
-        stats = sched.network.stats
-        assert stats.announce_batches > 0
-        # every coalesced announcement saves at least its own envelope
-        # (and, inter-site, its ack)
-        saved = stats.announce_batched - stats.announce_batches
-        assert plain.messages - batched.messages >= saved

@@ -72,6 +72,29 @@ class TestDifferential:
         merged = merged_baseline(family)
         assert settled(sharded.result) == settled(merged)
 
+    @pytest.mark.parametrize(
+        "placement, shards", [("round_robin", [0]), ("min_cut", [0, 1, 2, 3])]
+    )
+    def test_fused_and_min_cut_plans_settle_like_merged(
+        self, placement, shards
+    ):
+        # clusters of four over four shards: round robin spreads every
+        # cluster over all shards, so everything fuses into shard 0;
+        # min-cut keeps one cluster per shard.  A shard is the unit of
+        # work either way, and its sites are prefixed ``s<shard>/``
+        family, tasks = mutex_tasks(
+            16, 4, cluster=4, placement=placement, trace=True
+        )
+        assert [task.shard for task in tasks] == shards
+        sharded = run_sharded(tasks, workers=1)
+        assert sharded.result.ok, sharded.result.violations
+        assert settled(sharded.result) == settled(merged_baseline(family))
+        sites = set(sharded.metrics["network"]["per_site_handled"])
+        sites |= {r["site"] for r in sharded.trace_records if r.get("site")}
+        assert {site.split("/")[0] for site in sites} == {
+            f"s{shard}" for shard in shards
+        }
+
     def test_faulty_cross_channel_still_settles(self):
         # there is no cross-shard channel left to make faulty: the
         # options are gone, and the fused plan settles like the merged

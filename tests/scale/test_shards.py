@@ -1,6 +1,8 @@
 """The process-pool shard runner (repro.scale.shards)."""
 
+import multiprocessing
 import random
+import time
 
 import pytest
 
@@ -11,14 +13,23 @@ from repro.scale import (
     InstanceSpec,
     ScriptSpec,
     instance_spec,
+    plan_partition,
     plan_shards,
     run_sharded,
     shard_seed,
 )
+from repro.scale import shards as shards_module
 from repro.scale.shards import run_shard
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
+
+
+def hang_on_shard_one(task):
+    """Stands in for ``run_shard`` in the pool's (forked) workers."""
+    if task.shard == 1:
+        time.sleep(60)
+    return run_shard(task)
 
 
 def travel_instances(count, rng_seed=0):
@@ -85,18 +96,14 @@ class TestPlanning:
             "clamping" in record.message for record in caplog.records
         )
 
-    def test_empty_explicit_shards_dropped_with_warning(self, caplog):
-        instances = travel_instances(3)
-        with caplog.at_level("WARNING", logger="repro.scale.shards"):
-            tasks = plan_shards(
-                TEMPLATE, instances, 3, seed=0,
-                assignment=[[0, 1, 2], [], []],
-            )
-        assert [task.shard for task in tasks] == [0]
-        assert len(tasks[0].instances) == 3
-        assert any(
-            "empty shard" in record.message for record in caplog.records
+    def test_explicit_assignment_may_leave_shards_empty(self):
+        # as fusing does: the plan keeps the slot (the others keep their
+        # ids) and ``plan_shards`` emits no task for it, see the fused
+        # plan of ``test_plan_carries_partition_metadata``
+        plan = plan_partition(
+            3, 3, [], ["_i0", "_i1", "_i2"], assignment=[[], [0, 1, 2], []]
         )
+        assert plan.assignment == ((), (0, 1, 2), ())
 
     def test_plan_carries_partition_metadata(self):
         tasks = plan_shards(TEMPLATE, travel_instances(4), 2, seed=0)
@@ -291,6 +298,25 @@ class TestPersistentPool:
         assert fallen_back.result.messages == expected.result.messages
         assert fallen_back.result.violations == expected.result.violations == []
 
+    def test_hung_shard_times_out_and_names_itself(self, monkeypatch):
+        # forked after the patch, so the workers see it too
+        shards_module.shutdown_pool()
+        monkeypatch.setattr(shards_module, "SHARD_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(shards_module, "run_shard", hang_on_shard_one)
+        tasks = plan_shards(TEMPLATE, travel_instances(3), 3, seed=3)
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match=r"shard\(s\) \[1\] did not"):
+            run_sharded(tasks, workers=2)
+        assert time.monotonic() - started < 10
+        # the hung worker was terminated, not waited on or orphaned
+        deadline = time.monotonic() + 5
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
+        # and the next run gets a fresh pool
+        monkeypatch.undo()
+        assert run_sharded(tasks, workers=2).result.ok
+
     def test_default_workers_bounded_by_work(self):
         from repro.scale.shards import _default_workers
 
@@ -302,56 +328,6 @@ class TestPersistentPool:
         sharded = run_sharded(tasks)  # workers unset
         assert sharded.result.ok
         assert sharded.workers >= 1
-
-
-class TestWorkStealing:
-    def _tasks(self, count=6, shards=2, seed=3, **kwargs):
-        return plan_shards(
-            TEMPLATE, travel_instances(count), shards, seed=seed, **kwargs
-        )
-
-    def test_steal_preserves_settled_outcomes(self):
-        tasks = self._tasks()
-        plain = run_sharded(tasks, workers=1)
-        stolen = run_sharded(tasks, workers=1, steal=True)
-        assert stolen.result.ok, stolen.result.violations
-        assert sorted(
-            repr(e.event) for e in plain.result.entries
-        ) == sorted(repr(e.event) for e in stolen.result.entries)
-
-    def test_steal_outcomes_identical_across_worker_counts(self):
-        # the steal *schedule* responds to worker count (that is the
-        # point of rebalancing) but the merged observables must not
-        tasks = self._tasks()
-        a = run_sharded(tasks, workers=1, steal=True)
-        b = run_sharded(tasks, workers=3, steal=True)
-        assert [
-            (repr(e.event), e.time, e.outcome) for e in a.result.entries
-        ] == [(repr(e.event), e.time, e.outcome) for e in b.result.entries]
-        assert a.result.makespan == b.result.makespan
-        assert a.result.messages == b.result.messages
-
-    def test_steal_schedule_deterministic_for_fixed_workers(self):
-        tasks = self._tasks()
-        a = run_sharded(tasks, workers=2, steal=True)
-        b = run_sharded(tasks, workers=2, steal=True)
-        assert a.steals == b.steals
-        assert [o.chunk for o in a.outcomes] == [o.chunk for o in b.outcomes]
-
-    def test_steal_counters_reach_merged_metrics(self):
-        tasks = self._tasks(count=8, shards=2)
-        stolen = run_sharded(tasks, workers=1, steal=True)
-        counters = stolen.metrics.get("counters", {})
-        assert "chunks_stolen" in counters
-        assert counters["instances_stolen"]["total"] == stolen.steals
-        series = stolen.metrics["timeseries"]["series"]
-        assert any(name.startswith("queue_depth_s") for name in series)
-        assert any(name.startswith("queue_backlog_s") for name in series)
-
-    def test_stolen_trace_passes_checker(self):
-        tasks = self._tasks(count=6, shards=2, trace=True)
-        stolen = run_sharded(tasks, workers=1, steal=True)
-        assert check_records(stolen.trace_records) == []
 
 
 class TestShardedObservability:

@@ -236,7 +236,9 @@ class TestOneGuardEngine:
         import dataclasses
         import inspect
 
-        from repro.scale import ShardTask, plan_shards
+        from repro.scale import (
+            ShardOutcome, ShardTask, plan_shards, run_sharded,
+        )
 
         retired = {
             "compiled_guards", "minimize_guards", "watch_mode",
@@ -244,14 +246,21 @@ class TestOneGuardEngine:
             # the co-simulated shard group and its gateway channel
             "sim", "owned", "gateway", "cross_drop", "cross_dup",
             "cross_drop_probability", "cross_duplicate_probability",
+            # the batching channel, work stealing and its hand layout
+            "batch_announcements", "steal", "assignment", "chunk",
         }
         names = {
             "DistributedScheduler": set(
                 inspect.signature(DistributedScheduler.__init__).parameters
             ),
             "ShardTask": {f.name for f in dataclasses.fields(ShardTask)},
+            "ShardOutcome": {
+                f.name for f in dataclasses.fields(ShardOutcome)
+            },
             "plan_shards": set(inspect.signature(plan_shards).parameters),
+            "run_sharded": set(inspect.signature(run_sharded).parameters),
         }
+        assert names["run_sharded"] == {"tasks", "workers"}
         for owner, exposed in names.items():
             assert not exposed & retired, owner
         # a shard *task* carries its cross dependencies; the scheduler

@@ -4,13 +4,12 @@
 The scheduler-level equivalence lives in
 ``tests/properties/test_compiled_equivalence.py``; here we pin the
 node/edge mechanics: interning, the learn/refine/assimilate
-transitions, lazy caching, counter accounting, the compile-time
-table statistics, and the template stamping hook.
+transitions, lazy caching, counter accounting, and the compile-time
+table statistics.
 """
 
 from repro.algebra.symbols import Event
 from repro.temporal.compiled import (
-    DEFAULT_ENGINE,
     CompiledGuardEngine,
     _restrict,
     _set_know,
@@ -180,12 +179,6 @@ class TestStats:
         finally:
             clear_compiled()
 
-    def test_clear_compiled_resets_default_engine(self):
-        DEFAULT_ENGINE.root(GUARD)
-        clear_compiled()
-        assert len(DEFAULT_ENGINE) == 0
-        assert compiled_stats()["nodes"] == 0
-
     def test_table_stats_reports_sharing_and_constants(self):
         box_a = literal("box", A)
         stats = table_stats(
@@ -230,36 +223,3 @@ class TestSharedEngine:
         assert second.node is first.node
         assert (residual2, verdict2) == (residual, verdict)
 
-
-class TestTemplateStamping:
-    def test_instances_compile_by_interned_rename(self):
-        from repro.workloads.scenarios import make_travel_booking
-        from repro.workflows.template import WorkflowTemplate
-
-        template = WorkflowTemplate(make_travel_booking().workflow)
-        engine = CompiledGuardEngine()
-        roots0 = template.compile_instance("_i0", engine)
-        nodes_after_first = len(engine)
-        roots1 = template.compile_instance("_i1", engine)
-        # the second instance interned fresh roots (renamed guards)...
-        assert set(roots0) != set(roots1)
-        # ...but stamping it cost only the renamed-table probes: every
-        # root is a fresh intern, no shared-structure blowup
-        assert len(engine) == nodes_after_first + len(
-            {node for node in roots1.values()}
-        ) - len(
-            {node for node in roots1.values()}
-            & {node for node in roots0.values()}
-        )
-
-    def test_default_engine_is_used_without_an_explicit_one(self):
-        from repro.workloads.scenarios import make_travel_booking
-        from repro.workflows.template import WorkflowTemplate
-
-        clear_compiled()
-        try:
-            template = WorkflowTemplate(make_travel_booking().workflow)
-            roots = template.compile_instance("_i0")
-            assert len(DEFAULT_ENGINE) >= len(set(roots.values()))
-        finally:
-            clear_compiled()

@@ -1,7 +1,7 @@
 """Watched-literal bookkeeping (:mod:`repro.temporal.watch`).
 
-Unit tests for the wake-set computation (``cube_watches`` /
-``is_reduced`` / ``watch_bases``), the bidirectional
+Unit tests for the wake-set computation (``is_reduced`` /
+``watch_bases``), the bidirectional
 :class:`WatchIndex`, and the schedulers' re-registration hooks --
 including the crash/``Recovered``-replay path and the index/state
 consistency invariant at quiescence.
@@ -16,11 +16,8 @@ from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.sim import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
 from repro.temporal.cubes import (
-    BOX_MASK,
     C_OCC,
-    DIA_MASK,
     E_OCC,
-    FULL,
     TRUE_GUARD,
     FALSE_GUARD,
     literal,
@@ -29,7 +26,6 @@ from repro.temporal.watch import (
     ALL,
     WatchIndex,
     clear_watch_stats,
-    cube_watches,
     is_reduced,
     watch_bases,
     watch_stats,
@@ -37,26 +33,6 @@ from repro.temporal.watch import (
 from repro.workloads.scenarios import make_travel_booking
 
 A, B, C = Event("a"), Event("b"), Event("c")
-
-
-class TestCubeWatches:
-    def test_single_literal_cube_with_no_knowledge(self):
-        assert cube_watches(((A, DIA_MASK),), {}) == {A}
-
-    def test_guaranteed_literal_needs_no_watch(self):
-        # knowledge pins a to "occurred": closure == hit, decided
-        assert cube_watches(((A, BOX_MASK),), {A: E_OCC}) == frozenset()
-
-    def test_dead_literal_needs_no_watch(self):
-        # a's complement occurred: the box-a literal can never hit
-        assert cube_watches(((A, BOX_MASK),), {A: C_OCC}) == frozenset()
-
-    def test_full_knowledge_is_no_knowledge(self):
-        assert cube_watches(((A, BOX_MASK),), {A: FULL}) == {A}
-
-    def test_mixed_cube_watches_only_undecided(self):
-        cube = ((A, BOX_MASK), (B, DIA_MASK))
-        assert cube_watches(cube, {A: E_OCC}) == {B}
 
 
 class TestIsReduced:

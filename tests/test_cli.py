@@ -457,7 +457,7 @@ class TestShardedRun:
         report = json.loads(capsys.readouterr().out)
         assert report["sharding"] == {
             "shards": 2, "instances": 6, "workers": 1,
-            "placement": "round-robin", "cut_weight": 0, "steals": 0,
+            "placement": "round-robin", "cut_weight": 0,
         }
         assert report["ok"] is True
 
@@ -525,17 +525,34 @@ class TestShardedRun:
         assert "2 shard(s)" in out and "cut 0" in out
         assert "routed" not in out
 
-    def test_steal_reports_in_text_output(self, travel_spec, capsys):
+    def test_steal_flag_is_gone(self, travel_spec, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "run", travel_spec, "--scheduler", "distributed",
+                    *self.ATTEMPTS, "--shards", "2", "--steal",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--steal" in capsys.readouterr().err
+
+    def test_hung_shard_is_reported_and_exits_nonzero(
+        self, travel_spec, capsys, monkeypatch
+    ):
+        def hung(tasks, workers=None):
+            raise TimeoutError("shard(s) [1] did not finish within 600 s")
+
+        monkeypatch.setattr("repro.scale.run_sharded", hung)
         code = main(
             [
                 "run", travel_spec, "--scheduler", "distributed",
-                *self.ATTEMPTS, "--shards", "2", "--instances", "6",
-                "--workers", "1", "--steal",
+                *self.ATTEMPTS, "--shards", "2",
             ]
         )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "steal(s)" in out
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "shard(s) [1] did not finish" in captured.err
+        assert "ok=" not in captured.out
 
     @pytest.mark.parametrize(
         "cross_dep", ["~b_i7 + e_i9 . b_i7", "~b_i0 + e_i9 . b_i0"]

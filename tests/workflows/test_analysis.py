@@ -1,8 +1,13 @@
 """Static analysis of workflow specifications."""
 
+from pathlib import Path
+
+import pytest
+
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.workflows.analysis import (
+    IMPLIES_BASE_BUDGET,
     analyze,
     dependency_conflicts,
     forbidden_events,
@@ -12,6 +17,7 @@ from repro.workflows.analysis import (
     satisfiable,
     vacuous,
 )
+from repro.workflows.loader import load
 from repro.workflows.spec import Workflow
 
 E, F, G = Event("e"), Event("f"), Event("g")
@@ -74,6 +80,25 @@ class TestImplicationAndRedundancy:
     def test_independent_dependencies_not_redundant(self):
         deps = [parse("~e + f"), parse("~f + g")]
         assert redundant_dependencies(deps) == []
+
+    def test_implies_refuses_more_bases_than_its_budget(self):
+        deps = [parse(f"~e + f{k}") for k in range(IMPLIES_BASE_BUDGET)]
+        with pytest.raises(ValueError, match="9 bases exceed"):
+            implies(deps[1:], deps[0])
+
+    def test_precede_example_skips_redundancy_and_says_so(self):
+        # used not to return: 13 bases, x6.5 per base past 8
+        spec = Path(__file__).parents[2] / "examples" / "precede.wf"
+        report = analyze(load(spec))
+        assert report.ok and report.redundant == []
+        assert report.as_dict()["redundancy_checked"] is False
+        assert (
+            "redundancy not checked: 13 bases exceed the exhaustive "
+            "budget of 8"
+        ) in report.summary()
+        within = analyze(Workflow("small", dependencies=[parse("~e + f")]))
+        assert within.as_dict()["redundancy_checked"] is True
+        assert "not checked" not in within.summary()
 
 
 class TestConflicts:
