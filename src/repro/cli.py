@@ -521,7 +521,7 @@ def _cmd_compile(args) -> int:
     print(guards_to_text(guards))
     if compiled.promise_pairs:
         for pair in sorted(compiled.promise_pairs, key=repr):
-            a, b = sorted(pair)
+            a, b = sorted(pair, key=lambda e: e.sort_key())
             print(f"consensus pair: {a!r} <-> {b!r}")
     return 0
 

@@ -320,7 +320,7 @@ class EventActor:
         Built only inside ``tracer.active`` branches."""
         return [
             sorted([repr(base), mask] for base, mask in cube)
-            for cube in sorted(self._durable_guard.cubes)
+            for cube in self._durable_guard.sorted_cubes()
         ]
 
     @staticmethod
@@ -373,7 +373,7 @@ class EventActor:
         round would certify.  One requestable cube at a time keeps
         traffic low.
         """
-        possible = [c for c in sorted(self.guard.cubes) if self._cube_possible(c)]
+        possible = [c for c in self.guard.sorted_cubes() if self._cube_possible(c)]
         # With a single live alternative the requests are mandatory:
         # carry demand so idle triggerable targets are caused at once
         # ("information flows as soon as it is available", Section 6).
@@ -493,7 +493,7 @@ class EventActor:
         Returns True when a new demand was issued."""
         if self.status is not ActorStatus.PENDING:
             return False
-        for cube in sorted(self.guard.cubes):
+        for cube in self.guard.sorted_cubes():
             if cube in self._escalated_cubes:
                 continue
             if not self._cube_possible(cube):
@@ -607,7 +607,7 @@ class EventActor:
         literals) resolve at fire time via certificates, so they are
         not gating here.
         """
-        for cube in self.guard.cubes:
+        for cube in self.guard.sorted_cubes():
             good = True
             for base, mask in cube:
                 known = assumed.get(base, FULL)
@@ -629,7 +629,7 @@ class EventActor:
     def _chain_targets(self, assumed: dict[Event, int]) -> list[Event]:
         """Signed events whose promises would secure some possible cube."""
         targets: list[Event] = []
-        for cube in self.guard.cubes:
+        for cube in self.guard.sorted_cubes():
             if not all(assumed.get(b, FULL) & m for b, m in cube):
                 continue
             for base, mask in cube:

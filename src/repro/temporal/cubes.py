@@ -158,6 +158,12 @@ def _make_cube(entries: Mapping[Event, int]) -> Cube | None:
     return tuple(items)
 
 
+def _cube_key(cube: Cube) -> tuple:
+    """Sort key of a cube: the order tuple comparison gives, decided on
+    the events' sort keys so that no comparison runs Python code."""
+    return tuple([(base.sort_key(), mask) for base, mask in cube])
+
+
 class GuardExpr:
     """A guard as a union of cubes over the four-world domain.
 
@@ -168,13 +174,14 @@ class GuardExpr:
     equality (full semantic equality is :meth:`equivalent`).
     """
 
-    __slots__ = ("cubes", "_hash", "_bases", "_sbases")
+    __slots__ = ("cubes", "_hash", "_bases", "_sbases", "_scubes")
 
     def __init__(self, cubes: frozenset[Cube]):
         object.__setattr__(self, "cubes", _absorb(cubes))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_bases", None)
         object.__setattr__(self, "_sbases", None)
+        object.__setattr__(self, "_scubes", None)
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("GuardExpr is immutable")
@@ -201,6 +208,20 @@ class GuardExpr:
         if cached is None:
             cached = tuple(sorted(self.bases(), key=Event.sort_key))
             object.__setattr__(self, "_sbases", cached)
+        return cached
+
+    def sorted_cubes(self) -> tuple[Cube, ...]:
+        """The cubes in their one canonical order.
+
+        Whatever stops at the first cube that answers (the verdict
+        checks, the solicitation plan, escalation) or reaches a message
+        or a trace iterates this tuple, never the set: a set's order
+        follows the events' hashes, and those are addresses.
+        """
+        cached = self._scubes
+        if cached is None:
+            cached = tuple(sorted(self.cubes, key=_cube_key))
+            object.__setattr__(self, "_scubes", cached)
         return cached
 
     # -- boolean algebra ----------------------------------------------
@@ -282,7 +303,7 @@ class GuardExpr:
         currently be in (bases absent from the map are unconstrained).
         This is the "guard is certainly true now" test of Section 4.3.
         """
-        return covers(self.cubes, knowledge)
+        return covers(self.sorted_cubes(), knowledge)
 
     def possible_under(self, knowledge: Mapping[Event, int]) -> bool:
         """Can the guard still become true, given knowledge closures?
@@ -291,7 +312,7 @@ class GuardExpr:
         never occur (its actor should reject attempts outright rather
         than park them).
         """
-        for cube in self.cubes:
+        for cube in self.sorted_cubes():
             if all(
                 closure(knowledge.get(base, FULL)) & mask for base, mask in cube
             ):
@@ -408,7 +429,7 @@ class GuardExpr:
         return TChoice.of(
             [
                 TConj.of([_mask_formula(base, mask) for base, mask in cube])
-                for cube in sorted(self.cubes)
+                for cube in self.sorted_cubes()
             ]
         )
 
@@ -418,7 +439,7 @@ class GuardExpr:
         if self.is_true:
             return "T"
         rendered = []
-        for cube in sorted(self.cubes):
+        for cube in self.sorted_cubes():
             parts = [_mask_text(base, mask) for base, mask in cube]
             text = " | ".join(parts)
             rendered.append(f"({text})" if len(parts) > 1 else text)
@@ -440,6 +461,7 @@ def _canonical_guard(cubes: frozenset[Cube]) -> GuardExpr:
     object.__setattr__(self, "_hash", None)
     object.__setattr__(self, "_bases", None)
     object.__setattr__(self, "_sbases", None)
+    object.__setattr__(self, "_scubes", None)
     return self
 
 
@@ -575,10 +597,14 @@ def _merge_indexed(alive: dict[int, Cube], shifts: Mapping[Event, int]) -> None:
         pair = None
         for key in crowded:
             second, first = sorted(buckets[key])[-2:]
-            candidate = (alive[first], alive[second], key, first & second)
+            candidate = (
+                _cube_key(alive[first]), _cube_key(alive[second]),
+                key, first & second, first,
+            )
             if pair is None or candidate < pair:
                 pair = candidate
-        smallest, _, (hole, shift), both = pair
+        _, _, (hole, shift), both, first = pair
+        smallest = alive[first]
         merged = hole | (both & (FULL << shift))
         union = FULL ^ (merged >> shift & FULL)
         cube = []
@@ -610,7 +636,7 @@ def _absorb_batch(cubes: frozenset[Cube]) -> frozenset[Cube]:
     changed = True
     while changed:
         changed = False
-        items = sorted(work)
+        items = sorted(work, key=_cube_key)
         # absorption: cube A subsumed by cube B when B's region contains A's
         for a in items:
             if a not in work:
@@ -627,7 +653,7 @@ def _absorb_batch(cubes: frozenset[Cube]) -> frozenset[Cube]:
                     changed = True
                     break
         # merge: identical support except one base -> union that mask
-        items = sorted(work)
+        items = sorted(work, key=_cube_key)
         for i, a in enumerate(items):
             if a not in work:
                 continue

@@ -78,7 +78,7 @@ def is_reduced(guard: GuardExpr, knowledge: Mapping[Event, int]) -> bool:
     """
     if not knowledge or not guard.cubes or () in guard.cubes:
         return True  # simplify_under's own early-exit: identity
-    for cube in guard.cubes:
+    for cube in guard.sorted_cubes():
         for base, mask in cube:
             known = knowledge.get(base)
             if known is None:

@@ -55,7 +55,7 @@ def workflow_to_dot(workflow: Workflow) -> str:
     lines = ["digraph workflow {", "  rankdir=LR;", "  node [fontsize=10];"]
     lines.append(f'  label="{_dot_escape(workflow.name)}";')
     by_site: dict[str, list[Event]] = {}
-    for base in sorted(workflow.bases()):
+    for base in sorted(workflow.bases(), key=Event.sort_key):
         site = workflow.sites.get(base, "")
         by_site.setdefault(site, []).append(base)
     for i, (site, bases) in enumerate(sorted(by_site.items())):
@@ -77,7 +77,7 @@ def workflow_to_dot(workflow: Workflow) -> str:
     for i, dep in enumerate(workflow.dependencies):
         label = _dot_escape(repr(dep))
         lines.append(f'  d{i} [shape=box label="{label}" fontsize=9];')
-        for base in sorted(dep.bases()):
+        for base in sorted(dep.bases(), key=Event.sort_key):
             lines.append(f'  d{i} -> "{_dot_escape(repr(base))}" [dir=none];')
     lines.append("}")
     return "\n".join(lines)
@@ -182,7 +182,7 @@ def explain_guard(guard) -> str:
     if guard.is_false:
         return "never allowed"
     clauses = []
-    for cube in sorted(guard.cubes):
+    for cube in guard.sorted_cubes():
         parts = [
             _MASK_PHRASES[mask].format(e=repr(base)) for base, mask in cube
         ]

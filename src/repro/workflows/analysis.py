@@ -212,15 +212,15 @@ class AnalysisReport:
         lines.append(f"  satisfiable: {self.satisfiable}")
         lines.append(f"  vacuously satisfiable (all-negative run): {self.vacuous}")
         if self.mandatory:
-            names = ", ".join(repr(e) for e in sorted(self.mandatory))
+            names = ", ".join(repr(e) for e in sorted(self.mandatory, key=Event.sort_key))
             lines.append(f"  mandatory events: {names}")
         if self.unsupported_mandatory:
-            names = ", ".join(repr(e) for e in sorted(self.unsupported_mandatory))
+            names = ", ".join(repr(e) for e in sorted(self.unsupported_mandatory, key=Event.sort_key))
             lines.append(
                 f"  WARNING mandatory but neither triggerable nor guaranteed: {names}"
             )
         if self.forbidden:
-            names = ", ".join(repr(e) for e in sorted(self.forbidden))
+            names = ", ".join(repr(e) for e in sorted(self.forbidden, key=Event.sort_key))
             lines.append(f"  forbidden events: {names}")
         for a, b in self.conflicts:
             lines.append(f"  CONFLICT: {a!r}  vs  {b!r}")
@@ -232,12 +232,12 @@ class AnalysisReport:
             )
         if self.promise_pairs:
             pairs = "; ".join(
-                " <-> ".join(repr(e) for e in sorted(p))
+                " <-> ".join(repr(e) for e in sorted(p, key=Event.sort_key))
                 for p in sorted(self.promise_pairs, key=repr)
             )
             lines.append(f"  consensus (promise) pairs: {pairs}")
         for event, bases in sorted(self.notyet_needs.items(), key=lambda kv: repr(kv[0])):
-            names = ", ".join(repr(b) for b in sorted(bases))
+            names = ", ".join(repr(b) for b in sorted(bases, key=Event.sort_key))
             lines.append(f"  {event!r} needs not-yet agreement on: {names}")
         if self.compiled:
             lines.append(

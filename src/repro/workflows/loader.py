@@ -117,7 +117,9 @@ def dumps(workflow: Workflow) -> str:
     lines = [f"workflow {workflow.name}"]
     for dep in workflow.dependencies:
         lines.append(f"dep {dep!r}")
-    for base, attrs in sorted(workflow.attributes.items()):
+    for base, attrs in sorted(
+        workflow.attributes.items(), key=lambda kv: kv[0].sort_key()
+    ):
         flag_words = []
         if attrs.triggerable:
             flag_words.append("triggerable")
@@ -133,6 +135,6 @@ def dumps(workflow: Workflow) -> str:
     for base, site in workflow.sites.items():
         by_site.setdefault(site, []).append(base)
     for site, bases in sorted(by_site.items()):
-        names = " ".join(repr(b) for b in sorted(bases))
+        names = " ".join(repr(b) for b in sorted(bases, key=Event.sort_key))
         lines.append(f"site {site} {names}")
     return "\n".join(lines) + "\n"
