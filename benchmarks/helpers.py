@@ -21,7 +21,10 @@ from repro.temporal.watch import clear_watch_stats
 
 
 def clear_symbolic_caches() -> None:
-    """Clear memoization so benchmarks time the real computation."""
+    """Clear memoization so benchmarks time the real computation.
+
+    Interned events survive (identity is their equality, so the table
+    is never dropped); only the table's counters are reset."""
     residuate.cache_clear()
     to_normal_form.cache_clear()
     clear_synthesis_caches()

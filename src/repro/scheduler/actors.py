@@ -364,7 +364,7 @@ class EventActor:
     # ------------------------------------------------------------------
     # solicitation: figure out which facts could complete a cube
 
-    def _solicit_plan(self) -> tuple[list[Event], bool, list[Event]]:
+    def _solicit_plan(self) -> tuple[list[Event], bool, tuple[Event, ...]]:
         """What soliciting would do now, without doing it.
 
         Returns ``(requests, demand, certificates)`` for the first
@@ -372,29 +372,47 @@ class EventActor:
         required demand level, that level, and the bases a not-yet
         round would certify.  One requestable cube at a time keeps
         traffic low.
+
+        The cube's needs depend only on ``(guard, knowledge)``, which
+        is the cursor's node, so they are computed once per node and
+        kept there; what this actor already asked for is applied here.
         """
-        possible = [c for c in self.guard.sorted_cubes() if self._cube_possible(c)]
+        node = self.cursor.node
+        if node is None:  # the tests' reference cursor: no node
+            plan = self._first_requestable()
+        else:
+            plan = node.plan
+            if plan is None:
+                plan = node.plan = self._first_requestable()
+        demand, promises, certificates = plan
+        level = 1 if demand else 0
+        own, chain = self.event.base, (self.event,)
+        requests = [
+            target
+            for target in promises
+            if target.base is not own
+            and self.promise_requested.get((target, chain), -1) < level
+        ] if promises else []
+        return requests, demand, certificates
+
+    def _first_requestable(self) -> tuple[bool, tuple, tuple]:
+        """``(demand, promises, certificates)`` of the first cube whose
+        every base a promise or a certificate could resolve."""
+        possible = [
+            c for c in self.guard.sorted_cubes() if self._cube_possible(c)
+        ]
         # With a single live alternative the requests are mandatory:
         # carry demand so idle triggerable targets are caused at once
         # ("information flows as soon as it is available", Section 6).
         # With alternatives, stay lazy; quiescence escalation demands
         # cube-by-cube later if nothing else resolves first.
         demand = len(possible) == 1
-        level = 1 if demand else 0
         for cube in possible:
             plan = self._cube_plan(cube)
-            if plan is None:
-                continue
-            promises, certificates = plan
-            requests = [
-                target
-                for target in promises
-                if target.base != self.event.base
-                and self.promise_requested.get((target, (self.event,)), -1)
-                < level
-            ]
-            return requests, demand, certificates
-        return [], False, []
+            if plan is not None:
+                promises, certificates = plan
+                return demand, tuple(promises), tuple(certificates)
+        return False, (), ()
 
     def _solicit(self) -> None:
         requests, demand, certificates = self._solicit_plan()
@@ -472,7 +490,7 @@ class EventActor:
         caller has established it is not a repeat)."""
         self.promise_requested[(target, chain)] = 1 if demand else 0
         self.sched.send_to_actor(
-            self.event,
+            self,
             target,
             PromiseRequest(
                 target=target,
@@ -520,13 +538,13 @@ class EventActor:
         requester = req.requester
         if self.status is ActorStatus.OCCURRED:
             self.sched.send_to_actor(
-                self.event, requester,
+                self, requester,
                 PromiseGrant(target=self.event, requester=requester),
             )
             return
         if self.status is ActorStatus.DEAD:
             self.sched.send_to_actor(
-                self.event, requester,
+                self, requester,
                 PromiseRefuse(target=self.event, requester=requester),
             )
             return
@@ -573,7 +591,7 @@ class EventActor:
         assumed = self._grant_assumption(req)
         if not self.guard.possible_under(assumed):
             self.sched.send_to_actor(
-                self.event, requester,
+                self, requester,
                 PromiseRefuse(target=self.event, requester=requester),
             )
             return
@@ -584,7 +602,7 @@ class EventActor:
             self.granted_to.add(requester)
             self.sched.note_promise()
             self.sched.send_to_actor(
-                self.event, requester,
+                self, requester,
                 PromiseGrant(target=self.event, requester=requester),
             )
             return
@@ -652,7 +670,7 @@ class EventActor:
                     if self.status is ActorStatus.OCCURRED
                     else PromiseRefuse(target=self.event, requester=req.requester)
                 )
-                self.sched.send_to_actor(self.event, req.requester, message)
+                self.sched.send_to_actor(self, req.requester, message)
                 continue
             self._decide_grant(req)
 
@@ -696,7 +714,7 @@ class EventActor:
             )
         for base in sorted(self.round_awaiting, key=Event.sort_key):
             self.sched.send_to_base(
-                self.event,
+                self,
                 base,
                 NotYetRequest(
                     target=base, requester=self.event, round_id=self.round_id
@@ -713,7 +731,7 @@ class EventActor:
                 # straggler): release the freeze it carries.  A
                 # duplicate of a *current* hold is simply ignored.
                 self.sched.send_to_base(
-                    self.event,
+                    self,
                     reply.target,
                     Release(
                         target=reply.target,
@@ -799,7 +817,7 @@ class EventActor:
         self.round_certified = set()
         for base in sorted(to_release, key=Event.sort_key):
             self.sched.send_to_base(
-                self.event,
+                self,
                 base,
                 Release(target=base, requester=self.event, round_id=rid),
             )
@@ -836,7 +854,7 @@ class EventActor:
                 settled = "occurred" if self.event.negated else "comp_occurred"
         if settled == "occurred":
             self.sched.send_to_actor(
-                self.event, requester,
+                self, requester,
                 NotYetReply(
                     target=base,
                     requester=requester,
@@ -847,7 +865,7 @@ class EventActor:
             return
         if settled == "comp_occurred":
             self.sched.send_to_actor(
-                self.event, requester,
+                self, requester,
                 NotYetReply(
                     target=base,
                     requester=requester,
@@ -861,7 +879,7 @@ class EventActor:
             return
         self.sched.freeze(base, requester, req.round_id)
         self.sched.send_to_actor(
-            self.event, requester,
+            self, requester,
             NotYetReply(
                 target=base,
                 requester=requester,
@@ -939,7 +957,7 @@ class EventActor:
         for base in sorted(self._durable_guard.bases(), key=Event.sort_key):
             if base == self.event.base:
                 continue
-            self.sched.send_sync(self.event, base)
+            self.sched.send_sync(self, base)
         self._assimilate()
         self.try_fire()
 
@@ -968,7 +986,7 @@ class EventActor:
         self.sched.unfreeze_all(base, req.requester)
         status = self.sched.base_settled(base) or "unsettled"
         self.sched.send_to_actor(
-            self.event,
+            self,
             req.requester,
             SyncReply(base=base, requester=req.requester, status=status),
         )

@@ -72,6 +72,20 @@ from repro.temporal.watch import ALL, WatchIndex
 
 _DEFAULT_ATTRS = EventAttributes()
 
+#: the actor method each protocol message is delivered to
+#: (:class:`Announce` goes through the wake index first)
+_HANDLERS = {
+    PromiseRequest: EventActor.on_promise_request,
+    PromiseGrant: EventActor.on_promise_grant,
+    PromiseRefuse: EventActor.on_promise_refuse,
+    NotYetRequest: EventActor.on_not_yet_request,
+    NotYetReply: EventActor.on_not_yet_reply,
+    Release: EventActor.on_release,
+    SyncRequest: EventActor.on_sync_request,
+    SyncReply: EventActor.on_sync_reply,
+    Recovered: EventActor.on_recovered,
+}
+
 
 class DistributedScheduler:
     """Compile a workflow into actors and run it on the simulated network.
@@ -351,19 +365,19 @@ class DistributedScheduler:
     # ------------------------------------------------------------------
     # actor-facing services
 
-    def send_to_actor(self, src_event: Event, dst_event: Event, message) -> None:
+    def send_to_actor(self, sender: EventActor, dst_event: Event, message) -> None:
         actor = self.actors.get(dst_event)
         if actor is None:
             return
         self.channel.send(
-            self.site_of(src_event.base),
+            sender.site,
             actor.site,
             message.kind,
             message,
             lambda msg: self._dispatch(actor, msg),
         )
 
-    def send_to_base(self, src_event: Event, base: Event, message) -> None:
+    def send_to_base(self, sender: EventActor, base: Event, message) -> None:
         """Route to the base's coordinator (its positive actor)."""
         coordinator = self.actors.get(base.base)
         if coordinator is None:
@@ -371,7 +385,7 @@ class DistributedScheduler:
         if coordinator is None:
             return
         self.channel.send(
-            self.site_of(src_event.base),
+            sender.site,
             coordinator.site,
             message.kind,
             message,
@@ -427,26 +441,12 @@ class DistributedScheduler:
                     self.profiler.pop()
             else:
                 actor.observe_occurrence(message.event)
-        elif isinstance(message, PromiseRequest):
-            actor.on_promise_request(message)
-        elif isinstance(message, PromiseGrant):
-            actor.on_promise_grant(message)
-        elif isinstance(message, PromiseRefuse):
-            actor.on_promise_refuse(message)
-        elif isinstance(message, NotYetRequest):
-            actor.on_not_yet_request(message)
-        elif isinstance(message, NotYetReply):
-            actor.on_not_yet_reply(message)
-        elif isinstance(message, Release):
-            actor.on_release(message)
-        elif isinstance(message, SyncRequest):
-            actor.on_sync_request(message)
-        elif isinstance(message, SyncReply):
-            actor.on_sync_reply(message)
-        elif isinstance(message, Recovered):
-            actor.on_recovered(message)
-        else:  # pragma: no cover
-            raise TypeError(f"unroutable message: {message!r}")
+        else:
+            try:
+                handler = _HANDLERS[type(message)]
+            except KeyError:  # pragma: no cover
+                raise TypeError(f"unroutable message: {message!r}") from None
+            handler(actor, message)
         # every full delivery can move the actor's guard, knowledge,
         # or protocol arming -- refresh its wake set
         self._rewatch(actor)
@@ -614,7 +614,7 @@ class DistributedScheduler:
         for sub_event in self._subscribers.get(event.base, ()):
             if sub_event.base == event.base:
                 continue
-            self.send_to_actor(event, sub_event, Announce(event=event))
+            self.send_to_actor(actor, sub_event, Announce(event=event))
         # settlement waiters (agent-script ``after`` gates)
         for callback in self._waiters.pop(event.base, ()):
             callback()
@@ -622,7 +622,7 @@ class DistributedScheduler:
         for index in self._monitor_subs.get(event.base, ()):
             site, monitor = self._monitors[index]
             self.channel.send(
-                self.site_of(event.base),
+                actor.site,
                 site,
                 "announce",
                 event,
@@ -810,9 +810,9 @@ class DistributedScheduler:
                     # order *before* Recovered so a re-solicit already
                     # sees the fact
                     self.send_to_actor(
-                        actor.event, sub_event, Announce(event=settled)
+                        actor, sub_event, Announce(event=settled)
                     )
-                self.send_to_actor(actor.event, sub_event, Recovered(event=actor.event))
+                self.send_to_actor(actor, sub_event, Recovered(event=actor.event))
         self._recover_monitors(site)
         record = self._recovering.get(site)
         if record is not None and record["outstanding"] <= 0:
@@ -827,13 +827,14 @@ class DistributedScheduler:
         if self.tracer.active:
             self.tracer.sync(self.sim.now, site, "complete", latency=latency)
 
-    def send_sync(self, requester: Event, base: Event) -> None:
+    def send_sync(self, requester: EventActor, base: Event) -> None:
         """Route a recovery :class:`SyncRequest` to ``base``'s coordinator."""
-        record = self._recovering.get(self.site_of(requester.base))
+        record = self._recovering.get(requester.site)
         if record is not None:
             record["outstanding"] += 1
         self.send_to_base(
-            requester, base, SyncRequest(base=base, requester=requester)
+            requester, base,
+            SyncRequest(base=base, requester=requester.event),
         )
 
     def note_sync_reply(self, requester: Event) -> None:

@@ -148,12 +148,18 @@ class GuardNode:
 
     Everything the scheduler asks per announcement is a slot on the
     node, filled lazily by the first asker and shared by every actor
-    (and every run within one process) that reaches the same state.
+    that reaches the same state.  ``plan`` is the one slot the node
+    does not fill itself: the solicitation plan of the state (which
+    promises and certificates its first requestable cube needs), a
+    function of ``(residual, know)`` and the scheduler's policy that
+    :meth:`EventActor._solicit_plan
+    <repro.scheduler.actors.EventActor._solicit_plan>` computes and
+    stores here -- the engine is per scheduler, so per policy.
     """
 
     __slots__ = (
         "engine", "residual", "know",
-        "_edges", "_next", "_verdict", "_watches",
+        "_edges", "_next", "_verdict", "_watches", "plan",
     )
 
     def __init__(self, engine: "CompiledGuardEngine", residual: GuardExpr, know: Know):
@@ -164,6 +170,7 @@ class GuardNode:
         self._next: GuardNode | None = None
         self._verdict: str | None = None
         self._watches = _UNSET
+        self.plan: tuple | None = None
 
     # -- transitions ---------------------------------------------------
 
@@ -333,6 +340,10 @@ class ReferenceCursor:
     compiled engine is proved byte-identical against."""
 
     __slots__ = ("guard", "knowledge")
+
+    #: no automaton state to cache on: what the compiled cursor reads
+    #: off its node, the reference's user computes afresh
+    node = None
 
     def __init__(self, guard: GuardExpr, knowledge: Mapping[Event, int] = ()):
         self.reset(guard, knowledge)

@@ -697,7 +697,7 @@ def _cube_product(left: Cube, right: Cube) -> Cube | None:
     while i < nl and j < nr:
         bl, ml = left[i]
         br, mr = right[j]
-        if bl is br or bl == br:
+        if bl is br:
             combined = ml & mr
             if combined == EMPTY:
                 return None
@@ -748,7 +748,7 @@ def _cube_merge(a: Cube, b: Cube) -> Cube | None:
     while i < na and j < nb:
         ba, ma = a[i]
         bb, mb = b[j]
-        if ba is bb or ba == bb:
+        if ba is bb:
             if ma == mb:
                 out.append((ba, ma))
             else:

@@ -149,13 +149,13 @@ def clear_watch_stats() -> None:
 
 
 class WatchIndex:
-    """Bidirectional literal -> watchers index for one scheduler.
+    """Watcher -> wake set index for one scheduler.
 
     ``_watching`` maps each registered actor (by its signed event) to
-    its wake set (a frozenset of bases, or :data:`ALL`); ``_watchers``
-    is the inverted map consulted for introspection and tests.  The
-    hot-path question -- "does this announcement wake this actor?" --
-    is answered from the forward map in O(1).
+    its wake set (a frozenset of bases, or :data:`ALL`).  The hot-path
+    question -- "does this announcement wake this actor?" -- is one
+    probe of that map; the inverse question (:meth:`watchers`, asked by
+    tests and debuggers only) scans it.
 
     Unknown actors wake on everything: registration gaps degrade to
     the naive engine, never to a missed wake.
@@ -163,8 +163,6 @@ class WatchIndex:
 
     def __init__(self) -> None:
         self._watching: dict[Event, frozenset[Event] | None] = {}
-        self._watchers: dict[Event, set[Event]] = {}
-        self._all: set[Event] = set()
         self.wakes = 0
         self.skips = 0
         self.rewatches = 0
@@ -175,37 +173,16 @@ class WatchIndex:
         self, watcher: Event, bases: frozenset[Event] | None
     ) -> None:
         """Install (or refresh) ``watcher``'s wake set."""
-        old = self._watching.get(watcher, ALL)
-        if watcher in self._watching and old == bases:
+        old = self._watching.get(watcher, _UNSET)
+        if old == bases:
             return
-        if watcher in self._watching:
+        if old is not _UNSET:
             self.rewatches += 1
             _WatchStats.rewatches += 1
-            self._drop_reverse(watcher, old)
         self._watching[watcher] = bases
-        if bases is ALL:
-            self._all.add(watcher)
-        else:
-            for base in bases:
-                self._watchers.setdefault(base, set()).add(watcher)
 
     def unregister(self, watcher: Event) -> None:
-        if watcher not in self._watching:
-            return
-        self._drop_reverse(watcher, self._watching.pop(watcher))
-
-    def _drop_reverse(
-        self, watcher: Event, bases: frozenset[Event] | None
-    ) -> None:
-        if bases is ALL:
-            self._all.discard(watcher)
-            return
-        for base in bases:
-            bucket = self._watchers.get(base)
-            if bucket is not None:
-                bucket.discard(watcher)
-                if not bucket:
-                    del self._watchers[base]
+        self._watching.pop(watcher, None)
 
     # -- queries -------------------------------------------------------
 
@@ -220,7 +197,11 @@ class WatchIndex:
 
     def watchers(self, base: Event) -> frozenset[Event]:
         """Every registered actor an announcement on ``base`` wakes."""
-        return frozenset(self._watchers.get(base, ())) | frozenset(self._all)
+        return frozenset(
+            watcher
+            for watcher, bases in self._watching.items()
+            if bases is ALL or base in bases
+        )
 
     def __len__(self) -> int:
         return len(self._watching)

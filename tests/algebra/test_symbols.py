@@ -1,12 +1,17 @@
 """Event symbols, complements, and parameters (paper Section 3.1, 5)."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro.algebra.expressions import clear_intern_tables
 from repro.algebra.symbols import (
     Event,
     Variable,
     alphabet_of,
     bases_of,
+    event_intern_stats,
     events,
 )
 
@@ -68,6 +73,59 @@ class TestEventBasics:
     def test_sort_key_orders_complement_after_positive(self):
         e = Event("a")
         assert sorted([~e, e]) == [e, ~e]
+
+
+class TestIdentity:
+    """Events are interned and compare by identity: the intern table
+    is the equality, so it links both polarities and is never dropped."""
+
+    def test_same_arguments_same_object(self):
+        for args in (("a",), ("a", True), ("a", False, (1, "x")),
+                     ("a", True, (Variable("v"),))):
+            assert Event(*args) is Event(*args)
+
+    def test_polarities_are_linked(self):
+        e = Event("linked", params=(3,))
+        assert (~e).base is e
+        assert e.base is e
+        assert (~e).complement is e
+        assert ~~e is e
+        assert Event("linked", True, (3,)) is ~e
+
+    def test_no_python_level_hash_or_eq(self):
+        assert "__hash__" not in vars(Event)
+        assert "__eq__" not in vars(Event)
+
+    def test_events_survive_a_table_reset(self):
+        before = Event("survivor")
+        negated = ~before
+        clear_intern_tables()
+        assert Event("survivor") is before
+        assert Event("survivor", True) is negated
+        assert len({before, Event("survivor")}) == 1
+
+    def test_reset_clears_only_the_counters(self):
+        Event("counted")
+        size = event_intern_stats()["size"]
+        clear_intern_tables()
+        stats = event_intern_stats()
+        assert stats == {"size": size, "hits": 0, "misses": 0}
+        Event("counted_fresh")
+        # one miss creates both polarities
+        assert event_intern_stats() == {
+            "size": size + 2, "hits": 0, "misses": 1
+        }
+
+    def test_copies_are_the_interned_object(self):
+        e = Event("copied", params=(1, Variable("v")))
+        assert copy.copy(e) is e
+        assert copy.deepcopy([e, ~e])[1] is ~e
+
+    def test_pickle_round_trip_is_the_interned_object(self):
+        for e in (Event("pickled"), ~Event("pickled"),
+                  Event("pickled", params=(1, Variable("v")))):
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(e, protocol)) is e
 
 
 class TestVariables:

@@ -23,11 +23,14 @@ report, at every step, exactly the verdict, residual, and watch set
 the ``simplify_under`` engine computes.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.symbols import Event
 from repro.obs import Tracer
+from repro.scheduler.actors import EventActor
 from repro.temporal.compiled import (
     CompiledGuardEngine,
     ReferenceCursor,
@@ -119,6 +122,97 @@ class TestCompiledEquivalence:
         kernel_schema(kernel)
         assert kernel["compiled"]["nodes"] == len(sched.compiled)
         assert kernel["compiled"]["cursors"] == len(sched.actors)
+
+
+def reference_solicit_plan(actor):
+    """``EventActor._solicit_plan`` as it was before the plan moved to
+    the compiled node: recomputed from ``(actor.guard,
+    actor.knowledge)`` on every call."""
+    possible = [
+        c for c in actor.guard.sorted_cubes() if actor._cube_possible(c)
+    ]
+    demand = len(possible) == 1
+    level = 1 if demand else 0
+    for cube in possible:
+        plan = actor._cube_plan(cube)
+        if plan is None:
+            continue
+        promises, certificates = plan
+        requests = [
+            target
+            for target in promises
+            if target.base != actor.event.base
+            and actor.promise_requested.get((target, (actor.event,)), -1)
+            < level
+        ]
+        return requests, demand, certificates
+    return [], False, []
+
+
+class TestPlanOnTheNode:
+    """The solicitation plan cached on the compiled node is the plan
+    the actor would compute from its own ``(guard, knowledge)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(watch_cases())
+    def test_every_plan_equals_the_recomputed_plan(self, case):
+        name, scenario, plan, drop, dup, seed = case
+        cached = EventActor._solicit_plan
+        checked = []
+
+        def checking(actor):
+            requests, demand, certificates = cached(actor)
+            expected = reference_solicit_plan(actor)
+            assert (list(requests), demand, list(certificates)) == expected, (
+                actor.event, actor.guard, actor.knowledge
+            )
+            checked.append(actor.cursor.node.plan is not None)
+            return requests, demand, certificates
+
+        with mock.patch.object(EventActor, "_solicit_plan", checking):
+            run_engine(scenario, plan, seed, reference=False, drop=drop, dup=dup)
+        # the plans that were read came off nodes
+        assert all(checked)
+
+    def test_plans_are_shared_between_actors_on_one_node(self):
+        """The examples must reach some node from more than one plan
+        read, or the cache is never exercised."""
+        reads, nodes = 0, set()
+        cached = EventActor._solicit_plan
+
+        def counting(actor):
+            nonlocal reads
+            reads += 1
+            result = cached(actor)
+            nodes.add(actor.cursor.node)
+            return result
+
+        with mock.patch.object(EventActor, "_solicit_plan", counting):
+            for factory in SCENARIOS.values():
+                run_engine(factory(), None, 0, reference=False)
+        assert 0 < len(nodes) < reads
+
+    def test_reference_engine_plans_without_a_node(self):
+        """``ReferenceCursor`` has no node to cache on: the plan is
+        recomputed on every call, and equals the reference body's."""
+        seen = 0
+        recomputing = EventActor._solicit_plan
+
+        def checking(actor):
+            nonlocal seen
+            seen += 1
+            assert actor.cursor.node is None
+            requests, demand, certificates = recomputing(actor)
+            assert (
+                list(requests), demand, list(certificates)
+            ) == reference_solicit_plan(actor)
+            return requests, demand, certificates
+
+        with mock.patch.object(EventActor, "_solicit_plan", checking):
+            for factory in SCENARIOS.values():
+                sched, result = run_engine(factory(), None, 0, reference=True)
+                assert not result.unsettled
+        assert seen > 0
 
 
 class TestCompiledRuntimeGrowth:

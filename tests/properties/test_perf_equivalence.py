@@ -66,9 +66,11 @@ class TestInterning:
     @settings(max_examples=50, deadline=None)
     @given(expressions())
     def test_structural_equality_across_table_reset(self, expr):
-        """An object from a cleared intern epoch still equals (and
+        """An expression from a cleared intern epoch still equals (and
         hashes with) its reconstruction -- the structural fallback the
-        benchmarks rely on when they clear the tables mid-process."""
+        benchmarks rely on when they clear the tables mid-process --
+        and both are built over the *same* events: those compare by
+        identity and are never dropped."""
         source = repr(expr)
         expected_hash = hash(expr)
         clear_intern_tables()
@@ -77,6 +79,9 @@ class TestInterning:
             assert fresh == expr
             assert hash(fresh) == expected_hash
             assert len({fresh, expr}) == 1
+            assert sorted(map(id, fresh.events())) == sorted(
+                map(id, expr.events())
+            )
         finally:
             # the cleared table now interns the *fresh* objects; drop
             # them too so later tests start from a consistent epoch
