@@ -69,14 +69,12 @@ def intern_stats() -> dict:
 
 
 def clear_intern_tables() -> None:
-    """Drop interned expressions (cold-cache benchmarking) and reset
-    both tables' counters.
+    """Drop interned expressions (cold-cache benchmarking).
 
-    Expression nodes constructed earlier stay valid -- their equality
-    falls back to structural comparison -- they just stop being
-    ``is``-identical to nodes built afterwards.  Events are never
-    dropped: they compare by identity, so their table is their
-    identity (see :func:`~repro.algebra.symbols.clear_event_intern_table`)."""
+    Nodes constructed earlier stay valid -- equality falls back to
+    structural comparison and all hashes are structural -- they just
+    stop being ``is``-identical to nodes built afterwards.  Events
+    compare by identity and are never dropped; their counters reset."""
     _INTERN.clear()
     _Counters.hits = 0
     _Counters.misses = 0

@@ -51,15 +51,14 @@ class Event:
     operator yields the complement, and ``~~e is e`` (the paper
     identifies the double complement with the event).
 
-    Instances are *interned*: constructing the same (name, polarity,
-    params) combination returns the one object there is, so identity
-    *is* equality and the class defines neither ``__eq__`` nor
-    ``__hash__`` -- every dict probe and set insert keyed by an event
-    runs ``object``'s C slots.  Both polarities of a symbol are created
-    together and linked, so ``base`` and ``complement`` are attribute
-    reads.  The intern table is therefore the identity of every event
-    and is never dropped; copying or unpickling an event gives back the
-    interned object (:meth:`__reduce__`).
+    Instances are *interned*: the same (name, polarity, params) gives
+    the one object there is, so identity *is* equality and the class
+    defines neither ``__eq__`` nor ``__hash__`` -- dict probes and set
+    inserts keyed by events run ``object``'s C slots.  Both polarities
+    of a symbol are created together and linked: ``base`` is the
+    positive form, ``complement`` the other polarity (the paper's
+    overline).  The intern table is thus every event's identity and is
+    never dropped; copies and unpickled events are the interned object.
 
     Parameters
     ----------
@@ -69,13 +68,6 @@ class Event:
         ``True`` for the complement symbol.
     params:
         Optional tuple of parameters (values or :class:`Variable`).
-
-    Attributes
-    ----------
-    base:
-        The positive (non-complemented) form of this event.
-    complement:
-        The complement event; the paper's overline.
     """
 
     __slots__ = ("name", "negated", "params", "base", "complement", "_skey")
@@ -97,6 +89,7 @@ class Event:
             raise ValueError(f"event name contains reserved characters: {name!r}")
         cls._misses += 1
         params = key[2]
+        order = (name, tuple(repr(p) for p in params))
         # a new symbol: both polarities at once, each holding the other
         positive, negative = super().__new__(cls), super().__new__(cls)
         fill = object.__setattr__
@@ -106,12 +99,11 @@ class Event:
             fill(self, "params", params)
             fill(self, "base", positive)
             fill(self, "complement", other)
-            fill(self, "_skey", None)
+            fill(self, "_skey", order + (self.negated,))
             table[(name, self.negated, params)] = self
         return negative if key[1] else positive
 
     def __reduce__(self):
-        # copies and unpickled events are the interned object
         return Event, (self.name, self.negated, self.params)
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
@@ -165,15 +157,9 @@ class Event:
                 return None
         return binding
 
-    # -- order -------------------------------------------------------
-
     def sort_key(self) -> tuple:
         """A total order used for canonical forms and tie-breaking."""
-        skey = self._skey
-        if skey is None:
-            skey = (self.name, tuple(repr(p) for p in self.params), self.negated)
-            object.__setattr__(self, "_skey", skey)
-        return skey
+        return self._skey
 
     def __lt__(self, other: "Event") -> bool:
         return self.sort_key() < other.sort_key()
@@ -203,11 +189,10 @@ def event_intern_stats() -> dict:
 def clear_event_intern_table() -> None:
     """Reset the hit/miss counters; the events themselves stay.
 
-    Events compare by identity, so the table *is* their identity:
-    dropping it while any event is alive (module-level constants,
+    Dropping the table while any event is alive (module constants,
     cached guards) would let a second, unequal ``Event("a")`` appear.
-    A cold-cache benchmark loses nothing by that -- re-finding an
-    interned event is the same dict probe as the first miss."""
+    Cold-cache benchmarks lose nothing: re-finding an event is the
+    same dict probe as the first miss."""
     Event._hits = 0
     Event._misses = 0
 

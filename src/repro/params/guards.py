@@ -94,7 +94,6 @@ class ParametrizedGuard:
         """
         mask = C_OCC if token.negated else E_OCC
         self._knowledge[token.base] = mask
-        # sorted: ``history`` records the order instances grow in
         for base in sorted(self.template.bases(), key=Event.sort_key):
             binding = base.unify(token.base)
             if binding is None:

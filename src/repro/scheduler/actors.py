@@ -373,9 +373,8 @@ class EventActor:
         round would certify.  One requestable cube at a time keeps
         traffic low.
 
-        The cube's needs depend only on ``(guard, knowledge)``, which
-        is the cursor's node, so they are computed once per node and
-        kept there; what this actor already asked for is applied here.
+        The cube's needs depend only on ``(guard, knowledge)`` -- the
+        cursor's node -- so they are computed once and kept on the node.
         """
         node = self.cursor.node
         if node is None:  # the tests' reference cursor: no node

@@ -72,8 +72,7 @@ from repro.temporal.watch import ALL, WatchIndex
 
 _DEFAULT_ATTRS = EventAttributes()
 
-#: the actor method each protocol message is delivered to
-#: (:class:`Announce` goes through the wake index first)
+#: where ``_dispatch`` delivers each message type but ``Announce``
 _HANDLERS = {
     PromiseRequest: EventActor.on_promise_request,
     PromiseGrant: EventActor.on_promise_grant,
@@ -442,11 +441,7 @@ class DistributedScheduler:
             else:
                 actor.observe_occurrence(message.event)
         else:
-            try:
-                handler = _HANDLERS[type(message)]
-            except KeyError:  # pragma: no cover
-                raise TypeError(f"unroutable message: {message!r}") from None
-            handler(actor, message)
+            _HANDLERS[type(message)](actor, message)
         # every full delivery can move the actor's guard, knowledge,
         # or protocol arming -- refresh its wake set
         self._rewatch(actor)

@@ -149,12 +149,9 @@ class GuardNode:
     Everything the scheduler asks per announcement is a slot on the
     node, filled lazily by the first asker and shared by every actor
     that reaches the same state.  ``plan`` is the one slot the node
-    does not fill itself: the solicitation plan of the state (which
-    promises and certificates its first requestable cube needs), a
-    function of ``(residual, know)`` and the scheduler's policy that
-    :meth:`EventActor._solicit_plan
-    <repro.scheduler.actors.EventActor._solicit_plan>` computes and
-    stores here -- the engine is per scheduler, so per policy.
+    does not fill itself: the state's solicitation plan, a function of
+    ``(residual, know)`` and the scheduler's policy (the engine is per
+    scheduler) that ``EventActor._solicit_plan`` computes and keeps here.
     """
 
     __slots__ = (
@@ -341,8 +338,7 @@ class ReferenceCursor:
 
     __slots__ = ("guard", "knowledge")
 
-    #: no automaton state to cache on: what the compiled cursor reads
-    #: off its node, the reference's user computes afresh
+    #: no node to cache on: the solicitation plan is recomputed
     node = None
 
     def __init__(self, guard: GuardExpr, knowledge: Mapping[Event, int] = ()):

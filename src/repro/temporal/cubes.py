@@ -211,13 +211,9 @@ class GuardExpr:
         return cached
 
     def sorted_cubes(self) -> tuple[Cube, ...]:
-        """The cubes in their one canonical order.
-
-        Whatever stops at the first cube that answers (the verdict
-        checks, the solicitation plan, escalation) or reaches a message
-        or a trace iterates this tuple, never the set: a set's order
-        follows the events' hashes, and those are addresses.
-        """
+        """The cubes in canonical order.  Loops that stop at the first
+        cube that answers, or reach a message or a trace, iterate this
+        and never the set, whose order follows the events' addresses."""
         cached = self._scubes
         if cached is None:
             cached = tuple(sorted(self.cubes, key=_cube_key))
@@ -599,12 +595,12 @@ def _merge_indexed(alive: dict[int, Cube], shifts: Mapping[Event, int]) -> None:
             second, first = sorted(buckets[key])[-2:]
             candidate = (
                 _cube_key(alive[first]), _cube_key(alive[second]),
-                key, first & second, first,
+                key, first, second,
             )
             if pair is None or candidate < pair:
                 pair = candidate
-        _, _, (hole, shift), both, first = pair
-        smallest = alive[first]
+        _, _, (hole, shift), first, second = pair
+        smallest, both = alive[first], first & second
         merged = hole | (both & (FULL << shift))
         union = FULL ^ (merged >> shift & FULL)
         cube = []

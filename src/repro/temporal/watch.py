@@ -152,10 +152,9 @@ class WatchIndex:
     """Watcher -> wake set index for one scheduler.
 
     ``_watching`` maps each registered actor (by its signed event) to
-    its wake set (a frozenset of bases, or :data:`ALL`).  The hot-path
-    question -- "does this announcement wake this actor?" -- is one
-    probe of that map; the inverse question (:meth:`watchers`, asked by
-    tests and debuggers only) scans it.
+    its wake set (a frozenset of bases, or :data:`ALL`): "does this
+    announcement wake this actor?" is one probe of it, and the inverse
+    (:meth:`watchers`, asked by tests and debuggers only) a scan.
 
     Unknown actors wake on everything: registration gaps degrade to
     the naive engine, never to a missed wake.

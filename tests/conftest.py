@@ -102,7 +102,7 @@ def fitted_exponent(sizes, counts) -> float:
     ).slope
 
 
-def run_stamped_travel(outcomes):
+def run_stamped_travel(outcomes, tracer=None):
     """One merged run of a stamped travel booking per entry of
     ``outcomes`` (``"success"`` / ``"failure"``), unverified.
 
@@ -127,6 +127,7 @@ def run_stamped_travel(outcomes):
         guards=guards,
         latency=ConstantLatency(1.0),
         rng=random.Random(1),
+        tracer=tracer,
     )
     result = sched.run(scripts, verify=False)
     assert result.ok, (result.violations, result.unsettled)

@@ -149,6 +149,25 @@ def reference_solicit_plan(actor):
     return [], False, []
 
 
+def checking_plans(seen):
+    """``EventActor._solicit_plan`` wrapped to compare every result
+    with the reference body's; appends the node it was read on (the
+    asking actor's, at that moment) to ``seen``."""
+    production = EventActor._solicit_plan
+
+    def checking(actor):
+        requests, demand, certificates = production(actor)
+        assert (
+            list(requests), demand, list(certificates)
+        ) == reference_solicit_plan(actor), (
+            actor.event, actor.guard, actor.knowledge
+        )
+        seen.append(actor.cursor.node)
+        return requests, demand, certificates
+
+    return mock.patch.object(EventActor, "_solicit_plan", checking)
+
+
 class TestPlanOnTheNode:
     """The solicitation plan cached on the compiled node is the plan
     the actor would compute from its own ``(guard, knowledge)``."""
@@ -157,62 +176,28 @@ class TestPlanOnTheNode:
     @given(watch_cases())
     def test_every_plan_equals_the_recomputed_plan(self, case):
         name, scenario, plan, drop, dup, seed = case
-        cached = EventActor._solicit_plan
-        checked = []
-
-        def checking(actor):
-            requests, demand, certificates = cached(actor)
-            expected = reference_solicit_plan(actor)
-            assert (list(requests), demand, list(certificates)) == expected, (
-                actor.event, actor.guard, actor.knowledge
-            )
-            checked.append(actor.cursor.node.plan is not None)
-            return requests, demand, certificates
-
-        with mock.patch.object(EventActor, "_solicit_plan", checking):
+        with checking_plans([]):
             run_engine(scenario, plan, seed, reference=False, drop=drop, dup=dup)
-        # the plans that were read came off nodes
-        assert all(checked)
 
     def test_plans_are_shared_between_actors_on_one_node(self):
-        """The examples must reach some node from more than one plan
-        read, or the cache is never exercised."""
-        reads, nodes = 0, set()
-        cached = EventActor._solicit_plan
-
-        def counting(actor):
-            nonlocal reads
-            reads += 1
-            result = cached(actor)
-            nodes.add(actor.cursor.node)
-            return result
-
-        with mock.patch.object(EventActor, "_solicit_plan", counting):
+        """The examples must read some node's plan more than once, or
+        the cache is never exercised."""
+        seen = []
+        with checking_plans(seen):
             for factory in SCENARIOS.values():
                 run_engine(factory(), None, 0, reference=False)
-        assert 0 < len(nodes) < reads
+        assert all(node.plan is not None for node in seen)
+        assert 0 < len(set(map(id, seen))) < len(seen)
 
     def test_reference_engine_plans_without_a_node(self):
         """``ReferenceCursor`` has no node to cache on: the plan is
         recomputed on every call, and equals the reference body's."""
-        seen = 0
-        recomputing = EventActor._solicit_plan
-
-        def checking(actor):
-            nonlocal seen
-            seen += 1
-            assert actor.cursor.node is None
-            requests, demand, certificates = recomputing(actor)
-            assert (
-                list(requests), demand, list(certificates)
-            ) == reference_solicit_plan(actor)
-            return requests, demand, certificates
-
-        with mock.patch.object(EventActor, "_solicit_plan", checking):
+        seen = []
+        with checking_plans(seen):
             for factory in SCENARIOS.values():
-                sched, result = run_engine(factory(), None, 0, reference=True)
+                _, result = run_engine(factory(), None, 0, reference=True)
                 assert not result.unsettled
-        assert seen > 0
+        assert seen and all(node is None for node in seen)
 
 
 class TestCompiledRuntimeGrowth:

@@ -19,7 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
 
 #: travel template x 4 stamped instances (one booking fails), then the
 #: merged mutex family; both traced and profiled.  Prints one JSON
@@ -28,28 +28,12 @@ PIPELINE = r"""
 import cProfile, json, random, re
 from repro.obs import Tracer
 from repro.scheduler import DistributedScheduler
-from repro.sim import ConstantLatency
-from repro.workflows import WorkflowTemplate
-from repro.workflows.template import rename_script
-from repro.workloads.scenarios import make_mutex_family, make_travel_booking
+from repro.workloads.scenarios import make_mutex_family
+from tests.conftest import run_stamped_travel
 
 def travel(tracer):
     outcomes = ["success", "failure", "success", "success"]
-    scenarios = {o: make_travel_booking(o) for o in ("success", "failure")}
-    template = WorkflowTemplate(scenarios["success"].workflow)
-    suffixes = [f"_i{k}" for k in range(len(outcomes))]
-    merged, guards = template.instantiate_merged(suffixes)
-    scripts = [
-        rename_script(script, template.mapping_for(suffix), suffix)
-        for suffix, outcome in zip(suffixes, outcomes)
-        for script in scenarios[outcome].scripts
-    ]
-    sched = DistributedScheduler(
-        merged.dependencies, sites=merged.sites,
-        attributes=merged.attributes, guards=guards,
-        latency=ConstantLatency(1.0), rng=random.Random(1), tracer=tracer,
-    )
-    return sched.run(scripts)
+    return run_stamped_travel(outcomes, tracer=tracer)[0]
 
 def mutex(tracer):
     workflow, scripts = make_mutex_family(8, cluster=2).merged()
@@ -82,7 +66,11 @@ print(json.dumps({"records": records, "calls": calls}))
 
 
 def run_under(hashseed: int) -> dict:
-    env = dict(os.environ, PYTHONHASHSEED=str(hashseed), PYTHONPATH=str(SRC))
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=str(hashseed),
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]),
+    )
     done = subprocess.run(
         [sys.executable, "-c", PIPELINE],
         env=env, capture_output=True, text=True, timeout=120,

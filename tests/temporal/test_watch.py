@@ -1,9 +1,9 @@
 """Watched-literal bookkeeping (:mod:`repro.temporal.watch`).
 
 Unit tests for the wake-set computation (``is_reduced`` /
-``watch_bases``), the :class:`WatchIndex`, and the schedulers' re-registration hooks --
-including the crash/``Recovered``-replay path and the index/state
-consistency invariant at quiescence.
+``watch_bases``), the :class:`WatchIndex`, and the schedulers'
+re-registration hooks -- including the crash/``Recovered``-replay path
+and the index/state consistency invariant at quiescence.
 """
 
 import random
