@@ -27,11 +27,9 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.algebra.expressions import Expr, Top, Zero
-from repro.algebra.normal_form import to_normal_form
-from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event
 from repro.obs.tracer import NULL_TRACER
-from repro.temporal.guards import accepting_paths
+from repro.temporal.guards import ResidualCursor, accepting_paths
 
 
 def required_events(residual: Expr, settled_bases: frozenset[Event]) -> frozenset[Event] | None:
@@ -87,9 +85,12 @@ class RequirementMonitor:
         tracer=None,
         metrics=None,
     ):
-        self._residuals: dict[Expr, Expr] = {
-            dep: to_normal_form(dep) for dep in dependencies
-        }
+        self._tracks = {dep: ResidualCursor(dep) for dep in dependencies}
+        #: base -> the tracks it can move (to the rest it is foreign)
+        self._mentioning: dict[Event, list[ResidualCursor]] = {}
+        for track in self._tracks.values():
+            for base in track.to_slot:
+                self._mentioning.setdefault(base, []).append(track)
         self._triggerable = frozenset(b.base for b in triggerable)
         self._trigger = trigger
         self._doomed = doomed
@@ -113,23 +114,39 @@ class RequirementMonitor:
         session layer is at-least-once across a site restart) is a
         duplicate and is dropped -- residuating twice by the same event
         would corrupt the residual."""
-        if event.base in self._settled:
+        base = event.base
+        if base in self._settled:
             return
-        self._settled.add(event.base)
+        self._settled.add(base)
         self._observed.append(event)
-        for dep in list(self._residuals):
-            self._residuals[dep] = residuate(self._residuals[dep], event)
+        for track in self._mentioning.get(base, ()):
+            slot = track.to_slot[base]
+            track.state = track.closure.transitions[track.state].get(
+                slot.complement if event.negated else slot, track.state
+            )
         if self._metrics is not None:
             self._metrics.inc(
-                "residuation_steps", n=len(self._residuals), site=self._site
+                "residuation_steps", n=len(self._tracks), site=self._site
             )
         self.evaluate()
 
     def evaluate(self) -> None:
-        settled = frozenset(self._settled)
-        for dep, residual in self._residuals.items():
-            required = required_events(residual, settled)
-            if required is None:
+        for dep, track in self._tracks.items():
+            # the state's (doomed, positive required slot events in
+            # canonical order), derived once per closure state for every
+            # copy of the shape.  It needs no settled-base filter:
+            # residuating by f eliminates f's base, so no completion of
+            # a reached state mentions a settled base
+            answer = track.closure.required.get(track.state)
+            if answer is None:
+                events = required_events(track.state, frozenset())
+                positive = (ev for ev in events or () if not ev.negated)
+                answer = track.closure.required[track.state] = (
+                    events is None, tuple(sorted(positive, key=Event.sort_key))
+                )
+            doomed, required = answer
+            if doomed:
+                residual = self.residual(dep)
                 if self._tracer.active:
                     self._tracer.monitor(
                         self._now(), self._site, "doomed",
@@ -138,10 +155,9 @@ class RequirementMonitor:
                 if self._doomed is not None:
                     self._doomed(dep, residual)
                 continue
-            for ev in sorted(required, key=Event.sort_key):
-                if ev.negated:
-                    continue  # complements settle via agent policy
-                if ev.base in self._triggerable and ev not in self._already_triggered:
+            for slot in required:  # complements settle via agent policy
+                ev = track.from_slot[slot]
+                if ev in self._triggerable and ev not in self._already_triggered:
                     self._already_triggered.add(ev)
                     if self._tracer.active:
                         self._tracer.monitor(
@@ -152,11 +168,11 @@ class RequirementMonitor:
                     self._trigger(ev)
 
     def residual(self, dependency: Expr) -> Expr:
-        return self._residuals[dependency]
+        return self._tracks[dependency].residual()
 
     @property
     def residuals(self) -> dict[Expr, Expr]:
-        return dict(self._residuals)
+        return {dep: self.residual(dep) for dep in self._tracks}
 
     def snapshot_state(self) -> dict:
         """JSON-ready copy of the monitor's state for a global snapshot."""
@@ -165,7 +181,6 @@ class RequirementMonitor:
             "settled": sorted(repr(e) for e in self._observed),
             "triggered": sorted(repr(e) for e in self._already_triggered),
             "residuals": {
-                repr(dep): repr(res)
-                for dep, res in self._residuals.items()
+                repr(dep): repr(res) for dep, res in self.residuals.items()
             },
         }

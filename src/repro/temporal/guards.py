@@ -79,22 +79,25 @@ def _alphabet(expr: Expr) -> tuple[Event, ...]:
 class _Closure:
     """The residual closure of one normal-form dependency.
 
-    ``transitions[S]`` lists ``(f, to_normal_form(S/f))`` for every
-    ``f`` in ``Gamma_S``, in canonical alphabet order.  ``order`` lists
+    ``transitions[S]`` maps every ``f`` in ``Gamma_S`` to
+    ``to_normal_form(S/f)``, in canonical alphabet order (an event the
+    row lacks is foreign to ``S``: a self-loop).  ``order`` lists
     the states by ascending base count; because residuating by ``f``
     always eliminates ``f``'s base (Rules 3/7/8 of residuation, plus
     ``Seq.of`` collapsing repeated events to ``0``), every transition
     strictly decreases the base set, the closure is a finite DAG, and a
     guard column can be filled in one bottom-up pass with every
     successor already solved.  ``columns[e]`` memoizes the per-event
-    pass so all events of a workflow share one closure.
+    pass so all events of a workflow share one closure; ``required[S]``
+    is the requirement monitors' answer for state ``S``, kept here by
+    :mod:`repro.scheduler.monitors` so every copy of the shape reads it.
     """
 
-    __slots__ = ("root", "transitions", "order", "columns")
+    __slots__ = ("root", "transitions", "order", "columns", "required")
 
     def __init__(self, root: Expr):
         self.root = root
-        self.transitions: dict[Expr, tuple[tuple[Event, Expr], ...]] = {}
+        self.transitions: dict[Expr, dict[Event, Expr]] = {}
         stack = [root]
         while stack:
             state = stack.pop()
@@ -102,11 +105,9 @@ class _Closure:
                 continue
             # states are normal forms and residuation is NF-stable, so
             # the successor needs no re-normalization
-            succs = tuple(
-                (f, residuate_nf(state, f)) for f in _alphabet(state)
-            )
+            succs = {f: residuate_nf(state, f) for f in _alphabet(state)}
             self.transitions[state] = succs
-            for _, succ in succs:
+            for succ in succs.values():
                 if succ not in self.transitions:
                     stack.append(succ)
         # Stable sort over deterministic discovery order; ties need no
@@ -116,6 +117,7 @@ class _Closure:
             sorted(self.transitions, key=lambda s: len(s.bases()))
         )
         self.columns: dict[Event, dict[Expr, GuardExpr]] = {}
+        self.required: dict[Expr, tuple[bool, tuple[Event, ...]]] = {}
 
     def column(self, event: Event) -> dict[Expr, GuardExpr]:
         """``G(S, event)`` for every closure state, one iterative pass.
@@ -130,15 +132,14 @@ class _Closure:
         base = event.base
         col = {}
         for state in self.order:
-            others = tuple(
-                (f, succ) for f, succ in self.transitions[state] if f.base != base
-            )
+            row = self.transitions[state]
+            others = tuple(f for f in row if f.base != base)
             first = eventually_guard(residuate_nf(state, event))
-            for f, _ in others:
+            for f in others:
                 first = first & literal("notyet", f)
             terms = [first]
-            for f, succ in others:
-                terms.append(literal("box", f) & col[succ])
+            for f in others:
+                terms.append(literal("box", f) & col[row[f]])
             col[state] = guard_or(terms)
         self.columns[event] = col
         _SynthStats.columns += 1
@@ -258,6 +259,44 @@ def _synthesize(deps_nf: Sequence[Expr], event: Event) -> GuardExpr:
     return guard_and(_closure_for(d).column(event)[d] for d in deps_nf)
 
 
+def _slot_maps(
+    bases: Iterable[Event],
+) -> tuple[dict[Event, Event], dict[Event, Event]]:
+    """The rename of ``bases`` onto ``_SLOTS`` in ``Event.sort_key``
+    order, and its inverse: injective, order- and groundness-preserving."""
+    ordered = sorted(bases, key=Event.sort_key)
+    while len(_SLOTS) < len(ordered):
+        name = f"#{len(_SLOTS):08d}"
+        _SLOTS.append((Event(name), Event(name, params=(Variable("_"),))))
+    to_slot, from_slot = {}, {}
+    for base, (ground, typed) in zip(ordered, _SLOTS):
+        slot = ground if base.is_ground else typed
+        to_slot[base] = slot
+        from_slot[slot] = base
+    return to_slot, from_slot
+
+
+class ResidualCursor:
+    """One copy of a dependency in Figure 2's state machine: a state of
+    the slot-space closure its shape shares with synthesis (and with
+    every other copy), plus this copy's ``to_slot`` / ``from_slot``
+    binding.  Stepping is a probe of ``closure.transitions[state]``."""
+
+    __slots__ = ("closure", "state", "to_slot", "from_slot")
+
+    def __init__(self, dependency: Expr):
+        dep_nf = to_normal_form(dependency)
+        self.to_slot, self.from_slot = _slot_maps(dep_nf.bases())
+        self.closure = _closure_for(rename_expr(dep_nf, self.to_slot))
+        self.state = self.closure.root
+
+    def residual(self) -> Expr:
+        """The state on the real names: the very node iterated
+        :func:`residuate` yields there (the rename commutes with it,
+        see :func:`_guards_modulo_renaming`)."""
+        return rename_expr(self.state, self.from_slot)
+
+
 def _guards_modulo_renaming(
     deps_nf: Sequence[Expr], events: Sequence[Event]
 ) -> list[GuardExpr]:
@@ -276,14 +315,7 @@ def _guards_modulo_renaming(
     bases = {e.base for e in events}
     for dep in deps_nf:
         bases |= dep.bases()
-    while len(_SLOTS) < len(bases):
-        name = f"#{len(_SLOTS):08d}"
-        _SLOTS.append((Event(name), Event(name, params=(Variable("_"),))))
-    to_slot = {
-        base: _SLOTS[i][0 if base.is_ground else 1]
-        for i, base in enumerate(sorted(bases, key=Event.sort_key))
-    }
-    from_slot = {slot: base for base, slot in to_slot.items()}
+    to_slot, from_slot = _slot_maps(bases)
     slot_deps = tuple(rename_expr(dep, to_slot) for dep in deps_nf)
     guards = []
     for event in events:

@@ -89,6 +89,14 @@ def test_trace_and_call_counts_do_not_depend_on_the_hash_seed():
         for name in names
         if one["calls"].get(name, 0) != two["calls"].get(name, 0)
     }
+    # only the travel half builds requirement monitors: they sort each
+    # closure state's required events once, in slot space, and that
+    # order (hence every later trigger scan) must not follow the seed
+    monitors = sorted(name for name in drift if "scheduler/monitors.py" in name)
     assert not drift, "call counts differ between hash seeds:\n" + "\n".join(
         f"  {name}: {a} vs {b}" for name, (a, b) in drift.items()
+    ) + (
+        "\nrequirement monitors (travel pipeline) among them: "
+        + ", ".join(name.rsplit(":", 1)[-1] for name in monitors)
+        if monitors else ""
     )
