@@ -104,6 +104,11 @@ class EventActor:
         #: guard-evaluation state: one pointer into the scheduler's
         #: interned automaton, moved in step with ``(guard, knowledge)``
         self.cursor = scheduler.new_cursor(guard)
+        #: the automaton node whose wake set the scheduler's ``_rewatch``
+        #: last registered for this actor; ``None`` (the watch index's
+        #: ``ALL``) while it wakes on everything, which is also how the
+        #: index treats an actor it has never seen
+        self.watched = None
         # -- own not-yet round --
         self.round_active = False
         self.round_id = 0  # scheduler-issued; replies echo it

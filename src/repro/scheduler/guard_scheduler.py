@@ -266,6 +266,7 @@ class DistributedScheduler:
         #: site's monitors can be rebuilt and resynced
         self._monitor_specs: list[tuple[list[Expr], frozenset[Event]]] = []
         self._sorted_bases_cache: tuple[Event, ...] | None = None
+        self._sorted_actors_cache: tuple[EventActor, ...] | None = None
         self._build_monitors()
         # base -> holders; a holder is (requester, round_id) so a stale
         # release (from an aborted round) cannot void a newer freeze
@@ -311,22 +312,30 @@ class DistributedScheduler:
             ]
             if not deps:
                 continue
-            monitor = RequirementMonitor(
-                deps,
-                frozenset(bases),
-                trigger=self._make_trigger(site),
-                doomed=self._note_doomed,
-                site=site,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-            monitor.bind_clock(lambda: self.sim.now)
             index = len(self._monitors)
-            self._monitors.append((site, monitor))
-            self._monitor_specs.append((deps, frozenset(bases)))
-            for dep in deps:
-                for base in dep.bases():
-                    self._monitor_subs.setdefault(base, []).append(index)
+            bases = frozenset(bases)
+            self._monitors.append((site, self._new_monitor(site, deps, bases)))
+            self._monitor_specs.append((deps, bases))
+            # once per base, however many of its dependencies mention it
+            for base in {b for dep in deps for b in dep.bases()}:
+                self._monitor_subs.setdefault(base, []).append(index)
+
+    def _new_monitor(
+        self, site: str, deps: list[Expr], bases: frozenset[Event]
+    ) -> RequirementMonitor:
+        """A monitor in its initial state: at construction, and again
+        from its ``_monitor_specs`` entry after its site crashed."""
+        monitor = RequirementMonitor(
+            deps,
+            bases,
+            trigger=self._make_trigger(site),
+            doomed=self._note_doomed,
+            site=site,
+            tracer=self.tracer,
+            metrics=self.metrics,
+        )
+        monitor.bind_clock(lambda: self.sim.now)
+        return monitor
 
     def _make_trigger(self, site: str):
         def do_trigger(event: Event) -> None:
@@ -359,6 +368,17 @@ class DistributedScheduler:
         if cached is None:
             cached = tuple(sorted(self._all_bases(), key=Event.sort_key))
             self._sorted_bases_cache = cached
+        return cached
+
+    def _sorted_actors(self) -> tuple[EventActor, ...]:
+        """The actors in event order; cached like :meth:`_sorted_bases`
+        and dropped where a run-time dependency adds an actor."""
+        cached = self._sorted_actors_cache
+        if cached is None:
+            cached = tuple(
+                sorted(self.actors.values(), key=lambda a: a.event.sort_key())
+            )
+            self._sorted_actors_cache = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -405,12 +425,20 @@ class DistributedScheduler:
         cost a wake, never correctness."""
         if self.reference_engine:
             return  # unregistered actors wake on everything
-        if actor.pending_grant_reqs or actor.solicit_would_act():
-            self.watch.register(actor.event, ALL)
-            return
+        if actor.pending_grant_reqs or (
+            actor.status is ActorStatus.PENDING and actor.solicit_would_act()
+        ):
+            wanted = ALL
+        else:
+            wanted = actor.cursor.node
+        if wanted is actor.watched:
+            return  # two thirds of the calls: nothing moved
+        actor.watched = wanted
         # the wake set is a cached slot on the actor's current
         # automaton node, not a recomputation
-        self.watch.register(actor.event, actor.cursor.watches())
+        self.watch.register(
+            actor.event, ALL if wanted is ALL else wanted.watches()
+        )
 
     def _rewatch_base(self, base: Event) -> None:
         """Refresh both polarity actors of ``base``."""
@@ -501,7 +529,9 @@ class DistributedScheduler:
             self._rewatch_base(base)
 
     def is_frozen(self, base: Event, exclude: Event | None = None) -> bool:
-        holders = self._frozen.get(base.base, set())
+        holders = self._frozen.get(base.base)
+        if not holders:
+            return False
         if exclude is not None:
             holders = {h for h in holders if h[0] != exclude}
         return bool(holders)
@@ -671,6 +701,7 @@ class DistributedScheduler:
                     event, TRUE_GUARD, self.site_of(event.base), self
                 )
                 self.actors[event] = actor
+                self._sorted_actors_cache = None
             contribution = synthesize_guard(residual, event)
             for base in contribution.bases():
                 subs = self._subscribers.setdefault(base, [])
@@ -744,13 +775,7 @@ class DistributedScheduler:
     # crash recovery (see repro.sim.faults for the fault model)
 
     def _site_actors(self, site: str) -> list[EventActor]:
-        return [
-            a
-            for a in sorted(
-                self.actors.values(), key=lambda a: a.event.sort_key()
-            )
-            if a.site == site
-        ]
+        return [a for a in self._sorted_actors() if a.site == site]
 
     def _crash_site(self, site: str) -> None:
         """Crash hook: the site's actors lose their volatile state."""
@@ -849,16 +874,7 @@ class DistributedScheduler:
             if monitor_site != site:
                 continue
             deps, bases = self._monitor_specs[index]
-            fresh = RequirementMonitor(
-                deps,
-                bases,
-                trigger=self._make_trigger(site),
-                doomed=self._note_doomed,
-                site=site,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-            fresh.bind_clock(lambda: self.sim.now)
+            fresh = self._new_monitor(site, deps, bases)
             self._monitors[index] = (site, fresh)
             self._resync_monitor(site, fresh, deps)
 
@@ -1262,9 +1278,7 @@ class DistributedScheduler:
             return
         for _ in range(max_rounds):
             parked = [
-                a for a in sorted(
-                    self.actors.values(), key=lambda a: a.event.sort_key()
-                )
+                a for a in self._sorted_actors()
                 if a.status is ActorStatus.PENDING
                 and not (
                     self.faults is not None and self.faults.is_down(a.site)

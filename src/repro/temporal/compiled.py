@@ -304,9 +304,6 @@ class GuardCursor:
     def verdict(self) -> str:
         return self.node.verdict()
 
-    def watches(self):
-        return self.node.watches()
-
     def transient_verdict(
         self, facts: Iterable[tuple[Event, int]]
     ) -> str:
@@ -353,9 +350,6 @@ class ReferenceCursor:
 
     def verdict(self) -> str:
         return _verdict(self.guard, self.knowledge)
-
-    def watches(self):
-        return watch_bases(self.guard, self.knowledge)
 
     def transient_verdict(self, facts: Iterable[tuple[Event, int]]) -> str:
         transient = dict(self.knowledge)

@@ -179,3 +179,71 @@ class TestTriggeringUnderDelay:
             sites={a: "site_a"},
         )
         assert any(v.kind == "dependency" for v in result.violations)
+
+
+class TestMonitorSubscriptions:
+    """A site's monitor hears of each occurrence once, however many of
+    its dependencies mention the base."""
+
+    @staticmethod
+    def _heard_by_monitors(sched):
+        """Log the bare-event announcements (the ones addressed to
+        monitors; actors get ``Announce`` messages) as they are sent."""
+        heard = []
+        send = sched.channel.send
+
+        def logging_send(src, dst, kind, payload, deliver):
+            if isinstance(payload, Event):
+                assert kind == "announce"
+                heard.append((dst, payload))
+            send(src, dst, kind, payload, deliver)
+
+        sched.channel.send = logging_send
+        return heard
+
+    def test_overlapping_dependencies_subscribe_once(self):
+        from repro.scheduler import DistributedScheduler, EventAttributes
+        from repro.scheduler.agents import AgentScript, ScriptedAttempt
+
+        a, b, c = Event("a"), Event("b"), Event("c")
+        sched = DistributedScheduler(
+            [parse("~a + b"), parse("~a + ~c + b")],
+            attributes={b: EventAttributes(triggerable=True)},
+        )
+        assert sched._monitor_subs == {a: [0], b: [0], c: [0]}
+        heard = self._heard_by_monitors(sched)
+        result = sched.run(
+            [AgentScript("site_a", [ScriptedAttempt(0.0, a)])]
+        )
+        assert result.ok
+        ((site, _monitor),) = sched._monitors
+        # one announcement per (occurrence, monitor), none repeated
+        assert sorted(heard, key=repr) == sorted(
+            ((site, entry.event) for entry in result.entries), key=repr
+        )
+        assert {entry.event.base for entry in result.entries} == {a, b, c}
+
+    def test_committed_example_sends_what_it_sent(self):
+        """``examples/travel.wf`` has no such overlap: its message
+        count is the one from before subscriptions were deduplicated."""
+        from pathlib import Path
+
+        from repro.scheduler import DistributedScheduler
+        from repro.scheduler.agents import AgentScript, ScriptedAttempt
+        from repro.workflows.loader import load
+
+        spec = Path(__file__).resolve().parents[2] / "examples" / "travel.wf"
+        workflow = load(spec)
+        sched = DistributedScheduler(
+            workflow.dependencies,
+            sites=workflow.sites,
+            attributes=workflow.attributes,
+        )
+        heard = self._heard_by_monitors(sched)
+        result = sched.run(
+            [AgentScript("cli", [ScriptedAttempt(0.0, Event("s_buy"))])]
+        )
+        assert result.ok
+        assert len(heard) == len(set(heard)) == len(result.entries)
+        assert result.messages == 49
+        assert result.messages_by_kind["announce"] == 18
