@@ -1,13 +1,15 @@
 """Experiment F2: regenerate Figure 2's scheduler state machines.
 
 Figure 2 draws the residuation state graphs of ``D_<`` and ``D_->``.
-This bench rebuilds both via the residual-closure automaton, asserts
-every state and transition the figure shows, and times the closure.
+This bench rebuilds both via the residual automaton (minimized, which
+merges nothing in either), asserts every state and transition the
+figure shows, and times the closure.
 """
 
+from repro.algebra.normal_form import to_normal_form
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
-from repro.scheduler.automata import DependencyAutomaton
+from repro.temporal.guards import ResidualAutomaton
 
 from benchmarks.helpers import clear_symbolic_caches
 
@@ -17,12 +19,14 @@ D_ARROW = parse("~e + f")
 
 
 def _state_graph(dependency):
-    auto = DependencyAutomaton(dependency)
-    labels = {i: repr(expr) for i, expr in enumerate(auto.states)}
+    auto = ResidualAutomaton(to_normal_form(dependency))
+    table = auto.minimized()
+    labels = {i: repr(expr) for i, expr in enumerate(table)}
     edges = {
-        (labels[src], repr(ev), labels[dst])
-        for (src, ev), dst in auto.transitions.items()
-        if src != dst  # omit self-loops for the figure view
+        (repr(src), repr(ev), repr(dst))
+        for src, row in table.items()
+        for ev, dst in row.items()
+        if src is not dst  # omit self-loops for the figure view
     }
     return auto, labels, edges
 

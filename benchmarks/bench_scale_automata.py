@@ -3,7 +3,7 @@
 Section 6 on the prior automata approach [2]: "It avoids generating
 product automata, but the individual automata themselves can be quite
 large."  We grow a family of dependencies (pairwise precedence over k
-tasks, conjoined) and compare the residual-closure automaton's state
+tasks, conjoined) and compare the minimized residual automaton's state
 count against the synthesized guards' total cube/literal counts: the
 automaton grows combinatorially with the alphabet while the symbolic
 guards stay compact.
@@ -12,9 +12,9 @@ guards stay compact.
 import pytest
 
 from repro.algebra.expressions import Conj
+from repro.algebra.normal_form import to_normal_form
 from repro.algebra.symbols import Event
-from repro.scheduler.automata import DependencyAutomaton
-from repro.temporal.guards import workflow_guards
+from repro.temporal.guards import ResidualAutomaton, workflow_guards
 from repro.workflows.primitives import klein_precedes
 
 from benchmarks.helpers import clear_symbolic_caches
@@ -35,10 +35,10 @@ def test_bench_automaton_states(benchmark, k):
 
     def build():
         clear_symbolic_caches()
-        return DependencyAutomaton(dep)
+        return ResidualAutomaton(to_normal_form(dep)).minimized()
 
-    auto = benchmark.pedantic(build, rounds=3, iterations=1)
-    assert auto.state_count >= 2
+    table = benchmark.pedantic(build, rounds=3, iterations=1)
+    assert len(table) >= 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -73,14 +73,14 @@ def test_bench_blowup_shape(benchmark):
         for k in (2, 3, 4):
             dep, events = staircase(k)
             clear_symbolic_caches()
-            auto = DependencyAutomaton(dep)
+            auto = ResidualAutomaton(to_normal_form(dep)).minimized()
             table = workflow_guards([dep])
             per_event_literals = max(g.literal_count() for g in table.values())
             rows.append(
                 {
                     "k": k,
-                    "automaton_states": auto.state_count,
-                    "automaton_transitions": auto.transition_count,
+                    "automaton_states": len(auto),
+                    "automaton_transitions": sum(map(len, auto.values())),
                     "max_guard_literals": per_event_literals,
                     "total_guard_cubes": sum(
                         g.cube_count() for g in table.values()

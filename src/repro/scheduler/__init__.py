@@ -14,9 +14,12 @@
 * :mod:`repro.scheduler.guard_scheduler` -- the paper's contribution:
   the distributed event-centric scheduler.
 * :mod:`repro.scheduler.residuation_scheduler` -- the centralized
-  dependency-centric baseline (Figure 2 executed at one site).
+  dependency-centric baseline (Figure 2 executed at one site: one
+  cursor per dependency into the shared
+  :class:`repro.temporal.guards.ResidualAutomaton`).
 * :mod:`repro.scheduler.automata` -- the automaton-per-dependency
-  baseline in the style of Attie et al. [2] (Section 6).
+  baseline in the style of Attie et al. [2] (Section 6): the same
+  scheduler, reporting the size of the automata it walks.
 """
 
 from repro.scheduler.events import (
@@ -28,14 +31,13 @@ from repro.scheduler.events import (
 from repro.scheduler.agents import AgentScript, ScriptedAttempt, TaskSkeleton
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.scheduler.residuation_scheduler import CentralizedScheduler
-from repro.scheduler.automata import AutomataScheduler, DependencyAutomaton
+from repro.scheduler.automata import AutomataScheduler
 
 __all__ = [
     "AgentScript",
     "AttemptOutcome",
     "AutomataScheduler",
     "CentralizedScheduler",
-    "DependencyAutomaton",
     "DistributedScheduler",
     "EventAttributes",
     "ExecutionResult",

@@ -3,157 +3,37 @@
 Attie et al. (VLDB 1993) enforce intertask dependencies by compiling
 each dependency into a finite automaton and running the automata at a
 central scheduler ("it avoids generating product automata, but the
-individual automata themselves can be quite large").  We reconstruct
-that approach from the paper's own machinery: the automaton of a
-dependency is the closure of its residuals (Figure 2 *is* this
-automaton for ``D_<`` and ``D_->``), with states deduplicated up to
-semantic equivalence of expressions.
+individual automata themselves can be quite large").  The automaton of
+a dependency is the closure of its residuals (Figure 2 *is* this
+automaton for ``D_<`` and ``D_->``):
+:class:`repro.temporal.guards.ResidualAutomaton`, which
+:class:`CentralizedScheduler` already steps, one
+:class:`~repro.temporal.guards.ResidualCursor` per dependency.
 
-The run-time decision procedure is the same as the residuation
-scheduler's (the automaton is just the precompiled transition table),
-so the interesting comparison -- bench SC2 -- is *compile-time* state
-count and table size versus the size of the synthesized symbolic
-guards.
+So the run-time decision procedure *is* the residuation scheduler's,
+and the interesting comparison -- bench SC2 -- is *compile-time* state
+count and table size (of the minimized automata, the object [2] would
+precompile) versus the size of the synthesized symbolic guards.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Mapping
-
-from repro.algebra.denotation import denotation
-from repro.algebra.expressions import Expr, Top, Zero
-from repro.algebra.normal_form import to_normal_form
-from repro.algebra.residuation import residuate
-from repro.algebra.symbols import Event
-from repro.scheduler.events import EventAttributes
 from repro.scheduler.residuation_scheduler import CentralizedScheduler
-from repro.sim.network import LatencyModel
-
-
-class DependencyAutomaton:
-    """The residual-closure automaton of one dependency.
-
-    States are residual expressions (semantically deduplicated when the
-    alphabet is small enough to enumerate); the alphabet is
-    ``Gamma_D``; transitions are residuation.  The dead state is the
-    one whose denotation is empty; the accepting states are those whose
-    obligation is already discharged (``T``).
-    """
-
-    #: Alphabet size (bases) up to which states are deduplicated
-    #: semantically; beyond it, syntactic canonical forms are used.
-    SEMANTIC_DEDUP_LIMIT = 4
-
-    def __init__(self, dependency: Expr):
-        self.dependency = dependency
-        start = to_normal_form(dependency)
-        self.alphabet: tuple[Event, ...] = tuple(
-            sorted(start.alphabet(), key=Event.sort_key)
-        )
-        bases = sorted({e.base for e in self.alphabet}, key=Event.sort_key)
-        semantic = len(bases) <= self.SEMANTIC_DEDUP_LIMIT
-
-        def key_of(expr: Expr):
-            if isinstance(expr, (Top, Zero)) or not semantic:
-                return expr
-            return denotation(expr, bases)
-
-        self.states: list[Expr] = []
-        self.transitions: dict[tuple[int, Event], int] = {}
-        index_of: dict[object, int] = {}
-
-        def intern(expr: Expr) -> int:
-            key = key_of(expr)
-            found = index_of.get(key)
-            if found is not None:
-                return found
-            index = len(self.states)
-            self.states.append(expr)
-            index_of[key] = index
-            return index
-
-        self.initial = intern(start)
-        frontier = [self.initial]
-        seen = {self.initial}
-        while frontier:
-            state = frontier.pop()
-            expr = self.states[state]
-            for event in self.alphabet:
-                nxt = intern(residuate(expr, event))
-                self.transitions[(state, event)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-
-    @property
-    def state_count(self) -> int:
-        return len(self.states)
-
-    @property
-    def transition_count(self) -> int:
-        return len(self.transitions)
-
-    def step(self, state: int, event: Event) -> int:
-        """Follow a transition; foreign events leave the state unchanged."""
-        return self.transitions.get((state, event), state)
-
-    def is_dead(self, state: int) -> bool:
-        return isinstance(self.states[state], Zero)
-
-    def is_discharged(self, state: int) -> bool:
-        return isinstance(self.states[state], Top)
-
-    def run(self, events: Iterable[Event]) -> int:
-        state = self.initial
-        for event in events:
-            state = self.step(state, event)
-        return state
 
 
 class AutomataScheduler(CentralizedScheduler):
-    """Centralized scheduling over precompiled dependency automata.
-
-    Decisions are identical to :class:`CentralizedScheduler` (the
-    automaton is the precompiled form of the same residual state), so
-    this subclass tracks automaton states alongside and exposes the
-    compile-time metrics for bench SC2.
-    """
-
-    def __init__(
-        self,
-        dependencies: Iterable[Expr],
-        sites: Mapping[Event, str] | None = None,
-        attributes: Mapping[Event, EventAttributes] | None = None,
-        latency: LatencyModel | None = None,
-        rng: random.Random | None = None,
-        decision_service_time: float = 0.0,
-        tracer=None,
-        metrics=None,
-    ):
-        dependencies = list(dependencies)
-        super().__init__(
-            dependencies,
-            sites=sites,
-            attributes=attributes,
-            latency=latency,
-            rng=rng,
-            decision_service_time=decision_service_time,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        self.automata = [DependencyAutomaton(d) for d in dependencies]
-        self._automaton_state = [a.initial for a in self.automata]
+    """Centralized scheduling over precompiled dependency automata:
+    :class:`CentralizedScheduler` plus the compile-time metrics of the
+    automata it walks, for bench SC2."""
 
     def total_states(self) -> int:
-        return sum(a.state_count for a in self.automata)
+        return sum(
+            len(cursor.closure.minimized()) for cursor in self.cursors.values()
+        )
 
     def total_transitions(self) -> int:
-        return sum(a.transition_count for a in self.automata)
-
-    def _occur(self, event: Event, attempted_at: float, outcome) -> None:
-        for i, automaton in enumerate(self.automata):
-            self._automaton_state[i] = automaton.step(
-                self._automaton_state[i], event
-            )
-        super()._occur(event, attempted_at, outcome)
+        return sum(
+            len(row)
+            for cursor in self.cursors.values()
+            for row in cursor.closure.minimized().values()
+        )

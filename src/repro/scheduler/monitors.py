@@ -37,7 +37,9 @@ def required_events(residual: Expr, settled_bases: frozenset[Event]) -> frozense
 
     Completions may use any still-unsettled signed event from the
     residual's alphabet.  Returns ``None`` when no accepting completion
-    exists (the dependency is doomed).
+    exists (the dependency is doomed).  This is the rule as stated, by
+    enumeration of ``Pi(residual)``; the monitor reads the same answer
+    off ``ResidualAutomaton.required``, which the tests hold to this.
     """
     if isinstance(residual, Top):
         return frozenset()
@@ -132,20 +134,8 @@ class RequirementMonitor:
 
     def evaluate(self) -> None:
         for dep, track in self._tracks.items():
-            # the state's (doomed, positive required slot events in
-            # canonical order), derived once per closure state for every
-            # copy of the shape.  It needs no settled-base filter:
-            # residuating by f eliminates f's base, so no completion of
-            # a reached state mentions a settled base
-            answer = track.closure.required.get(track.state)
-            if answer is None:
-                events = required_events(track.state, frozenset())
-                positive = (ev for ev in events or () if not ev.negated)
-                answer = track.closure.required[track.state] = (
-                    events is None, tuple(sorted(positive, key=Event.sort_key))
-                )
-            doomed, required = answer
-            if doomed:
+            required = track.closure.required[track.state]
+            if required is None:
                 residual = self.residual(dep)
                 if self._tracer.active:
                     self._tracer.monitor(
@@ -155,7 +145,9 @@ class RequirementMonitor:
                 if self._doomed is not None:
                     self._doomed(dep, residual)
                 continue
-            for slot in required:  # complements settle via agent policy
+            for slot in required:
+                if slot.negated:  # complements settle via agent policy
+                    continue
                 ev = track.from_slot[slot]
                 if ev in self._triggerable and ev not in self._already_triggered:
                     self._already_triggered.add(ev)

@@ -1,8 +1,10 @@
 """The centralized dependency-centric baseline (Sections 3.3-3.4).
 
 This is the scheduler the paper develops first and then argues away
-from: the dependencies live at a single site whose state is the tuple
-of residual expressions (Figure 2).  Every attempt is a round trip --
+from: the dependencies live at a single site whose state is one
+cursor per dependency into Figure 2's state machine
+(:class:`repro.temporal.guards.ResidualAutomaton`), read as the tuple
+of residual expressions.  Every attempt is a round trip --
 agent site -> center -> agent site -- and the center serializes its
 decisions (a configurable per-decision service time), which is the
 bottleneck the distributed scheduler removes.
@@ -42,7 +44,7 @@ from repro.obs.profile import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import Simulator
 from repro.sim.network import LatencyModel, Network
-from repro.temporal.watch import WatchIndex
+from repro.temporal.guards import ResidualCursor
 
 _DEFAULT_ATTRS = EventAttributes()
 
@@ -202,7 +204,6 @@ class CentralizedScheduler:
         decision_service_time: float = 0.0,
         tracer=None,
         metrics: MetricsRegistry | None = None,
-        watch_mode: bool = True,
         profiler=None,
     ):
         self.dependencies = list(dependencies)
@@ -223,8 +224,18 @@ class CentralizedScheduler:
         self._sites = {e.base: s for e, s in (sites or {}).items()}
         self._attributes = {e.base: a for e, a in (attributes or {}).items()}
         self.result = ExecutionResult()
+        #: Figure 2, one copy per dependency: a state of the automaton
+        #: its shape shares with guard synthesis and the monitors
+        self.cursors = {d: ResidualCursor(d) for d in self.dependencies}
+        #: base -> the (dependency, cursor) pairs it can move
+        self._mentioning: dict[Event, list[tuple[Expr, ResidualCursor]]] = {}
+        for dep, cursor in self.cursors.items():
+            for base in cursor.to_slot:
+                self._mentioning.setdefault(base, []).append((dep, cursor))
+        #: the cursors' states on the real names, the form the joint
+        #: completion check reads
         self.residuals: dict[Expr, Expr] = {
-            d: to_normal_form(d) for d in self.dependencies
+            d: cursor.residual() for d, cursor in self.cursors.items()
         }
         self._settled: dict[Event, Event] = {}
         self._parked: dict[Event, float] = {}  # event -> attempted_at
@@ -232,80 +243,6 @@ class CentralizedScheduler:
         self._triggered: set[Event] = set()
         self._seen_attempts: set[Event] = set()
         self._no_progress_bases: set[Event] = set()
-        # watched evaluation: the joint-completion check factors over
-        # the connected components of the dependency/alphabet graph
-        # (terms from different components share no bases, so neither
-        # sign conflicts nor edge cycles can cross), so a state change
-        # only needs to re-examine parked events in the components it
-        # dirtied -- provided the other components' cached factors are
-        # unchanged in value.
-        self.watch_mode = watch_mode
-        self.watch = WatchIndex()
-        self._comp_of: dict[Event, int] = {}  # base -> component id
-        self._comp_deps: dict[int, list[Expr]] = {}
-        self._comp_bases: dict[int, frozenset[Event]] = {}
-        self._factors: dict[int, tuple[bool, bool]] = {}
-        self._dirty_comps: set[int] = set()
-        if self.watch_mode:
-            self._build_components()
-            for comp in self._comp_deps:
-                self._factors[comp] = self._component_factors(comp)
-
-    def _build_components(self) -> None:
-        parent: dict[Event, Event] = {}
-
-        def find(base: Event) -> Event:
-            while parent[base] is not base:
-                parent[base] = parent[parent[base]]
-                base = parent[base]
-            return base
-
-        for dep in self.dependencies:
-            bases = sorted(dep.bases(), key=Event.sort_key)
-            for base in bases:
-                parent.setdefault(base, base)
-            for left, right in zip(bases, bases[1:]):
-                root_l, root_r = find(left), find(right)
-                if root_l is not root_r:
-                    parent[root_r] = root_l
-        roots = sorted({find(b) for b in parent}, key=Event.sort_key)
-        ids = {root: index for index, root in enumerate(roots)}
-        for base in parent:
-            self._comp_of[base] = ids[find(base)]
-        for dep in self.dependencies:
-            bases = dep.bases()
-            # constant dependencies (no alphabet) share component -1
-            comp = self._comp_of[next(iter(bases))] if bases else -1
-            self._comp_deps.setdefault(comp, []).append(dep)
-        for comp, deps in self._comp_deps.items():
-            self._comp_bases[comp] = frozenset().union(
-                *(d.bases() for d in deps)
-            )
-
-    def _component_factors(self, comp: int) -> tuple[bool, bool]:
-        """The component's contribution to both global checks.
-
-        ``_acceptable``/``_recoverable`` of any event foreign to the
-        component multiply in exactly these two values: the
-        attainability-restricted factor (acceptance) and the
-        optimistic one (recoverability).  Foreign events never appear
-        in the component's terms, so neither the residuation by the
-        candidate nor its ``require``/``allowed_positive`` extras can
-        change them."""
-        residuals = tuple(
-            self.residuals[dep] for dep in self._comp_deps.get(comp, ())
-        )
-        return (
-            joint_completion_exists(
-                residuals, allowed_positive=self._allowed_positive()
-            ),
-            joint_completion_exists(residuals),
-        )
-
-    def _mark_dirty(self, base: Event) -> None:
-        comp = self._comp_of.get(base.base)
-        if comp is not None:
-            self._dirty_comps.add(comp)
 
     # ------------------------------------------------------------------
 
@@ -362,10 +299,6 @@ class CentralizedScheduler:
         newly_seen = event not in self._seen_attempts
         self._seen_attempts.add(event)
         if newly_seen:
-            if self.watch_mode and not event.negated:
-                # a new positive attempt enlarges _allowed_positive,
-                # which only its own component's terms can consult
-                self._mark_dirty(event)
             self.metrics.inc("attempts", site=CENTER)
             if self.tracer.active:
                 self.tracer.actor(self.sim.now, CENTER, event, "attempted")
@@ -387,13 +320,6 @@ class CentralizedScheduler:
         if self._recoverable(event):
             if event not in self._parked:
                 self._parked[event] = attempted_at
-                if self.watch_mode:
-                    self.watch.register(
-                        event,
-                        self._comp_bases.get(
-                            self._comp_of.get(event.base), frozenset()
-                        ) | {event.base},
-                    )
                 self.result.parked_total += 1
                 self.metrics.inc("parked", site=CENTER)
                 self.metrics.gauge_adjust("parked_depth", 1, site=CENTER)
@@ -410,7 +336,6 @@ class CentralizedScheduler:
 
     def _unpark(self, event: Event) -> None:
         if self._parked.pop(event, None) is not None:
-            self.watch.unregister(event)
             self.metrics.gauge_adjust("parked_depth", -1, site=CENTER)
 
     def _reject(self, event: Event) -> None:
@@ -426,21 +351,9 @@ class CentralizedScheduler:
         self._settled[event.base] = event
         self._unpark(event)
         self._unpark(event.complement)
-        if self.watch_mode:
-            self._mark_dirty(event)
-        for dep in list(self.residuals):
-            before = self.residuals[dep]
-            after = residuate(before, event)
-            if after is before:
-                continue  # normal forms are hash-consed: identity
-                # means the residual (hence the factor) is unchanged
-            self.residuals[dep] = after
-            if self.watch_mode:
-                bases = dep.bases()
-                if bases:
-                    self._mark_dirty(next(iter(bases)))
-                else:
-                    self._dirty_comps.add(-1)
+        for dep, cursor in self._mentioning.get(event.base, ()):
+            cursor.step(event)
+            self.residuals[dep] = cursor.residual()
         self.metrics.inc("residuation_steps", n=len(self.residuals), site=CENTER)
         self.metrics.inc("accepted", site=CENTER)
         self.metrics.observe(
@@ -467,55 +380,12 @@ class CentralizedScheduler:
         self._after_state_change()
 
     def _after_state_change(self) -> None:
-        # re-examine parked events; under watched evaluation, only
-        # those in components the change dirtied -- unless some
-        # component's cached factor changed *value*, in which case the
-        # global product every foreign event multiplies in has moved
-        # and everything must be rescanned.
-        if self.watch_mode:
-            dirty = self._dirty_comps
-            self._dirty_comps = set()
-            full = False
-            for comp in sorted(dirty):
-                fresh = self._component_factors(comp)
-                if self._factors.get(comp) != fresh:
-                    self._factors[comp] = fresh
-                    full = True
-        else:
-            dirty = set()
-            full = True
         for parked_event in sorted(self._parked, key=Event.sort_key):
-            comp = self._comp_of.get(parked_event.base)
-            if (
-                self.watch_mode
-                and not full
-                and comp is not None
-                and comp not in dirty
-            ):
-                # clean component, factors unchanged: the event is
-                # provably still (unacceptable, recoverable) -- the
-                # naive scan would continue past it
-                self.watch.note_skip()
-                continue
-            self.watch.note_wake()
             attempted_at = self._parked[parked_event]
             if self._acceptable(parked_event):
-                # acting cuts this scan short; push the unexamined
-                # dirt back so the re-entrant scan (or, if the action
-                # never re-enters, the next one) still covers it --
-                # that is what the naive engine's unconditional full
-                # rescan guarantees
-                if self.watch_mode:
-                    self._dirty_comps |= (
-                        set(self._factors) if full else dirty
-                    )
                 self._occur(parked_event, attempted_at, AttemptOutcome.ACCEPTED)
                 return  # _occur re-enters _after_state_change
             if not self._recoverable(parked_event):
-                if self.watch_mode:
-                    self._dirty_comps |= (
-                        set(self._factors) if full else dirty
-                    )
                 self._unpark(parked_event)
                 self._reject(parked_event)
                 return
@@ -618,9 +488,6 @@ class CentralizedScheduler:
         report = self.metrics.as_dict()
         report["network"] = self.network.stats.as_dict()
         report["kernel"] = kernel_stats()
-        report["kernel"]["watch"] = dict(
-            report["kernel"]["watch"], **self.watch.counts()
-        )
         recorder = self.tracer.recorder_stats()
         if recorder is not None:
             report["recorder"] = recorder

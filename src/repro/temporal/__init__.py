@@ -9,8 +9,9 @@
   a union of cubes over the four-world domain each base event ranges
   over on a maximal trace (Figure 3's table is this domain).
 * :mod:`repro.temporal.guards` -- guard synthesis ``G(D, e)``
-  (Definition 2), accepting paths ``Pi(D)`` (Definition 3), and the
-  workflow-level guard conjunction.
+  (Definition 2), the residual automaton it is computed over (Figure
+  2), accepting paths ``Pi(D)`` (Definition 3), and the workflow-level
+  guard conjunction.
 """
 
 from repro.temporal.formulas import (
@@ -41,6 +42,8 @@ from repro.temporal.cubes import (
     literal,
 )
 from repro.temporal.guards import (
+    ResidualAutomaton,
+    ResidualCursor,
     accepting_paths,
     guard,
     guard_formula,
@@ -59,6 +62,8 @@ __all__ = [
     "NotYet",
     "P_C",
     "P_E",
+    "ResidualAutomaton",
+    "ResidualCursor",
     "TAtom",
     "TChoice",
     "TConj",

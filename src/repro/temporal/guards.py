@@ -28,9 +28,12 @@ stored guard back.  Every fold below runs in canonical event order, so
 an order-preserving injective rename commutes with it exactly: the
 result is cube-for-cube what direct synthesis on the real names gives.
 
-Also here: ``Pi(D)`` -- the accepting paths of Definition 3 -- the
-path-sum form of Lemma 5, and the per-event guard table of a whole
-workflow (the conjunction over its dependencies, Section 4.2).
+Also here: :class:`ResidualAutomaton`, Figure 2's state machine, which
+synthesis builds once per shape and the schedulers, monitors, analysis
+and renderers walk through a :class:`ResidualCursor`; ``Pi(D)`` -- the
+accepting paths of Definition 3 -- the path-sum form of Lemma 5, and
+the per-event guard table of a whole workflow (the conjunction over
+its dependencies, Section 4.2).
 """
 
 from __future__ import annotations
@@ -76,8 +79,11 @@ def _alphabet(expr: Expr) -> tuple[Event, ...]:
     return tuple(sorted(expr.alphabet(), key=Event.sort_key))
 
 
-class _Closure:
-    """The residual closure of one normal-form dependency.
+class ResidualAutomaton:
+    """Figure 2: the closure of one normal-form dependency under
+    residuation, built once per shape and walked by every consumer
+    (synthesis, the requirement monitors, both centralized schedulers,
+    the static analysis, the renderers).
 
     ``transitions[S]`` maps every ``f`` in ``Gamma_S`` to
     ``to_normal_form(S/f)``, in canonical alphabet order (an event the
@@ -86,11 +92,16 @@ class _Closure:
     always eliminates ``f``'s base (Rules 3/7/8 of residuation, plus
     ``Seq.of`` collapsing repeated events to ``0``), every transition
     strictly decreases the base set, the closure is a finite DAG, and a
-    guard column can be filled in one bottom-up pass with every
-    successor already solved.  ``columns[e]`` memoizes the per-event
-    pass so all events of a workflow share one closure; ``required[S]``
-    is the requirement monitors' answer for state ``S``, kept here by
-    :mod:`repro.scheduler.monitors` so every copy of the shape reads it.
+    guard column or the ``required`` table can be filled in one
+    bottom-up pass with every successor already solved.  ``columns[e]``
+    memoizes the per-event pass so all events of a workflow share one
+    closure.  ``required[S]`` lists, in canonical order, the signed
+    events on *every* accepting path out of ``S`` (``None``: no path
+    accepts, the state is doomed) --
+    :func:`repro.scheduler.monitors.required_events` is the
+    path-enumerating reading it is tested against.  It needs no
+    settled-base filter: no completion of a reached state mentions a
+    base a transition already eliminated.
     """
 
     __slots__ = ("root", "transitions", "order", "columns", "required")
@@ -117,7 +128,63 @@ class _Closure:
             sorted(self.transitions, key=lambda s: len(s.bases()))
         )
         self.columns: dict[Event, dict[Expr, GuardExpr]] = {}
-        self.required: dict[Expr, tuple[bool, tuple[Event, ...]]] = {}
+        self.required: dict[Expr, tuple[Event, ...] | None] = {}
+        for state in self.order:
+            common = frozenset() if isinstance(state, Top) else None
+            for f, succ in self.transitions[state].items():
+                rest = self.required[succ]
+                if rest is not None:
+                    path = {f, *rest}
+                    common = path if common is None else common & path
+            self.required[state] = None if common is None else tuple(
+                sorted(common, key=Event.sort_key)
+            )
+
+    def step(self, state: Expr, event: Event) -> Expr:
+        """``state/event``; an event foreign to ``state`` is a self-loop."""
+        return self.transitions[state].get(event, state)
+
+    @staticmethod
+    def accepting(state: Expr) -> bool:
+        """The obligation is discharged (``T``)."""
+        return isinstance(state, Top)
+
+    @staticmethod
+    def dead(state: Expr) -> bool:
+        """The obligation can no longer be met (``0``)."""
+        return isinstance(state, Zero)
+
+    def minimized(self) -> dict[Expr, dict[Event, Expr]]:
+        """The quotient by Moore equivalence (partition refinement from
+        accepting / dead / neither), as a total table over ``Gamma_root``
+        with the self-loops explicit: representative state -> event ->
+        representative.  A block is represented by its first-discovered
+        member, so the root stands for its own; ``T`` and ``0`` are
+        always alone in theirs.  This is the precompiled object of the
+        automata baseline [2] whose size SC2 reports."""
+        alphabet = tuple(self.transitions[self.root])
+        block = {
+            s: self.accepting(s) + 2 * self.dead(s) for s in self.transitions
+        }
+        while True:
+            ids: dict[tuple, int] = {}
+            refined = {
+                s: ids.setdefault(
+                    (block[s], *(block[row.get(f, s)] for f in alphabet)),
+                    len(ids),
+                )
+                for s, row in self.transitions.items()
+            }
+            if len(ids) == len(set(block.values())):
+                break  # no block split: ``refined`` is ``block`` renumbered
+            block = refined
+        chosen: dict[int, Expr] = {}
+        for s in self.transitions:
+            chosen.setdefault(block[s], s)
+        return {
+            s: {f: chosen[block[self.step(s, f)]] for f in alphabet}
+            for s in chosen.values()
+        }
 
     def column(self, event: Event) -> dict[Expr, GuardExpr]:
         """``G(S, event)`` for every closure state, one iterative pass.
@@ -146,7 +213,7 @@ class _Closure:
         return col
 
 
-_CLOSURES: dict[Expr, _Closure] = {}
+_CLOSURES: dict[Expr, ResidualAutomaton] = {}
 
 #: ``(slot-space dependencies, slot-space event) -> guard``: one entry
 #: per distinct query shape, shared by every renamed copy
@@ -169,11 +236,11 @@ class _SynthStats:
     shape_misses = 0
 
 
-def _closure_for(dep_nf: Expr) -> _Closure:
+def _closure_for(dep_nf: Expr) -> ResidualAutomaton:
     closure = _CLOSURES.get(dep_nf)
     if closure is None:
         _SynthStats.closure_misses += 1
-        closure = _Closure(dep_nf)
+        closure = ResidualAutomaton(dep_nf)
         _CLOSURES[dep_nf] = closure
     else:
         _SynthStats.closure_hits += 1
@@ -280,7 +347,8 @@ class ResidualCursor:
     """One copy of a dependency in Figure 2's state machine: a state of
     the slot-space closure its shape shares with synthesis (and with
     every other copy), plus this copy's ``to_slot`` / ``from_slot``
-    binding.  Stepping is a probe of ``closure.transitions[state]``."""
+    binding.  Stepping is a probe of ``closure.transitions[state]``
+    (the monitors' ``observe`` inlines it)."""
 
     __slots__ = ("closure", "state", "to_slot", "from_slot")
 
@@ -289,6 +357,19 @@ class ResidualCursor:
         self.to_slot, self.from_slot = _slot_maps(dep_nf.bases())
         self.closure = _closure_for(rename_expr(dep_nf, self.to_slot))
         self.state = self.closure.root
+
+    def after(self, state: Expr, event: Event) -> Expr:
+        """The closure state ``event`` (on the real names) leads to from
+        ``state``; an event foreign to this copy is a self-loop."""
+        slot = self.to_slot.get(event.base)
+        if slot is None:
+            return state
+        return self.closure.step(
+            state, slot.complement if event.negated else slot
+        )
+
+    def step(self, event: Event) -> None:
+        self.state = self.after(self.state, event)
 
     def residual(self) -> Expr:
         """The state on the real names: the very node iterated
@@ -338,7 +419,7 @@ def guard(dependency: Expr, event: Event) -> GuardExpr:
     computed once per dependency *shape* and shared by every event and
     every renamed copy, and each event's guards for *all* closure
     states are derived in a single bottom-up pass (see
-    :class:`_Closure`).
+    :class:`ResidualAutomaton`).
 
     >>> from repro.algebra.parser import parse
     >>> from repro.algebra.symbols import Event

@@ -8,9 +8,10 @@ terminals and logs.
 from __future__ import annotations
 
 from repro.algebra.expressions import Expr
+from repro.algebra.normal_form import to_normal_form
 from repro.algebra.symbols import Event
-from repro.scheduler.automata import DependencyAutomaton
 from repro.scheduler.events import ExecutionResult
+from repro.temporal.guards import ResidualAutomaton
 from repro.workflows.spec import Workflow
 
 
@@ -18,26 +19,27 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def automaton_to_dot(automaton: DependencyAutomaton, title: str = "") -> str:
-    """Render a dependency automaton (Figure 2 style) as DOT."""
+def automaton_to_dot(automaton: ResidualAutomaton, title: str = "") -> str:
+    """Render a dependency automaton (Figure 2 style, minimized) as DOT."""
     lines = ["digraph dependency {", "  rankdir=LR;"]
     if title:
         lines.append(f'  label="{_dot_escape(title)}";')
-    for index, expr in enumerate(automaton.states):
-        label = _dot_escape(repr(expr))
-        shape = "doublecircle" if automaton.is_discharged(index) else "circle"
-        if automaton.is_dead(index):
+    table = automaton.minimized()
+    index = {state: i for i, state in enumerate(table)}
+    for state, i in index.items():
+        label = _dot_escape(repr(state))
+        shape = "doublecircle" if automaton.accepting(state) else "circle"
+        if automaton.dead(state):
             shape = "octagon"
-        marker = ' style=bold' if index == automaton.initial else ""
-        lines.append(f'  s{index} [label="{label}" shape={shape}{marker}];')
+        marker = ' style=bold' if state is automaton.root else ""
+        lines.append(f'  s{i} [label="{label}" shape={shape}{marker}];')
     # merge parallel edges by (src, dst)
     grouped: dict[tuple[int, int], list[str]] = {}
-    for (src, event), dst in sorted(
-        automaton.transitions.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
-    ):
-        if src == dst:
-            continue  # foreign/self loops clutter the figure
-        grouped.setdefault((src, dst), []).append(repr(event))
+    for src, row in table.items():
+        for event, dst in sorted(row.items(), key=lambda kv: repr(kv[0])):
+            if src is dst:
+                continue  # foreign/self loops clutter the figure
+            grouped.setdefault((index[src], index[dst]), []).append(repr(event))
     for (src, dst), labels in grouped.items():
         label = _dot_escape(", ".join(labels))
         lines.append(f'  s{src} -> s{dst} [label="{label}"];')
@@ -119,7 +121,8 @@ def guards_to_text(guards: dict[Event, object]) -> str:
 def dependency_to_dot(dependency: Expr, title: str = "") -> str:
     """Shorthand: residual automaton of one dependency as DOT."""
     return automaton_to_dot(
-        DependencyAutomaton(dependency), title or repr(dependency)
+        ResidualAutomaton(to_normal_form(dependency)),
+        title or repr(dependency),
     )
 
 

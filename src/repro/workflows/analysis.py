@@ -26,10 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algebra.expressions import Expr
-from repro.algebra.symbols import Event
+from repro.algebra.residuation import residuate
+from repro.algebra.symbols import Event, rename_event
 from repro.scheduler.residuation_scheduler import joint_completion_exists
 from repro.temporal.compiled import table_stats
-from repro.temporal.guards import shape_lookups
+from repro.temporal.guards import (
+    ResidualAutomaton,
+    ResidualCursor,
+    shape_lookups,
+)
 from repro.workflows.compiler import compile_workflow
 from repro.workflows.spec import Workflow
 
@@ -62,8 +67,6 @@ def mandatory_events(dependencies: list[Expr]) -> frozenset[Event]:
     for ev in alphabet:
         if ev.negated:
             continue
-        from repro.algebra.residuation import residuate
-
         without = tuple(residuate(d, ev.complement) for d in deps)
         if not joint_completion_exists(without):
             out.add(ev)
@@ -87,46 +90,88 @@ def forbidden_events(dependencies: list[Expr]) -> frozenset[Event]:
     return frozenset(out)
 
 
-#: the most bases :func:`implies` will enumerate: the universe grows
-#: about x6.5 per base (2 s at 8 bases, 14 s at 9)
-IMPLIES_BASE_BUDGET = 8
+#: the most product states one :func:`implies` walk may visit, about a
+#: second of walking; past it the walk raises instead of not returning
+IMPLIES_STATE_BUDGET = 30_000
+
+
+def _entails(
+    premises: list[ResidualCursor], goal: ResidualCursor
+) -> tuple[bool, int]:
+    """Do the premises jointly entail the goal, and how many product
+    states deciding it visited.
+
+    Walks the reachable product of the dependencies' and the
+    candidate's residual automata (Figure 2; the cursors only bind the
+    automata to the real names and are not moved) looking for a
+    maximal trace that discharges every dependency and kills the
+    candidate.  A branch is cut where the candidate is ``T`` (every
+    extension satisfies it) or a dependency is ``0`` (no extension is a
+    counterexample); a state where no component has a live event left
+    has every component at ``T`` or ``0``, so reaching one uncut *is*
+    the counterexample.
+    """
+    cursors = [*premises, goal]
+    accepting, dead = ResidualAutomaton.accepting, ResidualAutomaton.dead
+    start = tuple(cursor.closure.root for cursor in cursors)
+    seen, stack = {start}, [start]
+    while stack:
+        states = stack.pop()
+        if accepting(states[-1]) or any(map(dead, states[:-1])):
+            continue
+        live = {
+            rename_event(slot, cursor.from_slot): None
+            for cursor, state in zip(cursors, states)
+            for slot in cursor.closure.transitions[state]
+        }
+        if not live:
+            return False, len(seen)
+        for event in live:
+            successor = tuple(
+                cursor.after(state, event)
+                for cursor, state in zip(cursors, states)
+            )
+            if successor in seen:
+                continue
+            if len(seen) >= IMPLIES_STATE_BUDGET:
+                raise ValueError(
+                    f"the implication walk visited {len(seen)} product "
+                    f"states, its budget, without an answer"
+                )
+            seen.add(successor)
+            stack.append(successor)
+    return True, len(seen)
 
 
 def implies(dependencies: list[Expr], candidate: Expr) -> bool:
     """Do the dependencies jointly entail ``candidate``?
 
-    Checked over the finite universe covering all mentioned bases --
-    exact, exponential in the base count, intended for specification-
-    sized inputs: more than :data:`IMPLIES_BASE_BUDGET` bases raise
-    :class:`ValueError` instead of not returning.
+    Exact, by :func:`_entails`' walk of the reachable product automaton:
+    cheap when the dependencies leave few joint states open, and a
+    :class:`ValueError` naming the count (instead of not returning)
+    once the walk passes :data:`IMPLIES_STATE_BUDGET` states.
     """
-    from repro.algebra.traces import maximal_universe, satisfies
+    return _entails(
+        [ResidualCursor(d) for d in dependencies], ResidualCursor(candidate)
+    )[0]
 
-    bases: set[Event] = set()
-    for dep in list(dependencies) + [candidate]:
-        bases |= dep.bases()
-    if len(bases) > IMPLIES_BASE_BUDGET:
-        raise ValueError(
-            f"{len(bases)} bases exceed the exhaustive budget of "
-            f"{IMPLIES_BASE_BUDGET}"
-        )
-    for u in maximal_universe(bases):
-        if all(satisfies(u, d) for d in dependencies) and not satisfies(
-            u, candidate
-        ):
-            return False
-    return True
+
+def _redundancy_checks(dependencies: list[Expr]):
+    """``(dependency, implied by the others, product states visited)``
+    for every dependency that has others."""
+    cursors = [ResidualCursor(d) for d in dependencies]
+    for i, dep in enumerate(dependencies):
+        rest = cursors[:i] + cursors[i + 1:]
+        if rest:
+            yield (dep, *_entails(rest, cursors[i]))
 
 
 def redundant_dependencies(dependencies: list[Expr]) -> list[Expr]:
     """Dependencies already implied by the others (:func:`implies`,
-    so a workflow over its base budget raises :class:`ValueError`)."""
-    out = []
-    for i, dep in enumerate(dependencies):
-        rest = dependencies[:i] + dependencies[i + 1:]
-        if rest and implies(rest, dep):
-            out.append(dep)
-    return out
+    so a walk over its state budget raises :class:`ValueError`)."""
+    return [
+        dep for dep, implied, _ in _redundancy_checks(dependencies) if implied
+    ]
 
 
 def dependency_conflicts(dependencies: list[Expr]) -> list[tuple[Expr, Expr]]:
@@ -156,6 +201,9 @@ class AnalysisReport:
     redundant: list[Expr] = field(default_factory=list)
     #: why the (advisory) redundancy check was skipped; empty = it ran
     redundancy_skipped: str = ""
+    #: the most product states any one redundancy check visited (each
+    #: check may visit :data:`IMPLIES_STATE_BUDGET`)
+    product_states: int = 0
     conflicts: list[tuple[Expr, Expr]] = field(default_factory=list)
     promise_pairs: frozenset[frozenset[Event]] = frozenset()
     notyet_needs: dict[Event, frozenset[Event]] = field(default_factory=dict)
@@ -193,6 +241,8 @@ class AnalysisReport:
             ),
             "redundant": sorted(repr(d) for d in self.redundant),
             "redundancy_checked": not self.redundancy_skipped,
+            "product_states": self.product_states,
+            "product_state_budget": IMPLIES_STATE_BUDGET,
             "conflicts": sorted(
                 [repr(a), repr(b)] for a, b in self.conflicts
             ),
@@ -230,6 +280,11 @@ class AnalysisReport:
             lines.append(
                 f"  redundancy not checked: {self.redundancy_skipped}"
             )
+        elif self.product_states:
+            lines.append(
+                f"  redundancy checked: at most {self.product_states} "
+                f"product states per check (budget {IMPLIES_STATE_BUDGET})"
+            )
         if self.promise_pairs:
             pairs = "; ".join(
                 " <-> ".join(repr(e) for e in sorted(p, key=Event.sort_key))
@@ -248,18 +303,18 @@ class AnalysisReport:
                 f"{self.compiled['cubes']} cubes / "
                 f"{self.compiled['literals']} literals"
             )
-        if self.synthesis:
-            lines.append(
-                "  guard synthesis: "
-                f"{self.synthesis['shape_misses']} shapes synthesized, "
-                f"{self.synthesis['shape_hits']} guards renamed from them"
-            )
             if self.compiled["constant_false"]:
                 names = ", ".join(self.compiled["constant_false"])
                 lines.append(
                     "  WARNING constant-false guards (dead events, every "
                     f"attempt rejects): {names}"
                 )
+        if self.synthesis:
+            lines.append(
+                "  guard synthesis: "
+                f"{self.synthesis['shape_misses']} shapes synthesized, "
+                f"{self.synthesis['shape_hits']} guards renamed from them"
+            )
         return "\n".join(lines)
 
 
@@ -281,9 +336,9 @@ def analyze(workflow: Workflow) -> AnalysisReport:
             )
         )
     )
-    redundant, redundancy_skipped = [], ""
+    checks, redundancy_skipped = [], ""
     try:
-        redundant = redundant_dependencies(deps)
+        checks = list(_redundancy_checks(deps))
     except ValueError as exc:
         redundancy_skipped = str(exc)
     return AnalysisReport(
@@ -293,8 +348,9 @@ def analyze(workflow: Workflow) -> AnalysisReport:
         mandatory=mandatory,
         forbidden=forbidden_events(deps),
         unsupported_mandatory=unsupported,
-        redundant=redundant,
+        redundant=[dep for dep, implied, _ in checks if implied],
         redundancy_skipped=redundancy_skipped,
+        product_states=max((visited for *_, visited in checks), default=0),
         conflicts=dependency_conflicts(deps),
         promise_pairs=compiled.promise_pairs,
         notyet_needs=compiled.notyet_needs,

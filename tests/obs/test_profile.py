@@ -17,7 +17,11 @@ from repro.obs.profile import (
     to_collapsed,
 )
 from repro.scale import instance_spec, plan_shards, run_sharded
-from repro.scheduler import CentralizedScheduler, DistributedScheduler
+from repro.scheduler import (
+    AutomataScheduler,
+    CentralizedScheduler,
+    DistributedScheduler,
+)
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 
@@ -178,7 +182,8 @@ class TestVerifySpan:
     """Post-run dependency checking is an attributed phase."""
 
     @pytest.mark.parametrize(
-        "scheduler_cls", [DistributedScheduler, CentralizedScheduler]
+        "scheduler_cls",
+        [DistributedScheduler, CentralizedScheduler, AutomataScheduler],
     )
     def test_profiled_run_attributes_verify_and_default_does_not(
         self, scheduler_cls

@@ -15,10 +15,6 @@ guard-table growth.  The differential harness here (shared with
 with identical fault schedules and asserts byte-identical timelines,
 final actor states, and (modulo the guard-evaluation records the
 reference engine emits extra) causal traces.
-
-The centralized :class:`ResiduationScheduler` gets the same
-treatment: component-factored scan skipping must decide exactly what
-the naive full rescan decides.
 """
 
 import random
@@ -30,9 +26,7 @@ from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.obs import Tracer
 from repro.params.distributed import DistributedParamRunner
-from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.guard_scheduler import DistributedScheduler
-from repro.scheduler.residuation_scheduler import CentralizedScheduler
 from repro.sim.network import ConstantLatency
 from repro.workloads.generators import chain_workflow, scripts_for
 from repro.workloads.scenarios import (
@@ -301,59 +295,3 @@ class TestResurrectionEquivalence:
         watch_sched, watched = param_run(tokens, reference=False)
         assert observables(watched) == observables(naive)
         assert final_state(watch_sched) == final_state(naive_sched)
-
-
-@st.composite
-def central_cases(draw):
-    # several independent little workflows sharing one centralized
-    # scheduler, attempted in a fuzzed interleaving: cross-component
-    # skips interleave with per-component wake-ups
-    n = draw(st.integers(2, 4))
-    deps, events = [], []
-    for i in range(n):
-        a, b = Event(f"a{i}"), Event(f"b{i}")
-        deps.append(parse(f"~b{i} + a{i} . b{i}"))
-        events.extend([b, a])  # b first: parks until a settles
-    order = draw(st.permutations(events))
-    return deps, tuple(order)
-
-
-class TestCentralizedEquivalence:
-    """The component-factored scan of ``CentralizedScheduler`` decides
-    exactly what the naive full rescan decides."""
-
-    @staticmethod
-    def _run(deps, order, watch):
-        sched = CentralizedScheduler(deps, watch_mode=watch)
-        scripts = [
-            AgentScript(
-                "agents",
-                [ScriptedAttempt(float(i), e) for i, e in enumerate(order)],
-            )
-        ]
-        result = sched.run(scripts, verify=False)
-        return sched, result
-
-    @settings(max_examples=100, deadline=None)
-    @given(central_cases())
-    def test_interleavings_are_observably_identical(self, case):
-        deps, order = case
-        naive_sched, naive = self._run(deps, order, watch=False)
-        watch_sched, watched = self._run(deps, order, watch=True)
-        assert observables(watched) == observables(naive)
-        assert sorted(
-            (repr(d), repr(r)) for d, r in watch_sched.residuals.items()
-        ) == sorted((repr(d), repr(r)) for d, r in naive_sched.residuals.items())
-
-    def test_component_skips_happen(self):
-        deps = [parse(f"~b{i} + a{i} . b{i}") for i in range(8)]
-        order = [Event(f"b{i}") for i in range(8)] + [
-            Event(f"a{i}") for i in range(8)
-        ]
-        sched, result = self._run(deps, order, watch=True)
-        counts = sched.watch.counts()
-        assert counts["skips"] > 0, counts
-        timeline = [repr(e.event) for e in result.entries]
-        # every a unparks exactly its own b, in attempt order
-        for i in range(8):
-            assert timeline.index(f"a{i}") < timeline.index(f"b{i}")

@@ -1,11 +1,11 @@
 """Rendering: DOT and text output."""
 
+from repro.algebra.normal_form import to_normal_form
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.scheduler import DistributedScheduler
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.scheduler.automata import DependencyAutomaton
-from repro.temporal.guards import workflow_guards
+from repro.temporal.guards import ResidualAutomaton, workflow_guards
 from repro.viz import (
     automaton_to_dot,
     dependency_to_dot,
@@ -20,11 +20,11 @@ E, F = Event("e"), Event("f")
 
 class TestAutomatonDot:
     def test_contains_all_states(self):
-        auto = DependencyAutomaton(parse("~e + ~f + e . f"))
+        auto = ResidualAutomaton(to_normal_form(parse("~e + ~f + e . f")))
         dot = automaton_to_dot(auto, title="D_<")
         assert dot.startswith("digraph")
         assert dot.endswith("}")
-        assert dot.count("shape=") == auto.state_count
+        assert dot.count("shape=") == len(auto.minimized()) == 5
         assert "D_<" in dot
 
     def test_accepting_and_dead_shapes(self):
@@ -38,7 +38,7 @@ class TestAutomatonDot:
         assert '"~e, ~f"' in dot
 
     def test_escapes_quotes(self):
-        auto = DependencyAutomaton(parse("~e + f"))
+        auto = ResidualAutomaton(to_normal_form(parse("~e + f")))
         dot = automaton_to_dot(auto, title='say "hi"')
         assert '\\"hi\\"' in dot
 

@@ -3,11 +3,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
+from repro.algebra.traces import maximal_universe, satisfies
+from repro.workflows import analysis
 from repro.workflows.analysis import (
-    IMPLIES_BASE_BUDGET,
+    IMPLIES_STATE_BUDGET,
+    AnalysisReport,
     analyze,
     dependency_conflicts,
     forbidden_events,
@@ -20,7 +25,23 @@ from repro.workflows.analysis import (
 from repro.workflows.loader import load
 from repro.workflows.spec import Workflow
 
+from tests.properties.strategies import expressions
+
 E, F, G = Event("e"), Event("f"), Event("g")
+FIVE_BASES = [E, F, G, Event("h"), Event("k")]
+
+
+def implies_by_enumeration(dependencies, candidate):
+    """``implies`` as it is defined: no maximal trace over the mentioned
+    bases satisfies every dependency and not the candidate."""
+    bases = set()
+    for dep in [*dependencies, candidate]:
+        bases |= dep.bases()
+    return not any(
+        all(satisfies(u, d) for d in dependencies)
+        and not satisfies(u, candidate)
+        for u in maximal_universe(bases)
+    )
 
 
 class TestSatisfiability:
@@ -81,24 +102,51 @@ class TestImplicationAndRedundancy:
         deps = [parse("~e + f"), parse("~f + g")]
         assert redundant_dependencies(deps) == []
 
-    def test_implies_refuses_more_bases_than_its_budget(self):
-        deps = [parse(f"~e + f{k}") for k in range(IMPLIES_BASE_BUDGET)]
-        with pytest.raises(ValueError, match="9 bases exceed"):
-            implies(deps[1:], deps[0])
+    @given(
+        st.lists(expressions(bases=FIVE_BASES), max_size=3),
+        expressions(bases=FIVE_BASES),
+    )
+    def test_product_walk_agrees_with_the_universe_filter(
+        self, dependencies, candidate
+    ):
+        assert implies(dependencies, candidate) == implies_by_enumeration(
+            dependencies, candidate
+        )
 
-    def test_precede_example_skips_redundancy_and_says_so(self):
-        # used not to return: 13 bases, x6.5 per base past 8
-        spec = Path(__file__).parents[2] / "examples" / "precede.wf"
-        report = analyze(load(spec))
+    def test_implies_refuses_past_state_budget(self):
+        # twelve independent arrows entail each of themselves, and
+        # showing it means walking all their joint states
+        deps = [parse(f"~e{k} + f{k}") for k in range(12)]
+        with pytest.raises(
+            ValueError, match=f"visited {IMPLIES_STATE_BUDGET} product states"
+        ):
+            implies(deps, deps[0])
+
+    def test_precede_example_checks_redundancy(self):
+        # 13 bases: the universe filter did not return, its base budget
+        # of 8 skipped the check
+        workflow = load(Path(__file__).parents[2] / "examples" / "precede.wf")
+        report = analyze(workflow)
+        assert report.ok and report.redundant == []
+        assert report.as_dict()["redundancy_checked"] is True
+        assert 0 < report.as_dict()["product_states"] < 1000
+        assert report.as_dict()["product_state_budget"] == IMPLIES_STATE_BUDGET
+        assert "not checked" not in report.summary()
+        assert "redundancy checked: at most" in report.summary()
+
+    def test_over_budget_analysis_skips_redundancy_with_the_count(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(analysis, "IMPLIES_STATE_BUDGET", 50)
+        workflow = load(Path(__file__).parents[2] / "examples" / "precede.wf")
+        workflow.add(repr(workflow.dependencies[0]) + " + g")  # implied
+        report = analyze(workflow)
         assert report.ok and report.redundant == []
         assert report.as_dict()["redundancy_checked"] is False
         assert (
-            "redundancy not checked: 13 bases exceed the exhaustive "
-            "budget of 8"
+            "redundancy not checked: the implication walk visited 50 "
+            "product states"
         ) in report.summary()
-        within = analyze(Workflow("small", dependencies=[parse("~e + f")]))
-        assert within.as_dict()["redundancy_checked"] is True
-        assert "not checked" not in within.summary()
 
 
 class TestConflicts:
@@ -154,6 +202,21 @@ class TestAnalyzeReport:
         assert report.conflicts
         assert not report.ok
         assert "CONFLICT" in report.summary()
+
+    def test_constant_false_warning_needs_no_synthesis_section(self):
+        compiled = {
+            "guards": 2, "roots": 1, "sharing_ratio": 0.5, "cubes": 0,
+            "literals": 0, "constant_false": ["e"],
+        }
+        report = AnalysisReport("w", True, True, compiled=compiled)
+        assert "WARNING constant-false guards" in report.summary()
+
+    def test_synthesis_section_needs_no_compiled_table(self):
+        report = AnalysisReport(
+            "w", True, True, synthesis={"shape_misses": 1, "shape_hits": 0}
+        )
+        assert "guard synthesis: 1 shapes" in report.summary()
+        assert "constant-false" not in report.summary()
 
     def test_report_surfaces_promise_pairs(self):
         w = Workflow("coupled")
