@@ -10,9 +10,9 @@ artifact:
   stamps every message send/receive/drop/retransmit, actor state
   transition, guard evaluation, crash/restart, and sync round with a
   per-site Lamport clock and emits structured JSONL records.  The
-  default :data:`NULL_TRACER` is inert: instrumentation sites guard on
-  ``tracer.active``, so a run without tracing takes the exact same
-  code path as before.
+  default :data:`NULL_TRACER` is inert: the per-message and
+  per-evaluation sites test ``tracer.active``, the rest call a no-op,
+  so a run without tracing takes the same decisions.
 * :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of counters,
   gauges (with peaks), and summary histograms, labelled per site and
   dumpable as JSON from ``DistributedScheduler.metrics_report()``.
@@ -44,8 +44,8 @@ artifact:
   hierarchical attribution (synthesis, template stamping, guard
   evaluation, cube ops, watch wakes, delivery, retransmits, sync
   rounds), self-vs-cumulative time, per-site/per-event breakdowns, and
-  collapsed-stack / Chrome-trace exporters.  The default
-  :data:`NULL_PROFILER` is inert, mirroring :data:`NULL_TRACER`.
+  collapsed-stack / Chrome-trace exporters.  An unprofiled run holds
+  no profiler (``None``).
 * :mod:`repro.obs.timeseries` -- a :class:`TimeSeriesRegistry` of
   sim-time gauge series (parked events, channel backlog, in-flight
   messages, fires per interval) sampled on the simulator's clock, with
@@ -86,7 +86,7 @@ from repro.obs.merge import (
     shard_prefix,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import NULL_PROFILER, NullProfiler, Profiler
+from repro.obs.profile import Profiler
 from repro.obs.query import (
     KNOWN_INDICATORS,
     causal_chain,
@@ -102,10 +102,8 @@ from repro.obs.registry import RunRegistry
 from repro.obs.timeseries import TimeSeriesRegistry
 from repro.obs.prom import lint_prometheus, render_prometheus, write_prometheus
 from repro.obs.provenance import (
-    NULL_PROVENANCE,
     Explanation,
     Fact,
-    NullProvenance,
     ProvenanceLog,
     explain_records,
     minimal_unblocking_sets,
@@ -127,11 +125,7 @@ __all__ = [
     "FlightRecorder",
     "KNOWN_INDICATORS",
     "MetricsRegistry",
-    "NULL_PROFILER",
-    "NULL_PROVENANCE",
     "NULL_TRACER",
-    "NullProfiler",
-    "NullProvenance",
     "NullTracer",
     "Profiler",
     "ProvenanceLog",

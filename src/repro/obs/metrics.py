@@ -11,11 +11,10 @@ per-site shape).  Three instrument kinds:
 * **histogram** -- summary statistics of observed values (count, sum,
   min, max, mean), e.g. guard-evaluation latency or time-to-allow.
 
-Counters and gauges are cheap dict updates and are always on.
-Wall-clock timing is not: instrumentation sites only call
-``time.perf_counter`` when ``registry.timed`` (or an attached tracer)
-asks for it, so the default configuration never perturbs the hot
-path.  Everything is deterministic except explicitly-timed values.
+Counters and gauges are cheap dict updates and are always on, and
+everything in the registry is a deterministic function of the run:
+wall-clock timings (a guard evaluation's ``elapsed``) go to the trace
+record, taken only when a tracer is attached.
 """
 
 from __future__ import annotations
@@ -28,10 +27,7 @@ _TOTAL = ""  # label key under which the cross-site total is reported
 class MetricsRegistry:
     """Counters, gauges, and summary histograms, labelled per site."""
 
-    def __init__(self, timed: bool = False):
-        #: when True, instrumented code records wall-clock timings
-        #: (guard-eval latency); off by default to keep runs exact
-        self.timed = timed
+    def __init__(self) -> None:
         self._counters: dict[tuple[str, str], int] = {}
         self._gauges: dict[tuple[str, str], dict[str, float]] = {}
         self._histograms: dict[tuple[str, str], dict[str, float]] = {}

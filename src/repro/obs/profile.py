@@ -12,11 +12,12 @@ labels, its *cumulative* time is wall-clock from push to pop, and its
 aggregate by full stack path (``delivery/watch_wake/guard_eval``), so
 the report is a flame graph, not a flat table.
 
-Like :data:`repro.obs.tracer.NULL_TRACER`, the default
-:data:`NULL_PROFILER` is inert: every instrumentation site guards on
-``profiler.active``, and a run without profiling executes the exact
-same instructions as before the profiler existed (the overhead bench
-``bench_obs_overhead.py`` pins this with bit-identical timelines).
+A run without profiling holds no profiler (``None``).  Sites that run
+a few times per run wrap their work in :func:`span`; the per-message
+and per-evaluation sites (``delivery``, ``retransmit``, ``watch_wake``,
+``cube_ops``, ``guard_eval``) test ``profiler is not None`` around
+``push`` and ``pop`` themselves, so an unprofiled run makes no call
+there (``bench_obs_overhead.py`` pins bit-identical timelines).
 
 Exports:
 
@@ -42,33 +43,7 @@ from typing import IO, Mapping
 PATH_SEP = "/"
 
 
-class NullProfiler:
-    """Inert profiler: every operation is a no-op.
-
-    Instrumentation sites must guard on :attr:`active` and avoid
-    computing labels outside the guard, so the null profiler costs one
-    attribute read per site.
-    """
-
-    active = False
-
-    def push(self, phase: str, site: str | None = None,
-             event: str | None = None) -> None:
-        """Open a span; pair with :meth:`pop`."""
-
-    def pop(self) -> None:
-        """Close the innermost open span."""
-
-    def report(self) -> dict:
-        """JSON-ready aggregation (empty for the null profiler)."""
-        return {"phases": {}, "by_site": {}, "by_event": {}}
-
-
-#: shared inert default, analogous to ``NULL_TRACER``
-NULL_PROFILER = NullProfiler()
-
-
-class Profiler(NullProfiler):
+class Profiler:
     """Recording profiler: span stack + path-keyed aggregation.
 
     The simulation is single-threaded, so one stack suffices.  Spans
@@ -84,8 +59,6 @@ class Profiler(NullProfiler):
     ['delivery', 'delivery/guard_eval']
     """
 
-    active = True
-
     def __init__(self, clock=perf_counter):
         self._clock = clock
         # stack frames: [path, phase, start, child_time, site, event]
@@ -99,11 +72,13 @@ class Profiler(NullProfiler):
 
     def push(self, phase: str, site: str | None = None,
              event: str | None = None) -> None:
+        """Open a span; pair with :meth:`pop`."""
         stack = self._stack
         path = stack[-1][0] + PATH_SEP + phase if stack else phase
         stack.append([path, phase, self._clock(), 0.0, site, event])
 
     def pop(self) -> None:
+        """Close the innermost open span."""
         path, phase, start, child, site, event = self._stack.pop()
         elapsed = self._clock() - start
         self_time = elapsed - child
@@ -164,6 +139,26 @@ class Profiler(NullProfiler):
                 for phase, per in sorted(by_event.items())
             },
         }
+
+
+class span:
+    """``with span(profiler, "verify"):`` records the body as one span
+    of ``profiler``; with ``None`` for a profiler it only runs it."""
+
+    __slots__ = ("profiler", "labels")
+
+    def __init__(self, profiler: Profiler | None, phase: str,
+                 site: str | None = None, event: str | None = None):
+        self.profiler = profiler
+        self.labels = (phase, site, event)
+
+    def __enter__(self) -> None:
+        if self.profiler is not None:
+            self.profiler.push(*self.labels)
+
+    def __exit__(self, *exc_info) -> None:
+        if self.profiler is not None:
+            self.profiler.pop()
 
 
 def to_collapsed(report: Mapping) -> str:

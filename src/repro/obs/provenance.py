@@ -271,30 +271,14 @@ def explain_region(
 # ----------------------------------------------------------------------
 # justification log (live runs)
 
-class NullProvenance:
-    """Inert default: records nothing, costs one attribute read."""
-
-    active = False
-
-    def learned(self, actor, base, mask, source, origin) -> None:
-        pass
-
-    def facts_for(self, owner: str, base: str) -> list[dict]:
-        return []
-
-
-#: Shared inert instance; schedulers default to this when untraced.
-NULL_PROVENANCE = NullProvenance()
-
-
-class ProvenanceLog(NullProvenance):
+class ProvenanceLog:
     """Per-(actor, base) journal of knowledge refinements.
 
     Lives in the observer (like the tracer's clocks): it survives
     simulated crashes because it describes what the run *did*, not
-    protocol state."""
-
-    active = True
+    protocol state.  Every scheduler has one; it fills only in a traced
+    run (``EventActor.learn`` asks the tracer first), and an empty log
+    answers :meth:`facts_for` with nothing."""
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, str], list[dict]] = {}
@@ -312,7 +296,7 @@ class ProvenanceLog(NullProvenance):
             "origin": repr(origin) if origin is not None else None,
             "origin_site": origin_site,
             "t": sched.sim.now,
-            "lc": sched.tracer.clock(actor.site) if sched.tracer.active else None,
+            "lc": sched.tracer.clock(actor.site),
         })
 
     def facts_for(self, owner: str, base: str) -> list[dict]:

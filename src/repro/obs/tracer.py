@@ -26,10 +26,12 @@ observability infrastructure, so they survive simulated crashes (a
 restarting site keeps appending to the same monotone record stream --
 what crashed is the *protocol* state, which the trace is describing).
 
-Design rule for instrumentation sites: guard every call on
-``tracer.active`` (and never compute record fields outside the guard),
-so the default :data:`NULL_TRACER` adds one attribute read and a
-branch to hot paths -- nothing else.
+Design rule for instrumentation sites: a site that runs per message,
+per guard evaluation or per knowledge refinement tests
+``tracer.active`` and builds its record fields inside the branch, so
+the default :data:`NULL_TRACER` costs it one attribute read; every
+other site calls its hook outright and passes only values it already
+holds (the :class:`Tracer` does the ``repr``).
 
 ``Tracer(ring=N)`` turns the unbounded in-memory record list into a
 bounded *flight-recorder window*: the newest ``N`` records are kept,
@@ -80,67 +82,28 @@ def open_trace(path, mode: str = "r"):
 
 
 class NullTracer:
-    """The inert default tracer: records nothing, costs a branch.
+    """The inert default tracer: records nothing.
 
-    Exposes the full :class:`Tracer` surface so unguarded call sites
-    stay correct; ``active`` is False so guarded (hot-path) sites skip
-    even the argument construction.
+    It answers the hooks that sites call without asking first (a few
+    calls per run or per settled event).  The per-message,
+    per-evaluation and per-refinement hooks exist on :class:`Tracer`
+    only: their sites test ``active``, so an untraced run neither calls
+    them nor builds their record fields.
     """
 
     active = False
     records: list[dict] = []
 
-    def message_send(self, t, src, dst, kind):
-        return 0, 0
-
-    def message_recv(self, t, src, dst, kind, mid, sent_lc):
+    def _ignore(self, *args, **fields) -> None:
         pass
 
-    def message_drop(self, t, src, dst, kind):
-        pass
-
-    def message_dup(self, t, src, dst, kind):
-        pass
-
-    def session(self, t, site, op, **fields):
-        pass
-
-    def actor(self, t, site, event, op, **fields):
-        pass
-
-    def guard_eval(self, t, site, event, guard, residual, verdict, elapsed,
-                   cubes=None, knowledge=None):
-        pass
-
-    def snapshot(self, t, site, op, snap_id, **fields):
-        return 0
-
-    def clock(self, site):
-        return 0
-
-    def round_event(self, t, site, event, op, round_id, **fields):
-        pass
-
-    def crash(self, t, site):
-        pass
-
-    def restart(self, t, site):
-        pass
-
-    def sync(self, t, site, op, **fields):
-        pass
-
-    def monitor(self, t, site, op, **fields):
-        pass
+    actor = round_event = crash = restart = sync = monitor = _ignore
 
     def recorder_stats(self):
         """Flight-recorder statistics; ``None`` unless in ring mode."""
         return None
 
-    def window_records(self) -> list[dict]:
-        return []
-
-    def dump(self, path):  # pragma: no cover - nothing to dump
+    def dump(self, path):
         raise ValueError("the null tracer records nothing; pass a Tracer")
 
 
@@ -331,8 +294,14 @@ class Tracer(NullTracer):
             fields["knowledge"] = knowledge
         self.local(t, site, "guard", "eval", **fields)
 
-    def round_event(self, t: float, site: str, event: Any, op: str, round_id: int, **fields: Any) -> None:
-        """Not-yet certificate rounds: ``op`` is start / conclude / abort."""
+    def round_event(
+        self, t: float, site: str, event: Any, op: str, round_id: int,
+        targets: Iterable | None = None, **fields: Any,
+    ) -> None:
+        """Not-yet certificate rounds: ``op`` is start / conclude /
+        abort; ``targets`` are the bases a starting round asks about."""
+        if targets is not None:
+            fields["targets"] = [repr(base) for base in targets]
         self.local(t, site, "round", op, event=repr(event), round_id=round_id, **fields)
 
     # ------------------------------------------------------------------
@@ -344,16 +313,25 @@ class Tracer(NullTracer):
     def restart(self, t: float, site: str) -> None:
         self.local(t, site, "fault", "restart")
 
-    def sync(self, t: float, site: str, op: str, **fields: Any) -> None:
-        """Recovery sync rounds: ``op`` is begin / reply / complete."""
+    def sync(
+        self, t: float, site: str, op: str, event: Any = None, **fields: Any
+    ) -> None:
+        """Recovery sync rounds: ``op`` is begin / reply / complete;
+        a reply names the ``event`` whose actor it reached."""
+        if event is not None:
+            fields["event"] = repr(event)
         self.local(t, site, "sync", op, **fields)
 
     # ------------------------------------------------------------------
     # requirement monitors
 
-    def monitor(self, t: float, site: str, op: str, **fields: Any) -> None:
-        """``op``: trigger / doomed."""
-        self.local(t, site, "monitor", op, **fields)
+    def monitor(self, t: float, site: str, op: str, **subjects: Any) -> None:
+        """``op``: trigger (of an ``event``) / doomed (a ``dependency``
+        at a ``residual``); each subject is recorded by its ``repr``."""
+        self.local(
+            t, site, "monitor", op,
+            **{name: repr(subject) for name, subject in subjects.items()},
+        )
 
     # ------------------------------------------------------------------
     # consistent global snapshots (repro.obs.snapshot)

@@ -35,8 +35,8 @@ class DistributedParamRunner:
     attributes:
         Per *event-type name* attributes (applied to every ground
         instance of that type).
-    tracer / metrics / provenance:
-        Observability hooks, forwarded to the underlying
+    tracer:
+        Observability hook, forwarded to the underlying
         :class:`DistributedScheduler` (see :mod:`repro.obs`).
     reference_engine:
         Tests only, forwarded likewise: the paper-literal guard
@@ -48,8 +48,6 @@ class DistributedParamRunner:
         templates: Iterable[Expr | str],
         attributes: dict[str, EventAttributes] | None = None,
         tracer=None,
-        metrics=None,
-        provenance: bool | None = None,
         reference_engine: bool = False,
     ):
         self.templates: list[Expr] = [
@@ -59,8 +57,8 @@ class DistributedParamRunner:
         self._seen_values: set = set()
         self._materialized: set = set()
         self.sched = DistributedScheduler(
-            [], attributes={}, tracer=tracer, metrics=metrics,
-            provenance=provenance, reference_engine=reference_engine,
+            [], attributes={}, tracer=tracer,
+            reference_engine=reference_engine,
         )
         # per-name attributes are resolved lazily per ground base
         self.sched.attributes = self._attributes_for  # type: ignore[assignment]

@@ -11,6 +11,9 @@
   skeletons (Figure 1) and scripted attempt behaviour.
 * :mod:`repro.scheduler.actors` -- one actor per signed event type,
   holding its guard and assimilating messages (Sections 2, 4.3).
+* :mod:`repro.scheduler.base` -- what a run is under every scheduler:
+  simulator, fabric, lifecycle, result, and the one method that
+  reports each lifecycle event.
 * :mod:`repro.scheduler.guard_scheduler` -- the paper's contribution:
   the distributed event-centric scheduler.
 * :mod:`repro.scheduler.residuation_scheduler` -- the centralized

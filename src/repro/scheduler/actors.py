@@ -31,7 +31,7 @@ Decision rule on an attempt (Section 4.3's "evaluation"):
 from __future__ import annotations
 
 import enum
-import time
+from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.algebra.symbols import Event
@@ -142,16 +142,16 @@ class EventActor:
         """Tighten the knowledge mask for ``base``.
 
         ``source``/``origin`` name the message kind and signed event
-        that justified the refinement; they are recorded only when a
-        provenance log is attached (``sched.provenance.active``), so
-        the default path pays one attribute read and a branch."""
+        that justified the refinement; they are recorded in a traced
+        run only, so the default path pays one attribute read and a
+        branch per refinement."""
         current = self.knowledge.get(base, FULL)
         updated = current & mask
         if updated != current:
             self.knowledge[base] = updated
             self._knowledge_dirty = True
             self.cursor.learn(base, updated)
-            if self.sched.provenance.active:
+            if self.sched.tracer.active:
                 self.sched.provenance.learned(self, base, mask, source, origin)
 
     def observe_occurrence(self, event: Event) -> None:
@@ -160,15 +160,14 @@ class EventActor:
             event.base, C_OCC if event.negated else E_OCC,
             source="announce", origin=event,
         )
-        profiler = self.sched.profiler
-        if profiler.active:
+        profiler = self.sched.profiler  # per announcement: no call unprofiled
+        if profiler is not None:
             profiler.push("cube_ops", site=self.site, event=self.event_label)
-            try:
-                self._assimilate()
-            finally:
-                profiler.pop()
-        else:
+        try:
             self._assimilate()
+        finally:
+            if profiler is not None:
+                profiler.pop()
         self.try_fire()
         self._process_pending_grants()
 
@@ -254,11 +253,7 @@ class EventActor:
         if self.status is ActorStatus.IDLE or self.status is ActorStatus.REJECTED:
             self.status = ActorStatus.PENDING
             self.attempted_at = attempted_at
-            self.sched.metrics.inc("attempts", site=self.site)
-            if self.sched.tracer.active:
-                self.sched.tracer.actor(
-                    self.sched.sim.now, self.site, self.event, "attempted"
-                )
+            self.sched.note_attempted(self.site, self.event)
         # answer promise requests that waited for us to become pending
         deferred, self.deferred_promise_reqs = self.deferred_promise_reqs, []
         for req in deferred:
@@ -282,51 +277,47 @@ class EventActor:
             # attempt time means rejection, not parking
             self._reject()
             return
-        self.sched.note_parked(self.event)
+        self.sched.note_parked(self.site, self.event, self.attempted_at)
         self._solicit()
 
     def _evaluate_guard(self) -> str:
         """Decide fire/park/never for the residual guard under current
-        knowledge (Section 4.3's evaluation rule), optionally timed,
-        traced, and profiled.  The untraced, unprofiled path computes
-        nothing extra beyond the evaluation counter."""
+        knowledge (Section 4.3's evaluation rule).  Per evaluation: an
+        untraced, unprofiled one makes no call beyond its counter."""
         sched = self.sched
         sched.metrics.inc("guard_evals", site=self.site)
-        timed = sched.tracer.active or sched.metrics.timed
-        profiled = sched.profiler.active
-        if not timed and not profiled:
-            return self.cursor.verdict()
-        if profiled:
-            sched.profiler.push(
-                "guard_eval", site=self.site, event=self.event_label
-            )
+        traced = sched.tracer.active
+        profiler = sched.profiler
+        if profiler is not None:
+            profiler.push("guard_eval", site=self.site, event=self.event_label)
         try:
-            start = time.perf_counter()
+            start = perf_counter() if traced else 0.0
             verdict = self.cursor.verdict()
-            elapsed = time.perf_counter() - start
         finally:
-            if profiled:
-                sched.profiler.pop()
-        if sched.metrics.timed:
-            sched.metrics.observe("guard_eval_seconds", elapsed, site=self.site)
-        if sched.tracer.active:
-            sched.tracer.guard_eval(
-                sched.sim.now, self.site, self.event,
-                guard=self._durable_guard, residual=self.guard,
-                verdict=verdict, elapsed=elapsed,
-                cubes=self._structured_cubes(),
-                knowledge=self._structured_knowledge(self.knowledge),
-            )
+            if profiler is not None:
+                profiler.pop()
+        if traced:
+            self._trace_eval(verdict, perf_counter() - start, self.knowledge)
         return verdict
 
-    def _structured_cubes(self) -> list[list[list]]:
-        """The durable guard's cubes as JSON-ready ``[[base, mask]]``
-        lists (string base names), for offline provenance replay.
-        Built only inside ``tracer.active`` branches."""
-        return [
-            sorted([repr(base), mask] for base, mask in cube)
-            for cube in self._durable_guard.sorted_cubes()
-        ]
+    def _trace_eval(
+        self, verdict: str, elapsed: float, knowledge: dict[Event, int]
+    ) -> None:
+        """The ``guard/eval`` record, with the durable guard's cubes as
+        JSON-ready ``[[base, mask]]`` lists (string base names) and the
+        knowledge it was decided under, for offline provenance replay.
+        Called in a traced run only."""
+        sched = self.sched
+        sched.tracer.guard_eval(
+            sched.sim.now, self.site, self.event,
+            guard=self._durable_guard, residual=self.guard,
+            verdict=verdict, elapsed=elapsed,
+            cubes=[
+                sorted([repr(base), mask] for base, mask in cube)
+                for cube in self._durable_guard.sorted_cubes()
+            ],
+            knowledge=self._structured_knowledge(knowledge),
+        )
 
     @staticmethod
     def _structured_knowledge(knowledge: dict[Event, int]) -> dict[str, int]:
@@ -351,20 +342,12 @@ class EventActor:
         if not self.sched.attributes(self.event.base).rejectable:
             # Nonrejectable events happen no matter what (Section 3.3);
             # record the forced acceptance as a violation source.
-            if self.sched.tracer.active:
-                self.sched.tracer.actor(
-                    self.sched.sim.now, self.site, self.event, "forced"
-                )
-            self.sched.note_forced(self.event)
+            self.sched.note_forced(self.site, self.event)
             self._fire()
             return
         self._finish_round(fired=False)
         self.status = ActorStatus.REJECTED
-        if self.sched.tracer.active:
-            self.sched.tracer.actor(
-                self.sched.sim.now, self.site, self.event, "rejected"
-            )
-        self.sched.notify_rejected(self.event)
+        self.sched.notify_rejected(self)
 
     # ------------------------------------------------------------------
     # solicitation: figure out which facts could complete a cube
@@ -564,7 +547,7 @@ class EventActor:
                 # Escalated request at quiescence (or eager-triggering
                 # ablation): cause the event now.
                 self.deferred_promise_reqs.append(req)
-                self.sched.request_trigger(self.event)
+                self.sched.request_trigger(self)
                 return
             # Remember it: re-processed when we get attempted.
             self.deferred_promise_reqs.append(req)
@@ -706,17 +689,9 @@ class EventActor:
         self.round_awaiting = {b.base for b in targets}
         self.round_certified = set()
         self.round_holds = set()
-        self.sched.note_round()
-        if self.sched.tracer.active:
-            self.sched.tracer.round_event(
-                self.sched.sim.now, self.site, self.event, "start",
-                self.round_id,
-                targets=[
-                    repr(b)
-                    for b in sorted(self.round_awaiting, key=Event.sort_key)
-                ],
-            )
-        for base in sorted(self.round_awaiting, key=Event.sort_key):
+        awaited = sorted(self.round_awaiting, key=Event.sort_key)
+        self.sched.note_round(self, awaited)
+        for base in awaited:
             self.sched.send_to_base(
                 self,
                 base,
@@ -767,19 +742,14 @@ class EventActor:
             and not self.sched.is_frozen(self.event.base, exclude=self.event)
             and self._subsumed_under_transient()
         ):
+            # the certificate-backed evaluation justifying this
+            # firing: the transient facts exist only in this instant
+            self.sched.metrics.inc("certificate_evals", site=self.site)
             if self.sched.tracer.active:
-                # the certificate-backed evaluation justifying this
-                # firing: the transient facts exist only in this instant
                 transient = dict(self.knowledge)
                 for base in self.round_certified:
                     transient[base] = transient.get(base, FULL) & NOT_YET_MASK
-                self.sched.tracer.guard_eval(
-                    self.sched.sim.now, self.site, self.event,
-                    guard=self._durable_guard, residual=self.guard,
-                    verdict="fire", elapsed=0.0,
-                    cubes=self._structured_cubes(),
-                    knowledge=self._structured_knowledge(transient),
-                )
+                self._trace_eval("fire", 0.0, transient)
             # _fire finishes the round itself, *after* setting
             # OCCURRED, so deferred certificate requests served during
             # the release see the occurrence.
@@ -802,10 +772,10 @@ class EventActor:
         if not self.round_active and not self.round_holds:
             return
         rid = self.round_id
-        if self.sched.tracer.active and self.round_active:
-            op = "conclude" if not self.round_awaiting else "abort"
+        if self.round_active:
             self.sched.tracer.round_event(
-                self.sched.sim.now, self.site, self.event, op, rid,
+                self.sched.sim.now, self.site, self.event,
+                "abort" if self.round_awaiting else "conclude", rid,
                 certified=len(self.round_certified),
             )
         # Release still-awaited bases too, not only confirmed holds: an
@@ -943,11 +913,10 @@ class EventActor:
         solicitation machinery re-acquires whatever is still needed
         once the settled facts are back.
         """
-        if self.sched.tracer.active:
-            self.sched.tracer.actor(
-                self.sched.sim.now, self.site, self.event, "recovered",
-                status=self.status.value,
-            )
+        self.sched.tracer.actor(
+            self.sched.sim.now, self.site, self.event, "recovered",
+            status=self.status.value,
+        )
         if self.status is ActorStatus.OCCURRED:
             self.learn(
                 self.event.base, C_OCC if self.event.negated else E_OCC,

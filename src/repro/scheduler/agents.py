@@ -136,25 +136,3 @@ class AgentScript:
 
     def events(self) -> frozenset[Event]:
         return frozenset(a.event for a in self.attempts)
-
-
-def schedule_gated(scheduler, attempt: ScriptedAttempt, do_attempt) -> None:
-    """Schedule one scripted attempt on ``scheduler.sim``, honouring its
-    ``after`` gate against the scheduler's settlement map: wait (on
-    ``scheduler._waiters``) while the gate's base is unsettled, drop the
-    attempt if it settled the other way, else call ``do_attempt``."""
-
-    def fire() -> None:
-        if attempt.after is not None:
-            gate = scheduler._settled.get(attempt.after.base)
-            if gate is None:
-                # prerequisite pending: re-run when the base settles
-                scheduler._waiters.setdefault(
-                    attempt.after.base, []
-                ).append(fire)
-                return
-            if gate != attempt.after:
-                return  # settled against us: the task path is dead
-        do_attempt(attempt.event)
-
-    scheduler.sim.schedule(attempt.time, fire)

@@ -1,0 +1,318 @@
+"""What a run is under every scheduler.
+
+Section 4.3 defines execution by a handful of events: an event is
+attempted, parked, allowed (or refused), and its occurrence announced.
+Whichever scheduler decides them, the frame around the decisions is the
+same, and :class:`RunBase` is that frame: simulator and fabric, the
+bases' sites and attributes, the ``start -> drain -> finish``
+lifecycle, result and report -- and the one place each event is
+reported.  A scheduler calls an event's ``note_*`` method where it
+takes the decision; the method bumps the :class:`ExecutionResult`
+field, the counter, the ``parked_depth`` gauge and the lifecycle
+latency histograms, and writes the trace record.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping
+
+from repro.algebra.expressions import Expr
+from repro.algebra.symbols import Event
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import span
+from repro.obs.tracer import NULL_TRACER
+from repro.scheduler.agents import AgentScript, ScriptedAttempt
+from repro.scheduler.events import (
+    AttemptOutcome,
+    EventAttributes,
+    ExecutionResult,
+    TraceEntry,
+    Violation,
+)
+from repro.sim.clock import Simulator
+from repro.sim.network import Network
+from repro.temporal.guards import kernel_stats
+
+_DEFAULT_ATTRS = EventAttributes()
+
+
+class RunBase:
+    """Simulator, fabric, result, lifecycle and records of one run.
+
+    ``tracer`` (a :class:`repro.obs.Tracer`; default the inert
+    :data:`~repro.obs.tracer.NULL_TRACER`) records the run as a causal
+    Lamport-stamped event trace, ``profiler`` (a
+    :class:`repro.obs.Profiler`; default none) attributes wall time to
+    phases, ``fabric`` reaches :class:`~repro.sim.network.Network`.
+    Subclasses provide ``attempt(event)`` and ``drain(max_rounds)``.
+    """
+
+    #: counter and trace op of a settlement: an actor's event *fired*,
+    #: the center *accepted* it
+    SETTLED_OP = "fired"
+
+    def __init__(
+        self,
+        dependencies: Iterable[Expr],
+        sites: Mapping[Event, str] | None,
+        attributes: Mapping[Event, EventAttributes] | None,
+        tracer,
+        profiler,
+        **fabric,
+    ):
+        self.dependencies = list(dependencies)
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.profiler = profiler
+        #: per-run counters, gauges and histograms (``metrics_report``)
+        self.metrics = MetricsRegistry()
+        self.sim = Simulator()
+        self.network = Network(
+            self.sim, tracer=self.tracer, profiler=profiler, **fabric
+        )
+        self._sites = {e.base: s for e, s in (sites or {}).items()}
+        self._attributes = {e.base: a for e, a in (attributes or {}).items()}
+        self.result = ExecutionResult()
+        #: crash injector (``repro.sim.faults``), for the scheduler that
+        #: arms one
+        self.faults = None
+        self._settled: dict[Event, Event] = {}  # base -> signed occurrence
+        self._waiters: dict[Event, list] = {}  # base -> callbacks on settle
+        #: bases whose complement made no progress in settlement
+        self._no_progress_bases: set[Event] = set()
+        #: signed events parked right now -> when they parked
+        self._parked_at: dict[Event, float] = {}
+        self._sorted_bases_cache: tuple[Event, ...] | None = None
+
+    # ------------------------------------------------------------------
+    # the workflow's bases
+
+    def site_of(self, base: Event) -> str:
+        return self._sites.get(base.base, f"site_{base.base.name}")
+
+    def attributes(self, base: Event) -> EventAttributes:
+        return self._attributes.get(base.base, _DEFAULT_ATTRS)
+
+    def _all_bases(self) -> frozenset[Event]:
+        bases: set[Event] = set()
+        for d in self.dependencies:
+            bases |= d.bases()
+        return frozenset(bases)
+
+    def _sorted_bases(self) -> tuple[Event, ...]:
+        """``_all_bases()`` in settlement order; computed once and
+        dropped wherever ``self.dependencies`` changes at runtime."""
+        cached = self._sorted_bases_cache
+        if cached is None:
+            cached = tuple(sorted(self._all_bases(), key=Event.sort_key))
+            self._sorted_bases_cache = cached
+        return cached
+
+    def schedule_script(self, script: AgentScript) -> None:
+        """Schedule an agent's attempts, honouring their ``after``
+        gates: an attempt waits while its gate's base is unsettled and
+        is dropped if the base settled the other way."""
+        for attempt in script.attempts:
+            self._schedule_gated(attempt)
+
+    def _schedule_gated(self, attempt: ScriptedAttempt) -> None:
+        def fire() -> None:
+            if attempt.after is not None:
+                gate = self._settled.get(attempt.after.base)
+                if gate is None:
+                    # prerequisite pending: re-run when the base settles
+                    self._waiters.setdefault(
+                        attempt.after.base, []
+                    ).append(fire)
+                    return
+                if gate != attempt.after:
+                    return  # settled against us: the task path is dead
+            self.attempt(attempt.event)
+
+        self.sim.schedule(attempt.time, fire)
+
+    # ------------------------------------------------------------------
+    # lifecycle records: one method per event of Section 4.3.  The ones
+    # made per settled event (attempted, parked, settled, dead) test
+    # ``tracer.active`` so an untraced run makes no call for them; the
+    # rare ones call the hook outright (a no-op on ``NULL_TRACER``).
+
+    def note_attempted(self, site: str, event: Event) -> None:
+        self.metrics.inc("attempts", site=site)
+        if self.tracer.active:
+            self.tracer.actor(self.sim.now, site, event, "attempted")
+
+    def note_parked(
+        self, site: str, event: Event, attempted_at: float
+    ) -> None:
+        """``event`` is (still) parked: every undetermined evaluation
+        counts, the first one of a stretch opens it."""
+        self.result.parked_total += 1
+        self.metrics.inc("parked", site=site)
+        if event not in self._parked_at:
+            now = self.sim.now
+            self._parked_at[event] = now
+            self.metrics.gauge_adjust("parked_depth", 1, site=site)
+            self.metrics.observe(
+                "lifecycle_attempt_to_park", now - attempted_at, site=site
+            )
+        if self.tracer.active:
+            self.tracer.actor(self.sim.now, site, event, "parked")
+
+    def note_unparked(self, site: str, event: Event) -> float | None:
+        """Close ``event``'s parked stretch, if it has one; returns when
+        it began, for the histogram of whatever ended it."""
+        since = self._parked_at.pop(event, None)
+        if since is not None:
+            self.metrics.gauge_adjust("parked_depth", -1, site=site)
+        return since
+
+    def note_rejected(self, site: str, event: Event) -> None:
+        now = self.sim.now
+        self.tracer.actor(now, site, event, "rejected")
+        parked_since = self.note_unparked(site, event)
+        if parked_since is not None:
+            self.metrics.observe(
+                "lifecycle_park_to_reject", now - parked_since, site=site
+            )
+        self.metrics.inc("rejected", site=site)
+
+    def note_forced(self, site: str, event: Event) -> None:
+        """A nonrejectable event the scheduler would have refused
+        happens regardless (Section 3.3); its settlement follows."""
+        self.tracer.actor(self.sim.now, site, event, "forced")
+        self.result.violations.append(
+            Violation(
+                "forced",
+                f"nonrejectable {event!r} accepted against its guard",
+            )
+        )
+
+    def note_settled(
+        self,
+        site: str,
+        event: Event,
+        attempted_at: float,
+        outcome: AttemptOutcome | None = None,
+    ) -> None:
+        """``event`` occurs.  ``outcome`` is the center's verdict and
+        goes into its record; an actor's firing is always an
+        acceptance (a forced one has its own ``forced`` record)."""
+        now = self.sim.now
+        self._settled[event.base] = event
+        self.result.entries.append(
+            TraceEntry(
+                event, now, attempted_at, outcome or AttemptOutcome.ACCEPTED
+            )
+        )
+        parked_since = self.note_unparked(site, event)
+        self.metrics.inc(self.SETTLED_OP, site=site)
+        self.metrics.observe("time_to_allow", now - attempted_at, site=site)
+        if parked_since is not None:
+            self.metrics.observe(
+                "lifecycle_park_to_fire", now - parked_since, site=site
+            )
+        if self.tracer.active:
+            fields = {"waited": now - attempted_at}
+            if outcome is not None:
+                fields["outcome"] = outcome.value
+            self.tracer.actor(now, site, event, self.SETTLED_OP, **fields)
+
+    def note_dead(self, site: str, event: Event) -> None:
+        """``event``'s complement occurred: it never will."""
+        self.note_unparked(site, event)
+        if self.tracer.active:
+            self.tracer.actor(self.sim.now, site, event, "dead")
+
+    def note_triggered(self, site: str) -> None:
+        """The scheduler causes a triggerable event on its own accord
+        (``site`` decided so: a requirement monitor's, the center, or
+        the event's own on a demanded promise)."""
+        self.result.triggered += 1
+        self.metrics.inc("triggered", site=site)
+
+    # ------------------------------------------------------------------
+    # closing a run
+
+    def metrics_report(self) -> dict:
+        """JSON-ready metrics: the per-site registry (parked depth,
+        time-to-allow, ...), the ``network`` counters
+        (:meth:`NetworkStats.as_dict`: messages by kind,
+        retransmissions, session-layer accounting), a snapshot of the
+        symbolic ``kernel``'s caches
+        (:func:`repro.temporal.guards.kernel_stats`), and the flight
+        ``recorder``'s bookkeeping when the tracer is one."""
+        report = self.metrics.as_dict()
+        report["network"] = self.network.stats.as_dict()
+        report["kernel"] = kernel_stats()
+        recorder = self.tracer.recorder_stats()
+        if recorder is not None:
+            report["recorder"] = recorder
+        return report
+
+    # ------------------------------------------------------------------
+    # the lifecycle: start, run to quiescence, drain, finish
+
+    def start(self, scripts: Iterable[AgentScript] = ()) -> None:
+        """Lifecycle step 1: schedule the scripted task agents.
+        Nothing moves until the caller runs the simulator."""
+        for script in scripts:
+            self.schedule_script(script)
+
+    def run(
+        self,
+        scripts: Iterable[AgentScript] = (),
+        settle: bool = True,
+        verify: bool = True,
+        max_rounds: int = 1000,
+    ) -> ExecutionResult:
+        """The whole lifecycle: :meth:`start`, run to quiescence, the
+        scheduler's ``drain(max_rounds)`` (lifecycle step 2: settle the
+        quiescent run by complements; False when the round budget runs
+        out), :meth:`finish`."""
+        self.start(scripts)
+        self.sim.run()
+        converged = not settle or self.drain(max_rounds)
+        return self.finish(verify, converged)
+
+    def _next_settlement(self) -> Event | None:
+        """The smallest unsettled base eligible for complement settlement.
+
+        A parked positive attempt does not block settlement: at
+        quiescence no further message will arrive to unpark it, so the
+        base must be resolved by its complement (which may itself park,
+        in which case the base is recorded as making no progress)."""
+        for base in self._sorted_bases():
+            if base in self._settled or base in self._no_progress_bases:
+                continue
+            if not self.attributes(base).auto_complement:
+                continue
+            if self.faults is not None and self.faults.is_down(
+                self.site_of(base)
+            ):
+                continue  # a permanently-failed site cannot settle
+            return base
+        return None
+
+    def finish(
+        self, verify: bool = True, converged: bool = True
+    ) -> ExecutionResult:
+        """Lifecycle step 3: the result summary, post-run verification
+        and -- when ``drain`` ran out of rounds -- the non-convergence
+        violation."""
+        stats = self.network.stats
+        self.result.makespan = self.sim.now
+        self.result.messages = stats.messages
+        self.result.messages_by_kind = dict(stats.by_kind)
+        self.result.max_site_load = self.network.max_site_load()
+        self.result.central_queue_wait = stats.max_queue_wait
+        self.result.unsettled = [
+            b for b in self._sorted_bases() if b not in self._settled
+        ]
+        if verify:
+            with span(self.profiler, "verify"):
+                self.result.verify(self.dependencies)
+        if not converged:
+            self.result.violations.append(
+                Violation("settlement", "settlement did not converge")
+            )
+        return self.result

@@ -8,10 +8,10 @@ certificates.  There is no central node; the requirement monitors that
 trigger triggerable events run at the sites of those events, fed by
 the same announcements.
 
-The run lifecycle is defined here once, as the three steps
-``DistributedScheduler.run`` (and through it the shard runner and the
-CLI) goes through: :meth:`DistributedScheduler.start` schedules the
-scripted task agents, the simulator runs to quiescence,
+The run lifecycle is :class:`~repro.scheduler.base.RunBase`'s, the
+three steps ``run`` (and through it the shard runner and the CLI) goes
+through: :meth:`DistributedScheduler.start` schedules the scripted
+task agents, the simulator runs to quiescence,
 :meth:`DistributedScheduler.drain` performs *settlement* -- unsettled
 base events have their complements attempted (the task abandons the
 transition), a batch per quiescent round so cascades are ordered, until
@@ -27,13 +27,12 @@ from typing import Iterable, Mapping
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
 from repro.scheduler.actors import ActorStatus, EventActor
-from repro.scheduler.agents import AgentScript, schedule_gated
+from repro.scheduler.agents import AgentScript
+from repro.scheduler.base import RunBase
 from repro.scheduler.events import (
-    AttemptOutcome,
     EventAttributes,
     ExecutionResult,
     SchedulerPolicy,
-    TraceEntry,
     Violation,
 )
 from repro.scheduler.messages import (
@@ -49,28 +48,18 @@ from repro.scheduler.messages import (
     SyncRequest,
     TriggerMsg,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import NULL_PROFILER
-from repro.obs.provenance import (
-    NULL_PROVENANCE,
-    Explanation,
-    ProvenanceLog,
-    explain_actor,
-)
+from repro.obs.profile import span
+from repro.obs.provenance import Explanation, ProvenanceLog, explain_actor
 from repro.obs.snapshot import Snapshot, SnapshotCoordinator
 from repro.obs.timeseries import TimeSeriesRegistry
-from repro.obs.tracer import NULL_TRACER
 from repro.scheduler.monitors import RequirementMonitor
-from repro.sim.clock import Simulator
 from repro.sim.faults import ChaosReport, FaultInjector, FaultPlan
-from repro.sim.network import LatencyModel, Network
+from repro.sim.network import LatencyModel
 from repro.sim.reliable import ReliableNetwork
 from repro.temporal.compiled import CompiledGuardEngine, ReferenceCursor
 from repro.temporal.cubes import GuardExpr
 from repro.temporal.guards import shape_lookups, workflow_guards
 from repro.temporal.watch import ALL, WatchIndex
-
-_DEFAULT_ATTRS = EventAttributes()
 
 #: where ``_dispatch`` delivers each message type but ``Announce``
 _HANDLERS = {
@@ -86,7 +75,7 @@ _HANDLERS = {
 }
 
 
-class DistributedScheduler:
+class DistributedScheduler(RunBase):
     """Compile a workflow into actors and run it on the simulated network.
 
     Construction synthesizes the guards and places the actors;
@@ -121,25 +110,16 @@ class DistributedScheduler:
         automata).  Byte-identical traces by construction -- it is the
         reference the differential harnesses hold the one production
         engine against, not a user option.
-    tracer:
-        A :class:`repro.obs.Tracer` to record the run as a causal
-        Lamport-stamped event trace.  Defaults to the inert
-        :data:`~repro.obs.NULL_TRACER`: every instrumentation site is
-        guarded on ``tracer.active``, so an untraced run takes the
-        same code path as before.
-    metrics:
-        A :class:`repro.obs.MetricsRegistry`; one is created per run
-        by default and reported by :meth:`metrics_report`.  Pass
-        ``MetricsRegistry(timed=True)`` to also collect wall-clock
-        guard-evaluation latencies.
-    provenance:
-        Record *why* each actor knows what it knows (which
+    tracer / profiler:
+        See :class:`~repro.scheduler.base.RunBase`.  A traced run also
+        records *why* each actor knows what it knows (which
         announcement / promise / certificate justified each knowledge
-        bit), powering :meth:`explain`.  ``None`` (the default)
-        follows the tracer: a traced run records provenance, an
-        untraced run does not.  Pass ``True``/``False`` to force.
-        :meth:`explain` works either way -- without the log it falls
-        back to the settlement record for justifications.
+        bit) in :attr:`provenance`, and times its guard evaluations;
+        :meth:`explain` works either way -- untraced it falls back to
+        the settlement record for justifications.
+    sample_every:
+        Sample the telemetry series every so many units of sim time
+        (:meth:`enable_timeseries`).
     """
 
     def __init__(
@@ -157,12 +137,15 @@ class DistributedScheduler:
         fault_plan: FaultPlan | None = None,
         reference_engine: bool = False,
         tracer=None,
-        metrics: MetricsRegistry | None = None,
-        provenance: bool | None = None,
         profiler=None,
         sample_every: float | None = None,
     ):
-        self.dependencies = list(dependencies)
+        super().__init__(
+            dependencies, sites, attributes, tracer, profiler,
+            latency=latency, rng=rng,
+            drop_probability=drop_probability,
+            duplicate_probability=duplicate_probability,
+        )
         self.policy = policy or SchedulerPolicy()
         #: compiled-guard automaton store, and the factory every
         #: ``EventActor.__init__`` takes its cursor from: a pointer into
@@ -173,28 +156,9 @@ class DistributedScheduler:
         self.new_cursor = (
             ReferenceCursor if reference_engine else self.compiled.cursor
         )
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: span profiler with hierarchical phase attribution; the inert
-        #: default keeps every instrumentation site a one-branch no-op
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        record_provenance = (
-            self.tracer.active if provenance is None else provenance
-        )
-        self.provenance = (
-            ProvenanceLog() if record_provenance else NULL_PROVENANCE
-        )
-        self.sim = Simulator()
-        self.network = Network(
-            self.sim,
-            latency=latency,
-            rng=rng,
-            drop_probability=drop_probability,
-            duplicate_probability=duplicate_probability,
-            tracer=self.tracer,
-            profiler=self.profiler,
-        )
-        self.faults: FaultInjector | None = None
+        #: the justification of every knowledge refinement of a traced
+        #: run (an untraced one leaves it empty)
+        self.provenance = ProvenanceLog()
         if fault_plan is not None:
             reliable = True  # recovery is built on the session layer
             self.faults = FaultInjector(self.sim, fault_plan, tracer=self.tracer)
@@ -215,32 +179,19 @@ class DistributedScheduler:
         self._recovering: dict[str, dict] = {}
         self._recovery_latencies: list[float] = []
         self._round_counter = 0
-        self._sites = {e.base: s for e, s in (sites or {}).items()}
-        self._attributes = {e.base: a for e, a in (attributes or {}).items()}
-        self.result = ExecutionResult()
-        #: signed events currently parked (drives the depth gauge)
-        self._parked_now: set[Event] = set()
-        #: park times, for the lifecycle latency histograms
-        self._parked_at: dict[Event, float] = {}
         #: global snapshot protocol driver (lazy list of snapshots)
         self.snapshots = SnapshotCoordinator(self)
 
         # this constructor's own shape-table lookups, overlaid on the
         # process-wide totals by ``metrics_report`` like the watch and
         # compiled counters; a table handed in whole looks nothing up
-        before = shape_lookups() if guards is None else None
+        self._shape_lookups = {"shape_hits": 0, "shape_misses": 0}
         if guards is not None:
             table = dict(guards)
-        elif self.profiler.active:
-            self.profiler.push("synthesis")
-            try:
-                table = workflow_guards(self.dependencies)
-            finally:
-                self.profiler.pop()
         else:
-            table = workflow_guards(self.dependencies)
-        self._shape_lookups = {"shape_hits": 0, "shape_misses": 0}
-        if before is not None:
+            before = shape_lookups()
+            with span(self.profiler, "synthesis"):
+                table = workflow_guards(self.dependencies)
             after = shape_lookups()
             self._shape_lookups = {k: after[k] - before[k] for k in after}
         self.actors: dict[Event, EventActor] = {}
@@ -265,15 +216,11 @@ class DistributedScheduler:
         #: construction spec per monitor index, kept so a crashed
         #: site's monitors can be rebuilt and resynced
         self._monitor_specs: list[tuple[list[Expr], frozenset[Event]]] = []
-        self._sorted_bases_cache: tuple[Event, ...] | None = None
         self._sorted_actors_cache: tuple[EventActor, ...] | None = None
         self._build_monitors()
         # base -> holders; a holder is (requester, round_id) so a stale
         # release (from an aborted round) cannot void a newer freeze
         self._frozen: dict[Event, set[tuple[Event, int]]] = {}
-        self._settled: dict[Event, Event] = {}  # base -> signed occurrence
-        self._waiters: dict[Event, list] = {}  # base -> callbacks on settle
-        self._no_progress_bases: set[Event] = set()
         #: sampled telemetry series (None until enabled); the sampler
         #: only reads state, so an instrumented run stays bit-identical
         self.timeseries: TimeSeriesRegistry | None = None
@@ -283,12 +230,6 @@ class DistributedScheduler:
 
     # ------------------------------------------------------------------
     # construction helpers
-
-    def site_of(self, base: Event) -> str:
-        return self._sites.get(base.base, f"site_{base.base.name}")
-
-    def attributes(self, base: Event) -> EventAttributes:
-        return self._attributes.get(base.base, _DEFAULT_ATTRS)
 
     def _build_monitors(self) -> None:
         triggerable = {
@@ -324,22 +265,12 @@ class DistributedScheduler:
         self, site: str, deps: list[Expr], bases: frozenset[Event]
     ) -> RequirementMonitor:
         """A monitor in its initial state: at construction, and again
-        from its ``_monitor_specs`` entry after its site crashed."""
-        monitor = RequirementMonitor(
-            deps,
-            bases,
-            trigger=self._make_trigger(site),
-            doomed=self._note_doomed,
-            site=site,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        monitor.bind_clock(lambda: self.sim.now)
-        return monitor
+        from its ``_monitor_specs`` entry after its site crashed.  The
+        monitor decides; what it decides is reported here."""
 
-    def _make_trigger(self, site: str):
-        def do_trigger(event: Event) -> None:
-            self.result.triggered += 1
+        def trigger(event: Event) -> None:
+            self.tracer.monitor(self.sim.now, site, "trigger", event=event)
+            self.note_triggered(site)
             self.channel.send(
                 site,
                 self.site_of(event.base),
@@ -348,31 +279,24 @@ class DistributedScheduler:
                 lambda msg: self.attempt(msg.event),
             )
 
-        return do_trigger
+        def doomed(dep: Expr, residual: Expr) -> None:
+            self.tracer.monitor(
+                self.sim.now, site, "doomed", dependency=dep, residual=residual
+            )
+            self.result.violations.append(
+                Violation(
+                    "doomed",
+                    f"{dep!r} has no accepting completion ({residual!r})",
+                )
+            )
 
-    def _note_doomed(self, dep: Expr, residual: Expr) -> None:
-        self.result.violations.append(
-            Violation("doomed", f"{dep!r} has no accepting completion ({residual!r})")
+        return RequirementMonitor(
+            deps, bases, trigger, doomed, site=site, metrics=self.metrics
         )
 
-    def _all_bases(self) -> frozenset[Event]:
-        bases: set[Event] = set()
-        for d in self.dependencies:
-            bases |= d.bases()
-        return frozenset(bases)
-
-    def _sorted_bases(self) -> tuple[Event, ...]:
-        """``_all_bases()`` in settlement order; computed once and
-        dropped wherever ``self.dependencies`` changes at runtime."""
-        cached = self._sorted_bases_cache
-        if cached is None:
-            cached = tuple(sorted(self._all_bases(), key=Event.sort_key))
-            self._sorted_bases_cache = cached
-        return cached
-
     def _sorted_actors(self) -> tuple[EventActor, ...]:
-        """The actors in event order; cached like :meth:`_sorted_bases`
-        and dropped where a run-time dependency adds an actor."""
+        """The actors in event order; cached like ``_sorted_bases`` and
+        dropped where a run-time dependency adds an actor."""
         cached = self._sorted_actors_cache
         if cached is None:
             cached = tuple(
@@ -458,16 +382,16 @@ class DistributedScheduler:
                 actor.note_occurrence(message.event)
                 return
             self.watch.note_wake()
-            if self.profiler.active:
-                self.profiler.push(
+            profiler = self.profiler  # per announcement: no call unprofiled
+            if profiler is not None:
+                profiler.push(
                     "watch_wake", site=actor.site, event=actor.event_label
                 )
-                try:
-                    actor.observe_occurrence(message.event)
-                finally:
-                    self.profiler.pop()
-            else:
+            try:
                 actor.observe_occurrence(message.event)
+            finally:
+                if profiler is not None:
+                    profiler.pop()
         else:
             _HANDLERS[type(message)](actor, message)
         # every full delivery can move the actor's guard, knowledge,
@@ -541,98 +465,46 @@ class DistributedScheduler:
         self._round_counter += 1
         return self._round_counter
 
-    def note_parked(self, event: Event) -> None:
-        self.result.parked_total += 1
-        site = self.site_of(event.base)
-        self.metrics.inc("parked", site=site)
-        if event not in self._parked_now:
-            self._parked_now.add(event)
-            self.metrics.gauge_adjust("parked_depth", 1, site=site)
-            self._parked_at[event] = self.sim.now
-            actor = self.actors.get(event)
-            if actor is not None and actor.attempted_at is not None:
-                self.metrics.observe(
-                    "lifecycle_attempt_to_park",
-                    self.sim.now - actor.attempted_at,
-                    site=site,
-                )
-        if self.tracer.active:
-            self.tracer.actor(self.sim.now, site, event, "parked")
-
-    def _unpark(self, event: Event) -> float | None:
-        """Clear the parked state; returns when the event parked (or
-        None if it was not parked) for the lifecycle histograms."""
-        if event in self._parked_now:
-            self._parked_now.discard(event)
-            self.metrics.gauge_adjust(
-                "parked_depth", -1, site=self.site_of(event.base)
-            )
-        return self._parked_at.pop(event, None)
-
     def note_promise(self) -> None:
         self.result.promises_granted += 1
         self.metrics.inc("promises_granted")
 
-    def note_round(self) -> None:
+    def note_round(self, actor: EventActor, targets: list[Event]) -> None:
+        """``actor`` starts a not-yet round asking about ``targets``."""
         self.result.not_yet_rounds += 1
         self.metrics.inc("not_yet_rounds")
-
-    def note_forced(self, event: Event) -> None:
-        self.result.violations.append(
-            Violation("forced", f"nonrejectable {event!r} accepted against its guard")
+        self.tracer.round_event(
+            self.sim.now, actor.site, actor.event, "start", actor.round_id,
+            targets=targets,
         )
 
-    def request_trigger(self, event: Event) -> None:
-        """A promise request arrived for an idle triggerable event."""
-        self.result.triggered += 1
-        self.attempt(event)
+    def request_trigger(self, actor: EventActor) -> None:
+        """A demanded promise request reached an idle triggerable
+        event: its own site causes it."""
+        self.note_triggered(actor.site)
+        self.attempt(actor.event)
 
-    def notify_rejected(self, event: Event) -> None:
+    def notify_rejected(self, actor: EventActor) -> None:
         """Permanent rejection: the agent settles the complement."""
-        parked_since = self._unpark(event)
-        site = self.site_of(event.base)
-        if parked_since is not None:
-            self.metrics.observe(
-                "lifecycle_park_to_reject", self.sim.now - parked_since,
-                site=site,
-            )
-        self.metrics.inc("rejected", site=site)
+        event = actor.event
+        self.note_rejected(actor.site, event)
         if self.attributes(event.base).auto_complement:
-            comp = event.complement
-            actor = self.actors.get(comp)
-            if actor is not None and actor.status is ActorStatus.IDLE:
-                self.attempt(comp)
+            comp = self.actors.get(event.complement)
+            if comp is not None and comp.status is ActorStatus.IDLE:
+                self.attempt(comp.event)
 
     def record_occurrence(self, actor: EventActor) -> None:
         event = actor.event
-        self._settled[event.base] = event
-        outcome = AttemptOutcome.ACCEPTED
-        attempted_at = actor.attempted_at if actor.attempted_at is not None else self.sim.now
-        self.result.entries.append(
-            TraceEntry(event, self.sim.now, attempted_at, outcome)
+        self.note_settled(
+            actor.site, event,
+            actor.attempted_at if actor.attempted_at is not None
+            else self.sim.now,
         )
-        parked_since = self._unpark(event)
-        self.metrics.inc("fired", site=actor.site)
-        self.metrics.observe(
-            "time_to_allow", self.sim.now - attempted_at, site=actor.site
-        )
-        if parked_since is not None:
-            self.metrics.observe(
-                "lifecycle_park_to_fire", self.sim.now - parked_since,
-                site=actor.site,
-            )
-        if self.tracer.active:
-            self.tracer.actor(
-                self.sim.now, actor.site, event, "fired",
-                waited=self.sim.now - attempted_at,
-            )
         # complement actor is dead now; release anything it held
         comp = self.actors.get(event.complement)
         if comp is not None:
             comp.status = ActorStatus.DEAD
-            self._unpark(comp.event)
-            if self.tracer.active:
-                self.tracer.actor(self.sim.now, comp.site, comp.event, "dead")
+            self.note_dead(comp.site, comp.event)
             comp.cancel_protocols()
         self._rewatch_base(event)
         # announcements to guard subscribers
@@ -795,15 +667,8 @@ class DistributedScheduler:
         the last sync reply for the site arrives.
         """
         self._recovering[site] = {"started": self.sim.now, "outstanding": 0}
-        if self.tracer.active:
-            self.tracer.sync(self.sim.now, site, "begin")
-        if self.profiler.active:
-            self.profiler.push("sync_round", site=site)
-            try:
-                self._recover_site_body(site)
-            finally:
-                self.profiler.pop()
-        else:
+        self.tracer.sync(self.sim.now, site, "begin")
+        with span(self.profiler, "sync_round", site=site):
             self._recover_site_body(site)
 
     def _recover_site_body(self, site: str) -> None:
@@ -844,8 +709,7 @@ class DistributedScheduler:
         self._recovery_latencies.append(latency)
         del self._recovering[site]
         self.metrics.observe("recovery_latency", latency, site=site)
-        if self.tracer.active:
-            self.tracer.sync(self.sim.now, site, "complete", latency=latency)
+        self.tracer.sync(self.sim.now, site, "complete", latency=latency)
 
     def send_sync(self, requester: EventActor, base: Event) -> None:
         """Route a recovery :class:`SyncRequest` to ``base``'s coordinator."""
@@ -860,8 +724,7 @@ class DistributedScheduler:
     def note_sync_reply(self, requester: Event) -> None:
         """A sync reply landed; close out the site's recovery window."""
         site = self.site_of(requester.base)
-        if self.tracer.active:
-            self.tracer.sync(self.sim.now, site, "reply", event=repr(requester))
+        self.tracer.sync(self.sim.now, site, "reply", event=requester)
         record = self._recovering.get(site)
         if record is None:
             return
@@ -896,20 +759,12 @@ class DistributedScheduler:
         state: dict = {"waiting": len(targets), "facts": []}
 
         def finish() -> None:
-            if self.profiler.active:
-                self.profiler.push("monitor_sync", site=site)
-                try:
-                    for _index, event in sorted(
-                        state["facts"], key=lambda f: f[0]
-                    ):
-                        monitor.observe(event)
-                    monitor.evaluate()
-                finally:
-                    self.profiler.pop()
-                return
-            for _index, event in sorted(state["facts"], key=lambda f: f[0]):
-                monitor.observe(event)
-            monitor.evaluate()
+            with span(self.profiler, "monitor_sync", site=site):
+                for _index, event in sorted(
+                    state["facts"], key=lambda f: f[0]
+                ):
+                    monitor.observe(event)
+                monitor.evaluate()
 
         def on_reply(payload) -> None:
             state["waiting"] -= 1
@@ -946,20 +801,9 @@ class DistributedScheduler:
         )
 
     def metrics_report(self) -> dict:
-        """JSON-ready metrics: the registry plus the network counters.
-
-        The ``network`` section is :meth:`NetworkStats.as_dict` --
-        messages by kind, retransmissions, session-layer accounting --
-        the ``kernel`` section snapshots the symbolic kernel's caches
-        (intern tables, residual closures, guard memos; see
-        :func:`repro.temporal.guards.kernel_stats`), and the rest is
-        the per-site registry (parked depth, guard-eval latency,
-        time-to-allow, ...)."""
-        from repro.temporal.guards import kernel_stats
-
-        report = self.metrics.as_dict()
-        report["network"] = self.network.stats.as_dict()
-        report["kernel"] = kernel_stats()
+        """:meth:`RunBase.metrics_report` plus what only this scheduler
+        has: its own kernel counters, sampled series, fault counts."""
+        report = super().metrics_report()
         # overlay this scheduler's own wake/skip/re-watch counts over
         # the process-wide totals (several schedulers can share one
         # process; the per-run numbers are the meaningful ones)
@@ -979,9 +823,6 @@ class DistributedScheduler:
                 "crashes": self.faults.crash_count,
                 "restarts": self.faults.restart_count,
             }
-        recorder = self.tracer.recorder_stats()
-        if recorder is not None:
-            report["recorder"] = recorder
         return report
 
     # ------------------------------------------------------------------
@@ -1022,7 +863,7 @@ class DistributedScheduler:
         return {
             "actors": actors,
             "parked": sorted(
-                repr(e) for e in self._parked_now if local(e.base)
+                repr(e) for e in self._parked_at if local(e.base)
             ),
             "frozen": {
                 repr(base): sorted(
@@ -1132,13 +973,11 @@ class DistributedScheduler:
 
     def _session_backlog(self) -> int:
         """Unacknowledged session-layer payloads (0 on a raw channel)."""
-        if isinstance(self.channel, ReliableNetwork):
-            return self.channel.in_flight()
-        return 0
+        return self.channel.in_flight() if self.reliable else 0
 
     def _sample(self, t: float) -> None:
         ts = self.timeseries
-        ts.record("parked_events", t, len(self._parked_now))
+        ts.record("parked_events", t, len(self._parked_at))
         ts.record("channel_backlog", t, self._session_backlog())
         ts.record("inflight_messages", t, self.network.inflight)
         ts.record("sim_pending", t, self.sim.pending)
@@ -1166,17 +1005,11 @@ class DistributedScheduler:
         actor.attempt(attempted_at)
         self._rewatch(actor)
 
-    def schedule_script(self, script: AgentScript) -> None:
-        """Schedule an agent's attempts, honouring its ``after`` gates."""
-        for attempt in script.attempts:
-            schedule_gated(self, attempt, self.attempt)
-
     def start(self, scripts: Iterable[AgentScript] = ()) -> None:
         """Lifecycle step 1: schedule the scripts, arm the fault plan,
         and give every requirement monitor its initial evaluation.
         Nothing moves until the caller runs the simulator."""
-        for script in scripts:
-            self.schedule_script(script)
+        super().start(scripts)
         if self.faults is not None:
             self.faults.arm()
         for _site, monitor in self._monitors:
@@ -1185,32 +1018,31 @@ class DistributedScheduler:
     def finish(
         self, verify: bool = True, converged: bool = True
     ) -> ExecutionResult:
-        """Lifecycle step 3: the closing time-series sample, the result
-        summary and post-run verification, and -- when :meth:`drain`
-        ran out of rounds -- the non-convergence violation."""
+        """Lifecycle step 3: the closing time-series sample, the
+        messages the session layer lost and the promises nobody kept,
+        then :meth:`RunBase.finish`."""
         if self.timeseries is not None:
             # closing sample so the series end at the final state
             self._sample(self.sim.now)
-        self._finalize(verify)
-        if not converged:
-            self.result.violations.append(
-                Violation("settlement", "settlement did not converge")
-            )
-        return self.result
-
-    def run(
-        self,
-        scripts: Iterable[AgentScript] = (),
-        settle: bool = True,
-        verify: bool = True,
-        max_rounds: int = 1000,
-    ) -> ExecutionResult:
-        """The whole lifecycle: :meth:`start`, run to quiescence,
-        :meth:`drain`, :meth:`finish`."""
-        self.start(scripts)
-        self.sim.run()
-        converged = not settle or self.drain(max_rounds)
-        return self.finish(verify, converged)
+        if self.reliable:
+            for src, dst, kind, seq in self.channel.lost:
+                self.result.violations.append(
+                    Violation(
+                        "transport",
+                        f"{kind} #{seq} from {src} to {dst} was given up "
+                        f"on after {self.channel.max_retries} "
+                        "retransmissions",
+                    )
+                )
+        for actor in self.actors.values():
+            if actor.granted_to and actor.status is not ActorStatus.OCCURRED:
+                self.result.violations.append(
+                    Violation(
+                        "promise",
+                        f"{actor.event!r} promised occurrence but never occurred",
+                    )
+                )
+        return super().finish(verify, converged)
 
     def drain(self, max_rounds: int) -> bool:
         """Lifecycle step 2: settle the quiescent scheduler until the
@@ -1328,50 +1160,3 @@ class DistributedScheduler:
                 b for b in batch if b not in self._settled
             }
         return True
-
-    def _next_settlement(self) -> Event | None:
-        """The smallest unsettled base eligible for complement settlement.
-
-        A parked positive attempt does not block settlement: at
-        quiescence no further message will arrive to unpark it, so the
-        base must be resolved by its complement (which may itself park,
-        in which case the base is recorded as making no progress)."""
-        for base in self._sorted_bases():
-            if base in self._settled:
-                continue
-            if base in self._no_progress_bases:
-                continue
-            if not self.attributes(base).auto_complement:
-                continue
-            if self.faults is not None and self.faults.is_down(
-                self.site_of(base)
-            ):
-                continue  # a permanently-failed site cannot settle
-            return base
-        return None
-
-    def _finalize(self, verify: bool) -> None:
-        self.result.makespan = self.sim.now
-        self.result.messages = self.network.stats.messages
-        self.result.messages_by_kind = dict(self.network.stats.by_kind)
-        self.result.max_site_load = self.network.max_site_load()
-        self.result.unsettled = [
-            b for b in self._sorted_bases() if b not in self._settled
-        ]
-        for actor in self.actors.values():
-            if actor.granted_to and actor.status is not ActorStatus.OCCURRED:
-                self.result.violations.append(
-                    Violation(
-                        "promise",
-                        f"{actor.event!r} promised occurrence but never occurred",
-                    )
-                )
-        if verify:
-            if self.profiler.active:
-                self.profiler.push("verify")
-                try:
-                    self.result.verify(self.dependencies)
-                finally:
-                    self.profiler.pop()
-            else:
-                self.result.verify(self.dependencies)

@@ -28,7 +28,6 @@ from typing import Callable, Iterable
 
 from repro.algebra.expressions import Expr, Top, Zero
 from repro.algebra.symbols import Event
-from repro.obs.tracer import NULL_TRACER
 from repro.temporal.guards import ResidualCursor, accepting_paths
 
 
@@ -72,9 +71,9 @@ class RequirementMonitor:
     doomed:
         Callback invoked with (dependency, residual) when a dependency
         loses all accepting completions.
-    site / tracer / metrics:
-        Optional observability context: the site this monitor runs at,
-        and where to record residuation steps and trigger decisions.
+    site / metrics:
+        Where its residuation steps are counted.  Triggers and dooms
+        are the callbacks' to report: the monitor only decides.
     """
 
     def __init__(
@@ -84,7 +83,6 @@ class RequirementMonitor:
         trigger: Callable[[Event], None],
         doomed: Callable[[Expr, Expr], None] | None = None,
         site: str = "monitor",
-        tracer=None,
         metrics=None,
     ):
         self._tracks = {dep: ResidualCursor(dep) for dep in dependencies}
@@ -97,17 +95,11 @@ class RequirementMonitor:
         self._trigger = trigger
         self._doomed = doomed
         self._site = site
-        self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics
-        self._now = lambda: 0.0
         self._settled: set[Event] = set()
         #: signed occurrences in observation order (snapshot record)
         self._observed: list[Event] = []
         self._already_triggered: set[Event] = set()
-
-    def bind_clock(self, now: Callable[[], float]) -> None:
-        """Attach the simulator clock so trace records carry real times."""
-        self._now = now
 
     def observe(self, event: Event) -> None:
         """Assimilate an occurrence and fire any newly-required triggers.
@@ -136,14 +128,8 @@ class RequirementMonitor:
         for dep, track in self._tracks.items():
             required = track.closure.required[track.state]
             if required is None:
-                residual = self.residual(dep)
-                if self._tracer.active:
-                    self._tracer.monitor(
-                        self._now(), self._site, "doomed",
-                        dependency=repr(dep), residual=repr(residual),
-                    )
                 if self._doomed is not None:
-                    self._doomed(dep, residual)
+                    self._doomed(dep, self.residual(dep))
                 continue
             for slot in required:
                 if slot.negated:  # complements settle via agent policy
@@ -151,12 +137,6 @@ class RequirementMonitor:
                 ev = track.from_slot[slot]
                 if ev in self._triggerable and ev not in self._already_triggered:
                     self._already_triggered.add(ev)
-                    if self._tracer.active:
-                        self._tracer.monitor(
-                            self._now(), self._site, "trigger", event=repr(ev)
-                        )
-                    if self._metrics is not None:
-                        self._metrics.inc("triggered", site=self._site)
                     self._trigger(ev)
 
     def residual(self, dependency: Expr) -> Expr:

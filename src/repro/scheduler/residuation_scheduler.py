@@ -31,22 +31,15 @@ from repro.algebra.expressions import Atom, Choice, Conj, Expr, Seq, Top, Zero
 from repro.algebra.normal_form import to_normal_form
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event
-from repro.scheduler.agents import AgentScript, schedule_gated
+from repro.scheduler.agents import AgentScript
+from repro.scheduler.base import RunBase
 from repro.scheduler.events import (
     AttemptOutcome,
     EventAttributes,
-    ExecutionResult,
-    TraceEntry,
     Violation,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import NULL_PROFILER
-from repro.obs.tracer import NULL_TRACER
-from repro.sim.clock import Simulator
-from repro.sim.network import LatencyModel, Network
+from repro.sim.network import LatencyModel
 from repro.temporal.guards import ResidualCursor
-
-_DEFAULT_ATTRS = EventAttributes()
 
 CENTER = "center"
 
@@ -191,8 +184,12 @@ def joint_completion_exists(
     return backtrack(0, {}, ())
 
 
-class CentralizedScheduler:
-    """Residuation-based scheduling at a single center site."""
+class CentralizedScheduler(RunBase):
+    """Residuation-based scheduling at a single center site: the
+    decision logic over :class:`~repro.scheduler.base.RunBase`'s run
+    frame, every lifecycle record made at :data:`CENTER`."""
+
+    SETTLED_OP = "accepted"
 
     def __init__(
         self,
@@ -203,27 +200,13 @@ class CentralizedScheduler:
         rng: random.Random | None = None,
         decision_service_time: float = 0.0,
         tracer=None,
-        metrics: MetricsRegistry | None = None,
         profiler=None,
     ):
-        self.dependencies = list(dependencies)
-        #: every mentioned base in settlement order (the dependency
-        #: list is fixed for the scheduler's lifetime)
-        self._sorted_bases = tuple(
-            sorted(self._all_bases(), key=Event.sort_key)
-        )
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.sim = Simulator()
         service = {CENTER: decision_service_time} if decision_service_time else None
-        self.network = Network(
-            self.sim, latency=latency, rng=rng, service_times=service,
-            tracer=self.tracer, profiler=self.profiler,
+        super().__init__(
+            dependencies, sites, attributes, tracer, profiler,
+            latency=latency, rng=rng, service_times=service,
         )
-        self._sites = {e.base: s for e, s in (sites or {}).items()}
-        self._attributes = {e.base: a for e, a in (attributes or {}).items()}
-        self.result = ExecutionResult()
         #: Figure 2, one copy per dependency: a state of the automaton
         #: its shape shares with guard synthesis and the monitors
         self.cursors = {d: ResidualCursor(d) for d in self.dependencies}
@@ -237,26 +220,9 @@ class CentralizedScheduler:
         self.residuals: dict[Expr, Expr] = {
             d: cursor.residual() for d, cursor in self.cursors.items()
         }
-        self._settled: dict[Event, Event] = {}
         self._parked: dict[Event, float] = {}  # event -> attempted_at
-        self._waiters: dict[Event, list] = {}
         self._triggered: set[Event] = set()
         self._seen_attempts: set[Event] = set()
-        self._no_progress_bases: set[Event] = set()
-
-    # ------------------------------------------------------------------
-
-    def site_of(self, base: Event) -> str:
-        return self._sites.get(base.base, f"site_{base.base.name}")
-
-    def attributes(self, base: Event) -> EventAttributes:
-        return self._attributes.get(base.base, _DEFAULT_ATTRS)
-
-    def _all_bases(self) -> frozenset[Event]:
-        bases: set[Event] = set()
-        for d in self.dependencies:
-            bases |= d.bases()
-        return frozenset(bases)
 
     # ------------------------------------------------------------------
     # the center's decision logic
@@ -299,18 +265,12 @@ class CentralizedScheduler:
         newly_seen = event not in self._seen_attempts
         self._seen_attempts.add(event)
         if newly_seen:
-            self.metrics.inc("attempts", site=CENTER)
-            if self.tracer.active:
-                self.tracer.actor(self.sim.now, CENTER, event, "attempted")
+            self.note_attempted(CENTER, event)
         if self._acceptable(event):
             self._occur(event, attempted_at, AttemptOutcome.ACCEPTED)
             return
         if not self.attributes(event.base).rejectable:
-            self.result.violations.append(
-                Violation("forced", f"nonrejectable {event!r} accepted against state")
-            )
-            if self.tracer.active:
-                self.tracer.actor(self.sim.now, CENTER, event, "forced")
+            self.note_forced(CENTER, event)
             self._occur(event, attempted_at, AttemptOutcome.FORCED)
             return
         if not self.attributes(event.base).delayable:
@@ -320,53 +280,32 @@ class CentralizedScheduler:
         if self._recoverable(event):
             if event not in self._parked:
                 self._parked[event] = attempted_at
-                self.result.parked_total += 1
-                self.metrics.inc("parked", site=CENTER)
-                self.metrics.gauge_adjust("parked_depth", 1, site=CENTER)
-                if self.tracer.active:
-                    self.tracer.actor(self.sim.now, CENTER, event, "parked")
+                self.note_parked(CENTER, event, attempted_at)
             if newly_seen:
                 # a new pending event enlarges the attainable set and
                 # may legitimize earlier parked attempts
                 self._after_state_change()
             return
         # permanently unacceptable
-        self._unpark(event)
         self._reject(event)
 
-    def _unpark(self, event: Event) -> None:
-        if self._parked.pop(event, None) is not None:
-            self.metrics.gauge_adjust("parked_depth", -1, site=CENTER)
-
     def _reject(self, event: Event) -> None:
-        self.metrics.inc("rejected", site=CENTER)
-        if self.tracer.active:
-            self.tracer.actor(self.sim.now, CENTER, event, "rejected")
+        self._parked.pop(event, None)
+        self.note_rejected(CENTER, event)
         if self.attributes(event.base).auto_complement and not event.negated:
             comp = event.complement
             if comp.base not in self._settled:
                 self._decide(comp, self.sim.now)
 
     def _occur(self, event: Event, attempted_at: float, outcome) -> None:
-        self._settled[event.base] = event
-        self._unpark(event)
-        self._unpark(event.complement)
+        self._parked.pop(event, None)
+        self.note_settled(CENTER, event, attempted_at, outcome)
+        if self._parked.pop(event.complement, None) is not None:
+            self.note_dead(CENTER, event.complement)
         for dep, cursor in self._mentioning.get(event.base, ()):
             cursor.step(event)
             self.residuals[dep] = cursor.residual()
         self.metrics.inc("residuation_steps", n=len(self.residuals), site=CENTER)
-        self.metrics.inc("accepted", site=CENTER)
-        self.metrics.observe(
-            "time_to_allow", self.sim.now - attempted_at, site=CENTER
-        )
-        self.result.entries.append(
-            TraceEntry(event, self.sim.now, attempted_at, outcome)
-        )
-        if self.tracer.active:
-            self.tracer.actor(
-                self.sim.now, CENTER, event, "accepted",
-                waited=self.sim.now - attempted_at, outcome=outcome.value,
-            )
         # tell the owning agent (round trip completes)
         self.network.send(
             CENTER,
@@ -386,7 +325,6 @@ class CentralizedScheduler:
                 self._occur(parked_event, attempted_at, AttemptOutcome.ACCEPTED)
                 return  # _occur re-enters _after_state_change
             if not self._recoverable(parked_event):
-                self._unpark(parked_event)
                 self._reject(parked_event)
                 return
         self._run_triggers()
@@ -413,17 +351,18 @@ class CentralizedScheduler:
             if joint_completion_exists(forced_comp):
                 continue
             self._triggered.add(ev)
-            self.result.triggered += 1
+            self.note_triggered(CENTER)
             # center -> agent trigger, agent -> center attempt
             self.network.send(
                 CENTER, self.site_of(ev.base), "trigger", ev,
-                lambda e: self._agent_attempt(e),
+                self.attempt,
             )
 
     # ------------------------------------------------------------------
     # agent-side behaviour
 
-    def _agent_attempt(self, event: Event) -> None:
+    def attempt(self, event: Event, at: float | None = None) -> None:
+        """The owning agent asks the center (the attempt is made now)."""
         attempted_at = self.sim.now
         self.network.send(
             self.site_of(event.base),
@@ -433,81 +372,22 @@ class CentralizedScheduler:
             lambda pair: self._decide(pair[0], pair[1]),
         )
 
-    def attempt(self, event: Event, at: float | None = None) -> None:
-        self._agent_attempt(event)
-
-    def schedule_script(self, script: AgentScript) -> None:
-        for attempt in script.attempts:
-            schedule_gated(self, attempt, self._agent_attempt)
-
-    def run(
-        self,
-        scripts: Iterable[AgentScript] = (),
-        settle: bool = True,
-        verify: bool = True,
-        max_rounds: int = 1000,
-    ) -> ExecutionResult:
-        for script in scripts:
-            self.schedule_script(script)
+    def start(self, scripts: Iterable[AgentScript] = ()) -> None:
+        super().start(scripts)
         self._run_triggers()
-        self.sim.run()
-        if settle:
-            self._settlement_rounds(max_rounds)
-        self._finalize(verify)
-        return self.result
 
-    def _settlement_rounds(self, max_rounds: int) -> None:
+    def drain(self, max_rounds: int) -> bool:
+        """Attempt the complement of one unsettled base per round until
+        none is eligible; False when the rounds run out."""
         for _ in range(max_rounds):
             base = self._next_settlement()
             if base is None:
-                return
+                return True
             before = len(self.result.entries)
-            self._agent_attempt(base.complement)
+            self.attempt(base.complement)
             self.sim.run()
             if len(self.result.entries) > before:
                 self._no_progress_bases.clear()
             else:
                 self._no_progress_bases.add(base)
-        self.result.violations.append(
-            Violation("settlement", "settlement did not converge")
-        )
-
-    def _next_settlement(self) -> Event | None:
-        for base in self._sorted_bases:
-            if base in self._settled or base in self._no_progress_bases:
-                continue
-            if not self.attributes(base).auto_complement:
-                continue
-            return base
-        return None
-
-    def metrics_report(self) -> dict:
-        """JSON-ready metrics: the registry plus the network counters."""
-        from repro.temporal.guards import kernel_stats
-
-        report = self.metrics.as_dict()
-        report["network"] = self.network.stats.as_dict()
-        report["kernel"] = kernel_stats()
-        recorder = self.tracer.recorder_stats()
-        if recorder is not None:
-            report["recorder"] = recorder
-        return report
-
-    def _finalize(self, verify: bool) -> None:
-        self.result.makespan = self.sim.now
-        self.result.messages = self.network.stats.messages
-        self.result.messages_by_kind = dict(self.network.stats.by_kind)
-        self.result.max_site_load = self.network.max_site_load()
-        self.result.central_queue_wait = self.network.stats.max_queue_wait
-        self.result.unsettled = [
-            b for b in self._sorted_bases if b not in self._settled
-        ]
-        if verify:
-            if self.profiler.active:
-                self.profiler.push("verify")
-                try:
-                    self.result.verify(self.dependencies)
-                finally:
-                    self.profiler.pop()
-            else:
-                self.result.verify(self.dependencies)
+        return False

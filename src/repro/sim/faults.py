@@ -133,8 +133,7 @@ class FaultInjector:
         self._down[crash.site] = crash.restart_at
         self.crash_count += 1
         self.crash_log.append((crash.site, self.sim.now, crash.restart_at))
-        if self.tracer.active:
-            self.tracer.crash(self.sim.now, crash.site)
+        self.tracer.crash(self.sim.now, crash.site)
         for hook in self._on_crash:
             hook(crash.site)
         if crash.restart_at is not None:
@@ -145,8 +144,7 @@ class FaultInjector:
     def _restart(self, site: str) -> None:
         self._down.pop(site, None)
         self.restart_count += 1
-        if self.tracer.active:
-            self.tracer.restart(self.sim.now, site)
+        self.tracer.restart(self.sim.now, site)
         for hook in self._on_restart:
             hook(site)
 

@@ -17,10 +17,10 @@ protocols implicitly assume.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs.profile import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import Simulator
 
@@ -103,7 +103,9 @@ class NetworkStats:
     duplicated: int = 0
     # -- reliable session layer (repro.sim.reliable) --
     retransmits: int = 0        # payload re-sends after a timeout
-    retransmits_by_kind: dict[str, int] = field(default_factory=dict)
+    retransmits_by_kind: dict[str, int] = field(
+        default_factory=lambda: defaultdict(int)
+    )
     retransmit_giveups: int = 0  # messages abandoned after max retries
     acks_sent: int = 0
     dedup_discards: int = 0     # receiver-side duplicate suppressions
@@ -127,12 +129,6 @@ class NetworkStats:
         self.per_site_handled[dst] = self.per_site_handled.get(dst, 0) + 1
         self.total_latency += latency
 
-    def note_retransmit(self, kind: str) -> None:
-        self.retransmits += 1
-        self.retransmits_by_kind[kind] = (
-            self.retransmits_by_kind.get(kind, 0) + 1
-        )
-
     def fresh_payloads(self) -> int:
         """Application payloads sent for the first time: total traffic
         minus protocol overhead (snapshot markers, acks) and re-sends.
@@ -147,23 +143,8 @@ class NetworkStats:
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready snapshot of all counters (for metrics reports)."""
         return {
-            "messages": self.messages,
-            "intra_site": self.intra_site,
-            "inter_site": self.inter_site,
-            "by_kind": dict(self.by_kind),
-            "per_site_handled": dict(self.per_site_handled),
-            "total_latency": self.total_latency,
-            "max_queue_wait": self.max_queue_wait,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "retransmits": self.retransmits,
-            "retransmits_by_kind": dict(self.retransmits_by_kind),
-            "retransmit_giveups": self.retransmit_giveups,
-            "acks_sent": self.acks_sent,
-            "dedup_discards": self.dedup_discards,
-            "crash_lost": self.crash_lost,
-            "stale_session": self.stale_session,
-            "session_resets": self.session_resets,
+            name: dict(value) if isinstance(value, dict) else value
+            for name, value in vars(self).items()
         }
 
 
@@ -206,10 +187,10 @@ class Network:
         self.service_times = dict(service_times or {})
         self.drop_probability = drop_probability
         self.duplicate_probability = duplicate_probability
-        #: observability hook; the inert default keeps this a no-op
+        #: where sends, receives, drops and duplicates are recorded
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: span profiler wrapping delivery handlers; inert by default
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
+        #: span profiler wrapping delivery handlers, if any
+        self.profiler = profiler
         self.stats = NetworkStats()
         #: messages sent but not yet delivered (drops never count);
         #: the time-series sampler reads this as a point-in-time gauge
@@ -243,17 +224,21 @@ class Network:
         are counted in the stats so a run can report how much abuse it
         absorbed.
         """
+        # per message: the fabric's records share this one test, and an
+        # untraced, unprofiled send makes no observability call at all
+        tracer = self.tracer
+        traced = tracer.active
         if src != dst and self.drop_probability:
             if self.rng.random() < self.drop_probability:
                 self.stats.dropped += 1
-                if self.tracer.active:
-                    self.tracer.message_drop(self.sim.now, src, dst, kind)
+                if traced:
+                    tracer.message_drop(self.sim.now, src, dst, kind)
                 return
         if src != dst and self.duplicate_probability:
             if self.rng.random() < self.duplicate_probability:
                 self.stats.duplicated += 1
-                if self.tracer.active:
-                    self.tracer.message_dup(self.sim.now, src, dst, kind)
+                if traced:
+                    tracer.message_dup(self.sim.now, src, dst, kind)
                 self.send(src, dst, kind, payload, handler)
         if src == dst:
             raw_latency = 0.0
@@ -277,43 +262,29 @@ class Network:
         self.stats.record(kind, src, dst, deliver_at - self.sim.now)
         self.journal.append((self.sim.now, deliver_at, src, dst, kind))
         self.inflight += 1
-        if self.tracer.active:
-            # stamp the physical transmission; the delivery records its
-            # receive against the same message id and send stamp
-            tracer, sim = self.tracer, self.sim
-            mid, send_lc = tracer.message_send(sim.now, src, dst, kind)
+        # the stamp of the physical transmission; the delivery records
+        # its receive against the same message id and send stamp
+        stamp = (
+            tracer.message_send(self.sim.now, src, dst, kind)
+            if traced else None
+        )
+        profiler = self.profiler
 
-            def deliver() -> None:
-                self.inflight -= 1
-                tracer.message_recv(sim.now, src, dst, kind, mid, send_lc)
-                if self.delivery_hook is not None:
-                    self.delivery_hook(src, dst, kind, payload)
-                if self.profiler.active:
-                    self.profiler.push("delivery", site=dst)
-                    try:
-                        handler(payload)
-                    finally:
-                        self.profiler.pop()
-                else:
-                    handler(payload)
+        def deliver() -> None:
+            self.inflight -= 1
+            if stamp is not None:
+                tracer.message_recv(self.sim.now, src, dst, kind, *stamp)
+            if self.delivery_hook is not None:
+                self.delivery_hook(src, dst, kind, payload)
+            if profiler is not None:
+                profiler.push("delivery", site=dst)
+            try:
+                handler(payload)
+            finally:
+                if profiler is not None:
+                    profiler.pop()
 
-            self.sim.schedule_at(deliver_at, deliver)
-        else:
-
-            def deliver_plain() -> None:
-                self.inflight -= 1
-                if self.delivery_hook is not None:
-                    self.delivery_hook(src, dst, kind, payload)
-                if self.profiler.active:
-                    self.profiler.push("delivery", site=dst)
-                    try:
-                        handler(payload)
-                    finally:
-                        self.profiler.pop()
-                else:
-                    handler(payload)
-
-            self.sim.schedule_at(deliver_at, deliver_plain)
+        self.sim.schedule_at(deliver_at, deliver)
 
     def site_load(self) -> dict[str, int]:
         """Messages handled per site -- the bottleneck metric of SC1."""

@@ -70,9 +70,11 @@ class ReliableNetwork:
         long crash window cannot push the next probe arbitrarily far.
     max_retries:
         Per-payload retry budget; exhaustion is recorded in
-        ``stats.retransmit_giveups`` and the payload is abandoned
-        (safety is unaffected -- the recovery protocol or settlement
-        reports the resulting wedge instead of hiding it).
+        ``stats.retransmit_giveups`` and the payload is abandoned.
+        Toward a site that is down for good that is the expected end
+        (its bases end the run unsettled); any other give-up is a lost
+        message and is kept in :attr:`lost` for the scheduler to report
+        as a violation.
     """
 
     def __init__(
@@ -98,6 +100,11 @@ class ReliableNetwork:
         self.max_interval = float(max_interval)
         self.max_retries = int(max_retries)
         self.stats = network.stats
+        #: the stats' counters by field name, for :meth:`_note`
+        self._counts = vars(self.stats)
+        #: ``(src, dst, kind, seq)`` of every payload given up on
+        #: although its destination was not down for good
+        self.lost: list[tuple[str, str, str, int]] = []
         #: optional callback ``(src, dst, kind, payload)`` consulted at
         #: each *application* delivery -- after dedup and in-order
         #: release, so a retransmitted or duplicated payload is seen
@@ -117,6 +124,25 @@ class ReliableNetwork:
         # session epoch, per (src, dst); bumps on reset_site
         self._epoch: dict[tuple[str, str], int] = {}
 
+    def _note(self, counter: str, site: str, op: str, **fields) -> None:
+        """The session layer reports an event here and nowhere else:
+        its :class:`NetworkStats` counter and, in a traced run, its
+        ``session`` record at ``site``."""
+        self._counts[counter] += 1
+        tracer = self.net.tracer
+        if tracer.active:
+            tracer.session(self.sim.now, site, op, **fields)
+
+    def _note_retransmit(
+        self, key: tuple[str, str], seq: int, pending: _Pending
+    ) -> None:
+        src, dst = key
+        self.stats.retransmits_by_kind[pending.kind] += 1
+        self._note(
+            "retransmits", src, "retransmit",
+            dst=dst, kind=pending.kind, seq=seq, retry=pending.retries,
+        )
+
     # ------------------------------------------------------------------
     # sending
 
@@ -132,10 +158,7 @@ class ReliableNetwork:
         if self.faults is not None and self.faults.is_down(src):
             # a down site sends nothing; whatever state produced this
             # message is volatile and dies with the crash
-            self.stats.crash_lost += 1
-            if self.net.tracer.active:
-                self.net.tracer.session(
-                    self.sim.now, src, "crash_lost", dst=dst, kind=kind)
+            self._note("crash_lost", src, "crash_lost", dst=dst, kind=kind)
             return
         if src == dst:
             # intra-site hand-off: reliable by definition, but a down
@@ -155,13 +178,12 @@ class ReliableNetwork:
         self._next_seq[key] = seq + 1
         pending = _Pending(kind, payload, handler, interval=self.timeout)
         self._unacked.setdefault(key, {})[seq] = pending
-        epoch = self._epoch.get(key, 0)
-        self._transmit(key, epoch, seq, pending)
-        self._arm_timer(key, epoch, seq, pending)
+        self._transmit(key, self._epoch.get(key, 0), seq, pending)
 
     def _transmit(
         self, key: tuple[str, str], epoch: int, seq: int, pending: _Pending
     ) -> None:
+        """Put the payload on the fabric and arm its retransmit timer."""
         src, dst = key
         self.net.send(
             src,
@@ -172,10 +194,6 @@ class ReliableNetwork:
                 key, epoch, seq, k, p, h
             ),
         )
-
-    def _arm_timer(
-        self, key: tuple[str, str], epoch: int, seq: int, pending: _Pending
-    ) -> None:
         pending.timer = self.sim.schedule(
             pending.interval, lambda: self._on_timeout(key, epoch, seq)
         )
@@ -186,36 +204,35 @@ class ReliableNetwork:
         pending = self._unacked.get(key, {}).get(seq)
         if pending is None:
             return  # acked in the meantime
-        src, _dst = key
+        src, dst = key
         if self.faults is not None and self.faults.is_down(src):
             return  # our own site is down; restart wipes this state
         if pending.retries >= self.max_retries:
             del self._unacked[key][seq]
-            self.stats.retransmit_giveups += 1
-            if self.net.tracer.active:
-                self.net.tracer.session(
-                    self.sim.now, src, "giveup",
-                    dst=key[1], kind=pending.kind, seq=seq,
-                    retries=pending.retries)
+            self._note(
+                "retransmit_giveups", src, "giveup",
+                dst=dst, kind=pending.kind, seq=seq, retries=pending.retries,
+            )
+            faults = self.faults
+            gone_for_good = (
+                faults is not None
+                and faults.is_down(dst)
+                and faults.restart_time(dst) is None
+            )
+            if not gone_for_good:
+                self.lost.append((src, dst, pending.kind, seq))
             return
         pending.retries += 1
         pending.interval = min(pending.interval * self.backoff, self.max_interval)
-        self.stats.note_retransmit(pending.kind)
-        if self.net.tracer.active:
-            self.net.tracer.session(
-                self.sim.now, src, "retransmit",
-                dst=key[1], kind=pending.kind, seq=seq, retry=pending.retries)
-        profiler = self.net.profiler
-        if profiler.active:
+        self._note_retransmit(key, seq, pending)
+        profiler = self.net.profiler  # per message: no call unprofiled
+        if profiler is not None:
             profiler.push("retransmit", site=src)
-            try:
-                self._transmit(key, epoch, seq, pending)
-                self._arm_timer(key, epoch, seq, pending)
-            finally:
-                profiler.pop()
-        else:
+        try:
             self._transmit(key, epoch, seq, pending)
-            self._arm_timer(key, epoch, seq, pending)
+        finally:
+            if profiler is not None:
+                profiler.pop()
 
     # ------------------------------------------------------------------
     # receiving
@@ -224,10 +241,7 @@ class ReliableNetwork:
         self, site: str, kind: str, payload: Any, handler: Callable[[Any], None]
     ) -> None:
         if self.faults is not None and self.faults.is_down(site):
-            self.stats.crash_lost += 1
-            if self.net.tracer.active:
-                self.net.tracer.session(
-                    self.sim.now, site, "crash_lost", dst=site)
+            self._note("crash_lost", site, "crash_lost", dst=site)
             return
         if self.delivery_hook is not None:
             self.delivery_hook(site, site, kind, payload)
@@ -244,25 +258,22 @@ class ReliableNetwork:
     ) -> None:
         _src, dst = key
         if self.faults is not None and self.faults.is_down(dst):
-            self.stats.crash_lost += 1
-            if self.net.tracer.active:
-                self.net.tracer.session(
-                    self.sim.now, dst, "crash_lost", src=_src, kind=kind, seq=seq)
+            self._note(
+                "crash_lost", dst, "crash_lost", src=_src, kind=kind, seq=seq
+            )
             return  # no ack: the sender keeps retransmitting
         if epoch != self._epoch.get(key, 0):
-            self.stats.stale_session += 1
-            if self.net.tracer.active:
-                self.net.tracer.session(
-                    self.sim.now, dst, "stale", src=_src, kind=kind, seq=seq,
-                    epoch=epoch)
+            self._note(
+                "stale_session", dst, "stale",
+                src=_src, kind=kind, seq=seq, epoch=epoch,
+            )
             return  # pre-restart straggler
         expected = self._expected.get(key, 1)
         buffer = self._buffer.setdefault(key, {})
         if seq < expected or seq in buffer:
-            self.stats.dedup_discards += 1
-            if self.net.tracer.active:
-                self.net.tracer.session(
-                    self.sim.now, dst, "dedup", src=_src, kind=kind, seq=seq)
+            self._note(
+                "dedup_discards", dst, "dedup", src=_src, kind=kind, seq=seq
+            )
             self._send_ack(key, epoch)
             return
         buffer[seq] = (payload, handler, kind)
@@ -284,12 +295,18 @@ class ReliableNetwork:
         )
 
     def _on_ack(self, key: tuple[str, str], epoch: int, upto: int) -> None:
-        src, _dst = key
+        src, dst = key
         if self.faults is not None and self.faults.is_down(src):
-            self.stats.crash_lost += 1
+            self._note(
+                "crash_lost", src, "crash_lost",
+                src=dst, kind=ACK_KIND, upto=upto,
+            )
             return
         if epoch != self._epoch.get(key, 0):
-            self.stats.stale_session += 1
+            self._note(
+                "stale_session", src, "stale",
+                src=dst, kind=ACK_KIND, upto=upto, epoch=epoch,
+            )
             return
         unacked = self._unacked.get(key)
         if not unacked:
@@ -340,15 +357,15 @@ class ReliableNetwork:
             self._next_seq.pop(key, None)
             self._expected.pop(key, None)
             self._buffer.pop(key, None)
-        self.stats.session_resets += 1
-        if self.net.tracer.active:
-            self.net.tracer.session(
-                self.sim.now, site, "reset", sessions=len(keys),
-                requeued=sum(len(p) for _k, p in backlog))
-        for (src, dst), pendings in backlog:
+        self._note(
+            "session_resets", site, "reset", sessions=len(keys),
+            requeued=sum(len(p) for _k, p in backlog),
+        )
+        for key, pendings in backlog:
             for pending in pendings:
-                self.stats.note_retransmit(pending.kind)
-                self.send(src, dst, pending.kind, pending.payload, pending.handler)
+                # re-sent under the seq the fresh session hands out next
+                self._note_retransmit(key, self._next_seq.get(key, 1), pending)
+                self.send(*key, pending.kind, pending.payload, pending.handler)
 
     # ------------------------------------------------------------------
     # introspection (used by tests and the chaos report)

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 
 from repro.algebra.expressions import rename_expr
 from repro.algebra.symbols import Event, rename_event
-from repro.obs.profile import NULL_PROFILER
+from repro.obs.profile import span
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.temporal.cubes import GuardExpr
 from repro.temporal.guards import rename_guard_table, workflow_guards
@@ -88,9 +88,8 @@ class WorkflowTemplate:
 
     def __init__(self, workflow: Workflow, profiler=None):
         self.workflow = workflow
-        #: span profiler attributing synthesis vs stamping time;
-        #: inert by default (:data:`repro.obs.profile.NULL_PROFILER`)
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
+        #: span profiler attributing synthesis vs stamping time, if any
+        self.profiler = profiler
         self._guards: dict[Event, GuardExpr] | None = None
         bases = {e.base for e in workflow.alphabet()}
         bases.update(b.base for b in workflow.sites)
@@ -108,13 +107,7 @@ class WorkflowTemplate:
     def guards(self) -> dict[Event, GuardExpr]:
         """The template's guard table (synthesized once, lazily)."""
         if self._guards is None:
-            if self.profiler.active:
-                self.profiler.push("synthesis")
-                try:
-                    self._guards = workflow_guards(self.workflow.dependencies)
-                finally:
-                    self.profiler.pop()
-            else:
+            with span(self.profiler, "synthesis"):
                 self._guards = workflow_guards(self.workflow.dependencies)
         return self._guards
 
@@ -139,37 +132,29 @@ class WorkflowTemplate:
 
     def instantiate(self, suffix: str) -> WorkflowInstance:
         """Stamp out one instance: renamed events, sites, and guards."""
-        if self.profiler.active:
-            self.profiler.push("template_stamp")
-            try:
-                return self._instantiate(suffix)
-            finally:
-                self.profiler.pop()
-        return self._instantiate(suffix)
-
-    def _instantiate(self, suffix: str) -> WorkflowInstance:
-        mapping = self.mapping_for(suffix)
-        source = self.workflow
-        instance = Workflow(
-            f"{source.name}{suffix}",
-            dependencies=[
-                rename_expr(dep, mapping) for dep in source.dependencies
-            ],
-            attributes={
-                rename_event(event, mapping): attrs
-                for event, attrs in source.attributes.items()
-            },
-            sites={
-                rename_event(event, mapping): f"{site}{suffix}"
-                for event, site in source.sites.items()
-            },
-        )
-        if mapping and not self._order_preserving(mapping):
-            guards = workflow_guards(instance.dependencies)
-            self.fallback_instantiations += 1
-        else:
-            guards = rename_guard_table(self.guards, mapping)
-            self.fast_instantiations += 1
+        with span(self.profiler, "template_stamp"):
+            mapping = self.mapping_for(suffix)
+            source = self.workflow
+            instance = Workflow(
+                f"{source.name}{suffix}",
+                dependencies=[
+                    rename_expr(dep, mapping) for dep in source.dependencies
+                ],
+                attributes={
+                    rename_event(event, mapping): attrs
+                    for event, attrs in source.attributes.items()
+                },
+                sites={
+                    rename_event(event, mapping): f"{site}{suffix}"
+                    for event, site in source.sites.items()
+                },
+            )
+            if mapping and not self._order_preserving(mapping):
+                guards = workflow_guards(instance.dependencies)
+                self.fallback_instantiations += 1
+            else:
+                guards = rename_guard_table(self.guards, mapping)
+                self.fast_instantiations += 1
         return WorkflowInstance(
             suffix=suffix,
             workflow=instance,

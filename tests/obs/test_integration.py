@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.obs import MetricsRegistry, Tracer, check_records, to_chrome
+from repro.obs import Tracer, check_records, to_chrome
 from repro.scheduler import DistributedScheduler
 from repro.sim import FaultPlan, SiteCrash
 from repro.workloads.scenarios import (
@@ -31,8 +31,7 @@ SCENARIOS = {
 }
 
 
-def _run(scenario, *, tracer=None, metrics=None, drop=0.0, dup=0.0,
-         plan=None, seed=7):
+def _run(scenario, *, tracer=None, drop=0.0, dup=0.0, plan=None, seed=7):
     sched = DistributedScheduler(
         scenario.workflow.dependencies,
         sites=scenario.workflow.sites,
@@ -43,7 +42,6 @@ def _run(scenario, *, tracer=None, metrics=None, drop=0.0, dup=0.0,
         reliable=True,
         fault_plan=plan,
         tracer=tracer,
-        metrics=metrics,
     )
     result = sched.run(scenario.scripts, verify=False)
     return sched, result
@@ -111,8 +109,7 @@ class TestTracingIsPurelyObservational:
 
 class TestMetricsReport:
     def test_counters_reflect_the_run(self):
-        metrics = MetricsRegistry()
-        sched, result = _run(make_travel_booking(), metrics=metrics)
+        sched, result = _run(make_travel_booking())
         report = sched.metrics_report()
         fired = report["counters"]["fired"]["total"]
         assert fired == len(result.entries)

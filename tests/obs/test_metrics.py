@@ -76,10 +76,6 @@ class TestReport:
         m.observe("latency", 0.5, site="a")
         json.dumps(m.as_dict())  # must not raise
 
-    def test_timed_defaults_off(self):
-        assert MetricsRegistry().timed is False
-        assert MetricsRegistry(timed=True).timed is True
-
     def test_empty_registry_reports_empty_sections(self):
         assert MetricsRegistry().as_dict() == {
             "counters": {}, "gauges": {}, "histograms": {},

@@ -1,32 +1,47 @@
-"""The default observability path must be free: with the null tracer
-and null provenance log installed, a run never records anything, and
+"""The default observability path must be free: an untraced run never
+enters the per-message, per-evaluation and per-refinement hooks (so it
+builds none of their record fields) and records no provenance, and
 explanations are still available on demand (built lazily, not during
 guard evaluation)."""
 
 import pytest
 
 from repro.algebra.symbols import Event
-from repro.obs.provenance import NULL_PROVENANCE, NullProvenance
-from repro.obs.tracer import NULL_TRACER, NullTracer
+from repro.obs.provenance import ProvenanceLog
+from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.scheduler.actors import EventActor
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_mutex_scenario, make_travel_booking
 
 
 class BombTracer(NullTracer):
-    """Every record hook explodes: installing it proves the hot path
-    never calls one when tracing is off."""
+    """Every hook of the hot paths explodes: installing it proves that
+    a run with tracing off never enters one -- per message
+    (``message_*``, ``session``), per guard evaluation (``guard_eval``),
+    per snapshot record -- nor builds the fields they would be passed.
+    The lifecycle hooks NullTracer itself answers stay no-ops."""
 
     def _boom(self, *args, **kwargs):
         raise AssertionError("tracer hook invoked on the null path")
 
     message_send = message_recv = message_drop = message_dup = _boom
-    session = actor = guard_eval = snapshot = _boom
-    round_event = crash = restart = sync = monitor = _boom
+    session = guard_eval = snapshot = clock = _boom
 
 
-class BombProvenance(NullProvenance):
+class BombProvenance(ProvenanceLog):
     def learned(self, actor, base, mask, source, origin):
         raise AssertionError("provenance recorded on the null path")
+
+
+@pytest.fixture
+def no_record_fields(monkeypatch):
+    """``_trace_eval`` builds a guard evaluation's structured cubes and
+    knowledge: an untraced run must not even get there."""
+
+    def boom(self, *args):
+        raise AssertionError("record fields built on the null path")
+
+    monkeypatch.setattr(EventActor, "_trace_eval", boom)
 
 
 def run_travel(**kwargs):
@@ -43,41 +58,62 @@ def run_travel(**kwargs):
 
 
 class TestNullPath:
-    def test_default_run_never_touches_tracer_hooks(self):
+    def test_default_run_never_touches_tracer_hooks(self, no_record_fields):
         sched = run_travel(tracer=BombTracer())
         assert sched.result.entries
 
-    def test_default_run_never_records_provenance(self):
-        sched = run_travel(provenance=False)
+    def test_chaos_run_never_touches_tracer_hooks(self, no_record_fields):
+        """The session layer, crashes and recovery included."""
+        import random
+
+        from repro.sim import FaultPlan, SiteCrash
+
+        scenario = make_travel_booking()
+        workflow = scenario.workflow
+        sched = DistributedScheduler(
+            workflow.dependencies,
+            sites=workflow.sites,
+            attributes=workflow.attributes,
+            rng=random.Random(7),
+            drop_probability=0.3,
+            duplicate_probability=0.3,
+            fault_plan=FaultPlan.of(
+                [SiteCrash("airline", at=3.0, restart_at=9.0)]
+            ),
+            tracer=BombTracer(),
+        )
         sched.provenance = BombProvenance()
-        # re-run a second scenario through the same machinery
+        result = sched.run(scenario.scripts, verify=False)
+        stats = sched.network.stats
+        assert stats.dropped and stats.retransmits and stats.dedup_discards
+        assert not result.unsettled
+
+    def test_default_run_never_records_provenance(self):
         scenario = make_mutex_scenario("t1")
-        other = DistributedScheduler(
+        sched = DistributedScheduler(
             scenario.workflow.dependencies,
             sites=scenario.workflow.sites,
             attributes=scenario.workflow.attributes,
         )
-        other.provenance = BombProvenance()
-        other.run(scenario.scripts, verify=False)
-        assert other.result.entries
+        sched.provenance = BombProvenance()
+        sched.run(scenario.scripts, verify=False)
+        assert sched.result.entries
 
     def test_null_singletons_are_inert(self):
         assert not NULL_TRACER.active
-        assert NULL_TRACER.guard_eval(0, "s", "e", None, None, "fire", 0.0) is None
-        assert NULL_PROVENANCE.facts_for("owner", "base") == []
-        NULL_PROVENANCE.learned(None, "b", 1, "announce", None)  # no-op
+        assert NULL_TRACER.records == []
+        assert NULL_TRACER.actor(0, "s", "e", "fired") is None
+        assert NULL_TRACER.recorder_stats() is None
 
     def test_provenance_defaults_off_without_tracer(self):
         sched = run_travel()
-        assert isinstance(sched.provenance, NullProvenance)
-        assert type(sched.provenance) is NullProvenance
+        assert sched.provenance._entries == {}
+        assert sched.provenance.facts_for(repr(Event("c_buy")), "c_book") == []
 
-    def test_provenance_opt_in_without_tracer(self):
-        sched = run_travel(provenance=True)
-        assert type(sched.provenance) is not NullProvenance
-        assert sched.provenance.facts_for(
-            repr(Event("c_buy")), "c_book"
-        )
+    def test_provenance_follows_the_tracer(self):
+        sched = run_travel(tracer=Tracer())
+        facts = sched.provenance.facts_for(repr(Event("c_buy")), "c_book")
+        assert facts and all(fact["lc"] is not None for fact in facts)
 
     def test_explain_on_demand_without_any_observability(self):
         sched = run_travel(tracer=BombTracer())

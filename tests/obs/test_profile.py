@@ -7,12 +7,11 @@ import random
 import pytest
 
 from repro.obs.profile import (
-    NULL_PROFILER,
-    NullProfiler,
     Profiler,
     dump,
     format_report,
     merge_profiles,
+    span,
     to_chrome,
     to_collapsed,
 )
@@ -25,18 +24,28 @@ from repro.scheduler import (
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 
-class TestNullProfiler:
-    def test_inert_and_shared(self):
-        assert NULL_PROFILER.active is False
-        assert isinstance(NULL_PROFILER, NullProfiler)
-        NULL_PROFILER.push("anything", site="s", event="e")
-        NULL_PROFILER.pop()
+class TestSpan:
+    def test_without_a_profiler_it_only_runs_the_body(self):
+        ran = []
+        with span(None, "anything", site="s", event="e"):
+            ran.append(1)
+        assert ran == [1]
 
-    def test_report_is_empty(self):
-        report = NULL_PROFILER.report()
-        assert report["phases"] == {}
-        assert report["by_site"] == {}
-        assert report["by_event"] == {}
+    def test_with_a_profiler_the_body_is_one_span(self):
+        prof = Profiler()
+        with span(prof, "outer", site="s"):
+            with span(prof, "inner"):
+                pass
+        phases = prof.report()["phases"]
+        assert sorted(phases) == ["outer", "outer/inner"]
+        assert phases["outer"]["calls"] == 1
+
+    def test_the_span_closes_when_the_body_raises(self):
+        prof = Profiler()
+        with pytest.raises(KeyError):
+            with span(prof, "failing"):
+                raise KeyError("boom")
+        assert prof.report()["phases"]["failing"]["calls"] == 1
 
 
 class TestProfiler:
@@ -210,8 +219,7 @@ class TestVerifySpan:
 
         plain_sched = build()
         plain = plain_sched.run(scenario.scripts)
-        assert plain_sched.profiler is NULL_PROFILER
-        assert plain_sched.profiler.report()["phases"] == {}
+        assert plain_sched.profiler is None
         assert repr(plain.trace) == repr(profiled.trace)
 
     def test_group_spanning_check_lands_in_the_merged_shard_profile(self):

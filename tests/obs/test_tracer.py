@@ -113,14 +113,22 @@ class TestNullTracer:
 
     def test_all_hooks_are_noops(self):
         n = NullTracer()
-        assert n.message_send(0.0, "a", "b", "msg") == (0, 0)
-        n.message_recv(0.0, "a", "b", "msg", 1, 1)
-        n.message_drop(0.0, "a", "b", "msg")
         n.actor(0.0, "a", "e", "fired")
-        n.guard_eval(0.0, "a", "e", "G", "R", "fire", 0.0)
+        n.round_event(0.0, "a", "e", "start", 1, targets=["f"])
         n.crash(0.0, "a")
+        n.restart(1.0, "a")
         n.sync(0.0, "a", "begin")
+        n.monitor(0.0, "a", "trigger", event="e")
+        assert n.recorder_stats() is None
         assert n.records == []
+
+    def test_hot_hooks_exist_on_the_recording_tracer_only(self):
+        # their sites test ``active`` first; a stub would hide a site
+        # that forgot to
+        for hook in ("message_send", "message_recv", "message_drop",
+                     "message_dup", "session", "guard_eval", "snapshot",
+                     "clock"):
+            assert hasattr(Tracer, hook) and not hasattr(NullTracer, hook)
 
     def test_dump_refuses(self, tmp_path):
         with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ from repro.algebra.parser import parse
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event, Variable
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.tracer import NULL_TRACER
 from repro.scheduler import DistributedScheduler, EventAttributes
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.monitors import RequirementMonitor, required_events
@@ -56,15 +55,13 @@ class ReferenceMonitor:
     residual per evaluation."""
 
     def __init__(self, dependencies, triggerable, trigger, doomed=None,
-                 site="monitor", tracer=None, metrics=None):
+                 site="monitor", metrics=None):
         self._residuals = {dep: to_normal_form(dep) for dep in dependencies}
         self._triggerable = frozenset(b.base for b in triggerable)
         self._trigger = trigger
         self._doomed = doomed
         self._site = site
-        self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics
-        self._now = lambda: 0.0
         self._settled = set()
         self._observed = []
         self._already_triggered = set()
@@ -91,11 +88,6 @@ class ReferenceMonitor:
                 residual, settled,
             )
             if required is None:
-                if self._tracer.active:
-                    self._tracer.monitor(
-                        self._now(), self._site, "doomed",
-                        dependency=repr(dep), residual=repr(residual),
-                    )
                 if self._doomed is not None:
                     self._doomed(dep, residual)
                 continue
@@ -104,12 +96,6 @@ class ReferenceMonitor:
                     continue
                 if ev.base in self._triggerable and ev not in self._already_triggered:
                     self._already_triggered.add(ev)
-                    if self._tracer.active:
-                        self._tracer.monitor(
-                            self._now(), self._site, "trigger", event=repr(ev)
-                        )
-                    if self._metrics is not None:
-                        self._metrics.inc("triggered", site=self._site)
                     self._trigger(ev)
 
     def residual(self, dependency):
@@ -135,16 +121,16 @@ class Driven:
 
     def __init__(self, kind, dependencies, triggerable):
         self.triggers, self.doomed = [], []
-        self.tracer, self.metrics = Tracer(), MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.monitor = kind(
             dependencies, triggerable, self.triggers.append,
             doomed=lambda dep, residual: self.doomed.append((dep, residual)),
-            tracer=self.tracer, metrics=self.metrics,
+            metrics=self.metrics,
         )
 
     def emitted(self):
         return (
-            self.triggers, self.doomed, self.tracer.records,
+            self.triggers, self.doomed,
             self.metrics.as_dict(), self.monitor.snapshot_state(),
         )
 

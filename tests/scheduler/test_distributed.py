@@ -7,7 +7,11 @@ import pytest
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.algebra.traces import satisfies
-from repro.scheduler import DistributedScheduler, EventAttributes
+from repro.scheduler import (
+    CentralizedScheduler,
+    DistributedScheduler,
+    EventAttributes,
+)
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.sim.network import ConstantLatency
 from repro.workflows import WorkflowTemplate
@@ -286,9 +290,9 @@ class TestRunLifecycle:
     and a driver that owns the clock gets the same run from the steps."""
 
     @staticmethod
-    def _build(workload):
+    def _build(workload, scheduler=DistributedScheduler):
         workflow, scripts = workload()
-        sched = DistributedScheduler(
+        sched = scheduler(
             workflow.dependencies,
             sites=workflow.sites,
             attributes=workflow.attributes,
@@ -297,10 +301,12 @@ class TestRunLifecycle:
         return sched, scripts
 
     @pytest.mark.parametrize("workload", [_travel, _mutex])
-    def test_hand_driven_steps_reproduce_run(self, workload):
-        sched, scripts = self._build(workload)
+    def test_hand_driven_steps_reproduce_run(
+        self, workload, scheduler=DistributedScheduler
+    ):
+        sched, scripts = self._build(workload, scheduler)
         whole = sched.run(scripts)
-        sched, scripts = self._build(workload)
+        sched, scripts = self._build(workload, scheduler)
         sched.start(scripts)
         sched.sim.run()
         assert sched.drain(1000) is True
@@ -310,6 +316,12 @@ class TestRunLifecycle:
         assert stepped.messages_by_kind == whole.messages_by_kind
         assert stepped.violations == whole.violations == []
         assert stepped.unsettled == whole.unsettled == []
+
+    @pytest.mark.parametrize("workload", [_travel, _mutex])
+    def test_the_center_goes_through_the_same_steps(self, workload):
+        self.test_hand_driven_steps_reproduce_run(
+            workload, CentralizedScheduler
+        )
 
     def test_exhausted_round_budget_is_one_settlement_violation(self):
         # the failure scenario needs complement settlement, which takes

@@ -179,3 +179,48 @@ class TestRecoveryMechanics:
         assert report.retransmits == 0
         assert report.recovery_latencies == []
         assert not result.unsettled
+
+
+class TestLostMessagesFailClosed:
+    """A payload the session layer gives up on is a violation, unless
+    its destination is down for good (whose bases end unsettled)."""
+
+    def _run(self, plan=None, max_retries=0):
+        scenario = make_travel_booking("success")
+        sched = DistributedScheduler(
+            scenario.workflow.dependencies,
+            sites=scenario.workflow.sites,
+            attributes=scenario.workflow.attributes,
+            rng=random.Random(3),
+            drop_probability=DROP,
+            reliable=True,
+            fault_plan=plan,
+        )
+        sched.channel.max_retries = max_retries
+        return sched, sched.run(scenario.scripts)
+
+    def test_exhausted_retries_are_a_transport_violation(self):
+        sched, result = self._run()
+        stats = sched.network.stats
+        assert stats.dropped and stats.retransmit_giveups
+        lost = [v for v in result.violations if v.kind == "transport"]
+        assert len(lost) == stats.retransmit_giveups == len(sched.channel.lost)
+        src, dst, kind, seq = sched.channel.lost[0]
+        for part in (src, dst, kind, f"#{seq}"):
+            assert part in lost[0].detail, lost[0].detail
+        assert not result.ok
+
+    def test_a_budget_that_suffices_reports_nothing(self):
+        sched, result = self._run(max_retries=20)
+        assert sched.network.stats.dropped
+        assert sched.network.stats.retransmit_giveups == 0
+        assert not [v for v in result.violations if v.kind == "transport"]
+
+    def test_giving_up_on_a_site_that_is_gone_is_not_a_loss(self):
+        plan = FaultPlan.of([SiteCrash("airline", at=0.5)])
+        sched, result = self._run(plan, max_retries=1)
+        gone = [
+            lost for lost in sched.channel.lost if lost[1] == "airline"
+        ]
+        assert sched.network.stats.retransmit_giveups and not gone
+        assert result.unsettled  # the honest report of the dead site
