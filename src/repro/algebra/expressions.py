@@ -137,6 +137,13 @@ class Expr:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # back through the interning constructor with the node's own
+        # slots (none / event / parts): a copy or an unpickled node *is*
+        # the interned one, in whichever process it lands
+        cls = type(self)
+        return cls, tuple(getattr(self, slot) for slot in cls.__slots__)
+
     def _collect_events(self, out: set[Event]) -> None:
         raise NotImplementedError
 

@@ -973,10 +973,10 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
     shard_rows = [
         {
             "shard": outcome.shard,
-            "makespan": outcome.makespan,
-            "messages": outcome.messages,
-            "violations": len(outcome.violations),
-            "unsettled": len(outcome.unsettled),
+            "makespan": outcome.result.makespan,
+            "messages": outcome.result.messages,
+            "violations": len(outcome.result.violations),
+            "unsettled": len(outcome.result.unsettled),
             "trace_records": (
                 len(outcome.trace_records)
                 if outcome.trace_records is not None else None

@@ -8,8 +8,9 @@ requires the instances to share a scheduler.  Running them all on one
 :class:`~repro.scheduler.guard_scheduler.DistributedScheduler` costs
 superlinearly in ``N`` (settlement scans every base each round); this
 package partitions the instances into shards, runs one scheduler per
-shard in a process pool, and merges the results, metrics, and causal
-traces back into single artifacts (:mod:`repro.obs.merge`).
+shard in a process pool (workflow, scripts and results cross it as
+pickles of the objects themselves), and merges results, metrics and
+causal traces into single artifacts (:mod:`repro.obs.merge`).
 
 Example 13-style workloads add *cross-instance* dependencies (mutual
 exclusion, resource pools).  A dependency is enforced by the one
@@ -43,7 +44,6 @@ from repro.scale.partition import (
 )
 from repro.scale.shards import (
     InstanceSpec,
-    ScriptSpec,
     ShardOutcome,
     ShardPlan,
     ShardTask,
@@ -58,7 +58,6 @@ from repro.scale.shards import (
 __all__ = [
     "InstanceSpec",
     "PartitionPlan",
-    "ScriptSpec",
     "ShardOutcome",
     "ShardPlan",
     "ShardTask",

@@ -1,25 +1,21 @@
 """Sharded runs: plan, dispatch, and merge per-shard schedulers.
 
-Everything that crosses a process boundary here is plain picklable
-data -- strings, numbers, tuples.  :class:`~repro.algebra.symbols.
-Event` and the expression nodes are hash-consed (interned via
-``__new__``, attribute-immutable), which breaks default pickling *by
-design*: two processes must not smuggle un-interned duplicates past
-the identity-based fast paths.  So the wire format ships events and
-dependencies as their ``repr`` strings and every worker re-parses them
-into its own intern tables (``repr`` round-trips through the parser --
-a property the algebra test suite pins down).
+A :class:`ShardTask` carries the objects themselves across the process
+boundary: the template :class:`~repro.workflows.spec.Workflow`, the
+instances' :class:`~repro.scheduler.agents.AgentScript` s and the cross
+dependencies, pickled as they are.  Events and expression nodes reduce
+to a call of their interning constructor, so what a worker unpickles
+*is* its own interned node and nothing is re-parsed.
 
-The worker (:func:`run_shard`) rebuilds the workflow *template*,
-instantiates its shard's instances through
-:class:`~repro.workflows.template.WorkflowTemplate` (guard synthesis
-runs once per worker, renames do the rest), runs one
+The worker (:func:`run_shard`) stamps its shard's instances out of the
+template through :class:`~repro.workflows.template.WorkflowTemplate`
+(guard synthesis runs once per worker, renames do the rest), runs one
 :class:`DistributedScheduler` over the merged instances plus the cross
 dependencies the shard carries -- ordinary dependencies of that
-scheduler -- and returns a :class:`ShardOutcome` of plain data.  The
-parent merges outcomes into one
-:class:`~repro.scheduler.events.ExecutionResult` plus merged
-metrics/trace artifacts (:mod:`repro.obs.merge`).
+scheduler -- and returns a :class:`ShardOutcome` holding the
+scheduler's own :class:`~repro.scheduler.events.ExecutionResult`.  The
+parent merges those into one result plus merged metrics/trace
+artifacts (:mod:`repro.obs.merge`).
 """
 
 from __future__ import annotations
@@ -30,11 +26,12 @@ import multiprocessing
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.algebra.expressions import Expr
 from repro.algebra.parser import parse
-from repro.algebra.symbols import Event
 from repro.obs.merge import merge_metrics, merge_profiles, merge_traces
 from repro.obs.profile import Profiler
 from repro.obs.tracer import Tracer
@@ -43,30 +40,14 @@ from repro.scale.partition import (
     dependency_instances,
     plan_partition,
 )
-from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.scheduler.events import (
-    AttemptOutcome,
-    EventAttributes,
-    ExecutionResult,
-    TraceEntry,
-    Violation,
-)
+from repro.scheduler.agents import AgentScript
+from repro.scheduler.events import ExecutionResult, TraceEntry
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.sim.network import ConstantLatency
 from repro.workflows.spec import Workflow
 from repro.workflows.template import WorkflowTemplate
 
 logger = logging.getLogger(__name__)
-
-
-def _event_repr(event: Event) -> str:
-    return repr(event)
-
-
-def _event_from_repr(text: str) -> Event:
-    if text.startswith("~"):
-        return Event(text[1:]).complement
-    return Event(text)
 
 
 def shard_seed(seed: int, shard: int) -> int:
@@ -84,43 +65,7 @@ def shard_seed(seed: int, shard: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# wire format (plain picklable data)
-
-
-@dataclass(frozen=True)
-class ScriptSpec:
-    """One agent script as plain data: ``(time, event, after)`` rows."""
-
-    site: str
-    attempts: tuple[tuple[float, str, str | None], ...]
-
-    @classmethod
-    def of(cls, script: AgentScript) -> "ScriptSpec":
-        return cls(
-            site=script.site,
-            attempts=tuple(
-                (
-                    attempt.time,
-                    _event_repr(attempt.event),
-                    None if attempt.after is None
-                    else _event_repr(attempt.after),
-                )
-                for attempt in script.attempts
-            ),
-        )
-
-    def build(self) -> AgentScript:
-        return AgentScript(
-            self.site,
-            [
-                ScriptedAttempt(
-                    time,
-                    _event_from_repr(event),
-                    None if after is None else _event_from_repr(after),
-                )
-                for time, event, after in self.attempts
-            ],
-        )
+# what crosses the process boundary
 
 
 @dataclass(frozen=True)
@@ -128,33 +73,28 @@ class InstanceSpec:
     """One workflow instance: its suffix plus its (suffixed) scripts."""
 
     suffix: str
-    scripts: tuple[ScriptSpec, ...]
+    scripts: tuple[AgentScript, ...]
 
 
 def instance_spec(
     suffix: str, scripts: Iterable[AgentScript]
 ) -> InstanceSpec:
-    """Package an instance's already-suffixed scripts for the wire."""
-    return InstanceSpec(
-        suffix=suffix, scripts=tuple(ScriptSpec.of(s) for s in scripts)
-    )
+    """Package an instance's already-suffixed scripts."""
+    return InstanceSpec(suffix=suffix, scripts=tuple(scripts))
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one worker needs to run its shard, as plain data.
+    """Everything one worker needs to run its shard.
 
-    The *template* workflow travels un-suffixed (dependency reprs,
-    attribute tuples, site names); the worker re-synthesizes its guard
-    table once and stamps out this shard's instances by rename.
+    ``workflow`` is the un-suffixed *template*; the worker synthesizes
+    its guard table once and stamps out this shard's instances by
+    rename.
     """
 
     shard: int
     seed: int
-    workflow_name: str
-    dependencies: tuple[str, ...]
-    attributes: tuple[tuple[str, tuple[bool, bool, bool, bool, bool]], ...]
-    sites: tuple[tuple[str, str], ...]
+    workflow: Workflow
     instances: tuple[InstanceSpec, ...]
     reliable: bool = False
     trace: bool = False
@@ -166,9 +106,9 @@ class ShardTask:
     #: many records (implies tracing); the merged trace carries one
     #: window header per shard
     flight_record: int | None = None
-    #: cross-instance dependency reprs this shard carries: the planner
+    #: cross-instance dependencies this shard carries: the planner
     #: gives each one to the single shard owning all its instances
-    cross_dependencies: tuple[str, ...] = ()
+    cross_dependencies: tuple[Expr, ...] = ()
 
     def build_tracer(self) -> Tracer | None:
         """The shard's tracer: ring-bounded when flight recording."""
@@ -176,38 +116,13 @@ class ShardTask:
             return Tracer(ring=self.flight_record)
         return Tracer() if self.trace else None
 
-    def build_template(self, profiler=None) -> WorkflowTemplate:
-        workflow = Workflow(
-            self.workflow_name,
-            dependencies=[parse(text) for text in self.dependencies],
-            attributes={
-                _event_from_repr(event): EventAttributes(*flags)
-                for event, flags in self.attributes
-            },
-            sites={
-                _event_from_repr(event): site for event, site in self.sites
-            },
-        )
-        return WorkflowTemplate(workflow, profiler=profiler)
-
 
 @dataclass(frozen=True)
 class ShardOutcome:
-    """One shard's run, flattened to plain data for the trip home."""
+    """One shard's run: the scheduler's result and its reports."""
 
     shard: int
-    entries: tuple[tuple[str, float, float, str], ...]
-    violations: tuple[tuple[str, str], ...]
-    unsettled: tuple[str, ...]
-    makespan: float
-    messages: int
-    messages_by_kind: tuple[tuple[str, int], ...]
-    max_site_load: int
-    central_queue_wait: float
-    parked_total: int
-    promises_granted: int
-    not_yet_rounds: int
-    triggered: int
+    result: ExecutionResult
     metrics: dict
     trace_records: tuple[dict, ...] | None
     fast_instantiations: int
@@ -304,28 +219,6 @@ def plan_shards(
             shards, len(instances),
         )
         shards = len(instances)
-    dependencies = tuple(repr(dep) for dep in workflow.dependencies)
-    attributes = tuple(
-        sorted(
-            (
-                _event_repr(event),
-                (
-                    attrs.triggerable,
-                    attrs.rejectable,
-                    attrs.auto_complement,
-                    attrs.guaranteed,
-                    attrs.delayable,
-                ),
-            )
-            for event, attrs in workflow.attributes.items()
-        )
-    )
-    sites = tuple(
-        sorted(
-            (_event_repr(event), site)
-            for event, site in workflow.sites.items()
-        )
-    )
     suffixes = SuffixIndex([instance.suffix for instance in instances])
     cross = [
         parse(dep) if isinstance(dep, str) else dep for dep in cross_deps
@@ -347,18 +240,15 @@ def plan_shards(
         for index in part
     }
     # after fusing, all of a dependency's instances share one shard
-    per_shard_cross: dict[int, list[str]] = {}
+    per_shard_cross: dict[int, list[Expr]] = {}
     for dep in cross:
         owner = shard_of[min(dependency_instances(dep, suffixes))]
-        per_shard_cross.setdefault(owner, []).append(repr(dep))
+        per_shard_cross.setdefault(owner, []).append(dep)
     plan = ShardPlan(
         ShardTask(
             shard=shard,
             seed=shard_seed(seed, shard),
-            workflow_name=workflow.name,
-            dependencies=dependencies,
-            attributes=attributes,
-            sites=sites,
+            workflow=workflow,
             instances=tuple(instances[index] for index in part),
             reliable=reliable,
             trace=trace,
@@ -394,21 +284,20 @@ def run_shard(task: ShardTask, max_rounds: int = 1000) -> ShardOutcome:
     only when the shard carries none.
     """
     profiler = Profiler() if task.profile else None
-    template = task.build_template(profiler=profiler)
+    template = WorkflowTemplate(task.workflow, profiler=profiler)
     merged, stamped = template.instantiate_merged(
         [instance.suffix for instance in task.instances]
     )
-    cross = [parse(text) for text in task.cross_dependencies]
     tracer = task.build_tracer()
     scheduler = DistributedScheduler(
-        merged.dependencies + cross,
+        merged.dependencies + list(task.cross_dependencies),
         sites=merged.sites,
         attributes=merged.attributes,
         latency=(
             ConstantLatency(task.latency) if task.latency is not None else None
         ),
         rng=random.Random(task.seed),
-        guards=None if cross else stamped,
+        guards=None if task.cross_dependencies else stamped,
         reliable=task.reliable,
         tracer=tracer,
         profiler=profiler,
@@ -416,38 +305,16 @@ def run_shard(task: ShardTask, max_rounds: int = 1000) -> ShardOutcome:
     )
     result = scheduler.run(
         (
-            spec.build()
+            script
             for instance in task.instances
-            for spec in instance.scripts
+            for script in instance.scripts
         ),
         settle=task.settle,
         max_rounds=max_rounds,
     )
     return ShardOutcome(
         shard=task.shard,
-        entries=tuple(
-            (
-                _event_repr(entry.event),
-                entry.time,
-                entry.attempted_at,
-                entry.outcome.value,
-            )
-            for entry in result.entries
-        ),
-        violations=tuple(
-            (violation.kind, violation.detail)
-            for violation in result.violations
-        ),
-        unsettled=tuple(_event_repr(e) for e in result.unsettled),
-        makespan=result.makespan,
-        messages=result.messages,
-        messages_by_kind=tuple(sorted(result.messages_by_kind.items())),
-        max_site_load=result.max_site_load,
-        central_queue_wait=result.central_queue_wait,
-        parked_total=result.parked_total,
-        promises_granted=result.promises_granted,
-        not_yet_rounds=result.not_yet_rounds,
-        triggered=result.triggered,
+        result=result,
         metrics=scheduler.metrics_report(),
         # window_records == records for an unbounded tracer; in flight-
         # recorder mode it prepends the shard's window header so the
@@ -492,43 +359,68 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
+def _outcome(task: ShardTask, produce) -> ShardOutcome:
+    """``produce()``, a shard's own exception chained under one naming
+    the shard (a dead pool is not the shard's: it passes through)."""
+    try:
+        return produce()
+    except BrokenProcessPool:
+        raise
+    except Exception as exc:
+        raise RuntimeError(
+            f"shard {task.shard} failed: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _run_here(
+    work: Sequence[ShardTask], pool_error: Exception | None = None
+) -> list[ShardOutcome]:
+    """Every shard in this process: asked for, or because there is no
+    usable process pool (platform without fork, a sandbox that denies
+    semaphores -- PermissionError is an OSError -- or a broken pool).
+    Same plan and independent shards, so the merged outcome is
+    identical."""
+    if pool_error is not None:
+        logger.warning(
+            "run_sharded: process pool unusable (%s: %s); rerunning all "
+            "%d shard(s) in-process",
+            type(pool_error).__name__, pool_error, len(work),
+        )
+        shutdown_pool()
+    return [_outcome(task, lambda: run_shard(task)) for task in work]
+
+
 def _execute(work: Sequence[ShardTask], workers: int) -> list[ShardOutcome]:
     """Run every shard through :func:`run_shard`, in-process or pooled
     (the pool's call queue hands the next shard to an idle worker)."""
     global _POOL, _POOL_WORKERS
     if workers <= 1 or len(work) <= 1:
-        return [run_shard(task) for task in work]
+        return _run_here(work)
     try:
         pool = _get_pool(min(workers, len(work)))
         futures = [pool.submit(run_shard, task) for task in work]
-        hung = wait(futures, timeout=SHARD_TIMEOUT_S).not_done
-        if not hung:
-            return [future.result() for future in futures]
     except (OSError, ImportError, ValueError, RuntimeError) as exc:
-        # no usable process pool (platform without fork, a sandbox that
-        # denies semaphores -- PermissionError is an OSError -- or a
-        # broken pool): same plan, one process -- work items are
-        # independent, so the merged outcome is identical
-        logger.warning(
-            "run_sharded: process pool unusable (%s: %s); rerunning all "
-            "%d shard(s) in-process",
-            type(exc).__name__, exc, len(work),
+        return _run_here(work, exc)
+    hung = wait(futures, timeout=SHARD_TIMEOUT_S).not_done
+    if hung:
+        # terminate the workers -- no public way before Python 3.14 --
+        # and drop the pool without waiting on them
+        _POOL, _POOL_WORKERS = None, 0
+        for process in list(pool._processes.values()):
+            process.terminate()
+        pool.shutdown(wait=False, cancel_futures=True)
+        late = [task.shard for task, f in zip(work, futures) if f in hung]
+        raise TimeoutError(
+            f"shard(s) {late} did not finish within {SHARD_TIMEOUT_S:g} s; "
+            "worker processes terminated"
         )
-        shutdown_pool()
-        return [run_shard(task) for task in work]
-    # a hung shard, handled outside the ``try`` (TimeoutError is an
-    # OSError: the fallback above would rerun the shard in-process):
-    # terminate the workers -- no public way before Python 3.14 -- and
-    # drop the pool without waiting on them
-    _POOL, _POOL_WORKERS = None, 0
-    for process in list(pool._processes.values()):
-        process.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
-    late = [task.shard for task, f in zip(work, futures) if f in hung]
-    raise TimeoutError(
-        f"shard(s) {late} did not finish within {SHARD_TIMEOUT_S:g} s; "
-        "worker processes terminated"
-    )
+    try:
+        return [
+            _outcome(task, future.result)
+            for task, future in zip(work, futures)
+        ]
+    except BrokenProcessPool as exc:
+        return _run_here(work, exc)
 
 
 def run_sharded(
@@ -556,39 +448,29 @@ def run_sharded(
 
     result = ExecutionResult()
     tagged: list[tuple[float, int, int, TraceEntry]] = []
-    by_kind: dict[str, int] = {}
     for index, outcome in enumerate(outcomes):
-        for position, (event, time, attempted_at, op) in enumerate(
-            outcome.entries
-        ):
-            tagged.append((
-                time, index, position,
-                TraceEntry(
-                    _event_from_repr(event), time, attempted_at,
-                    AttemptOutcome(op),
-                ),
-            ))
-        result.violations.extend(
-            Violation(kind, detail) for kind, detail in outcome.violations
+        shard = outcome.result
+        tagged.extend(
+            (entry.time, index, position, entry)
+            for position, entry in enumerate(shard.entries)
         )
-        result.unsettled.extend(
-            _event_from_repr(e) for e in outcome.unsettled
-        )
-        for kind, count in outcome.messages_by_kind:
-            by_kind[kind] = by_kind.get(kind, 0) + count
-        result.messages += outcome.messages
-        result.central_queue_wait += outcome.central_queue_wait
-        result.parked_total += outcome.parked_total
-        result.promises_granted += outcome.promises_granted
-        result.not_yet_rounds += outcome.not_yet_rounds
-        result.triggered += outcome.triggered
-        result.makespan = max(result.makespan, outcome.makespan)
-        result.max_site_load = max(
-            result.max_site_load, outcome.max_site_load
-        )
+        result.violations.extend(shard.violations)
+        result.unsettled.extend(shard.unsettled)
+        for kind, count in shard.messages_by_kind.items():
+            result.messages_by_kind[kind] = (
+                result.messages_by_kind.get(kind, 0) + count
+            )
+        result.messages += shard.messages
+        result.central_queue_wait += shard.central_queue_wait
+        result.parked_total += shard.parked_total
+        result.promises_granted += shard.promises_granted
+        result.not_yet_rounds += shard.not_yet_rounds
+        result.triggered += shard.triggered
+        result.makespan = max(result.makespan, shard.makespan)
+        result.max_site_load = max(result.max_site_load, shard.max_site_load)
     tagged.sort(key=lambda item: item[:3])
     result.entries = [entry for _, _, _, entry in tagged]
-    result.messages_by_kind = dict(sorted(by_kind.items()))
+    result.messages_by_kind = dict(sorted(result.messages_by_kind.items()))
 
     metrics = merge_metrics(
         [outcome.metrics for outcome in outcomes], prefixes=prefixes

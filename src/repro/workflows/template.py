@@ -172,15 +172,17 @@ class WorkflowTemplate:
         as ``DistributedScheduler(guards=...)`` so the scheduler skips
         its own synthesis.
         """
-        merged: Workflow | None = None
+        names: list[str] = []
+        merged = Workflow("")
         guards: dict[Event, GuardExpr] = {}
         for suffix in suffixes:
             inst = self.instantiate(suffix)
-            merged = (
-                inst.workflow if merged is None
-                else merged.merged(inst.workflow)
-            )
-            guards.update(inst.guards)
-        if merged is None:
+            names.append(inst.workflow.name)
+            merged.dependencies += inst.workflow.dependencies
+            merged.attributes |= inst.workflow.attributes
+            merged.sites |= inst.workflow.sites
+            guards |= inst.guards
+        if not names:
             raise ValueError("instantiate_merged needs at least one suffix")
+        merged.name = "+".join(names)
         return merged, guards

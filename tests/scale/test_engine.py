@@ -7,14 +7,15 @@ import random
 
 import pytest
 
-from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.obs.check import check_records
 from repro.obs.prom import lint_prometheus, render_prometheus
 from repro.obs.tracer import Tracer
 from repro.scale import instance_spec, plan_shards, run_sharded
 from repro.scale.shards import run_shard
+from repro.scheduler.events import Violation
 from repro.scheduler.guard_scheduler import DistributedScheduler
+from repro.workflows.template import WorkflowTemplate
 from repro.workloads.scenarios import make_mutex_family
 
 
@@ -153,9 +154,12 @@ class TestRunGroup:
         [task] = tasks  # both clusters span both shards: one fused shard
         assert len(task.instances) == 4
         outcome = run_shard(task)
-        assert outcome.violations == () and outcome.unsettled == ()
+        assert outcome.result.violations == [] == outcome.result.unsettled
         # the coupling traffic is the shard's own network traffic
-        assert outcome.metrics["network"]["messages"] == outcome.messages > 0
+        assert (
+            outcome.metrics["network"]["messages"]
+            == outcome.result.messages > 0
+        )
 
     def test_rejects_empty_group(self):
         _family, [task] = mutex_tasks(2, 1)
@@ -181,7 +185,7 @@ class TestRunGroup:
             }
             return fields
 
-        assert not outcome.violations and not outcome.unsettled
+        assert not outcome.result.violations and not outcome.result.unsettled
         assert comparable(outcome) == comparable(sharded.outcomes[0])
 
     def test_exhausted_round_budget_is_a_group_violation(self):
@@ -190,16 +194,17 @@ class TestRunGroup:
         # the requested plan, it is the one scheduler-level violation
         family = make_mutex_family(2)
         idle = [instance_spec(suffix, []) for suffix, _ in family.instances]
-        stuck = ("settlement", "settlement did not converge")
+        stuck = Violation("settlement", "settlement did not converge")
         for shards in (1, 2):
             [task] = plan_shards(
                 family.template, idle, shards,
                 cross_deps=family.cross_dependencies,
             )
             outcome = run_shard(task, max_rounds=1)
-            assert outcome.violations.count(stuck) == 1
+            assert outcome.result.violations.count(stuck) == 1
             assert not any(
-                "group" in detail for _kind, detail in outcome.violations
+                "group" in violation.detail
+                for violation in outcome.result.violations
             )
 
     def test_spanning_violation_detected_on_merged_timeline(self):
@@ -220,12 +225,12 @@ class TestRunGroup:
         )
         outcome = run_shard(task)
         violated = [
-            detail for kind, detail in outcome.violations
-            if kind == "dependency"
+            violation.detail for violation in outcome.result.violations
+            if violation.kind == "dependency"
         ]
         assert violated
         assert all(
-            any(text in detail for text in task.cross_dependencies)
+            any(repr(dep) in detail for dep in task.cross_dependencies)
             for detail in violated
         )
         sharded = run_sharded([task], workers=1)
@@ -241,13 +246,12 @@ class TestRunGroup:
         assert len(task.instances) == 6 and tasks.cut_weight > 0
         outcome = run_shard(task)
 
-        merged, _stamped = task.build_template().instantiate_merged(
+        merged, _stamped = WorkflowTemplate(task.workflow).instantiate_merged(
             [instance.suffix for instance in task.instances]
         )
         tracer = Tracer()
         scheduler = DistributedScheduler(
-            merged.dependencies
-            + [parse(text) for text in task.cross_dependencies],
+            merged.dependencies + list(task.cross_dependencies),
             sites=merged.sites,
             attributes=merged.attributes,
             rng=random.Random(task.seed),
@@ -255,9 +259,9 @@ class TestRunGroup:
         )
         result = scheduler.run(
             [
-                spec.build()
+                script
                 for instance in task.instances
-                for spec in instance.scripts
+                for script in instance.scripts
             ]
         )
         assert result.ok, result.violations

@@ -1,7 +1,10 @@
 """The process-pool shard runner (repro.scale.shards)."""
 
 import multiprocessing
+import os
+import pickle
 import random
+import sys
 import time
 
 import pytest
@@ -11,7 +14,6 @@ from repro.obs.check import check_records
 from repro.obs.prom import lint_prometheus, render_prometheus
 from repro.scale import (
     InstanceSpec,
-    ScriptSpec,
     instance_spec,
     plan_partition,
     plan_shards,
@@ -22,6 +24,7 @@ from repro.scale import shards as shards_module
 from repro.scale.shards import run_shard
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.guard_scheduler import DistributedScheduler
+from repro.workflows.template import WorkflowTemplate
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 
@@ -29,6 +32,25 @@ def hang_on_shard_one(task):
     """Stands in for ``run_shard`` in the pool's (forked) workers."""
     if task.shard == 1:
         time.sleep(60)
+    return run_shard(task)
+
+
+#: where the stand-ins below log the shards they ran (one line each;
+#: set before the pool forks, so the workers write there too)
+RUN_LOG = None
+
+
+def raise_on_shard_one(task):
+    with open(RUN_LOG, "a") as log:
+        log.write(f"{task.shard}\n")
+    if task.shard == 1:
+        raise ValueError("boom")
+    return run_shard(task)
+
+
+def die_in_a_worker_on_shard_one(task):
+    if task.shard == 1 and multiprocessing.parent_process() is not None:
+        os._exit(1)
     return run_shard(task)
 
 
@@ -52,8 +74,8 @@ class TestWireFormat:
             "site_a",
             [ScriptedAttempt(1.0, e), ScriptedAttempt(2.0, ~f, after=e)],
         )
-        rebuilt = ScriptSpec.of(script).build()
-        assert rebuilt.site == script.site
+        rebuilt = pickle.loads(pickle.dumps(script))
+        assert rebuilt is not script and rebuilt.site == script.site
         assert [
             (a.time, a.event, a.after) for a in rebuilt.attempts
         ] == [(a.time, a.event, a.after) for a in script.attempts]
@@ -61,14 +83,13 @@ class TestWireFormat:
     def test_shard_task_rebuilds_template(self):
         instances = travel_instances(2)
         [task] = plan_shards(TEMPLATE, instances, 1, seed=5)
-        template = task.build_template()
+        template = WorkflowTemplate(pickle.loads(pickle.dumps(task)).workflow)
+        assert template.workflow is not TEMPLATE
         assert template.workflow.dependencies == TEMPLATE.dependencies
         assert template.workflow.sites == TEMPLATE.sites
         assert template.workflow.attributes == TEMPLATE.attributes
 
     def test_tasks_are_picklable(self):
-        import pickle
-
         tasks = plan_shards(TEMPLATE, travel_instances(4), 2, seed=1)
         for task in tasks:
             clone = pickle.loads(pickle.dumps(task))
@@ -124,8 +145,12 @@ class TestPlanning:
         assert coupled.assignment == ((0, 1, 2, 3), ())
         [task] = coupled
         assert task.shard == 0
-        assert task.cross_dependencies == tuple(
-            repr(dep) for dep in family.cross_dependencies
+        assert len(task.cross_dependencies) == len(family.cross_dependencies)
+        assert all(
+            carried is dep
+            for carried, dep in zip(
+                task.cross_dependencies, family.cross_dependencies
+            )
         )
 
     @pytest.mark.parametrize(
@@ -170,8 +195,8 @@ class TestExecution:
     def test_shard_runs_clean_and_uses_fast_path(self):
         [task] = plan_shards(TEMPLATE, travel_instances(3), 1, seed=2)
         outcome = run_shard(task)
-        assert not outcome.violations
-        assert not outcome.unsettled
+        assert not outcome.result.violations
+        assert not outcome.result.unsettled
         assert outcome.fast_instantiations == 3
         assert outcome.fallback_instantiations == 0
 
@@ -220,13 +245,13 @@ class TestExecution:
         tasks = plan_shards(TEMPLATE, travel_instances(4), 2, seed=3)
         sharded = run_sharded(tasks, workers=1)
         assert sharded.result.messages == sum(
-            o.messages for o in sharded.outcomes
+            o.result.messages for o in sharded.outcomes
         )
         assert sharded.result.makespan == max(
-            o.makespan for o in sharded.outcomes
+            o.result.makespan for o in sharded.outcomes
         )
         assert len(sharded.result.entries) == sum(
-            len(o.entries) for o in sharded.outcomes
+            len(o.result.entries) for o in sharded.outcomes
         )
         assert sharded.result.entries == sorted(
             sharded.result.entries, key=lambda e: e.time
@@ -297,6 +322,47 @@ class TestPersistentPool:
         assert fallen_back.result.entries == expected.result.entries
         assert fallen_back.result.messages == expected.result.messages
         assert fallen_back.result.violations == expected.result.violations == []
+
+    def test_dead_worker_falls_back_in_process_and_says_so(
+        self, monkeypatch, caplog
+    ):
+        # the pool breaks while running, not while being built
+        tasks = plan_shards(TEMPLATE, travel_instances(4), 2, seed=3)
+        expected = run_sharded(tasks, workers=1)
+        shards_module.shutdown_pool()
+        monkeypatch.setattr(
+            shards_module, "run_shard", die_in_a_worker_on_shard_one
+        )
+        with caplog.at_level("WARNING", logger="repro.scale.shards"):
+            fallen_back = run_sharded(tasks, workers=2)
+        [warning] = [
+            record.getMessage() for record in caplog.records
+            if "in-process" in record.getMessage()
+        ]
+        assert "process pool unusable (BrokenProcessPool" in warning
+        assert shards_module._POOL is None
+        assert fallen_back.result == expected.result
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_shard_surfaces_once_and_names_itself(
+        self, workers, monkeypatch, caplog, tmp_path
+    ):
+        # regression: the shard's ValueError was taken for "no usable
+        # pool" -- warning, pool shut down, every shard run again
+        # in-process -- and surfaced only then, without the shard
+        shards_module.shutdown_pool()
+        monkeypatch.setattr(shards_module, "run_shard", raise_on_shard_one)
+        monkeypatch.setattr(sys.modules[__name__], "RUN_LOG", tmp_path / "ran")
+        tasks = plan_shards(TEMPLATE, travel_instances(4), 2, seed=3)
+        with caplog.at_level("WARNING", logger="repro.scale.shards"):
+            with pytest.raises(RuntimeError) as raised:
+                run_sharded(tasks, workers=workers)
+        assert str(raised.value) == "shard 1 failed: ValueError: boom"
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert not caplog.records
+        assert sorted((tmp_path / "ran").read_text().split()) == ["0", "1"]
+        if workers > 1:  # the healthy pool is kept
+            assert shards_module._POOL is not None
 
     def test_hung_shard_times_out_and_names_itself(self, monkeypatch):
         # forked after the patch, so the workers see it too

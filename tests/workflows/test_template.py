@@ -132,6 +132,37 @@ class TestWorkflowTemplate:
         for event, g in single.guards.items():
             assert guards[event] == g
 
+    def test_instantiate_merged_is_the_merged_fold_without_folding(
+        self, monkeypatch
+    ):
+        # regression: folding with Workflow.merged re-copied every list
+        # and dict and re-joined the name per instance (quadratic)
+        suffixes = [f"_i{k}" for k in range(5)]
+        template = WorkflowTemplate(make_travel_booking().workflow)
+        fold = None
+        for suffix in suffixes:
+            instance = template.instantiate(suffix).workflow
+            fold = instance if fold is None else fold.merged(instance)
+
+        def no_fold(self, other, name=None):
+            raise AssertionError("instantiate_merged called Workflow.merged")
+
+        monkeypatch.setattr(Workflow, "merged", no_fold)
+        merged, guards = template.instantiate_merged(suffixes)
+        assert merged == fold
+        assert merged.name == fold.name == "+".join(
+            f"{template.workflow.name}{suffix}" for suffix in suffixes
+        )
+        assert list(merged.attributes) == list(fold.attributes)
+        assert list(merged.sites) == list(fold.sites)
+        assert guards == {
+            event: guard
+            for suffix in suffixes
+            for event, guard in template.instantiate(suffix).guards.items()
+        }
+        single, _guards = template.instantiate_merged(["_i7"])
+        assert single == template.instantiate("_i7").workflow
+
     def test_instantiate_merged_rejects_empty(self):
         template = WorkflowTemplate(make_travel_booking().workflow)
         with pytest.raises(ValueError):
