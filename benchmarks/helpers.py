@@ -15,7 +15,7 @@ from repro.algebra.expressions import clear_intern_tables
 from repro.algebra.normal_form import to_normal_form
 from repro.algebra.residuation import residuate
 from repro.temporal.compiled import clear_compiled
-from repro.temporal.cubes import clear_simplify_cache
+from repro.temporal.cubes import clear_literal_cache
 from repro.temporal.guards import clear_synthesis_caches
 from repro.temporal.watch import clear_watch_stats
 
@@ -28,7 +28,7 @@ def clear_symbolic_caches() -> None:
     residuate.cache_clear()
     to_normal_form.cache_clear()
     clear_synthesis_caches()
-    clear_simplify_cache()
+    clear_literal_cache()
     clear_watch_stats()
     clear_compiled()
     clear_intern_tables()

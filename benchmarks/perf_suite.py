@@ -641,8 +641,10 @@ def bench_compiled_eval(evals: int, rounds: int) -> dict:
         def compiled_loop():
             fired = 0
             for _ in range(reps):
-                cursor = engine.cursor(g)
+                knowledge = {}
+                cursor = engine.cursor(g, knowledge)
                 for base in bases:
+                    knowledge[base] = E_OCC
                     cursor.learn(base, E_OCC)
                     cursor.assimilate()
                     if cursor.verdict() == "fire":

@@ -219,7 +219,7 @@ def _elementwise_sum(values: Sequence[Any]) -> Any:
 def _merge_kernel(sections: Sequence[Mapping[str, Any]]) -> dict:
     """Merge per-shard ``kernel`` sections.
 
-    Cache-shape snapshots (interning/synthesis/simplify/memo) take the
+    Cache-shape snapshots (interning/synthesis/memo) take the
     element-wise max -- summing caches that shared nothing would
     fabricate work.  The ``watch`` and ``compiled`` subsections are
     different: each scheduler overlays its own wake index's and its

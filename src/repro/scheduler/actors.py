@@ -47,6 +47,7 @@ from repro.scheduler.messages import (
     SyncReply,
     SyncRequest,
 )
+from repro.temporal.compiled import NOT_YET_MASK, solicitations
 from repro.temporal.cubes import (
     C_OCC,
     DIA_COMP_MASK,
@@ -56,16 +57,10 @@ from repro.temporal.cubes import (
     GuardExpr,
     P_C,
     P_E,
-    closure,
-    flip,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scheduler.guard_scheduler import DistributedScheduler
-
-#: The transient fact a not-yet certificate establishes: neither the
-#: base nor its complement has occurred (worlds P_E or P_C).
-NOT_YET_MASK = P_E | P_C
 
 
 class ActorStatus(enum.Enum):
@@ -90,7 +85,6 @@ class EventActor:
         #: cached ``repr(event)`` -- profiled hot paths label every
         #: span with it, and the repr never changes
         self.event_label = repr(event)
-        self.guard = guard
         #: the durable (logged) guard: the compiled artifact plus any
         #: run-time reconfigurations, *without* the volatile
         #: ``simplify_under`` compressions -- this is what a crash
@@ -103,11 +97,13 @@ class EventActor:
         self.knowledge: dict[Event, int] = {}
         #: guard-evaluation state: one pointer into the scheduler's
         #: interned automaton, moved in step with ``(guard, knowledge)``
-        self.cursor = scheduler.new_cursor(guard)
+        #: (it reads this live knowledge map when it binds)
+        self.cursor = scheduler.new_cursor(guard, self.knowledge)
         #: the automaton node whose wake set the scheduler's ``_rewatch``
         #: last registered for this actor; ``None`` (the watch index's
         #: ``ALL``) while it wakes on everything, which is also how the
-        #: index treats an actor it has never seen
+        #: index treats an actor it has never seen; ``False`` after a
+        #: re-entry (:meth:`_reenter`), whatever node the cursor is on
         self.watched = None
         # -- own not-yet round --
         self.round_active = False
@@ -128,6 +124,11 @@ class EventActor:
         self.deferred_notyet_reqs: list[NotYetRequest] = []
         # -- escalation bookkeeping --
         self._escalated_cubes: set = set()
+
+    @property
+    def guard(self) -> GuardExpr:
+        """The residual guard on the real names (the cursor renders it)."""
+        return self.cursor.guard
 
     # ------------------------------------------------------------------
     # knowledge
@@ -175,7 +176,16 @@ class EventActor:
         """Advance the residual past ``simplify_under``: a pointer hop
         on the compiled automaton (the node caches the very
         ``simplify_under`` result it replaces)."""
-        self.guard = self.cursor.assimilate()
+        self.cursor.assimilate()
+
+    def _reenter(self, guard: GuardExpr) -> None:
+        """Re-enter the automaton at ``guard`` (an incremental
+        recompile).  The cursor binds afresh on its next use, and a new
+        binding can land on the very node the old one left with other
+        real bases behind its slots: the registered wake set is stale
+        whatever node that is."""
+        self.cursor.reset(guard, self.knowledge)
+        self.watched = False
 
     def note_occurrence(self, event: Event) -> None:
         """The watched-evaluation skip path: record the announced fact
@@ -223,7 +233,7 @@ class EventActor:
         self._durable_guard = self._durable_guard & extra
         # incremental recompile: re-enter the automaton at the
         # strengthened guard, then assimilate everything already known
-        self.cursor.reset(self.guard & extra, self.knowledge)
+        self._reenter(self.guard & extra)
         self._assimilate()
         self._escalated_cubes = set()
         self._knowledge_dirty = True
@@ -238,7 +248,7 @@ class EventActor:
         already be in flight).
         """
         self._durable_guard = new_guard
-        self.cursor.reset(new_guard, self.knowledge)
+        self._reenter(new_guard)
         self._assimilate()
         self._escalated_cubes = set()
         self._knowledge_dirty = True
@@ -362,16 +372,12 @@ class EventActor:
         traffic low.
 
         The cube's needs depend only on ``(guard, knowledge)`` -- the
-        cursor's node -- so they are computed once and kept on the node.
+        cursor's node -- so they are computed once per guard shape; what
+        is per actor (its own base, its request record) applies here.
         """
-        node = self.cursor.node
-        if node is None:  # the tests' reference cursor: no node
-            plan = self._first_requestable()
-        else:
-            plan = node.plan
-            if plan is None:
-                plan = node.plan = self._first_requestable()
-        demand, promises, certificates = plan
+        demand, promises, certificates = self.cursor.plan(
+            self.sched.policy.certificates
+        )
         level = 1 if demand else 0
         own, chain = self.event.base, (self.event,)
         requests = [
@@ -382,77 +388,12 @@ class EventActor:
         ] if promises else []
         return requests, demand, certificates
 
-    def _first_requestable(self) -> tuple[bool, tuple, tuple]:
-        """``(demand, promises, certificates)`` of the first cube whose
-        every base a promise or a certificate could resolve."""
-        possible = [
-            c for c in self.guard.sorted_cubes() if self._cube_possible(c)
-        ]
-        # With a single live alternative the requests are mandatory:
-        # carry demand so idle triggerable targets are caused at once
-        # ("information flows as soon as it is available", Section 6).
-        # With alternatives, stay lazy; quiescence escalation demands
-        # cube-by-cube later if nothing else resolves first.
-        demand = len(possible) == 1
-        for cube in possible:
-            plan = self._cube_plan(cube)
-            if plan is not None:
-                promises, certificates = plan
-                return demand, tuple(promises), tuple(certificates)
-        return False, (), ()
-
     def _solicit(self) -> None:
         requests, demand, certificates = self._solicit_plan()
         for target in requests:
             self._send_promise_request(target, demand, (self.event,))
         if certificates and not self.round_active and self._knowledge_dirty:
             self._start_round(certificates)
-
-    def _cube_possible(self, cube) -> bool:
-        return all(
-            closure(self.knowledge.get(base, FULL)) & mask for base, mask in cube
-        )
-
-    def _cube_plan(self, cube):
-        """Which promises/certificates would certify this cube?
-
-        Returns ``(promise_targets, certificate_bases)`` or ``None``
-        when some base can only be resolved by an actual occurrence.
-        """
-        promises: list[Event] = []
-        certificates: list[Event] = []
-        for base, mask in cube:
-            known = self.knowledge.get(base, FULL)
-            if known & ~mask & FULL == 0:
-                continue  # already certain
-            resolved = False
-            # Prefer a (transient, cheap) not-yet certificate over a
-            # promise: promises oblige the grantee to occur.
-            candidates = (
-                ((NOT_YET_MASK,), None, True),
-                ((DIA_MASK,), base, False),
-                ((DIA_COMP_MASK,), base.complement, False),
-                ((DIA_MASK, NOT_YET_MASK), base, True),
-                ((DIA_COMP_MASK, NOT_YET_MASK), base.complement, True),
-            )
-            if not self.sched.policy.certificates:
-                candidates = tuple(
-                    c for c in candidates if not c[2]
-                )
-            for facts, needs_promise, needs_cert in candidates:
-                combined = known
-                for fact in facts:
-                    combined &= fact
-                if combined and combined & ~mask & FULL == 0:
-                    if needs_promise is not None:
-                        promises.append(needs_promise)
-                    if needs_cert:
-                        certificates.append(base)
-                    resolved = True
-                    break
-            if not resolved:
-                return None
-        return promises, certificates
 
     # ------------------------------------------------------------------
     # promise protocol
@@ -498,16 +439,13 @@ class EventActor:
         Returns True when a new demand was issued."""
         if self.status is not ActorStatus.PENDING:
             return False
-        for cube in self.guard.sorted_cubes():
+        _demand, plans = solicitations(
+            self.guard, self.knowledge, self.sched.policy.certificates
+        )
+        for cube, promises, certificates in plans:
             if cube in self._escalated_cubes:
                 continue
-            if not self._cube_possible(cube):
-                continue
-            plan = self._cube_plan(cube)
-            if plan is None:
-                continue
             self._escalated_cubes.add(cube)
-            promises, certificates = plan
             issued = False
             for target in promises:
                 if self._request_promise(target, demand=True):
@@ -885,12 +823,11 @@ class EventActor:
         request dedup, deferred queues, escalation marks -- was heap
         memory and is gone.
         """
-        self.guard = self._durable_guard
         self.knowledge = {}
         # resurrection re-enters the automaton at the durable guard's
         # root -- the same interned node every fresh instance of this
-        # guard starts from
-        self.cursor.reset(self._durable_guard, self.knowledge)
+        # guard's shape starts from
+        self._reenter(self._durable_guard)
         self.round_active = False
         self.round_id = 0
         self.round_awaiting = set()

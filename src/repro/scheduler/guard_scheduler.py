@@ -195,21 +195,21 @@ class DistributedScheduler(RunBase):
             after = shape_lookups()
             self._shape_lookups = {k: after[k] - before[k] for k in after}
         self.actors: dict[Event, EventActor] = {}
+        # subscriptions: actors whose guard mentions a base hear about it
+        self._subscribers: dict[Event, list[Event]] = {}
         for event, g in table.items():
             self.actors[event] = EventActor(
                 event, g, self.site_of(event.base), self
             )
-        # subscriptions: actors whose guard mentions a base hear about it
-        self._subscribers: dict[Event, list[Event]] = {}
-        for event, actor in self.actors.items():
-            for base in actor.guard.bases():
+            for base in g.bases():
                 self._subscribers.setdefault(base, []).append(event)
         #: watched-literal wake index: an announcement only wakes the
         #: actors whose residual (or armed protocol state) can react;
-        #: the rest take the learn-only skip path
+        #: the rest take the learn-only skip path.  An actor enters it
+        #: once its cursor has bound; until then it wakes on everything
+        #: -- and every announcement it can get is on a base its guard
+        #: mentions, which its first wake set would hold too
         self.watch = WatchIndex()
-        for actor in self.actors.values():
-            self._rewatch(actor)
         # per-site requirement monitors for triggerable events
         self._monitors: list[tuple[str, RequirementMonitor]] = []
         self._monitor_subs: dict[Event, list[int]] = {}
@@ -354,14 +354,14 @@ class DistributedScheduler(RunBase):
         ):
             wanted = ALL
         else:
-            wanted = actor.cursor.node
+            wanted = actor.cursor.node  # ``None`` = ``ALL`` until it binds
         if wanted is actor.watched:
             return  # two thirds of the calls: nothing moved
         actor.watched = wanted
         # the wake set is a cached slot on the actor's current
-        # automaton node, not a recomputation
+        # automaton node, translated through the actor's binding
         self.watch.register(
-            actor.event, ALL if wanted is ALL else wanted.watches()
+            actor.event, ALL if wanted is ALL else actor.cursor.watches()
         )
 
     def _rewatch_base(self, base: Event) -> None:

@@ -1,10 +1,8 @@
-"""Compiled guard automata: interned decision diagrams over guards.
+"""Compiled guard automata: interned decision diagrams over guard shapes.
 
 The cube engine *rewrites* a guard on every assimilated announcement:
-``simplify_under`` walks the cube DNF, and -- although the rewrite is
-memoized -- each hot-loop hit still builds and hashes a key over the
-guard's bases.  The verdict checks (``region_subsumes`` /
-``possible_under``) re-run on top.
+``simplify_under`` walks the cube DNF, and the verdict checks
+(``region_subsumes`` / ``possible_under``) re-run on top.
 
 This module compiles each synthesized :class:`GuardExpr` into a
 hash-consed *guard automaton* whose runtime state is a single node
@@ -14,51 +12,62 @@ pointer:
   knowledge restricted to the residual's bases)`` -- the complete
   input of every per-announcement computation the cube engine
   performs.  Restriction is sound because ``simplify_under``,
-  ``region_subsumes``, ``possible_under``, and the watch-set rules
-  consult the knowledge map **only** at bases the residual's cubes
-  mention;
+  ``region_subsumes``, ``possible_under``, the watch-set rules and the
+  solicitation plan consult the knowledge map **only** at bases the
+  residual's cubes mention;
 * *learn edges* move between nodes as knowledge tightens: one interned
   dict hop per announcement, zero cube allocation.  A base outside the
-  residual's support is a self-loop decided by one frozenset probe;
-* each node lazily computes -- once, ever, across all actors and runs
-  sharing the node -- its **verdict** (fire / park / never, exactly
-  Section 4.3's evaluation rule), its **assimilation successor** (the
-  ``simplify_under`` result, re-interned), and its **watch set** (the
-  PR 6 wake rule, so the scheduler's ``WatchIndex`` derives watched
-  bases straight from the current node: the two engines compose
-  instead of layering);
+  residual's support is a self-loop;
+* each node lazily computes -- once, across all actors sharing the
+  node -- its **verdict** (fire / park / never, exactly Section 4.3's
+  evaluation rule), its **assimilation successor** (the
+  ``simplify_under`` result, re-interned), its **watch set** (the wake
+  rule of :mod:`repro.temporal.watch`) and its **solicitation plan**
+  (:func:`solicitations`);
 * terminal nodes are the constant guards: an unsatisfiable conjunction
   or dead event compiles to the constant-false node whose verdict is
   permanently ``never`` (surfaced as a warning by ``repro analyze``).
 
-Byte-for-byte equivalence with the cube engine is by construction:
-the node's residual component *is* the actor's residual (the intern
-key includes it, so iterated vs one-shot simplification cannot
-diverge), and every cached value is defined as the result of the very
+Nodes live in *slot space*.  A :class:`GuardCursor` is a node plus its
+copy's binding: the ``to_slot`` / ``from_slot`` pair
+:func:`repro.temporal.guards._slot_maps` gives for the guard's bases
+(canonical slot events in ``Event.sort_key`` order, the spelling
+synthesis and :class:`~repro.temporal.guards.ResidualCursor` use).
+Every computation above commutes with an order-preserving injective
+rename, so renamed copies of one guard *shape* -- the stamped instances
+of a :class:`~repro.workflows.template.WorkflowTemplate`, a fan-in of
+isomorphic guards -- walk one automaton: the shape pays each expansion
+once, and a copy pays a dict probe per learned base plus a translation
+of its wake set and plan when its node changes.  A copy whose rename
+breaks the order binds onto a different shape; it is no less exact.
+
+Byte-for-byte equivalence with the cube engine is by construction: the
+node's residual renamed back through the binding *is* the actor's
+residual, and every cached value is defined as the result of the very
 cube-engine call it replaces.  The differential harness
 (``tests/properties/test_compiled_equivalence.py``) enforces identical
 traces under fuzzed faults, resurrection, and runtime guard growth
 (handled by :meth:`GuardCursor.reset` -- an incremental recompile that
 re-enters the interned node space at the new guard).
-
-Instances of a :class:`~repro.workflows.template.WorkflowTemplate`
-compile once and stamp per-suffix tables through interned renaming
-(the PR 5 trick): the renamed guards from ``rename_guard_table`` are
-the intern keys, so stamping costs one dict probe per guard.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.algebra.symbols import Event
+from repro.algebra.symbols import Event, rename_event
 
-from .cubes import FULL, GuardExpr
-from .watch import watch_bases
+from .cubes import DIA_COMP_MASK, DIA_MASK, FULL, P_C, P_E, GuardExpr, closure
+from .guards import _slot_maps
+from .watch import ALL, watch_bases
 
 #: Restricted-knowledge tuples are sorted by base; masks are 4-bit
 #: world sets (:mod:`repro.temporal.cubes`).
 Know = tuple[tuple[Event, int], ...]
+
+#: The transient fact a not-yet certificate establishes: neither the
+#: base nor its complement has occurred (worlds P_E or P_C).
+NOT_YET_MASK = P_E | P_C
 
 _UNSET = object()
 
@@ -134,6 +143,13 @@ def _set_know(know: Know, base: Event, mask: int) -> Know:
     return tuple(out)
 
 
+def _slot_guard(guard: GuardExpr) -> tuple[GuardExpr, dict, dict]:
+    """``guard``'s shape: the guard renamed onto the canonical slots,
+    with the ``to_slot`` / ``from_slot`` binding that took it there."""
+    to_slot, from_slot = _slot_maps(guard.bases())
+    return guard.rename(to_slot), to_slot, from_slot
+
+
 def _verdict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> str:
     """Section 4.3's evaluation rule: ``"fire"`` / ``"never"`` / ``"park"``."""
     if guard.region_subsumes(knowledge):
@@ -143,20 +159,94 @@ def _verdict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> str:
     return "park"
 
 
+#: The facts that can certify one literal, in the order they are tried:
+#: ``(mask the facts leave, promise target, needs a certificate)``,
+#: where the target is ``None`` (no promise), ``False`` (the base's own
+#: promise) or ``True`` (its complement's).  A (transient, cheap)
+#: not-yet certificate is preferred over a promise: promises oblige the
+#: grantee to occur.
+_RESOLUTIONS = (
+    (NOT_YET_MASK, None, True),
+    (DIA_MASK, False, False),
+    (DIA_COMP_MASK, True, False),
+    (DIA_MASK & NOT_YET_MASK, False, True),
+    (DIA_COMP_MASK & NOT_YET_MASK, True, True),
+)
+_PROMISES_ONLY = tuple(r for r in _RESOLUTIONS if not r[2])
+
+
+def solicitations(
+    guard: GuardExpr, knowledge: Mapping[Event, int], certificates: bool
+) -> tuple[bool, list[tuple[tuple, tuple[Event, ...], tuple[Event, ...]]]]:
+    """Which promises / certificates could complete a cube of ``guard``.
+
+    Returns ``(demand, plans)``.  ``plans`` holds, in canonical cube
+    order, ``(cube, promise targets, certificate bases)`` for every cube
+    still possible under ``knowledge`` whose every uncertain base a
+    promise or (with ``certificates``, the scheduler's policy) a
+    not-yet certificate could resolve; a cube needing an actual
+    occurrence has no plan.  ``demand`` says a single cube is still
+    possible: its requests are then mandatory, so idle triggerable
+    targets are caused at once ("information flows as soon as it is
+    available", Section 6); with alternatives solicitation stays lazy.
+
+    The one definition of soliciting: nodes call it in slot space
+    (:meth:`GuardNode.plan`), quiescence escalation in real space.
+    """
+    resolutions = _RESOLUTIONS if certificates else _PROMISES_ONLY
+    possible = 0
+    plans = []
+    for cube in guard.sorted_cubes():
+        promises: list[Event] = []
+        needs: list[Event] = []
+        resolved = True
+        for base, mask in cube:
+            known = knowledge.get(base, FULL)
+            if not closure(known) & mask:
+                break  # the cube can no longer hold
+            if not resolved or known & ~mask & FULL == 0:
+                continue  # no plan anyway, or the base is already certain
+            for facts, target, certify in resolutions:
+                combined = known & facts
+                if combined and combined & ~mask & FULL == 0:
+                    if target is not None:
+                        promises.append(base.complement if target else base)
+                    if certify:
+                        needs.append(base)
+                    break
+            else:
+                resolved = False
+        else:
+            possible += 1
+            if resolved:
+                plans.append((cube, tuple(promises), tuple(needs)))
+    return possible == 1, plans
+
+
+def first_solicitation(
+    guard: GuardExpr, knowledge: Mapping[Event, int], certificates: bool
+) -> tuple[bool, tuple[Event, ...], tuple[Event, ...]]:
+    """``(demand, promise targets, certificate bases)`` of the first
+    plan :func:`solicitations` finds: one requestable cube at a time
+    keeps traffic low."""
+    demand, plans = solicitations(guard, knowledge, certificates)
+    if not plans:
+        return False, (), ()
+    _cube, promises, needs = plans[0]
+    return demand, promises, needs
+
+
 class GuardNode:
     """One interned automaton state: ``(residual, restricted knowledge)``.
 
     Everything the scheduler asks per announcement is a slot on the
-    node, filled lazily by the first asker and shared by every actor
-    that reaches the same state.  ``plan`` is the one slot the node
-    does not fill itself: the state's solicitation plan, a function of
-    ``(residual, know)`` and the scheduler's policy (the engine is per
-    scheduler) that ``EventActor._solicit_plan`` computes and keeps here.
+    node, filled lazily by the first asker and shared by every cursor
+    that reaches the same state under any binding.
     """
 
     __slots__ = (
         "engine", "residual", "know",
-        "_edges", "_next", "_verdict", "_watches", "plan",
+        "_edges", "_next", "_verdict", "_watches", "_plan",
     )
 
     def __init__(self, engine: "CompiledGuardEngine", residual: GuardExpr, know: Know):
@@ -167,7 +257,7 @@ class GuardNode:
         self._next: GuardNode | None = None
         self._verdict: str | None = None
         self._watches = _UNSET
-        self.plan: tuple | None = None
+        self._plan: tuple | None = None
 
     # -- transitions ---------------------------------------------------
 
@@ -253,8 +343,8 @@ class GuardNode:
         return v
 
     def watches(self):
-        """The PR 6 wake set of this state (``None`` = wake on all),
-        read off the node instead of recomputed per registration."""
+        """The wake set of this state (``ALL`` = wake on all), read off
+        the node instead of recomputed per registration."""
         w = self._watches
         if w is _UNSET:
             _CompiledStats.expansions += 1
@@ -266,68 +356,147 @@ class GuardNode:
             self.engine.hops += 1
         return w
 
+    def plan(self, certificates: bool) -> tuple:
+        """This state's :func:`first_solicitation`.  ``certificates`` is
+        the scheduler's policy, fixed for the engine's lifetime (the
+        engine is per scheduler)."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = first_solicitation(
+                self.residual, dict(self.know), certificates
+            )
+        return plan
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"GuardNode({self.residual!r}, know={len(self.know)})"
 
 
 class GuardCursor:
-    """One actor's runtime state: a single pointer into the automaton.
+    """One actor's runtime state: a node of the shared slot-space
+    automaton plus this copy's ``to_slot`` / ``from_slot`` binding.
 
-    Mirrors the actor's ``(residual guard, knowledge)`` pair move for
-    move; every method is the O(1) compiled replacement for one cube-
-    engine call and returns/produces exactly that call's value.
+    ``knowledge`` is the owner's live map, which the owner updates
+    before each :meth:`learn`.  The cursor binds on first use (any
+    method below), not at construction: the binding and the entry node
+    are taken against the live map then, so a scheduler's build pays
+    nothing per actor.  ``node`` is ``None`` until then.  Every method
+    returns exactly the value of the cube-engine call it replaces.
     """
 
-    __slots__ = ("engine", "node")
+    __slots__ = (
+        "engine", "knowledge", "node", "to_slot", "from_slot",
+        "_guard", "_rendered", "_plan_node", "_plan",
+    )
 
     def __init__(
         self,
         engine: "CompiledGuardEngine",
         guard: GuardExpr,
-        knowledge: Mapping[Event, int],
+        knowledge: dict[Event, int],
     ):
         _CompiledStats.cursors += 1
         engine.cursors += 1
         self.engine = engine
-        self.node = engine._node(guard, _restrict(guard, knowledge))
+        self._enter(guard, knowledge)
+
+    def _enter(self, guard: GuardExpr, knowledge: dict[Event, int]) -> None:
+        self._guard = guard
+        self.knowledge = knowledge
+        self.node: GuardNode | None = None
+        self._plan_node: GuardNode | None = None
+
+    def _bind(self) -> GuardNode:
+        """Take the binding and enter the automaton at the node of the
+        entry guard's shape under the live knowledge."""
+        guard = self._guard
+        shape, to_slot, self.from_slot = _slot_guard(guard)
+        self.to_slot = to_slot
+        know = _restrict(guard, self.knowledge)
+        node = self.node = self.engine._node(
+            shape, tuple([(to_slot[b], m) for b, m in know]) if know else ()
+        )
+        self._rendered = node.residual  # ``_guard`` is its rendering
+        return node
+
+    @property
+    def guard(self) -> GuardExpr:
+        """The residual on the real names: the node's, renamed back
+        through the binding when it changes."""
+        node = self.node
+        if node is not None and node.residual is not self._rendered:
+            self._rendered = node.residual
+            self._guard = node.residual.rename(self.from_slot)
+        return self._guard
 
     def learn(self, base: Event, mask: int) -> None:
         """Track ``actor.learn``: knowledge for ``base`` is now ``mask``."""
-        self.node = self.node.learn(base, mask)
+        node = self.node
+        if node is None:
+            self._bind()  # the live map already holds the fact
+            return
+        slot = self.to_slot.get(base)
+        if slot is None:  # foreign to this copy: a self-loop
+            _CompiledStats.hops += 1
+            self.engine.hops += 1
+            return
+        self.node = node.learn(slot, mask)
 
-    def assimilate(self) -> GuardExpr:
-        """Advance past ``simplify_under`` and return the new residual
-        (equal, value for value, to what the cube engine assigns)."""
-        self.node = self.node.assimilate()
-        return self.node.residual
+    def assimilate(self) -> None:
+        """Advance past ``simplify_under`` (:attr:`guard` is then, value
+        for value, what the cube engine assigns)."""
+        self.node = (self.node or self._bind()).assimilate()
 
     def verdict(self) -> str:
-        return self.node.verdict()
+        return (self.node or self._bind()).verdict()
 
     def transient_verdict(
         self, facts: Iterable[tuple[Event, int]]
     ) -> str:
         """Verdict under transient facts (certificate rounds): descend
         along learn edges without moving this cursor."""
-        node = self.node
+        node = self.node or self._bind()
+        to_slot = self.to_slot
         for base, mask in facts:
-            node = node.refined(base, mask)
+            slot = to_slot.get(base)
+            if slot is not None:
+                node = node.refined(slot, mask)
         return node.verdict()
 
-    def reset(self, guard: GuardExpr, knowledge: Mapping[Event, int]) -> None:
+    def watches(self):
+        """The node's wake set on the real names (``ALL``: everything)."""
+        w = (self.node or self._bind()).watches()
+        return ALL if w is ALL else frozenset(map(self.from_slot.__getitem__, w))
+
+    def plan(self, certificates: bool) -> tuple:
+        """:func:`first_solicitation` on the real names, translated from
+        the node's once per node change."""
+        node = self.node or self._bind()
+        if node is not self._plan_node:
+            demand, promises, needs = node.plan(certificates)
+            from_slot = self.from_slot
+            self._plan = (
+                demand,
+                tuple([rename_event(p, from_slot) for p in promises]),
+                tuple([from_slot[b] for b in needs]),
+            )
+            self._plan_node = node
+        return self._plan
+
+    def reset(self, guard: GuardExpr, knowledge: dict[Event, int]) -> None:
         """Incremental recompile: re-enter the automaton at a new
-        guard (runtime dependency growth/removal, crash resets).  The
-        new state's nodes are interned lazily like any other -- a
-        recompile shares every state already explored."""
+        guard (runtime dependency growth/removal, crash resets), binding
+        afresh on next use.  The new state's nodes are interned lazily
+        like any other -- a recompile shares every state already
+        explored."""
         _CompiledStats.recompiles += 1
         self.engine.recompiles += 1
-        self.node = self.engine._node(guard, _restrict(guard, knowledge))
+        self._enter(guard, knowledge)
 
 
 class ReferenceCursor:
     """The paper-literal evaluation behind the cursor interface: every
     method *is* the cube-engine call the compiled cursor caches, run
-    afresh on the actor's ``(residual guard, knowledge)`` pair.
+    afresh on the real-name ``(residual guard, knowledge)`` pair.
 
     Only the differential tests use it
     (``DistributedScheduler(reference_engine=True)``); it is what the
@@ -344,9 +513,8 @@ class ReferenceCursor:
     def learn(self, base: Event, mask: int) -> None:
         self.knowledge[base] = mask
 
-    def assimilate(self) -> GuardExpr:
+    def assimilate(self) -> None:
         self.guard = self.guard.simplify_under(self.knowledge)
-        return self.guard
 
     def verdict(self) -> str:
         return _verdict(self.guard, self.knowledge)
@@ -356,6 +524,9 @@ class ReferenceCursor:
         for base, mask in facts:
             transient[base] = transient.get(base, FULL) & mask
         return _verdict(self.guard, transient)
+
+    def plan(self, certificates: bool) -> tuple:
+        return first_solicitation(self.guard, self.knowledge, certificates)
 
     def reset(self, guard: GuardExpr, knowledge: Mapping[Event, int]) -> None:
         self.guard = guard
@@ -391,14 +562,12 @@ class CompiledGuardEngine:
 
     # -- public API ----------------------------------------------------
 
-    def root(self, guard: GuardExpr) -> GuardNode:
-        """The compiled automaton of a guard (its no-knowledge node)."""
-        return self._node(guard, ())
-
     def cursor(
-        self, guard: GuardExpr, knowledge: Mapping[Event, int] | None = None
+        self, guard: GuardExpr, knowledge: dict[Event, int] | None = None
     ) -> GuardCursor:
-        return GuardCursor(self, guard, knowledge or {})
+        """A cursor entering at ``guard``; ``knowledge`` is the live map
+        its owner keeps (a fresh one if omitted)."""
+        return GuardCursor(self, guard, {} if knowledge is None else knowledge)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -424,15 +593,17 @@ def table_stats(guards: Mapping[Event, GuardExpr]) -> dict:
     form).  ``constant_false`` lists *dead* events -- their guard
     compiled to the constant-false terminal, so every attempt will be
     rejected outright -- and ``constant_true`` the unconstrained ones.
-    ``sharing_ratio`` is ``1 - roots/guards``: the fraction of guard
-    slots served by a node another event already interned.
+    ``shapes`` counts the distinct slot-space roots, one automaton each
+    in a scheduler's engine, and ``sharing_ratio`` is
+    ``1 - shapes/guards``: the fraction of guards served by an
+    automaton another guard's copy already compiled.
     """
-    roots = set(guards.values())
+    shapes = {_slot_guard(g)[0] for g in guards.values()}
     total = len(guards)
     return {
         "guards": total,
-        "roots": len(roots),
-        "sharing_ratio": round(1.0 - len(roots) / total, 4) if total else 0.0,
+        "shapes": len(shapes),
+        "sharing_ratio": round(1.0 - len(shapes) / total, 4) if total else 0.0,
         "cubes": sum(g.cube_count() for g in guards.values()),
         "literals": sum(g.literal_count() for g in guards.values()),
         "constant_false": sorted(

@@ -325,21 +325,9 @@ class GuardExpr:
         ``T`` and ``!e`` to ``0``; ``[]e``/``<>e`` reduce to ``0`` and
         ``!e`` to ``T`` when ``[]~e`` or ``<>~e`` is received; ``[]e``
         and ``!e`` are unaffected by ``<>e``".
-
-        Memoized on the guard and the knowledge of *its own* bases
-        (the only entries read): actors re-simplify their guard on
-        every assimilated fact, and distributed instances of the same
-        workflow shape pass through the same (guard, knowledge)
-        states, so the hit rate is high.
         """
         if not knowledge or not self.cubes or () in self.cubes:
             return self
-        key = (self, tuple(map(knowledge.get, self._sorted_bases())))
-        cached = _SIMPLIFY_CACHE.get(key)
-        if cached is not None:
-            _SimplifyStats.hits += 1
-            return cached
-        _SimplifyStats.misses += 1
         out: set[Cube] = set()
         for cube in self.cubes:
             entries: dict[Event, int] = {}
@@ -361,11 +349,7 @@ class GuardExpr:
             cube2 = _make_cube(entries)
             if cube2 is not None:
                 out.add(cube2)
-        result = GuardExpr(frozenset(out))
-        if len(_SIMPLIFY_CACHE) >= _SIMPLIFY_LIMIT:
-            _SIMPLIFY_CACHE.clear()
-        _SIMPLIFY_CACHE[key] = result
-        return result
+        return GuardExpr(frozenset(out))
 
     def rename(self, mapping: Mapping[Event, Event]) -> "GuardExpr":
         """Substitute base events through ``mapping`` (positive bases on
@@ -461,28 +445,8 @@ def _canonical_guard(cubes: frozenset[Cube]) -> GuardExpr:
     return self
 
 
-_SIMPLIFY_CACHE: dict = {}
-_SIMPLIFY_LIMIT = 65536
-
-
-class _SimplifyStats:
-    hits = 0
-    misses = 0
-
-
-def simplify_cache_stats() -> dict:
-    """Hit/miss counters of the ``simplify_under`` memo table."""
-    return {
-        "size": len(_SIMPLIFY_CACHE),
-        "hits": _SimplifyStats.hits,
-        "misses": _SimplifyStats.misses,
-    }
-
-
-def clear_simplify_cache() -> None:
-    _SIMPLIFY_CACHE.clear()
-    _SimplifyStats.hits = 0
-    _SimplifyStats.misses = 0
+def clear_literal_cache() -> None:
+    """Drop the cached literals (they are built anew on next request)."""
     _LITERAL_CACHE.clear()
 
 

@@ -288,13 +288,13 @@ def kernel_stats() -> dict:
     """One JSON-ready snapshot of every symbolic-kernel cache.
 
     Aggregates the intern tables (hash-consing), the shape/closure
-    synthesis counters, the ``simplify_under`` memo, and the lru memo
-    tables of the kernel entry points.  Surfaced per run through
-    ``DistributedScheduler.metrics_report()`` and ``repro run --json``.
+    synthesis counters, the wake-index and compiled-automaton counters,
+    and the lru memo tables of the kernel entry points.  Surfaced per
+    run through ``DistributedScheduler.metrics_report()`` and ``repro
+    run --json``.
     """
     from repro.algebra.expressions import intern_stats
     from repro.temporal.compiled import compiled_stats
-    from repro.temporal.cubes import simplify_cache_stats
     from repro.temporal.watch import watch_stats
 
     def lru_counts(fn) -> dict:
@@ -304,7 +304,6 @@ def kernel_stats() -> dict:
     return {
         "interning": intern_stats(),
         "synthesis": synthesis_stats(),
-        "simplify": simplify_cache_stats(),
         "watch": watch_stats(),
         "compiled": compiled_stats(),
         "memo": {
@@ -337,7 +336,8 @@ def _slot_maps(
         _SLOTS.append((Event(name), Event(name, params=(Variable("_"),))))
     to_slot, from_slot = {}, {}
     for base, (ground, typed) in zip(ordered, _SLOTS):
-        slot = ground if base.is_ground else typed
+        # an event without parameters needs no groundness walk
+        slot = typed if base.params and not base.is_ground else ground
         to_slot[base] = slot
         from_slot[slot] = base
     return to_slot, from_slot

@@ -52,16 +52,7 @@ from .cubes import FULL, GuardExpr, closure
 #: Sentinel wake-set: the actor must be woken by every announcement.
 ALL = None
 
-#: Memo table keyed on interned identity (hash-consed guards) plus the
-#: knowledge masks *restricted to the bases the guard mentions* -- the
-#: only knowledge :func:`watch_bases` reads, so the restriction is
-#: exact, and the key build is O(guard), not O(|K|).  At high fan-in
-#: the same (guard, masks) pair recurs once per registration; the
-#: table collapses that to one computation.
-_WATCH_BASES_CACHE: dict = {}
-_WATCH_MEMO_LIMIT = 65536
-
-#: distinguishes "cached ALL" (None) from "not cached" in the memo.
+#: distinguishes "registered ALL" (None) from "not registered".
 _UNSET = object()
 
 
@@ -101,20 +92,7 @@ def watch_bases(
     assimilation whatever the base, so skipping anything would let the
     residuals diverge.
     """
-    key = (
-        guard,
-        tuple(knowledge.get(base) for base in guard._sorted_bases()),
-    )
-    cached = _WATCH_BASES_CACHE.get(key, _UNSET)
-    if cached is not _UNSET:
-        _WatchStats.memo_hits += 1
-        return cached
-    _WatchStats.memo_misses += 1
-    result = ALL if not is_reduced(guard, knowledge) else guard.bases()
-    if len(_WATCH_BASES_CACHE) >= _WATCH_MEMO_LIMIT:
-        _WATCH_BASES_CACHE.clear()
-    _WATCH_BASES_CACHE[key] = result
-    return result
+    return guard.bases() if is_reduced(guard, knowledge) else ALL
 
 
 class _WatchStats:
@@ -123,8 +101,6 @@ class _WatchStats:
     wakes = 0
     skips = 0
     rewatches = 0
-    memo_hits = 0
-    memo_misses = 0
 
 
 def watch_stats() -> dict:
@@ -134,8 +110,6 @@ def watch_stats() -> dict:
         "wakes": _WatchStats.wakes,
         "skips": _WatchStats.skips,
         "rewatches": _WatchStats.rewatches,
-        "memo_hits": _WatchStats.memo_hits,
-        "memo_misses": _WatchStats.memo_misses,
     }
 
 
@@ -143,9 +117,6 @@ def clear_watch_stats() -> None:
     _WatchStats.wakes = 0
     _WatchStats.skips = 0
     _WatchStats.rewatches = 0
-    _WatchStats.memo_hits = 0
-    _WatchStats.memo_misses = 0
-    _WATCH_BASES_CACHE.clear()
 
 
 class WatchIndex:

@@ -208,7 +208,7 @@ class AnalysisReport:
     promise_pairs: frozenset[frozenset[Event]] = frozenset()
     notyet_needs: dict[Event, frozenset[Event]] = field(default_factory=dict)
     #: compiled guard-table statistics (:func:`repro.temporal.compiled.
-    #: table_stats`): node/sharing counts plus the constant guards --
+    #: table_stats`): shape/sharing counts plus the constant guards --
     #: an event in ``constant_false`` compiles to the constant-false
     #: terminal and is dead at run time
     compiled: dict = field(default_factory=dict)
@@ -298,7 +298,7 @@ class AnalysisReport:
             lines.append(
                 "  compiled guard table: "
                 f"{self.compiled['guards']} guards -> "
-                f"{self.compiled['roots']} automata "
+                f"{self.compiled['shapes']} automata "
                 f"(sharing {self.compiled['sharing_ratio']:.0%}), "
                 f"{self.compiled['cubes']} cubes / "
                 f"{self.compiled['literals']} literals"

@@ -40,7 +40,7 @@ hypothesis_settings.load_profile("default")
 
 
 KERNEL_STATS_KEYS = {
-    "interning", "synthesis", "simplify", "watch", "compiled", "memo"
+    "interning", "synthesis", "watch", "compiled", "memo"
 }
 SYNTHESIS_STATS_KEYS = {
     "shapes", "shape_hits", "shape_misses",

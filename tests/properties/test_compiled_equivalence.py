@@ -16,11 +16,12 @@ specific to the automaton: every cursor mirrors its actor's
 guard-evaluation records carry the reference's payloads, recompiles
 are counted, and the counters surface in the metrics report.
 
-Below the scheduler, a pure kernel property checks the automaton
+Below the scheduler, pure kernel properties check the automaton
 itself: a :class:`GuardCursor` (and the tests' :class:`ReferenceCursor`)
 driven through randomized guard tables and knowledge orders must
 report, at every step, exactly the verdict, residual, and watch set
-the ``simplify_under`` engine computes.
+the ``simplify_under`` engine computes -- and renamed copies of one
+guard must report it on their own names while sharing its nodes.
 """
 
 from unittest import mock
@@ -35,6 +36,7 @@ from repro.temporal.compiled import (
     CompiledGuardEngine,
     ReferenceCursor,
     _restrict,
+    first_solicitation,
 )
 from repro.temporal.cubes import FULL, literal
 from repro.temporal.watch import watch_bases
@@ -55,13 +57,26 @@ from .test_watch_equivalence import (
 
 
 def assert_cursors_in_step(sched):
-    """Every actor's cursor sits on the node of the actor's own
-    ``(residual guard, knowledge)`` pair -- after crash resets,
-    recompiles and resurrections alike."""
+    """Every actor's cursor sits on the interned node of the actor's own
+    ``(residual guard, knowledge)`` pair renamed through the cursor's
+    binding, an order-preserving injection -- after crash resets,
+    recompiles and resurrections alike.  A cursor not bound since it
+    was (re)entered has learned nothing its guard mentions."""
     for actor in sched.actors.values():
-        node = actor.cursor.node
-        assert node.residual == actor.guard, actor.event
-        assert node.know == _restrict(actor.guard, actor.knowledge), actor.event
+        cursor, known = actor.cursor, _restrict(actor.guard, actor.knowledge)
+        node = cursor.node
+        if node is None:
+            assert not known, actor.event
+            continue
+        to_slot = cursor.to_slot
+        bound = sorted(to_slot, key=Event.sort_key)
+        assert [to_slot[b] for b in bound] == sorted(
+            to_slot.values(), key=Event.sort_key
+        ), actor.event
+        assert all(cursor.from_slot[to_slot[b]] is b for b in bound)
+        assert node.residual == actor.guard.rename(to_slot), actor.event
+        assert node.know == tuple((to_slot[b], m) for b, m in known), actor.event
+        assert sched.compiled._nodes[(node.residual, node.know)] is node
 
 
 class TestCompiledEquivalence:
@@ -125,28 +140,20 @@ class TestCompiledEquivalence:
 
 
 def reference_solicit_plan(actor):
-    """``EventActor._solicit_plan`` as it was before the plan moved to
-    the compiled node: recomputed from ``(actor.guard,
-    actor.knowledge)`` on every call."""
-    possible = [
-        c for c in actor.guard.sorted_cubes() if actor._cube_possible(c)
-    ]
-    demand = len(possible) == 1
+    """``EventActor._solicit_plan`` without the compiled node:
+    recomputed from ``(actor.guard, actor.knowledge)`` on the real
+    names on every call."""
+    demand, promises, certificates = first_solicitation(
+        actor.guard, actor.knowledge, actor.sched.policy.certificates
+    )
     level = 1 if demand else 0
-    for cube in possible:
-        plan = actor._cube_plan(cube)
-        if plan is None:
-            continue
-        promises, certificates = plan
-        requests = [
-            target
-            for target in promises
-            if target.base != actor.event.base
-            and actor.promise_requested.get((target, (actor.event,)), -1)
-            < level
-        ]
-        return requests, demand, certificates
-    return [], False, []
+    requests = [
+        target
+        for target in promises
+        if target.base != actor.event.base
+        and actor.promise_requested.get((target, (actor.event,)), -1) < level
+    ]
+    return requests, demand, list(certificates)
 
 
 def checking_plans(seen):
@@ -169,8 +176,9 @@ def checking_plans(seen):
 
 
 class TestPlanOnTheNode:
-    """The solicitation plan cached on the compiled node is the plan
-    the actor would compute from its own ``(guard, knowledge)``."""
+    """The solicitation plan cached on the compiled node, translated
+    through the actor's binding, is the plan the actor would compute
+    from its own ``(guard, knowledge)``."""
 
     @settings(max_examples=60, deadline=None)
     @given(watch_cases())
@@ -186,7 +194,7 @@ class TestPlanOnTheNode:
         with checking_plans(seen):
             for factory in SCENARIOS.values():
                 run_engine(factory(), None, 0, reference=False)
-        assert all(node.plan is not None for node in seen)
+        assert all(node._plan is not None for node in seen)
         assert 0 < len(set(map(id, seen))) < len(seen)
 
     def test_reference_engine_plans_without_a_node(self):
@@ -289,9 +297,9 @@ class TestCursorTracksCubeEngine:
     @given(guard_exprs(), knowledge_steps())
     def test_verdict_residual_and_watches_agree(self, guard, steps):
         engine = CompiledGuardEngine()
-        cursors = (engine.cursor(guard), ReferenceCursor(guard))
-        residual = guard
         knowledge: dict[Event, int] = {}
+        cursors = (engine.cursor(guard, knowledge), ReferenceCursor(guard))
+        residual = guard
         for base, mask, assimilate in steps:
             current = knowledge.get(base, FULL)
             updated = current & mask
@@ -303,7 +311,8 @@ class TestCursorTracksCubeEngine:
             if assimilate:
                 residual = residual.simplify_under(knowledge)
                 for cursor in cursors:
-                    assert cursor.assimilate() == residual
+                    cursor.assimilate()
+                    assert cursor.guard == residual
             expected = (
                 "fire" if residual.region_subsumes(knowledge)
                 else "never" if not residual.possible_under(knowledge)
@@ -313,7 +322,7 @@ class TestCursorTracksCubeEngine:
                 assert cursor.verdict() == expected, (residual, knowledge)
             # the wake set is read off the node (the reference engine
             # registers none: its actors wake on everything)
-            assert cursors[0].node.watches() == watch_bases(residual, knowledge)
+            assert cursors[0].watches() == watch_bases(residual, knowledge)
             # a certificate-round read: evaluated, never committed
             fact = [(base, mask)]
             compiled, reference = (c.transient_verdict(fact) for c in cursors)
@@ -328,8 +337,9 @@ class TestCursorTracksCubeEngine:
         engine = CompiledGuardEngine()
 
         def drive(steps):
-            cursor = engine.cursor(guard)
             knowledge: dict[Event, int] = {}
+            cursor = engine.cursor(guard, knowledge)
+            cursor.verdict()  # bound, whatever the steps
             for base, mask, assimilate in steps:
                 current = knowledge.get(base, FULL)
                 updated = current & mask
@@ -343,3 +353,58 @@ class TestCursorTracksCubeEngine:
         a, b = drive(first), drive(second)
         if a.node.residual == b.node.residual and a.node.know == b.node.know:
             assert a.node is b.node
+
+
+#: renames of the pool's bases: each copy keeps the canonical order
+#: (``a_c1 < b_c1 < ...``) but the last, the ``t1 / t10`` suffix case,
+#: sends ``b`` past ``c`` (``t1 < t10 < t11 < t2``)
+ORDERED_COPIES = [
+    {e: Event(f"{e.name}_c{k}") for e in EVENTS} for k in range(1, 4)
+]
+DISORDERED_COPY = {e: Event(f"t{n}") for e, n in zip(EVENTS, (1, 2, 10, 11))}
+
+
+class TestRenamedCopiesShareNodes:
+    """A guard's renamed copies walk one slot-space automaton, and each
+    reads it on its own names exactly as the reference engine would."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(guard_exprs(), knowledge_steps(), st.booleans())
+    def test_copies_agree_with_the_reference(self, guard, steps, certificates):
+        engine = CompiledGuardEngine()
+
+        def drive(mapping):
+            knowledge: dict[Event, int] = {}
+            copy = guard.rename(mapping)
+            compiled = engine.cursor(copy, knowledge)
+            reference = ReferenceCursor(copy)
+            for base, mask, assimilate in steps:
+                base = mapping[base]
+                updated = knowledge.get(base, FULL) & mask
+                if updated != knowledge.get(base, FULL):
+                    knowledge[base] = updated
+                    compiled.learn(base, updated)
+                    reference.learn(base, updated)
+                if assimilate:
+                    compiled.assimilate()
+                    reference.assimilate()
+                assert compiled.guard == reference.guard
+                assert compiled.verdict() == reference.verdict()
+                assert compiled.watches() == watch_bases(
+                    reference.guard, reference.knowledge
+                )
+                assert compiled.plan(certificates) == reference.plan(
+                    certificates
+                )
+                fact = [(base, mask)]
+                assert compiled.transient_verdict(fact) == (
+                    reference.transient_verdict(fact)
+                )
+
+        first, *others = ORDERED_COPIES
+        drive(first)
+        nodes = len(engine)
+        for mapping in others:
+            drive(mapping)
+        assert len(engine) == nodes
+        drive(DISORDERED_COPY)

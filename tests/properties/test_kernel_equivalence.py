@@ -27,7 +27,7 @@ from repro.temporal.cubes import (
     _absorb_batch,
     _make_cube,
     _subset_check,
-    clear_simplify_cache,
+    clear_literal_cache,
     covers,
 )
 from repro.temporal.guards import clear_synthesis_caches, workflow_guards
@@ -110,13 +110,13 @@ class TestCoverCheck:
 def batch_kernel():
     """Every ``GuardExpr`` built inside canonicalizes through the
     batch reference."""
-    clear_simplify_cache()
+    clear_literal_cache()
     cubes._absorb = _absorb_batch
     try:
         yield
     finally:
         cubes._absorb = _absorb
-        clear_simplify_cache()
+        clear_literal_cache()
 
 
 #: subsets of the 4 x 4 x 4 grid of single-world cubes over one
@@ -147,7 +147,6 @@ class TestIndexedAbsorb:
 
     @given(guard=guards, knowledge=knowledge_maps)
     def test_simplify_under_unchanged(self, guard, knowledge):
-        clear_simplify_cache()
         simplified = guard.simplify_under(knowledge)
         with batch_kernel():
             assert guard.simplify_under(knowledge).cubes == simplified.cubes
@@ -175,7 +174,7 @@ class TestIndexedAbsorb:
             return _absorb(cube_set)
 
         clear_synthesis_caches()
-        clear_simplify_cache()
+        clear_literal_cache()
         cubes._absorb = recording
         try:
             family = make_mutex_family(12, cluster=4)

@@ -3,9 +3,9 @@
 
 The scheduler-level equivalence lives in
 ``tests/properties/test_compiled_equivalence.py``; here we pin the
-node/edge mechanics: interning, the learn/refine/assimilate
-transitions, lazy caching, counter accounting, and the compile-time
-table statistics.
+node/edge mechanics: slot-space interning, the learn/refine/assimilate
+transitions, lazy binding and caching, counter accounting, and the
+compile-time table statistics.
 """
 
 from repro.algebra.symbols import Event
@@ -27,10 +27,23 @@ from repro.temporal.cubes import (
     literal,
 )
 from repro.temporal.watch import watch_bases
+from repro.workflows import WorkflowTemplate
+from repro.workloads.scenarios import make_travel_booking
 
 A, B, C = Event("a"), Event("b"), Event("c")
+X, Y = Event("x"), Event("y")
 
 GUARD = literal("box", A) & literal("dia", B)
+#: a renamed copy of ``GUARD`` (``a -> x``, ``b -> y`` keeps the order)
+COPY = literal("box", X) & literal("dia", Y)
+
+
+def bound(engine, guard, knowledge=None):
+    """A cursor of ``engine`` entered at ``guard``, bound as on its
+    first use."""
+    cursor = engine.cursor(guard, {} if knowledge is None else knowledge)
+    cursor._bind()
+    return cursor
 
 
 class TestKnowledgeTuples:
@@ -57,107 +70,144 @@ class TestKnowledgeTuples:
 
 class TestInterning:
     def test_same_state_is_the_same_node(self):
+        """A guard and its renamed copy have one shape: one node."""
         engine = CompiledGuardEngine()
-        assert engine.root(GUARD) is engine.root(GUARD)
+        first, again, copy = (bound(engine, g) for g in (GUARD, GUARD, COPY))
+        assert first.node is again.node is copy.node
         assert len(engine) == 1
-        assert engine.counts()["reused"] == 1
+        assert engine.counts()["reused"] == 2
+        assert first.to_slot[A] is copy.to_slot[X]
 
     def test_learn_edge_is_installed_once(self):
         engine = CompiledGuardEngine()
-        node = engine.root(GUARD)
-        succ = node.learn(A, E_OCC)
+        cursor = bound(engine, GUARD)
+        node, a = cursor.node, cursor.to_slot[A]
+        succ = node.learn(a, E_OCC)
         assert succ is not node
-        assert succ.know == ((A, E_OCC),)
-        assert node.learn(A, E_OCC) is succ  # edge hit, not a new node
+        assert succ.know == ((a, E_OCC),)
+        assert node.learn(a, E_OCC) is succ  # edge hit, not a new node
         assert engine.counts()["edges"] == 1
 
     def test_irrelevant_base_is_a_self_loop(self):
         engine = CompiledGuardEngine()
-        node = engine.root(GUARD)
-        assert node.learn(C, E_OCC) is node
+        cursor = bound(engine, GUARD)
+        node = cursor.node
+        assert node.learn(C, E_OCC) is node  # no slot of the residual
+        cursor.learn(C, E_OCC)  # outside the binding: one dict probe
+        assert cursor.node is node
         assert len(engine) == 1
 
     def test_two_paths_converge_on_one_node(self):
         engine = CompiledGuardEngine()
-        root = engine.root(GUARD)
-        ab = root.learn(A, E_OCC).learn(B, E_OCC)
-        ba = root.learn(B, E_OCC).learn(A, E_OCC)
+        cursor = bound(engine, GUARD)
+        a, b = cursor.to_slot[A], cursor.to_slot[B]
+        ab = cursor.node.learn(a, E_OCC).learn(b, E_OCC)
+        ba = cursor.node.learn(b, E_OCC).learn(a, E_OCC)
         assert ab is ba
 
 
 class TestTransitions:
     def test_assimilate_matches_simplify_under(self):
         engine = CompiledGuardEngine()
-        node = engine.root(GUARD).learn(A, E_OCC)
+        cursor = bound(engine, GUARD)
+        node = cursor.node.learn(cursor.to_slot[A], E_OCC)
         nxt = node.assimilate()
-        assert nxt.residual == GUARD.simplify_under({A: E_OCC})
+        assert nxt.residual.rename(cursor.from_slot) == GUARD.simplify_under(
+            {A: E_OCC}
+        )
         assert node.assimilate() is nxt  # cached pointer hop
 
     def test_refined_uses_and_semantics(self):
         engine = CompiledGuardEngine()
-        node = engine.root(literal("notyet", B))
-        refined = node.refined(B, NOTYET_MASK)
-        assert refined.know == ((B, NOTYET_MASK),)
+        cursor = bound(engine, literal("notyet", B))
+        b = cursor.to_slot[B]
+        refined = cursor.node.refined(b, NOTYET_MASK)
+        assert refined.know == ((b, NOTYET_MASK),)
         # already-subsumed fact: identity, no new node
-        assert refined.refined(B, FULL) is refined
+        assert refined.refined(b, FULL) is refined
 
     def test_refined_ignores_foreign_bases(self):
         engine = CompiledGuardEngine()
-        node = engine.root(GUARD)
+        node = bound(engine, GUARD).node
         assert node.refined(C, NOTYET_MASK) is node
 
     def test_verdicts(self):
         engine = CompiledGuardEngine()
-        assert engine.root(TRUE_GUARD).verdict() == "fire"
-        assert engine.root(FALSE_GUARD).verdict() == "never"
-        park = engine.root(GUARD)
+        assert engine.cursor(TRUE_GUARD).verdict() == "fire"
+        assert engine.cursor(FALSE_GUARD).verdict() == "never"
+        park = engine.cursor(GUARD)
         assert park.verdict() == "park"
+        expansions = engine.counts()["expansions"]
         assert park.verdict() == "park"  # cached read
+        assert engine.counts()["expansions"] == expansions
 
     def test_dead_literal_reaches_never(self):
         engine = CompiledGuardEngine()
-        node = engine.root(literal("box", A)).learn(A, C_OCC)
-        assert node.verdict() == "never"
+        knowledge = {}
+        cursor = bound(engine, literal("box", A), knowledge)
+        knowledge[A] = C_OCC
+        cursor.learn(A, C_OCC)
+        assert cursor.verdict() == "never"
 
     def test_watches_match_watch_bases(self):
         engine = CompiledGuardEngine()
-        node = engine.root(GUARD)
-        assert node.watches() == watch_bases(GUARD, {})
-        assert node.watches() == watch_bases(GUARD, {})  # cached (ALL-safe)
-        stale = node.learn(A, E_OCC)
-        assert stale.watches() is watch_bases(GUARD, {A: E_OCC})  # ALL
+        knowledge = {}
+        cursor = engine.cursor(GUARD, knowledge)
+        assert cursor.watches() == watch_bases(GUARD, {}) == {A, B}
+        assert cursor.watches() == watch_bases(GUARD, {})  # cached (ALL-safe)
+        copy = engine.cursor(COPY)
+        assert copy.watches() == {X, Y}  # one node, each copy's names
+        knowledge[A] = E_OCC
+        cursor.learn(A, E_OCC)
+        assert cursor.watches() is watch_bases(GUARD, knowledge)  # ALL
 
 
 class TestCursor:
     def test_cursor_walks_learn_and_assimilate(self):
         engine = CompiledGuardEngine()
-        cursor = engine.cursor(GUARD)
+        knowledge = {}
+        cursor = engine.cursor(GUARD, knowledge)
+        knowledge[A] = E_OCC
         cursor.learn(A, E_OCC)
-        residual = cursor.assimilate()
-        assert residual == GUARD.simplify_under({A: E_OCC})
+        cursor.assimilate()
+        assert cursor.guard == GUARD.simplify_under(knowledge)
         assert cursor.verdict() == "park"
+        knowledge[B] = E_OCC
         cursor.learn(B, E_OCC)
-        assert cursor.assimilate() == TRUE_GUARD
+        cursor.assimilate()
+        assert cursor.guard == TRUE_GUARD
         assert cursor.verdict() == "fire"
 
     def test_cursor_with_prior_knowledge(self):
+        """The binding is taken on first use, against the live map."""
         engine = CompiledGuardEngine()
-        cursor = engine.cursor(GUARD, {A: E_OCC, C: E_OCC})
-        assert cursor.node.know == ((A, E_OCC),)
+        knowledge = {C: E_OCC}
+        cursor = engine.cursor(GUARD, knowledge)
+        assert cursor.node is None and len(engine) == 0
+        knowledge[A] = E_OCC
+        assert cursor.verdict() == "park"
+        assert cursor.node.know == ((cursor.to_slot[A], E_OCC),)
+        assert C not in cursor.to_slot
 
     def test_transient_verdict_does_not_move_the_cursor(self):
         engine = CompiledGuardEngine()
         cursor = engine.cursor(literal("notyet", B))
-        node = cursor.node
         assert cursor.verdict() == "park"
+        node = cursor.node
         assert cursor.transient_verdict([(B, NOTYET_MASK)]) == "fire"
+        assert cursor.transient_verdict([(C, NOTYET_MASK)]) == "park"
         assert cursor.node is node
 
     def test_reset_counts_a_recompile(self):
         engine = CompiledGuardEngine()
         cursor = engine.cursor(GUARD)
-        cursor.reset(literal("box", A), {})
-        assert cursor.node.residual == literal("box", A)
+        cursor.verdict()
+        cursor.reset(literal("box", B), {})
+        assert cursor.node is None  # binds afresh on next use
+        assert cursor.guard == literal("box", B)
+        cursor.verdict()
+        assert cursor.node.residual == literal("box", cursor.to_slot[B])
+        assert cursor.guard == literal("box", B)
         assert engine.counts()["recompiles"] == 1
 
 
@@ -166,7 +216,10 @@ class TestStats:
         clear_compiled()
         try:
             engine = CompiledGuardEngine()
-            cursor = engine.cursor(GUARD)
+            knowledge = {}
+            cursor = engine.cursor(GUARD, knowledge)
+            cursor.verdict()
+            knowledge[A] = E_OCC
             cursor.learn(A, E_OCC)
             cursor.assimilate()
             cursor.verdict()
@@ -184,42 +237,55 @@ class TestStats:
         stats = table_stats(
             {
                 A: box_a,
-                B: box_a,  # shared automaton
+                B: literal("box", B),  # a renamed copy: the same shape
                 C: FALSE_GUARD,  # dead event
                 Event("d"): TRUE_GUARD,
             }
         )
         assert stats["guards"] == 4
-        assert stats["roots"] == 3
+        assert stats["shapes"] == 3
         assert stats["sharing_ratio"] == 0.25
         assert stats["constant_false"] == [repr(C)]
         assert stats["constant_true"] == [repr(Event("d"))]
-        assert stats["cubes"] == 3  # box_a twice dedups per-guard, not here
+        assert stats["cubes"] == 3
         assert stats["literals"] == 2
 
     def test_table_stats_empty(self):
         assert table_stats({})["sharing_ratio"] == 0.0
+
+    def test_stamped_instances_add_no_shape(self):
+        """Four stamped travel instances compile to the automata of one."""
+        template = WorkflowTemplate(make_travel_booking().workflow)
+        _, one = template.instantiate_merged(["_i0"])
+        _, four = template.instantiate_merged([f"_i{k}" for k in range(4)])
+        single, stamped = table_stats(one), table_stats(four)
+        assert stamped["guards"] == 4 * single["guards"]
+        assert stamped["shapes"] == single["shapes"]
+        assert stamped["sharing_ratio"] > single["sharing_ratio"]
 
 
 class TestSharedEngine:
     def test_cursors_share_one_interned_engine(self):
         engine = CompiledGuardEngine()
 
-        def walk():
-            cursor = engine.cursor(GUARD)
-            cursor.learn(A, E_OCC)
-            residual = cursor.assimilate()
-            return cursor, residual, cursor.verdict()
+        def walk(guard, first_base):
+            knowledge = {}
+            cursor = engine.cursor(guard, knowledge)
+            cursor.verdict()
+            knowledge[first_base] = E_OCC
+            cursor.learn(first_base, E_OCC)
+            cursor.assimilate()
+            return cursor, cursor.guard, cursor.verdict()
 
-        first, residual, verdict = walk()
+        first, residual, verdict = walk(GUARD, A)
         nodes_after_first = len(engine)
         reused_after_first = engine.counts()["reused"]
-        second, residual2, verdict2 = walk()
-        # the second cursor walked entirely interned automata...
+        second, residual2, verdict2 = walk(COPY, X)
+        # the renamed copy walked entirely interned automata...
         assert len(engine) == nodes_after_first
         assert engine.counts()["reused"] > reused_after_first
         assert engine.counts()["cursors"] == 2
-        # ...to the very same state
+        # ...to the very same state, rendered on its own names
         assert second.node is first.node
-        assert (residual2, verdict2) == (residual, verdict)
-
+        assert residual == literal("dia", B)
+        assert (residual2, verdict2) == (literal("dia", Y), verdict)

@@ -18,11 +18,9 @@ from repro.temporal.cubes import (
     TRUE_GUARD,
     _absorb,
     _cube_product,
-    clear_simplify_cache,
     closure,
     flip,
     literal,
-    simplify_cache_stats,
     worlds_at,
 )
 from repro.temporal.semantics import holds
@@ -184,18 +182,6 @@ class TestKnowledgeReasoning:
         g = literal("box", E) & literal("dia", F)
         out = g.simplify_under({F: E_OCC})
         assert out == literal("box", E)
-
-    def test_simplify_memo_ignores_bases_outside_the_guard(self):
-        g = literal("box", E) & literal("dia", F)
-        clear_simplify_cache()
-        first = g.simplify_under({F: E_OCC, Event("far"): P_E})
-        assert simplify_cache_stats()["misses"] == 1
-        again = g.simplify_under({F: E_OCC, Event("far"): C_OCC})
-        assert again is first
-        assert simplify_cache_stats()["hits"] == 1
-        # a base of the guard still separates the entries
-        assert g.simplify_under({F: E_OCC, E: E_OCC}).is_true
-        assert simplify_cache_stats()["misses"] == 2
 
 
 class TestKernelScaling:

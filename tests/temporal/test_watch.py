@@ -220,3 +220,23 @@ class TestSchedulerReWatch:
         entry = sched.watch.watching(ship)
         assert entry is ALL or pay in entry
         assert_index_consistent(sched)
+
+    def test_reentry_onto_the_same_shape_rewatches(self):
+        """A guard replaced by a renamed copy of itself re-enters the
+        very node it left, under another binding: the wake set must
+        move to the new names."""
+        sched = DistributedScheduler(
+            [],
+            guards={A: literal("box", B), B: TRUE_GUARD, C: TRUE_GUARD},
+            latency=ConstantLatency(1.0),
+            rng=random.Random(3),
+        )
+        sched.attempt(A)
+        actor = sched.actors[A]
+        node = actor.cursor.node
+        assert sched.watch.watching(A) == {B}
+        actor.replace_guard(literal("box", C))
+        sched._rewatch(actor)
+        assert actor.cursor.node is node
+        assert sched.watch.watching(A) == {C}
+        assert_index_consistent(sched)

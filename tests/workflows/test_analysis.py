@@ -205,7 +205,7 @@ class TestAnalyzeReport:
 
     def test_constant_false_warning_needs_no_synthesis_section(self):
         compiled = {
-            "guards": 2, "roots": 1, "sharing_ratio": 0.5, "cubes": 0,
+            "guards": 2, "shapes": 1, "sharing_ratio": 0.5, "cubes": 0,
             "literals": 0, "constant_false": ["e"],
         }
         report = AnalysisReport("w", True, True, compiled=compiled)
