@@ -190,8 +190,9 @@ def _run_profiled(profiler=None, sample_every=None, count=6, seed=42):
         latency=ConstantLatency(1.0),
         rng=random.Random(seed),
         profiler=profiler,
-        sample_every=sample_every,
     )
+    if sample_every is not None:
+        sched.enable_timeseries(sample_every)
     result = sched.run(scripts, verify=False)
     assert not result.unsettled
     return sched, result

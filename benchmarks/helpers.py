@@ -17,7 +17,6 @@ from repro.algebra.residuation import residuate
 from repro.temporal.compiled import clear_compiled
 from repro.temporal.cubes import clear_literal_cache
 from repro.temporal.guards import clear_synthesis_caches
-from repro.temporal.watch import clear_watch_stats
 
 
 def clear_symbolic_caches() -> None:
@@ -29,7 +28,6 @@ def clear_symbolic_caches() -> None:
     to_normal_form.cache_clear()
     clear_synthesis_caches()
     clear_literal_cache()
-    clear_watch_stats()
     clear_compiled()
     clear_intern_tables()
 

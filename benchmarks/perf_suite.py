@@ -28,7 +28,7 @@ Runs three workload families and emits a machine-readable
   required: it has fallen either way as synthesis got cheaper, see
   EXPERIMENTS.md);
 * **guard engine** (PF3/PF4, when the scheduler has
-  ``reference_engine=``) -- the one production engine (watch index +
+  ``reference_engine=``) -- the one production engine (wake rule +
   compiled cursors) against the paper-literal reference engine the
   differential tests use: the announce phase over n in {10, 100, 1000}
   parked guards (PF3; required: identical timelines, zero production
@@ -532,7 +532,7 @@ def _pf3_run(n: int, hubs: int, reference: bool):
 def bench_watch_scaling(rounds: int) -> dict:
     """PF3: per-announcement assimilation cost vs parked-event count.
 
-    The ROADMAP item the watch index closes is "assimilation cost
+    The ROADMAP item the wake rule closes is "assimilation cost
     grows linearly with the number of parked events": the reference
     engine re-evaluates every parked guard per announcement (``evals
     == n``/announcement), the production engine re-evaluates none
@@ -678,7 +678,7 @@ def bench_compiled_eval(evals: int, rounds: int) -> dict:
 
 def _pf4_run(n: int, hubs: int, reference: bool) -> dict:
     """The PF4 workload: ``2n`` parked actors that dropped the hub
-    bases (the watch index's win -- their wake sets are stable, so
+    bases (the wake rule's win -- their wake sets are stable, so
     skipping them is churn-free) plus a hot frontier of ``n // 2``
     coupled actors whose guards keep every hub relevant (the compiled
     automaton's win -- their residuals shrink on every announcement,

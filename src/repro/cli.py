@@ -52,7 +52,8 @@ timeline, trace, and metrics come back merged).
 
 Exit codes: ``run`` exits 0 only when the run is *clean* -- no
 dependency violations, no unsettled bases, and (with ``--slo``) no
-failed SLO rule; 1 when any remains; 2 on usage errors.  ``trace
+failed SLO rule; 1 when any remains; 2 on usage errors and on a spec
+no trace satisfies (it is not run).  ``trace
 check`` exits 1 when the trace violates an invariant (an empty or
 truncated trace is reported, not a traceback); ``trace query`` exits 1
 when the trace is empty, no record matches, or the requested analysis
@@ -90,7 +91,7 @@ from repro.viz import (
     result_to_text,
     workflow_to_dot,
 )
-from repro.workflows.analysis import analyze
+from repro.workflows.analysis import analyze, satisfiable
 from repro.workflows.compiler import compile_workflow
 from repro.workflows.loader import load
 
@@ -625,6 +626,14 @@ def _cmd_run(args) -> int:
         slo_doc = _load_json_object(args.slo)
         if slo_doc is None:
             return 2
+    if not satisfiable(workflow.dependencies):
+        # fail closed: running would only end in violations
+        print(
+            f"{args.spec}: no trace satisfies every dependency "
+            "(see `repro analyze`)",
+            file=sys.stderr,
+        )
+        return 2
     if args.shards is not None:
         if args.scheduler != "distributed":
             print("--shards needs --scheduler distributed", file=sys.stderr)
@@ -664,8 +673,6 @@ def _cmd_run(args) -> int:
         from repro.obs.profile import Profiler
 
         extra["profiler"] = Profiler()
-    if args.sample_every is not None:
-        extra["sample_every"] = args.sample_every
     sched = scheduler_cls(
         workflow.dependencies,
         sites=workflow.sites,
@@ -675,6 +682,8 @@ def _cmd_run(args) -> int:
         tracer=tracer,
         **extra,
     )
+    if args.sample_every is not None:
+        sched.enable_timeseries(args.sample_every)
     if args.snapshot_every is not None:
         if args.snapshot_every <= 0:
             print("--snapshot-every must be positive", file=sys.stderr)

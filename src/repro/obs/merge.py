@@ -31,9 +31,9 @@ trace uses.  Symbolic-kernel statistics are *process-local cache
 snapshots*, not additive work counters, so they merge by element-wise
 maximum -- the report shows the hottest shard's cache shape rather
 than a fictitious sum over caches that shared nothing.  The one
-exception is ``kernel["watch"]``: the scheduler overlays its *own*
-watch-index work counters (wakes/skips/rewatches/registered) there, so
-those are additive across shards and merge by sum.
+exception is ``kernel["watch"]``: the scheduler reports its *own*
+wake/skip counts there, so those are additive across shards and merge
+by sum.
 
 Profiler reports merge through
 :func:`repro.obs.profile.merge_profiles` (re-exported here) -- span
@@ -222,7 +222,7 @@ def _merge_kernel(sections: Sequence[Mapping[str, Any]]) -> dict:
     Cache-shape snapshots (interning/synthesis/memo) take the
     element-wise max -- summing caches that shared nothing would
     fabricate work.  The ``watch`` and ``compiled`` subsections are
-    different: each scheduler overlays its own wake index's and its
+    different: each scheduler reports its own wake counts and its
     private guard engine's counters there (see ``metrics_report``),
     which count real per-shard work and therefore sum.  So do the
     shape-table lookups its constructor made, overlaid on

@@ -301,8 +301,9 @@ def run_shard(task: ShardTask, max_rounds: int = 1000) -> ShardOutcome:
         reliable=task.reliable,
         tracer=tracer,
         profiler=profiler,
-        sample_every=task.sample_every,
     )
+    if task.sample_every is not None:
+        scheduler.enable_timeseries(task.sample_every)
     result = scheduler.run(
         (
             script

@@ -99,12 +99,6 @@ class EventActor:
         #: interned automaton, moved in step with ``(guard, knowledge)``
         #: (it reads this live knowledge map when it binds)
         self.cursor = scheduler.new_cursor(guard, self.knowledge)
-        #: the automaton node whose wake set the scheduler's ``_rewatch``
-        #: last registered for this actor; ``None`` (the watch index's
-        #: ``ALL``) while it wakes on everything, which is also how the
-        #: index treats an actor it has never seen; ``False`` after a
-        #: re-entry (:meth:`_reenter`), whatever node the cursor is on
-        self.watched = None
         # -- own not-yet round --
         self.round_active = False
         self.round_id = 0  # scheduler-issued; replies echo it
@@ -178,22 +172,13 @@ class EventActor:
         ``simplify_under`` result it replaces)."""
         self.cursor.assimilate()
 
-    def _reenter(self, guard: GuardExpr) -> None:
-        """Re-enter the automaton at ``guard`` (an incremental
-        recompile).  The cursor binds afresh on its next use, and a new
-        binding can land on the very node the old one left with other
-        real bases behind its slots: the registered wake set is stale
-        whatever node that is."""
-        self.cursor.reset(guard, self.knowledge)
-        self.watched = False
-
     def note_occurrence(self, event: Event) -> None:
-        """The watched-evaluation skip path: record the announced fact
-        without re-evaluating the guard.
+        """The skip path: record the announced fact without
+        re-evaluating the guard.
 
         Identical ``learn`` call to :meth:`observe_occurrence`, so
         knowledge and provenance stay byte-for-byte equal to the naive
-        engine's; the scheduler only routes here when its watch index
+        engine's; the scheduler only routes here when the wake rule
         proves the skipped re-evaluation would have been a no-op (the
         base is outside the reduced residual's support and no pending
         protocol action is armed)."""
@@ -203,8 +188,9 @@ class EventActor:
         )
 
     def solicit_would_act(self) -> bool:
-        """Would the next announcement-driven pass take a protocol
-        action regardless of the announced base?
+        """Would the next announcement-driven pass of this parked
+        (``PENDING``) actor take a protocol action regardless of the
+        announced base?
 
         Reads the same :meth:`_solicit_plan` that :meth:`_solicit`
         executes, so the prediction cannot drift from the action.  Any
@@ -213,10 +199,8 @@ class EventActor:
         start a not-yet round, and one whose promise requests lost
         their dedup entries (a refusal or a peer recovery cleared
         them) would re-send -- the naive engine does both from
-        *irrelevant* announcements, so the watch index must wake such
-        actors on everything."""
-        if self.status is not ActorStatus.PENDING:
-            return False
+        *irrelevant* announcements, so such an actor wakes on
+        everything."""
         if self.sched.is_frozen(self.event.base, exclude=self.event):
             return False  # try_fire returns before soliciting
         requests, _demand, certificates = self._solicit_plan()
@@ -233,7 +217,7 @@ class EventActor:
         self._durable_guard = self._durable_guard & extra
         # incremental recompile: re-enter the automaton at the
         # strengthened guard, then assimilate everything already known
-        self._reenter(self.guard & extra)
+        self.cursor.reset(self.guard & extra, self.knowledge)
         self._assimilate()
         self._escalated_cubes = set()
         self._knowledge_dirty = True
@@ -248,7 +232,7 @@ class EventActor:
         already be in flight).
         """
         self._durable_guard = new_guard
-        self._reenter(new_guard)
+        self.cursor.reset(new_guard, self.knowledge)
         self._assimilate()
         self._escalated_cubes = set()
         self._knowledge_dirty = True
@@ -827,7 +811,7 @@ class EventActor:
         # resurrection re-enters the automaton at the durable guard's
         # root -- the same interned node every fresh instance of this
         # guard's shape starts from
-        self._reenter(self._durable_guard)
+        self.cursor.reset(self._durable_guard, self.knowledge)
         self.round_active = False
         self.round_id = 0
         self.round_awaiting = set()

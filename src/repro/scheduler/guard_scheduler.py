@@ -56,10 +56,13 @@ from repro.scheduler.monitors import RequirementMonitor
 from repro.sim.faults import ChaosReport, FaultInjector, FaultPlan
 from repro.sim.network import LatencyModel
 from repro.sim.reliable import ReliableNetwork
-from repro.temporal.compiled import CompiledGuardEngine, ReferenceCursor
+from repro.temporal.compiled import (
+    CompiledGuardEngine,
+    ReferenceCursor,
+    WakeCounts,
+)
 from repro.temporal.cubes import GuardExpr
 from repro.temporal.guards import shape_lookups, workflow_guards
-from repro.temporal.watch import ALL, WatchIndex
 
 #: where ``_dispatch`` delivers each message type but ``Announce``
 _HANDLERS = {
@@ -106,10 +109,10 @@ class DistributedScheduler(RunBase):
         when the run starts.
     reference_engine:
         Tests only: evaluate every guard on every announcement with
-        the paper-literal cube calls (no wake index, no compiled
-        automata).  Byte-identical traces by construction -- it is the
-        reference the differential harnesses hold the one production
-        engine against, not a user option.
+        the paper-literal cube calls (no compiled automata, so no
+        skipped announcements).  Byte-identical traces by
+        construction -- it is the reference the differential harnesses
+        hold the one production engine against, not a user option.
     tracer / profiler:
         See :class:`~repro.scheduler.base.RunBase`.  A traced run also
         records *why* each actor knows what it knows (which
@@ -117,9 +120,6 @@ class DistributedScheduler(RunBase):
         bit) in :attr:`provenance`, and times its guard evaluations;
         :meth:`explain` works either way -- untraced it falls back to
         the settlement record for justifications.
-    sample_every:
-        Sample the telemetry series every so many units of sim time
-        (:meth:`enable_timeseries`).
     """
 
     def __init__(
@@ -138,7 +138,6 @@ class DistributedScheduler(RunBase):
         reference_engine: bool = False,
         tracer=None,
         profiler=None,
-        sample_every: float | None = None,
     ):
         super().__init__(
             dependencies, sites, attributes, tracer, profiler,
@@ -152,7 +151,6 @@ class DistributedScheduler(RunBase):
         #: this store -- or, for the differential tests'
         #: ``reference_engine``, the cube calls it caches
         self.compiled = CompiledGuardEngine()
-        self.reference_engine = reference_engine
         self.new_cursor = (
             ReferenceCursor if reference_engine else self.compiled.cursor
         )
@@ -203,13 +201,9 @@ class DistributedScheduler(RunBase):
             )
             for base in g.bases():
                 self._subscribers.setdefault(base, []).append(event)
-        #: watched-literal wake index: an announcement only wakes the
-        #: actors whose residual (or armed protocol state) can react;
-        #: the rest take the learn-only skip path.  An actor enters it
-        #: once its cursor has bound; until then it wakes on everything
-        #: -- and every announcement it can get is on a base its guard
-        #: mentions, which its first wake set would hold too
-        self.watch = WatchIndex()
+        #: announcements that woke their actor / took the skip path
+        #: (``_dispatch`` decides)
+        self.watch = WakeCounts()
         # per-site requirement monitors for triggerable events
         self._monitors: list[tuple[str, RequirementMonitor]] = []
         self._monitor_subs: dict[Event, list[int]] = {}
@@ -225,8 +219,6 @@ class DistributedScheduler(RunBase):
         #: only reads state, so an instrumented run stays bit-identical
         self.timeseries: TimeSeriesRegistry | None = None
         self._sampler = None
-        if sample_every is not None:
-            self.enable_timeseries(sample_every)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -335,49 +327,23 @@ class DistributedScheduler(RunBase):
             lambda msg: self._dispatch(coordinator, msg),
         )
 
-    def _rewatch(self, actor: EventActor) -> None:
-        """Refresh the actor's wake set after its state may have moved.
-
-        The wake set is the reduced residual's base support, except
-        that an actor that would take a protocol action from *any*
-        knowledge tick (re-solicit, held grant decisions) or whose
-        residual is not yet reduced under its knowledge must wake on
-        everything -- see :mod:`repro.temporal.watch` for why each
-        widening is required for exact equivalence with the naive
-        engine.  Over-wide entries are always safe (a woken actor runs
-        exactly the naive path), so staleness between hooks can only
-        cost a wake, never correctness."""
-        if self.reference_engine:
-            return  # unregistered actors wake on everything
-        if actor.pending_grant_reqs or (
-            actor.status is ActorStatus.PENDING and actor.solicit_would_act()
-        ):
-            wanted = ALL
-        else:
-            wanted = actor.cursor.node  # ``None`` = ``ALL`` until it binds
-        if wanted is actor.watched:
-            return  # two thirds of the calls: nothing moved
-        actor.watched = wanted
-        # the wake set is a cached slot on the actor's current
-        # automaton node, translated through the actor's binding
-        self.watch.register(
-            actor.event, ALL if wanted is ALL else actor.cursor.watches()
-        )
-
-    def _rewatch_base(self, base: Event) -> None:
-        """Refresh both polarity actors of ``base``."""
-        for event in (base.base, base.base.complement):
-            actor = self.actors.get(event)
-            if actor is not None:
-                self._rewatch(actor)
-
     def _dispatch(self, actor: EventActor, message) -> None:
         if isinstance(message, Announce):
-            if not self.watch.should_wake(actor.event, message.event.base):
-                # the watched-literal skip: record the fact, touch
-                # nothing else -- the index proved re-evaluation would
-                # be a no-op (and the learn cannot invalidate any
-                # registered wake set, so no re-watch is needed)
+            # the wake rule (:mod:`repro.temporal.compiled`), cheapest
+            # test first: an unbound (or reference) cursor, the node's
+            # wake set, then the protocol state that acts on any tick
+            cursor = actor.cursor
+            if not (
+                cursor.node is None
+                or cursor.wakes_on(message.event.base)
+                or actor.pending_grant_reqs
+                or (
+                    actor.status is ActorStatus.PENDING
+                    and actor.solicit_would_act()
+                )
+            ):
+                # the skip: record the fact, touch nothing else --
+                # re-evaluation would be a no-op
                 self.watch.note_skip()
                 actor.note_occurrence(message.event)
                 return
@@ -394,9 +360,6 @@ class DistributedScheduler(RunBase):
                     profiler.pop()
         else:
             _HANDLERS[type(message)](actor, message)
-        # every full delivery can move the actor's guard, knowledge,
-        # or protocol arming -- refresh its wake set
-        self._rewatch(actor)
 
     def base_settled(self, base: Event) -> str | None:
         signed = self._settled.get(base.base)
@@ -420,7 +383,6 @@ class DistributedScheduler(RunBase):
             actor = self.actors.get(event)
             if actor is not None:
                 actor.serve_deferred_notyet()
-        self._rewatch_base(base)
 
     def freeze(self, base: Event, requester: Event, round_id: int = 0) -> None:
         self._frozen.setdefault(base.base, set()).add((requester, round_id))
@@ -450,7 +412,6 @@ class DistributedScheduler(RunBase):
                 actor = self.actors.get(event)
                 if actor is not None:
                     actor.try_fire()
-            self._rewatch_base(base)
 
     def is_frozen(self, base: Event, exclude: Event | None = None) -> bool:
         holders = self._frozen.get(base.base)
@@ -506,7 +467,6 @@ class DistributedScheduler(RunBase):
             comp.status = ActorStatus.DEAD
             self.note_dead(comp.site, comp.event)
             comp.cancel_protocols()
-        self._rewatch_base(event)
         # announcements to guard subscribers
         for sub_event in self._subscribers.get(event.base, ()):
             if sub_event.base == event.base:
@@ -586,7 +546,6 @@ class DistributedScheduler(RunBase):
                 contribution, lambda _payload: None,
             )
             actor.strengthen_guard(contribution)
-            self._rewatch(actor)
         self._rebuild_monitors()
         return True
 
@@ -628,7 +587,6 @@ class DistributedScheduler(RunBase):
                 new_guard, lambda _payload: None,
             )
             actor.replace_guard(new_guard)
-            self._rewatch(actor)
         self._rebuild_monitors()
         return True
 
@@ -653,7 +611,6 @@ class DistributedScheduler(RunBase):
         """Crash hook: the site's actors lose their volatile state."""
         for actor in self._site_actors(site):
             actor.crash_reset()
-            self._rewatch(actor)
 
     def _recover_site(self, site: str) -> None:
         """Restart hook: run the recovery protocol for the site.
@@ -675,7 +632,6 @@ class DistributedScheduler(RunBase):
         restarted = self._site_actors(site)
         for actor in restarted:
             actor.recover()
-            self._rewatch(actor)
         announced: set[Event] = set()
         for actor in restarted:
             base = actor.event.base
@@ -804,12 +760,10 @@ class DistributedScheduler(RunBase):
         """:meth:`RunBase.metrics_report` plus what only this scheduler
         has: its own kernel counters, sampled series, fault counts."""
         report = super().metrics_report()
-        # overlay this scheduler's own wake/skip/re-watch counts over
-        # the process-wide totals (several schedulers can share one
-        # process; the per-run numbers are the meaningful ones)
-        report["kernel"]["watch"] = dict(
-            report["kernel"]["watch"], **self.watch.counts()
-        )
+        # this scheduler's own counts in place of the process-wide
+        # totals (several schedulers can share one process; the per-run
+        # numbers are the meaningful ones)
+        report["kernel"]["watch"] = self.watch.counts()
         report["kernel"]["compiled"] = dict(
             report["kernel"]["compiled"], **self.compiled.counts()
         )
@@ -1003,7 +957,6 @@ class DistributedScheduler(RunBase):
             return
         attempted_at = self.sim.now if at is None else at
         actor.attempt(attempted_at)
-        self._rewatch(actor)
 
     def start(self, scripts: Iterable[AgentScript] = ()) -> None:
         """Lifecycle step 1: schedule the scripts, arm the fault plan,
@@ -1116,19 +1069,14 @@ class DistributedScheduler(RunBase):
                     self.faults is not None and self.faults.is_down(a.site)
                 )
             ]
-            before = len(self.result.entries)
             # every parked actor demands one further cube; batching
             # keeps independent workflow instances parallel
             issued = False
             for actor in parked:
-                if actor.escalate():
-                    issued = True
-                self._rewatch(actor)
+                issued = actor.escalate() or issued
             if not issued:
                 return
             self.sim.run()
-            if len(self.result.entries) == before and not issued:
-                return
 
     def _settle_one(self) -> bool:
         """Attempt complements for a batch of unsettled bases; True if

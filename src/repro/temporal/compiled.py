@@ -21,9 +21,8 @@ pointer:
 * each node lazily computes -- once, across all actors sharing the
   node -- its **verdict** (fire / park / never, exactly Section 4.3's
   evaluation rule), its **assimilation successor** (the
-  ``simplify_under`` result, re-interned), its **watch set** (the wake
-  rule of :mod:`repro.temporal.watch`) and its **solicitation plan**
-  (:func:`solicitations`);
+  ``simplify_under`` result, re-interned), its **wake set** (the wake
+  rule below) and its **solicitation plan** (:func:`solicitations`);
 * terminal nodes are the constant guards: an unsatisfiable conjunction
   or dead event compiles to the constant-false node whose verdict is
   permanently ``never`` (surfaced as a warning by ``repro analyze``).
@@ -38,8 +37,32 @@ rename, so renamed copies of one guard *shape* -- the stamped instances
 of a :class:`~repro.workflows.template.WorkflowTemplate`, a fan-in of
 isomorphic guards -- walk one automaton: the shape pays each expansion
 once, and a copy pays a dict probe per learned base plus a translation
-of its wake set and plan when its node changes.  A copy whose rename
-breaks the order binds onto a different shape; it is no less exact.
+of its plan when its node changes.  A copy whose rename breaks the
+order binds onto a different shape; it is no less exact.
+
+**The wake rule.**  An actor re-evaluates its guard when an
+announcement arrives (Section 4.3), and the evaluation is a no-op when
+the announced base cannot move it.  The scheduler decides wake or skip
+at delivery, from the actor's own node: the wake set of a reduced
+residual is its base support (:func:`watch_bases`).  A decided literal
+leaves the residual and its base leaves the wake set, so residuation
+itself picks the replacement watch -- one watch per undecided literal,
+not a SAT solver's two, because the residual is observable state.
+Three conditions over-wake, each because the paper-literal engine acts
+from *any* announcement:
+
+* the residual is not reduced under the node's knowledge (a promise or
+  certificate was learned without re-simplifying): the next
+  assimilation rewrites it whatever the base, so the wake set is
+  :data:`ALL`;
+* the actor holds grant decisions (``pending_grant_reqs``), which every
+  delivery re-decides;
+* the actor is parked and its solicitation would act on the next
+  knowledge tick (``EventActor.solicit_would_act``).
+
+An unbound cursor, and the reference engine's (which has no node),
+wakes on everything.  Over-waking is always safe: a woken actor runs
+exactly the naive path.
 
 Byte-for-byte equivalence with the cube engine is by construction: the
 node's residual renamed back through the binding *is* the actor's
@@ -59,7 +82,6 @@ from repro.algebra.symbols import Event, rename_event
 
 from .cubes import DIA_COMP_MASK, DIA_MASK, FULL, P_C, P_E, GuardExpr, closure
 from .guards import _slot_maps
-from .watch import ALL, watch_bases
 
 #: Restricted-knowledge tuples are sorted by base; masks are 4-bit
 #: world sets (:mod:`repro.temporal.cubes`).
@@ -68,6 +90,9 @@ Know = tuple[tuple[Event, int], ...]
 #: The transient fact a not-yet certificate establishes: neither the
 #: base nor its complement has occurred (worlds P_E or P_C).
 NOT_YET_MASK = P_E | P_C
+
+#: Sentinel wake set: every announcement wakes the actor.
+ALL = None
 
 _UNSET = object()
 
@@ -98,8 +123,22 @@ def compiled_stats() -> dict:
     }
 
 
+class _WatchStats:
+    """Process-wide wake / skip totals (per-scheduler counts mirror
+    these)."""
+
+    wakes = 0
+    skips = 0
+
+
+def watch_stats() -> dict:
+    """Snapshot of the process-wide wake counters, for
+    ``kernel_stats()['watch']``."""
+    return {"wakes": _WatchStats.wakes, "skips": _WatchStats.skips}
+
+
 def clear_compiled() -> None:
-    """Reset the process-wide counters."""
+    """Reset the process-wide compiled-guard and wake counters."""
     _CompiledStats.nodes = 0
     _CompiledStats.reused = 0
     _CompiledStats.edges = 0
@@ -107,6 +146,28 @@ def clear_compiled() -> None:
     _CompiledStats.expansions = 0
     _CompiledStats.cursors = 0
     _CompiledStats.recompiles = 0
+    _WatchStats.wakes = 0
+    _WatchStats.skips = 0
+
+
+class WakeCounts:
+    """One scheduler's wake / skip tally, also counted process-wide;
+    its ``metrics_report`` reports it as ``kernel['watch']``."""
+
+    def __init__(self) -> None:
+        self.wakes = 0
+        self.skips = 0
+
+    def note_wake(self) -> None:
+        self.wakes += 1
+        _WatchStats.wakes += 1
+
+    def note_skip(self) -> None:
+        self.skips += 1
+        _WatchStats.skips += 1
+
+    def counts(self) -> dict:
+        return {"wakes": self.wakes, "skips": self.skips}
 
 
 def _restrict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> Know:
@@ -157,6 +218,38 @@ def _verdict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> str:
     if not guard.possible_under(knowledge):
         return "never"
     return "park"
+
+
+def is_reduced(guard: GuardExpr, knowledge: Mapping[Event, int]) -> bool:
+    """Would ``guard.simplify_under(knowledge)`` be a no-op?
+
+    True iff every literal of every cube is still undecided --
+    ``simplify_under`` keeps a literal iff it is neither dead nor
+    guaranteed (:mod:`repro.temporal.cubes`).  A residual just
+    assimilated is always reduced; promise/certificate learns leave it
+    unreduced until the next pass.
+    """
+    if not knowledge or not guard.cubes or () in guard.cubes:
+        return True  # simplify_under's own early-exit: identity
+    for cube in guard.sorted_cubes():
+        for base, mask in cube:
+            known = knowledge.get(base)
+            if known is None:
+                continue
+            reach = closure(known)
+            hit = reach & mask
+            if hit == 0 or hit == reach:
+                return False
+    return True
+
+
+def watch_bases(
+    guard: GuardExpr, knowledge: Mapping[Event, int]
+) -> frozenset[Event] | None:
+    """The wake set of ``guard`` under ``knowledge``: its bases when it
+    is reduced, :data:`ALL` when the next assimilation would rewrite it
+    whatever the announced base."""
+    return guard.bases() if is_reduced(guard, knowledge) else ALL
 
 
 #: The facts that can certify one literal, in the order they are tried:
@@ -343,8 +436,8 @@ class GuardNode:
         return v
 
     def watches(self):
-        """The wake set of this state (``ALL`` = wake on all), read off
-        the node instead of recomputed per registration."""
+        """The wake set of this state (:data:`ALL`: every base), in
+        slot space."""
         w = self._watches
         if w is _UNSET:
             _CompiledStats.expansions += 1
@@ -462,10 +555,11 @@ class GuardCursor:
                 node = node.refined(slot, mask)
         return node.verdict()
 
-    def watches(self):
-        """The node's wake set on the real names (``ALL``: everything)."""
-        w = (self.node or self._bind()).watches()
-        return ALL if w is ALL else frozenset(map(self.from_slot.__getitem__, w))
+    def wakes_on(self, base: Event) -> bool:
+        """Can an announcement on ``base`` move the bound node?  Its
+        wake set is :data:`ALL` or holds ``base``'s slot."""
+        w = self.node.watches()
+        return w is ALL or self.to_slot.get(base) in w
 
     def plan(self, certificates: bool) -> tuple:
         """:func:`first_solicitation` on the real names, translated from

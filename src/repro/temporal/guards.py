@@ -288,14 +288,13 @@ def kernel_stats() -> dict:
     """One JSON-ready snapshot of every symbolic-kernel cache.
 
     Aggregates the intern tables (hash-consing), the shape/closure
-    synthesis counters, the wake-index and compiled-automaton counters,
-    and the lru memo tables of the kernel entry points.  Surfaced per
-    run through ``DistributedScheduler.metrics_report()`` and ``repro
-    run --json``.
+    synthesis counters, the wake and compiled-automaton counters, and
+    the lru memo tables of the kernel entry points.  Surfaced per run
+    through ``DistributedScheduler.metrics_report()`` and ``repro run
+    --json``.
     """
     from repro.algebra.expressions import intern_stats
-    from repro.temporal.compiled import compiled_stats
-    from repro.temporal.watch import watch_stats
+    from repro.temporal.compiled import compiled_stats, watch_stats
 
     def lru_counts(fn) -> dict:
         info = fn.cache_info()

@@ -46,7 +46,7 @@ SYNTHESIS_STATS_KEYS = {
     "shapes", "shape_hits", "shape_misses",
     "closures", "closure_hits", "closure_misses",
 }
-WATCH_STATS_KEYS = {"wakes", "skips", "rewatches"}
+WATCH_STATS_KEYS = {"wakes", "skips"}
 COMPILED_STATS_KEYS = {
     "nodes", "reused", "edges", "hops", "expansions", "cursors", "recompiles"
 }
@@ -58,9 +58,9 @@ def assert_kernel_schema(stats):
     kernel subsystem updates every consumer test at once.
 
     Accepts supersets per section (``metrics_report`` overlays
-    scheduler-local counters such as ``registered`` onto the
-    process-wide watch totals); missing keys are the failure mode
-    this guards against."""
+    scheduler-local counters such as ``shape_hits`` onto the
+    process-wide totals); missing keys are the failure mode this
+    guards against."""
     assert KERNEL_STATS_KEYS <= set(stats), sorted(stats)
     assert {"exprs", "events"} <= set(stats["interning"])
     assert SYNTHESIS_STATS_KEYS <= set(stats["synthesis"]), sorted(

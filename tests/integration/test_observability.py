@@ -47,7 +47,7 @@ def _sc1_workload(count=6, rng_seed=0):
     return workflow, scripts
 
 
-def _run(workflow, scripts, **kwargs):
+def _run(workflow, scripts, sample_every=None, **kwargs):
     scheduler = DistributedScheduler(
         workflow.dependencies,
         sites=workflow.sites,
@@ -56,6 +56,8 @@ def _run(workflow, scripts, **kwargs):
         rng=random.Random(42),
         **kwargs,
     )
+    if sample_every is not None:
+        scheduler.enable_timeseries(sample_every)
     result = scheduler.run(scripts)
     return result, scheduler
 

@@ -184,21 +184,17 @@ class TestMergeKernelWatch:
         base = {"counters": {}, "gauges": {}, "histograms": {}}
         a = dict(base, kernel={
             "interning": {"events": 30},
-            "watch": {"wakes": 10, "skips": 2, "rewatches": 5,
-                      "registered": 8},
+            "watch": {"wakes": 10, "skips": 2},
         })
         b = dict(base, kernel={
             "interning": {"events": 40},
-            "watch": {"wakes": 4, "skips": 1, "rewatches": 3,
-                      "registered": 6},
+            "watch": {"wakes": 4, "skips": 1},
         })
         merged = merge_metrics([a, b])["kernel"]
         # cache snapshots: hottest shard's shape
         assert merged["interning"] == {"events": 40}
-        # watch-index work counters: real per-shard work, additive
-        assert merged["watch"] == {
-            "wakes": 14, "skips": 3, "rewatches": 8, "registered": 14,
-        }
+        # wake / skip counts: real per-shard work, additive
+        assert merged["watch"] == {"wakes": 14, "skips": 3}
 
     def test_watch_absent_in_some_shards(self):
         base = {"counters": {}, "gauges": {}, "histograms": {}}

@@ -19,8 +19,8 @@ are counted, and the counters surface in the metrics report.
 Below the scheduler, pure kernel properties check the automaton
 itself: a :class:`GuardCursor` (and the tests' :class:`ReferenceCursor`)
 driven through randomized guard tables and knowledge orders must
-report, at every step, exactly the verdict, residual, and watch set
-the ``simplify_under`` engine computes -- and renamed copies of one
+report, at every step, exactly the verdict, residual, and wake
+decision the ``simplify_under`` engine computes -- and renamed copies of one
 guard must report it on their own names while sharing its nodes.
 """
 
@@ -33,13 +33,14 @@ from repro.algebra.symbols import Event
 from repro.obs import Tracer
 from repro.scheduler.actors import EventActor
 from repro.temporal.compiled import (
+    ALL,
     CompiledGuardEngine,
     ReferenceCursor,
     _restrict,
     first_solicitation,
+    watch_bases,
 )
 from repro.temporal.cubes import FULL, literal
-from repro.temporal.watch import watch_bases
 from repro.workloads.scenarios import make_travel_booking
 
 from .test_watch_equivalence import (
@@ -290,6 +291,16 @@ def knowledge_steps(draw):
     )
 
 
+def assert_wakes_as_watch_bases(cursor, residual, knowledge, bases):
+    """A bound cursor's wake decision on every base is the wake rule
+    on the real-name ``(residual, knowledge)`` pair."""
+    expected = watch_bases(residual, knowledge)
+    for base in bases:
+        assert cursor.wakes_on(base) == (expected is ALL or base in expected), (
+            residual, knowledge, base
+        )
+
+
 class TestCursorTracksCubeEngine:
     """compiled verdicts == ``simplify_under`` verdicts, stepwise."""
 
@@ -320,9 +331,11 @@ class TestCursorTracksCubeEngine:
             )
             for cursor in cursors:
                 assert cursor.verdict() == expected, (residual, knowledge)
-            # the wake set is read off the node (the reference engine
-            # registers none: its actors wake on everything)
-            assert cursors[0].watches() == watch_bases(residual, knowledge)
+            # the wake decision is read off the node (the reference
+            # cursor has none: its actors wake on everything)
+            assert_wakes_as_watch_bases(
+                cursors[0], residual, knowledge, EVENTS
+            )
             # a certificate-round read: evaluated, never committed
             fact = [(base, mask)]
             compiled, reference = (c.transient_verdict(fact) for c in cursors)
@@ -390,8 +403,9 @@ class TestRenamedCopiesShareNodes:
                     reference.assimilate()
                 assert compiled.guard == reference.guard
                 assert compiled.verdict() == reference.verdict()
-                assert compiled.watches() == watch_bases(
-                    reference.guard, reference.knowledge
+                assert_wakes_as_watch_bases(
+                    compiled, reference.guard, reference.knowledge,
+                    mapping.values(),
                 )
                 assert compiled.plan(certificates) == reference.plan(
                     certificates

@@ -1,9 +1,9 @@
 """The watched-literal guard engine is an optimization, not a
 semantics change.
 
-A ``DistributedScheduler`` indexes each parked guard by the event
-bases that can still move it and skips re-evaluating guards an
-announcement cannot affect; ``reference_engine=True`` is the naive
+A ``DistributedScheduler`` reads off each actor's compiled node
+whether an announced base can still move its guard and skips
+re-evaluating guards it cannot affect; ``reference_engine=True`` is the naive
 engine that re-evaluates everything with the paper-literal cube calls.
 Because the skip happens on the *receiver* -- fan-out, message
 streams, and rng draws are untouched -- the production and reference
@@ -195,7 +195,8 @@ class TestWatchedEquivalence:
         sched, _ = run_engine(make_travel_booking("success"), None, 0, False)
         kernel = sched.metrics_report()["kernel"]
         kernel_schema(kernel)
-        assert kernel["watch"]["registered"] == len(sched.watch)
+        assert kernel["watch"] == sched.watch.counts()
+        assert kernel["watch"]["wakes"] > 0
 
 
 GROWTH_DEP = "~ship + pay . ship"
@@ -239,7 +240,7 @@ def shrink_run(reference):
 
 
 class TestWatchedRuntimeGrowth:
-    """Run-time guard-table modification re-registers watches."""
+    """Run-time guard-table modification moves the wake decisions."""
 
     def test_added_dependency_equivalence(self):
         for extra in (False, True):
@@ -285,8 +286,9 @@ def param_run(tokens, reference):
 
 
 class TestResurrectionEquivalence:
-    """Example 14: parametrized loops mint fresh instances; watches
-    must follow the growing guard table and resurrected actors."""
+    """Example 14: parametrized loops mint fresh instances; wake
+    decisions must follow the growing guard table and resurrected
+    actors."""
 
     @settings(max_examples=12, deadline=None)
     @given(token_sequences)

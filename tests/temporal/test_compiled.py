@@ -10,12 +10,14 @@ compile-time table statistics.
 
 from repro.algebra.symbols import Event
 from repro.temporal.compiled import (
+    ALL,
     CompiledGuardEngine,
     _restrict,
     _set_know,
     clear_compiled,
     compiled_stats,
     table_stats,
+    watch_bases,
 )
 from repro.temporal.cubes import (
     C_OCC,
@@ -26,7 +28,6 @@ from repro.temporal.cubes import (
     TRUE_GUARD,
     literal,
 )
-from repro.temporal.watch import watch_bases
 from repro.workflows import WorkflowTemplate
 from repro.workloads.scenarios import make_travel_booking
 
@@ -152,14 +153,23 @@ class TestTransitions:
     def test_watches_match_watch_bases(self):
         engine = CompiledGuardEngine()
         knowledge = {}
-        cursor = engine.cursor(GUARD, knowledge)
-        assert cursor.watches() == watch_bases(GUARD, {}) == {A, B}
-        assert cursor.watches() == watch_bases(GUARD, {})  # cached (ALL-safe)
-        copy = engine.cursor(COPY)
-        assert copy.watches() == {X, Y}  # one node, each copy's names
+        cursor = bound(engine, GUARD, knowledge)
+        assert watch_bases(GUARD, {}) == {A, B}
+        assert [cursor.wakes_on(b) for b in (A, B, C, X)] == [
+            True, True, False, False
+        ]
+        expansions = engine.counts()["expansions"]
+        assert cursor.wakes_on(A)  # cached on the node
+        assert engine.counts()["expansions"] == expansions
+        copy = bound(engine, COPY)
+        assert copy.node is cursor.node  # one node, each copy's names
+        assert [copy.wakes_on(b) for b in (A, B, X, Y)] == [
+            False, False, True, True
+        ]
         knowledge[A] = E_OCC
         cursor.learn(A, E_OCC)
-        assert cursor.watches() is watch_bases(GUARD, knowledge)  # ALL
+        assert watch_bases(GUARD, knowledge) is ALL
+        assert cursor.wakes_on(C) and cursor.wakes_on(X)
 
 
 class TestCursor:

@@ -1,9 +1,9 @@
-"""Watched-literal bookkeeping (:mod:`repro.temporal.watch`).
+"""The wake rule (:mod:`repro.temporal.compiled`).
 
 Unit tests for the wake-set computation (``is_reduced`` /
-``watch_bases``), the :class:`WatchIndex`, and the schedulers'
-re-registration hooks -- including the crash/``Recovered``-replay path
-and the index/state consistency invariant at quiescence.
+``watch_bases``), the wake / skip counters, and the scheduler's wake
+decision at delivery -- including the crash/``Recovered``-replay path
+and guard re-entry onto a renamed copy of the same shape.
 """
 
 import random
@@ -12,22 +12,23 @@ from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.guard_scheduler import DistributedScheduler
+from repro.scheduler.messages import Announce
 from repro.sim import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
+from repro.temporal.compiled import (
+    ALL,
+    WakeCounts,
+    clear_compiled,
+    is_reduced,
+    watch_bases,
+    watch_stats,
+)
 from repro.temporal.cubes import (
     C_OCC,
     E_OCC,
     TRUE_GUARD,
     FALSE_GUARD,
     literal,
-)
-from repro.temporal.watch import (
-    ALL,
-    WatchIndex,
-    clear_watch_stats,
-    is_reduced,
-    watch_bases,
-    watch_stats,
 )
 from repro.workloads.scenarios import make_travel_booking
 
@@ -82,71 +83,19 @@ class TestWatchBases:
 
 
 class TestWatchIndex:
-    def test_register_and_reverse_map(self):
-        idx = WatchIndex()
-        idx.register(A, frozenset({B, C}))
-        assert idx.watching(A) == {B, C}
-        assert idx.watchers(B) == {A}
-        assert idx.watchers(C) == {A}
-        assert len(idx) == 1
-
-    def test_reregister_same_set_is_not_a_rewatch(self):
-        idx = WatchIndex()
-        idx.register(A, frozenset({B}))
-        idx.register(A, frozenset({B}))
-        assert idx.counts()["rewatches"] == 0
-
-    def test_rewatch_after_watched_literal_consumed(self):
-        idx = WatchIndex()
-        idx.register(A, frozenset({B, C}))
-        idx.register(A, frozenset({C}))  # b decided, watch moved on
-        assert idx.counts()["rewatches"] == 1
-        assert idx.watchers(B) == frozenset()
-        assert idx.watchers(C) == {A}
-        assert not idx.should_wake(A, B)
-        assert idx.should_wake(A, C)
-
-    def test_all_sentinel_wakes_on_everything(self):
-        idx = WatchIndex()
-        idx.register(A, ALL)
-        assert idx.should_wake(A, B)
-        assert idx.should_wake(A, C)
-        assert A in idx.watchers(B)
-
-    def test_unknown_watcher_degrades_to_naive(self):
-        idx = WatchIndex()
-        assert idx.watching(A) is ALL
-        assert idx.should_wake(A, B)
-
-    def test_unregister_clears_reverse_map(self):
-        idx = WatchIndex()
-        idx.register(A, frozenset({B}))
-        idx.unregister(A)
-        assert idx.watchers(B) == frozenset()
-        assert len(idx) == 0
-        idx.unregister(A)  # unknown: no-op
+    """The wake / skip counters."""
 
     def test_counters_mirror_process_wide_stats(self):
-        clear_watch_stats()
+        clear_compiled()
         try:
-            idx = WatchIndex()
-            idx.note_wake()
-            idx.note_skip()
-            idx.note_skip()
-            idx.register(A, frozenset({B}))
-            idx.register(A, ALL)
-            assert idx.counts() == {
-                "wakes": 1,
-                "skips": 2,
-                "rewatches": 1,
-                "registered": 1,
-            }
-            stats = watch_stats()
-            assert stats["wakes"] == 1
-            assert stats["skips"] == 2
-            assert stats["rewatches"] == 1
+            counts = WakeCounts()
+            counts.note_wake()
+            counts.note_skip()
+            counts.note_skip()
+            assert counts.counts() == {"wakes": 1, "skips": 2}
+            assert watch_stats() == {"wakes": 1, "skips": 2}
         finally:
-            clear_watch_stats()
+            clear_compiled()
 
     def test_totals_flow_into_kernel_stats(self, kernel_schema):
         from repro.temporal.guards import kernel_stats
@@ -156,21 +105,32 @@ class TestWatchIndex:
         assert stats["watch"] == watch_stats()
 
 
-def assert_index_consistent(sched):
-    """The scheduler invariant the re-registration hooks maintain: an
-    actor's registered wake set is either :data:`ALL` (always sound)
-    or exactly what its current guard and knowledge dictate."""
-    for event, actor in sched.actors.items():
-        entry = sched.watch.watching(event)
-        if actor.pending_grant_reqs or actor.solicit_would_act():
-            assert entry is ALL, (event, entry)
-        else:
-            expected = watch_bases(actor.guard, actor.knowledge)
-            assert entry is ALL or entry == expected, (event, entry, expected)
+def announce(sched, target, event):
+    """Deliver one announcement of ``event`` to ``target``'s actor;
+    returns ``(woke, skipped)``, the counter deltas."""
+    wakes, skips = sched.watch.wakes, sched.watch.skips
+    sched._dispatch(sched.actors[target], Announce(event=event))
+    return sched.watch.wakes - wakes, sched.watch.skips - skips
+
+
+def assert_wakes_match_watch_bases(sched):
+    """Every bound actor's wake decision, read off its node, is the
+    wake rule on its real-name residual and knowledge."""
+    bases = sorted({event.base for event in sched.actors}, key=Event.sort_key)
+    for actor in sched.actors.values():
+        if actor.cursor.node is None:
+            continue  # unbound: wakes on everything
+        expected = watch_bases(actor.guard, actor.knowledge)
+        for base in bases:
+            assert actor.cursor.wakes_on(base) == (
+                expected is ALL or base in expected
+            ), (actor.event, base, expected)
 
 
 class TestSchedulerReWatch:
     def test_index_consistent_at_quiescence(self):
+        """At quiescence the wake decision read off each actor's node
+        agrees with the wake rule on the real names."""
         scenario = make_travel_booking("success")
         sched = DistributedScheduler(
             scenario.workflow.dependencies,
@@ -180,12 +140,13 @@ class TestSchedulerReWatch:
             rng=random.Random(1),
         )
         sched.run(scenario.scripts, verify=False)
-        assert_index_consistent(sched)
+        assert sched.watch.skips > 0
+        assert_wakes_match_watch_bases(sched)
 
     def test_recovered_replay_reregisters_watches(self):
         """A crashed site loses actor state; recovery replays settled
-        facts and the ``Recovered`` hook must re-register the watch
-        entries for the reborn actors."""
+        facts, and the reborn actors' wake decisions are read off the
+        nodes they re-entered."""
         ship, pay = Event("ship"), Event("pay")
         plan = FaultPlan.of([SiteCrash("s1", at=1.0, restart_at=3.0)])
         sched = DistributedScheduler(
@@ -203,28 +164,33 @@ class TestSchedulerReWatch:
         result = sched.run(scripts, verify=False)
         occurred = {e.event for e in result.entries}
         assert ship in occurred and pay in occurred
-        assert_index_consistent(sched)
-        # the ship actor was parked across the crash; its last watch
-        # activity is visible in the counters
-        assert sched.watch.counts()["registered"] >= 2
+        assert sched.actors[ship].cursor.node is not None
+        assert_wakes_match_watch_bases(sched)
+        # the announcements that reached the actors were decided
+        assert sched.watch.wakes > 0
 
     def test_parked_actor_watches_its_guard_bases(self):
-        ship, pay = Event("ship"), Event("pay")
+        ship, pay, other = Event("ship"), Event("pay"), Event("other")
         sched = DistributedScheduler(
             [parse("~ship + pay . ship")],
             latency=ConstantLatency(1.0),
             rng=random.Random(3),
         )
+        # a cursor that has not bound yet wakes on any base
+        assert sched.actors[ship].cursor.node is None
+        assert announce(sched, ship, other) == (1, 0)
         sched.attempt(ship)
         sched.sim.run()
-        entry = sched.watch.watching(ship)
-        assert entry is ALL or pay in entry
-        assert_index_consistent(sched)
+        # a base the parked guard mentions wakes it; one it does not
+        # mention is recorded without re-evaluation
+        assert announce(sched, ship, other) == (0, 1)
+        assert announce(sched, ship, pay) == (1, 0)
+        assert_wakes_match_watch_bases(sched)
 
     def test_reentry_onto_the_same_shape_rewatches(self):
         """A guard replaced by a renamed copy of itself re-enters the
-        very node it left, under another binding: the wake set must
-        move to the new names."""
+        very node it left, under another binding: the wake decision
+        follows the new names."""
         sched = DistributedScheduler(
             [],
             guards={A: literal("box", B), B: TRUE_GUARD, C: TRUE_GUARD},
@@ -234,9 +200,10 @@ class TestSchedulerReWatch:
         sched.attempt(A)
         actor = sched.actors[A]
         node = actor.cursor.node
-        assert sched.watch.watching(A) == {B}
+        assert actor.cursor.wakes_on(B) and not actor.cursor.wakes_on(C)
         actor.replace_guard(literal("box", C))
-        sched._rewatch(actor)
         assert actor.cursor.node is node
-        assert sched.watch.watching(A) == {C}
-        assert_index_consistent(sched)
+        assert_wakes_match_watch_bases(sched)
+        assert announce(sched, A, B) == (0, 1)
+        assert announce(sched, A, C) == (1, 0)
+        assert actor.status.name == "OCCURRED"

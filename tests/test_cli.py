@@ -194,6 +194,20 @@ class TestRunJson:
         assert report["ok"] is False
         assert set(report["unsettled"]) == {"e", "f"}
 
+    @pytest.mark.parametrize(
+        "deps", [["e . f", "f . e"], ["e", "~e + f", "~f"]]
+    )
+    @pytest.mark.parametrize("extra", [[], ["--shards", "1"]])
+    def test_unsatisfiable_spec_is_not_run(self, tmp_path, capsys, deps, extra):
+        """No trace satisfies every dependency: the run fails closed
+        with a diagnostic before any scheduler is built."""
+        path = tmp_path / "conflict.wf"
+        path.write_text("".join(f"dep {dep}\n" for dep in deps))
+        assert main(["run", str(path), "--json", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no trace satisfies every dependency" in captured.err
+
     def test_trace_flag_writes_jsonl(self, spec_file, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
         code = main([
