@@ -65,7 +65,7 @@ def merged_travel_instances(count: int, rng_seed: int = 0):
 def templated_travel_instances(count: int, rng_seed: int = 0):
     """The :func:`merged_travel_instances` workload, built through the
     template fast path: guards are synthesized once on the un-suffixed
-    travel workflow and stamped out per instance by rename.
+    travel workflow and stamped out per instance as composed bindings.
 
     Returns ``(workflow, scripts, guards)`` -- pass ``guards`` to
     ``DistributedScheduler(guards=...)`` to skip its own synthesis.

@@ -295,9 +295,10 @@ def bench_template_synthesis(rounds: int) -> dict:
         template = WorkflowTemplate(make_travel_booking().workflow)
         size = cubes = 0
         for suffix in suffixes:
+            # bindings: each copy's cubes are its shape's
             table = template.instantiate(suffix).guards
             size += len(table)
-            cubes += sum(g.cube_count() for g in table.values())
+            cubes += sum(b.shape.cube_count() for b in table.values())
         return size, cubes
 
     tseconds, (tsize, tcubes) = _best_of(templated, rounds)
@@ -307,8 +308,9 @@ def bench_template_synthesis(rounds: int) -> dict:
         "speedup": speedup,
     }
     # the template path must produce the same tables; no wall-clock
-    # assert: both arms now synthesize each shape once and rename the
-    # other 63 copies, so ``speedup`` is only reported
+    # assert: both arms synthesize each shape once (the per-instance
+    # arm renders the other 63 copies, the template composes their
+    # bindings), so ``speedup`` is only reported
     assert (tsize, tcubes) == (size, cubes), (
         f"template tables differ: {(tsize, tcubes)} vs {(size, cubes)}"
     )

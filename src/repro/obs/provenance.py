@@ -493,7 +493,7 @@ def explain_actor(sched, actor) -> Explanation:
     durable guard under current knowledge yields the same verdict the
     residual did."""
     knowledge = _str_knowledge(actor.knowledge)
-    cubes = _str_cubes(actor._durable_guard)
+    cubes = _str_cubes(actor.durable_guard)
     region = explain_region(cubes, knowledge)
     status = actor.status.value
     verdict = region["verdict"] if status in ("idle", "pending") else None
@@ -524,7 +524,7 @@ def explain_actor(sched, actor) -> Explanation:
         site=actor.site,
         status=status,
         verdict=verdict,
-        guard=repr(actor._durable_guard),
+        guard=repr(actor.durable_guard),
         residual=repr(actor.guard),
         knowledge=knowledge,
         cubes=region["cubes"],

@@ -9,13 +9,14 @@ to a call of their interning constructor, so what a worker unpickles
 
 The worker (:func:`run_shard`) stamps its shard's instances out of the
 template through :class:`~repro.workflows.template.WorkflowTemplate`
-(guard synthesis runs once per worker, renames do the rest), runs one
-:class:`DistributedScheduler` over the merged instances plus the cross
-dependencies the shard carries -- ordinary dependencies of that
-scheduler -- and returns a :class:`ShardOutcome` holding the
-scheduler's own :class:`~repro.scheduler.events.ExecutionResult`.  The
-parent merges those into one result plus merged metrics/trace
-artifacts (:mod:`repro.obs.merge`).
+(guard synthesis runs once per worker, composed bindings do the
+rest), runs one :class:`DistributedScheduler` over the merged
+instances plus the cross dependencies the shard carries -- ordinary
+dependencies of that scheduler -- and returns a :class:`ShardOutcome`
+holding the scheduler's own
+:class:`~repro.scheduler.events.ExecutionResult`.  The parent merges
+those into one result plus merged metrics/trace artifacts
+(:mod:`repro.obs.merge`).
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class ShardTask:
     """Everything one worker needs to run its shard.
 
     ``workflow`` is the un-suffixed *template*; the worker synthesizes
-    its guard table once and stamps out this shard's instances by
-    rename.
+    its guard table once and stamps out this shard's instances as
+    bindings of its shapes.
     """
 
     shard: int
@@ -195,7 +196,8 @@ def plan_shards(
     ``placement`` chooses the partitioner: ``"round_robin"`` (the
     baseline) or ``"min_cut"`` (the constraint-aware greedy
     partitioner over the shared-event graph).  Raises
-    :class:`ValueError` for a cross dependency naming an event of no
+    :class:`ValueError` for instances that share a base (a suffix
+    given twice) and for a cross dependency naming an event of no
     planned instance.
 
     The partition and the per-shard seeds depend only on
@@ -212,6 +214,11 @@ def plan_shards(
             f"unknown placement {placement!r}; "
             "expected 'round_robin' or 'min_cut'"
         )
+    # instances in different shards never meet in one
+    # ``instantiate_merged``: a shared base would settle once per shard
+    WorkflowTemplate(workflow).check_disjoint(
+        instance.suffix for instance in instances
+    )
     if shards > len(instances):
         logger.warning(
             "plan_shards: clamping %d shards to %d instance(s) -- "

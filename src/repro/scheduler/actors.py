@@ -58,6 +58,7 @@ from repro.temporal.cubes import (
     P_C,
     P_E,
 )
+from repro.temporal.guards import GuardBinding, as_guard
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scheduler.guard_scheduler import DistributedScheduler
@@ -77,7 +78,7 @@ class EventActor:
     def __init__(
         self,
         event: Event,
-        guard: GuardExpr,
+        guard: GuardBinding | GuardExpr,
         site: str,
         scheduler: "DistributedScheduler",
     ):
@@ -85,10 +86,11 @@ class EventActor:
         #: cached ``repr(event)`` -- profiled hot paths label every
         #: span with it, and the repr never changes
         self.event_label = repr(event)
-        #: the durable (logged) guard: the compiled artifact plus any
-        #: run-time reconfigurations, *without* the volatile
-        #: ``simplify_under`` compressions -- this is what a crash
-        #: restores and recovery re-simplifies as facts return
+        #: the durable (logged) guard-table entry: the compiled artifact
+        #: (a binding as synthesis or a template hands it over, or a
+        #: plain guard) plus any run-time reconfigurations, *without* the
+        #: volatile ``simplify_under`` compressions -- this is what a
+        #: crash re-enters and recovery re-simplifies as facts return
         self._durable_guard = guard
         self.site = site
         self.sched = scheduler
@@ -123,6 +125,11 @@ class EventActor:
     def guard(self) -> GuardExpr:
         """The residual guard on the real names (the cursor renders it)."""
         return self.cursor.guard
+
+    @property
+    def durable_guard(self) -> GuardExpr:
+        """The durable guard on the real names."""
+        return as_guard(self._durable_guard)
 
     # ------------------------------------------------------------------
     # knowledge
@@ -214,7 +221,7 @@ class EventActor:
         impossible) and the escalation bookkeeping reset, since the
         cube structure changed.
         """
-        self._durable_guard = self._durable_guard & extra
+        self._durable_guard = self.durable_guard & extra
         # incremental recompile: re-enter the automaton at the
         # strengthened guard, then assimilate everything already known
         self.cursor.reset(self.guard & extra, self.knowledge)
@@ -302,13 +309,14 @@ class EventActor:
         knowledge it was decided under, for offline provenance replay.
         Called in a traced run only."""
         sched = self.sched
+        durable = self.durable_guard
         sched.tracer.guard_eval(
             sched.sim.now, self.site, self.event,
-            guard=self._durable_guard, residual=self.guard,
+            guard=durable, residual=self.guard,
             verdict=verdict, elapsed=elapsed,
             cubes=[
                 sorted([repr(base), mask] for base, mask in cube)
-                for cube in self._durable_guard.sorted_cubes()
+                for cube in durable.sorted_cubes()
             ],
             knowledge=self._structured_knowledge(knowledge),
         )
@@ -808,9 +816,9 @@ class EventActor:
         memory and is gone.
         """
         self.knowledge = {}
-        # resurrection re-enters the automaton at the durable guard's
+        # resurrection re-enters the automaton at the durable entry's
         # root -- the same interned node every fresh instance of this
-        # guard's shape starts from
+        # guard's shape starts from, and a binding with no rename
         self.cursor.reset(self._durable_guard, self.knowledge)
         self.round_active = False
         self.round_id = 0

@@ -62,7 +62,11 @@ from repro.temporal.compiled import (
     WakeCounts,
 )
 from repro.temporal.cubes import GuardExpr
-from repro.temporal.guards import shape_lookups, workflow_guards
+from repro.temporal.guards import (
+    GuardBinding,
+    shape_lookups,
+    workflow_bindings,
+)
 
 #: where ``_dispatch`` delivers each message type but ``Announce``
 _HANDLERS = {
@@ -129,7 +133,7 @@ class DistributedScheduler(RunBase):
         attributes: Mapping[Event, EventAttributes] | None = None,
         latency: LatencyModel | None = None,
         rng: random.Random | None = None,
-        guards: Mapping[Event, GuardExpr] | None = None,
+        guards: Mapping[Event, GuardBinding | GuardExpr] | None = None,
         policy: SchedulerPolicy | None = None,
         drop_probability: float = 0.0,
         duplicate_probability: float = 0.0,
@@ -189,11 +193,12 @@ class DistributedScheduler(RunBase):
         else:
             before = shape_lookups()
             with span(self.profiler, "synthesis"):
-                table = workflow_guards(self.dependencies)
+                table = workflow_bindings(self.dependencies)
             after = shape_lookups()
             self._shape_lookups = {k: after[k] - before[k] for k in after}
         self.actors: dict[Event, EventActor] = {}
         # subscriptions: actors whose guard mentions a base hear about it
+        # (a binding's bases are read off its ``to_slot``, no rendering)
         self._subscribers: dict[Event, list[Event]] = {}
         for event, g in table.items():
             self.actors[event] = EventActor(

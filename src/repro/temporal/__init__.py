@@ -11,7 +11,7 @@
 * :mod:`repro.temporal.guards` -- guard synthesis ``G(D, e)``
   (Definition 2), the residual automaton it is computed over (Figure
   2), accepting paths ``Pi(D)`` (Definition 3), and the workflow-level
-  guard conjunction.
+  guard conjunction, as bindings of shared slot-space shapes.
 """
 
 from repro.temporal.formulas import (
@@ -42,11 +42,13 @@ from repro.temporal.cubes import (
     literal,
 )
 from repro.temporal.guards import (
+    GuardBinding,
     ResidualAutomaton,
     ResidualCursor,
     accepting_paths,
     guard,
     guard_formula,
+    workflow_bindings,
     workflow_guards,
 )
 from repro.temporal.simplify import guard_size, minimize
@@ -58,6 +60,7 @@ __all__ = [
     "Eventually",
     "FALSE_GUARD",
     "FULL",
+    "GuardBinding",
     "GuardExpr",
     "NotYet",
     "P_C",
@@ -83,5 +86,6 @@ __all__ = [
     "holds",
     "literal",
     "t_equivalent",
+    "workflow_bindings",
     "workflow_guards",
 ]

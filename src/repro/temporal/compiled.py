@@ -32,9 +32,13 @@ copy's binding: the ``to_slot`` / ``from_slot`` pair
 :func:`repro.temporal.guards._slot_maps` gives for the guard's bases
 (canonical slot events in ``Event.sort_key`` order, the spelling
 synthesis and :class:`~repro.temporal.guards.ResidualCursor` use).
-Every computation above commutes with an order-preserving injective
-rename, so renamed copies of one guard *shape* -- the stamped instances
-of a :class:`~repro.workflows.template.WorkflowTemplate`, a fan-in of
+Synthesis and template stamping hand that pair over already, as a
+:class:`~repro.temporal.guards.GuardBinding`, so a cursor enters at the
+shape with no rename; only a plain guard (a hand-built table) is bound
+by :func:`_slot_guard`.  Every computation above commutes with an
+order-preserving injective rename, so renamed copies of one guard
+*shape* -- the stamped instances of a
+:class:`~repro.workflows.template.WorkflowTemplate`, a fan-in of
 isomorphic guards -- walk one automaton: the shape pays each expansion
 once, and a copy pays a dict probe per learned base plus a translation
 of its plan when its node changes.  A copy whose rename breaks the
@@ -81,7 +85,7 @@ from typing import Iterable, Mapping
 from repro.algebra.symbols import Event, rename_event
 
 from .cubes import DIA_COMP_MASK, DIA_MASK, FULL, P_C, P_E, GuardExpr, closure
-from .guards import _slot_maps
+from .guards import GuardBinding, _slot_maps, as_guard
 
 #: Restricted-knowledge tuples are sorted by base; masks are 4-bit
 #: world sets (:mod:`repro.temporal.cubes`).
@@ -468,47 +472,71 @@ class GuardCursor:
     """One actor's runtime state: a node of the shared slot-space
     automaton plus this copy's ``to_slot`` / ``from_slot`` binding.
 
+    The cursor enters at a guard-table entry: a
+    :class:`~repro.temporal.guards.GuardBinding` (synthesized or
+    stamped), whose shape and binding it takes as they are, or a plain
+    :class:`GuardExpr` (a hand-built table, a run-time
+    reconfiguration), bound once here by :func:`_slot_guard`.
     ``knowledge`` is the owner's live map, which the owner updates
     before each :meth:`learn`.  The cursor binds on first use (any
-    method below), not at construction: the binding and the entry node
-    are taken against the live map then, so a scheduler's build pays
-    nothing per actor.  ``node`` is ``None`` until then.  Every method
-    returns exactly the value of the cube-engine call it replaces.
+    method below), not at construction: the entry node is taken against
+    the live map then, so a scheduler's build pays nothing per actor.
+    ``node`` is ``None`` until then.  Every method returns exactly the
+    value of the cube-engine call it replaces.
     """
 
     __slots__ = (
         "engine", "knowledge", "node", "to_slot", "from_slot",
-        "_guard", "_rendered", "_plan_node", "_plan",
+        "_entry", "_guard", "_rendered", "_plan_node", "_plan",
     )
 
     def __init__(
         self,
         engine: "CompiledGuardEngine",
-        guard: GuardExpr,
+        entry: GuardBinding | GuardExpr,
         knowledge: dict[Event, int],
     ):
         _CompiledStats.cursors += 1
         engine.cursors += 1
         self.engine = engine
-        self._enter(guard, knowledge)
+        self._enter(entry, knowledge)
 
-    def _enter(self, guard: GuardExpr, knowledge: dict[Event, int]) -> None:
-        self._guard = guard
+    def _enter(
+        self, entry: GuardBinding | GuardExpr, knowledge: dict[Event, int]
+    ) -> None:
+        self._entry = entry
         self.knowledge = knowledge
         self.node: GuardNode | None = None
         self._plan_node: GuardNode | None = None
 
     def _bind(self) -> GuardNode:
-        """Take the binding and enter the automaton at the node of the
-        entry guard's shape under the live knowledge."""
-        guard = self._guard
-        shape, to_slot, self.from_slot = _slot_guard(guard)
-        self.to_slot = to_slot
-        know = _restrict(guard, self.knowledge)
+        """Take the entry's binding and enter the automaton at its
+        shape's node, the live knowledge restricted in slot space."""
+        entry = self._entry
+        if isinstance(entry, GuardExpr):
+            shape, to_slot, from_slot = _slot_guard(entry)
+            rendered = entry
+        else:
+            shape, to_slot, from_slot = (
+                entry.shape, entry.to_slot, entry.from_slot
+            )
+            rendered = entry._guard  # ``None`` until a reader asked
+        self.to_slot, self.from_slot = to_slot, from_slot
+        knowledge = self.knowledge
+        # ``from_slot`` runs in slot order, the order nodes key on
         node = self.node = self.engine._node(
-            shape, tuple([(to_slot[b], m) for b, m in know]) if know else ()
+            shape,
+            tuple([
+                (slot, knowledge[base])
+                for slot, base in from_slot.items()
+                if base in knowledge
+            ]) if knowledge else (),
         )
-        self._rendered = node.residual  # ``_guard`` is its rendering
+        # ``_guard`` is the real-name rendering of ``_rendered``; at the
+        # entry node it is known for a plain guard or a binding some
+        # reader already rendered
+        self._guard = rendered
+        self._rendered = None if rendered is None else node.residual
         return node
 
     @property
@@ -516,7 +544,9 @@ class GuardCursor:
         """The residual on the real names: the node's, renamed back
         through the binding when it changes."""
         node = self.node
-        if node is not None and node.residual is not self._rendered:
+        if node is None:
+            return as_guard(self._entry)
+        if node.residual is not self._rendered:
             self._rendered = node.residual
             self._guard = node.residual.rename(self.from_slot)
         return self._guard
@@ -576,15 +606,17 @@ class GuardCursor:
             self._plan_node = node
         return self._plan
 
-    def reset(self, guard: GuardExpr, knowledge: dict[Event, int]) -> None:
-        """Incremental recompile: re-enter the automaton at a new
-        guard (runtime dependency growth/removal, crash resets), binding
+    def reset(
+        self, entry: GuardBinding | GuardExpr, knowledge: dict[Event, int]
+    ) -> None:
+        """Incremental recompile: re-enter the automaton at a new entry
+        (runtime dependency growth/removal, crash resets), binding
         afresh on next use.  The new state's nodes are interned lazily
         like any other -- a recompile shares every state already
-        explored."""
+        explored, and a binding re-entered is not renamed again."""
         _CompiledStats.recompiles += 1
         self.engine.recompiles += 1
-        self._enter(guard, knowledge)
+        self._enter(entry, knowledge)
 
 
 class ReferenceCursor:
@@ -601,8 +633,12 @@ class ReferenceCursor:
     #: no node to cache on: the solicitation plan is recomputed
     node = None
 
-    def __init__(self, guard: GuardExpr, knowledge: Mapping[Event, int] = ()):
-        self.reset(guard, knowledge)
+    def __init__(
+        self,
+        entry: GuardBinding | GuardExpr,
+        knowledge: Mapping[Event, int] = (),
+    ):
+        self.reset(entry, knowledge)
 
     def learn(self, base: Event, mask: int) -> None:
         self.knowledge[base] = mask
@@ -622,8 +658,10 @@ class ReferenceCursor:
     def plan(self, certificates: bool) -> tuple:
         return first_solicitation(self.guard, self.knowledge, certificates)
 
-    def reset(self, guard: GuardExpr, knowledge: Mapping[Event, int]) -> None:
-        self.guard = guard
+    def reset(
+        self, entry: GuardBinding | GuardExpr, knowledge: Mapping[Event, int]
+    ) -> None:
+        self.guard = as_guard(entry)
         self.knowledge = dict(knowledge)
 
 
@@ -657,11 +695,13 @@ class CompiledGuardEngine:
     # -- public API ----------------------------------------------------
 
     def cursor(
-        self, guard: GuardExpr, knowledge: dict[Event, int] | None = None
+        self,
+        entry: GuardBinding | GuardExpr,
+        knowledge: dict[Event, int] | None = None,
     ) -> GuardCursor:
-        """A cursor entering at ``guard``; ``knowledge`` is the live map
-        its owner keeps (a fresh one if omitted)."""
-        return GuardCursor(self, guard, {} if knowledge is None else knowledge)
+        """A cursor entering at a guard-table entry; ``knowledge`` is
+        the live map its owner keeps (a fresh one if omitted)."""
+        return GuardCursor(self, entry, {} if knowledge is None else knowledge)
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -19,14 +19,21 @@ remaining event to be guaranteed.  Theorem 6 (checked in the test
 suite and the theorem bench) validates the collective correctness.
 
 Synthesis works *modulo renaming*: ``G(D, e)`` depends only on the
-shape of ``D``, so :func:`guard`, :func:`guard_table` and
-:func:`workflow_guards` all go through :func:`_guards_modulo_renaming`,
-which renames the bases of a query onto canonical slot events in
-``Event.sort_key`` order, synthesizes each distinct slot-space query
-once (:func:`_synthesize`, the direct computation) and renames the
-stored guard back.  Every fold below runs in canonical event order, so
-an order-preserving injective rename commutes with it exactly: the
-result is cube-for-cube what direct synthesis on the real names gives.
+shape of ``D``, so :func:`guard`, :func:`guard_table`,
+:func:`workflow_bindings` and :func:`workflow_guards` all go through
+:func:`_bindings_modulo_renaming`, which renames the bases of a query
+onto canonical slot events in ``Event.sort_key`` order and synthesizes
+each distinct slot-space query once (:func:`_synthesize`, the direct
+computation).  Every fold below runs in canonical event order, so an
+order-preserving injective rename commutes with it exactly: the result
+is cube-for-cube what direct synthesis on the real names gives.
+
+What synthesis hands out is a :class:`GuardBinding`: the guard's
+*shape* (the guard on its own canonical slots, shared by every copy)
+plus the copy's ``to_slot`` / ``from_slot`` maps.  The compiled cursor
+enters at the shape as it is; the real-name guard is rendered only
+where a real name is read (:attr:`GuardBinding.guard`,
+:func:`workflow_guards`).
 
 Also here: :class:`ResidualAutomaton`, Figure 2's state machine, which
 synthesis builds once per shape and the schedulers, monitors, analysis
@@ -215,9 +222,11 @@ class ResidualAutomaton:
 
 _CLOSURES: dict[Expr, ResidualAutomaton] = {}
 
-#: ``(slot-space dependencies, slot-space event) -> guard``: one entry
-#: per distinct query shape, shared by every renamed copy
-_SHAPES: dict[tuple[tuple[Expr, ...], Event], GuardExpr] = {}
+#: ``(slot-space dependencies, slot-space event) -> binding``: one entry
+#: per distinct query shape, shared by every renamed copy.  The
+#: synthesized guard is stored normalized to its own bases, bound onto
+#: the query's slots.
+_SHAPES: dict[tuple[tuple[Expr, ...], Event], GuardBinding] = {}
 
 #: ``_SLOTS[i]`` is the ``i``-th canonical base, as a ground event and
 #: as a variable-carrying one (``Seq.of`` / ``Conj.of`` only collapse
@@ -373,15 +382,74 @@ class ResidualCursor:
     def residual(self) -> Expr:
         """The state on the real names: the very node iterated
         :func:`residuate` yields there (the rename commutes with it,
-        see :func:`_guards_modulo_renaming`)."""
+        see :func:`_bindings_modulo_renaming`)."""
         return rename_expr(self.state, self.from_slot)
 
 
-def _guards_modulo_renaming(
+class GuardBinding:
+    """A guard-table entry: one copy of a guard shape.
+
+    ``shape`` is the guard renamed onto the canonical slots of its own
+    bases (:func:`_slot_maps` order), one object shared by every copy
+    synthesis or a template stamps out; ``to_slot`` / ``from_slot`` are
+    this copy's binding, each in slot order.  The compiled cursor
+    enters at the shape under the binding; :attr:`guard` renders the
+    real-name guard once, for readers of real names.
+    """
+
+    __slots__ = ("shape", "to_slot", "from_slot", "_guard")
+
+    def __init__(
+        self,
+        shape: GuardExpr,
+        to_slot: dict[Event, Event],
+        from_slot: dict[Event, Event],
+    ):
+        self.shape = shape
+        self.to_slot = to_slot
+        self.from_slot = from_slot
+        self._guard: GuardExpr | None = None
+
+    @property
+    def guard(self) -> GuardExpr:
+        """The guard on the real names, rendered on first read."""
+        rendered = self._guard
+        if rendered is None:
+            rendered = self._guard = self.shape.rename(self.from_slot)
+        return rendered
+
+    def bases(self):
+        """The guard's bases on the real names, in canonical order."""
+        return self.to_slot.keys()
+
+    def renamed(self, mapping: Mapping[Event, Event]) -> "GuardBinding":
+        """The copy whose real bases are this one's sent through
+        ``mapping`` (which must map every one of them and keep their
+        canonical order): the same shape, a composed binding."""
+        to_slot, from_slot = {}, {}
+        for slot, base in self.from_slot.items():
+            target = mapping[base]
+            to_slot[target] = slot
+            from_slot[slot] = target
+        return GuardBinding(self.shape, to_slot, from_slot)
+
+
+def as_guard(entry: GuardBinding | GuardExpr) -> GuardExpr:
+    """A guard-table entry on the real names (a hand-built table holds
+    plain guards, a synthesized or stamped one bindings)."""
+    return entry if isinstance(entry, GuardExpr) else entry.guard
+
+
+def render(table: Mapping[Event, GuardBinding]) -> dict[Event, GuardExpr]:
+    """A binding table on the real names."""
+    return {event: binding.guard for event, binding in table.items()}
+
+
+def _bindings_modulo_renaming(
     deps_nf: Sequence[Expr], events: Sequence[Event]
-) -> list[GuardExpr]:
-    """``_synthesize(deps_nf, e)`` for each ``e`` of ``events``, paying
-    one synthesis per query *shape* and one rename per copy.
+) -> list[GuardBinding]:
+    """``_synthesize(deps_nf, e)`` for each ``e`` of ``events``, as a
+    binding, paying one synthesis per query *shape*.
 
     Every base the query mentions is renamed onto ``_SLOTS`` in
     ``Event.sort_key`` order.  The rename is injective and preserves
@@ -389,25 +457,32 @@ def _guards_modulo_renaming(
     synthesis: ``Choice/Conj.of`` sorting, the closure walk, the column
     folds and ``_absorb``'s sorted passes all see isomorphic input.
     Closures, columns and eventualities live in slot space, so copies
-    share them; the guard renamed back is at the ``_absorb`` fixpoint
-    already (:meth:`GuardExpr.rename`, injective case).
+    share them.  Each synthesized guard is stored as a binding of its
+    shape onto the query's slots (the one rename synthesis pays, once
+    per shape); a copy composes that binding with the query's
+    ``from_slot`` (:meth:`GuardBinding.renamed`), so no guard is renamed
+    per copy.
     """
     bases = {e.base for e in events}
     for dep in deps_nf:
         bases |= dep.bases()
     to_slot, from_slot = _slot_maps(bases)
     slot_deps = tuple(rename_expr(dep, to_slot) for dep in deps_nf)
-    guards = []
+    bindings = []
     for event in events:
         key = (slot_deps, rename_event(event, to_slot))
         found = _SHAPES.get(key)
         if found is None:
             _SynthStats.shape_misses += 1
-            found = _SHAPES[key] = _synthesize(*key)
+            synthesized = _synthesize(*key)
+            own_to, own_from = _slot_maps(synthesized.bases())
+            found = _SHAPES[key] = GuardBinding(
+                synthesized.rename(own_to), own_to, own_from
+            )
         else:
             _SynthStats.shape_hits += 1
-        guards.append(found.rename(from_slot))
-    return guards
+        bindings.append(found.renamed(from_slot))
+    return bindings
 
 
 def guard(dependency: Expr, event: Event) -> GuardExpr:
@@ -427,8 +502,10 @@ def guard(dependency: Expr, event: Event) -> GuardExpr:
     >>> guard(parse("~e + ~f + e . f"), Event("f"))
     ([]e + <>~e)
     """
-    (found,) = _guards_modulo_renaming((to_normal_form(dependency),), (event,))
-    return found
+    (found,) = _bindings_modulo_renaming(
+        (to_normal_form(dependency),), (event,)
+    )
+    return found.guard
 
 
 def guard_table(dependency: Expr) -> dict[Event, GuardExpr]:
@@ -439,12 +516,8 @@ def guard_table(dependency: Expr) -> dict[Event, GuardExpr]:
     ['<>f', '<>~e', 'T', 'T']
     """
     events = _alphabet(dependency)
-    return dict(
-        zip(
-            events,
-            _guards_modulo_renaming((to_normal_form(dependency),), events),
-        )
-    )
+    found = _bindings_modulo_renaming((to_normal_form(dependency),), events)
+    return render(dict(zip(events, found)))
 
 
 def explain_guard(
@@ -596,13 +669,24 @@ def workflow_guards(
     dependencies: Iterable[Expr],
     mentioned_only: bool = True,
 ) -> dict[Event, GuardExpr]:
-    """The per-event guard table of a workflow (Section 4.2).
+    """The per-event guard table of a workflow (Section 4.2), on the
+    real names: :func:`workflow_bindings`, rendered.
 
     The guard on event ``e`` is the conjunction of ``G(D, e)`` over the
     dependencies that mention ``e`` (the default); with
     ``mentioned_only=False`` every dependency contributes, which is the
     reading Definition 4 / Theorem 6 use for exact trace generation.
     """
+    return render(workflow_bindings(dependencies, mentioned_only))
+
+
+def workflow_bindings(
+    dependencies: Iterable[Expr],
+    mentioned_only: bool = True,
+) -> dict[Event, GuardBinding]:
+    """The per-event guard table of a workflow as bindings: what a
+    scheduler enters its cursors at and a template stamps out.  See
+    :func:`workflow_guards` for ``mentioned_only``."""
     originals = list(dependencies)
     deps = [to_normal_form(d) for d in originals]
     # base -> positions of the dependencies mentioning it.  Bases come
@@ -619,52 +703,20 @@ def workflow_guards(
     # grouping loses
     everything = tuple(range(len(deps)))
     groups: dict[tuple[int, ...], list[Event]] = {}
-    table: dict[Event, GuardExpr] = {}
+    table: dict[Event, GuardBinding | None] = {}
     for base in sorted(mentions, key=Event.sort_key):
         relevant = tuple(mentions[base]) if mentioned_only else everything
         for event in (base, base.complement):
             groups.setdefault(relevant, []).append(event)
-            table[event] = FALSE_GUARD
+            table[event] = None
     for relevant, events in groups.items():
         table.update(
             zip(
                 events,
-                _guards_modulo_renaming([deps[i] for i in relevant], events),
+                _bindings_modulo_renaming([deps[i] for i in relevant], events),
             )
         )
     return table
-
-
-def rename_guard_table(
-    table: Mapping[Event, GuardExpr],
-    mapping: Mapping[Event, Event],
-) -> dict[Event, GuardExpr]:
-    """Instantiate a guard table by event substitution.
-
-    ``table`` is a per-event table as produced by :func:`guard_table`
-    or :func:`workflow_guards`; ``mapping`` sends positive base events
-    to positive base events (a workflow template's rename, e.g. ``e ->
-    e_i7``).  Keys are signed: a key's polarity is preserved across the
-    rename, and every guard is renamed through
-    :meth:`~repro.temporal.cubes.GuardExpr.rename`.
-
-    When the rename preserves the canonical event order (which
-    :class:`repro.workflows.template.WorkflowTemplate` checks), the
-    result is bit-identical to re-running :func:`workflow_guards` on
-    the renamed dependencies -- at the cost of a cube-set walk instead
-    of a synthesis.
-    """
-    if not mapping:
-        return dict(table)
-    out: dict[Event, GuardExpr] = {}
-    for event, g in table.items():
-        target = mapping.get(event.base)
-        if target is None:
-            key = event
-        else:
-            key = target.complement if event.negated else target
-        out[key] = g.rename(mapping)
-    return out
 
 
 def generates(

@@ -1,32 +1,37 @@
-"""Template-instantiated guard synthesis for multi-instance workloads.
+"""Template-instantiated guard tables for multi-instance workloads.
 
 Independent workflow instances share one declarative specification:
 the ``N`` travel bookings of Example 12 differ only by an identifier
-suffix on every event and site name.  Re-running guard synthesis per
-suffixed copy therefore repeats the same symbolic computation ``N``
-times -- cold-start cost ``O(N * synthesis)``.
+suffix on every event and site name.  Each of their guards is a copy of
+one guard *shape*, so an instance needs no synthesis and no guard of
+its own: it is a binding.
 
 :class:`WorkflowTemplate` pays synthesis once, on the un-suffixed
-workflow, and stamps out per-instance guard tables by *interned event
-substitution*: a rename pass over the compiled cube sets
-(:meth:`repro.temporal.cubes.GuardExpr.rename` via
-:func:`repro.temporal.guards.rename_guard_table`) plus a structural
-rename of the dependency expressions.  Cold-start drops to
-``O(synthesis + N * rename)``.
+workflow, through :func:`repro.temporal.guards.workflow_bindings`.
+Every entry of that table is a
+:class:`~repro.temporal.guards.GuardBinding`: the guard's shape on
+canonical slot events plus the template's ``to_slot`` / ``from_slot``
+maps.  Stamping an instance composes each binding with the suffix's
+base rename (:meth:`~repro.temporal.guards.GuardBinding.renamed`): the
+shape object is shared, no cube is touched, and the compiled cursor
+enters at it as it is.  The real-name guard is rendered only where a
+real name is read.  The dependency expressions are renamed
+structurally.  Cold start is ``O(synthesis + N * bases)``.
 
 Correctness note: guard synthesis folds in canonical event order
-(``Event.sort_key``), so the renamed table is bit-identical to
-from-scratch synthesis on the renamed workflow exactly when the rename
-preserves that order.  Appending one suffix to every name *usually*
-preserves lexicographic order but not always (``"t1" < "t10"`` yet
-``"t1_i1" > "t10_i1"``); :meth:`WorkflowTemplate.instantiate` checks
-order preservation per suffix and falls back to
-:func:`~repro.temporal.guards.workflow_guards` on the renamed
+(``Event.sort_key``), so a composed binding renders exactly the guard
+from-scratch synthesis on the renamed workflow gives, and binds the
+same slots, when the rename preserves that order.  Appending one
+suffix to every name *usually* preserves lexicographic order but not
+always (``"t1" < "t10"`` yet ``"t1_i1" > "t10_i1"``);
+:meth:`WorkflowTemplate.instantiate` checks order preservation per
+suffix and falls back to
+:func:`~repro.temporal.guards.workflow_bindings` on the renamed
 dependencies for the rare violating suffix -- a shape-table hit there
 whenever the suffix merely reorders names the same way an earlier one
-did, not a re-synthesis -- so instantiated guards are *always*
-structurally identical to from-scratch synthesis (a property the test
-suite checks over the workload generators).
+did, not a re-synthesis -- so an instance's table always renders the
+from-scratch guards (a property the test suite checks over the
+workload generators).
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from repro.algebra.expressions import rename_expr
 from repro.algebra.symbols import Event, rename_event
 from repro.obs.profile import span
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.temporal.cubes import GuardExpr
-from repro.temporal.guards import rename_guard_table, workflow_guards
+from repro.temporal.guards import GuardBinding, workflow_bindings
 from repro.workflows.spec import Workflow
 
 
@@ -64,11 +68,15 @@ def rename_script(
 
 @dataclass(frozen=True)
 class WorkflowInstance:
-    """One stamped-out instance: renamed workflow + instantiated guards."""
+    """One stamped-out instance: the renamed workflow, its guard table
+    as bindings (each the template's shape under this instance's
+    names; :func:`~repro.temporal.guards.render` gives the real-name
+    guards) and the base rename ``mapping`` that produced it (empty
+    for the empty suffix)."""
 
     suffix: str
     workflow: Workflow
-    guards: dict[Event, GuardExpr]
+    guards: dict[Event, GuardBinding]
     mapping: dict[Event, Event]
 
     def instantiate_script(self, script: AgentScript) -> AgentScript:
@@ -90,7 +98,7 @@ class WorkflowTemplate:
         self.workflow = workflow
         #: span profiler attributing synthesis vs stamping time, if any
         self.profiler = profiler
-        self._guards: dict[Event, GuardExpr] | None = None
+        self._guards: dict[Event, GuardBinding] | None = None
         bases = {e.base for e in workflow.alphabet()}
         bases.update(b.base for b in workflow.sites)
         bases.update(b.base for b in workflow.attributes)
@@ -98,17 +106,18 @@ class WorkflowTemplate:
         self.bases: tuple[Event, ...] = tuple(
             sorted(bases, key=Event.sort_key)
         )
-        #: instantiations served by the rename fast path
+        #: instantiations served by composing bindings
         self.fast_instantiations = 0
-        #: instantiations through ``workflow_guards`` (order-violating suffix)
+        #: instantiations through ``workflow_bindings`` (order-violating
+        #: suffix)
         self.fallback_instantiations = 0
 
     @property
-    def guards(self) -> dict[Event, GuardExpr]:
-        """The template's guard table (synthesized once, lazily)."""
+    def guards(self) -> dict[Event, GuardBinding]:
+        """The template's binding table (synthesized once, lazily)."""
         if self._guards is None:
             with span(self.profiler, "synthesis"):
-                self._guards = workflow_guards(self.workflow.dependencies)
+                self._guards = workflow_bindings(self.workflow.dependencies)
         return self._guards
 
     def mapping_for(self, suffix: str) -> dict[Event, Event]:
@@ -131,7 +140,8 @@ class WorkflowTemplate:
         return all(a < b for a, b in zip(keys, keys[1:]))
 
     def instantiate(self, suffix: str) -> WorkflowInstance:
-        """Stamp out one instance: renamed events, sites, and guards."""
+        """Stamp out one instance: renamed events and sites, and the
+        template's bindings composed with the suffix's rename."""
         with span(self.profiler, "template_stamp"):
             mapping = self.mapping_for(suffix)
             source = self.workflow
@@ -149,11 +159,20 @@ class WorkflowTemplate:
                     for event, site in source.sites.items()
                 },
             )
-            if mapping and not self._order_preserving(mapping):
-                guards = workflow_guards(instance.dependencies)
+            if not mapping:
+                guards = dict(self.guards)
+                self.fast_instantiations += 1
+            elif not self._order_preserving(mapping):
+                guards = workflow_bindings(instance.dependencies)
                 self.fallback_instantiations += 1
             else:
-                guards = rename_guard_table(self.guards, mapping)
+                # the template maps every base it holds, so every key
+                # and binding of its table has an image
+                guards = {}
+                for event, binding in self.guards.items():
+                    target = mapping[event.base]
+                    key = target.complement if event.negated else target
+                    guards[key] = binding.renamed(mapping)
                 self.fast_instantiations += 1
         return WorkflowInstance(
             suffix=suffix,
@@ -162,20 +181,41 @@ class WorkflowTemplate:
             mapping=mapping,
         )
 
+    def _claim(self, suffix: str, claimed: set[str]) -> None:
+        """Add the base names of instance ``suffix`` to ``claimed``;
+        raise :class:`ValueError` naming one another instance holds."""
+        names = {f"{base.name}{suffix}" for base in self.bases}
+        if not claimed.isdisjoint(names):
+            raise ValueError(
+                f"instances are not event-disjoint: {min(claimed & names)} "
+                "belongs to more than one of them"
+            )
+        claimed.update(names)
+
+    def check_disjoint(self, suffixes: Iterable[str]) -> None:
+        """Raise :class:`ValueError` unless the instances of
+        ``suffixes`` share no base (a suffix given twice shares all)."""
+        claimed: set[str] = set()
+        for suffix in suffixes:
+            self._claim(suffix, claimed)
+
     def instantiate_merged(
         self, suffixes: Iterable[str]
-    ) -> tuple[Workflow, dict[Event, GuardExpr]]:
+    ) -> tuple[Workflow, dict[Event, GuardBinding]]:
         """All instances merged for one scheduler: workflow + guards.
 
-        The merged guard table is the union of the per-instance tables
-        (instances are event-disjoint by construction), ready to pass
-        as ``DistributedScheduler(guards=...)`` so the scheduler skips
-        its own synthesis.
+        The merged binding table is the union of the per-instance
+        tables, ready to pass as ``DistributedScheduler(guards=...)`` so
+        the scheduler skips its own synthesis.  The instances must be
+        event-disjoint: a base two of them would share raises
+        :class:`ValueError` (its events would settle once per copy).
         """
         names: list[str] = []
         merged = Workflow("")
-        guards: dict[Event, GuardExpr] = {}
+        guards: dict[Event, GuardBinding] = {}
+        claimed: set[str] = set()
         for suffix in suffixes:
+            self._claim(suffix, claimed)
             inst = self.instantiate(suffix)
             names.append(inst.workflow.name)
             merged.dependencies += inst.workflow.dependencies

@@ -2,10 +2,11 @@
 
 Two contracts, checked over randomly drawn structures:
 
-* ``WorkflowTemplate.instantiate(suffix)`` must hand back exactly the
-  guard table a from-scratch ``workflow_guards`` synthesis over the
-  suffixed dependencies would -- whether the fast rename path or the
-  order-preservation fallback fired is invisible to the caller.
+* ``WorkflowTemplate.instantiate(suffix)`` must hand back a binding
+  table that renders exactly the guard table a from-scratch
+  ``workflow_guards`` synthesis over the suffixed dependencies would --
+  whether composed bindings or the order-preservation fallback served
+  it is invisible to the caller.
 * ``run_sharded`` over any shard count must settle the same event set
   as one merged scheduler over the same instances.
 """
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scale import plan_shards, run_sharded
-from repro.temporal.guards import workflow_guards
+from repro.temporal.guards import render, workflow_guards
 from repro.workflows import WorkflowTemplate
 from repro.workloads.generators import (
     chain_workflow,
@@ -49,13 +50,13 @@ class TestTemplateEquivalence:
         instance = template.instantiate(suffix)
         direct = make(size, suffix=suffix)
         assert instance.workflow.dependencies == direct.dependencies
-        assert instance.guards == workflow_guards(direct.dependencies)
+        assert render(instance.guards) == workflow_guards(direct.dependencies)
 
     @given(suffix=suffixes)
     def test_travel_template_matches_from_scratch(self, suffix):
         template = WorkflowTemplate(TEMPLATE)
         instance = template.instantiate(suffix)
-        assert instance.guards == workflow_guards(
+        assert render(instance.guards) == workflow_guards(
             instance.workflow.dependencies
         )
 

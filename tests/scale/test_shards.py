@@ -176,6 +176,18 @@ class TestPlanning:
         assert text in message
         assert f"[{', '.join(unknown)}] belong to none" in message
 
+    def test_instances_sharing_a_base_are_rejected(self):
+        # two specs of one instance land in different shards, where no
+        # merge sees both: each shard would settle every event again
+        twice = travel_instances(1) * 2
+        clash = min(
+            WorkflowTemplate(TEMPLATE).mapping_for("_i0").values(),
+            key=Event.sort_key,
+        )
+        clashing = f"not event-disjoint: {clash!r} "
+        with pytest.raises(ValueError, match=clashing):
+            plan_shards(TEMPLATE, twice, 2)
+
     def test_seed_mix_is_deterministic_and_separated(self):
         seeds = [shard_seed(42, k) for k in range(16)]
         assert seeds == [shard_seed(42, k) for k in range(16)]

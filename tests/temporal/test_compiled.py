@@ -4,11 +4,14 @@
 The scheduler-level equivalence lives in
 ``tests/properties/test_compiled_equivalence.py``; here we pin the
 node/edge mechanics: slot-space interning, the learn/refine/assimilate
-transitions, lazy binding and caching, counter accounting, and the
-compile-time table statistics.
+transitions, lazy binding and caching, counter accounting, the
+compile-time table statistics, and the entries a cursor binds at.
 """
 
+from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
+from repro.scheduler.guard_scheduler import DistributedScheduler
+from repro.temporal import compiled
 from repro.temporal.compiled import (
     ALL,
     CompiledGuardEngine,
@@ -25,9 +28,11 @@ from repro.temporal.cubes import (
     FALSE_GUARD,
     FULL,
     NOTYET_MASK,
+    GuardExpr,
     TRUE_GUARD,
     literal,
 )
+from repro.temporal.guards import render, workflow_bindings
 from repro.workflows import WorkflowTemplate
 from repro.workloads.scenarios import make_travel_booking
 
@@ -268,7 +273,7 @@ class TestStats:
         template = WorkflowTemplate(make_travel_booking().workflow)
         _, one = template.instantiate_merged(["_i0"])
         _, four = template.instantiate_merged([f"_i{k}" for k in range(4)])
-        single, stamped = table_stats(one), table_stats(four)
+        single, stamped = table_stats(render(one)), table_stats(render(four))
         assert stamped["guards"] == 4 * single["guards"]
         assert stamped["shapes"] == single["shapes"]
         assert stamped["sharing_ratio"] > single["sharing_ratio"]
@@ -299,3 +304,73 @@ class TestSharedEngine:
         assert second.node is first.node
         assert residual == literal("dia", B)
         assert (residual2, verdict2) == (literal("dia", Y), verdict)
+
+
+def counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` for the rest of the test."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestBindingEntry:
+    """Synthesis and stamping hand a cursor its binding; only a plain
+    guard is bound at the entry."""
+
+    def test_binding_enters_the_plain_guards_node(self):
+        binding = workflow_bindings([parse("~x + y")])[X]  # <>y
+        engine = CompiledGuardEngine()
+        knowledge = {Y: E_OCC, C: C_OCC}
+        via_binding = bound(engine, binding, knowledge)
+        plain = bound(engine, binding.guard, knowledge)
+        assert via_binding.node is plain.node
+        assert via_binding.node.residual is binding.shape
+        assert via_binding.to_slot is binding.to_slot
+        assert via_binding.node.know == ((binding.to_slot[Y], E_OCC),)
+        assert via_binding.guard == plain.guard == binding.guard
+
+    def test_stamped_table_binds_without_a_rename(self, monkeypatch):
+        template = WorkflowTemplate(make_travel_booking().workflow)
+        assert template.guards  # synthesis renames once per shape
+        renames = counted(monkeypatch, GuardExpr, "rename")
+        slot_guards = counted(monkeypatch, compiled, "_slot_guard")
+        merged, guards = template.instantiate_merged(
+            [f"_i{k}" for k in range(6)]
+        )
+        sched = DistributedScheduler(
+            merged.dependencies,
+            sites=merged.sites,
+            attributes=merged.attributes,
+            guards=guards,
+        )
+        for actor in sched.actors.values():
+            actor.cursor.verdict()
+        assert len(sched.actors) == 6 * len(template.guards)
+        assert all(a.cursor.node is not None for a in sched.actors.values())
+        assert sched.network.stats.messages == 0  # before any delivery
+        assert renames == [] and slot_guards == []
+
+    def test_synthesized_table_binds_without_a_rename(self, monkeypatch):
+        workflow = make_travel_booking(suffix="_i0").workflow
+        DistributedScheduler(workflow.dependencies)  # every shape synthesized
+        renames = counted(monkeypatch, GuardExpr, "rename")
+        sched = DistributedScheduler(workflow.dependencies)
+        for actor in sched.actors.values():
+            actor.cursor.verdict()
+        assert renames == []
+
+    def test_plain_table_binds_once_per_actor(self, monkeypatch):
+        slot_guards = counted(monkeypatch, compiled, "_slot_guard")
+        table = {A: GUARD, X: COPY, B: TRUE_GUARD, Y: literal("box", C)}
+        sched = DistributedScheduler([], guards=table)
+        assert slot_guards == []  # binding waits for first use
+        for actor in sched.actors.values():
+            actor.cursor.verdict()
+            actor.cursor.verdict()
+        assert [guard for (guard,) in slot_guards] == list(table.values())

@@ -5,7 +5,7 @@ import pytest
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.temporal.guards import workflow_guards
+from repro.temporal.guards import render, workflow_guards
 from repro.workflows import WorkflowTemplate
 from repro.workflows.spec import Workflow
 from repro.workflows.template import (
@@ -71,7 +71,9 @@ class TestWorkflowTemplate:
             assert instance.workflow.dependencies == direct.dependencies
             assert instance.workflow.sites == direct.sites
             assert instance.workflow.attributes == direct.attributes
-            assert instance.guards == workflow_guards(direct.dependencies)
+            assert render(instance.guards) == workflow_guards(
+                direct.dependencies
+            )
         assert template.fast_instantiations == 3
         assert template.fallback_instantiations == 0
 
@@ -90,7 +92,7 @@ class TestWorkflowTemplate:
         instance = template.instantiate("_i3")
         direct = make("_i3")
         assert instance.workflow.dependencies == direct.dependencies
-        assert instance.guards == workflow_guards(direct.dependencies)
+        assert render(instance.guards) == workflow_guards(direct.dependencies)
 
     def test_order_violating_suffix_falls_back_and_still_matches(self):
         # "t1" < "t10" but "t1_x" > "t10_x": suffixing flips the
@@ -103,7 +105,7 @@ class TestWorkflowTemplate:
         instance = template.instantiate("_x")
         assert template.fallback_instantiations == 1
         assert template.fast_instantiations == 0
-        assert instance.guards == workflow_guards(
+        assert render(instance.guards) == workflow_guards(
             instance.workflow.dependencies
         )
 
@@ -129,8 +131,8 @@ class TestWorkflowTemplate:
             template.workflow.dependencies
         )
         assert len(guards) == 3 * len(single.guards)
-        for event, g in single.guards.items():
-            assert guards[event] == g
+        for event, g in render(single.guards).items():
+            assert guards[event].guard == g
 
     def test_instantiate_merged_is_the_merged_fold_without_folding(
         self, monkeypatch
@@ -155,13 +157,32 @@ class TestWorkflowTemplate:
         )
         assert list(merged.attributes) == list(fold.attributes)
         assert list(merged.sites) == list(fold.sites)
-        assert guards == {
+        assert render(guards) == {
             event: guard
             for suffix in suffixes
-            for event, guard in template.instantiate(suffix).guards.items()
+            for event, guard in render(
+                template.instantiate(suffix).guards
+            ).items()
         }
         single, _guards = template.instantiate_merged(["_i7"])
         assert single == template.instantiate("_i7").workflow
+
+    def test_instantiate_merged_rejects_a_suffix_given_twice(self):
+        template = WorkflowTemplate(make_travel_booking().workflow)
+        clash = min(template.mapping_for("_i0").values(), key=Event.sort_key)
+        clashing = f"not event-disjoint: {clash!r} "
+        with pytest.raises(ValueError, match=clashing):
+            template.instantiate_merged(["_i0", "_i1", "_i0"])
+
+    def test_instantiate_merged_rejects_bases_two_suffixes_share(self):
+        # "" keeps a_x, and "_x" renames a to a_x as well
+        w = Workflow("overlap")
+        w.add("~a + a_x")
+        template = WorkflowTemplate(w)
+        with pytest.raises(ValueError, match="not event-disjoint: a_x "):
+            template.instantiate_merged(["", "_x"])
+        merged, guards = template.instantiate_merged(["", "_y"])
+        assert len(merged.dependencies) == 2 and len(guards) == 8
 
     def test_instantiate_merged_rejects_empty(self):
         template = WorkflowTemplate(make_travel_booking().workflow)
