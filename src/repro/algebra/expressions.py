@@ -563,6 +563,30 @@ def rename_expr(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
     return expr  # Zero / Top carry no events
 
 
+def rename_ordered(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
+    """:func:`rename_expr` of a canonical expression (one the ``.of``
+    constructors built) under a rename that is injective and keeps the
+    ``Event.sort_key`` order of the bases it maps.
+
+    Such a rename commutes with every canonicalization step: it keeps
+    distinct parts distinct (no dedupe), the structural order of the
+    parts (no re-sort), and every repeat or complementary pair absent
+    (no collapse).  The copy is therefore rebuilt straight through the
+    interning constructors, parts in the order they stand, and *is*
+    the node :func:`rename_expr` returns.
+    """
+    cls = type(expr)
+    if cls is Atom:
+        event = expr.event
+        target = mapping.get(event.base)
+        if target is None:
+            return expr
+        return Atom(target.complement if event.negated else target)
+    if cls is Zero or cls is Top:
+        return expr
+    return cls(tuple([rename_ordered(p, mapping) for p in expr.parts]))
+
+
 def _wrap(expr: Expr, for_seq: bool, for_conj: bool = False) -> str:
     """Parenthesize for printing: ``.`` binds tighter than ``|`` than ``+``."""
     text = repr(expr)

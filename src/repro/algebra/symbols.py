@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+#: characters of the expression grammar, which no event name may hold
+_RESERVED = frozenset("~+|.()[], ")
+
 
 class Variable:
     """A named logic variable used in parametrized events (Section 5).
@@ -85,7 +88,7 @@ class Event:
             return found
         if not name:
             raise ValueError("event name must be non-empty")
-        if any(ch in "~+|.()[], " for ch in name):
+        if not _RESERVED.isdisjoint(name):
             raise ValueError(f"event name contains reserved characters: {name!r}")
         cls._misses += 1
         params = key[2]

@@ -58,7 +58,7 @@ from repro.temporal.cubes import (
     P_C,
     P_E,
 )
-from repro.temporal.guards import GuardBinding, as_guard
+from repro.temporal.guards import Binding, as_guard
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scheduler.guard_scheduler import DistributedScheduler
@@ -78,7 +78,7 @@ class EventActor:
     def __init__(
         self,
         event: Event,
-        guard: GuardBinding | GuardExpr,
+        guard: Binding | GuardExpr,
         site: str,
         scheduler: "DistributedScheduler",
     ):

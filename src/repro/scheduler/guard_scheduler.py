@@ -63,7 +63,7 @@ from repro.temporal.compiled import (
 )
 from repro.temporal.cubes import GuardExpr
 from repro.temporal.guards import (
-    GuardBinding,
+    Binding,
     shape_lookups,
     workflow_bindings,
 )
@@ -133,7 +133,7 @@ class DistributedScheduler(RunBase):
         attributes: Mapping[Event, EventAttributes] | None = None,
         latency: LatencyModel | None = None,
         rng: random.Random | None = None,
-        guards: Mapping[Event, GuardBinding | GuardExpr] | None = None,
+        guards: Mapping[Event, Binding | GuardExpr] | None = None,
         policy: SchedulerPolicy | None = None,
         drop_probability: float = 0.0,
         duplicate_probability: float = 0.0,

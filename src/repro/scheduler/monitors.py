@@ -63,7 +63,10 @@ class RequirementMonitor:
     Parameters
     ----------
     dependencies:
-        The dependencies to monitor (normal-formed internally).
+        The dependencies to monitor, each a state of its shape's
+        residual closure entered through the dependency's binding
+        (:func:`~repro.temporal.guards.dependency_binding`; a stamped
+        copy carries it, anything else is normal-formed once).
     triggerable:
         Base events the scheduler may cause.
     trigger:

@@ -42,7 +42,7 @@ from repro.temporal.cubes import (
     literal,
 )
 from repro.temporal.guards import (
-    GuardBinding,
+    Binding,
     ResidualAutomaton,
     ResidualCursor,
     accepting_paths,
@@ -55,12 +55,12 @@ from repro.temporal.simplify import guard_size, minimize
 
 __all__ = [
     "Always",
+    "Binding",
     "C_OCC",
     "E_OCC",
     "Eventually",
     "FALSE_GUARD",
     "FULL",
-    "GuardBinding",
     "GuardExpr",
     "NotYet",
     "P_C",

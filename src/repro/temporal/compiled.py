@@ -33,7 +33,7 @@ copy's binding: the ``to_slot`` / ``from_slot`` pair
 (canonical slot events in ``Event.sort_key`` order, the spelling
 synthesis and :class:`~repro.temporal.guards.ResidualCursor` use).
 Synthesis and template stamping hand that pair over already, as a
-:class:`~repro.temporal.guards.GuardBinding`, so a cursor enters at the
+:class:`~repro.temporal.guards.Binding`, so a cursor enters at the
 shape with no rename; only a plain guard (a hand-built table) is bound
 by :func:`_slot_guard`.  Every computation above commutes with an
 order-preserving injective rename, so renamed copies of one guard
@@ -85,7 +85,7 @@ from typing import Iterable, Mapping
 from repro.algebra.symbols import Event, rename_event
 
 from .cubes import DIA_COMP_MASK, DIA_MASK, FULL, P_C, P_E, GuardExpr, closure
-from .guards import GuardBinding, _slot_maps, as_guard
+from .guards import Binding, _slot_maps, as_guard
 
 #: Restricted-knowledge tuples are sorted by base; masks are 4-bit
 #: world sets (:mod:`repro.temporal.cubes`).
@@ -473,7 +473,7 @@ class GuardCursor:
     automaton plus this copy's ``to_slot`` / ``from_slot`` binding.
 
     The cursor enters at a guard-table entry: a
-    :class:`~repro.temporal.guards.GuardBinding` (synthesized or
+    :class:`~repro.temporal.guards.Binding` (synthesized or
     stamped), whose shape and binding it takes as they are, or a plain
     :class:`GuardExpr` (a hand-built table, a run-time
     reconfiguration), bound once here by :func:`_slot_guard`.
@@ -493,7 +493,7 @@ class GuardCursor:
     def __init__(
         self,
         engine: "CompiledGuardEngine",
-        entry: GuardBinding | GuardExpr,
+        entry: Binding | GuardExpr,
         knowledge: dict[Event, int],
     ):
         _CompiledStats.cursors += 1
@@ -502,7 +502,7 @@ class GuardCursor:
         self._enter(entry, knowledge)
 
     def _enter(
-        self, entry: GuardBinding | GuardExpr, knowledge: dict[Event, int]
+        self, entry: Binding | GuardExpr, knowledge: dict[Event, int]
     ) -> None:
         self._entry = entry
         self.knowledge = knowledge
@@ -607,7 +607,7 @@ class GuardCursor:
         return self._plan
 
     def reset(
-        self, entry: GuardBinding | GuardExpr, knowledge: dict[Event, int]
+        self, entry: Binding | GuardExpr, knowledge: dict[Event, int]
     ) -> None:
         """Incremental recompile: re-enter the automaton at a new entry
         (runtime dependency growth/removal, crash resets), binding
@@ -635,7 +635,7 @@ class ReferenceCursor:
 
     def __init__(
         self,
-        entry: GuardBinding | GuardExpr,
+        entry: Binding | GuardExpr,
         knowledge: Mapping[Event, int] = (),
     ):
         self.reset(entry, knowledge)
@@ -659,7 +659,7 @@ class ReferenceCursor:
         return first_solicitation(self.guard, self.knowledge, certificates)
 
     def reset(
-        self, entry: GuardBinding | GuardExpr, knowledge: Mapping[Event, int]
+        self, entry: Binding | GuardExpr, knowledge: Mapping[Event, int]
     ) -> None:
         self.guard = as_guard(entry)
         self.knowledge = dict(knowledge)
@@ -696,7 +696,7 @@ class CompiledGuardEngine:
 
     def cursor(
         self,
-        entry: GuardBinding | GuardExpr,
+        entry: Binding | GuardExpr,
         knowledge: dict[Event, int] | None = None,
     ) -> GuardCursor:
         """A cursor entering at a guard-table entry; ``knowledge`` is

@@ -28,12 +28,15 @@ computation).  Every fold below runs in canonical event order, so an
 order-preserving injective rename commutes with it exactly: the result
 is cube-for-cube what direct synthesis on the real names gives.
 
-What synthesis hands out is a :class:`GuardBinding`: the guard's
+What synthesis hands out is a :class:`Binding`: the guard's
 *shape* (the guard on its own canonical slots, shared by every copy)
 plus the copy's ``to_slot`` / ``from_slot`` maps.  The compiled cursor
 enters at the shape as it is; the real-name guard is rendered only
-where a real name is read (:attr:`GuardBinding.guard`,
-:func:`workflow_guards`).
+where a real name is read (:attr:`Binding.guard`,
+:func:`workflow_guards`).  A dependency is a :class:`Binding` too
+(:func:`dependency_binding`): its normal form on its own slots is the
+key of the residual closure every copy walks, and a template stamps
+copies with the binding composed (:func:`stamp_dependency`).
 
 Also here: :class:`ResidualAutomaton`, Figure 2's state machine, which
 synthesis builds once per shape and the schedulers, monitors, analysis
@@ -57,6 +60,7 @@ from repro.algebra.expressions import (
     Top,
     Zero,
     rename_expr,
+    rename_ordered,
 )
 from repro.algebra.normal_form import to_normal_form
 from repro.algebra.residuation import residuate, residuate_nf
@@ -226,7 +230,7 @@ _CLOSURES: dict[Expr, ResidualAutomaton] = {}
 #: per distinct query shape, shared by every renamed copy.  The
 #: synthesized guard is stored normalized to its own bases, bound onto
 #: the query's slots.
-_SHAPES: dict[tuple[tuple[Expr, ...], Event], GuardBinding] = {}
+_SHAPES: dict[tuple[tuple[Expr, ...], Event], Binding] = {}
 
 #: ``_SLOTS[i]`` is the ``i``-th canonical base, as a ground event and
 #: as a variable-carrying one (``Seq.of`` / ``Conj.of`` only collapse
@@ -236,6 +240,10 @@ _SHAPES: dict[tuple[tuple[Expr, ...], Event], GuardBinding] = {}
 #: demand, never at import.
 _SLOTS: list[tuple[Event, Event]] = []
 
+#: ``dependency -> binding``: :func:`dependency_binding`'s memo, which
+#: :func:`stamp_dependency` fills for the copies it stamps.
+_DEPENDENCY_BINDINGS: dict[Expr, Binding] = {}
+
 
 class _SynthStats:
     closure_hits = 0
@@ -243,6 +251,8 @@ class _SynthStats:
     columns = 0
     shape_hits = 0
     shape_misses = 0
+    binding_hits = 0
+    binding_misses = 0
 
 
 def _closure_for(dep_nf: Expr) -> ResidualAutomaton:
@@ -275,15 +285,20 @@ def synthesis_stats() -> dict:
         "closure_hits": _SynthStats.closure_hits,
         "closure_misses": _SynthStats.closure_misses,
         "columns": _SynthStats.columns,
+        "dependency_bindings": len(_DEPENDENCY_BINDINGS),
+        "binding_hits": _SynthStats.binding_hits,
+        "binding_misses": _SynthStats.binding_misses,
     }
 
 
 def clear_synthesis_caches() -> None:
     """Drop every synthesis memo and reset the counters (benchmarks
-    measure cold synthesis)."""
+    measure cold synthesis).  A dependency stamped earlier loses the
+    binding stamping gave it and is normal-formed again on first use."""
     _SHAPES.clear()
     _SLOTS.clear()
     _CLOSURES.clear()
+    _DEPENDENCY_BINDINGS.clear()
     _EVENTUALLY_CACHE.clear()
     guard_formula.cache_clear()
     _SynthStats.closure_hits = 0
@@ -291,6 +306,8 @@ def clear_synthesis_caches() -> None:
     _SynthStats.columns = 0
     _SynthStats.shape_hits = 0
     _SynthStats.shape_misses = 0
+    _SynthStats.binding_hits = 0
+    _SynthStats.binding_misses = 0
 
 
 def kernel_stats() -> dict:
@@ -351,19 +368,114 @@ def _slot_maps(
     return to_slot, from_slot
 
 
+class Binding:
+    """One renamed copy of a slot-space shape.
+
+    ``shape`` lives on the canonical slots of its own bases
+    (:func:`_slot_maps` order) and is one object shared by every copy:
+    a guard (a guard-table entry, which the compiled cursor enters at)
+    or a dependency's normal form (the key of the residual closure a
+    :class:`ResidualCursor` walks).  ``to_slot`` / ``from_slot`` are
+    this copy's binding, each in slot order.  A copy under a further
+    rename is :meth:`renamed`: the same shape, a composed binding.
+    :attr:`guard` renders a guard entry on the real names once, for
+    readers of real names.
+    """
+
+    __slots__ = ("shape", "to_slot", "from_slot", "_guard")
+
+    def __init__(
+        self,
+        shape: GuardExpr | Expr,
+        to_slot: dict[Event, Event],
+        from_slot: dict[Event, Event],
+    ):
+        self.shape = shape
+        self.to_slot = to_slot
+        self.from_slot = from_slot
+        self._guard: GuardExpr | None = None
+
+    @property
+    def guard(self) -> GuardExpr:
+        """A guard entry on the real names, rendered on first read."""
+        rendered = self._guard
+        if rendered is None:
+            rendered = self._guard = self.shape.rename(self.from_slot)
+        return rendered
+
+    def bases(self):
+        """The shape's bases on the real names, in canonical order."""
+        return self.to_slot.keys()
+
+    def renamed(self, mapping: Mapping[Event, Event]) -> "Binding":
+        """The copy whose real bases are this one's sent through
+        ``mapping`` (which must map every one of them and keep their
+        canonical order): the same shape, a composed binding."""
+        to_slot, from_slot = {}, {}
+        for slot, base in self.from_slot.items():
+            target = mapping[base]
+            to_slot[target] = slot
+            from_slot[slot] = target
+        return Binding(self.shape, to_slot, from_slot)
+
+
+def dependency_binding(dependency: Expr) -> Binding:
+    """``dependency`` as a copy of its residual closure's shape: its
+    normal form renamed onto the slots of its own bases, bound onto
+    its real names.
+
+    Memoized per dependency (``binding_hits`` / ``binding_misses`` in
+    :func:`synthesis_stats`).  A template's stamped copy is entered by
+    stamping (:func:`stamp_dependency`); any other dependency pays one
+    normal form and one rename here, once.
+    """
+    binding = _DEPENDENCY_BINDINGS.get(dependency)
+    if binding is None:
+        _SynthStats.binding_misses += 1
+        dep_nf = to_normal_form(dependency)
+        to_slot, from_slot = _slot_maps(dep_nf.bases())
+        binding = Binding(rename_expr(dep_nf, to_slot), to_slot, from_slot)
+        _DEPENDENCY_BINDINGS[dependency] = binding
+    else:
+        _SynthStats.binding_hits += 1
+    return binding
+
+
+def stamp_dependency(dependency: Expr, mapping: Mapping[Event, Event]) -> Expr:
+    """``rename_expr(dependency, mapping)`` for a canonical dependency
+    and an injective rename of all its bases that keeps their canonical
+    order: the structural copy (:func:`rename_ordered`), entered in
+    :func:`dependency_binding`'s memo with the dependency's binding
+    composed with ``mapping``.
+
+    Normal form commutes with such a rename (as synthesis does, see
+    :func:`_bindings_modulo_renaming`), so the composed binding is the
+    one :func:`dependency_binding` would compute for the copy, and a
+    cursor on the copy enters the shared closure with no normal form
+    and no rename.  (A copy stamped before, or bound by
+    :func:`dependency_binding`, gets an equal binding again.)
+    """
+    copy = rename_ordered(dependency, mapping)
+    _DEPENDENCY_BINDINGS[copy] = dependency_binding(dependency).renamed(
+        mapping
+    )
+    return copy
+
+
 class ResidualCursor:
     """One copy of a dependency in Figure 2's state machine: a state of
     the slot-space closure its shape shares with synthesis (and with
-    every other copy), plus this copy's ``to_slot`` / ``from_slot``
-    binding.  Stepping is a probe of ``closure.transitions[state]``
-    (the monitors' ``observe`` inlines it)."""
+    every other copy), entered through the copy's :class:`Binding`
+    (:func:`dependency_binding`).  Stepping is a probe of
+    ``closure.transitions[state]`` (the monitors' ``observe`` inlines
+    it)."""
 
     __slots__ = ("closure", "state", "to_slot", "from_slot")
 
     def __init__(self, dependency: Expr):
-        dep_nf = to_normal_form(dependency)
-        self.to_slot, self.from_slot = _slot_maps(dep_nf.bases())
-        self.closure = _closure_for(rename_expr(dep_nf, self.to_slot))
+        binding = dependency_binding(dependency)
+        self.to_slot, self.from_slot = binding.to_slot, binding.from_slot
+        self.closure = _closure_for(binding.shape)
         self.state = self.closure.root
 
     def after(self, state: Expr, event: Event) -> Expr:
@@ -386,68 +498,20 @@ class ResidualCursor:
         return rename_expr(self.state, self.from_slot)
 
 
-class GuardBinding:
-    """A guard-table entry: one copy of a guard shape.
-
-    ``shape`` is the guard renamed onto the canonical slots of its own
-    bases (:func:`_slot_maps` order), one object shared by every copy
-    synthesis or a template stamps out; ``to_slot`` / ``from_slot`` are
-    this copy's binding, each in slot order.  The compiled cursor
-    enters at the shape under the binding; :attr:`guard` renders the
-    real-name guard once, for readers of real names.
-    """
-
-    __slots__ = ("shape", "to_slot", "from_slot", "_guard")
-
-    def __init__(
-        self,
-        shape: GuardExpr,
-        to_slot: dict[Event, Event],
-        from_slot: dict[Event, Event],
-    ):
-        self.shape = shape
-        self.to_slot = to_slot
-        self.from_slot = from_slot
-        self._guard: GuardExpr | None = None
-
-    @property
-    def guard(self) -> GuardExpr:
-        """The guard on the real names, rendered on first read."""
-        rendered = self._guard
-        if rendered is None:
-            rendered = self._guard = self.shape.rename(self.from_slot)
-        return rendered
-
-    def bases(self):
-        """The guard's bases on the real names, in canonical order."""
-        return self.to_slot.keys()
-
-    def renamed(self, mapping: Mapping[Event, Event]) -> "GuardBinding":
-        """The copy whose real bases are this one's sent through
-        ``mapping`` (which must map every one of them and keep their
-        canonical order): the same shape, a composed binding."""
-        to_slot, from_slot = {}, {}
-        for slot, base in self.from_slot.items():
-            target = mapping[base]
-            to_slot[target] = slot
-            from_slot[slot] = target
-        return GuardBinding(self.shape, to_slot, from_slot)
-
-
-def as_guard(entry: GuardBinding | GuardExpr) -> GuardExpr:
+def as_guard(entry: Binding | GuardExpr) -> GuardExpr:
     """A guard-table entry on the real names (a hand-built table holds
     plain guards, a synthesized or stamped one bindings)."""
     return entry if isinstance(entry, GuardExpr) else entry.guard
 
 
-def render(table: Mapping[Event, GuardBinding]) -> dict[Event, GuardExpr]:
+def render(table: Mapping[Event, Binding]) -> dict[Event, GuardExpr]:
     """A binding table on the real names."""
     return {event: binding.guard for event, binding in table.items()}
 
 
 def _bindings_modulo_renaming(
     deps_nf: Sequence[Expr], events: Sequence[Event]
-) -> list[GuardBinding]:
+) -> list[Binding]:
     """``_synthesize(deps_nf, e)`` for each ``e`` of ``events``, as a
     binding, paying one synthesis per query *shape*.
 
@@ -460,7 +524,7 @@ def _bindings_modulo_renaming(
     share them.  Each synthesized guard is stored as a binding of its
     shape onto the query's slots (the one rename synthesis pays, once
     per shape); a copy composes that binding with the query's
-    ``from_slot`` (:meth:`GuardBinding.renamed`), so no guard is renamed
+    ``from_slot`` (:meth:`Binding.renamed`), so no guard is renamed
     per copy.
     """
     bases = {e.base for e in events}
@@ -476,7 +540,7 @@ def _bindings_modulo_renaming(
             _SynthStats.shape_misses += 1
             synthesized = _synthesize(*key)
             own_to, own_from = _slot_maps(synthesized.bases())
-            found = _SHAPES[key] = GuardBinding(
+            found = _SHAPES[key] = Binding(
                 synthesized.rename(own_to), own_to, own_from
             )
         else:
@@ -683,7 +747,7 @@ def workflow_guards(
 def workflow_bindings(
     dependencies: Iterable[Expr],
     mentioned_only: bool = True,
-) -> dict[Event, GuardBinding]:
+) -> dict[Event, Binding]:
     """The per-event guard table of a workflow as bindings: what a
     scheduler enters its cursors at and a template stamps out.  See
     :func:`workflow_guards` for ``mentioned_only``."""
@@ -703,7 +767,7 @@ def workflow_bindings(
     # grouping loses
     everything = tuple(range(len(deps)))
     groups: dict[tuple[int, ...], list[Event]] = {}
-    table: dict[Event, GuardBinding | None] = {}
+    table: dict[Event, Binding | None] = {}
     for base in sorted(mentions, key=Event.sort_key):
         relevant = tuple(mentions[base]) if mentioned_only else everything
         for event in (base, base.complement):

@@ -2,36 +2,48 @@
 
 Independent workflow instances share one declarative specification:
 the ``N`` travel bookings of Example 12 differ only by an identifier
-suffix on every event and site name.  Each of their guards is a copy of
-one guard *shape*, so an instance needs no synthesis and no guard of
-its own: it is a binding.
+suffix on every event and site name.  Each of their guards and
+dependencies is a copy of one *shape*, so an instance needs no
+synthesis, no normal form and no closure of its own: it is a binding.
 
 :class:`WorkflowTemplate` pays synthesis once, on the un-suffixed
 workflow, through :func:`repro.temporal.guards.workflow_bindings`.
-Every entry of that table is a
-:class:`~repro.temporal.guards.GuardBinding`: the guard's shape on
-canonical slot events plus the template's ``to_slot`` / ``from_slot``
-maps.  Stamping an instance composes each binding with the suffix's
-base rename (:meth:`~repro.temporal.guards.GuardBinding.renamed`): the
-shape object is shared, no cube is touched, and the compiled cursor
-enters at it as it is.  The real-name guard is rendered only where a
-real name is read.  The dependency expressions are renamed
-structurally.  Cold start is ``O(synthesis + N * bases)``.
+Every entry of that table is a :class:`~repro.temporal.guards.Binding`:
+the guard's shape on canonical slot events plus the template's
+``to_slot`` / ``from_slot`` maps.  Stamping an instance composes each
+binding with the suffix's base rename
+(:meth:`~repro.temporal.guards.Binding.renamed`): the shape object is
+shared, no cube is touched, and the compiled cursor enters at it as it
+is.  The real-name guard is rendered only where a real name is read.
 
-Correctness note: guard synthesis folds in canonical event order
-(``Event.sort_key``), so a composed binding renders exactly the guard
-from-scratch synthesis on the renamed workflow gives, and binds the
-same slots, when the rename preserves that order.  Appending one
-suffix to every name *usually* preserves lexicographic order but not
-always (``"t1" < "t10"`` yet ``"t1_i1" > "t10_i1"``);
-:meth:`WorkflowTemplate.instantiate` checks order preservation per
-suffix and falls back to
-:func:`~repro.temporal.guards.workflow_bindings` on the renamed
-dependencies for the rare violating suffix -- a shape-table hit there
-whenever the suffix merely reorders names the same way an earlier one
-did, not a re-synthesis -- so an instance's table always renders the
-from-scratch guards (a property the test suite checks over the
-workload generators).
+A dependency is stamped the same way
+(:func:`~repro.temporal.guards.stamp_dependency`): the template keeps
+each of its dependencies in canonical form with its binding (its
+normal form on its own slots, the key of the residual closure every
+copy walks), and an instance's copy is a structural copy -- rebuilt
+through the interning constructors with no sort, dedupe or collapse --
+bound by that binding composed with the rename.  The requirement
+monitors enter the shared closure from it.  The rename itself is
+computed once per suffix (:meth:`WorkflowTemplate.mapping_for`) and
+shared by the instance's scripts.  Cold start is
+``O(synthesis + N * bases)``.
+
+Correctness note: guard synthesis and normal forms fold in canonical
+event order (``Event.sort_key``), so a composed binding renders
+exactly the guard from-scratch synthesis on the renamed workflow
+gives, binds the same slots, and enters the closure the renamed
+dependency's own normal form keys, when the rename preserves that
+order.  Appending one suffix to every name *usually* preserves
+lexicographic order but not always (``"t1" < "t10"`` yet
+``"t1_i1" > "t10_i1"``); :meth:`WorkflowTemplate.instantiate` checks
+order preservation per suffix and, for the rare violating suffix,
+renames the dependencies through
+:func:`~repro.algebra.expressions.rename_expr` and falls back to
+:func:`~repro.temporal.guards.workflow_bindings` on them -- a
+shape-table hit there whenever the suffix merely reorders names the
+same way an earlier one did, not a re-synthesis -- so an instance's
+table always renders the from-scratch guards (a property the test
+suite checks over the workload generators).
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from repro.algebra.expressions import rename_expr
 from repro.algebra.symbols import Event, rename_event
 from repro.obs.profile import span
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.temporal.guards import GuardBinding, workflow_bindings
+from repro.temporal.guards import Binding, stamp_dependency, workflow_bindings
 from repro.workflows.spec import Workflow
 
 
@@ -68,15 +80,16 @@ def rename_script(
 
 @dataclass(frozen=True)
 class WorkflowInstance:
-    """One stamped-out instance: the renamed workflow, its guard table
-    as bindings (each the template's shape under this instance's
-    names; :func:`~repro.temporal.guards.render` gives the real-name
-    guards) and the base rename ``mapping`` that produced it (empty
-    for the empty suffix)."""
+    """One stamped-out instance: the renamed workflow (its dependencies
+    carry their bindings), its guard table as bindings (each the
+    template's shape under this instance's names;
+    :func:`~repro.temporal.guards.render` gives the real-name guards)
+    and the base rename ``mapping`` that produced it (empty for the
+    empty suffix; the template's own, shared, so not to be mutated)."""
 
     suffix: str
     workflow: Workflow
-    guards: dict[Event, GuardBinding]
+    guards: dict[Event, Binding]
     mapping: dict[Event, Event]
 
     def instantiate_script(self, script: AgentScript) -> AgentScript:
@@ -98,7 +111,12 @@ class WorkflowTemplate:
         self.workflow = workflow
         #: span profiler attributing synthesis vs stamping time, if any
         self.profiler = profiler
-        self._guards: dict[Event, GuardBinding] | None = None
+        self._guards: dict[Event, Binding] | None = None
+        #: the dependencies in canonical form, which a structural copy
+        #: needs (``rename_expr`` under no rename canonicalizes)
+        self._dependencies = tuple(
+            rename_expr(dep, {}) for dep in workflow.dependencies
+        )
         bases = {e.base for e in workflow.alphabet()}
         bases.update(b.base for b in workflow.sites)
         bases.update(b.base for b in workflow.attributes)
@@ -106,6 +124,7 @@ class WorkflowTemplate:
         self.bases: tuple[Event, ...] = tuple(
             sorted(bases, key=Event.sort_key)
         )
+        self._mappings: dict[str, dict[Event, Event]] = {}
         #: instantiations served by composing bindings
         self.fast_instantiations = 0
         #: instantiations through ``workflow_bindings`` (order-violating
@@ -113,7 +132,7 @@ class WorkflowTemplate:
         self.fallback_instantiations = 0
 
     @property
-    def guards(self) -> dict[Event, GuardBinding]:
+    def guards(self) -> dict[Event, Binding]:
         """The template's binding table (synthesized once, lazily)."""
         if self._guards is None:
             with span(self.profiler, "synthesis"):
@@ -121,35 +140,64 @@ class WorkflowTemplate:
         return self._guards
 
     def mapping_for(self, suffix: str) -> dict[Event, Event]:
-        """Base-event rename for one instance suffix."""
-        if not suffix:
-            return {}
-        return {
-            base: Event(f"{base.name}{suffix}") for base in self.bases
-        }
+        """Base-event rename for one instance suffix: each base's name
+        suffixed, its parameters kept, so distinct bases stay distinct.
+        Computed once per suffix; the dict is shared with every caller,
+        so it must not be mutated."""
+        mapping = self._mappings.get(suffix)
+        if mapping is None:
+            mapping = {
+                base: Event(f"{base.name}{suffix}", params=base.params)
+                for base in self.bases
+            } if suffix else {}
+            self._mappings[suffix] = mapping
+        return mapping
 
     def _order_preserving(self, mapping: Mapping[Event, Event]) -> bool:
         """Does the rename keep the canonical event order?
 
         ``self.bases`` is sorted; the rename is order-preserving iff
-        the image sequence is strictly sorted too.  This is what makes
-        the renamed guard table bit-identical to a fresh synthesis on
-        the renamed dependencies (the synthesis folds in sort order).
+        the image sequence is strictly sorted too (so it is injective).
+        This is what makes the composed guard and dependency bindings
+        bit-identical to a fresh synthesis and fresh normal forms on
+        the renamed dependencies (both fold in sort order).
         """
         keys = [mapping[base].sort_key() for base in self.bases]
         return all(a < b for a, b in zip(keys, keys[1:]))
 
     def instantiate(self, suffix: str) -> WorkflowInstance:
         """Stamp out one instance: renamed events and sites, and the
-        template's bindings composed with the suffix's rename."""
+        template's guard and dependency bindings composed with the
+        suffix's rename."""
         with span(self.profiler, "template_stamp"):
             mapping = self.mapping_for(suffix)
+            if not mapping:
+                dependencies = list(self._dependencies)
+                guards = dict(self.guards)
+                self.fast_instantiations += 1
+            elif self._order_preserving(mapping):
+                dependencies = [
+                    stamp_dependency(dep, mapping)
+                    for dep in self._dependencies
+                ]
+                # the template maps every base it holds, so every key
+                # and binding of its table has an image
+                guards = {}
+                for event, binding in self.guards.items():
+                    target = mapping[event.base]
+                    key = target.complement if event.negated else target
+                    guards[key] = binding.renamed(mapping)
+                self.fast_instantiations += 1
+            else:
+                dependencies = [
+                    rename_expr(dep, mapping) for dep in self._dependencies
+                ]
+                guards = workflow_bindings(dependencies)
+                self.fallback_instantiations += 1
             source = self.workflow
             instance = Workflow(
                 f"{source.name}{suffix}",
-                dependencies=[
-                    rename_expr(dep, mapping) for dep in source.dependencies
-                ],
+                dependencies=dependencies,
                 attributes={
                     rename_event(event, mapping): attrs
                     for event, attrs in source.attributes.items()
@@ -159,21 +207,6 @@ class WorkflowTemplate:
                     for event, site in source.sites.items()
                 },
             )
-            if not mapping:
-                guards = dict(self.guards)
-                self.fast_instantiations += 1
-            elif not self._order_preserving(mapping):
-                guards = workflow_bindings(instance.dependencies)
-                self.fallback_instantiations += 1
-            else:
-                # the template maps every base it holds, so every key
-                # and binding of its table has an image
-                guards = {}
-                for event, binding in self.guards.items():
-                    target = mapping[event.base]
-                    key = target.complement if event.negated else target
-                    guards[key] = binding.renamed(mapping)
-                self.fast_instantiations += 1
         return WorkflowInstance(
             suffix=suffix,
             workflow=instance,
@@ -201,7 +234,7 @@ class WorkflowTemplate:
 
     def instantiate_merged(
         self, suffixes: Iterable[str]
-    ) -> tuple[Workflow, dict[Event, GuardBinding]]:
+    ) -> tuple[Workflow, dict[Event, Binding]]:
         """All instances merged for one scheduler: workflow + guards.
 
         The merged binding table is the union of the per-instance
@@ -212,7 +245,7 @@ class WorkflowTemplate:
         """
         names: list[str] = []
         merged = Workflow("")
-        guards: dict[Event, GuardBinding] = {}
+        guards: dict[Event, Binding] = {}
         claimed: set[str] = set()
         for suffix in suffixes:
             self._claim(suffix, claimed)

@@ -249,13 +249,24 @@ def test_recovered_monitor_matches_an_uncrashed_twin():
 
 def test_closure_count_depends_on_the_template_not_on_the_copies():
     """Monitors find the closures synthesis built for the template's
-    shapes and add none of their own, however many copies run."""
-    closures = []
+    shapes and add none of their own, however many copies run; they
+    enter them from the bindings stamping composed, so no copy is
+    normal-formed either."""
+    closures, normal_forms, bound = [], [], []
     for copies in (1, 16):
         clear_synthesis_caches()
+        to_normal_form.cache_clear()
         run_stamped_travel((["success", "failure"] * 8)[:copies])
-        closures.append(synthesis_stats()["closures"])
+        stats = synthesis_stats()
+        closures.append(stats["closures"])
+        normal_forms.append(to_normal_form.cache_info().misses)
+        bound.append((stats["binding_misses"], stats["binding_hits"]))
     assert closures[0] == closures[1] > 0
+    assert normal_forms[0] == normal_forms[1] > 0
+    # only the template's own dependencies are bound; every copy's
+    # binding is found where stamping put it
+    assert bound[0][0] == bound[1][0] > 0
+    assert bound[1][1] > bound[0][1]
 
 
 def test_per_state_answers_die_with_their_closure():

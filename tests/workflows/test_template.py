@@ -109,6 +109,28 @@ class TestWorkflowTemplate:
             instance.workflow.dependencies
         )
 
+    def test_parametrized_events_keep_their_parameters(self):
+        # regression: the rename dropped event parameters, so e[1] . e[2]
+        # stamped as e_i0 . e_i0 -- which is 0 -- with an empty table
+        w = Workflow("tokens")
+        w.add("e[1] . e[2]")
+        template = WorkflowTemplate(w)
+        instance = template.instantiate("_i0")
+        e1, e2 = Event("e_i0", params=(1,)), Event("e_i0", params=(2,))
+        assert instance.workflow.dependencies == [parse("e_i0[1] . e_i0[2]")]
+        assert set(instance.guards) == {e1, ~e1, e2, ~e2}
+        assert render(instance.guards) == workflow_guards(
+            instance.workflow.dependencies
+        )
+        assert template.fast_instantiations == 1
+
+    def test_mapping_is_computed_once_per_suffix(self):
+        template = WorkflowTemplate(make_travel_booking().workflow)
+        mapping = template.mapping_for("_i4")
+        instance = template.instantiate("_i4")
+        assert instance.mapping is mapping
+        assert template.mapping_for("_i4") is mapping
+
     def test_empty_suffix_is_identity(self):
         workflow = make_travel_booking().workflow
         template = WorkflowTemplate(workflow)
