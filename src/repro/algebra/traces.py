@@ -148,7 +148,8 @@ def satisfies(trace: Trace, expr: Expr) -> bool:
 
 def unsatisfied(trace: Trace, deps: Iterable[Expr]) -> Iterator[Expr]:
     """The dependencies ``trace`` fails, in the order given -- the one
-    loop under every post-run check (scheduler, audit, shard group)."""
+    satisfaction loop (the oracle, ``Workflow.admits``, the admissible
+    traces of ``workflows.analysis``)."""
     return (dep for dep in deps if not satisfies(trace, dep))
 
 

@@ -50,10 +50,12 @@ becomes a template, K suffixed instances are stamped out by renaming
 its compiled guards, and N schedulers run them in a process pool;
 timeline, trace, and metrics come back merged).
 
-Exit codes: ``run`` exits 0 only when the run is *clean* -- no
-dependency violations, no unsettled bases, and (with ``--slo``) no
-failed SLO rule; 1 when any remains; 2 on usage errors and on a spec
-no trace satisfies (it is not run).  ``trace
+Exit codes: ``run`` (single or ``--shards``) exits 1 on any
+violation or (with ``--slo``) failed SLO rule; otherwise 0 when the
+run ended *maximal* (every base settled) and 3 when it ended *stuck*
+or *down* (unsettled bases; ``down`` when one lives on a site lost for
+good) -- ``--json`` reports which as ``"terminal"``; 2 on usage errors
+and on a spec no trace satisfies (it is not run).  ``trace
 check`` exits 1 when the trace violates an invariant (an empty or
 truncated trace is reported, not a traceback); ``trace query`` exits 1
 when the trace is empty, no record matches, or the requested analysis
@@ -73,6 +75,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 
 from repro.algebra.parser import parse
 from repro.obs import Tracer, check_file, open_trace, read_jsonl, to_chrome
@@ -746,11 +749,17 @@ def _finish_run(
                 f"{len(diags)} checker diagnostic(s) on the retained window"
             )
         if result.violations:
+            kinds = Counter(v.kind for v in result.violations)
             recorder.note_anomaly(
-                f"{len(result.violations)} dependency violation(s)"
+                "violation(s): " + ", ".join(
+                    f"{count} {kind}" for kind, count in sorted(kinds.items())
+                )
             )
-        if result.unsettled:
-            recorder.note_anomaly(f"{len(result.unsettled)} unsettled base(s)")
+        if result.terminal != "maximal":
+            recorder.note_anomaly(
+                f"run ended {result.terminal}: "
+                f"{len(result.unsettled)} unsettled base(s)"
+            )
         for failure in slo_failures:
             recorder.note_anomaly(f"SLO failed: {failure['name']}")
         dumped = recorder.flush()
@@ -790,11 +799,14 @@ def _finish_run(
             print(format_report(profile))
         for violation in result.violations:
             print(f"violation[{violation.kind}]: {violation.detail}")
-    # the exit contract: clean means no violations, every base settled,
-    # and every --slo rule holding
-    return 0 if (
-        not result.violations and not result.unsettled and not slo_failures
-    ) else 1
+        if result.terminal != "maximal":
+            unsettled = ", ".join(repr(base) for base in result.unsettled)
+            print(f"run ended {result.terminal}; unsettled: {unsettled}")
+    # the exit contract: 1 for a violation or a failed --slo rule, else
+    # 3 for a run that ended stuck or down, else 0
+    if result.violations or slo_failures:
+        return 1
+    return 0 if result.terminal == "maximal" else 3
 
 
 def _latency_model(args):
@@ -910,6 +922,7 @@ def _run_report(result, metrics, trace_records, trace_path) -> dict:
             {"kind": v.kind, "detail": v.detail} for v in result.violations
         ],
         "unsettled": [repr(b) for b in result.unsettled],
+        "terminal": result.terminal,
         "metrics": metrics,
     }
     if trace_path:

@@ -280,7 +280,7 @@ def plan_shards(
 # execution + merge
 
 
-def run_shard(task: ShardTask, max_rounds: int = 1000) -> ShardOutcome:
+def run_shard(task: ShardTask) -> ShardOutcome:
     """Run one shard to completion in this process -- the only shard
     runner, and the only place :mod:`repro.scale` builds a scheduler.
 
@@ -318,7 +318,6 @@ def run_shard(task: ShardTask, max_rounds: int = 1000) -> ShardOutcome:
             for script in instance.scripts
         ),
         settle=task.settle,
-        max_rounds=max_rounds,
     )
     return ShardOutcome(
         shard=task.shard,
@@ -440,8 +439,10 @@ def run_sharded(
     value <= 1 runs in-process.  Shards are independent of each other
     by construction (the planner fused what a dependency spanned).
     The merged :class:`ExecutionResult` pools entries across shards in
-    virtual-time order, sums the additive counters, and maxes the
-    per-scheduler aggregates (makespan, peak site load).  Raises
+    virtual-time order, sums the additive counters, maxes the
+    per-scheduler aggregates (makespan, peak site load), and ends
+    ``down`` if any shard did, else ``stuck`` if any shard did, else
+    ``maximal``.  Raises
     :class:`TimeoutError` naming the shards the pool did not finish
     within :data:`SHARD_TIMEOUT_S`.
     """
@@ -478,6 +479,10 @@ def run_sharded(
         result.max_site_load = max(result.max_site_load, shard.max_site_load)
     tagged.sort(key=lambda item: item[:3])
     result.entries = [entry for _, _, _, entry in tagged]
+    terminals = {outcome.result.terminal for outcome in outcomes}
+    result.terminal = next(
+        state for state in ("down", "stuck", "maximal") if state in terminals
+    )
     result.messages_by_kind = dict(sorted(result.messages_by_kind.items()))
 
     metrics = merge_metrics(

@@ -23,6 +23,9 @@
 * :mod:`repro.scheduler.automata` -- the automaton-per-dependency
   baseline in the style of Attie et al. [2] (Section 6): the same
   scheduler, reporting the size of the automata it walks.
+* :mod:`repro.scheduler.oracle` -- :func:`judge`, the one function that
+  judges a trace against the spec (``ExecutionResult.verify`` calls
+  it, so it is loaded with the package).
 """
 
 from repro.scheduler.events import (
@@ -31,6 +34,7 @@ from repro.scheduler.events import (
     ExecutionResult,
     Violation,
 )
+from repro.scheduler.oracle import judge
 from repro.scheduler.agents import AgentScript, ScriptedAttempt, TaskSkeleton
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.scheduler.residuation_scheduler import CentralizedScheduler
@@ -47,4 +51,5 @@ __all__ = [
     "ScriptedAttempt",
     "TaskSkeleton",
     "Violation",
+    "judge",
 ]

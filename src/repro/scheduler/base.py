@@ -44,7 +44,9 @@ class RunBase:
     Lamport-stamped event trace, ``profiler`` (a
     :class:`repro.obs.Profiler`; default none) attributes wall time to
     phases, ``fabric`` reaches :class:`~repro.sim.network.Network`.
-    Subclasses provide ``attempt(event)`` and ``drain(max_rounds)``.
+    Subclasses provide ``attempt(event)`` and ``drain()``, which
+    settles until a round changes nothing; :meth:`finish` then names
+    the terminal state the run ended in.
     """
 
     #: counter and trace op of a settlement: an actor's event *fired*,
@@ -263,16 +265,15 @@ class RunBase:
         scripts: Iterable[AgentScript] = (),
         settle: bool = True,
         verify: bool = True,
-        max_rounds: int = 1000,
     ) -> ExecutionResult:
         """The whole lifecycle: :meth:`start`, run to quiescence, the
-        scheduler's ``drain(max_rounds)`` (lifecycle step 2: settle the
-        quiescent run by complements; False when the round budget runs
-        out), :meth:`finish`."""
+        scheduler's ``drain()`` (lifecycle step 2: settle the quiescent
+        run by complements), :meth:`finish`."""
         self.start(scripts)
         self.sim.run()
-        converged = not settle or self.drain(max_rounds)
-        return self.finish(verify, converged)
+        if settle:
+            self.drain()
+        return self.finish(verify)
 
     def _next_settlement(self) -> Event | None:
         """The smallest unsettled base eligible for complement settlement.
@@ -293,26 +294,34 @@ class RunBase:
             return base
         return None
 
-    def finish(
-        self, verify: bool = True, converged: bool = True
-    ) -> ExecutionResult:
-        """Lifecycle step 3: the result summary, post-run verification
-        and -- when ``drain`` ran out of rounds -- the non-convergence
-        violation."""
+    def _lost(self, base: Event) -> bool:
+        """Does ``base`` live on a site that is down for good?"""
+        site, faults = self.site_of(base), self.faults
+        return (
+            faults is not None
+            and faults.is_down(site)
+            and faults.restart_time(site) is None
+        )
+
+    def finish(self, verify: bool = True) -> ExecutionResult:
+        """Lifecycle step 3: the result summary, the terminal state
+        (``maximal``, else ``down`` when an unsettled base's site is
+        down for good, else ``stuck``) and post-run verification."""
         stats = self.network.stats
         self.result.makespan = self.sim.now
         self.result.messages = stats.messages
         self.result.messages_by_kind = dict(stats.by_kind)
         self.result.max_site_load = self.network.max_site_load()
         self.result.central_queue_wait = stats.max_queue_wait
-        self.result.unsettled = [
-            b for b in self._sorted_bases() if b not in self._settled
-        ]
+        unsettled = [b for b in self._sorted_bases() if b not in self._settled]
+        self.result.unsettled = unsettled
+        if not unsettled:
+            self.result.terminal = "maximal"
+        elif any(self._lost(b) for b in unsettled):
+            self.result.terminal = "down"
+        else:
+            self.result.terminal = "stuck"
         if verify:
             with span(self.profiler, "verify"):
                 self.result.verify(self.dependencies)
-        if not converged:
-            self.result.violations.append(
-                Violation("settlement", "settlement did not converge")
-            )
         return self.result

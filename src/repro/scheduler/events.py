@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
-from repro.algebra.traces import Trace, unsatisfied
+from repro.algebra.traces import Trace
 
 
 class AttemptOutcome(enum.Enum):
@@ -126,7 +126,14 @@ class TraceEntry:
 
 @dataclass
 class ExecutionResult:
-    """The outcome of one scheduled run, common to all schedulers."""
+    """The outcome of one scheduled run, common to all schedulers.
+
+    ``terminal`` is how the run ended: ``"maximal"`` (every base
+    settled), ``"down"`` (an unsettled base lives on a site that is
+    down for good) or ``"stuck"`` (unsettled bases, none of them on a
+    lost site); ``unsettled`` lists the bases behind it.  It is not a
+    violation: a run can be stuck and violate nothing.
+    """
 
     entries: list[TraceEntry] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
@@ -140,6 +147,7 @@ class ExecutionResult:
     not_yet_rounds: int = 0
     triggered: int = 0
     unsettled: list[Event] = field(default_factory=list)
+    terminal: str = "maximal"
 
     @property
     def trace(self) -> Trace:
@@ -157,15 +165,15 @@ class ExecutionResult:
     def verify(self, dependencies: list[Expr]) -> list[Violation]:
         """Check the realized trace against every stated dependency.
 
-        Appends (and returns) violations for dependencies the trace
-        fails -- the post-hoc form of Theorem 6's guarantee.
+        Appends (and returns) the :func:`~repro.scheduler.oracle.judge`
+        violations for dependencies the trace fails -- the post-hoc
+        form of Theorem 6's guarantee.
         """
         if not dependencies:
             return []  # nothing to check: do not even build the trace
-        trace = self.trace  # built, validated and indexed once
-        found = [
-            Violation("dependency", f"trace {trace!r} violates {dep!r}")
-            for dep in unsatisfied(trace, dependencies)
-        ]
+        # imported here: the oracle imports Violation from this module
+        from repro.scheduler.oracle import judge
+
+        found = judge(self.trace, dependencies)
         self.violations.extend(found)
         return found

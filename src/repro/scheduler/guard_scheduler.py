@@ -86,10 +86,11 @@ class DistributedScheduler(RunBase):
     """Compile a workflow into actors and run it on the simulated network.
 
     Construction synthesizes the guards and places the actors;
-    :meth:`run` is then ``start(scripts)``, ``sim.run()``,
-    ``drain(max_rounds)``, ``finish(verify, converged)``.  A driver
-    that steps the clock itself calls the same three steps instead of
-    ``run``.
+    :meth:`run` is then ``start(scripts)``, ``sim.run()``, ``drain()``
+    (settle until a round changes nothing), ``finish(verify)``.  A
+    driver that steps the clock itself calls the same three steps
+    instead of ``run``.  Every run ends in a named terminal state
+    (``result.terminal``): ``maximal``, ``stuck`` or ``down``.
 
     Parameters
     ----------
@@ -949,7 +950,7 @@ class DistributedScheduler(RunBase):
     # ------------------------------------------------------------------
     # driving a run
 
-    def attempt(self, event: Event, at: float | None = None) -> None:
+    def attempt(self, event: Event) -> None:
         actor = self.actors.get(event)
         if actor is None:
             raise KeyError(f"no actor for {event!r}; is it in the workflow alphabet?")
@@ -960,8 +961,7 @@ class DistributedScheduler(RunBase):
                 # permanently-failed site simply loses the attempt
                 self.sim.schedule_at(restart, lambda: self.attempt(event))
             return
-        attempted_at = self.sim.now if at is None else at
-        actor.attempt(attempted_at)
+        actor.attempt(self.sim.now)
 
     def start(self, scripts: Iterable[AgentScript] = ()) -> None:
         """Lifecycle step 1: schedule the scripts, arm the fault plan,
@@ -973,9 +973,7 @@ class DistributedScheduler(RunBase):
         for _site, monitor in self._monitors:
             monitor.evaluate()
 
-    def finish(
-        self, verify: bool = True, converged: bool = True
-    ) -> ExecutionResult:
+    def finish(self, verify: bool = True) -> ExecutionResult:
         """Lifecycle step 3: the closing time-series sample, the
         messages the session layer lost and the promises nobody kept,
         then :meth:`RunBase.finish`."""
@@ -1000,25 +998,48 @@ class DistributedScheduler(RunBase):
                         f"{actor.event!r} promised occurrence but never occurred",
                     )
                 )
-        return super().finish(verify, converged)
+        return super().finish(verify)
 
-    def drain(self, max_rounds: int) -> bool:
-        """Lifecycle step 2: settle the quiescent scheduler until the
-        trace is maximal or nothing makes progress.
+    def drain(self) -> None:
+        """Lifecycle step 2: settle the quiescent scheduler until a
+        round changes nothing -- the trace is maximal, or no base can
+        make progress (:meth:`finish` names which).
 
-        Each round sweeps orphan freezes, runs escalation, and attempts
-        one settlement batch; stops when a round neither swept nor
-        attempted anything.  Returns False when the round budget runs
-        out (non-convergence; :meth:`finish` records it).
+        Each round sweeps orphan freezes, runs escalation to its
+        fixpoint, and attempts one settlement batch; the loop stops when
+        a round neither swept nor attempted anything.  It needs no
+        round budget, because every other round moves a bounded
+        quantity that only grows:
+
+        * a settlement round either settles a new base or adds its
+          batch to ``_no_progress_bases``, and that set is cleared only
+          on progress; ``_settled`` never shrinks, so with ``n`` bases
+          fewer than ``(n + 1) ** 2`` settlement rounds run;
+        * a sweep only releases freezes, and a freeze is taken only
+          where a delivered certificate request is served, once per
+          delivery.  A raw-network drop can orphan a freeze again after
+          a sweep (its release is lost), but a run serves finitely many
+          requests: an actor starts a round only on new knowledge (its
+          masks only tighten) or on a newly escalated cube;
+        * each escalation step adds a cube to an actor's
+          ``_escalated_cubes``, which only crash, recovery and
+          reconfiguration reset, and none of those can occur after
+          quiescence (a fault plan's crashes and restarts all lie
+          behind the first ``sim.run()``), so
+          :meth:`_escalation_rounds` reaches its fixpoint.
+
+        The bounds are deterministic, not probabilistic, given that
+        each ``sim.run()`` in between ends: the session layer gives up
+        after ``max_retries`` and the raw fabric duplicates a send at
+        most once.
         """
-        for _ in range(max_rounds):
+        while True:
             swept = self._sweep_orphan_freezes()
             if swept:
                 self.sim.run()
-            self._escalation_rounds(max_rounds)
+            self._escalation_rounds()
             if not self._settle_one() and not swept:
-                return True
-        return False
+                return
 
     def _sweep_orphan_freezes(self) -> bool:
         """Void freezes that no live round can ever release.
@@ -1058,15 +1079,15 @@ class DistributedScheduler(RunBase):
                 self._release_holds(base, lambda h: h in victims)
         return released
 
-    def _escalation_rounds(self, max_rounds: int) -> None:
+    def _escalation_rounds(self) -> None:
         """At quiescence, let parked actors demand promises (which may
         trigger idle triggerable events) before anything is settled
         negatively.  One cube of one actor per round, so cheap
         alternatives resolve before anything gets triggered; any
-        progress restarts the scan."""
+        progress restarts the scan, until no actor issues a demand."""
         if not self.policy.escalation:
             return
-        for _ in range(max_rounds):
+        while True:
             parked = [
                 a for a in self._sorted_actors()
                 if a.status is ActorStatus.PENDING

@@ -361,7 +361,7 @@ class CentralizedScheduler(RunBase):
     # ------------------------------------------------------------------
     # agent-side behaviour
 
-    def attempt(self, event: Event, at: float | None = None) -> None:
+    def attempt(self, event: Event) -> None:
         """The owning agent asks the center (the attempt is made now)."""
         attempted_at = self.sim.now
         self.network.send(
@@ -376,13 +376,15 @@ class CentralizedScheduler(RunBase):
         super().start(scripts)
         self._run_triggers()
 
-    def drain(self, max_rounds: int) -> bool:
+    def drain(self) -> None:
         """Attempt the complement of one unsettled base per round until
-        none is eligible; False when the rounds run out."""
-        for _ in range(max_rounds):
+        none is eligible.  Each round either settles something (and
+        clears ``_no_progress_bases``) or adds its base to that set, so
+        with ``n`` bases fewer than ``(n + 1) ** 2`` rounds run."""
+        while True:
             base = self._next_settlement()
             if base is None:
-                return True
+                return
             before = len(self.result.entries)
             self.attempt(base.complement)
             self.sim.run()
@@ -390,4 +392,3 @@ class CentralizedScheduler(RunBase):
                 self._no_progress_bases.clear()
             else:
                 self._no_progress_bases.add(base)
-        return False

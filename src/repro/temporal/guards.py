@@ -49,7 +49,7 @@ its dependencies, Section 4.2).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.expressions import (
     Atom,
@@ -783,16 +783,23 @@ def workflow_bindings(
     return table
 
 
+def guard_failures(
+    guards: Mapping[Event, GuardExpr],
+    trace,
+) -> Iterator[tuple[int, Event, GuardExpr]]:
+    """Definition 4's point check: ``(index, event, guard)`` for each
+    event of ``u`` whose guard did not hold at the index just before it
+    occurred.  Events foreign to the table are not checked."""
+    for j, e in enumerate(trace.events):
+        table_guard = guards.get(e)
+        if table_guard is not None and not table_guard.holds_at(trace, j):
+            yield j, e, table_guard
+
+
 def generates(
     guards: Mapping[Event, GuardExpr],
     trace,
 ) -> bool:
-    """Definition 4: the guard table generates ``u`` iff every event of
-    ``u`` satisfies its guard at the index just before it occurs."""
-    for j, e in enumerate(trace.events):
-        table_guard = guards.get(e)
-        if table_guard is None:
-            continue
-        if not table_guard.holds_at(trace, j):
-            return False
-    return True
+    """Definition 4: the guard table generates ``u`` iff no event of
+    ``u`` fails its guard (:func:`guard_failures`)."""
+    return next(guard_failures(guards, trace), None) is None

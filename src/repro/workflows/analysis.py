@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.algebra.expressions import Expr
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event, rename_event
+from repro.algebra.traces import maximal_universe, universe_size, unsatisfied
 from repro.scheduler.residuation_scheduler import joint_completion_exists
 from repro.temporal.compiled import table_stats
 from repro.temporal.guards import (
@@ -367,30 +368,17 @@ def admissible_traces(dependencies: list[Expr]):
     a "how constrained is this workflow" measure: the travel workflow
     admits a small fraction of the 2^n * n! candidate schedules.
     """
-    from repro.algebra.traces import maximal_universe, satisfies
-
-    bases: set[Event] = set()
-    for dep in dependencies:
-        bases |= dep.bases()
-    for trace in maximal_universe(bases):
-        if all(satisfies(trace, dep) for dep in dependencies):
+    for trace in maximal_universe(_bases(dependencies)):
+        if next(unsatisfied(trace, dependencies), None) is None:
             yield trace
 
 
 def admitted_fraction(dependencies: list[Expr]) -> tuple[int, int]:
     """(admitted, total) maximal traces -- the spec's selectivity."""
-    from repro.algebra.traces import maximal_universe
-
-    bases: set[Event] = set()
-    for dep in dependencies:
-        bases |= dep.bases()
-    total = 0
-    admitted = 0
-    universe_iter = maximal_universe(bases)
-    from repro.algebra.traces import satisfies
-
-    for trace in universe_iter:
-        total += 1
-        if all(satisfies(trace, dep) for dep in dependencies):
-            admitted += 1
+    admitted = sum(1 for _ in admissible_traces(dependencies))
+    total = universe_size(len(_bases(dependencies)), include_partial=False)
     return admitted, total
+
+
+def _bases(dependencies: list[Expr]) -> frozenset[Event]:
+    return frozenset().union(*(dep.bases() for dep in dependencies))

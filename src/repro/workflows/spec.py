@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.algebra.expressions import Expr
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
-from repro.algebra.traces import Trace, satisfies
+from repro.algebra.traces import Trace, unsatisfied
 from repro.scheduler.events import EventAttributes
 
 
@@ -71,7 +71,7 @@ class Workflow:
 
     def admits(self, trace: Trace) -> bool:
         """Does the trace satisfy every dependency (Section 3.3)?"""
-        return all(satisfies(trace, dep) for dep in self.dependencies)
+        return next(unsatisfied(trace, self.dependencies), None) is None
 
     def merged(self, other: "Workflow", name: str | None = None) -> "Workflow":
         """Combine two workflows (their union runs under one scheduler)."""

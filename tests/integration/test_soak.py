@@ -1,19 +1,23 @@
 """Randomized soak: many seeded workloads, every scheduler, full audit.
 
-Each run is checked by the independent Definition-4 oracle
-(:mod:`repro.scheduler.oracle`), not by the schedulers' own
-bookkeeping: dependencies satisfied, trace maximal, and every realized
-event's synthesized guard true at its occurrence index.
+Each run is checked by the one oracle (:mod:`repro.scheduler.oracle`),
+not by the schedulers' own verdict: dependencies satisfied and every
+realized event's synthesized guard true at its occurrence index.  The
+run must end maximal, and the result's bookkeeping must hold up: no
+base settled twice, no event before its attempt.
 """
 
 import pytest
 
+from repro.algebra.symbols import Event
 from repro.scheduler import (
     AutomataScheduler,
     CentralizedScheduler,
     DistributedScheduler,
 )
-from repro.scheduler.oracle import audit_result, validate_trace
+from repro.scheduler.events import AttemptOutcome, ExecutionResult, TraceEntry
+from repro.scheduler.oracle import judge
+from repro.temporal.guards import workflow_guards
 from repro.workloads.generators import (
     chain_workflow,
     diamond_workflow,
@@ -25,22 +29,46 @@ from repro.workloads.generators import (
 SCHEDULERS = [DistributedScheduler, CentralizedScheduler, AutomataScheduler]
 
 
+def assert_bookkeeping(result):
+    """The result's entries are a trace the run could have produced."""
+    bases = [entry.event.base for entry in result.entries]
+    assert len(bases) == len(set(bases)), f"a base settled twice: {bases}"
+    for entry in result.entries:
+        assert entry.time >= entry.attempted_at, (
+            f"{entry.event!r} occurred before it was attempted"
+        )
+
+
 def run_audited(workflow, scheduler_cls, seed, participation=1.0):
     scripts = scripts_for(workflow, seed=seed, participation=participation)
+    deps = workflow.dependencies
     sched = scheduler_cls(
-        workflow.dependencies,
-        sites=workflow.sites,
-        attributes=workflow.attributes,
+        deps, sites=workflow.sites, attributes=workflow.attributes
     )
     result = sched.run(scripts)
-    report = audit_result(result, workflow.dependencies)
-    assert report.ok, (
-        scheduler_cls.__name__,
-        seed,
-        result.trace,
-        [f.detail for f in report.findings],
-    )
+    assert_bookkeeping(result)
+    found = judge(result.trace, deps, workflow_guards(deps))
+    context = (scheduler_cls.__name__, seed, result.trace)
+    assert found == [], (*context, [v.detail for v in found])
+    assert result.terminal == "maximal", (*context, result.unsettled)
     return result
+
+
+class TestBookkeeping:
+    def test_doctored_result_is_caught(self):
+        e, f = Event("e"), Event("f")
+        early = ExecutionResult(
+            entries=[TraceEntry(e, 1.0, 5.0, AttemptOutcome.ACCEPTED)]
+        )
+        twice = ExecutionResult(
+            entries=[
+                TraceEntry(f, 1.0, 0.0, AttemptOutcome.ACCEPTED),
+                TraceEntry(~f, 2.0, 0.0, AttemptOutcome.ACCEPTED),
+            ]
+        )
+        for doctored in (early, twice):
+            with pytest.raises(AssertionError):
+                assert_bookkeeping(doctored)
 
 
 @pytest.mark.parametrize("scheduler_cls", SCHEDULERS, ids=lambda c: c.__name__)
@@ -83,4 +111,4 @@ class TestCrossSchedulerTraceValidity:
             result = run_audited(w, cls, seed)
             traces.append(result.trace)
         for trace in traces:
-            assert validate_trace(trace, w.dependencies).ok
+            assert judge(trace, w.dependencies) == []

@@ -10,7 +10,9 @@ and asserts:
   trace is nonzero (the trace is a prefix of an accepting run);
 * **liveness**: when every crashed site restarts, the reliable run
   settles every base the fault-free run settles (the recovery protocol
-  loses nothing for good).
+  loses nothing for good);
+* **termination**: every run, raw lossy ones included, ends in the
+  terminal state its unsettled bases explain.
 
 Each generated schedule is deterministic: the simulator is seeded and
 Hypothesis's ``ci`` profile is derandomized, so failures replay.  Every
@@ -125,6 +127,16 @@ def assert_trace_safe(scenario, result):
         assert not isinstance(residual, Zero), (dep, trace)
 
 
+def assert_terminal_state(sched, plan, result):
+    """``maximal`` exactly when nothing is unsettled, ``down`` exactly
+    when an unsettled base lives on a site the plan never restarts."""
+    lost = {c.site for c in plan.crashes if c.restart_at is None}
+    assert (result.terminal == "maximal") == (result.unsettled == [])
+    assert (result.terminal == "down") == any(
+        sched.site_of(base) in lost for base in result.unsettled
+    ), (result.terminal, result.unsettled, lost)
+
+
 class TestChaosSafety:
     """Any fault schedule -- including permanent site loss -- yields a
     valid (prefix of an accepting) trace."""
@@ -138,6 +150,7 @@ class TestChaosSafety:
 
         def check():
             assert_trace_safe(scenario, result)
+            assert_terminal_state(sched, plan, result)
             # the recorded causal trace satisfies the offline checker's
             # invariants under the same arbitrary fault schedules
             diags = check_records(tracer.records)
@@ -193,6 +206,48 @@ class TestChaosLiveness:
             assert not (scenario.expect_absent & occurred)
 
         check_with_trace(tracer, name, seed, check)
+
+
+def run_raw(scenario, drop, dup, seed):
+    """A lossy run with no session layer (and so no fault plan)."""
+    sched = DistributedScheduler(
+        scenario.workflow.dependencies,
+        sites=scenario.workflow.sites,
+        attributes=scenario.workflow.attributes,
+        rng=random.Random(seed),
+        drop_probability=drop,
+        duplicate_probability=dup,
+    )
+    return sched, sched.run(scenario.scripts, verify=False)
+
+
+class TestChaosRawNetwork:
+    """On the raw fabric a lost release can orphan a freeze again after
+    the quiescence sweep voided one.  Settlement has no round budget, so
+    it must still end -- and in a state its unsettled bases explain.
+    (Raw loss can also break safety outright; that is the session
+    layer's job, so it is not asserted here.)"""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from(sorted(SCENARIOS)),
+        st.integers(1, 5),
+        st.integers(0, 3),
+        st.integers(0, 2**16),
+    )
+    def test_lossy_raw_run_ends_in_a_terminal_state(
+        self, name, drop, dup, seed
+    ):
+        sched, result = run_raw(SCENARIOS[name](), drop / 10, dup / 10, seed)
+        assert_terminal_state(sched, FaultPlan(), result)
+
+    def test_pinned_freezes_orphaned_again_are_swept(self):
+        # settlement's own certificate rounds, run after the first
+        # sweep, lose their releases too: a second sweep voids two more
+        # freezes, and every base still settles
+        sched, result = run_raw(SCENARIOS["travel_success"](), 0.3, 0.2, 42)
+        assert sched.metrics.counter("orphan_freezes_released") == 3
+        assert result.terminal == "maximal"
 
 
 class TestChaosRegressions:

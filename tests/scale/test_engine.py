@@ -13,7 +13,6 @@ from repro.obs.prom import lint_prometheus, render_prometheus
 from repro.obs.tracer import Tracer
 from repro.scale import instance_spec, plan_shards, run_sharded
 from repro.scale.shards import run_shard
-from repro.scheduler.events import Violation
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.workflows.template import WorkflowTemplate
 from repro.workloads.scenarios import make_mutex_family
@@ -188,24 +187,45 @@ class TestRunGroup:
         assert not outcome.result.violations and not outcome.result.unsettled
         assert comparable(outcome) == comparable(sharded.outcomes[0])
 
-    def test_exhausted_round_budget_is_a_group_violation(self):
+    def test_idle_group_settles_to_a_maximal_run(self):
         # nothing is attempted, so every base is left to complement
-        # settlement -- more than the single round allowed.  Whatever
-        # the requested plan, it is the one scheduler-level violation
+        # settlement over several rounds.  Whatever the requested plan,
+        # the one fused shard settles it all and ends maximal; the only
+        # violations are the guaranteed exits promised to the entries
+        # and never attempted by their idle agents
         family = make_mutex_family(2)
         idle = [instance_spec(suffix, []) for suffix, _ in family.instances]
-        stuck = Violation("settlement", "settlement did not converge")
         for shards in (1, 2):
             [task] = plan_shards(
                 family.template, idle, shards,
                 cross_deps=family.cross_dependencies,
             )
-            outcome = run_shard(task, max_rounds=1)
-            assert outcome.result.violations.count(stuck) == 1
-            assert not any(
-                "group" in violation.detail
-                for violation in outcome.result.violations
-            )
+            outcome = run_shard(task)
+            assert outcome.result.terminal == "maximal"
+            assert outcome.result.unsettled == []
+            assert [v.detail for v in outcome.result.violations] == [
+                f"e_i{k} promised occurrence but never occurred"
+                for k in (0, 1)
+            ]
+            merged = run_sharded([task], workers=1).result
+            assert merged.terminal == "maximal"
+
+    def test_merged_run_is_stuck_when_a_shard_is(self):
+        # one shard attempts nothing and skips settlement: it ends
+        # stuck, and so does the merged run, though the others settle
+        _family, tasks = mutex_tasks(8, 4, placement="min_cut")
+        idle = dataclasses.replace(
+            tasks[1],
+            settle=False,
+            instances=tuple(
+                instance_spec(spec.suffix, []) for spec in tasks[1].instances
+            ),
+        )
+        sharded = run_sharded([tasks[0], idle, *tasks[2:]], workers=1)
+        assert [o.result.terminal for o in sharded.outcomes] == [
+            "maximal", "stuck", "maximal", "maximal",
+        ]
+        assert sharded.result.terminal == "stuck"
 
     def test_spanning_violation_detected_on_merged_timeline(self):
         # a nonrejectable, non-delayable entry is forced through

@@ -13,6 +13,7 @@ from repro.scheduler import (
     EventAttributes,
 )
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
+from repro.sim import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
 from repro.workflows import WorkflowTemplate
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
@@ -309,13 +310,14 @@ class TestRunLifecycle:
         sched, scripts = self._build(workload, scheduler)
         sched.start(scripts)
         sched.sim.run()
-        assert sched.drain(1000) is True
+        sched.drain()
         stepped = sched.finish()
         assert whole.entries and stepped.entries == whole.entries
         assert stepped.messages == whole.messages
         assert stepped.messages_by_kind == whole.messages_by_kind
         assert stepped.violations == whole.violations == []
         assert stepped.unsettled == whole.unsettled == []
+        assert stepped.terminal == whole.terminal == "maximal"
 
     @pytest.mark.parametrize("workload", [_travel, _mutex])
     def test_the_center_goes_through_the_same_steps(self, workload):
@@ -323,12 +325,52 @@ class TestRunLifecycle:
             workload, CentralizedScheduler
         )
 
-    def test_exhausted_round_budget_is_one_settlement_violation(self):
-        # the failure scenario needs complement settlement, which takes
-        # more than the one round allowed
+    def test_settlement_runs_until_nothing_changes(self):
+        # the failure scenario needs complement settlement over more
+        # than one round; with no round budget it always finishes
         sched, scripts = self._build(_travel)
-        result = sched.run(scripts, max_rounds=1)
-        assert [
-            (v.kind, v.detail) for v in result.violations
-            if v.kind == "settlement"
-        ] == [("settlement", "settlement did not converge")]
+        result = sched.run(scripts)
+        assert result.terminal == "maximal"
+        assert result.violations == [] and result.unsettled == []
+
+
+class TestTerminalState:
+    """Every run ends in one named state: ``maximal`` when every base
+    settled, ``down`` when an unsettled base lives on a site lost for
+    good, ``stuck`` otherwise -- a state, never a violation."""
+
+    @staticmethod
+    def _run(scripts=None, settle=True, fault_plan=None):
+        scenario = make_travel_booking("success")
+        workflow = scenario.workflow
+        sched = DistributedScheduler(
+            workflow.dependencies,
+            sites=workflow.sites,
+            attributes=workflow.attributes,
+            fault_plan=fault_plan,
+        )
+        return sched.run(
+            scenario.scripts if scripts is None else scripts, settle=settle
+        )
+
+    def test_settled_run_is_maximal(self):
+        result = self._run()
+        assert result.terminal == "maximal"
+        assert result.unsettled == [] and result.violations == []
+
+    def test_parked_run_without_settlement_is_stuck(self):
+        # c_buy alone parks on []c_book, and nothing settles the rest
+        c_buy = Event("c_buy")
+        result = self._run(
+            [AgentScript("airline", [ScriptedAttempt(0.0, c_buy)])],
+            settle=False,
+        )
+        assert result.terminal == "stuck"
+        assert c_buy in result.unsettled
+
+    def test_base_on_a_lost_site_is_down(self):
+        result = self._run(
+            fault_plan=FaultPlan.of([SiteCrash("car_rental", at=0.0)])
+        )
+        assert result.terminal == "down"
+        assert Event("c_book") in result.unsettled

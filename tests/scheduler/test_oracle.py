@@ -1,4 +1,4 @@
-"""The Definition 4 execution oracle."""
+"""The one oracle: satisfaction plus the Definition 4 point check."""
 
 import pytest
 
@@ -10,7 +10,10 @@ from repro.scheduler import (
     CentralizedScheduler,
     DistributedScheduler,
 )
-from repro.scheduler.oracle import audit_result, validate_generation, validate_trace
+from repro.scheduler.agents import AgentScript, ScriptedAttempt
+from repro.scheduler.events import AttemptOutcome, ExecutionResult, TraceEntry
+from repro.scheduler.oracle import judge
+from repro.temporal.guards import generates, workflow_guards
 from repro.workloads.scenarios import (
     make_mutex_scenario,
     make_order_fulfillment,
@@ -19,6 +22,7 @@ from repro.workloads.scenarios import (
 
 E, F = Event("e"), Event("f")
 D_PREC = parse("~e + ~f + e . f")
+GUARDS = workflow_guards([D_PREC])
 
 SCHEDULERS = [DistributedScheduler, CentralizedScheduler, AutomataScheduler]
 SCENARIOS = [
@@ -32,44 +36,54 @@ SCENARIOS = [
 
 class TestValidateTrace:
     def test_clean_trace(self):
-        report = validate_trace(Trace([E, F]), [D_PREC])
-        assert report.ok
+        assert judge(Trace([E, F]), [D_PREC]) == []
 
     def test_violation_found(self):
-        report = validate_trace(Trace([F, E]), [D_PREC])
-        assert not report.ok
-        assert report.findings[0].kind == "dependency"
+        [violation] = judge(Trace([F, E]), [D_PREC])
+        assert violation.kind == "dependency"
+        assert violation.detail == f"trace {Trace([F, E])!r} violates {D_PREC!r}"
 
     def test_maximality_checked(self):
-        report = validate_trace(Trace([E]), [D_PREC])
-        assert any(f.kind == "maximality" for f in report.findings)
+        # maximality is the run's terminal state, not a finding: e alone
+        # with settlement skipped leaves f unsettled
+        sched = DistributedScheduler([D_PREC])
+        result = sched.run(
+            [AgentScript("site_e", [ScriptedAttempt(0.0, E)])], settle=False
+        )
+        assert result.terminal == "stuck"
+        assert result.unsettled == [F]
 
     def test_maximality_optional(self):
-        report = validate_trace(Trace([E]), [parse("~f + e")], require_maximal=False)
-        assert report.ok
+        # a non-maximal trace that satisfies every dependency is clean
+        assert judge(Trace([E]), [parse("~f + e")]) == []
 
 
 class TestValidateGeneration:
     def test_valid_order_passes(self):
-        assert validate_generation(Trace([E, F]), [D_PREC]).ok
-        assert validate_generation(Trace([~E, F]), [D_PREC]).ok
+        assert judge(Trace([E, F]), [D_PREC], GUARDS) == []
+        assert judge(Trace([~E, F]), [D_PREC], GUARDS) == []
 
     def test_guard_violation_located(self):
-        # f before e: f's guard ([]e + <>~e) is false at index 0
-        report = validate_generation(Trace([F, E]), [D_PREC])
-        assert not report.ok
-        assert report.findings[0].kind == "guard"
-        assert "f" in report.findings[0].detail
+        # f before e: f's guard ([]e + <>~e) is false at index 0, and
+        # e's (!f) at index 1
+        trace = Trace([F, E])
+        guard = [v for v in judge(trace, [D_PREC], GUARDS) if v.kind == "guard"]
+        assert [v.detail for v in guard] == [
+            f"f occurred at index 0 while its guard {GUARDS[F]!r} was false",
+            f"e occurred at index 1 while its guard {GUARDS[E]!r} was false",
+        ]
+        assert not generates(GUARDS, trace)
 
     def test_foreign_events_ignored(self):
         g = Event("g")
-        report = validate_generation(Trace([g, E, F]), [D_PREC])
-        assert report.ok
+        assert judge(Trace([g, E, F]), [D_PREC], GUARDS) == []
+        assert generates(GUARDS, Trace([g, E, F]))
 
 
 class TestAuditSchedulerRuns:
-    """Every scheduler's runs on every scenario pass the full audit --
-    an oracle fully independent of the schedulers' own bookkeeping."""
+    """Every scheduler's runs on every scenario pass the oracle, guards
+    included, and end maximal -- an oracle fully independent of the
+    schedulers' own bookkeeping."""
 
     @pytest.mark.parametrize("scheduler_cls", SCHEDULERS, ids=lambda c: c.__name__)
     @pytest.mark.parametrize(
@@ -85,19 +99,18 @@ class TestAuditSchedulerRuns:
         result = sched.run(
             [type(s)(s.site, list(s.attempts)) for s in scenario.scripts]
         )
-        report = audit_result(result, workflow.dependencies)
-        assert report.ok, [f.detail for f in report.findings]
+        deps = workflow.dependencies
+        assert judge(result.trace, deps, workflow_guards(deps)) == []
+        assert result.terminal == "maximal"
 
-    def test_audit_flags_inconsistent_bookkeeping(self):
-        from repro.scheduler.events import ExecutionResult, TraceEntry
-        from repro.scheduler.events import AttemptOutcome
-
-        doctored = ExecutionResult()
-        doctored.entries.append(
-            TraceEntry(E, time=1.0, attempted_at=5.0, outcome=AttemptOutcome.ACCEPTED)
+    def test_verify_is_the_oracle_without_guards(self):
+        result = ExecutionResult(
+            entries=[
+                TraceEntry(event, 1.0, 0.0, AttemptOutcome.ACCEPTED)
+                for event in (F, E)
+            ]
         )
-        doctored.entries.append(
-            TraceEntry(F, time=2.0, attempted_at=0.0, outcome=AttemptOutcome.ACCEPTED)
-        )
-        report = audit_result(doctored, [D_PREC])
-        assert any(f.kind == "bookkeeping" for f in report.findings)
+        found = result.verify([D_PREC])
+        assert found == judge(Trace([F, E]), [D_PREC]) != []
+        assert result.violations == found
+        assert result.verify([]) == [] and result.violations == found

@@ -174,6 +174,7 @@ class TestRunJson:
         assert report["ok"] is True
         assert report["violations"] == []
         assert report["unsettled"] == []
+        assert report["terminal"] == "maximal"
         events = {entry["event"] for entry in report["timeline"]}
         assert {"e", "f"} <= events
         for entry in report["timeline"]:
@@ -193,6 +194,24 @@ class TestRunJson:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is False
         assert set(report["unsettled"]) == {"e", "f"}
+        assert report["terminal"] == "stuck"
+
+    @pytest.mark.parametrize("extra", [[], ["--shards", "1"]])
+    def test_stuck_run_without_violation_exits_three(
+        self, tmp_path, capsys, extra
+    ):
+        # e alone discharges e + f; skipping settlement leaves f open
+        path = tmp_path / "either.wf"
+        path.write_text("dep e + f\n")
+        run = ["run", str(path), "--attempt", "e=0", "--no-settle", *extra]
+        assert main([*run, "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == []
+        assert report["terminal"] == "stuck"
+        f = "f_i0" if extra else "f"
+        assert report["unsettled"] == [f]
+        assert main(run) == 3
+        assert f"run ended stuck; unsettled: {f}" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "deps", [["e . f", "f . e"], ["e", "~e + f", "~f"]]
@@ -339,7 +358,7 @@ class TestExplainCommand:
             "run", travel_spec, "--scheduler", "distributed",
             "--attempt", "c_buy=0", "--no-settle", "--trace", str(path),
         ])
-        assert code == 1  # unsettled by design: c_buy stays parked
+        assert code == 1  # c_buy stays parked; the short trace violates
         capsys.readouterr()
         return str(path)
 
@@ -410,8 +429,9 @@ class TestSnapshotFlags:
             "run", travel_spec, "--scheduler", "distributed",
             "--attempt", "c_buy=0", "--no-settle", "--json",
         ])
-        assert code == 1  # nothing settles without the settlement pass
+        assert code == 1  # the unsettled trace violates its dependencies
         report = json.loads(capsys.readouterr().out)
+        assert report["terminal"] == "stuck"
         assert "c_buy" in report["unsettled"]
         assert report["metrics"]["counters"]["parked"]["total"] == 1
 
@@ -1046,7 +1066,19 @@ class TestFlightRecordFlag:
         assert main(["prom", "lint", str(prom)]) == 0
         capsys.readouterr()
 
-    def test_unclean_run_dumps_the_window(self, tmp_path, capsys):
+    def test_unclean_run_dumps_the_window(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.obs.recorder import FlightRecorder
+
+        anomalies = []
+        note_anomaly = FlightRecorder.note_anomaly
+
+        def noted(recorder, reason):
+            anomalies.append(reason)
+            note_anomaly(recorder, reason)
+
+        monkeypatch.setattr(FlightRecorder, "note_anomaly", noted)
         spec = tmp_path / "unsat.wf"
         spec.write_text(UNSAT_SPEC)
         dump = tmp_path / "dump.jsonl.gz"
@@ -1055,7 +1087,12 @@ class TestFlightRecordFlag:
             "--flight-dump", str(dump),
         ])
         err = capsys.readouterr().err
-        assert code == 1                     # unsettled bases
+        assert code == 1                     # e . f is violated
+        # the anomalies name the violation kinds and the terminal state
+        assert anomalies == [
+            "violation(s): 1 dependency",
+            "run ended stuck: 2 unsettled base(s)",
+        ]
         assert dump.exists()
         assert "flight recorder" in err
         assert main(["trace", "check", str(dump)]) == 0
@@ -1142,13 +1179,15 @@ class TestRunSloGate:
     def test_exit_contract_single_and_lone_shard(
         self, mode, travel_spec, tmp_path, capsys
     ):
-        """Both ``repro run`` commands end in one tail: 0 clean, 1 on an
-        unsettled base or a failing rule, 2 on an unusable rule file."""
+        """Both ``repro run`` commands end in one tail: 0 clean, 1 on a
+        violation or a failing rule, 2 on an unusable rule file."""
         sane = self._slo(tmp_path, {"slos": [
             {"name": "sane", "indicator": "violations", "max": 0}
         ]})
         run = ["run", travel_spec, *mode]
         assert main([*run, *GZ_RUN, "--slo", sane]) == 0
+        # left unsettled, the trace fails the dependencies it never
+        # discharged: a violation outranks the stuck state
         assert main([*run, "--attempt", "c_buy=0", "--no-settle"]) == 1
         impossible = self._slo(tmp_path, {"slos": [
             {"name": "impossible", "indicator": "makespan", "max": 0.001}
