@@ -10,7 +10,7 @@ Usage (also via ``python -m repro``):
     repro graph    SPEC.wf            # workflow structure as DOT
     repro run      SPEC.wf [options]  # simulate a run, print timeline
     repro guard    "DEP" EVENT        # one guard (Example-9 style)
-    repro trace check  TRACE.jsonl    # verify a recorded trace offline
+    repro trace check  TRACE.jsonl [--spec SPEC.wf]  # verify a trace offline
     repro trace export TRACE.jsonl    # convert to chrome://tracing JSON
     repro trace query  TRACE.jsonl    # filter, latencies, critical path
     repro explain  TRACE.jsonl EVENT  # why did/didn't EVENT fire?
@@ -57,7 +57,10 @@ or *down* (unsettled bases; ``down`` when one lives on a site lost for
 good) -- ``--json`` reports which as ``"terminal"``; 2 on usage errors
 and on a spec no trace satisfies (it is not run).  ``trace
 check`` exits 1 when the trace violates an invariant (an empty or
-truncated trace is reported, not a traceback); ``trace query`` exits 1
+truncated trace is reported, not a traceback) and, with ``--spec``,
+when its occurred timeline fails the spec's dependencies or guards
+(:func:`repro.scheduler.oracle.judge`); 2 on an unreadable spec or a
+flight-recorder window that evicted actor records; ``trace query`` exits 1
 when the trace is empty, no record matches, or the requested analysis
 has no data; ``slo check`` exits 1 when any rule fails (a rule with no
 data fails closed); ``explain`` exits 1 when the event never appears
@@ -339,6 +342,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "check", help="verify a trace's causal and safety invariants"
     )
     p_check.add_argument("trace_file", help="JSONL trace (from run --trace)")
+    p_check.add_argument(
+        "--spec", metavar="FILE",
+        help="also judge the occurred timeline against this workflow "
+        "spec: every dependency satisfied, every guard held",
+    )
     p_export = trace_sub.add_parser(
         "export", help="convert a trace to chrome://tracing JSON"
     )
@@ -1031,6 +1039,13 @@ def _cmd_trace(args) -> int:
     if args.trace_command == "query":
         return _cmd_trace_query(args)
     if args.trace_command == "check":
+        workflow = None
+        if args.spec:
+            try:
+                workflow = load(args.spec)
+            except (OSError, ValueError) as exc:
+                print(f"{args.spec}: unreadable spec: {exc}", file=sys.stderr)
+                return 2
         try:
             count, diagnostics = check_file(args.trace_file)
         except OSError as exc:
@@ -1043,17 +1058,21 @@ def _cmd_trace(args) -> int:
                 file=sys.stderr,
             )
             return 1
+        status = 0
         if not diagnostics:
             print(f"{args.trace_file}: {count} records, all invariants hold")
-            return 0
-        print(
-            f"{args.trace_file}: {len(diagnostics)} violation(s) "
-            f"in {count} records",
-            file=sys.stderr,
-        )
-        for diagnostic in diagnostics:
-            print(str(diagnostic), file=sys.stderr)
-        return 1
+        else:
+            print(
+                f"{args.trace_file}: {len(diagnostics)} violation(s) "
+                f"in {count} records",
+                file=sys.stderr,
+            )
+            for diagnostic in diagnostics:
+                print(str(diagnostic), file=sys.stderr)
+            status = 1
+        if workflow is not None:
+            status = max(status, _judge_timeline(args.trace_file, workflow))
+        return status
     # export
     try:
         records = read_jsonl(args.trace_file)
@@ -1079,6 +1098,62 @@ def _cmd_trace(args) -> int:
     else:
         print(text)
     return 0
+
+
+def _judge_timeline(trace_file: str, workflow) -> int:
+    """``trace check --spec``: the occurred timeline judged by the one
+    oracle against the spec's dependencies and its guard table.  0 when
+    it passes, 1 on a violation (or a timeline that is no trace), 2 when
+    the trace cannot carry a whole timeline."""
+    from repro.algebra.traces import Trace
+    from repro.obs.check import occurred_events
+    from repro.scheduler.oracle import judge
+    from repro.temporal.guards import workflow_guards
+
+    try:
+        records = read_jsonl(trace_file)
+    except ValueError as exc:
+        print(
+            f"{trace_file}: cannot judge against the spec: {exc}",
+            file=sys.stderr,
+        )
+        return 1
+    if any(
+        isinstance(r, dict) and r.get("cat") == "recorder"
+        and (r.get("dropped") or {}).get("actor")
+        for r in records
+    ):
+        print(
+            f"{trace_file}: a flight-recorder window that evicted actor "
+            "records holds part of the timeline; it cannot be judged",
+            file=sys.stderr,
+        )
+        return 2
+    deps = workflow.dependencies
+    # events foreign to every dependency cannot fail the judge
+    known = {repr(e): e for dep in deps for e in dep.alphabet()}
+    try:
+        trace = Trace(
+            [known[name] for name in occurred_events(records) if name in known]
+        )
+    except ValueError as exc:
+        print(
+            f"{trace_file}: the timeline is no trace: {exc}", file=sys.stderr
+        )
+        return 1
+    violations = judge(trace, deps, guards=workflow_guards(deps))
+    if not violations:
+        print(
+            f"{trace_file}: the timeline satisfies all {len(deps)} "
+            "dependencies and every guard held"
+        )
+        return 0
+    print(
+        f"{trace_file}: {len(violations)} spec violation(s)", file=sys.stderr
+    )
+    for violation in violations:
+        print(f"[{violation.kind}] {violation.detail}", file=sys.stderr)
+    return 1
 
 
 def _cmd_trace_query(args) -> int:

@@ -227,6 +227,20 @@ def check_records(records: Iterable[dict]) -> list[Diagnostic]:
     return diags
 
 
+def occurred_events(records: Iterable[dict]) -> list[str]:
+    """The occurred timeline: the event of every actor ``fired`` /
+    ``accepted`` record, in record order (a run writes one such record
+    per settled event, as it appends the event to its result)."""
+    return [
+        record["event"]
+        for record in records
+        if isinstance(record, dict)
+        and record.get("cat") == "actor"
+        and record.get("op") in _OCCURRED_OPS
+        and isinstance(record.get("event"), str)
+    ]
+
+
 def check_file(path) -> tuple[int, list[Diagnostic]]:
     """Check a JSONL trace file; returns ``(record_count, diagnostics)``.
 

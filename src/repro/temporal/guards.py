@@ -18,25 +18,28 @@ of eventualities -- the paper's "small insight": the guards on the
 remaining event to be guaranteed.  Theorem 6 (checked in the test
 suite and the theorem bench) validates the collective correctness.
 
-Synthesis works *modulo renaming*: ``G(D, e)`` depends only on the
-shape of ``D``, so :func:`guard`, :func:`guard_table`,
+Synthesis works *modulo renaming*.  A dependency is a :class:`Binding`
+(:func:`dependency_binding`): its normal form on the canonical slots of
+its own bases, in ``Event.sort_key`` order, is its *shape*, the key of
+the one residual closure every copy walks, and a template stamps copies
+with the binding composed (:func:`stamp_dependency`).  ``G(D, e)``
+depends only on that shape, so :func:`guard`, :func:`guard_table`,
 :func:`workflow_bindings` and :func:`workflow_guards` all go through
-:func:`_bindings_modulo_renaming`, which renames the bases of a query
-onto canonical slot events in ``Event.sort_key`` order and synthesizes
-each distinct slot-space query once (:func:`_synthesize`, the direct
-computation).  Every fold below runs in canonical event order, so an
-order-preserving injective rename commutes with it exactly: the result
-is cube-for-cube what direct synthesis on the real names gives.
+:func:`_bindings_modulo_renaming`.  It keys a query by its dependencies'
+shapes and the slots their bases take among the query's, which costs
+dict probes and no expression rename, and synthesizes each distinct
+query once: the columns of the dependencies' own closures, renamed onto
+the query's slots and conjoined.  Every fold below runs in canonical
+event order, so an order-preserving injective rename commutes with it
+exactly: the result is cube-for-cube what direct synthesis
+(:func:`_synthesize`, the tests' oracle) gives on the real names.
 
-What synthesis hands out is a :class:`Binding`: the guard's
+What synthesis hands out is a :class:`Binding` too: the guard's
 *shape* (the guard on its own canonical slots, shared by every copy)
 plus the copy's ``to_slot`` / ``from_slot`` maps.  The compiled cursor
 enters at the shape as it is; the real-name guard is rendered only
 where a real name is read (:attr:`Binding.guard`,
-:func:`workflow_guards`).  A dependency is a :class:`Binding` too
-(:func:`dependency_binding`): its normal form on its own slots is the
-key of the residual closure every copy walks, and a template stamps
-copies with the binding composed (:func:`stamp_dependency`).
+:func:`workflow_guards`).
 
 Also here: :class:`ResidualAutomaton`, Figure 2's state machine, which
 synthesis builds once per shape and the schedulers, monitors, analysis
@@ -226,11 +229,13 @@ class ResidualAutomaton:
 
 _CLOSURES: dict[Expr, ResidualAutomaton] = {}
 
-#: ``(slot-space dependencies, slot-space event) -> binding``: one entry
-#: per distinct query shape, shared by every renamed copy.  The
-#: synthesized guard is stored normalized to its own bases, bound onto
-#: the query's slots.
-_SHAPES: dict[tuple[tuple[Expr, ...], Event], Binding] = {}
+#: ``(((dependency shape, its bases' query slots), ...), query-slot
+#: event) -> binding``: one entry per distinct query shape, shared by
+#: every renamed copy.  The synthesized guard is stored normalized to
+#: its own bases, bound onto the query's slots.
+_SHAPES: dict[
+    tuple[tuple[tuple[Expr, tuple[Event, ...]], ...], Event], Binding
+] = {}
 
 #: ``_SLOTS[i]`` is the ``i``-th canonical base, as a ground event and
 #: as a variable-carrying one (``Seq.of`` / ``Conj.of`` only collapse
@@ -344,8 +349,8 @@ def _synthesize(deps_nf: Sequence[Expr], event: Event) -> GuardExpr:
     directly on the names given (Definition 2 per dependency, Section
     4.2's conjunction across them, folded in the order given).
 
-    The shape table calls this on slot-space input; the tests call it
-    on real-space input as the oracle.
+    The tests' oracle for :func:`_bindings_modulo_renaming`, which
+    composes the same columns from each dependency's own closure.
     """
     return guard_and(_closure_for(d).column(event)[d] for d in deps_nf)
 
@@ -510,35 +515,58 @@ def render(table: Mapping[Event, Binding]) -> dict[Event, GuardExpr]:
 
 
 def _bindings_modulo_renaming(
-    deps_nf: Sequence[Expr], events: Sequence[Event]
+    deps: Sequence[Binding], events: Sequence[Event]
 ) -> list[Binding]:
-    """``_synthesize(deps_nf, e)`` for each ``e`` of ``events``, as a
-    binding, paying one synthesis per query *shape*.
+    """What ``_synthesize`` gives for the dependencies ``deps`` bind and
+    each ``e`` of ``events``, as bindings, paying one synthesis per
+    query *shape*.
 
-    Every base the query mentions is renamed onto ``_SLOTS`` in
-    ``Event.sort_key`` order.  The rename is injective and preserves
-    that order (and groundness), hence commutes with every step of
-    synthesis: ``Choice/Conj.of`` sorting, the closure walk, the column
-    folds and ``_absorb``'s sorted passes all see isomorphic input.
-    Closures, columns and eventualities live in slot space, so copies
-    share them.  Each synthesized guard is stored as a binding of its
-    shape onto the query's slots (the one rename synthesis pays, once
-    per shape); a copy composes that binding with the query's
-    ``from_slot`` (:meth:`Binding.renamed`), so no guard is renamed
-    per copy.
+    The query's bases go onto ``_SLOTS`` in ``Event.sort_key`` order
+    (the *group* slots).  A dependency enters as its own binding, so
+    the query's shape is, per dependency, its closure's key plus the
+    group slots of its bases, and the queried event's group slot: dict
+    probes, no expression renamed.  On a miss each conjunct is the
+    column of the dependency's own closure at its own slot for the
+    event (an event foreign to it at a slot outside its shape), renamed
+    onto the group slots, and the conjuncts fold in the order given.
+    Own slot -> group slot is injective and preserves order and
+    groundness, so it commutes with every step of synthesis
+    (``Choice/Conj.of`` sorting, the closure walk, the column folds,
+    ``_absorb``'s sorted passes): each conjunct, and so the fold, is
+    cube for cube what ``_synthesize`` gives on the group slots.
+    Closures and columns are per dependency shape, shared by every copy
+    and every query.  Each synthesized guard is stored as a binding of
+    its shape onto the group slots; a copy composes that binding with
+    the query's ``from_slot`` (:meth:`Binding.renamed`), so no guard is
+    renamed per copy.
     """
     bases = {e.base for e in events}
-    for dep in deps_nf:
-        bases |= dep.bases()
+    for dep in deps:
+        bases.update(dep.to_slot)
     to_slot, from_slot = _slot_maps(bases)
-    slot_deps = tuple(rename_expr(dep, to_slot) for dep in deps_nf)
+    slot_deps = tuple(
+        (dep.shape, tuple([to_slot[base] for base in dep.to_slot]))
+        for dep in deps
+    )
     bindings = []
     for event in events:
         key = (slot_deps, rename_event(event, to_slot))
         found = _SHAPES.get(key)
         if found is None:
             _SynthStats.shape_misses += 1
-            synthesized = _synthesize(*key)
+            conjuncts = []
+            for dep, (shape, slots) in zip(deps, slot_deps):
+                own = dep.to_slot.get(event.base)
+                if own is None:
+                    # foreign: the column does not mention the event, and
+                    # the query has a base beyond this dependency's
+                    own = _SLOTS[len(slots)][0]
+                elif event.negated:
+                    own = own.complement
+                column = _closure_for(shape).column(own)[shape]
+                onto_query = dict(zip(dep.from_slot, slots))
+                conjuncts.append(column.rename(onto_query))
+            synthesized = guard_and(conjuncts)
             own_to, own_from = _slot_maps(synthesized.bases())
             found = _SHAPES[key] = Binding(
                 synthesized.rename(own_to), own_to, own_from
@@ -567,7 +595,7 @@ def guard(dependency: Expr, event: Event) -> GuardExpr:
     ([]e + <>~e)
     """
     (found,) = _bindings_modulo_renaming(
-        (to_normal_form(dependency),), (event,)
+        (dependency_binding(dependency),), (event,)
     )
     return found.guard
 
@@ -580,7 +608,9 @@ def guard_table(dependency: Expr) -> dict[Event, GuardExpr]:
     ['<>f', '<>~e', 'T', 'T']
     """
     events = _alphabet(dependency)
-    found = _bindings_modulo_renaming((to_normal_form(dependency),), events)
+    found = _bindings_modulo_renaming(
+        (dependency_binding(dependency),), events
+    )
     return render(dict(zip(events, found)))
 
 
@@ -752,7 +782,7 @@ def workflow_bindings(
     scheduler enters its cursors at and a template stamps out.  See
     :func:`workflow_guards` for ``mentioned_only``."""
     originals = list(dependencies)
-    deps = [to_normal_form(d) for d in originals]
+    deps = [dependency_binding(d) for d in originals]
     # base -> positions of the dependencies mentioning it.  Bases come
     # from the *original* expressions: a dependency that normalizes to
     # 0 (e.g. ``e . e``) still constrains every event it mentioned --
@@ -762,7 +792,7 @@ def workflow_bindings(
     for position, original in enumerate(originals):
         for base in original.bases():
             mentions.setdefault(base, []).append(position)
-    # events constrained by the same dependencies share one renaming;
+    # events constrained by the same dependencies share one slot map;
     # the table is keyed up front, in the canonical event order the
     # grouping loses
     everything = tuple(range(len(deps)))

@@ -31,7 +31,11 @@ from repro.temporal.cubes import (
     covers,
 )
 from repro.temporal.guards import clear_synthesis_caches, workflow_guards
-from repro.workloads.scenarios import make_mutex_family, make_travel_booking
+from repro.workloads.scenarios import (
+    make_mutex_family,
+    make_order_fulfillment,
+    make_travel_booking,
+)
 
 BASES = [Event(name) for name in "abcdef"]
 
@@ -166,7 +170,9 @@ class TestIndexedAbsorb:
 
     def test_every_synthesis_input_reaches_the_batch_fixpoint(self):
         """Not a sample: each cube set ``_absorb`` sees while the
-        mutex family and the travel table are synthesized cold."""
+        mutex family, the travel table in both readings and the order
+        table are synthesized cold.  (Another mutex cluster size adds
+        almost nothing: its copies share the family's four closures.)"""
         seen = []
 
         def recording(cube_set):
@@ -179,7 +185,10 @@ class TestIndexedAbsorb:
         try:
             family = make_mutex_family(12, cluster=4)
             workflow_guards(family.merged()[0].dependencies)
-            workflow_guards(make_travel_booking().workflow.dependencies)
+            travel = make_travel_booking().workflow.dependencies
+            workflow_guards(travel)
+            workflow_guards(travel, mentioned_only=False)
+            workflow_guards(make_order_fulfillment().workflow.dependencies)
         finally:
             cubes._absorb = _absorb
             clear_synthesis_caches()

@@ -7,17 +7,21 @@ from repro.algebra.normal_form import to_normal_form
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.algebra.traces import maximal_universe, satisfies
+from repro.temporal import guards as guards_module
 from repro.temporal.cubes import FALSE_GUARD, TRUE_GUARD, literal
 from repro.temporal.guards import (
     accepting_paths,
     clear_synthesis_caches,
+    dependency_binding,
     generates,
     guard,
     guard_formula,
     kernel_stats,
     lemma5_guard,
     path_guard,
+    render,
     synthesis_stats,
+    workflow_bindings,
     workflow_guards,
 )
 from repro.temporal.semantics import holds, t_equivalent
@@ -274,23 +278,86 @@ def _cold_mutex_synthesis(n):
     return calls, synthesis_stats()
 
 
+def _counted(monkeypatch, name):
+    """Count the calls ``repro.temporal.guards`` makes to its ``name``."""
+    calls = []
+    original = getattr(guards_module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(guards_module, name, counting)
+    return calls
+
+
 class TestSynthesisScaling:
+    SIZES = (32, 64, 128)
+
     def test_coupled_family_synthesizes_once_per_shape(self):
-        """Synthesis is O(shapes * synthesis + copies * rename) with the
+        """Synthesis is O(shapes * synthesis + copies * bases) with the
         shape count constant in N: the closures built do not grow from
         N = 32 to N = 128 (one per *dependency* made it 112 -> 448) and
         the call count has a log-log slope near 1."""
-        sizes = (32, 64, 128)
-        runs = [_cold_mutex_synthesis(n) for n in sizes]
+        runs = [_cold_mutex_synthesis(n) for n in self.SIZES]
         stats = [run[1] for run in runs]
         assert stats[0]["closure_misses"] == stats[-1]["closure_misses"]
         assert stats[0]["shape_misses"] == stats[-1]["shape_misses"]
-        for n, found in zip(sizes, stats):
+        for n, found in zip(self.SIZES, stats):
             # one lookup per signed event: b, ~b, e, ~e of each task
             assert found["shape_hits"] + found["shape_misses"] == 4 * n
         counts = [run[0] for run in runs]
-        exponent = fitted_exponent(sizes, counts)
+        exponent = fitted_exponent(self.SIZES, counts)
         assert exponent <= 1.1, (exponent, counts)
+
+    def test_one_closure_per_dependency_shape(self):
+        """Guards compose the columns of each dependency's own closure:
+        the family's two task dependencies and two mutex orientations
+        are four closures and a constant set of columns at every N (a
+        closure per group-relative copy made it 26 at N = 96)."""
+        columns = set()
+        for n in self.SIZES:
+            _calls, found = _cold_mutex_synthesis(n)
+            deps = make_mutex_family(n, cluster=4).merged()[0].dependencies
+            shapes = {dependency_binding(d).shape for d in deps}
+            assert len(shapes) == 4
+            assert found["closures"] == found["closure_misses"] == 4
+            columns.add(found["columns"])
+        assert len(columns) == 1, columns
+
+    def test_warm_table_renames_and_normalizes_nothing(self, monkeypatch):
+        """A stamped family's dependencies are bindings already: once
+        the shape table is warm, its guard table is dict probes and
+        binding compositions."""
+        deps = make_mutex_family(32, cluster=4).merged()[0].dependencies
+        cold = workflow_bindings(deps)
+        renames = _counted(monkeypatch, "rename_expr")
+        normal_forms = _counted(monkeypatch, "to_normal_form")
+        before = synthesis_stats()
+        warm = workflow_bindings(deps)
+        after = synthesis_stats()
+        assert renames == [] and normal_forms == []
+        assert after["shape_misses"] == before["shape_misses"]
+        assert after["binding_hits"] - before["binding_hits"] == len(deps)
+        assert render(warm) == render(cold)
+
+    def test_stamped_copies_are_binding_hits(self):
+        """Stamping enters each copy's binding: synthesizing the merged
+        family binds only the cross dependencies, which no template
+        stamped."""
+        clear_synthesis_caches()
+        family = make_mutex_family(32, cluster=4)
+        deps = family.merged()[0].dependencies
+        before = synthesis_stats()
+        workflow_bindings(deps)
+        after = synthesis_stats()
+        stamped = len(deps) - len(family.cross_dependencies)
+        assert stamped == 2 * 32
+        assert after["binding_hits"] - before["binding_hits"] == stamped
+        assert (
+            after["binding_misses"] - before["binding_misses"]
+            == len(family.cross_dependencies)
+        )
 
 
 class TestSynthesisCaches:

@@ -296,6 +296,92 @@ class TestTrace:
         assert json.loads(out.read_text())["traceEvents"]
 
 
+MUTEX = """
+workflow mx
+dep b2 . b1 + ~e1 + ~b2 + e1 . b2
+dep b1 . b2 + ~e2 + ~b1 + e2 . b1
+dep ~b1 + e1
+dep ~b2 + e2
+site t1 b1 e1
+site t2 b2 e2
+"""
+
+
+class TestTraceCheckSpec:
+    """``trace check --spec`` judges the occurred timeline with the one
+    oracle, on top of the structural checks."""
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        spec = tmp_path / "mx.wf"
+        spec.write_text(MUTEX)
+        trace = tmp_path / "mx.jsonl"
+        attempts = ["b1=0", "e1=3", "b2=0.5", "e2=4"]
+        assert main(
+            ["run", str(spec), "--trace", str(trace)]
+            + [flag for a in attempts for flag in ("--attempt", a)]
+        ) == 0
+        capsys.readouterr()
+        return str(spec), trace
+
+    def test_clean_run_passes(self, run, capsys):
+        spec, trace = run
+        assert main(["trace", "check", str(trace), "--spec", spec]) == 0
+        out = capsys.readouterr().out
+        assert "all invariants hold" in out
+        assert "satisfies all 4 dependencies" in out
+
+    def test_reordered_mutex_entries_fail(self, run, capsys):
+        spec, trace = run
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        slots = [
+            i for i, r in enumerate(records)
+            if r["cat"] == "actor" and r["op"] == "fired"
+        ]
+        fired = {records[i]["event"]: records[i] for i in slots}
+        assert set(fired) == {"b1", "e1", "b2", "e2"}
+        # both tasks inside their critical sections at once
+        for i, event in zip(slots, ["b1", "b2", "e1", "e2"]):
+            records[i] = fired[event]
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["trace", "check", str(trace), "--spec", spec]) == 1
+        err = capsys.readouterr().err
+        assert "[dependency] trace <b1 b2 e1 e2> violates" in err
+        assert "[guard] b2 occurred at index 1" in err
+
+    def test_repeated_occurrence_is_no_trace(self, run, capsys):
+        spec, trace = run
+        lines = trace.read_text().splitlines(keepends=True)
+        fired = [line for line in lines if '"op": "fired"' in line]
+        trace.write_text("".join(lines + fired[:1]))
+        assert main(["trace", "check", str(trace), "--spec", spec]) == 1
+        err = capsys.readouterr().err
+        assert "[double-fire]" in err and "the timeline is no trace" in err
+
+    def test_window_that_evicted_actor_records_exits_two(
+        self, tmp_path, capsys
+    ):
+        spec = tmp_path / "mx.wf"
+        spec.write_text(MUTEX)
+        window = tmp_path / "window.jsonl"
+        assert main(
+            ["run", str(spec), "--attempt", "b1=0", "--attempt", "b2=1",
+             "--flight-record", "8", "--trace", str(window)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["trace", "check", str(window), "--spec", str(spec)]) == 2
+        assert "cannot be judged" in capsys.readouterr().err
+
+    def test_unreadable_spec_exits_two(self, run, tmp_path, capsys):
+        _spec, trace = run
+        bad = tmp_path / "bad.wf"
+        bad.write_text("workflow bad\ndep ~e +\n")
+        for path in (bad, tmp_path / "nope.wf"):
+            argv = ["trace", "check", str(trace), "--spec", str(path)]
+            assert main(argv) == 2
+            assert "unreadable spec" in capsys.readouterr().err
+
+
 TRAVEL = """
 workflow travel
 dep ~s_buy + s_book
