@@ -184,34 +184,15 @@ class EventActor:
         re-evaluating the guard.
 
         Identical ``learn`` call to :meth:`observe_occurrence`, so
-        knowledge and provenance stay byte-for-byte equal to the naive
-        engine's; the scheduler only routes here when the wake rule
-        proves the skipped re-evaluation would have been a no-op (the
-        base is outside the reduced residual's support and no pending
-        protocol action is armed)."""
+        knowledge and provenance stay byte-for-byte equal to the
+        reference engine's.  The scheduler routes here when the
+        announced base is outside the residual's support (the wake
+        rule, :mod:`repro.temporal.compiled`): the fact cannot move the
+        residual, so the skipped pass would decide nothing new."""
         self.learn(
             event.base, C_OCC if event.negated else E_OCC,
             source="announce", origin=event,
         )
-
-    def solicit_would_act(self) -> bool:
-        """Would the next announcement-driven pass of this parked
-        (``PENDING``) actor take a protocol action regardless of the
-        announced base?
-
-        Reads the same :meth:`_solicit_plan` that :meth:`_solicit`
-        executes, so the prediction cannot drift from the action.  Any
-        announcement's learn marks knowledge dirty, so a parked actor
-        whose first requestable cube carries certificate needs would
-        start a not-yet round, and one whose promise requests lost
-        their dedup entries (a refusal or a peer recovery cleared
-        them) would re-send -- the naive engine does both from
-        *irrelevant* announcements, so such an actor wakes on
-        everything."""
-        if self.sched.is_frozen(self.event.base, exclude=self.event):
-            return False  # try_fire returns before soliciting
-        requests, _demand, certificates = self._solicit_plan()
-        return bool(requests) or bool(certificates and not self.round_active)
 
     def strengthen_guard(self, extra: GuardExpr) -> None:
         """Conjoin a contribution from a dependency added at run time.

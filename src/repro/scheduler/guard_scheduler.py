@@ -335,18 +335,12 @@ class DistributedScheduler(RunBase):
 
     def _dispatch(self, actor: EventActor, message) -> None:
         if isinstance(message, Announce):
-            # the wake rule (:mod:`repro.temporal.compiled`), cheapest
-            # test first: an unbound (or reference) cursor, the node's
-            # wake set, then the protocol state that acts on any tick
+            # the wake rule (:mod:`repro.temporal.compiled`): wake iff
+            # the base is in the residual's support; an unbound (or
+            # reference) cursor has no node and wakes on everything
             cursor = actor.cursor
-            if not (
-                cursor.node is None
-                or cursor.wakes_on(message.event.base)
-                or actor.pending_grant_reqs
-                or (
-                    actor.status is ActorStatus.PENDING
-                    and actor.solicit_would_act()
-                )
+            if cursor.node is not None and not cursor.wakes_on(
+                message.event.base
             ):
                 # the skip: record the fact, touch nothing else --
                 # re-evaluation would be a no-op

@@ -74,8 +74,9 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        self._purge_head()
-        return len(self._heap)
+        """Callbacks still due to fire: cancelled entries anywhere in
+        the heap, not only at its head, are excluded."""
+        return len(self._live)
 
     def step(self) -> bool:
         """Fire the next callback; returns False when the heap is empty."""

@@ -12,17 +12,18 @@ pointer:
   knowledge restricted to the residual's bases)`` -- the complete
   input of every per-announcement computation the cube engine
   performs.  Restriction is sound because ``simplify_under``,
-  ``region_subsumes``, ``possible_under``, the watch-set rules and the
-  solicitation plan consult the knowledge map **only** at bases the
-  residual's cubes mention;
+  ``region_subsumes``, ``possible_under`` and the solicitation plan
+  consult the knowledge map **only** at bases the residual's cubes
+  mention;
 * *learn edges* move between nodes as knowledge tightens: one interned
   dict hop per announcement, zero cube allocation.  A base outside the
   residual's support is a self-loop;
 * each node lazily computes -- once, across all actors sharing the
   node -- its **verdict** (fire / park / never, exactly Section 4.3's
   evaluation rule), its **assimilation successor** (the
-  ``simplify_under`` result, re-interned), its **wake set** (the wake
-  rule below) and its **solicitation plan** (:func:`solicitations`);
+  ``simplify_under`` result, re-interned) and its **solicitation plan**
+  (:func:`solicitations`); its **wake set** (the wake rule below) is
+  the residual's support, cached on the guard;
 * terminal nodes are the constant guards: an unsatisfiable conjunction
   or dead event compiles to the constant-false node whose verdict is
   permanently ``never`` (surfaced as a warning by ``repro analyze``).
@@ -47,26 +48,23 @@ order binds onto a different shape; it is no less exact.
 **The wake rule.**  An actor re-evaluates its guard when an
 announcement arrives (Section 4.3), and the evaluation is a no-op when
 the announced base cannot move it.  The scheduler decides wake or skip
-at delivery, from the actor's own node: the wake set of a reduced
-residual is its base support (:func:`watch_bases`).  A decided literal
-leaves the residual and its base leaves the wake set, so residuation
-itself picks the replacement watch -- one watch per undecided literal,
-not a SAT solver's two, because the residual is observable state.
-Three conditions over-wake, each because the paper-literal engine acts
-from *any* announcement:
+at delivery, from the actor's own node: an actor wakes **iff the
+announced base is in its residual's support** (:func:`watch_bases`),
+the one clause AKL's stability rule asks for -- a suspended guard wakes
+only on the variables it is suspended on.  A decided literal leaves the
+residual and its base leaves the wake set, so residuation itself picks
+the replacement watch -- one watch per undecided literal, not a SAT
+solver's two, because the residual is observable state.  An unbound
+cursor, and the reference engine's (which has no node), wakes on
+everything.
 
-* the residual is not reduced under the node's knowledge (a promise or
-  certificate was learned without re-simplifying): the next
-  assimilation rewrites it whatever the base, so the wake set is
-  :data:`ALL`;
-* the actor holds grant decisions (``pending_grant_reqs``), which every
-  delivery re-decides;
-* the actor is parked and its solicitation would act on the next
-  knowledge tick (``EventActor.solicit_would_act``).
-
-An unbound cursor, and the reference engine's (which has no node),
-wakes on everything.  Over-waking is always safe: a woken actor runs
-exactly the naive path.
+The paper-literal reference engine acts from *any* announcement, also
+in protocol states the residual does not show (a residual not yet
+re-simplified after a promise learn, held grant decisions, a parked
+actor whose solicitation would act).  Waking on the support alone
+decides the same: the schedule explorer (``tests/scheduler/explorer.py``)
+compares the two engines on every schedule it reaches, and that
+agreement is the rule's regression guard.
 
 Byte-for-byte equivalence with the cube engine is by construction: the
 node's residual renamed back through the binding *is* the actor's
@@ -95,10 +93,9 @@ Know = tuple[tuple[Event, int], ...]
 #: base nor its complement has occurred (worlds P_E or P_C).
 NOT_YET_MASK = P_E | P_C
 
-#: Sentinel wake set: every announcement wakes the actor.
+#: Retired sentinel for "every announcement wakes the actor": no wake
+#: set is ``ALL`` any more, so ``w is ALL`` is always false.
 ALL = None
-
-_UNSET = object()
 
 
 class _CompiledStats:
@@ -108,7 +105,7 @@ class _CompiledStats:
     reused = 0       # intern probes served by an existing node
     edges = 0        # learn edges installed (first traversal)
     hops = 0         # O(1) cached transitions / verdict reads served
-    expansions = 0   # lazy verdict / simplify / watch computations
+    expansions = 0   # lazy verdict / simplify computations
     cursors = 0      # cursors handed out
     recompiles = 0   # cursor resets (runtime modification, crashes)
 
@@ -224,36 +221,13 @@ def _verdict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> str:
     return "park"
 
 
-def is_reduced(guard: GuardExpr, knowledge: Mapping[Event, int]) -> bool:
-    """Would ``guard.simplify_under(knowledge)`` be a no-op?
-
-    True iff every literal of every cube is still undecided --
-    ``simplify_under`` keeps a literal iff it is neither dead nor
-    guaranteed (:mod:`repro.temporal.cubes`).  A residual just
-    assimilated is always reduced; promise/certificate learns leave it
-    unreduced until the next pass.
-    """
-    if not knowledge or not guard.cubes or () in guard.cubes:
-        return True  # simplify_under's own early-exit: identity
-    for cube in guard.sorted_cubes():
-        for base, mask in cube:
-            known = knowledge.get(base)
-            if known is None:
-                continue
-            reach = closure(known)
-            hit = reach & mask
-            if hit == 0 or hit == reach:
-                return False
-    return True
-
-
 def watch_bases(
-    guard: GuardExpr, knowledge: Mapping[Event, int]
-) -> frozenset[Event] | None:
-    """The wake set of ``guard`` under ``knowledge``: its bases when it
-    is reduced, :data:`ALL` when the next assimilation would rewrite it
-    whatever the announced base."""
-    return guard.bases() if is_reduced(guard, knowledge) else ALL
+    guard: GuardExpr, knowledge: Mapping[Event, int] | None = None
+) -> frozenset[Event]:
+    """The wake set of residual ``guard``: its base support.  The
+    knowledge does not enter -- an announcement on any other base
+    cannot move the residual, whatever the actor knows."""
+    return guard.bases()
 
 
 #: The facts that can certify one literal, in the order they are tried:
@@ -342,8 +316,7 @@ class GuardNode:
     """
 
     __slots__ = (
-        "engine", "residual", "know",
-        "_edges", "_next", "_verdict", "_watches", "_plan",
+        "engine", "residual", "know", "_edges", "_next", "_verdict", "_plan",
     )
 
     def __init__(self, engine: "CompiledGuardEngine", residual: GuardExpr, know: Know):
@@ -353,7 +326,6 @@ class GuardNode:
         self._edges: dict[tuple[Event, int], GuardNode] = {}
         self._next: GuardNode | None = None
         self._verdict: str | None = None
-        self._watches = _UNSET
         self._plan: tuple | None = None
 
     # -- transitions ---------------------------------------------------
@@ -438,20 +410,6 @@ class GuardNode:
             _CompiledStats.hops += 1
             self.engine.hops += 1
         return v
-
-    def watches(self):
-        """The wake set of this state (:data:`ALL`: every base), in
-        slot space."""
-        w = self._watches
-        if w is _UNSET:
-            _CompiledStats.expansions += 1
-            self.engine.expansions += 1
-            w = watch_bases(self.residual, dict(self.know))
-            self._watches = w
-        else:
-            _CompiledStats.hops += 1
-            self.engine.hops += 1
-        return w
 
     def plan(self, certificates: bool) -> tuple:
         """This state's :func:`first_solicitation`.  ``certificates`` is
@@ -586,10 +544,10 @@ class GuardCursor:
         return node.verdict()
 
     def wakes_on(self, base: Event) -> bool:
-        """Can an announcement on ``base`` move the bound node?  Its
-        wake set is :data:`ALL` or holds ``base``'s slot."""
-        w = self.node.watches()
-        return w is ALL or self.to_slot.get(base) in w
+        """Can an announcement on ``base`` move the bound node?  Iff
+        ``base``'s slot is in the residual's support
+        (:func:`watch_bases`)."""
+        return self.to_slot.get(base) in self.node.residual.bases()
 
     def plan(self, certificates: bool) -> tuple:
         """:func:`first_solicitation` on the real names, translated from

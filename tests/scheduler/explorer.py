@@ -1,0 +1,370 @@
+"""A stateless schedule explorer for the distributed scheduler.
+
+A run is a deterministic function of the order in which the simulator
+pops its callbacks.  :class:`ChoosingSimulator` pops, at each step, the
+callback a *choice prefix* names among the enabled ones, and the
+default, oldest-first one past the prefix.  The enabled callbacks are
+the oldest pending delivery of each ``(src, dst)`` channel -- the raw
+fabric is FIFO per pair (``Network._fifo_high_water``), so no other
+delivery order can happen -- and every other callback: scripted
+attempts and timers.  It is installed by patching the ``Simulator``
+name that :mod:`repro.scheduler.base` builds each run's simulator
+from, so the scheduler under test is the production one, unchanged.
+
+:func:`explore` re-runs a scenario from the start along each prefix,
+depth first, over every schedule that deviates from the default pick at
+most ``bound`` times (``None``: every schedule).  On each one it checks
+what Theorem 6 and the protocol promise (:func:`check_schedule`):
+
+* *soundness* -- a run that ends ``maximal`` satisfies every
+  dependency (``judge``);
+* *progress* -- a fault-free run ends ``maximal``;
+* *agreement* -- the production engine and ``reference_engine=True``
+  (every guard re-evaluated on every announcement) take the same
+  schedule to the same timeline, message counts, terminal state and
+  final actor status, residual and knowledge.
+
+A failure raises :class:`ScheduleFailure`, which names the property and
+the choice prefix that reproduces it (:func:`run_schedule`).
+
+Run as a module, it explores Example 13 (one cluster of two tasks) at
+delay bound 2 under both engines, which takes too long for the tier-1
+suite::
+
+    PYTHONPATH=src python -W error -m tests.scheduler.explorer
+"""
+
+from __future__ import annotations
+
+import heapq
+import sys
+import time
+from dataclasses import dataclass
+from unittest import mock
+
+import repro.scheduler.base
+from repro.algebra.symbols import Event
+from repro.scheduler import DistributedScheduler
+from repro.scheduler.agents import AgentScript, ScriptedAttempt
+from repro.scheduler.events import ExecutionResult
+from repro.scheduler.oracle import judge
+from repro.sim.clock import Simulator
+from repro.sim.network import Network
+from repro.workflows.spec import Workflow
+from repro.workloads.scenarios import (
+    Scenario,
+    make_mutex_family,
+    make_travel_booking,
+)
+
+#: the code of every fabric delivery callback (``Network.send``'s
+#: ``deliver`` closure); its ``src`` / ``dst`` cells name the channel
+_DELIVER = next(
+    const for const in Network.send.__code__.co_consts
+    if getattr(const, "co_name", None) == "deliver"
+)
+
+
+def _channel(callback) -> tuple[str, str] | None:
+    """The ``(src, dst)`` channel a fabric delivery travels on;
+    ``None`` for any other callback."""
+    code = getattr(callback, "__code__", None)
+    if code is not _DELIVER:
+        return None
+    cells = dict(zip(code.co_freevars, callback.__closure__))
+    return cells["src"].cell_contents, cells["dst"].cell_contents
+
+
+class ScheduleMismatch(Exception):
+    """A prefix named a choice the run did not offer (a replay on an
+    engine that diverged earlier)."""
+
+
+class ChoosingSimulator(Simulator):
+    """A :class:`Simulator` whose every step pops the enabled callback
+    ``prefix`` names (index into the enabled callbacks in ``(time,
+    sequence)`` order; 0 is the plain simulator's pick).
+
+    ``taken`` and ``widths`` record the choice made and the number
+    offered at each step.  The clock never runs backwards: a callback
+    picked ahead of an earlier-due one fires at the current time.
+    """
+
+    def __init__(self, prefix: tuple[int, ...] = ()) -> None:
+        super().__init__()
+        self.prefix = prefix
+        self.taken: list[int] = []
+        self.widths: list[int] = []
+        #: handle -> the channel its delivery travels on (or ``None``)
+        self._channels: dict[int, tuple[str, str] | None] = {}
+
+    def schedule(self, delay, callback) -> int:
+        handle = super().schedule(delay, callback)
+        self._channels[handle] = _channel(callback)
+        return handle
+
+    def enabled(self) -> list[tuple[float, int, object]]:
+        """The callbacks that may fire next, oldest first."""
+        live, heads = self._live, set()
+        enabled = []
+        for entry in sorted(self._heap):
+            if entry[1] not in live:
+                continue
+            channel = self._channels[entry[1]]
+            if channel is not None:
+                if channel in heads:
+                    continue  # behind an older delivery on its channel
+                heads.add(channel)
+            enabled.append(entry)
+        return enabled
+
+    def step(self) -> bool:
+        self._purge_head()
+        if not self._heap:
+            return False
+        enabled = self.enabled()
+        index = len(self.taken)
+        choice = self.prefix[index] if index < len(self.prefix) else 0
+        if choice >= len(enabled):
+            raise ScheduleMismatch(
+                f"step {index} offers {len(enabled)} choices, not {choice + 1}"
+            )
+        self.taken.append(choice)
+        self.widths.append(len(enabled))
+        when, seq, callback = enabled[choice]
+        if choice == 0:
+            heapq.heappop(self._heap)  # the head: the plain pick
+        # a non-head entry stays in the heap, dead, until purged
+        self._live.discard(seq)
+        self.now = max(self.now, when)
+        for sampler in self._samplers:
+            sampler.on_advance(self.now)
+        self.processed += 1
+        callback()
+        return True
+
+
+@dataclass
+class Run:
+    """One scenario run along one schedule."""
+
+    sched: DistributedScheduler
+    result: ExecutionResult
+    taken: list[int]
+    widths: list[int]
+
+
+def run_schedule(
+    scenario: Scenario, prefix: tuple[int, ...] = (), reference: bool = False
+) -> Run:
+    """Run ``scenario`` on the raw fabric along ``prefix``, then the
+    default pick, under the production engine (or the reference)."""
+    sims: list[ChoosingSimulator] = []
+
+    def simulator() -> ChoosingSimulator:
+        sims.append(ChoosingSimulator(prefix))
+        return sims[-1]
+
+    workflow = scenario.workflow
+    with mock.patch.object(repro.scheduler.base, "Simulator", simulator):
+        sched = DistributedScheduler(
+            workflow.dependencies,
+            sites=workflow.sites,
+            attributes=workflow.attributes,
+            reference_engine=reference,
+        )
+    result = sched.run(scenario.scripts, verify=False)
+    (sim,) = sims
+    return Run(sched, result, sim.taken, sim.widths)
+
+
+def observables(run: Run) -> dict:
+    """What engine agreement compares: the schedule itself, the
+    timeline with times, messages by kind, the terminal state, and each
+    actor's final status, knowledge and residual."""
+    result = run.result
+    return {
+        "schedule": (run.taken, run.widths),
+        "timeline": [(repr(e.event), e.time) for e in result.entries],
+        "messages": dict(sorted(result.messages_by_kind.items())),
+        "terminal": result.terminal,
+        "actors": {
+            repr(event): (
+                actor.status.name,
+                sorted((repr(b), m) for b, m in actor.knowledge.items()),
+                repr(actor.guard),
+            )
+            for event, actor in sorted(
+                run.sched.actors.items(), key=lambda kv: kv[0].sort_key()
+            )
+        },
+    }
+
+
+def deviations(taken) -> dict[int, int]:
+    """A schedule's non-default choices, ``{step: choice}``."""
+    return {step: choice for step, choice in enumerate(taken) if choice}
+
+
+def as_prefix(deviated: dict[int, int]) -> tuple[int, ...]:
+    """The choice prefix that replays ``deviations(taken)``."""
+    if not deviated:
+        return ()
+    prefix = [0] * (max(deviated) + 1)
+    for step, choice in deviated.items():
+        prefix[step] = choice
+    return tuple(prefix)
+
+
+class ScheduleFailure(AssertionError):
+    """A property failed on an explored schedule.  ``prefix`` replays
+    it: ``run_schedule(scenario, prefix)``."""
+
+    def __init__(self, prop: str, taken, detail: str):
+        self.property = prop
+        self.prefix = as_prefix(deviations(taken))
+        super().__init__(
+            f"{prop} fails on the schedule with choice prefix "
+            f"{list(self.prefix)}: {detail}"
+        )
+
+
+def check_schedule(
+    scenario: Scenario, prefix: tuple[int, ...], agreement: bool = True
+) -> Run:
+    """Run ``prefix`` and check soundness, progress and (with
+    ``agreement``) engine agreement on it; returns the production run."""
+    run = run_schedule(scenario, prefix)
+    result = run.result
+    if result.terminal != "maximal":
+        raise ScheduleFailure(
+            "progress", run.taken,
+            f"ended {result.terminal} with {result.unsettled} unsettled",
+        )
+    found = judge(result.trace, scenario.workflow.dependencies)
+    if found:
+        raise ScheduleFailure(
+            "soundness", run.taken,
+            f"maximal trace {result.trace!r}: {found[0].detail}",
+        )
+    if agreement:
+        try:
+            reference = observables(run_schedule(scenario, prefix, True))
+        except ScheduleMismatch as exc:
+            reference = {"schedule": str(exc)}
+        production = observables(run)
+        if production != reference:
+            differ = sorted(
+                key for key in production
+                if production[key] != reference.get(key)
+            )
+            raise ScheduleFailure(
+                "agreement", run.taken,
+                f"the production engine differs from the reference in "
+                f"{differ}",
+            )
+    return run
+
+
+def explore(
+    scenario: Scenario, bound: int | None = None, agreement: bool = True
+) -> int:
+    """Check every schedule of ``scenario`` with at most ``bound``
+    non-default choices (``None``: all of them), depth first; returns
+    how many were explored."""
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    explored = 0
+    while stack:
+        prefix, used = stack.pop()
+        run = check_schedule(scenario, prefix, agreement)
+        explored += 1
+        if bound is not None and used >= bound:
+            continue
+        taken = tuple(run.taken)
+        for step in range(len(taken) - 1, len(prefix) - 1, -1):
+            for choice in range(run.widths[step] - 1, 0, -1):
+                stack.append((taken[:step] + (choice,), used + 1))
+    return explored
+
+
+# ----------------------------------------------------------------------
+# the specs: the paper's Examples 10, 11 and 13, one travel instance
+# (Example 12) and Klein precedence fanned out k times
+
+
+def _scenario(name: str, dependencies, attempts, **attributes) -> Scenario:
+    """A workflow with one site per base (the scheduler's default) and
+    one script per attempted event, at time 0 unless given."""
+    workflow = Workflow(name)
+    for dep in dependencies:
+        workflow.add(dep)
+    for event, attrs in attributes.items():
+        workflow.set_attributes(Event(event), **attrs)
+    scripts = []
+    for attempt in attempts:
+        event, _, at = attempt.partition("@")
+        signed = ~Event(event[1:]) if event.startswith("~") else Event(event)
+        scripts.append(
+            AgentScript(
+                f"site_{signed.base.name}",
+                [ScriptedAttempt(float(at or 0.0), signed)],
+            )
+        )
+    return Scenario(workflow=workflow, scripts=scripts, description=name)
+
+
+def ex10() -> Scenario:
+    """Example 10: ``f`` is attempted first and parks until ``~e``."""
+    return _scenario("ex10", ["~e + ~f + e . f"], ["f", "~e@5"])
+
+
+def ex11() -> Scenario:
+    """Example 11: mutual eventuality, settled by a promise."""
+    return _scenario("ex11", ["~e + f", "~f + e"], ["e", "f"])
+
+
+def consensus3() -> Scenario:
+    """Example 11's consensus closed over a 3-cycle of arrows."""
+    return _scenario(
+        "consensus3", ["~e + f", "~f + g", "~g + e"], ["e", "f", "g"]
+    )
+
+
+def ex13() -> Scenario:
+    """Example 13: one cluster of two critical-section tasks, every
+    scripted attempt made."""
+    workflow, scripts = make_mutex_family(2, cluster=2).merged()
+    return Scenario(workflow=workflow, scripts=scripts, description="ex13")
+
+
+def travel() -> Scenario:
+    """One Example 12 travel instance, on its success path."""
+    return make_travel_booking("success")
+
+
+def precede(k: int) -> Scenario:
+    """``e`` before each of ``f0 .. f{k-1}`` (``examples/precede.wf``),
+    every event attempted at once."""
+    return _scenario(
+        f"precede{k}",
+        [f"~e + ~f{i} + e . f{i}" for i in range(k)],
+        ["e"] + [f"f{i}" for i in range(k)],
+    )
+
+
+def main() -> int:
+    """Explore Example 13 at delay bound 2 under both engines; print
+    the failing choice prefix on failure."""
+    start = time.perf_counter()
+    try:
+        explored = explore(ex13(), bound=2)
+    except ScheduleFailure as failure:
+        print(f"ex13 at d=2: {failure}", file=sys.stderr)
+        return 1
+    elapsed = time.perf_counter() - start
+    print(f"ex13 at d=2: {explored} schedules hold, {elapsed:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

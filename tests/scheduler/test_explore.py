@@ -1,0 +1,164 @@
+"""Theorem 6 at the protocol level, by schedule exploration.
+
+The explorer (``tests/scheduler/explorer.py``) re-runs a scenario on
+the raw fabric along every schedule within a delay bound and checks
+soundness, progress and engine agreement on each.  Engine agreement is
+the wake rule's regression guard: an actor wakes iff the announced base
+is in its residual's support, and on every explored schedule that must
+decide exactly what the reference engine, which wakes on everything,
+decides.  The bounds here keep the explorer's share of the suite to
+about 20 s; the module's ``__main__`` runs Example 13 at delay bound 2.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+
+from repro.algebra.symbols import Event
+from repro.scheduler import DistributedScheduler, guard_scheduler
+from repro.scheduler.actors import EventActor
+from repro.scheduler.messages import PromiseGrant
+from repro.scheduler.oracle import judge
+from repro.sim.network import Network, UniformLatency
+from repro.temporal.compiled import GuardCursor
+from repro.workloads.scenarios import make_mutex_scenario
+
+from .explorer import (
+    ChoosingSimulator,
+    ScheduleFailure,
+    as_prefix,
+    consensus3,
+    deviations,
+    ex10,
+    ex11,
+    ex13,
+    explore,
+    observables,
+    precede,
+    run_schedule,
+    travel,
+)
+
+
+class TestExplorer:
+    """The instrument itself."""
+
+    def test_channel_heads_and_other_callbacks_are_enabled(self):
+        """Of two deliveries queued on one channel only the older is a
+        choice; another channel's head and a timer are choices too."""
+        sim = ChoosingSimulator()
+        network = Network(sim)
+        got = []
+        network.send("a", "b", "msg", 1, got.append)
+        network.send("a", "b", "msg", 2, got.append)
+        network.send("a", "c", "msg", 3, got.append)
+        sim.schedule(5.0, lambda: got.append("timer"))
+        assert len(sim.enabled()) == 3
+        sim.prefix = (2, 1, 0, 0)  # the timer, then a->c ahead of a->b
+        sim.run()
+        assert got == ["timer", 3, 1, 2]
+        assert sim.widths == [3, 2, 1, 1]
+        assert sim.now == 5.0  # the clock never runs backwards
+
+    def test_the_default_schedule_is_the_plain_simulator(self):
+        scenario = travel()
+        workflow = scenario.workflow
+        plain = DistributedScheduler(
+            workflow.dependencies,
+            sites=workflow.sites,
+            attributes=workflow.attributes,
+        ).run(scenario.scripts, verify=False)
+        explored = run_schedule(scenario).result
+        assert [(e.event, e.time) for e in explored.entries] == [
+            (e.event, e.time) for e in plain.entries
+        ]
+        assert explored.messages_by_kind == plain.messages_by_kind
+
+    def test_a_prefix_replays_its_schedule(self):
+        """Stateless: a schedule is its choice prefix."""
+        first = run_schedule(ex11(), (1, 0, 1))
+        prefix = as_prefix(deviations(first.taken))
+        assert prefix == (1, 0, 1)
+        assert observables(run_schedule(ex11(), prefix)) == observables(first)
+
+
+class TestTheorem6:
+    """Soundness, progress and engine agreement on every schedule
+    within the bound."""
+
+    def test_ex10_every_schedule(self):
+        assert explore(ex10()) == 11
+
+    def test_ex11_every_schedule(self):
+        assert explore(ex11()) == 78
+
+    def test_consensus_cycle_within_two_delays(self):
+        assert explore(consensus3(), bound=2) == 1047
+
+    def test_ex13_within_one_delay(self):
+        assert explore(ex13(), bound=1) == 136
+
+    def test_travel_within_two_delays(self):
+        assert explore(travel(), bound=2) == 500
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_precede_within_two_delays(self, k):
+        assert explore(precede(k), bound=2) > 1
+
+
+class TestMutants:
+    """Seeded protocol mutants, each killed by a named property: the
+    explorer finding nothing on the real protocol means something."""
+
+    def test_skipping_every_announcement_breaks_agreement(self):
+        with mock.patch.object(GuardCursor, "wakes_on", lambda self, base: False):
+            with pytest.raises(ScheduleFailure) as failure:
+                explore(ex10())
+        assert failure.value.property == "agreement"
+
+    def test_a_round_firing_without_its_transient_check_is_unsound(self):
+        """Task 2 enters while task 1 holds the critical section: its
+        round learned that ``b1`` occurred and fired anyway."""
+        mutant = mock.patch.object(
+            EventActor, "_subsumed_under_transient", lambda self: True
+        )
+        with mutant, pytest.raises(ScheduleFailure) as failure:
+            explore(make_mutex_scenario("t2"), bound=2, agreement=False)
+        assert failure.value.property == "soundness"
+        assert len(deviations(failure.value.prefix)) == 2
+
+    def test_a_dropped_promise_grant_loses_progress(self):
+        mutant = mock.patch.dict(
+            guard_scheduler._HANDLERS,
+            {PromiseGrant: lambda actor, grant: None},
+        )
+        with mutant, pytest.raises(ScheduleFailure) as failure:
+            explore(ex11(), agreement=False)
+        assert failure.value.property == "progress"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Example 13 with an idle task: one settlement batch attempts "
+    "~b2 and ~e2 while b2 is parked; the grants <>~b2 to ~e2 and <>e2 "
+    "to b2 cross, both ~e2 and b2 fire, and two promises break",
+)
+def test_ex13_with_an_idle_task_is_sound():
+    """Theorem 6 soundness on Example 13 when task 1 never runs: the
+    run ends maximal with <~b1 ~e1 b2 ~e2>, which violates ~b2 + e2
+    (206 of seeds 0-1999 fail; none with both tasks scripted)."""
+    scenario = make_mutex_scenario("t1")
+    workflow = scenario.workflow
+    sched = DistributedScheduler(
+        workflow.dependencies,
+        sites=workflow.sites,
+        attributes=workflow.attributes,
+        latency=UniformLatency(0.1, 3.0),
+        rng=random.Random(11),
+    )
+    task2 = [s for s in scenario.scripts if s.site != "task1"]
+    result = sched.run(task2, verify=False)
+    assert result.terminal == "maximal"
+    assert Event("b2") in {e.event for e in result.entries}
+    assert judge(result.trace, workflow.dependencies) == []

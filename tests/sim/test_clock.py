@@ -104,6 +104,16 @@ class TestCancellation:
         sim.run()
         assert sim.now == 1.0
 
+    def test_pending_excludes_a_cancelled_entry_below_the_head(self):
+        """Regression: ``pending`` purged only the heap head, so a
+        cancelled entry behind a live one still counted."""
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.cancel(sim.schedule(2.0, lambda: None))
+        assert sim.pending == 1
+        assert sim.step()
+        assert sim.pending == 0
+
     def test_cancel_after_fire_is_a_noop(self):
         sim = Simulator()
         fired = []

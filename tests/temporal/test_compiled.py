@@ -13,7 +13,6 @@ from repro.algebra.symbols import Event
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.temporal import compiled
 from repro.temporal.compiled import (
-    ALL,
     CompiledGuardEngine,
     _restrict,
     _set_know,
@@ -171,10 +170,14 @@ class TestTransitions:
         assert [copy.wakes_on(b) for b in (A, B, X, Y)] == [
             False, False, True, True
         ]
+        # a learned fact moves the node, not the wake set: it stays
+        # the residual's support until an assimilation shrinks it
         knowledge[A] = E_OCC
         cursor.learn(A, E_OCC)
-        assert watch_bases(GUARD, knowledge) is ALL
-        assert cursor.wakes_on(C) and cursor.wakes_on(X)
+        assert watch_bases(GUARD, knowledge) == {A, B}
+        assert cursor.wakes_on(A) and not cursor.wakes_on(C)
+        cursor.assimilate()
+        assert [cursor.wakes_on(b) for b in (A, B)] == [False, True]
 
 
 class TestCursor:

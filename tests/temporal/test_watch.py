@@ -1,7 +1,7 @@
 """The wake rule (:mod:`repro.temporal.compiled`).
 
-Unit tests for the wake-set computation (``is_reduced`` /
-``watch_bases``), the wake / skip counters, and the scheduler's wake
+Unit tests for the wake set (``watch_bases``: the residual's support),
+the wake / skip counters, and the scheduler's wake
 decision at delivery -- including the crash/``Recovered``-replay path
 and guard re-entry onto a renamed copy of the same shape.
 """
@@ -16,43 +16,15 @@ from repro.scheduler.messages import Announce
 from repro.sim import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
 from repro.temporal.compiled import (
-    ALL,
     WakeCounts,
     clear_compiled,
-    is_reduced,
     watch_bases,
     watch_stats,
 )
-from repro.temporal.cubes import (
-    C_OCC,
-    E_OCC,
-    TRUE_GUARD,
-    FALSE_GUARD,
-    literal,
-)
+from repro.temporal.cubes import E_OCC, TRUE_GUARD, literal
 from repro.workloads.scenarios import make_travel_booking
 
 A, B, C = Event("a"), Event("b"), Event("c")
-
-
-class TestIsReduced:
-    GUARD = literal("box", A) & literal("dia", B)
-
-    def test_empty_knowledge_is_identity(self):
-        assert is_reduced(self.GUARD, {})
-
-    def test_true_and_false_guards_are_reduced(self):
-        assert is_reduced(TRUE_GUARD, {A: E_OCC})
-        assert is_reduced(FALSE_GUARD, {A: E_OCC})
-
-    def test_knowledge_on_foreign_base_keeps_reduced(self):
-        assert is_reduced(self.GUARD, {C: E_OCC})
-
-    def test_decided_literal_means_unreduced(self):
-        # simplify_under would drop box-a (guard becomes a unit)
-        assert not is_reduced(self.GUARD, {A: E_OCC})
-        # ... or kill the cube (guard becomes empty)
-        assert not is_reduced(self.GUARD, {A: C_OCC})
 
 
 class TestWatchBases:
@@ -60,9 +32,11 @@ class TestWatchBases:
         guard = literal("box", A) & literal("dia", B)
         assert watch_bases(guard, {}) == {A, B}
 
-    def test_unreduced_guard_watches_everything(self):
+    def test_unreduced_guard_watches_its_support(self):
+        """Knowledge that decides a literal does not widen the wake
+        set: until the next assimilation it is still the support."""
         guard = literal("box", A) & literal("dia", B)
-        assert watch_bases(guard, {A: E_OCC}) is ALL
+        assert watch_bases(guard, {A: E_OCC}) == {A, B}
 
     def test_residuation_picks_the_replacement_watch(self):
         """Consuming a watched literal re-simplifies the guard; the
@@ -70,7 +44,7 @@ class TestWatchBases:
         watch" is residuation itself."""
         guard = (literal("box", A) & literal("dia", B)) | literal("box", C)
         knowledge = {A: E_OCC}
-        assert watch_bases(guard, knowledge) is ALL  # stale: must wake
+        assert watch_bases(guard, knowledge) == {A, B, C}
         reduced = guard.simplify_under(knowledge)
         assert watch_bases(reduced, knowledge) == {B, C}
 
@@ -122,9 +96,9 @@ def assert_wakes_match_watch_bases(sched):
             continue  # unbound: wakes on everything
         expected = watch_bases(actor.guard, actor.knowledge)
         for base in bases:
-            assert actor.cursor.wakes_on(base) == (
-                expected is ALL or base in expected
-            ), (actor.event, base, expected)
+            assert actor.cursor.wakes_on(base) == (base in expected), (
+                actor.event, base, expected
+            )
 
 
 class TestSchedulerReWatch:
