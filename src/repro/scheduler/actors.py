@@ -348,9 +348,7 @@ class EventActor:
         cursor's node -- so they are computed once per guard shape; what
         is per actor (its own base, its request record) applies here.
         """
-        demand, promises, certificates = self.cursor.plan(
-            self.sched.policy.certificates
-        )
+        demand, promises, certificates = self.cursor.plan()
         level = 1 if demand else 0
         own, chain = self.event.base, (self.event,)
         requests = [
@@ -412,9 +410,7 @@ class EventActor:
         Returns True when a new demand was issued."""
         if self.status is not ActorStatus.PENDING:
             return False
-        _demand, plans = solicitations(
-            self.guard, self.knowledge, self.sched.policy.certificates
-        )
+        _demand, plans = solicitations(self.guard, self.knowledge)
         for cube, promises, certificates in plans:
             if cube in self._escalated_cubes:
                 continue
@@ -453,10 +449,8 @@ class EventActor:
         )
         if self.status is ActorStatus.IDLE and not guaranteed_idle:
             attrs = self.sched.attributes(self.event.base)
-            eager = req.demand or not self.sched.policy.lazy_triggering
-            if eager and attrs.triggerable and not self.event.negated:
-                # Escalated request at quiescence (or eager-triggering
-                # ablation): cause the event now.
+            if req.demand and attrs.triggerable and not self.event.negated:
+                # Escalated request at quiescence: cause the event now.
                 self.deferred_promise_reqs.append(req)
                 self.sched.request_trigger(self)
                 return
@@ -493,10 +487,7 @@ class EventActor:
                 PromiseRefuse(target=self.event, requester=requester),
             )
             return
-        if (
-            not self.sched.policy.promise_chaining
-            or self._secured_cube(assumed) is not None
-        ):
+        if self._secured_cube(assumed) is not None:
             self.granted_to.add(requester)
             self.sched.note_promise()
             self.sched.send_to_actor(

@@ -67,42 +67,6 @@ class EventAttributes:
 
 
 @dataclass(frozen=True)
-class SchedulerPolicy:
-    """Toggles for the distributed scheduler's protocol machinery.
-
-    The defaults are the full protocol; the ablation benches turn
-    pieces off to measure what each one buys (DESIGN.md's design-
-    choice index).
-
-    Attributes
-    ----------
-    promise_chaining:
-        A promise grantee secures its own eventuality needs first
-        (chained requests, cycle detection).  Off = grant optimistically
-        whenever the guard is still possible -- cheaper, but promises
-        can be broken (audited by the promise-violation counter).
-    lazy_triggering:
-        Idle triggerable events are caused only by requirement
-        monitors or demand escalation at quiescence.  Off = any
-        promise request to an idle triggerable event triggers it
-        immediately -- faster, but alternatives get exercised
-        needlessly (compensations may run on success paths).
-    certificates:
-        The not-yet agreement protocol for ``!f`` guards.  Off =
-        such guards wait until the base settles -- always safe, but
-        serializes events the paper lets run concurrently.
-    escalation:
-        Demand rounds at quiescence.  Off = parked events with only
-        lazy alternatives stay parked until settlement.
-    """
-
-    promise_chaining: bool = True
-    lazy_triggering: bool = True
-    certificates: bool = True
-    escalation: bool = True
-
-
-@dataclass(frozen=True)
 class Violation:
     """A correctness violation detected during or after a run."""
 

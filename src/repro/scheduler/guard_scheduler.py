@@ -29,12 +29,7 @@ from repro.algebra.symbols import Event
 from repro.scheduler.actors import ActorStatus, EventActor
 from repro.scheduler.agents import AgentScript
 from repro.scheduler.base import RunBase
-from repro.scheduler.events import (
-    EventAttributes,
-    ExecutionResult,
-    SchedulerPolicy,
-    Violation,
-)
+from repro.scheduler.events import EventAttributes, ExecutionResult, Violation
 from repro.scheduler.messages import (
     Announce,
     NotYetReply,
@@ -135,7 +130,6 @@ class DistributedScheduler(RunBase):
         latency: LatencyModel | None = None,
         rng: random.Random | None = None,
         guards: Mapping[Event, Binding | GuardExpr] | None = None,
-        policy: SchedulerPolicy | None = None,
         drop_probability: float = 0.0,
         duplicate_probability: float = 0.0,
         reliable: bool = False,
@@ -150,7 +144,6 @@ class DistributedScheduler(RunBase):
             drop_probability=drop_probability,
             duplicate_probability=duplicate_probability,
         )
-        self.policy = policy or SchedulerPolicy()
         #: compiled-guard automaton store, and the factory every
         #: ``EventActor.__init__`` takes its cursor from: a pointer into
         #: this store -- or, for the differential tests'
@@ -1079,8 +1072,6 @@ class DistributedScheduler(RunBase):
         negatively.  One cube of one actor per round, so cheap
         alternatives resolve before anything gets triggered; any
         progress restarts the scan, until no actor issues a demand."""
-        if not self.policy.escalation:
-            return
         while True:
             parked = [
                 a for a in self._sorted_actors()

@@ -49,7 +49,7 @@ order binds onto a different shape; it is no less exact.
 announcement arrives (Section 4.3), and the evaluation is a no-op when
 the announced base cannot move it.  The scheduler decides wake or skip
 at delivery, from the actor's own node: an actor wakes **iff the
-announced base is in its residual's support** (:func:`watch_bases`),
+announced base is in its residual's support** (``guard.bases()``),
 the one clause AKL's stability rule asks for -- a suspended guard wakes
 only on the variables it is suspended on.  A decided literal leaves the
 residual and its base leaves the wake set, so residuation itself picks
@@ -92,10 +92,6 @@ Know = tuple[tuple[Event, int], ...]
 #: The transient fact a not-yet certificate establishes: neither the
 #: base nor its complement has occurred (worlds P_E or P_C).
 NOT_YET_MASK = P_E | P_C
-
-#: Retired sentinel for "every announcement wakes the actor": no wake
-#: set is ``ALL`` any more, so ``w is ALL`` is always false.
-ALL = None
 
 
 class _CompiledStats:
@@ -221,15 +217,6 @@ def _verdict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> str:
     return "park"
 
 
-def watch_bases(
-    guard: GuardExpr, knowledge: Mapping[Event, int] | None = None
-) -> frozenset[Event]:
-    """The wake set of residual ``guard``: its base support.  The
-    knowledge does not enter -- an announcement on any other base
-    cannot move the residual, whatever the actor knows."""
-    return guard.bases()
-
-
 #: The facts that can certify one literal, in the order they are tried:
 #: ``(mask the facts leave, promise target, needs a certificate)``,
 #: where the target is ``None`` (no promise), ``False`` (the base's own
@@ -243,28 +230,26 @@ _RESOLUTIONS = (
     (DIA_MASK & NOT_YET_MASK, False, True),
     (DIA_COMP_MASK & NOT_YET_MASK, True, True),
 )
-_PROMISES_ONLY = tuple(r for r in _RESOLUTIONS if not r[2])
 
 
 def solicitations(
-    guard: GuardExpr, knowledge: Mapping[Event, int], certificates: bool
+    guard: GuardExpr, knowledge: Mapping[Event, int]
 ) -> tuple[bool, list[tuple[tuple, tuple[Event, ...], tuple[Event, ...]]]]:
     """Which promises / certificates could complete a cube of ``guard``.
 
     Returns ``(demand, plans)``.  ``plans`` holds, in canonical cube
     order, ``(cube, promise targets, certificate bases)`` for every cube
     still possible under ``knowledge`` whose every uncertain base a
-    promise or (with ``certificates``, the scheduler's policy) a
-    not-yet certificate could resolve; a cube needing an actual
-    occurrence has no plan.  ``demand`` says a single cube is still
-    possible: its requests are then mandatory, so idle triggerable
-    targets are caused at once ("information flows as soon as it is
-    available", Section 6); with alternatives solicitation stays lazy.
+    promise, a not-yet certificate or both could resolve; a cube
+    needing an actual occurrence has no plan.  ``demand`` says a single
+    cube is still possible: its requests are then mandatory, so idle
+    triggerable targets are caused at once ("information flows as soon
+    as it is available", Section 6); with alternatives solicitation
+    stays lazy.
 
     The one definition of soliciting: nodes call it in slot space
     (:meth:`GuardNode.plan`), quiescence escalation in real space.
     """
-    resolutions = _RESOLUTIONS if certificates else _PROMISES_ONLY
     possible = 0
     plans = []
     for cube in guard.sorted_cubes():
@@ -277,7 +262,7 @@ def solicitations(
                 break  # the cube can no longer hold
             if not resolved or known & ~mask & FULL == 0:
                 continue  # no plan anyway, or the base is already certain
-            for facts, target, certify in resolutions:
+            for facts, target, certify in _RESOLUTIONS:
                 combined = known & facts
                 if combined and combined & ~mask & FULL == 0:
                     if target is not None:
@@ -295,12 +280,12 @@ def solicitations(
 
 
 def first_solicitation(
-    guard: GuardExpr, knowledge: Mapping[Event, int], certificates: bool
+    guard: GuardExpr, knowledge: Mapping[Event, int]
 ) -> tuple[bool, tuple[Event, ...], tuple[Event, ...]]:
     """``(demand, promise targets, certificate bases)`` of the first
     plan :func:`solicitations` finds: one requestable cube at a time
     keeps traffic low."""
-    demand, plans = solicitations(guard, knowledge, certificates)
+    demand, plans = solicitations(guard, knowledge)
     if not plans:
         return False, (), ()
     _cube, promises, needs = plans[0]
@@ -411,14 +396,12 @@ class GuardNode:
             self.engine.hops += 1
         return v
 
-    def plan(self, certificates: bool) -> tuple:
-        """This state's :func:`first_solicitation`.  ``certificates`` is
-        the scheduler's policy, fixed for the engine's lifetime (the
-        engine is per scheduler)."""
+    def plan(self) -> tuple:
+        """This state's :func:`first_solicitation`."""
         plan = self._plan
         if plan is None:
             plan = self._plan = first_solicitation(
-                self.residual, dict(self.know), certificates
+                self.residual, dict(self.know)
             )
         return plan
 
@@ -546,15 +529,15 @@ class GuardCursor:
     def wakes_on(self, base: Event) -> bool:
         """Can an announcement on ``base`` move the bound node?  Iff
         ``base``'s slot is in the residual's support
-        (:func:`watch_bases`)."""
+        (the wake rule)."""
         return self.to_slot.get(base) in self.node.residual.bases()
 
-    def plan(self, certificates: bool) -> tuple:
+    def plan(self) -> tuple:
         """:func:`first_solicitation` on the real names, translated from
         the node's once per node change."""
         node = self.node or self._bind()
         if node is not self._plan_node:
-            demand, promises, needs = node.plan(certificates)
+            demand, promises, needs = node.plan()
             from_slot = self.from_slot
             self._plan = (
                 demand,
@@ -613,8 +596,8 @@ class ReferenceCursor:
             transient[base] = transient.get(base, FULL) & mask
         return _verdict(self.guard, transient)
 
-    def plan(self, certificates: bool) -> tuple:
-        return first_solicitation(self.guard, self.knowledge, certificates)
+    def plan(self) -> tuple:
+        return first_solicitation(self.guard, self.knowledge)
 
     def reset(
         self, entry: Binding | GuardExpr, knowledge: Mapping[Event, int]

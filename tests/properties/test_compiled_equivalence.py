@@ -33,12 +33,10 @@ from repro.algebra.symbols import Event
 from repro.obs import Tracer
 from repro.scheduler.actors import EventActor
 from repro.temporal.compiled import (
-    ALL,
     CompiledGuardEngine,
     ReferenceCursor,
     _restrict,
     first_solicitation,
-    watch_bases,
 )
 from repro.temporal.cubes import FULL, literal
 from repro.workloads.scenarios import make_travel_booking
@@ -145,7 +143,7 @@ def reference_solicit_plan(actor):
     recomputed from ``(actor.guard, actor.knowledge)`` on the real
     names on every call."""
     demand, promises, certificates = first_solicitation(
-        actor.guard, actor.knowledge, actor.sched.policy.certificates
+        actor.guard, actor.knowledge
     )
     level = 1 if demand else 0
     requests = [
@@ -291,14 +289,12 @@ def knowledge_steps(draw):
     )
 
 
-def assert_wakes_as_watch_bases(cursor, residual, knowledge, bases):
+def assert_wakes_on_the_support(cursor, residual, bases):
     """A bound cursor's wake decision on every base is the wake rule
-    on the real-name ``(residual, knowledge)`` pair."""
-    expected = watch_bases(residual, knowledge)
+    on the real-name residual: wake iff the base is in its support."""
+    support = residual.bases()
     for base in bases:
-        assert cursor.wakes_on(base) == (expected is ALL or base in expected), (
-            residual, knowledge, base
-        )
+        assert cursor.wakes_on(base) == (base in support), (residual, base)
 
 
 class TestCursorTracksCubeEngine:
@@ -333,9 +329,7 @@ class TestCursorTracksCubeEngine:
                 assert cursor.verdict() == expected, (residual, knowledge)
             # the wake decision is read off the node (the reference
             # cursor has none: its actors wake on everything)
-            assert_wakes_as_watch_bases(
-                cursors[0], residual, knowledge, EVENTS
-            )
+            assert_wakes_on_the_support(cursors[0], residual, EVENTS)
             # a certificate-round read: evaluated, never committed
             fact = [(base, mask)]
             compiled, reference = (c.transient_verdict(fact) for c in cursors)
@@ -382,8 +376,8 @@ class TestRenamedCopiesShareNodes:
     reads it on its own names exactly as the reference engine would."""
 
     @settings(max_examples=100, deadline=None)
-    @given(guard_exprs(), knowledge_steps(), st.booleans())
-    def test_copies_agree_with_the_reference(self, guard, steps, certificates):
+    @given(guard_exprs(), knowledge_steps())
+    def test_copies_agree_with_the_reference(self, guard, steps):
         engine = CompiledGuardEngine()
 
         def drive(mapping):
@@ -403,13 +397,10 @@ class TestRenamedCopiesShareNodes:
                     reference.assimilate()
                 assert compiled.guard == reference.guard
                 assert compiled.verdict() == reference.verdict()
-                assert_wakes_as_watch_bases(
-                    compiled, reference.guard, reference.knowledge,
-                    mapping.values(),
+                assert_wakes_on_the_support(
+                    compiled, reference.guard, mapping.values()
                 )
-                assert compiled.plan(certificates) == reference.plan(
-                    certificates
-                )
+                assert compiled.plan() == reference.plan()
                 fact = [(base, mask)]
                 assert compiled.transient_verdict(fact) == (
                     reference.transient_verdict(fact)

@@ -28,8 +28,8 @@ A failure raises :class:`ScheduleFailure`, which names the property and
 the choice prefix that reproduces it (:func:`run_schedule`).
 
 Run as a module, it explores Example 13 (one cluster of two tasks) at
-delay bound 2 under both engines, which takes too long for the tier-1
-suite::
+delay bound 2 and one travel instance at delay bound 3, under both
+engines, which takes too long for the tier-1 suite::
 
     PYTHONPATH=src python -W error -m tests.scheduler.explorer
 """
@@ -353,16 +353,19 @@ def precede(k: int) -> Scenario:
 
 
 def main() -> int:
-    """Explore Example 13 at delay bound 2 under both engines; print
-    the failing choice prefix on failure."""
-    start = time.perf_counter()
-    try:
-        explored = explore(ex13(), bound=2)
-    except ScheduleFailure as failure:
-        print(f"ex13 at d=2: {failure}", file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - start
-    print(f"ex13 at d=2: {explored} schedules hold, {elapsed:.1f} s")
+    """Explore Example 13 at delay bound 2 and travel at delay bound 3
+    under both engines; print the failing choice prefix on failure."""
+    for name, scenario, bound in (("ex13", ex13, 2), ("travel", travel, 3)):
+        start = time.perf_counter()
+        try:
+            explored = explore(scenario(), bound=bound)
+        except ScheduleFailure as failure:
+            print(f"{name} at d={bound}: {failure}", file=sys.stderr)
+            return 1
+        elapsed = time.perf_counter() - start
+        print(
+            f"{name} at d={bound}: {explored} schedules hold, {elapsed:.1f} s"
+        )
     return 0
 
 

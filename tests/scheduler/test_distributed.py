@@ -253,6 +253,8 @@ class TestOneGuardEngine:
             "cross_drop_probability", "cross_duplicate_probability",
             # the batching channel, work stealing and its hand layout
             "batch_announcements", "steal", "assignment", "chunk",
+            # the protocol's ablation switches: one protocol runs
+            "policy",
         }
         names = {
             "DistributedScheduler": set(
@@ -266,6 +268,7 @@ class TestOneGuardEngine:
             "run_sharded": set(inspect.signature(run_sharded).parameters),
         }
         assert names["run_sharded"] == {"tasks", "workers"}
+        assert len(names["DistributedScheduler"] - {"self"}) == 13
         for owner, exposed in names.items():
             assert not exposed & retired, owner
         # a shard *task* carries its cross dependencies; the scheduler

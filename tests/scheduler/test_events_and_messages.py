@@ -7,7 +7,6 @@ from repro.scheduler.events import (
     AttemptOutcome,
     EventAttributes,
     ExecutionResult,
-    SchedulerPolicy,
     TraceEntry,
     Violation,
 )
@@ -46,15 +45,6 @@ class TestEventAttributes:
         except AttributeError:
             raised = True
         assert raised
-
-
-class TestSchedulerPolicy:
-    def test_defaults_are_full_protocol(self):
-        policy = SchedulerPolicy()
-        assert policy.promise_chaining
-        assert policy.lazy_triggering
-        assert policy.certificates
-        assert policy.escalation
 
 
 class TestTraceEntryAndResult:

@@ -24,6 +24,7 @@ from repro.sim.network import Network, UniformLatency
 from repro.temporal.compiled import GuardCursor
 from repro.workloads.scenarios import make_mutex_scenario
 
+from . import mutants
 from .explorer import (
     ChoosingSimulator,
     ScheduleFailure,
@@ -109,7 +110,8 @@ class TestTheorem6:
 
 class TestMutants:
     """Seeded protocol mutants, each killed by a named property: the
-    explorer finding nothing on the real protocol means something."""
+    explorer finding nothing on the real protocol means something.
+    The mechanism mutants are :mod:`tests.scheduler.mutants`."""
 
     def test_skipping_every_announcement_breaks_agreement(self):
         with mock.patch.object(GuardCursor, "wakes_on", lambda self, base: False):
@@ -136,6 +138,35 @@ class TestMutants:
         with mutant, pytest.raises(ScheduleFailure) as failure:
             explore(ex11(), agreement=False)
         assert failure.value.property == "progress"
+
+    @pytest.mark.parametrize(
+        "mutant, scenario",
+        [
+            (mutants.no_certificates, travel),
+            (mutants.no_certificates, ex13),
+            # not-yet rounds against promise grants for one cube: a
+            # literal needing both facts leaves its cube without a plan
+            (mutants.no_combined_resolutions, travel),
+        ],
+        ids=lambda value: value.__name__,
+    )
+    def test_without_certificates_the_default_schedule_is_stuck(
+        self, mutant, scenario
+    ):
+        with mutant(), pytest.raises(ScheduleFailure) as failure:
+            explore(scenario(), bound=0, agreement=False)
+        assert failure.value.property == "progress"
+        assert failure.value.prefix == ()
+
+    def test_without_chaining_consensus_cycles_still_hold(self):
+        """The survivor: optimistic grants settle the 3-cycle on every
+        schedule within one delay (fewer schedules: no chained
+        requests), so consensus is stronger than this spec needs
+        (Section 6); a chain that dead-ends breaks a promise instead
+        (``test_policy_and_failures``)."""
+        with mutants.no_chaining():
+            assert explore(consensus3(), bound=1) == 35
+        assert explore(consensus3(), bound=1) == 48
 
 
 @pytest.mark.xfail(

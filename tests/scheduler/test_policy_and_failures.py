@@ -1,4 +1,11 @@
-"""Scheduler policy ablations and network failure injection."""
+"""The protocol's mechanisms, each against the mutant that deletes it,
+and network failure injection.
+
+Section 4.3's protocol runs in one configuration.  Each ablation class
+below pairs a mechanism's test with a run of its mutant
+(:mod:`tests.scheduler.mutants`) that shows what the mechanism buys:
+under the mutant, the mechanism's test fails.
+"""
 
 import random
 
@@ -9,12 +16,13 @@ from repro.algebra.symbols import Event
 from repro.algebra.traces import satisfies
 from repro.scheduler import DistributedScheduler
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.scheduler.events import SchedulerPolicy
 from repro.sim.clock import Simulator
 from repro.sim.network import Network
 from repro.temporal import minimize, workflow_guards
 from repro.workloads.generators import chain_workflow, scripts_for
 from repro.workloads.scenarios import make_travel_booking
+
+from . import mutants
 
 E, F = Event("e"), Event("f")
 
@@ -36,38 +44,41 @@ def minimized_guards(workflow):
 
 
 class TestPromiseChainingAblation:
-    def test_chaining_prevents_broken_promises_on_dropped_chain(self):
-        """The dropped-head chain: with chaining ON the system settles
-        all-negative cleanly; with chaining OFF an optimistic grant
-        lets the head fire on a promise that is later broken."""
+    @staticmethod
+    def _dropped_chain():
+        """The dropped-head chain: a 4-stage chain with half its
+        attempts made (``scripts_for`` seed 3)."""
         w = chain_workflow(4)
         scripts = scripts_for(w, seed=3, participation=0.5)
-
-        with_chaining = DistributedScheduler(
+        return DistributedScheduler(
             w.dependencies, sites=w.sites, attributes=w.attributes
         ).run([AgentScript(s.site, list(s.attempts)) for s in scripts])
-        assert with_chaining.ok
-        assert not with_chaining.unsettled
 
-        without = DistributedScheduler(
-            w.dependencies,
-            sites=w.sites,
-            attributes=w.attributes,
-            policy=SchedulerPolicy(promise_chaining=False),
-        ).run([AgentScript(s.site, list(s.attempts)) for s in scripts])
-        assert any(v.kind == "promise" for v in without.violations)
+    def test_chaining_prevents_broken_promises_on_dropped_chain(self):
+        """The dropped-head chain settles all-negative cleanly: no
+        grantee promises before its own needs are secured."""
+        result = self._dropped_chain()
+        assert result.ok
+        assert not result.unsettled
+
+    def test_without_chaining_a_promise_breaks_on_dropped_chain(self):
+        """Mutant: an optimistic grant lets the head fire on a promise
+        that is later broken."""
+        with mutants.no_chaining():
+            result = self._dropped_chain()
+        assert any(v.kind == "promise" for v in result.violations)
 
     def test_chaining_off_still_fine_on_simple_mutual(self):
-        """Example 11's 2-cycle is safe even optimistically."""
+        """Mutant: Example 11's 2-cycle is safe even optimistically --
+        the consensus requirement is too strong here (Section 6)."""
         deps = [parse("~e + f"), parse("~f + e")]
-        result = DistributedScheduler(
-            deps, policy=SchedulerPolicy(promise_chaining=False)
-        ).run(
-            [
-                AgentScript("se", [ScriptedAttempt(0.0, E)]),
-                AgentScript("sf", [ScriptedAttempt(0.0, F)]),
-            ]
-        )
+        with mutants.no_chaining():
+            result = DistributedScheduler(deps).run(
+                [
+                    AgentScript("se", [ScriptedAttempt(0.0, E)]),
+                    AgentScript("sf", [ScriptedAttempt(0.0, F)]),
+                ]
+            )
         assert result.ok
         assert {en.event for en in result.entries} == {E, F}
 
@@ -103,48 +114,50 @@ class TestLazyTriggeringAblation:
         assert a_comp not in occurred  # the fallback never ran
 
     def test_eager_triggering_runs_the_fallback_needlessly(self):
+        """Mutant: a plain request triggers the idle fallback at once."""
         deps, attributes, scripts, a_comp, z_real = self._alternative_workflow()
-        result = DistributedScheduler(
-            deps,
-            attributes=attributes,
-            policy=SchedulerPolicy(lazy_triggering=False),
-        ).run([AgentScript(s.site, list(s.attempts)) for s in scripts])
+        with mutants.eager_triggering():
+            result = DistributedScheduler(deps, attributes=attributes).run(
+                [AgentScript(s.site, list(s.attempts)) for s in scripts]
+            )
         assert result.ok  # still a valid trace...
         occurred = {en.event for en in result.entries}
         assert a_comp in occurred  # ...but the fallback fired eagerly
 
     def test_failure_path_unaffected(self):
-        scenario = make_travel_booking("failure")
-        for policy in (SchedulerPolicy(), SchedulerPolicy(lazy_triggering=False)):
-            result = run_scenario(scenario, policy=policy)
-            assert result.ok
-            assert any(
-                en.event.name == "s_cancel" and not en.event.negated
-                for en in result.entries
-            )
+        """Lazy triggering still compensates on the failure path."""
+        result = run_scenario(make_travel_booking("failure"))
+        assert result.ok
+        assert any(
+            en.event.name == "s_cancel" and not en.event.negated
+            for en in result.entries
+        )
 
 
 class TestCertificateAblation:
-    def test_without_certificates_precedence_serializes(self):
-        """D_<: with certificates, e fires while f is merely parked;
-        without them, e must wait for f's base to settle -- here that
-        means the run degrades to the all-negative/partial outcome."""
-        d = parse("~e + ~f + e . f")
-        script = AgentScript(
-            "s", [ScriptedAttempt(0.0, E), ScriptedAttempt(1.0, F)]
-        )
-        with_certs = DistributedScheduler([d]).run(
-            [AgentScript("s", list(script.attempts))]
-        )
-        assert [en.event for en in with_certs.entries] == [E, F]
-        assert with_certs.not_yet_rounds >= 1
+    D = parse("~e + ~f + e . f")
 
-        without = DistributedScheduler(
-            [d], policy=SchedulerPolicy(certificates=False)
-        ).run([AgentScript("s", list(script.attempts))])
+    def _precedence(self):
+        """D_< with e attempted at 0 and f at 1."""
+        attempts = [ScriptedAttempt(0.0, E), ScriptedAttempt(1.0, F)]
+        return DistributedScheduler([self.D]).run([AgentScript("s", attempts)])
+
+    def test_certificates_let_e_fire_while_f_is_parked(self):
+        """D_<: a not-yet round certifies ``!f``, so e fires while f is
+        merely parked."""
+        result = self._precedence()
+        assert [en.event for en in result.entries] == [E, F]
+        assert result.not_yet_rounds >= 1
+
+    def test_without_certificates_precedence_serializes(self):
+        """Mutant: e must wait for f's base to settle -- here that
+        means the run degrades to the all-negative/partial outcome."""
+        with mutants.no_certificates():
+            result = self._precedence()
         # no certificate protocol: no rounds ran; trace stays valid
-        assert without.not_yet_rounds == 0
-        assert satisfies(without.trace, d)
+        assert result.not_yet_rounds == 0
+        assert [en.event for en in result.entries] != [E, F]
+        assert satisfies(result.trace, self.D)
 
 
 class TestEscalationAblation:
@@ -173,13 +186,13 @@ class TestEscalationAblation:
         assert result.triggered >= 1
 
     def test_without_escalation_everything_settles_negative(self):
+        """Mutant: e parks on its alternatives until settlement turns
+        it negative."""
         deps, attributes = self._multi_alternative()
-        result = DistributedScheduler(
-            deps,
-            attributes=attributes,
-            policy=SchedulerPolicy(escalation=False),
-        ).run([AgentScript("s", [ScriptedAttempt(0.0, E)])])
-        # e parks on its alternatives forever; settlement goes negative
+        with mutants.no_escalation():
+            result = DistributedScheduler(deps, attributes=attributes).run(
+                [AgentScript("s", [ScriptedAttempt(0.0, E)])]
+            )
         assert result.ok
         occurred = {en.event for en in result.entries}
         assert E not in occurred

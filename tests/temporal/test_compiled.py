@@ -19,7 +19,6 @@ from repro.temporal.compiled import (
     clear_compiled,
     compiled_stats,
     table_stats,
-    watch_bases,
 )
 from repro.temporal.cubes import (
     C_OCC,
@@ -158,7 +157,7 @@ class TestTransitions:
         engine = CompiledGuardEngine()
         knowledge = {}
         cursor = bound(engine, GUARD, knowledge)
-        assert watch_bases(GUARD, {}) == {A, B}
+        assert GUARD.bases() == {A, B}
         assert [cursor.wakes_on(b) for b in (A, B, C, X)] == [
             True, True, False, False
         ]
@@ -174,7 +173,7 @@ class TestTransitions:
         # the residual's support until an assimilation shrinks it
         knowledge[A] = E_OCC
         cursor.learn(A, E_OCC)
-        assert watch_bases(GUARD, knowledge) == {A, B}
+        assert cursor.guard.bases() == {A, B}
         assert cursor.wakes_on(A) and not cursor.wakes_on(C)
         cursor.assimilate()
         assert [cursor.wakes_on(b) for b in (A, B)] == [False, True]

@@ -1,6 +1,6 @@
 """The wake rule (:mod:`repro.temporal.compiled`).
 
-Unit tests for the wake set (``watch_bases``: the residual's support),
+Unit tests for the wake set (``guard.bases()``: the residual's support),
 the wake / skip counters, and the scheduler's wake
 decision at delivery -- including the crash/``Recovered``-replay path
 and guard re-entry onto a renamed copy of the same shape.
@@ -18,7 +18,6 @@ from repro.sim.network import ConstantLatency
 from repro.temporal.compiled import (
     WakeCounts,
     clear_compiled,
-    watch_bases,
     watch_stats,
 )
 from repro.temporal.cubes import E_OCC, TRUE_GUARD, literal
@@ -30,30 +29,29 @@ A, B, C = Event("a"), Event("b"), Event("c")
 class TestWatchBases:
     def test_reduced_guard_watches_its_bases(self):
         guard = literal("box", A) & literal("dia", B)
-        assert watch_bases(guard, {}) == {A, B}
+        assert guard.bases() == {A, B}
 
     def test_unreduced_guard_watches_its_support(self):
         """Knowledge that decides a literal does not widen the wake
         set: until the next assimilation it is still the support."""
         guard = literal("box", A) & literal("dia", B)
-        assert watch_bases(guard, {A: E_OCC}) == {A, B}
+        assert guard.bases() == {A, B}  # whatever is known of A
+        assert guard.simplify_under({A: E_OCC}).bases() == {B}
 
     def test_residuation_picks_the_replacement_watch(self):
         """Consuming a watched literal re-simplifies the guard; the
         new wake set is the survivor's bases -- "pick a replacement
         watch" is residuation itself."""
         guard = (literal("box", A) & literal("dia", B)) | literal("box", C)
-        knowledge = {A: E_OCC}
-        assert watch_bases(guard, knowledge) == {A, B, C}
-        reduced = guard.simplify_under(knowledge)
-        assert watch_bases(reduced, knowledge) == {B, C}
+        assert guard.bases() == {A, B, C}
+        reduced = guard.simplify_under({A: E_OCC})
+        assert reduced.bases() == {B, C}
 
     def test_guard_reduced_to_unit_then_true(self):
         guard = literal("dia", A)
-        knowledge = {A: E_OCC}
-        reduced = guard.simplify_under(knowledge)
+        reduced = guard.simplify_under({A: E_OCC})
         assert reduced == TRUE_GUARD
-        assert watch_bases(reduced, knowledge) == frozenset()
+        assert reduced.bases() == frozenset()
 
 
 class TestWatchIndex:
@@ -87,14 +85,14 @@ def announce(sched, target, event):
     return sched.watch.wakes - wakes, sched.watch.skips - skips
 
 
-def assert_wakes_match_watch_bases(sched):
+def assert_wakes_match_the_support(sched):
     """Every bound actor's wake decision, read off its node, is the
-    wake rule on its real-name residual and knowledge."""
+    wake rule on its real-name residual."""
     bases = sorted({event.base for event in sched.actors}, key=Event.sort_key)
     for actor in sched.actors.values():
         if actor.cursor.node is None:
             continue  # unbound: wakes on everything
-        expected = watch_bases(actor.guard, actor.knowledge)
+        expected = actor.guard.bases()
         for base in bases:
             assert actor.cursor.wakes_on(base) == (base in expected), (
                 actor.event, base, expected
@@ -115,7 +113,7 @@ class TestSchedulerReWatch:
         )
         sched.run(scenario.scripts, verify=False)
         assert sched.watch.skips > 0
-        assert_wakes_match_watch_bases(sched)
+        assert_wakes_match_the_support(sched)
 
     def test_recovered_replay_reregisters_watches(self):
         """A crashed site loses actor state; recovery replays settled
@@ -139,7 +137,7 @@ class TestSchedulerReWatch:
         occurred = {e.event for e in result.entries}
         assert ship in occurred and pay in occurred
         assert sched.actors[ship].cursor.node is not None
-        assert_wakes_match_watch_bases(sched)
+        assert_wakes_match_the_support(sched)
         # the announcements that reached the actors were decided
         assert sched.watch.wakes > 0
 
@@ -159,7 +157,7 @@ class TestSchedulerReWatch:
         # mention is recorded without re-evaluation
         assert announce(sched, ship, other) == (0, 1)
         assert announce(sched, ship, pay) == (1, 0)
-        assert_wakes_match_watch_bases(sched)
+        assert_wakes_match_the_support(sched)
 
     def test_reentry_onto_the_same_shape_rewatches(self):
         """A guard replaced by a renamed copy of itself re-enters the
@@ -177,7 +175,7 @@ class TestSchedulerReWatch:
         assert actor.cursor.wakes_on(B) and not actor.cursor.wakes_on(C)
         actor.replace_guard(literal("box", C))
         assert actor.cursor.node is node
-        assert_wakes_match_watch_bases(sched)
+        assert_wakes_match_the_support(sched)
         assert announce(sched, A, B) == (0, 1)
         assert announce(sched, A, C) == (1, 0)
         assert actor.status.name == "OCCURRED"
