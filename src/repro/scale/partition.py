@@ -6,10 +6,15 @@ is enforced by the one scheduler that holds all its events (the
 paper's rule: an event's guard conjoins ``G(D, e)`` over every
 dependency mentioning it, and one actor per event enforces it).  This
 module scores the coupling from the same artifact the runtime enforces
-it with -- the per-dependency guard tables
-(:func:`repro.temporal.guards.guard_table`): a guard literal that
-makes one instance's event wait on another instance's base is one unit
-of coupling between the two.
+it with -- the per-dependency guards ``G(D, e)``: a guard that makes
+one instance's event wait on another instance's base is one unit of
+coupling between the two.  The coupling is read off bindings, not
+synthesized per copy: a dependency is a binding of its shape
+(:func:`repro.temporal.guards.dependency_binding`, entered by stamping
+for a generated family), which slot waits on which is computed once
+per shape (:func:`repro.temporal.guards.shape_waits`), and a copy maps
+those slots to instances through its ``from_slot`` and one base ->
+instance owner map per dependency, computed once per plan.
 
 The partitioner itself is the classic greedy heuristic (heaviest-
 coupled instance first, placed with the shard holding most of its
@@ -31,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
-from repro.temporal.guards import guard_table
+from repro.temporal.guards import dependency_binding, shape_waits
 
 logger = logging.getLogger(__name__)
 
@@ -76,12 +81,12 @@ def dependency_instances(
     dep: Expr, suffixes: Sequence[str] | SuffixIndex
 ) -> frozenset[int]:
     """The instances a cross dependency mentions."""
-    suffixes = _indexed(suffixes)
-    return frozenset(
-        index
-        for base in dep.bases()
-        if (index := instance_of(base, suffixes)) is not None
-    )
+    return frozenset(_owners(dep, _indexed(suffixes)).values()) - {None}
+
+
+def _owners(dep: Expr, suffixes: SuffixIndex) -> dict[Event, int | None]:
+    """``dep``'s base -> instance map (None: the base is no instance's)."""
+    return {base: instance_of(base, suffixes) for base in dep.bases()}
 
 
 def shared_event_graph(
@@ -89,26 +94,43 @@ def shared_event_graph(
 ) -> dict[tuple[int, int], int]:
     """The weighted inter-instance coupling graph.
 
-    For each cross dependency its guard table is synthesized; every
-    guard literal under which instance ``i``'s event waits on instance
-    ``j``'s base adds one unit to edge ``(i, j)``.  The weight is thus
-    a count of *cross-instance waits*, not a syntactic
+    For each cross dependency and each event ``e`` it mentions, every
+    base of instance ``j`` that ``G(D, e)`` mentions, with ``e`` an
+    event of instance ``i != j``, adds one unit to edge ``(i, j)``.  The
+    weight is thus a count of *cross-instance waits*, not a syntactic
     event-sharing count -- a dependency whose guards never make one
-    side wait on the other contributes nothing.
+    side wait on the other contributes nothing.  Read off bindings and
+    per-shape waits (see the module docstring): no guard is rendered.
     """
     suffixes = _indexed(suffixes)
+    return _coupling(cross_deps, [_owners(dep, suffixes) for dep in cross_deps])
+
+
+def _coupling(
+    cross_deps: Sequence[Expr], owners: Sequence[Mapping[Event, int | None]]
+) -> dict[tuple[int, int], int]:
+    """:func:`shared_event_graph` from each dependency's owner map: the
+    waits of its shape (:func:`shape_waits`), read on its instances
+    through its binding."""
     edges: dict[tuple[int, int], int] = {}
-    for dep in cross_deps:
-        for event, g in guard_table(dep).items():
-            i = instance_of(event.base, suffixes)
-            if i is None:
+    for dep, owner in zip(cross_deps, owners):
+        binding = dependency_binding(dep)
+        # per slot, the instances of the bases it stands for: one base
+        # each, and the slot beyond the shape stands for every base the
+        # normal form dropped
+        instances = [(owner[base],) for base in binding.from_slot.values()]
+        instances.append(
+            [i for base, i in owner.items() if base not in binding.to_slot]
+        )
+        for waiter, waited, count in shape_waits(binding.shape):
+            (j,) = instances[waited]
+            if j is None:
                 continue
-            for base in g.bases():
-                j = instance_of(base, suffixes)
-                if j is None or j == i:
+            for i in instances[waiter]:
+                if i is None or i == j:
                     continue
-                key = (min(i, j), max(i, j))
-                edges[key] = edges.get(key, 0) + 1
+                key = (i, j) if i < j else (j, i)
+                edges[key] = edges.get(key, 0) + count
     return edges
 
 
@@ -198,6 +220,9 @@ class PartitionPlan:
     cut_weight: int
     #: total coupling weight in the shared-event graph
     total_weight: int
+    #: per cross dependency (in the order given), the one shard owning
+    #: all its instances, which carries it
+    carriers: tuple[int, ...]
 
 
 def plan_partition(
@@ -221,9 +246,9 @@ def plan_partition(
     belongs to no instance (or no base at all) -- no shard could own it.
     """
     index = _indexed(suffixes)
-    members_of = []
+    owners = []
     for dep in cross_deps:
-        owner = {base: instance_of(base, index) for base in dep.bases()}
+        owner = _owners(dep, index)
         foreign = sorted(
             (b for b, i in owner.items() if i is None), key=Event.sort_key
         )
@@ -232,8 +257,8 @@ def plan_partition(
                 f"cross dependency {dep!r} must mention events of planned "
                 f"instances, and only those; {foreign!r} belong to none"
             )
-        members_of.append(frozenset(owner.values()))
-    edges = shared_event_graph(cross_deps, index)
+        owners.append(owner)
+    edges = _coupling(cross_deps, owners)
     if assignment is None:
         placed = partition_instances(count, shards, edges)
     else:
@@ -251,7 +276,8 @@ def plan_partition(
     )
     fused = [()] * len(placed)
     for component in connected_components(
-        len(placed), ({shard_of[i] for i in members} for members in members_of)
+        len(placed),
+        ({shard_of[i] for i in owner.values()} for owner in owners),
     ):
         fused[component[0]] = tuple(
             sorted(i for shard in component for i in placed[shard])
@@ -263,8 +289,10 @@ def plan_partition(
                 "on one scheduler",
                 component, component[0],
             )
+    fused_of = {i: s for s, part in enumerate(fused) for i in part}
     return PartitionPlan(
         assignment=tuple(fused),
         cut_weight=cut,
         total_weight=sum(edges.values()),
+        carriers=tuple(fused_of[next(iter(owner.values()))] for owner in owners),
     )

@@ -36,11 +36,7 @@ from repro.algebra.parser import parse
 from repro.obs.merge import merge_metrics, merge_profiles, merge_traces
 from repro.obs.profile import Profiler
 from repro.obs.tracer import Tracer
-from repro.scale.partition import (
-    SuffixIndex,
-    dependency_instances,
-    plan_partition,
-)
+from repro.scale.partition import SuffixIndex, plan_partition
 from repro.scheduler.agents import AgentScript
 from repro.scheduler.events import ExecutionResult, TraceEntry
 from repro.scheduler.guard_scheduler import DistributedScheduler
@@ -241,16 +237,9 @@ def plan_shards(
     partition = plan_partition(
         len(instances), shards, cross, suffixes, assignment=assignment
     )
-    shard_of = {
-        index: shard
-        for shard, part in enumerate(partition.assignment)
-        for index in part
-    }
-    # after fusing, all of a dependency's instances share one shard
     per_shard_cross: dict[int, list[Expr]] = {}
-    for dep in cross:
-        owner = shard_of[min(dependency_instances(dep, suffixes))]
-        per_shard_cross.setdefault(owner, []).append(dep)
+    for dep, carrier in zip(cross, partition.carriers):
+        per_shard_cross.setdefault(carrier, []).append(dep)
     plan = ShardPlan(
         ShardTask(
             shard=shard,

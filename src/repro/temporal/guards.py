@@ -249,6 +249,14 @@ _SLOTS: list[tuple[Event, Event]] = []
 #: :func:`stamp_dependency` fills for the copies it stamps.
 _DEPENDENCY_BINDINGS: dict[Expr, Binding] = {}
 
+#: dependencies whose normal form dropped a base they mention: their
+#: binding does not see every base a rename must keep in order, so
+#: :func:`stamp_dependency` renames them from scratch
+_PARTIAL: set[Expr] = set()
+
+#: ``dependency shape -> its waits``: :func:`shape_waits`' memo
+_WAITS: dict[Expr, tuple[tuple[int, int, int], ...]] = {}
+
 
 class _SynthStats:
     closure_hits = 0
@@ -304,6 +312,8 @@ def clear_synthesis_caches() -> None:
     _SLOTS.clear()
     _CLOSURES.clear()
     _DEPENDENCY_BINDINGS.clear()
+    _PARTIAL.clear()
+    _WAITS.clear()
     _EVENTUALLY_CACHE.clear()
     guard_formula.cache_clear()
     _SynthStats.closure_hits = 0
@@ -355,15 +365,21 @@ def _synthesize(deps_nf: Sequence[Expr], event: Event) -> GuardExpr:
     return guard_and(_closure_for(d).column(event)[d] for d in deps_nf)
 
 
+def _grow_slots(count: int) -> None:
+    """Make ``_SLOTS`` hold at least ``count`` slots."""
+    while len(_SLOTS) < count:
+        name = f"#{len(_SLOTS):08d}"
+        _SLOTS.append((Event(name), Event(name, params=(Variable("_"),))))
+
+
 def _slot_maps(
     bases: Iterable[Event],
 ) -> tuple[dict[Event, Event], dict[Event, Event]]:
     """The rename of ``bases`` onto ``_SLOTS`` in ``Event.sort_key``
     order, and its inverse: injective, order- and groundness-preserving."""
     ordered = sorted(bases, key=Event.sort_key)
-    while len(_SLOTS) < len(ordered):
-        name = f"#{len(_SLOTS):08d}"
-        _SLOTS.append((Event(name), Event(name, params=(Variable("_"),))))
+    if len(_SLOTS) < len(ordered):
+        _grow_slots(len(ordered))
     to_slot, from_slot = {}, {}
     for base, (ground, typed) in zip(ordered, _SLOTS):
         # an event without parameters needs no groundness walk
@@ -441,6 +457,8 @@ def dependency_binding(dependency: Expr) -> Binding:
         to_slot, from_slot = _slot_maps(dep_nf.bases())
         binding = Binding(rename_expr(dep_nf, to_slot), to_slot, from_slot)
         _DEPENDENCY_BINDINGS[dependency] = binding
+        if len(to_slot) != len(dependency.bases()):
+            _PARTIAL.add(dependency)
     else:
         _SynthStats.binding_hits += 1
     return binding
@@ -448,22 +466,42 @@ def dependency_binding(dependency: Expr) -> Binding:
 
 def stamp_dependency(dependency: Expr, mapping: Mapping[Event, Event]) -> Expr:
     """``rename_expr(dependency, mapping)`` for a canonical dependency
-    and an injective rename of all its bases that keeps their canonical
-    order: the structural copy (:func:`rename_ordered`), entered in
-    :func:`dependency_binding`'s memo with the dependency's binding
-    composed with ``mapping``.
+    and an injective, groundness-preserving rename of all its bases.
 
-    Normal form commutes with such a rename (as synthesis does, see
-    :func:`_bindings_modulo_renaming`), so the composed binding is the
-    one :func:`dependency_binding` would compute for the copy, and a
-    cursor on the copy enters the shared closure with no normal form
-    and no rename.  (A copy stamped before, or bound by
-    :func:`dependency_binding`, gets an equal binding again.)
+    When the rename keeps the bases' canonical order, the copy is the
+    structural copy (:func:`rename_ordered`), entered in
+    :func:`dependency_binding`'s memo with the dependency's binding
+    composed with ``mapping``.  Normal form commutes with such a rename
+    (as synthesis does, see :func:`_bindings_modulo_renaming`), so the
+    composed binding is the one :func:`dependency_binding` would
+    compute for the copy, and a cursor on the copy enters the shared
+    closure with no normal form and no rename.  (A copy stamped before,
+    or bound by :func:`dependency_binding`, gets an equal binding
+    again.)
+
+    A rename that reorders the bases (``b_i9`` / ``b_i10``) would bind
+    the copy's slots in the wrong order, so the copy is renamed from
+    scratch instead and bound on first use, as
+    :meth:`~repro.workflows.template.WorkflowTemplate.instantiate` does
+    for such a suffix.  So is every copy of a dependency whose normal
+    form dropped a base: its binding cannot check that base's order.
     """
+    binding = dependency_binding(dependency)
+    if _PARTIAL and dependency in _PARTIAL:  # no hash call when empty
+        return rename_expr(dependency, mapping)
+    to_slot, from_slot = {}, {}
+    previous = ()
+    for slot, base in binding.from_slot.items():
+        target = mapping[base]
+        # ``Event.sort_key`` read without the call: stamping is hot
+        order = target._skey
+        if order <= previous:
+            return rename_expr(dependency, mapping)
+        previous = order
+        to_slot[target] = slot
+        from_slot[slot] = target
     copy = rename_ordered(dependency, mapping)
-    _DEPENDENCY_BINDINGS[copy] = dependency_binding(dependency).renamed(
-        mapping
-    )
+    _DEPENDENCY_BINDINGS[copy] = Binding(binding.shape, to_slot, from_slot)
     return copy
 
 
@@ -612,6 +650,44 @@ def guard_table(dependency: Expr) -> dict[Event, GuardExpr]:
         (dependency_binding(dependency),), events
     )
     return render(dict(zip(events, found)))
+
+
+def shape_waits(shape: Expr) -> tuple[tuple[int, int, int], ...]:
+    """Which slot of a dependency shape waits on which, in slot space:
+    ``(i, j, n)`` says that ``n`` of the guards ``G(shape, e)`` on slot
+    ``i``'s two events mention slot ``j`` (``i != j``).  Slot ``i`` is
+    the ``i``-th base of the shape (a copy's ``i``-th ``from_slot``
+    entry); slot ``len(shape.bases())`` stands for a base a copy
+    mentions and its normal form dropped, whose events are foreign to
+    the shape.
+
+    The guards come from :func:`_bindings_modulo_renaming` on the shape
+    itself, bound onto its own slots, so no guard is rendered; the
+    result is memoized per shape, and a copy reads its waits on the
+    real names through its binding.
+    """
+    waits = _WAITS.get(shape)
+    if waits is None:
+        own = sorted(shape.bases(), key=Event.sort_key)
+        _grow_slots(len(own) + 1)
+        beyond = _SLOTS[len(own)][0]
+        index = {slot: i for i, slot in enumerate((*own, beyond))}
+        events = [e for slot in index for e in (slot, slot.complement)]
+        identity = dict(zip(own, own))
+        found = _bindings_modulo_renaming(
+            (Binding(shape, identity, identity),), events
+        )
+        counts: dict[tuple[int, int], int] = {}
+        for event, binding in zip(events, found):
+            i = index[event.base]
+            for base in binding.bases():
+                j = index[base]
+                if i != j:
+                    counts[i, j] = counts.get((i, j), 0) + 1
+        waits = _WAITS[shape] = tuple(
+            (i, j, n) for (i, j), n in counts.items()
+        )
+    return waits
 
 
 def explain_guard(

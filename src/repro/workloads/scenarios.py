@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
+from repro.temporal.guards import stamp_dependency
 from repro.workflows.primitives import klein_precedes, mutex
 from repro.workflows.spec import Workflow
 
@@ -198,6 +199,9 @@ def make_mutex_family(
     adjacent instances are coupled by the symmetric pair of Example-13
     mutex dependencies, so a later task's entry waits on its
     predecessor's exit -- which is why a cluster must share a scheduler.
+    The pairs are stamped copies of one canonical pair
+    (:func:`~repro.temporal.guards.stamp_dependency`): the very nodes
+    :func:`~repro.workflows.primitives.mutex` builds, already bound.
     """
     if count < 1:
         raise ValueError(f"need at least one instance, got {count}")
@@ -227,6 +231,10 @@ def make_mutex_family(
         )
         instances.append((suffix, [script]))
 
+    # mapped in sort order (``b0 < b1 < e0 < e1``), each copy is bound
+    # by composition, with no normal form of its own
+    b0, e0, b1, e1 = Event("b0"), Event("e0"), Event("b1"), Event("e1")
+    forward, backward = mutex(b0, e0, b1, e1), mutex(b1, e1, b0, e0)
     cross = []
     clusters: list[tuple[int, ...]] = []
     for start in range(0, count, cluster):
@@ -235,8 +243,16 @@ def make_mutex_family(
         for j, k in zip(members, members[1:]):
             bj, ej = Event(f"b_i{j}"), Event(f"e_i{j}")
             bk, ek = Event(f"b_i{k}"), Event(f"e_i{k}")
-            cross.append(mutex(bj, ej, bk, ek))
-            cross.append(mutex(bk, ek, bj, ej))
+            # ``mutex(bj, ej, bk, ek)`` then ``mutex(bk, ek, bj, ej)``,
+            # from whichever pair of slots keeps their order (``_i9``
+            # sorts after ``_i10``)
+            if bj.sort_key() < bk.sort_key():
+                mapping = {b0: bj, e0: ej, b1: bk, e1: ek}
+                pair = (forward, backward)
+            else:
+                mapping = {b0: bk, e0: ek, b1: bj, e1: ej}
+                pair = (backward, forward)
+            cross.extend(stamp_dependency(dep, mapping) for dep in pair)
     return MutexFamily(
         template=template,
         instances=instances,

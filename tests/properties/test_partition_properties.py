@@ -5,6 +5,8 @@
   as the reference and the two must agree on any suffix list --
   overlapping (``_i1`` / ``_i11``), repeated and empty suffixes
   included.
+* The coupling graph read off bindings equals the one read off each
+  dependency's guard table on the real names.
 * A coupled component is one scheduler: whatever shard count or
   placement is requested on a mutex family, every cross dependency is
   carried by exactly one task, that task owns all the dependency's
@@ -26,9 +28,12 @@ from repro.scale.partition import (
     dependency_instances,
     instance_of,
     plan_partition,
+    shared_event_graph,
 )
 from repro.scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_mutex_family
+
+from tests.scale.test_partition import guard_table_graph
 
 
 def instance_of_by_scan(base, suffixes):
@@ -86,6 +91,16 @@ def explicit_plans(draw):
         for shard in range(shards)
     ]
     return count, cluster, shards, assignment
+
+
+@given(mutex_plans())
+def test_coupling_graph_equals_the_guard_table_reference(plan):
+    count, cluster, _shards, _placement = plan
+    family = make_mutex_family(count, cluster=cluster)
+    cross, suffixes = family.cross_dependencies, family.suffixes()
+    assert shared_event_graph(cross, suffixes) == guard_table_graph(
+        cross, suffixes
+    )
 
 
 @given(explicit_plans())

@@ -2,20 +2,80 @@
 
 import pytest
 
+from repro.algebra.normal_form import to_normal_form
 from repro.algebra.parser import parse
+from repro.algebra.symbols import Event
 from repro.scale.partition import (
+    SuffixIndex,
     dependency_instances,
     instance_of,
     partition_instances,
     plan_partition,
     shared_event_graph,
 )
+from repro.temporal.guards import (
+    Binding,
+    clear_synthesis_caches,
+    dependency_binding,
+    guard_table,
+    synthesis_stats,
+)
+from repro.workflows.primitives import mutex
 from repro.workloads.scenarios import make_mutex_family
 
 
 def family(count, cluster=2):
     fam = make_mutex_family(count, cluster=cluster)
     return fam.cross_dependencies, fam.suffixes()
+
+
+def guard_table_graph(cross_deps, suffixes):
+    """The coupling graph read off each dependency's guard table on the
+    real names: the reference ``shared_event_graph`` must equal."""
+    suffixes = SuffixIndex(suffixes)
+    edges = {}
+    for dep in cross_deps:
+        for event, g in guard_table(dep).items():
+            i = instance_of(event.base, suffixes)
+            if i is None:
+                continue
+            for base in g.bases():
+                j = instance_of(base, suffixes)
+                if j is None or j == i:
+                    continue
+                key = (min(i, j), max(i, j))
+                edges[key] = edges.get(key, 0) + 1
+    return edges
+
+
+#: family sizes whose suffixes cross ``_i9`` / ``_i10`` and
+#: ``_i99`` / ``_i100``, where suffixing stops preserving name order
+FAMILIES = [(n, c) for n in (2, 12, 101, 130) for c in range(2, 6)]
+
+
+class TestStampedFamily:
+    @pytest.mark.parametrize("count, cluster", FAMILIES)
+    def test_cross_dependencies_are_the_mutex_nodes(self, count, cluster):
+        # stamping one canonical pair gives the very nodes ``mutex``
+        # builds for every adjacent pair, in the same order
+        expected = []
+        for members in make_mutex_family(count, cluster=cluster).clusters:
+            for j, k in zip(members, members[1:]):
+                bj, ej = Event(f"b_i{j}"), Event(f"e_i{j}")
+                bk, ek = Event(f"b_i{k}"), Event(f"e_i{k}")
+                expected += [mutex(bj, ej, bk, ek), mutex(bk, ek, bj, ej)]
+        cross, _suffixes = family(count, cluster=cluster)
+        assert len(cross) == len(expected)
+        assert all(got is want for got, want in zip(cross, expected))
+
+    def test_every_copy_is_bound_by_stamping(self):
+        clear_synthesis_caches()
+        cross, _suffixes = family(130, cluster=4)
+        before = synthesis_stats()
+        for dep in cross:
+            dependency_binding(dep)
+        after = synthesis_stats()
+        assert after["binding_misses"] == before["binding_misses"]
 
 
 class TestInstanceMapping:
@@ -53,6 +113,30 @@ class TestSharedEventGraph:
     def test_independent_instances_have_no_edges(self):
         _cross, suffixes = family(4)
         assert shared_event_graph([], suffixes) == {}
+
+    @pytest.mark.parametrize("count, cluster", FAMILIES)
+    def test_equals_the_guard_table_reference(self, count, cluster):
+        cross, suffixes = family(count, cluster=cluster)
+        assert shared_event_graph(cross, suffixes) == guard_table_graph(
+            cross, suffixes
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "~b_i0 + e_i1 . b_i0",
+            "(a_i0 + ~a_i0) | (b_i1 + c_i0 . d_i1)",
+            # normalizes to 0: every base the normal form dropped
+            "((d_i1 . b_i1) | (~d_i1 + c_i0) | (d_i1 . d_i1 + ~b_i1)) . d_i1",
+            "q + b_i0",  # a base of no instance waits on nothing
+        ],
+    )
+    def test_hand_written_dependencies_equal_the_reference(self, text):
+        suffixes = ["_i0", "_i1"]
+        dep = parse(text)
+        assert shared_event_graph([dep], suffixes) == guard_table_graph(
+            [dep], suffixes
+        )
 
 
 class TestGreedyPartition:
@@ -132,25 +216,52 @@ class TestPlanPartition:
                 4, 2, cross, suffixes, assignment=[[0, 1, 2], [2, 3]]
             )
 
-    def test_each_cross_table_is_synthesized_once_per_plan(self, monkeypatch):
-        # regression: planning used to ask for every dependency's
-        # guard table more than once
-        from repro.scale import partition
-
-        asked = []
-
-        def counting(dep):
-            asked.append(dep)
-            return guard_table(dep)
-
-        guard_table = partition.guard_table
-        monkeypatch.setattr(partition, "guard_table", counting)
-        cross, suffixes = family(4, cluster=2)
-        plan = plan_partition(
-            4, 2, cross, suffixes, assignment=[[0, 2], [1, 3]]
+    def test_planning_a_stamped_family_normalizes_and_renders_nothing(
+        self, monkeypatch
+    ):
+        # the coupling is read off bindings: a stamped family's cross
+        # dependencies are bound already, their waits are synthesized
+        # once per dependency shape, and no guard is rendered on the
+        # real names (planning used to take a guard table per copy)
+        rendered = []
+        guard = Binding.guard
+        monkeypatch.setattr(
+            Binding,
+            "guard",
+            property(lambda b: rendered.append(b) or guard.fget(b)),
         )
-        assert plan.cut_weight > 0
-        assert asked == list(cross)
+        costs = []
+        for count in (16, 64):
+            clear_synthesis_caches()
+            cross, suffixes = family(count, cluster=4)
+            before = synthesis_stats()
+            normal_forms = to_normal_form.cache_info().misses
+            plan = plan_partition(count, 4, cross, suffixes)
+            after = synthesis_stats()
+            assert plan.cut_weight == 0 < plan.total_weight
+            assert to_normal_form.cache_info().misses == normal_forms
+            shapes = {dependency_binding(dep).shape for dep in cross}
+            assert len(shapes) == 2
+            delta = {
+                key: after[key] - before[key]
+                for key in ("binding_misses", "closure_misses", "shape_misses")
+            }
+            assert delta["binding_misses"] == 0
+            assert delta["closure_misses"] == len(shapes)
+            costs.append(delta)
+        assert rendered == []
+        assert costs[0] == costs[1]
+
+    def test_carriers_own_every_instance_of_their_dependency(self):
+        cross, suffixes = family(6, cluster=3)
+        plan = plan_partition(
+            6, 3, cross, suffixes, assignment=[[0, 3], [1, 4], [2, 5]]
+        )
+        assert len(plan.carriers) == len(cross)
+        for dep, carrier in zip(cross, plan.carriers):
+            assert dependency_instances(dep, suffixes) <= set(
+                plan.assignment[carrier]
+            )
 
     def test_plan_is_deterministic(self):
         cross, suffixes = family(12, cluster=3)

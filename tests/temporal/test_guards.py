@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.expressions import TOP, ZERO
+from repro.algebra.expressions import TOP, ZERO, rename_expr
 from repro.algebra.normal_form import to_normal_form
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
@@ -20,11 +20,13 @@ from repro.temporal.guards import (
     lemma5_guard,
     path_guard,
     render,
+    stamp_dependency,
     synthesis_stats,
     workflow_bindings,
     workflow_guards,
 )
 from repro.temporal.semantics import holds, t_equivalent
+from repro.workflows.primitives import mutex
 from repro.workloads.scenarios import make_mutex_family
 
 from tests.conftest import count_calls, fitted_exponent
@@ -342,22 +344,61 @@ class TestSynthesisScaling:
         assert render(warm) == render(cold)
 
     def test_stamped_copies_are_binding_hits(self):
-        """Stamping enters each copy's binding: synthesizing the merged
-        family binds only the cross dependencies, which no template
-        stamped."""
+        """Stamping enters each copy's binding: the template stamps the
+        task dependencies and the family its cross dependencies, so
+        synthesizing the merged family binds nothing."""
         clear_synthesis_caches()
         family = make_mutex_family(32, cluster=4)
         deps = family.merged()[0].dependencies
         before = synthesis_stats()
         workflow_bindings(deps)
         after = synthesis_stats()
-        stamped = len(deps) - len(family.cross_dependencies)
-        assert stamped == 2 * 32
-        assert after["binding_hits"] - before["binding_hits"] == stamped
-        assert (
-            after["binding_misses"] - before["binding_misses"]
-            == len(family.cross_dependencies)
-        )
+        assert len(deps) - len(family.cross_dependencies) == 2 * 32
+        assert after["binding_hits"] - before["binding_hits"] == len(deps)
+        assert after["binding_misses"] == before["binding_misses"]
+
+
+class TestStampDependency:
+    B0, E0, B1, E1 = Event("b0"), Event("e0"), Event("b1"), Event("e1")
+
+    def mapping(self, first, second):
+        return {
+            self.B0: Event(f"b{first}"),
+            self.E0: Event(f"e{first}"),
+            self.B1: Event(f"b{second}"),
+            self.E1: Event(f"e{second}"),
+        }
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("_i1", "_i2"),  # keeps the canonical order
+            ("_i9", "_i10"),  # ``b_i10`` sorts before ``b_i9``
+        ],
+    )
+    def test_copy_is_bound_as_from_scratch(self, first, second, monkeypatch):
+        dep = mutex(self.B0, self.E0, self.B1, self.E1)
+        mapping = self.mapping(first, second)
+        copy = stamp_dependency(dep, mapping)
+        assert copy is rename_expr(dep, mapping)
+        stamped = dependency_binding(copy)
+        # the copy's own normal form on the slots of its own bases
+        monkeypatch.delitem(guards_module._DEPENDENCY_BINDINGS, copy)
+        fresh = dependency_binding(copy)
+        ordered = sorted(copy.bases(), key=Event.sort_key)
+        assert list(stamped.to_slot) == ordered == list(fresh.to_slot)
+        assert stamped.shape is fresh.shape
+        assert stamped.from_slot == fresh.from_slot
+
+    def test_a_base_the_normal_form_drops_keeps_its_order_too(self):
+        # the normal form is 0, so the binding sees no base the rename
+        # could reorder; the copy must still be the canonical node
+        dep = parse("((d . b) | (~d + c) | (d . d + ~b)) . d")
+        mapping = {
+            Event("b"): Event("z"), Event("c"): Event("y"),
+            Event("d"): Event("x"),
+        }
+        assert stamp_dependency(dep, mapping) is rename_expr(dep, mapping)
 
 
 class TestSynthesisCaches:
