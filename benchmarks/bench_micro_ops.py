@@ -1,15 +1,15 @@
 """Micro-benchmarks of the hot symbolic operations.
 
 Not tied to a single paper artifact; these keep the core primitives
-honest (parse, residuate, cube conjunction, joint-completion CSP,
-guard minimization) and give downstream users cost expectations.
+honest (parse, residuate, cube conjunction, joint-completion search,
+entailment, guard minimization) and give downstream users cost expectations.
 """
 
+from repro.algebra.normal_form import joint_completion_exists
 from repro.algebra.parser import parse
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event
 from repro.algebra.traces import Trace
-from repro.scheduler.residuation_scheduler import joint_completion_exists
 from repro.temporal.cubes import literal
 from repro.temporal.simplify import minimize
 
@@ -74,6 +74,14 @@ def test_bench_joint_completion_unsat(benchmark):
     deps = tuple(parse(t) for t in ("e . f", "f . g", "g . e"))
     result = benchmark(lambda: joint_completion_exists(deps))
     assert not result
+
+
+def test_bench_entailment_twelve_arrows(benchmark):
+    from repro.workflows.analysis import implies
+
+    deps = [parse(f"~e{k} + f{k}") for k in range(12)]
+    result = benchmark(lambda: implies(deps, deps[0]))
+    assert result
 
 
 def test_bench_minimize(benchmark):

@@ -24,10 +24,13 @@ handle arbitrary tasks correctly!").
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Iterable
 
-from repro.algebra.expressions import Expr
+from repro.algebra.expressions import Expr, Top, Zero
+from repro.algebra.normal_form import joint_completion_exists
 from repro.algebra.parser import parse
+from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event, Variable
 from repro.params.guards import FreshValue
 from repro.temporal.cubes import C_OCC, E_OCC, GuardExpr
@@ -53,6 +56,10 @@ class ParamScheduler:
         self._occurred: dict[Event, int] = {}  # ground base -> E/C mask
         self._promised: dict[Event, int] = {}  # ground base -> DIA mask
         self.trace: list[Event] = []
+        #: the one fresh value standing for every untouched binding of
+        #: a variable, kept for the scheduler's lifetime so repeated
+        #: admission tests intern no new events or expressions
+        self._fresh: dict[Variable, FreshValue] = defaultdict(FreshValue)
         for dep in dependencies:
             self.add_dependency(dep)
 
@@ -97,14 +104,12 @@ class ParamScheduler:
             raise ValueError(f"attempts must be ground tokens: {token!r}")
         if token.base in self._occurred:
             return False  # a token occurs at most once (Definition 1)
-        from repro.algebra.residuation import residuate
-        from repro.scheduler.residuation_scheduler import joint_completion_exists
-
-        state = []
-        for instance in self._residual_instances(extra_values=token.params):
-            after = residuate(instance, token)
-            state.append(after)
-        return joint_completion_exists(tuple(state))
+        return joint_completion_exists(
+            tuple(
+                residuate(instance, token)
+                for instance in self._residual_instances(token.params)
+            )
+        )
 
     def guard_instance(self, event_type: Event) -> GuardExpr:
         """The synthesized guard template of an event type (Definition 2
@@ -114,9 +119,6 @@ class ParamScheduler:
     def _residual_instances(self, extra_values: tuple = ()):
         """Ground every dependency over the bindings that matter and
         residuate by the history; discharged instances are dropped."""
-        from repro.algebra.expressions import Top, Zero
-        from repro.algebra.residuation import residuate
-
         seen_values = set(extra_values)
         for ground in self._occurred:
             seen_values.update(ground.params)
@@ -126,7 +128,8 @@ class ParamScheduler:
                 key=lambda v: v.name,
             )
             pools = [
-                sorted(seen_values, key=repr) + [FreshValue()] for _ in variables
+                sorted(seen_values, key=repr) + [self._fresh[v]]
+                for v in variables
             ]
             for combo in itertools.product(*pools) if variables else [()]:
                 binding = dict(zip(variables, combo))
@@ -152,9 +155,3 @@ class ParamScheduler:
             self.occur(token)
             return True
         return False
-
-
-    # ------------------------------------------------------------------
-    # internals
-
-

@@ -11,15 +11,18 @@ bottleneck the distributed scheduler removes.
 
 Decision rule on an attempt of ``e``:
 
-* accept iff, for every dependency, the residual after ``e`` still has
-  an accepting completion over the unsettled alphabet (Definition 3);
+* accept iff the residuals after ``e`` still have a joint accepting
+  completion over the unsettled alphabet (Definition 3), asked of
+  :func:`repro.algebra.normal_form.joint_completion_exists`, the one
+  engine the static analysis and the parametrized scheduler ask too;
 * otherwise park; parked events are re-examined after each occurrence;
 * parked events whose residual can never recover are rejected, and the
   agent settles the complement.
 
 Triggerable events are caused by the same requirement rule the
-distributed monitors use (every accepting completion contains them) --
-naturally computed here, since the center holds all residuals.
+distributed monitors use (every accepting completion contains them,
+i.e. none contains the complement anywhere) -- naturally computed
+here, since the center holds all residuals.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from repro.algebra.expressions import Atom, Choice, Conj, Expr, Seq, Top, Zero
-from repro.algebra.normal_form import to_normal_form
+from repro.algebra.expressions import Expr
+from repro.algebra.normal_form import joint_completion_exists
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event
 from repro.scheduler.agents import AgentScript
@@ -42,146 +45,6 @@ from repro.sim.network import LatencyModel
 from repro.temporal.guards import ResidualCursor
 
 CENTER = "center"
-
-
-def expression_terms(expr: Expr):
-    """The DNF reading of a normal-form expression.
-
-    Yields ``(events, edges)`` per disjunct: the signed events that
-    must occur and the ordered pairs among them (sequence order).
-    Inconsistent disjuncts (an event with its complement) are skipped.
-    Satisfaction of such a term is monotone under inserting foreign
-    events anywhere, so a trace satisfies the expression iff it covers
-    some term's events in some linearization of its edges.
-    """
-    from itertools import product as _product
-
-    if isinstance(expr, Zero):
-        return
-    if isinstance(expr, Top):
-        yield frozenset(), ()
-        return
-    if isinstance(expr, Atom):
-        yield frozenset({expr.event}), ()
-        return
-    if isinstance(expr, Seq):
-        atoms = tuple(p.event for p in expr.parts)
-        yield frozenset(atoms), tuple(zip(atoms, atoms[1:]))
-        return
-    if isinstance(expr, Choice):
-        for part in expr.parts:
-            yield from expression_terms(part)
-        return
-    if isinstance(expr, Conj):
-        option_lists = [list(expression_terms(p)) for p in expr.parts]
-        for combo in _product(*option_lists):
-            events: set[Event] = set()
-            edges: list = []
-            consistent = True
-            for evs, eds in combo:
-                events |= evs
-                edges.extend(eds)
-            for ev in events:
-                if ev.complement in events:
-                    consistent = False
-                    break
-            if consistent:
-                yield frozenset(events), tuple(edges)
-        return
-    raise TypeError(f"unknown expression: {expr!r}")  # pragma: no cover
-
-
-def _edges_acyclic(edges: Iterable[tuple[Event, Event]]) -> bool:
-    graph: dict[Event, list[Event]] = {}
-    for src, dst in edges:
-        graph.setdefault(src, []).append(dst)
-    state: dict[Event, int] = {}
-
-    def visit(node: Event) -> bool:
-        mark = state.get(node, 0)
-        if mark == 1:
-            return False  # back edge
-        if mark == 2:
-            return True
-        state[node] = 1
-        for nxt in graph.get(node, ()):
-            if not visit(nxt):
-                return False
-        state[node] = 2
-        return True
-
-    return all(visit(node) for node in list(graph))
-
-
-def joint_completion_exists(
-    residuals: tuple[Expr, ...],
-    require: Event | None = None,
-    allowed_positive: frozenset[Event] | None = None,
-) -> bool:
-    """Can all residuals be discharged by one shared completion?
-
-    Per-dependency satisfiability is not enough: two residuals may
-    individually admit completions that contradict each other on a
-    shared event (mutual exclusion is the canonical case).  A joint
-    completion exists iff each residual can select one DNF term such
-    that the selected sign requirements are consistent across
-    residuals and the union of their sequence constraints is acyclic
-    -- exact for this algebra because term satisfaction is monotone
-    under inserting foreign events.  ``require`` restricts the check
-    to completions containing the given signed event.
-
-    ``allowed_positive`` restricts which *positive* events a
-    completion may rely on: a scheduler can always settle a base
-    negatively (the task abandons the transition) but cannot conjure a
-    positive occurrence unless the event is pending, triggerable, or
-    guaranteed -- passing that set makes acceptance honest about
-    attainability.
-    """
-    live: list[Expr] = []
-    for r in residuals:
-        nf = to_normal_form(r)
-        if isinstance(nf, Zero):
-            return False
-        if not isinstance(nf, Top):
-            live.append(nf)
-
-    def usable(term) -> bool:
-        if allowed_positive is None:
-            return True
-        events, _edges = term
-        return all(ev.negated or ev in allowed_positive for ev in events)
-
-    term_lists = [
-        [t for t in expression_terms(r) if usable(t)] for r in live
-    ]
-    if require is not None:
-        term_lists.append([(frozenset({require}), ())])
-    if any(not terms for terms in term_lists):
-        return False
-    term_lists.sort(key=len)
-
-    def backtrack(index: int, signs: dict[Event, Event], edges: tuple) -> bool:
-        if index == len(term_lists):
-            return _edges_acyclic(edges)
-        for events, term_edges in term_lists[index]:
-            chosen = dict(signs)
-            conflict = False
-            for ev in events:
-                previous = chosen.get(ev.base)
-                if previous is not None and previous != ev:
-                    conflict = True
-                    break
-                chosen[ev.base] = ev
-            if conflict:
-                continue
-            combined = edges + term_edges
-            if term_edges and not _edges_acyclic(combined):
-                continue
-            if backtrack(index + 1, chosen, combined):
-                return True
-        return False
-
-    return backtrack(0, {}, ())
 
 
 class CentralizedScheduler(RunBase):
@@ -346,9 +209,8 @@ class CentralizedScheduler(RunBase):
                 continue
             if not self.attributes(ev.base).triggerable:
                 continue
-            # required: no joint completion survives the complement
-            forced_comp = tuple(residuate(r, ev.complement) for r in state)
-            if joint_completion_exists(forced_comp):
+            # required: no joint completion contains the complement
+            if joint_completion_exists(state, require=ev.complement):
                 continue
             self._triggered.add(ev)
             self.note_triggered(CENTER)

@@ -97,7 +97,7 @@ class ResidualAutomaton:
     """Figure 2: the closure of one normal-form dependency under
     residuation, built once per shape and walked by every consumer
     (synthesis, the requirement monitors, both centralized schedulers,
-    the static analysis, the renderers).
+    the renderers).
 
     ``transitions[S]`` maps every ``f`` in ``Gamma_S`` to
     ``to_normal_form(S/f)``, in canonical alphabet order (an event the
@@ -521,18 +521,14 @@ class ResidualCursor:
         self.closure = _closure_for(binding.shape)
         self.state = self.closure.root
 
-    def after(self, state: Expr, event: Event) -> Expr:
-        """The closure state ``event`` (on the real names) leads to from
-        ``state``; an event foreign to this copy is a self-loop."""
-        slot = self.to_slot.get(event.base)
-        if slot is None:
-            return state
-        return self.closure.step(
-            state, slot.complement if event.negated else slot
-        )
-
     def step(self, event: Event) -> None:
-        self.state = self.after(self.state, event)
+        """Move along ``event`` (on the real names); an event foreign to
+        this copy is a self-loop."""
+        slot = self.to_slot.get(event.base)
+        if slot is not None:
+            self.state = self.closure.step(
+                self.state, slot.complement if event.negated else slot
+            )
 
     def residual(self) -> Expr:
         """The state on the real names: the very node iterated

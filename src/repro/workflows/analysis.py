@@ -19,6 +19,13 @@ problems".  This module is that compilation-time toolbox:
   that are individually satisfiable but jointly not.
 * :func:`analyze` -- one report combining all of the above with the
   compiler's consensus findings.
+
+Every question above is one call of
+:func:`repro.algebra.normal_form.joint_completion_exists`, the DNF term
+backtracker the centralized schedulers decide with: a joint
+completion, one containing a given event, one relying on no positive
+event, or (for :func:`implies`) one that breaks every term of the
+candidate.  Only :func:`implies` is budgeted, on backtracking steps.
 """
 
 from __future__ import annotations
@@ -26,16 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algebra.expressions import Expr
-from repro.algebra.residuation import residuate
-from repro.algebra.symbols import Event, rename_event
+from repro.algebra.normal_form import StepBudget, joint_completion_exists
+from repro.algebra.symbols import Event
 from repro.algebra.traces import maximal_universe, universe_size, unsatisfied
-from repro.scheduler.residuation_scheduler import joint_completion_exists
 from repro.temporal.compiled import table_stats
-from repro.temporal.guards import (
-    ResidualAutomaton,
-    ResidualCursor,
-    shape_lookups,
-)
+from repro.temporal.guards import shape_lookups
 from repro.workflows.compiler import compile_workflow
 from repro.workflows.spec import Workflow
 
@@ -56,120 +58,75 @@ def vacuous(dependencies: list[Expr]) -> bool:
     )
 
 
-def mandatory_events(dependencies: list[Expr]) -> frozenset[Event]:
-    """Positive events occurring in every satisfying run."""
+def _never_in_a_satisfying_run(
+    dependencies: list[Expr], sign
+) -> frozenset[Event]:
+    """The positive events ``ev`` the dependencies mention such that no
+    satisfying run contains ``sign(ev)`` anywhere (none when no run
+    satisfies them)."""
     deps = tuple(dependencies)
     if not joint_completion_exists(deps):
         return frozenset()
-    alphabet: set[Event] = set()
-    for dep in dependencies:
-        alphabet |= dep.alphabet()
-    out: set[Event] = set()
-    for ev in alphabet:
-        if ev.negated:
-            continue
-        without = tuple(residuate(d, ev.complement) for d in deps)
-        if not joint_completion_exists(without):
-            out.add(ev)
-    return frozenset(out)
+    positive = {ev for dep in deps for ev in dep.alphabet() if not ev.negated}
+    return frozenset(
+        ev for ev in positive
+        if not joint_completion_exists(deps, require=sign(ev))
+    )
+
+
+def mandatory_events(dependencies: list[Expr]) -> frozenset[Event]:
+    """Positive events occurring in every satisfying run: no satisfying
+    run contains the complement."""
+    return _never_in_a_satisfying_run(dependencies, lambda ev: ev.complement)
 
 
 def forbidden_events(dependencies: list[Expr]) -> frozenset[Event]:
     """Positive events occurring in no satisfying run."""
-    deps = tuple(dependencies)
-    if not joint_completion_exists(deps):
-        return frozenset()
-    alphabet: set[Event] = set()
-    for dep in dependencies:
-        alphabet |= dep.alphabet()
-    out: set[Event] = set()
-    for ev in alphabet:
-        if ev.negated:
-            continue
-        if not joint_completion_exists(deps, require=ev):
-            out.add(ev)
-    return frozenset(out)
+    return _never_in_a_satisfying_run(dependencies, lambda ev: ev)
 
 
-#: the most product states one :func:`implies` walk may visit, about a
-#: second of walking; past it the walk raises instead of not returning
-IMPLIES_STATE_BUDGET = 30_000
+#: the most backtracking steps one :func:`implies` search may take,
+#: about a second of search; past it the search raises instead of
+#: running on
+IMPLIES_STEP_BUDGET = 100_000
 
 
-def _entails(
-    premises: list[ResidualCursor], goal: ResidualCursor
-) -> tuple[bool, int]:
-    """Do the premises jointly entail the goal, and how many product
-    states deciding it visited.
+def _entailment(dependencies: list[Expr], candidate: Expr) -> tuple[bool, int]:
+    """Do the dependencies jointly entail the candidate, and how many
+    backtracking steps deciding it took.
 
-    Walks the reachable product of the dependencies' and the
-    candidate's residual automata (Figure 2; the cursors only bind the
-    automata to the real names and are not moved) looking for a
-    maximal trace that discharges every dependency and kills the
-    candidate.  A branch is cut where the candidate is ``T`` (every
-    extension satisfies it) or a dependency is ``0`` (no extension is a
-    counterexample); a state where no component has a live event left
-    has every component at ``T`` or ``0``, so reaching one uncut *is*
-    the counterexample.
+    They do iff no completion satisfies every dependency and breaks
+    every DNF term of the candidate.
     """
-    cursors = [*premises, goal]
-    accepting, dead = ResidualAutomaton.accepting, ResidualAutomaton.dead
-    start = tuple(cursor.closure.root for cursor in cursors)
-    seen, stack = {start}, [start]
-    while stack:
-        states = stack.pop()
-        if accepting(states[-1]) or any(map(dead, states[:-1])):
-            continue
-        live = {
-            rename_event(slot, cursor.from_slot): None
-            for cursor, state in zip(cursors, states)
-            for slot in cursor.closure.transitions[state]
-        }
-        if not live:
-            return False, len(seen)
-        for event in live:
-            successor = tuple(
-                cursor.after(state, event)
-                for cursor, state in zip(cursors, states)
-            )
-            if successor in seen:
-                continue
-            if len(seen) >= IMPLIES_STATE_BUDGET:
-                raise ValueError(
-                    f"the implication walk visited {len(seen)} product "
-                    f"states, its budget, without an answer"
-                )
-            seen.add(successor)
-            stack.append(successor)
-    return True, len(seen)
+    budget = StepBudget(IMPLIES_STEP_BUDGET)
+    refuted = joint_completion_exists(
+        tuple(dependencies), breaking=candidate, budget=budget
+    )
+    return not refuted, budget.taken
 
 
 def implies(dependencies: list[Expr], candidate: Expr) -> bool:
     """Do the dependencies jointly entail ``candidate``?
 
-    Exact, by :func:`_entails`' walk of the reachable product automaton:
-    cheap when the dependencies leave few joint states open, and a
-    :class:`ValueError` naming the count (instead of not returning)
-    once the walk passes :data:`IMPLIES_STATE_BUDGET` states.
+    Exact, and a :class:`ValueError` naming the count (instead of not
+    returning) once the search passes :data:`IMPLIES_STEP_BUDGET`
+    steps.
     """
-    return _entails(
-        [ResidualCursor(d) for d in dependencies], ResidualCursor(candidate)
-    )[0]
+    return _entailment(dependencies, candidate)[0]
 
 
 def _redundancy_checks(dependencies: list[Expr]):
-    """``(dependency, implied by the others, product states visited)``
-    for every dependency that has others."""
-    cursors = [ResidualCursor(d) for d in dependencies]
+    """``(dependency, implied by the others, search steps taken)`` for
+    every dependency that has others."""
     for i, dep in enumerate(dependencies):
-        rest = cursors[:i] + cursors[i + 1:]
+        rest = dependencies[:i] + dependencies[i + 1:]
         if rest:
-            yield (dep, *_entails(rest, cursors[i]))
+            yield (dep, *_entailment(rest, dep))
 
 
 def redundant_dependencies(dependencies: list[Expr]) -> list[Expr]:
     """Dependencies already implied by the others (:func:`implies`,
-    so a walk over its state budget raises :class:`ValueError`)."""
+    so a search over its step budget raises :class:`ValueError`)."""
     return [
         dep for dep, implied, _ in _redundancy_checks(dependencies) if implied
     ]
@@ -202,9 +159,9 @@ class AnalysisReport:
     redundant: list[Expr] = field(default_factory=list)
     #: why the (advisory) redundancy check was skipped; empty = it ran
     redundancy_skipped: str = ""
-    #: the most product states any one redundancy check visited (each
-    #: check may visit :data:`IMPLIES_STATE_BUDGET`)
-    product_states: int = 0
+    #: the most backtracking steps any one redundancy check took (each
+    #: check may take :data:`IMPLIES_STEP_BUDGET`)
+    search_steps: int = 0
     conflicts: list[tuple[Expr, Expr]] = field(default_factory=list)
     promise_pairs: frozenset[frozenset[Event]] = frozenset()
     notyet_needs: dict[Event, frozenset[Event]] = field(default_factory=dict)
@@ -242,8 +199,8 @@ class AnalysisReport:
             ),
             "redundant": sorted(repr(d) for d in self.redundant),
             "redundancy_checked": not self.redundancy_skipped,
-            "product_states": self.product_states,
-            "product_state_budget": IMPLIES_STATE_BUDGET,
+            "search_steps": self.search_steps,
+            "search_step_budget": IMPLIES_STEP_BUDGET,
             "conflicts": sorted(
                 [repr(a), repr(b)] for a, b in self.conflicts
             ),
@@ -281,10 +238,10 @@ class AnalysisReport:
             lines.append(
                 f"  redundancy not checked: {self.redundancy_skipped}"
             )
-        elif self.product_states:
+        elif self.search_steps:
             lines.append(
-                f"  redundancy checked: at most {self.product_states} "
-                f"product states per check (budget {IMPLIES_STATE_BUDGET})"
+                f"  redundancy checked: at most {self.search_steps} "
+                f"search steps per check (budget {IMPLIES_STEP_BUDGET})"
             )
         if self.promise_pairs:
             pairs = "; ".join(
@@ -351,7 +308,7 @@ def analyze(workflow: Workflow) -> AnalysisReport:
         unsupported_mandatory=unsupported,
         redundant=[dep for dep, implied, _ in checks if implied],
         redundancy_skipped=redundancy_skipped,
-        product_states=max((visited for *_, visited in checks), default=0),
+        search_steps=max((taken for *_, taken in checks), default=0),
         conflicts=dependency_conflicts(deps),
         promise_pairs=compiled.promise_pairs,
         notyet_needs=compiled.notyet_needs,

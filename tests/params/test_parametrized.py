@@ -191,6 +191,18 @@ class TestExample13:
         with pytest.raises(ValueError):
             sched.allowed(Event("b1", params=(Variable("x"),)))
 
+    def test_repeated_admission_tests_intern_nothing_new(self):
+        from repro.algebra.expressions import intern_stats
+
+        sched = ParamScheduler(self.DEPS[:2])
+        sched.allowed(tok("b1", 0))
+        before = intern_stats()
+        for _ in range(5):
+            assert sched.allowed(tok("b1", 0))
+        after = intern_stats()
+        assert after["exprs"]["size"] == before["exprs"]["size"]
+        assert after["events"]["size"] == before["events"]["size"]
+
     def test_guard_template_synthesized_over_types(self):
         sched = ParamScheduler(self.DEPS)
         x = Variable("x")

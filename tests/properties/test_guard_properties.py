@@ -3,12 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.traces import maximal_universe, satisfies
-from repro.scheduler.residuation_scheduler import (
+from repro.algebra.normal_form import (
     _edges_acyclic,
     expression_terms,
     joint_completion_exists,
 )
+from repro.algebra.traces import maximal_universe, satisfies
 from repro.temporal.cubes import FALSE_GUARD, TRUE_GUARD, literal
 from repro.temporal.guards import generates, guard, workflow_guards
 from repro.temporal.semantics import holds

@@ -3,14 +3,11 @@
 import pytest
 
 from repro.algebra.expressions import TOP, ZERO
+from repro.algebra.normal_form import expression_terms, joint_completion_exists
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.scheduler import CentralizedScheduler, EventAttributes
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.scheduler.residuation_scheduler import (
-    expression_terms,
-    joint_completion_exists,
-)
 from repro.sim.network import ConstantLatency
 
 E, F, G = Event("e"), Event("f"), Event("g")
@@ -133,6 +130,18 @@ class TestCentralizedRuns:
         assert result.ok
         occurred = {en.event for en in result.entries}
         assert occurred == {s_buy, s_book}
+
+    def test_trigger_only_what_every_completion_contains(self):
+        # <f ~e> satisfies the dependency, so e is not required: neither
+        # the center nor the distributed monitors trigger it up front
+        sched = CentralizedScheduler(
+            [parse("f . ~e + e")],
+            attributes={E: EventAttributes(triggerable=True)},
+        )
+        sched.start([])
+        sched.sim.run()
+        assert sched.result.triggered == 0
+        assert sched.result.entries == []
 
     def test_every_decision_is_a_round_trip(self):
         result = self.run_one([D_ARROW], [(0.0, E), (0.0, F)])

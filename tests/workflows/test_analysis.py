@@ -11,7 +11,7 @@ from repro.algebra.symbols import Event
 from repro.algebra.traces import maximal_universe, satisfies
 from repro.workflows import analysis
 from repro.workflows.analysis import (
-    IMPLIES_STATE_BUDGET,
+    IMPLIES_STEP_BUDGET,
     AnalysisReport,
     analyze,
     dependency_conflicts,
@@ -31,16 +31,24 @@ E, F, G = Event("e"), Event("f"), Event("g")
 FIVE_BASES = [E, F, G, Event("h"), Event("k")]
 
 
+def satisfying_traces(dependencies, *more):
+    """Every maximal trace over the bases the dependencies and ``more``
+    mention that satisfies every dependency."""
+    bases = set()
+    for dep in [*dependencies, *more]:
+        bases |= dep.bases()
+    return [
+        u for u in maximal_universe(bases)
+        if all(satisfies(u, d) for d in dependencies)
+    ]
+
+
 def implies_by_enumeration(dependencies, candidate):
     """``implies`` as it is defined: no maximal trace over the mentioned
     bases satisfies every dependency and not the candidate."""
-    bases = set()
-    for dep in [*dependencies, candidate]:
-        bases |= dep.bases()
-    return not any(
-        all(satisfies(u, d) for d in dependencies)
-        and not satisfies(u, candidate)
-        for u in maximal_universe(bases)
+    return all(
+        satisfies(u, candidate)
+        for u in satisfying_traces(dependencies, candidate)
     )
 
 
@@ -80,6 +88,29 @@ class TestMandatoryAndForbidden:
         deps = [parse("~e + f"), parse("~f")]
         assert forbidden_events(deps) == frozenset({E, F})
 
+    def test_a_later_complement_keeps_the_event_optional(self):
+        # <f ~e> satisfies the dependency: ~e may occur, only not first
+        assert mandatory_events([parse("f . ~e + e")]) == frozenset()
+
+    @given(st.lists(expressions(bases=FIVE_BASES), min_size=1, max_size=3))
+    def test_mandatory_and_forbidden_agree_with_the_universe_filter(
+        self, dependencies
+    ):
+        traces = satisfying_traces(dependencies)
+        positive = {
+            ev for dep in dependencies for ev in dep.alphabet()
+            if not ev.negated
+        }
+        if not traces:
+            mandatory = forbidden = set()
+        else:
+            mandatory = {ev for ev in positive if all(ev in u for u in traces)}
+            forbidden = {
+                ev for ev in positive if not any(ev in u for u in traces)
+            }
+        assert mandatory_events(dependencies) == mandatory
+        assert forbidden_events(dependencies) == forbidden
+
 
 class TestImplicationAndRedundancy:
     def test_implies_weaker_dependency(self):
@@ -106,20 +137,24 @@ class TestImplicationAndRedundancy:
         st.lists(expressions(bases=FIVE_BASES), max_size=3),
         expressions(bases=FIVE_BASES),
     )
-    def test_product_walk_agrees_with_the_universe_filter(
+    def test_implies_agrees_with_the_universe_filter(
         self, dependencies, candidate
     ):
         assert implies(dependencies, candidate) == implies_by_enumeration(
             dependencies, candidate
         )
 
-    def test_implies_refuses_past_state_budget(self):
-        # twelve independent arrows entail each of themselves, and
-        # showing it means walking all their joint states
+    def test_implies_answers_twelve_independent_arrows(self):
+        # their joint states number 3^12, but refuting arrow 0 commits
+        # to e0 and ~f0 first, which arrow 0 itself rules out at once
         deps = [parse(f"~e{k} + f{k}") for k in range(12)]
-        with pytest.raises(
-            ValueError, match=f"visited {IMPLIES_STATE_BUDGET} product states"
-        ):
+        assert implies(deps, deps[0])
+        assert analysis._entailment(deps, deps[0]) == (True, 3)
+
+    def test_implies_refuses_past_step_budget(self, monkeypatch):
+        monkeypatch.setattr(analysis, "IMPLIES_STEP_BUDGET", 2)
+        deps = [parse(f"~e{k} + f{k}") for k in range(12)]
+        with pytest.raises(ValueError, match="took 2 steps, its budget"):
             implies(deps, deps[0])
 
     def test_precede_example_checks_redundancy(self):
@@ -129,23 +164,30 @@ class TestImplicationAndRedundancy:
         report = analyze(workflow)
         assert report.ok and report.redundant == []
         assert report.as_dict()["redundancy_checked"] is True
-        assert 0 < report.as_dict()["product_states"] < 1000
-        assert report.as_dict()["product_state_budget"] == IMPLIES_STATE_BUDGET
+        assert 0 < report.as_dict()["search_steps"] < 1000
+        assert report.as_dict()["search_step_budget"] == IMPLIES_STEP_BUDGET
         assert "not checked" not in report.summary()
         assert "redundancy checked: at most" in report.summary()
+
+    def test_precede_example_finds_an_implied_dependency(self):
+        workflow = load(Path(__file__).parents[2] / "examples" / "precede.wf")
+        implied = workflow.add(repr(workflow.dependencies[0]) + " + g")
+        report = analyze(workflow)
+        assert report.redundant == [implied]
+        assert report.as_dict()["redundancy_checked"] is True
 
     def test_over_budget_analysis_skips_redundancy_with_the_count(
         self, monkeypatch
     ):
-        monkeypatch.setattr(analysis, "IMPLIES_STATE_BUDGET", 50)
+        monkeypatch.setattr(analysis, "IMPLIES_STEP_BUDGET", 10)
         workflow = load(Path(__file__).parents[2] / "examples" / "precede.wf")
         workflow.add(repr(workflow.dependencies[0]) + " + g")  # implied
         report = analyze(workflow)
         assert report.ok and report.redundant == []
         assert report.as_dict()["redundancy_checked"] is False
         assert (
-            "redundancy not checked: the implication walk visited 50 "
-            "product states"
+            "redundancy not checked: the joint-completion search took 10 "
+            "steps"
         ) in report.summary()
 
 
