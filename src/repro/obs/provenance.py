@@ -79,7 +79,7 @@ def region_possible(cubes: Iterable[StrCube], knowledge: Mapping[str, int]) -> b
 
 
 def region_verdict(cubes: Iterable[StrCube], knowledge: Mapping[str, int]) -> str:
-    """``fire`` / ``never`` / ``park`` -- EventActor's decision rule."""
+    """``fire`` / ``never`` / ``park`` -- Role's decision rule."""
     cubes = list(cubes)
     if region_subsumes(cubes, knowledge):
         return "fire"
@@ -176,7 +176,7 @@ def minimal_unblocking_sets(
 
     Verified semantically: a candidate set is accepted exactly when the
     knowledge *after* assimilating it is subsumed by the cube region --
-    the same test :meth:`EventActor.try_fire` runs -- so "deliver the
+    the same test :meth:`Role.try_fire` runs -- so "deliver the
     set and the event fires" holds by construction.  Announcement-only
     sets are preferred; promises/certificates are searched only when no
     announcement set of size ``<= max_size`` exists.  Returns up to
@@ -277,7 +277,7 @@ class ProvenanceLog:
     Lives in the observer (like the tracer's clocks): it survives
     simulated crashes because it describes what the run *did*, not
     protocol state.  Every scheduler has one; it fills only in a traced
-    run (``EventActor.learn`` asks the tracer first), and an empty log
+    run (``Role.learn`` asks the tracer first), and an empty log
     answers :meth:`facts_for` with nothing."""
 
     def __init__(self) -> None:
@@ -484,55 +484,54 @@ def _live_justifications(sched, actor, knowledge: dict[str, int]) -> list[dict]:
     return out
 
 
-def explain_actor(sched, actor) -> Explanation:
-    """Live explanation of one actor's state (``scheduler.explain``).
+def explain_actor(sched, role) -> Explanation:
+    """Live explanation of one role's state (``scheduler.explain``).
 
     Classification runs against the *durable* guard -- the residual has
     already dropped satisfied literals, and the point is to show them,
     with their justifications.  Knowledge tightening is monotone, so the
     durable guard under current knowledge yields the same verdict the
     residual did."""
-    knowledge = _str_knowledge(actor.knowledge)
-    cubes = _str_cubes(actor.durable_guard)
+    knowledge = _str_knowledge(role.knowledge)
+    cubes = _str_cubes(role.durable_guard)
     region = explain_region(cubes, knowledge)
-    status = actor.status.value
+    status = role.status.value
     verdict = region["verdict"] if status in ("idle", "pending") else None
-    base = actor.event.base
     frozen_by = sorted(
         repr(requester)
-        for requester, _round_id in sched._frozen.get(base, ())
-        if requester != actor.event
+        for requester, _round_id in role.actor.frozen
+        if requester != role.event
     )
     fired_at = None
-    if actor.status.value == "occurred":
+    if role.status.value == "occurred":
         fired_at = next(
-            (e.time for e in sched.result.entries if e.event == actor.event),
+            (e.time for e in sched.result.entries if e.event == role.event),
             None,
         )
     lifecycle = []
     if fired_at is not None:
         lifecycle.append({
-            "op": "fired", "t": fired_at, "site": actor.site, "lc": None,
+            "op": "fired", "t": fired_at, "site": role.site, "lc": None,
         })
-    parked_since = sched._parked_at.get(actor.event)
+    parked_since = sched._parked_at.get(role.event)
     if parked_since is not None:
         lifecycle.append({
-            "op": "parked", "t": parked_since, "site": actor.site, "lc": None,
+            "op": "parked", "t": parked_since, "site": role.site, "lc": None,
         })
     return Explanation(
-        event=repr(actor.event),
-        site=actor.site,
+        event=repr(role.event),
+        site=role.site,
         status=status,
         verdict=verdict,
-        guard=repr(actor.durable_guard),
-        residual=repr(actor.guard),
+        guard=repr(role.durable_guard),
+        residual=repr(role.guard),
         knowledge=knowledge,
         cubes=region["cubes"],
         unblocking=[list(c) for c in region["unblocking"]] if verdict == "park" else [],
-        justifications=_live_justifications(sched, actor, knowledge),
+        justifications=_live_justifications(sched, role, knowledge),
         lifecycle=sorted(lifecycle, key=lambda e: e["t"]),
         frozen_by=frozen_by,
-        attempted_at=actor.attempted_at,
+        attempted_at=role.attempted_at,
     )
 
 

@@ -7,8 +7,8 @@ scheduler.  The trick is composition: ground dependency instances are
 materialized lazily -- whenever a token with new parameter values is
 attempted -- through the scheduler's run-time modification machinery
 (``add_dependency_runtime``), which residuates each new instance by
-history, synthesizes guards for its events, spins up their actors, and
-wires subscriptions.  Guards thereby "grow" exactly as Example 14
+history, synthesizes guards for its events, spins up their roles, and wires
+subscriptions.  Guards thereby "grow" exactly as Example 14
 describes, and tasks with loops just keep minting tokens.
 """
 
@@ -98,14 +98,8 @@ class DistributedParamRunner:
         if not token.is_ground:
             raise ValueError(f"attempts must be ground tokens: {token!r}")
         self._materialize_for_values(token.params)
-        if token not in self.sched.actors:
-            # the token matches no template: unconstrained event
-            from repro.scheduler.actors import EventActor
-            from repro.temporal.cubes import TRUE_GUARD
-
-            self.sched.actors[token] = EventActor(
-                token, TRUE_GUARD, self.sched.site_of(token.base), self.sched
-            )
+        # a token no template matched is an unconstrained event
+        self.sched.add_role(token)
         self.sched.attempt(token)
         self.sched.sim.run()
 

@@ -4,7 +4,7 @@ Independent instances can go anywhere; instances coupled by
 cross-instance dependencies must run *together*, because a dependency
 is enforced by the one scheduler that holds all its events (the
 paper's rule: an event's guard conjoins ``G(D, e)`` over every
-dependency mentioning it, and one actor per event enforces it).  This
+dependency mentioning it, and one actor per base enforces it).  This
 module scores the coupling from the same artifact the runtime enforces
 it with -- the per-dependency guards ``G(D, e)``: a guard that makes
 one instance's event wait on another instance's base is one unit of

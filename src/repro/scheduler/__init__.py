@@ -9,8 +9,8 @@
   "triggers that event ... on its own accord").
 * :mod:`repro.scheduler.agents` -- task agents with significant-event
   skeletons (Figure 1) and scripted attempt behaviour.
-* :mod:`repro.scheduler.actors` -- one actor per signed event type,
-  holding its guard and assimilating messages (Sections 2, 4.3).
+* :mod:`repro.scheduler.actors` -- one actor per base, holding both
+  polarity guards and assimilating messages (Sections 2, 4.3).
 * :mod:`repro.scheduler.base` -- what a run is under every scheduler:
   simulator, fabric, lifecycle, result, and the one method that
   reports each lifecycle event.

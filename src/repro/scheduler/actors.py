@@ -1,21 +1,26 @@
-"""Event actors: the distributed unit of scheduling (Sections 2, 4.3).
+"""Base actors: the distributed unit of scheduling (Sections 2, 4.3).
 
-One actor is instantiated per signed event type.  It keeps the event's
-guard (as a cube region, :mod:`repro.temporal.cubes`), its *knowledge*
-about other base events (a world mask per base, tightened
-monotonically as messages arrive), and runs the two consensus
-subprotocols the paper calls out:
+One actor per base holds both polarity guards; facts are announced
+once per destination base.  A base and its complement are one
+decision.  Each polarity is a :class:`Role` with its own guard (as a
+cube region, :mod:`repro.temporal.cubes`), its own *knowledge* about
+other bases (a world mask per base, tightened monotonically as
+messages arrive) and its own protocol bookkeeping, since a grant is
+conditional on its requester.  The :class:`BaseActor` keeps what they
+share -- settlement, freezes and deferred certificate requests -- and
+hands each announcement to the roles that subscribe.  Each role runs
+the two consensus subprotocols the paper calls out:
 
 * **promises** -- a guard needing ``<>f`` can be discharged by a
-  conditional promise from ``f``'s actor before ``f`` actually occurs
+  conditional promise from ``f``'s role before ``f`` actually occurs
   (Example 11's mutual-``<>`` consensus);
 * **not-yet certificates** -- a guard containing ``!f`` requires the
   two events to agree that ``f`` has not happened yet; the certifying
-  actor freezes its own event until the requester decides, so the
+  actor freezes its base until the requester decides, so the
   agreement cannot be invalidated in flight.
 
 Deadlock freedom of the not-yet protocol comes from a priority rule:
-an actor with an outstanding round of its own defers certificate
+an actor with an outstanding round of either role defers certificate
 requests from *larger*-keyed bases until its round completes, so the
 wait-for relation among active rounds is acyclic.
 
@@ -23,7 +28,7 @@ Decision rule on an attempt (Section 4.3's "evaluation"):
 
 * knowledge region inside the guard region -> **fire**;
 * guard unreachable under knowledge closure -> **reject permanently**
-  (the agent then settles the complement);
+  (for a positive event the actor then attempts the complement);
 * otherwise -> **park**, and solicit exactly the facts (promises /
   certificates) that could complete some cube of the guard.
 """
@@ -72,15 +77,12 @@ class ActorStatus(enum.Enum):
     REJECTED = "rejected"  # permanently refused; complement may follow
 
 
-class EventActor:
-    """The actor of one signed event type."""
+class Role:
+    """One polarity of a :class:`BaseActor`: the guard of one signed
+    event, and what the role knows and has asked for."""
 
     def __init__(
-        self,
-        event: Event,
-        guard: Binding | GuardExpr,
-        site: str,
-        scheduler: "DistributedScheduler",
+        self, event: Event, guard: Binding | GuardExpr, actor: "BaseActor"
     ):
         self.event = event
         #: cached ``repr(event)`` -- profiled hot paths label every
@@ -92,8 +94,13 @@ class EventActor:
         #: volatile ``simplify_under`` compressions -- this is what a
         #: crash re-enters and recovery re-simplifies as facts return
         self._durable_guard = guard
-        self.site = site
-        self.sched = scheduler
+        #: the base actor this role belongs to
+        self.actor = actor
+        #: the bases whose announcements this role hears (its guard's,
+        #: as the scheduler subscribed them)
+        self.subscribed = ()
+        self.site = actor.site
+        self.sched = scheduler = actor.sched
         self.status = ActorStatus.IDLE
         self.attempted_at: float | None = None
         self.knowledge: dict[Event, int] = {}
@@ -116,8 +123,6 @@ class EventActor:
         self.granted_to: set[Event] = set()      # we promised <>self to these
         self.deferred_promise_reqs: list[PromiseRequest] = []
         self.pending_grant_reqs: list[PromiseRequest] = []
-        # -- not-yet service side --
-        self.deferred_notyet_reqs: list[NotYetRequest] = []
         # -- escalation bookkeeping --
         self._escalated_cubes: set = set()
 
@@ -166,18 +171,14 @@ class EventActor:
         if profiler is not None:
             profiler.push("cube_ops", site=self.site, event=self.event_label)
         try:
-            self._assimilate()
+            # a pointer hop on the compiled automaton (the node caches
+            # the very ``simplify_under`` result it replaces)
+            self.cursor.assimilate()
         finally:
             if profiler is not None:
                 profiler.pop()
         self.try_fire()
         self._process_pending_grants()
-
-    def _assimilate(self) -> None:
-        """Advance the residual past ``simplify_under``: a pointer hop
-        on the compiled automaton (the node caches the very
-        ``simplify_under`` result it replaces)."""
-        self.cursor.assimilate()
 
     def note_occurrence(self, event: Event) -> None:
         """The skip path: record the announced fact without
@@ -206,7 +207,7 @@ class EventActor:
         # incremental recompile: re-enter the automaton at the
         # strengthened guard, then assimilate everything already known
         self.cursor.reset(self.guard & extra, self.knowledge)
-        self._assimilate()
+        self.cursor.assimilate()
         self._escalated_cubes = set()
         self._knowledge_dirty = True
         self.try_fire()
@@ -221,7 +222,7 @@ class EventActor:
         """
         self._durable_guard = new_guard
         self.cursor.reset(new_guard, self.knowledge)
-        self._assimilate()
+        self.cursor.assimilate()
         self._escalated_cubes = set()
         self._knowledge_dirty = True
         self.try_fire()
@@ -245,11 +246,11 @@ class EventActor:
     def try_fire(self) -> None:
         if self.status is not ActorStatus.PENDING:
             return
-        if self.sched.is_frozen(self.event.base, exclude=self.event):
+        if self.actor.is_frozen(self.event):
             return  # some requester holds a certificate on our base
         verdict = self._evaluate_guard()
         if verdict == "fire":
-            self._fire()
+            self.actor.occur(self)
             return
         if verdict == "never":
             self._reject()
@@ -311,26 +312,16 @@ class EventActor:
             )
         }
 
-    def _fire(self) -> None:
-        # Status first: finishing the round serves certificate requests
-        # deferred by the priority rule, and they must see the
-        # occurrence -- certifying "not yet" in the same instant the
-        # event fires would hand the requester a false transient fact.
-        self.status = ActorStatus.OCCURRED
-        self._finish_round(fired=False)  # abandon any round; we are done
-        self._process_pending_grants()
-        self.sched.record_occurrence(self)
-
     def _reject(self) -> None:
         if not self.sched.attributes(self.event.base).rejectable:
             # Nonrejectable events happen no matter what (Section 3.3);
             # record the forced acceptance as a violation source.
             self.sched.note_forced(self.site, self.event)
-            self._fire()
+            self.actor.occur(self)
             return
-        self._finish_round(fired=False)
+        self._finish_round()
         self.status = ActorStatus.REJECTED
-        self.sched.notify_rejected(self)
+        self.actor.rejected(self)
 
     # ------------------------------------------------------------------
     # solicitation: figure out which facts could complete a cube
@@ -346,7 +337,7 @@ class EventActor:
 
         The cube's needs depend only on ``(guard, knowledge)`` -- the
         cursor's node -- so they are computed once per guard shape; what
-        is per actor (its own base, its request record) applies here.
+        is per role (its own base, its request record) applies here.
         """
         demand, promises, certificates = self.cursor.plan()
         level = 1 if demand else 0
@@ -388,7 +379,7 @@ class EventActor:
         """Record the request at its demand level and send it (the
         caller has established it is not a repeat)."""
         self.promise_requested[(target, chain)] = 1 if demand else 0
-        self.sched.send_to_actor(
+        self.sched.send_to_role(
             self,
             target,
             PromiseRequest(
@@ -403,7 +394,7 @@ class EventActor:
         """Quiescence escalation: demand the facts for ONE further cube.
 
         Called by the scheduler when the simulation has drained and
-        this actor is still parked -- nothing else will arrive on its
+        this role is still parked -- nothing else will arrive on its
         own.  Demanding cube-by-cube keeps triggering lazy: an
         alternative that resolves cheaply (a pending event promising)
         is tried before one that would cause a triggerable event.
@@ -431,13 +422,13 @@ class EventActor:
     def on_promise_request(self, req: PromiseRequest) -> None:
         requester = req.requester
         if self.status is ActorStatus.OCCURRED:
-            self.sched.send_to_actor(
+            self.sched.send_to_role(
                 self, requester,
                 PromiseGrant(target=self.event, requester=requester),
             )
             return
         if self.status is ActorStatus.DEAD:
-            self.sched.send_to_actor(
+            self.sched.send_to_role(
                 self, requester,
                 PromiseRefuse(target=self.event, requester=requester),
             )
@@ -458,7 +449,7 @@ class EventActor:
             self.deferred_promise_reqs.append(req)
             return
         # PENDING (or IDLE but guaranteed by its agent): the grant is a
-        # commitment to occur, so it is issued only once this actor's
+        # commitment to occur, so it is issued only once this role's
         # own eventuality needs are *secured* -- already known, assumed
         # via the request chain (a chain looping back is Example 11's
         # consensus cycle: all members occur together), or acquired by
@@ -482,7 +473,7 @@ class EventActor:
         requester = req.requester
         assumed = self._grant_assumption(req)
         if not self.guard.possible_under(assumed):
-            self.sched.send_to_actor(
+            self.sched.send_to_role(
                 self, requester,
                 PromiseRefuse(target=self.event, requester=requester),
             )
@@ -490,7 +481,7 @@ class EventActor:
         if self._secured_cube(assumed) is not None:
             self.granted_to.add(requester)
             self.sched.note_promise()
-            self.sched.send_to_actor(
+            self.sched.send_to_role(
                 self, requester,
                 PromiseGrant(target=self.event, requester=requester),
             )
@@ -559,7 +550,7 @@ class EventActor:
                     if self.status is ActorStatus.OCCURRED
                     else PromiseRefuse(target=self.event, requester=req.requester)
                 )
-                self.sched.send_to_actor(self, req.requester, message)
+                self.sched.send_to_role(self, req.requester, message)
                 continue
             self._decide_grant(req)
 
@@ -594,7 +585,7 @@ class EventActor:
         awaited = sorted(self.round_awaiting, key=Event.sort_key)
         self.sched.note_round(self, awaited)
         for base in awaited:
-            self.sched.send_to_base(
+            self.sched.send_to_actor(
                 self,
                 base,
                 NotYetRequest(
@@ -611,7 +602,7 @@ class EventActor:
                 # stale certificate (aborted round, or a pre-crash
                 # straggler): release the freeze it carries.  A
                 # duplicate of a *current* hold is simply ignored.
-                self.sched.send_to_base(
+                self.sched.send_to_actor(
                     self,
                     reply.target,
                     Release(
@@ -641,7 +632,7 @@ class EventActor:
     def _conclude_round(self) -> None:
         if (
             self.status is ActorStatus.PENDING
-            and not self.sched.is_frozen(self.event.base, exclude=self.event)
+            and not self.actor.is_frozen(self.event)
             and self._subsumed_under_transient()
         ):
             # the certificate-backed evaluation justifying this
@@ -652,12 +643,12 @@ class EventActor:
                 for base in self.round_certified:
                     transient[base] = transient.get(base, FULL) & NOT_YET_MASK
                 self._trace_eval("fire", 0.0, transient)
-            # _fire finishes the round itself, *after* setting
-            # OCCURRED, so deferred certificate requests served during
-            # the release see the occurrence.
-            self._fire()
+            # occur finishes the round itself, *after* settling the
+            # base, so deferred certificate requests served during the
+            # release see the occurrence.
+            self.actor.occur(self)
             return
-        self._finish_round(fired=False)
+        self._finish_round()
         self.try_fire()
 
     def _subsumed_under_transient(self) -> bool:
@@ -670,7 +661,7 @@ class EventActor:
             for base in sorted(self.round_certified, key=Event.sort_key)
         ) == "fire"
 
-    def _finish_round(self, fired: bool) -> None:
+    def _finish_round(self) -> None:
         if not self.round_active and not self.round_holds:
             return
         rid = self.round_id
@@ -692,87 +683,12 @@ class EventActor:
         self.round_awaiting = set()
         self.round_certified = set()
         for base in sorted(to_release, key=Event.sort_key):
-            self.sched.send_to_base(
+            self.sched.send_to_actor(
                 self,
                 base,
                 Release(target=base, requester=self.event, round_id=rid),
             )
-        # Requests deferred while this base had an active round may sit
-        # at either polarity actor; the scheduler re-serves both.
-        self.sched.base_round_finished(self.event.base)
-
-    def serve_deferred_notyet(self) -> None:
-        """Re-dispatch certificate requests deferred by the priority rule."""
-        deferred, self.deferred_notyet_reqs = self.deferred_notyet_reqs, []
-        for req in deferred:
-            self.on_not_yet_request(req)
-
-    def cancel_protocols(self) -> None:
-        """Abandon any outstanding round and its holds, and refuse any
-        held grant requests (called when the complement occurs and
-        this actor dies; the caller sets DEAD before invoking)."""
-        self._finish_round(fired=False)
-        self._process_pending_grants()
-
-    # ------------------------------------------------------------------
-    # not-yet certificate protocol (coordinator side; positive actor)
-
-    def on_not_yet_request(self, req: NotYetRequest) -> None:
-        requester = req.requester
-        base = self.event.base
-        settled = self.sched.base_settled(base)
-        if settled is None:
-            # mid-fire window: our own status flips before the global
-            # settlement record is written
-            if self.status is ActorStatus.OCCURRED:
-                settled = "comp_occurred" if self.event.negated else "occurred"
-            elif self.status is ActorStatus.DEAD:
-                settled = "occurred" if self.event.negated else "comp_occurred"
-        if settled == "occurred":
-            self.sched.send_to_actor(
-                self, requester,
-                NotYetReply(
-                    target=base,
-                    requester=requester,
-                    status="occurred",
-                    round_id=req.round_id,
-                ),
-            )
-            return
-        if settled == "comp_occurred":
-            self.sched.send_to_actor(
-                self, requester,
-                NotYetReply(
-                    target=base,
-                    requester=requester,
-                    status="comp_occurred",
-                    round_id=req.round_id,
-                ),
-            )
-            return
-        if self._defer_notyet(requester):
-            self.deferred_notyet_reqs.append(req)
-            return
-        self.sched.freeze(base, requester, req.round_id)
-        self.sched.send_to_actor(
-            self, requester,
-            NotYetReply(
-                target=base,
-                requester=requester,
-                status="not_yet",
-                round_id=req.round_id,
-            ),
-        )
-
-    def _defer_notyet(self, requester: Event) -> bool:
-        """Priority rule: defer larger-keyed requesters while we have an
-        outstanding round of our own (keeps the wait-for graph acyclic)."""
-        if not self.sched.base_has_active_round(self.event.base):
-            return False
-        return self.event.base.sort_key() < requester.base.sort_key()
-
-    def on_release(self, release: Release) -> None:
-        self.sched.unfreeze(self.event.base, release.requester, release.round_id)
+        self.actor.round_finished()
 
     # ------------------------------------------------------------------
     # crash recovery (fail-stop model, see repro.sim.faults)
@@ -801,15 +717,14 @@ class EventActor:
         self.promise_requested = {}
         self.deferred_promise_reqs = []
         self.pending_grant_reqs = []
-        self.deferred_notyet_reqs = []
         self._escalated_cubes = set()
 
     def recover(self) -> None:
         """Rebuild knowledge after a restart (solicitation round).
 
-        The actor re-learns its own base from its durable status, then
-        asks the coordinator of every base its durable guard mentions
-        for the settled facts (:class:`SyncRequest`).  Transient state
+        The role re-learns its own base from its actor's durable
+        settlement, then asks the actor of every base its durable guard
+        mentions for the settled facts (:class:`SyncRequest`).  Transient state
         (certificates, promises) is *not* reconstructed -- the normal
         solicitation machinery re-acquires whatever is still needed
         once the settled facts are back.
@@ -818,21 +733,17 @@ class EventActor:
             self.sched.sim.now, self.site, self.event, "recovered",
             status=self.status.value,
         )
-        if self.status is ActorStatus.OCCURRED:
+        settled = self.actor.settled
+        if settled is not None:
             self.learn(
-                self.event.base, C_OCC if self.event.negated else E_OCC,
-                source="durable", origin=self.event,
-            )
-        elif self.status is ActorStatus.DEAD:
-            self.learn(
-                self.event.base, E_OCC if self.event.negated else C_OCC,
-                source="durable", origin=self.event.complement,
+                settled.base, C_OCC if settled.negated else E_OCC,
+                source="durable", origin=settled,
             )
         for base in sorted(self._durable_guard.bases(), key=Event.sort_key):
             if base == self.event.base:
                 continue
             self.sched.send_sync(self, base)
-        self._assimilate()
+        self.cursor.assimilate()
         self.try_fire()
 
     def on_sync_reply(self, reply: SyncReply) -> None:
@@ -843,27 +754,12 @@ class EventActor:
                 reply.base, C_OCC, source="sync",
                 origin=reply.base.complement,
             )
-        self._assimilate()
+        self.cursor.assimilate()
         self.try_fire()
         if self.status is ActorStatus.PENDING:
             self._solicit()
         self._process_pending_grants()
         self.sched.note_sync_reply(self.event)
-
-    def on_sync_request(self, req: SyncRequest) -> None:
-        """Coordinator side: report the base's durable settlement.
-
-        A sync request also proves the requester restarted and lost
-        its round state, so any freeze it held here is void.
-        """
-        base = self.event.base
-        self.sched.unfreeze_all(base, req.requester)
-        status = self.sched.base_settled(base) or "unsettled"
-        self.sched.send_to_actor(
-            self,
-            req.requester,
-            SyncReply(base=base, requester=req.requester, status=status),
-        )
 
     def on_recovered(self, msg: Recovered) -> None:
         """A peer we may have solicited restarted and lost our requests.
@@ -872,12 +768,12 @@ class EventActor:
         actually goes out), abort-and-retry any certificate round that
         was awaiting it, drop escalation marks, and re-solicit.
         """
-        base = msg.event.base
+        base = msg.base
         for key in [k for k in self.promise_requested if k[0].base == base]:
             del self.promise_requested[key]
         if self.round_active and base in self.round_awaiting:
             self._knowledge_dirty = True  # allow an immediate retry round
-            self._finish_round(fired=False)
+            self._finish_round()
         self._escalated_cubes = set()
         if self.status is ActorStatus.PENDING:
             self.try_fire()
@@ -888,9 +784,9 @@ class EventActor:
     # observability (repro.obs.snapshot)
 
     def snapshot_state(self) -> dict:
-        """JSON-ready copy of this actor's state for a global snapshot.
+        """JSON-ready copy of this role's state for a global snapshot.
 
-        Everything a debugger needs to see the actor mid-protocol: the
+        Everything a debugger needs to see the role mid-protocol: the
         lifecycle status, the assimilated knowledge masks, the residual
         guard, and the in-flight round/promise bookkeeping."""
         state = {
@@ -917,3 +813,186 @@ class EventActor:
                 repr(e) for e in self.granted_to
             )
         return state
+
+
+class BaseActor:
+    """The actor of one base event: its polarity roles and the state
+    they share -- settlement, freezes and deferred certificate
+    requests.  It is the base's coordinator: certificate, release and
+    sync requests about the base are addressed to it."""
+
+    __slots__ = (
+        "base", "site", "sched", "roles", "settled", "frozen",
+        "deferred_notyet_reqs",
+    )
+
+    def __init__(
+        self, base: Event, site: str, scheduler: "DistributedScheduler"
+    ):
+        self.base = base
+        self.site = site
+        self.sched = scheduler
+        #: signed event -> its role, positive first; a polarity without
+        #: a guard-table entry has no role
+        self.roles: dict[Event, Role] = {}
+        #: the signed event that occurred (durable, like the run's
+        #: settlement log)
+        self.settled: Event | None = None
+        #: freeze holders, ``(requester, round_id)``, so a stale release
+        #: (from an aborted round) cannot void a newer freeze; durable
+        self.frozen: frozenset[tuple[Event, int]] = frozenset()
+        #: certificate requests deferred by the priority rule
+        self.deferred_notyet_reqs: tuple[NotYetRequest, ...] = ()
+
+    def add_role(self, event: Event, guard: Binding | GuardExpr) -> Role:
+        """``event``'s new role, kept positive first."""
+        role = Role(event, guard, self)
+        if event.negated:
+            self.roles[event] = role
+        else:
+            self.roles = {event: role, **self.roles}
+        return role
+
+    # ------------------------------------------------------------------
+    # settlement
+
+    def occur(self, role: Role) -> None:
+        """``role``'s event fires: the base settles, the other role
+        dies, and the occurrence is published."""
+        # Settlement first: finishing a round serves certificate
+        # requests deferred by the priority rule, and they must see the
+        # occurrence -- certifying "not yet" in the same instant the
+        # base settles would hand the requester a false transient fact.
+        self.settled = event = role.event
+        role.status = ActorStatus.OCCURRED
+        role._finish_round()  # abandon any round; we are done
+        role._process_pending_grants()
+        sched, attempted_at = self.sched, role.attempted_at
+        sched.note_settled(
+            self.site, event,
+            sched.sim.now if attempted_at is None else attempted_at,
+        )
+        other = self.roles.get(event.complement)
+        if other is not None:
+            # it can never occur now: release what it held
+            other.status = ActorStatus.DEAD
+            sched.note_dead(self.site, other.event)
+            other._finish_round()
+            other._process_pending_grants()
+        sched.publish(self, event)
+
+    def rejected(self, role: Role) -> None:
+        """``role``'s event is refused for good.  A positive event's
+        task then abandons the transition: the actor attempts the
+        complement (``EventAttributes.auto_complement``)."""
+        event = role.event
+        sched = self.sched
+        sched.note_rejected(self.site, event)
+        if event.negated or not sched.attributes(self.base).auto_complement:
+            return
+        other = self.roles.get(event.complement)
+        if other is not None and other.status is ActorStatus.IDLE:
+            sched.attempt(other.event)
+
+    def settle(self) -> None:
+        """Settlement at quiescence: attempt the complement."""
+        if self.base.complement in self.roles:
+            self.sched.attempt(self.base.complement)
+
+    def _settled_status(self) -> str | None:
+        settled = self.settled
+        if settled is None:
+            return None
+        return "comp_occurred" if settled.negated else "occurred"
+
+    # ------------------------------------------------------------------
+    # freezes and the not-yet certificate protocol (coordinator side)
+
+    def is_frozen(self, exclude: Event) -> bool:
+        """Does a requester other than ``exclude`` hold a freeze?"""
+        for requester, _round_id in self.frozen:
+            if requester != exclude:
+                return True
+        return False
+
+    def release_holds(self, predicate) -> None:
+        """Void the freezes ``predicate`` picks; once none is left, the
+        roles re-try their parked attempts."""
+        victims = {h for h in self.frozen if predicate(h)}
+        if not victims:
+            return
+        self.frozen -= victims
+        if not self.frozen:
+            for role in self.roles.values():
+                role.try_fire()
+
+    def has_active_round(self) -> bool:
+        for role in self.roles.values():
+            if role.round_active:
+                return True
+        return False
+
+    def round_finished(self) -> None:
+        """A role's round ended: once no role has one outstanding,
+        serve the requests the priority rule deferred."""
+        if self.has_active_round():
+            return
+        deferred, self.deferred_notyet_reqs = self.deferred_notyet_reqs, ()
+        for req in deferred:
+            self.on_not_yet_request(req)
+
+    def on_not_yet_request(self, req: NotYetRequest) -> None:
+        requester = req.requester
+        status = self._settled_status()
+        if status is None:
+            if (
+                self.has_active_round()
+                and self.base.sort_key() < requester.base.sort_key()
+            ):
+                # priority rule: defer larger-keyed requesters while a
+                # round of our own is outstanding (keeps the wait-for
+                # graph acyclic)
+                self.deferred_notyet_reqs += (req,)
+                return
+            self.frozen |= {(requester, req.round_id)}
+            status = "not_yet"
+        reply = NotYetReply(
+            target=self.base, requester=requester, status=status,
+            round_id=req.round_id,
+        )
+        self.sched.send_to_role(self, requester, reply)
+
+    def on_release(self, release: Release) -> None:
+        holder = (release.requester, release.round_id)
+        self.release_holds(lambda h: h == holder)
+
+    # ------------------------------------------------------------------
+    # crash recovery (fail-stop model, see repro.sim.faults)
+
+    def on_sync_request(self, req: SyncRequest) -> None:
+        """Report the base's durable settlement.
+
+        A sync request also proves the requester restarted and lost
+        its round state, so any freeze it held here is void.
+        """
+        requester = req.requester
+        self.release_holds(lambda h: h[0] == requester)
+        status = self._settled_status() or "unsettled"
+        reply = SyncReply(base=self.base, requester=requester, status=status)
+        self.sched.send_to_role(self, requester, reply)
+
+    def on_recovered(self, msg: Recovered) -> None:
+        for role in self.roles.values():
+            if msg.base in role.subscribed:
+                role.on_recovered(msg)
+
+    def crash_reset(self) -> None:
+        """Wipe volatile state at a crash instant: the roles' and the
+        deferred requests.  The settlement and the freezes are durable."""
+        self.deferred_notyet_reqs = ()
+        for role in self.roles.values():
+            role.crash_reset()
+
+    def recover(self) -> None:
+        for role in self.roles.values():
+            role.recover()

@@ -1,12 +1,13 @@
 """The distributed event-centric scheduler (the paper's contribution).
 
 Guards are synthesized per event at compile time (Section 4.2) and
-localized on one actor per signed event, placed at the site of the
-task agent the event belongs to (Section 2).  At run time only
-messages flow: occurrence announcements, promises, and not-yet
-certificates.  There is no central node; the requirement monitors that
-trigger triggerable events run at the sites of those events, fed by
-the same announcements.
+localized on one actor per base holding both polarity guards, placed
+at the site of the task agent the base belongs to (Section 2).  At run
+time only messages flow: occurrence announcements, promises, and
+not-yet certificates; a fact is announced once per destination base.
+There is no central node; the requirement monitors that trigger
+triggerable events run at the sites of those events, fed by the same
+announcements.
 
 The run lifecycle is :class:`~repro.scheduler.base.RunBase`'s, the
 three steps ``run`` (and through it the shard runner and the CLI) goes
@@ -26,7 +27,7 @@ from typing import Iterable, Mapping
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
-from repro.scheduler.actors import ActorStatus, EventActor
+from repro.scheduler.actors import ActorStatus, BaseActor, Role
 from repro.scheduler.agents import AgentScript
 from repro.scheduler.base import RunBase
 from repro.scheduler.events import EventAttributes, ExecutionResult, Violation
@@ -56,24 +57,25 @@ from repro.temporal.compiled import (
     ReferenceCursor,
     WakeCounts,
 )
-from repro.temporal.cubes import GuardExpr
+from repro.temporal.cubes import TRUE_GUARD, GuardExpr
 from repro.temporal.guards import (
     Binding,
     shape_lookups,
     workflow_bindings,
 )
 
-#: where ``_dispatch`` delivers each message type but ``Announce``
+#: where ``_dispatch`` delivers each message type but ``Announce``: a
+#: role, or the base's actor
 _HANDLERS = {
-    PromiseRequest: EventActor.on_promise_request,
-    PromiseGrant: EventActor.on_promise_grant,
-    PromiseRefuse: EventActor.on_promise_refuse,
-    NotYetRequest: EventActor.on_not_yet_request,
-    NotYetReply: EventActor.on_not_yet_reply,
-    Release: EventActor.on_release,
-    SyncRequest: EventActor.on_sync_request,
-    SyncReply: EventActor.on_sync_reply,
-    Recovered: EventActor.on_recovered,
+    PromiseRequest: Role.on_promise_request,
+    PromiseGrant: Role.on_promise_grant,
+    PromiseRefuse: Role.on_promise_refuse,
+    NotYetRequest: BaseActor.on_not_yet_request,
+    NotYetReply: Role.on_not_yet_reply,
+    Release: BaseActor.on_release,
+    SyncRequest: BaseActor.on_sync_request,
+    SyncReply: Role.on_sync_reply,
+    Recovered: BaseActor.on_recovered,
 }
 
 
@@ -115,7 +117,7 @@ class DistributedScheduler(RunBase):
         hold the one production engine against, not a user option.
     tracer / profiler:
         See :class:`~repro.scheduler.base.RunBase`.  A traced run also
-        records *why* each actor knows what it knows (which
+        records *why* each role knows what it knows (which
         announcement / promise / certificate justified each knowledge
         bit) in :attr:`provenance`, and times its guard evaluations;
         :meth:`explain` works either way -- untraced it falls back to
@@ -145,7 +147,7 @@ class DistributedScheduler(RunBase):
             duplicate_probability=duplicate_probability,
         )
         #: compiled-guard automaton store, and the factory every
-        #: ``EventActor.__init__`` takes its cursor from: a pointer into
+        #: ``Role.__init__`` takes its cursor from: a pointer into
         #: this store -- or, for the differential tests'
         #: ``reference_engine``, the cube calls it caches
         self.compiled = CompiledGuardEngine()
@@ -190,17 +192,15 @@ class DistributedScheduler(RunBase):
                 table = workflow_bindings(self.dependencies)
             after = shape_lookups()
             self._shape_lookups = {k: after[k] - before[k] for k in after}
-        self.actors: dict[Event, EventActor] = {}
-        # subscriptions: actors whose guard mentions a base hear about it
-        # (a binding's bases are read off its ``to_slot``, no rendering)
-        self._subscribers: dict[Event, list[Event]] = {}
+        #: base -> its actor, holding a role per polarity in the table
+        self.actors: dict[Event, BaseActor] = {}
+        self._sorted_actors_cache: tuple[BaseActor, ...] | None = None
+        #: announced base -> the actors with a role whose guard mentions
+        #: it, each once
+        self._subscribers: dict[Event, list[BaseActor]] = {}
         for event, g in table.items():
-            self.actors[event] = EventActor(
-                event, g, self.site_of(event.base), self
-            )
-            for base in g.bases():
-                self._subscribers.setdefault(base, []).append(event)
-        #: announcements that woke their actor / took the skip path
+            self.add_role(event, g)
+        #: announcements that woke their role / took the skip path
         #: (``_dispatch`` decides)
         self.watch = WakeCounts()
         # per-site requirement monitors for triggerable events
@@ -209,11 +209,7 @@ class DistributedScheduler(RunBase):
         #: construction spec per monitor index, kept so a crashed
         #: site's monitors can be rebuilt and resynced
         self._monitor_specs: list[tuple[list[Expr], frozenset[Event]]] = []
-        self._sorted_actors_cache: tuple[EventActor, ...] | None = None
         self._build_monitors()
-        # base -> holders; a holder is (requester, round_id) so a stale
-        # release (from an aborted round) cannot void a newer freeze
-        self._frozen: dict[Event, set[tuple[Event, int]]] = {}
         #: sampled telemetry series (None until enabled); the sampler
         #: only reads state, so an instrumented run stays bit-identical
         self.timeseries: TimeSeriesRegistry | None = None
@@ -221,6 +217,36 @@ class DistributedScheduler(RunBase):
 
     # ------------------------------------------------------------------
     # construction helpers
+
+    def add_role(
+        self, event: Event, guard: Binding | GuardExpr = TRUE_GUARD
+    ) -> Role:
+        """``event``'s role, created with ``guard`` -- and its base's
+        actor with it -- when there is none; an existing role is
+        returned as it is."""
+        actor = self.actors.get(event.base)
+        if actor is None:
+            actor = BaseActor(event.base, self.site_of(event.base), self)
+            self.actors[event.base] = actor
+            self._sorted_actors_cache = None
+        role = actor.roles.get(event)
+        if role is None:
+            role = actor.add_role(event, guard)
+            # a binding's bases are read off its ``to_slot``, no rendering
+            self.subscribe(role, guard.bases())
+        return role
+
+    def subscribe(self, role: Role, bases) -> None:
+        """``role`` hears the announcements of ``bases``; its actor is
+        sent each one once, whichever of its roles subscribe."""
+        heard = role.subscribed
+        other = role.actor.roles.get(role.event.complement)
+        for base in bases:
+            if base not in heard and (
+                other is None or base not in other.subscribed
+            ):
+                self._subscribers.setdefault(base, []).append(role.actor)
+        role.subscribed = set(heard).union(bases) if heard else bases
 
     def _build_monitors(self) -> None:
         triggerable = {
@@ -285,13 +311,13 @@ class DistributedScheduler(RunBase):
             deps, bases, trigger, doomed, site=site, metrics=self.metrics
         )
 
-    def _sorted_actors(self) -> tuple[EventActor, ...]:
-        """The actors in event order; cached like ``_sorted_bases`` and
+    def _sorted_actors(self) -> tuple[BaseActor, ...]:
+        """The actors in base order; cached like ``_sorted_bases`` and
         dropped where a run-time dependency adds an actor."""
         cached = self._sorted_actors_cache
         if cached is None:
             cached = tuple(
-                sorted(self.actors.values(), key=lambda a: a.event.sort_key())
+                sorted(self.actors.values(), key=lambda a: a.base.sort_key())
             )
             self._sorted_actors_cache = cached
         return cached
@@ -299,120 +325,67 @@ class DistributedScheduler(RunBase):
     # ------------------------------------------------------------------
     # actor-facing services
 
-    def send_to_actor(self, sender: EventActor, dst_event: Event, message) -> None:
-        actor = self.actors.get(dst_event)
-        if actor is None:
-            return
+    def role(self, event: Event) -> Role | None:
+        """The role of the signed ``event`` on its base's actor, if it
+        has one."""
+        actor = self.actors.get(event.base)
+        return None if actor is None else actor.roles.get(event)
+
+    def roles(self) -> list[Role]:
+        """Every role, actor by actor, positive first."""
+        actors = self.actors.values()
+        return [role for actor in actors for role in actor.roles.values()]
+
+    def send_to_role(self, sender, event: Event, message) -> None:
+        role = self.role(event)
+        if role is not None:
+            self._send(sender, role, message)
+
+    def send_to_actor(self, sender, base: Event, message) -> None:
+        actor = self.actors.get(base.base)
+        if actor is not None:
+            self._send(sender, actor, message)
+
+    def _send(self, sender, target, message) -> None:
         self.channel.send(
             sender.site,
-            actor.site,
+            target.site,
             message.kind,
             message,
-            lambda msg: self._dispatch(actor, msg),
+            lambda msg: self._dispatch(target, msg),
         )
 
-    def send_to_base(self, sender: EventActor, base: Event, message) -> None:
-        """Route to the base's coordinator (its positive actor)."""
-        coordinator = self.actors.get(base.base)
-        if coordinator is None:
-            coordinator = self.actors.get(base.base.complement)
-        if coordinator is None:
-            return
-        self.channel.send(
-            sender.site,
-            coordinator.site,
-            message.kind,
-            message,
-            lambda msg: self._dispatch(coordinator, msg),
-        )
-
-    def _dispatch(self, actor: EventActor, message) -> None:
+    def _dispatch(self, target: Role | BaseActor, message) -> None:
         if isinstance(message, Announce):
-            # the wake rule (:mod:`repro.temporal.compiled`): wake iff
-            # the base is in the residual's support; an unbound (or
-            # reference) cursor has no node and wakes on everything
-            cursor = actor.cursor
-            if cursor.node is not None and not cursor.wakes_on(
-                message.event.base
-            ):
-                # the skip: record the fact, touch nothing else --
-                # re-evaluation would be a no-op
-                self.watch.note_skip()
-                actor.note_occurrence(message.event)
-                return
-            self.watch.note_wake()
+            # to each subscribing role, by the wake rule
+            # (:mod:`repro.temporal.compiled`): wake iff the base is in
+            # the residual's support; an unbound (or reference) cursor
+            # has no node and wakes on everything
+            event = message.event
+            base = event.base
             profiler = self.profiler  # per announcement: no call unprofiled
-            if profiler is not None:
-                profiler.push(
-                    "watch_wake", site=actor.site, event=actor.event_label
-                )
-            try:
-                actor.observe_occurrence(message.event)
-            finally:
+            for role in target.roles.values():
+                if base not in role.subscribed:
+                    continue
+                cursor = role.cursor
+                if cursor.node is not None and not cursor.wakes_on(base):
+                    # the skip: record the fact, touch nothing else --
+                    # re-evaluation would be a no-op
+                    self.watch.note_skip()
+                    role.note_occurrence(event)
+                    continue
+                self.watch.note_wake()
                 if profiler is not None:
-                    profiler.pop()
+                    profiler.push(
+                        "watch_wake", site=role.site, event=role.event_label
+                    )
+                try:
+                    role.observe_occurrence(event)
+                finally:
+                    if profiler is not None:
+                        profiler.pop()
         else:
-            _HANDLERS[type(message)](actor, message)
-
-    def base_settled(self, base: Event) -> str | None:
-        signed = self._settled.get(base.base)
-        if signed is None:
-            return None
-        return "comp_occurred" if signed.negated else "occurred"
-
-    def base_has_active_round(self, base: Event) -> bool:
-        for event in (base.base, base.base.complement):
-            actor = self.actors.get(event)
-            if actor is not None and actor.round_active:
-                return True
-        return False
-
-    def base_round_finished(self, base: Event) -> None:
-        """A round on this base ended: serve deferred certificate
-        requests held by either polarity actor."""
-        if self.base_has_active_round(base):
-            return
-        for event in (base.base, base.base.complement):
-            actor = self.actors.get(event)
-            if actor is not None:
-                actor.serve_deferred_notyet()
-
-    def freeze(self, base: Event, requester: Event, round_id: int = 0) -> None:
-        self._frozen.setdefault(base.base, set()).add((requester, round_id))
-
-    def unfreeze(self, base: Event, requester: Event, round_id: int = 0) -> None:
-        self._release_holds(base, lambda holder: holder == (requester, round_id))
-
-    def unfreeze_all(self, base: Event, requester: Event) -> None:
-        """Void every freeze ``requester`` holds on ``base``.
-
-        Used by recovery: a sync request proves the requester restarted
-        and lost its round state, so its holds can never be released by
-        the normal protocol."""
-        self._release_holds(base, lambda holder: holder[0] == requester)
-
-    def _release_holds(self, base: Event, predicate) -> None:
-        holders = self._frozen.get(base.base)
-        if holders is None:
-            return
-        victims = {h for h in holders if predicate(h)}
-        if not victims:
-            return
-        holders -= victims
-        if not holders:
-            del self._frozen[base.base]
-            for event in (base.base, base.base.complement):
-                actor = self.actors.get(event)
-                if actor is not None:
-                    actor.try_fire()
-
-    def is_frozen(self, base: Event, exclude: Event | None = None) -> bool:
-        holders = self._frozen.get(base.base)
-        if not holders:
-            return False
-        if exclude is not None:
-            holders = {h for h in holders if h[0] != exclude}
-        return bool(holders)
+            _HANDLERS[type(message)](target, message)
 
     def next_round_id(self) -> int:
         """A fresh certificate-round id (unique across the run)."""
@@ -423,48 +396,28 @@ class DistributedScheduler(RunBase):
         self.result.promises_granted += 1
         self.metrics.inc("promises_granted")
 
-    def note_round(self, actor: EventActor, targets: list[Event]) -> None:
-        """``actor`` starts a not-yet round asking about ``targets``."""
+    def note_round(self, role: Role, targets: list[Event]) -> None:
+        """``role`` starts a not-yet round asking about ``targets``."""
         self.result.not_yet_rounds += 1
         self.metrics.inc("not_yet_rounds")
         self.tracer.round_event(
-            self.sim.now, actor.site, actor.event, "start", actor.round_id,
+            self.sim.now, role.site, role.event, "start", role.round_id,
             targets=targets,
         )
 
-    def request_trigger(self, actor: EventActor) -> None:
+    def request_trigger(self, role: Role) -> None:
         """A demanded promise request reached an idle triggerable
         event: its own site causes it."""
-        self.note_triggered(actor.site)
-        self.attempt(actor.event)
+        self.note_triggered(role.site)
+        self.attempt(role.event)
 
-    def notify_rejected(self, actor: EventActor) -> None:
-        """Permanent rejection: the agent settles the complement."""
-        event = actor.event
-        self.note_rejected(actor.site, event)
-        if self.attributes(event.base).auto_complement:
-            comp = self.actors.get(event.complement)
-            if comp is not None and comp.status is ActorStatus.IDLE:
-                self.attempt(comp.event)
-
-    def record_occurrence(self, actor: EventActor) -> None:
-        event = actor.event
-        self.note_settled(
-            actor.site, event,
-            actor.attempted_at if actor.attempted_at is not None
-            else self.sim.now,
-        )
-        # complement actor is dead now; release anything it held
-        comp = self.actors.get(event.complement)
-        if comp is not None:
-            comp.status = ActorStatus.DEAD
-            self.note_dead(comp.site, comp.event)
-            comp.cancel_protocols()
-        # announcements to guard subscribers
-        for sub_event in self._subscribers.get(event.base, ()):
-            if sub_event.base == event.base:
-                continue
-            self.send_to_actor(actor, sub_event, Announce(event=event))
+    def publish(self, actor: BaseActor, event: Event) -> None:
+        """``event`` occurred at ``actor``: announce it once to each
+        subscribing actor, open the agent-script gates waiting on the
+        base, and tell the requirement monitors."""
+        for dst in self._subscribers.get(event.base, ()):
+            if dst is not actor:
+                self._send(actor, dst, Announce(event=event))
         # settlement waiters (agent-script ``after`` gates)
         for callback in self._waiters.pop(event.base, ()):
             callback()
@@ -495,7 +448,7 @@ class DistributedScheduler(RunBase):
 
         The dependency is residuated by the events that already
         occurred; the residual's guards are conjoined onto the
-        affected actors via costed reconfiguration messages.  Returns
+        affected roles via costed reconfiguration messages.  Returns
         False (and records a violation) when history has already
         violated the dependency -- the past cannot be enforced.
         """
@@ -513,46 +466,33 @@ class DistributedScheduler(RunBase):
                 )
             )
             return False
-        from repro.temporal.cubes import TRUE_GUARD
-
         self.dependencies.append(dependency)
         self._sorted_bases_cache = None
         for event in sorted(residual.alphabet(), key=Event.sort_key):
-            actor = self.actors.get(event)
-            if actor is None:
-                # the dependency brings new events into the system:
-                # spin up their actors (initially unconstrained)
-                actor = EventActor(
-                    event, TRUE_GUARD, self.site_of(event.base), self
-                )
-                self.actors[event] = actor
-                self._sorted_actors_cache = None
+            # an event new to the system starts unconstrained
+            role = self.add_role(event)
             contribution = synthesize_guard(residual, event)
-            for base in contribution.bases():
-                subs = self._subscribers.setdefault(base, [])
-                if event not in subs:
-                    subs.append(event)
+            self.subscribe(role, contribution.bases())
             # apply synchronously (an administrative operation must
             # not race in-flight attempts) but cost the message
             self.channel.send(
-                self.ADMIN_SITE, actor.site, "reconfigure",
+                self.ADMIN_SITE, role.site, "reconfigure",
                 contribution, lambda _payload: None,
             )
-            actor.strengthen_guard(contribution)
+            role.strengthen_guard(contribution)
         self._rebuild_monitors()
         return True
 
     def remove_dependency_runtime(self, dependency: Expr) -> bool:
         """Remove a dependency mid-run.
 
-        Affected actors get recomputed guards (over the remaining
+        Affected roles get recomputed guards (over the remaining
         dependencies, residuated by history); parked attempts that the
         removed dependency alone was blocking fire once the
         reconfiguration messages arrive.
         """
-        from repro.algebra.expressions import Top, Zero
+        from repro.algebra.expressions import Top
         from repro.algebra.residuation import residuate_trace
-        from repro.temporal.cubes import TRUE_GUARD
         from repro.temporal.guards import guard as synthesize_guard, guard_and
 
         if dependency not in self.dependencies:
@@ -564,8 +504,8 @@ class DistributedScheduler(RunBase):
             residuate_trace(dep, settled) for dep in self.dependencies
         ]
         for event in sorted(dependency.alphabet(), key=Event.sort_key):
-            actor = self.actors.get(event)
-            if actor is None:
+            role = self.role(event)
+            if role is None:
                 continue
             relevant = [
                 r
@@ -576,10 +516,10 @@ class DistributedScheduler(RunBase):
                 synthesize_guard(r, event) for r in relevant
             ) if relevant else TRUE_GUARD  # Zero residuals yield G=0
             self.channel.send(
-                self.ADMIN_SITE, actor.site, "reconfigure",
+                self.ADMIN_SITE, role.site, "reconfigure",
                 new_guard, lambda _payload: None,
             )
-            actor.replace_guard(new_guard)
+            role.replace_guard(new_guard)
         self._rebuild_monitors()
         return True
 
@@ -597,7 +537,7 @@ class DistributedScheduler(RunBase):
     # ------------------------------------------------------------------
     # crash recovery (see repro.sim.faults for the fault model)
 
-    def _site_actors(self, site: str) -> list[EventActor]:
+    def _site_actors(self, site: str) -> list[BaseActor]:
         return [a for a in self._sorted_actors() if a.site == site]
 
     def _crash_site(self, site: str) -> None:
@@ -608,12 +548,12 @@ class DistributedScheduler(RunBase):
     def _recover_site(self, site: str) -> None:
         """Restart hook: run the recovery protocol for the site.
 
-        Each actor re-learns the durable settlement facts its guard
-        depends on (sync round); peers that may hold requests against
-        the restarted actors are told to re-solicit
+        Each role re-learns the durable settlement facts its guard
+        depends on (sync round); the actors whose roles may hold
+        requests against the restarted bases are told to re-solicit
         (:class:`Recovered` broadcast); the site's requirement
-        monitors are rebuilt and resynced from the coordinators'
-        durable logs.  Recovery latency is measured from here until
+        monitors are rebuilt and resynced from the actors' durable
+        logs.  Recovery latency is measured from here until
         the last sync reply for the site arrives.
         """
         self._recovering[site] = {"started": self.sim.now, "outstanding": 0}
@@ -625,28 +565,18 @@ class DistributedScheduler(RunBase):
         restarted = self._site_actors(site)
         for actor in restarted:
             actor.recover()
-        announced: set[Event] = set()
         for actor in restarted:
-            base = actor.event.base
             # settled bases are broadcast too: a peer may be mid-round
-            # on this base with its reply lost in the crash
-            if base in announced:
-                continue
-            announced.add(base)
-            settled = self._settled.get(base)
-            for sub_event in self._subscribers.get(base, ()):
-                if sub_event.base == base:
-                    continue
-                if settled is not None:
-                    # the settlement announcement may have died with
-                    # the crashed site's sender state: re-announce
-                    # (idempotent at every receiver), and in session
-                    # order *before* Recovered so a re-solicit already
-                    # sees the fact
-                    self.send_to_actor(
-                        actor, sub_event, Announce(event=settled)
-                    )
-                self.send_to_actor(actor, sub_event, Recovered(event=actor.event))
+            # on this base with its reply lost in the crash.  The
+            # settlement announcement may have died with the crashed
+            # site's sender state: re-announce it (idempotent at every
+            # receiver), in session order *before* Recovered so a
+            # re-solicit already sees the fact
+            for dst in self._subscribers.get(actor.base, ()):
+                if dst is not actor:
+                    if actor.settled is not None:
+                        self._send(actor, dst, Announce(event=actor.settled))
+                    self._send(actor, dst, Recovered(base=actor.base))
         self._recover_monitors(site)
         record = self._recovering.get(site)
         if record is not None and record["outstanding"] <= 0:
@@ -660,12 +590,12 @@ class DistributedScheduler(RunBase):
         self.metrics.observe("recovery_latency", latency, site=site)
         self.tracer.sync(self.sim.now, site, "complete", latency=latency)
 
-    def send_sync(self, requester: EventActor, base: Event) -> None:
-        """Route a recovery :class:`SyncRequest` to ``base``'s coordinator."""
+    def send_sync(self, requester: Role, base: Event) -> None:
+        """Route a recovery :class:`SyncRequest` to ``base``'s actor."""
         record = self._recovering.get(requester.site)
         if record is not None:
             record["outstanding"] += 1
-        self.send_to_base(
+        self.send_to_actor(
             requester, base,
             SyncRequest(base=base, requester=requester.event),
         )
@@ -778,18 +708,18 @@ class DistributedScheduler(RunBase):
     def explain(self, event: Event) -> Explanation:
         """Why is ``event`` in the state it is in?
 
-        Classifies every literal of the actor's guard against its
-        current knowledge, names the announcements/promises that
+        Classifies every literal of the event's guard against its
+        role's current knowledge, names the announcements/promises that
         justified the satisfied literals, and -- for a parked event --
         computes minimal sets of future announcements that would let
         it fire.  Built on demand: an undisturbed run pays nothing.
         """
-        actor = self.actors.get(event)
-        if actor is None:
+        role = self.role(event)
+        if role is None:
             raise KeyError(
                 f"no actor for {event!r}; is it in the workflow alphabet?"
             )
-        return explain_actor(self, actor)
+        return explain_actor(self, role)
 
     def snapshot_sites(self) -> list[str]:
         """Every site participating in the snapshot protocol."""
@@ -799,35 +729,27 @@ class DistributedScheduler(RunBase):
 
     def site_state(self, site: str) -> dict:
         """JSON-ready local state of ``site`` for a snapshot record:
-        its actors, which of its bases are settled/frozen, its parked
-        attempts, and its requirement monitors."""
-        actors = {
-            repr(a.event): a.snapshot_state() for a in self._site_actors(site)
-        }
-        def local(base: Event) -> bool:
-            return self.site_of(base) == site
-
+        its actors' roles, which of its bases are settled/frozen, its
+        parked attempts, and its requirement monitors."""
+        local_actors = self._site_actors(site)
+        roles = [r for actor in local_actors for r in actor.roles.values()]
         return {
-            "actors": actors,
+            "actors": {repr(r.event): r.snapshot_state() for r in roles},
             "parked": sorted(
-                repr(e) for e in self._parked_at if local(e.base)
+                repr(r.event) for r in roles if r.event in self._parked_at
             ),
             "frozen": {
-                repr(base): sorted(
+                repr(actor.base): sorted(
                     f"{holder!r}#{round_id}"
-                    for holder, round_id in holders
+                    for holder, round_id in actor.frozen
                 )
-                for base, holders in sorted(
-                    self._frozen.items(), key=lambda kv: kv[0].sort_key()
-                )
-                if local(base)
+                for actor in local_actors
+                if actor.frozen
             },
             "settled": {
-                repr(base): repr(signed)
-                for base, signed in sorted(
-                    self._settled.items(), key=lambda kv: kv[0].sort_key()
-                )
-                if local(base)
+                repr(actor.base): repr(actor.settled)
+                for actor in local_actors
+                if actor.settled is not None
             },
             "monitors": [
                 monitor.snapshot_state()
@@ -938,17 +860,17 @@ class DistributedScheduler(RunBase):
     # driving a run
 
     def attempt(self, event: Event) -> None:
-        actor = self.actors.get(event)
-        if actor is None:
+        role = self.role(event)
+        if role is None:
             raise KeyError(f"no actor for {event!r}; is it in the workflow alphabet?")
-        if self.faults is not None and self.faults.is_down(actor.site):
-            restart = self.faults.restart_time(actor.site)
+        if self.faults is not None and self.faults.is_down(role.site):
+            restart = self.faults.restart_time(role.site)
             if restart is not None:
                 # the task agent retries once its site is back up; a
                 # permanently-failed site simply loses the attempt
                 self.sim.schedule_at(restart, lambda: self.attempt(event))
             return
-        actor.attempt(self.sim.now)
+        role.attempt(self.sim.now)
 
     def start(self, scripts: Iterable[AgentScript] = ()) -> None:
         """Lifecycle step 1: schedule the scripts, arm the fault plan,
@@ -977,12 +899,12 @@ class DistributedScheduler(RunBase):
                         "retransmissions",
                     )
                 )
-        for actor in self.actors.values():
-            if actor.granted_to and actor.status is not ActorStatus.OCCURRED:
+        for role in self.roles():
+            if role.granted_to and role.status is not ActorStatus.OCCURRED:
                 self.result.violations.append(
                     Violation(
                         "promise",
-                        f"{actor.event!r} promised occurrence but never occurred",
+                        f"{role.event!r} promised occurrence but never occurred",
                     )
                 )
         return super().finish(verify)
@@ -1043,27 +965,26 @@ class DistributedScheduler(RunBase):
         still release them.  Returns True when anything was released.
         """
         released = False
-        for base in sorted(self._frozen, key=Event.sort_key):
+        for actor in self._sorted_actors():
+            if not actor.frozen:
+                continue
 
-            def orphaned(holder: tuple[Event, int], base=base) -> bool:
+            def orphaned(holder: tuple[Event, int], base=actor.base) -> bool:
                 requester, round_id = holder
-                actor = self.actors.get(requester)
-                if actor is None:
+                role = self.role(requester)
+                if role is None:
                     return True
-                if not actor.round_active or actor.round_id != round_id:
+                if not role.round_active or role.round_id != round_id:
                     return True
-                return base not in (actor.round_holds | actor.round_awaiting)
+                return base not in (role.round_holds | role.round_awaiting)
 
-            victims = {
-                h for h in self._frozen.get(base, ()) if orphaned(h)
-            }
+            victims = {h for h in actor.frozen if orphaned(h)}
             if victims:
                 released = True
                 self.metrics.inc(
-                    "orphan_freezes_released", len(victims),
-                    site=self.site_of(base),
+                    "orphan_freezes_released", len(victims), site=actor.site
                 )
-                self._release_holds(base, lambda h: h in victims)
+                actor.release_holds(lambda h: h in victims)
         return released
 
     def _escalation_rounds(self) -> None:
@@ -1074,17 +995,19 @@ class DistributedScheduler(RunBase):
         progress restarts the scan, until no actor issues a demand."""
         while True:
             parked = [
-                a for a in self._sorted_actors()
-                if a.status is ActorStatus.PENDING
+                role
+                for actor in self._sorted_actors()
+                for role in actor.roles.values()
+                if role.status is ActorStatus.PENDING
                 and not (
-                    self.faults is not None and self.faults.is_down(a.site)
+                    self.faults is not None and self.faults.is_down(role.site)
                 )
             ]
-            # every parked actor demands one further cube; batching
+            # every parked role demands one further cube; batching
             # keeps independent workflow instances parallel
             issued = False
-            for actor in parked:
-                issued = actor.escalate() or issued
+            for role in parked:
+                issued = role.escalate() or issued
             if not issued:
                 return
             self.sim.run()
@@ -1108,9 +1031,9 @@ class DistributedScheduler(RunBase):
             return False
         settled_before = set(self._settled)
         for base in batch:
-            comp = base.complement
-            if self.actors.get(comp) is not None:
-                self.attempt(comp)
+            actor = self.actors.get(base)
+            if actor is not None:
+                actor.settle()
         self.sim.run()
         if set(self._settled) - settled_before:
             # progress may revive earlier stuck bases: only the batch

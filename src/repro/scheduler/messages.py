@@ -17,7 +17,7 @@ from repro.algebra.symbols import Event
 
 @dataclass(frozen=True)
 class Announce:
-    """``[]e``: the event has occurred (sent to subscribers)."""
+    """``[]e``: the event has occurred (sent once per subscribing base)."""
 
     event: Event
 
@@ -26,7 +26,7 @@ class Announce:
 
 @dataclass(frozen=True)
 class PromiseRequest:
-    """Ask ``target``'s actor for a ``<>target`` promise.
+    """Ask ``target``'s role for a ``<>target`` promise.
 
     Carries the requester so the grantee may evaluate its own guard
     under the assumption that the requester will occur (the mutual
@@ -61,7 +61,7 @@ class PromiseGrant:
 
 @dataclass(frozen=True)
 class PromiseRefuse:
-    """The target's actor cannot promise (not pending, or impossible)."""
+    """The target's role cannot promise (not pending, or impossible)."""
 
     target: Event
     requester: Event
@@ -90,8 +90,8 @@ class NotYetRequest:
 class NotYetReply:
     """Reply to a :class:`NotYetRequest`.
 
-    ``status`` is one of ``"not_yet"`` (certified, and the target actor
-    froze itself until released), ``"occurred"``, or
+    ``status`` is one of ``"not_yet"`` (certified, and the target's actor
+    froze its base until released), ``"occurred"``, or
     ``"comp_occurred"``.
     """
 
@@ -116,11 +116,11 @@ class Release:
 
 @dataclass(frozen=True)
 class SyncRequest:
-    """Recovery: ask ``base``'s coordinator whether the base settled.
+    """Recovery: ask ``base``'s actor whether the base settled.
 
-    Sent by a restarted actor (or on behalf of a restarted monitor)
+    Sent by a restarted role (or on behalf of a restarted monitor)
     for every base its guard mentions.  Receiving one also tells the
-    coordinator that the requester lost its volatile state, so any
+    actor that the requester lost its volatile state, so any
     freeze the requester held on this base is void and is released.
     """
 
@@ -137,7 +137,7 @@ class SyncReply:
     ``status`` is ``"occurred"``, ``"comp_occurred"``, or
     ``"unsettled"`` -- unlike a not-yet certificate this carries no
     freeze, only the (stable) occurrence facts, which is all a
-    restarted actor needs to rebuild its knowledge masks.
+    restarted role needs to rebuild its knowledge masks.
     """
 
     base: Event
@@ -149,15 +149,15 @@ class SyncReply:
 
 @dataclass(frozen=True)
 class Recovered:
-    """Recovery broadcast: ``event``'s actor restarted and lost its
-    volatile protocol state.
+    """Recovery broadcast: ``base``'s actor restarted and its roles
+    lost their volatile protocol state.
 
-    Sent to the subscribers of the event's base (exactly the actors
-    that may have promise requests or certificate rounds outstanding
-    against it).  Receivers clear their request-dedup record for the
-    base, abort-and-retry any round awaiting it, and re-solicit."""
+    Sent once per subscribing base (the roles that may have requests
+    or rounds outstanding against it).  Receivers clear their
+    request-dedup record for the base, abort-and-retry any round
+    awaiting it, and re-solicit."""
 
-    event: Event
+    base: Event
 
     kind = "recovered"
 

@@ -7,11 +7,15 @@ valid trace they pick.
 
 import pytest
 
+from repro.algebra.parser import parse
+from repro.algebra.symbols import Event
 from repro.algebra.traces import satisfies
 from repro.scheduler import (
+    AgentScript,
     AutomataScheduler,
     CentralizedScheduler,
     DistributedScheduler,
+    ScriptedAttempt,
 )
 from repro.workloads.generators import (
     chain_workflow,
@@ -63,6 +67,20 @@ class TestFanout:
         positive = {en.event.name for en in result.entries if not en.event.negated}
         assert "root" in positive
         assert sum(1 for n in positive if n.startswith("child")) == width
+
+
+@pytest.mark.parametrize("scheduler_cls", SCHEDULERS, ids=lambda c: c.__name__)
+def test_a_refused_complement_causes_nothing(scheduler_cls):
+    """``dep a`` refuses ``~a``, and ``a`` is not triggerable: only a
+    refused *positive* event has its complement attempted, so nothing
+    causes ``a`` and the run ends stuck on it."""
+    a = Event("a")
+    result = scheduler_cls([parse("a")]).run(
+        [AgentScript("site_a", [ScriptedAttempt(0.0, ~a)])]
+    )
+    assert result.terminal == "stuck"
+    assert result.unsettled == [a]
+    assert result.entries == []
 
 
 @pytest.mark.parametrize("scheduler_cls", SCHEDULERS, ids=lambda c: c.__name__)

@@ -9,7 +9,7 @@ import pytest
 from repro.algebra.symbols import Event
 from repro.obs.provenance import ProvenanceLog
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.scheduler.actors import EventActor
+from repro.scheduler.actors import Role
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_mutex_scenario, make_travel_booking
 
@@ -41,7 +41,7 @@ def no_record_fields(monkeypatch):
     def boom(self, *args):
         raise AssertionError("record fields built on the null path")
 
-    monkeypatch.setattr(EventActor, "_trace_eval", boom)
+    monkeypatch.setattr(Role, "_trace_eval", boom)
 
 
 def run_travel(**kwargs):

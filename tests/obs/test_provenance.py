@@ -187,8 +187,7 @@ class TestLiveExplain:
         assert explanation.unblocking == [[Fact("announce", "c_book")]]
 
         # deliver precisely that announcement: the event must fire
-        actor = sched.actors[c_buy]
-        actor.observe_occurrence(Event("c_book"))
+        sched.role(c_buy).observe_occurrence(Event("c_book"))
         sched.sim.run()
         fired = sched.explain(c_buy)
         assert fired.status == "occurred"

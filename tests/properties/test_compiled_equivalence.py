@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.algebra.symbols import Event
 from repro.obs import Tracer
-from repro.scheduler.actors import EventActor
+from repro.scheduler.actors import Role
 from repro.temporal.compiled import (
     CompiledGuardEngine,
     ReferenceCursor,
@@ -56,25 +56,25 @@ from .test_watch_equivalence import (
 
 
 def assert_cursors_in_step(sched):
-    """Every actor's cursor sits on the interned node of the actor's own
+    """Every role's cursor sits on the interned node of the role's own
     ``(residual guard, knowledge)`` pair renamed through the cursor's
     binding, an order-preserving injection -- after crash resets,
     recompiles and resurrections alike.  A cursor not bound since it
     was (re)entered has learned nothing its guard mentions."""
-    for actor in sched.actors.values():
-        cursor, known = actor.cursor, _restrict(actor.guard, actor.knowledge)
+    for role in sched.roles():
+        cursor, known = role.cursor, _restrict(role.guard, role.knowledge)
         node = cursor.node
         if node is None:
-            assert not known, actor.event
+            assert not known, role.event
             continue
         to_slot = cursor.to_slot
         bound = sorted(to_slot, key=Event.sort_key)
         assert [to_slot[b] for b in bound] == sorted(
             to_slot.values(), key=Event.sort_key
-        ), actor.event
+        ), role.event
         assert all(cursor.from_slot[to_slot[b]] is b for b in bound)
-        assert node.residual == actor.guard.rename(to_slot), actor.event
-        assert node.know == tuple((to_slot[b], m) for b, m in known), actor.event
+        assert node.residual == role.guard.rename(to_slot), role.event
+        assert node.know == tuple((to_slot[b], m) for b, m in known), role.event
         assert sched.compiled._nodes[(node.residual, node.know)] is node
 
 
@@ -135,11 +135,11 @@ class TestCompiledEquivalence:
         kernel = sched.metrics_report()["kernel"]
         kernel_schema(kernel)
         assert kernel["compiled"]["nodes"] == len(sched.compiled)
-        assert kernel["compiled"]["cursors"] == len(sched.actors)
+        assert kernel["compiled"]["cursors"] == len(sched.roles())
 
 
 def reference_solicit_plan(actor):
-    """``EventActor._solicit_plan`` without the compiled node:
+    """``Role._solicit_plan`` without the compiled node:
     recomputed from ``(actor.guard, actor.knowledge)`` on the real
     names on every call."""
     demand, promises, certificates = first_solicitation(
@@ -156,10 +156,10 @@ def reference_solicit_plan(actor):
 
 
 def checking_plans(seen):
-    """``EventActor._solicit_plan`` wrapped to compare every result
+    """``Role._solicit_plan`` wrapped to compare every result
     with the reference body's; appends the node it was read on (the
     asking actor's, at that moment) to ``seen``."""
-    production = EventActor._solicit_plan
+    production = Role._solicit_plan
 
     def checking(actor):
         requests, demand, certificates = production(actor)
@@ -171,7 +171,7 @@ def checking_plans(seen):
         seen.append(actor.cursor.node)
         return requests, demand, certificates
 
-    return mock.patch.object(EventActor, "_solicit_plan", checking)
+    return mock.patch.object(Role, "_solicit_plan", checking)
 
 
 class TestPlanOnTheNode:
@@ -242,7 +242,7 @@ class TestResurrectionEquivalence:
         sched, result = param_run(tokens, reference=False)
         assert observables(result) == observables(ref)
         assert final_state(sched) == final_state(ref_sched)
-        assert sched.compiled.counts()["cursors"] == len(sched.actors)
+        assert sched.compiled.counts()["cursors"] == len(sched.roles())
         assert_cursors_in_step(sched)
 
 
@@ -311,7 +311,7 @@ class TestCursorTracksCubeEngine:
             current = knowledge.get(base, FULL)
             updated = current & mask
             if updated != current:
-                # exactly EventActor.learn's commit + cursor hook
+                # exactly Role.learn's commit + cursor hook
                 knowledge[base] = updated
                 for cursor in cursors:
                     cursor.learn(base, updated)

@@ -100,14 +100,14 @@ def observables(result):
 
 
 def final_state(sched):
-    """Per-actor settlement status, learned knowledge, and guard."""
+    """Per-role settlement status, learned knowledge, and guard."""
     return {
-        repr(event): (
-            actor.status.name,
-            sorted((repr(b), m) for b, m in actor.knowledge.items()),
-            repr(actor.guard),
+        repr(role.event): (
+            role.status.name,
+            sorted((repr(b), m) for b, m in role.knowledge.items()),
+            repr(role.guard),
         )
-        for event, actor in sched.actors.items()
+        for role in sched.roles()
     }
 
 

@@ -181,7 +181,7 @@ def run_schedule(
 def observables(run: Run) -> dict:
     """What engine agreement compares: the schedule itself, the
     timeline with times, messages by kind, the terminal state, and each
-    actor's final status, knowledge and residual."""
+    role's final status, knowledge and residual."""
     result = run.result
     return {
         "schedule": (run.taken, run.widths),
@@ -189,13 +189,13 @@ def observables(run: Run) -> dict:
         "messages": dict(sorted(result.messages_by_kind.items())),
         "terminal": result.terminal,
         "actors": {
-            repr(event): (
-                actor.status.name,
-                sorted((repr(b), m) for b, m in actor.knowledge.items()),
-                repr(actor.guard),
+            repr(role.event): (
+                role.status.name,
+                sorted((repr(b), m) for b, m in role.knowledge.items()),
+                repr(role.guard),
             )
-            for event, actor in sorted(
-                run.sched.actors.items(), key=lambda kv: kv[0].sort_key()
+            for role in sorted(
+                run.sched.roles(), key=lambda role: role.event.sort_key()
             )
         },
     }
@@ -289,7 +289,7 @@ def explore(
 
 # ----------------------------------------------------------------------
 # the specs: the paper's Examples 10, 11 and 13, one travel instance
-# (Example 12) and Klein precedence fanned out k times
+# (Example 12), exclusive choice and Klein precedence fanned out k times
 
 
 def _scenario(name: str, dependencies, attempts, **attributes) -> Scenario:
@@ -340,6 +340,12 @@ def ex13() -> Scenario:
 def travel() -> Scenario:
     """One Example 12 travel instance, on its success path."""
     return make_travel_booking("success")
+
+
+def xor(b_at: float = 5.0) -> Scenario:
+    """Exclusive choice: exactly one of ``a`` and ``b`` occurs; ``a``
+    is attempted at 0 and ``b`` at ``b_at``."""
+    return _scenario("xor", ["a + b", "~a + ~b"], ["a", f"b@{b_at}"])
 
 
 def precede(k: int) -> Scenario:

@@ -13,7 +13,7 @@ import dataclasses
 from unittest import mock
 
 from repro.scheduler import DistributedScheduler, guard_scheduler
-from repro.scheduler.actors import ActorStatus, EventActor
+from repro.scheduler.actors import ActorStatus, Role
 from repro.scheduler.messages import PromiseRequest
 from repro.temporal import compiled
 
@@ -22,7 +22,7 @@ def no_chaining():
     """A promise is granted whenever the grantee's guard is still
     possible, without securing the grantee's own eventuality needs."""
     return mock.patch.object(
-        EventActor, "_secured_cube", lambda self, assumed: True
+        Role, "_secured_cube", lambda self, assumed: True
     )
 
 

@@ -113,10 +113,14 @@ class TestWideGuard:
 class TestRejectionAndSettlement:
     def test_unconditional_sequence_is_completed(self):
         # e . f is an obligation: both events must occur, in order.
-        # Only f is attempted; it parks on []e, and the settlement
-        # machinery discovers ~e is impossible, so e itself is driven
-        # to occur, after which f fires: the only satisfying outcome.
-        result = run_one([parse("e . f")], [(0.0, F)])
+        # Only f is attempted; it parks on []e.  e is triggerable, so
+        # the scheduler causes it, after which f fires: the only
+        # satisfying outcome.  (A refused ~e causes nothing: see
+        # test_a_refused_complement_causes_nothing.)
+        result = run_one(
+            [parse("e . f")], [(0.0, F)],
+            attributes={E: EventAttributes(triggerable=True)},
+        )
         assert result.ok
         assert [en.event for en in result.entries] == [E, F]
 

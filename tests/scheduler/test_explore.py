@@ -17,7 +17,7 @@ import pytest
 
 from repro.algebra.symbols import Event
 from repro.scheduler import DistributedScheduler, guard_scheduler
-from repro.scheduler.actors import EventActor
+from repro.scheduler.actors import Role
 from repro.scheduler.messages import PromiseGrant
 from repro.scheduler.oracle import judge
 from repro.sim.network import Network, UniformLatency
@@ -29,6 +29,7 @@ from .explorer import (
     ChoosingSimulator,
     ScheduleFailure,
     as_prefix,
+    check_schedule,
     consensus3,
     deviations,
     ex10,
@@ -39,6 +40,7 @@ from .explorer import (
     precede,
     run_schedule,
     travel,
+    xor,
 )
 
 
@@ -92,16 +94,16 @@ class TestTheorem6:
         assert explore(ex10()) == 11
 
     def test_ex11_every_schedule(self):
-        assert explore(ex11()) == 78
+        assert explore(ex11()) == 24
 
     def test_consensus_cycle_within_two_delays(self):
         assert explore(consensus3(), bound=2) == 1047
 
     def test_ex13_within_one_delay(self):
-        assert explore(ex13(), bound=1) == 136
+        assert explore(ex13(), bound=1) == 115
 
     def test_travel_within_two_delays(self):
-        assert explore(travel(), bound=2) == 500
+        assert explore(travel(), bound=2) == 401
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_precede_within_two_delays(self, k):
@@ -123,7 +125,7 @@ class TestMutants:
         """Task 2 enters while task 1 holds the critical section: its
         round learned that ``b1`` occurred and fired anyway."""
         mutant = mock.patch.object(
-            EventActor, "_subsumed_under_transient", lambda self: True
+            Role, "_subsumed_under_transient", lambda self: True
         )
         with mutant, pytest.raises(ScheduleFailure) as failure:
             explore(make_mutex_scenario("t2"), bound=2, agreement=False)
@@ -193,3 +195,26 @@ def test_ex13_with_an_idle_task_is_sound():
     assert result.terminal == "maximal"
     assert Event("b2") in {e.event for e in result.entries}
     assert judge(result.trace, workflow.dependencies) == []
+
+
+CROSSED_GRANTS = (
+    "exclusive choice: a parks on <>~b while b's attempt is pending; "
+    "when b arrives one escalation resolves both consensus pairs, "
+    "a <-> ~b and ~a <-> b: ~b grants <>~b to a and ~a grants <>~a to b, "
+    "the grants cross, both a and b fire (<b a>) and two promises break"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=ScheduleFailure, reason=CROSSED_GRANTS)
+def test_exclusive_choice_every_schedule():
+    """Theorem 6 soundness on ``a + b`` / ``~a + ~b``: every schedule
+    settles exactly one of a and b."""
+    explore(xor())
+
+
+@pytest.mark.xfail(strict=True, raises=ScheduleFailure, reason=CROSSED_GRANTS)
+@pytest.mark.parametrize("b_at", [0, 1, 5, 50])
+def test_exclusive_choice_default_schedule(b_at):
+    """However late b is attempted, the default schedule breaks the
+    choice the same way."""
+    check_schedule(xor(b_at), ())

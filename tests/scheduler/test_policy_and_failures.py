@@ -304,6 +304,6 @@ class TestMinimizedGuards:
             w.dependencies, sites=w.sites, attributes=w.attributes,
             guards=minimized_guards(w),
         )
-        plain_size = sum(a.guard.literal_count() for a in plain.actors.values())
-        small_size = sum(a.guard.literal_count() for a in small.actors.values())
+        plain_size = sum(r.guard.literal_count() for r in plain.roles())
+        small_size = sum(r.guard.literal_count() for r in small.roles())
         assert small_size < plain_size

@@ -351,10 +351,10 @@ class TestBindingEntry:
             attributes=merged.attributes,
             guards=guards,
         )
-        for actor in sched.actors.values():
-            actor.cursor.verdict()
-        assert len(sched.actors) == 6 * len(template.guards)
-        assert all(a.cursor.node is not None for a in sched.actors.values())
+        for role in sched.roles():
+            role.cursor.verdict()
+        assert len(sched.roles()) == 6 * len(template.guards)
+        assert all(role.cursor.node is not None for role in sched.roles())
         assert sched.network.stats.messages == 0  # before any delivery
         assert renames == [] and slot_guards == []
 
@@ -363,8 +363,8 @@ class TestBindingEntry:
         DistributedScheduler(workflow.dependencies)  # every shape synthesized
         renames = counted(monkeypatch, GuardExpr, "rename")
         sched = DistributedScheduler(workflow.dependencies)
-        for actor in sched.actors.values():
-            actor.cursor.verdict()
+        for role in sched.roles():
+            role.cursor.verdict()
         assert renames == []
 
     def test_plain_table_binds_once_per_actor(self, monkeypatch):
@@ -372,7 +372,7 @@ class TestBindingEntry:
         table = {A: GUARD, X: COPY, B: TRUE_GUARD, Y: literal("box", C)}
         sched = DistributedScheduler([], guards=table)
         assert slot_guards == []  # binding waits for first use
-        for actor in sched.actors.values():
-            actor.cursor.verdict()
-            actor.cursor.verdict()
+        for role in sched.roles():
+            role.cursor.verdict()
+            role.cursor.verdict()
         assert [guard for (guard,) in slot_guards] == list(table.values())

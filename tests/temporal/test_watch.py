@@ -78,24 +78,26 @@ class TestWatchIndex:
 
 
 def announce(sched, target, event):
-    """Deliver one announcement of ``event`` to ``target``'s actor;
+    """Deliver one announcement of ``event`` to ``target``'s role;
     returns ``(woke, skipped)``, the counter deltas."""
     wakes, skips = sched.watch.wakes, sched.watch.skips
-    sched._dispatch(sched.actors[target], Announce(event=event))
+    role = sched.role(target)
+    sched.subscribe(role, [event.base])
+    sched._dispatch(role.actor, Announce(event=event))
     return sched.watch.wakes - wakes, sched.watch.skips - skips
 
 
 def assert_wakes_match_the_support(sched):
-    """Every bound actor's wake decision, read off its node, is the
+    """Every bound role's wake decision, read off its node, is the
     wake rule on its real-name residual."""
-    bases = sorted({event.base for event in sched.actors}, key=Event.sort_key)
-    for actor in sched.actors.values():
-        if actor.cursor.node is None:
+    bases = sorted(sched.actors, key=Event.sort_key)
+    for role in sched.roles():
+        if role.cursor.node is None:
             continue  # unbound: wakes on everything
-        expected = actor.guard.bases()
+        expected = role.guard.bases()
         for base in bases:
-            assert actor.cursor.wakes_on(base) == (base in expected), (
-                actor.event, base, expected
+            assert role.cursor.wakes_on(base) == (base in expected), (
+                role.event, base, expected
             )
 
 
@@ -136,7 +138,7 @@ class TestSchedulerReWatch:
         result = sched.run(scripts, verify=False)
         occurred = {e.event for e in result.entries}
         assert ship in occurred and pay in occurred
-        assert sched.actors[ship].cursor.node is not None
+        assert sched.role(ship).cursor.node is not None
         assert_wakes_match_the_support(sched)
         # the announcements that reached the actors were decided
         assert sched.watch.wakes > 0
@@ -149,7 +151,7 @@ class TestSchedulerReWatch:
             rng=random.Random(3),
         )
         # a cursor that has not bound yet wakes on any base
-        assert sched.actors[ship].cursor.node is None
+        assert sched.role(ship).cursor.node is None
         assert announce(sched, ship, other) == (1, 0)
         sched.attempt(ship)
         sched.sim.run()
@@ -170,12 +172,12 @@ class TestSchedulerReWatch:
             rng=random.Random(3),
         )
         sched.attempt(A)
-        actor = sched.actors[A]
-        node = actor.cursor.node
-        assert actor.cursor.wakes_on(B) and not actor.cursor.wakes_on(C)
-        actor.replace_guard(literal("box", C))
-        assert actor.cursor.node is node
+        role = sched.role(A)
+        node = role.cursor.node
+        assert role.cursor.wakes_on(B) and not role.cursor.wakes_on(C)
+        role.replace_guard(literal("box", C))
+        assert role.cursor.node is node
         assert_wakes_match_the_support(sched)
         assert announce(sched, A, B) == (0, 1)
         assert announce(sched, A, C) == (1, 0)
-        assert actor.status.name == "OCCURRED"
+        assert role.status.name == "OCCURRED"
