@@ -13,7 +13,9 @@ the two consensus subprotocols the paper calls out:
 
 * **promises** -- a guard needing ``<>f`` can be discharged by a
   conditional promise from ``f``'s role before ``f`` actually occurs
-  (Example 11's mutual-``<>`` consensus);
+  (Example 11's mutual-``<>`` consensus).  A role that cannot promise
+  does not answer: the requester subscribes to ``f``'s base and hears
+  it settle either way;
 * **not-yet certificates** -- a guard containing ``!f`` requires the
   two events to agree that ``f`` has not happened yet; the certifying
   actor freezes its base until the requester decides, so the
@@ -45,7 +47,6 @@ from repro.scheduler.messages import (
     NotYetReply,
     NotYetRequest,
     PromiseGrant,
-    PromiseRefuse,
     PromiseRequest,
     Recovered,
     Release,
@@ -411,7 +412,6 @@ class Role:
                 if self._request_promise(target, demand=True):
                     issued = True
             if certificates and not self.round_active:
-                self._knowledge_dirty = True
                 self._start_round(certificates)
                 issued = True
             if issued:
@@ -428,11 +428,7 @@ class Role:
             )
             return
         if self.status is ActorStatus.DEAD:
-            self.sched.send_to_role(
-                self, requester,
-                PromiseRefuse(target=self.event, requester=requester),
-            )
-            return
+            return  # the requester hears the complement's announcement
         guaranteed_idle = (
             self.status is ActorStatus.IDLE
             and not self.event.negated
@@ -473,11 +469,7 @@ class Role:
         requester = req.requester
         assumed = self._grant_assumption(req)
         if not self.guard.possible_under(assumed):
-            self.sched.send_to_role(
-                self, requester,
-                PromiseRefuse(target=self.event, requester=requester),
-            )
-            return
+            return  # no promise; the outcome is announced either way
         if self._secured_cube(assumed) is not None:
             self.granted_to.add(requester)
             self.sched.note_promise()
@@ -543,16 +535,13 @@ class Role:
     def _process_pending_grants(self) -> None:
         pending, self.pending_grant_reqs = self.pending_grant_reqs, []
         for req in pending:
-            if self.status in (ActorStatus.OCCURRED, ActorStatus.DEAD):
-                # occurrence/death answered via announcements; close out
-                message = (
-                    PromiseGrant(target=self.event, requester=req.requester)
-                    if self.status is ActorStatus.OCCURRED
-                    else PromiseRefuse(target=self.event, requester=req.requester)
+            if self.status is ActorStatus.OCCURRED:
+                self.sched.send_to_role(
+                    self, req.requester,
+                    PromiseGrant(target=self.event, requester=req.requester),
                 )
-                self.sched.send_to_role(self, req.requester, message)
-                continue
-            self._decide_grant(req)
+            elif self.status is not ActorStatus.DEAD:
+                self._decide_grant(req)
 
     def on_promise_grant(self, grant: PromiseGrant) -> None:
         mask = DIA_COMP_MASK if grant.target.negated else DIA_MASK
@@ -563,11 +552,6 @@ class Role:
         if self.status is ActorStatus.PENDING:
             self._solicit()
         self._process_pending_grants()
-
-    def on_promise_refuse(self, refuse: PromiseRefuse) -> None:
-        # Allow a later retry if circumstances change.
-        for key in [k for k in self.promise_requested if k[0] == refuse.target]:
-            del self.promise_requested[key]
 
     # ------------------------------------------------------------------
     # not-yet certificate protocol (requester side)
@@ -722,23 +706,19 @@ class Role:
     def recover(self) -> None:
         """Rebuild knowledge after a restart (solicitation round).
 
-        The role re-learns its own base from its actor's durable
-        settlement, then asks the actor of every base its durable guard
-        mentions for the settled facts (:class:`SyncRequest`).  Transient state
-        (certificates, promises) is *not* reconstructed -- the normal
-        solicitation machinery re-acquires whatever is still needed
-        once the settled facts are back.
+        An unsettled role asks the actor of every base its durable guard
+        mentions for the settled facts (:class:`SyncRequest`); a settled
+        one reads no knowledge again.  Transient state (certificates,
+        promises) is *not* reconstructed -- the normal solicitation
+        machinery re-acquires whatever is still needed once the settled
+        facts are back.
         """
         self.sched.tracer.actor(
             self.sched.sim.now, self.site, self.event, "recovered",
             status=self.status.value,
         )
-        settled = self.actor.settled
-        if settled is not None:
-            self.learn(
-                settled.base, C_OCC if settled.negated else E_OCC,
-                source="durable", origin=settled,
-            )
+        if self.actor.settled is not None:
+            return
         for base in sorted(self._durable_guard.bases(), key=Event.sort_key):
             if base == self.event.base:
                 continue
@@ -756,29 +736,16 @@ class Role:
             )
         self.cursor.assimilate()
         self.try_fire()
-        if self.status is ActorStatus.PENDING:
-            self._solicit()
-        self._process_pending_grants()
         self.sched.note_sync_reply(self.event)
 
     def on_recovered(self, msg: Recovered) -> None:
-        """A peer we may have solicited restarted and lost our requests.
-
-        Clear the request-dedup record for its base (so a re-request
-        actually goes out), abort-and-retry any certificate round that
-        was awaiting it, drop escalation marks, and re-solicit.
+        """A peer this role may be awaiting restarted: a certificate
+        round awaiting its base is aborted.  It is retried on the role's
+        next solicitation, or by escalation at quiescence.
         """
-        base = msg.base
-        for key in [k for k in self.promise_requested if k[0].base == base]:
-            del self.promise_requested[key]
-        if self.round_active and base in self.round_awaiting:
-            self._knowledge_dirty = True  # allow an immediate retry round
+        if self.round_active and msg.base in self.round_awaiting:
+            self._knowledge_dirty = True  # the next solicitation may retry
             self._finish_round()
-        self._escalated_cubes = set()
-        if self.status is ActorStatus.PENDING:
-            self.try_fire()
-            if self.status is ActorStatus.PENDING:
-                self._solicit()
 
     # ------------------------------------------------------------------
     # observability (repro.obs.snapshot)
@@ -882,22 +849,16 @@ class BaseActor:
         sched.publish(self, event)
 
     def rejected(self, role: Role) -> None:
-        """``role``'s event is refused for good.  A positive event's
-        task then abandons the transition: the actor attempts the
-        complement (``EventAttributes.auto_complement``)."""
+        """``role``'s event is refused for good; the actor attempts the
+        complement if ``RunBase.complements_refusal`` says so."""
         event = role.event
         sched = self.sched
         sched.note_rejected(self.site, event)
-        if event.negated or not sched.attributes(self.base).auto_complement:
+        if not sched.complements_refusal(event):
             return
         other = self.roles.get(event.complement)
         if other is not None and other.status is ActorStatus.IDLE:
             sched.attempt(other.event)
-
-    def settle(self) -> None:
-        """Settlement at quiescence: attempt the complement."""
-        if self.base.complement in self.roles:
-            self.sched.attempt(self.base.complement)
 
     def _settled_status(self) -> str | None:
         settled = self.settled
@@ -970,13 +931,8 @@ class BaseActor:
     # crash recovery (fail-stop model, see repro.sim.faults)
 
     def on_sync_request(self, req: SyncRequest) -> None:
-        """Report the base's durable settlement.
-
-        A sync request also proves the requester restarted and lost
-        its round state, so any freeze it held here is void.
-        """
+        """Report the base's durable settlement."""
         requester = req.requester
-        self.release_holds(lambda h: h[0] == requester)
         status = self._settled_status() or "unsettled"
         reply = SyncReply(base=self.base, requester=requester, status=status)
         self.sched.send_to_role(self, requester, reply)

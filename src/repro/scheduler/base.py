@@ -94,6 +94,14 @@ class RunBase:
     def attributes(self, base: Event) -> EventAttributes:
         return self._attributes.get(base.base, _DEFAULT_ATTRS)
 
+    def complements_refusal(self, event: Event) -> bool:
+        """Is ``event``'s complement attempted once ``event`` is refused
+        for good?  Only a refused *positive* event's task abandons the
+        transition, and only if the base is ``auto_complement``; a
+        refused complement causes nothing."""
+        attributes = self.attributes(event.base)
+        return not event.negated and attributes.auto_complement
+
     def _all_bases(self) -> frozenset[Event]:
         bases: set[Event] = set()
         for d in self.dependencies:
@@ -275,24 +283,43 @@ class RunBase:
             self.drain()
         return self.finish(verify)
 
-    def _next_settlement(self) -> Event | None:
-        """The smallest unsettled base eligible for complement settlement.
+    def _settlement_candidates(self) -> list[Event]:
+        """The unsettled bases eligible for complement settlement, in
+        base order.
 
         A parked positive attempt does not block settlement: at
         quiescence no further message will arrive to unpark it, so the
         base must be resolved by its complement (which may itself park,
         in which case the base is recorded as making no progress)."""
-        for base in self._sorted_bases():
-            if base in self._settled or base in self._no_progress_bases:
-                continue
-            if not self.attributes(base).auto_complement:
-                continue
-            if self.faults is not None and self.faults.is_down(
-                self.site_of(base)
-            ):
-                continue  # a permanently-failed site cannot settle
-            return base
-        return None
+        return [
+            base
+            for base in self._sorted_bases()
+            if base not in self._settled
+            and base not in self._no_progress_bases
+            and self.attributes(base).auto_complement
+        ]
+
+    def _settle_round(self, batch: list[Event]) -> bool:
+        """One settlement round: attempt the complement of each base of
+        ``batch`` (its task abandons the transition) and run to
+        quiescence.  A new settlement makes every base eligible again;
+        otherwise the batch is excluded until something settles.  False
+        when ``batch`` is empty: nothing is left to try."""
+        if not batch:
+            return False
+        before = len(self._settled)
+        for base in batch:
+            self._settle(base)
+        self.sim.run()
+        if len(self._settled) > before:
+            self._no_progress_bases.clear()
+        else:
+            self._no_progress_bases.update(batch)
+        return True
+
+    def _settle(self, base: Event) -> None:
+        """Settlement of ``base``: its complement is attempted."""
+        self.attempt(base.complement)
 
     def _lost(self, base: Event) -> bool:
         """Does ``base`` live on a site that is down for good?"""

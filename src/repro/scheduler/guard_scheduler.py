@@ -36,7 +36,6 @@ from repro.scheduler.messages import (
     NotYetReply,
     NotYetRequest,
     PromiseGrant,
-    PromiseRefuse,
     PromiseRequest,
     Recovered,
     Release,
@@ -69,7 +68,6 @@ from repro.temporal.guards import (
 _HANDLERS = {
     PromiseRequest: Role.on_promise_request,
     PromiseGrant: Role.on_promise_grant,
-    PromiseRefuse: Role.on_promise_refuse,
     NotYetRequest: BaseActor.on_not_yet_request,
     NotYetReply: Role.on_not_yet_reply,
     Release: BaseActor.on_release,
@@ -548,13 +546,13 @@ class DistributedScheduler(RunBase):
     def _recover_site(self, site: str) -> None:
         """Restart hook: run the recovery protocol for the site.
 
-        Each role re-learns the durable settlement facts its guard
-        depends on (sync round); the actors whose roles may hold
-        requests against the restarted bases are told to re-solicit
-        (:class:`Recovered` broadcast); the site's requirement
-        monitors are rebuilt and resynced from the actors' durable
-        logs.  Recovery latency is measured from here until
-        the last sync reply for the site arrives.
+        Each unsettled role re-learns the durable settlement facts its
+        guard depends on (sync round); the roles that may be awaiting a
+        certificate from a restarted base abort that round
+        (:class:`Recovered` broadcast); the site's requirement monitors
+        are rebuilt and resynced from the actors' durable logs.
+        Recovery latency is measured from here until the last sync
+        reply for the site arrives.
         """
         self._recovering[site] = {"started": self.sim.now, "outstanding": 0}
         self.tracer.sync(self.sim.now, site, "begin")
@@ -570,8 +568,7 @@ class DistributedScheduler(RunBase):
             # on this base with its reply lost in the crash.  The
             # settlement announcement may have died with the crashed
             # site's sender state: re-announce it (idempotent at every
-            # receiver), in session order *before* Recovered so a
-            # re-solicit already sees the fact
+            # receiver), in session order before Recovered
             for dst in self._subscribers.get(actor.base, ()):
                 if dst is not actor:
                     if actor.settled is not None:
@@ -915,10 +912,11 @@ class DistributedScheduler(RunBase):
         make progress (:meth:`finish` names which).
 
         Each round sweeps orphan freezes, runs escalation to its
-        fixpoint, and attempts one settlement batch; the loop stops when
-        a round neither swept nor attempted anything.  It needs no
-        round budget, because every other round moves a bounded
-        quantity that only grows:
+        fixpoint, and settles every eligible base in one batch, so that
+        independent workflow instances wind down in parallel; the loop
+        stops when a round neither swept nor attempted anything.  It
+        needs no round budget, because every other round moves a
+        bounded quantity that only grows:
 
         * a settlement round either settles a new base or adds its
           batch to ``_no_progress_bases``, and that set is cleared only
@@ -931,11 +929,10 @@ class DistributedScheduler(RunBase):
           requests: an actor starts a round only on new knowledge (its
           masks only tighten) or on a newly escalated cube;
         * each escalation step adds a cube to an actor's
-          ``_escalated_cubes``, which only crash, recovery and
-          reconfiguration reset, and none of those can occur after
-          quiescence (a fault plan's crashes and restarts all lie
-          behind the first ``sim.run()``), so
-          :meth:`_escalation_rounds` reaches its fixpoint.
+          ``_escalated_cubes``, which only crash and reconfiguration
+          reset, and neither can occur after quiescence (a fault plan's
+          crashes and restarts all lie behind the first ``sim.run()``),
+          so :meth:`_escalation_rounds` reaches its fixpoint.
 
         The bounds are deterministic, not probabilistic, given that
         each ``sim.run()`` in between ends: the session layer gives up
@@ -947,7 +944,8 @@ class DistributedScheduler(RunBase):
             if swept:
                 self.sim.run()
             self._escalation_rounds()
-            if not self._settle_one() and not swept:
+            batch = self._settlement_candidates()
+            if not self._settle_round(batch) and not swept:
                 return
 
     def _sweep_orphan_freezes(self) -> bool:
@@ -960,23 +958,20 @@ class DistributedScheduler(RunBase):
         retransmission gives up.  The requester then never learns it
         holds the freeze, and the base stays locked forever.  A freeze
         is provably orphaned when its requester has no active round
-        with the recorded id that still involves the base; sweeping
-        those is safe exactly because nothing is in flight that could
-        still release them.  Returns True when anything was released.
+        with the recorded id (while that round is active, it holds or
+        awaits the base); sweeping those is safe exactly because
+        nothing is in flight that could still release them.  Returns
+        True when anything was released.
         """
         released = False
         for actor in self._sorted_actors():
             if not actor.frozen:
                 continue
 
-            def orphaned(holder: tuple[Event, int], base=actor.base) -> bool:
+            def orphaned(holder: tuple[Event, int]) -> bool:
                 requester, round_id = holder
                 role = self.role(requester)
-                if role is None:
-                    return True
-                if not role.round_active or role.round_id != round_id:
-                    return True
-                return base not in (role.round_holds | role.round_awaiting)
+                return not role.round_active or role.round_id != round_id
 
             victims = {h for h in actor.frozen if orphaned(h)}
             if victims:
@@ -999,9 +994,6 @@ class DistributedScheduler(RunBase):
                 for actor in self._sorted_actors()
                 for role in actor.roles.values()
                 if role.status is ActorStatus.PENDING
-                and not (
-                    self.faults is not None and self.faults.is_down(role.site)
-                )
             ]
             # every parked role demands one further cube; batching
             # keeps independent workflow instances parallel
@@ -1012,33 +1004,7 @@ class DistributedScheduler(RunBase):
                 return
             self.sim.run()
 
-    def _settle_one(self) -> bool:
-        """Attempt complements for a batch of unsettled bases; True if
-        work remains for another round.
-
-        All currently-eligible bases are settled in one batch so that
-        independent workflow instances wind down in parallel; a base
-        whose complement makes no progress is excluded from future
-        batches until something else moves."""
-        batch = []
-        while True:
-            base = self._next_settlement()
-            if base is None or base in batch:
-                break
-            batch.append(base)
-            self._no_progress_bases.add(base)  # provisional; cleared on progress
-        if not batch:
-            return False
-        settled_before = set(self._settled)
-        for base in batch:
-            actor = self.actors.get(base)
-            if actor is not None:
-                actor.settle()
-        self.sim.run()
-        if set(self._settled) - settled_before:
-            # progress may revive earlier stuck bases: only the batch
-            # members that still failed stay excluded
-            self._no_progress_bases = {
-                b for b in batch if b not in self._settled
-            }
-        return True
+    def _settle(self, base: Event) -> None:
+        """Settlement attempts the complement, if it has a role."""
+        if self.role(base.complement) is not None:
+            self.attempt(base.complement)

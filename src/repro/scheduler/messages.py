@@ -6,6 +6,12 @@ actors of dependent events; ``<>e`` may be sent as a *promise*; and
 the two events agree on whether ``f`` has happened yet.  Each message
 below is one leg of those protocols; the ``kind`` strings are what the
 network statistics aggregate by.
+
+A promise request is answered by a grant or not at all: a role that
+cannot promise stays silent.  The requester's guard mentions the
+target's base, so it subscribes to it and hears the base settle
+either way.  The recovery messages (sync, ``Recovered``) exist for the
+fault model of :mod:`repro.sim.faults` only.
 """
 
 from __future__ import annotations
@@ -60,16 +66,6 @@ class PromiseGrant:
 
 
 @dataclass(frozen=True)
-class PromiseRefuse:
-    """The target's role cannot promise (not pending, or impossible)."""
-
-    target: Event
-    requester: Event
-
-    kind = "promise_refuse"
-
-
-@dataclass(frozen=True)
 class NotYetRequest:
     """Ask ``target``'s actor to certify ``target`` has not occurred.
 
@@ -119,9 +115,7 @@ class SyncRequest:
     """Recovery: ask ``base``'s actor whether the base settled.
 
     Sent by a restarted role (or on behalf of a restarted monitor)
-    for every base its guard mentions.  Receiving one also tells the
-    actor that the requester lost its volatile state, so any
-    freeze the requester held on this base is void and is released.
+    for every base its guard mentions.
     """
 
     base: Event
@@ -152,10 +146,10 @@ class Recovered:
     """Recovery broadcast: ``base``'s actor restarted and its roles
     lost their volatile protocol state.
 
-    Sent once per subscribing base (the roles that may have requests
-    or rounds outstanding against it).  Receivers clear their
-    request-dedup record for the base, abort-and-retry any round
-    awaiting it, and re-solicit."""
+    Sent once per subscribing base (the roles that may have rounds
+    outstanding against it).  A receiving role aborts a certificate
+    round awaiting the base; the role retries it on its next
+    solicitation, or by escalation at quiescence."""
 
     base: Event
 

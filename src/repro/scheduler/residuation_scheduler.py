@@ -155,7 +155,7 @@ class CentralizedScheduler(RunBase):
     def _reject(self, event: Event) -> None:
         self._parked.pop(event, None)
         self.note_rejected(CENTER, event)
-        if self.attributes(event.base).auto_complement and not event.negated:
+        if self.complements_refusal(event):
             comp = event.complement
             if comp.base not in self._settled:
                 self._decide(comp, self.sim.now)
@@ -243,14 +243,5 @@ class CentralizedScheduler(RunBase):
         none is eligible.  Each round either settles something (and
         clears ``_no_progress_bases``) or adds its base to that set, so
         with ``n`` bases fewer than ``(n + 1) ** 2`` rounds run."""
-        while True:
-            base = self._next_settlement()
-            if base is None:
-                return
-            before = len(self.result.entries)
-            self.attempt(base.complement)
-            self.sim.run()
-            if len(self.result.entries) > before:
-                self._no_progress_bases.clear()
-            else:
-                self._no_progress_bases.add(base)
+        while self._settle_round(self._settlement_candidates()[:1]):
+            pass

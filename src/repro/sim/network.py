@@ -32,7 +32,6 @@ KNOWN_KINDS = frozenset({
     "announce",
     "promise_request",
     "promise_grant",
-    "promise_refuse",
     "not_yet_request",
     "not_yet_reply",
     "release",

@@ -21,7 +21,8 @@ with sequence numbers, cumulative acks, and timeout retransmission:
   unacknowledged backlog into the fresh sessions, preserving send
   order.  Delivery across a restart is therefore *at-least-once*; the
   scheduler's message handlers are idempotent, and the actor recovery
-  protocol re-solicits anything that was lost outright.
+  protocol and the scheduler's drain at quiescence make up for
+  anything that was lost outright.
 
 Within one session lifetime the layer gives exactly-once FIFO
 delivery, which is what the actor protocols were written against.

@@ -18,7 +18,8 @@ what Theorem 6 and the protocol promise (:func:`check_schedule`):
 
 * *soundness* -- a run that ends ``maximal`` satisfies every
   dependency (``judge``);
-* *progress* -- a fault-free run ends ``maximal``;
+* *progress* -- a run whose every site is up at the end ends
+  ``maximal``;
 * *agreement* -- the production engine and ``reference_engine=True``
   (every guard re-evaluated on every announcement) take the same
   schedule to the same timeline, message counts, terminal state and
@@ -27,8 +28,22 @@ what Theorem 6 and the protocol promise (:func:`check_schedule`):
 A failure raises :class:`ScheduleFailure`, which names the property and
 the choice prefix that reproduces it (:func:`run_schedule`).
 
+With a crash planned, the crash timer is one more enabled callback at
+every step, so one schedule per step crashes the site there, at that
+step's time, and restarts it as long after as planned; the fault plan
+brings the reliable sessions with it, whose acknowledgements and
+retransmission timers are choices too.  A restart sooner than the
+fabric's latency leaves messages in flight across it: the crashed
+site's unacknowledged sends die with its sessions, and a straggler of
+the old sessions is discarded as stale.  The crash is the one deviation
+explored by default, and the site restarts, so progress still asks for
+a ``maximal`` run.  The crash is offered until the planned timer would
+fire, that is within the first ``sim.run()``: a fault plan's crashes
+never land in the drain at quiescence.
+
 Run as a module, it explores Example 13 (one cluster of two tasks) at
-delay bound 2 and one travel instance at delay bound 3, under both
+delay bound 2 and one travel instance at delay bound 3, and a crash of
+each of their sites at any step with three down times, under both
 engines, which takes too long for the tier-1 suite::
 
     PYTHONPATH=src python -W error -m tests.scheduler.explorer
@@ -36,6 +51,8 @@ engines, which takes too long for the tier-1 suite::
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import heapq
 import sys
 import time
@@ -49,7 +66,9 @@ from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.events import ExecutionResult
 from repro.scheduler.oracle import judge
 from repro.sim.clock import Simulator
+from repro.sim.faults import FaultInjector, FaultPlan, SiteCrash
 from repro.sim.network import Network
+from repro.temporal.guards import workflow_bindings
 from repro.workflows.spec import Workflow
 from repro.workloads.scenarios import (
     Scenario,
@@ -65,14 +84,23 @@ _DELIVER = next(
 )
 
 
+#: the code of a planned crash's timer (``FaultInjector.arm``'s lambda)
+_CRASH = next(
+    const for const in FaultInjector.arm.__code__.co_consts
+    if getattr(const, "co_name", None) == "<lambda>"
+)
+
+
+_SRC, _DST = (_DELIVER.co_freevars.index(name) for name in ("src", "dst"))
+
+
 def _channel(callback) -> tuple[str, str] | None:
     """The ``(src, dst)`` channel a fabric delivery travels on;
     ``None`` for any other callback."""
-    code = getattr(callback, "__code__", None)
-    if code is not _DELIVER:
+    if getattr(callback, "__code__", None) is not _DELIVER:
         return None
-    cells = dict(zip(code.co_freevars, callback.__closure__))
-    return cells["src"].cell_contents, cells["dst"].cell_contents
+    cells = callback.__closure__
+    return cells[_SRC].cell_contents, cells[_DST].cell_contents
 
 
 class ScheduleMismatch(Exception):
@@ -86,8 +114,12 @@ class ChoosingSimulator(Simulator):
     sequence)`` order; 0 is the plain simulator's pick).
 
     ``taken`` and ``widths`` record the choice made and the number
-    offered at each step.  The clock never runs backwards: a callback
-    picked ahead of an earlier-due one fires at the current time.
+    offered at each step, and ``crashes`` the index a planned crash's
+    timer has among them (``None`` once it fired).  The clock never runs
+    backwards: a callback picked ahead of an earlier-due one fires at
+    the current time, and a timer picked ahead of its time moves the
+    clock to it -- except the crash timer, which fires at the current
+    time and plans the restart as long after it as planned.
     """
 
     def __init__(self, prefix: tuple[int, ...] = ()) -> None:
@@ -95,12 +127,17 @@ class ChoosingSimulator(Simulator):
         self.prefix = prefix
         self.taken: list[int] = []
         self.widths: list[int] = []
+        self.crashes: list[int | None] = []
         #: handle -> the channel its delivery travels on (or ``None``)
         self._channels: dict[int, tuple[str, str] | None] = {}
+        #: the handle of the planned crash's timer
+        self._crash: int | None = None
 
     def schedule(self, delay, callback) -> int:
         handle = super().schedule(delay, callback)
         self._channels[handle] = _channel(callback)
+        if getattr(callback, "__code__", None) is _CRASH:
+            self._crash = handle
         return handle
 
     def enabled(self) -> list[tuple[float, int, object]]:
@@ -131,12 +168,30 @@ class ChoosingSimulator(Simulator):
             )
         self.taken.append(choice)
         self.widths.append(len(enabled))
+        crash = self._crash if self._crash in self._live else None
+        self.crashes.append(
+            None if crash is None
+            else next(i for i, e in enumerate(enabled) if e[1] == crash)
+        )
         when, seq, callback = enabled[choice]
         if choice == 0:
             heapq.heappop(self._heap)  # the head: the plain pick
         # a non-head entry stays in the heap, dead, until purged
         self._live.discard(seq)
-        self.now = max(self.now, when)
+        if seq == self._crash:
+            # the crash happens at the step that picks it, and the site
+            # stays down as long as planned: what is in flight then
+            # lands after a short outage
+            (planned,) = callback.__defaults__
+            callback = functools.partial(
+                callback,
+                dataclasses.replace(
+                    planned, at=self.now,
+                    restart_at=self.now + planned.restart_at - planned.at,
+                ),
+            )
+        else:
+            self.now = max(self.now, when)
         for sampler in self._samplers:
             sampler.on_advance(self.now)
         self.processed += 1
@@ -152,13 +207,25 @@ class Run:
     result: ExecutionResult
     taken: list[int]
     widths: list[int]
+    crashes: list[int | None]
+
+
+@functools.lru_cache(maxsize=64)
+def _guards(dependencies: tuple) -> dict:
+    """A spec's guard table, synthesized once for all its runs."""
+    return workflow_bindings(list(dependencies))
 
 
 def run_schedule(
-    scenario: Scenario, prefix: tuple[int, ...] = (), reference: bool = False
+    scenario: Scenario,
+    prefix: tuple[int, ...] = (),
+    reference: bool = False,
+    crash: SiteCrash | None = None,
 ) -> Run:
-    """Run ``scenario`` on the raw fabric along ``prefix``, then the
-    default pick, under the production engine (or the reference)."""
+    """Run ``scenario`` along ``prefix``, then the default pick, under
+    the production engine (or the reference): on the raw fabric, or
+    with ``crash`` planned, on the reliable sessions a fault plan
+    brings with it."""
     sims: list[ChoosingSimulator] = []
 
     def simulator() -> ChoosingSimulator:
@@ -171,11 +238,13 @@ def run_schedule(
             workflow.dependencies,
             sites=workflow.sites,
             attributes=workflow.attributes,
+            guards=_guards(tuple(workflow.dependencies)),
             reference_engine=reference,
+            fault_plan=None if crash is None else FaultPlan.of([crash]),
         )
     result = sched.run(scenario.scripts, verify=False)
     (sim,) = sims
-    return Run(sched, result, sim.taken, sim.widths)
+    return Run(sched, result, sim.taken, sim.widths, sim.crashes)
 
 
 def observables(run: Run) -> dict:
@@ -230,11 +299,15 @@ class ScheduleFailure(AssertionError):
 
 
 def check_schedule(
-    scenario: Scenario, prefix: tuple[int, ...], agreement: bool = True
+    scenario: Scenario,
+    prefix: tuple[int, ...],
+    agreement: bool = True,
+    crash: SiteCrash | None = None,
 ) -> Run:
-    """Run ``prefix`` and check soundness, progress and (with
-    ``agreement``) engine agreement on it; returns the production run."""
-    run = run_schedule(scenario, prefix)
+    """Run ``prefix`` (with ``crash`` planned) and check soundness,
+    progress and (with ``agreement``) engine agreement on it; returns
+    the production run."""
+    run = run_schedule(scenario, prefix, crash=crash)
     result = run.result
     if result.terminal != "maximal":
         raise ScheduleFailure(
@@ -249,7 +322,9 @@ def check_schedule(
         )
     if agreement:
         try:
-            reference = observables(run_schedule(scenario, prefix, True))
+            reference = observables(
+                run_schedule(scenario, prefix, True, crash)
+            )
         except ScheduleMismatch as exc:
             reference = {"schedule": str(exc)}
         production = observables(run)
@@ -267,24 +342,68 @@ def check_schedule(
 
 
 def explore(
-    scenario: Scenario, bound: int | None = None, agreement: bool = True
+    scenario: Scenario,
+    bound: int | None = None,
+    agreement: bool = True,
+    crash: SiteCrash | None = None,
 ) -> int:
     """Check every schedule of ``scenario`` with at most ``bound``
     non-default choices (``None``: all of them), depth first; returns
-    how many were explored."""
+    how many were explored.
+
+    With ``crash`` planned (:func:`planned_crash`), its timer is
+    enabled at every step until it fires, and each schedule that picks
+    it at one step of the default schedule is explored too; that pick
+    is not counted against ``bound``, and ``bound`` deviations may
+    follow it."""
     stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
     explored = 0
     while stack:
         prefix, used = stack.pop()
-        run = check_schedule(scenario, prefix, agreement)
+        run = check_schedule(scenario, prefix, agreement, crash)
         explored += 1
+        if not prefix:
+            for step, index in enumerate(run.crashes):
+                if not index:
+                    break  # the default schedule crashes here
+                stack.append(((0,) * step + (index,), 0))
         if bound is not None and used >= bound:
             continue
         taken = tuple(run.taken)
         for step in range(len(taken) - 1, len(prefix) - 1, -1):
             for choice in range(run.widths[step] - 1, 0, -1):
-                stack.append((taken[:step] + (choice,), used + 1))
+                if choice != run.crashes[step]:
+                    stack.append((taken[:step] + (choice,), used + 1))
     return explored
+
+
+#: when an explored crash is planned, and how long its site stays down:
+#: planned past the end of every spec's fault-free run, so the default
+#: schedule crashes the site only once nothing else is pending, and down
+#: for less than the fabric's latency (1), so what is in flight when the
+#: crash is picked lands after the restart, and a straggler of the old
+#: sessions is discarded as stale
+CRASH_AT, DOWN_FOR = 100.0, 0.5
+
+#: the down times the module's ``__main__`` explores: back before any
+#: message in flight lands, after the first retransmission timeout (4),
+#: and after several
+DOWN_TIMES = (DOWN_FOR, 5.0, 40.0)
+
+
+def planned_crash(site: str, down_for: float = DOWN_FOR) -> SiteCrash:
+    """A crash of ``site`` for :func:`explore` to place at any step."""
+    return SiteCrash(site, at=CRASH_AT, restart_at=CRASH_AT + down_for)
+
+
+def sites(scenario: Scenario) -> list[str]:
+    """The sites ``scenario``'s bases live on."""
+    sched = DistributedScheduler(
+        scenario.workflow.dependencies,
+        sites=scenario.workflow.sites,
+        attributes=scenario.workflow.attributes,
+    )
+    return sorted({actor.site for actor in sched.actors.values()})
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +461,17 @@ def travel() -> Scenario:
     return make_travel_booking("success")
 
 
+def rerequest() -> Scenario:
+    """A random spec on which the engines once disagreed: a refused
+    promise request was sent again on a wake that only the reference
+    engine took."""
+    return _scenario(
+        "rerequest",
+        ["~b + ~a + b . d . a", "~c + b", "~a + c"],
+        ["a@5", "~b@1", "c@5", "~d@0"],
+    )
+
+
 def xor(b_at: float = 5.0) -> Scenario:
     """Exclusive choice: exactly one of ``a`` and ``b`` occurs; ``a``
     is attempted at 0 and ``b`` at ``b_at``."""
@@ -359,19 +489,30 @@ def precede(k: int) -> Scenario:
 
 
 def main() -> int:
-    """Explore Example 13 at delay bound 2 and travel at delay bound 3
-    under both engines; print the failing choice prefix on failure."""
-    for name, scenario, bound in (("ex13", ex13, 2), ("travel", travel, 3)):
+    """Explore Example 13 at delay bound 2 and travel at delay bound 3,
+    then one crash of each of their sites at any step with each of
+    :data:`DOWN_TIMES`, under both engines; print the failing choice
+    prefix on failure."""
+    runs = [
+        (f"{name} at d={bound}", scenario, bound, None)
+        for name, scenario, bound in (("ex13", ex13, 2), ("travel", travel, 3))
+    ]
+    runs += [
+        (f"{name} crashing {site} for {down_for:g}", scenario, 0,
+         planned_crash(site, down_for))
+        for name, scenario in (("ex13", ex13), ("travel", travel))
+        for site in sites(scenario())
+        for down_for in DOWN_TIMES
+    ]
+    for label, scenario, bound, crash in runs:
         start = time.perf_counter()
         try:
-            explored = explore(scenario(), bound=bound)
+            explored = explore(scenario(), bound=bound, crash=crash)
         except ScheduleFailure as failure:
-            print(f"{name} at d={bound}: {failure}", file=sys.stderr)
+            print(f"{label}: {failure}", file=sys.stderr)
             return 1
         elapsed = time.perf_counter() - start
-        print(
-            f"{name} at d={bound}: {explored} schedules hold, {elapsed:.1f} s"
-        )
+        print(f"{label}: {explored} schedules hold, {elapsed:.1f} s")
     return 0
 
 

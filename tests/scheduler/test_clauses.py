@@ -1,0 +1,68 @@
+"""The drain loop's and the recovery path's clauses, each against the
+mutant that deletes it (:mod:`tests.scheduler.mutants`): the test that
+pins a clause fails under its mutant.  EXPERIMENTS.md tabulates the
+pairs, and the clauses no test pinned are gone."""
+
+import pytest
+
+from repro.scheduler import DistributedScheduler
+from tests.integration import test_generators
+from tests.properties import test_chaos_properties
+from tests.properties.test_monitor_equivalence import (
+    test_recovered_monitor_matches_an_uncrashed_twin as monitor_twin,
+)
+from tests.scheduler import test_recovery
+
+from . import mutants
+
+SETTLE_CLEAN = test_chaos_properties.TestChaosRegressions()
+SWEPT_AGAIN = test_chaos_properties.TestChaosRawNetwork()
+MUTEX = test_recovery.TestExample13Mutex()
+RECOVERY = test_recovery.TestRecoveryMechanics()
+
+PINS = [
+    (mutants.no_sweep_run, SETTLE_CLEAN.test_pinned_schedules_settle_clean),
+    (
+        mutants.escalate_before_sweep,
+        SETTLE_CLEAN.test_pinned_schedules_settle_clean,
+    ),
+    (
+        mutants.no_recovered_broadcast,
+        lambda: MUTEX.test_mutex_settles_after_crash("t2", 0),
+    ),
+    (
+        mutants.no_reannounce,
+        RECOVERY.test_a_settlement_lost_in_the_crash_is_announced_again,
+    ),
+    (
+        mutants.no_round_abort,
+        lambda: MUTEX.test_mutex_settles_after_crash("t2", 0),
+    ),
+    (
+        mutants.no_retry_at_restart,
+        lambda: MUTEX.test_mutex_settles_after_crash("t1", 0),
+    ),
+    (mutants.no_monitor_rebuild, monitor_twin),
+    (
+        mutants.no_stale_release,
+        SWEPT_AGAIN.test_pinned_freezes_orphaned_again_are_swept,
+    ),
+    (
+        mutants.release_holds_only,
+        SWEPT_AGAIN.test_pinned_freezes_orphaned_again_are_swept,
+    ),
+    (
+        mutants.deferred_certificates_dropped,
+        lambda: test_generators.TestDiamond().test_fork_join(
+            DistributedScheduler, 2
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mutant, pin", PINS, ids=[mutant.__name__ for mutant, _pin in PINS]
+)
+def test_the_pinning_test_fails_under_the_mutant(mutant, pin):
+    with mutant(), pytest.raises(AssertionError):
+        pin()

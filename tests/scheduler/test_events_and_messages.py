@@ -17,7 +17,6 @@ from repro.scheduler.messages import (
     NotYetReply,
     NotYetRequest,
     PromiseGrant,
-    PromiseRefuse,
     PromiseRequest,
     Release,
     TriggerMsg,
@@ -126,7 +125,6 @@ class TestMessages:
             Announce.kind,
             PromiseRequest.kind,
             PromiseGrant.kind,
-            PromiseRefuse.kind,
             NotYetRequest.kind,
             NotYetReply.kind,
             Release.kind,
@@ -134,7 +132,7 @@ class TestMessages:
             DecisionMsg.kind,
             TriggerMsg.kind,
         }
-        assert len(kinds) == 10
+        assert len(kinds) == 9
 
     def test_messages_are_frozen_values(self):
         req = PromiseRequest(target=F, requester=E, chain=(E,))

@@ -26,6 +26,8 @@ from repro.workloads.scenarios import make_mutex_scenario
 
 from . import mutants
 from .explorer import (
+    CRASH_AT,
+    DOWN_FOR,
     ChoosingSimulator,
     ScheduleFailure,
     as_prefix,
@@ -37,8 +39,11 @@ from .explorer import (
     ex13,
     explore,
     observables,
+    planned_crash,
     precede,
+    rerequest,
     run_schedule,
+    sites,
     travel,
     xor,
 )
@@ -100,7 +105,7 @@ class TestTheorem6:
         assert explore(consensus3(), bound=2) == 1047
 
     def test_ex13_within_one_delay(self):
-        assert explore(ex13(), bound=1) == 115
+        assert explore(ex13(), bound=1) == 109
 
     def test_travel_within_two_delays(self):
         assert explore(travel(), bound=2) == 401
@@ -108,6 +113,64 @@ class TestTheorem6:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_precede_within_two_delays(self, k):
         assert explore(precede(k), bound=2) > 1
+
+    def test_rerequest_within_one_delay(self):
+        """A random spec on which the engines once disagreed."""
+        assert explore(rerequest(), bound=1) == 254
+
+
+class TestOneCrash:
+    """One crash at any step: each schedule crashes one site at one
+    step of the default schedule and restarts it half a time unit
+    later, on the reliable sessions a fault plan brings with it, so
+    what is in flight lands after the restart.  The site comes back, so
+    progress asks for a maximal run."""
+
+    def test_the_crash_is_a_choice_at_every_step(self):
+        """Planned after the fault-free run ends, the crash is offered
+        at every step and fires last by default; picked at step 2, it
+        fires there, at the current time, and a message in flight to
+        the site lands after the restart, on a stale session."""
+        default = run_schedule(ex11(), crash=planned_crash("site_e"))
+        fired = default.crashes.index(0)
+        assert all(default.crashes[:fired]) and default.widths[fired] == 1
+        early = run_schedule(
+            ex11(), (0, 0, default.crashes[2]), crash=planned_crash("site_e")
+        )
+        assert early.crashes[3:] == [None] * len(early.crashes[3:])
+        ((site, at, restart_at),) = early.sched.faults.crash_log
+        assert site == "site_e" and restart_at == at + DOWN_FOR < CRASH_AT
+        assert early.sched.network.stats.stale_session > 0
+        assert early.result.terminal == "maximal"
+
+    @pytest.mark.parametrize(
+        "scenario, schedules",
+        [(ex10, 11), (ex11, 15), (ex13, 63), (travel, 47)],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_one_crash_at_any_step(self, scenario, schedules):
+        spec = scenario()
+        for site in sites(spec):
+            assert explore(spec, bound=0, crash=planned_crash(site)) == (
+                schedules
+            ), site
+
+    def test_without_the_reannounce_a_crash_loses_a_settlement(self):
+        """The car rental's settlement dies unacknowledged with its
+        crashed sessions; without the announcement sent again at
+        restart the purchase never hears of it."""
+        with mutants.no_reannounce():
+            with pytest.raises(ScheduleFailure) as failure:
+                explore(travel(), bound=0, crash=planned_crash("car_rental"))
+        assert failure.value.property == "progress"
+
+    def test_without_the_sync_round_a_crash_loses_progress(self):
+        """Task 2's site restarts knowing nothing: both polarities of
+        its entry are refused, and the base never settles."""
+        with mutants.no_sync_round():
+            with pytest.raises(ScheduleFailure) as failure:
+                explore(ex13(), bound=0, crash=planned_crash("cs_i1", 5.0))
+        assert failure.value.property == "progress"
 
 
 class TestMutants:

@@ -16,6 +16,8 @@ from repro.algebra.symbols import Event
 from repro.algebra.traces import satisfies
 from repro.scheduler import DistributedScheduler
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
+from repro.scheduler.messages import NotYetReply
+from repro.sim import FaultPlan, SiteCrash
 from repro.sim.clock import Simulator
 from repro.sim.network import Network
 from repro.temporal import minimize, workflow_guards
@@ -197,6 +199,43 @@ class TestEscalationAblation:
         occurred = {en.event for en in result.entries}
         assert E not in occurred
         assert result.triggered == 0
+
+
+class TestDuplicateCertificateAblation:
+    @staticmethod
+    def _duplicated():
+        """``e`` before ``f`` and before ``g``, with ``g``'s site gone
+        for good: ``e``'s round holds ``f``'s certificate and awaits
+        ``g`` forever, when a second copy of the certificate arrives
+        (the raw fabric may duplicate any message)."""
+        G = Event("g")
+        deps = [parse("~e + ~f + e . f"), parse("~e + ~g + e . g")]
+        sched = DistributedScheduler(
+            deps, fault_plan=FaultPlan.of([SiteCrash("site_g", at=0.0)])
+        )
+        sched.start([AgentScript("site_e", [ScriptedAttempt(1.0, E)])])
+        sched.sim.run()
+        role = sched.role(E)
+        hold = (E, role.round_id)
+        assert role.round_awaiting == {G} and role.round_holds == {F}
+        assert sched.actors[F].frozen == {hold}
+        duplicate = NotYetReply(
+            target=F, requester=E, status="not_yet", round_id=role.round_id
+        )
+        sched.send_to_role(sched.actors[F], E, duplicate)
+        sched.sim.run()
+        return sched.actors[F].frozen, hold
+
+    def test_a_duplicate_certificate_keeps_its_freeze(self):
+        frozen, hold = self._duplicated()
+        assert frozen == {hold}
+
+    def test_taken_for_a_stale_one_it_releases_the_freeze(self):
+        """Mutant: ``f`` is released while the round still counts on
+        its certificate."""
+        with mutants.duplicate_releases():
+            frozen, _hold = self._duplicated()
+        assert frozen == frozenset()
 
 
 class TestFailureInjection:

@@ -169,6 +169,31 @@ class TestRecoveryMechanics:
         assert len(report.recovery_latencies) <= 1
         assert report.session_resets >= 1
 
+    def test_a_settlement_lost_in_the_crash_is_announced_again(self):
+        """``e`` occurs at 3 and its announcement to ``f``'s site is
+        due at 4; ``e``'s site is down from 3.25 to 3.75, so the
+        announcement lands on a stale session and is discarded, and the
+        crashed sender's retransmission state is gone.  Only the
+        announcement sent again at restart lets ``f`` occur."""
+        e, f = Event("e"), Event("f")
+        sched = DistributedScheduler(
+            [parse("e . f")],
+            fault_plan=FaultPlan.of(
+                [SiteCrash("site_e", at=3.25, restart_at=3.75)]
+            ),
+        )
+        result = sched.run(
+            [
+                AgentScript("site_f", [ScriptedAttempt(0.0, f)]),
+                AgentScript("site_e", [ScriptedAttempt(1.0, e)]),
+            ],
+            verify=False,
+        )
+        assert sched.network.stats.stale_session > 0
+        assert result.terminal == "maximal"
+        assert [(en.event, en.time) for en in result.entries][0] == (e, 3.0)
+        assert [en.event for en in result.entries] == [e, f]
+
     def test_no_faults_no_recovery(self):
         scenario = make_travel_booking("success")
         sched, result = run_scenario(
