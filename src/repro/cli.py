@@ -620,6 +620,9 @@ def _cmd_run(args) -> int:
     if args.profile_out and not args.profile:
         print("--profile-out needs --profile", file=sys.stderr)
         return 2
+    if args.latency < 0:
+        print("--latency must be non-negative", file=sys.stderr)
+        return 2
     if args.jitter < 0:
         print("--jitter must be non-negative", file=sys.stderr)
         return 2
@@ -1261,6 +1264,9 @@ def _cmd_profile(args) -> int:
     workflow = load(args.spec)
     attempts = _parse_attempts(args.attempt)
     if attempts is None:
+        return 2
+    if args.latency < 0:
+        print("--latency must be non-negative", file=sys.stderr)
         return 2
     profiler = Profiler()
     sched = DistributedScheduler(

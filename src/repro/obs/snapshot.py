@@ -151,16 +151,13 @@ class SnapshotCoordinator:
             if other == site:
                 continue
             sched.channel.send(
-                site,
-                other,
-                MARKER_KIND,
-                snap.id,
-                lambda snap_id, src=site, dst=other: self._on_marker(
-                    snap_id, src, dst
-                ),
+                site, other, MARKER_KIND, (snap.id, site, other),
+                self._on_marker,
             )
 
-    def _on_marker(self, snap_id: int, src: str, dst: str) -> None:
+    def _on_marker(self, marker: tuple[int, str, str]) -> None:
+        """A marker ``(snapshot id, src, dst)`` arrives at ``dst``."""
+        snap_id, src, dst = marker
         snap = self._active
         if snap is None or snap.id != snap_id:
             return  # straggler from an abandoned snapshot

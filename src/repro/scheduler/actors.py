@@ -8,8 +8,10 @@ other bases (a world mask per base, tightened monotonically as
 messages arrive) and its own protocol bookkeeping, since a grant is
 conditional on its requester.  The :class:`BaseActor` keeps what they
 share -- settlement, freezes and deferred certificate requests -- and
-hands each announcement to the roles that subscribe.  Each role runs
-the two consensus subprotocols the paper calls out:
+hands each announcement to the roles that subscribe.  Actors and roles
+are their own message handlers: the fabric delivers a message to the
+addressee's ``receive``, which looks its type up in :data:`HANDLERS`.
+Each role runs the two consensus subprotocols the paper calls out:
 
 * **promises** -- a guard needing ``<>f`` can be discharged by a
   conditional promise from ``f``'s role before ``f`` actually occurs
@@ -126,6 +128,11 @@ class Role:
         self.pending_grant_reqs: list[PromiseRequest] = []
         # -- escalation bookkeeping --
         self._escalated_cubes: set = set()
+
+    def receive(self, message) -> None:
+        """The fabric's handler for every message addressed to this
+        role (one bound method, no closure per message)."""
+        HANDLERS[type(message)](self, message)
 
     @property
     def guard(self) -> GuardExpr:
@@ -811,6 +818,42 @@ class BaseActor:
         #: certificate requests deferred by the priority rule
         self.deferred_notyet_reqs: tuple[NotYetRequest, ...] = ()
 
+    def receive(self, message) -> None:
+        """The fabric's handler for every message addressed to this
+        actor (one bound method, no closure per message)."""
+        HANDLERS[type(message)](self, message)
+
+    def on_announce(self, msg: Announce) -> None:
+        """Hand an occurrence to each subscribing role, by the wake
+        rule (:mod:`repro.temporal.compiled`): wake iff the base is in
+        the residual's support; an unbound (or reference) cursor has no
+        node and wakes on everything."""
+        event = msg.event
+        base = event.base
+        sched = self.sched
+        watch = sched.watch
+        profiler = sched.profiler  # per announcement: no call unprofiled
+        for role in self.roles.values():
+            if base not in role.subscribed:
+                continue
+            cursor = role.cursor
+            if cursor.node is not None and not cursor.wakes_on(base):
+                # the skip: record the fact, touch nothing else --
+                # re-evaluation would be a no-op
+                watch.note_skip()
+                role.note_occurrence(event)
+                continue
+            watch.note_wake()
+            if profiler is not None:
+                profiler.push(
+                    "watch_wake", site=role.site, event=role.event_label
+                )
+            try:
+                role.observe_occurrence(event)
+            finally:
+                if profiler is not None:
+                    profiler.pop()
+
     def add_role(self, event: Event, guard: Binding | GuardExpr) -> Role:
         """``event``'s new role, kept positive first."""
         role = Role(event, guard, self)
@@ -952,3 +995,18 @@ class BaseActor:
     def recover(self) -> None:
         for role in self.roles.values():
             role.recover()
+
+
+#: the handler of each message type, by the class of its addressee:
+#: an ``Announce`` goes to a base's actor, which hands it to its roles
+HANDLERS = {
+    Announce: BaseActor.on_announce,
+    PromiseRequest: Role.on_promise_request,
+    PromiseGrant: Role.on_promise_grant,
+    NotYetRequest: BaseActor.on_not_yet_request,
+    NotYetReply: Role.on_not_yet_reply,
+    Release: BaseActor.on_release,
+    SyncRequest: BaseActor.on_sync_request,
+    SyncReply: Role.on_sync_reply,
+    Recovered: BaseActor.on_recovered,
+}

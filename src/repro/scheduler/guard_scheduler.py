@@ -33,12 +33,7 @@ from repro.scheduler.base import RunBase
 from repro.scheduler.events import EventAttributes, ExecutionResult, Violation
 from repro.scheduler.messages import (
     Announce,
-    NotYetReply,
-    NotYetRequest,
-    PromiseGrant,
-    PromiseRequest,
     Recovered,
-    Release,
     SyncReply,
     SyncRequest,
     TriggerMsg,
@@ -62,20 +57,6 @@ from repro.temporal.guards import (
     shape_lookups,
     workflow_bindings,
 )
-
-#: where ``_dispatch`` delivers each message type but ``Announce``: a
-#: role, or the base's actor
-_HANDLERS = {
-    PromiseRequest: Role.on_promise_request,
-    PromiseGrant: Role.on_promise_grant,
-    NotYetRequest: BaseActor.on_not_yet_request,
-    NotYetReply: Role.on_not_yet_reply,
-    Release: BaseActor.on_release,
-    SyncRequest: BaseActor.on_sync_request,
-    SyncReply: Role.on_sync_reply,
-    Recovered: BaseActor.on_recovered,
-}
-
 
 class DistributedScheduler(RunBase):
     """Compile a workflow into actors and run it on the simulated network.
@@ -199,7 +180,7 @@ class DistributedScheduler(RunBase):
         for event, g in table.items():
             self.add_role(event, g)
         #: announcements that woke their role / took the skip path
-        #: (``_dispatch`` decides)
+        #: (``BaseActor.on_announce`` decides)
         self.watch = WakeCounts()
         # per-site requirement monitors for triggerable events
         self._monitors: list[tuple[str, RequirementMonitor]] = []
@@ -291,7 +272,7 @@ class DistributedScheduler(RunBase):
                 self.site_of(event.base),
                 TriggerMsg.kind,
                 TriggerMsg(event=event),
-                lambda msg: self.attempt(msg.event),
+                self._on_trigger,
             )
 
         def doomed(dep: Expr, residual: Expr) -> None:
@@ -308,6 +289,10 @@ class DistributedScheduler(RunBase):
         return RequirementMonitor(
             deps, bases, trigger, doomed, site=site, metrics=self.metrics
         )
+
+    def _on_trigger(self, msg: TriggerMsg) -> None:
+        """A monitor's trigger reached its event's site."""
+        self.attempt(msg.event)
 
     def _sorted_actors(self) -> tuple[BaseActor, ...]:
         """The actors in base order; cached like ``_sorted_bases`` and
@@ -345,45 +330,10 @@ class DistributedScheduler(RunBase):
             self._send(sender, actor, message)
 
     def _send(self, sender, target, message) -> None:
+        # the addressee is its own handler: its class-level ``receive``
         self.channel.send(
-            sender.site,
-            target.site,
-            message.kind,
-            message,
-            lambda msg: self._dispatch(target, msg),
+            sender.site, target.site, message.kind, message, target.receive
         )
-
-    def _dispatch(self, target: Role | BaseActor, message) -> None:
-        if isinstance(message, Announce):
-            # to each subscribing role, by the wake rule
-            # (:mod:`repro.temporal.compiled`): wake iff the base is in
-            # the residual's support; an unbound (or reference) cursor
-            # has no node and wakes on everything
-            event = message.event
-            base = event.base
-            profiler = self.profiler  # per announcement: no call unprofiled
-            for role in target.roles.values():
-                if base not in role.subscribed:
-                    continue
-                cursor = role.cursor
-                if cursor.node is not None and not cursor.wakes_on(base):
-                    # the skip: record the fact, touch nothing else --
-                    # re-evaluation would be a no-op
-                    self.watch.note_skip()
-                    role.note_occurrence(event)
-                    continue
-                self.watch.note_wake()
-                if profiler is not None:
-                    profiler.push(
-                        "watch_wake", site=role.site, event=role.event_label
-                    )
-                try:
-                    role.observe_occurrence(event)
-                finally:
-                    if profiler is not None:
-                        profiler.pop()
-        else:
-            _HANDLERS[type(message)](target, message)
 
     def next_round_id(self) -> int:
         """A fresh certificate-round id (unique across the run)."""
@@ -423,11 +373,7 @@ class DistributedScheduler(RunBase):
         for index in self._monitor_subs.get(event.base, ()):
             site, monitor = self._monitors[index]
             self.channel.send(
-                actor.site,
-                site,
-                "announce",
-                event,
-                (lambda m: (lambda ev: m.observe(ev)))(monitor),
+                actor.site, site, "announce", event, monitor.observe
             )
 
     # ------------------------------------------------------------------
@@ -865,7 +811,7 @@ class DistributedScheduler(RunBase):
             if restart is not None:
                 # the task agent retries once its site is back up; a
                 # permanently-failed site simply loses the attempt
-                self.sim.schedule_at(restart, lambda: self.attempt(event))
+                self.sim.schedule_at(restart, self.attempt, event)
             return
         role.attempt(self.sim.now)
 

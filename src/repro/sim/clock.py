@@ -8,11 +8,18 @@ ties), so every experiment is bit-reproducible for a given seed.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Any, Callable
 
 
 class Simulator:
     """A virtual clock driving scheduled callbacks.
+
+    A heap entry is ``(time, seq, fn, args)`` and fires as
+    ``fn(*args)``: a caller passes a bound method and its arguments
+    rather than a closure over them, so one message delivery is one
+    entry and no function object
+    (:meth:`repro.sim.network.Network.send`).  :meth:`run` drops dead
+    entries off the head and calls :meth:`step` once per live one.
 
     >>> sim = Simulator()
     >>> fired = []
@@ -25,7 +32,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._sequence = 0
         #: handles still eligible to fire; a heap entry whose handle
         #: left this set (fired or cancelled) is dead weight awaiting
@@ -36,8 +43,10 @@ class Simulator:
         #: :meth:`sample_every`); empty-list check is the whole cost
         self._samplers: list[PeriodicSampler] = []
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> int:
-        """Schedule ``callback`` to fire ``delay`` time units from now.
+    def schedule(
+        self, delay: float, fn: Callable[..., None], *args: Any
+    ) -> int:
+        """Schedule ``fn(*args)`` to fire ``delay`` time units from now.
 
         Returns a handle usable with :meth:`cancel` (the reliable
         session layer cancels retransmission timers when the ack
@@ -46,10 +55,10 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        self._sequence += 1
-        heapq.heappush(self._heap, (self.now + delay, self._sequence, callback))
-        self._live.add(self._sequence)
-        return self._sequence
+        seq = self._sequence = self._sequence + 1
+        heapq.heappush(self._heap, (self.now + delay, seq, fn, args))
+        self._live.add(seq)
+        return seq
 
     def cancel(self, handle: int) -> None:
         """Cancel a scheduled callback by its handle.
@@ -59,18 +68,21 @@ class Simulator:
         clock, so a cancelled timer never stretches the makespan.
         Cancelling an already-fired, already-cancelled, or unknown
         handle is a no-op and leaves no residue: cancel simply drops
-        the handle from the live set, and :meth:`_purge_head` pops
-        heap entries whose handle is no longer live.
+        the handle from the live set, and :meth:`run` and :meth:`step`
+        pop heap entries whose handle is no longer live.
         """
         self._live.discard(handle)
 
-    def _purge_head(self) -> None:
-        while self._heap and self._heap[0][1] not in self._live:
-            heapq.heappop(self._heap)
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> int:
-        """Schedule ``callback`` at an absolute virtual time."""
-        return self.schedule(max(0.0, time - self.now), callback)
+    def schedule_at(
+        self, time: float, fn: Callable[..., None], *args: Any
+    ) -> int:
+        """Schedule ``fn(*args)`` at an absolute virtual time (a past
+        time fires now)."""
+        now = self.now
+        seq = self._sequence = self._sequence + 1
+        heapq.heappush(self._heap, (now + max(0.0, time - now), seq, fn, args))
+        self._live.add(seq)
+        return seq
 
     @property
     def pending(self) -> int:
@@ -80,17 +92,19 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the next callback; returns False when the heap is empty."""
-        self._purge_head()
-        if not self._heap:
+        heap, live = self._heap, self._live
+        while heap and heap[0][1] not in live:
+            heapq.heappop(heap)
+        if not heap:
             return False
-        time, seq, callback = heapq.heappop(self._heap)
-        self._live.discard(seq)
+        time, seq, fn, args = heapq.heappop(heap)
+        live.discard(seq)
         self.now = time
         if self._samplers:
             for sampler in self._samplers:
                 sampler.on_advance(time)
         self.processed += 1
-        callback()
+        fn(*args)
         return True
 
     def sample_every(
@@ -116,19 +130,22 @@ class Simulator:
     def run(self, until: float | None = None, max_events: int = 1_000_000) -> None:
         """Run until the heap drains, the horizon passes, or the budget
         is exhausted (the budget guards against livelock bugs)."""
+        heap, live, step = self._heap, self._live, self.step
         fired = 0
         while True:
-            self._purge_head()
-            if not self._heap:
+            # purged here, so step() finds a live head at once
+            while heap and heap[0][1] not in live:
+                heapq.heappop(heap)
+            if not heap:
                 return
-            if until is not None and self._heap[0][0] > until:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 return
             if fired >= max_events:
                 raise RuntimeError(
                     f"simulation exceeded {max_events} events; likely livelock"
                 )
-            self.step()
+            step()
             fired += 1
 
 

@@ -127,7 +127,7 @@ class FaultInjector:
             return
         self._armed = True
         for crash in self.plan.crashes:
-            self.sim.schedule_at(crash.at, lambda c=crash: self._crash(c))
+            self.sim.schedule_at(crash.at, self._crash, crash)
 
     def _crash(self, crash: SiteCrash) -> None:
         self._down[crash.site] = crash.restart_at
@@ -137,9 +137,7 @@ class FaultInjector:
         for hook in self._on_crash:
             hook(crash.site)
         if crash.restart_at is not None:
-            self.sim.schedule_at(
-                crash.restart_at, lambda: self._restart(crash.site)
-            )
+            self.sim.schedule_at(crash.restart_at, self._restart, crash.site)
 
     def _restart(self, site: str) -> None:
         self._down.pop(site, None)

@@ -59,6 +59,8 @@ class ConstantLatency(LatencyModel):
     """Every inter-site message takes exactly ``delay`` time units."""
 
     def __init__(self, delay: float):
+        if delay < 0:
+            raise ValueError(f"negative latency: {delay}")
         self.delay = float(delay)
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
@@ -71,6 +73,8 @@ class UniformLatency(LatencyModel):
     def __init__(self, low: float, high: float):
         if low > high:
             raise ValueError("low must not exceed high")
+        if low < 0:
+            raise ValueError(f"negative latency: {low}")
         self.low, self.high = float(low), float(high)
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
@@ -81,6 +85,8 @@ class ExponentialLatency(LatencyModel):
     """Latency exponentially distributed with the given mean."""
 
     def __init__(self, mean: float):
+        if mean < 0:
+            raise ValueError(f"negative mean latency: {mean}")
         self.mean = float(mean)
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
@@ -113,21 +119,6 @@ class NetworkStats:
     stale_session: int = 0      # arrivals from a pre-restart session
     session_resets: int = 0     # channel resets performed at restarts
 
-    def record(self, kind: str, src: str, dst: str, latency: float) -> None:
-        if kind not in KNOWN_KINDS:
-            raise ValueError(
-                f"unknown message kind {kind!r}; known kinds: "
-                f"{sorted(KNOWN_KINDS)}"
-            )
-        self.messages += 1
-        if src == dst:
-            self.intra_site += 1
-        else:
-            self.inter_site += 1
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-        self.per_site_handled[dst] = self.per_site_handled.get(dst, 0) + 1
-        self.total_latency += latency
-
     def fresh_payloads(self) -> int:
         """Application payloads sent for the first time: total traffic
         minus protocol overhead (snapshot markers, acks) and re-sends.
@@ -149,6 +140,15 @@ class NetworkStats:
 
 class Network:
     """Message fabric over a :class:`Simulator`.
+
+    One message is one heap entry: :meth:`send` draws its fate, does
+    its accounting and queues ``(deliver_at, seq, self._deliver,
+    (src, dst, kind, payload, handler, stamp))``; when it fires,
+    :meth:`_deliver` runs ``handler(payload)``.  No closure is built
+    per message: a protocol handler is a bound method of the receiving
+    actor or role (their class-level ``receive``), so the path from
+    ``send`` to the handler is the simulator's ``step``, ``_deliver``
+    and the handler.
 
     Parameters
     ----------
@@ -180,6 +180,9 @@ class Network:
             raise ValueError("drop_probability must be in [0, 1)")
         if not 0.0 <= duplicate_probability < 1.0:
             raise ValueError("duplicate_probability must be in [0, 1)")
+        for site, service in (service_times or {}).items():
+            if service < 0:
+                raise ValueError(f"negative service time at {site}: {service}")
         self.sim = sim
         self.latency = latency or ConstantLatency(1.0)
         self.rng = rng or random.Random(0)
@@ -223,67 +226,92 @@ class Network:
         are counted in the stats so a run can report how much abuse it
         absorbed.
         """
+        if kind not in KNOWN_KINDS:
+            raise ValueError(
+                f"unknown message kind {kind!r}; known kinds: "
+                f"{sorted(KNOWN_KINDS)}"
+            )
         # per message: the fabric's records share this one test, and an
         # untraced, unprofiled send makes no observability call at all
         tracer = self.tracer
         traced = tracer.active
-        if src != dst and self.drop_probability:
-            if self.rng.random() < self.drop_probability:
-                self.stats.dropped += 1
-                if traced:
-                    tracer.message_drop(self.sim.now, src, dst, kind)
-                return
-        if src != dst and self.duplicate_probability:
-            if self.rng.random() < self.duplicate_probability:
-                self.stats.duplicated += 1
-                if traced:
-                    tracer.message_dup(self.sim.now, src, dst, kind)
-                self.send(src, dst, kind, payload, handler)
+        stats = self.stats
+        now = self.sim.now
         if src == dst:
-            raw_latency = 0.0
+            stats.intra_site += 1
+            arrival = now
         else:
-            raw_latency = self.latency.sample(self.rng, src, dst)
-        arrival = self.sim.now + raw_latency
+            if self.drop_probability:
+                if self.rng.random() < self.drop_probability:
+                    stats.dropped += 1
+                    if traced:
+                        tracer.message_drop(now, src, dst, kind)
+                    return
+            if self.duplicate_probability:
+                if self.rng.random() < self.duplicate_probability:
+                    stats.duplicated += 1
+                    if traced:
+                        tracer.message_dup(now, src, dst, kind)
+                    self.send(src, dst, kind, payload, handler)
+            stats.inter_site += 1
+            arrival = now + self.latency.sample(self.rng, src, dst)
         # FIFO per channel.
         key = (src, dst)
-        arrival = max(arrival, self._fifo_high_water.get(key, 0.0))
-        self._fifo_high_water[key] = arrival
+        high_water = self._fifo_high_water
+        queued_until = high_water.get(key, 0.0)
+        if queued_until > arrival:
+            arrival = queued_until
+        high_water[key] = arrival
         # Service queue at the destination site.
         service = self.service_times.get(dst, 0.0)
         if service > 0.0:
             start = max(arrival, self._site_busy_until.get(dst, 0.0))
             self._site_busy_until[dst] = start + service
-            wait = start - arrival
-            self.stats.max_queue_wait = max(self.stats.max_queue_wait, wait)
+            stats.max_queue_wait = max(stats.max_queue_wait, start - arrival)
             deliver_at = start + service
         else:
             deliver_at = arrival
-        self.stats.record(kind, src, dst, deliver_at - self.sim.now)
-        self.journal.append((self.sim.now, deliver_at, src, dst, kind))
+        stats.messages += 1
+        by_kind = stats.by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        handled = stats.per_site_handled
+        handled[dst] = handled.get(dst, 0) + 1
+        stats.total_latency += deliver_at - now
+        self.journal.append((now, deliver_at, src, dst, kind))
         self.inflight += 1
         # the stamp of the physical transmission; the delivery records
         # its receive against the same message id and send stamp
-        stamp = (
-            tracer.message_send(self.sim.now, src, dst, kind)
-            if traced else None
+        stamp = tracer.message_send(now, src, dst, kind) if traced else None
+        self.sim.schedule_at(
+            deliver_at, self._deliver, src, dst, kind, payload, handler, stamp
         )
+
+    def _deliver(
+        self,
+        src: str,
+        dst: str,
+        kind: str,
+        payload: Any,
+        handler: Callable[[Any], None],
+        stamp: tuple | None,
+    ) -> None:
+        """One message arrives: its receive record, the snapshot hook,
+        then ``handler(payload)`` (in a ``delivery`` span when
+        profiled)."""
+        self.inflight -= 1
+        if stamp is not None:
+            self.tracer.message_recv(self.sim.now, src, dst, kind, *stamp)
+        if self.delivery_hook is not None:
+            self.delivery_hook(src, dst, kind, payload)
         profiler = self.profiler
-
-        def deliver() -> None:
-            self.inflight -= 1
-            if stamp is not None:
-                tracer.message_recv(self.sim.now, src, dst, kind, *stamp)
-            if self.delivery_hook is not None:
-                self.delivery_hook(src, dst, kind, payload)
-            if profiler is not None:
-                profiler.push("delivery", site=dst)
-            try:
-                handler(payload)
-            finally:
-                if profiler is not None:
-                    profiler.pop()
-
-        self.sim.schedule_at(deliver_at, deliver)
+        if profiler is None:
+            handler(payload)
+            return
+        profiler.push("delivery", site=dst)
+        try:
+            handler(payload)
+        finally:
+            profiler.pop()
 
     def site_load(self) -> dict[str, int]:
         """Messages handled per site -- the bottleneck metric of SC1."""

@@ -54,6 +54,12 @@ class _Pending:
 class ReliableNetwork:
     """Session layer over a :class:`Network`; same ``send`` signature.
 
+    A payload crosses the fabric as one packet, ``(key, epoch, seq,
+    kind, payload, handler)``, handed to the bound :meth:`_deliver`; an
+    ack is ``(key, epoch, upto)`` to :meth:`_on_ack`, and a
+    retransmission timer is the heap entry ``_on_timeout(key, epoch,
+    seq)``.  No closure is built per message or per timer.
+
     Parameters
     ----------
     network:
@@ -167,11 +173,8 @@ class ReliableNetwork:
             # since the site may crash while the message is in flight
             # (both endpoints die together; recovery rebuilds)
             self.net.send(
-                src,
-                dst,
-                kind,
-                payload,
-                lambda p: self._deliver_local(dst, kind, p, handler),
+                src, dst, kind, (dst, kind, payload, handler),
+                self._deliver_local,
             )
             return
         key = (src, dst)
@@ -186,17 +189,14 @@ class ReliableNetwork:
     ) -> None:
         """Put the payload on the fabric and arm its retransmit timer."""
         src, dst = key
+        kind = pending.kind
         self.net.send(
-            src,
-            dst,
-            pending.kind,
-            pending.payload,
-            lambda p, h=pending.handler, k=pending.kind: self._deliver(
-                key, epoch, seq, k, p, h
-            ),
+            src, dst, kind,
+            (key, epoch, seq, kind, pending.payload, pending.handler),
+            self._deliver,
         )
         pending.timer = self.sim.schedule(
-            pending.interval, lambda: self._on_timeout(key, epoch, seq)
+            pending.interval, self._on_timeout, key, epoch, seq
         )
 
     def _on_timeout(self, key: tuple[str, str], epoch: int, seq: int) -> None:
@@ -238,9 +238,10 @@ class ReliableNetwork:
     # ------------------------------------------------------------------
     # receiving
 
-    def _deliver_local(
-        self, site: str, kind: str, payload: Any, handler: Callable[[Any], None]
-    ) -> None:
+    def _deliver_local(self, packet: tuple) -> None:
+        """An intra-site hand-off ``(site, kind, payload, handler)``
+        arrives."""
+        site, kind, payload, handler = packet
         if self.faults is not None and self.faults.is_down(site):
             self._note("crash_lost", site, "crash_lost", dst=site)
             return
@@ -248,15 +249,10 @@ class ReliableNetwork:
             self.delivery_hook(site, site, kind, payload)
         handler(payload)
 
-    def _deliver(
-        self,
-        key: tuple[str, str],
-        epoch: int,
-        seq: int,
-        kind: str,
-        payload: Any,
-        handler: Callable[[Any], None],
-    ) -> None:
+    def _deliver(self, packet: tuple) -> None:
+        """A payload packet ``(key, epoch, seq, kind, payload, handler)``
+        arrives: dedup, release in sequence order, ack."""
+        key, epoch, seq, kind, payload, handler = packet
         _src, dst = key
         if self.faults is not None and self.faults.is_down(dst):
             self._note(
@@ -291,11 +287,11 @@ class ReliableNetwork:
         src, dst = key
         upto = self._expected.get(key, 1) - 1
         self.stats.acks_sent += 1
-        self.net.send(
-            dst, src, ACK_KIND, upto, lambda n: self._on_ack(key, epoch, n)
-        )
+        self.net.send(dst, src, ACK_KIND, (key, epoch, upto), self._on_ack)
 
-    def _on_ack(self, key: tuple[str, str], epoch: int, upto: int) -> None:
+    def _on_ack(self, packet: tuple) -> None:
+        """An ack packet ``(key, epoch, upto)`` arrives at the sender."""
+        key, epoch, upto = packet
         src, dst = key
         if self.faults is not None and self.faults.is_down(src):
             self._note(

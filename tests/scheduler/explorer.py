@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import heapq
 import sys
 import time
 from dataclasses import dataclass
@@ -76,31 +75,17 @@ from repro.workloads.scenarios import (
     make_travel_booking,
 )
 
-#: the code of every fabric delivery callback (``Network.send``'s
-#: ``deliver`` closure); its ``src`` / ``dst`` cells name the channel
-_DELIVER = next(
-    const for const in Network.send.__code__.co_consts
-    if getattr(const, "co_name", None) == "deliver"
-)
+def _is(fn, method) -> bool:
+    """Whether the heap entry's ``fn`` is ``method`` bound to some
+    instance."""
+    return getattr(fn, "__func__", None) is method
 
 
-#: the code of a planned crash's timer (``FaultInjector.arm``'s lambda)
-_CRASH = next(
-    const for const in FaultInjector.arm.__code__.co_consts
-    if getattr(const, "co_name", None) == "<lambda>"
-)
-
-
-_SRC, _DST = (_DELIVER.co_freevars.index(name) for name in ("src", "dst"))
-
-
-def _channel(callback) -> tuple[str, str] | None:
-    """The ``(src, dst)`` channel a fabric delivery travels on;
-    ``None`` for any other callback."""
-    if getattr(callback, "__code__", None) is not _DELIVER:
-        return None
-    cells = callback.__closure__
-    return cells[_SRC].cell_contents, cells[_DST].cell_contents
+def _channel(fn, args: tuple) -> tuple[str, str] | None:
+    """The ``(src, dst)`` channel a fabric delivery travels on: a
+    ``Network._deliver`` entry's first two arguments; ``None`` for any
+    other callback."""
+    return args[:2] if _is(fn, Network._deliver) else None
 
 
 class ScheduleMismatch(Exception):
@@ -133,14 +118,22 @@ class ChoosingSimulator(Simulator):
         #: the handle of the planned crash's timer
         self._crash: int | None = None
 
-    def schedule(self, delay, callback) -> int:
-        handle = super().schedule(delay, callback)
-        self._channels[handle] = _channel(callback)
-        if getattr(callback, "__code__", None) is _CRASH:
-            self._crash = handle
+    def schedule(self, delay, fn, *args) -> int:
+        handle = super().schedule(delay, fn, *args)
+        self._note(handle, fn, args)
         return handle
 
-    def enabled(self) -> list[tuple[float, int, object]]:
+    def schedule_at(self, time, fn, *args) -> int:
+        handle = super().schedule_at(time, fn, *args)
+        self._note(handle, fn, args)
+        return handle
+
+    def _note(self, handle: int, fn, args: tuple) -> None:
+        self._channels[handle] = _channel(fn, args)
+        if _is(fn, FaultInjector._crash):
+            self._crash = handle
+
+    def enabled(self) -> list[tuple[float, int, object, tuple]]:
         """The callbacks that may fire next, oldest first."""
         live, heads = self._live, set()
         enabled = []
@@ -156,8 +149,7 @@ class ChoosingSimulator(Simulator):
         return enabled
 
     def step(self) -> bool:
-        self._purge_head()
-        if not self._heap:
+        if not self._live:
             return False
         enabled = self.enabled()
         index = len(self.taken)
@@ -173,18 +165,15 @@ class ChoosingSimulator(Simulator):
             None if crash is None
             else next(i for i, e in enumerate(enabled) if e[1] == crash)
         )
-        when, seq, callback = enabled[choice]
-        if choice == 0:
-            heapq.heappop(self._heap)  # the head: the plain pick
-        # a non-head entry stays in the heap, dead, until purged
+        when, seq, fn, args = enabled[choice]
+        # the entry stays in the heap, dead, until ``run`` purges it
         self._live.discard(seq)
         if seq == self._crash:
             # the crash happens at the step that picks it, and the site
             # stays down as long as planned: what is in flight then
             # lands after a short outage
-            (planned,) = callback.__defaults__
-            callback = functools.partial(
-                callback,
+            (planned,) = args
+            args = (
                 dataclasses.replace(
                     planned, at=self.now,
                     restart_at=self.now + planned.restart_at - planned.at,
@@ -195,7 +184,7 @@ class ChoosingSimulator(Simulator):
         for sampler in self._samplers:
             sampler.on_advance(self.now)
         self.processed += 1
-        callback()
+        fn(*args)
         return True
 
 

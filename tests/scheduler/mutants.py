@@ -15,7 +15,7 @@ import inspect
 import textwrap
 from unittest import mock
 
-from repro.scheduler import DistributedScheduler, guard_scheduler
+from repro.scheduler import DistributedScheduler, actors
 from repro.scheduler.actors import ActorStatus, BaseActor, Role
 from repro.scheduler.messages import NotYetReply, PromiseRequest, Release
 from repro.temporal import compiled
@@ -33,20 +33,20 @@ def eager_triggering():
     """Any promise request reaching an idle triggerable event causes it,
     as if every request were demanded.  The handlers are bound at
     import, so the mutant patches the dispatch table."""
-    handle = guard_scheduler._HANDLERS[PromiseRequest]
+    handle = actors.HANDLERS[PromiseRequest]
 
     def eager(actor, req):
         if actor.status is ActorStatus.IDLE:
             req = dataclasses.replace(req, demand=True)
         handle(actor, req)
 
-    return mock.patch.dict(guard_scheduler._HANDLERS, {PromiseRequest: eager})
+    return mock.patch.dict(actors.HANDLERS, {PromiseRequest: eager})
 
 
 def duplicate_releases():
     """A second copy of a certificate the current round holds is taken
     for a stale one: the freeze it carries is released."""
-    handle = guard_scheduler._HANDLERS[NotYetReply]
+    handle = actors.HANDLERS[NotYetReply]
 
     def release(role, reply):
         if (
@@ -65,7 +65,7 @@ def duplicate_releases():
             return
         handle(role, reply)
 
-    return mock.patch.dict(guard_scheduler._HANDLERS, {NotYetReply: release})
+    return mock.patch.dict(actors.HANDLERS, {NotYetReply: release})
 
 
 def no_escalation():
@@ -213,7 +213,7 @@ def _rewritten(owner, name: str, edits: dict):
     ``edits`` names a statement, deleted for ``None`` and replaced by
     the value otherwise.  A statement that is not in the source is an
     error, so a mutant cannot outlive its clause.  A message handler is
-    replaced in ``guard_scheduler._HANDLERS`` too."""
+    replaced in ``actors.HANDLERS`` too."""
     original = getattr(owner, name)
     lines, missing = [], set(edits)
     depth = None  # indentation of the statement being deleted
@@ -241,10 +241,10 @@ def _rewritten(owner, name: str, edits: dict):
     mutant = namespace[name]
     handlers = {
         kind: mutant
-        for kind, handler in guard_scheduler._HANDLERS.items()
+        for kind, handler in actors.HANDLERS.items()
         if handler is original
     }
     with mock.patch.object(owner, name, mutant), mock.patch.dict(
-        guard_scheduler._HANDLERS, handlers
+        actors.HANDLERS, handlers
     ):
         yield

@@ -16,11 +16,13 @@ from unittest import mock
 import pytest
 
 from repro.algebra.symbols import Event
-from repro.scheduler import DistributedScheduler, guard_scheduler
+from repro.scheduler import DistributedScheduler, actors
 from repro.scheduler.actors import Role
 from repro.scheduler.messages import PromiseGrant
 from repro.scheduler.oracle import judge
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import Network, UniformLatency
+from repro.sim.reliable import ReliableNetwork
 from repro.temporal.compiled import GuardCursor
 from repro.workloads.scenarios import make_mutex_scenario
 
@@ -68,6 +70,48 @@ class TestExplorer:
         assert got == ["timer", 3, 1, 2]
         assert sim.widths == [3, 2, 1, 1]
         assert sim.now == 5.0  # the clock never runs backwards
+
+    def test_session_payloads_and_acks_report_their_channels(self):
+        """The FIFO-head rule reads each delivery's channel off its heap
+        entry: a session payload travels a -> b, its ack b -> a, and
+        the retransmission timer is a plain callback."""
+        sim = ChoosingSimulator()
+        session = ReliableNetwork(Network(sim))
+        got = []
+        session.send("a", "b", "msg", 1, got.append)
+        session.send("a", "b", "msg", 2, got.append)
+        channels = [sim._channels[seq] for _t, seq, *_ in sorted(sim._heap)]
+        # two payloads, then their two timers (due later)
+        assert channels == [("a", "b"), ("a", "b"), None, None]
+        assert len(sim.enabled()) == 3  # the second payload waits
+        sim.step()  # the first payload lands and is acked
+        assert got == [1]
+        acks = [
+            sim._channels[seq] for _t, seq, _fn, args in sorted(sim._heap)
+            if seq in sim._live and args and args[2] == "ack"
+        ]
+        assert acks == [("b", "a")]
+
+    def test_a_plain_timer_reports_no_channel(self):
+        sim = ChoosingSimulator()
+        handle = sim.schedule(1.0, lambda: None)
+        assert sim._channels[handle] is None
+        assert sim._crash is None
+
+    def test_a_planned_crash_timer_is_found(self):
+        """The crash is one more enabled choice at every step until it
+        fires; its timer is recognised by its method, not its shape."""
+        sim = ChoosingSimulator()
+        faults = FaultInjector(sim, FaultPlan.of([planned_crash("s")]))
+        faults.arm()
+        sim.schedule(1.0, lambda: None)
+        assert sim._crash is not None
+        assert sim._channels[sim._crash] is None
+        sim.prefix = (1,)  # pick the crash ahead of the plain timer
+        sim.step()
+        assert sim.crashes == [1]
+        assert faults.is_down("s")
+        assert faults.crash_log == [("s", 0.0, DOWN_FOR)]
 
     def test_the_default_schedule_is_the_plain_simulator(self):
         scenario = travel()
@@ -197,7 +241,7 @@ class TestMutants:
 
     def test_a_dropped_promise_grant_loses_progress(self):
         mutant = mock.patch.dict(
-            guard_scheduler._HANDLERS,
+            actors.HANDLERS,
             {PromiseGrant: lambda actor, grant: None},
         )
         with mutant, pytest.raises(ScheduleFailure) as failure:

@@ -128,7 +128,7 @@ class TestCancellation:
     def test_cancel_of_fired_handle_leaves_no_residue(self):
         """Regression: cancelling an already-fired handle used to park
         its sequence number in a separate ``_cancelled`` set forever
-        (the entry never reappears in the heap, so ``_purge_head``
+        (the entry never reappears in the heap, so the head purge
         never discarded it), leaking memory over long chaos runs that
         cancel ack timers after they fired.  With the single ``_live``
         set, a late cancel discards nothing and records nothing."""
@@ -181,3 +181,42 @@ class TestCancellation:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.now == 1.0
+
+
+class TestArgsEntries:
+    """A heap entry is ``(time, seq, fn, args)`` and fires ``fn(*args)``:
+    the fabric queues a bound method and its arguments, not a closure."""
+
+    def test_args_are_passed_at_fire_time(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule_at(2.0, lambda *args: fired.append(args), "b", 2)
+        sim.run()
+        assert fired == ["a", ("b", 2)]
+
+    def test_equal_times_fire_in_insertion_order(self):
+        sim = Simulator()
+        fired = []
+        for tag in ("x", "y", "z"):
+            sim.schedule(1.0, fired.append, tag)
+        sim.schedule_at(1.0, fired.append, "at")
+        sim.schedule(0.5, fired.append, "early")
+        sim.run()
+        assert fired == ["early", "x", "y", "z", "at"]
+
+    def test_entry_shape(self):
+        sim = Simulator()
+        handle = sim.schedule(1.5, print, "p", 1)
+        assert sim._heap == [(1.5, handle, print, ("p", 1))]
+
+    def test_cancelling_one_leaves_nothing_behind(self):
+        sim = Simulator()
+        fired = []
+        sim.cancel(sim.schedule(1.0, fired.append, "cancelled"))
+        assert sim.pending == 0
+        sim.run()
+        assert fired == []
+        assert not sim._live
+        assert not sim._heap
+        assert sim.now == 0.0  # a cancelled entry never moves the clock

@@ -42,6 +42,30 @@ class TestLatencyModels:
     def test_zero_mean_exponential(self):
         assert ExponentialLatency(0.0).sample(random.Random(0), "a", "b") == 0.0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ConstantLatency(-3.0),
+            lambda: UniformLatency(-1.0, 2.0),
+            lambda: ExponentialLatency(-0.5),
+        ],
+        ids=["constant", "uniform", "exponential"],
+    )
+    def test_negative_latency_is_rejected(self, build):
+        """A delivery before its send cannot be simulated; it used to be
+        clamped to zero silently."""
+        with pytest.raises(ValueError, match="negative"):
+            build()
+
+    def test_zero_latency_is_accepted(self):
+        rng = random.Random(0)
+        assert ConstantLatency(0.0).sample(rng, "a", "b") == 0.0
+        assert UniformLatency(0.0, 0.0).sample(rng, "a", "b") == 0.0
+
+    def test_negative_service_time_is_rejected(self):
+        with pytest.raises(ValueError, match="negative service time at hub"):
+            _rig(service={"hub": -1.0, "edge": 0.0})
+
 
 class TestDelivery:
     def test_intra_site_is_free(self):

@@ -1119,6 +1119,37 @@ class TestJitterFlag:
         assert "--jitter" in capsys.readouterr().err
 
 
+class TestLatencyFlag:
+    """A negative latency fails closed, as a negative jitter does:
+    delivery used to be clamped to zero silently."""
+
+    def test_negative_latency_exits_two(self, travel_spec, capsys):
+        assert main([
+            "run", travel_spec, "--attempt", "s_buy=0",
+            "--attempt", "c_buy=5", "--latency", "-3",
+        ]) == 2
+        assert "--latency must be non-negative" in capsys.readouterr().err
+
+    def test_negative_latency_with_shards_exits_two(self, travel_spec, capsys):
+        assert main([
+            "run", travel_spec, "--shards", "2", "--latency", "-1"
+        ]) == 2
+        assert "--latency" in capsys.readouterr().err
+
+    def test_profile_rejects_a_negative_latency(self, travel_spec, capsys):
+        assert main([
+            "profile", travel_spec, "--attempt", "s_buy=0", "--latency", "-1"
+        ]) == 2
+        assert "--latency must be non-negative" in capsys.readouterr().err
+
+    def test_zero_latency_runs(self, travel_spec, capsys):
+        assert main([
+            "run", travel_spec, "--attempt", "s_buy=0",
+            "--attempt", "c_buy=5", "--latency", "0",
+        ]) == 0
+        capsys.readouterr()
+
+
 class TestFlightRecordFlag:
     def test_window_trace_is_bounded_and_checkable(
         self, travel_spec, tmp_path, capsys
