@@ -39,23 +39,30 @@ registry; ``--runs-dir DIR`` overrides ``.repro/runs``),
 ``--no-settle`` (leave unattempted bases unsettled -- parked events
 stay parked for ``explain`` to dissect), and, on the distributed
 scheduler only: ``--snapshot-every N`` (consistent global snapshots on
-a virtual-time cadence), ``--snapshot-out FILE`` (write them as JSON),
+a virtual-time cadence), ``--snapshot-out FILE`` (write them as JSON;
+needs ``--snapshot-every``),
 ``--prom FILE`` (write metrics in Prometheus text format),
 ``--profile [--profile-out FILE --profile-format F]`` (phase-attributed
 wall-time profile: text table, flamegraph collapsed stacks, or
 chrome://tracing JSON), ``--sample-every T`` (gauge time series on a
 virtual-time cadence, merged per shard in scale-out mode), and
-``--shards N [--instances K] [--workers M]`` (scale-out mode: the spec
-becomes a template, K suffixed instances are stamped out by renaming
-its compiled guards, and N schedulers run them in a process pool;
-timeline, trace, and metrics come back merged).
+``--shards N [--instances K] [--workers M] [--placement P]
+[--cross-dep EXPR]`` (scale-out mode: the spec becomes a template, K
+suffixed instances are stamped out by renaming its compiled guards,
+and N schedulers run them in a process pool; timeline, trace, and
+metrics come back merged; the four bracketed flags need ``--shards``).
+An ``--attempt`` names an event of the spec (of the template under
+``--shards``) at a time >= 0.
 
 Exit codes: ``run`` (single or ``--shards``) exits 1 on any
 violation or (with ``--slo``) failed SLO rule; otherwise 0 when the
 run ended *maximal* (every base settled) and 3 when it ended *stuck*
 or *down* (unsettled bases; ``down`` when one lives on a site lost for
 good) -- ``--json`` reports which as ``"terminal"``; 2 on usage errors
-and on a spec no trace satisfies (it is not run).  ``trace
+and on a spec no trace satisfies (it is not run).  Every command that
+loads a spec (``compile``, ``analyze``, ``graph``, ``run``,
+``profile``, ``trace check --spec``) exits 2 with a one-line message
+when the file is missing or malformed.  ``trace
 check`` exits 1 when the trace violates an invariant (an empty or
 truncated trace is reported, not a traceback) and, with ``--spec``,
 when its occurred timeline fails the spec's dependencies or guards
@@ -268,11 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--placement",
         choices=("round-robin", "min-cut"),
-        default="round-robin",
         help="with --shards: how instances are placed -- round-robin "
-        "(baseline) or min-cut (the constraint-aware partitioner "
-        "colocates instances coupled by --cross-dep dependencies, so "
-        "fewer shards have to be fused)",
+        "(the default, the baseline) or min-cut (the constraint-aware "
+        "partitioner colocates instances coupled by --cross-dep "
+        "dependencies, so fewer shards have to be fused)",
     )
     p_run.add_argument(
         "--cross-dep",
@@ -522,7 +528,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compile(args) -> int:
-    workflow = load(args.spec)
+    workflow = _load_spec(args.spec)
+    if workflow is None:
+        return 2
     compiled = compile_workflow(workflow)
     print(f"workflow {workflow.name}: {len(workflow.dependencies)} dependencies")
     guards = compiled.guards
@@ -539,7 +547,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    workflow = load(args.spec)
+    workflow = _load_spec(args.spec)
+    if workflow is None:
+        return 2
     report = analyze(workflow)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -555,7 +565,9 @@ def _cmd_automaton(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    workflow = load(args.spec)
+    workflow = _load_spec(args.spec)
+    if workflow is None:
+        return 2
     print(workflow_to_dot(workflow))
     return 0
 
@@ -573,33 +585,78 @@ def _cmd_guard(args) -> int:
     return 0
 
 
-def _parse_attempts(specs) -> list[ScriptedAttempt] | None:
-    """Parse ``--attempt EVENT=TIME`` flags; None (after a message) on error."""
+def _load_spec(path: str):
+    """The workflow of the spec file ``path``; ``None``, after a
+    one-line message, when it cannot be read or parsed."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        print(f"{path}: unreadable spec: {exc}", file=sys.stderr)
+        return None
+
+
+def _parse_attempts(specs, workflow) -> list[ScriptedAttempt] | None:
+    """Parse ``--attempt EVENT=TIME`` flags: an event of ``workflow``'s
+    alphabet (either polarity) at a finite time >= 0.  None (after a
+    message) on error."""
+    from repro.algebra.expressions import Atom
+
+    bases = {event.base for event in workflow.alphabet()}
     attempts = []
     for spec in specs:
         name, _, time_text = spec.partition("=")
         if not time_text:
             print(f"bad --attempt (want EVENT=TIME): {spec!r}", file=sys.stderr)
             return None
-        event_expr = parse(name.strip())
-        from repro.algebra.expressions import Atom
-
+        try:
+            event_expr = parse(name.strip())
+        except ValueError:
+            event_expr = None
         if not isinstance(event_expr, Atom):
             print(f"bad --attempt event: {name!r}", file=sys.stderr)
             return None
-        attempts.append(
-            ScriptedAttempt(float(time_text), event_expr.event)
-        )
+        if event_expr.event.base not in bases:
+            print(
+                f"bad --attempt event: {name!r} is not in the spec",
+                file=sys.stderr,
+            )
+            return None
+        try:
+            time = float(time_text)
+        except ValueError:
+            time = None
+        if time is None or not 0 <= time < float("inf"):
+            print(
+                f"bad --attempt time (want a number >= 0): {time_text!r}",
+                file=sys.stderr,
+            )
+            return None
+        attempts.append(ScriptedAttempt(time, event_expr.event))
     return attempts
 
 
 def _cmd_run(args) -> int:
-    workflow = load(args.spec)
-    attempts = _parse_attempts(args.attempt)
+    workflow = _load_spec(args.spec)
+    if workflow is None:
+        return 2
+    attempts = _parse_attempts(args.attempt, workflow)
     if attempts is None:
         return 2
     scheduler_cls = SCHEDULERS[args.scheduler]
-    snapshotting = args.snapshot_every is not None or args.snapshot_out
+    if args.shards is None:
+        for flag, given in (
+            ("--instances", args.instances is not None),
+            ("--workers", args.workers is not None),
+            ("--placement", args.placement is not None),
+            ("--cross-dep", bool(args.cross_dep)),
+        ):
+            if given:
+                print(f"{flag} needs --shards", file=sys.stderr)
+                return 2
+    if args.snapshot_out and args.snapshot_every is None:
+        print("--snapshot-out needs --snapshot-every", file=sys.stderr)
+        return 2
+    snapshotting = args.snapshot_every is not None
     if snapshotting and args.scheduler != "distributed":
         print(
             "--snapshot-every/--snapshot-out need --scheduler distributed",
@@ -963,6 +1020,7 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
     if args.workers is not None and args.workers < 1:
         print("--workers must be at least 1", file=sys.stderr)
         return 2
+    placement = args.placement or "round-robin"
     template = WorkflowTemplate(workflow)
     template_script = AgentScript("cli", attempts) if attempts else None
     instances = []
@@ -991,7 +1049,7 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
             latency=args.latency,
             profile=args.profile,
             sample_every=args.sample_every,
-            placement=args.placement.replace("-", "_"),
+            placement=placement.replace("-", "_"),
             cross_deps=args.cross_dep,
             flight_record=args.flight_record,
         )
@@ -1028,7 +1086,7 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
         "shards": sharded.shards,
         "instances": count,
         "workers": sharded.workers,
-        "placement": args.placement,
+        "placement": placement,
         "cut_weight": tasks.cut_weight,
     }
     return _finish_run(
@@ -1044,10 +1102,8 @@ def _cmd_trace(args) -> int:
     if args.trace_command == "check":
         workflow = None
         if args.spec:
-            try:
-                workflow = load(args.spec)
-            except (OSError, ValueError) as exc:
-                print(f"{args.spec}: unreadable spec: {exc}", file=sys.stderr)
+            workflow = _load_spec(args.spec)
+            if workflow is None:
                 return 2
         try:
             count, diagnostics = check_file(args.trace_file)
@@ -1261,8 +1317,10 @@ def _cmd_profile(args) -> int:
     """``repro profile``: one profiled distributed run of a spec."""
     from repro.obs.profile import Profiler, dump, format_report
 
-    workflow = load(args.spec)
-    attempts = _parse_attempts(args.attempt)
+    workflow = _load_spec(args.spec)
+    if workflow is None:
+        return 2
+    attempts = _parse_attempts(args.attempt, workflow)
     if attempts is None:
         return 2
     if args.latency < 0:

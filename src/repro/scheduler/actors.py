@@ -55,7 +55,7 @@ from repro.scheduler.messages import (
     SyncReply,
     SyncRequest,
 )
-from repro.temporal.compiled import NOT_YET_MASK, solicitations
+from repro.temporal.compiled import NOT_YET_MASK
 from repro.temporal.cubes import (
     C_OCC,
     DIA_COMP_MASK,
@@ -63,8 +63,6 @@ from repro.temporal.cubes import (
     E_OCC,
     FULL,
     GuardExpr,
-    P_C,
-    P_E,
 )
 from repro.temporal.guards import Binding, as_guard
 
@@ -409,8 +407,7 @@ class Role:
         Returns True when a new demand was issued."""
         if self.status is not ActorStatus.PENDING:
             return False
-        _demand, plans = solicitations(self.guard, self.knowledge)
-        for cube, promises, certificates in plans:
+        for cube, promises, certificates in self.cursor.escalation_plans():
             if cube in self._escalated_cubes:
                 continue
             self._escalated_cubes.add(cube)
@@ -465,19 +462,18 @@ class Role:
             return
         self._decide_grant(req)
 
-    def _grant_assumption(self, req: PromiseRequest) -> dict[Event, int]:
-        assumed = dict(self.knowledge)
-        for member in (req.requester,) + tuple(req.chain):
-            mask = DIA_COMP_MASK if member.negated else DIA_MASK
-            assumed[member.base] = assumed.get(member.base, FULL) & mask
-        return assumed
-
     def _decide_grant(self, req: PromiseRequest) -> None:
+        """Grant, chain or hold ``req`` by the node's grant decision
+        (:func:`repro.temporal.compiled.grant_decision`) under the
+        eventualities of the requester chain."""
         requester = req.requester
-        assumed = self._grant_assumption(req)
-        if not self.guard.possible_under(assumed):
+        possible, secured, targets = self.cursor.grant([
+            (member.base, DIA_COMP_MASK if member.negated else DIA_MASK)
+            for member in (requester, *req.chain)
+        ])
+        if not possible:
             return  # no promise; the outcome is announced either way
-        if self._secured_cube(assumed) is not None:
+        if secured:
             self.granted_to.add(requester)
             self.sched.note_promise()
             self.sched.send_to_role(
@@ -490,54 +486,9 @@ class Role:
         # demanded request keeps its urgency down the chain, so
         # quiescence escalation pushes whole chains through.
         chain = tuple(req.chain) + (self.event,)
-        for target in self._chain_targets(assumed):
+        for target in targets:
             self._request_promise(target, demand=req.demand, chain=chain)
         self.pending_grant_reqs.append(req)
-
-    def _secured_cube(self, assumed: dict[Event, int]):
-        """A cube whose directional (eventuality) needs are all met.
-
-        A mask confined to one direction (``{E,P_E}``-side or
-        ``{C,P_C}``-side) demands that the base eventually settles that
-        way; it is secured when knowledge rules out the other
-        direction.  Direction-ambivalent masks (the ``!``-style
-        literals) resolve at fire time via certificates, so they are
-        not gating here.
-        """
-        for cube in self.guard.sorted_cubes():
-            good = True
-            for base, mask in cube:
-                known = assumed.get(base, FULL)
-                if known & mask == 0:
-                    good = False
-                    break
-                e_side = mask & (C_OCC | P_C) == 0
-                c_side = mask & (E_OCC | P_E) == 0
-                if e_side and known & (C_OCC | P_C):
-                    good = False
-                    break
-                if c_side and known & (E_OCC | P_E):
-                    good = False
-                    break
-            if good:
-                return cube
-        return None
-
-    def _chain_targets(self, assumed: dict[Event, int]) -> list[Event]:
-        """Signed events whose promises would secure some possible cube."""
-        targets: list[Event] = []
-        for cube in self.guard.sorted_cubes():
-            if not all(assumed.get(b, FULL) & m for b, m in cube):
-                continue
-            for base, mask in cube:
-                known = assumed.get(base, FULL)
-                e_side = mask & (C_OCC | P_C) == 0
-                c_side = mask & (E_OCC | P_E) == 0
-                if e_side and known & (C_OCC | P_C):
-                    targets.append(base)
-                elif c_side and known & (E_OCC | P_E):
-                    targets.append(base.complement)
-        return targets
 
     def _process_pending_grants(self) -> None:
         pending, self.pending_grant_reqs = self.pending_grant_reqs, []

@@ -12,18 +12,22 @@ pointer:
   knowledge restricted to the residual's bases)`` -- the complete
   input of every per-announcement computation the cube engine
   performs.  Restriction is sound because ``simplify_under``,
-  ``region_subsumes``, ``possible_under`` and the solicitation plan
-  consult the knowledge map **only** at bases the residual's cubes
-  mention;
+  ``region_subsumes``, ``possible_under``, the solicitation plans and
+  the grant decision consult the knowledge map **only** at bases the
+  residual's cubes mention;
 * *learn edges* move between nodes as knowledge tightens: one interned
   dict hop per announcement, zero cube allocation.  A base outside the
   residual's support is a self-loop;
 * each node lazily computes -- once, across all actors sharing the
   node -- its **verdict** (fire / park / never, exactly Section 4.3's
   evaluation rule), its **assimilation successor** (the
-  ``simplify_under`` result, re-interned) and its **solicitation plan**
-  (:func:`solicitations`); its **wake set** (the wake rule below) is
-  the residual's support, cached on the guard;
+  ``simplify_under`` result, re-interned), its **solicitation plans**
+  (:func:`solicitations`: the first is what a parked role solicits,
+  all of them what quiescence escalation demands) and its **grant
+  decision** (:func:`grant_decision`, asked on the node a promise
+  request's chain refines to); its **wake set** (the wake rule below)
+  is the residual's support, cached on the guard.  No guard question
+  of a run reads a real-name guard;
 * terminal nodes are the constant guards: an unsatisfiable conjunction
   or dead event compiles to the constant-false node whose verdict is
   permanently ``never`` (surfaced as a warning by ``repro analyze``).
@@ -248,7 +252,9 @@ def solicitations(
     stays lazy.
 
     The one definition of soliciting: nodes call it in slot space
-    (:meth:`GuardNode.plan`), quiescence escalation in real space.
+    (:meth:`GuardNode.plans`, behind both the first plan a parked role
+    sends and the plans quiescence escalation walks), the reference
+    cursor on the real names.
     """
     possible = 0
     plans = []
@@ -292,6 +298,51 @@ def first_solicitation(
     return demand, promises, needs
 
 
+def grant_decision(
+    guard: GuardExpr, assumed: Mapping[Event, int]
+) -> tuple[bool, bool, tuple[Event, ...]]:
+    """Section 4.3's promise rule for one grantee: ``(possible,
+    secured, chain targets)`` of its residual ``guard`` under
+    ``assumed``, its knowledge with the requester chain's
+    eventualities added.
+
+    ``possible`` says some cube can still hold (``possible_under``);
+    without it there is no promise.  A literal confined to one
+    direction demands that its base eventually settles that way, and
+    the need is met when ``assumed`` rules out the other direction;
+    direction-ambivalent (``!``-style) literals resolve at fire time
+    through certificates, so they do not gate a grant.  ``secured``
+    says some cube ``assumed`` admits has every such need met: the
+    grant goes out.  Otherwise the chain targets, in canonical cube
+    order, are the signed events whose promises would meet the needs
+    of the cubes ``assumed`` admits.
+
+    The one definition of granting: nodes call it in slot space
+    (:meth:`GuardNode.grant`), the reference cursor on the real names.
+    """
+    possible = secured = False
+    targets: list[Event] = []
+    for cube in guard.sorted_cubes():
+        admits = True
+        wanted = []
+        for base, mask in cube:
+            known = assumed.get(base, FULL)
+            if not closure(known) & mask:
+                break  # the cube can no longer hold
+            if not known & mask:
+                admits = False
+            elif not mask & DIA_COMP_MASK and known & DIA_COMP_MASK:
+                wanted.append(base)  # needs <>base
+            elif not mask & DIA_MASK and known & DIA_MASK:
+                wanted.append(base.complement)  # needs <>~base
+        else:
+            possible = True
+            if admits:
+                secured = secured or not wanted
+                targets += wanted
+    return possible, secured, tuple(targets)
+
+
 class GuardNode:
     """One interned automaton state: ``(residual, restricted knowledge)``.
 
@@ -301,7 +352,8 @@ class GuardNode:
     """
 
     __slots__ = (
-        "engine", "residual", "know", "_edges", "_next", "_verdict", "_plan",
+        "engine", "residual", "know", "_edges", "_next", "_verdict",
+        "_plans", "_grant",
     )
 
     def __init__(self, engine: "CompiledGuardEngine", residual: GuardExpr, know: Know):
@@ -311,7 +363,8 @@ class GuardNode:
         self._edges: dict[tuple[Event, int], GuardNode] = {}
         self._next: GuardNode | None = None
         self._verdict: str | None = None
-        self._plan: tuple | None = None
+        self._plans: tuple | None = None
+        self._grant: tuple | None = None
 
     # -- transitions ---------------------------------------------------
 
@@ -396,14 +449,25 @@ class GuardNode:
             self.engine.hops += 1
         return v
 
-    def plan(self) -> tuple:
-        """This state's :func:`first_solicitation`."""
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = first_solicitation(
+    def plans(self) -> tuple:
+        """This state's :func:`solicitations`: the first plan is what a
+        parked role solicits, all of them what escalation demands."""
+        plans = self._plans
+        if plans is None:
+            plans = self._plans = solicitations(
                 self.residual, dict(self.know)
             )
-        return plan
+        return plans
+
+    def grant(self) -> tuple:
+        """This state's :func:`grant_decision`; a grantee asks it on
+        the node its requester chain's eventualities refine to."""
+        grant = self._grant
+        if grant is None:
+            grant = self._grant = grant_decision(
+                self.residual, dict(self.know)
+            )
+        return grant
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GuardNode({self.residual!r}, know={len(self.know)})"
@@ -429,6 +493,7 @@ class GuardCursor:
     __slots__ = (
         "engine", "knowledge", "node", "to_slot", "from_slot",
         "_entry", "_guard", "_rendered", "_plan_node", "_plan",
+        "_plans_node", "_plans",
     )
 
     def __init__(
@@ -449,6 +514,7 @@ class GuardCursor:
         self.knowledge = knowledge
         self.node: GuardNode | None = None
         self._plan_node: GuardNode | None = None
+        self._plans_node: GuardNode | None = None
 
     def _bind(self) -> GuardNode:
         """Take the entry's binding and enter the automaton at its
@@ -513,18 +579,34 @@ class GuardCursor:
     def verdict(self) -> str:
         return (self.node or self._bind()).verdict()
 
-    def transient_verdict(
-        self, facts: Iterable[tuple[Event, int]]
-    ) -> str:
-        """Verdict under transient facts (certificate rounds): descend
-        along learn edges without moving this cursor."""
+    def _refined(self, facts: Iterable[tuple[Event, int]]) -> GuardNode:
+        """The node under transient facts: descend along refined edges
+        without moving this cursor."""
         node = self.node or self._bind()
         to_slot = self.to_slot
         for base, mask in facts:
             slot = to_slot.get(base)
             if slot is not None:
                 node = node.refined(slot, mask)
-        return node.verdict()
+        return node
+
+    def transient_verdict(
+        self, facts: Iterable[tuple[Event, int]]
+    ) -> str:
+        """Verdict under transient facts (certificate rounds)."""
+        return self._refined(facts).verdict()
+
+    def grant(
+        self, facts: Iterable[tuple[Event, int]]
+    ) -> tuple[bool, bool, tuple[Event, ...]]:
+        """:func:`grant_decision` under assumed facts (a promise
+        request's chain), read on the refined node as certificate rounds
+        read their verdict; the chain targets are translated back."""
+        possible, secured, targets = self._refined(facts).grant()
+        if targets:
+            from_slot = self.from_slot
+            targets = tuple([rename_event(t, from_slot) for t in targets])
+        return possible, secured, targets
 
     def wakes_on(self, base: Event) -> bool:
         """Can an announcement on ``base`` move the bound node?  Iff
@@ -537,15 +619,38 @@ class GuardCursor:
         the node's once per node change."""
         node = self.node or self._bind()
         if node is not self._plan_node:
-            demand, promises, needs = node.plan()
-            from_slot = self.from_slot
-            self._plan = (
-                demand,
-                tuple([rename_event(p, from_slot) for p in promises]),
-                tuple([from_slot[b] for b in needs]),
-            )
+            demand, plans = node.plans()
+            if plans:
+                _cube, promises, needs = plans[0]
+                from_slot = self.from_slot
+                self._plan = (
+                    demand,
+                    tuple([rename_event(p, from_slot) for p in promises]),
+                    tuple([from_slot[b] for b in needs]),
+                )
+            else:
+                self._plan = (False, (), ())
             self._plan_node = node
         return self._plan
+
+    def escalation_plans(self) -> list:
+        """:func:`solicitations`' plans, translated from the node's
+        once per node change.  The cubes stay in slot space: they only
+        key a role's escalation record, which every :meth:`reset`
+        clears."""
+        node = self.node or self._bind()
+        if node is not self._plans_node:
+            from_slot = self.from_slot
+            self._plans = [
+                (
+                    cube,
+                    tuple([rename_event(p, from_slot) for p in promises]),
+                    tuple([from_slot[b] for b in needs]),
+                )
+                for cube, promises, needs in node.plans()[1]
+            ]
+            self._plans_node = node
+        return self._plans
 
     def reset(
         self, entry: Binding | GuardExpr, knowledge: dict[Event, int]
@@ -590,14 +695,23 @@ class ReferenceCursor:
     def verdict(self) -> str:
         return _verdict(self.guard, self.knowledge)
 
-    def transient_verdict(self, facts: Iterable[tuple[Event, int]]) -> str:
+    def _refined(self, facts: Iterable[tuple[Event, int]]) -> dict:
         transient = dict(self.knowledge)
         for base, mask in facts:
             transient[base] = transient.get(base, FULL) & mask
-        return _verdict(self.guard, transient)
+        return transient
+
+    def transient_verdict(self, facts: Iterable[tuple[Event, int]]) -> str:
+        return _verdict(self.guard, self._refined(facts))
+
+    def grant(self, facts: Iterable[tuple[Event, int]]) -> tuple:
+        return grant_decision(self.guard, self._refined(facts))
 
     def plan(self) -> tuple:
         return first_solicitation(self.guard, self.knowledge)
+
+    def escalation_plans(self) -> list:
+        return solicitations(self.guard, self.knowledge)[1]
 
     def reset(
         self, entry: Binding | GuardExpr, knowledge: Mapping[Event, int]

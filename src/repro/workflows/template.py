@@ -48,7 +48,8 @@ suite checks over the workload generators).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.algebra.expressions import rename_expr
@@ -85,12 +86,19 @@ class WorkflowInstance:
     template's shape under this instance's names;
     :func:`~repro.temporal.guards.render` gives the real-name guards)
     and the base rename ``mapping`` that produced it (empty for the
-    empty suffix; the template's own, shared, so not to be mutated)."""
+    empty suffix; the template's own, shared, so not to be mutated).
+
+    The guard table is stamped when it is first read, so an instance
+    whose scheduler synthesizes its own table stamps none."""
 
     suffix: str
     workflow: Workflow
-    guards: dict[Event, Binding]
     mapping: dict[Event, Event]
+    template: "WorkflowTemplate" = field(repr=False, compare=False)
+
+    @cached_property
+    def guards(self) -> dict[Event, Binding]:
+        return self.template._stamp_guards(self)
 
     def instantiate_script(self, script: AgentScript) -> AgentScript:
         """Rename a template-level agent script for this instance."""
@@ -167,32 +175,23 @@ class WorkflowTemplate:
 
     def instantiate(self, suffix: str) -> WorkflowInstance:
         """Stamp out one instance: renamed events and sites, and the
-        template's guard and dependency bindings composed with the
-        suffix's rename."""
+        template's dependency bindings composed with the suffix's
+        rename (its guard bindings are, when first read)."""
         with span(self.profiler, "template_stamp"):
             mapping = self.mapping_for(suffix)
             if not mapping:
                 dependencies = list(self._dependencies)
-                guards = dict(self.guards)
                 self.fast_instantiations += 1
             elif self._order_preserving(mapping):
                 dependencies = [
                     stamp_dependency(dep, mapping)
                     for dep in self._dependencies
                 ]
-                # the template maps every base it holds, so every key
-                # and binding of its table has an image
-                guards = {}
-                for event, binding in self.guards.items():
-                    target = mapping[event.base]
-                    key = target.complement if event.negated else target
-                    guards[key] = binding.renamed(mapping)
                 self.fast_instantiations += 1
             else:
                 dependencies = [
                     rename_expr(dep, mapping) for dep in self._dependencies
                 ]
-                guards = workflow_bindings(dependencies)
                 self.fallback_instantiations += 1
             source = self.workflow
             instance = Workflow(
@@ -208,11 +207,29 @@ class WorkflowTemplate:
                 },
             )
         return WorkflowInstance(
-            suffix=suffix,
-            workflow=instance,
-            guards=guards,
-            mapping=mapping,
+            suffix=suffix, workflow=instance, mapping=mapping, template=self
         )
+
+    def _stamp_guards(
+        self, instance: WorkflowInstance
+    ) -> dict[Event, Binding]:
+        """``instance``'s guard table: the template's bindings composed
+        with its rename, or, for an order-violating suffix, its own
+        dependencies' bindings."""
+        with span(self.profiler, "template_stamp"):
+            mapping = instance.mapping
+            if not mapping:
+                return dict(self.guards)
+            if not self._order_preserving(mapping):
+                return workflow_bindings(instance.workflow.dependencies)
+            # the template maps every base it holds, so every key and
+            # binding of its table has an image
+            guards = {}
+            for event, binding in self.guards.items():
+                target = mapping[event.base]
+                key = target.complement if event.negated else target
+                guards[key] = binding.renamed(mapping)
+            return guards
 
     def _claim(self, suffix: str, claimed: set[str]) -> None:
         """Add the base names of instance ``suffix`` to ``claimed``;
@@ -243,19 +260,34 @@ class WorkflowTemplate:
         event-disjoint: a base two of them would share raises
         :class:`ValueError` (its events would settle once per copy).
         """
+        merged, instances = self._merged(suffixes)
+        guards: dict[Event, Binding] = {}
+        for inst in instances:
+            guards |= inst.guards
+        return merged, guards
+
+    def merged_workflow(self, suffixes: Iterable[str]) -> Workflow:
+        """:meth:`instantiate_merged`'s workflow alone, for a scheduler
+        that synthesizes its own table: no guard is synthesized or
+        stamped."""
+        return self._merged(suffixes)[0]
+
+    def _merged(
+        self, suffixes: Iterable[str]
+    ) -> tuple[Workflow, list[WorkflowInstance]]:
         names: list[str] = []
         merged = Workflow("")
-        guards: dict[Event, Binding] = {}
+        instances: list[WorkflowInstance] = []
         claimed: set[str] = set()
         for suffix in suffixes:
             self._claim(suffix, claimed)
             inst = self.instantiate(suffix)
+            instances.append(inst)
             names.append(inst.workflow.name)
             merged.dependencies += inst.workflow.dependencies
             merged.attributes |= inst.workflow.attributes
             merged.sites |= inst.workflow.sites
-            guards |= inst.guards
         if not names:
             raise ValueError("instantiate_merged needs at least one suffix")
         merged.name = "+".join(names)
-        return merged, guards
+        return merged, instances

@@ -174,11 +174,12 @@ class MutexFamily:
 
     def merged(self) -> tuple[Workflow, list[AgentScript]]:
         """One big workflow (all instances + cross deps) for the
-        single-scheduler baseline, with the same scripts."""
+        single-scheduler baseline, with the same scripts.  Its
+        scheduler synthesizes the guard table, so none is stamped."""
         from repro.workflows.template import WorkflowTemplate
 
         template = WorkflowTemplate(self.template)
-        workflow, _guards = template.instantiate_merged(self.suffixes())
+        workflow = template.merged_workflow(self.suffixes())
         for dep in self.cross_dependencies:
             workflow.add(dep)
         scripts = [s for _suffix, ss in self.instances for s in ss]

@@ -21,7 +21,8 @@ itself: a :class:`GuardCursor` (and the tests' :class:`ReferenceCursor`)
 driven through randomized guard tables and knowledge orders must
 report, at every step, exactly the verdict, residual, and wake
 decision the ``simplify_under`` engine computes -- and renamed copies of one
-guard must report it on their own names while sharing its nodes.
+guard must report it on their own names while sharing its nodes, down
+to the grant decision and the escalation plans.
 """
 
 from unittest import mock
@@ -38,7 +39,7 @@ from repro.temporal.compiled import (
     _restrict,
     first_solicitation,
 )
-from repro.temporal.cubes import FULL, literal
+from repro.temporal.cubes import DIA_COMP_MASK, DIA_MASK, FULL, literal
 from repro.workloads.scenarios import make_travel_booking
 
 from .test_watch_equivalence import (
@@ -193,7 +194,7 @@ class TestPlanOnTheNode:
         with checking_plans(seen):
             for factory in SCENARIOS.values():
                 run_engine(factory(), None, 0, reference=False)
-        assert all(node._plan is not None for node in seen)
+        assert all(node._plans is not None for node in seen)
         assert 0 < len(set(map(id, seen))) < len(seen)
 
     def test_reference_engine_plans_without_a_node(self):
@@ -413,3 +414,55 @@ class TestRenamedCopiesShareNodes:
             drive(mapping)
         assert len(engine) == nodes
         drive(DISORDERED_COPY)
+
+
+#: requester chains of a promise request: signed events of the pool
+requester_chains = st.lists(st.sampled_from(SIGNED), min_size=1, max_size=3)
+
+
+class TestProtocolAnswersOnTheNode:
+    """The grant decision and the escalation plans a role reads off its
+    node, translated through the copy's binding, are what the reference
+    computes on the real names."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        guard_exprs(),
+        knowledge_steps(),
+        requester_chains,
+        st.sampled_from([*ORDERED_COPIES, DISORDERED_COPY]),
+    )
+    def test_grant_and_escalation_agree_with_the_reference(
+        self, guard, steps, chain, mapping
+    ):
+        engine = CompiledGuardEngine()
+        knowledge: dict[Event, int] = {}
+        copy = guard.rename(mapping)
+        compiled = engine.cursor(copy, knowledge)
+        reference = ReferenceCursor(copy)
+        # ``Role._decide_grant``'s facts: ``<>member`` for each member
+        facts = [
+            (mapping[m.base], DIA_COMP_MASK if m.negated else DIA_MASK)
+            for m in chain
+        ]
+        for base, mask, assimilate in steps:
+            base = mapping[base]
+            updated = knowledge.get(base, FULL) & mask
+            if updated != knowledge.get(base, FULL):
+                knowledge[base] = updated
+                compiled.learn(base, updated)
+                reference.learn(base, updated)
+            if assimilate:
+                compiled.assimilate()
+                reference.assimilate()
+            grant = compiled.grant(facts)
+            assert grant == reference.grant(facts), (copy, knowledge, chain)
+            assumed = dict(knowledge)
+            for fact_base, fact_mask in facts:
+                assumed[fact_base] = assumed.get(fact_base, FULL) & fact_mask
+            assert grant[0] == reference.guard.possible_under(assumed)
+            from_slot = compiled.from_slot
+            assert [
+                (tuple((from_slot[b], m) for b, m in cube), promises, needs)
+                for cube, promises, needs in compiled.escalation_plans()
+            ] == reference.escalation_plans(), (copy, knowledge)

@@ -23,10 +23,15 @@ from repro.temporal import compiled
 
 def no_chaining():
     """A promise is granted whenever the grantee's guard is still
-    possible, without securing the grantee's own eventuality needs."""
-    return mock.patch.object(
-        Role, "_secured_cube", lambda self, assumed: True
-    )
+    possible, without securing the grantee's own eventuality needs:
+    the grant rule both engines ask chains nothing."""
+    rule = compiled.grant_decision
+
+    def grant_when_possible(guard, assumed):
+        possible, _secured, _targets = rule(guard, assumed)
+        return possible, True, ()
+
+    return mock.patch.object(compiled, "grant_decision", grant_when_possible)
 
 
 def eager_triggering():

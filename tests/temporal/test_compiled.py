@@ -14,6 +14,7 @@ from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.temporal import compiled
 from repro.temporal.compiled import (
     CompiledGuardEngine,
+    GuardCursor,
     _restrict,
     _set_know,
     clear_compiled,
@@ -32,7 +33,8 @@ from repro.temporal.cubes import (
 )
 from repro.temporal.guards import render, workflow_bindings
 from repro.workflows import WorkflowTemplate
-from repro.workloads.scenarios import make_travel_booking
+from repro.scheduler.agents import AgentScript, ScriptedAttempt
+from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 A, B, C = Event("a"), Event("b"), Event("c")
 X, Y = Event("x"), Event("y")
@@ -376,3 +378,49 @@ class TestBindingEntry:
             role.cursor.verdict()
             role.cursor.verdict()
         assert [guard for (guard,) in slot_guards] == list(table.values())
+
+
+class TestNoRealNameGuardDuringARun:
+    """Every guard question a role asks during a run -- verdict, first
+    plan, grant, escalation -- is answered on its node: an untraced run
+    renders no residual to the real names."""
+
+    @staticmethod
+    def _reads(monkeypatch, deps, scripts, **placement):
+        reads = []
+        rendered = GuardCursor.guard
+
+        def counting(cursor):
+            reads.append(cursor)
+            return rendered.fget(cursor)
+
+        monkeypatch.setattr(GuardCursor, "guard", property(counting))
+        result = DistributedScheduler(deps, **placement).run(scripts)
+        assert result.ok and not result.unsettled
+        return reads
+
+    def test_travel_reads_no_real_name_guard(self, monkeypatch):
+        scenario = make_travel_booking("success")
+        workflow = scenario.workflow
+        assert self._reads(
+            monkeypatch, workflow.dependencies, scenario.scripts,
+            sites=workflow.sites, attributes=workflow.attributes,
+        ) == []
+
+    def test_coupled_mutex_reads_no_real_name_guard(self, monkeypatch):
+        workflow, scripts = make_mutex_family(2, cluster=2).merged()
+        assert self._reads(
+            monkeypatch, workflow.dependencies, scripts,
+            sites=workflow.sites, attributes=workflow.attributes,
+        ) == []
+
+    def test_example_11_reads_no_real_name_guard(self, monkeypatch):
+        """Example 11's promises are granted off the refined node."""
+        e, f = Event("e"), Event("f")
+        scripts = [
+            AgentScript("se", [ScriptedAttempt(0.0, e)]),
+            AgentScript("sf", [ScriptedAttempt(0.0, f)]),
+        ]
+        assert self._reads(
+            monkeypatch, [parse("~e + f"), parse("~f + e")], scripts
+        ) == []

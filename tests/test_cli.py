@@ -1420,3 +1420,85 @@ class TestRunsCommands:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["shards"]) == 2
         assert {row["shard"] for row in doc["shards"]} == {0, 1}
+
+
+class TestFailsClosed:
+    """Every command that loads a spec, and ``run``'s flag checks,
+    exit 2 with one line on stderr, never a traceback (exit 1 is
+    ``run``'s code for a violation)."""
+
+    BAD_SPECS = {
+        "malformed": "workflow bad\ndep a +\n",
+        "unknown_flag": "workflow bad\ndep ~a + b\nattr a triggerable=maybe\n",
+        "missing": None,
+    }
+
+    @pytest.mark.parametrize(
+        "command", ["compile", "analyze", "graph", "run", "profile"]
+    )
+    @pytest.mark.parametrize("bad", sorted(BAD_SPECS))
+    def test_bad_spec_exits_two(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "bad.wf"
+        if self.BAD_SPECS[bad] is not None:
+            path.write_text(self.BAD_SPECS[bad])
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{path}: unreadable spec: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    @pytest.mark.parametrize(
+        "attempt", ["e=x", "e=-1", "e=nan", "zz=0", "~zz=0", "e .=0"]
+    )
+    def test_bad_attempt_exits_two(self, spec_file, capsys, command, attempt):
+        assert main([command, spec_file, "--attempt", attempt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad --attempt")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_complement_attempt_is_in_the_spec(self, spec_file, capsys):
+        assert main(["run", spec_file, "--attempt", "~e=0"]) == 0
+
+    def test_sharded_attempt_names_a_template_event(
+        self, travel_spec, capsys
+    ):
+        """Under ``--shards`` an attempt is template-level: a suffixed
+        instance event is not in the template's alphabet."""
+        for attempt in ("zz=0", "s_buy_i0=0"):
+            code = main(
+                ["run", travel_spec, "--shards", "1", "--attempt", attempt]
+            )
+            assert code == 2
+            assert "is not in the spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cross-dep", "~s_book_i0 + s_buy_i1"],
+            ["--instances", "2"],
+            ["--workers", "1"],
+            ["--placement", "min-cut"],
+            ["--placement", "round-robin"],
+        ],
+        ids=["cross-dep", "instances", "workers", "min-cut", "round-robin"],
+    )
+    def test_shard_flag_without_shards_exits_two(
+        self, travel_spec, capsys, flags
+    ):
+        # used to exit 0 with the flag silently ignored
+        assert main(["run", travel_spec, "--attempt", "s_buy=0", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{flags[0]} needs --shards\n"
+        assert captured.out == ""
+
+    def test_snapshot_out_without_cadence_exits_two(
+        self, travel_spec, tmp_path, capsys
+    ):
+        # used to write [] and exit 0
+        out = tmp_path / "snaps.json"
+        argv = ["run", travel_spec, "--snapshot-out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "--snapshot-out needs --snapshot-every\n"
+        )
+        assert not out.exists()

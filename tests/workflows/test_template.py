@@ -7,6 +7,7 @@ from repro.algebra.symbols import Event
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.temporal.guards import render, workflow_guards
 from repro.workflows import WorkflowTemplate
+from repro.workflows import template as template_module
 from repro.workflows.spec import Workflow
 from repro.workflows.template import (
     rename_event,
@@ -19,7 +20,7 @@ from repro.workloads.generators import (
     fanout_workflow,
     saga_workflow,
 )
-from repro.workloads.scenarios import make_travel_booking
+from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 
 class TestRenameHelpers:
@@ -205,6 +206,30 @@ class TestWorkflowTemplate:
             template.instantiate_merged(["", "_x"])
         merged, guards = template.instantiate_merged(["", "_y"])
         assert len(merged.dependencies) == 2 and len(guards) == 8
+
+    def test_merged_workflow_synthesizes_and_stamps_nothing(
+        self, monkeypatch
+    ):
+        """The merged workflow alone reads no guard table: the one a
+        scheduler then synthesizes is the only one built."""
+        suffixes = ["_i0", "_i1", "_i2"]
+        template = WorkflowTemplate(make_travel_booking().workflow)
+        expected, _guards = WorkflowTemplate(
+            template.workflow
+        ).instantiate_merged(suffixes)
+
+        def no_synthesis(dependencies):
+            raise AssertionError("a guard table was built")
+
+        monkeypatch.setattr(template_module, "workflow_bindings", no_synthesis)
+        assert template.merged_workflow(suffixes) == expected
+        family = make_mutex_family(8, cluster=4)
+        workflow, scripts = family.merged()
+        assert len(workflow.dependencies) == 2 * 8 + len(
+            family.cross_dependencies
+        )
+        with pytest.raises(ValueError, match="not event-disjoint"):
+            template.merged_workflow(["_i0", "_i0"])
 
     def test_instantiate_merged_rejects_empty(self):
         template = WorkflowTemplate(make_travel_booking().workflow)
