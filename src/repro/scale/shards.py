@@ -275,15 +275,18 @@ def run_shard(task: ShardTask) -> ShardOutcome:
 
     The shard's cross dependencies are ordinary dependencies of its
     scheduler: synthesized (through the shape table), enforced,
-    monitored and verified by the same code as the workflow's own.  The
-    stamped table covers only the template, so it is handed over whole
-    only when the shard carries none.
+    monitored and verified by the same code as the workflow's own.  A
+    stamped table covers only the template, so it is stamped and handed
+    over only when the shard carries none; otherwise the scheduler
+    synthesizes the whole table and none is stamped.
     """
     profiler = Profiler() if task.profile else None
     template = WorkflowTemplate(task.workflow, profiler=profiler)
-    merged, stamped = template.instantiate_merged(
-        [instance.suffix for instance in task.instances]
-    )
+    suffixes = [instance.suffix for instance in task.instances]
+    if task.cross_dependencies:
+        merged, stamped = template.merged_workflow(suffixes), None
+    else:
+        merged, stamped = template.instantiate_merged(suffixes)
     tracer = task.build_tracer()
     scheduler = DistributedScheduler(
         merged.dependencies + list(task.cross_dependencies),
@@ -293,7 +296,7 @@ def run_shard(task: ShardTask) -> ShardOutcome:
             ConstantLatency(task.latency) if task.latency is not None else None
         ),
         rng=random.Random(task.seed),
-        guards=None if task.cross_dependencies else stamped,
+        guards=stamped,
         reliable=task.reliable,
         tracer=tracer,
         profiler=profiler,

@@ -1,17 +1,18 @@
 """Base actors: the distributed unit of scheduling (Sections 2, 4.3).
 
 One actor per base holds both polarity guards; facts are announced
-once per destination base.  A base and its complement are one
-decision.  Each polarity is a :class:`Role` with its own guard (as a
-cube region, :mod:`repro.temporal.cubes`), its own *knowledge* about
-other bases (a world mask per base, tightened monotonically as
-messages arrive) and its own protocol bookkeeping, since a grant is
-conditional on its requester.  The :class:`BaseActor` keeps what they
-share -- settlement, freezes and deferred certificate requests -- and
-hands each announcement to the roles that subscribe.  Actors and roles
-are their own message handlers: the fabric delivers a message to the
-addressee's ``receive``, which looks its type up in :data:`HANDLERS`.
-Each role runs the two consensus subprotocols the paper calls out:
+once per destination base that may still decide.  A base and its
+complement are one decision.  Each polarity is a :class:`Role` with
+its own guard (as a cube region, :mod:`repro.temporal.cubes`), its own
+*knowledge* about other bases (a world mask per base, tightened
+monotonically as messages arrive) and its own protocol bookkeeping,
+since a grant is conditional on its requester.  The :class:`BaseActor`
+keeps what they share -- settlement, freezes and deferred certificate
+requests -- and hands each announcement to the roles that subscribe.
+Actors and roles are their own message handlers: the fabric delivers a
+message to the addressee's ``receive``, which looks its type up in
+:data:`HANDLERS`.  Each role runs the two consensus subprotocols the
+paper calls out:
 
 * **promises** -- a guard needing ``<>f`` can be discharged by a
   conditional promise from ``f``'s role before ``f`` actually occurs
@@ -713,7 +714,10 @@ class Role:
 
         Everything a debugger needs to see the role mid-protocol: the
         lifecycle status, the assimilated knowledge masks, the residual
-        guard, and the in-flight round/promise bookkeeping."""
+        guard, and the in-flight round/promise bookkeeping.  A settled
+        role's knowledge and residual are frozen at its settlement, plus
+        whatever reached it anyway: a publisher announces nothing to a
+        base it knows has settled."""
         state = {
             "status": self.status.value,
             "site": self.site,

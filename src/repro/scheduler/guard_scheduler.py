@@ -4,10 +4,10 @@ Guards are synthesized per event at compile time (Section 4.2) and
 localized on one actor per base holding both polarity guards, placed
 at the site of the task agent the base belongs to (Section 2).  At run
 time only messages flow: occurrence announcements, promises, and
-not-yet certificates; a fact is announced once per destination base.
-There is no central node; the requirement monitors that trigger
-triggerable events run at the sites of those events, fed by the same
-announcements.
+not-yet certificates; a fact is announced once per destination base
+that may still decide.  There is no central node; the requirement
+monitors that trigger triggerable events run at the sites of those
+events, fed by the same announcements.
 
 The run lifecycle is :class:`~repro.scheduler.base.RunBase`'s, the
 three steps ``run`` (and through it the shard runner and the CLI) goes
@@ -47,6 +47,7 @@ from repro.sim.faults import ChaosReport, FaultInjector, FaultPlan
 from repro.sim.network import LatencyModel
 from repro.sim.reliable import ReliableNetwork
 from repro.temporal.compiled import (
+    NOT_YET_MASK,
     CompiledGuardEngine,
     ReferenceCursor,
     WakeCounts,
@@ -361,11 +362,27 @@ class DistributedScheduler(RunBase):
 
     def publish(self, actor: BaseActor, event: Event) -> None:
         """``event`` occurred at ``actor``: announce it once to each
-        subscribing actor, open the agent-script gates waiting on the
-        base, and tell the requirement monitors."""
-        for dst in self._subscribers.get(event.base, ()):
-            if dst is not actor:
-                self._send(actor, dst, Announce(event=event))
+        subscribing actor that may still decide, open the agent-script
+        gates waiting on the base, and tell the requirement monitors.
+
+        An actor whose base some role of ``actor`` knows has settled
+        (its mask there holds no not-yet world) is skipped: a settled
+        base decides nothing more, and that knowledge is a durable fact
+        (an announcement, a certificate or sync reply), so a crash that
+        wipes it only makes ``actor`` announce more."""
+        subscribers = self._subscribers.get(event.base)
+        if subscribers:
+            announce = Announce(event=event)
+            known = [role.knowledge for role in actor.roles.values()]
+            for dst in subscribers:
+                if dst is actor:
+                    continue
+                base = dst.base
+                for knowledge in known:
+                    if base in knowledge and not knowledge[base] & NOT_YET_MASK:
+                        break  # dst has settled
+                else:
+                    self._send(actor, dst, announce)
         # settlement waiters (agent-script ``after`` gates)
         for callback in self._waiters.pop(event.base, ()):
             callback()

@@ -23,7 +23,8 @@ from repro.algebra.symbols import Event
 
 @dataclass(frozen=True)
 class Announce:
-    """``[]e``: the event has occurred (sent once per subscribing base)."""
+    """``[]e``: the event has occurred (sent once per subscribing base
+    that may still decide: not to one the publisher knows has settled)."""
 
     event: Event
 

@@ -6,7 +6,10 @@ Each factory returns a patch (a context manager); every
 engine.  A mechanism or a clause earns its place by a named check its
 mutant fails: the mechanism tests in ``test_policy_and_failures.py``,
 the explorer properties in ``test_explore.py`` and the clause pins in
-``test_clauses.py`` (EXPERIMENTS.md tabulates the kills).
+``test_clauses.py`` (EXPERIMENTS.md tabulates the kills).  One mutant
+runs the other way: :func:`announce_to_settled` puts back the
+announcements the protocol prunes, and ``test_explore.py`` checks that
+it decides exactly what the protocol decides, with more messages.
 """
 
 import contextlib
@@ -196,6 +199,16 @@ def deferred_certificates_dropped():
     """A certificate request the priority rule deferred is never
     served."""
     return without(BaseActor, "round_finished", "for req in deferred:")
+
+
+def announce_to_settled():
+    """A settlement is announced to every subscribing actor, also to
+    one whose base the publisher knows has settled."""
+    return replacing(
+        DistributedScheduler, "publish",
+        "known = [role.knowledge for role in actor.roles.values()]",
+        "known = []",
+    )
 
 
 def without(owner, name: str, *statements: str):

@@ -13,8 +13,10 @@ from repro.scheduler import (
     EventAttributes,
 )
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
+from repro.scheduler.messages import Announce
 from repro.sim import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
+from repro.temporal.cubes import C_OCC, DIA_MASK
 from repro.workflows import WorkflowTemplate
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 from tests.conftest import count_calls
@@ -69,6 +71,36 @@ class TestExample11:
         assert result.ok
         occurred = {en.event for en in result.entries}
         assert occurred == {~E, ~F}
+
+
+class TestAnnouncements:
+    """A settlement goes to each subscribing actor that may still
+    decide: not to one whose base the publisher knows has settled."""
+
+    def test_a_base_known_settled_hears_nothing_until_a_crash(self):
+        sched = DistributedScheduler([D_ARROW, parse("~f + e")])
+        publisher, peer = sched.actors[E], sched.actors[F]
+        sent = []
+        sched._send = lambda sender, target, message: sent.append(
+            (target, message)
+        )
+
+        def announced():
+            sent.clear()
+            sched.publish(publisher, E)
+            return sent
+
+        assert announced() == [(peer, Announce(event=E))]
+        # what a role of the publisher knows is enough: here ~e heard
+        # that ~f occurred
+        sched.role(~E).learn(F, C_OCC)
+        assert announced() == []
+        # a crash wipes that knowledge: the publisher announces again
+        publisher.crash_reset()
+        assert announced() == [(peer, Announce(event=E))]
+        # a promise of f leaves f's not-yet world open
+        sched.role(E).learn(F, DIA_MASK)
+        assert announced() == [(peer, Announce(event=E))]
 
 
 class TestOrderingEnforcement:
