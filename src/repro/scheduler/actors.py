@@ -1,18 +1,19 @@
 """Base actors: the distributed unit of scheduling (Sections 2, 4.3).
 
 One actor per base holds both polarity guards; facts are announced
-once per destination base that may still decide.  A base and its
-complement are one decision.  Each polarity is a :class:`Role` with
-its own guard (as a cube region, :mod:`repro.temporal.cubes`), its own
-*knowledge* about other bases (a world mask per base, tightened
-monotonically as messages arrive) and its own protocol bookkeeping,
-since a grant is conditional on its requester.  The :class:`BaseActor`
-keeps what they share -- settlement, freezes and deferred certificate
-requests -- and hands each announcement to the roles that subscribe.
-Actors and roles are their own message handlers: the fabric delivers a
-message to the addressee's ``receive``, which looks its type up in
-:data:`HANDLERS`.  Each role runs the two consensus subprotocols the
-paper calls out:
+once per destination base that may still decide, and the receiver
+enforces it: a base's settlement is the last fact its actor
+assimilates.  A base and its complement are one decision.  Each
+polarity is a :class:`Role` with its own guard (as a cube region,
+:mod:`repro.temporal.cubes`), its own *knowledge* about other bases (a
+world mask per base, tightened monotonically as messages arrive) and
+its own protocol bookkeeping, since a grant is conditional on its
+requester.  The :class:`BaseActor` keeps what they share --
+settlement, freezes and deferred certificate requests -- and hands
+each announcement to the roles that subscribe.  Actors and roles are
+their own message handlers: the fabric delivers a message to the
+addressee's ``receive``, which looks its type up in :data:`HANDLERS`.
+Each role runs the two consensus subprotocols the paper calls out:
 
 * **promises** -- a guard needing ``<>f`` can be discharged by a
   conditional promise from ``f``'s role before ``f`` actually occurs
@@ -135,7 +136,10 @@ class Role:
 
     @property
     def guard(self) -> GuardExpr:
-        """The residual guard on the real names (the cursor renders it)."""
+        """The residual guard on the real names (the cursor renders it);
+        a settled role's is assimilated to its final knowledge on read."""
+        if self.actor.settled is not None:
+            self.cursor.assimilate()
         return self.cursor.guard
 
     @property
@@ -158,7 +162,9 @@ class Role:
         ``source``/``origin`` name the message kind and signed event
         that justified the refinement; they are recorded in a traced
         run only, so the default path pays one attribute read and a
-        branch per refinement."""
+        branch per refinement.  A settled role learns nothing more."""
+        if self.actor.settled is not None:
+            return
         current = self.knowledge.get(base, FULL)
         updated = current & mask
         if updated != current:
@@ -715,9 +721,9 @@ class Role:
         Everything a debugger needs to see the role mid-protocol: the
         lifecycle status, the assimilated knowledge masks, the residual
         guard, and the in-flight round/promise bookkeeping.  A settled
-        role's knowledge and residual are frozen at its settlement, plus
-        whatever reached it anyway: a publisher announces nothing to a
-        base it knows has settled."""
+        role holds the knowledge it had at settlement (none after a crash
+        of its site: knowledge is volatile and a settled role re-learns
+        nothing); its residual is its guard under that knowledge."""
         state = {
             "status": self.status.value,
             "site": self.site,
@@ -782,7 +788,9 @@ class BaseActor:
         """Hand an occurrence to each subscribing role, by the wake
         rule (:mod:`repro.temporal.compiled`): wake iff the base is in
         the residual's support; an unbound (or reference) cursor has no
-        node and wakes on everything."""
+        node and wakes on everything.  A settled base takes nothing."""
+        if self.settled is not None:
+            return
         event = msg.event
         base = event.base
         sched = self.sched

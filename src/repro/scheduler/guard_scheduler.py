@@ -369,7 +369,8 @@ class DistributedScheduler(RunBase):
         (its mask there holds no not-yet world) is skipped: a settled
         base decides nothing more, and that knowledge is a durable fact
         (an announcement, a certificate or sync reply), so a crash that
-        wipes it only makes ``actor`` announce more."""
+        wipes it only makes ``actor`` announce more.  The receiver
+        enforces the rule: a settled base assimilates nothing."""
         subscribers = self._subscribers.get(event.base)
         if subscribers:
             announce = Announce(event=event)

@@ -42,8 +42,9 @@ fire, that is within the first ``sim.run()``: a fault plan's crashes
 never land in the drain at quiescence.
 
 Run as a module, it explores Example 13 (one cluster of two tasks) at
-delay bound 2 and one travel instance at delay bound 3, and a crash of
-each of their sites at any step with three down times, under both
+delay bound 2, one travel instance at delay bound 3 and the two
+settled-role specs at delay bound 1, and a crash of each Example 13
+and travel site at any step with three down times, under both
 engines, which takes too long for the tier-1 suite::
 
     PYTHONPATH=src python -W error -m tests.scheduler.explorer
@@ -397,7 +398,8 @@ def sites(scenario: Scenario) -> list[str]:
 
 # ----------------------------------------------------------------------
 # the specs: the paper's Examples 10, 11 and 13, one travel instance
-# (Example 12), exclusive choice and Klein precedence fanned out k times
+# (Example 12), three random specs that pin engine agreement,
+# exclusive choice and Klein precedence fanned out k times
 
 
 def _scenario(name: str, dependencies, attempts, **attributes) -> Scenario:
@@ -461,6 +463,28 @@ def rerequest() -> Scenario:
     )
 
 
+def settled_lag() -> Scenario:
+    """A random spec on which the engines once disagreed: the dead role
+    ``c`` went on learning after its base settled, and its residual
+    followed that knowledge in the reference engine only."""
+    return _scenario(
+        "settled_lag",
+        ["~a + ~c + a . d . c", "~b + ~d + b . c . d", "b + a"],
+        ["a@0", "~b@0", "c@1", "~d@0"],
+    )
+
+
+def settled_residual() -> Scenario:
+    """A random spec whose role ``~d`` fires on a grant it has not
+    assimilated: its residual at settlement is read under its final
+    knowledge, or the two engines render it differently."""
+    return _scenario(
+        "settled_residual",
+        ["c + d", "~b + ~d + b . a . d", "~d + ~b + d . c . b"],
+        ["~a@1", "~b@1", "c@0", "~d@0"],
+    )
+
+
 def xor(b_at: float = 5.0) -> Scenario:
     """Exclusive choice: exactly one of ``a`` and ``b`` occurs; ``a``
     is attempted at 0 and ``b`` at ``b_at``."""
@@ -478,13 +502,18 @@ def precede(k: int) -> Scenario:
 
 
 def main() -> int:
-    """Explore Example 13 at delay bound 2 and travel at delay bound 3,
-    then one crash of each of their sites at any step with each of
+    """Explore Example 13 at delay bound 2, travel at delay bound 3 and
+    the two settled-role specs at delay bound 1, then one crash of each
+    Example 13 and travel site at any step with each of
     :data:`DOWN_TIMES`, under both engines; print the failing choice
     prefix on failure."""
     runs = [
         (f"{name} at d={bound}", scenario, bound, None)
-        for name, scenario, bound in (("ex13", ex13, 2), ("travel", travel, 3))
+        for name, scenario, bound in (
+            ("ex13", ex13, 2), ("travel", travel, 3),
+            ("settled_lag", settled_lag, 1),
+            ("settled_residual", settled_residual, 1),
+        )
     ]
     runs += [
         (f"{name} crashing {site} for {down_for:g}", scenario, 0,

@@ -1,5 +1,6 @@
 """Seeded protocol mutants: Section 4.3's protocol with one mechanism,
-or one clause of the drain loop or the recovery path, deleted.
+or one clause of the drain loop, the recovery path or a settled
+base's finality, deleted.
 
 Each factory returns a patch (a context manager); every
 ``DistributedScheduler`` run under it runs the mutant, with either
@@ -211,6 +212,27 @@ def announce_to_settled():
     )
 
 
+# ----------------------------------------------------------------------
+# a settled base is final
+
+
+@contextlib.contextmanager
+def settled_assimilates():
+    """A settled base goes on assimilating: its actor hands late
+    announcements to its roles, and they learn late grants and
+    replies."""
+    with without(
+        BaseActor, "on_announce", "if self.settled is not None:"
+    ), without(Role, "learn", "if self.actor.settled is not None:"):
+        yield
+
+
+def settled_residual_unrendered():
+    """A settled role's residual is read as the cursor last left it,
+    not under its final knowledge."""
+    return without(Role, "guard", "if self.actor.settled is not None:")
+
+
 def without(owner, name: str, *statements: str):
     """``owner.name`` with each of ``statements`` deleted.  A statement
     is named by its first source line (stripped) and goes with the
@@ -233,9 +255,10 @@ def _rewritten(owner, name: str, edits: dict):
     error, so a mutant cannot outlive its clause.  A message handler is
     replaced in ``actors.HANDLERS`` too."""
     original = getattr(owner, name)
+    source = getattr(original, "fget", original)  # a property's getter
     lines, missing = [], set(edits)
     depth = None  # indentation of the statement being deleted
-    for line in textwrap.dedent(inspect.getsource(original)).splitlines():
+    for line in textwrap.dedent(inspect.getsource(source)).splitlines():
         indent = len(line) - len(line.lstrip())
         if depth is not None and (
             not line.strip() or indent > depth or line.lstrip()[0] in ")]}"
@@ -253,8 +276,8 @@ def _rewritten(owner, name: str, edits: dict):
         raise ValueError(f"{owner.__name__}.{name} has no {sorted(missing)}")
     namespace: dict = {}
     exec(
-        compile("\n".join(lines), inspect.getsourcefile(original), "exec"),
-        original.__globals__, namespace,
+        compile("\n".join(lines), inspect.getsourcefile(source), "exec"),
+        source.__globals__, namespace,
     )
     mutant = namespace[name]
     handlers = {

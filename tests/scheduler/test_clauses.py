@@ -1,7 +1,8 @@
-"""The drain loop's and the recovery path's clauses, each against the
-mutant that deletes it (:mod:`tests.scheduler.mutants`): the test that
-pins a clause fails under its mutant.  EXPERIMENTS.md tabulates the
-pairs, and the clauses no test pinned are gone."""
+"""The clauses of the drain loop, the recovery path and a settled
+base's finality, each against the mutant that deletes it
+(:mod:`tests.scheduler.mutants`): the test that pins a clause fails
+under its mutant.  EXPERIMENTS.md tabulates the pairs, and the clauses
+no test pinned are gone."""
 
 import pytest
 
@@ -11,14 +12,16 @@ from tests.properties import test_chaos_properties
 from tests.properties.test_monitor_equivalence import (
     test_recovered_monitor_matches_an_uncrashed_twin as monitor_twin,
 )
-from tests.scheduler import test_recovery
+from tests.scheduler import test_explore, test_recovery
 
 from . import mutants
+from .explorer import check_schedule, settled_residual
 
 SETTLE_CLEAN = test_chaos_properties.TestChaosRegressions()
 SWEPT_AGAIN = test_chaos_properties.TestChaosRawNetwork()
 MUTEX = test_recovery.TestExample13Mutex()
 RECOVERY = test_recovery.TestRecoveryMechanics()
+PRUNING = test_explore.TestAnnouncePruning()
 
 PINS = [
     (mutants.no_sweep_run, SETTLE_CLEAN.test_pinned_schedules_settle_clean),
@@ -56,6 +59,14 @@ PINS = [
         lambda: test_generators.TestDiamond().test_fork_join(
             DistributedScheduler, 2
         ),
+    ),
+    (
+        mutants.settled_assimilates,
+        PRUNING.test_a_settled_role_holds_the_same_unpruned,
+    ),
+    (
+        mutants.settled_residual_unrendered,
+        lambda: check_schedule(settled_residual(), ()),
     ),
 ]
 

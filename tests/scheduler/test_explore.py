@@ -18,7 +18,7 @@ import pytest
 from repro.algebra.symbols import Event
 from repro.scheduler import DistributedScheduler, actors
 from repro.scheduler.actors import Role
-from repro.scheduler.messages import PromiseGrant
+from repro.scheduler.messages import Announce, PromiseGrant, SyncReply
 from repro.scheduler.oracle import judge
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import Network, UniformLatency
@@ -45,6 +45,8 @@ from .explorer import (
     precede,
     rerequest,
     run_schedule,
+    settled_lag,
+    settled_residual,
     sites,
     travel,
     xor,
@@ -162,6 +164,42 @@ class TestTheorem6:
         """A random spec on which the engines once disagreed."""
         assert explore(rerequest(), bound=1) == 240
 
+    def test_settled_lag_default_schedule(self):
+        """A random spec on which the engines once disagreed: a settled
+        role went on learning, and its residual followed only in the
+        reference engine (821 schedules hold at delay bound 1)."""
+        check_schedule(settled_lag(), ())
+
+    def test_settled_residual_within_one_delay(self):
+        """A role that fires on a grant it has not assimilated: its
+        residual is read under its final knowledge in both engines."""
+        check_schedule(settled_residual(), ())
+        assert explore(settled_residual(), bound=1) == 164
+
+
+class TestSettledBaseIsFinal:
+    """A base's settlement is the last fact its actor assimilates."""
+
+    def test_a_settled_base_assimilates_nothing(self):
+        """Announcements, grants and sync replies that reach a settled
+        base after a run move none of its roles, and wake none."""
+        run = run_schedule(settled_lag())
+        sched = run.sched
+        before = observables(run)["actors"], sched.watch.counts()
+        for actor in sched.actors.values():
+            for base in sched.actors:
+                if base is actor.base:
+                    continue
+                actor.receive(Announce(event=base))
+                for role in actor.roles.values():
+                    me = role.event
+                    role.receive(PromiseGrant(target=base, requester=me))
+                    for status in ("occurred", "comp_occurred"):
+                        role.receive(
+                            SyncReply(base=base, requester=me, status=status)
+                        )
+        assert (observables(run)["actors"], sched.watch.counts()) == before
+
 
 class TestOneCrash:
     """One crash at any step: each schedule crashes one site at one
@@ -256,7 +294,9 @@ class TestAnnouncePruning:
     the same timeline, and every one-crash schedule to the same
     settlement orders, with fewer messages.  A crash run's settlement
     times may move earlier: its drain starts at quiescence, which a
-    pruned delivery no longer holds back."""
+    pruned delivery no longer holds back.  On the default schedule
+    every role ends holding the same knowledge and residual: what a
+    settled base holds does not depend on what was pruned."""
 
     @pytest.mark.parametrize(
         "scenario, fewer",
@@ -272,6 +312,7 @@ class TestAnnouncePruning:
         with mutants.announce_to_settled():
             unpruned = run_schedule(spec)
         assert decisions(pruned) == decisions(unpruned)
+        assert observables(pruned)["actors"] == observables(unpruned)["actors"]
         sent, unpruned_sent = pruned.result.messages, unpruned.result.messages
         assert sent < unpruned_sent if fewer else sent == unpruned_sent
         for site in sites(spec):
@@ -286,6 +327,15 @@ class TestAnnouncePruning:
                     for run in one_crash_runs(spec, crash)
                 }
             assert orders == unpruned_orders, site
+
+    def test_a_settled_role_holds_the_same_unpruned(self):
+        """The spec whose settled role once learned what the pruned
+        protocol no longer told it."""
+        pruned = run_schedule(settled_lag())
+        with mutants.announce_to_settled():
+            unpruned = run_schedule(settled_lag())
+        assert pruned.result.messages < unpruned.result.messages
+        assert observables(pruned)["actors"] == observables(unpruned)["actors"]
 
 
 class TestMutants:
@@ -376,10 +426,13 @@ def test_ex13_with_an_idle_task_is_sound():
 
 
 CROSSED_GRANTS = (
-    "exclusive choice: a parks on <>~b while b's attempt is pending; "
-    "when b arrives one escalation resolves both consensus pairs, "
-    "a <-> ~b and ~a <-> b: ~b grants <>~b to a and ~a grants <>~a to b, "
-    "the grants cross, both a and b fire (<b a>) and two promises break"
+    "exclusive choice: a parks on <>~b and b on <>~a, and the idle "
+    "complements defer both promise requests; at quiescence the "
+    "settlement batch _settle_round([a, b]) attempts ~a and ~b while a "
+    "and b are parked, each serves its deferred request at once (the "
+    "request chain closes a consensus cycle): ~b grants <>~b to a and "
+    "~a grants <>~a to b, the grants cross, both a and b fire (<b a>) "
+    "and two promises break"
 )
 
 

@@ -1,0 +1,34 @@
+"""The random-spec lane (:mod:`tests.scheduler.random_specs`): 2 000
+specs under both guard engines at the default schedule.  The CI lane
+runs the module over more."""
+
+import random
+
+from repro.algebra.symbols import Event
+
+from .random_specs import random_spec, run_lane
+
+
+def test_a_spec_is_small_and_attempts_every_base_it_mentions():
+    rng = random.Random(0)
+    for _ in range(200):
+        scenario = random_spec(rng)
+        workflow = scenario.workflow
+        bases = {base for dep in workflow.dependencies for base in dep.bases()}
+        attempts = [
+            attempt for script in scenario.scripts
+            for attempt in script.attempts
+        ]
+        assert 1 <= len(workflow.dependencies) <= 3
+        assert 2 <= len(bases) and bases <= {Event(name) for name in "abcd"}
+        assert sorted(a.event.base for a in attempts) == sorted(bases)
+        assert {a.time for a in attempts} <= {0, 1, 5}
+
+
+def test_engines_agree_and_every_unsound_run_broke_a_promise():
+    """Engine agreement on every spec; the only unsound runs are those
+    that broke a promise (the crossed grants the ``CROSSED_GRANTS``
+    xfails pin)."""
+    counts = run_lane(2000, seed=1)
+    assert counts.disagreements == [], counts.summary()
+    assert counts.unsound_unbroken == [], counts.summary()
