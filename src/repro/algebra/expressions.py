@@ -242,9 +242,6 @@ class Atom(Expr):
         _INTERN[key] = self
         return self
 
-    def __init__(self, event: Event):
-        pass  # fully constructed (or found interned) in __new__
-
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("Atom is immutable")
 
@@ -296,9 +293,6 @@ class Seq(Expr):
         _init_node(self, hash(key))
         _INTERN[key] = self
         return self
-
-    def __init__(self, parts: tuple[Expr, ...]):
-        pass  # fully constructed (or found interned) in __new__
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("Seq is immutable")
@@ -379,9 +373,6 @@ class Choice(Expr):
         _INTERN[key] = self
         return self
 
-    def __init__(self, parts: tuple[Expr, ...]):
-        pass  # fully constructed (or found interned) in __new__
-
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("Choice is immutable")
 
@@ -450,9 +441,6 @@ class Conj(Expr):
         _init_node(self, hash(key))
         _INTERN[key] = self
         return self
-
-    def __init__(self, parts: tuple[Expr, ...]):
-        pass  # fully constructed (or found interned) in __new__
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("Conj is immutable")
@@ -573,8 +561,19 @@ def rename_ordered(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
     parts (no re-sort), and every repeat or complementary pair absent
     (no collapse).  The copy is therefore rebuilt straight through the
     interning constructors, parts in the order they stand, and *is*
-    the node :func:`rename_expr` returns.
+    the node :func:`rename_expr` returns.  Its bases are the images of
+    ``expr``'s, so a fresh copy is handed them and never walked for
+    them.
     """
+    copy = _rename_ordered(expr, mapping)
+    if copy._bases is None:
+        bases = expr.bases()
+        images = frozenset(map(mapping.get, bases, bases))
+        object.__setattr__(copy, "_bases", images)
+    return copy
+
+
+def _rename_ordered(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
     cls = type(expr)
     if cls is Atom:
         event = expr.event
@@ -584,7 +583,7 @@ def rename_ordered(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
         return Atom(target.complement if event.negated else target)
     if cls is Zero or cls is Top:
         return expr
-    return cls(tuple([rename_ordered(p, mapping) for p in expr.parts]))
+    return cls(tuple([_rename_ordered(p, mapping) for p in expr.parts]))
 
 
 def _wrap(expr: Expr, for_seq: bool, for_conj: bool = False) -> str:

@@ -92,7 +92,7 @@ class Event:
             raise ValueError(f"event name contains reserved characters: {name!r}")
         cls._misses += 1
         params = key[2]
-        order = (name, tuple(repr(p) for p in params))
+        order = (name, tuple(map(repr, params)))
         # a new symbol: both polarities at once, each holding the other
         positive, negative = super().__new__(cls), super().__new__(cls)
         fill = object.__setattr__

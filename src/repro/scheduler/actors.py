@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.algebra.symbols import Event
 from repro.scheduler.messages import (
@@ -82,15 +82,21 @@ class ActorStatus(enum.Enum):
 
 class Role:
     """One polarity of a :class:`BaseActor`: the guard of one signed
-    event, and what the role knows and has asked for."""
+    event, and what the role knows and has asked for.  Every attribute
+    is set here, so all roles share one layout."""
+
+    __slots__ = (
+        "event", "_durable_guard", "actor", "subscribed", "site", "sched",
+        "status", "attempted_at", "knowledge", "cursor", "round_active",
+        "round_id", "round_awaiting", "round_certified", "round_holds",
+        "_knowledge_dirty", "promise_requested", "granted_to",
+        "deferred_promise_reqs", "pending_grant_reqs", "_escalated_cubes",
+    )
 
     def __init__(
         self, event: Event, guard: Binding | GuardExpr, actor: "BaseActor"
     ):
         self.event = event
-        #: cached ``repr(event)`` -- profiled hot paths label every
-        #: span with it, and the repr never changes
-        self.event_label = repr(event)
         #: the durable (logged) guard-table entry: the compiled artifact
         #: (a binding as synthesis or a template hands it over, or a
         #: plain guard) plus any run-time reconfigurations, *without* the
@@ -182,7 +188,7 @@ class Role:
         )
         profiler = self.sched.profiler  # per announcement: no call unprofiled
         if profiler is not None:
-            profiler.push("cube_ops", site=self.site, event=self.event_label)
+            profiler.push("cube_ops", site=self.site, event=repr(self.event))
         try:
             # a pointer hop on the compiled automaton (the node caches
             # the very ``simplify_under`` result it replaces)
@@ -285,7 +291,7 @@ class Role:
         traced = sched.tracer.active
         profiler = sched.profiler
         if profiler is not None:
-            profiler.push("guard_eval", site=self.site, event=self.event_label)
+            profiler.push("guard_eval", site=self.site, event=repr(self.event))
         try:
             start = perf_counter() if traced else 0.0
             verdict = self.cursor.verdict()
@@ -762,14 +768,23 @@ class BaseActor:
     )
 
     def __init__(
-        self, base: Event, site: str, scheduler: "DistributedScheduler"
+        self,
+        base: Event,
+        site: str,
+        scheduler: "DistributedScheduler",
+        guards: Mapping[Event, Binding | GuardExpr],
     ):
         self.base = base
         self.site = site
         self.sched = scheduler
-        #: signed event -> its role, positive first; a polarity without
-        #: a guard-table entry has no role
+        #: signed event -> its role, positive first, one per polarity
+        #: ``guards`` (signed event -> guard-table entry, say the
+        #: scheduler's whole table) holds; a polarity without an entry
+        #: has no role
         self.roles: dict[Event, Role] = {}
+        for event in (base, base.complement):
+            if event in guards:
+                self.roles[event] = Role(event, guards[event], self)
         #: the signed event that occurred (durable, like the run's
         #: settlement log)
         self.settled: Event | None = None
@@ -809,7 +824,7 @@ class BaseActor:
             watch.note_wake()
             if profiler is not None:
                 profiler.push(
-                    "watch_wake", site=role.site, event=role.event_label
+                    "watch_wake", site=role.site, event=repr(role.event)
                 )
             try:
                 role.observe_occurrence(event)
@@ -818,7 +833,8 @@ class BaseActor:
                     profiler.pop()
 
     def add_role(self, event: Event, guard: Binding | GuardExpr) -> Role:
-        """``event``'s new role, kept positive first."""
+        """``event``'s new role, added at run time, kept positive
+        first."""
         role = Role(event, guard, self)
         if event.negated:
             self.roles[event] = role

@@ -23,6 +23,8 @@ the trace is maximal or no further progress is possible -- and
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from functools import partial
 from typing import Iterable, Mapping
 
 from repro.algebra.expressions import Expr
@@ -49,6 +51,7 @@ from repro.sim.reliable import ReliableNetwork
 from repro.temporal.compiled import (
     NOT_YET_MASK,
     CompiledGuardEngine,
+    GuardCursor,
     ReferenceCursor,
     WakeCounts,
 )
@@ -132,7 +135,8 @@ class DistributedScheduler(RunBase):
         #: ``reference_engine``, the cube calls it caches
         self.compiled = CompiledGuardEngine()
         self.new_cursor = (
-            ReferenceCursor if reference_engine else self.compiled.cursor
+            ReferenceCursor if reference_engine
+            else partial(GuardCursor, self.compiled)
         )
         #: the justification of every knowledge refinement of a traced
         #: run (an untraced one leaves it empty)
@@ -177,15 +181,16 @@ class DistributedScheduler(RunBase):
         self._sorted_actors_cache: tuple[BaseActor, ...] | None = None
         #: announced base -> the actors with a role whose guard mentions
         #: it, each once
-        self._subscribers: dict[Event, list[BaseActor]] = {}
-        for event, g in table.items():
-            self.add_role(event, g)
+        self._subscribers: defaultdict[Event, list[BaseActor]] = (
+            defaultdict(list)
+        )
+        self._build_actors(table)
         #: announcements that woke their role / took the skip path
         #: (``BaseActor.on_announce`` decides)
         self.watch = WakeCounts()
         # per-site requirement monitors for triggerable events
         self._monitors: list[tuple[str, RequirementMonitor]] = []
-        self._monitor_subs: dict[Event, list[int]] = {}
+        self._monitor_subs: defaultdict[Event, list[int]] = defaultdict(list)
         #: construction spec per monitor index, kept so a crashed
         #: site's monitors can be rebuilt and resynced
         self._monitor_specs: list[tuple[list[Expr], frozenset[Event]]] = []
@@ -198,6 +203,33 @@ class DistributedScheduler(RunBase):
     # ------------------------------------------------------------------
     # construction helpers
 
+    def _build_actors(
+        self, table: Mapping[Event, Binding | GuardExpr]
+    ) -> None:
+        """One actor per base of ``table``, in the order its bases first
+        appear, built with a role per polarity the table holds.  Each
+        actor subscribes once, to the union of its roles' guard bases
+        (the role the table lists first, then the other's), so each
+        base announces to it once."""
+        actors, subscribers = self.actors, self._subscribers
+        for event in table:
+            base = event.base
+            if base in actors:
+                continue
+            actor = BaseActor(base, self.site_of(base), self, table)
+            actors[base] = actor
+            roles = actor.roles
+            # a binding's bases are read off its ``to_slot``, no rendering
+            heard = roles[event].subscribed = table[event].bases()
+            for heard_base in heard:
+                subscribers[heard_base].append(actor)
+            other = event.complement
+            if other in roles:
+                bases = roles[other].subscribed = table[other].bases()
+                for heard_base in bases:
+                    if heard_base not in heard:
+                        subscribers[heard_base].append(actor)
+
     def add_role(
         self, event: Event, guard: Binding | GuardExpr = TRUE_GUARD
     ) -> Role:
@@ -206,7 +238,7 @@ class DistributedScheduler(RunBase):
         returned as it is."""
         actor = self.actors.get(event.base)
         if actor is None:
-            actor = BaseActor(event.base, self.site_of(event.base), self)
+            actor = BaseActor(event.base, self.site_of(event.base), self, {})
             self.actors[event.base] = actor
             self._sorted_actors_cache = None
         role = actor.roles.get(event)
@@ -225,38 +257,40 @@ class DistributedScheduler(RunBase):
             if base not in heard and (
                 other is None or base not in other.subscribed
             ):
-                self._subscribers.setdefault(base, []).append(role.actor)
+                self._subscribers[base].append(role.actor)
         role.subscribed = set(heard).union(bases) if heard else bases
 
     def _build_monitors(self) -> None:
-        triggerable = {
-            b for b in self._all_bases() if self.attributes(b).triggerable
+        """One requirement monitor per site of the triggerable bases the
+        dependencies mention, over the dependencies mentioning them (in
+        list order), told every base of those dependencies."""
+        site_of = {
+            base: self.site_of(base)
+            for base, attributes in self._attributes.items()
+            if attributes.triggerable
         }
-        by_site: dict[str, set[Event]] = {}
-        for b in triggerable:
-            by_site.setdefault(self.site_of(b), set()).add(b)
-        mentioning: dict[Event, list[int]] = {b: [] for b in triggerable}
+        triggerable = site_of.keys()
+        # one pass over the dependencies: per site, the triggerable
+        # bases they mention and the positions of the dependencies
+        # mentioning them (positions, not the dependencies themselves,
+        # keep the list order and any duplicate entries)
+        by_site: defaultdict[str, set[Event]] = defaultdict(set)
+        positions: defaultdict[str, set[int]] = defaultdict(set)
         for position, dep in enumerate(self.dependencies):
-            for b in dep.bases() & triggerable:
-                mentioning[b].append(position)
-        for site, bases in sorted(by_site.items()):
-            # positions, not the dependencies themselves: keeps the
-            # list order (and any duplicate entries) of the dependencies
-            deps = [
-                self.dependencies[position]
-                for position in sorted(
-                    {p for b in bases for p in mentioning[b]}
-                )
-            ]
-            if not deps:
-                continue
-            index = len(self._monitors)
-            bases = frozenset(bases)
+            for base in dep.bases() & triggerable:
+                site = site_of[base]
+                by_site[site].add(base)
+                positions[site].add(position)
+        for index, (site, at) in enumerate(
+            sorted(positions.items()), start=len(self._monitors)
+        ):
+            deps = [self.dependencies[position] for position in sorted(at)]
+            bases = frozenset(by_site[site])
             self._monitors.append((site, self._new_monitor(site, deps, bases)))
             self._monitor_specs.append((deps, bases))
             # once per base, however many of its dependencies mention it
             for base in {b for dep in deps for b in dep.bases()}:
-                self._monitor_subs.setdefault(base, []).append(index)
+                self._monitor_subs[base].append(index)
 
     def _new_monitor(
         self, site: str, deps: list[Expr], bases: frozenset[Event]
@@ -489,7 +523,7 @@ class DistributedScheduler(RunBase):
         """Recreate requirement monitors after a modification and
         replay the settled history into them."""
         self._monitors = []
-        self._monitor_subs = {}
+        self._monitor_subs = defaultdict(list)
         self._monitor_specs = []
         self._build_monitors()
         for _site, monitor in self._monitors:

@@ -24,6 +24,7 @@ state.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Iterable
 
 from repro.algebra.expressions import Expr, Top, Zero
@@ -90,11 +91,13 @@ class RequirementMonitor:
     ):
         self._tracks = {dep: ResidualCursor(dep) for dep in dependencies}
         #: base -> the tracks it can move (to the rest it is foreign)
-        self._mentioning: dict[Event, list[ResidualCursor]] = {}
+        self._mentioning: defaultdict[Event, list[ResidualCursor]] = (
+            defaultdict(list)
+        )
         for track in self._tracks.values():
             for base in track.to_slot:
-                self._mentioning.setdefault(base, []).append(track)
-        self._triggerable = frozenset(b.base for b in triggerable)
+                self._mentioning[base].append(track)
+        self._triggerable = frozenset(triggerable)
         self._trigger = trigger
         self._doomed = doomed
         self._site = site

@@ -504,17 +504,9 @@ class GuardCursor:
     ):
         _CompiledStats.cursors += 1
         engine.cursors += 1
-        self.engine = engine
-        self._enter(entry, knowledge)
-
-    def _enter(
-        self, entry: Binding | GuardExpr, knowledge: dict[Event, int]
-    ) -> None:
-        self._entry = entry
-        self.knowledge = knowledge
+        self.engine, self._entry, self.knowledge = engine, entry, knowledge
         self.node: GuardNode | None = None
-        self._plan_node: GuardNode | None = None
-        self._plans_node: GuardNode | None = None
+        self._plan_node = self._plans_node = None
 
     def _bind(self) -> GuardNode:
         """Take the entry's binding and enter the automaton at its
@@ -662,7 +654,8 @@ class GuardCursor:
         explored, and a binding re-entered is not renamed again."""
         _CompiledStats.recompiles += 1
         self.engine.recompiles += 1
-        self._enter(entry, knowledge)
+        self._entry, self.knowledge = entry, knowledge
+        self.node = self._plan_node = self._plans_node = None
 
 
 class ReferenceCursor:
@@ -755,7 +748,9 @@ class CompiledGuardEngine:
         knowledge: dict[Event, int] | None = None,
     ) -> GuardCursor:
         """A cursor entering at a guard-table entry; ``knowledge`` is
-        the live map its owner keeps (a fresh one if omitted)."""
+        the live map its owner keeps (a fresh one if omitted).  A
+        scheduler, which always passes its role's map, builds
+        ``GuardCursor(engine, entry, knowledge)`` directly."""
         return GuardCursor(self, entry, {} if knowledge is None else knowledge)
 
     def __len__(self) -> int:

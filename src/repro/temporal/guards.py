@@ -22,7 +22,7 @@ Synthesis works *modulo renaming*.  A dependency is a :class:`Binding`
 (:func:`dependency_binding`): its normal form on the canonical slots of
 its own bases, in ``Event.sort_key`` order, is its *shape*, the key of
 the one residual closure every copy walks, and a template stamps copies
-with the binding composed (:func:`stamp_dependency`).  ``G(D, e)``
+bound onto a row of its bases (:class:`RowPlan`).  ``G(D, e)``
 depends only on that shape, so :func:`guard`, :func:`guard_table`,
 :func:`workflow_bindings` and :func:`workflow_guards` all go through
 :func:`_bindings_modulo_renaming`.  It keys a query by its dependencies'
@@ -52,6 +52,7 @@ its dependencies, Section 4.2).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.expressions import (
@@ -230,11 +231,13 @@ class ResidualAutomaton:
 _CLOSURES: dict[Expr, ResidualAutomaton] = {}
 
 #: ``(((dependency shape, its bases' query slots), ...), query-slot
-#: event) -> binding``: one entry per distinct query shape, shared by
-#: every renamed copy.  The synthesized guard is stored normalized to
-#: its own bases, bound onto the query's slots.
+#: event) -> (guard shape, its slots, their query positions)``: one
+#: entry per distinct query shape, shared by every renamed copy.  The
+#: synthesized guard is stored normalized to its own bases, each slot
+#: placed at the position of its base among the query's sorted bases.
 _SHAPES: dict[
-    tuple[tuple[tuple[Expr, tuple[Event, ...]], ...], Event], Binding
+    tuple[tuple[tuple[Expr, tuple[Event, ...]], ...], Event],
+    tuple[GuardExpr, tuple[Event, ...], tuple[int, ...]],
 ] = {}
 
 #: ``_SLOTS[i]`` is the ``i``-th canonical base, as a ground event and
@@ -246,13 +249,8 @@ _SHAPES: dict[
 _SLOTS: list[tuple[Event, Event]] = []
 
 #: ``dependency -> binding``: :func:`dependency_binding`'s memo, which
-#: :func:`stamp_dependency` fills for the copies it stamps.
+#: :func:`stamp_dependencies` fills for the copies it stamps.
 _DEPENDENCY_BINDINGS: dict[Expr, Binding] = {}
-
-#: dependencies whose normal form dropped a base they mention: their
-#: binding does not see every base a rename must keep in order, so
-#: :func:`stamp_dependency` renames them from scratch
-_PARTIAL: set[Expr] = set()
 
 #: ``dependency shape -> its waits``: :func:`shape_waits`' memo
 _WAITS: dict[Expr, tuple[tuple[int, int, int], ...]] = {}
@@ -312,7 +310,6 @@ def clear_synthesis_caches() -> None:
     _SLOTS.clear()
     _CLOSURES.clear()
     _DEPENDENCY_BINDINGS.clear()
-    _PARTIAL.clear()
     _WAITS.clear()
     _EVENTUALLY_CACHE.clear()
     guard_formula.cache_clear()
@@ -397,8 +394,8 @@ class Binding:
     a guard (a guard-table entry, which the compiled cursor enters at)
     or a dependency's normal form (the key of the residual closure a
     :class:`ResidualCursor` walks).  ``to_slot`` / ``from_slot`` are
-    this copy's binding, each in slot order.  A copy under a further
-    rename is :meth:`renamed`: the same shape, a composed binding.
+    this copy's binding, each in slot order.  Copies on another row of
+    bases come from a :class:`RowPlan`: the same shape, bound afresh.
     :attr:`guard` renders a guard entry on the real names once, for
     readers of real names.
     """
@@ -428,16 +425,69 @@ class Binding:
         """The shape's bases on the real names, in canonical order."""
         return self.to_slot.keys()
 
-    def renamed(self, mapping: Mapping[Event, Event]) -> "Binding":
-        """The copy whose real bases are this one's sent through
-        ``mapping`` (which must map every one of them and keep their
-        canonical order): the same shape, a composed binding."""
-        to_slot, from_slot = {}, {}
-        for slot, base in self.from_slot.items():
-            target = mapping[base]
-            to_slot[target] = slot
-            from_slot[slot] = target
-        return Binding(self.shape, to_slot, from_slot)
+
+def in_order(row: Sequence[Event]) -> bool:
+    """Are the events of ``row`` strictly increasing in canonical order
+    (so distinct)?  A rename onto such a row keeps the order of the
+    canonical row it replaces, which is what lets a copy share its
+    original's shapes and slots."""
+    previous = ()
+    for event in row:
+        # ``Event.sort_key`` read without the call: stamping is hot
+        order = event._skey
+        if order <= previous:
+            return False
+        previous = order
+    return True
+
+
+class RowPlan:
+    """Bindings placed on a *row*: the bases they mention, in canonical
+    order, each slot given as the position of its base in the row.
+
+    :meth:`bind` gives every binding's copy on another row of the same
+    length that is :func:`in_order`: the same shape, the same slots,
+    each bound to the event at its position.  Such a rename is
+    injective and order-preserving, so it commutes with normal forms
+    and with synthesis (see :func:`_bindings_modulo_renaming`): each
+    copy is the binding a from-scratch normal form or synthesis on the
+    row's names gives.  Bindings over the same positions share one
+    pair of slot maps per row.
+    """
+
+    __slots__ = ("shapes", "groups")
+
+    def __init__(self, bindings: Iterable[Binding], row: Sequence[Event]):
+        position = {base: i for i, base in enumerate(row)}
+        group_of: dict[tuple[int, ...], int] = {}
+        #: ``(slots, pick)`` per distinct slot placement, ``pick(row)``
+        #: giving the tuple of the row's events at those positions
+        self.groups: list[tuple[tuple[Event, ...], itemgetter]] = []
+        #: ``(shape, group)`` per binding, in the order given
+        self.shapes: list[tuple[GuardExpr | Expr, int]] = []
+        for binding in bindings:
+            placed = tuple([position[b] for b in binding.from_slot.values()])
+            group = group_of.get(placed)
+            if group is None:
+                group = group_of[placed] = len(self.groups)
+                if not placed:
+                    pick = itemgetter(slice(0))
+                elif len(placed) == 1:
+                    # one index would pick the event, not a tuple of it
+                    pick = itemgetter(slice(placed[0], placed[0] + 1))
+                else:
+                    pick = itemgetter(*placed)
+                self.groups.append((tuple(binding.from_slot), pick))
+            self.shapes.append((binding.shape, group))
+
+    def bind(self, row: Sequence[Event]) -> list[Binding]:
+        """Every binding's copy on ``row``, in the order planned."""
+        maps = [
+            (dict(zip(reals, slots)), dict(zip(slots, reals)))
+            for slots, pick in self.groups
+            for reals in (pick(row),)
+        ]
+        return [Binding(shape, *maps[group]) for shape, group in self.shapes]
 
 
 def dependency_binding(dependency: Expr) -> Binding:
@@ -446,9 +496,9 @@ def dependency_binding(dependency: Expr) -> Binding:
     its real names.
 
     Memoized per dependency (``binding_hits`` / ``binding_misses`` in
-    :func:`synthesis_stats`).  A template's stamped copy is entered by
-    stamping (:func:`stamp_dependency`); any other dependency pays one
-    normal form and one rename here, once.
+    :func:`synthesis_stats`).  A stamped copy is entered by stamping
+    (:func:`stamp_dependencies`); any other dependency pays one normal
+    form and one rename here, once.
     """
     binding = _DEPENDENCY_BINDINGS.get(dependency)
     if binding is None:
@@ -457,52 +507,31 @@ def dependency_binding(dependency: Expr) -> Binding:
         to_slot, from_slot = _slot_maps(dep_nf.bases())
         binding = Binding(rename_expr(dep_nf, to_slot), to_slot, from_slot)
         _DEPENDENCY_BINDINGS[dependency] = binding
-        if len(to_slot) != len(dependency.bases()):
-            _PARTIAL.add(dependency)
     else:
         _SynthStats.binding_hits += 1
     return binding
 
 
-def stamp_dependency(dependency: Expr, mapping: Mapping[Event, Event]) -> Expr:
-    """``rename_expr(dependency, mapping)`` for a canonical dependency
-    and an injective, groundness-preserving rename of all its bases.
+def stamp_dependencies(
+    dependencies: Iterable[Expr],
+    bindings: Iterable[Binding],
+    mapping: Mapping[Event, Event],
+) -> list[Expr]:
+    """``rename_expr(dep, mapping)`` for each canonical dependency of
+    ``dependencies``, entered in :func:`dependency_binding`'s memo with
+    its binding from ``bindings`` (the same order; extra bindings are
+    ignored): a :class:`RowPlan`'s bindings on the row ``mapping``
+    renames the planned row onto, which must be :func:`in_order`.
 
-    When the rename keeps the bases' canonical order, the copy is the
-    structural copy (:func:`rename_ordered`), entered in
-    :func:`dependency_binding`'s memo with the dependency's binding
-    composed with ``mapping``.  Normal form commutes with such a rename
-    (as synthesis does, see :func:`_bindings_modulo_renaming`), so the
-    composed binding is the one :func:`dependency_binding` would
-    compute for the copy, and a cursor on the copy enters the shared
-    closure with no normal form and no rename.  (A copy stamped before,
-    or bound by :func:`dependency_binding`, gets an equal binding
-    again.)
-
-    A rename that reorders the bases (``b_i9`` / ``b_i10``) would bind
-    the copy's slots in the wrong order, so the copy is renamed from
-    scratch instead and bound on first use, as
-    :meth:`~repro.workflows.template.WorkflowTemplate.instantiate` does
-    for such a suffix.  So is every copy of a dependency whose normal
-    form dropped a base: its binding cannot check that base's order.
+    Each copy is the structural copy (:func:`rename_ordered`), and a
+    cursor on it enters the shared closure with no normal form and no
+    rename.  The order check is the row's, once, so it covers the bases
+    a normal form dropped too.  (A copy stamped before, or bound by
+    :func:`dependency_binding`, gets an equal binding again.)
     """
-    binding = dependency_binding(dependency)
-    if _PARTIAL and dependency in _PARTIAL:  # no hash call when empty
-        return rename_expr(dependency, mapping)
-    to_slot, from_slot = {}, {}
-    previous = ()
-    for slot, base in binding.from_slot.items():
-        target = mapping[base]
-        # ``Event.sort_key`` read without the call: stamping is hot
-        order = target._skey
-        if order <= previous:
-            return rename_expr(dependency, mapping)
-        previous = order
-        to_slot[target] = slot
-        from_slot[slot] = target
-    copy = rename_ordered(dependency, mapping)
-    _DEPENDENCY_BINDINGS[copy] = Binding(binding.shape, to_slot, from_slot)
-    return copy
+    copies = [rename_ordered(dep, mapping) for dep in dependencies]
+    _DEPENDENCY_BINDINGS.update(zip(copies, bindings))
+    return copies
 
 
 class ResidualCursor:
@@ -569,15 +598,16 @@ def _bindings_modulo_renaming(
     ``_absorb``'s sorted passes): each conjunct, and so the fold, is
     cube for cube what ``_synthesize`` gives on the group slots.
     Closures and columns are per dependency shape, shared by every copy
-    and every query.  Each synthesized guard is stored as a binding of
-    its shape onto the group slots; a copy composes that binding with
-    the query's ``from_slot`` (:meth:`Binding.renamed`), so no guard is
-    renamed per copy.
+    and every query.  Each synthesized guard is stored as its shape
+    with each slot placed among the group slots, and a copy binds those
+    places to the query's bases (its row), so no guard is renamed per
+    copy.
     """
     bases = {e.base for e in events}
     for dep in deps:
         bases.update(dep.to_slot)
     to_slot, from_slot = _slot_maps(bases)
+    row = tuple(from_slot.values())
     slot_deps = tuple(
         (dep.shape, tuple([to_slot[base] for base in dep.to_slot]))
         for dep in deps
@@ -602,12 +632,19 @@ def _bindings_modulo_renaming(
                 conjuncts.append(column.rename(onto_query))
             synthesized = guard_and(conjuncts)
             own_to, own_from = _slot_maps(synthesized.bases())
-            found = _SHAPES[key] = Binding(
-                synthesized.rename(own_to), own_to, own_from
+            group = {slot: i for i, slot in enumerate(from_slot)}
+            found = _SHAPES[key] = (
+                synthesized.rename(own_to),
+                tuple(own_from),
+                tuple([group[slot] for slot in own_from.values()]),
             )
         else:
             _SynthStats.shape_hits += 1
-        bindings.append(found.renamed(from_slot))
+        shape, slots, placed = found
+        reals = [row[i] for i in placed]
+        bindings.append(
+            Binding(shape, dict(zip(reals, slots)), dict(zip(slots, reals)))
+        )
     return bindings
 
 

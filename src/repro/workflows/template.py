@@ -4,46 +4,36 @@ Independent workflow instances share one declarative specification:
 the ``N`` travel bookings of Example 12 differ only by an identifier
 suffix on every event and site name.  Each of their guards and
 dependencies is a copy of one *shape*, so an instance needs no
-synthesis, no normal form and no closure of its own: it is a binding.
+synthesis, no normal form and no closure of its own: it is a *row*,
+its suffix and its bases' events in the template's canonical order.
 
 :class:`WorkflowTemplate` pays synthesis once, on the un-suffixed
-workflow, through :func:`repro.temporal.guards.workflow_bindings`.
-Every entry of that table is a :class:`~repro.temporal.guards.Binding`:
-the guard's shape on canonical slot events plus the template's
-``to_slot`` / ``from_slot`` maps.  Stamping an instance composes each
-binding with the suffix's base rename
-(:meth:`~repro.temporal.guards.Binding.renamed`): the shape object is
-shared, no cube is touched, and the compiled cursor enters at it as it
-is.  The real-name guard is rendered only where a real name is read.
-
-A dependency is stamped the same way
-(:func:`~repro.temporal.guards.stamp_dependency`): the template keeps
-each of its dependencies in canonical form with its binding (its
-normal form on its own slots, the key of the residual closure every
-copy walks), and an instance's copy is a structural copy -- rebuilt
-through the interning constructors with no sort, dedupe or collapse --
-bound by that binding composed with the rename.  The requirement
-monitors enter the shared closure from it.  The rename itself is
-computed once per suffix (:meth:`WorkflowTemplate.mapping_for`) and
-shared by the instance's scripts.  Cold start is
-``O(synthesis + N * bases)``.
+workflow, through :func:`repro.temporal.guards.workflow_bindings`, and
+on first use plans its rows (:class:`~repro.temporal.guards.RowPlan`):
+each guard's and each dependency's shape, with its slots given as
+positions among the template's bases, plus each base's site and
+attributes.  Stamping a row writes, straight into the merged workflow
+and table, each dependency's structural copy -- rebuilt through the
+interning constructors with no sort, dedupe or collapse, and entered
+with its binding, the key of the residual closure every copy walks --
+each guard's binding of its shared shape onto the row, and the row's
+sites and attributes.  No cube is touched and no per-instance workflow
+is built; the real-name guard is rendered only where a real name is
+read.  Cold start is ``O(synthesis + N * (bases + entries))``.
 
 Correctness note: guard synthesis and normal forms fold in canonical
-event order (``Event.sort_key``), so a composed binding renders
-exactly the guard from-scratch synthesis on the renamed workflow
-gives, binds the same slots, and enters the closure the renamed
-dependency's own normal form keys, when the rename preserves that
-order.  Appending one suffix to every name *usually* preserves
-lexicographic order but not always (``"t1" < "t10"`` yet
-``"t1_i1" > "t10_i1"``); :meth:`WorkflowTemplate.instantiate` checks
-order preservation per suffix and, for the rare violating suffix,
-renames the dependencies through
-:func:`~repro.algebra.expressions.rename_expr` and falls back to
-:func:`~repro.temporal.guards.workflow_bindings` on them -- a
-shape-table hit there whenever the suffix merely reorders names the
-same way an earlier one did, not a re-synthesis -- so an instance's
-table always renders the from-scratch guards (a property the test
-suite checks over the workload generators).
+event order (``Event.sort_key``), so a row's bindings render exactly
+the guards from-scratch synthesis on the renamed workflow gives, and
+enter the closures the renamed dependencies' own normal forms key,
+when the row keeps that order.  Appending one suffix to every name
+*usually* preserves lexicographic order but not always (``"t1" <
+"t10"`` yet ``"t1_i1" > "t10_i1"``); each row's order is checked once,
+when its suffix is first seen, and a violating row is renamed through
+:func:`~repro.algebra.expressions.rename_expr` and synthesized by
+:func:`~repro.temporal.guards.workflow_bindings` -- a shape-table hit
+whenever the suffix merely reorders names the same way an earlier one
+did -- so an instance's table always renders the from-scratch guards
+(a property the test suite checks over the workload generators).
 """
 
 from __future__ import annotations
@@ -56,7 +46,14 @@ from repro.algebra.expressions import rename_expr
 from repro.algebra.symbols import Event, rename_event
 from repro.obs.profile import span
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.temporal.guards import Binding, stamp_dependency, workflow_bindings
+from repro.temporal.guards import (
+    Binding,
+    RowPlan,
+    dependency_binding,
+    in_order,
+    stamp_dependencies,
+    workflow_bindings,
+)
 from repro.workflows.spec import Workflow
 
 
@@ -98,11 +95,63 @@ class WorkflowInstance:
 
     @cached_property
     def guards(self) -> dict[Event, Binding]:
-        return self.template._stamp_guards(self)
+        table: dict[Event, Binding] = {}
+        template = self.template
+        template._stamp_guards(
+            template._row(self.suffix), self.workflow.dependencies, table
+        )
+        return table
 
     def instantiate_script(self, script: AgentScript) -> AgentScript:
         """Rename a template-level agent script for this instance."""
         return rename_script(script, self.mapping, self.suffix)
+
+
+class _Row:
+    """One instance of a template: its suffix, the template's bases
+    renamed (``events``, in the template's canonical order), that
+    rename as a mapping (empty for the empty suffix) and whether it
+    keeps the canonical order."""
+
+    __slots__ = ("suffix", "events", "mapping", "ordered")
+
+    def __init__(self, suffix: str, bases: tuple[Event, ...]):
+        self.suffix = suffix
+        if suffix:
+            self.events = tuple([
+                Event(f"{base.name}{suffix}", params=base.params)
+                for base in bases
+            ])
+            self.mapping = dict(zip(bases, self.events))
+            self.ordered = in_order(self.events)
+        else:
+            self.events, self.mapping, self.ordered = bases, {}, True
+
+
+class _Plan:
+    """What every row of a template reads: its canonical dependencies
+    with their bindings placed on the template's bases, and each site
+    and attribute entry as ``(position, negated, value)``."""
+
+    __slots__ = ("dependencies", "bindings", "rows", "sites", "attributes")
+
+    def __init__(self, workflow: Workflow, bases: tuple[Event, ...]):
+        position = {base: i for i, base in enumerate(bases)}
+        #: canonical form, which a structural copy needs (``rename_expr``
+        #: under no rename canonicalizes)
+        self.dependencies = [
+            rename_expr(dep, {}) for dep in workflow.dependencies
+        ]
+        self.bindings = [dependency_binding(dep) for dep in self.dependencies]
+        self.rows = RowPlan(self.bindings, bases)
+        self.sites = [
+            (position[event.base], event.negated, site)
+            for event, site in workflow.sites.items()
+        ]
+        self.attributes = [
+            (position[event.base], event.negated, attrs)
+            for event, attrs in workflow.attributes.items()
+        ]
 
 
 class WorkflowTemplate:
@@ -120,11 +169,6 @@ class WorkflowTemplate:
         #: span profiler attributing synthesis vs stamping time, if any
         self.profiler = profiler
         self._guards: dict[Event, Binding] | None = None
-        #: the dependencies in canonical form, which a structural copy
-        #: needs (``rename_expr`` under no rename canonicalizes)
-        self._dependencies = tuple(
-            rename_expr(dep, {}) for dep in workflow.dependencies
-        )
         bases = {e.base for e in workflow.alphabet()}
         bases.update(b.base for b in workflow.sites)
         bases.update(b.base for b in workflow.attributes)
@@ -132,8 +176,8 @@ class WorkflowTemplate:
         self.bases: tuple[Event, ...] = tuple(
             sorted(bases, key=Event.sort_key)
         )
-        self._mappings: dict[str, dict[Event, Event]] = {}
-        #: instantiations served by composing bindings
+        self._rows: dict[str, _Row] = {}
+        #: instantiations served by the template's shapes
         self.fast_instantiations = 0
         #: instantiations through ``workflow_bindings`` (order-violating
         #: suffix)
@@ -147,107 +191,138 @@ class WorkflowTemplate:
                 self._guards = workflow_bindings(self.workflow.dependencies)
         return self._guards
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        return _Plan(self.workflow, self.bases)
+
+    @cached_property
+    def _guard_plan(self) -> tuple[int, list[tuple[int, bool]], RowPlan]:
+        """The dependencies' bindings then the guard table's, placed on
+        the template's bases, with where the guards start and their keys
+        as ``(position, negated)`` (read by the first stamped guard
+        table, so a template that stamps none synthesizes none)."""
+        plan, guards = self._plan, self.guards
+        position = {base: i for i, base in enumerate(self.bases)}
+        keys = [(position[event.base], event.negated) for event in guards]
+        rows = RowPlan([*plan.bindings, *guards.values()], self.bases)
+        return len(plan.bindings), keys, rows
+
+    def _row(self, suffix: str) -> _Row:
+        row = self._rows.get(suffix)
+        if row is None:
+            row = self._rows[suffix] = _Row(suffix, self.bases)
+        return row
+
     def mapping_for(self, suffix: str) -> dict[Event, Event]:
         """Base-event rename for one instance suffix: each base's name
         suffixed, its parameters kept, so distinct bases stay distinct.
         Computed once per suffix; the dict is shared with every caller,
         so it must not be mutated."""
-        mapping = self._mappings.get(suffix)
-        if mapping is None:
-            mapping = {
-                base: Event(f"{base.name}{suffix}", params=base.params)
-                for base in self.bases
-            } if suffix else {}
-            self._mappings[suffix] = mapping
-        return mapping
+        return self._row(suffix).mapping
 
-    def _order_preserving(self, mapping: Mapping[Event, Event]) -> bool:
-        """Does the rename keep the canonical event order?
+    def _stamp(
+        self,
+        row: _Row,
+        dependencies: list,
+        sites: dict[Event, str],
+        attributes: dict,
+        guards: dict[Event, Binding] | None,
+    ) -> None:
+        """Append ``row``'s dependency copies to ``dependencies``, write
+        its sites and attributes, and its guard table into ``guards``
+        unless that is ``None``."""
+        plan = self._plan
+        if row.suffix and row.ordered:
+            copies = stamp_dependencies(
+                plan.dependencies, self._bind(row, guards), row.mapping
+            )
+        else:
+            copies = plan.dependencies if not row.suffix else [
+                rename_expr(dep, row.mapping) for dep in plan.dependencies
+            ]
+            if guards is not None:
+                self._stamp_guards(row, copies, guards)
+        if row.ordered:
+            self.fast_instantiations += 1
+        else:
+            self.fallback_instantiations += 1
+        dependencies += copies
+        events, suffix = row.events, row.suffix
+        for at, negated, site in plan.sites:
+            event = events[at]
+            sites[event.complement if negated else event] = f"{site}{suffix}"
+        for at, negated, attrs in plan.attributes:
+            event = events[at]
+            attributes[event.complement if negated else event] = attrs
 
-        ``self.bases`` is sorted; the rename is order-preserving iff
-        the image sequence is strictly sorted too (so it is injective).
-        This is what makes the composed guard and dependency bindings
-        bit-identical to a fresh synthesis and fresh normal forms on
-        the renamed dependencies (both fold in sort order).
-        """
-        keys = [mapping[base].sort_key() for base in self.bases]
-        return all(a < b for a, b in zip(keys, keys[1:]))
+    def _bind(
+        self, row: _Row, guards: dict[Event, Binding] | None
+    ) -> list[Binding]:
+        """The template's bindings on an ordered ``row``: its dependency
+        bindings first, in order, and its guard table written into
+        ``guards`` unless that is ``None``."""
+        if guards is None:
+            return self._plan.rows.bind(row.events)
+        start, keys, rows = self._guard_plan
+        bindings = rows.bind(row.events)
+        events = row.events
+        for (at, negated), binding in zip(keys, bindings[start:]):
+            event = events[at]
+            guards[event.complement if negated else event] = binding
+        return bindings
+
+    def _stamp_guards(
+        self, row: _Row, copies: list, table: dict[Event, Binding]
+    ) -> None:
+        """Write ``row``'s guard table into ``table``: the template's
+        bindings placed on the row, or, for an order-violating row, its
+        dependency ``copies``' own bindings."""
+        if not row.suffix:
+            table.update(self.guards)
+        elif row.ordered:
+            self._bind(row, table)
+        else:
+            table.update(workflow_bindings(copies))
 
     def instantiate(self, suffix: str) -> WorkflowInstance:
         """Stamp out one instance: renamed events and sites, and the
-        template's dependency bindings composed with the suffix's
-        rename (its guard bindings are, when first read)."""
+        template's dependency shapes bound onto its row (its guard
+        bindings are, when first read)."""
         with span(self.profiler, "template_stamp"):
-            mapping = self.mapping_for(suffix)
-            if not mapping:
-                dependencies = list(self._dependencies)
-                self.fast_instantiations += 1
-            elif self._order_preserving(mapping):
-                dependencies = [
-                    stamp_dependency(dep, mapping)
-                    for dep in self._dependencies
-                ]
-                self.fast_instantiations += 1
-            else:
-                dependencies = [
-                    rename_expr(dep, mapping) for dep in self._dependencies
-                ]
-                self.fallback_instantiations += 1
-            source = self.workflow
-            instance = Workflow(
-                f"{source.name}{suffix}",
-                dependencies=dependencies,
-                attributes={
-                    rename_event(event, mapping): attrs
-                    for event, attrs in source.attributes.items()
-                },
-                sites={
-                    rename_event(event, mapping): f"{site}{suffix}"
-                    for event, site in source.sites.items()
-                },
+            row = self._row(suffix)
+            workflow = Workflow(f"{self.workflow.name}{suffix}")
+            self._stamp(
+                row, workflow.dependencies, workflow.sites,
+                workflow.attributes, None,
             )
         return WorkflowInstance(
-            suffix=suffix, workflow=instance, mapping=mapping, template=self
+            suffix=suffix, workflow=workflow, mapping=row.mapping,
+            template=self,
         )
 
-    def _stamp_guards(
-        self, instance: WorkflowInstance
-    ) -> dict[Event, Binding]:
-        """``instance``'s guard table: the template's bindings composed
-        with its rename, or, for an order-violating suffix, its own
-        dependencies' bindings."""
-        with span(self.profiler, "template_stamp"):
-            mapping = instance.mapping
-            if not mapping:
-                return dict(self.guards)
-            if not self._order_preserving(mapping):
-                return workflow_bindings(instance.workflow.dependencies)
-            # the template maps every base it holds, so every key and
-            # binding of its table has an image
-            guards = {}
-            for event, binding in self.guards.items():
-                target = mapping[event.base]
-                key = target.complement if event.negated else target
-                guards[key] = binding.renamed(mapping)
-            return guards
-
-    def _claim(self, suffix: str, claimed: set[str]) -> None:
-        """Add the base names of instance ``suffix`` to ``claimed``;
-        raise :class:`ValueError` naming one another instance holds."""
-        names = {f"{base.name}{suffix}" for base in self.bases}
-        if not claimed.isdisjoint(names):
-            raise ValueError(
-                f"instances are not event-disjoint: {min(claimed & names)} "
-                "belongs to more than one of them"
-            )
-        claimed.update(names)
+    def _rows_of(self, suffixes: Iterable[str]) -> list[_Row]:
+        """The rows of ``suffixes``; raise :class:`ValueError` naming a
+        base two of them share (a suffix given twice shares all)."""
+        rows = [self._row(suffix) for suffix in suffixes]
+        claimed = {event for row in rows for event in row.events}
+        if len(claimed) < len(self.bases) * len(rows):
+            # some base is claimed twice: name the first clash
+            seen: set[Event] = set()
+            for row in rows:
+                clash = seen.intersection(row.events)
+                if clash:
+                    raise ValueError(
+                        "instances are not event-disjoint: "
+                        f"{min(clash, key=Event.sort_key)!r} "
+                        "belongs to more than one of them"
+                    )
+                seen.update(row.events)
+        return rows
 
     def check_disjoint(self, suffixes: Iterable[str]) -> None:
         """Raise :class:`ValueError` unless the instances of
         ``suffixes`` share no base (a suffix given twice shares all)."""
-        claimed: set[str] = set()
-        for suffix in suffixes:
-            self._claim(suffix, claimed)
+        self._rows_of(suffixes)
 
     def instantiate_merged(
         self, suffixes: Iterable[str]
@@ -260,34 +335,30 @@ class WorkflowTemplate:
         event-disjoint: a base two of them would share raises
         :class:`ValueError` (its events would settle once per copy).
         """
-        merged, instances = self._merged(suffixes)
         guards: dict[Event, Binding] = {}
-        for inst in instances:
-            guards |= inst.guards
-        return merged, guards
+        return self._merged(suffixes, guards), guards
 
     def merged_workflow(self, suffixes: Iterable[str]) -> Workflow:
         """:meth:`instantiate_merged`'s workflow alone, for a scheduler
         that synthesizes its own table: no guard is synthesized or
         stamped."""
-        return self._merged(suffixes)[0]
+        return self._merged(suffixes, None)
 
     def _merged(
-        self, suffixes: Iterable[str]
-    ) -> tuple[Workflow, list[WorkflowInstance]]:
-        names: list[str] = []
-        merged = Workflow("")
-        instances: list[WorkflowInstance] = []
-        claimed: set[str] = set()
-        for suffix in suffixes:
-            self._claim(suffix, claimed)
-            inst = self.instantiate(suffix)
-            instances.append(inst)
-            names.append(inst.workflow.name)
-            merged.dependencies += inst.workflow.dependencies
-            merged.attributes |= inst.workflow.attributes
-            merged.sites |= inst.workflow.sites
-        if not names:
-            raise ValueError("instantiate_merged needs at least one suffix")
-        merged.name = "+".join(names)
-        return merged, instances
+        self, suffixes: Iterable[str], guards: dict[Event, Binding] | None
+    ) -> Workflow:
+        with span(self.profiler, "template_stamp"):
+            rows = self._rows_of(suffixes)
+            if not rows:
+                raise ValueError(
+                    "instantiate_merged needs at least one suffix"
+                )
+            name = self.workflow.name
+            merged = Workflow(
+                "+".join([f"{name}{row.suffix}" for row in rows])
+            )
+            dependencies, sites = merged.dependencies, merged.sites
+            attributes = merged.attributes
+            for row in rows:
+                self._stamp(row, dependencies, sites, attributes, guards)
+        return merged

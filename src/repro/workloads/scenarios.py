@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.temporal.guards import stamp_dependency
+from repro.temporal.guards import (
+    RowPlan,
+    dependency_binding,
+    in_order,
+    stamp_dependencies,
+)
 from repro.workflows.primitives import klein_precedes, mutex
 from repro.workflows.spec import Workflow
 
@@ -201,7 +206,7 @@ def make_mutex_family(
     mutex dependencies, so a later task's entry waits on its
     predecessor's exit -- which is why a cluster must share a scheduler.
     The pairs are stamped copies of one canonical pair
-    (:func:`~repro.temporal.guards.stamp_dependency`): the very nodes
+    (:func:`~repro.temporal.guards.stamp_dependencies`): the very nodes
     :func:`~repro.workflows.primitives.mutex` builds, already bound.
     """
     if count < 1:
@@ -232,10 +237,13 @@ def make_mutex_family(
         )
         instances.append((suffix, [script]))
 
-    # mapped in sort order (``b0 < b1 < e0 < e1``), each copy is bound
-    # by composition, with no normal form of its own
+    # one pair, stamped onto a row per coupled pair of instances: the
+    # row lists the images of ``b0 < b1 < e0 < e1``, in that order, so
+    # each copy is bound with no normal form of its own
     b0, e0, b1, e1 = Event("b0"), Event("e0"), Event("b1"), Event("e1")
-    forward, backward = mutex(b0, e0, b1, e1), mutex(b1, e1, b0, e0)
+    pair = [mutex(b0, e0, b1, e1), mutex(b1, e1, b0, e0)]
+    canonical = (b0, b1, e0, e1)
+    plan = RowPlan(map(dependency_binding, pair), canonical)
     cross = []
     clusters: list[tuple[int, ...]] = []
     for start in range(0, count, cluster):
@@ -247,13 +255,13 @@ def make_mutex_family(
             # ``mutex(bj, ej, bk, ek)`` then ``mutex(bk, ek, bj, ej)``,
             # from whichever pair of slots keeps their order (``_i9``
             # sorts after ``_i10``)
-            if bj.sort_key() < bk.sort_key():
-                mapping = {b0: bj, e0: ej, b1: bk, e1: ek}
-                pair = (forward, backward)
-            else:
-                mapping = {b0: bk, e0: ek, b1: bj, e1: ej}
-                pair = (backward, forward)
-            cross.extend(stamp_dependency(dep, mapping) for dep in pair)
+            row, order = (bj, bk, ej, ek), 1
+            if not in_order(row):
+                row, order = (bk, bj, ek, ej), -1
+            copies = stamp_dependencies(
+                pair, plan.bind(row), dict(zip(canonical, row))
+            )
+            cross.extend(copies[::order])
     return MutexFamily(
         template=template,
         instances=instances,

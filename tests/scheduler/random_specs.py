@@ -16,7 +16,10 @@ with a trace ``judge`` rejects also broke a promise -- a role granted
 ``<>self`` to a requester that occurred, and did not occur itself,
 which is the one failure class known unsound (the settlement batch
 that crosses promises).  Soundness and progress are counted, not
-asserted, until that class is fixed.
+asserted, until that class is fixed.  A run that does not end maximal
+counts as *unattainable* when no completion of the spec occurs only
+positively attempted events (:func:`attainable`: ``a + b`` with ``~a``
+and ``~b`` attempted), and as *stuck* otherwise.
 
 The tier-1 test runs 2 000 specs; run as a module, the lane takes more
 and prints its counts, exiting 1 if either property fails::
@@ -33,6 +36,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+from repro.algebra.normal_form import joint_completion_exists
 from repro.scheduler.oracle import judge
 from repro.workloads.scenarios import Scenario
 
@@ -84,6 +88,21 @@ def broke_a_promise(run: Run) -> bool:
     )
 
 
+def attainable(scenario: Scenario) -> bool:
+    """Does some completion satisfy every dependency of ``scenario``
+    while occurring only events its scripts attempt positively?  Every
+    base can settle negatively; only an attempt makes one occur."""
+    positive = frozenset(
+        attempt.event
+        for script in scenario.scripts
+        for attempt in script.attempts
+        if not attempt.event.negated
+    )
+    return joint_completion_exists(
+        tuple(scenario.workflow.dependencies), allowed_positive=positive
+    )
+
+
 @dataclass
 class LaneCounts:
     """What a lane found, by run; the two lists hold the specs that
@@ -92,6 +111,9 @@ class LaneCounts:
     specs: int = 0
     unsound: int = 0
     broken_promise: int = 0
+    #: not maximal, and the attempts admit no satisfying completion
+    unattainable: int = 0
+    #: not maximal, though the attempts admit one
     stuck: int = 0
     disagreements: list = field(default_factory=list)
     unsound_unbroken: list = field(default_factory=list)
@@ -101,7 +123,8 @@ class LaneCounts:
             f"{self.specs} specs: {len(self.disagreements)} engine "
             f"disagreements, {self.unsound} unsound "
             f"({len(self.unsound_unbroken)} without a broken promise), "
-            f"{self.broken_promise} broke a promise, {self.stuck} stuck"
+            f"{self.broken_promise} broke a promise, "
+            f"{self.unattainable} unattainable, {self.stuck} stuck"
         )
 
 
@@ -132,7 +155,11 @@ def run_lane(specs: int, seed: int) -> LaneCounts:
         broken = broke_a_promise(run)
         counts.broken_promise += broken
         if run.result.terminal != "maximal":
-            counts.stuck += 1  # every site is up: not maximal is stuck
+            # every site is up: not maximal is stuck, or unattainable
+            if attainable(scenario):
+                counts.stuck += 1
+            else:
+                counts.unattainable += 1
         elif judge(run.result.trace, scenario.workflow.dependencies):
             counts.unsound += 1
             if not broken:

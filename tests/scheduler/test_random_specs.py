@@ -6,7 +6,8 @@ import random
 
 from repro.algebra.symbols import Event
 
-from .random_specs import random_spec, run_lane
+from .explorer import _scenario
+from .random_specs import attainable, random_spec, run_lane
 
 
 def test_a_spec_is_small_and_attempts_every_base_it_mentions():
@@ -32,3 +33,13 @@ def test_engines_agree_and_every_unsound_run_broke_a_promise():
     counts = run_lane(2000, seed=1)
     assert counts.disagreements == [], counts.summary()
     assert counts.unsound_unbroken == [], counts.summary()
+
+
+def test_unattainable_attempts_are_told_from_stuck_runs():
+    """Only attempted events can occur: ``a + b`` with both refused
+    admits no completion, while the same choice with both attempted
+    (and their complements constrained too) does."""
+    refused = _scenario("refused", ["a + b"], ["~a@0", "~b@0"])
+    chosen = _scenario("chosen", ["a + b", "~a + ~b"], ["a@0", "b@0"])
+    assert not attainable(refused)
+    assert attainable(chosen)

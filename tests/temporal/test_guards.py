@@ -18,9 +18,11 @@ from repro.temporal.guards import (
     guard_formula,
     kernel_stats,
     lemma5_guard,
+    RowPlan,
+    in_order,
     path_guard,
     render,
-    stamp_dependency,
+    stamp_dependencies,
     synthesis_stats,
     workflow_bindings,
     workflow_guards,
@@ -360,6 +362,8 @@ class TestSynthesisScaling:
 
 class TestStampDependency:
     B0, E0, B1, E1 = Event("b0"), Event("e0"), Event("b1"), Event("e1")
+    #: the pair's bases in canonical order: the row a copy replaces
+    ROW = (B0, B1, E0, E1)
 
     def mapping(self, first, second):
         return {
@@ -378,9 +382,20 @@ class TestStampDependency:
     )
     def test_copy_is_bound_as_from_scratch(self, first, second, monkeypatch):
         dep = mutex(self.B0, self.E0, self.B1, self.E1)
-        mapping = self.mapping(first, second)
-        copy = stamp_dependency(dep, mapping)
-        assert copy is rename_expr(dep, mapping)
+        expected = rename_expr(dep, self.mapping(first, second))
+        row = [self.mapping(first, second)[b] for b in self.ROW]
+        if not in_order(row):
+            # stamp the mirrored dependency onto the swapped instances,
+            # as ``make_mutex_family`` does: the same copy, in order
+            dep = mutex(self.B1, self.E1, self.B0, self.E0)
+            first, second = second, first
+            row = [self.mapping(first, second)[b] for b in self.ROW]
+        assert in_order(row)
+        plan = RowPlan([dependency_binding(dep)], self.ROW)
+        (copy,) = stamp_dependencies(
+            [dep], plan.bind(row), self.mapping(first, second)
+        )
+        assert copy is expected
         stamped = dependency_binding(copy)
         # the copy's own normal form on the slots of its own bases
         monkeypatch.delitem(guards_module._DEPENDENCY_BINDINGS, copy)
@@ -389,16 +404,23 @@ class TestStampDependency:
         assert list(stamped.to_slot) == ordered == list(fresh.to_slot)
         assert stamped.shape is fresh.shape
         assert stamped.from_slot == fresh.from_slot
+        # handed its bases by stamping: the ones a walk finds
+        assert copy.bases() == frozenset(e.base for e in copy.events())
 
     def test_a_base_the_normal_form_drops_keeps_its_order_too(self):
-        # the normal form is 0, so the binding sees no base the rename
-        # could reorder; the copy must still be the canonical node
+        # the normal form is 0, so the binding sees no base a rename
+        # could reorder; the row check sees every base, and a row that
+        # keeps the order stamps the canonical node
         dep = parse("((d . b) | (~d + c) | (d . d + ~b)) . d")
-        mapping = {
-            Event("b"): Event("z"), Event("c"): Event("y"),
-            Event("d"): Event("x"),
-        }
-        assert stamp_dependency(dep, mapping) is rename_expr(dep, mapping)
+        canonical = (Event("b"), Event("c"), Event("d"))
+        assert not dependency_binding(dep).to_slot
+        assert not in_order((Event("z"), Event("y"), Event("x")))
+        mapping = {base: Event(f"{base.name}_i1") for base in canonical}
+        row = [mapping[base] for base in canonical]
+        plan = RowPlan([dependency_binding(dep)], canonical)
+        assert stamp_dependencies([dep], plan.bind(row), mapping) == [
+            rename_expr(dep, mapping)
+        ]
 
 
 class TestSynthesisCaches:
