@@ -14,7 +14,6 @@ import random
 from repro.algebra.expressions import clear_intern_tables
 from repro.algebra.normal_form import to_normal_form
 from repro.algebra.residuation import residuate
-from repro.temporal.compiled import clear_compiled
 from repro.temporal.cubes import clear_literal_cache
 from repro.temporal.guards import clear_synthesis_caches
 
@@ -28,7 +27,6 @@ def clear_symbolic_caches() -> None:
     to_normal_form.cache_clear()
     clear_synthesis_caches()
     clear_literal_cache()
-    clear_compiled()
     clear_intern_tables()
 
 

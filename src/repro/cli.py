@@ -315,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="T",
         help="sample gauge time series (parked events, channel backlog, "
-        "in-flight messages, fire/settle rates) every T virtual time "
+        "in-flight messages, fire and message rates) every T virtual time "
         "units; series ride in metrics under \"timeseries\" "
         "(distributed scheduler only)",
     )
@@ -1357,22 +1357,12 @@ def _cmd_slo(args) -> int:
     """
     from repro.obs.query import evaluate_slos
 
-    documents = []
-    for path in (args.report_file, args.slo_file):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError as exc:
-            print(f"{path}: cannot read: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"{path}: not valid JSON: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(document, dict):
-            print(f"{path}: expected a JSON object", file=sys.stderr)
-            return 2
-        documents.append(document)
-    report, slo_doc = documents
+    report = _load_json_object(args.report_file)
+    if report is None:
+        return 2
+    slo_doc = _load_json_object(args.slo_file)
+    if slo_doc is None:
+        return 2
     try:
         results = evaluate_slos(report, slo_doc)
     except ValueError as exc:

@@ -6,8 +6,8 @@ per-site breakdown (the distributed scheduler's whole argument is the
 per-site shape).  Three instrument kinds:
 
 * **counter** -- monotone count (``inc``);
-* **gauge** -- a level with its high-water mark (``gauge_adjust`` /
-  ``gauge_set``), e.g. the parked-queue depth;
+* **gauge** -- a level with its high-water mark (``gauge_adjust``),
+  e.g. the parked-queue depth;
 * **histogram** -- summary statistics of observed values (count, sum,
   min, max, mean), e.g. guard-evaluation latency or time-to-allow.
 
@@ -43,12 +43,6 @@ class MetricsRegistry:
         gauge = self._gauges.setdefault(key, {"value": 0.0, "peak": 0.0})
         gauge["value"] += delta
         gauge["peak"] = max(gauge["peak"], gauge["value"])
-
-    def gauge_set(self, name: str, value: float, site: str = _TOTAL) -> None:
-        key = (name, site)
-        gauge = self._gauges.setdefault(key, {"value": 0.0, "peak": 0.0})
-        gauge["value"] = value
-        gauge["peak"] = max(gauge["peak"], value)
 
     def observe(self, name: str, value: float, site: str = _TOTAL) -> None:
         key = (name, site)

@@ -19,9 +19,8 @@ Series sampled by the scheduler tick:
 * ``inflight_messages`` -- messages sent but not yet delivered by the
   simulated network
 * ``sim_pending`` -- simulator heap size (scheduled callbacks)
-* ``fires_per_interval`` / ``settlements_per_interval`` /
-  ``messages_per_interval`` -- deltas of the cumulative counts since
-  the previous sample
+* ``fires_per_interval`` / ``messages_per_interval`` -- deltas of the
+  settled bases and messages since the previous sample
 
 Per-shard registries from the scale-out runner are merged by
 :func:`repro.obs.merge.merge_timeseries` (step-function sum over the

@@ -88,7 +88,7 @@ class Role:
     __slots__ = (
         "event", "_durable_guard", "actor", "subscribed", "site", "sched",
         "status", "attempted_at", "knowledge", "cursor", "round_active",
-        "round_id", "round_awaiting", "round_certified", "round_holds",
+        "round_id", "round_awaiting", "round_holds",
         "_knowledge_dirty", "promise_requested", "granted_to",
         "deferred_promise_reqs", "pending_grant_reqs", "_escalated_cubes",
     )
@@ -121,8 +121,7 @@ class Role:
         self.round_active = False
         self.round_id = 0  # scheduler-issued; replies echo it
         self.round_awaiting: set[Event] = set()
-        self.round_certified: set[Event] = set()
-        self.round_holds: set[Event] = set()  # bases we froze
+        self.round_holds: set[Event] = set()  # certified: frozen for us
         self._knowledge_dirty = True  # new facts since last round?
         # -- promise bookkeeping --
         # (target, chain) -> demand level already sent; a request with
@@ -535,7 +534,6 @@ class Role:
         self.round_id = self.sched.next_round_id()
         self._knowledge_dirty = False
         self.round_awaiting = {b.base for b in targets}
-        self.round_certified = set()
         self.round_holds = set()
         awaited = sorted(self.round_awaiting, key=Event.sort_key)
         self.sched.note_round(self, awaited)
@@ -569,7 +567,6 @@ class Role:
             return
         self.round_awaiting.discard(reply.target)
         if reply.status == "not_yet":
-            self.round_certified.add(reply.target)
             self.round_holds.add(reply.target)
         elif reply.status == "occurred":
             self.learn(
@@ -595,7 +592,7 @@ class Role:
             self.sched.metrics.inc("certificate_evals", site=self.site)
             if self.sched.tracer.active:
                 transient = dict(self.knowledge)
-                for base in self.round_certified:
+                for base in self.round_holds:
                     transient[base] = transient.get(base, FULL) & NOT_YET_MASK
                 self._trace_eval("fire", 0.0, transient)
             # occur finishes the round itself, *after* settling the
@@ -613,19 +610,18 @@ class Role:
         evaluation and are never committed."""
         return self.cursor.transient_verdict(
             (base, NOT_YET_MASK)
-            for base in sorted(self.round_certified, key=Event.sort_key)
+            for base in sorted(self.round_holds, key=Event.sort_key)
         ) == "fire"
 
     def _finish_round(self) -> None:
-        if not self.round_active and not self.round_holds:
+        if not self.round_active:
             return
         rid = self.round_id
-        if self.round_active:
-            self.sched.tracer.round_event(
-                self.sched.sim.now, self.site, self.event,
-                "abort" if self.round_awaiting else "conclude", rid,
-                certified=len(self.round_certified),
-            )
+        self.sched.tracer.round_event(
+            self.sched.sim.now, self.site, self.event,
+            "abort" if self.round_awaiting else "conclude", rid,
+            certified=len(self.round_holds),
+        )
         # Release still-awaited bases too, not only confirmed holds: an
         # aborted round may have a certificate -- and its freeze -- in
         # flight, or lost outright with a crashed coordinator session.
@@ -636,7 +632,6 @@ class Role:
         self.round_holds = set()
         self.round_active = False
         self.round_awaiting = set()
-        self.round_certified = set()
         for base in sorted(to_release, key=Event.sort_key):
             self.sched.send_to_actor(
                 self,
@@ -666,7 +661,6 @@ class Role:
         self.round_active = False
         self.round_id = 0
         self.round_awaiting = set()
-        self.round_certified = set()
         self.round_holds = set()
         self._knowledge_dirty = True
         self.promise_requested = {}
@@ -737,15 +731,12 @@ class Role:
             "residual": repr(self.guard),
             "knowledge": self._structured_knowledge(self.knowledge),
         }
-        if self.round_active or self.round_holds:
+        if self.round_active:
             state["round"] = {
                 "active": self.round_active,
                 "id": self.round_id,
                 "awaiting": sorted(
                     repr(b) for b in self.round_awaiting
-                ),
-                "certified": sorted(
-                    repr(b) for b in self.round_certified
                 ),
                 "holds": sorted(repr(b) for b in self.round_holds),
             }
@@ -818,10 +809,10 @@ class BaseActor:
             if cursor.node is not None and not cursor.wakes_on(base):
                 # the skip: record the fact, touch nothing else --
                 # re-evaluation would be a no-op
-                watch.note_skip()
+                watch.skips += 1
                 role.note_occurrence(event)
                 continue
-            watch.note_wake()
+            watch.wakes += 1
             if profiler is not None:
                 profiler.push(
                     "watch_wake", site=role.site, event=repr(role.event)

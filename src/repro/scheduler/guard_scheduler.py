@@ -45,7 +45,7 @@ from repro.obs.provenance import Explanation, ProvenanceLog, explain_actor
 from repro.obs.snapshot import Snapshot, SnapshotCoordinator
 from repro.obs.timeseries import TimeSeriesRegistry
 from repro.scheduler.monitors import RequirementMonitor
-from repro.sim.faults import ChaosReport, FaultInjector, FaultPlan
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import LatencyModel
 from repro.sim.reliable import ReliableNetwork
 from repro.temporal.compiled import (
@@ -159,14 +159,13 @@ class DistributedScheduler(RunBase):
             self.faults.on_restart(self.channel.reset_site)
             self.faults.on_restart(self._recover_site)
         self._recovering: dict[str, dict] = {}
-        self._recovery_latencies: list[float] = []
         self._round_counter = 0
         #: global snapshot protocol driver (lazy list of snapshots)
         self.snapshots = SnapshotCoordinator(self)
 
         # this constructor's own shape-table lookups, overlaid on the
-        # process-wide totals by ``metrics_report`` like the watch and
-        # compiled counters; a table handed in whole looks nothing up
+        # process-wide totals by ``metrics_report``; a table handed in
+        # whole looks nothing up
         self._shape_lookups = {"shape_hits": 0, "shape_misses": 0}
         if guards is not None:
             table = dict(guards)
@@ -321,9 +320,7 @@ class DistributedScheduler(RunBase):
                 )
             )
 
-        return RequirementMonitor(
-            deps, bases, trigger, doomed, site=site, metrics=self.metrics
-        )
+        return RequirementMonitor(deps, bases, trigger, doomed, site=site)
 
     def _on_trigger(self, msg: TriggerMsg) -> None:
         """A monitor's trigger reached its event's site."""
@@ -580,7 +577,6 @@ class DistributedScheduler(RunBase):
 
     def _finish_recovery(self, site: str, record: dict) -> None:
         latency = self.sim.now - record["started"]
-        self._recovery_latencies.append(latency)
         del self._recovering[site]
         self.metrics.observe("recovery_latency", latency, site=site)
         self.tracer.sync(self.sim.now, site, "complete", latency=latency)
@@ -668,23 +664,12 @@ class DistributedScheduler(RunBase):
                 site, coordinator_site, SyncRequest.kind, base, serve
             )
 
-    def chaos_report(self) -> ChaosReport:
-        """Summary of injected faults and the protocol's response."""
-        return ChaosReport.collect(
-            self.network.stats, self.faults, self._recovery_latencies
-        )
-
     def metrics_report(self) -> dict:
         """:meth:`RunBase.metrics_report` plus what only this scheduler
         has: its own kernel counters, sampled series, fault counts."""
         report = super().metrics_report()
-        # this scheduler's own counts in place of the process-wide
-        # totals (several schedulers can share one process; the per-run
-        # numbers are the meaningful ones)
         report["kernel"]["watch"] = self.watch.counts()
-        report["kernel"]["compiled"] = dict(
-            report["kernel"]["compiled"], **self.compiled.counts()
-        )
+        report["kernel"]["compiled"] = self.compiled.counts()
         report["kernel"]["synthesis"] = dict(
             report["kernel"]["synthesis"], **self._shape_lookups
         )
@@ -823,7 +808,7 @@ class DistributedScheduler(RunBase):
 
         Series: parked events, session-layer channel backlog,
         network-level in-flight messages, simulator heap depth, and
-        per-interval deltas of fires/settlements/messages.  Sampling
+        per-interval deltas of fires and messages.  Sampling
         piggybacks on the simulator's clock advance
         (:meth:`Simulator.sample_every`): it is read-only, adds no
         heap events, and never changes the makespan or message
@@ -845,8 +830,7 @@ class DistributedScheduler(RunBase):
         ts.record("channel_backlog", t, self._session_backlog())
         ts.record("inflight_messages", t, self.network.inflight)
         ts.record("sim_pending", t, self.sim.pending)
-        ts.record_total("fires_per_interval", t, self.metrics.counter("fired"))
-        ts.record_total("settlements_per_interval", t, len(self._settled))
+        ts.record_total("fires_per_interval", t, len(self._settled))
         ts.record_total(
             "messages_per_interval", t, self.network.stats.messages
         )

@@ -158,26 +158,6 @@ class Recovered:
 
 
 @dataclass(frozen=True)
-class AttemptMsg:
-    """A task agent asks permission for an event (any scheduler)."""
-
-    event: Event
-    attempted_at: float
-
-    kind = "attempt"
-
-
-@dataclass(frozen=True)
-class DecisionMsg:
-    """A centralized scheduler's verdict travelling back to the agent."""
-
-    event: Event
-    outcome: str
-
-    kind = "decision"
-
-
-@dataclass(frozen=True)
 class TriggerMsg:
     """The scheduler causes a triggerable event in its task agent."""
 

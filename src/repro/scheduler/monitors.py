@@ -75,9 +75,9 @@ class RequirementMonitor:
     doomed:
         Callback invoked with (dependency, residual) when a dependency
         loses all accepting completions.
-    site / metrics:
-        Where its residuation steps are counted.  Triggers and dooms
-        are the callbacks' to report: the monitor only decides.
+    site:
+        Where it runs, for its snapshot.  Triggers and dooms are the
+        callbacks' to report: the monitor only decides.
     """
 
     def __init__(
@@ -87,7 +87,6 @@ class RequirementMonitor:
         trigger: Callable[[Event], None],
         doomed: Callable[[Expr, Expr], None] | None = None,
         site: str = "monitor",
-        metrics=None,
     ):
         self._tracks = {dep: ResidualCursor(dep) for dep in dependencies}
         #: base -> the tracks it can move (to the rest it is foreign)
@@ -101,7 +100,6 @@ class RequirementMonitor:
         self._trigger = trigger
         self._doomed = doomed
         self._site = site
-        self._metrics = metrics
         self._settled: set[Event] = set()
         #: signed occurrences in observation order (snapshot record)
         self._observed: list[Event] = []
@@ -123,10 +121,6 @@ class RequirementMonitor:
             slot = track.to_slot[base]
             track.state = track.closure.transitions[track.state].get(
                 slot.complement if event.negated else slot, track.state
-            )
-        if self._metrics is not None:
-            self._metrics.inc(
-                "residuation_steps", n=len(self._tracks), site=self._site
             )
         self.evaluate()
 

@@ -168,7 +168,6 @@ class CentralizedScheduler(RunBase):
         for dep, cursor in self._mentioning.get(event.base, ()):
             cursor.step(event)
             self.residuals[dep] = cursor.residual()
-        self.metrics.inc("residuation_steps", n=len(self.residuals), site=CENTER)
         # tell the owning agent (round trip completes)
         self.network.send(
             CENTER,

@@ -11,12 +11,11 @@ reproducible (see DESIGN.md, "Substitutions").
   model the bottleneck at a centralized scheduler node).
 * :mod:`repro.sim.reliable` -- exactly-once FIFO sessions (sequence
   numbers, acks, timeout retransmission) over the lossy fabric.
-* :mod:`repro.sim.faults` -- scheduled site crash/restart injection
-  and the per-run chaos report.
+* :mod:`repro.sim.faults` -- scheduled site crash/restart injection.
 """
 
 from repro.sim.clock import Simulator
-from repro.sim.faults import ChaosReport, FaultInjector, FaultPlan, SiteCrash
+from repro.sim.faults import FaultInjector, FaultPlan, SiteCrash
 from repro.sim.network import (
     ConstantLatency,
     ExponentialLatency,
@@ -28,7 +27,6 @@ from repro.sim.network import (
 from repro.sim.reliable import ReliableNetwork
 
 __all__ = [
-    "ChaosReport",
     "ConstantLatency",
     "ExponentialLatency",
     "FaultInjector",

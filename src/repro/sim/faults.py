@@ -21,19 +21,17 @@ recovery protocol (``scheduler/actors.py``) is designed against:
   then the scheduler runs the recovery protocol for the site's actors
   and monitors.
 
-The per-run :class:`ChaosReport` aggregates the abuse a run absorbed
-(drops, duplicates, retransmissions, crashes) together with the
-latency of each recovery, for the chaos benches and tests.
+The injector counts crashes and restarts; a scheduler reports them
+under ``faults`` in its ``metrics_report()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import Simulator
-from repro.sim.network import NetworkStats
 
 
 @dataclass(frozen=True)
@@ -157,54 +155,3 @@ class FaultInjector:
 
     def down_sites(self) -> frozenset[str]:
         return frozenset(self._down)
-
-
-@dataclass
-class ChaosReport:
-    """Per-run summary of injected faults and the protocol's response."""
-
-    messages: int = 0
-    dropped: int = 0
-    duplicated: int = 0
-    retransmits: int = 0
-    retransmit_giveups: int = 0
-    acks_sent: int = 0
-    dedup_discards: int = 0
-    crash_lost: int = 0
-    session_resets: int = 0
-    crashes: int = 0
-    restarts: int = 0
-    #: wall-clock (virtual) time from each restart until the recovery
-    #: protocol's solicitation round for that site completed
-    recovery_latencies: list[float] = field(default_factory=list)
-
-    @property
-    def mean_recovery_latency(self) -> float:
-        if not self.recovery_latencies:
-            return 0.0
-        return sum(self.recovery_latencies) / len(self.recovery_latencies)
-
-    @property
-    def max_recovery_latency(self) -> float:
-        return max(self.recovery_latencies, default=0.0)
-
-    @staticmethod
-    def collect(
-        stats: NetworkStats,
-        injector: FaultInjector | None = None,
-        recovery_latencies: Iterable[float] = (),
-    ) -> "ChaosReport":
-        return ChaosReport(
-            messages=stats.messages,
-            dropped=stats.dropped,
-            duplicated=stats.duplicated,
-            retransmits=stats.retransmits,
-            retransmit_giveups=stats.retransmit_giveups,
-            acks_sent=stats.acks_sent,
-            dedup_discards=stats.dedup_discards,
-            crash_lost=stats.crash_lost,
-            session_resets=stats.session_resets,
-            crashes=injector.crash_count if injector else 0,
-            restarts=injector.restart_count if injector else 0,
-            recovery_latencies=list(recovery_latencies),
-        )

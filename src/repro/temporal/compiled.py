@@ -98,74 +98,14 @@ Know = tuple[tuple[Event, int], ...]
 NOT_YET_MASK = P_E | P_C
 
 
-class _CompiledStats:
-    """Process-wide counters (per-engine counts mirror these)."""
-
-    nodes = 0        # interned nodes created
-    reused = 0       # intern probes served by an existing node
-    edges = 0        # learn edges installed (first traversal)
-    hops = 0         # O(1) cached transitions / verdict reads served
-    expansions = 0   # lazy verdict / simplify computations
-    cursors = 0      # cursors handed out
-    recompiles = 0   # cursor resets (runtime modification, crashes)
-
-
-def compiled_stats() -> dict:
-    """Snapshot of the process-wide compiled-guard counters, for
-    ``kernel_stats()['compiled']``."""
-    return {
-        "nodes": _CompiledStats.nodes,
-        "reused": _CompiledStats.reused,
-        "edges": _CompiledStats.edges,
-        "hops": _CompiledStats.hops,
-        "expansions": _CompiledStats.expansions,
-        "cursors": _CompiledStats.cursors,
-        "recompiles": _CompiledStats.recompiles,
-    }
-
-
-class _WatchStats:
-    """Process-wide wake / skip totals (per-scheduler counts mirror
-    these)."""
-
-    wakes = 0
-    skips = 0
-
-
-def watch_stats() -> dict:
-    """Snapshot of the process-wide wake counters, for
-    ``kernel_stats()['watch']``."""
-    return {"wakes": _WatchStats.wakes, "skips": _WatchStats.skips}
-
-
-def clear_compiled() -> None:
-    """Reset the process-wide compiled-guard and wake counters."""
-    _CompiledStats.nodes = 0
-    _CompiledStats.reused = 0
-    _CompiledStats.edges = 0
-    _CompiledStats.hops = 0
-    _CompiledStats.expansions = 0
-    _CompiledStats.cursors = 0
-    _CompiledStats.recompiles = 0
-    _WatchStats.wakes = 0
-    _WatchStats.skips = 0
-
-
 class WakeCounts:
-    """One scheduler's wake / skip tally, also counted process-wide;
-    its ``metrics_report`` reports it as ``kernel['watch']``."""
+    """One scheduler's wake / skip tally, counted by
+    ``BaseActor.on_announce``; its ``metrics_report`` reports it as
+    ``kernel['watch']``."""
 
     def __init__(self) -> None:
         self.wakes = 0
         self.skips = 0
-
-    def note_wake(self) -> None:
-        self.wakes += 1
-        _WatchStats.wakes += 1
-
-    def note_skip(self) -> None:
-        self.skips += 1
-        _WatchStats.skips += 1
 
     def counts(self) -> dict:
         return {"wakes": self.wakes, "skips": self.skips}
@@ -376,7 +316,6 @@ class GuardNode:
         relevant base follows one interned edge, installed on first
         traversal."""
         if base not in self.residual.bases():
-            _CompiledStats.hops += 1
             self.engine.hops += 1
             return self
         return self._transition(base, mask)
@@ -408,10 +347,8 @@ class GuardNode:
                 self.residual, _set_know(self.know, base, mask)
             )
             self._edges[key] = succ
-            _CompiledStats.edges += 1
             self.engine.edges += 1
         else:
-            _CompiledStats.hops += 1
             self.engine.hops += 1
         return succ
 
@@ -423,14 +360,12 @@ class GuardNode:
         once per node, then a pointer hop forever after."""
         nxt = self._next
         if nxt is None:
-            _CompiledStats.expansions += 1
             self.engine.expansions += 1
             knowledge = dict(self.know)
             residual = self.residual.simplify_under(knowledge)
             nxt = self.engine._node(residual, _restrict(residual, knowledge))
             self._next = nxt
         else:
-            _CompiledStats.hops += 1
             self.engine.hops += 1
         return nxt
 
@@ -441,11 +376,9 @@ class GuardNode:
         ``"fire"`` / ``"never"`` / ``"park"``."""
         v = self._verdict
         if v is None:
-            _CompiledStats.expansions += 1
             self.engine.expansions += 1
             v = self._verdict = _verdict(self.residual, dict(self.know))
         else:
-            _CompiledStats.hops += 1
             self.engine.hops += 1
         return v
 
@@ -502,7 +435,6 @@ class GuardCursor:
         entry: Binding | GuardExpr,
         knowledge: dict[Event, int],
     ):
-        _CompiledStats.cursors += 1
         engine.cursors += 1
         self.engine, self._entry, self.knowledge = engine, entry, knowledge
         self.node: GuardNode | None = None
@@ -558,7 +490,6 @@ class GuardCursor:
             return
         slot = self.to_slot.get(base)
         if slot is None:  # foreign to this copy: a self-loop
-            _CompiledStats.hops += 1
             self.engine.hops += 1
             return
         self.node = node.learn(slot, mask)
@@ -652,7 +583,6 @@ class GuardCursor:
         afresh on next use.  The new state's nodes are interned lazily
         like any other -- a recompile shares every state already
         explored, and a binding re-entered is not renamed again."""
-        _CompiledStats.recompiles += 1
         self.engine.recompiles += 1
         self._entry, self.knowledge = entry, knowledge
         self.node = self._plan_node = self._plans_node = None
@@ -734,9 +664,7 @@ class CompiledGuardEngine:
         if node is None:
             node = GuardNode(self, residual, know)
             self._nodes[key] = node
-            _CompiledStats.nodes += 1
         else:
-            _CompiledStats.reused += 1
             self.reused += 1
         return node
 
@@ -757,7 +685,7 @@ class CompiledGuardEngine:
         return len(self._nodes)
 
     def counts(self) -> dict:
-        """Per-engine counters, overlaid onto the process-wide totals
+        """This engine's counters, reported as ``kernel['compiled']``
         by ``DistributedScheduler.metrics_report()``."""
         return {
             "nodes": len(self._nodes),

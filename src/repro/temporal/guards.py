@@ -326,13 +326,13 @@ def kernel_stats() -> dict:
     """One JSON-ready snapshot of every symbolic-kernel cache.
 
     Aggregates the intern tables (hash-consing), the shape/closure
-    synthesis counters, the wake and compiled-automaton counters, and
-    the lru memo tables of the kernel entry points.  Surfaced per run
-    through ``DistributedScheduler.metrics_report()`` and ``repro run
-    --json``.
+    synthesis counters and the lru memo tables of the kernel entry
+    points: what is process-wide by nature.  Surfaced per run through
+    ``metrics_report()`` and ``repro run --json``, where the
+    distributed scheduler adds its own wake and compiled-automaton
+    counters.
     """
     from repro.algebra.expressions import intern_stats
-    from repro.temporal.compiled import compiled_stats, watch_stats
 
     def lru_counts(fn) -> dict:
         info = fn.cache_info()
@@ -341,8 +341,6 @@ def kernel_stats() -> dict:
     return {
         "interning": intern_stats(),
         "synthesis": synthesis_stats(),
-        "watch": watch_stats(),
-        "compiled": compiled_stats(),
         "memo": {
             "residuate": lru_counts(residuate),
             "to_normal_form": lru_counts(to_normal_form),

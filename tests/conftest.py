@@ -39,9 +39,7 @@ hypothesis_settings.register_profile(
 hypothesis_settings.load_profile("default")
 
 
-KERNEL_STATS_KEYS = {
-    "interning", "synthesis", "watch", "compiled", "memo"
-}
+KERNEL_STATS_KEYS = {"interning", "synthesis", "memo"}
 SYNTHESIS_STATS_KEYS = {
     "shapes", "shape_hits", "shape_misses",
     "closures", "closure_hits", "closure_misses",
@@ -53,9 +51,9 @@ COMPILED_STATS_KEYS = {
 
 
 def assert_kernel_schema(stats):
-    """The expected shape of ``kernel_stats()`` (and the ``kernel``
-    section of ``metrics_report()``), asserted in one place so a new
-    kernel subsystem updates every consumer test at once.
+    """The expected shape of ``kernel_stats()``, the process-wide
+    caches, asserted in one place so a new kernel subsystem updates
+    every consumer test at once.
 
     Accepts supersets per section (``metrics_report`` overlays
     scheduler-local counters such as ``shape_hits`` onto the
@@ -66,6 +64,14 @@ def assert_kernel_schema(stats):
     assert SYNTHESIS_STATS_KEYS <= set(stats["synthesis"]), sorted(
         stats["synthesis"]
     )
+    assert {"residuate", "to_normal_form"} <= set(stats["memo"])
+
+
+def assert_run_kernel_schema(stats):
+    """The expected shape of the ``kernel`` section of a distributed
+    run's ``metrics_report()``: :func:`assert_kernel_schema` plus the
+    run's own wake and compiled-automaton counters."""
+    assert_kernel_schema(stats)
     assert WATCH_STATS_KEYS <= set(stats["watch"]), sorted(stats["watch"])
     for counter in WATCH_STATS_KEYS:
         assert isinstance(stats["watch"][counter], int)
@@ -74,7 +80,6 @@ def assert_kernel_schema(stats):
     )
     for counter in COMPILED_STATS_KEYS:
         assert isinstance(stats["compiled"][counter], int)
-    assert {"residuate", "to_normal_form"} <= set(stats["memo"])
 
 
 def count_calls(fn) -> int:
@@ -138,6 +143,12 @@ def run_stamped_travel(outcomes, tracer=None):
 def kernel_schema():
     """Fixture handle on :func:`assert_kernel_schema`."""
     return assert_kernel_schema
+
+
+@pytest.fixture
+def run_kernel_schema():
+    """Fixture handle on :func:`assert_run_kernel_schema`."""
+    return assert_run_kernel_schema
 
 
 @pytest.fixture

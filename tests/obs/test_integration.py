@@ -9,7 +9,12 @@ subsystem on the paper's example workflows.
 * ``metrics_report`` reflects what actually happened.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +27,7 @@ from repro.workloads.scenarios import (
     make_travel_booking,
 )
 
-from ..conftest import assert_kernel_schema
+from ..conftest import assert_run_kernel_schema
 
 SCENARIOS = {
     "ex10_order": make_order_fulfillment,
@@ -51,6 +56,24 @@ def _crash_plan(scenario):
     """Crash one of the scenario's sites mid-run, restart it later."""
     victim = sorted(set(scenario.workflow.sites.values()))[0]
     return FaultPlan.of([SiteCrash(victim, at=3.0, restart_at=9.0)])
+
+
+def _run_counters(sched) -> dict:
+    kernel = sched.metrics_report()["kernel"]
+    return {"watch": kernel["watch"], "compiled": kernel["compiled"]}
+
+
+#: the crashed travel run of ``test_kernel_counters_are_the_runs_own``,
+#: alone in a fresh process
+ALONE = """
+import json
+from repro.workloads.scenarios import make_travel_booking
+from tests.obs.test_integration import _crash_plan, _run, _run_counters
+
+scenario = make_travel_booking("failure")
+sched, _ = _run(scenario, plan=_crash_plan(scenario))
+print(json.dumps(_run_counters(sched)))
+"""
 
 
 class TestChaosTracesSatisfyInvariants:
@@ -115,10 +138,27 @@ class TestMetricsReport:
         assert fired == len(result.entries)
         assert report["counters"]["attempts"]["total"] >= fired
         assert report["network"]["messages"] == result.messages
-        assert_kernel_schema(report["kernel"])
-        # the scheduler reports its own wake counts, not the
-        # process-wide totals
+        assert_run_kernel_schema(report["kernel"])
         assert report["kernel"]["watch"] == sched.watch.counts()
+
+    def test_kernel_counters_are_the_runs_own(self):
+        """A run after another in one process reports the ``watch`` and
+        ``compiled`` counters it reports alone in a fresh process."""
+        _run(make_mutex_scenario())
+        scenario = make_travel_booking("failure")
+        sched, _ = _run(scenario, plan=_crash_plan(scenario))
+        root = Path(__file__).resolve().parents[2]
+        done = subprocess.run(
+            [sys.executable, "-c", ALONE],
+            env=dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            ),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert _run_counters(sched) == json.loads(done.stdout)
+        assert _run_counters(sched)["compiled"]["recompiles"] > 0
 
     def test_crash_run_reports_faults_and_recovery(self):
         scenario = make_travel_booking()

@@ -37,13 +37,6 @@ class TestGauges:
         assert entry["sites"]["a"] == {"value": 1.0, "peak": 2.0}
         assert entry["total"] == {"value": 1.0, "peak": 2.0}
 
-    def test_set_overrides_level(self):
-        m = MetricsRegistry()
-        m.gauge_set("depth", 5.0)
-        m.gauge_set("depth", 2.0)
-        entry = m.as_dict()["gauges"]["depth"]
-        assert entry["total"] == {"value": 2.0, "peak": 5.0}
-
 
 class TestHistograms:
     def test_summary_statistics(self):

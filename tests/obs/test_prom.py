@@ -7,7 +7,7 @@ from repro.obs.prom import lint_prometheus, render_prometheus, write_prometheus
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_travel_booking
 
-from ..conftest import assert_kernel_schema
+from ..conftest import assert_run_kernel_schema
 
 
 def metrics_report():
@@ -52,7 +52,7 @@ class TestRender:
 
     def test_network_and_kernel_sections_present(self):
         report = metrics_report()
-        assert_kernel_schema(report["kernel"])
+        assert_run_kernel_schema(report["kernel"])
         text = render_prometheus(report)
         assert "repro_network_messages" in text
         assert 'repro_network_by_kind{kind="announce"}' in text

@@ -169,18 +169,22 @@ class TestChaosSafety:
     def test_report_accounts_for_the_run(self, case):
         name, scenario, plan, drop, dup, seed = case
         sched, result = run_chaos(scenario, drop, dup, plan, seed)
-        report = sched.chaos_report()
-        assert report.crashes == len(plan.crashes)
-        assert report.restarts == sum(
+        report = sched.metrics_report()
+        faults, network = report["faults"], report["network"]
+        assert faults["crashes"] == len(plan.crashes)
+        assert faults["restarts"] == sum(
             1 for c in plan.crashes if c.restart_at is not None
         )
         # when every site crashes at t=0 the run's only send can be
         # eaten by the drop dice, so count attempts, not deliveries
-        assert report.messages + report.dropped > 0
+        assert network["messages"] + network["dropped"] > 0
         if drop == 0.0 and not plan:
-            assert report.retransmits == 0
-        assert len(report.recovery_latencies) <= report.restarts
-        assert report.mean_recovery_latency <= report.max_recovery_latency
+            assert network["retransmits"] == 0
+        latencies = report["histograms"].get("recovery_latency")
+        if latencies is not None:
+            latency = latencies["total"]
+            assert latency["count"] <= faults["restarts"]
+            assert latency["min"] <= latency["mean"] <= latency["max"]
 
 
 class TestChaosLiveness:

@@ -131,10 +131,10 @@ class TestCompiledEquivalence:
             assert reference.compiled.counts()["cursors"] == 0
         assert hops > 0
 
-    def test_counters_surface_in_metrics_report(self, kernel_schema):
+    def test_counters_surface_in_metrics_report(self, run_kernel_schema):
         sched, _ = run_engine(make_travel_booking("success"), None, 0, False)
         kernel = sched.metrics_report()["kernel"]
-        kernel_schema(kernel)
+        run_kernel_schema(kernel)
         assert kernel["compiled"]["nodes"] == len(sched.compiled)
         assert kernel["compiled"]["cursors"] == len(sched.roles())
 

@@ -7,7 +7,7 @@ occurrence and re-derived the accepting paths of every residual on
 every evaluation.  That body is kept here as :class:`ReferenceMonitor`
 (as ``ReferenceCursor`` is for the compiled guards) and the two are
 driven in lock step: same triggers in the same order, same doomed
-reports repetitions included, same trace records and metrics, the
+reports repetitions included, same trace records, the
 *identical interned* residual after every step, the same snapshot.
 
 The reference also checks, at every state it reaches, the argument
@@ -26,7 +26,7 @@ from repro.algebra.normal_form import to_normal_form
 from repro.algebra.parser import parse
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event, Variable
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.scheduler import DistributedScheduler, EventAttributes
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.monitors import RequirementMonitor, required_events
@@ -55,13 +55,12 @@ class ReferenceMonitor:
     residual per evaluation."""
 
     def __init__(self, dependencies, triggerable, trigger, doomed=None,
-                 site="monitor", metrics=None):
+                 site="monitor"):
         self._residuals = {dep: to_normal_form(dep) for dep in dependencies}
         self._triggerable = frozenset(b.base for b in triggerable)
         self._trigger = trigger
         self._doomed = doomed
         self._site = site
-        self._metrics = metrics
         self._settled = set()
         self._observed = []
         self._already_triggered = set()
@@ -73,10 +72,6 @@ class ReferenceMonitor:
         self._observed.append(event)
         for dep in list(self._residuals):
             self._residuals[dep] = residuate(self._residuals[dep], event)
-        if self._metrics is not None:
-            self._metrics.inc(
-                "residuation_steps", n=len(self._residuals), site=self._site
-            )
         self.evaluate()
 
     def evaluate(self):
@@ -121,18 +116,13 @@ class Driven:
 
     def __init__(self, kind, dependencies, triggerable):
         self.triggers, self.doomed = [], []
-        self.metrics = MetricsRegistry()
         self.monitor = kind(
             dependencies, triggerable, self.triggers.append,
             doomed=lambda dep, residual: self.doomed.append((dep, residual)),
-            metrics=self.metrics,
         )
 
     def emitted(self):
-        return (
-            self.triggers, self.doomed,
-            self.metrics.as_dict(), self.monitor.snapshot_state(),
-        )
+        return self.triggers, self.doomed, self.monitor.snapshot_state()
 
 
 def assert_lock_step(dependencies, triggerable, occurrences):

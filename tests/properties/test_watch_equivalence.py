@@ -191,10 +191,10 @@ class TestWatchedEquivalence:
             total += sched.watch.counts()["skips"]
         assert total > 0
 
-    def test_counters_surface_in_metrics_report(self, kernel_schema):
+    def test_counters_surface_in_metrics_report(self, run_kernel_schema):
         sched, _ = run_engine(make_travel_booking("success"), None, 0, False)
         kernel = sched.metrics_report()["kernel"]
-        kernel_schema(kernel)
+        run_kernel_schema(kernel)
         assert kernel["watch"] == sched.watch.counts()
         assert kernel["watch"]["wakes"] > 0
 

@@ -12,8 +12,6 @@ from repro.scheduler.events import (
 )
 from repro.scheduler.messages import (
     Announce,
-    AttemptMsg,
-    DecisionMsg,
     NotYetReply,
     NotYetRequest,
     PromiseGrant,
@@ -128,11 +126,9 @@ class TestMessages:
             NotYetRequest.kind,
             NotYetReply.kind,
             Release.kind,
-            AttemptMsg.kind,
-            DecisionMsg.kind,
             TriggerMsg.kind,
         }
-        assert len(kinds) == 9
+        assert len(kinds) == 7
 
     def test_messages_are_frozen_values(self):
         req = PromiseRequest(target=F, requester=E, chain=(E,))

@@ -109,7 +109,7 @@ class TestExample12Travel:
             scenario.expect_occur - occurred,
         )
         assert not (scenario.expect_absent & occurred)
-        assert sched.chaos_report().crashes == 1
+        assert sched.metrics_report()["faults"]["crashes"] == 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_booking_settles_after_double_crash(self, seed):
@@ -164,10 +164,11 @@ class TestRecoveryMechanics:
         scenario = make_travel_booking("success")
         plan = FaultPlan.of([SiteCrash("airline", at=2.0, restart_at=7.0)])
         sched, _ = run_scenario(scenario, plan, seed=1)
-        report = sched.chaos_report()
-        assert report.crashes == 1 and report.restarts == 1
-        assert len(report.recovery_latencies) <= 1
-        assert report.session_resets >= 1
+        report = sched.metrics_report()
+        assert report["faults"] == {"crashes": 1, "restarts": 1}
+        latencies = report["histograms"].get("recovery_latency")
+        assert latencies is None or latencies["total"]["count"] <= 1
+        assert report["network"]["session_resets"] >= 1
 
     def test_a_settlement_lost_in_the_crash_is_announced_again(self):
         """``e`` occurs at 3 and its announcement to ``f``'s site is
@@ -199,10 +200,10 @@ class TestRecoveryMechanics:
         sched, result = run_scenario(
             scenario, FaultPlan.of([]), seed=0, drop=0.0, dup=0.0
         )
-        report = sched.chaos_report()
-        assert report.crashes == 0
-        assert report.retransmits == 0
-        assert report.recovery_latencies == []
+        report = sched.metrics_report()
+        assert report["faults"]["crashes"] == 0
+        assert report["network"]["retransmits"] == 0
+        assert "recovery_latency" not in report["histograms"]
         assert not result.unsettled
 
 

@@ -1,10 +1,9 @@
-"""Fault plans, the crash injector, and the per-run chaos report."""
+"""Fault plans and the crash injector."""
 
 import pytest
 
 from repro.sim.clock import Simulator
-from repro.sim.faults import ChaosReport, FaultInjector, FaultPlan, SiteCrash
-from repro.sim.network import NetworkStats
+from repro.sim.faults import FaultInjector, FaultPlan, SiteCrash
 
 
 class TestSiteCrash:
@@ -121,29 +120,3 @@ class TestFaultInjector:
         sim.run()
         assert inj.crash_count == 1
 
-
-class TestChaosReport:
-    def test_collects_stats_and_counts(self):
-        stats = NetworkStats()
-        stats.messages = 10
-        stats.dropped = 2
-        stats.retransmits = 3
-        sim = Simulator()
-        inj = FaultInjector(
-            sim, FaultPlan.of([SiteCrash("a", at=0.0, restart_at=1.0)])
-        )
-        inj.arm()
-        sim.run()
-        report = ChaosReport.collect(stats, inj, recovery_latencies=[0.5, 1.5])
-        assert report.messages == 10
-        assert report.dropped == 2
-        assert report.retransmits == 3
-        assert report.crashes == 1 and report.restarts == 1
-        assert report.mean_recovery_latency == 1.0
-        assert report.max_recovery_latency == 1.5
-
-    def test_empty_latencies_are_zero(self):
-        report = ChaosReport.collect(NetworkStats())
-        assert report.mean_recovery_latency == 0.0
-        assert report.max_recovery_latency == 0.0
-        assert report.crashes == 0

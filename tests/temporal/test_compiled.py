@@ -17,8 +17,6 @@ from repro.temporal.compiled import (
     GuardCursor,
     _restrict,
     _set_know,
-    clear_compiled,
-    compiled_stats,
     table_stats,
 )
 from repro.temporal.cubes import (
@@ -231,26 +229,6 @@ class TestCursor:
 
 
 class TestStats:
-    def test_process_wide_counters_mirror_engine(self):
-        clear_compiled()
-        try:
-            engine = CompiledGuardEngine()
-            knowledge = {}
-            cursor = engine.cursor(GUARD, knowledge)
-            cursor.verdict()
-            knowledge[A] = E_OCC
-            cursor.learn(A, E_OCC)
-            cursor.assimilate()
-            cursor.verdict()
-            stats = compiled_stats()
-            counts = engine.counts()
-            assert stats["cursors"] == counts["cursors"] == 1
-            assert stats["edges"] == counts["edges"] == 1
-            assert stats["expansions"] == counts["expansions"]
-            assert stats["nodes"] >= counts["nodes"]
-        finally:
-            clear_compiled()
-
     def test_table_stats_reports_sharing_and_constants(self):
         box_a = literal("box", A)
         stats = table_stats(

@@ -15,11 +15,6 @@ from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.scheduler.messages import Announce
 from repro.sim import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
-from repro.temporal.compiled import (
-    WakeCounts,
-    clear_compiled,
-    watch_stats,
-)
 from repro.temporal.cubes import E_OCC, TRUE_GUARD, literal
 from repro.workloads.scenarios import make_travel_booking
 
@@ -52,29 +47,6 @@ class TestWatchBases:
         reduced = guard.simplify_under({A: E_OCC})
         assert reduced == TRUE_GUARD
         assert reduced.bases() == frozenset()
-
-
-class TestWatchIndex:
-    """The wake / skip counters."""
-
-    def test_counters_mirror_process_wide_stats(self):
-        clear_compiled()
-        try:
-            counts = WakeCounts()
-            counts.note_wake()
-            counts.note_skip()
-            counts.note_skip()
-            assert counts.counts() == {"wakes": 1, "skips": 2}
-            assert watch_stats() == {"wakes": 1, "skips": 2}
-        finally:
-            clear_compiled()
-
-    def test_totals_flow_into_kernel_stats(self, kernel_schema):
-        from repro.temporal.guards import kernel_stats
-
-        stats = kernel_stats()
-        kernel_schema(stats)
-        assert stats["watch"] == watch_stats()
 
 
 def announce(sched, target, event):
