@@ -39,8 +39,8 @@ registry; ``--runs-dir DIR`` overrides ``.repro/runs``),
 ``--no-settle`` (leave unattempted bases unsettled -- parked events
 stay parked for ``explain`` to dissect), and, on the distributed
 scheduler only: ``--snapshot-every N`` (consistent global snapshots on
-a virtual-time cadence), ``--snapshot-out FILE`` (write them as JSON;
-needs ``--snapshot-every``),
+a virtual-time cadence, read without sending), ``--snapshot-out FILE``
+(write them as JSON; needs ``--snapshot-every``),
 ``--prom FILE`` (write metrics in Prometheus text format),
 ``--profile [--profile-out FILE --profile-format F]`` (phase-attributed
 wall-time profile: text table, flamegraph collapsed stacks, or
@@ -236,8 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--snapshot-every",
         type=float,
         metavar="N",
-        help="take a consistent global snapshot every N virtual time "
-        "units (distributed scheduler only)",
+        help="read a consistent global snapshot every N virtual time "
+        "units; it sends nothing, so the run is unchanged "
+        "(distributed scheduler only)",
     )
     p_run.add_argument(
         "--snapshot-out",
@@ -663,6 +664,9 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if snapshotting and args.snapshot_every <= 0:
+        print("--snapshot-every must be positive", file=sys.stderr)
+        return 2
     if (args.profile or args.sample_every is not None) and (
         args.scheduler != "distributed"
     ):
@@ -755,10 +759,7 @@ def _cmd_run(args) -> int:
     )
     if args.sample_every is not None:
         sched.enable_timeseries(args.sample_every)
-    if args.snapshot_every is not None:
-        if args.snapshot_every <= 0:
-            print("--snapshot-every must be positive", file=sys.stderr)
-            return 2
+    if snapshotting:
         sched.schedule_snapshots(args.snapshot_every)
     scripts = []
     if attempts:
@@ -767,17 +768,15 @@ def _cmd_run(args) -> int:
     json_extra: dict = {}
     text_extra: list[str] = []
     if snapshotting:
-        snapshots = [s.as_dict() for s in sched.snapshots.snapshots]
+        snapshots = [s.as_dict() for s in sched.snapshots]
         if args.snapshot_out:
             with open(args.snapshot_out, "w", encoding="utf-8") as handle:
                 json.dump(snapshots, handle, indent=2)
-        complete = sum(1 for s in snapshots if s["complete"])
         json_extra["snapshots"] = {
             "taken": len(snapshots),
-            "complete": complete,
             "file": args.snapshot_out,
         }
-        text_extra.append(f"snapshots: {complete}/{len(snapshots)} complete")
+        text_extra.append(f"snapshots: {len(snapshots)} taken")
     return _finish_run(
         args, slo_doc, result, sched.metrics_report(),
         tracer.records if tracer is not None else None,

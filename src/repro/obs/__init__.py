@@ -28,8 +28,8 @@ artifact:
   (live) and ``repro explain TRACE EVENT`` (offline) classify every
   guard literal against the actor's knowledge, name the announcements
   that justified it, and compute minimal unblocking announcement sets.
-* :mod:`repro.obs.snapshot` -- consistent global snapshots via a
-  Chandy--Lamport marker flood over the scheduler's own channel
+* :mod:`repro.obs.snapshot` -- consistent global snapshots, each the
+  whole run read between two simulator steps, sending nothing
   (``scheduler.snapshot()`` / ``repro run --snapshot-every N``), plus
   :func:`~repro.obs.snapshot.check_snapshot` validating each cut
   against the causal trace.
@@ -108,7 +108,7 @@ from repro.obs.provenance import (
     explain_records,
     minimal_unblocking_sets,
 )
-from repro.obs.snapshot import Snapshot, SnapshotCoordinator, check_snapshot
+from repro.obs.snapshot import Snapshot, check_snapshot
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -131,7 +131,6 @@ __all__ = [
     "ProvenanceLog",
     "RunRegistry",
     "Snapshot",
-    "SnapshotCoordinator",
     "TimeSeriesRegistry",
     "TraceDiff",
     "Tracer",

@@ -135,7 +135,7 @@ def check_records(records: Iterable[dict]) -> list[Diagnostic]:
         # -- clock: per-site strict monotonicity -----------------------
         prev = site_clock.get(site, 0)
         if lc <= evicted_lc.get(site, 0):
-            # a pinned record (per-category retention None) survives in
+            # a pinned record (a ``tracer.PINNED`` category) survives in
             # the ring from *before* the eviction horizon; its stamp
             # legitimately precedes the window header's clock seed
             pass

@@ -1,7 +1,7 @@
 """Flight-recorder tracing: bounded memory, dump-on-anomaly.
 
 A :class:`FlightRecorder` is a ring-mode :class:`~repro.obs.tracer.
-Tracer` (newest ``ring`` records kept, per-category retention, eviction
+Tracer` (newest ``ring`` records kept, ``fault`` records pinned, eviction
 counters -- see the tracer module) plus the *dump triggers*: when
 something goes wrong, the retained window is written out in full --
 header included, so ``repro trace check`` can verify it -- before the
@@ -50,10 +50,9 @@ class FlightRecorder(Tracer):
     def __init__(
         self,
         ring: int,
-        retention: dict[str, int | None] | None = None,
         dump_path: str | None = None,
     ) -> None:
-        super().__init__(ring=ring, retention=retention)
+        super().__init__(ring=ring)
         self.dump_path = dump_path
         self.anomalies: list[str] = []
         self.dumps_written: list[str] = []

@@ -37,11 +37,10 @@ holds (the :class:`Tracer` does the ``repr``).
 bounded *flight-recorder window*: the newest ``N`` records are kept,
 older ones are evicted (counted per category, with the highest evicted
 Lamport stamp per site and the highest evicted message id remembered so
-the offline checker can reason about the missing prefix).  A
-``retention`` policy maps categories to ``None`` (pinned: never
-evicted -- the default for rare-but-crucial ``fault`` records) or to a
-dedicated per-category capacity.  Memory stays constant regardless of
-run length; see :mod:`repro.obs.recorder` for the auto-dump triggers.
+the offline checker can reason about the missing prefix).  The
+categories in :data:`PINNED` are never evicted.  Memory stays constant
+regardless of run length; see :mod:`repro.obs.recorder` for the
+auto-dump triggers.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ import json
 from collections import deque
 from typing import Any, Iterable
 
-#: default per-category retention for ring mode: ``fault`` records
-#: (crash/restart) are pinned -- they are rare, and both the window
-#: checker and the flight recorder's dump triggers depend on them.
-DEFAULT_RETENTION: dict[str, int | None] = {"fault": None}
+#: categories ring mode never evicts: ``fault`` records (crash/restart)
+#: are rare, and both the window checker and the flight recorder's dump
+#: triggers depend on them.
+PINNED = frozenset({"fault"})
 
 #: synthetic site name carried by flight-recorder window headers
 RECORDER_SITE = "@recorder"
@@ -118,38 +117,25 @@ class Tracer(NullTracer):
     :func:`read_jsonl` reads such a file back for offline checking and
     export.
 
-    ``ring=N`` bounds storage to the newest ``N`` records (plus any
-    categories pinned or capped separately by ``retention``); see the
-    module docstring.  Without ``ring`` the tracer keeps everything,
-    exactly as before.
+    ``ring=N`` bounds storage to the newest ``N`` records (plus the
+    :data:`PINNED` categories); see the module docstring.  Without
+    ``ring`` the tracer keeps everything, exactly as before.
     """
 
     active = True
 
-    def __init__(
-        self,
-        ring: int | None = None,
-        retention: dict[str, int | None] | None = None,
-    ) -> None:
+    def __init__(self, ring: int | None = None) -> None:
         self._clocks: dict[str, int] = {}
         self._next_mid = 0
         if ring is not None and ring < 1:
             raise ValueError(f"ring must be a positive capacity, got {ring!r}")
         self._ring = ring
-        self._retention = (
-            dict(DEFAULT_RETENTION) if retention is None else dict(retention)
-        )
         if ring is None:
             self._records: list[dict] = []
         else:
             self._seq = 0
             self._main: deque[tuple[int, dict]] = deque()
             self._pinned: list[tuple[int, dict]] = []
-            self._cat_rings: dict[str, deque[tuple[int, dict]]] = {
-                cat: deque()
-                for cat, cap in self._retention.items()
-                if cap is not None
-            }
             self.dropped: dict[str, int] = {}
             self._evicted_lc: dict[str, int] = {}
             self._mid_horizon = 0
@@ -164,9 +150,7 @@ class Tracer(NullTracer):
         """
         if self._ring is None:
             return self._records
-        stores: list[Iterable[tuple[int, dict]]] = [self._main, self._pinned]
-        stores.extend(self._cat_rings.values())
-        entries = [entry for store in stores for entry in store]
+        entries = [*self._main, *self._pinned]
         entries.sort(key=lambda entry: entry[0])
         return [record for _, record in entries]
 
@@ -202,14 +186,13 @@ class Tracer(NullTracer):
             return record
         seq = self._seq
         self._seq = seq + 1
-        cap = self._retention.get(cat, self._ring)
-        if cap is None:
+        if cat in PINNED:
             self._pinned.append((seq, record))
             return record
-        store = self._cat_rings.get(cat, self._main)
-        if len(store) >= cap:
-            self._evict(store.popleft()[1])
-        store.append((seq, record))
+        main = self._main
+        if len(main) >= self._ring:
+            self._evict(main.popleft()[1])
+        main.append((seq, record))
         return record
 
     def local(self, t: float, site: str, cat: str, op: str, **fields: Any) -> dict:
@@ -334,15 +317,7 @@ class Tracer(NullTracer):
         )
 
     # ------------------------------------------------------------------
-    # consistent global snapshots (repro.obs.snapshot)
-
-    def snapshot(self, t: float, site: str, op: str, snap_id: int, **fields: Any) -> int:
-        """``op``: initiate / record / complete / abandon.
-
-        Returns the record's Lamport stamp; for ``record`` ops that
-        stamp *is* the site's position on the snapshot's cut, which the
-        snapshot checker compares against the trace."""
-        return self.local(t, site, "snapshot", op, snap_id=snap_id, **fields)["lc"]
+    # observer reads
 
     def clock(self, site: str) -> int:
         """The site's current Lamport stamp (0 before its first record).
@@ -360,12 +335,9 @@ class Tracer(NullTracer):
         the tracer is unbounded."""
         if self._ring is None:
             return None
-        retained = len(self._main) + len(self._pinned) + sum(
-            len(store) for store in self._cat_rings.values()
-        )
         return {
             "ring": self._ring,
-            "retained": retained,
+            "retained": len(self._main) + len(self._pinned),
             "dropped": dict(sorted(self.dropped.items())),
             "dropped_total": sum(self.dropped.values()),
             "evicted_lc": dict(sorted(self._evicted_lc.items())),

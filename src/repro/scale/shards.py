@@ -93,7 +93,6 @@ class ShardTask:
     seed: int
     workflow: Workflow
     instances: tuple[InstanceSpec, ...]
-    reliable: bool = False
     trace: bool = False
     settle: bool = True
     latency: float | None = None  # constant per-hop latency, None = default
@@ -171,7 +170,6 @@ def plan_shards(
     shards: int,
     *,
     seed: int = 0,
-    reliable: bool = False,
     trace: bool = False,
     settle: bool = True,
     latency: float | None = None,
@@ -246,7 +244,6 @@ def plan_shards(
             seed=shard_seed(seed, shard),
             workflow=workflow,
             instances=tuple(instances[index] for index in part),
-            reliable=reliable,
             trace=trace,
             settle=settle,
             latency=latency,
@@ -297,7 +294,6 @@ def run_shard(task: ShardTask) -> ShardOutcome:
         ),
         rng=random.Random(task.seed),
         guards=stamped,
-        reliable=task.reliable,
         tracer=tracer,
         profiler=profiler,
     )

@@ -42,7 +42,7 @@ from repro.scheduler.messages import (
 )
 from repro.obs.profile import span
 from repro.obs.provenance import Explanation, ProvenanceLog, explain_actor
-from repro.obs.snapshot import Snapshot, SnapshotCoordinator
+from repro.obs.snapshot import Snapshot
 from repro.obs.timeseries import TimeSeriesRegistry
 from repro.scheduler.monitors import RequirementMonitor
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -160,8 +160,8 @@ class DistributedScheduler(RunBase):
             self.faults.on_restart(self._recover_site)
         self._recovering: dict[str, dict] = {}
         self._round_counter = 0
-        #: global snapshot protocol driver (lazy list of snapshots)
-        self.snapshots = SnapshotCoordinator(self)
+        #: every snapshot taken, oldest first (:meth:`snapshot`)
+        self.snapshots: list[Snapshot] = []
 
         # this constructor's own shape-table lookups, overlaid on the
         # process-wide totals by ``metrics_report``; a table handed in
@@ -702,7 +702,7 @@ class DistributedScheduler(RunBase):
         return explain_actor(self, role)
 
     def snapshot_sites(self) -> list[str]:
-        """Every site participating in the snapshot protocol."""
+        """Every site a snapshot reads."""
         sites = {a.site for a in self.actors.values()}
         sites.update(site for site, _m in self._monitors)
         return sorted(sites)
@@ -738,67 +738,29 @@ class DistributedScheduler(RunBase):
             ],
         }
 
-    def snapshot(self, wait: bool = True) -> Snapshot | None:
-        """Take a consistent global snapshot now.
+    def snapshot(self) -> Snapshot:
+        """Read a consistent global snapshot of the run now and keep it
+        in :attr:`snapshots`.  Reading runs and sends nothing."""
+        return self._cut(self.sim.now)
 
-        With ``wait`` (the default) the simulator runs until the
-        marker protocol finishes, so the returned snapshot is complete
-        unless a permanently-dead site can never be cut.  Inside a
-        running simulation pass ``wait=False`` and let the markers
-        interleave with the workload."""
-        snap = self.snapshots.initiate()
-        if snap is not None and wait:
-            self.sim.run()
+    def _cut(self, t: float) -> Snapshot:
+        snap = Snapshot(self, len(self.snapshots) + 1, t)
+        self.snapshots.append(snap)
         return snap
 
     def schedule_snapshots(self, every: float) -> None:
-        """Snapshot periodically while the run is making progress.
+        """Snapshot at every ``every``-unit boundary of virtual time,
+        between simulator steps (:meth:`Simulator.sample_every`),
+        skipping a boundary when no event fired since the last cut."""
+        last = self.sim.processed
 
-        Each tick snapshots only if fresh application traffic flowed
-        since the last tick (markers, acks, and retransmissions are
-        excluded from the activity measure -- otherwise retransmitting
-        toward a permanently-dead site would count as progress and the
-        ticker would never stop); an in-flight snapshot is left to
-        finish as long as markers keep landing, and only replaced when
-        it has stalled for several ticks *and* the workload has since
-        moved on.  The ticker stops for good once the simulator has
-        nothing further scheduled."""
-        if every <= 0:
-            raise ValueError("snapshot interval must be positive")
+        def cut(t: float) -> None:
+            nonlocal last
+            if self.sim.processed != last:
+                last = self.sim.processed
+                self._cut(t)
 
-        state = {"last": -1, "progress": None, "stalls": 0}
-
-        def tick() -> None:
-            active = self.snapshots._active
-            seen = self.network.stats.fresh_payloads()
-            if active is not None:
-                progress = (active.id, len(active._awaiting))
-                if progress != state["progress"]:
-                    # markers are landing: let the snapshot finish
-                    state["progress"] = progress
-                    state["stalls"] = 0
-                    self.sim.schedule(every, tick)
-                    return
-                state["stalls"] += 1
-                if state["stalls"] < 3 or seen == state["last"]:
-                    # mid-retransmit-backoff, or nothing new worth
-                    # capturing: keep waiting while anything is queued
-                    if self.sim.pending > 0:
-                        self.sim.schedule(every, tick)
-                    return
-                # genuinely stuck and the run moved on: start over
-                # (initiate() abandons the stalled one)
-            state["progress"] = None
-            state["stalls"] = 0
-            if seen != state["last"]:
-                state["last"] = seen
-                self.snapshots.initiate()
-                self.sim.schedule(every, tick)
-            elif self.sim.pending > 0:
-                self.sim.schedule(every, tick)
-            # else: quiescent and nothing new happened -- stop
-
-        self.sim.schedule(every, tick)
+        self.sim.sample_every(every, cut)
 
     # ------------------------------------------------------------------
     # observability: sampled time series

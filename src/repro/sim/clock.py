@@ -97,12 +97,14 @@ class Simulator:
             heapq.heappop(heap)
         if not heap:
             return False
+        if self._samplers:
+            # before the pop: a sampler reads the due entry as pending
+            time = self.now = heap[0][0]
+            for sampler in self._samplers:
+                sampler.on_advance(time)
         time, seq, fn, args = heapq.heappop(heap)
         live.discard(seq)
         self.now = time
-        if self._samplers:
-            for sampler in self._samplers:
-                sampler.on_advance(time)
         self.processed += 1
         fn(*args)
         return True
@@ -115,7 +117,7 @@ class Simulator:
         The sampler is *not* a scheduled callback: it piggybacks on
         :meth:`step`, firing whenever the clock crosses a sampling
         boundary on its way to the next real event (stamped with the
-        boundary time, before that event's callback runs).  It
+        boundary time, while that event is still in the heap).  It
         therefore never appears in the heap, never extends a run or
         its makespan, and keeps working across multiple :meth:`run`
         phases without re-arming.  Samplers must only read state.

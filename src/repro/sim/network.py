@@ -43,7 +43,6 @@ KNOWN_KINDS = frozenset({
     "trigger",
     "ack",
     "reconfigure",
-    "snapshot_marker",
     "msg",
 })
 
@@ -121,14 +120,8 @@ class NetworkStats:
 
     def fresh_payloads(self) -> int:
         """Application payloads sent for the first time: total traffic
-        minus protocol overhead (snapshot markers, acks) and re-sends.
-        Monotone over a run -- the snapshot ticker uses it to decide
-        whether anything happened since its last look."""
-        overhead = self.by_kind.get("snapshot_marker", 0)
-        overhead += self.by_kind.get("ack", 0)
-        resends = self.retransmits
-        resends -= self.retransmits_by_kind.get("snapshot_marker", 0)
-        return self.messages - overhead - resends
+        minus acks and re-sends."""
+        return self.messages - self.by_kind.get("ack", 0) - self.retransmits
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready snapshot of all counters (for metrics reports)."""
@@ -197,12 +190,6 @@ class Network:
         #: messages sent but not yet delivered (drops never count);
         #: the time-series sampler reads this as a point-in-time gauge
         self.inflight = 0
-        #: optional callback ``(src, dst, kind, payload)`` consulted at
-        #: each delivery, before the handler runs.  Installed only
-        #: while a global snapshot is recording in-channel messages
-        #: (:mod:`repro.obs.snapshot`); the steady-state cost is one
-        #: attribute read and a branch per delivery.
-        self.delivery_hook = None
         #: chronological record of every delivered message:
         #: (send_time, deliver_time, src, dst, kind) -- the raw
         #: material for message-sequence rendering and debugging
@@ -295,14 +282,11 @@ class Network:
         handler: Callable[[Any], None],
         stamp: tuple | None,
     ) -> None:
-        """One message arrives: its receive record, the snapshot hook,
-        then ``handler(payload)`` (in a ``delivery`` span when
-        profiled)."""
+        """One message arrives: its receive record, then
+        ``handler(payload)`` (in a ``delivery`` span when profiled)."""
         self.inflight -= 1
         if stamp is not None:
             self.tracer.message_recv(self.sim.now, src, dst, kind, *stamp)
-        if self.delivery_hook is not None:
-            self.delivery_hook(src, dst, kind, payload)
         profiler = self.profiler
         if profiler is None:
             handler(payload)
@@ -312,6 +296,17 @@ class Network:
             handler(payload)
         finally:
             profiler.pop()
+
+    def undelivered(self) -> list[tuple[str, str, str, Any]]:
+        """``(src, dst, kind, payload)`` of every message sent and not
+        yet delivered, in delivery order: the live :meth:`_deliver`
+        entries of the simulator heap (read, never popped)."""
+        deliver, live = self._deliver, self.sim._live
+        return [
+            args[:4]
+            for _time, seq, fn, args in sorted(self.sim._heap)
+            if fn == deliver and seq in live
+        ]
 
     def site_load(self) -> dict[str, int]:
         """Messages handled per site -- the bottleneck metric of SC1."""

@@ -112,13 +112,6 @@ class ReliableNetwork:
         #: ``(src, dst, kind, seq)`` of every payload given up on
         #: although its destination was not down for good
         self.lost: list[tuple[str, str, str, int]] = []
-        #: optional callback ``(src, dst, kind, payload)`` consulted at
-        #: each *application* delivery -- after dedup and in-order
-        #: release, so a retransmitted or duplicated payload is seen
-        #: once, and acks never are.  Installed only while a global
-        #: snapshot records in-channel messages
-        #: (:mod:`repro.obs.snapshot`).
-        self.delivery_hook = None
         # sender side, per (src, dst)
         self._next_seq: dict[tuple[str, str], int] = {}
         self._unacked: dict[tuple[str, str], dict[int, _Pending]] = {}
@@ -245,8 +238,6 @@ class ReliableNetwork:
         if self.faults is not None and self.faults.is_down(site):
             self._note("crash_lost", site, "crash_lost", dst=site)
             return
-        if self.delivery_hook is not None:
-            self.delivery_hook(site, site, kind, payload)
         handler(payload)
 
     def _deliver(self, packet: tuple) -> None:
@@ -278,8 +269,6 @@ class ReliableNetwork:
             queued_payload, queued_handler, queued_kind = buffer.pop(expected)
             expected += 1
             self._expected[key] = expected
-            if self.delivery_hook is not None:
-                self.delivery_hook(_src, dst, queued_kind, queued_payload)
             queued_handler(queued_payload)
         self._send_ack(key, epoch)
 
@@ -365,8 +354,30 @@ class ReliableNetwork:
                 self.send(*key, pending.kind, pending.payload, pending.handler)
 
     # ------------------------------------------------------------------
-    # introspection (used by tests and the chaos report)
+    # introspection (the time series and snapshots read these)
 
     def in_flight(self) -> int:
         """Unacknowledged payloads across all sessions."""
         return sum(len(m) for m in self._unacked.values())
+
+    def undelivered(self) -> list[tuple[str, str, str, Any]]:
+        """``(src, dst, kind, payload)`` of every payload sent and not
+        yet handed to its handler, each once however many copies the
+        fabric carries: the intra-site hand-offs in flight (the only
+        fabric messages from a site to itself), then per session the
+        unacknowledged payloads at or above the receiver's next
+        expected sequence number."""
+        pending = [
+            (src, dst, kind, packet[2])
+            for src, dst, kind, packet in self.net.undelivered()
+            if src == dst
+        ]
+        for key in sorted(self._unacked):
+            expected = self._expected.get(key, 1)
+            unacked = self._unacked[key]
+            pending.extend(
+                (*key, unacked[seq].kind, unacked[seq].payload)
+                for seq in sorted(unacked)
+                if seq >= expected
+            )
+        return pending

@@ -22,7 +22,6 @@ def metrics_report():
         reliable=True,
     )
     sched.run(scenario.scripts, verify=False)
-    sched.snapshot()
     return sched.metrics_report()
 
 
@@ -59,11 +58,6 @@ class TestRender:
         assert "repro_kernel_" in text
         assert "repro_kernel_watch_wakes" in text
         assert "repro_kernel_watch_skips" in text
-
-    def test_snapshot_counters_exported(self):
-        text = render_prometheus(metrics_report())
-        assert "repro_snapshots_initiated_total 1" in text
-        assert "repro_snapshots_completed_total 1" in text
 
     def test_custom_prefix(self):
         text = render_prometheus(metrics_report(), prefix="wf_")

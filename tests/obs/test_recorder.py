@@ -64,13 +64,6 @@ class TestRingTracer:
         assert tracer.window_records() == list(tracer.records)
         assert tracer.recorder_stats() is None
 
-    def test_retention_pins_a_category(self):
-        tracer = Tracer(ring=4, retention={"actor": None})
-        run_with(tracer)
-        cats = [r["cat"] for r in tracer.records]
-        assert cats.count("actor") > 4       # pinned, never evicted
-        assert "actor" not in tracer.recorder_stats()["dropped"]
-
     def test_fault_records_pinned_by_default(self):
         tracer = Tracer(ring=4)
         run_with(tracer, fault_plan=CRASH_PLAN, reliable=True)

@@ -1,26 +1,109 @@
-"""Consistent global snapshots: the marker protocol and its checker."""
+"""Consistent global snapshots: a cut read between simulator steps, and
+its checker."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from repro.obs.snapshot import MARKER_KIND, check_snapshot
+from repro.obs.snapshot import check_snapshot
 from repro.obs.tracer import Tracer
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.sim import FaultPlan, SiteCrash
-from repro.workloads.scenarios import make_travel_booking
+from repro.sim.network import UniformLatency
+from repro.workloads.scenarios import make_mutex_scenario, make_travel_booking
+
+SCENARIOS = {"travel": make_travel_booking, "mutex": make_mutex_scenario}
+
+#: the fabrics a snapshot must not perturb: raw with jitter, the
+#: session layer under drops, and the session layer across a crash
+FABRICS = {
+    "raw_jitter": lambda sites: {"latency": UniformLatency(0.5, 1.5)},
+    "reliable_drop": lambda sites: {
+        "reliable": True, "drop_probability": 0.2,
+    },
+    "reliable_crash": lambda sites: {
+        "fault_plan": FaultPlan.of(
+            [SiteCrash(sites[0], at=2.0, restart_at=6.0)]
+        ),
+    },
+}
 
 
-def travel_scheduler(**kwargs):
-    scenario = make_travel_booking()
+def scheduler_for(scenario, **kwargs):
     workflow = scenario.workflow
-    sched = DistributedScheduler(
+    return DistributedScheduler(
         workflow.dependencies,
         sites=workflow.sites,
         attributes=workflow.attributes,
         **kwargs,
     )
-    return scenario, sched
+
+
+def travel_scheduler(**kwargs):
+    scenario = make_travel_booking()
+    return scenario, scheduler_for(scenario, **kwargs)
+
+
+def fingerprint(sched, result):
+    """What a run decided and sent."""
+    return (
+        [(repr(e.event), e.time, e.outcome) for e in result.entries],
+        result.makespan,
+        result.messages,
+        dict(sched.network.stats.by_kind),
+    )
+
+
+def run_on(name, fabric, seed, snapshot_every=None, tracer=None):
+    scenario = SCENARIOS[name]()
+    sites = sorted(set(scenario.workflow.sites.values()))
+    sched = scheduler_for(
+        scenario, rng=random.Random(seed), tracer=tracer,
+        **FABRICS[fabric](sites),
+    )
+    if snapshot_every is not None:
+        sched.schedule_snapshots(snapshot_every)
+    return sched, sched.run(scenario.scripts, verify=False)
+
+
+class TestObserversOnlyRead:
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_snapshots_leave_the_run_unchanged(self, name, fabric):
+        taken = 0
+        for seed in range(5):
+            sched, result = run_on(name, fabric, seed, snapshot_every=2.0)
+            taken += len(sched.snapshots)
+            assert fingerprint(sched, result) == fingerprint(
+                *run_on(name, fabric, seed)
+            ), seed
+        assert taken
+
+    def test_a_traced_run_records_the_same_trace(self):
+        plain, snapped = Tracer(), Tracer()
+        run_on("travel", "reliable_drop", 3, tracer=plain)
+        sched, _ = run_on(
+            "travel", "reliable_drop", 3, snapshot_every=1.0, tracer=snapped
+        )
+        assert sched.snapshots
+
+        def timeless(tracer):  # a guard record's wall-clock elapsed varies
+            return [
+                {k: v for k, v in r.items() if k != "elapsed"}
+                for r in tracer.records
+            ]
+
+        assert timeless(snapped) == timeless(plain)
+
+    def test_idle_boundaries_take_no_copies(self):
+        scenario, sched = travel_scheduler()
+        sched.schedule_snapshots(0.25)
+        sched.run(scenario.scripts)
+        times = [snap.time for snap in sched.snapshots]
+        assert times == sorted(set(times))
+        # the constant-latency run moves at whole time units only
+        assert len(times) <= sched.sim.now + 1
 
 
 class TestPlainRun:
@@ -28,18 +111,21 @@ class TestPlainRun:
         scenario, sched = travel_scheduler(tracer=Tracer())
         sched.schedule_snapshots(2.0)
         sched.run(scenario.scripts)
-        snaps = sched.snapshots.snapshots
-        completed = [s for s in snaps if s.complete]
-        assert completed, "no snapshot completed on a fault-free run"
-        for snap in completed:
+        snaps = sched.snapshots
+        assert snaps, "no snapshot taken on a fault-free run"
+        assert [snap.id for snap in snaps] == list(range(1, len(snaps) + 1))
+        for snap in snaps:
             assert check_snapshot(snap, sched.tracer.records) == []
 
     def test_snapshot_records_every_site(self):
         scenario, sched = travel_scheduler(tracer=Tracer())
         sched.run(scenario.scripts)
         snap = sched.snapshot()
-        assert snap is not None and snap.complete
         assert sorted(snap.states) == sched.snapshot_sites()
+        assert snap.down == [] and snap.channels == {}
+        assert snap.cut == {
+            site: sched.tracer.clock(site) for site in snap.states
+        }
         assert check_snapshot(snap, sched.tracer.records) == []
 
     def test_manual_snapshot_midway(self):
@@ -47,37 +133,121 @@ class TestPlainRun:
         from repro.algebra.symbols import Event
 
         sched.attempt(Event("c_buy"))
-        snap = sched.snapshot()  # runs the sim until markers settle
-        assert snap is not None and snap.complete
+        pending = sched.sim.pending
+        records = len(sched.tracer.records)
+        snap = sched.snapshot()  # a read: nothing runs
+        assert sched.sim.pending == pending
+        assert len(sched.tracer.records) == records
+        assert sum(map(len, snap.channels.values())) == sched.network.inflight
         assert check_snapshot(snap, sched.tracer.records) == []
 
     @pytest.mark.parametrize("reliable", [False, True])
     def test_in_channel_messages_are_recorded(self, reliable):
-        # the coordinator hooks whichever transport delivers: the raw
-        # fabric, or the session layer over it
+        # whichever transport delivers lists what is in its channels:
+        # the raw fabric, or the session layer over it
         scenario, sched = travel_scheduler(reliable=reliable)
         sched.schedule_snapshots(1.0)
         sched.run(scenario.scripts)
-        snaps = sched.snapshots.snapshots
-        assert snaps and all(snap.complete for snap in snaps)
+        snaps = sched.snapshots
+        assert snaps
         assert any(
             messages for snap in snaps for messages in snap.channels.values()
         )
-        assert sched.channel.delivery_hook is None  # cleared when done
+        for snap in snaps:
+            for messages in snap.channels.values():
+                assert all(m["kind"] != "ack" for m in messages)
 
-    def test_marker_messages_are_counted_by_kind(self):
-        scenario, sched = travel_scheduler()
-        sched.run(scenario.scripts)
-        sched.snapshot()
-        assert sched.network.stats.by_kind.get(MARKER_KIND, 0) > 0
 
-    def test_metrics_count_initiations_and_completions(self):
-        scenario, sched = travel_scheduler()
+class TestChannels:
+    def test_raw_channel_count_equals_inflight_at_every_cut(self):
+        scenario = make_mutex_scenario()
+        sched = scheduler_for(
+            scenario, rng=random.Random(1), latency=UniformLatency(0.5, 1.5)
+        )
+        inflight = {}
+        sched.schedule_snapshots(0.5)
+        sched.sim.sample_every(
+            0.5, lambda t: inflight.setdefault(t, sched.network.inflight)
+        )
         sched.run(scenario.scripts)
-        sched.snapshot()
-        report = sched.metrics_report()["counters"]
-        assert report["snapshots_initiated"]["total"] >= 1
-        assert report["snapshots_completed"]["total"] >= 1
+        assert sched.snapshots
+        for snap in sched.snapshots:
+            listed = sum(map(len, snap.channels.values()))
+            assert listed == inflight[snap.time], snap.time
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_raw_channels_hold_what_the_trace_shows_crossing_the_cut(
+        self, name
+    ):
+        # a message is in the cut's channel iff its send is at or
+        # before the sender's cut and its receive after the receiver's
+        tracer = Tracer()
+        sched, _result = run_on(
+            name, "raw_jitter", 2, snapshot_every=0.5, tracer=tracer
+        )
+        sends, recvs = {}, {}
+        for record in tracer.records:
+            if record["cat"] == "message":
+                if record["op"] == "send":
+                    sends[record["mid"]] = record
+                elif record["op"] == "recv":
+                    recvs[record["mid"]] = record
+        crossing = 0
+        for snap in sched.snapshots:
+            expected = Counter(
+                (f"{send['src']}->{send['dst']}", send["kind"])
+                for mid, send in sends.items()
+                if send["lc"] <= snap.cut[send["src"]]
+                and recvs[mid]["lc"] > snap.cut[send["dst"]]
+            )
+            listed = Counter(
+                (channel, message["kind"])
+                for channel, messages in snap.channels.items()
+                for message in messages
+            )
+            assert listed == expected, snap.time
+            crossing += sum(listed.values())
+        assert crossing
+
+    def test_session_channels_list_each_payload_once(self):
+        # no loss: every payload packet on the fabric is one payload not
+        # yet released, so the session layer lists exactly those
+        scenario = make_travel_booking()
+        sched = scheduler_for(
+            scenario, rng=random.Random(5), reliable=True,
+            latency=UniformLatency(0.5, 1.5),
+        )
+        seen = []
+
+        def compare(_t):
+            session = sorted(
+                (src, dst, kind)
+                for src, dst, kind, _p in sched.channel.undelivered()
+            )
+            fabric = sorted(
+                (src, dst, kind)
+                for src, dst, kind, _p in sched.network.undelivered()
+                if kind != "ack"
+            )
+            seen.append(len(session))
+            assert session == fabric
+
+        sched.sim.sample_every(0.5, compare)
+        sched.run(scenario.scripts)
+        assert any(seen)
+
+    def test_down_site_is_listed_with_its_durable_state(self):
+        plan = FaultPlan.of([SiteCrash("car_rental", 1.0)])
+        scenario, sched = travel_scheduler(
+            tracer=Tracer(), rng=random.Random(99), fault_plan=plan,
+        )
+        sched.schedule_snapshots(2.0)
+        sched.run(scenario.scripts, verify=False)  # must terminate
+        assert sched.snapshots
+        for snap in sched.snapshots:
+            assert snap.down == ["car_rental"]
+            assert "car_rental" in snap.states
+            assert check_snapshot(snap, sched.tracer.records) == []
 
 
 class TestChaosRun:
@@ -93,28 +263,10 @@ class TestChaosRun:
         )
         sched.schedule_snapshots(3.0)
         sched.run(scenario.scripts, verify=False)
-        snaps = sched.snapshots.snapshots
-        completed = [s for s in snaps if s.complete]
-        assert completed, "no snapshot completed despite the restart"
-        for snap in completed:
+        snaps = sched.snapshots
+        assert any(snap.down for snap in snaps)
+        for snap in snaps:
             assert check_snapshot(snap, sched.tracer.records) == []
-
-    def test_permanent_crash_terminates_with_incomplete_snapshots(self):
-        plan = FaultPlan.of([SiteCrash("car_rental", 1.0)])
-        scenario, sched = travel_scheduler(
-            tracer=Tracer(),
-            rng=random.Random(99),
-            reliable=True,
-            fault_plan=plan,
-        )
-        sched.schedule_snapshots(2.0)
-        sched.run(scenario.scripts, verify=False)  # must terminate
-        incomplete = [
-            s for s in sched.snapshots.snapshots if not s.complete
-        ]
-        for snap in incomplete:
-            diags = check_snapshot(snap)
-            assert any(d.code == "snapshot-incomplete" for d in diags)
 
     def test_post_run_manual_snapshot_after_restart_is_clean(self):
         plan = FaultPlan.of([SiteCrash("airline", 2.0, restart_at=6.0)])
@@ -128,7 +280,7 @@ class TestChaosRun:
         )
         sched.run(scenario.scripts, verify=False)
         snap = sched.snapshot()
-        assert snap is not None and snap.complete
+        assert snap.down == []
         assert check_snapshot(snap, sched.tracer.records) == []
 
 
@@ -138,13 +290,6 @@ class TestChecker:
         sched.run(scenario.scripts)
         snap = sched.snapshot()
         return snap.as_dict(), sched.tracer.records
-
-    def test_incomplete_snapshot_is_flagged(self):
-        snap, _records = self.complete_snapshot()
-        snap["complete"] = False
-        snap["missing"] = ["airline->car_rental"]
-        diags = check_snapshot(snap)
-        assert [d.code for d in diags] == ["snapshot-incomplete"]
 
     def test_internal_conflict_is_flagged(self):
         snap, _records = self.complete_snapshot()

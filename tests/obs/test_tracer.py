@@ -126,8 +126,7 @@ class TestNullTracer:
         # their sites test ``active`` first; a stub would hide a site
         # that forgot to
         for hook in ("message_send", "message_recv", "message_drop",
-                     "message_dup", "session", "guard_eval", "snapshot",
-                     "clock"):
+                     "message_dup", "session", "guard_eval", "clock"):
             assert hasattr(Tracer, hook) and not hasattr(NullTracer, hook)
 
     def test_dump_refuses(self, tmp_path):

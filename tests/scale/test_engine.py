@@ -109,7 +109,7 @@ class TestDifferential:
         ):
             with pytest.raises(TypeError):
                 plan_shards(family.template, instances, 2, **{option: 0.2})
-        _family, tasks = mutex_tasks(8, 2, trace=True, reliable=True)
+        _family, tasks = mutex_tasks(8, 2, trace=True)
         sharded = run_sharded(tasks, workers=1)
         assert sharded.result.ok, sharded.result.violations
         assert settled(sharded.result) == settled(merged_baseline(family))

@@ -314,6 +314,7 @@ class TestOneGuardEngine:
             plan_shards(None, [], 1, cross_drop_probability=0.1)
         assert "reference_engine" in names["DistributedScheduler"]
         assert "reference_engine" not in names["ShardTask"] | names["plan_shards"]
+        assert "reliable" not in names["ShardTask"] | names["plan_shards"]
 
 
 def _travel():

@@ -489,10 +489,13 @@ class TestSnapshotFlags:
         ])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
+        assert set(report["snapshots"]) == {"taken", "file"}
         assert report["snapshots"]["taken"] >= 1
-        assert report["snapshots"]["complete"] >= 1
         snaps = json.loads(snap_out.read_text())
-        assert any(s["complete"] for s in snaps)
+        assert len(snaps) == report["snapshots"]["taken"]
+        assert set(snaps[0]) == {
+            "id", "time", "sites", "down", "cut", "channels",
+        }
         assert main(["prom", "lint", str(prom_out)]) == 0
 
     def test_snapshot_requires_distributed(self, travel_spec, capsys):
@@ -509,6 +512,9 @@ class TestSnapshotFlags:
             "--snapshot-every", "0",
         ])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "--snapshot-every must be positive\n"
+        )
 
     def test_no_settle_leaves_attempts_parked(self, travel_spec, capsys):
         code = main([
