@@ -86,6 +86,7 @@ import json
 import random
 import sys
 from collections import Counter
+from math import inf
 
 from repro.algebra.parser import parse
 from repro.obs import Tracer, check_file, open_trace, read_jsonl, to_chrome
@@ -664,7 +665,7 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if snapshotting and args.snapshot_every <= 0:
+    if snapshotting and not 0 < args.snapshot_every < inf:
         print("--snapshot-every must be positive", file=sys.stderr)
         return 2
     if (args.profile or args.sample_every is not None) and (
@@ -675,16 +676,16 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.sample_every is not None and args.sample_every <= 0:
+    if args.sample_every is not None and not 0 < args.sample_every < inf:
         print("--sample-every must be positive", file=sys.stderr)
         return 2
     if args.profile_out and not args.profile:
         print("--profile-out needs --profile", file=sys.stderr)
         return 2
-    if args.latency < 0:
+    if not 0 <= args.latency < inf:
         print("--latency must be non-negative", file=sys.stderr)
         return 2
-    if args.jitter < 0:
+    if not 0 <= args.jitter < inf:
         print("--jitter must be non-negative", file=sys.stderr)
         return 2
     if args.flight_record is not None and args.flight_record < 1:
@@ -1322,7 +1323,7 @@ def _cmd_profile(args) -> int:
     attempts = _parse_attempts(args.attempt, workflow)
     if attempts is None:
         return 2
-    if args.latency < 0:
+    if not 0 <= args.latency < inf:
         print("--latency must be non-negative", file=sys.stderr)
         return 2
     profiler = Profiler()

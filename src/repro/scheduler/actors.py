@@ -12,7 +12,8 @@ requester.  The :class:`BaseActor` keeps what they share --
 settlement, freezes and deferred certificate requests -- and hands
 each announcement to the roles that subscribe.  Actors and roles are
 their own message handlers: the fabric delivers a message to the
-addressee's ``receive``, which looks its type up in :data:`HANDLERS`.
+addressee itself, whose ``__call__`` looks its type up in
+:data:`HANDLERS`.
 Each role runs the two consensus subprotocols the paper calls out:
 
 * **promises** -- a guard needing ``<>f`` can be discharged by a
@@ -80,10 +81,17 @@ class ActorStatus(enum.Enum):
     REJECTED = "rejected"  # permanently refused; complement may follow
 
 
+#: the empty set every role's and actor's set-valued bookkeeping starts
+#: from and returns to: an idle role holds no container of its own, and
+#: a write rebinds (``|=``) rather than mutating a shared empty
+EMPTY: frozenset = frozenset()
+
+
 class Role:
     """One polarity of a :class:`BaseActor`: the guard of one signed
     event, and what the role knows and has asked for.  Every attribute
-    is set here, so all roles share one layout."""
+    is set here, so all roles share one layout; the bookkeeping sets and
+    queues start as :data:`EMPTY` and ``()``."""
 
     __slots__ = (
         "event", "_durable_guard", "actor", "subscribed", "site", "sched",
@@ -120,24 +128,27 @@ class Role:
         # -- own not-yet round --
         self.round_active = False
         self.round_id = 0  # scheduler-issued; replies echo it
-        self.round_awaiting: set[Event] = set()
-        self.round_holds: set[Event] = set()  # certified: frozen for us
+        self.round_awaiting: frozenset[Event] | set[Event] = EMPTY
+        # certified: frozen for us
+        self.round_holds: frozenset[Event] | set[Event] = EMPTY
         self._knowledge_dirty = True  # new facts since last round?
         # -- promise bookkeeping --
         # (target, chain) -> demand level already sent; a request with
         # a new chain carries new assumption context and must go out
         # even if the bare target was asked before
         self.promise_requested: dict[tuple, int] = {}
-        self.granted_to: set[Event] = set()      # we promised <>self to these
-        self.deferred_promise_reqs: list[PromiseRequest] = []
-        self.pending_grant_reqs: list[PromiseRequest] = []
+        self.granted_to: frozenset[Event] = EMPTY  # promised <>self to these
+        self.deferred_promise_reqs: tuple[PromiseRequest, ...] = ()
+        self.pending_grant_reqs: tuple[PromiseRequest, ...] = ()
         # -- escalation bookkeeping --
-        self._escalated_cubes: set = set()
+        self._escalated_cubes: frozenset = EMPTY
 
-    def receive(self, message) -> None:
+    def __call__(self, message) -> None:
         """The fabric's handler for every message addressed to this
-        role (one bound method, no closure per message)."""
+        role: the role itself, so a message carries no bound method."""
         HANDLERS[type(message)](self, message)
+
+    receive = __call__
 
     @property
     def guard(self) -> GuardExpr:
@@ -226,7 +237,7 @@ class Role:
         # strengthened guard, then assimilate everything already known
         self.cursor.reset(self.guard & extra, self.knowledge)
         self.cursor.assimilate()
-        self._escalated_cubes = set()
+        self._escalated_cubes = EMPTY
         self._knowledge_dirty = True
         self.try_fire()
 
@@ -241,7 +252,7 @@ class Role:
         self._durable_guard = new_guard
         self.cursor.reset(new_guard, self.knowledge)
         self.cursor.assimilate()
-        self._escalated_cubes = set()
+        self._escalated_cubes = EMPTY
         self._knowledge_dirty = True
         self.try_fire()
 
@@ -256,7 +267,7 @@ class Role:
             self.attempted_at = attempted_at
             self.sched.note_attempted(self.site, self.event)
         # answer promise requests that waited for us to become pending
-        deferred, self.deferred_promise_reqs = self.deferred_promise_reqs, []
+        deferred, self.deferred_promise_reqs = self.deferred_promise_reqs, ()
         for req in deferred:
             self.on_promise_request(req)
         self.try_fire()
@@ -422,7 +433,7 @@ class Role:
         for cube, promises, certificates in self.cursor.escalation_plans():
             if cube in self._escalated_cubes:
                 continue
-            self._escalated_cubes.add(cube)
+            self._escalated_cubes |= {cube}
             issued = False
             for target in promises:
                 if self._request_promise(target, demand=True):
@@ -454,11 +465,11 @@ class Role:
             attrs = self.sched.attributes(self.event.base)
             if req.demand and attrs.triggerable and not self.event.negated:
                 # Escalated request at quiescence: cause the event now.
-                self.deferred_promise_reqs.append(req)
+                self.deferred_promise_reqs += (req,)
                 self.sched.request_trigger(self)
                 return
             # Remember it: re-processed when we get attempted.
-            self.deferred_promise_reqs.append(req)
+            self.deferred_promise_reqs += (req,)
             return
         # PENDING (or IDLE but guaranteed by its agent): the grant is a
         # commitment to occur, so it is issued only once this role's
@@ -470,7 +481,7 @@ class Role:
         # re-evaluated as knowledge arrives.
         grantable = self.status is ActorStatus.PENDING or guaranteed_idle
         if not grantable:
-            self.deferred_promise_reqs.append(req)
+            self.deferred_promise_reqs += (req,)
             return
         self._decide_grant(req)
 
@@ -486,7 +497,7 @@ class Role:
         if not possible:
             return  # no promise; the outcome is announced either way
         if secured:
-            self.granted_to.add(requester)
+            self.granted_to |= {requester}
             self.sched.note_promise()
             self.sched.send_to_role(
                 self, requester,
@@ -500,10 +511,10 @@ class Role:
         chain = tuple(req.chain) + (self.event,)
         for target in targets:
             self._request_promise(target, demand=req.demand, chain=chain)
-        self.pending_grant_reqs.append(req)
+        self.pending_grant_reqs += (req,)
 
     def _process_pending_grants(self) -> None:
-        pending, self.pending_grant_reqs = self.pending_grant_reqs, []
+        pending, self.pending_grant_reqs = self.pending_grant_reqs, ()
         for req in pending:
             if self.status is ActorStatus.OCCURRED:
                 self.sched.send_to_role(
@@ -629,9 +640,9 @@ class Role:
         # be orphaned; releasing a freeze never taken is a no-op, and
         # session FIFO keeps the release behind its own request.
         to_release = self.round_holds | self.round_awaiting
-        self.round_holds = set()
+        self.round_holds = EMPTY
         self.round_active = False
-        self.round_awaiting = set()
+        self.round_awaiting = EMPTY
         for base in sorted(to_release, key=Event.sort_key):
             self.sched.send_to_actor(
                 self,
@@ -660,13 +671,13 @@ class Role:
         self.cursor.reset(self._durable_guard, self.knowledge)
         self.round_active = False
         self.round_id = 0
-        self.round_awaiting = set()
-        self.round_holds = set()
+        self.round_awaiting = EMPTY
+        self.round_holds = EMPTY
         self._knowledge_dirty = True
         self.promise_requested = {}
-        self.deferred_promise_reqs = []
-        self.pending_grant_reqs = []
-        self._escalated_cubes = set()
+        self.deferred_promise_reqs = ()
+        self.pending_grant_reqs = ()
+        self._escalated_cubes = EMPTY
 
     def recover(self) -> None:
         """Rebuild knowledge after a restart (solicitation round).
@@ -781,14 +792,16 @@ class BaseActor:
         self.settled: Event | None = None
         #: freeze holders, ``(requester, round_id)``, so a stale release
         #: (from an aborted round) cannot void a newer freeze; durable
-        self.frozen: frozenset[tuple[Event, int]] = frozenset()
+        self.frozen: frozenset[tuple[Event, int]] = EMPTY
         #: certificate requests deferred by the priority rule
         self.deferred_notyet_reqs: tuple[NotYetRequest, ...] = ()
 
-    def receive(self, message) -> None:
+    def __call__(self, message) -> None:
         """The fabric's handler for every message addressed to this
-        actor (one bound method, no closure per message)."""
+        actor: the actor itself, so a message carries no bound method."""
         HANDLERS[type(message)](self, message)
+
+    receive = __call__
 
     def on_announce(self, msg: Announce) -> None:
         """Hand an occurrence to each subscribing role, by the wake
@@ -897,6 +910,7 @@ class BaseActor:
             return
         self.frozen -= victims
         if not self.frozen:
+            self.frozen = EMPTY
             for role in self.roles.values():
                 role.try_fire()
 

@@ -62,6 +62,7 @@ from repro.temporal.guards import (
     workflow_bindings,
 )
 
+
 class DistributedScheduler(RunBase):
     """Compile a workflow into actors and run it on the simulated network.
 
@@ -209,7 +210,9 @@ class DistributedScheduler(RunBase):
         appear, built with a role per polarity the table holds.  Each
         actor subscribes once, to the union of its roles' guard bases
         (the role the table lists first, then the other's), so each
-        base announces to it once."""
+        base announces to it once.  A role hears a map its entry already
+        holds: a binding's ``to_slot`` (keyed by its bases), a plain
+        guard's cached ``bases()``."""
         actors, subscribers = self.actors, self._subscribers
         for event in table:
             base = event.base
@@ -218,16 +221,18 @@ class DistributedScheduler(RunBase):
             actor = BaseActor(base, self.site_of(base), self, table)
             actors[base] = actor
             roles = actor.roles
-            # a binding's bases are read off its ``to_slot``, no rendering
-            heard = roles[event].subscribed = table[event].bases()
-            for heard_base in heard:
-                subscribers[heard_base].append(actor)
-            other = event.complement
-            if other in roles:
-                bases = roles[other].subscribed = table[other].bases()
+            heard = ()
+            for signed in (event, event.complement):
+                if signed not in roles:
+                    continue
+                entry = table[signed]
+                bases = roles[signed].subscribed = (
+                    entry.to_slot if type(entry) is Binding else entry.bases()
+                )
                 for heard_base in bases:
                     if heard_base not in heard:
                         subscribers[heard_base].append(actor)
+                heard = bases
 
     def add_role(
         self, event: Event, guard: Binding | GuardExpr = TRUE_GUARD
@@ -243,8 +248,10 @@ class DistributedScheduler(RunBase):
         role = actor.roles.get(event)
         if role is None:
             role = actor.add_role(event, guard)
-            # a binding's bases are read off its ``to_slot``, no rendering
-            self.subscribe(role, guard.bases())
+            self.subscribe(
+                role,
+                guard.to_slot if type(guard) is Binding else guard.bases(),
+            )
         return role
 
     def subscribe(self, role: Role, bases) -> None:
@@ -362,9 +369,10 @@ class DistributedScheduler(RunBase):
             self._send(sender, actor, message)
 
     def _send(self, sender, target, message) -> None:
-        # the addressee is its own handler: its class-level ``receive``
+        # the addressee is its own handler (it is callable), so the
+        # message's heap entry holds no bound method
         self.channel.send(
-            sender.site, target.site, message.kind, message, target.receive
+            sender.site, target.site, message.kind, message, target
         )
 
     def next_round_id(self) -> int:

@@ -8,18 +8,21 @@ ties), so every experiment is bit-reproducible for a given seed.
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Any, Callable
 
 
 class Simulator:
     """A virtual clock driving scheduled callbacks.
 
-    A heap entry is ``(time, seq, fn, args)`` and fires as
-    ``fn(*args)``: a caller passes a bound method and its arguments
-    rather than a closure over them, so one message delivery is one
-    entry and no function object
-    (:meth:`repro.sim.network.Network.send`).  :meth:`run` drops dead
-    entries off the head and calls :meth:`step` once per live one.
+    A heap entry is the flat tuple ``(time, seq, fn, *args)`` and fires
+    as ``fn(*args)``: a caller passes a handler bound once and its
+    arguments rather than a closure over them, so one message delivery
+    is one tuple and no function object
+    (:meth:`repro.sim.network.Network.send`).  ``(time, seq)`` is
+    unique, so ``fn`` and its arguments are never compared.
+    :meth:`run` drops dead entries off the head and calls :meth:`step`
+    once per live one.
 
     >>> sim = Simulator()
     >>> fired = []
@@ -32,7 +35,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._heap: list[tuple] = []
         self._sequence = 0
         #: handles still eligible to fire; a heap entry whose handle
         #: left this set (fired or cancelled) is dead weight awaiting
@@ -53,10 +56,10 @@ class Simulator:
         arrives; workflow events themselves are never retracted, only
         rejected, which is modeled at the scheduler layer).
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not 0 <= delay < inf:
+            raise ValueError(f"delay must be finite and nonnegative: {delay}")
         seq = self._sequence = self._sequence + 1
-        heapq.heappush(self._heap, (self.now + delay, seq, fn, args))
+        heapq.heappush(self._heap, (self.now + delay, seq, fn, *args))
         self._live.add(seq)
         return seq
 
@@ -78,9 +81,13 @@ class Simulator:
     ) -> int:
         """Schedule ``fn(*args)`` at an absolute virtual time (a past
         time fires now)."""
+        if not -inf < time < inf:
+            raise ValueError(f"time must be finite: {time}")
         now = self.now
         seq = self._sequence = self._sequence + 1
-        heapq.heappush(self._heap, (now + max(0.0, time - now), seq, fn, args))
+        heapq.heappush(
+            self._heap, (now + max(0.0, time - now), seq, fn, *args)
+        )
         self._live.add(seq)
         return seq
 
@@ -102,11 +109,11 @@ class Simulator:
             time = self.now = heap[0][0]
             for sampler in self._samplers:
                 sampler.on_advance(time)
-        time, seq, fn, args = heapq.heappop(heap)
-        live.discard(seq)
-        self.now = time
+        entry = heapq.heappop(heap)
+        live.discard(entry[1])
+        self.now = entry[0]
         self.processed += 1
-        fn(*args)
+        entry[2](*entry[3:])
         return True
 
     def sample_every(
@@ -123,8 +130,10 @@ class Simulator:
         phases without re-arming.  Samplers must only read state.
         Returns a handle whose ``cancel()`` detaches it.
         """
-        if every <= 0:
-            raise ValueError(f"sampling interval must be positive: {every}")
+        if not 0 < every < inf:
+            raise ValueError(
+                f"sampling interval must be positive and finite: {every}"
+            )
         handle = PeriodicSampler(self, every, sampler)
         self._samplers.append(handle)
         return handle

@@ -28,6 +28,7 @@ under ``faults`` in its ``metrics_report()``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Iterable
 
 from repro.obs.tracer import NULL_TRACER
@@ -49,11 +50,14 @@ class SiteCrash:
     restart_at: float | None = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError(f"crash time must be nonnegative: {self.at}")
-        if self.restart_at is not None and self.restart_at <= self.at:
+        if not 0 <= self.at < inf:
             raise ValueError(
-                f"restart_at ({self.restart_at}) must follow the crash ({self.at})"
+                f"crash time must be finite and nonnegative: {self.at}"
+            )
+        if self.restart_at is not None and not self.at < self.restart_at < inf:
+            raise ValueError(
+                f"restart_at ({self.restart_at}) must follow the crash "
+                f"({self.at}) and be finite"
             )
 
 

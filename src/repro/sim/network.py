@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Callable
 
 from repro.obs.tracer import NULL_TRACER
@@ -58,8 +59,10 @@ class ConstantLatency(LatencyModel):
     """Every inter-site message takes exactly ``delay`` time units."""
 
     def __init__(self, delay: float):
-        if delay < 0:
-            raise ValueError(f"negative latency: {delay}")
+        if not 0 <= delay < inf:
+            raise ValueError(
+                f"latency must be finite and nonnegative: {delay}"
+            )
         self.delay = float(delay)
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
@@ -72,8 +75,10 @@ class UniformLatency(LatencyModel):
     def __init__(self, low: float, high: float):
         if low > high:
             raise ValueError("low must not exceed high")
-        if low < 0:
-            raise ValueError(f"negative latency: {low}")
+        if not 0 <= low <= high < inf:
+            raise ValueError(
+                f"latency must be finite and nonnegative: [{low}, {high}]"
+            )
         self.low, self.high = float(low), float(high)
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
@@ -84,8 +89,10 @@ class ExponentialLatency(LatencyModel):
     """Latency exponentially distributed with the given mean."""
 
     def __init__(self, mean: float):
-        if mean < 0:
-            raise ValueError(f"negative mean latency: {mean}")
+        if not 0 <= mean < inf:
+            raise ValueError(
+                f"mean latency must be finite and nonnegative: {mean}"
+            )
         self.mean = float(mean)
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
@@ -134,14 +141,14 @@ class NetworkStats:
 class Network:
     """Message fabric over a :class:`Simulator`.
 
-    One message is one heap entry: :meth:`send` draws its fate, does
-    its accounting and queues ``(deliver_at, seq, self._deliver,
-    (src, dst, kind, payload, handler, stamp))``; when it fires,
-    :meth:`_deliver` runs ``handler(payload)``.  No closure is built
-    per message: a protocol handler is a bound method of the receiving
-    actor or role (their class-level ``receive``), so the path from
-    ``send`` to the handler is the simulator's ``step``, ``_deliver``
-    and the handler.
+    One message is one flat heap entry: :meth:`send` draws its fate,
+    does its accounting and queues ``(deliver_at, seq, _deliver, src,
+    dst, kind, payload, handler, stamp)``, where ``_deliver`` is bound
+    once, at construction; when it fires, :meth:`_deliver` runs
+    ``handler(payload)``.  No function object is built per message: a
+    protocol handler is the receiving actor or role itself (it is
+    callable), so the path from ``send`` to the handler is the
+    simulator's ``step``, ``_deliver`` and the handler.
 
     Parameters
     ----------
@@ -196,6 +203,8 @@ class Network:
         self.journal: list[tuple[float, float, str, str, str]] = []
         self._fifo_high_water: dict[tuple[str, str], float] = {}
         self._site_busy_until: dict[str, float] = {}
+        #: bound once: every delivery entry holds this one object
+        self._deliver = self._deliver
 
     def send(
         self,
@@ -303,9 +312,9 @@ class Network:
         entries of the simulator heap (read, never popped)."""
         deliver, live = self._deliver, self.sim._live
         return [
-            args[:4]
-            for _time, seq, fn, args in sorted(self.sim._heap)
-            if fn == deliver and seq in live
+            entry[3:7]
+            for entry in sorted(self.sim._heap)
+            if entry[2] is deliver and entry[1] in live
         ]
 
     def site_load(self) -> dict[str, int]:

@@ -55,10 +55,11 @@ class ReliableNetwork:
     """Session layer over a :class:`Network`; same ``send`` signature.
 
     A payload crosses the fabric as one packet, ``(key, epoch, seq,
-    kind, payload, handler)``, handed to the bound :meth:`_deliver`; an
-    ack is ``(key, epoch, upto)`` to :meth:`_on_ack`, and a
-    retransmission timer is the heap entry ``_on_timeout(key, epoch,
-    seq)``.  No closure is built per message or per timer.
+    kind, payload, handler)``, handed to :meth:`_deliver`; an ack is
+    ``(key, epoch, upto)`` to :meth:`_on_ack`, and a retransmission
+    timer is the heap entry ``(time, seq, _on_timeout, key, epoch,
+    seq)``.  The four handlers are bound once, at construction, so no
+    function object is built per message or per timer.
 
     Parameters
     ----------
@@ -123,6 +124,11 @@ class ReliableNetwork:
         ] = {}
         # session epoch, per (src, dst); bumps on reset_site
         self._epoch: dict[tuple[str, str], int] = {}
+        # bound once: the fabric's entries and the timers hold these
+        self._deliver = self._deliver
+        self._deliver_local = self._deliver_local
+        self._on_timeout = self._on_timeout
+        self._on_ack = self._on_ack
 
     def _note(self, counter: str, site: str, op: str, **fields) -> None:
         """The session layer reports an event here and nowhere else:

@@ -134,7 +134,7 @@ class ChoosingSimulator(Simulator):
         if _is(fn, FaultInjector._crash):
             self._crash = handle
 
-    def enabled(self) -> list[tuple[float, int, object, tuple]]:
+    def enabled(self) -> list[tuple]:
         """The callbacks that may fire next, oldest first."""
         live, heads = self._live, set()
         enabled = []
@@ -166,7 +166,7 @@ class ChoosingSimulator(Simulator):
             None if crash is None
             else next(i for i, e in enumerate(enabled) if e[1] == crash)
         )
-        when, seq, fn, args = enabled[choice]
+        when, seq, fn, *args = enabled[choice]
         # the entry stays in the heap, dead, until ``run`` purges it
         self._live.discard(seq)
         if seq == self._crash:

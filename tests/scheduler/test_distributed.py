@@ -1,5 +1,6 @@
 """The distributed event-centric scheduler (Sections 2 and 4.3)."""
 
+import gc
 import random
 
 import pytest
@@ -12,11 +13,13 @@ from repro.scheduler import (
     DistributedScheduler,
     EventAttributes,
 )
+from repro.scheduler.actors import EMPTY
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.messages import Announce
 from repro.sim import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
-from repro.temporal.cubes import C_OCC, DIA_MASK
+from repro.temporal.cubes import C_OCC, DIA_MASK, TRUE_GUARD, literal
+from repro.temporal.guards import workflow_bindings
 from repro.workflows import WorkflowTemplate
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 from tests.conftest import count_calls
@@ -414,3 +417,97 @@ class TestTerminalState:
         )
         assert result.terminal == "down"
         assert Event("c_book") in result.unsettled
+
+
+def _bookkeeping(role):
+    """A role's six set- and queue-valued protocol fields."""
+    return (
+        role.round_awaiting, role.round_holds, role.granted_to,
+        role._escalated_cubes, role.deferred_promise_reqs,
+        role.pending_grant_reqs,
+    )
+
+
+def _fanin_table(pairs: int = 98, hubs: int = 3) -> dict:
+    """A fan-in guard table of ``2 * pairs + hubs + 1`` plain guards
+    (200 by default): each fan-in event waits on ``[]`` of every hub and
+    of ``kill``, or on its own base."""
+    kill = Event("kill")
+    hub_events = [Event(f"hub{j}") for j in range(hubs)]
+    dead = literal("box", kill)
+    for hub in hub_events:
+        dead = dead & literal("box", hub)
+    table = {~kill: TRUE_GUARD, **{hub: TRUE_GUARD for hub in hub_events}}
+    for k in range(pairs):
+        base = Event(f"fb{k}")
+        table[Event(f"fan{k}")] = dead | literal("box", base)
+        table[base] = TRUE_GUARD
+    return table
+
+
+class TestIdleFootprint:
+    """An idle role holds no container of its own and a message in
+    flight is one flat heap entry: the per-actor object budget."""
+
+    def test_a_fresh_role_holds_the_shared_empties(self):
+        sched = DistributedScheduler([D_PREC, D_ARROW])
+        for role in sched.roles():
+            assert all(
+                field is EMPTY or field == () for field in _bookkeeping(role)
+            )
+            assert role.actor.frozen is EMPTY
+            assert role.actor.deferred_notyet_reqs == ()
+
+    def test_a_role_hears_a_map_its_entry_already_holds(self):
+        """A binding's ``to_slot``, a plain guard's cached ``bases()``:
+        no view or set per role."""
+        bindings = workflow_bindings([D_PREC, D_ARROW])
+        sched = DistributedScheduler([D_PREC, D_ARROW], guards=bindings)
+        for event, binding in bindings.items():
+            assert sched.role(event).subscribed is binding.to_slot
+        table = _fanin_table(pairs=2)
+        sched = DistributedScheduler([], guards=table)
+        for event, guard in table.items():
+            assert sched.role(event).subscribed is guard.bases()
+
+    def test_the_shared_empties_stay_empty_through_a_run(self):
+        """Rounds, grants, deferrals and escalations all write by
+        rebinding, never into the shared empty."""
+        scenario = make_travel_booking("failure")
+        workflow = scenario.workflow
+        sched = DistributedScheduler(
+            workflow.dependencies, sites=workflow.sites,
+            attributes=workflow.attributes,
+        )
+        result = sched.run(scenario.scripts)
+        roles = sched.roles()
+        assert result.not_yet_rounds and result.promises_granted
+        assert any(role._escalated_cubes for role in roles)
+        assert any(role.granted_to for role in roles)
+        assert EMPTY == frozenset() and not EMPTY
+        for role in roles:
+            assert role.round_awaiting is EMPTY
+            assert role.round_holds is EMPTY
+            assert role.actor.frozen is EMPTY
+
+    def test_a_built_actor_costs_at_most_six_tracked_objects(self):
+        table = _fanin_table()
+        assert len(table) == 200
+        DistributedScheduler([], guards=table)  # interns the automaton
+        gc.collect()
+        before = len(gc.get_objects())
+        sched = DistributedScheduler([], guards=table)
+        gc.collect()
+        created = len(gc.get_objects()) - before
+        assert created <= 6 * len(sched.actors), created / len(sched.actors)
+
+    def test_a_message_is_one_flat_heap_entry_holding_its_addressee(self):
+        sched = DistributedScheduler([D_PREC])
+        sender, target = sched.actors[E], sched.actors[F]
+        sched._send(sender, target, Announce(event=E))
+        (entry,) = sched.sim._heap
+        _time, _seq, deliver, src, dst, kind, payload, handler, stamp = entry
+        assert deliver is sched.network._deliver
+        assert (src, dst, kind) == (sender.site, target.site, "announce")
+        assert payload == Announce(event=E)
+        assert handler is target and stamp is None

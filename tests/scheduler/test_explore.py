@@ -89,7 +89,7 @@ class TestExplorer:
         sim.step()  # the first payload lands and is acked
         assert got == [1]
         acks = [
-            sim._channels[seq] for _t, seq, _fn, args in sorted(sim._heap)
+            sim._channels[seq] for _t, seq, _fn, *args in sorted(sim._heap)
             if seq in sim._live and args and args[2] == "ack"
         ]
         assert acks == [("b", "a")]

@@ -53,6 +53,24 @@ class TestSimulator:
         with pytest.raises(ValueError):
             Simulator().schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Simulator().schedule(value, lambda: None)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_time_rejected(self, value):
+        """A NaN time used to fire at once, as a past time does."""
+        with pytest.raises(ValueError, match="finite"):
+            Simulator().schedule_at(value, lambda: None)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sampling_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Simulator().sample_every(value, lambda t: None)
+
     def test_livelock_guard(self):
         sim = Simulator()
 
@@ -184,8 +202,9 @@ class TestCancellation:
 
 
 class TestArgsEntries:
-    """A heap entry is ``(time, seq, fn, args)`` and fires ``fn(*args)``:
-    the fabric queues a bound method and its arguments, not a closure."""
+    """A heap entry is the flat ``(time, seq, fn, *args)`` and fires
+    ``fn(*args)``: the fabric queues a handler and its arguments, not a
+    closure."""
 
     def test_args_are_passed_at_fire_time(self):
         sim = Simulator()
@@ -208,7 +227,7 @@ class TestArgsEntries:
     def test_entry_shape(self):
         sim = Simulator()
         handle = sim.schedule(1.5, print, "p", 1)
-        assert sim._heap == [(1.5, handle, print, ("p", 1))]
+        assert sim._heap == [(1.5, handle, print, "p", 1)]
 
     def test_cancelling_one_leaves_nothing_behind(self):
         sim = Simulator()

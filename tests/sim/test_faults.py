@@ -15,6 +15,22 @@ class TestSiteCrash:
         with pytest.raises(ValueError):
             SiteCrash("a", at=5.0, restart_at=5.0)
 
+    @pytest.mark.parametrize(
+        "at, restart_at",
+        [
+            (float("nan"), None),
+            (float("inf"), None),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_times(self, at, restart_at):
+        """A NaN or infinite crash or restart time fails closed here,
+        before a run schedules it; a permanent crash is
+        ``restart_at=None``."""
+        with pytest.raises(ValueError, match="finite"):
+            SiteCrash("a", at=at, restart_at=restart_at)
+
     def test_permanent_crash_allowed(self):
         crash = SiteCrash("a", at=1.0)
         assert crash.restart_at is None

@@ -57,6 +57,23 @@ class TestLatencyModels:
         with pytest.raises(ValueError, match="negative"):
             build()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: ConstantLatency(x),
+            lambda x: UniformLatency(0.0, x),
+            lambda x: UniformLatency(x, x),
+            lambda x: ExponentialLatency(x),
+        ],
+        ids=["constant", "uniform-high", "uniform-both", "exponential"],
+    )
+    def test_non_finite_latency_is_rejected(self, build, value):
+        """A NaN latency delivered at once and an infinite one never:
+        both fail closed."""
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
+
     def test_zero_latency_is_accepted(self):
         rng = random.Random(0)
         assert ConstantLatency(0.0).sample(rng, "a", "b") == 0.0

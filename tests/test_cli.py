@@ -1148,6 +1148,48 @@ class TestLatencyFlag:
         ]) == 2
         assert "--latency must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_latency_exits_two(self, travel_spec, capsys, value):
+        """A NaN latency used to move every settlement to time 0 and an
+        infinite one to crash the text report."""
+        assert main([
+            "run", travel_spec, "--attempt", "s_buy=0",
+            "--attempt", "c_buy=5", "--latency", value,
+        ]) == 2
+        assert "--latency must be non-negative" in capsys.readouterr().err
+
+    def test_profile_rejects_a_non_finite_latency(self, travel_spec, capsys):
+        assert main([
+            "profile", travel_spec, "--attempt", "s_buy=0",
+            "--latency", "nan",
+        ]) == 2
+        assert "--latency must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_jitter_exits_two(self, travel_spec, capsys, value):
+        assert main([
+            "run", travel_spec, "--attempt", "s_buy=0", "--jitter", value,
+        ]) == 2
+        assert "--jitter must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--sample-every", "--sample-every must be positive"),
+            ("--snapshot-every", "--snapshot-every must be positive"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_interval_exits_two(
+        self, travel_spec, capsys, flag, message, value
+    ):
+        """A NaN snapshot interval used to be taken and give 0
+        snapshots."""
+        assert main([
+            "run", travel_spec, "--attempt", "s_buy=0", flag, value,
+        ]) == 2
+        assert message in capsys.readouterr().err
+
     def test_zero_latency_runs(self, travel_spec, capsys):
         assert main([
             "run", travel_spec, "--attempt", "s_buy=0",
