@@ -58,6 +58,7 @@ from repro.temporal.compiled import (
 from repro.temporal.cubes import TRUE_GUARD, GuardExpr
 from repro.temporal.guards import (
     Binding,
+    promise_wants,
     shape_lookups,
     workflow_bindings,
 )
@@ -159,8 +160,14 @@ class DistributedScheduler(RunBase):
             # recovery protocol runs over the fresh sessions
             self.faults.on_restart(self.channel.reset_site)
             self.faults.on_restart(self._recover_site)
+        # bound once: every trigger message holds this one method
+        self._on_trigger = self._on_trigger
         self._recovering: dict[str, dict] = {}
         self._round_counter = 0
+        #: base -> its crossing group (a member standing for the group),
+        #: or None: filled for settlement candidates as they come up
+        #: (:meth:`_uncrossed`), from the static guard table
+        self._crossing: dict[Event, Event | None] = {}
         #: every snapshot taken, oldest first (:meth:`snapshot`)
         self.snapshots: list[Snapshot] = []
 
@@ -185,6 +192,10 @@ class DistributedScheduler(RunBase):
             defaultdict(list)
         )
         self._build_actors(table)
+        #: the static guard table, which the promise pairs are read
+        #: off; None after a run-time modification, until the drain
+        #: builds the table of the dependencies then in force
+        self._table: Mapping[Event, Binding | GuardExpr] | None = table
         #: announcements that woke their role / took the skip path
         #: (``BaseActor.on_announce`` decides)
         self.watch = WakeCounts()
@@ -430,7 +441,7 @@ class DistributedScheduler(RunBase):
         for index in self._monitor_subs.get(event.base, ()):
             site, monitor = self._monitors[index]
             self.channel.send(
-                actor.site, site, "announce", event, monitor.observe
+                actor.site, site, "announce", event, monitor
             )
 
     # ------------------------------------------------------------------
@@ -469,6 +480,8 @@ class DistributedScheduler(RunBase):
             return False
         self.dependencies.append(dependency)
         self._sorted_bases_cache = None
+        self._table = None
+        self._crossing.clear()
         for event in sorted(residual.alphabet(), key=Event.sort_key):
             # an event new to the system starts unconstrained
             role = self.add_role(event)
@@ -500,6 +513,8 @@ class DistributedScheduler(RunBase):
             return False
         self.dependencies.remove(dependency)
         self._sorted_bases_cache = None
+        self._table = None
+        self._crossing.clear()
         settled = self._settled_sequence()
         residuals = [
             residuate_trace(dep, settled) for dep in self.dependencies
@@ -896,9 +911,73 @@ class DistributedScheduler(RunBase):
             if swept:
                 self.sim.run()
             self._escalation_rounds()
-            batch = self._settlement_candidates()
+            batch = self._uncrossed(self._settlement_candidates())
             if not self._settle_round(batch) and not swept:
                 return
+
+    def _uncrossed(self, candidates: list[Event]) -> list[Event]:
+        """The settlement batch: every candidate except the later ones,
+        in base order, of each crossing group.
+
+        A *crossing base* has both polarities in a static promise pair,
+        two roles that each want the other's eventuality (the pairs
+        :func:`~repro.workflows.compiler.compile_workflow` reports); a
+        *crossing group* is a connected component of crossing bases
+        under those pairs.  Two bases of one group settled in one batch
+        can cross their grants: under ``a + b`` / ``~a + ~b``, with
+        ``a`` parked on ``<>~b`` and ``b`` on ``<>~a``, ``~a`` and
+        ``~b`` would each serve the other positive role's deferred
+        request, and both ``a`` and ``b`` would fire.  One base per
+        group per round lets the next round see what it decided."""
+        groups = self._crossing
+        batch, taken = [], set()
+        for base in candidates:
+            if base not in groups:
+                self._find_crossing_group(base)
+            group = groups[base]
+            if group is not None:
+                if group in taken:
+                    continue
+                taken.add(group)
+            batch.append(base)
+        return batch
+
+    def _find_crossing_group(self, base: Event) -> None:
+        """Enter ``base`` in ``_crossing``, and with it every base its
+        search meets: a crossing group under one of its members, None
+        for a base that is not crossing."""
+        table = self._table
+        if table is None:
+            table = self._table = workflow_bindings(self.dependencies)
+        wants: dict[Event, list[Event]] = {}
+
+        def wanted(event: Event) -> list[Event]:
+            found = wants.get(event)
+            if found is None:
+                entry = table.get(event)
+                found = wants[event] = (
+                    [] if entry is None else promise_wants(entry, event)
+                )
+            return found
+
+        def mates(member: Event) -> list[Event] | None:
+            """The bases paired with ``member``, or None unless both of
+            its polarities are paired."""
+            found = []
+            for event in (member, member.complement):
+                paired = [t.base for t in wanted(event) if event in wanted(t)]
+                if not paired:
+                    return None
+                found += paired
+            return found
+
+        crossing, stack = self._crossing, [base]
+        while stack:
+            other = stack.pop()
+            if other not in crossing:
+                found = mates(other)
+                crossing[other] = None if found is None else base
+                stack += found or ()
 
     def _sweep_orphan_freezes(self) -> bool:
         """Void freezes that no live round can ever release.

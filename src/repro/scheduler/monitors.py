@@ -124,6 +124,10 @@ class RequirementMonitor:
             )
         self.evaluate()
 
+    #: the fabric's handler for an announcement to this monitor: the
+    #: monitor itself, so a message carries no bound method
+    __call__ = observe
+
     def evaluate(self) -> None:
         for dep, track in self._tracks.items():
             required = track.closure.required[track.state]

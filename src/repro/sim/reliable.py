@@ -39,7 +39,7 @@ from repro.sim.network import Network
 ACK_KIND = "ack"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     """Sender-side record of one unacknowledged payload."""
 
@@ -48,7 +48,23 @@ class _Pending:
     handler: Callable[[Any], None]
     retries: int = 0
     interval: float = 0.0
-    timer: int | None = None
+    timer: int = 0
+
+
+class _Session:
+    """All state of one ``(src, dst)`` channel, both ends: the sender's
+    next sequence number and unacknowledged payloads by sequence
+    number, the receiver's next expected sequence number and its
+    out-of-order arrivals ``seq -> (payload, handler)``."""
+
+    __slots__ = ("epoch", "next_seq", "unacked", "expected", "buffer")
+
+    def __init__(self, epoch: int = 0) -> None:
+        self.epoch = epoch
+        self.next_seq = 1
+        self.unacked: dict[int, _Pending] = {}
+        self.expected = 1
+        self.buffer: dict[int, tuple[Any, Callable[[Any], None]]] = {}
 
 
 class ReliableNetwork:
@@ -59,7 +75,8 @@ class ReliableNetwork:
     ``(key, epoch, upto)`` to :meth:`_on_ack`, and a retransmission
     timer is the heap entry ``(time, seq, _on_timeout, key, epoch,
     seq)``.  The four handlers are bound once, at construction, so no
-    function object is built per message or per timer.
+    function object is built per message or per timer.  Each ``(src,
+    dst)`` channel is one :class:`_Session`, made on its first send.
 
     Parameters
     ----------
@@ -69,61 +86,37 @@ class ReliableNetwork:
     faults:
         Optional crash injector: deliveries into a down site are lost
         (and retransmitted until the site returns or retries exhaust).
-    timeout:
-        Initial retransmission timeout.  Choose a small multiple of
-        the round-trip latency; too small wastes duplicates, too large
-        stretches recovery.
-    backoff / max_interval:
-        Exponential backoff factor applied per retry, capped so that a
-        long crash window cannot push the next probe arbitrarily far.
-    max_retries:
-        Per-payload retry budget; exhaustion is recorded in
-        ``stats.retransmit_giveups`` and the payload is abandoned.
-        Toward a site that is down for good that is the expected end
-        (its bases end the run unsettled); any other give-up is a lost
-        message and is kept in :attr:`lost` for the scheduler to report
-        as a violation.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        faults: FaultInjector | None = None,
-        timeout: float = 4.0,
-        backoff: float = 2.0,
-        max_interval: float = 32.0,
-        max_retries: int = 20,
-    ):
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be nonnegative")
+    #: initial retransmission timeout: a small multiple of the fabric's
+    #: round trip (too small wastes duplicates, too large stretches
+    #: recovery)
+    timeout = 4.0
+    #: backoff factor per retry, and the cap that keeps a long crash
+    #: window from pushing the next probe arbitrarily far
+    backoff = 2.0
+    max_interval = 32.0
+    #: per-payload retry budget; exhaustion is recorded in
+    #: ``stats.retransmit_giveups`` and the payload is abandoned.
+    #: Toward a site that is down for good that is the expected end
+    #: (its bases end the run unsettled); any other give-up is a lost
+    #: message, kept in :attr:`lost` for the scheduler to report as a
+    #: violation.  A test that needs other values sets them on the
+    #: instance.
+    max_retries = 20
+
+    def __init__(self, network: Network, faults: FaultInjector | None = None):
         self.net = network
         self.sim = network.sim
         self.faults = faults
-        self.timeout = float(timeout)
-        self.backoff = float(backoff)
-        self.max_interval = float(max_interval)
-        self.max_retries = int(max_retries)
         self.stats = network.stats
         #: the stats' counters by field name, for :meth:`_note`
         self._counts = vars(self.stats)
         #: ``(src, dst, kind, seq)`` of every payload given up on
         #: although its destination was not down for good
         self.lost: list[tuple[str, str, str, int]] = []
-        # sender side, per (src, dst)
-        self._next_seq: dict[tuple[str, str], int] = {}
-        self._unacked: dict[tuple[str, str], dict[int, _Pending]] = {}
-        # receiver side, per (src, dst)
-        self._expected: dict[tuple[str, str], int] = {}
-        self._buffer: dict[
-            tuple[str, str],
-            dict[int, tuple[Any, Callable[[Any], None], str]],
-        ] = {}
-        # session epoch, per (src, dst); bumps on reset_site
-        self._epoch: dict[tuple[str, str], int] = {}
+        #: one session per (src, dst), replaced on ``reset_site``
+        self._sessions: dict[tuple[str, str], _Session] = {}
         # bound once: the fabric's entries and the timers hold these
         self._deliver = self._deliver
         self._deliver_local = self._deliver_local
@@ -177,11 +170,14 @@ class ReliableNetwork:
             )
             return
         key = (src, dst)
-        seq = self._next_seq.get(key, 1)
-        self._next_seq[key] = seq + 1
+        session = self._sessions.get(key)
+        if session is None:
+            session = self._sessions[key] = _Session()
+        seq = session.next_seq
+        session.next_seq = seq + 1
         pending = _Pending(kind, payload, handler, interval=self.timeout)
-        self._unacked.setdefault(key, {})[seq] = pending
-        self._transmit(key, self._epoch.get(key, 0), seq, pending)
+        session.unacked[seq] = pending
+        self._transmit(key, session.epoch, seq, pending)
 
     def _transmit(
         self, key: tuple[str, str], epoch: int, seq: int, pending: _Pending
@@ -199,16 +195,17 @@ class ReliableNetwork:
         )
 
     def _on_timeout(self, key: tuple[str, str], epoch: int, seq: int) -> None:
-        if epoch != self._epoch.get(key, 0):
+        session = self._sessions[key]
+        if epoch != session.epoch:
             return  # session re-established; the backlog was re-queued
-        pending = self._unacked.get(key, {}).get(seq)
+        pending = session.unacked.get(seq)
         if pending is None:
             return  # acked in the meantime
         src, dst = key
         if self.faults is not None and self.faults.is_down(src):
             return  # our own site is down; restart wipes this state
         if pending.retries >= self.max_retries:
-            del self._unacked[key][seq]
+            del session.unacked[seq]
             self._note(
                 "retransmit_giveups", src, "giveup",
                 dst=dst, kind=pending.kind, seq=seq, retries=pending.retries,
@@ -250,39 +247,40 @@ class ReliableNetwork:
         """A payload packet ``(key, epoch, seq, kind, payload, handler)``
         arrives: dedup, release in sequence order, ack."""
         key, epoch, seq, kind, payload, handler = packet
-        _src, dst = key
+        src, dst = key
         if self.faults is not None and self.faults.is_down(dst):
             self._note(
-                "crash_lost", dst, "crash_lost", src=_src, kind=kind, seq=seq
+                "crash_lost", dst, "crash_lost", src=src, kind=kind, seq=seq
             )
             return  # no ack: the sender keeps retransmitting
-        if epoch != self._epoch.get(key, 0):
+        session = self._sessions[key]
+        if epoch != session.epoch:
             self._note(
                 "stale_session", dst, "stale",
-                src=_src, kind=kind, seq=seq, epoch=epoch,
+                src=src, kind=kind, seq=seq, epoch=epoch,
             )
             return  # pre-restart straggler
-        expected = self._expected.get(key, 1)
-        buffer = self._buffer.setdefault(key, {})
+        expected = session.expected
+        buffer = session.buffer
         if seq < expected or seq in buffer:
             self._note(
-                "dedup_discards", dst, "dedup", src=_src, kind=kind, seq=seq
+                "dedup_discards", dst, "dedup", src=src, kind=kind, seq=seq
             )
-            self._send_ack(key, epoch)
-            return
-        buffer[seq] = (payload, handler, kind)
-        while expected in buffer:
-            queued_payload, queued_handler, queued_kind = buffer.pop(expected)
-            expected += 1
-            self._expected[key] = expected
-            queued_handler(queued_payload)
-        self._send_ack(key, epoch)
-
-    def _send_ack(self, key: tuple[str, str], epoch: int) -> None:
-        src, dst = key
-        upto = self._expected.get(key, 1) - 1
+        elif seq > expected:
+            buffer[seq] = (payload, handler)  # held until the gap fills
+        else:
+            session.expected = expected = seq + 1
+            handler(payload)
+            while expected in buffer:
+                payload, handler = buffer.pop(expected)
+                session.expected = expected = expected + 1
+                handler(payload)
+        # the ack is cumulative: the highest sequence number released
         self.stats.acks_sent += 1
-        self.net.send(dst, src, ACK_KIND, (key, epoch, upto), self._on_ack)
+        self.net.send(
+            dst, src, ACK_KIND, (key, epoch, session.expected - 1),
+            self._on_ack,
+        )
 
     def _on_ack(self, packet: tuple) -> None:
         """An ack packet ``(key, epoch, upto)`` arrives at the sender."""
@@ -294,19 +292,16 @@ class ReliableNetwork:
                 src=dst, kind=ACK_KIND, upto=upto,
             )
             return
-        if epoch != self._epoch.get(key, 0):
+        session = self._sessions[key]
+        if epoch != session.epoch:
             self._note(
                 "stale_session", src, "stale",
                 src=dst, kind=ACK_KIND, upto=upto, epoch=epoch,
             )
             return
-        unacked = self._unacked.get(key)
-        if not unacked:
-            return
+        unacked = session.unacked
         for seq in [s for s in unacked if s <= upto]:
-            pending = unacked.pop(seq)
-            if pending.timer is not None:
-                self.sim.cancel(pending.timer)
+            self.sim.cancel(unacked.pop(seq).timer)
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -314,41 +309,23 @@ class ReliableNetwork:
     def reset_site(self, site: str) -> None:
         """Re-establish every session touching ``site`` after a restart.
 
-        The restarted site's own channel state is wiped (volatile
-        memory); surviving peers re-queue their unacknowledged backlog
-        toward the site, in order, under the new session epoch --
-        at-least-once delivery across the crash.
+        Each such session is replaced by a fresh one under the next
+        epoch: the restarted site's own channel state is wiped
+        (volatile memory), and surviving peers re-queue their
+        unacknowledged backlog toward the site, in order, on the fresh
+        session -- at-least-once delivery across the crash.
         """
-        keys = sorted(
-            {
-                k
-                for store in (
-                    self._next_seq,
-                    self._unacked,
-                    self._expected,
-                    self._buffer,
-                    self._epoch,
-                )
-                for k in store
-                if site in k
-            }
-        )
+        sessions = self._sessions
+        keys = sorted(key for key in sessions if site in key)
         backlog: list[tuple[tuple[str, str], list[_Pending]]] = []
         for key in keys:
-            self._epoch[key] = self._epoch.get(key, 0) + 1
-            pending_map = self._unacked.pop(key, {})
-            for pending in pending_map.values():
-                if pending.timer is not None:
-                    self.sim.cancel(pending.timer)
-            src, _dst = key
-            if src != site and pending_map:
-                # the surviving sender re-enters its backlog in order
-                backlog.append(
-                    (key, [pending_map[s] for s in sorted(pending_map)])
-                )
-            self._next_seq.pop(key, None)
-            self._expected.pop(key, None)
-            self._buffer.pop(key, None)
+            old = sessions[key]
+            sessions[key] = _Session(old.epoch + 1)
+            for pending in old.unacked.values():
+                self.sim.cancel(pending.timer)
+            if key[0] != site and old.unacked:
+                # unacked holds its payloads in send (= seq) order
+                backlog.append((key, list(old.unacked.values())))
         self._note(
             "session_resets", site, "reset", sessions=len(keys),
             requeued=sum(len(p) for _k, p in backlog),
@@ -356,7 +333,7 @@ class ReliableNetwork:
         for key, pendings in backlog:
             for pending in pendings:
                 # re-sent under the seq the fresh session hands out next
-                self._note_retransmit(key, self._next_seq.get(key, 1), pending)
+                self._note_retransmit(key, sessions[key].next_seq, pending)
                 self.send(*key, pending.kind, pending.payload, pending.handler)
 
     # ------------------------------------------------------------------
@@ -364,7 +341,7 @@ class ReliableNetwork:
 
     def in_flight(self) -> int:
         """Unacknowledged payloads across all sessions."""
-        return sum(len(m) for m in self._unacked.values())
+        return sum(len(s.unacked) for s in self._sessions.values())
 
     def undelivered(self) -> list[tuple[str, str, str, Any]]:
         """``(src, dst, kind, payload)`` of every payload sent and not
@@ -378,12 +355,11 @@ class ReliableNetwork:
             for src, dst, kind, packet in self.net.undelivered()
             if src == dst
         ]
-        for key in sorted(self._unacked):
-            expected = self._expected.get(key, 1)
-            unacked = self._unacked[key]
+        for key in sorted(self._sessions):
+            session = self._sessions[key]
             pending.extend(
-                (*key, unacked[seq].kind, unacked[seq].payload)
-                for seq in sorted(unacked)
-                if seq >= expected
+                (*key, p.kind, p.payload)
+                for seq, p in session.unacked.items()
+                if seq >= session.expected
             )
         return pending

@@ -70,8 +70,14 @@ from repro.algebra.normal_form import to_normal_form
 from repro.algebra.residuation import residuate, residuate_nf
 from repro.algebra.symbols import Event, Variable, rename_event
 from repro.temporal.cubes import (
+    C_OCC,
+    DIA_COMP_MASK,
+    DIA_MASK,
+    E_OCC,
     FALSE_GUARD,
     GuardExpr,
+    P_C,
+    P_E,
     TRUE_GUARD,
     guard_and,
     guard_or,
@@ -255,6 +261,9 @@ _DEPENDENCY_BINDINGS: dict[Expr, Binding] = {}
 #: ``dependency shape -> its waits``: :func:`shape_waits`' memo
 _WAITS: dict[Expr, tuple[tuple[int, int, int], ...]] = {}
 
+#: ``(guard shape, own slot) -> its wants``: :func:`promise_wants`' memo
+_WANTS: dict[tuple[GuardExpr, Event | None], frozenset[Event]] = {}
+
 
 class _SynthStats:
     closure_hits = 0
@@ -311,6 +320,7 @@ def clear_synthesis_caches() -> None:
     _CLOSURES.clear()
     _DEPENDENCY_BINDINGS.clear()
     _WAITS.clear()
+    _WANTS.clear()
     _EVENTUALLY_CACHE.clear()
     guard_formula.cache_clear()
     _SynthStats.closure_hits = 0
@@ -719,6 +729,46 @@ def shape_waits(shape: Expr) -> tuple[tuple[int, int, int], ...]:
             (i, j, n) for (i, j), n in counts.items()
         )
     return waits
+
+
+def wanted_eventualities(
+    guard: GuardExpr, own: Event | None
+) -> frozenset[Event]:
+    """Signed events whose eventuality ``guard`` can use (its ``<>f``
+    bits), outside the base ``own`` the guard is for: the eventualities
+    a promise can supply (Section 4.3)."""
+    wants: set[Event] = set()
+    for cube in guard.cubes:
+        for base, mask in cube:
+            if base == own:
+                continue
+            if (mask & DIA_MASK) == DIA_MASK and not (mask & (C_OCC | P_C)):
+                wants.add(base)
+            if (mask & DIA_COMP_MASK) == DIA_COMP_MASK and not (mask & (E_OCC | P_E)):
+                wants.add(base.complement)
+    return frozenset(wants)
+
+
+def promise_wants(entry: Binding | GuardExpr, event: Event) -> list[Event]:
+    """:func:`wanted_eventualities` of ``event``'s guard-table entry, on
+    the real names.  A binding's are read off its shape, once per
+    (shape, slot of ``event``), and bound through its ``from_slot``:
+    nothing is rendered."""
+    if type(entry) is not Binding:
+        return list(wanted_eventualities(entry, event.base))
+    own = entry.to_slot.get(event.base)
+    wants = _WANTS.get((entry.shape, own))
+    if wants is None:
+        wants = _WANTS[entry.shape, own] = wanted_eventualities(
+            entry.shape, own
+        )
+    if not wants:
+        return []
+    from_slot = entry.from_slot
+    return [
+        from_slot[slot.base].complement if slot.negated else from_slot[slot]
+        for slot in wants
+    ]
 
 
 def explain_guard(

@@ -20,17 +20,8 @@ from dataclasses import dataclass, field
 
 from repro.algebra.symbols import Event
 from repro.scheduler.events import EventAttributes
-from repro.temporal.cubes import (
-    C_OCC,
-    DIA_COMP_MASK,
-    DIA_MASK,
-    E_OCC,
-    FULL,
-    GuardExpr,
-    P_C,
-    P_E,
-)
-from repro.temporal.guards import workflow_guards
+from repro.temporal.cubes import C_OCC, E_OCC, FULL, GuardExpr, P_C, P_E
+from repro.temporal.guards import wanted_eventualities, workflow_guards
 from repro.workflows.spec import Workflow
 
 
@@ -90,20 +81,6 @@ def _needs_notyet(guard: GuardExpr) -> frozenset[Event]:
     return frozenset(needs)
 
 
-def _wants_promise(guard: GuardExpr, event: Event) -> frozenset[Event]:
-    """Signed events whose eventuality the guard can use (``<>f`` bits)."""
-    wants: set[Event] = set()
-    for cube in guard.cubes:
-        for base, mask in cube:
-            if base == event.base:
-                continue
-            if (mask & DIA_MASK) == DIA_MASK and not (mask & (C_OCC | P_C)):
-                wants.add(base)
-            if (mask & DIA_COMP_MASK) == DIA_COMP_MASK and not (mask & (E_OCC | P_E)):
-                wants.add(base.complement)
-    return frozenset(wants)
-
-
 def compile_workflow(workflow: Workflow) -> CompiledWorkflow:
     """Synthesize guards and static analysis for a workflow.
 
@@ -126,7 +103,7 @@ def compile_workflow(workflow: Workflow) -> CompiledWorkflow:
         needs = _needs_notyet(g)
         if needs:
             notyet_needs[event] = needs
-        wants[event] = _wants_promise(g, event)
+        wants[event] = wanted_eventualities(g, event.base)
     pairs: set[frozenset[Event]] = set()
     for event, targets in wants.items():
         for target in targets:

@@ -125,11 +125,21 @@ def escalate_before_sweep():
             swept = self._sweep_orphan_freezes()
             if swept:
                 self.sim.run()
-            batch = self._settlement_candidates()
+            batch = self._uncrossed(self._settlement_candidates())
             if not self._settle_round(batch) and not swept:
                 return
 
     return mock.patch.object(DistributedScheduler, "drain", drain)
+
+
+def crossing_group_at_once():
+    """A settlement round settles every candidate, however many of one
+    crossing group."""
+    return replacing(
+        DistributedScheduler, "drain",
+        "batch = self._uncrossed(self._settlement_candidates())",
+        "batch = self._settlement_candidates()",
+    )
 
 
 def no_sync_round():

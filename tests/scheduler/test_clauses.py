@@ -68,6 +68,10 @@ PINS = [
         mutants.settled_residual_unrendered,
         lambda: check_schedule(settled_residual(), ()),
     ),
+    (
+        mutants.crossing_group_at_once,
+        lambda: test_explore.test_exclusive_choice_default_schedule(5),
+    ),
 ]
 
 

@@ -15,13 +15,17 @@ from repro.scheduler import (
 )
 from repro.scheduler.actors import EMPTY
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.scheduler.messages import Announce
+from repro.scheduler.messages import Announce, TriggerMsg
 from repro.sim import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
 from repro.temporal.cubes import C_OCC, DIA_MASK, TRUE_GUARD, literal
 from repro.temporal.guards import workflow_bindings
 from repro.workflows import WorkflowTemplate
-from repro.workloads.scenarios import make_mutex_family, make_travel_booking
+from repro.workloads.scenarios import (
+    make_mutex_family,
+    make_order_fulfillment,
+    make_travel_booking,
+)
 from tests.conftest import count_calls
 
 E, F, G = Event("e"), Event("f"), Event("g")
@@ -511,3 +515,29 @@ class TestIdleFootprint:
         assert (src, dst, kind) == (sender.site, target.site, "announce")
         assert payload == Announce(event=E)
         assert handler is target and stamp is None
+
+    def test_monitor_messages_hold_a_handler_bound_once(self):
+        """An announcement to a requirement monitor is handed to the
+        monitor itself, and every trigger to one method bound at
+        construction."""
+        scenario = make_order_fulfillment()
+        workflow = scenario.workflow
+        sched = DistributedScheduler(
+            workflow.dependencies, sites=workflow.sites,
+            attributes=workflow.attributes,
+        )
+        handlers = []
+        send = sched.channel.send
+
+        def spy(src, dst, kind, payload, handler):
+            handlers.append((payload, handler))
+            send(src, dst, kind, payload, handler)
+
+        sched.channel.send = spy
+        result = sched.run(scenario.scripts)
+        assert result.ok and result.triggered
+        monitors = {id(monitor) for _site, monitor in sched._monitors}
+        to_monitors = [h for _p, h in handlers if id(h) in monitors]
+        triggers = [h for p, h in handlers if isinstance(p, TriggerMsg)]
+        assert to_monitors and triggers
+        assert all(h is sched._on_trigger for h in triggers)

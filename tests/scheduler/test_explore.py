@@ -425,27 +425,14 @@ def test_ex13_with_an_idle_task_is_sound():
     assert judge(result.trace, workflow.dependencies) == []
 
 
-CROSSED_GRANTS = (
-    "exclusive choice: a parks on <>~b and b on <>~a, and the idle "
-    "complements defer both promise requests; at quiescence the "
-    "settlement batch _settle_round([a, b]) attempts ~a and ~b while a "
-    "and b are parked, each serves its deferred request at once (the "
-    "request chain closes a consensus cycle): ~b grants <>~b to a and "
-    "~a grants <>~a to b, the grants cross, both a and b fire (<b a>) "
-    "and two promises break"
-)
-
-
-@pytest.mark.xfail(strict=True, raises=ScheduleFailure, reason=CROSSED_GRANTS)
 def test_exclusive_choice_every_schedule():
     """Theorem 6 soundness on ``a + b`` / ``~a + ~b``: every schedule
     settles exactly one of a and b."""
     explore(xor())
 
 
-@pytest.mark.xfail(strict=True, raises=ScheduleFailure, reason=CROSSED_GRANTS)
 @pytest.mark.parametrize("b_at", [0, 1, 5, 50])
 def test_exclusive_choice_default_schedule(b_at):
-    """However late b is attempted, the default schedule breaks the
-    choice the same way."""
+    """However late b is attempted, the default schedule settles
+    exactly one of a and b."""
     check_schedule(xor(b_at), ())

@@ -7,7 +7,9 @@ import random
 from repro.algebra.symbols import Event
 
 from .explorer import _scenario
-from .random_specs import attainable, random_spec, run_lane
+from .random_specs import (
+    MAX_STUCK, MAX_UNSOUND, attainable, random_spec, run_lane,
+)
 
 
 def test_a_spec_is_small_and_attempts_every_base_it_mentions():
@@ -28,11 +30,13 @@ def test_a_spec_is_small_and_attempts_every_base_it_mentions():
 
 def test_engines_agree_and_every_unsound_run_broke_a_promise():
     """Engine agreement on every spec; the only unsound runs are those
-    that broke a promise (the crossed grants the ``CROSSED_GRANTS``
-    xfails pin)."""
+    that broke a promise, and no more runs are unsound or stuck than
+    the lane's ceilings allow."""
     counts = run_lane(2000, seed=1)
     assert counts.disagreements == [], counts.summary()
     assert counts.unsound_unbroken == [], counts.summary()
+    assert counts.unsound <= MAX_UNSOUND, counts.summary()
+    assert counts.stuck <= MAX_STUCK, counts.summary()
 
 
 def test_unattainable_attempts_are_told_from_stuck_runs():

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.sim.clock import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency, Network
@@ -20,20 +18,26 @@ def _rig(drop=0.0, dup=0.0, plan=None, seed=7, **kw):
         duplicate_probability=dup,
     )
     faults = FaultInjector(sim, plan) if plan is not None else None
-    rel = ReliableNetwork(net, faults=faults, timeout=3.0, **kw)
+    rel = ReliableNetwork(net, faults=faults)
+    # the tuning constants are class attributes; a test overrides them
+    # on its instance
+    rel.timeout = 3.0
+    for name, value in kw.items():
+        setattr(rel, name, value)
     return sim, net, rel, faults
 
 
-class TestValidation:
-    def test_rejects_bad_parameters(self):
-        sim = Simulator()
-        net = Network(sim)
-        with pytest.raises(ValueError):
-            ReliableNetwork(net, timeout=0.0)
-        with pytest.raises(ValueError):
-            ReliableNetwork(net, backoff=0.5)
-        with pytest.raises(ValueError):
-            ReliableNetwork(net, max_retries=-1)
+class TestConstants:
+    def test_the_tuning_is_constants_not_parameters(self):
+        """The session layer takes the fabric and the crash injector;
+        its timeout, backoff, cap and retry budget are constants."""
+        import inspect
+
+        params = inspect.signature(ReliableNetwork.__init__).parameters
+        assert list(params) == ["self", "network", "faults"]
+        rel = ReliableNetwork(Network(Simulator()))
+        assert (rel.timeout, rel.backoff, rel.max_interval, rel.max_retries) \
+            == (4.0, 2.0, 32.0, 20)
 
 
 class TestCleanFabric:
@@ -116,9 +120,8 @@ class TestBackoff:
             rng=random.Random(0),
             drop_probability=0.999999,
         )
-        rel = ReliableNetwork(
-            net, timeout=2.0, backoff=2.0, max_interval=8.0, max_retries=5
-        )
+        rel = ReliableNetwork(net)
+        rel.timeout, rel.max_interval, rel.max_retries = 2.0, 8.0, 5
         sends = []
         orig = net.send
 
