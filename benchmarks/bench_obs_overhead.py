@@ -2,8 +2,8 @@
 
 Runs Example 13 (mutual exclusion) on the distributed scheduler two
 ways -- tracing off (the ``NULL_TRACER`` default) and tracing on, which
-also records decision provenance and times the guard evaluations --
-and pins two claims:
+also records each guard evaluation's structured cubes and knowledge
+(what ``repro explain`` replays) -- and pins two claims:
 
 * **tracing is purely observational**: the traced run's virtual
   results (timeline, makespan, message count) are identical to the
@@ -59,13 +59,13 @@ def test_bench_tracing_on(benchmark):
 
     sched, result = benchmark(run)
     assert sched.tracer.records
-    facts = sum(
-        len(entries) for entries in sched.provenance._entries.values()
+    evals = sum(
+        1 for record in sched.tracer.records if record["cat"] == "guard"
     )
-    assert facts > 0
+    assert evals > 0
     print(
         f"\n[obs] traced mutex run: {len(sched.tracer.records)} records, "
-        f"{facts} provenance facts"
+        f"{evals} guard evaluations"
     )
 
 
@@ -349,7 +349,8 @@ def test_bench_differ_on_sc1_pair(benchmark):
     records_b = list(tracer_b.records)
 
     diff = benchmark(lambda: diff_traces(records_a, records_b))
-    assert diff.identical  # same seed: elapsed-only differences
+    assert records_a == records_b  # same seed: the same records
+    assert diff.identical
     print(
         f"\n[obs] OB4 differ: {diff.records_a}+{diff.records_b} records "
         f"compared, identical={diff.identical}"

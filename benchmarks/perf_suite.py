@@ -27,8 +27,8 @@ Runs three workload families and emits a machine-readable
   merged vs min-cut sharded (``speedup_vs_merged`` is reported, not
   required: it has fallen either way as synthesis got cheaper, see
   EXPERIMENTS.md);
-* **guard engine** (PF3/PF4, when the scheduler has
-  ``reference_engine=``) -- the one production engine (wake rule +
+* **guard engine** (PF3/PF4, when the scheduler has a
+  ``cursor_factory`` to override) -- the one production engine (wake rule +
   compiled cursors) against the paper-literal reference engine the
   differential tests use: the announce phase over n in {10, 100, 1000}
   parked guards (PF3; required: identical timelines, zero production
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import inspect
 import json
 import os
 import random
@@ -79,6 +78,7 @@ from repro.algebra.traces import Trace  # noqa: E402
 from repro.scheduler.guard_scheduler import DistributedScheduler  # noqa: E402
 from repro.sim.faults import FaultPlan, SiteCrash  # noqa: E402
 from repro.sim.network import ConstantLatency  # noqa: E402
+from repro.temporal.compiled import ReferenceCursor  # noqa: E402
 from repro.temporal.guards import guard, workflow_guards  # noqa: E402
 
 from benchmarks.helpers import (  # noqa: E402
@@ -253,8 +253,16 @@ def bench_end_to_end(rounds: int) -> dict:
 
 
 def _supports_reference_engine() -> bool:
-    params = inspect.signature(DistributedScheduler.__init__).parameters
-    return "reference_engine" in params
+    return hasattr(DistributedScheduler, "cursor_factory")
+
+
+class ReferenceScheduler(DistributedScheduler):
+    """The paper-literal reference engine the differential tests use:
+    every guard re-evaluated on every announcement with the cube
+    calls."""
+
+    def cursor_factory(self):
+        return ReferenceCursor
 
 
 def _supports_sharding() -> bool:
@@ -501,12 +509,11 @@ def _pf3_run(n: int, hubs: int, reference: bool):
         parked.append(f_i)
     for h in hub_events:
         guards[h] = TRUE_GUARD  # fires on attempt
-    sched = DistributedScheduler(
+    sched = (ReferenceScheduler if reference else DistributedScheduler)(
         [],
         guards=guards,
         latency=ConstantLatency(1.0),
         rng=random.Random(3),
-        reference_engine=reference,
     )
     for f_i in parked:
         sched.attempt(f_i)
@@ -723,12 +730,11 @@ def _pf4_run(n: int, hubs: int, reference: bool) -> dict:
         waiting.append(c_i)
     for h in hub_events:
         guards[h] = TRUE_GUARD  # fires on attempt
-    sched = DistributedScheduler(
+    sched = (ReferenceScheduler if reference else DistributedScheduler)(
         [],
         guards=guards,
         latency=ConstantLatency(1.0),
         rng=random.Random(3),
-        reference_engine=reference,
     )
     for ev in waiting:
         sched.attempt(ev)

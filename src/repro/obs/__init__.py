@@ -9,13 +9,17 @@ artifact:
 * :mod:`repro.obs.tracer` -- causal event tracing.  A :class:`Tracer`
   stamps every message send/receive/drop/retransmit, actor state
   transition, guard evaluation, crash/restart, and sync round with a
-  per-site Lamport clock and emits structured JSONL records.  The
-  default :data:`NULL_TRACER` is inert: the per-message and
-  per-evaluation sites test ``tracer.active``, the rest call a no-op,
-  so a run without tracing takes the same decisions.
+  per-site Lamport clock and emits structured JSONL records.  A trace
+  is a pure function of the run (it holds no wall-clock time), so two
+  runs of one seed write the same bytes.  The default
+  :data:`NULL_TRACER` is inert: the per-message and per-evaluation
+  sites test ``tracer.active``, the rest call a no-op, so a run without
+  tracing takes the same decisions.
 * :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of counters,
   gauges (with peaks), and summary histograms, labelled per site and
-  dumpable as JSON from ``DistributedScheduler.metrics_report()``.
+  dumpable as JSON from ``DistributedScheduler.metrics_report()``; it
+  holds every count of a run once, and ``ExecutionResult`` reads its
+  counts off it.
 * :mod:`repro.obs.export` -- conversion of a trace to the Chrome
   ``chrome://tracing`` / Perfetto JSON format (``repro trace export``).
 * :mod:`repro.obs.check` -- the trace-replay invariant checker
@@ -25,9 +29,11 @@ artifact:
   firing is justified by a recorded guard verdict.
 * :mod:`repro.obs.provenance` -- decision provenance: *why* is an
   event parked/fired/dead?  ``DistributedScheduler.explain(event)``
-  (live) and ``repro explain TRACE EVENT`` (offline) classify every
-  guard literal against the actor's knowledge, name the announcements
-  that justified it, and compute minimal unblocking announcement sets.
+  (live, justified from the settlement record, the same traced or
+  not) and ``repro explain TRACE EVENT`` (offline, Lamport-stamped
+  from the trace) classify every guard literal against the actor's
+  knowledge, name the occurrences that justified it, and compute
+  minimal unblocking announcement sets.
 * :mod:`repro.obs.snapshot` -- consistent global snapshots, each the
   whole run read between two simulator steps, sending nothing
   (``scheduler.snapshot()`` / ``repro run --snapshot-every N``), plus
@@ -63,8 +69,9 @@ artifact:
   walked backward through the causal machinery of :mod:`~.query`.
 * :mod:`repro.obs.recorder` -- the flight recorder
   (``repro run --flight-record N``): a ring-buffered
-  :class:`~repro.obs.recorder.FlightRecorder` that keeps the last *N*
-  records per category in constant memory, counts evictions into
+  :class:`~repro.obs.recorder.FlightRecorder`, the one tracer with
+  bounded storage, that keeps the last *N* records (crash/restart
+  records pinned) in constant memory, counts evictions into
   ``metrics_report()``/Prometheus, and dumps the retained window --
   with a self-describing header the checker understands -- when an
   SLO violation, invariant failure, or crash arms it.
@@ -104,7 +111,6 @@ from repro.obs.prom import lint_prometheus, render_prometheus, write_prometheus
 from repro.obs.provenance import (
     Explanation,
     Fact,
-    ProvenanceLog,
     explain_records,
     minimal_unblocking_sets,
 )
@@ -128,7 +134,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Profiler",
-    "ProvenanceLog",
     "RunRegistry",
     "Snapshot",
     "TimeSeriesRegistry",

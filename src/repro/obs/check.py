@@ -38,8 +38,8 @@ coherent:
     means the run crashed mid-write and the final record may be
     incomplete even if it happens to parse.
 
-**Flight-recorder windows.**  A trace dumped from a ring-buffer tracer
-(:class:`repro.obs.tracer.Tracer` with ``ring=N``) starts with a
+**Flight-recorder windows.**  A trace dumped from a flight recorder
+(:class:`repro.obs.recorder.FlightRecorder`) starts with a
 ``cat="recorder"``/``op="window"`` header naming what was evicted: the
 highest evicted Lamport stamp per site and the highest evicted message
 id.  The checker uses the header to distinguish "the causal prefix was
@@ -135,7 +135,7 @@ def check_records(records: Iterable[dict]) -> list[Diagnostic]:
         # -- clock: per-site strict monotonicity -----------------------
         prev = site_clock.get(site, 0)
         if lc <= evicted_lc.get(site, 0):
-            # a pinned record (a ``tracer.PINNED`` category) survives in
+            # a pinned record (a ``recorder.PINNED`` category) survives in
             # the ring from *before* the eviction horizon; its stamp
             # legitimately precedes the window header's clock seed
             pass

@@ -14,8 +14,9 @@ questions:
 * **canonical form**: records are compared minus the volatile fields
   ``lc``/``sent_lc``/``mid`` (observer bookkeeping whose absolute
   values shift when any earlier event changes) and ``elapsed`` (the
-  only wall-clock field in a trace -- guard evaluation timing differs
-  between two runs of the *same* seed).  Virtual time ``t`` is part of
+  guard-evaluation wall time that traces recorded before traces became
+  a pure function of the run; the golden traces still carry it).
+  Virtual time ``t`` is part of
   the canonical form: the simulator is deterministic, so a sim-time
   shift is a real divergence;
 * **localization**: per diverging site, the first position where the
@@ -55,8 +56,8 @@ from repro.obs.tracer import read_jsonl
 __all__ = ["Divergence", "TraceDiff", "diff_traces", "diff_files"]
 
 #: fields dropped before comparing records: Lamport bookkeeping whose
-#: absolute values shift with any earlier event, and the one
-#: wall-clock field (guard evaluation timing)
+#: absolute values shift with any earlier event, and the wall-clock
+#: guard timing older traces carry
 VOLATILE_FIELDS = frozenset({"lc", "sent_lc", "mid", "elapsed"})
 
 #: how far ahead to look for a swapped record pair when classifying

@@ -7,13 +7,11 @@ object.  The mapping:
 * one *process* (``pid``) per site, named via ``process_name`` metadata;
 * one *thread* (``tid``) per record category, so messages, guard
   evaluations, actor transitions etc. land on separate rows;
-* most records become *instant* events (``ph: "i"``);
+* most records, guard evaluations among them, become *instant* events
+  (``ph: "i"``);
 * each delivered message becomes a *flow* arrow (``ph: "s"`` at the
   send, ``ph: "f"`` at the receive, joined by the message id), which
   renders the causal structure the Lamport stamps encode;
-* guard evaluations become *complete* events (``ph: "X"``) whose
-  duration is the measured wall time, scaled so they are visible next
-  to virtual-time coordinates;
 * crash/restart pairs become ``B``/``E`` spans labelled ``down``.
 
 Timestamps are virtual simulator time in microseconds (``t`` * 1e6);
@@ -76,12 +74,6 @@ def to_chrome(records: Iterable[dict]) -> dict[str, Any]:
                                "tid": "message", "ts": send["t"] * _US})
                 events.append({**flow, "ph": "f", "bp": "e", "pid": base["pid"],
                                "tid": "message", "ts": base["ts"]})
-        elif cat == "guard":
-            # show measured wall time (seconds) as microseconds so the
-            # span is visible on the virtual-time axis
-            dur = max(record.get("elapsed") or 0.0, 0.0) * _US
-            events.append({**base, "ph": "X", "dur": dur,
-                           "name": f"eval {record['event']} -> {record['verdict']}"})
         elif cat == "fault" and op == "crash":
             events.append({**base, "ph": "B", "tid": "fault", "name": "down"})
         elif cat == "fault" and op == "restart":

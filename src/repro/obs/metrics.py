@@ -12,9 +12,10 @@ per-site shape).  Three instrument kinds:
   min, max, mean), e.g. guard-evaluation latency or time-to-allow.
 
 Counters and gauges are cheap dict updates and are always on, and
-everything in the registry is a deterministic function of the run:
-wall-clock timings (a guard evaluation's ``elapsed``) go to the trace
-record, taken only when a tracer is attached.
+everything in the registry is a deterministic function of the run: a
+run's wall-clock time is the profiler's alone.  The registry is where
+a run's counts live; ``ExecutionResult`` reads its own off it when the
+run finishes (:meth:`totals`).
 """
 
 from __future__ import annotations
@@ -62,11 +63,18 @@ class MetricsRegistry:
 
     def counter(self, name: str, site: str = _TOTAL) -> int:
         """Cross-site total unless a specific site is asked for."""
-        if site is not _TOTAL and (name, site) in self._counters:
-            return self._counters[(name, site)]
         if site is _TOTAL:
-            return sum(v for (n, _s), v in self._counters.items() if n == name)
-        return 0
+            return self.totals(name)[name]
+        return self._counters.get((name, site), 0)
+
+    def totals(self, *names: str) -> dict[str, int]:
+        """The cross-site total of each counter in ``names``, summed in
+        one pass over the store."""
+        out = dict.fromkeys(names, 0)
+        for (name, _site), value in self._counters.items():
+            if name in out:
+                out[name] += value
+        return out
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready snapshot: totals plus per-site breakdowns."""

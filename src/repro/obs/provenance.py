@@ -18,15 +18,16 @@ throwing it away:
   (:func:`repro.temporal.cubes._absorb` merges cubes differing in one
   base) makes per-literal counting overestimate -- one announcement can
   complete a guard whose literals all look pending;
-* :class:`ProvenanceLog` records, per ``(actor, base)``, the message
-  that justified each knowledge refinement (source kind, originating
-  signed event and site, virtual time, Lamport stamp);
 * :func:`explain_actor` assembles the above into a live
-  :class:`Explanation` for ``DistributedScheduler.explain(event)``;
+  :class:`Explanation` for ``DistributedScheduler.explain(event)``,
+  naming each settled fact's origin from the run's settlement record,
+  so a traced and an untraced run give the same answer;
   :func:`explain_records` does the same offline from a recorded causal
   trace (``repro explain <trace> <event>``), using the structured
   ``cubes``/``knowledge`` fields the tracer attaches to guard
-  evaluations.
+  evaluations, and stamps each origin with its Lamport clock.  The
+  trace is the one record of *when* a fact was learned; nothing else
+  journals it.
 
 Everything region-level operates on *string* base names (cube tuples
 ``((name, mask), ...)``, knowledge ``{name: mask}``) so the live and
@@ -269,41 +270,6 @@ def explain_region(
 
 
 # ----------------------------------------------------------------------
-# justification log (live runs)
-
-class ProvenanceLog:
-    """Per-(actor, base) journal of knowledge refinements.
-
-    Lives in the observer (like the tracer's clocks): it survives
-    simulated crashes because it describes what the run *did*, not
-    protocol state.  Every scheduler has one; it fills only in a traced
-    run (``Role.learn`` asks the tracer first), and an empty log
-    answers :meth:`facts_for` with nothing."""
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], list[dict]] = {}
-
-    def learned(self, actor, base, mask, source, origin) -> None:
-        sched = actor.sched
-        origin_site = None
-        if origin is not None:
-            origin_site = sched.site_of(origin.base)
-        self._entries.setdefault(
-            (repr(actor.event), repr(base)), []
-        ).append({
-            "mask": mask,
-            "source": source or "unknown",
-            "origin": repr(origin) if origin is not None else None,
-            "origin_site": origin_site,
-            "t": sched.sim.now,
-            "lc": sched.tracer.clock(actor.site),
-        })
-
-    def facts_for(self, owner: str, base: str) -> list[dict]:
-        return list(self._entries.get((owner, base), ()))
-
-
-# ----------------------------------------------------------------------
 # assembled explanations
 
 @dataclass
@@ -443,26 +409,13 @@ def _str_knowledge(knowledge) -> dict[str, int]:
     return {repr(base): mask for base, mask in knowledge.items()}
 
 
-def _live_justifications(sched, actor, knowledge: dict[str, int]) -> list[dict]:
-    """One entry per settled fact the actor knows, from the provenance
-    log when one is attached, else reconstructed from the settlement
-    record (origin site and fire time; no Lamport stamp)."""
+def _live_justifications(sched, knowledge: dict[str, int]) -> list[dict]:
+    """One entry per settled fact the role knows, from the settlement
+    record: the signed occurrence, its site and fire time (no Lamport
+    stamp -- that is the trace's)."""
     out: list[dict] = []
-    owner = repr(actor.event)
     for name, mask in sorted(knowledge.items()):
         if mask not in (E_OCC, C_OCC):
-            continue
-        fact_text = mask_text(name, mask)
-        entries = sched.provenance.facts_for(owner, name)
-        entries = [e for e in entries if e["mask"] in (E_OCC, C_OCC)]
-        if entries:
-            entry = entries[0]
-            out.append({
-                "base": name, "fact": fact_text,
-                "source": entry["source"], "origin": entry["origin"],
-                "origin_site": entry["origin_site"],
-                "t": entry["t"], "lc": entry["lc"],
-            })
             continue
         signed = None
         for base, settled in sched._settled.items():
@@ -476,7 +429,7 @@ def _live_justifications(sched, actor, knowledge: dict[str, int]) -> list[dict]:
             None,
         )
         out.append({
-            "base": name, "fact": fact_text, "source": "settlement",
+            "base": name, "fact": mask_text(name, mask), "source": "settlement",
             "origin": repr(signed), "origin_site": sched.site_of(signed.base),
             "t": fired_at if fired_at is not None else sched.sim.now,
             "lc": None,
@@ -528,7 +481,7 @@ def explain_actor(sched, role) -> Explanation:
         knowledge=knowledge,
         cubes=region["cubes"],
         unblocking=[list(c) for c in region["unblocking"]] if verdict == "park" else [],
-        justifications=_live_justifications(sched, role, knowledge),
+        justifications=_live_justifications(sched, knowledge),
         lifecycle=sorted(lifecycle, key=lambda e: e["t"]),
         frozen_by=frozen_by,
         attempted_at=role.attempted_at,

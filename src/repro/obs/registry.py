@@ -4,11 +4,10 @@ A :class:`RunRegistry` is a content-addressed store of finished runs
 under ``.repro/runs/``: each entry keeps the ``run --json`` report,
 the causal trace (gzipped), the phase profile when one was taken, and
 the run's configuration, under a directory named by a hash of the
-run's *deterministic* content.  Hashing drops the volatile fields --
-wall-clock guard timings in trace records, the entry's own creation
-time -- so re-running the same seed on the same spec lands on the same
-id (the store dedups instead of growing), while any decision change
-produces a new entry.
+run's *deterministic* content.  A trace holds no wall-clock time and
+the hash leaves out the entry's own creation time, so re-running the
+same seed on the same spec lands on the same id (the store dedups
+instead of growing), while any decision change produces a new entry.
 
 On top of the store sit the regression tools:
 
@@ -57,9 +56,6 @@ TREND_INDICATORS = (
     "unsettled",
 )
 
-#: trace-record fields excluded from content hashing (wall clock)
-_VOLATILE_TRACE_FIELDS = ("elapsed",)
-
 
 def _content_id(
     config: Mapping | None,
@@ -68,9 +64,8 @@ def _content_id(
 ) -> str:
     """Hash the run's deterministic content.
 
-    The trace (minus wall-clock fields) is the strongest identity; the
-    result core (timeline, violations, unsettled, makespan, messages)
-    covers untraced runs.  Metrics are excluded -- they embed the
+    The trace is the strongest identity; the result core (timeline,
+    violations, unsettled, makespan, messages) covers untraced runs.  Metrics are excluded -- they embed the
     recorder/ring bookkeeping and wall-clock histograms.
     """
     core = {
@@ -84,13 +79,7 @@ def _content_id(
         },
     }
     if records is not None:
-        core["trace"] = [
-            {
-                k: v for k, v in record.items()
-                if k not in _VOLATILE_TRACE_FIELDS
-            }
-            for record in records
-        ]
+        core["trace"] = list(records)
     payload = json.dumps(core, sort_keys=True, default=repr)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 

@@ -33,30 +33,18 @@ the default :data:`NULL_TRACER` costs it one attribute read; every
 other site calls its hook outright and passes only values it already
 holds (the :class:`Tracer` does the ``repr``).
 
-``Tracer(ring=N)`` turns the unbounded in-memory record list into a
-bounded *flight-recorder window*: the newest ``N`` records are kept,
-older ones are evicted (counted per category, with the highest evicted
-Lamport stamp per site and the highest evicted message id remembered so
-the offline checker can reason about the missing prefix).  The
-categories in :data:`PINNED` are never evicted.  Memory stays constant
-regardless of run length; see :mod:`repro.obs.recorder` for the
-auto-dump triggers.
+A trace is a pure function of the run: no record carries wall-clock
+time (that is the profiler's, :mod:`repro.obs.profile`), so two runs
+of one seed write byte-identical traces.  A :class:`Tracer` keeps every
+record; the bounded window of a long run is
+:class:`~repro.obs.recorder.FlightRecorder`'s.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-from collections import deque
 from typing import Any, Iterable
-
-#: categories ring mode never evicts: ``fault`` records (crash/restart)
-#: are rare, and both the window checker and the flight recorder's dump
-#: triggers depend on them.
-PINNED = frozenset({"fault"})
-
-#: synthetic site name carried by flight-recorder window headers
-RECORDER_SITE = "@recorder"
 
 
 def open_trace(path, mode: str = "r"):
@@ -99,7 +87,8 @@ class NullTracer:
     actor = round_event = crash = restart = sync = monitor = _ignore
 
     def recorder_stats(self):
-        """Flight-recorder statistics; ``None`` unless in ring mode."""
+        """Flight-recorder statistics; ``None`` but for a
+        :class:`~repro.obs.recorder.FlightRecorder`."""
         return None
 
     def dump(self, path):
@@ -116,43 +105,19 @@ class Tracer(NullTracer):
     ``dump``/``dumps`` serialize to JSONL (one record per line);
     :func:`read_jsonl` reads such a file back for offline checking and
     export.
-
-    ``ring=N`` bounds storage to the newest ``N`` records (plus the
-    :data:`PINNED` categories); see the module docstring.  Without
-    ``ring`` the tracer keeps everything, exactly as before.
     """
 
     active = True
 
-    def __init__(self, ring: int | None = None) -> None:
+    def __init__(self) -> None:
         self._clocks: dict[str, int] = {}
         self._next_mid = 0
-        if ring is not None and ring < 1:
-            raise ValueError(f"ring must be a positive capacity, got {ring!r}")
-        self._ring = ring
-        if ring is None:
-            self._records: list[dict] = []
-        else:
-            self._seq = 0
-            self._main: deque[tuple[int, dict]] = deque()
-            self._pinned: list[tuple[int, dict]] = []
-            self.dropped: dict[str, int] = {}
-            self._evicted_lc: dict[str, int] = {}
-            self._mid_horizon = 0
+        self._records: list[dict] = []
 
     @property
     def records(self) -> list[dict]:
-        """Retained records in recording order.
-
-        In ring mode this materializes the window (pinned records
-        interleaved back into sequence position); treat it as a
-        read-only view and don't mutate it.
-        """
-        if self._ring is None:
-            return self._records
-        entries = [*self._main, *self._pinned]
-        entries.sort(key=lambda entry: entry[0])
-        return [record for _, record in entries]
+        """Every record, in recording order."""
+        return self._records
 
     # ------------------------------------------------------------------
     # clock discipline
@@ -167,32 +132,10 @@ class Tracer(NullTracer):
         self._clocks[site] = stamp
         return stamp
 
-    def _evict(self, record: dict) -> None:
-        """Account one record falling off the ring."""
-        cat = record["cat"]
-        self.dropped[cat] = self.dropped.get(cat, 0) + 1
-        site = record["site"]
-        if record["lc"] > self._evicted_lc.get(site, 0):
-            self._evicted_lc[site] = record["lc"]
-        mid = record.get("mid")
-        if isinstance(mid, int) and mid > self._mid_horizon:
-            self._mid_horizon = mid
-
     def _emit(self, site: str, cat: str, op: str, t: float, lc: int, fields: dict) -> dict:
         record = {"lc": lc, "t": t, "site": site, "cat": cat, "op": op}
         record.update(fields)
-        if self._ring is None:
-            self._records.append(record)
-            return record
-        seq = self._seq
-        self._seq = seq + 1
-        if cat in PINNED:
-            self._pinned.append((seq, record))
-            return record
-        main = self._main
-        if len(main) >= self._ring:
-            self._evict(main.popleft()[1])
-        main.append((seq, record))
+        self._records.append(record)
         return record
 
     def local(self, t: float, site: str, cat: str, op: str, **fields: Any) -> dict:
@@ -250,14 +193,12 @@ class Tracer(NullTracer):
         guard: Any,
         residual: Any,
         verdict: str,
-        elapsed: float,
         cubes: list | None = None,
         knowledge: dict | None = None,
     ) -> None:
         """One guard evaluation: the compiled guard, its current
-        residual under assimilated knowledge, the verdict
-        (``fire``/``park``/``never``), and the wall-clock seconds the
-        evaluation took.
+        residual under assimilated knowledge and the verdict
+        (``fire``/``park``/``never``).
 
         ``cubes`` and ``knowledge``, when supplied, are the *structured*
         form of the decision -- the durable guard's cubes as
@@ -269,7 +210,6 @@ class Tracer(NullTracer):
         fields: dict[str, Any] = {
             "event": repr(event), "guard": repr(guard),
             "residual": repr(residual), "verdict": verdict,
-            "elapsed": elapsed,
         }
         if cubes is not None:
             fields["cubes"] = cubes
@@ -322,67 +262,25 @@ class Tracer(NullTracer):
     def clock(self, site: str) -> int:
         """The site's current Lamport stamp (0 before its first record).
 
-        Read-only: does not tick.  Used to stamp observer-side state
-        (provenance facts, snapshot cuts) with the causal position of
-        the record stream that justified it."""
+        Read-only: does not tick.  Used to stamp a snapshot cut with
+        the causal position of the record stream it was read at."""
         return self._clocks.get(site, 0)
-
-    # ------------------------------------------------------------------
-    # flight-recorder window
-
-    def recorder_stats(self) -> dict | None:
-        """Ring-mode bookkeeping for ``metrics_report()``; ``None`` when
-        the tracer is unbounded."""
-        if self._ring is None:
-            return None
-        return {
-            "ring": self._ring,
-            "retained": len(self._main) + len(self._pinned),
-            "dropped": dict(sorted(self.dropped.items())),
-            "dropped_total": sum(self.dropped.values()),
-            "evicted_lc": dict(sorted(self._evicted_lc.items())),
-            "mid_horizon": self._mid_horizon,
-        }
-
-    def window_records(self) -> list[dict]:
-        """The retained window prefixed with its header record.
-
-        The header (``cat="recorder"``, ``op="window"``, synthetic site
-        :data:`RECORDER_SITE`) carries the eviction bookkeeping --
-        per-category drop counts, the highest evicted Lamport stamp per
-        site, and the message-id horizon -- so the offline checker can
-        tell "the causal prefix was evicted" from "the trace is wrong".
-        In unbounded mode this is just ``records``.
-        """
-        if self._ring is None:
-            return self.records
-        stats = self.recorder_stats()
-        header = {
-            "lc": 1,
-            "t": 0.0,
-            "site": RECORDER_SITE,
-            "cat": "recorder",
-            "op": "window",
-        }
-        header.update(stats)
-        return [header] + self.records
 
     # ------------------------------------------------------------------
     # serialization
 
     def dumps(self) -> str:
-        records = self.window_records() if self._ring is not None else self.records
-        return "\n".join(json.dumps(r, sort_keys=True) for r in records) + (
-            "\n" if records else ""
-        )
+        return to_jsonl(self.records)
 
     def dump(self, path) -> None:
-        """Write the trace as JSONL to ``path`` (gzipped for ``.gz``).
-
-        In ring mode this writes the flight-recorder window, header
-        included, so ``repro trace check`` can verify the dump."""
+        """Write the trace as JSONL to ``path`` (gzipped for ``.gz``)."""
         with open_trace(path, "w") as handle:
             handle.write(self.dumps())
+
+
+def to_jsonl(records: list[dict]) -> str:
+    """``records`` as JSONL text, one sorted-key object per line."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def read_jsonl(path) -> list[dict]:

@@ -38,17 +38,17 @@ class DistributedParamRunner:
     tracer:
         Observability hook, forwarded to the underlying
         :class:`DistributedScheduler` (see :mod:`repro.obs`).
-    reference_engine:
-        Tests only, forwarded likewise: the paper-literal guard
-        evaluation the production engine is compared against.
     """
+
+    #: the scheduler the runner drives (the differential tests' runner
+    #: drives their reference subclass)
+    scheduler_class = DistributedScheduler
 
     def __init__(
         self,
         templates: Iterable[Expr | str],
         attributes: dict[str, EventAttributes] | None = None,
         tracer=None,
-        reference_engine: bool = False,
     ):
         self.templates: list[Expr] = [
             parse(t) if isinstance(t, str) else t for t in templates
@@ -56,10 +56,7 @@ class DistributedParamRunner:
         self._type_attributes = dict(attributes or {})
         self._seen_values: set = set()
         self._materialized: set = set()
-        self.sched = DistributedScheduler(
-            [], attributes={}, tracer=tracer,
-            reference_engine=reference_engine,
-        )
+        self.sched = self.scheduler_class([], attributes={}, tracer=tracer)
         # per-name attributes are resolved lazily per ground base
         self.sched.attributes = self._attributes_for  # type: ignore[assignment]
 

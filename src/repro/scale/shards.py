@@ -35,6 +35,7 @@ from repro.algebra.expressions import Expr
 from repro.algebra.parser import parse
 from repro.obs.merge import merge_metrics, merge_profiles, merge_traces
 from repro.obs.profile import Profiler
+from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import Tracer
 from repro.scale.partition import SuffixIndex, plan_partition
 from repro.scheduler.agents import AgentScript
@@ -107,9 +108,9 @@ class ShardTask:
     cross_dependencies: tuple[Expr, ...] = ()
 
     def build_tracer(self) -> Tracer | None:
-        """The shard's tracer: ring-bounded when flight recording."""
+        """The shard's tracer: a flight recorder when flight recording."""
         if self.flight_record:
-            return Tracer(ring=self.flight_record)
+            return FlightRecorder(self.flight_record)
         return Tracer() if self.trace else None
 
 
@@ -311,11 +312,13 @@ def run_shard(task: ShardTask) -> ShardOutcome:
         shard=task.shard,
         result=result,
         metrics=scheduler.metrics_report(),
-        # window_records == records for an unbounded tracer; in flight-
-        # recorder mode it prepends the shard's window header so the
+        # a flight recorder prepends the shard's window header so the
         # merged trace stays checkable
         trace_records=(
-            tuple(tracer.window_records()) if tracer is not None else None
+            None if tracer is None else tuple(
+                tracer.window_records() if task.flight_record
+                else tracer.records
+            )
         ),
         fast_instantiations=template.fast_instantiations,
         fallback_instantiations=template.fallback_instantiations,

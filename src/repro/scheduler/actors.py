@@ -43,7 +43,6 @@ Decision rule on an attempt (Section 4.3's "evaluation"):
 from __future__ import annotations
 
 import enum
-from time import perf_counter
 from typing import TYPE_CHECKING, Mapping
 
 from repro.algebra.symbols import Event
@@ -166,19 +165,9 @@ class Role:
     # ------------------------------------------------------------------
     # knowledge
 
-    def learn(
-        self,
-        base: Event,
-        mask: int,
-        source: str | None = None,
-        origin: Event | None = None,
-    ) -> None:
-        """Tighten the knowledge mask for ``base``.
-
-        ``source``/``origin`` name the message kind and signed event
-        that justified the refinement; they are recorded in a traced
-        run only, so the default path pays one attribute read and a
-        branch per refinement.  A settled role learns nothing more."""
+    def learn(self, base: Event, mask: int) -> None:
+        """Tighten the knowledge mask for ``base``.  A settled role
+        learns nothing more."""
         if self.actor.settled is not None:
             return
         current = self.knowledge.get(base, FULL)
@@ -187,15 +176,10 @@ class Role:
             self.knowledge[base] = updated
             self._knowledge_dirty = True
             self.cursor.learn(base, updated)
-            if self.sched.tracer.active:
-                self.sched.provenance.learned(self, base, mask, source, origin)
 
     def observe_occurrence(self, event: Event) -> None:
         """Assimilate a ``[]`` announcement (the Section 4.3 proof rules)."""
-        self.learn(
-            event.base, C_OCC if event.negated else E_OCC,
-            source="announce", origin=event,
-        )
+        self.learn(event.base, C_OCC if event.negated else E_OCC)
         profiler = self.sched.profiler  # per announcement: no call unprofiled
         if profiler is not None:
             profiler.push("cube_ops", site=self.site, event=repr(self.event))
@@ -214,15 +198,15 @@ class Role:
         re-evaluating the guard.
 
         Identical ``learn`` call to :meth:`observe_occurrence`, so
-        knowledge and provenance stay byte-for-byte equal to the
-        reference engine's.  The scheduler routes here when the
-        announced base is outside the residual's support (the wake
-        rule, :mod:`repro.temporal.compiled`): the fact cannot move the
-        residual, so the skipped pass would decide nothing new."""
-        self.learn(
-            event.base, C_OCC if event.negated else E_OCC,
-            source="announce", origin=event,
-        )
+        knowledge stays equal to the reference engine's.  The scheduler
+        routes here when the announced base is outside the residual's
+        support (the wake rule, :mod:`repro.temporal.compiled`): the
+        fact cannot move the residual, so the skipped pass would not
+        change the verdict.  It is not quite a no-op: ``learn`` marks
+        the knowledge dirty, so a parked role's next solicitation may
+        start a certificate round that the reference engine, which
+        re-evaluates here, starts at once."""
+        self.learn(event.base, C_OCC if event.negated else E_OCC)
 
     def strengthen_guard(self, extra: GuardExpr) -> None:
         """Conjoin a contribution from a dependency added at run time.
@@ -298,23 +282,19 @@ class Role:
         untraced, unprofiled one makes no call beyond its counter."""
         sched = self.sched
         sched.metrics.inc("guard_evals", site=self.site)
-        traced = sched.tracer.active
         profiler = sched.profiler
         if profiler is not None:
             profiler.push("guard_eval", site=self.site, event=repr(self.event))
         try:
-            start = perf_counter() if traced else 0.0
             verdict = self.cursor.verdict()
         finally:
             if profiler is not None:
                 profiler.pop()
-        if traced:
-            self._trace_eval(verdict, perf_counter() - start, self.knowledge)
+        if sched.tracer.active:
+            self._trace_eval(verdict, self.knowledge)
         return verdict
 
-    def _trace_eval(
-        self, verdict: str, elapsed: float, knowledge: dict[Event, int]
-    ) -> None:
+    def _trace_eval(self, verdict: str, knowledge: dict[Event, int]) -> None:
         """The ``guard/eval`` record, with the durable guard's cubes as
         JSON-ready ``[[base, mask]]`` lists (string base names) and the
         knowledge it was decided under, for offline provenance replay.
@@ -324,7 +304,7 @@ class Role:
         sched.tracer.guard_eval(
             sched.sim.now, self.site, self.event,
             guard=durable, residual=self.guard,
-            verdict=verdict, elapsed=elapsed,
+            verdict=verdict,
             cubes=[
                 sorted([repr(base), mask] for base, mask in cube)
                 for cube in durable.sorted_cubes()
@@ -526,9 +506,7 @@ class Role:
 
     def on_promise_grant(self, grant: PromiseGrant) -> None:
         mask = DIA_COMP_MASK if grant.target.negated else DIA_MASK
-        self.learn(
-            grant.target.base, mask, source="promise", origin=grant.target
-        )
+        self.learn(grant.target.base, mask)
         self.try_fire()
         if self.status is ActorStatus.PENDING:
             self._solicit()
@@ -580,15 +558,9 @@ class Role:
         if reply.status == "not_yet":
             self.round_holds.add(reply.target)
         elif reply.status == "occurred":
-            self.learn(
-                reply.target, E_OCC,
-                source="not_yet_reply", origin=reply.target,
-            )
+            self.learn(reply.target, E_OCC)
         elif reply.status == "comp_occurred":
-            self.learn(
-                reply.target, C_OCC,
-                source="not_yet_reply", origin=reply.target.complement,
-            )
+            self.learn(reply.target, C_OCC)
         if not self.round_awaiting:
             self._conclude_round()
 
@@ -605,7 +577,7 @@ class Role:
                 transient = dict(self.knowledge)
                 for base in self.round_holds:
                     transient[base] = transient.get(base, FULL) & NOT_YET_MASK
-                self._trace_eval("fire", 0.0, transient)
+                self._trace_eval("fire", transient)
             # occur finishes the round itself, *after* settling the
             # base, so deferred certificate requests served during the
             # release see the occurrence.
@@ -704,12 +676,9 @@ class Role:
 
     def on_sync_reply(self, reply: SyncReply) -> None:
         if reply.status == "occurred":
-            self.learn(reply.base, E_OCC, source="sync", origin=reply.base)
+            self.learn(reply.base, E_OCC)
         elif reply.status == "comp_occurred":
-            self.learn(
-                reply.base, C_OCC, source="sync",
-                origin=reply.base.complement,
-            )
+            self.learn(reply.base, C_OCC)
         self.cursor.assimilate()
         self.try_fire()
         self.sched.note_sync_reply(self.event)

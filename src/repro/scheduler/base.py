@@ -7,9 +7,10 @@ same, and :class:`RunBase` is that frame: simulator and fabric, the
 bases' sites and attributes, the ``start -> drain -> finish``
 lifecycle, result and report -- and the one place each event is
 reported.  A scheduler calls an event's ``note_*`` method where it
-takes the decision; the method bumps the :class:`ExecutionResult`
-field, the counter, the ``parked_depth`` gauge and the lifecycle
-latency histograms, and writes the trace record.
+takes the decision; the method bumps the counter, the ``parked_depth``
+gauge and the lifecycle latency histograms, and writes the trace
+record.  The :class:`ExecutionResult` counts are read off the counters
+once, in :meth:`RunBase.finish`.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ class RunBase:
     ) -> None:
         """``event`` is (still) parked: every undetermined evaluation
         counts, the first one of a stretch opens it."""
-        self.result.parked_total += 1
         self.metrics.inc("parked", site=site)
         if event not in self._parked_at:
             now = self.sim.now
@@ -237,7 +237,6 @@ class RunBase:
         """The scheduler causes a triggerable event on its own accord
         (``site`` decided so: a requirement monitor's, the center, or
         the event's own on a demanded promise)."""
-        self.result.triggered += 1
         self.metrics.inc("triggered", site=site)
 
     # ------------------------------------------------------------------
@@ -340,6 +339,13 @@ class RunBase:
         self.result.messages_by_kind = dict(stats.by_kind)
         self.result.max_site_load = self.network.max_site_load()
         self.result.central_queue_wait = stats.max_queue_wait
+        counts = self.metrics.totals(
+            "parked", "promises_granted", "not_yet_rounds", "triggered"
+        )
+        self.result.parked_total = counts["parked"]
+        self.result.promises_granted = counts["promises_granted"]
+        self.result.not_yet_rounds = counts["not_yet_rounds"]
+        self.result.triggered = counts["triggered"]
         unsettled = [b for b in self._sorted_bases() if b not in self._settled]
         self.result.unsettled = unsettled
         if not unsettled:

@@ -106,6 +106,8 @@ class ExecutionResult:
     messages_by_kind: dict[str, int] = field(default_factory=dict)
     max_site_load: int = 0
     central_queue_wait: float = 0.0
+    #: these four are the run's metrics counters, read off when it
+    #: finishes
     parked_total: int = 0
     promises_granted: int = 0
     not_yet_rounds: int = 0

@@ -41,7 +41,7 @@ from repro.scheduler.messages import (
     TriggerMsg,
 )
 from repro.obs.profile import span
-from repro.obs.provenance import Explanation, ProvenanceLog, explain_actor
+from repro.obs.provenance import Explanation, explain_actor
 from repro.obs.snapshot import Snapshot
 from repro.obs.timeseries import TimeSeriesRegistry
 from repro.scheduler.monitors import RequirementMonitor
@@ -52,7 +52,6 @@ from repro.temporal.compiled import (
     NOT_YET_MASK,
     CompiledGuardEngine,
     GuardCursor,
-    ReferenceCursor,
     WakeCounts,
 )
 from repro.temporal.cubes import TRUE_GUARD, GuardExpr
@@ -94,19 +93,10 @@ class DistributedScheduler(RunBase):
     fault_plan:
         Scheduled site crashes/restarts (:class:`FaultPlan`); armed
         when the run starts.
-    reference_engine:
-        Tests only: evaluate every guard on every announcement with
-        the paper-literal cube calls (no compiled automata, so no
-        skipped announcements).  Byte-identical traces by
-        construction -- it is the reference the differential harnesses
-        hold the one production engine against, not a user option.
     tracer / profiler:
-        See :class:`~repro.scheduler.base.RunBase`.  A traced run also
-        records *why* each role knows what it knows (which
-        announcement / promise / certificate justified each knowledge
-        bit) in :attr:`provenance`, and times its guard evaluations;
-        :meth:`explain` works either way -- untraced it falls back to
-        the settlement record for justifications.
+        See :class:`~repro.scheduler.base.RunBase`.  A traced run
+        takes the same decisions and :meth:`explain` gives the same
+        answer: it reads the justifications off the settlement record.
     """
 
     def __init__(
@@ -121,7 +111,6 @@ class DistributedScheduler(RunBase):
         duplicate_probability: float = 0.0,
         reliable: bool = False,
         fault_plan: FaultPlan | None = None,
-        reference_engine: bool = False,
         tracer=None,
         profiler=None,
     ):
@@ -132,17 +121,9 @@ class DistributedScheduler(RunBase):
             duplicate_probability=duplicate_probability,
         )
         #: compiled-guard automaton store, and the factory every
-        #: ``Role.__init__`` takes its cursor from: a pointer into
-        #: this store -- or, for the differential tests'
-        #: ``reference_engine``, the cube calls it caches
+        #: ``Role.__init__`` takes its cursor from
         self.compiled = CompiledGuardEngine()
-        self.new_cursor = (
-            ReferenceCursor if reference_engine
-            else partial(GuardCursor, self.compiled)
-        )
-        #: the justification of every knowledge refinement of a traced
-        #: run (an untraced one leaves it empty)
-        self.provenance = ProvenanceLog()
+        self.new_cursor = self.cursor_factory()
         if fault_plan is not None:
             reliable = True  # recovery is built on the session layer
             self.faults = FaultInjector(self.sim, fault_plan, tracer=self.tracer)
@@ -213,6 +194,13 @@ class DistributedScheduler(RunBase):
 
     # ------------------------------------------------------------------
     # construction helpers
+
+    def cursor_factory(self):
+        """The factory every role takes its guard cursor from, called
+        once per scheduler: a pointer into :attr:`compiled`.  The
+        differential tests override it with the paper-literal
+        :class:`~repro.temporal.compiled.ReferenceCursor`."""
+        return partial(GuardCursor, self.compiled)
 
     def _build_actors(
         self, table: Mapping[Event, Binding | GuardExpr]
@@ -392,12 +380,10 @@ class DistributedScheduler(RunBase):
         return self._round_counter
 
     def note_promise(self) -> None:
-        self.result.promises_granted += 1
         self.metrics.inc("promises_granted")
 
     def note_round(self, role: Role, targets: list[Event]) -> None:
         """``role`` starts a not-yet round asking about ``targets``."""
-        self.result.not_yet_rounds += 1
         self.metrics.inc("not_yet_rounds")
         self.tracer.round_event(
             self.sim.now, role.site, role.event, "start", role.round_id,

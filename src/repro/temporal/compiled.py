@@ -593,9 +593,9 @@ class ReferenceCursor:
     method *is* the cube-engine call the compiled cursor caches, run
     afresh on the real-name ``(residual guard, knowledge)`` pair.
 
-    Only the differential tests use it
-    (``DistributedScheduler(reference_engine=True)``); it is what the
-    compiled engine is proved byte-identical against."""
+    Only the differential tests use it (a scheduler subclass whose
+    ``cursor_factory`` returns this class); it is what the compiled
+    engine is proved byte-identical against."""
 
     __slots__ = ("guard", "knowledge")
 

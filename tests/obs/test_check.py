@@ -21,7 +21,7 @@ def _clean_run():
         _record(3, "b", "message", "recv", kind="announce",
                 src="a", dst="b", mid=1, sent_lc=2),
         _record(4, "b", "guard", "eval", event="f", guard="G",
-                residual="R", verdict="fire", elapsed=0.0),
+                residual="R", verdict="fire"),
         _record(5, "b", "actor", "attempted", event="f"),
         _record(6, "b", "actor", "fired", event="f"),
     ]
@@ -43,7 +43,7 @@ class TestCleanTraces:
         t.actor(0.0, "a", "e", "attempted")
         mid, lc = t.message_send(0.0, "a", "b", "announce")
         t.message_recv(1.0, "a", "b", "announce", mid, lc)
-        t.guard_eval(1.0, "b", "f", "G", "R", "fire", 0.0)
+        t.guard_eval(1.0, "b", "f", "G", "R", "fire")
         t.actor(1.0, "b", "f", "attempted")
         t.actor(1.0, "b", "f", "fired")
         assert check_records(t.records) == []
@@ -125,7 +125,7 @@ class TestTraceSafety:
     def test_event_and_complement_both_fire(self):
         records = _clean_run() + [
             _record(7, "b", "guard", "eval", event="~f", guard="G2",
-                    residual="R2", verdict="fire", elapsed=0.0),
+                    residual="R2", verdict="fire"),
             _record(8, "b", "actor", "attempted", event="~f"),
             _record(9, "b", "actor", "fired", event="~f"),
         ]

@@ -73,9 +73,10 @@ class TestIdentical:
         assert diff_traces([a], [b]).identical
 
     def test_same_seed_real_runs_diff_clean(self):
-        # wall-clock 'elapsed' on guard records differs between the
-        # runs; everything decision-bearing must not
-        assert diff_traces(traced_run(3), traced_run(3)).identical
+        # a trace is a pure function of the run: same seed, same records
+        a, b = traced_run(3), traced_run(3)
+        assert a == b
+        assert diff_traces(a, b).identical
 
     def test_empty_traces_are_identical(self):
         assert diff_traces([], []).identical

@@ -1,4 +1,4 @@
-"""Chrome trace export: format shape, flows, durations, round-trip."""
+"""Chrome trace export: format shape, flows, spans, round-trip."""
 
 import json
 
@@ -9,7 +9,7 @@ def _traced_exchange():
     t = Tracer()
     mid, lc = t.message_send(1.0, "a", "b", "announce")
     t.message_recv(2.0, "a", "b", "announce", mid, lc)
-    t.guard_eval(2.0, "b", "f", "G", "R", "fire", 0.0025)
+    t.guard_eval(2.0, "b", "f", "G", "R", "fire")
     t.actor(2.0, "b", "f", "fired")
     t.crash(3.0, "b")
     t.restart(5.0, "b")
@@ -44,11 +44,14 @@ class TestChromeFormat:
         events = to_chrome(t.records)["traceEvents"]
         assert not [e for e in events if e.get("ph") in ("s", "f")]
 
-    def test_guard_eval_is_a_complete_event(self):
+    def test_guard_eval_is_an_instant_event(self):
+        # a trace holds no wall-clock time, so an evaluation has no
+        # duration to draw
         events = to_chrome(_traced_exchange().records)["traceEvents"]
-        (x,) = [e for e in events if e.get("ph") == "X"]
-        assert x["dur"] == 0.0025 * 1_000_000
-        assert "fire" in x["name"]
+        assert not [e for e in events if e.get("ph") == "X"]
+        (x,) = [e for e in events if e.get("tid") == "guard"]
+        assert x["ph"] == "i" and x["name"] == "eval 'f'"
+        assert x["args"]["verdict"] == "fire"
         assert x["args"]["residual"] == "'R'"
 
     def test_crash_restart_becomes_a_down_span(self):

@@ -1,17 +1,15 @@
 """The default observability path must be free: an untraced run never
-enters the per-message, per-evaluation and per-refinement hooks (so it
-builds none of their record fields) and records no provenance, and
-explanations are still available on demand (built lazily, not during
-guard evaluation)."""
+enters the per-message and per-evaluation hooks (so it builds none of
+their record fields), and explanations are still available on demand
+(built lazily, not during guard evaluation)."""
 
 import pytest
 
 from repro.algebra.symbols import Event
-from repro.obs.provenance import ProvenanceLog
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.scheduler.actors import Role
 from repro.scheduler.guard_scheduler import DistributedScheduler
-from repro.workloads.scenarios import make_mutex_scenario, make_travel_booking
+from repro.workloads.scenarios import make_travel_booking
 
 
 class BombTracer(NullTracer):
@@ -27,11 +25,6 @@ class BombTracer(NullTracer):
 
     message_send = message_recv = message_drop = message_dup = _boom
     session = guard_eval = clock = _boom
-
-
-class BombProvenance(ProvenanceLog):
-    def learned(self, actor, base, mask, source, origin):
-        raise AssertionError("provenance recorded on the null path")
 
 
 @pytest.fixture
@@ -83,38 +76,16 @@ class TestNullPath:
             ),
             tracer=BombTracer(),
         )
-        sched.provenance = BombProvenance()
         result = sched.run(scenario.scripts, verify=False)
         stats = sched.network.stats
         assert stats.dropped and stats.retransmits and stats.dedup_discards
         assert not result.unsettled
-
-    def test_default_run_never_records_provenance(self):
-        scenario = make_mutex_scenario("t1")
-        sched = DistributedScheduler(
-            scenario.workflow.dependencies,
-            sites=scenario.workflow.sites,
-            attributes=scenario.workflow.attributes,
-        )
-        sched.provenance = BombProvenance()
-        sched.run(scenario.scripts, verify=False)
-        assert sched.result.entries
 
     def test_null_singletons_are_inert(self):
         assert not NULL_TRACER.active
         assert NULL_TRACER.records == []
         assert NULL_TRACER.actor(0, "s", "e", "fired") is None
         assert NULL_TRACER.recorder_stats() is None
-
-    def test_provenance_defaults_off_without_tracer(self):
-        sched = run_travel()
-        assert sched.provenance._entries == {}
-        assert sched.provenance.facts_for(repr(Event("c_buy")), "c_book") == []
-
-    def test_provenance_follows_the_tracer(self):
-        sched = run_travel(tracer=Tracer())
-        facts = sched.provenance.facts_for(repr(Event("c_buy")), "c_book")
-        assert facts and all(fact["lc"] is not None for fact in facts)
 
     def test_explain_on_demand_without_any_observability(self):
         sched = run_travel(tracer=BombTracer())

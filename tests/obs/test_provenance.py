@@ -18,7 +18,7 @@ from repro.obs.tracer import Tracer
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.temporal.cubes import C_OCC, E_OCC, P_C, P_E, _subset_check
 from repro.temporal.guards import explain_guard, workflow_guards
-from repro.workloads.scenarios import make_travel_booking
+from repro.workloads.scenarios import make_mutex_scenario, make_travel_booking
 from tests.conftest import count_calls
 
 
@@ -215,15 +215,16 @@ class TestLiveExplain:
             sched.explain(Event("nonesuch"))
 
     def test_explain_works_without_tracer_or_provenance(self):
-        scenario, sched = travel_scheduler()  # NULL tracer, no log
+        scenario, sched = travel_scheduler()  # NULL tracer
         sched.run(scenario.scripts)
         explanation = sched.explain(Event("c_buy"))
         assert explanation.status == "occurred"
-        # justifications fall back to the settlement record
-        assert any(
-            j["source"] == "settlement"
+        # justifications come from the settlement record
+        assert explanation.justifications
+        assert all(
+            j["source"] == "settlement" and j["lc"] is None
             for j in explanation.justifications
-        ) or explanation.justifications == []
+        )
 
     def test_render_mentions_guard_and_enabler(self):
         _scenario, sched = travel_scheduler(tracer=Tracer())
@@ -233,6 +234,37 @@ class TestLiveExplain:
         assert "parked" in text
         assert "[]c_book" in text
         assert "to enable" in text
+
+
+class TestOneAnswer:
+    """Live ``explain`` reads the settlement record alone (the trace is
+    the one record of when a fact arrived), so a traced run explains
+    every role exactly as its untraced twin does."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [make_travel_booking, lambda: make_mutex_scenario("t1")],
+        ids=["travel", "mutex"],
+    )
+    def test_traced_and_untraced_runs_explain_alike(self, make):
+        answers = []
+        for tracer in (None, Tracer()):
+            scenario = make()
+            workflow = scenario.workflow
+            sched = DistributedScheduler(
+                workflow.dependencies,
+                sites=workflow.sites,
+                attributes=workflow.attributes,
+                tracer=tracer,
+            )
+            sched.run(scenario.scripts)
+            answers.append({
+                repr(role.event): sched.explain(role.event).to_dict()
+                for role in sched.roles()
+            })
+        untraced, traced = answers
+        assert any(a["justifications"] for a in untraced.values())
+        assert traced == untraced
 
 
 class TestOfflineExplain:

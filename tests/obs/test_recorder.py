@@ -1,12 +1,13 @@
-"""Ring-mode tracing and the flight recorder (repro.obs.recorder)."""
+"""The flight recorder's bounded window and dump triggers
+(repro.obs.recorder)."""
 
 import random
 
 import pytest
 
 from repro.obs.check import check_records
-from repro.obs.recorder import FlightRecorder
-from repro.obs.tracer import RECORDER_SITE, Tracer, read_jsonl
+from repro.obs.recorder import RECORDER_SITE, FlightRecorder
+from repro.obs.tracer import Tracer, read_jsonl
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.sim.faults import FaultPlan, SiteCrash
 from repro.workloads.scenarios import make_travel_booking
@@ -30,7 +31,7 @@ def run_with(tracer, seed=0, **kwargs):
 
 class TestRingTracer:
     def test_ring_bounds_retained_records(self):
-        tracer = Tracer(ring=16)
+        tracer = FlightRecorder(16)
         run_with(tracer)
         stats = tracer.recorder_stats()
         assert stats["retained"] == 16
@@ -40,10 +41,10 @@ class TestRingTracer:
 
     def test_ring_must_be_positive(self):
         with pytest.raises(ValueError):
-            Tracer(ring=0)
+            FlightRecorder(0)
 
     def test_window_header_precedes_records(self):
-        tracer = Tracer(ring=8)
+        tracer = FlightRecorder(8)
         run_with(tracer)
         window = tracer.window_records()
         header = window[0]
@@ -54,25 +55,27 @@ class TestRingTracer:
         assert len(window) == 9
 
     def test_window_passes_the_checker(self):
-        tracer = Tracer(ring=24)
+        tracer = FlightRecorder(24)
         run_with(tracer)
         assert check_records(tracer.window_records()) == []
 
-    def test_unbounded_tracer_window_is_plain_records(self):
+    def test_unbounded_tracer_window_is_plain_records(self, tmp_path):
         tracer = Tracer()
         run_with(tracer)
-        assert tracer.window_records() == list(tracer.records)
+        path = tmp_path / "trace.jsonl"
+        tracer.dump(str(path))
+        assert read_jsonl(str(path)) == tracer.records
         assert tracer.recorder_stats() is None
 
     def test_fault_records_pinned_by_default(self):
-        tracer = Tracer(ring=4)
+        tracer = FlightRecorder(4)
         run_with(tracer, fault_plan=CRASH_PLAN, reliable=True)
         cats = [r["cat"] for r in tracer.records]
         assert "fault" in cats
         assert "fault" not in tracer.recorder_stats()["dropped"]
 
     def test_dump_and_reload_roundtrip(self, tmp_path):
-        tracer = Tracer(ring=12)
+        tracer = FlightRecorder(12)
         run_with(tracer)
         path = tmp_path / "window.jsonl.gz"
         tracer.dump(str(path))
@@ -82,7 +85,7 @@ class TestRingTracer:
         assert check_records(records) == []
 
     def test_memory_stays_constant_as_run_grows(self):
-        small = Tracer(ring=10)
+        small = FlightRecorder(10)
         run_with(small)
         total = small.recorder_stats()["dropped_total"] + 10
         assert total > 40      # the run emits far more than the ring

@@ -76,8 +76,8 @@ class TestStore:
         assert len(registry.list_runs()) == 1
 
     def test_wall_clock_elapsed_does_not_change_the_id(self, registry):
-        # two same-seed runs differ only in guard wall-clock timing;
-        # the content id must ignore it
+        # two same-seed runs write the same trace (it holds no
+        # wall-clock time), so they land on one id
         report_a, records_a = run_report(4)
         report_b, records_b = run_report(4)
         id_a = registry.store(report_a, records=records_a)["id"]

@@ -63,7 +63,7 @@ class TestRecordEnvelope:
         t = Tracer()
         t.message_send(0.0, "a", "b", "announce")
         t.actor(0.0, "a", "e", "attempted")
-        t.guard_eval(0.0, "a", "e", "G", "R", "park", 0.001)
+        t.guard_eval(0.0, "a", "e", "G", "R", "park")
         t.round_event(0.0, "a", "e", "start", 1)
         t.crash(1.0, "a")
         t.sync(2.0, "a", "begin")
@@ -77,7 +77,7 @@ class TestRecordEnvelope:
         t = Tracer()
         mid, lc = t.message_send(0.0, "a", "b", "announce")
         t.message_recv(0.5, "a", "b", "announce", mid, lc)
-        t.guard_eval(0.5, "b", "e", "guard-text", "residual", "fire", 0.0001)
+        t.guard_eval(0.5, "b", "e", "guard-text", "residual", "fire")
         path = tmp_path / "trace.jsonl"
         t.dump(path)
         assert read_jsonl(path) == t.records

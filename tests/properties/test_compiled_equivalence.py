@@ -5,7 +5,7 @@ A ``DistributedScheduler`` evaluates each actor's guard by following
 interned decision-diagram edges instead of re-simplifying the cube
 DNF.  The compiled engine is receiver-side only -- fan-out, message
 streams, and rng draws are untouched -- so it must stay in lock-step
-with the paper-literal ``reference_engine`` under **any** fault
+with the paper-literal reference engine under **any** fault
 schedule: drops, duplicates, crash/restart plans, Example 14
 resurrection, and run-time guard growth (incremental recompile).  The
 production-vs-reference harness is shared with
@@ -98,8 +98,7 @@ class TestCompiledEquivalence:
         records the reference emits, in the same order -- the compiled
         node caches the very values the cube calls compute.  The
         reference's extra records are exactly the evaluations watching
-        skips; only the Lamport counter and the wall-clock ``elapsed``
-        are projected away."""
+        skips; only the Lamport counter is projected away."""
         scenario = SCENARIOS[name]()
         reference_tr, production_tr = Tracer(), Tracer()
         run_engine(scenario, None, seed, reference=True, tracer=reference_tr)
@@ -107,7 +106,7 @@ class TestCompiledEquivalence:
 
         def guard_records(tracer):
             return [
-                {k: v for k, v in record.items() if k not in ("lc", "elapsed")}
+                {k: v for k, v in record.items() if k != "lc"}
                 for record in tracer.records
                 if record.get("cat") == "guard"
             ]

@@ -59,8 +59,6 @@ for entry in profile.getstats():
         f"{code.co_filename}:{code.co_firstlineno}:{code.co_name}"
     )
     calls[name] = calls.get(name, 0) + entry.callcount
-for record in records:
-    record.pop("elapsed", None)
 print(json.dumps({"records": records, "calls": calls}))
 """
 

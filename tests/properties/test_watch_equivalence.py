@@ -3,8 +3,9 @@ semantics change.
 
 A ``DistributedScheduler`` reads off each actor's compiled node
 whether an announced base can still move its guard and skips
-re-evaluating guards it cannot affect; ``reference_engine=True`` is the naive
-engine that re-evaluates everything with the paper-literal cube calls.
+re-evaluating guards it cannot affect; the reference scheduler
+(:mod:`tests.scheduler.reference`) is the naive engine that
+re-evaluates everything with the paper-literal cube calls.
 Because the skip happens on the *receiver* -- fan-out, message
 streams, and rng draws are untouched -- the production and reference
 engines must stay in lock-step under **any** fault schedule: drops,
@@ -26,7 +27,6 @@ from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.obs import Tracer
 from repro.params.distributed import DistributedParamRunner
-from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.sim.network import ConstantLatency
 from repro.workloads.generators import chain_workflow, scripts_for
 from repro.workloads.scenarios import (
@@ -35,6 +35,8 @@ from repro.workloads.scenarios import (
     make_order_fulfillment,
     make_travel_booking,
 )
+
+from tests.scheduler.reference import ReferenceParamRunner, engine
 
 from .test_chaos_properties import fault_schedules, scenario_sites
 
@@ -66,7 +68,7 @@ def run_engine(scenario, plan, seed, reference, drop=0.0, dup=0.0, tracer=None):
     Receiver-side skipping leaves fan-out intact, so -- unlike the
     PR 3 batching comparison -- drops and duplicates are fair game:
     both engines draw the same dice for the same sends."""
-    sched = DistributedScheduler(
+    sched = engine(reference)(
         scenario.workflow.dependencies,
         sites=scenario.workflow.sites,
         attributes=scenario.workflow.attributes,
@@ -76,7 +78,6 @@ def run_engine(scenario, plan, seed, reference, drop=0.0, dup=0.0, tracer=None):
         duplicate_probability=dup,
         reliable=True,
         fault_plan=plan,
-        reference_engine=reference,
         tracer=tracer,
     )
     result = sched.run(scenario.scripts, verify=False)
@@ -205,11 +206,10 @@ GROWTH_DEP = "~ship + pay . ship"
 def grow_run(reference, extra):
     """Park ``ship`` behind ``pay``; with ``extra``, add a second
     dependency mid-run (``strengthen_guard``) before ``pay`` arrives."""
-    sched = DistributedScheduler(
+    sched = engine(reference)(
         [parse(GROWTH_DEP)],
         latency=ConstantLatency(1.0),
         rng=random.Random(5),
-        reference_engine=reference,
     )
     pay, ship = Event("pay"), Event("ship")
     sched.attempt(ship)  # parks: pay has not settled
@@ -227,11 +227,10 @@ def grow_run(reference, extra):
 def shrink_run(reference):
     """Park ``ship`` behind ``pay``, then remove the dependency
     (``replace_guard``)."""
-    sched = DistributedScheduler(
+    sched = engine(reference)(
         [parse(GROWTH_DEP)],
         latency=ConstantLatency(1.0),
         rng=random.Random(5),
-        reference_engine=reference,
     )
     sched.attempt(Event("ship"))  # parks behind pay
     sched.sim.run()
@@ -276,8 +275,8 @@ token_sequences = st.lists(
 
 
 def param_run(tokens, reference):
-    runner = DistributedParamRunner(
-        MUTEX_TEMPLATES, reference_engine=reference
+    runner = (ReferenceParamRunner if reference else DistributedParamRunner)(
+        MUTEX_TEMPLATES
     )
     for name, value in tokens:
         runner.attempt(Event(name, params=(value,)))

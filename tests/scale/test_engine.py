@@ -287,19 +287,18 @@ class TestRunGroup:
         assert result.ok, result.violations
 
         def comparable(records):
-            # ``elapsed`` is wall-clock; the merge prefixes sites s0/
+            # the merge prefixes sites s0/
             return [
                 {
                     key: value[len("s0/"):]
                     if isinstance(value, str) and value.startswith("s0/")
                     else value
                     for key, value in record.items()
-                    if key != "elapsed"
                 }
                 for record in records
             ]
 
-        reference = comparable(tracer.window_records())
+        reference = comparable(tracer.records)
         assert len(reference) > 100
         assert comparable(outcome.trace_records) == reference
         sharded = run_sharded(tasks, workers=1)

@@ -20,10 +20,11 @@ what Theorem 6 and the protocol promise (:func:`check_schedule`):
   dependency (``judge``);
 * *progress* -- a run whose every site is up at the end ends
   ``maximal``;
-* *agreement* -- the production engine and ``reference_engine=True``
-  (every guard re-evaluated on every announcement) take the same
-  schedule to the same timeline, message counts, terminal state and
-  final actor status, residual and knowledge.
+* *agreement* -- the production engine and the reference
+  (:mod:`tests.scheduler.reference`: every guard re-evaluated on every
+  announcement) take the same schedule to the same timeline, message
+  counts, terminal state and final actor status, residual and
+  knowledge.
 
 A failure raises :class:`ScheduleFailure`, which names the property and
 the choice prefix that reproduces it (:func:`run_schedule`).
@@ -75,6 +76,9 @@ from repro.workloads.scenarios import (
     make_mutex_family,
     make_travel_booking,
 )
+
+from .reference import engine
+
 
 def _is(fn, method) -> bool:
     """Whether the heap entry's ``fn`` is ``method`` bound to some
@@ -224,12 +228,11 @@ def run_schedule(
 
     workflow = scenario.workflow
     with mock.patch.object(repro.scheduler.base, "Simulator", simulator):
-        sched = DistributedScheduler(
+        sched = engine(reference)(
             workflow.dependencies,
             sites=workflow.sites,
             attributes=workflow.attributes,
             guards=_guards(tuple(workflow.dependencies)),
-            reference_engine=reference,
             fault_plan=None if crash is None else FaultPlan.of([crash]),
         )
     result = sched.run(scenario.scripts, verify=False)
@@ -398,8 +401,9 @@ def sites(scenario: Scenario) -> list[str]:
 
 # ----------------------------------------------------------------------
 # the specs: the paper's Examples 10, 11 and 13, one travel instance
-# (Example 12), three random specs that pin engine agreement,
-# exclusive choice and Klein precedence fanned out k times
+# (Example 12), three random specs that pin engine agreement, the
+# random lane's residuals, exclusive choice and Klein precedence fanned
+# out k times
 
 
 def _scenario(name: str, dependencies, attempts, **attributes) -> Scenario:
@@ -483,6 +487,39 @@ def settled_residual() -> Scenario:
         ["c + d", "~b + ~d + b . a . d", "~d + ~b + d . c . b"],
         ["~a@1", "~b@1", "c@0", "~d@0"],
     )
+
+
+#: what the random lane (:mod:`tests.scheduler.random_specs`, 60 000
+#: specs at seed 1) still finds, by spec index: three unsound runs as
+#: drawn, each ending maximal with a broken promise, and two stuck runs
+#: shrunk to the fewest attempts that keep them stuck
+LANE_RESIDUALS = {
+    "unsound450": (
+        ["~a + ~b + b . d . a", "~c + ~d + d . b . c", "a + c"],
+        ["a@0", "b@0", "c@5", "~d@0"],
+    ),
+    "unsound32513": (
+        ["~c + ~d + d . a . c", "~a + ~b + a . d . b", "~a + c"],
+        ["a@1", "b@0", "c@0", "d@0"],
+    ),
+    "unsound33837": (
+        ["b + ~c", "~c + ~d + d . a . c", "~a + ~b + a . c . b"],
+        ["a@0", "b@1", "~c@5", "d@5"],
+    ),
+    "stuck37771": (
+        ["~a + ~b + b . d . a", "~b + c", "b + ~d"],
+        ["a", "b", "d"],
+    ),
+    "stuck59839": (
+        ["~a + ~b + a . d . b", "~b + ~c + c . a . b", "b + d"],
+        ["a", "b", "c"],
+    ),
+}
+
+
+def lane_residual(name: str) -> Scenario:
+    """One of :data:`LANE_RESIDUALS`."""
+    return _scenario(name, *LANE_RESIDUALS[name])
 
 
 def xor(b_at: float = 5.0) -> Scenario:

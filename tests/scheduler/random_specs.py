@@ -47,10 +47,10 @@ from .explorer import Run, _scenario, observables, run_schedule
 TIMES = (0, 0, 1, 5)
 
 #: ceilings on the unsound and the stuck runs a lane may find, set at
-#: the 60 000-spec lane at seed 1 (3 and 25).  They are a ratchet: a
+#: the 60 000-spec lane at seed 1 (3 and 2).  They are a ratchet: a
 #: change may lower them, and none may raise them
 MAX_UNSOUND = 3
-MAX_STUCK = 25
+MAX_STUCK = 2
 
 
 def _literal(rng: random.Random, base: str) -> str:

@@ -140,7 +140,7 @@ class TestCentralizedRuns:
         )
         sched.start([])
         sched.sim.run()
-        assert sched.result.triggered == 0
+        assert sched.metrics.counter("triggered") == 0
         assert sched.result.entries == []
 
     def test_every_decision_is_a_round_trip(self):

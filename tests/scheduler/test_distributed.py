@@ -277,13 +277,14 @@ class TestMonitorDependencyIndex:
 
 class TestOneGuardEngine:
     def test_no_engine_selectors_on_the_runtime_surface(self):
-        """One production engine: nothing on the scheduler, the shard
-        task or the shard planner selects a guard-evaluation path
-        (``reference_engine`` is the tests' reference, scheduler and
-        param runner only)."""
+        """One production engine: nothing on the scheduler, the param
+        runner, the shard task or the shard planner selects a
+        guard-evaluation path (the tests' reference is a subclass that
+        overrides ``cursor_factory``)."""
         import dataclasses
         import inspect
 
+        from repro.params.distributed import DistributedParamRunner
         from repro.scale import (
             ShardOutcome, ShardTask, plan_shards, run_sharded,
         )
@@ -298,10 +299,15 @@ class TestOneGuardEngine:
             "batch_announcements", "steal", "assignment", "chunk",
             # the protocol's ablation switches: one protocol runs
             "policy",
+            # the reference engine is a test-side subclass
+            "reference_engine",
         }
         names = {
             "DistributedScheduler": set(
                 inspect.signature(DistributedScheduler.__init__).parameters
+            ),
+            "DistributedParamRunner": set(
+                inspect.signature(DistributedParamRunner.__init__).parameters
             ),
             "ShardTask": {f.name for f in dataclasses.fields(ShardTask)},
             "ShardOutcome": {
@@ -311,7 +317,7 @@ class TestOneGuardEngine:
             "run_sharded": set(inspect.signature(run_sharded).parameters),
         }
         assert names["run_sharded"] == {"tasks", "workers"}
-        assert len(names["DistributedScheduler"] - {"self"}) == 13
+        assert len(names["DistributedScheduler"] - {"self"}) == 12
         for owner, exposed in names.items():
             assert not exposed & retired, owner
         # a shard *task* carries its cross dependencies; the scheduler
@@ -319,8 +325,6 @@ class TestOneGuardEngine:
         assert "cross_dependencies" not in names["DistributedScheduler"]
         with pytest.raises(TypeError):
             plan_shards(None, [], 1, cross_drop_probability=0.1)
-        assert "reference_engine" in names["DistributedScheduler"]
-        assert "reference_engine" not in names["ShardTask"] | names["plan_shards"]
         assert "reliable" not in names["ShardTask"] | names["plan_shards"]
 
 

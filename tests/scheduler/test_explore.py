@@ -40,6 +40,7 @@ from .explorer import (
     ex11,
     ex13,
     explore,
+    lane_residual,
     observables,
     planned_crash,
     precede,
@@ -436,3 +437,33 @@ def test_exclusive_choice_default_schedule(b_at):
     """However late b is attempted, the default schedule settles
     exactly one of a and b."""
     check_schedule(xor(b_at), ())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ScheduleFailure,
+    reason="ROADMAP item 1 step 2 (arbitration within a base): the run "
+    "ends maximal on a trace a dependency rejects, and a role broke its "
+    "promise",
+)
+@pytest.mark.parametrize(
+    "name", ["unsound450", "unsound32513", "unsound33837"]
+)
+def test_lane_unsound_spec_default_schedule(name):
+    """The random lane's three unsound specs hold soundness, progress
+    and engine agreement at the default schedule."""
+    check_schedule(lane_residual(name), ())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ScheduleFailure,
+    reason="ROADMAP item 1 step 2 and item 2's progress property: the "
+    "run ends stuck (37771 with a broken promise, 59839 without) although "
+    "a completion occurring only attempted events satisfies the spec",
+)
+@pytest.mark.parametrize("name", ["stuck37771", "stuck59839"])
+def test_lane_stuck_spec_default_schedule(name):
+    """The random lane's two stuck specs, shrunk, reach a maximal trace
+    at the default schedule."""
+    check_schedule(lane_residual(name), ())

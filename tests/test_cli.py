@@ -1298,6 +1298,19 @@ class TestFlightRecordFlag:
         assert main(["trace", "check", str(path)]) == 0
         capsys.readouterr()
 
+    def test_sharded_flight_record_counts_the_triggers(
+        self, travel_spec, capsys
+    ):
+        # each shard runs a flight recorder, so the merged recorder
+        # section sums their anomaly and dump counts too
+        assert main([
+            "run", travel_spec, *GZ_RUN, "--shards", "2", "--workers", "1",
+            "--flight-record", "15", "--json",
+        ]) == 0
+        recorder = json.loads(capsys.readouterr().out)["metrics"]["recorder"]
+        assert recorder["ring"] == 30
+        assert recorder["anomalies"] == recorder["dumps"] == 0
+
 
 class TestRunSloGate:
     def _slo(self, tmp_path, doc):
