@@ -5,10 +5,12 @@ instances; here every cluster of critical-section tasks is coupled by
 cross-instance mutex dependencies, so the sharded runs exercise
 coupled planning end to end: constraint-aware min-cut placement (cut 0,
 nothing fused) and round-robin placement whose split clusters the
-planner fuses back onto one shard.  Absolute timings are the perf
-suite's job (``perf_suite.py`` reports the N=256 rows); this bench
-pins the *shape* at a CI-friendly size: every variant settles exactly
-the merged baseline's event set.
+planner fuses back onto one shard.  This bench pins the *shape* at a
+CI-friendly size: every variant settles exactly the merged baseline's
+event set.  The N=64 and N=256 rows' exact counts are pinned by
+``tests/integration/test_exact_observables.py``; wall clock is
+measured end to end by ``benchmarks/e2e`` (the ``mutex_sharded``
+workload).
 """
 
 import random

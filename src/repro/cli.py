@@ -308,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--profile-format",
         choices=("text", "collapsed", "chrome", "json"),
-        default="collapsed",
         help="format for --profile-out: flamegraph collapsed stacks "
         "(default), chrome://tracing JSON, raw JSON, or the text table",
     )
@@ -561,7 +560,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
-    dependency = parse(args.dependency)
+    dependency = _parse_expr(args.dependency)
+    if dependency is None:
+        return 2
     print(dependency_to_dot(dependency))
     return 0
 
@@ -575,8 +576,12 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_guard(args) -> int:
-    dependency = parse(args.dependency)
-    event_expr = parse(args.event)
+    dependency = _parse_expr(args.dependency)
+    if dependency is None:
+        return 2
+    event_expr = _parse_expr(args.event)
+    if event_expr is None:
+        return 2
     from repro.algebra.expressions import Atom
 
     if not isinstance(event_expr, Atom):
@@ -585,6 +590,16 @@ def _cmd_guard(args) -> int:
     result = synthesize_guard(dependency, event_expr.event)
     print(f"G({dependency!r}, {event_expr.event!r}) = {result!r}")
     return 0
+
+
+def _parse_expr(text: str):
+    """The expression ``text``; ``None``, after a one-line message,
+    when it does not parse."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        print(f"{text!r}: unparsable expression: {exc}", file=sys.stderr)
+        return None
 
 
 def _load_spec(path: str):
@@ -681,6 +696,9 @@ def _cmd_run(args) -> int:
         return 2
     if args.profile_out and not args.profile:
         print("--profile-out needs --profile", file=sys.stderr)
+        return 2
+    if args.profile_format and not args.profile_out:
+        print("--profile-format needs --profile-out", file=sys.stderr)
         return 2
     if not 0 <= args.latency < inf:
         print("--latency must be non-negative", file=sys.stderr)
@@ -849,7 +867,9 @@ def _finish_run(
 
         write_prometheus(metrics, args.prom)
     if profile is not None and args.profile_out:
-        _write_profile(profile, args.profile_out, args.profile_format)
+        _write_profile(
+            profile, args.profile_out, args.profile_format or "collapsed"
+        )
     if args.record:
         _store_run(args, report, records, profile, shards=shard_rows)
     if args.json:
@@ -1225,6 +1245,9 @@ def _cmd_trace_query(args) -> int:
     """
     from repro.obs.query import critical_path, filter_records, latency_summary
 
+    if args.limit < 0:
+        print("--limit must be non-negative", file=sys.stderr)
+        return 2
     try:
         records = read_jsonl(args.trace_file)
     except OSError as exc:
@@ -1325,6 +1348,9 @@ def _cmd_profile(args) -> int:
         return 2
     if not 0 <= args.latency < inf:
         print("--latency must be non-negative", file=sys.stderr)
+        return 2
+    if args.limit < 0:
+        print("--limit must be non-negative", file=sys.stderr)
         return 2
     profiler = Profiler()
     sched = DistributedScheduler(

@@ -289,21 +289,28 @@ def read_jsonl(path) -> list[dict]:
     Transparently decompresses gzipped traces (suffix or magic-byte
     detection -- see :func:`open_trace`).  Raises :class:`ValueError`
     naming the offending line number when a line is not valid JSON
-    (e.g. a trace truncated by a crash mid-write), and propagates
+    (e.g. a trace truncated by a crash mid-write), or when a gzip stream
+    ends before its end-of-stream marker, and propagates
     :class:`OSError` for unreadable paths; callers that want to
     *tolerate* damage line-by-line should parse themselves (the offline
     checker does -- see :func:`repro.obs.check.check_file`)."""
     records = []
     with open_trace(path, "r") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"line {number}: not a JSON trace record "
-                    f"(truncated trace?): {exc}"
-                ) from exc
+        try:
+            for number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"line {number}: not a JSON trace record "
+                        f"(truncated trace?): {exc}"
+                    ) from exc
+        except EOFError as exc:  # gzip stream cut off mid-member
+            raise ValueError(
+                f"compressed stream ends early after {len(records)} "
+                f"records (truncated trace?): {exc}"
+            ) from exc
     return records

@@ -887,10 +887,11 @@ class DistributedScheduler(RunBase):
           crashes and restarts all lie behind the first ``sim.run()``),
           so :meth:`_escalation_rounds` reaches its fixpoint.
 
-        The bounds are deterministic, not probabilistic, given that
-        each ``sim.run()`` in between ends: the session layer gives up
-        after ``max_retries`` and the raw fabric duplicates a send at
-        most once.
+        The bounds are deterministic given that each ``sim.run()`` in
+        between ends: the session layer gives up after ``max_retries``,
+        and the raw fabric's copies of one send form a geometric chain
+        (each copy is duplicated again with ``duplicate_probability``,
+        which is < 1), finite with probability 1.
         """
         while True:
             swept = self._sweep_orphan_freezes()

@@ -218,9 +218,12 @@ class Network:
 
         With failure injection enabled, inter-site messages may be
         silently dropped or duplicated (intra-site calls stay
-        reliable: they model in-process hand-off).  Drops/duplicates
-        are counted in the stats so a run can report how much abuse it
-        absorbed.
+        reliable: they model in-process hand-off).  A duplicate is sent
+        again through this method, so it rolls drop and duplicate
+        afresh: the copies of one send form a geometric chain, finite
+        with probability 1 because ``duplicate_probability`` < 1.
+        Drops/duplicates are counted in the stats so a run can report
+        how much abuse it absorbed.
         """
         if kind not in KNOWN_KINDS:
             raise ValueError(

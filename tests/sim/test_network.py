@@ -116,6 +116,17 @@ class TestDelivery:
         sim.run()
         assert got == [{"k": 1}]
 
+    def test_duplicates_chain(self):
+        # a duplicate is itself a send that may be duplicated again, so
+        # one send can arrive many times (a geometric chain, not one copy)
+        sim = Simulator()
+        net = Network(sim, rng=random.Random(3), duplicate_probability=0.9)
+        got = []
+        net.send("a", "b", "msg", 1, got.append)
+        sim.run()
+        assert got == [1] * 11
+        assert net.stats.duplicated == 10
+
 
 class TestServiceQueue:
     def test_central_site_serializes(self):

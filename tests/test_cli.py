@@ -784,6 +784,17 @@ class TestRunProfileAndSampling:
             assert stack
             int(usec)
 
+    def test_profile_out_honours_the_format(
+        self, spec_file, tmp_path, capsys
+    ):
+        out = tmp_path / "profile.json"
+        code = main([
+            "run", spec_file, "--attempt", "e=0", "--profile",
+            "--profile-out", str(out), "--profile-format", "json",
+        ])
+        assert code == 0
+        assert "synthesis" in json.loads(out.read_text())["phases"]
+
     def test_sample_every_json_carries_series(self, spec_file, capsys):
         code = main([
             "run", spec_file, "--attempt", "e=0",
@@ -1060,6 +1071,27 @@ class TestTruncatedTraces:
         # only the truncation is reported -- the surviving prefix is
         # a valid trace, not collateral damage
         assert err.count("truncated") == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["diff", "{whole}", "{cut}"], 2),
+        (["trace", "query", "{cut}"], 1),
+        (["explain", "{cut}", "s_buy"], 2),
+        (["trace", "export", "{cut}"], 1),
+    ], ids=["diff", "query", "explain", "export"])
+    def test_half_cut_gzip_fails_closed(
+        self, travel_spec, tmp_path, capsys, argv, code
+    ):
+        # the exit code each command gives a plain trace cut mid-line
+        whole, cut = tmp_path / "run.jsonl.gz", tmp_path / "cut.jsonl.gz"
+        assert main(["run", travel_spec, *GZ_RUN, "--trace", str(whole)]) == 0
+        data = whole.read_bytes()
+        cut.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        paths = {"whole": str(whole), "cut": str(cut)}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert "compressed stream ends early" in err
+        assert err.count("\n") == 1
 
 
 class TestDiffCommand:
@@ -1516,6 +1548,39 @@ class TestFailsClosed:
         captured = capsys.readouterr()
         assert captured.err.startswith("bad --attempt")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["guard", "a +", "e"], ["guard", "~a + e", "e +"],
+        ["automaton", "a +"],
+    ])
+    def test_unparsable_expression_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "unparsable expression" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["profile", "query"])
+    def test_negative_limit_exits_two(
+        self, traced_run, spec_file, capsys, command
+    ):
+        # profile used to drop the last phase, query to show every record
+        _, trace, _ = traced_run
+        argv = (["profile", spec_file] if command == "profile"
+                else ["trace", "query", trace])
+        assert main([*argv, "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "--limit must be non-negative\n"
+        assert captured.out == ""
+
+    def test_profile_format_without_profile_out_exits_two(
+        self, spec_file, capsys
+    ):
+        # used to exit 0 with the format silently ignored
+        argv = ["run", spec_file, "--profile", "--profile-format", "json"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "--profile-format needs --profile-out\n"
+        )
 
     def test_complement_attempt_is_in_the_spec(self, spec_file, capsys):
         assert main(["run", spec_file, "--attempt", "~e=0"]) == 0
