@@ -12,9 +12,9 @@ guards stay compact.
 import pytest
 
 from repro.algebra.expressions import Conj
-from repro.algebra.normal_form import to_normal_form
 from repro.algebra.symbols import Event
-from repro.temporal.guards import ResidualAutomaton, workflow_guards
+from repro.scheduler.automata import automata_size
+from repro.temporal.guards import workflow_guards
 from repro.workflows.primitives import klein_precedes
 
 from benchmarks.helpers import clear_symbolic_caches
@@ -35,10 +35,10 @@ def test_bench_automaton_states(benchmark, k):
 
     def build():
         clear_symbolic_caches()
-        return ResidualAutomaton(to_normal_form(dep)).minimized()
+        return automata_size([dep])
 
-    table = benchmark.pedantic(build, rounds=3, iterations=1)
-    assert len(table) >= 2
+    states, _transitions = benchmark.pedantic(build, rounds=3, iterations=1)
+    assert states >= 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -73,14 +73,14 @@ def test_bench_blowup_shape(benchmark):
         for k in (2, 3, 4):
             dep, events = staircase(k)
             clear_symbolic_caches()
-            auto = ResidualAutomaton(to_normal_form(dep)).minimized()
+            states, transitions = automata_size([dep])
             table = workflow_guards([dep])
             per_event_literals = max(g.literal_count() for g in table.values())
             rows.append(
                 {
                     "k": k,
-                    "automaton_states": len(auto),
-                    "automaton_transitions": sum(map(len, auto.values())),
+                    "automaton_states": states,
+                    "automaton_transitions": transitions,
                     "max_guard_literals": per_event_literals,
                     "total_guard_cubes": sum(
                         g.cube_count() for g in table.values()

@@ -20,11 +20,7 @@ import random
 
 import pytest
 
-from repro.scheduler import (
-    AutomataScheduler,
-    CentralizedScheduler,
-    DistributedScheduler,
-)
+from repro.scheduler import CentralizedScheduler, DistributedScheduler
 from repro.sim.network import ConstantLatency
 
 from benchmarks.helpers import merged_travel_instances
@@ -71,16 +67,6 @@ def test_bench_centralized_scaling(benchmark, count):
     )
     # every attempt funnels through the center
     assert result.max_site_load >= count * 3
-
-
-@pytest.mark.parametrize("count", [4])
-def test_bench_automata_scaling(benchmark, count):
-    result = benchmark.pedantic(
-        lambda: _run(AutomataScheduler, count, decision_service_time=SERVICE),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.ok
 
 
 @pytest.mark.parametrize("count", [16, 64])

@@ -60,39 +60,6 @@ def merged_travel_instances(count: int, rng_seed: int = 0):
     return workflow, scripts
 
 
-def templated_travel_instances(count: int, rng_seed: int = 0):
-    """The :func:`merged_travel_instances` workload, built through the
-    template fast path: guards are synthesized once on the un-suffixed
-    travel workflow and stamped out per instance as composed bindings.
-
-    Returns ``(workflow, scripts, guards)`` -- pass ``guards`` to
-    ``DistributedScheduler(guards=...)`` to skip its own synthesis.
-    The outcome draw matches :func:`merged_travel_instances` exactly,
-    so both builders describe the same runs.
-    """
-    from repro.workflows.template import WorkflowTemplate
-    from repro.workloads.scenarios import make_travel_booking
-
-    rng = random.Random(rng_seed)
-    template = WorkflowTemplate(make_travel_booking().workflow)
-    workflow = None
-    scripts = []
-    guards = {}
-    for i in range(count):
-        outcome = "success" if rng.random() < 0.7 else "failure"
-        instance = template.instantiate(f"_i{i}")
-        workflow = (
-            instance.workflow if workflow is None
-            else workflow.merged(instance.workflow)
-        )
-        guards.update(instance.guards)
-        scripts.extend(
-            instance.instantiate_script(script)
-            for script in make_travel_booking(outcome).scripts
-        )
-    return workflow, scripts, guards
-
-
 def travel_instance_specs(count: int, rng_seed: int = 0):
     """The same workload as shard-ready :class:`InstanceSpec` rows.
 

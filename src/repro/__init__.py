@@ -22,9 +22,9 @@ Subpackages
 * :mod:`repro.temporal` -- the temporal language ``T`` and guard
   synthesis (Section 4).
 * :mod:`repro.sim` -- deterministic discrete-event simulation substrate.
-* :mod:`repro.scheduler` -- task agents, event actors, and the three
-  schedulers (distributed guard-based; centralized residuation-based;
-  centralized automata-based baseline).
+* :mod:`repro.scheduler` -- task agents, event actors, and the two
+  schedulers (distributed guard-based; centralized residuation-based,
+  which also stands for the automata baseline).
 * :mod:`repro.workflows` -- the workflow specification API, dependency
   primitives, and the compiler to per-event guards.
 * :mod:`repro.params` -- parametrized events and guards (Section 5).

@@ -78,6 +78,8 @@ class _Parser:
 
     def _next(self) -> tuple[str, str]:
         token = self._tokens[self._index]
+        if token[0] == "end":
+            raise ParseError("unexpected end of input")
         self._index += 1
         return token
 
@@ -133,6 +135,8 @@ class _Parser:
                 self._next()
                 return TOP
             return self.parse_atom()
+        if kind == "end":
+            raise ParseError("unexpected end of input")
         raise ParseError(f"unexpected token {value!r}")
 
     def parse_atom(self) -> Atom:

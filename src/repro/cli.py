@@ -24,7 +24,7 @@ Trace files ending in ``.gz`` are written and read gzip-compressed
 everywhere (``run --trace``, ``trace check/export/query``, ``explain``,
 ``diff``).
 
-``run`` options: ``--scheduler {distributed,centralized,automata}``,
+``run`` options: ``--scheduler {distributed,centralized}``,
 ``--attempt EVENT=TIME`` (repeatable), ``--latency L``, ``--seed N``,
 ``--jitter J`` (uniform random delivery jitter around the base
 latency, seeded by ``--seed`` -- makes the seed observable in traces),
@@ -90,11 +90,7 @@ from math import inf
 
 from repro.algebra.parser import parse
 from repro.obs import Tracer, check_file, open_trace, read_jsonl, to_chrome
-from repro.scheduler import (
-    AutomataScheduler,
-    CentralizedScheduler,
-    DistributedScheduler,
-)
+from repro.scheduler import CentralizedScheduler, DistributedScheduler
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.sim.network import ConstantLatency, UniformLatency
 from repro.temporal.guards import guard as synthesize_guard
@@ -112,7 +108,6 @@ from repro.workflows.loader import load
 SCHEDULERS = {
     "distributed": DistributedScheduler,
     "centralized": CentralizedScheduler,
-    "automata": AutomataScheduler,
 }
 
 

@@ -87,13 +87,12 @@ from repro.obs.diff import Divergence, TraceDiff, diff_files, diff_traces
 from repro.obs.export import to_chrome
 from repro.obs.merge import (
     merge_metrics,
-    merge_profiles,
     merge_timeseries,
     merge_traces,
     shard_prefix,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
+from repro.obs.profile import Profiler, merge_profiles
 from repro.obs.query import (
     KNOWN_INDICATORS,
     causal_chain,

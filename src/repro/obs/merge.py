@@ -24,9 +24,11 @@ offline checker (:mod:`repro.obs.check`) verifies:
   clock and causal checks depend on) is preserved verbatim.
 
 Metrics reports merge shape-for-shape into what
-:func:`repro.obs.prom.render_prometheus` consumes: counter totals sum,
-gauge peaks take the max, histograms pool their summary statistics,
-and per-site breakdowns are united under the same shard prefixes the
+:func:`repro.obs.prom.render_prometheus` consumes: counters, gauges
+and histograms pool by the registry's own rules
+(:data:`repro.obs.metrics.POOL`: totals and gauge levels sum, peaks
+take the max, histograms pool their summary statistics), and per-site
+breakdowns are united under the same shard prefixes the
 trace uses.  Symbolic-kernel statistics are *process-local cache
 snapshots*, not additive work counters, so they merge by element-wise
 maximum -- the report shows the hottest shard's cache shape rather
@@ -36,9 +38,9 @@ wake/skip counts there, so those are additive across shards and merge
 by sum.
 
 Profiler reports merge through
-:func:`repro.obs.profile.merge_profiles` (re-exported here) -- span
-times and call counts are additive -- and time-series registries
-through :func:`merge_timeseries`, which sums each gauge as a step
+:func:`repro.obs.profile.merge_profiles` -- span times and call counts
+are additive -- and time-series registries through
+:func:`merge_timeseries`, which sums each gauge as a step
 function over the union of the shards' sample times.
 """
 
@@ -46,12 +48,11 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from repro.obs.profile import merge_profiles
+from repro.obs.metrics import POOL
 from repro.obs.timeseries import step_sum
 
 __all__ = [
     "merge_metrics",
-    "merge_profiles",
     "merge_timeseries",
     "merge_traces",
     "shard_prefix",
@@ -123,29 +124,6 @@ def merge_traces(
 
 # ----------------------------------------------------------------------
 # metrics reports
-
-def _merge_counter_values(values: Sequence[int]) -> int:
-    return sum(values)
-
-
-def _merge_gauge_values(values: Sequence[Mapping[str, float]]) -> dict:
-    return {
-        "value": sum(v["value"] for v in values),
-        "peak": max(v["peak"] for v in values),
-    }
-
-
-def _merge_histogram_values(values: Sequence[Mapping[str, float]]) -> dict:
-    count = sum(v["count"] for v in values)
-    total = sum(v["sum"] for v in values)
-    return {
-        "count": count,
-        "sum": total,
-        "min": min(v["min"] for v in values),
-        "max": max(v["max"] for v in values),
-        "mean": total / count if count else 0.0,
-    }
-
 
 def _merge_registry_section(
     sections: Sequence[tuple[str, Mapping[str, Any]]],
@@ -291,15 +269,8 @@ def merge_metrics(
         ]
 
     merged: dict[str, Any] = {
-        "counters": _merge_registry_section(
-            section("counters"), _merge_counter_values
-        ),
-        "gauges": _merge_registry_section(
-            section("gauges"), _merge_gauge_values
-        ),
-        "histograms": _merge_registry_section(
-            section("histograms"), _merge_histogram_values
-        ),
+        name: _merge_registry_section(section(name), pool)
+        for name, pool in POOL.items()
     }
     network = section("network")
     if network:

@@ -25,6 +25,34 @@ from typing import Any
 _TOTAL = ""  # label key under which the cross-site total is reported
 
 
+def _finish_histogram(h: dict[str, float]) -> dict[str, float]:
+    out = dict(h)
+    out["mean"] = h["sum"] / h["count"] if h["count"] else 0.0
+    return out
+
+
+def _pool_gauges(items) -> dict[str, float]:
+    return {
+        "value": sum(i["value"] for i in items),
+        "peak": max(i["peak"] for i in items),
+    }
+
+
+def _pool_histograms(items) -> dict[str, float]:
+    return _finish_histogram({
+        "count": sum(i["count"] for i in items),
+        "sum": sum(i["sum"] for i in items),
+        "min": min(i["min"] for i in items),
+        "max": max(i["max"] for i in items),
+    })
+
+
+#: How each report section pools values of one name: across sites in
+#: :meth:`MetricsRegistry.as_dict`, across shards in
+#: :func:`repro.obs.merge.merge_metrics`.
+POOL = {"counters": sum, "gauges": _pool_gauges, "histograms": _pool_histograms}
+
+
 class MetricsRegistry:
     """Counters, gauges, and summary histograms, labelled per site."""
 
@@ -80,34 +108,11 @@ class MetricsRegistry:
         """JSON-ready snapshot: totals plus per-site breakdowns."""
         return {
             "counters": self._group(self._counters, lambda v: v, sum),
-            "gauges": self._group(
-                self._gauges,
-                lambda v: dict(v),
-                lambda items: {
-                    "value": sum(i["value"] for i in items),
-                    "peak": max(i["peak"] for i in items),
-                },
-            ),
+            "gauges": self._group(self._gauges, dict, _pool_gauges),
             "histograms": self._group(
-                self._histograms, self._finish_histogram, self._merge_histograms
+                self._histograms, _finish_histogram, _pool_histograms
             ),
         }
-
-    @staticmethod
-    def _finish_histogram(h: dict[str, float]) -> dict[str, float]:
-        out = dict(h)
-        out["mean"] = h["sum"] / h["count"] if h["count"] else 0.0
-        return out
-
-    @classmethod
-    def _merge_histograms(cls, items) -> dict[str, float]:
-        merged = {
-            "count": sum(i["count"] for i in items),
-            "sum": sum(i["sum"] for i in items),
-            "min": min(i["min"] for i in items),
-            "max": max(i["max"] for i in items),
-        }
-        return cls._finish_histogram(merged)
 
     @staticmethod
     def _group(store: dict, finish, combine) -> dict[str, Any]:

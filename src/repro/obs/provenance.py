@@ -32,7 +32,8 @@ throwing it away:
 Everything region-level operates on *string* base names (cube tuples
 ``((name, mask), ...)``, knowledge ``{name: mask}``) so the live and
 offline paths share one implementation; the live path converts via
-``repr``.
+``repr``.  The fire/never/park rule itself is the roles' own,
+:func:`repro.temporal.cubes.verdict`, which only needs hashable bases.
 """
 
 from __future__ import annotations
@@ -51,42 +52,15 @@ from repro.temporal.cubes import (
     P_E,
     classify_mask,
     closure,
-    covers,
     mask_text,
+    reachable,
+    verdict,
 )
 
 #: Transient worlds a not-yet certificate pins (neither polarity occurred).
 NOT_YET_MASK = P_E | P_C
 
 StrCube = tuple[tuple[str, int], ...]
-
-
-# ----------------------------------------------------------------------
-# string-keyed region operations (mirror GuardExpr's, over names)
-
-def region_subsumes(cubes: Iterable[StrCube], knowledge: Mapping[str, int]) -> bool:
-    """Every world point consistent with ``knowledge`` is inside the
-    cube union -- the fire rule of Section 4.3, over string keys (the
-    cube kernel's cover check only needs hashable bases)."""
-    return covers(list(cubes), knowledge)
-
-
-def region_possible(cubes: Iterable[StrCube], knowledge: Mapping[str, int]) -> bool:
-    """Some cube is still reachable under the knowledge closure."""
-    return any(
-        all(closure(knowledge.get(name, FULL)) & mask for name, mask in cube)
-        for cube in cubes
-    )
-
-
-def region_verdict(cubes: Iterable[StrCube], knowledge: Mapping[str, int]) -> str:
-    """``fire`` / ``never`` / ``park`` -- Role's decision rule."""
-    cubes = list(cubes)
-    if region_subsumes(cubes, knowledge):
-        return "fire"
-    if not region_possible(cubes, knowledge):
-        return "never"
-    return "park"
 
 
 # ----------------------------------------------------------------------
@@ -185,14 +159,12 @@ def minimal_unblocking_sets(
     verdict is not ``park`` or no such small set exists).
     """
     cubes = [tuple(cube) for cube in cubes]
-    if region_verdict(cubes, knowledge) != "park":
+    if verdict(cubes, knowledge) != "park":
         return []
     # bases of not-yet-satisfied literals of still-possible cubes
     pending: dict[str, int] = {}
     for cube in cubes:
-        if not all(
-            closure(knowledge.get(n, FULL)) & m for n, m in cube
-        ):
+        if not reachable([cube], knowledge):
             continue
         for name, lit_mask in cube:
             known = knowledge.get(name, FULL)
@@ -208,7 +180,7 @@ def minimal_unblocking_sets(
                 applied = apply_facts(knowledge, combo)
                 if applied is None:
                     continue
-                if region_subsumes(cubes, applied):
+                if verdict(cubes, applied) == "fire":
                     found.append(combo)
             if found:
                 found.sort(key=lambda c: (
@@ -258,7 +230,7 @@ def explain_region(
             "literals": literals,
         })
     return {
-        "verdict": region_verdict(cubes, knowledge),
+        "verdict": verdict(cubes, knowledge),
         "cubes": reports,
         "unblocking": [
             list(combo)

@@ -33,7 +33,8 @@ from typing import Iterable, Sequence
 
 from repro.algebra.expressions import Expr
 from repro.algebra.parser import parse
-from repro.obs.merge import merge_metrics, merge_profiles, merge_traces
+from repro.obs.merge import merge_metrics, merge_traces
+from repro.obs.profile import merge_profiles
 from repro.obs.profile import Profiler
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import Tracer

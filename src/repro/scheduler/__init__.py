@@ -1,4 +1,4 @@
-"""Execution: task agents, event actors, and the three schedulers.
+"""Execution: task agents, event actors, and the two schedulers.
 
 * :mod:`repro.scheduler.events` -- event attributes (triggerable,
   rejectable, ...) and shared result types.
@@ -21,8 +21,9 @@
   cursor per dependency into the shared
   :class:`repro.temporal.guards.ResidualAutomaton`).
 * :mod:`repro.scheduler.automata` -- the automaton-per-dependency
-  baseline in the style of Attie et al. [2] (Section 6): the same
-  scheduler, reporting the size of the automata it walks.
+  baseline in the style of Attie et al. [2] (Section 6): the
+  centralized scheduler's run-time procedure, so only the size of the
+  automata it walks (:func:`~repro.scheduler.automata.automata_size`).
 * :mod:`repro.scheduler.oracle` -- :func:`judge`, the one function that
   judges a trace against the spec (``ExecutionResult.verify`` calls
   it, so it is loaded with the package).
@@ -38,12 +39,10 @@ from repro.scheduler.oracle import judge
 from repro.scheduler.agents import AgentScript, ScriptedAttempt, TaskSkeleton
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.scheduler.residuation_scheduler import CentralizedScheduler
-from repro.scheduler.automata import AutomataScheduler
 
 __all__ = [
     "AgentScript",
     "AttemptOutcome",
-    "AutomataScheduler",
     "CentralizedScheduler",
     "DistributedScheduler",
     "EventAttributes",

@@ -147,8 +147,6 @@ class Role:
         role: the role itself, so a message carries no bound method."""
         HANDLERS[type(message)](self, message)
 
-    receive = __call__
-
     @property
     def guard(self) -> GuardExpr:
         """The residual guard on the real names (the cursor renders it);
@@ -769,8 +767,6 @@ class BaseActor:
         """The fabric's handler for every message addressed to this
         actor: the actor itself, so a message carries no bound method."""
         HANDLERS[type(message)](self, message)
-
-    receive = __call__
 
     def on_announce(self, msg: Announce) -> None:
         """Hand an occurrence to each subscribing role, by the wake

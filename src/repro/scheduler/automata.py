@@ -7,33 +7,31 @@ individual automata themselves can be quite large").  The automaton of
 a dependency is the closure of its residuals (Figure 2 *is* this
 automaton for ``D_<`` and ``D_->``):
 :class:`repro.temporal.guards.ResidualAutomaton`, which
-:class:`CentralizedScheduler` already steps, one
-:class:`~repro.temporal.guards.ResidualCursor` per dependency.
+:class:`~repro.scheduler.residuation_scheduler.CentralizedScheduler`
+already steps, one :class:`~repro.temporal.guards.ResidualCursor` per
+dependency.
 
-So the run-time decision procedure *is* the residuation scheduler's,
-and the interesting comparison -- bench SC2 -- is *compile-time* state
-count and table size (of the minimized automata, the object [2] would
-precompile) versus the size of the synthesized symbolic guards.
+So the run-time decision procedure *is* the centralized scheduler's,
+and what bench SC2 compares is *compile-time* size: the states and
+transitions of the minimized automata (the object [2] would
+precompile) against the size of the synthesized symbolic guards.
 """
 
 from __future__ import annotations
 
-from repro.scheduler.residuation_scheduler import CentralizedScheduler
+from typing import Iterable
+
+from repro.algebra.expressions import Expr
+from repro.temporal.guards import ResidualCursor
 
 
-class AutomataScheduler(CentralizedScheduler):
-    """Centralized scheduling over precompiled dependency automata:
-    :class:`CentralizedScheduler` plus the compile-time metrics of the
-    automata it walks, for bench SC2."""
-
-    def total_states(self) -> int:
-        return sum(
-            len(cursor.closure.minimized()) for cursor in self.cursors.values()
-        )
-
-    def total_transitions(self) -> int:
-        return sum(
-            len(row)
-            for cursor in self.cursors.values()
-            for row in cursor.closure.minimized().values()
-        )
+def automata_size(dependencies: Iterable[Expr]) -> tuple[int, int]:
+    """``(states, transitions)`` summed over the minimized automata of
+    ``dependencies``, one automaton per distinct dependency (the ones a
+    centralized scheduler over them walks)."""
+    states = transitions = 0
+    for dependency in dict.fromkeys(dependencies):
+        table = ResidualCursor(dependency).closure.minimized()
+        states += len(table)
+        transitions += sum(map(len, table.values()))
+    return states, transitions

@@ -4,8 +4,8 @@ Section 3.3 distinguishes how the scheduler may act on an event: it
 *accepts* events requested by task agents, *triggers* events marked
 triggerable, and must swallow *nonrejectable* events (like ``abort``)
 no matter what.  :class:`EventAttributes` records those properties per
-base event; :class:`ExecutionResult` is the common outcome type all
-three schedulers produce, so the benchmarks can compare them on equal
+base event; :class:`ExecutionResult` is the common outcome type both
+schedulers produce, so the benchmarks can compare them on equal
 terms.
 """
 

@@ -190,7 +190,6 @@ class DistributedScheduler(RunBase):
         #: sampled telemetry series (None until enabled); the sampler
         #: only reads state, so an instrumented run stays bit-identical
         self.timeseries: TimeSeriesRegistry | None = None
-        self._sampler = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -788,7 +787,7 @@ class DistributedScheduler(RunBase):
         """
         if self.timeseries is None:
             self.timeseries = TimeSeriesRegistry(interval=every)
-            self._sampler = self.sim.sample_every(every, self._sample)
+            self.sim.sample_every(every, self._sample)
         return self.timeseries
 
     def _session_backlog(self) -> int:

@@ -86,7 +86,16 @@ from typing import Iterable, Mapping
 
 from repro.algebra.symbols import Event, rename_event
 
-from .cubes import DIA_COMP_MASK, DIA_MASK, FULL, P_C, P_E, GuardExpr, closure
+from .cubes import (
+    DIA_COMP_MASK,
+    DIA_MASK,
+    FULL,
+    P_C,
+    P_E,
+    GuardExpr,
+    closure,
+    verdict,
+)
 from .guards import Binding, _slot_maps, as_guard
 
 #: Restricted-knowledge tuples are sorted by base; masks are 4-bit
@@ -153,12 +162,9 @@ def _slot_guard(guard: GuardExpr) -> tuple[GuardExpr, dict, dict]:
 
 
 def _verdict(guard: GuardExpr, knowledge: Mapping[Event, int]) -> str:
-    """Section 4.3's evaluation rule: ``"fire"`` / ``"never"`` / ``"park"``."""
-    if guard.region_subsumes(knowledge):
-        return "fire"
-    if not guard.possible_under(knowledge):
-        return "never"
-    return "park"
+    """Section 4.3's evaluation rule (:func:`~.cubes.verdict`) on a guard:
+    ``"fire"`` / ``"never"`` / ``"park"``."""
+    return verdict(guard.sorted_cubes(), knowledge)
 
 
 #: The facts that can certify one literal, in the order they are tried:
@@ -669,17 +675,6 @@ class CompiledGuardEngine:
         return node
 
     # -- public API ----------------------------------------------------
-
-    def cursor(
-        self,
-        entry: Binding | GuardExpr,
-        knowledge: dict[Event, int] | None = None,
-    ) -> GuardCursor:
-        """A cursor entering at a guard-table entry; ``knowledge`` is
-        the live map its owner keeps (a fresh one if omitted).  A
-        scheduler, which always passes its role's map, builds
-        ``GuardCursor(engine, entry, knowledge)`` directly."""
-        return GuardCursor(self, entry, {} if knowledge is None else knowledge)
 
     def __len__(self) -> int:
         return len(self._nodes)

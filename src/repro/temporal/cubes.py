@@ -42,6 +42,7 @@ cubes:
   (:meth:`GuardExpr.region_subsumes`): a cover check that restricts
   the cubes by the knowledge region and then splits on the base most
   cubes constrain, instead of walking the ``4**k`` world points.
+  :func:`verdict`, beside it, is the whole fire/never/park rule.
 
 Each has its definition next to it, kept **only** as the tests'
 reference and called by nothing in ``src/``: :func:`_absorb_batch`
@@ -308,12 +309,7 @@ class GuardExpr:
         never occur (its actor should reject attempts outright rather
         than park them).
         """
-        for cube in self.sorted_cubes():
-            if all(
-                closure(knowledge.get(base, FULL)) & mask for base, mask in cube
-            ):
-                return True
-        return False
+        return reachable(self.sorted_cubes(), knowledge)
 
     def simplify_under(self, knowledge: Mapping[Event, int]) -> "GuardExpr":
         """Assimilate knowledge: the paper's proof rules of Section 4.3.
@@ -806,6 +802,29 @@ def covers(cubes: Collection[Cube], knowledge: Mapping) -> bool:
                     column[slot] for slot in _OUTSIDE[known ^ FULL]
                 ]
     return _some_cube_admits(bit - 1, list(columns.values()))
+
+
+def reachable(cubes: Iterable[Cube], knowledge: Mapping) -> bool:
+    """Can some cube still hold once each base's world moves on from
+    what ``knowledge`` allows (its :func:`closure`)?"""
+    for cube in cubes:
+        if all(
+            closure(knowledge.get(base, FULL)) & mask for base, mask in cube
+        ):
+            return True
+    return False
+
+
+def verdict(cubes: Collection[Cube], knowledge: Mapping) -> str:
+    """Section 4.3's evaluation rule: ``"fire"`` when the cubes cover
+    every point ``knowledge`` allows, ``"never"`` when no cube is
+    :func:`reachable`, else ``"park"``.  One rule for the roles' guard
+    cursors and for the string-keyed regions of ``repro explain``."""
+    if covers(cubes, knowledge):
+        return "fire"
+    if not reachable(cubes, knowledge):
+        return "never"
+    return "park"
 
 
 def _some_cube_admits(alive: int, columns: list) -> bool:

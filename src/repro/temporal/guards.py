@@ -103,7 +103,7 @@ def _alphabet(expr: Expr) -> tuple[Event, ...]:
 class ResidualAutomaton:
     """Figure 2: the closure of one normal-form dependency under
     residuation, built once per shape and walked by every consumer
-    (synthesis, the requirement monitors, both centralized schedulers,
+    (synthesis, the requirement monitors, the centralized scheduler,
     the renderers).
 
     ``transitions[S]`` maps every ``f`` in ``Gamma_S`` to

@@ -9,6 +9,9 @@
   per-event guard table with static analysis (consensus requirements,
   guard sizes); the "much of the required symbolic reasoning can be
   precompiled" of Section 6.
+* :mod:`repro.workflows.template` -- :class:`WorkflowTemplate`:
+  synthesize once, stamp suffixed instances merged for one scheduler
+  (a single instance is ``instantiate_merged([suffix])``).
 """
 
 from repro.workflows.spec import Workflow
@@ -22,12 +25,11 @@ from repro.workflows.primitives import (
     precedes,
 )
 from repro.workflows.compiler import CompiledWorkflow, compile_workflow
-from repro.workflows.template import WorkflowInstance, WorkflowTemplate
+from repro.workflows.template import WorkflowTemplate
 
 __all__ = [
     "CompiledWorkflow",
     "Workflow",
-    "WorkflowInstance",
     "WorkflowTemplate",
     "compensate",
     "compile_workflow",

@@ -38,7 +38,6 @@ did -- so an instance's table always renders the from-scratch guards
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -74,37 +73,6 @@ def rename_script(
             for attempt in script.attempts
         ],
     )
-
-
-@dataclass(frozen=True)
-class WorkflowInstance:
-    """One stamped-out instance: the renamed workflow (its dependencies
-    carry their bindings), its guard table as bindings (each the
-    template's shape under this instance's names;
-    :func:`~repro.temporal.guards.render` gives the real-name guards)
-    and the base rename ``mapping`` that produced it (empty for the
-    empty suffix; the template's own, shared, so not to be mutated).
-
-    The guard table is stamped when it is first read, so an instance
-    whose scheduler synthesizes its own table stamps none."""
-
-    suffix: str
-    workflow: Workflow
-    mapping: dict[Event, Event]
-    template: "WorkflowTemplate" = field(repr=False, compare=False)
-
-    @cached_property
-    def guards(self) -> dict[Event, Binding]:
-        table: dict[Event, Binding] = {}
-        template = self.template
-        template._stamp_guards(
-            template._row(self.suffix), self.workflow.dependencies, table
-        )
-        return table
-
-    def instantiate_script(self, script: AgentScript) -> AgentScript:
-        """Rename a template-level agent script for this instance."""
-        return rename_script(script, self.mapping, self.suffix)
 
 
 class _Row:
@@ -159,8 +127,8 @@ class WorkflowTemplate:
 
     >>> from repro.workloads.scenarios import make_travel_booking
     >>> template = WorkflowTemplate(make_travel_booking().workflow)
-    >>> inst = template.instantiate("_i0")
-    >>> sorted(b.name for b in inst.workflow.bases())[:2]
+    >>> workflow, guards = template.instantiate_merged(["_i0"])
+    >>> sorted(b.name for b in workflow.bases())[:2]
     ['c_book_i0', 'c_buy_i0']
     """
 
@@ -236,12 +204,17 @@ class WorkflowTemplate:
             copies = stamp_dependencies(
                 plan.dependencies, self._bind(row, guards), row.mapping
             )
+        elif not row.suffix:
+            copies = plan.dependencies
+            if guards is not None:
+                guards.update(self.guards)
         else:
-            copies = plan.dependencies if not row.suffix else [
+            # an order-violating row: its copies' own bindings
+            copies = [
                 rename_expr(dep, row.mapping) for dep in plan.dependencies
             ]
             if guards is not None:
-                self._stamp_guards(row, copies, guards)
+                guards.update(workflow_bindings(copies))
         if row.ordered:
             self.fast_instantiations += 1
         else:
@@ -270,35 +243,6 @@ class WorkflowTemplate:
             event = events[at]
             guards[event.complement if negated else event] = binding
         return bindings
-
-    def _stamp_guards(
-        self, row: _Row, copies: list, table: dict[Event, Binding]
-    ) -> None:
-        """Write ``row``'s guard table into ``table``: the template's
-        bindings placed on the row, or, for an order-violating row, its
-        dependency ``copies``' own bindings."""
-        if not row.suffix:
-            table.update(self.guards)
-        elif row.ordered:
-            self._bind(row, table)
-        else:
-            table.update(workflow_bindings(copies))
-
-    def instantiate(self, suffix: str) -> WorkflowInstance:
-        """Stamp out one instance: renamed events and sites, and the
-        template's dependency shapes bound onto its row (its guard
-        bindings are, when first read)."""
-        with span(self.profiler, "template_stamp"):
-            row = self._row(suffix)
-            workflow = Workflow(f"{self.workflow.name}{suffix}")
-            self._stamp(
-                row, workflow.dependencies, workflow.sites,
-                workflow.attributes, None,
-            )
-        return WorkflowInstance(
-            suffix=suffix, workflow=workflow, mapping=row.mapping,
-            template=self,
-        )
 
     def _rows_of(self, suffixes: Iterable[str]) -> list[_Row]:
         """The rows of ``suffixes``; raise :class:`ValueError` naming a

@@ -91,6 +91,13 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "text", ["", "a +", "~", "a . (b", "e[x,", "e[", "e[x", "e | "]
+    )
+    def test_input_that_ends_early_says_so(self, text):
+        with pytest.raises(ParseError, match="^unexpected end of input$"):
+            parse(text)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

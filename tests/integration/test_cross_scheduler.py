@@ -12,7 +12,6 @@ from repro.algebra.symbols import Event
 from repro.algebra.traces import satisfies
 from repro.scheduler import (
     AgentScript,
-    AutomataScheduler,
     CentralizedScheduler,
     DistributedScheduler,
     ScriptedAttempt,
@@ -24,7 +23,7 @@ from repro.workloads.generators import (
     scripts_for,
 )
 
-SCHEDULERS = [DistributedScheduler, CentralizedScheduler, AutomataScheduler]
+SCHEDULERS = [DistributedScheduler, CentralizedScheduler]
 
 
 def run(workflow, scheduler_cls, seed=0, participation=1.0):
@@ -151,22 +150,3 @@ class TestReliableLayerIsTransparent:
             en.event for en in wrapped.entries
         ]
         assert not wrapped.unsettled
-
-
-class TestSchedulersAgreeOnOutcome:
-    """On deterministic single-agent chains, the positive-event sets
-    agree across schedulers."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_same_positive_events(self, seed):
-        w = random_workflow(n_tasks=4, n_dependencies=3, seed=seed)
-        outcomes = []
-        for cls in SCHEDULERS:
-            result = run(w, cls, seed=seed)
-            outcomes.append(
-                frozenset(
-                    en.event.name for en in result.entries if not en.event.negated
-                )
-            )
-        # centralized and automata are decision-identical
-        assert outcomes[1] == outcomes[2]

@@ -18,7 +18,7 @@ from repro.scale import instance_spec, plan_shards, run_sharded
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.sim.faults import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
-from repro.temporal.compiled import CompiledGuardEngine
+from repro.temporal.compiled import CompiledGuardEngine, GuardCursor
 from repro.temporal.cubes import E_OCC, TRUE_GUARD, GuardExpr, literal
 from repro.temporal.guards import guard, render, workflow_guards
 from repro.workflows.template import WorkflowTemplate
@@ -67,7 +67,7 @@ def travel_tables_n64():
     for i in range(64):
         deps = make_travel_booking(suffix=f"_i{i}").workflow.dependencies
         per_instance.update(workflow_guards(deps))
-        stamped.update(template.instantiate(f"_i{i}").guards)
+        stamped.update(template.instantiate_merged([f"_i{i}"])[1])
     return per_instance, render(stamped)
 
 
@@ -158,7 +158,7 @@ def fan_in(n):
 
 
 def fan_in_literals(n, compiled):
-    cursor = CompiledGuardEngine().cursor(fan_in(n)[1])
+    cursor = GuardCursor(CompiledGuardEngine(), fan_in(n)[1], {})
     cursor.verdict()  # enters the automaton at the guard's slot shape
     g = cursor.node.residual if compiled else cursor.guard
     return {"literals": g.literal_count()}
@@ -231,7 +231,7 @@ def test_warm_compiled_pass_is_pointer_hops(n, monkeypatch):
 
     def compiled_pass():
         knowledge, fired = {}, []
-        cursor = compiled.cursor(g, knowledge)
+        cursor = GuardCursor(compiled, g, knowledge)
         for base in bases:
             knowledge[base] = E_OCC
             cursor.learn(base, E_OCC)

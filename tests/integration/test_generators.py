@@ -3,16 +3,12 @@
 import pytest
 
 from repro.algebra.symbols import Event
-from repro.scheduler import (
-    AutomataScheduler,
-    CentralizedScheduler,
-    DistributedScheduler,
-)
+from repro.scheduler import CentralizedScheduler, DistributedScheduler
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.events import EventAttributes
 from repro.workloads.generators import diamond_workflow, saga_workflow
 
-SCHEDULERS = [DistributedScheduler, CentralizedScheduler, AutomataScheduler]
+SCHEDULERS = [DistributedScheduler, CentralizedScheduler]
 
 
 def fresh_scripts(scripts):

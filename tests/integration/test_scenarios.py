@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.scheduler import (
-    AutomataScheduler,
-    CentralizedScheduler,
-    DistributedScheduler,
-)
+from repro.scheduler import CentralizedScheduler, DistributedScheduler
 from repro.workloads.scenarios import (
     make_mutex_scenario,
     make_order_fulfillment,
     make_travel_booking,
 )
 
-SCHEDULERS = [DistributedScheduler, CentralizedScheduler, AutomataScheduler]
+SCHEDULERS = [DistributedScheduler, CentralizedScheduler]
 
 SCENARIOS = {
     "travel-success": lambda: make_travel_booking("success"),

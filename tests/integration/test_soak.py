@@ -10,11 +10,7 @@ base settled twice, no event before its attempt.
 import pytest
 
 from repro.algebra.symbols import Event
-from repro.scheduler import (
-    AutomataScheduler,
-    CentralizedScheduler,
-    DistributedScheduler,
-)
+from repro.scheduler import CentralizedScheduler, DistributedScheduler
 from repro.scheduler.events import AttemptOutcome, ExecutionResult, TraceEntry
 from repro.scheduler.oracle import judge
 from repro.temporal.guards import workflow_guards
@@ -26,7 +22,7 @@ from repro.workloads.generators import (
     scripts_for,
 )
 
-SCHEDULERS = [DistributedScheduler, CentralizedScheduler, AutomataScheduler]
+SCHEDULERS = [DistributedScheduler, CentralizedScheduler]
 
 
 def assert_bookkeeping(result):

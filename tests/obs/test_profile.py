@@ -16,11 +16,7 @@ from repro.obs.profile import (
     to_collapsed,
 )
 from repro.scale import instance_spec, plan_shards, run_sharded
-from repro.scheduler import (
-    AutomataScheduler,
-    CentralizedScheduler,
-    DistributedScheduler,
-)
+from repro.scheduler import CentralizedScheduler, DistributedScheduler
 from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 
@@ -192,7 +188,7 @@ class TestVerifySpan:
 
     @pytest.mark.parametrize(
         "scheduler_cls",
-        [DistributedScheduler, CentralizedScheduler, AutomataScheduler],
+        [DistributedScheduler, CentralizedScheduler],
     )
     def test_profiled_run_attributes_verify_and_default_does_not(
         self, scheduler_cls

@@ -10,13 +10,20 @@ from repro.obs.provenance import (
     explain_records,
     explain_region,
     minimal_unblocking_sets,
-    region_subsumes,
-    region_verdict,
 )
 from repro.obs import provenance
 from repro.obs.tracer import Tracer
 from repro.scheduler.guard_scheduler import DistributedScheduler
-from repro.temporal.cubes import C_OCC, E_OCC, P_C, P_E, _subset_check
+from repro.temporal.cubes import (
+    C_OCC,
+    E_OCC,
+    P_C,
+    P_E,
+    _subset_check,
+    covers,
+    reachable,
+    verdict,
+)
 from repro.temporal.guards import explain_guard, workflow_guards
 from repro.workloads.scenarios import make_mutex_scenario, make_travel_booking
 from tests.conftest import count_calls
@@ -31,19 +38,19 @@ def travel_scheduler(**kwargs):
 
 
 class TestRegionOps:
-    """String-keyed mirrors of the cube-region semantics."""
+    """The cube-region rule over string-keyed regions."""
 
     BOX_CUBES = [[("c_book", E_OCC)]]  # []c_book
 
     def test_subsumes_needs_occurrence(self):
-        assert region_subsumes(self.BOX_CUBES, {"c_book": E_OCC})
-        assert not region_subsumes(self.BOX_CUBES, {})
-        assert not region_subsumes(self.BOX_CUBES, {"c_book": C_OCC})
+        assert covers(self.BOX_CUBES, {"c_book": E_OCC})
+        assert not covers(self.BOX_CUBES, {})
+        assert not covers(self.BOX_CUBES, {"c_book": C_OCC})
 
     def test_verdicts(self):
-        assert region_verdict(self.BOX_CUBES, {"c_book": E_OCC}) == "fire"
-        assert region_verdict(self.BOX_CUBES, {"c_book": C_OCC}) == "never"
-        assert region_verdict(self.BOX_CUBES, {}) == "park"
+        assert verdict(self.BOX_CUBES, {"c_book": E_OCC}) == "fire"
+        assert verdict(self.BOX_CUBES, {"c_book": C_OCC}) == "never"
+        assert verdict(self.BOX_CUBES, {}) == "park"
 
     def test_apply_facts_contradiction_is_none(self):
         assert (
@@ -54,12 +61,15 @@ class TestRegionOps:
         )
 
 
-def enumerated_subsumes(cubes, knowledge):
-    """What ``region_subsumes`` was before it called the cube kernel's
-    cover check: every world point over the mentioned names."""
+def enumerated_verdict(cubes, knowledge):
+    """The fire/never/park rule with the enumerator in place of the
+    cube kernel's cover check: every world point over the mentioned
+    names."""
     cubes = [tuple(cube) for cube in cubes]
     names = sorted({name for cube in cubes for name, _mask in cube})
-    return _subset_check(cubes, names, knowledge)
+    if _subset_check(cubes, names, knowledge):
+        return "fire"
+    return "park" if reachable(cubes, knowledge) else "never"
 
 
 def region_cases():
@@ -97,7 +107,7 @@ class TestRegionKernel:
         self, monkeypatch, cubes, knowledge
     ):
         report = explain_region(cubes, knowledge)
-        monkeypatch.setattr(provenance, "region_subsumes", enumerated_subsumes)
+        monkeypatch.setattr(provenance, "verdict", enumerated_verdict)
         old = explain_region(cubes, knowledge)
         assert report["verdict"] == old["verdict"]
         assert report["unblocking"] == old["unblocking"]

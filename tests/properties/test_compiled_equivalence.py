@@ -35,6 +35,7 @@ from repro.obs import Tracer
 from repro.scheduler.actors import Role
 from repro.temporal.compiled import (
     CompiledGuardEngine,
+    GuardCursor,
     ReferenceCursor,
     _restrict,
     first_solicitation,
@@ -305,7 +306,7 @@ class TestCursorTracksCubeEngine:
     def test_verdict_residual_and_watches_agree(self, guard, steps):
         engine = CompiledGuardEngine()
         knowledge: dict[Event, int] = {}
-        cursors = (engine.cursor(guard, knowledge), ReferenceCursor(guard))
+        cursors = (GuardCursor(engine, guard, knowledge), ReferenceCursor(guard))
         residual = guard
         for base, mask, assimilate in steps:
             current = knowledge.get(base, FULL)
@@ -345,7 +346,7 @@ class TestCursorTracksCubeEngine:
 
         def drive(steps):
             knowledge: dict[Event, int] = {}
-            cursor = engine.cursor(guard, knowledge)
+            cursor = GuardCursor(engine, guard, knowledge)
             cursor.verdict()  # bound, whatever the steps
             for base, mask, assimilate in steps:
                 current = knowledge.get(base, FULL)
@@ -383,7 +384,7 @@ class TestRenamedCopiesShareNodes:
         def drive(mapping):
             knowledge: dict[Event, int] = {}
             copy = guard.rename(mapping)
-            compiled = engine.cursor(copy, knowledge)
+            compiled = GuardCursor(engine, copy, knowledge)
             reference = ReferenceCursor(copy)
             for base, mask, assimilate in steps:
                 base = mapping[base]
@@ -437,7 +438,7 @@ class TestProtocolAnswersOnTheNode:
         engine = CompiledGuardEngine()
         knowledge: dict[Event, int] = {}
         copy = guard.rename(mapping)
-        compiled = engine.cursor(copy, knowledge)
+        compiled = GuardCursor(engine, copy, knowledge)
         reference = ReferenceCursor(copy)
         # ``Role._decide_grant``'s facts: ``<>member`` for each member
         facts = [

@@ -2,8 +2,8 @@
 
 Three contracts, checked over randomly drawn structures:
 
-* ``WorkflowTemplate.instantiate(suffix)`` must hand back a binding
-  table that renders exactly the guard table a from-scratch
+* ``WorkflowTemplate.instantiate_merged([suffix])`` must hand back a
+  binding table that renders exactly the guard table a from-scratch
   ``workflow_guards`` synthesis over the suffixed dependencies would --
   whether composed bindings or the order-preservation fallback served
   it is invisible to the caller.
@@ -79,18 +79,16 @@ class TestTemplateEquivalence:
     def test_instantiated_guards_match_from_scratch(self, gen, size, suffix):
         _, make = gen
         template = WorkflowTemplate(make(size))
-        instance = template.instantiate(suffix)
+        workflow, table = template.instantiate_merged([suffix])
         direct = make(size, suffix=suffix)
-        assert instance.workflow.dependencies == direct.dependencies
-        assert render(instance.guards) == workflow_guards(direct.dependencies)
+        assert workflow.dependencies == direct.dependencies
+        assert render(table) == workflow_guards(direct.dependencies)
 
     @given(suffix=suffixes)
     def test_travel_template_matches_from_scratch(self, suffix):
         template = WorkflowTemplate(TEMPLATE)
-        instance = template.instantiate(suffix)
-        assert render(instance.guards) == workflow_guards(
-            instance.workflow.dependencies
-        )
+        workflow, table = template.instantiate_merged([suffix])
+        assert render(table) == workflow_guards(workflow.dependencies)
 
 
 def fresh_binding(dependency):
@@ -143,11 +141,11 @@ class TestStampedDependencies:
         self, workflow, suffix
     ):
         template = WorkflowTemplate(workflow)
-        instance = template.instantiate(suffix)
-        stamped = instance.workflow.dependencies
+        stamped = template.merged_workflow([suffix]).dependencies
+        mapping = template.mapping_for(suffix)
         assert len(stamped) == len(workflow.dependencies)
         for copy, dep in zip(stamped, workflow.dependencies):
-            assert copy is rename_expr(dep, instance.mapping)
+            assert copy is rename_expr(dep, mapping)
             bound, fresh = guards.dependency_binding(copy), fresh_binding(copy)
             assert bound.shape is fresh.shape
             assert list(bound.to_slot.items()) == list(fresh.to_slot.items())
@@ -159,8 +157,8 @@ class TestStampedDependencies:
     def test_monitor_on_stamped_copies_walks_the_renamed_ones(
         self, workflow, suffix, data
     ):
-        instance = WorkflowTemplate(workflow).instantiate(suffix)
-        stamped = instance.workflow.dependencies
+        template = WorkflowTemplate(workflow)
+        stamped = template.merged_workflow([suffix]).dependencies
         signed = sorted(
             {e for dep in stamped for e in dep.alphabet()},
             key=Event.sort_key,
@@ -170,9 +168,8 @@ class TestStampedDependencies:
             else st.just([])
         )
         walked = monitor_walk(stamped, occurrences)
-        renamed = [
-            rename_expr(dep, instance.mapping) for dep in workflow.dependencies
-        ]
+        mapping = template.mapping_for(suffix)
+        renamed = [rename_expr(dep, mapping) for dep in workflow.dependencies]
         with mock.patch.object(guards, "dependency_binding", fresh_binding):
             reference = monitor_walk(renamed, occurrences)
         assert walked[0] == reference[0]
@@ -191,13 +188,12 @@ class TestStampedDependencies:
         w.add("~t1 + t10")
         w.add("~t10 + ~t2 + t10 . t2")
         template = WorkflowTemplate(w)
-        instance = template.instantiate(suffix)
+        workflow, table = template.instantiate_merged([suffix])
         assert template.fallback_instantiations == 1
-        stamped = instance.workflow.dependencies
-        assert stamped == [
-            rename_expr(dep, instance.mapping) for dep in w.dependencies
-        ]
-        assert render(instance.guards) == workflow_guards(stamped)
+        stamped = workflow.dependencies
+        mapping = template.mapping_for(suffix)
+        assert stamped == [rename_expr(dep, mapping) for dep in w.dependencies]
+        assert render(table) == workflow_guards(stamped)
         occurrences = sorted(
             {e for dep in stamped for e in dep.bases()},
             key=Event.sort_key,
@@ -210,15 +206,15 @@ class TestStampedDependencies:
     def test_clearing_synthesis_caches_after_stamping_changes_nothing(
         self, workflow, suffix
     ):
-        before = WorkflowTemplate(workflow).instantiate(suffix)
+        before = WorkflowTemplate(workflow).merged_workflow([suffix])
         occurrences = sorted(
-            {b for dep in before.workflow.dependencies for b in dep.bases()},
+            {b for dep in before.dependencies for b in dep.bases()},
             key=Event.sort_key,
         )
-        expected = monitor_walk(before.workflow.dependencies, occurrences)
-        instance = WorkflowTemplate(workflow).instantiate(suffix)
+        expected = monitor_walk(before.dependencies, occurrences)
+        instance = WorkflowTemplate(workflow).merged_workflow([suffix])
         clear_synthesis_caches()
-        walked = monitor_walk(instance.workflow.dependencies, occurrences)
+        walked = monitor_walk(instance.dependencies, occurrences)
         assert walked[0] == expected[0]
         assert [
             [state for _closure, state in step] for step in walked[1]

@@ -191,12 +191,12 @@ class TestSettledBaseIsFinal:
             for base in sched.actors:
                 if base is actor.base:
                     continue
-                actor.receive(Announce(event=base))
+                actor(Announce(event=base))
                 for role in actor.roles.values():
                     me = role.event
-                    role.receive(PromiseGrant(target=base, requester=me))
+                    role(PromiseGrant(target=base, requester=me))
                     for status in ("occurred", "comp_occurred"):
-                        role.receive(
+                        role(
                             SyncReply(base=base, requester=me, status=status)
                         )
         assert (observables(run)["actors"], sched.watch.counts()) == before

@@ -5,11 +5,7 @@ import pytest
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.algebra.traces import Trace
-from repro.scheduler import (
-    AutomataScheduler,
-    CentralizedScheduler,
-    DistributedScheduler,
-)
+from repro.scheduler import CentralizedScheduler, DistributedScheduler
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.events import AttemptOutcome, ExecutionResult, TraceEntry
 from repro.scheduler.oracle import judge
@@ -24,7 +20,7 @@ E, F = Event("e"), Event("f")
 D_PREC = parse("~e + ~f + e . f")
 GUARDS = workflow_guards([D_PREC])
 
-SCHEDULERS = [DistributedScheduler, CentralizedScheduler, AutomataScheduler]
+SCHEDULERS = [DistributedScheduler, CentralizedScheduler]
 SCENARIOS = [
     make_travel_booking("success"),
     make_travel_booking("failure"),

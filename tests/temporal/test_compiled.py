@@ -45,7 +45,7 @@ COPY = literal("box", X) & literal("dia", Y)
 def bound(engine, guard, knowledge=None):
     """A cursor of ``engine`` entered at ``guard``, bound as on its
     first use."""
-    cursor = engine.cursor(guard, {} if knowledge is None else knowledge)
+    cursor = GuardCursor(engine, guard, {} if knowledge is None else knowledge)
     cursor._bind()
     return cursor
 
@@ -137,9 +137,9 @@ class TestTransitions:
 
     def test_verdicts(self):
         engine = CompiledGuardEngine()
-        assert engine.cursor(TRUE_GUARD).verdict() == "fire"
-        assert engine.cursor(FALSE_GUARD).verdict() == "never"
-        park = engine.cursor(GUARD)
+        assert GuardCursor(engine, TRUE_GUARD, {}).verdict() == "fire"
+        assert GuardCursor(engine, FALSE_GUARD, {}).verdict() == "never"
+        park = GuardCursor(engine, GUARD, {})
         assert park.verdict() == "park"
         expansions = engine.counts()["expansions"]
         assert park.verdict() == "park"  # cached read
@@ -183,7 +183,7 @@ class TestCursor:
     def test_cursor_walks_learn_and_assimilate(self):
         engine = CompiledGuardEngine()
         knowledge = {}
-        cursor = engine.cursor(GUARD, knowledge)
+        cursor = GuardCursor(engine, GUARD, knowledge)
         knowledge[A] = E_OCC
         cursor.learn(A, E_OCC)
         cursor.assimilate()
@@ -199,7 +199,7 @@ class TestCursor:
         """The binding is taken on first use, against the live map."""
         engine = CompiledGuardEngine()
         knowledge = {C: E_OCC}
-        cursor = engine.cursor(GUARD, knowledge)
+        cursor = GuardCursor(engine, GUARD, knowledge)
         assert cursor.node is None and len(engine) == 0
         knowledge[A] = E_OCC
         assert cursor.verdict() == "park"
@@ -208,7 +208,7 @@ class TestCursor:
 
     def test_transient_verdict_does_not_move_the_cursor(self):
         engine = CompiledGuardEngine()
-        cursor = engine.cursor(literal("notyet", B))
+        cursor = GuardCursor(engine, literal("notyet", B), {})
         assert cursor.verdict() == "park"
         node = cursor.node
         assert cursor.transient_verdict([(B, NOTYET_MASK)]) == "fire"
@@ -217,7 +217,7 @@ class TestCursor:
 
     def test_reset_counts_a_recompile(self):
         engine = CompiledGuardEngine()
-        cursor = engine.cursor(GUARD)
+        cursor = GuardCursor(engine, GUARD, {})
         cursor.verdict()
         cursor.reset(literal("box", B), {})
         assert cursor.node is None  # binds afresh on next use
@@ -267,7 +267,7 @@ class TestSharedEngine:
 
         def walk(guard, first_base):
             knowledge = {}
-            cursor = engine.cursor(guard, knowledge)
+            cursor = GuardCursor(engine, guard, knowledge)
             cursor.verdict()
             knowledge[first_base] = E_OCC
             cursor.learn(first_base, E_OCC)

@@ -55,7 +55,7 @@ def announce(sched, target, event):
     wakes, skips = sched.watch.wakes, sched.watch.skips
     role = sched.role(target)
     sched.subscribe(role, [event.base])
-    role.actor.receive(Announce(event=event))
+    role.actor(Announce(event=event))
     return sched.watch.wakes - wakes, sched.watch.skips - skips
 
 

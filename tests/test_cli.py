@@ -121,6 +121,25 @@ class TestRun:
         assert code == 0
         assert "ok=True" in capsys.readouterr().out
 
+    def test_centralized_trace_passes_the_spec_check(
+        self, travel_spec, tmp_path, capsys
+    ):
+        """CI's centralized smoke: Example 12 on the baseline, its trace
+        checked offline against the spec."""
+        trace = str(tmp_path / "central.jsonl")
+        assert main([
+            "run", travel_spec, "--scheduler", "centralized",
+            "--attempt", "s_buy=0", "--attempt", "c_buy=5", "--trace", trace,
+        ]) == 0
+        assert main(["trace", "check", trace, "--spec", travel_spec]) == 0
+
+    def test_automata_is_no_scheduler_choice(self, spec_file, capsys):
+        # the automata baseline runs the centralized procedure
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", spec_file, "--scheduler", "automata"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'automata'" in capsys.readouterr().err
+
     def test_compiled_guards_run(self, spec_file, capsys):
         """A default distributed run evaluates on the compiled cursors
         and ``--json`` carries *this run's* counters (a second run
@@ -1558,6 +1577,12 @@ class TestFailsClosed:
         captured = capsys.readouterr()
         assert "unparsable expression" in captured.err
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_expression_that_ends_early_says_so(self, capsys):
+        assert main(["guard", "a +", "e"]) == 2
+        assert capsys.readouterr().err == (
+            "'a +': unparsable expression: unexpected end of input\n"
+        )
 
     @pytest.mark.parametrize("command", ["profile", "query"])
     def test_negative_limit_exits_two(

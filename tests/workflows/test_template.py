@@ -67,14 +67,12 @@ class TestWorkflowTemplate:
     def test_travel_instances_match_from_scratch_synthesis(self):
         template = WorkflowTemplate(make_travel_booking().workflow)
         for suffix in ("_i0", "_i7", "_i123"):
-            instance = template.instantiate(suffix)
+            workflow, guards = template.instantiate_merged([suffix])
             direct = make_travel_booking(suffix=suffix).workflow
-            assert instance.workflow.dependencies == direct.dependencies
-            assert instance.workflow.sites == direct.sites
-            assert instance.workflow.attributes == direct.attributes
-            assert render(instance.guards) == workflow_guards(
-                direct.dependencies
-            )
+            assert workflow.dependencies == direct.dependencies
+            assert workflow.sites == direct.sites
+            assert workflow.attributes == direct.attributes
+            assert render(guards) == workflow_guards(direct.dependencies)
         assert template.fast_instantiations == 3
         assert template.fallback_instantiations == 0
 
@@ -90,10 +88,10 @@ class TestWorkflowTemplate:
     )
     def test_generator_instances_match_from_scratch(self, make):
         template = WorkflowTemplate(make(""))
-        instance = template.instantiate("_i3")
+        workflow, guards = template.instantiate_merged(["_i3"])
         direct = make("_i3")
-        assert instance.workflow.dependencies == direct.dependencies
-        assert render(instance.guards) == workflow_guards(direct.dependencies)
+        assert workflow.dependencies == direct.dependencies
+        assert render(guards) == workflow_guards(direct.dependencies)
 
     def test_order_violating_suffix_falls_back_and_still_matches(self):
         # "t1" < "t10" but "t1_x" > "t10_x": suffixing flips the
@@ -103,12 +101,10 @@ class TestWorkflowTemplate:
         w.add("~t1 + t10")
         w.add("~t10 + ~t2 + t10 . t2")
         template = WorkflowTemplate(w)
-        instance = template.instantiate("_x")
+        workflow, guards = template.instantiate_merged(["_x"])
         assert template.fallback_instantiations == 1
         assert template.fast_instantiations == 0
-        assert render(instance.guards) == workflow_guards(
-            instance.workflow.dependencies
-        )
+        assert render(guards) == workflow_guards(workflow.dependencies)
 
     def test_parametrized_events_keep_their_parameters(self):
         # regression: the rename dropped event parameters, so e[1] . e[2]
@@ -116,45 +112,42 @@ class TestWorkflowTemplate:
         w = Workflow("tokens")
         w.add("e[1] . e[2]")
         template = WorkflowTemplate(w)
-        instance = template.instantiate("_i0")
+        workflow, guards = template.instantiate_merged(["_i0"])
         e1, e2 = Event("e_i0", params=(1,)), Event("e_i0", params=(2,))
-        assert instance.workflow.dependencies == [parse("e_i0[1] . e_i0[2]")]
-        assert set(instance.guards) == {e1, ~e1, e2, ~e2}
-        assert render(instance.guards) == workflow_guards(
-            instance.workflow.dependencies
-        )
+        assert workflow.dependencies == [parse("e_i0[1] . e_i0[2]")]
+        assert set(guards) == {e1, ~e1, e2, ~e2}
+        assert render(guards) == workflow_guards(workflow.dependencies)
         assert template.fast_instantiations == 1
 
     def test_mapping_is_computed_once_per_suffix(self):
         template = WorkflowTemplate(make_travel_booking().workflow)
         mapping = template.mapping_for("_i4")
-        instance = template.instantiate("_i4")
-        assert instance.mapping is mapping
+        template.instantiate_merged(["_i4"])
         assert template.mapping_for("_i4") is mapping
 
     def test_empty_suffix_is_identity(self):
         workflow = make_travel_booking().workflow
         template = WorkflowTemplate(workflow)
-        instance = template.instantiate("")
-        assert instance.workflow.dependencies == workflow.dependencies
-        assert instance.guards == template.guards
+        merged, guards = template.instantiate_merged([""])
+        assert merged.dependencies == workflow.dependencies
+        assert guards == template.guards
 
     def test_guards_synthesized_once(self):
         template = WorkflowTemplate(make_travel_booking().workflow)
         first = template.guards
-        template.instantiate("_i0")
-        template.instantiate("_i1")
+        template.instantiate_merged(["_i0"])
+        template.instantiate_merged(["_i1"])
         assert template.guards is first
 
     def test_instantiate_merged_unions_instances(self):
         template = WorkflowTemplate(make_travel_booking().workflow)
         merged, guards = template.instantiate_merged(["_i0", "_i1", "_i2"])
-        single = template.instantiate("_i0")
+        _single, single = template.instantiate_merged(["_i0"])
         assert len(merged.dependencies) == 3 * len(
             template.workflow.dependencies
         )
-        assert len(guards) == 3 * len(single.guards)
-        for event, g in render(single.guards).items():
+        assert len(guards) == 3 * len(single)
+        for event, g in render(single).items():
             assert guards[event].guard == g
 
     def test_instantiate_merged_is_the_merged_fold_without_folding(
@@ -164,9 +157,9 @@ class TestWorkflowTemplate:
         # and dict and re-joined the name per instance (quadratic)
         suffixes = [f"_i{k}" for k in range(5)]
         template = WorkflowTemplate(make_travel_booking().workflow)
-        fold = None
+        fold, tables = None, {}
         for suffix in suffixes:
-            instance = template.instantiate(suffix).workflow
+            instance, tables[suffix] = template.instantiate_merged([suffix])
             fold = instance if fold is None else fold.merged(instance)
 
         def no_fold(self, other, name=None):
@@ -183,12 +176,10 @@ class TestWorkflowTemplate:
         assert render(guards) == {
             event: guard
             for suffix in suffixes
-            for event, guard in render(
-                template.instantiate(suffix).guards
-            ).items()
+            for event, guard in render(tables[suffix]).items()
         }
         single, _guards = template.instantiate_merged(["_i7"])
-        assert single == template.instantiate("_i7").workflow
+        assert single.name == f"{template.workflow.name}_i7"
 
     def test_instantiate_merged_rejects_a_suffix_given_twice(self):
         template = WorkflowTemplate(make_travel_booking().workflow)
@@ -238,9 +229,9 @@ class TestWorkflowTemplate:
 
     def test_instance_script_rename(self):
         template = WorkflowTemplate(make_travel_booking().workflow)
-        instance = template.instantiate("_i5")
+        mapping = template.mapping_for("_i5")
         scripts = [
-            instance.instantiate_script(s)
+            rename_script(s, mapping, "_i5")
             for s in make_travel_booking("failure").scripts
         ]
         direct = make_travel_booking("failure", suffix="_i5").scripts
