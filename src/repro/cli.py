@@ -1148,21 +1148,9 @@ def _cmd_trace(args) -> int:
             status = max(status, _judge_timeline(args.trace_file, workflow))
         return status
     # export
-    try:
-        records = read_jsonl(args.trace_file)
-    except OSError as exc:
-        print(f"{args.trace_file}: cannot read: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"{args.trace_file}: {exc}", file=sys.stderr)
-        return 1
-    if not records:
-        print(
-            f"{args.trace_file}: empty trace (no records); nothing to "
-            "export",
-            file=sys.stderr,
-        )
-        return 1
+    records = _read_trace(args.trace_file, "export", unusable=1)
+    if isinstance(records, int):
+        return records
     chrome = to_chrome(records)
     text = json.dumps(chrome)
     if args.output:
@@ -1172,6 +1160,28 @@ def _cmd_trace(args) -> int:
     else:
         print(text)
     return 0
+
+
+def _read_trace(path: str, verb: str, unusable: int) -> list[dict] | int:
+    """The records of trace ``path`` for a command that will ``verb``
+    them, or its exit code once it has said why there are none: 2 for
+    an unreadable file, ``unusable`` for a damaged or empty trace."""
+    try:
+        records = read_jsonl(path)
+    except OSError as exc:
+        print(f"{path}: cannot read: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        return unusable
+    if not records:
+        print(
+            f"{path}: empty trace (no records); nothing to {verb} -- was "
+            "the run traced (run --trace FILE)?",
+            file=sys.stderr,
+        )
+        return unusable
+    return records
 
 
 def _judge_timeline(trace_file: str, workflow) -> int:
@@ -1243,21 +1253,9 @@ def _cmd_trace_query(args) -> int:
     if args.limit < 0:
         print("--limit must be non-negative", file=sys.stderr)
         return 2
-    try:
-        records = read_jsonl(args.trace_file)
-    except OSError as exc:
-        print(f"{args.trace_file}: cannot read: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"{args.trace_file}: {exc}", file=sys.stderr)
-        return 1
-    if not records:
-        print(
-            f"{args.trace_file}: empty trace (no records); nothing to "
-            "query -- was the run traced (run --trace FILE)?",
-            file=sys.stderr,
-        )
-        return 1
+    records = _read_trace(args.trace_file, "query", unusable=1)
+    if isinstance(records, int):
+        return records
     matched = filter_records(
         records,
         event=args.event,
@@ -1289,7 +1287,11 @@ def _cmd_trace_query(args) -> int:
     if args.critical_path:
         # causality needs the *whole* trace: a filtered-out send on
         # another site may still carry the chain
-        segments = critical_path(records, event=args.event)
+        try:
+            segments = critical_path(records, event=args.event)
+        except ValueError as exc:
+            print(f"{args.trace_file}: {exc}", file=sys.stderr)
+            return 1
         if not segments:
             print("nothing fired; no critical path", file=sys.stderr)
             return 1
@@ -1411,23 +1413,14 @@ def _cmd_slo(args) -> int:
 def _cmd_explain(args) -> int:
     from repro.obs.provenance import explain_records
 
+    records = _read_trace(args.trace_file, "explain", unusable=2)
+    if isinstance(records, int):
+        return records
     try:
-        records = read_jsonl(args.trace_file)
-    except OSError as exc:
-        print(f"{args.trace_file}: cannot read: {exc}", file=sys.stderr)
-        return 2
+        explanation = explain_records(records, args.event)
     except ValueError as exc:
         print(f"{args.trace_file}: {exc}", file=sys.stderr)
         return 2
-    if not records:
-        print(
-            f"{args.trace_file}: empty trace (no records); nothing to "
-            "explain",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        explanation = explain_records(records, args.event)
     except KeyError:
         print(
             f"{args.event!r} never appears in {args.trace_file} "
@@ -1470,8 +1463,10 @@ def _cmd_diff(args) -> int:
     """``repro diff A B``: causally align two traces, localize divergence.
 
     Exit contract: 0 when causally identical (volatile fields --
-    Lamport counters, message ids, wall-clock guard timings -- are
-    ignored, so a same-seed re-run diffs clean); 1 when divergent,
+    Lamport counters and message ids, plus the wall-clock guard timing
+    ``elapsed`` that only traces recorded before traces held no
+    wall-clock time carry -- are ignored, so a same-seed re-run diffs
+    clean); 1 when divergent,
     naming the first divergent event per site, classifying the
     divergence, and printing the root-cause chain back through the
     causal machinery; 2 when either trace is empty, unreadable, or

@@ -4,82 +4,49 @@ The paper's execution model (Section 4.3) is defined entirely by
 message flow -- ``[]e``/``<>e`` announcements, guard evaluations, and
 actor state transitions -- which makes a run opaque exactly when it
 misbehaves.  This package turns every run into a self-explaining
-artifact:
+artifact.  One record stream is written, and every reader takes what
+a record means from the writer's module:
 
 * :mod:`repro.obs.tracer` -- causal event tracing.  A :class:`Tracer`
-  stamps every message send/receive/drop/retransmit, actor state
-  transition, guard evaluation, crash/restart, and sync round with a
-  per-site Lamport clock and emits structured JSONL records.  A trace
-  is a pure function of the run (it holds no wall-clock time), so two
-  runs of one seed write the same bytes.  The default
-  :data:`NULL_TRACER` is inert: the per-message and per-evaluation
-  sites test ``tracer.active``, the rest call a no-op, so a run without
-  tracing takes the same decisions.
-* :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of counters,
-  gauges (with peaks), and summary histograms, labelled per site and
-  dumpable as JSON from ``DistributedScheduler.metrics_report()``; it
-  holds every count of a run once, and ``ExecutionResult`` reads its
-  counts off it.
-* :mod:`repro.obs.export` -- conversion of a trace to the Chrome
-  ``chrome://tracing`` / Perfetto JSON format (``repro trace export``).
-* :mod:`repro.obs.check` -- the trace-replay invariant checker
-  (``repro trace check``): re-reads a JSONL trace offline and verifies
-  Lamport monotonicity, per-session causal order, trace safety (no
-  base event twice, never both ``e`` and ``~e``), and that every
-  firing is justified by a recorded guard verdict.
-* :mod:`repro.obs.provenance` -- decision provenance: *why* is an
-  event parked/fired/dead?  ``DistributedScheduler.explain(event)``
-  (live, justified from the settlement record, the same traced or
-  not) and ``repro explain TRACE EVENT`` (offline, Lamport-stamped
-  from the trace) classify every guard literal against the actor's
-  knowledge, name the occurrences that justified it, and compute
-  minimal unblocking announcement sets.
-* :mod:`repro.obs.snapshot` -- consistent global snapshots, each the
-  whole run read between two simulator steps, sending nothing
-  (``scheduler.snapshot()`` / ``repro run --snapshot-every N``), plus
-  :func:`~repro.obs.snapshot.check_snapshot` validating each cut
-  against the causal trace.
-* :mod:`repro.obs.prom` -- Prometheus text-format export of
-  ``metrics_report()`` (``repro run --prom FILE``) and a format linter
-  (``repro prom lint``).
-* :mod:`repro.obs.merge` -- merging per-shard traces and metrics
-  reports from the scale-out runner (:mod:`repro.scale`) into single
-  artifacts that still satisfy the checker and exporter, with
-  shard-prefixed site names and re-based message ids.
-* :mod:`repro.obs.profile` -- a span-based phase profiler with
-  hierarchical attribution (synthesis, template stamping, guard
-  evaluation, cube ops, watch wakes, delivery, retransmits, sync
-  rounds), self-vs-cumulative time, per-site/per-event breakdowns, and
-  collapsed-stack / Chrome-trace exporters.  An unprofiled run holds
-  no profiler (``None``).
-* :mod:`repro.obs.timeseries` -- a :class:`TimeSeriesRegistry` of
-  sim-time gauge series (parked events, channel backlog, in-flight
-  messages, fires per interval) sampled on the simulator's clock, with
-  per-shard merging as fleet-total step functions.
-* :mod:`repro.obs.query` -- the offline trace analytics engine behind
-  ``repro trace query`` and ``repro slo check``: record filters,
-  attempt->fire latency percentiles (cross-checked against the
-  lifecycle histograms), critical-path extraction, and declarative SLO
-  evaluation over ``run --json`` reports.
-* :mod:`repro.obs.diff` -- the trace differ behind ``repro diff``:
-  causal per-site alignment of two traces (volatile fields dropped),
-  localization of the first divergent event, a divergence-kind
-  classifier (guard verdict flip, message reorder, crash-schedule
-  mismatch, rng drift, settlement mismatch), and a root-cause chain
-  walked backward through the causal machinery of :mod:`~.query`.
-* :mod:`repro.obs.recorder` -- the flight recorder
-  (``repro run --flight-record N``): a ring-buffered
-  :class:`~repro.obs.recorder.FlightRecorder`, the one tracer with
-  bounded storage, that keeps the last *N* records (crash/restart
-  records pinned) in constant memory, counts evictions into
-  ``metrics_report()``/Prometheus, and dumps the retained window --
-  with a self-describing header the checker understands -- when an
-  SLO violation, invariant failure, or crash arms it.
+  stamps every message, actor transition, guard evaluation, fault and
+  sync round with a per-site Lamport clock as a JSONL record; a trace
+  holds no wall-clock time, so two runs of one seed write the same
+  bytes, and the inert :data:`NULL_TRACER` takes the same decisions.
+  Beside the writer live the reading vocabulary -- ``OCCURRED_OPS``
+  (``fired``, ``accepted``), ``SETTLEMENT_OPS`` and ``base_name`` --
+  and the one trace index, ``index_trace``: per-site streams without
+  recorder window headers, sends by message id, and the first
+  occurrence of each signed event.
+* :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of per-site
+  counters, gauges (with peaks) and summary histograms; it holds every
+  count of a run once, and ``ExecutionResult`` reads its counts off it.
+* :mod:`repro.obs.check` -- the streaming trace-replay checker
+  (``repro trace check``): Lamport monotonicity, causal order along
+  every message, trace safety, and justified firings.
+* :mod:`repro.obs.query` -- ``repro trace query`` / ``repro slo
+  check``: record filters, attempt->occurrence latencies
+  (cross-checked against the ``time_to_allow`` histograms), critical
+  paths, and SLO evaluation over ``run --json`` reports.
+* :mod:`repro.obs.diff` -- ``repro diff``: per-site alignment of two
+  traces, the first divergence, its kind, and the causal chain into it.
+* :mod:`repro.obs.provenance` -- *why* is an event parked, fired or
+  dead?  One assembly serves ``DistributedScheduler.explain(event)``
+  (live, from the settlement record) and ``repro explain TRACE EVENT``
+  (offline, Lamport-stamped from the trace).
+* :mod:`repro.obs.snapshot` -- consistent global snapshots read between
+  two simulator steps, and :func:`~repro.obs.snapshot.check_snapshot`.
+* :mod:`repro.obs.export` / :mod:`repro.obs.prom` -- Chrome-trace and
+  Prometheus exports (``repro trace export``, ``run --prom``,
+  ``repro prom lint``).
+* :mod:`repro.obs.merge` -- per-shard traces and reports merged into
+  artifacts the same readers accept.
+* :mod:`repro.obs.profile` / :mod:`repro.obs.timeseries` -- the span
+  profiler (an unprofiled run holds none) and sim-time gauge series.
+* :mod:`repro.obs.recorder` -- the flight recorder: the one tracer with
+  bounded storage, whose dumped window starts with a header the readers
+  understand.
 * :mod:`repro.obs.registry` -- the cross-run regression registry
-  (``repro runs ...``): a content-addressed ``.repro/runs/`` store of
-  reports, traces, and profiles, with ``compare`` (reusing the
-  differ) and ``regress`` (indicator trending against the best stored
-  baseline, optionally SLO-gated).
+  (``repro runs ...``).
 """
 
 from repro.obs.check import Diagnostic, check_file, check_records

@@ -61,12 +61,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.obs.tracer import open_trace
+from repro.obs.tracer import OCCURRED_OPS, base_name, open_trace
 
 _ENVELOPE = ("lc", "t", "site", "cat", "op")
-
-#: actor ops that mean "this event is now part of the trace"
-_OCCURRED_OPS = ("fired", "accepted")
 
 
 @dataclass(frozen=True)
@@ -79,11 +76,6 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"record {self.index}: [{self.code}] {self.detail}"
-
-
-def _base(event_repr: str) -> str:
-    """Base event name: ``~e`` and ``e`` share a base (complements)."""
-    return event_repr[1:] if event_repr.startswith("~") else event_repr
 
 
 def check_records(records: Iterable[dict]) -> list[Diagnostic]:
@@ -201,8 +193,8 @@ def check_records(records: Iterable[dict]) -> list[Diagnostic]:
                 attempted.add(event)
             elif op == "forced":
                 guard_fire_ok.add((site, event))
-            if op in _OCCURRED_OPS and isinstance(event, str):
-                base = _base(event)
+            if op in OCCURRED_OPS and isinstance(event, str):
+                base = base_name(event)
                 if base in occurred:
                     first_index, first_event = occurred[base]
                     what = ("its complement " + first_event
@@ -236,7 +228,7 @@ def occurred_events(records: Iterable[dict]) -> list[str]:
         for record in records
         if isinstance(record, dict)
         and record.get("cat") == "actor"
-        and record.get("op") in _OCCURRED_OPS
+        and record.get("op") in OCCURRED_OPS
         and isinstance(record.get("event"), str)
     ]
 

@@ -47,11 +47,11 @@ differential Hypothesis harnesses call on failure) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Mapping, Sequence
 
 from repro.obs.query import causal_chain, chain_segments
-from repro.obs.tracer import read_jsonl
+from repro.obs.tracer import SETTLEMENT_OPS, index_trace, read_jsonl
 
 __all__ = ["Divergence", "TraceDiff", "diff_traces", "diff_files"]
 
@@ -146,23 +146,13 @@ class TraceDiff:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        def div(d: Divergence | None):
-            if d is None:
-                return None
-            return {
-                "site": d.site, "position": d.position, "kind": d.kind,
-                "detail": d.detail, "t": d.t, "event": d.event,
-                "record_a": d.record_a, "record_b": d.record_b,
-                "index_a": d.index_a, "index_b": d.index_b,
-            }
-
         return {
             "identical": self.identical,
             "records_a": self.records_a,
             "records_b": self.records_b,
-            "first": div(self.first),
+            "first": asdict(self.first) if self.first is not None else None,
             "divergences": [
-                div(d)
+                asdict(d)
                 for d in sorted(self.divergences, key=lambda d: (d.t, d.site))
             ],
             "chain": self.chain,
@@ -171,7 +161,7 @@ class TraceDiff:
 
 def _render(record: Mapping) -> str:
     parts = [f"t={record.get('t')}", f"{record.get('cat')}/{record.get('op')}"]
-    for key in ("event", "kind", "src", "dst", "verdict", "round_id", "snap_id"):
+    for key in ("event", "kind", "src", "dst", "verdict", "round_id"):
         if key in record:
             parts.append(f"{key}={record[key]}")
     return " ".join(parts)
@@ -180,19 +170,6 @@ def _render(record: Mapping) -> str:
 def canonical(record: Mapping) -> dict:
     """The record minus its volatile fields (see :data:`VOLATILE_FIELDS`)."""
     return {k: v for k, v in record.items() if k not in VOLATILE_FIELDS}
-
-
-def _streams(records: Sequence[Mapping]) -> dict[str, list[int]]:
-    """Per-site record-index streams, skipping recorder window headers."""
-    streams: dict[str, list[int]] = {}
-    for idx, r in enumerate(records):
-        if not isinstance(r, Mapping) or r.get("cat") == "recorder":
-            continue
-        site = r.get("site")
-        if not isinstance(site, str):
-            raise ValueError(f"record {idx} has no site: {r!r}")
-        streams.setdefault(site, []).append(idx)
-    return streams
 
 
 def _retimed_only(ca: Mapping, cb: Mapping) -> bool:
@@ -221,7 +198,7 @@ def _classify(
         if cat == "fault":
             return ("crash_schedule_mismatch",
                     f"only trace {side} records a {op} here")
-        if cat == "actor" and op in ("fired", "accepted", "forced", "dead"):
+        if cat == "actor" and op in SETTLEMENT_OPS:
             return ("settlement_mismatch",
                     f"only trace {side} records {extra.get('event')} {op}")
         if cat == "message":
@@ -273,7 +250,7 @@ def _classify(
     if cat_a == "actor" or cat_b == "actor":
         ops = {ca.get("op"), cb.get("op")}
         events = {ca.get("event"), cb.get("event")}
-        if ops & {"fired", "accepted", "rejected", "forced", "dead"} or (
+        if ops & SETTLEMENT_OPS or (
             cat_a == cat_b == "actor" and len(events) > 1
         ):
             return ("settlement_mismatch",
@@ -293,8 +270,8 @@ def diff_traces(
     Raises :class:`ValueError` when either input is unusable (records
     without a ``site`` field); two empty traces are identical.
     """
-    streams_a = _streams(records_a)
-    streams_b = _streams(records_b)
+    streams_a = index_trace(records_a)[0]
+    streams_b = index_trace(records_b)[0]
     divergences: list[Divergence] = []
 
     for site in sorted(set(streams_a) | set(streams_b)):

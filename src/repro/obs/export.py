@@ -20,7 +20,9 @@ the viewer's units are then "simulated seconds as microseconds".
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Sequence
+
+from repro.obs.tracer import index_trace
 
 _US = 1_000_000  # virtual seconds -> display microseconds
 
@@ -32,11 +34,11 @@ def _args(record: dict) -> dict:
     return args
 
 
-def to_chrome(records: Iterable[dict]) -> dict[str, Any]:
+def to_chrome(records: Sequence[dict]) -> dict[str, Any]:
     """Convert trace records to a Chrome/Perfetto trace-event dict."""
     events: list[dict] = []
     pids: dict[str, int] = {}
-    sends: dict[int, dict] = {}
+    sends = index_trace(records)[1]
 
     def pid(site: str) -> int:
         if site not in pids:
@@ -60,14 +62,13 @@ def to_chrome(records: Iterable[dict]) -> dict[str, Any]:
         }
 
         if cat == "message" and op == "send":
-            sends[record["mid"]] = record
             events.append({**base, "ph": "i", "s": "t",
                            "name": f"send {record['kind']} -> {record['dst']}"})
         elif cat == "message" and op == "recv":
             events.append({**base, "ph": "i", "s": "t",
                            "name": f"recv {record['kind']} <- {record['src']}"})
-            send = sends.get(record["mid"])
-            if send is not None:
+            if record["mid"] in sends:
+                send = records[sends[record["mid"]]]
                 flow = {"cat": "message", "name": record["kind"],
                         "id": record["mid"]}
                 events.append({**flow, "ph": "s", "pid": pid(send["site"]),

@@ -65,8 +65,10 @@ def _content_id(
     """Hash the run's deterministic content.
 
     The trace is the strongest identity; the result core (timeline,
-    violations, unsettled, makespan, messages) covers untraced runs.  Metrics are excluded -- they embed the
-    recorder/ring bookkeeping and wall-clock histograms.
+    violations, unsettled, makespan, messages) covers untraced runs.
+    Metrics are left out: their histograms are sim-time and their counts
+    follow from the run the trace and result core already identify, so
+    they would add only the flight recorder's ring bookkeeping.
     """
     core = {
         "config": config or {},
@@ -319,9 +321,9 @@ class RunRegistry:
                 })
                 continue
             best = min(history)
-            # a relative band plus an absolute epsilon so a zero
-            # baseline (0 violations) still tolerates nothing
-            limit = best * (1.0 + tolerance) + (0.0 if best else 0.0)
+            # a relative band: a zero best (0 violations) tolerates
+            # nothing
+            limit = best * (1.0 + tolerance)
             ok = value <= limit
             regressed = regressed or not ok
             rows.append({

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.obs.check import Diagnostic
+from repro.obs.tracer import base_name, index_trace
 from repro.temporal.cubes import C_OCC, E_OCC
 
 
@@ -78,41 +79,36 @@ class Snapshot:
 # ----------------------------------------------------------------------
 # consistency checking
 
-def _base_name(event_name: str) -> str:
-    return event_name[1:] if event_name.startswith("~") else event_name
-
-
-def _settled_facts(state: dict) -> dict[str, str]:
-    """base -> signed event name, from every settled fact a recorded
-    site state holds (actor statuses, knowledge masks, settlement log,
-    monitor observations)."""
+def _settled_facts(state: dict) -> tuple[dict[str, str], list[tuple]]:
+    """``(facts, conflicts)``: base -> signed event name, from every
+    settled fact a recorded site state holds (actor statuses, knowledge
+    masks, settlement log, monitor observations), and each
+    ``(base, first, other, where)`` that contradicts an earlier one."""
     facts: dict[str, str] = {}
+    conflicts: list[tuple] = []
 
-    def put(base: str, signed: str, where: str, conflicts: list) -> None:
-        if base in facts and facts[base] != signed:
+    def put(base: str, signed: str, where: str) -> None:
+        if facts.setdefault(base, signed) != signed:
             conflicts.append((base, facts[base], signed, where))
-        facts.setdefault(base, signed)
 
-    conflicts: list = []
     for event_name, actor in state.get("actors", {}).items():
-        base = _base_name(event_name)
+        base = base_name(event_name)
         if actor.get("status") == "occurred":
-            put(base, event_name, "actor", conflicts)
+            put(base, event_name, "actor")
         elif actor.get("status") == "dead":
             comp = base if event_name.startswith("~") else "~" + base
-            put(base, comp, "actor", conflicts)
+            put(base, comp, "actor")
         for k_base, mask in actor.get("knowledge", {}).items():
             if mask == E_OCC:
-                put(k_base, k_base, "knowledge", conflicts)
+                put(k_base, k_base, "knowledge")
             elif mask == C_OCC:
-                put(k_base, "~" + k_base, "knowledge", conflicts)
+                put(k_base, "~" + k_base, "knowledge")
     for base, signed in state.get("settled", {}).items():
-        put(base, signed, "settlement", conflicts)
+        put(base, signed, "settlement")
     for monitor in state.get("monitors", []):
         for signed in monitor.get("settled", []):
-            put(_base_name(signed), signed, "monitor", conflicts)
-    facts["__conflicts__"] = conflicts  # type: ignore[assignment]
-    return facts
+            put(base_name(signed), signed, "monitor")
+    return facts, conflicts
 
 
 def check_snapshot(
@@ -139,8 +135,7 @@ def check_snapshot(
     per_site: dict[str, dict[str, str]] = {}
     global_facts: dict[str, tuple[str, str]] = {}
     for site, state in sorted(snap.get("sites", {}).items()):
-        facts = _settled_facts(state)
-        conflicts = facts.pop("__conflicts__", [])
+        facts, conflicts = _settled_facts(state)
         for base, old, new, where in conflicts:
             diags.append(Diagnostic(
                 index, "snapshot-conflict",
@@ -159,26 +154,20 @@ def check_snapshot(
             global_facts.setdefault(base, (signed, site))
     if records:
         cut = snap.get("cut", {})
-        fired: dict[str, dict] = {}
-        for record in records:
-            if (
-                record.get("cat") == "actor"
-                and record.get("op") in ("fired", "accepted", "forced")
-            ):
-                fired.setdefault(record.get("event"), record)
+        occurred = index_trace(records)[2]
         for site, facts in per_site.items():
             if cut.get(site) is None:
                 continue
-            for base, signed in facts.items():
-                origin = fired.get(signed)
-                if origin is None:
+            for signed in facts.values():
+                if signed not in occurred:
                     diags.append(Diagnostic(
                         index, "snapshot-causal",
                         f"site {site} records {signed} settled but the "
                         f"trace has no firing of it",
                     ))
                     continue
-                origin_cut = cut.get(origin.get("site"))
+                origin = records[occurred[signed]]
+                origin_cut = cut.get(origin["site"])
                 if origin_cut is not None and origin["lc"] > origin_cut:
                     diags.append(Diagnostic(
                         index, "snapshot-cut",

@@ -38,13 +38,30 @@ time (that is the profiler's, :mod:`repro.obs.profile`), so two runs
 of one seed write byte-identical traces.  A :class:`Tracer` keeps every
 record; the bounded window of a long run is
 :class:`~repro.obs.recorder.FlightRecorder`'s.
+
+Every offline reader takes what a record means from here:
+:data:`OCCURRED_OPS`, :data:`SETTLEMENT_OPS`, :func:`base_name` and
+the one trace index, :func:`index_trace`.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping, Sequence
+
+#: actor ops that mean "the event occurred": a role's firing in the
+#: distributed scheduler, the center's acceptance in the centralized one
+#: (each scheduler's ``SETTLED_OP``)
+OCCURRED_OPS = frozenset({"fired", "accepted"})
+
+#: actor ops that settle an attempt one way or the other
+SETTLEMENT_OPS = OCCURRED_OPS | {"forced", "rejected", "dead"}
+
+
+def base_name(name: str) -> str:
+    """The base of a signed event name: ``e`` and ``~e`` share ``e``."""
+    return name[1:] if name.startswith("~") else name
 
 
 def open_trace(path, mode: str = "r"):
@@ -314,3 +331,32 @@ def read_jsonl(path) -> list[dict]:
                 f"records (truncated trace?): {exc}"
             ) from exc
     return records
+
+
+def index_trace(
+    records: Sequence[Mapping],
+) -> tuple[dict[str, list[int]], dict[int, int], dict[str, int]]:
+    """One pass over a trace: ``(streams, sends, occurred)``.
+
+    ``streams`` maps each site to the indices of its records in
+    recording order (its Lamport order); a flight-recorder window header
+    belongs to no site's stream.  ``sends`` maps a message id to the
+    index of its ``send`` record, ``occurred`` a signed event name to
+    the index of its first occurrence record.  Raises
+    :class:`ValueError` naming a record that has no site."""
+    streams: dict[str, list[int]] = {}
+    sends: dict[int, int] = {}
+    occurred: dict[str, int] = {}
+    for idx, r in enumerate(records):
+        if not isinstance(r, Mapping) or r.get("cat") == "recorder":
+            continue
+        site = r.get("site")
+        if not isinstance(site, str):
+            raise ValueError(f"record {idx} has no site: {r!r}")
+        streams.setdefault(site, []).append(idx)
+        cat, op = r.get("cat"), r.get("op")
+        if cat == "message" and op == "send":
+            sends.setdefault(r.get("mid"), idx)
+        elif cat == "actor" and op in OCCURRED_OPS:
+            occurred.setdefault(r.get("event"), idx)
+    return streams, sends, occurred

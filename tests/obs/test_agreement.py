@@ -4,14 +4,19 @@ say.  Every lifecycle event has one reporting method
 (``repro.scheduler.base.RunBase``) and every transport layer one
 note-call, so the recorders cannot drift apart; this table holds them
 to it on the paper's examples, on both schedulers, clean and under
-chaos."""
+chaos.  Every offline reader of the trace finds the same occurrences
+the result holds, whichever op (``fired`` or ``accepted``) records
+them."""
 
 import random
 from collections import Counter
 
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import Tracer, critical_path, histogram_cross_check
+from repro.obs.check import occurred_events
+from repro.obs.provenance import explain_records
+from repro.obs.query import attempt_to_fire
 from repro.scheduler import CentralizedScheduler, DistributedScheduler
 from repro.sim import FaultPlan, SiteCrash
 from repro.workloads.scenarios import make_mutex_scenario, make_travel_booking
@@ -59,9 +64,8 @@ def _counter(report, name):
     return report["counters"].get(name, {"total": 0})["total"]
 
 
-@pytest.mark.parametrize("scheduler", [DistributedScheduler, CentralizedScheduler])
-@pytest.mark.parametrize("name,make,chaos", RUNS, ids=[run[0] for run in RUNS])
-def test_counters_equal_their_trace_records(name, make, chaos, scheduler):
+def _traced_run(make, chaos, scheduler):
+    """``(scheduler, result, trace records)`` of one settled run."""
     if chaos and scheduler is CentralizedScheduler:
         pytest.skip("the center runs on the clean fabric only")
     scenario = make()
@@ -76,7 +80,22 @@ def test_counters_equal_their_trace_records(name, make, chaos, scheduler):
     )
     result = sched.run(scenario.scripts)
     assert not result.unsettled
-    records = Counter((r["cat"], r["op"]) for r in tracer.records)
+    return sched, result, tracer.records
+
+
+SCHEDULERS = pytest.mark.parametrize(
+    "scheduler", [DistributedScheduler, CentralizedScheduler]
+)
+SCENARIOS = pytest.mark.parametrize(
+    "name,make,chaos", RUNS, ids=[run[0] for run in RUNS]
+)
+
+
+@SCHEDULERS
+@SCENARIOS
+def test_counters_equal_their_trace_records(name, make, chaos, scheduler):
+    sched, result, trace = _traced_run(make, chaos, scheduler)
+    records = Counter((r["cat"], r["op"]) for r in trace)
     report = sched.metrics_report()
 
     expected = dict(COUNTERS)
@@ -105,3 +124,23 @@ def test_counters_equal_their_trace_records(name, make, chaos, scheduler):
                       "dedup_discards", "crash_lost", "session_resets"):
             assert report["network"][field] > 0, field
         assert result.triggered > 0
+
+
+@SCHEDULERS
+@SCENARIOS
+def test_offline_readers_find_the_entries(name, make, chaos, scheduler):
+    sched, result, records = _traced_run(make, chaos, scheduler)
+    entries = [repr(entry.event) for entry in result.entries]
+    assert entries
+    assert occurred_events(records) == entries
+    latencies = attempt_to_fire(records)
+    assert sorted(latencies) == sorted(entries)
+    for entry in result.entries:
+        event = repr(entry.event)
+        (fire,) = latencies[event]
+        assert fire["fired_at"] == entry.time
+        assert fire["latency"] == entry.time - entry.attempted_at
+        assert critical_path(records, event=event)[-1]["to_t"] == entry.time
+        assert explain_records(records, event).status == "occurred"
+    assert critical_path(records)[-1]["to_t"] == result.entries[-1].time
+    assert histogram_cross_check(records, sched.metrics_report()) == []

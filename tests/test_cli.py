@@ -937,6 +937,25 @@ class TestTraceQuery:
         assert main(["trace", "query", trace, "--critical-path"]) == 0
         assert "critical path" in capsys.readouterr().out
 
+    def test_centralized_trace_answers_both_queries(
+        self, travel_spec, tmp_path, capsys
+    ):
+        """The center records ``accepted`` where an actor records
+        ``fired``; both are occurrences to every query."""
+        trace = str(tmp_path / "central.jsonl")
+        assert main([
+            "run", travel_spec, "--scheduler", "centralized",
+            "--attempt", "s_book=0", "--trace", trace,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["trace", "query", trace, "--latencies", "--json"]) == 0
+        latencies = json.loads(capsys.readouterr().out)["latencies"]
+        assert sorted(latencies) == [
+            "s_book", "~c_book", "~c_buy", "~s_buy", "~s_cancel",
+        ]
+        assert main(["trace", "query", trace, "--critical-path"]) == 0
+        assert "center" in capsys.readouterr().out
+
     def test_empty_trace_exits_one(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
