@@ -13,6 +13,8 @@ from repro.obs.provenance import (
 )
 from repro.obs import provenance
 from repro.obs.tracer import Tracer
+from repro.scheduler import EventAttributes
+from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.scheduler.guard_scheduler import DistributedScheduler
 from repro.temporal.cubes import (
     C_OCC,
@@ -296,6 +298,34 @@ class TestOfflineExplain:
         sched.run(scenario.scripts)
         explanation = explain_records(sched.tracer.records, "c_buy")
         assert explanation.status == "occurred"
+
+    def test_forced_fact_originates_at_its_occurrence(self):
+        # a nonrejectable a is forced against ~a: its ``forced`` record
+        # comes one record before its ``fired``, and the fired one is
+        # the occurrence b's justification names
+        a, b = Event("a"), Event("b")
+        tracer = Tracer()
+        sched = DistributedScheduler(
+            [parse("~a"), parse("~b + a . b")],
+            attributes={a: EventAttributes(rejectable=False)},
+            sites={a: "x", b: "y"},
+            tracer=tracer,
+        )
+        sched.run([
+            AgentScript("x", [ScriptedAttempt(0.0, a)]),
+            AgentScript("y", [ScriptedAttempt(5.0, b)]),
+        ])
+        (fired,) = [
+            r for r in tracer.records
+            if r["cat"] == "actor" and r["event"] == "a"
+            and r["op"] == "fired"
+        ]
+        assert any(
+            r["op"] == "forced" and r["lc"] < fired["lc"]
+            for r in tracer.records if r["cat"] == "actor"
+        )
+        (fact,) = explain_records(tracer.records, "b").justifications
+        assert (fact["origin"], fact["lc"]) == ("a", fired["lc"])
 
     def test_offline_unknown_event_raises(self):
         with pytest.raises(KeyError):

@@ -145,6 +145,23 @@ class TestHistogramCrossCheck:
         problems = histogram_cross_check(records, broken)
         assert problems and "sum" in problems[0]
 
+    def test_detects_a_misplaced_attempt_record(self, traced):
+        # the latencies pair each fired record with its attempted
+        # record, not with the wait the histogram observed, so a wrong
+        # attempt time shows
+        _, records, metrics = traced
+        import copy
+
+        broken = copy.deepcopy(records)
+        fired = {r["event"] for r in broken if r.get("op") == "fired"}
+        attempt = next(
+            r for r in broken
+            if r.get("op") == "attempted" and r["event"] in fired
+        )
+        attempt["t"] -= 0.5
+        problems = histogram_cross_check(broken, metrics)
+        assert any("sum" in problem for problem in problems)
+
     def test_empty_trace_with_no_histogram_is_clean(self):
         assert histogram_cross_check([], {}) == []
 
