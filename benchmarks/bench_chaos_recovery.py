@@ -9,7 +9,8 @@ drop rate), with and without a mid-run site crash, and records:
 * recovery latency after a crash (restart -> solicitation complete).
 
 The assertions pin the qualitative claims recorded in EXPERIMENTS.md:
-the session layer is invisible at drop=0 beyond ack traffic, and at
+the session layer is invisible at drop=0 beyond ack traffic (fewer
+acks than inter-site payloads: one per session per instant), and at
 drop=0.3 with a crash the scenario still settles every base.
 """
 
@@ -82,7 +83,7 @@ def test_bench_crash_recovery(benchmark, drop):
     recovery = metrics["histograms"]["recovery_latency"]["total"]
     print(
         f"\n[chaos drop={drop:.1f} +crash] makespan={result.makespan:.1f} "
-        f"messages={network['messages']} "
+        f"messages={network['messages']} acks={network['acks_sent']} "
         f"retransmits={network['retransmits']} "
         f"recovery={recovery['max']:.1f}"
     )
@@ -101,6 +102,9 @@ def test_bench_raw_vs_reliable_baseline(benchmark):
         en.event for en in wrapped.entries
     ]
     network = sched.metrics_report()["network"]
-    # overhead is pure ack traffic: every inter-site payload acked once
-    assert network["acks_sent"] > 0
+    # overhead is pure ack traffic, and a session acks once per instant
+    # whatever number of payloads landed on it then: fewer acks than
+    # inter-site payloads
+    payloads = network["inter_site"] - network["acks_sent"]
+    assert 0 < network["acks_sent"] < payloads
     assert network["retransmits"] == 0

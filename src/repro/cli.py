@@ -95,7 +95,6 @@ from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.sim.network import ConstantLatency, UniformLatency
 from repro.temporal.guards import guard as synthesize_guard
 from repro.viz import (
-    automaton_to_dot,
     dependency_to_dot,
     guards_to_text,
     result_to_text,

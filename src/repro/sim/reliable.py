@@ -10,7 +10,8 @@ with sequence numbers, cumulative acks, and timeout retransmission:
   and a per-session sequence number;
 * the receiver delivers strictly in sequence order, buffering
   out-of-order arrivals and discarding duplicates, and acknowledges
-  cumulatively (the highest in-order sequence delivered);
+  once per session per instant, at its end and cumulatively (the
+  highest in-order sequence delivered by then);
 * the sender retransmits unacknowledged payloads on a timeout with
   capped exponential backoff, up to ``max_retries`` (a bounded channel
   -- exhaustion is counted, never silent);
@@ -53,11 +54,11 @@ class _Pending:
 
 class _Session:
     """All state of one ``(src, dst)`` channel, both ends: the sender's
-    next sequence number and unacknowledged payloads by sequence
-    number, the receiver's next expected sequence number and its
-    out-of-order arrivals ``seq -> (payload, handler)``."""
+    next sequence number and unacknowledged payloads by it, the
+    receiver's next expected one, its out-of-order arrivals ``seq ->
+    (payload, handler)`` and whether it owes an ack this instant."""
 
-    __slots__ = ("epoch", "next_seq", "unacked", "expected", "buffer")
+    __slots__ = "epoch", "next_seq", "unacked", "expected", "buffer", "owed"
 
     def __init__(self, epoch: int = 0) -> None:
         self.epoch = epoch
@@ -65,6 +66,7 @@ class _Session:
         self.unacked: dict[int, _Pending] = {}
         self.expected = 1
         self.buffer: dict[int, tuple[Any, Callable[[Any], None]]] = {}
+        self.owed = False
 
 
 class ReliableNetwork:
@@ -72,9 +74,10 @@ class ReliableNetwork:
 
     A payload crosses the fabric as one packet, ``(key, epoch, seq,
     kind, payload, handler)``, handed to :meth:`_deliver`; an ack is
-    ``(key, epoch, upto)`` to :meth:`_on_ack`, and a retransmission
-    timer is the heap entry ``(time, seq, _on_timeout, key, epoch,
-    seq)``.  The four handlers are bound once, at construction, so no
+    ``(key, epoch, upto)`` to :meth:`_on_ack`, sent by the zero-delay
+    entry ``(time, seq, _flush_ack, key, session)``, and a
+    retransmission timer is ``(time, seq, _on_timeout, key, epoch,
+    seq)``.  The five handlers are bound once, at construction, so no
     function object is built per message or per timer.  Each ``(src,
     dst)`` channel is one :class:`_Session`, made on its first send.
 
@@ -88,9 +91,8 @@ class ReliableNetwork:
         (and retransmitted until the site returns or retries exhaust).
     """
 
-    #: initial retransmission timeout: a small multiple of the fabric's
-    #: round trip (too small wastes duplicates, too large stretches
-    #: recovery)
+    #: initial retransmission timeout, a small multiple of the round trip:
+    #: too small wastes duplicates, too large stretches recovery
     timeout = 4.0
     #: backoff factor per retry, and the cap that keeps a long crash
     #: window from pushing the next probe arbitrarily far
@@ -101,8 +103,7 @@ class ReliableNetwork:
     #: Toward a site that is down for good that is the expected end
     #: (its bases end the run unsettled); any other give-up is a lost
     #: message, kept in :attr:`lost` for the scheduler to report as a
-    #: violation.  A test that needs other values sets them on the
-    #: instance.
+    #: violation.  A test that needs other values sets them on its own.
     max_retries = 20
 
     def __init__(self, network: Network, faults: FaultInjector | None = None):
@@ -122,6 +123,7 @@ class ReliableNetwork:
         self._deliver_local = self._deliver_local
         self._on_timeout = self._on_timeout
         self._on_ack = self._on_ack
+        self._flush_ack = self._flush_ack
 
     def _note(self, counter: str, site: str, op: str, **fields) -> None:
         """The session layer reports an event here and nowhere else:
@@ -160,10 +162,9 @@ class ReliableNetwork:
             self._note("crash_lost", src, "crash_lost", dst=dst, kind=kind)
             return
         if src == dst:
-            # intra-site hand-off: reliable by definition, but a down
-            # site executes nothing -- checked again at delivery time,
-            # since the site may crash while the message is in flight
-            # (both endpoints die together; recovery rebuilds)
+            # intra-site hand-off: reliable by definition, but a down site
+            # executes nothing -- checked again at delivery, since the site
+            # may crash in between (both ends die together; recovery rebuilds)
             self.net.send(
                 src, dst, kind, (dst, kind, payload, handler),
                 self._deliver_local,
@@ -210,13 +211,10 @@ class ReliableNetwork:
                 "retransmit_giveups", src, "giveup",
                 dst=dst, kind=pending.kind, seq=seq, retries=pending.retries,
             )
-            faults = self.faults
-            gone_for_good = (
-                faults is not None
-                and faults.is_down(dst)
-                and faults.restart_time(dst) is None
-            )
-            if not gone_for_good:
+            faults = self.faults  # a site down for good: the expected end
+            if faults is None or not faults.is_down(dst) or (
+                faults.restart_time(dst) is not None
+            ):
                 self.lost.append((src, dst, pending.kind, seq))
             return
         pending.retries += 1
@@ -235,8 +233,7 @@ class ReliableNetwork:
     # receiving
 
     def _deliver_local(self, packet: tuple) -> None:
-        """An intra-site hand-off ``(site, kind, payload, handler)``
-        arrives."""
+        """An intra-site hand-off ``(site, kind, payload, handler)`` lands."""
         site, kind, payload, handler = packet
         if self.faults is not None and self.faults.is_down(site):
             self._note("crash_lost", site, "crash_lost", dst=site)
@@ -245,7 +242,7 @@ class ReliableNetwork:
 
     def _deliver(self, packet: tuple) -> None:
         """A payload packet ``(key, epoch, seq, kind, payload, handler)``
-        arrives: dedup, release in sequence order, ack."""
+        arrives: dedup, release in sequence order, owe an ack."""
         key, epoch, seq, kind, payload, handler = packet
         src, dst = key
         if self.faults is not None and self.faults.is_down(dst):
@@ -275,10 +272,22 @@ class ReliableNetwork:
                 payload, handler = buffer.pop(expected)
                 session.expected = expected = expected + 1
                 handler(payload)
-        # the ack is cumulative: the highest sequence number released
+        # a duplicate owes one too: the ack it answers may have been lost
+        if not session.owed:
+            session.owed = True
+            self.sim.schedule(0.0, self._flush_ack, key, session)
+
+    def _flush_ack(self, key: tuple[str, str], session: _Session) -> None:
+        """Send the one cumulative ack ``session`` owes this instant."""
+        session.owed = False
+        src, dst = key
+        if self._sessions[key] is not session:
+            return  # re-established since: the fresh epoch owes nothing
+        if self.faults is not None and self.faults.is_down(dst):
+            return  # the receiver crashed since: the sender retransmits
         self.stats.acks_sent += 1
         self.net.send(
-            dst, src, ACK_KIND, (key, epoch, session.expected - 1),
+            dst, src, ACK_KIND, (key, session.epoch, session.expected - 1),
             self._on_ack,
         )
 
@@ -299,9 +308,10 @@ class ReliableNetwork:
                 src=dst, kind=ACK_KIND, upto=upto, epoch=epoch,
             )
             return
-        unacked = session.unacked
-        for seq in [s for s in unacked if s <= upto]:
-            self.sim.cancel(unacked.pop(seq).timer)
+        unacked = session.unacked  # in seq order; a give-up leaves a gap
+        for seq in range(next(iter(unacked), upto + 1), upto + 1):
+            if (pending := unacked.pop(seq, None)) is not None:
+                self.sim.cancel(pending.timer)
 
     # ------------------------------------------------------------------
     # crash recovery

@@ -177,7 +177,7 @@ ROWS = {
     "sc1_n16": (partial(travel, 16), counts(18.0, 561, 80, 165)),
     "sc1_n64": (partial(travel, 64), counts(18.0, 2389, 320, 665)),
     "sc1_n64_sharded": (partial(travel, 64, 4), counts(18.0, 2389, 320, 665)),
-    "sc5_chaos": (travel_chaos, counts(126.0, 238, 5)),
+    "sc5_chaos": (travel_chaos, counts(157.0, 172, 5)),
     **{f"sc7_mutex_n{n}_{placement}": (
         partial(mutex, n, placement), counts(8.0, messages, 2 * n, **cut))
        for n, messages in ((64, 1464), (256, 5880))

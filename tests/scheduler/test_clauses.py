@@ -19,7 +19,7 @@ from .explorer import check_schedule, settled_residual
 
 SETTLE_CLEAN = test_chaos_properties.TestChaosRegressions()
 SWEPT_AGAIN = test_chaos_properties.TestChaosRawNetwork()
-MUTEX = test_recovery.TestExample13Mutex()
+ONE_CRASH = test_explore.TestOneCrash()
 RECOVERY = test_recovery.TestRecoveryMechanics()
 PRUNING = test_explore.TestAnnouncePruning()
 
@@ -31,7 +31,7 @@ PINS = [
     ),
     (
         mutants.no_recovered_broadcast,
-        lambda: MUTEX.test_mutex_settles_after_crash("t2", 0),
+        lambda: ONE_CRASH.test_both_tasks_enter_after_any_one_crash("t2"),
     ),
     (
         mutants.no_reannounce,
@@ -39,11 +39,11 @@ PINS = [
     ),
     (
         mutants.no_round_abort,
-        lambda: MUTEX.test_mutex_settles_after_crash("t2", 0),
+        lambda: ONE_CRASH.test_both_tasks_enter_after_any_one_crash("t2"),
     ),
     (
         mutants.no_retry_at_restart,
-        lambda: MUTEX.test_mutex_settles_after_crash("t1", 0),
+        lambda: ONE_CRASH.test_both_tasks_enter_after_any_one_crash("t1"),
     ),
     (mutants.no_monitor_rebuild, monitor_twin),
     (

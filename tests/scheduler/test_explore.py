@@ -77,7 +77,8 @@ class TestExplorer:
     def test_session_payloads_and_acks_report_their_channels(self):
         """The FIFO-head rule reads each delivery's channel off its heap
         entry: a session payload travels a -> b, its ack b -> a, and
-        the retransmission timer is a plain callback."""
+        the retransmission timer and the ack's flush are plain
+        callbacks."""
         sim = ChoosingSimulator()
         session = ReliableNetwork(Network(sim))
         got = []
@@ -87,13 +88,22 @@ class TestExplorer:
         # two payloads, then their two timers (due later)
         assert channels == [("a", "b"), ("a", "b"), None, None]
         assert len(sim.enabled()) == 3  # the second payload waits
-        sim.step()  # the first payload lands and is acked
-        assert got == [1]
-        acks = [
-            sim._channels[seq] for _t, seq, _fn, *args in sorted(sim._heap)
-            if seq in sim._live and args and args[2] == "ack"
-        ]
-        assert acks == [("b", "a")]
+
+        def acks():
+            return [
+                (sim._channels[seq], args[3][2])
+                for _t, seq, _fn, *args in sorted(sim._heap)
+                if seq in sim._live and sim._channels[seq]
+                and args[2] == "ack"
+            ]
+
+        sim.step()  # the first payload lands; its session owes an ack
+        assert got == [1] and acks() == []
+        assert len(sim.enabled()) == 4  # the flush is one more choice
+        sim.step()  # the second lands in the same instant
+        assert got == [1, 2] and acks() == []
+        sim.step()  # the flush: one ack answers both
+        assert acks() == [(("b", "a"), 2)]
 
     def test_a_plain_timer_reports_no_channel(self):
         sim = ChoosingSimulator()
@@ -228,8 +238,8 @@ class TestOneCrash:
 
     @pytest.mark.parametrize(
         "scenario, schedules",
-        [(ex10, 11), (ex11, 15), (ex13, 55), (travel, 45)],
-        ids=lambda value: getattr(value, "__name__", value),
+        [(ex10, 13), (ex11, 21), (ex13, 53), (travel, 47)],
+        ids=["ex10", "ex11", "ex13", "travel"],
     )
     def test_one_crash_at_any_step(self, scenario, schedules):
         spec = scenario()
@@ -254,6 +264,26 @@ class TestOneCrash:
             with pytest.raises(ScheduleFailure) as failure:
                 explore(ex13(), bound=0, crash=planned_crash("cs_i1", 5.0))
         assert failure.value.property == "progress"
+
+    @pytest.mark.parametrize("first", ["t1", "t2"])
+    def test_both_tasks_enter_after_any_one_crash(self, first):
+        """Example 13 with task 1's site crashing at any step: each task
+        enters and leaves its critical section.  A crash can wipe the
+        certificate request task 1 deferred for task 2's round, so only
+        the ``Recovered`` it broadcasts at restart, and the round abort
+        it triggers, let task 2 ask again; and an attempt that reaches
+        the site while it is down is retried at its restart.  Without
+        any of the three the run still ends maximal, but the drain
+        settles the stranded entry negatively."""
+        scenario = make_mutex_scenario(first)
+        for step, run in enumerate(
+            one_crash_runs(scenario, planned_crash("task1"))
+        ):
+            occurred = {entry.event for entry in run.result.entries}
+            assert run.result.terminal == "maximal", step
+            assert scenario.expect_occur <= occurred, (
+                step, sorted(map(repr, scenario.expect_occur - occurred))
+            )
 
 
 def decisions(run, times: bool = True) -> tuple:

@@ -197,3 +197,84 @@ class TestCrashInteraction:
         rel.reset_site("b")  # bump epoch while the packet is in flight
         sim.run()
         assert net.stats.stale_session >= 1
+
+
+def _ack_spy(sim, net):
+    """Record ``(time, epoch, upto)`` of every ack handed to the fabric
+    (a dropped one too)."""
+    acks = []
+    send = net.send
+
+    def spy(src, dst, kind, payload, handler):
+        if kind == "ack":
+            _key, epoch, upto = payload
+            acks.append((sim.now, epoch, upto))
+        send(src, dst, kind, payload, handler)
+
+    net.send = spy
+    return acks
+
+
+class TestOneAckPerInstant:
+    """A session acks at most once per instant, at the end of it; the
+    ack is cumulative, so it answers every arrival of the instant."""
+
+    def test_three_arrivals_at_one_instant_get_one_ack(self):
+        sim, net, rel, _ = _rig()
+        acks = _ack_spy(sim, net)
+        got = []
+        for i in range(3):
+            rel.send("a", "b", "msg", i, got.append)  # all land at 1.0
+        sim.run()
+        assert got == [0, 1, 2]
+        assert acks == [(1.0, 0, 3)]
+        assert net.stats.acks_sent == 1
+        assert rel.in_flight() == 0
+
+    def test_an_ack_owed_at_a_reset_is_never_sent(self):
+        """The sender restarts between the arrival and the flush: the
+        fresh session (epoch 1) owes nothing, so no ack is sent."""
+        sim, net, rel, _ = _rig()
+        acks = _ack_spy(sim, net)
+        got = []
+        rel.send("a", "b", "msg", 1, got.append)
+        sim.step()  # the payload lands at 1.0; the flush is due at 1.0
+        assert got == [1] and sim.now == 1.0
+        rel.reset_site("a")
+        sim.run()
+        assert acks == []
+        assert net.stats.acks_sent == 0
+        assert rel.in_flight() == 0
+
+    def test_a_crash_between_arrival_and_flush_sends_no_ack(self):
+        """The receiver crashes at the instant it handled the payload,
+        after the arrival and before the flush: the ack dies with it,
+        and the payload is delivered again after the restart."""
+        plan = FaultPlan.of([SiteCrash("b", at=1.0, restart_at=5.0)])
+        sim, net, rel, faults = _rig(plan=plan)
+        faults.on_restart(rel.reset_site)
+        acks = _ack_spy(sim, net)
+        got = []
+        rel.send("a", "b", "msg", "x", got.append)
+        faults.arm()  # the crash is queued after the arrival at 1.0
+        sim.run()
+        # handled before the crash, again on the fresh session; the
+        # only ack answers the second delivery
+        assert got == ["x", "x"]
+        assert acks == [(6.0, 1, 1)]
+        assert rel.in_flight() == 0
+
+    def test_a_dropped_sole_ack_is_recovered_by_the_retransmit(self):
+        # seed 37 delivers the payload, drops its ack, then delivers
+        # the retransmission and the ack it owes
+        sim, net, rel, _ = _rig(drop=0.3, seed=37)
+        acks = _ack_spy(sim, net)
+        got = []
+        rel.send("a", "b", "msg", "x", got.append)
+        sim.run()
+        assert acks == [(1.0, 0, 1), (4.0, 0, 1)]
+        assert net.stats.by_kind["ack"] == 1  # the first one was dropped
+        assert net.stats.retransmits == 1
+        assert net.stats.dedup_discards == 1
+        assert got == ["x"]
+        assert rel.lost == [] and rel.in_flight() == 0
