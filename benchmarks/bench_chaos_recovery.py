@@ -10,7 +10,7 @@ drop rate), with and without a mid-run site crash, and records:
 
 The assertions pin the qualitative claims recorded in EXPERIMENTS.md:
 the session layer is invisible at drop=0 beyond ack traffic (fewer
-acks than inter-site payloads: one per session per instant), and at
+acks than site-to-site payloads: one per session per instant), and at
 drop=0.3 with a crash the scenario still settles every base.
 """
 
@@ -104,7 +104,7 @@ def test_bench_raw_vs_reliable_baseline(benchmark):
     network = sched.metrics_report()["network"]
     # overhead is pure ack traffic, and a session acks once per instant
     # whatever number of payloads landed on it then: fewer acks than
-    # inter-site payloads
-    payloads = network["inter_site"] - network["acks_sent"]
+    # site-to-site payloads
+    payloads = network["messages"] - network["acks_sent"]
     assert 0 < network["acks_sent"] < payloads
     assert network["retransmits"] == 0

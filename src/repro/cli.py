@@ -71,7 +71,8 @@ flight-recorder window that evicted actor records; ``trace query`` exits 1
 when the trace is empty, no record matches, or the requested analysis
 has no data; ``slo check`` exits 1 when any rule fails (a rule with no
 data fails closed); ``explain`` exits 1 when the event never appears
-in the trace; ``diff`` exits 0 when the traces are causally identical,
+in the trace; ``diff`` exits 0 when the traces are causally identical
+(with ``--decisions``: when every site decided the same),
 1 when they diverge (the first divergent event and its root-cause
 chain are printed), 2 when either trace is empty or unusable; ``runs
 compare`` follows ``diff``; ``runs regress`` exits 0 when the newest
@@ -462,6 +463,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument(
         "--json", action="store_true",
         help="machine-readable divergence report instead of text",
+    )
+    p_diff.add_argument(
+        "--decisions", action="store_true",
+        help="compare only each site's decision records (attempted, "
+        "parked, fired, rejected and the other settlements), so a "
+        "change that moves traffic but no decision diffs clean",
     )
 
     p_runs = sub.add_parser(
@@ -1469,12 +1476,13 @@ def _cmd_diff(args) -> int:
     naming the first divergent event per site, classifying the
     divergence, and printing the root-cause chain back through the
     causal machinery; 2 when either trace is empty, unreadable, or
-    structurally unusable.
+    structurally unusable.  ``--decisions`` compares only the decision
+    records (:func:`repro.obs.diff.decisions`) under the same contract.
     """
     from repro.obs.diff import diff_files
 
     try:
-        diff = diff_files(args.trace_a, args.trace_b)
+        diff = diff_files(args.trace_a, args.trace_b, args.decisions)
     except OSError as exc:
         print(f"cannot read: {exc}", file=sys.stderr)
         return 2
@@ -1486,8 +1494,9 @@ def _cmd_diff(args) -> int:
             (args.trace_a, diff.records_a), (args.trace_b, diff.records_b)
         ):
             if count == 0:
+                what = "decision records" if args.decisions else "records"
                 print(
-                    f"{path}: empty trace (no records); nothing to diff "
+                    f"{path}: empty trace (no {what}); nothing to diff "
                     "-- was the run traced?",
                     file=sys.stderr,
                 )

@@ -22,6 +22,14 @@ coherent:
     physical send order (the fabric is FIFO per channel; retransmits
     and duplicates are separate physical transmissions with fresh
     stamps, so this holds even under chaos);
+``handoff``
+    a ``send`` is a transmission between two sites and a ``handoff``
+    one within a site (``src == dst``), received at the instant it
+    was handed off;
+``addressee``
+    every ``recv`` is recorded at its message's ``dst``: a
+    transmission reaches the site it was addressed to, and whatever
+    it fans out to there lives at that site;
 ``double-fire``
     trace safety: no base event occurs twice, and never both ``e`` and
     its complement ``~e`` (Theorem 4.2's no-event-twice /
@@ -61,7 +69,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.obs.tracer import OCCURRED_OPS, base_name, open_trace
+from repro.obs.tracer import OCCURRED_OPS, SEND_OPS, base_name, open_trace
 
 _ENVELOPE = ("lc", "t", "site", "cat", "op")
 
@@ -138,11 +146,22 @@ def check_records(records: Iterable[dict]) -> list[Diagnostic]:
         site_clock[site] = max(prev, lc)
 
         # -- messages --------------------------------------------------
-        if cat == "message" and op == "send":
+        if cat == "message" and op in SEND_OPS:
             sends[record.get("mid")] = (index, record)
+            if (op == "handoff") != (record.get("src") == record.get("dst")):
+                diags.append(Diagnostic(
+                    index, "handoff",
+                    f"{op} of mid {record.get('mid')} from "
+                    f"{record.get('src')!r} to {record.get('dst')!r}: a "
+                    f"message within a site is a handoff, and only that"))
         elif cat == "message" and op == "recv":
             mid = record.get("mid")
             sent_lc = record.get("sent_lc")
+            if site != record.get("dst"):
+                diags.append(Diagnostic(
+                    index, "addressee",
+                    f"recv of mid {mid} recorded at {site!r}, not at its "
+                    f"dst {record.get('dst')!r}"))
             entry = sends.get(mid)
             if entry is None:
                 # below the window horizon the send may have been
@@ -165,6 +184,11 @@ def check_records(records: Iterable[dict]) -> list[Diagnostic]:
                         index, "causal",
                         f"recv of mid {mid} claims sent_lc={sent_lc} but send "
                         f"record {send_index} has lc={send['lc']}"))
+                if send["op"] == "handoff" and send["t"] != record["t"]:
+                    diags.append(Diagnostic(
+                        index, "handoff",
+                        f"handoff of mid {mid} at t={send['t']} received "
+                        f"at t={record['t']}"))
             if isinstance(sent_lc, int) and lc <= sent_lc:
                 diags.append(Diagnostic(
                     index, "causal",

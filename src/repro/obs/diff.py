@@ -42,7 +42,9 @@ Library entry points: :func:`diff_traces` over record lists (what the
 differential Hypothesis harnesses call on failure) and
 :func:`diff_files` over JSONL paths (gzip transparent).  The CLI
 ``repro diff a b`` maps the result onto exit codes 0 (identical),
-1 (divergent), 2 (unusable input).
+1 (divergent), 2 (unusable input).  ``repro diff --decisions`` compares
+only each site's decision records (:func:`decisions`), so a change
+that moves traffic but no decision diffs clean.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Mapping, Sequence
 from repro.obs.query import causal_chain, chain_segments
 from repro.obs.tracer import SETTLEMENT_OPS, index_trace, read_jsonl
 
-__all__ = ["Divergence", "TraceDiff", "diff_traces", "diff_files"]
+__all__ = ["Divergence", "TraceDiff", "decisions", "diff_traces", "diff_files"]
 
 #: fields dropped before comparing records: Lamport bookkeeping whose
 #: absolute values shift with any earlier event, and the wall-clock
@@ -63,6 +65,10 @@ VOLATILE_FIELDS = frozenset({"lc", "sent_lc", "mid", "elapsed"})
 #: how far ahead to look for a swapped record pair when classifying
 #: a message reorder
 REORDER_LOOKAHEAD = 8
+
+#: the actor ops that record a decision: an attempt, a park, and every
+#: way an attempt settles
+DECISION_OPS = frozenset({"attempted", "parked"}) | SETTLEMENT_OPS
 
 
 @dataclass(frozen=True)
@@ -336,10 +342,23 @@ def diff_traces(
     )
 
 
-def diff_files(path_a, path_b) -> TraceDiff:
-    """Diff two JSONL trace files (gzip transparent).
+def decisions(records: Sequence[Mapping]) -> list[Mapping]:
+    """The decision records of a trace (:data:`DECISION_OPS`), in
+    order: what a run decided, without the traffic that led there."""
+    return [
+        r for r in records
+        if r.get("cat") == "actor" and r.get("op") in DECISION_OPS
+    ]
+
+
+def diff_files(path_a, path_b, decisions_only: bool = False) -> TraceDiff:
+    """Diff two JSONL trace files (gzip transparent), whole or only
+    their :func:`decisions`.
 
     Raises :class:`ValueError` for unparsable traces and propagates
     :class:`OSError` for unreadable paths -- the CLI maps both onto
     exit code 2 (unusable)."""
-    return diff_traces(read_jsonl(path_a), read_jsonl(path_b))
+    records_a, records_b = read_jsonl(path_a), read_jsonl(path_b)
+    if decisions_only:
+        records_a, records_b = decisions(records_a), decisions(records_b)
+    return diff_traces(records_a, records_b)

@@ -262,6 +262,9 @@ class Explanation:
     lifecycle: list[dict] = field(default_factory=list)
     frozen_by: list[str] = field(default_factory=list)
     attempted_at: float | None = None
+    #: the centralized scheduler's verdict holds no guard: the residual
+    #: dependencies that held the event back instead (None elsewhere)
+    held_by: list[str] | None = None
 
     def unsatisfied_literals(self) -> list[str]:
         """Literal texts still pending in some non-dead cube."""
@@ -297,7 +300,11 @@ class Explanation:
                 f"  {entry['op']} at t={entry['t']:g}"
                 f" @ {entry.get('site', '?')}{stamp}"
             )
-        lines.append(f"  guard:    {self.guard}")
+        if self.held_by is None:
+            lines.append(f"  guard:    {self.guard}")
+        else:
+            lines.append(f"  verdict:  {self.verdict or '?'} (at the center)")
+            lines.extend(f"  held back by: {held}" for held in self.held_by)
         if self.residual is not None and self.residual != self.guard:
             lines.append(f"  residual: {self.residual}")
         if self.knowledge:
@@ -328,7 +335,7 @@ class Explanation:
             if stamp is not None:
                 detail += f" (lc={stamp})"
             lines.append(detail)
-        if self.verdict == "park":
+        if self.verdict == "park" and self.held_by is None:
             if self.unblocking:
                 for combo in self.unblocking:
                     lines.append(
@@ -366,7 +373,7 @@ def _explanation(
     knowledge: dict[str, int], lifecycle: list[dict],
     occurrences: Mapping[str, Mapping], source: str,
     verdict: str | None = None, frozen_by: list[str] | None = None,
-    attempted_at: float | None = None,
+    attempted_at: float | None = None, held_by: list[str] | None = None,
 ) -> Explanation:
     """The one assembly of an :class:`Explanation`: the guard's
     ``cubes`` (``None``: no structured evaluation) classified under
@@ -404,6 +411,7 @@ def _explanation(
         unblocking=region["unblocking"] if verdict == "park" else [],
         justifications=justifications, lifecycle=lifecycle,
         frozen_by=frozen_by or [], attempted_at=attempted_at,
+        held_by=held_by,
     )
 
 
@@ -463,9 +471,12 @@ def explain_records(records: list[dict], event_name: str) -> Explanation:
 
     Replays the literal-level verdict from the last guard evaluation's
     structured ``cubes``/``knowledge`` fields, and justifies each
-    settled fact by its first occurrence record; raises ``KeyError``
-    when the trace never mentions the event, and ``ValueError`` when a
-    record has no site (:func:`~repro.obs.tracer.index_trace`)."""
+    settled fact by its first occurrence record; a centralized trace's
+    last ``residuals`` record gives the center's verdict and the
+    residual dependencies that held the event back instead.  Raises
+    ``KeyError`` when the trace never mentions the event, and
+    ``ValueError`` when a record has no site
+    (:func:`~repro.obs.tracer.index_trace`)."""
     occurred = index_trace(records)[2]
     lifecycle = [
         {"op": r["op"], "t": r["t"], "site": r["site"], "lc": r["lc"]}
@@ -475,7 +486,7 @@ def explain_records(records: list[dict], event_name: str) -> Explanation:
     evals = [
         r for r in records
         if r.get("cat") == "guard"
-        and r.get("op") == "eval"
+        and r.get("op") in ("eval", "residuals")
         and r.get("event") == event_name
     ]
     if not lifecycle and not evals:
@@ -509,4 +520,5 @@ def explain_records(records: list[dict], event_name: str) -> Explanation:
         attempted_at=next(
             (e["t"] for e in lifecycle if e["op"] == "attempted"), None
         ),
+        held_by=last.get("residuals"),
     )

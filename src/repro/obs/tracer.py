@@ -10,8 +10,8 @@ Every record is a plain JSON-ready dict with a fixed envelope:
 ``site``  the site at which the event happened
 ``cat``   record category: ``message``, ``session``, ``actor``,
           ``guard``, ``round``, ``fault``, ``sync``, ``monitor``
-``op``    operation within the category (``send``, ``recv``,
-          ``fired``, ``eval``, ``crash``, ...)
+``op``    operation within the category (``send``, ``handoff``,
+          ``recv``, ``fired``, ``eval``, ``crash``, ...)
 ========  ==========================================================
 
 plus category-specific fields (message ``kind``/``mid``/``sent_lc``,
@@ -40,8 +40,8 @@ record; the bounded window of a long run is
 :class:`~repro.obs.recorder.FlightRecorder`'s.
 
 Every offline reader takes what a record means from here:
-:data:`OCCURRED_OPS`, :data:`SETTLEMENT_OPS`, :func:`base_name` and
-the one trace index, :func:`index_trace`.
+:data:`OCCURRED_OPS`, :data:`SETTLEMENT_OPS`, :data:`SEND_OPS`,
+:func:`base_name` and the one trace index, :func:`index_trace`.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ OCCURRED_OPS = frozenset({"fired", "accepted"})
 
 #: actor ops that settle an attempt one way or the other
 SETTLEMENT_OPS = OCCURRED_OPS | {"forced", "rejected", "dead"}
+
+#: message ops that start a message a ``recv`` record names: a
+#: transmission between two sites, a hand-off within one
+SEND_OPS = frozenset({"send", "handoff"})
 
 
 def base_name(name: str) -> str:
@@ -174,6 +178,16 @@ class Tracer(NullTracer):
         self._emit(src, "message", "send", t, lc, {"kind": kind, "src": src, "dst": dst, "mid": mid})
         return mid, lc
 
+    def message_handoff(self, t: float, site: str, kind: str) -> tuple[int, int]:
+        """Record a hand-off within ``site`` (no transmission: the
+        fabric counts it as ``intra_site``); returns ``(mid, lc)`` for
+        its :meth:`message_recv`, as :meth:`message_send` does."""
+        self._next_mid += 1
+        mid = self._next_mid
+        lc = self._tick(site)
+        self._emit(site, "message", "handoff", t, lc, {"kind": kind, "src": site, "dst": site, "mid": mid})
+        return mid, lc
+
     def message_recv(self, t: float, src: str, dst: str, kind: str, mid: int, sent_lc: int) -> None:
         lc = self._merge(dst, sent_lc)
         self._emit(
@@ -233,6 +247,19 @@ class Tracer(NullTracer):
         if knowledge is not None:
             fields["knowledge"] = knowledge
         self.local(t, site, "guard", "eval", **fields)
+
+    def guard_residuals(
+        self, t: float, site: str, event: Any, verdict: str,
+        residuals: Iterable,
+    ) -> None:
+        """The centralized scheduler parks or decides ``event``: its
+        verdict (``fire``/``park``/``never``) and the residual
+        dependencies that held it back (none for ``fire``), which
+        ``repro explain`` prints as they are."""
+        self.local(
+            t, site, "guard", "residuals", event=repr(event),
+            verdict=verdict, residuals=[repr(r) for r in residuals],
+        )
 
     def round_event(
         self, t: float, site: str, event: Any, op: str, round_id: int,
@@ -341,8 +368,8 @@ def index_trace(
     ``streams`` maps each site to the indices of its records in
     recording order (its Lamport order); a flight-recorder window header
     belongs to no site's stream.  ``sends`` maps a message id to the
-    index of its ``send`` record, ``occurred`` a signed event name to
-    the index of its first occurrence record.  Raises
+    index of its ``send`` or ``handoff`` record, ``occurred`` a signed
+    event name to the index of its first occurrence record.  Raises
     :class:`ValueError` naming a record that has no site."""
     streams: dict[str, list[int]] = {}
     sends: dict[int, int] = {}
@@ -355,7 +382,7 @@ def index_trace(
             raise ValueError(f"record {idx} has no site: {r!r}")
         streams.setdefault(site, []).append(idx)
         cat, op = r.get("cat"), r.get("op")
-        if cat == "message" and op == "send":
+        if cat == "message" and op in SEND_OPS:
             sends.setdefault(r.get("mid"), idx)
         elif cat == "actor" and op in OCCURRED_OPS:
             occurred.setdefault(r.get("event"), idx)

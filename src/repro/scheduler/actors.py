@@ -1,7 +1,8 @@
 """Base actors: the distributed unit of scheduling (Sections 2, 4.3).
 
 One actor per base holds both polarity guards; facts are announced
-once per destination base that may still decide, and the receiver
+once per destination site where a base may still decide, a
+:class:`Fanout` hands them to that site's subscribers, and the receiver
 enforces it: a base's settlement is the last fact its actor
 assimilates.  A base and its complement are one decision.  Each
 polarity is a :class:`Role` with its own guard (as a cube region,
@@ -944,6 +945,50 @@ class BaseActor:
     def recover(self) -> None:
         for role in self.roles.values():
             role.recover()
+
+
+class Fanout:
+    """The addressee of a base's announcement at a site where more than
+    one party hears it: the site's actors subscribing to the base, in
+    subscription order, then the site's requirement monitor if it
+    watches the base.  A site where one actor alone hears the base has
+    none: the actor is its own addressee.  The scheduler builds them
+    with the subscriptions (:func:`join`), so a fact crosses to each
+    site once and a publish groups nothing; a monitor rebuilt after a
+    crash gets a fresh fanout, so an announcement sent before the
+    restart still reaches the monitor it was sent to."""
+
+    __slots__ = "site", "actors", "monitor"
+
+    def __init__(self, site: str, actors: list[BaseActor], monitor=None):
+        self.site = site
+        self.actors = actors
+        self.monitor = monitor
+
+    def __call__(self, msg: Announce) -> None:
+        for actor in self.actors:
+            actor.on_announce(msg)
+        if self.monitor is not None:
+            self.monitor.observe(msg.event)
+
+
+def join(addressees: dict, site: str, actor: BaseActor) -> None:
+    """``actor`` hears a base at ``site``: ``addressees`` maps the
+    base's sites to their addressee, the lone actor or a
+    :class:`Fanout`."""
+    held = addressees.get(site)
+    if held is None:
+        addressees[site] = actor
+    elif type(held) is Fanout:
+        held.actors.append(actor)
+    else:
+        addressees[site] = Fanout(site, [held, actor])
+
+
+def members(addressee) -> list[BaseActor]:
+    """The actors an addressee of :func:`join` hands an announcement
+    to."""
+    return addressee.actors if type(addressee) is Fanout else [addressee]
 
 
 #: the handler of each message type, by the class of its addressee:

@@ -4,10 +4,10 @@ Guards are synthesized per event at compile time (Section 4.2) and
 localized on one actor per base holding both polarity guards, placed
 at the site of the task agent the base belongs to (Section 2).  At run
 time only messages flow: occurrence announcements, promises, and
-not-yet certificates; a fact is announced once per destination base
-that may still decide.  There is no central node; the requirement
-monitors that trigger triggerable events run at the sites of those
-events, fed by the same announcements.
+not-yet certificates; a fact crosses once to each destination site
+where a base may still decide, and fans out there.  There is no
+central node; the requirement monitors that trigger triggerable events
+run at the sites of those events, fed by the same announcements.
 
 The run lifecycle is :class:`~repro.scheduler.base.RunBase`'s, the
 three steps ``run`` (and through it the shard runner and the CLI) goes
@@ -29,7 +29,14 @@ from typing import Iterable, Mapping
 
 from repro.algebra.expressions import Expr
 from repro.algebra.symbols import Event
-from repro.scheduler.actors import ActorStatus, BaseActor, Role
+from repro.scheduler.actors import (
+    ActorStatus,
+    BaseActor,
+    Fanout,
+    Role,
+    join,
+    members,
+)
 from repro.scheduler.agents import AgentScript
 from repro.scheduler.base import RunBase
 from repro.scheduler.events import EventAttributes, ExecutionResult, Violation
@@ -167,10 +174,13 @@ class DistributedScheduler(RunBase):
         #: base -> its actor, holding a role per polarity in the table
         self.actors: dict[Event, BaseActor] = {}
         self._sorted_actors_cache: tuple[BaseActor, ...] | None = None
-        #: announced base -> the actors with a role whose guard mentions
-        #: it, each once
-        self._subscribers: defaultdict[Event, list[BaseActor]] = (
-            defaultdict(list)
+        #: announced base -> site -> the addressee of the base's
+        #: announcement there (:func:`~repro.scheduler.actors.join`):
+        #: the actors with a role whose guard mentions it (each once,
+        #: the base's own actor never), then the site's monitor if it
+        #: watches the base
+        self._fanouts: defaultdict[Event, dict[str, BaseActor | Fanout]] = (
+            defaultdict(dict)
         )
         self._build_actors(table)
         #: the static guard table, which the promise pairs are read
@@ -208,15 +218,16 @@ class DistributedScheduler(RunBase):
         appear, built with a role per polarity the table holds.  Each
         actor subscribes once, to the union of its roles' guard bases
         (the role the table lists first, then the other's), so each
-        base announces to it once.  A role hears a map its entry already
-        holds: a binding's ``to_slot`` (keyed by its bases), a plain
-        guard's cached ``bases()``."""
-        actors, subscribers = self.actors, self._subscribers
+        base's announcement reaches it once.  A role hears a map its
+        entry already holds: a binding's ``to_slot`` (keyed by its
+        bases), a plain guard's cached ``bases()``."""
+        actors, fanouts = self.actors, self._fanouts
         for event in table:
             base = event.base
             if base in actors:
                 continue
-            actor = BaseActor(base, self.site_of(base), self, table)
+            site = self.site_of(base)
+            actor = BaseActor(base, site, self, table)
             actors[base] = actor
             roles = actor.roles
             heard = ()
@@ -228,8 +239,16 @@ class DistributedScheduler(RunBase):
                     entry.to_slot if type(entry) is Binding else entry.bases()
                 )
                 for heard_base in bases:
-                    if heard_base not in heard:
-                        subscribers[heard_base].append(actor)
+                    if heard_base not in heard and heard_base is not base:
+                        # join(), inline: a build makes one per subscription
+                        at = fanouts[heard_base]
+                        held = at.get(site)
+                        if held is None:
+                            at[site] = actor
+                        elif type(held) is Fanout:
+                            held.actors.append(actor)
+                        else:
+                            at[site] = Fanout(site, [held, actor])
                 heard = bases
 
     def add_role(
@@ -254,14 +273,15 @@ class DistributedScheduler(RunBase):
 
     def subscribe(self, role: Role, bases) -> None:
         """``role`` hears the announcements of ``bases``; its actor is
-        sent each one once, whichever of its roles subscribe."""
+        handed each one once, whichever of its roles subscribe."""
+        actor = role.actor
         heard = role.subscribed
-        other = role.actor.roles.get(role.event.complement)
+        other = actor.roles.get(role.event.complement)
         for base in bases:
-            if base not in heard and (
+            if base not in heard and base != actor.base and (
                 other is None or base not in other.subscribed
             ):
-                self._subscribers[base].append(role.actor)
+                join(self._fanouts[base], actor.site, actor)
         role.subscribed = set(heard).union(bases) if heard else bases
 
     def _build_monitors(self) -> None:
@@ -290,11 +310,32 @@ class DistributedScheduler(RunBase):
         ):
             deps = [self.dependencies[position] for position in sorted(at)]
             bases = frozenset(by_site[site])
-            self._monitors.append((site, self._new_monitor(site, deps, bases)))
+            monitor = self._new_monitor(site, deps, bases)
+            self._monitors.append((site, monitor))
             self._monitor_specs.append((deps, bases))
             # once per base, however many of its dependencies mention it
-            for base in {b for dep in deps for b in dep.bases()}:
+            watched = {b for dep in deps for b in dep.bases()}
+            for base in watched:
                 self._monitor_subs[base].append(index)
+            self._watch(site, watched, monitor)
+
+    def _watch(self, site: str, bases, monitor) -> None:
+        """``monitor`` (None: no monitor) hears ``bases`` at ``site``:
+        each of their addressees there is replaced by one that hands the
+        announcement to it, so an announcement sent before still
+        reaches the monitor it was sent to."""
+        for base in bases:
+            at = self._fanouts[base]
+            held = at.get(site)
+            actors = [] if held is None else members(held)
+            if monitor is not None:
+                at[site] = Fanout(site, actors, monitor)
+            elif len(actors) > 1:
+                at[site] = Fanout(site, actors)
+            elif actors:
+                at[site] = actors[0]
+            elif held is not None:
+                del at[site]
 
     def _new_monitor(
         self, site: str, deps: list[Expr], bases: frozenset[Event]
@@ -397,37 +438,47 @@ class DistributedScheduler(RunBase):
 
     def publish(self, actor: BaseActor, event: Event) -> None:
         """``event`` occurred at ``actor``: announce it once to each
-        subscribing actor that may still decide, open the agent-script
-        gates waiting on the base, and tell the requirement monitors.
+        site with a subscriber that may still decide or a requirement
+        monitor that watches the base (its :class:`Fanout` hands it on
+        there), then open the agent-script gates waiting on the base.
 
-        An actor whose base some role of ``actor`` knows has settled
-        (its mask there holds no not-yet world) is skipped: a settled
-        base decides nothing more, and that knowledge is a durable fact
-        (an announcement, a certificate or sync reply), so a crash that
-        wipes it only makes ``actor`` announce more.  The receiver
-        enforces the rule: a settled base assimilates nothing."""
-        subscribers = self._subscribers.get(event.base)
-        if subscribers:
+        A site whose every subscribing actor's base some role of
+        ``actor`` knows has settled (its mask there holds no not-yet
+        world), and which runs no monitor of the base, is skipped: a
+        settled base decides nothing more, and that knowledge is a
+        durable fact (an announcement, a certificate or sync reply), so
+        a crash that wipes it only makes ``actor`` announce more.  The
+        receiver enforces the rule: a settled base assimilates
+        nothing."""
+        fanouts = self._fanouts.get(event.base)
+        if fanouts:
             announce = Announce(event=event)
             known = [role.knowledge for role in actor.roles.values()]
-            for dst in subscribers:
-                if dst is actor:
+            send, src = self.channel.send, actor.site
+            for addressee in fanouts.values():
+                if type(addressee) is not Fanout:
+                    targets = (addressee,)
+                elif addressee.monitor is None:
+                    targets = addressee.actors
+                else:  # a monitor hears every occurrence it watches
+                    send(src, addressee.site, "announce", announce, addressee)
                     continue
-                base = dst.base
-                for knowledge in known:
-                    if base in knowledge and not knowledge[base] & NOT_YET_MASK:
-                        break  # dst has settled
-                else:
-                    self._send(actor, dst, announce)
+                for dst in targets:
+                    base = dst.base
+                    for knowledge in known:
+                        if base in knowledge and not (
+                            knowledge[base] & NOT_YET_MASK
+                        ):
+                            break  # dst has settled
+                    else:  # dst may still decide: its site hears it
+                        send(
+                            src, addressee.site, "announce", announce,
+                            addressee,
+                        )
+                        break
         # settlement waiters (agent-script ``after`` gates)
         for callback in self._waiters.pop(event.base, ()):
             callback()
-        # requirement monitors
-        for index in self._monitor_subs.get(event.base, ()):
-            site, monitor = self._monitors[index]
-            self.channel.send(
-                actor.site, site, "announce", event, monitor
-            )
 
     # ------------------------------------------------------------------
     # run-time workflow modification (Section 1: "declarative
@@ -527,6 +578,9 @@ class DistributedScheduler(RunBase):
     def _rebuild_monitors(self) -> None:
         """Recreate requirement monitors after a modification and
         replay the settled history into them."""
+        for base, indices in self._monitor_subs.items():
+            for index in indices:
+                self._watch(self._monitors[index][0], (base,), None)
         self._monitors = []
         self._monitor_subs = defaultdict(list)
         self._monitor_specs = []
@@ -572,8 +626,8 @@ class DistributedScheduler(RunBase):
             # settlement announcement may have died with the crashed
             # site's sender state: re-announce it (idempotent at every
             # receiver), in session order before Recovered
-            for dst in self._subscribers.get(actor.base, ()):
-                if dst is not actor:
+            for addressee in self._fanouts.get(actor.base, {}).values():
+                for dst in members(addressee):
                     if actor.settled is not None:
                         self._send(actor, dst, Announce(event=actor.settled))
                     self._send(actor, dst, Recovered(base=actor.base))
@@ -617,6 +671,7 @@ class DistributedScheduler(RunBase):
             deps, bases = self._monitor_specs[index]
             fresh = self._new_monitor(site, deps, bases)
             self._monitors[index] = (site, fresh)
+            self._watch(site, {b for dep in deps for b in dep.bases()}, fresh)
             self._resync_monitor(site, fresh, deps)
 
     def _resync_monitor(

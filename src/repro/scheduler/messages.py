@@ -23,8 +23,10 @@ from repro.algebra.symbols import Event
 
 @dataclass(frozen=True)
 class Announce:
-    """``[]e``: the event has occurred (sent once per subscribing base
-    that may still decide: not to one the publisher knows has settled)."""
+    """``[]e``: the event has occurred (sent once per site with a
+    subscribing base that may still decide or a monitor of the base,
+    and handed on there by the site's
+    :class:`~repro.scheduler.actors.Fanout`)."""
 
     event: Event
 

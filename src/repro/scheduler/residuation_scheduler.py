@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from repro.algebra.expressions import Expr
+from repro.algebra.expressions import Expr, Top
 from repro.algebra.normal_form import joint_completion_exists
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event
@@ -133,6 +133,7 @@ class CentralizedScheduler(RunBase):
             self._occur(event, attempted_at, AttemptOutcome.ACCEPTED)
             return
         if not self.attributes(event.base).rejectable:
+            self._note_verdict(event, "never")
             self.note_forced(CENTER, event)
             self._occur(event, attempted_at, AttemptOutcome.FORCED)
             return
@@ -143,6 +144,7 @@ class CentralizedScheduler(RunBase):
         if self._recoverable(event):
             if event not in self._parked:
                 self._parked[event] = attempted_at
+                self._note_verdict(event, "park")
                 self.note_parked(CENTER, event, attempted_at)
             if newly_seen:
                 # a new pending event enlarges the attainable set and
@@ -152,8 +154,33 @@ class CentralizedScheduler(RunBase):
         # permanently unacceptable
         self._reject(event)
 
+    def _note_verdict(self, event: Event, verdict: str) -> None:
+        """In a traced run, the center's record of a park or a decision
+        on ``event``: the verdict, and the residual dependencies that
+        held it back -- each mentioning the base whose residual after
+        ``event`` alone has no completion, or, when only their
+        conjunction has none, every one mentioning the base that is not
+        yet satisfied."""
+        if not self.tracer.active:
+            return
+        held: list[Expr] = []
+        if verdict != "fire":
+            allowed = self._allowed_positive(event)
+            mentioning = [
+                self.residuals[dep]
+                for dep, _cursor in self._mentioning.get(event.base, ())
+            ]
+            held = [
+                r for r in mentioning
+                if not joint_completion_exists(
+                    (residuate(r, event),), allowed_positive=allowed
+                )
+            ] or [r for r in mentioning if not isinstance(r, Top)]
+        self.tracer.guard_residuals(self.sim.now, CENTER, event, verdict, held)
+
     def _reject(self, event: Event) -> None:
         self._parked.pop(event, None)
+        self._note_verdict(event, "never")
         self.note_rejected(CENTER, event)
         if self.complements_refusal(event):
             comp = event.complement
@@ -162,6 +189,8 @@ class CentralizedScheduler(RunBase):
 
     def _occur(self, event: Event, attempted_at: float, outcome) -> None:
         self._parked.pop(event, None)
+        if outcome is AttemptOutcome.ACCEPTED:
+            self._note_verdict(event, "fire")
         self.note_settled(CENTER, event, attempted_at, outcome)
         if self._parked.pop(event.complement, None) is not None:
             self.note_dead(CENTER, event.complement)

@@ -1,12 +1,16 @@
 """Simulated network: sites, latency models, and message accounting.
 
-Messages between *sites* incur a latency drawn from a
-:class:`LatencyModel`; intra-site messages are free by default (an
-actor talking to a colocated task agent).  A site may also declare a
-*service time*: messages addressed to it queue and are handled one at
-a time, which is how the centralized schedulers' bottleneck node is
-modeled (the distributed scheduler spreads its actors over many sites,
-so no single queue forms).
+The fabric carries *site-to-site transmissions*: a message between two
+sites incurs a latency drawn from a :class:`LatencyModel`, may be
+dropped or duplicated, and is what the message counts and the journal
+hold -- the paper's cost measure.  A send from a site to itself is a
+*hand-off* (an actor talking to a colocated actor or task agent): one
+simulator step at the same instant, FIFO with the site's other
+hand-offs, counted only in :attr:`NetworkStats.intra_site`.  A site
+may also declare a *service time*: transmissions addressed to it queue
+and are handled one at a time, which is how the centralized
+schedulers' bottleneck node is modeled (the distributed scheduler
+spreads its actors over many sites, so no single queue forms).
 
 All delivery is FIFO per (source, destination) pair -- latencies are
 sampled once per message and a per-pair high-water mark enforces
@@ -101,11 +105,12 @@ class ExponentialLatency(LatencyModel):
 
 @dataclass
 class NetworkStats:
-    """Message accounting, exposed to the benchmarks."""
+    """Message accounting, exposed to the benchmarks: ``messages``,
+    ``by_kind`` and ``per_site_handled`` count site-to-site
+    transmissions, ``intra_site`` the hand-offs within a site."""
 
     messages: int = 0
     intra_site: int = 0
-    inter_site: int = 0
     by_kind: dict[str, int] = field(default_factory=dict)
     per_site_handled: dict[str, int] = field(default_factory=dict)
     total_latency: float = 0.0
@@ -141,28 +146,32 @@ class NetworkStats:
 class Network:
     """Message fabric over a :class:`Simulator`.
 
-    One message is one flat heap entry: :meth:`send` draws its fate,
-    does its accounting and queues ``(deliver_at, seq, _deliver, src,
-    dst, kind, payload, handler, stamp)``, where ``_deliver`` is bound
-    once, at construction; when it fires, :meth:`_deliver` runs
+    One transmission is one flat heap entry: :meth:`send` draws its
+    fate, does its accounting and queues ``(deliver_at, seq, _deliver,
+    src, dst, kind, payload, handler, stamp)``, where ``_deliver`` is
+    bound once, at construction; when it fires, :meth:`_deliver` runs
     ``handler(payload)``.  No function object is built per message: a
     protocol handler is the receiving actor or role itself (it is
     callable), so the path from ``send`` to the handler is the
-    simulator's ``step``, ``_deliver`` and the handler.
+    simulator's ``step``, ``_deliver`` and the handler.  A hand-off
+    (``src == dst``) is the same entry at the current instant: the step
+    it has always been, at the same heap position, with none of a
+    transmission's fate, accounting, journal row or FIFO state (the
+    simulator already steps one instant's entries in send order).
 
     Parameters
     ----------
     sim:
         The driving simulator.
     latency:
-        Model for inter-site latency (intra-site is free).
+        Model for inter-site latency (a hand-off takes none).
     rng:
         Seeded source of randomness; determinism flows from here.
     service_times:
-        Optional per-site service time: the site processes one message
-        at a time, each occupying the site for the given duration.
-        This is the knob that makes a centralized scheduler node a
-        measurable bottleneck.
+        Optional per-site service time: the site processes one
+        transmission at a time, each occupying the site for the given
+        duration.  This is the knob that makes a centralized scheduler
+        node a measurable bottleneck.
     """
 
     def __init__(
@@ -194,10 +203,11 @@ class Network:
         #: span profiler wrapping delivery handlers, if any
         self.profiler = profiler
         self.stats = NetworkStats()
-        #: messages sent but not yet delivered (drops never count);
-        #: the time-series sampler reads this as a point-in-time gauge
+        #: messages sent but not yet delivered, hand-offs included
+        #: (drops never count); the time-series sampler reads this as
+        #: a point-in-time gauge
         self.inflight = 0
-        #: chronological record of every delivered message:
+        #: chronological record of every transmission:
         #: (send_time, deliver_time, src, dst, kind) -- the raw
         #: material for message-sequence rendering and debugging
         self.journal: list[tuple[float, float, str, str, str]] = []
@@ -216,14 +226,14 @@ class Network:
     ) -> None:
         """Deliver ``payload`` to ``handler`` after latency + queueing.
 
-        With failure injection enabled, inter-site messages may be
-        silently dropped or duplicated (intra-site calls stay
-        reliable: they model in-process hand-off).  A duplicate is sent
-        again through this method, so it rolls drop and duplicate
-        afresh: the copies of one send form a geometric chain, finite
-        with probability 1 because ``duplicate_probability`` < 1.
-        Drops/duplicates are counted in the stats so a run can report
-        how much abuse it absorbed.
+        With failure injection enabled, a transmission may be silently
+        dropped or duplicated (a hand-off stays reliable: it models an
+        in-process call).  A duplicate is sent again through this
+        method, so it rolls drop and duplicate afresh: the copies of
+        one send form a geometric chain, finite with probability 1
+        because ``duplicate_probability`` < 1.  Drops/duplicates are
+        counted in the stats so a run can report how much abuse it
+        absorbed.
         """
         if kind not in KNOWN_KINDS:
             raise ValueError(
@@ -238,22 +248,25 @@ class Network:
         now = self.sim.now
         if src == dst:
             stats.intra_site += 1
-            arrival = now
-        else:
-            if self.drop_probability:
-                if self.rng.random() < self.drop_probability:
-                    stats.dropped += 1
-                    if traced:
-                        tracer.message_drop(now, src, dst, kind)
-                    return
-            if self.duplicate_probability:
-                if self.rng.random() < self.duplicate_probability:
-                    stats.duplicated += 1
-                    if traced:
-                        tracer.message_dup(now, src, dst, kind)
-                    self.send(src, dst, kind, payload, handler)
-            stats.inter_site += 1
-            arrival = now + self.latency.sample(self.rng, src, dst)
+            self.inflight += 1
+            stamp = tracer.message_handoff(now, src, kind) if traced else None
+            self.sim.schedule(
+                0.0, self._deliver, src, dst, kind, payload, handler, stamp
+            )
+            return
+        if self.drop_probability:
+            if self.rng.random() < self.drop_probability:
+                stats.dropped += 1
+                if traced:
+                    tracer.message_drop(now, src, dst, kind)
+                return
+        if self.duplicate_probability:
+            if self.rng.random() < self.duplicate_probability:
+                stats.duplicated += 1
+                if traced:
+                    tracer.message_dup(now, src, dst, kind)
+                self.send(src, dst, kind, payload, handler)
+        arrival = now + self.latency.sample(self.rng, src, dst)
         # FIFO per channel.
         key = (src, dst)
         high_water = self._fifo_high_water
@@ -311,8 +324,9 @@ class Network:
 
     def undelivered(self) -> list[tuple[str, str, str, Any]]:
         """``(src, dst, kind, payload)`` of every message sent and not
-        yet delivered, in delivery order: the live :meth:`_deliver`
-        entries of the simulator heap (read, never popped)."""
+        yet delivered, hand-offs included, in delivery order: the live
+        :meth:`_deliver` entries of the simulator heap (read, never
+        popped)."""
         deliver, live = self._deliver, self.sim._live
         return [
             entry[3:7]
@@ -321,7 +335,8 @@ class Network:
         ]
 
     def site_load(self) -> dict[str, int]:
-        """Messages handled per site -- the bottleneck metric of SC1."""
+        """Transmissions handled per site -- the bottleneck metric of
+        SC1."""
         return dict(self.stats.per_site_handled)
 
     def max_site_load(self) -> int:

@@ -162,9 +162,10 @@ class ReliableNetwork:
             self._note("crash_lost", src, "crash_lost", dst=dst, kind=kind)
             return
         if src == dst:
-            # intra-site hand-off: reliable by definition, but a down site
-            # executes nothing -- checked again at delivery, since the site
-            # may crash in between (both ends die together; recovery rebuilds)
+            # a hand-off within the site, not a session transmission:
+            # reliable by definition, but a down site executes nothing --
+            # checked again at delivery, since the site may crash in
+            # between (both ends die together; recovery rebuilds)
             self.net.send(
                 src, dst, kind, (dst, kind, payload, handler),
                 self._deliver_local,
@@ -233,7 +234,7 @@ class ReliableNetwork:
     # receiving
 
     def _deliver_local(self, packet: tuple) -> None:
-        """An intra-site hand-off ``(site, kind, payload, handler)`` lands."""
+        """A hand-off ``(site, kind, payload, handler)`` lands."""
         site, kind, payload, handler = packet
         if self.faults is not None and self.faults.is_down(site):
             self._note("crash_lost", site, "crash_lost", dst=site)
@@ -356,8 +357,8 @@ class ReliableNetwork:
     def undelivered(self) -> list[tuple[str, str, str, Any]]:
         """``(src, dst, kind, payload)`` of every payload sent and not
         yet handed to its handler, each once however many copies the
-        fabric carries: the intra-site hand-offs in flight (the only
-        fabric messages from a site to itself), then per session the
+        fabric carries: the hand-offs in flight (the fabric's only
+        messages from a site to itself), then per session the
         unacknowledged payloads at or above the receiver's next
         expected sequence number."""
         pending = [

@@ -174,13 +174,13 @@ ROWS = {
     **{f"pf2_synthesis_{name}_n64": (
         lambda i=i: table(travel_tables_n64()[i]), dict(table_size=640, cubes=1728))
        for i, name in enumerate(("per_instance", "template"))},
-    "sc1_n16": (partial(travel, 16), counts(18.0, 561, 80, 165)),
-    "sc1_n64": (partial(travel, 64), counts(18.0, 2389, 320, 665)),
-    "sc1_n64_sharded": (partial(travel, 64, 4), counts(18.0, 2389, 320, 665)),
-    "sc5_chaos": (travel_chaos, counts(157.0, 172, 5)),
+    "sc1_n16": (partial(travel, 16), counts(18.0, 349, 80, 69)),
+    "sc1_n64": (partial(travel, 64), counts(18.0, 1521, 320, 281)),
+    "sc1_n64_sharded": (partial(travel, 64, 4), counts(18.0, 1521, 320, 281)),
+    "sc5_chaos": (travel_chaos, counts(93.0, 144, 5)),
     **{f"sc7_mutex_n{n}_{placement}": (
         partial(mutex, n, placement), counts(8.0, messages, 2 * n, **cut))
-       for n, messages in ((64, 1464), (256, 5880))
+       for n, messages in ((64, 870), (256, 3510))
        for placement, cut in (("merged", {}), ("min_cut", {"cut_weight": 0}))},
     # production skips every parked guard on each of the eight hubs and
     # evaluates the hubs' own guards only; the reference wakes each one

@@ -113,6 +113,52 @@ class TestCausalInvariant:
         assert any(d.code == "channel-order" for d in diags)
 
 
+def _hand_off(t_recv=1.0):
+    """A hand-off within site ``b`` at t=1, received at ``t_recv``."""
+    return [
+        _record(1, "b", "message", "handoff", t=1.0, kind="release",
+                src="b", dst="b", mid=1),
+        _record(2, "b", "message", "recv", t=t_recv, kind="release",
+                src="b", dst="b", mid=1, sent_lc=1),
+    ]
+
+
+class TestSiteAddressedMessages:
+    def test_tracer_hand_off_is_clean(self):
+        t = Tracer()
+        mid, lc = t.message_handoff(1.0, "b", "release")
+        t.message_recv(1.0, "b", "b", "release", mid, lc)
+        assert [r["op"] for r in t.records] == ["handoff", "recv"]
+        assert check_records(_hand_off()) == []
+        assert check_records(t.records) == []
+
+    def test_hand_off_between_two_sites(self):
+        records = _hand_off()
+        records[0]["dst"] = records[1]["dst"] = "c"
+        records[1]["site"] = "c"
+        diags = check_records(records)
+        assert _codes(diags) == ["handoff"]
+        assert diags[0].index == 0
+
+    def test_transmission_from_a_site_to_itself(self):
+        records = _hand_off()
+        records[0]["op"] = "send"
+        assert _codes(check_records(records)) == ["handoff"]
+
+    def test_hand_off_received_later(self):
+        diags = check_records(_hand_off(t_recv=2.0))
+        assert _codes(diags) == ["handoff"]
+        assert diags[0].index == 1 and "t=2.0" in diags[0].detail
+
+    def test_receiver_away_from_the_destination(self):
+        records = _clean_run()
+        records[2]["site"] = "c"  # b's recv recorded at c
+        records[2]["lc"] = 3
+        diags = check_records(records)
+        assert _codes(diags) == ["addressee"]
+        assert diags[0].index == 2
+
+
 class TestTraceSafety:
     def test_double_fire_of_same_event(self):
         records = _clean_run() + [

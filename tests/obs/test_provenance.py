@@ -327,6 +327,35 @@ class TestOfflineExplain:
         (fact,) = explain_records(tracer.records, "b").justifications
         assert (fact["origin"], fact["lc"]) == ("a", fired["lc"])
 
+    def test_centralized_park_names_its_residuals(self):
+        """The center has no guard: its record of a park names the
+        residual dependencies that held the event back, and the
+        distributed rendering of the same park is unchanged."""
+        from repro.scheduler import CentralizedScheduler
+
+        scenario = make_travel_booking()
+        workflow = scenario.workflow
+        tracer = Tracer()
+        sched = CentralizedScheduler(
+            workflow.dependencies, sites=workflow.sites,
+            attributes=workflow.attributes, tracer=tracer,
+        )
+        sched.attempt(Event("c_buy"))
+        sched.sim.run()
+        (record,) = [r for r in tracer.records if r["cat"] == "guard"]
+        assert (record["op"], record["verdict"]) == ("residuals", "park")
+        assert record["residuals"] == ["~c_buy + c_book . c_buy"]
+        explanation = explain_records(tracer.records, "c_buy")
+        assert (explanation.status, explanation.verdict) == ("pending", "park")
+        assert explanation.held_by == record["residuals"]
+        text = explanation.render()
+        assert "guard:    ?" not in text
+        assert "verdict:  park" in text
+        assert "held back by: ~c_buy + c_book . c_buy" in text
+        distributed = explain_records(self.trace_records(), "c_buy").render()
+        assert distributed.splitlines()[-1] == "  to enable: announce []c_book"
+        assert "held back by" not in distributed
+
     def test_offline_unknown_event_raises(self):
         with pytest.raises(KeyError):
             explain_records(self.trace_records(), "nonesuch")

@@ -249,7 +249,7 @@ class TestChaosRawNetwork:
         # settlement's own certificate rounds, run after the first
         # sweep, lose their releases too: a second sweep voids two more
         # freezes, and every base still settles
-        sched, result = run_raw(SCENARIOS["travel_success"](), 0.3, 0.2, 168)
+        sched, result = run_raw(SCENARIOS["travel_success"](), 0.3, 0.2, 64)
         assert sched.metrics.counter("orphan_freezes_released") == 3
         assert result.terminal == "maximal"
 

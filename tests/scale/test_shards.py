@@ -486,6 +486,16 @@ class TestShardedObservability:
         assert "repro_kernel_interning" in text
         assert "repro_ts_parked_events" in text
 
+    def test_hand_offs_sum_across_shards(self):
+        """The merge sums the hand-offs within a site as it sums the
+        transmissions between sites."""
+        sharded = self._run()
+        network = sharded.metrics["network"]
+        for key in ("intra_site", "messages"):
+            assert network[key] == sum(
+                o.metrics["network"][key] for o in sharded.outcomes
+            ) > 0, key
+
     def test_compiled_counters_sum_across_shards(self):
         # regression: same defect as the watch counters above -- each
         # shard's scheduler overlays its private guard engine's work

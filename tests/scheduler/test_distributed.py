@@ -13,12 +13,13 @@ from repro.scheduler import (
     DistributedScheduler,
     EventAttributes,
 )
-from repro.scheduler.actors import EMPTY
+from repro.scheduler import actors
+from repro.scheduler.actors import EMPTY, BaseActor, Fanout
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
-from repro.scheduler.messages import Announce, TriggerMsg
+from repro.scheduler.messages import Announce, NotYetRequest, TriggerMsg
 from repro.sim import FaultPlan, SiteCrash
 from repro.sim.network import ConstantLatency
-from repro.temporal.cubes import C_OCC, DIA_MASK, TRUE_GUARD, literal
+from repro.temporal.cubes import C_OCC, DIA_MASK, E_OCC, TRUE_GUARD, literal
 from repro.temporal.guards import workflow_bindings
 from repro.workflows import WorkflowTemplate
 from repro.workloads.scenarios import (
@@ -88,8 +89,8 @@ class TestAnnouncements:
         sched = DistributedScheduler([D_ARROW, parse("~f + e")])
         publisher, peer = sched.actors[E], sched.actors[F]
         sent = []
-        sched._send = lambda sender, target, message: sent.append(
-            (target, message)
+        sched.channel.send = lambda src, dst, kind, message, target: (
+            sent.append((target, message))
         )
 
         def announced():
@@ -108,6 +109,90 @@ class TestAnnouncements:
         # a promise of f leaves f's not-yet world open
         sched.role(E).learn(F, DIA_MASK)
         assert announced() == [(peer, Announce(event=E))]
+
+
+class TestSiteAddressedFabric:
+    """A fact crosses to each remote site once and fans out there; a
+    message between two actors of one site is a hand-off, not a
+    transmission."""
+
+    B1, B2, B3, C1 = (Event(name) for name in ("b1", "b2", "b3", "c1"))
+
+    def _spied(self, monkeypatch, **kwargs):
+        """A scheduler where ``e`` (site A) is heard by ``b1``, ``b2``,
+        ``b3`` (site B) and ``c1`` (site C), subscribed in the order
+        b1, c1, b2, b3; and the log of the actors handed ``e``."""
+        table = {E: TRUE_GUARD}
+        for base in (self.B1, self.C1, self.B2, self.B3):
+            table[base] = literal("box", E)
+        sites = {E: "A", self.C1: "C"}
+        sites.update({b: "B" for b in (self.B1, self.B2, self.B3)})
+        sched = DistributedScheduler(
+            [], guards=table, sites=sites, latency=ConstantLatency(1.0),
+            **kwargs,
+        )
+        heard = []
+        on_announce = BaseActor.on_announce
+
+        def logged(actor, msg):
+            heard.append(actor.base)
+            on_announce(actor, msg)
+
+        # a fanout calls the method, a lone actor's __call__ its handler
+        monkeypatch.setattr(BaseActor, "on_announce", logged)
+        monkeypatch.setitem(actors.HANDLERS, Announce, logged)
+        return sched, heard
+
+    def test_one_announcement_per_remote_site(self, monkeypatch):
+        sched, heard = self._spied(monkeypatch)
+        sched.start([AgentScript("A", [ScriptedAttempt(0.0, E)])])
+        sched.sim.run()
+        stats = sched.network.stats
+        assert stats.by_kind == {"announce": 2}
+        assert [row[3] for row in sched.network.journal] == ["B", "C"]
+        # each site's subscribers, in subscriber order
+        assert heard == [self.B1, self.B2, self.B3, self.C1]
+        for base in heard:
+            assert sched.role(base).knowledge[E] == E_OCC
+
+    def test_a_hand_off_is_a_step_of_the_instant(self, monkeypatch):
+        sched, _heard = self._spied(monkeypatch)
+        sender, target = sched.actors[self.B1], sched.actors[self.B2]
+        landed = []
+        monkeypatch.setitem(
+            actors.HANDLERS, NotYetRequest,
+            lambda actor, req: landed.append((actor, sched.sim.now)),
+        )
+        sched.sim.schedule_at(
+            2.5, sched._send, sender, target,
+            NotYetRequest(target=self.B2, requester=self.B1, round_id=1),
+        )
+        sched.sim.run()
+        assert landed == [(target, 2.5)]
+        stats, network = sched.network.stats, sched.network
+        assert stats.intra_site == 1
+        assert stats.messages == 0 and network.journal == []
+        assert stats.by_kind == {} and stats.per_site_handled == {}
+
+    def test_reliable_transmission_into_a_down_site(self, monkeypatch):
+        """Lost at the down site, retransmitted, and handed to each
+        subscriber there once after the restart."""
+        sched, heard = self._spied(
+            monkeypatch,
+            fault_plan=FaultPlan.of([SiteCrash("B", at=0.5, restart_at=3.0)]),
+        )
+        sched.start([AgentScript("A", [ScriptedAttempt(0.0, E)])])
+        sched.sim.run()
+        stats = sched.network.stats
+        assert stats.crash_lost >= 1 and stats.retransmits_by_kind[
+            "announce"
+        ] >= 1
+        assert sorted(heard, key=Event.sort_key) == [
+            self.B1, self.B2, self.B3, self.C1
+        ]
+        assert heard[:3] == [self.C1, self.B1, self.B2]
+        for base in heard:
+            assert sched.role(base).knowledge[E] == E_OCC
 
 
 class TestOrderingEnforcement:
@@ -521,7 +606,8 @@ class TestIdleFootprint:
         assert handler is target and stamp is None
 
     def test_monitor_messages_hold_a_handler_bound_once(self):
-        """An announcement to a requirement monitor is handed to the
+        """An announcement to a requirement monitor is handed to its
+        site's fanout, built with the subscriptions and holding the
         monitor itself, and every trigger to one method bound at
         construction."""
         scenario = make_order_fulfillment()
@@ -541,7 +627,12 @@ class TestIdleFootprint:
         result = sched.run(scenario.scripts)
         assert result.ok and result.triggered
         monitors = {id(monitor) for _site, monitor in sched._monitors}
-        to_monitors = [h for _p, h in handlers if id(h) in monitors]
+        to_monitors = [
+            (p, h) for p, h in handlers if type(h) is Fanout and h.monitor
+        ]
         triggers = [h for p, h in handlers if isinstance(p, TriggerMsg)]
         assert to_monitors and triggers
+        for announce, fanout in to_monitors:
+            assert id(fanout.monitor) in monitors
+            assert fanout is sched._fanouts[announce.event.base][fanout.site]
         assert all(h is sched._on_trigger for h in triggers)

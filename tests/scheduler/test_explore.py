@@ -162,10 +162,10 @@ class TestTheorem6:
         assert explore(consensus3(), bound=2) == 1039
 
     def test_ex13_within_one_delay(self):
-        assert explore(ex13(), bound=1) == 97
+        assert explore(ex13(), bound=1) == 94
 
     def test_travel_within_two_delays(self):
-        assert explore(travel(), bound=2) == 341
+        assert explore(travel(), bound=2) == 294
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_precede_within_two_delays(self, k):
@@ -238,7 +238,7 @@ class TestOneCrash:
 
     @pytest.mark.parametrize(
         "scenario, schedules",
-        [(ex10, 13), (ex11, 21), (ex13, 53), (travel, 47)],
+        [(ex10, 13), (ex11, 21), (ex13, 52), (travel, 44)],
         ids=["ex10", "ex11", "ex13", "travel"],
     )
     def test_one_crash_at_any_step(self, scenario, schedules):

@@ -1,5 +1,7 @@
 """Requirement monitoring: when triggerable events must be caused."""
 
+from collections import Counter
+
 from repro.algebra.expressions import TOP, ZERO
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
@@ -187,15 +189,15 @@ class TestMonitorSubscriptions:
 
     @staticmethod
     def _heard_by_monitors(sched):
-        """Log the bare-event announcements (the ones addressed to
-        monitors; actors get ``Announce`` messages) as they are sent."""
+        """Log the announcements a monitor hears (the ones addressed to
+        a site's fanout that holds one) as they are sent."""
         heard = []
         send = sched.channel.send
 
         def logging_send(src, dst, kind, payload, deliver):
-            if isinstance(payload, Event):
+            if getattr(deliver, "monitor", None) is not None:
                 assert kind == "announce"
-                heard.append((dst, payload))
+                heard.append((dst, payload.event))
             send(src, dst, kind, payload, deliver)
 
         sched.channel.send = logging_send
@@ -225,9 +227,10 @@ class TestMonitorSubscriptions:
 
     def test_committed_example_sends_what_it_sent(self):
         """``examples/travel.wf`` has no such overlap: every monitor
-        hears each occurrence once.  Its announcements go once per
-        destination base that may still decide, and no certificate is
-        taken on a base whose complement is firing."""
+        hears each occurrence once.  Its announcements cross once per
+        destination site that may still decide, and no certificate is
+        taken on a base whose complement is firing (releases counted
+        with the hand-offs within a site)."""
         from pathlib import Path
 
         from repro.scheduler import DistributedScheduler
@@ -242,11 +245,20 @@ class TestMonitorSubscriptions:
             attributes=workflow.attributes,
         )
         heard = self._heard_by_monitors(sched)
+        kinds = Counter()
+        send = sched.channel.send
+
+        def counting_send(src, dst, kind, payload, deliver):
+            kinds[kind] += 1
+            send(src, dst, kind, payload, deliver)
+
+        sched.channel.send = counting_send
         result = sched.run(
             [AgentScript("cli", [ScriptedAttempt(0.0, Event("s_buy"))])]
         )
         assert result.ok
         assert len(heard) == len(set(heard)) == len(result.entries)
-        assert result.messages == 40
-        assert result.messages_by_kind["announce"] == 12
-        assert result.messages_by_kind["release"] == 6
+        assert result.messages == 26
+        assert sched.network.stats.intra_site == 10
+        assert result.messages_by_kind["announce"] == 5
+        assert kinds["release"] == 6

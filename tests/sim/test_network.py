@@ -99,7 +99,7 @@ class TestDelivery:
         net.send("a", "b", "msg", 1, lambda p: arrivals.append(sim.now))
         sim.run()
         assert arrivals == [5.0]
-        assert net.stats.inter_site == 1
+        assert net.stats.messages == 1 and net.stats.intra_site == 0
 
     def test_fifo_per_channel(self):
         sim, net = _rig(UniformLatency(1.0, 10.0))

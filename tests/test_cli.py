@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs.tracer import read_jsonl, to_jsonl
 
 SPEC = """
 workflow demo
@@ -1181,6 +1182,54 @@ class TestDiffCommand:
         empty.write_text("")
         assert main(["diff", a, str(empty)]) == 2
         assert "empty trace" in capsys.readouterr().err
+
+
+class TestDiffDecisions:
+    """repro diff --decisions compares what each site decided, not the
+    traffic that led there."""
+
+    def _variant(self, travel_spec, tmp_path, capsys, edit):
+        """A traced run, and a copy of its trace with ``edit`` applied
+        to the record list."""
+        a = tmp_path / "a.jsonl"
+        assert main([
+            "run", travel_spec, *GZ_RUN, "--seed", "3", "--jitter", "0.5",
+            "--trace", str(a),
+        ]) == 0
+        capsys.readouterr()
+        records = read_jsonl(a)
+        b = tmp_path / "b.jsonl"
+        b.write_text(to_jsonl(edit(records)))
+        return str(a), str(b)
+
+    def test_messages_alone_differ(self, travel_spec, tmp_path, capsys):
+        def fewer_announcements(records):
+            return [
+                r for r in records
+                if not (r["cat"] == "message" and r.get("kind") == "announce")
+            ]
+
+        a, b = self._variant(
+            travel_spec, tmp_path, capsys, fewer_announcements
+        )
+        assert main(["diff", a, b]) == 1
+        capsys.readouterr()
+        assert main(["diff", "--decisions", a, b]) == 0
+        assert "identical" in capsys.readouterr().out
+
+    def test_one_firing_differs(self, travel_spec, tmp_path, capsys):
+        def later_firing(records):
+            fired = next(
+                r for r in records
+                if r["cat"] == "actor" and r["op"] == "fired"
+            )
+            fired["t"] += 1.0
+            return records
+
+        a, b = self._variant(travel_spec, tmp_path, capsys, later_firing)
+        assert main(["diff", "--decisions", a, b]) == 1
+        out = capsys.readouterr().out
+        assert "actor/fired" in out
 
 
 class TestJitterFlag:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.scheduler import DistributedScheduler
+from repro.scheduler.actors import members
 from repro.sim import ConstantLatency
 from repro.temporal.guards import render, workflow_bindings
 from repro.workflows import WorkflowTemplate
@@ -89,8 +90,11 @@ def structure(sched) -> dict:
     monitors and the actor order."""
     return {
         "subscribers": {
-            base: [actor.base for actor in actors]
-            for base, actors in sched._subscribers.items()
+            base: [
+                (site, [actor.base for actor in members(addressee)])
+                for site, addressee in at.items()
+            ]
+            for base, at in sched._fanouts.items()
         },
         "monitor_specs": sched._monitor_specs,
         "monitor_subs": sched._monitor_subs,
