@@ -12,9 +12,26 @@ with sequence numbers, cumulative acks, and timeout retransmission:
   out-of-order arrivals and discarding duplicates, and acknowledges
   once per session per instant, at its end and cumulatively (the
   highest in-order sequence delivered by then);
-* the sender retransmits unacknowledged payloads on a timeout with
-  capped exponential backoff, up to ``max_retries`` (a bounded channel
-  -- exhaustion is counted, never silent);
+* the sender retransmits an unacknowledged payload on a timeout, by
+  what it knows of the peer:
+
+  - it backs off only while the peer is silent: a payload whose peer
+    has been heard from (a payload or an ack) since the payload's last
+    transmission goes out again after the base ``timeout``; otherwise
+    its interval doubles, up to ``max_interval``;
+  - one probe per timed-out batch: a payload that times out while an
+    older unacknowledged payload of its session went out since its
+    timer was armed is *held* -- not resent, its retries and interval
+    unchanged, its timer re-armed -- as that payload's cumulative ack
+    answers both; a held payload whose probe then stays silent for a
+    whole interval of its own goes out itself;
+  - a short ack releases what is held: an ack that stops short of held
+    payloads says the receiver lacks them, so they go out at once at
+    the base interval;
+  - after ``max_retries`` attempts a payload is given up, and what is
+    held behind it with it (a bounded channel -- exhaustion is
+    counted, never silent);
+
 * a site restart re-establishes every session touching the site
   (``reset_site``): epochs bump so pre-crash straggler packets are
   discarded as stale, the crashed site's own sender/receiver state is
@@ -50,20 +67,30 @@ class _Pending:
     retries: int = 0
     interval: float = 0.0
     timer: int = 0
+    #: when it last went out and when its timer was last armed (at that
+    #: transmission or at a hold since), and whether it waits behind an
+    #: older payload's probe
+    sent: float = 0.0
+    armed: float = 0.0
+    held: bool = False
 
 
 class _Session:
     """All state of one ``(src, dst)`` channel, both ends: the sender's
-    next sequence number and unacknowledged payloads by it, the
-    receiver's next expected one, its out-of-order arrivals ``seq ->
-    (payload, handler)`` and whether it owes an ack this instant."""
+    next sequence number, unacknowledged payloads by it and how many of
+    them are held, the receiver's next expected one, its out-of-order
+    arrivals ``seq -> (payload, handler)`` and whether it owes an ack
+    this instant."""
 
-    __slots__ = "epoch", "next_seq", "unacked", "expected", "buffer", "owed"
+    __slots__ = (
+        "epoch", "next_seq", "unacked", "held", "expected", "buffer", "owed"
+    )
 
     def __init__(self, epoch: int = 0) -> None:
         self.epoch = epoch
         self.next_seq = 1
         self.unacked: dict[int, _Pending] = {}
+        self.held = 0
         self.expected = 1
         self.buffer: dict[int, tuple[Any, Callable[[Any], None]]] = {}
         self.owed = False
@@ -92,14 +119,17 @@ class ReliableNetwork:
     """
 
     #: initial retransmission timeout, a small multiple of the round trip:
-    #: too small wastes duplicates, too large stretches recovery
+    #: too small wastes duplicates, too large stretches recovery; also
+    #: the interval of a resend toward a peer heard from since
     timeout = 4.0
-    #: backoff factor per retry, and the cap that keeps a long crash
-    #: window from pushing the next probe arbitrarily far
+    #: backoff factor per retry toward a silent peer, and the cap that
+    #: keeps a long crash window from pushing the next probe arbitrarily
+    #: far
     backoff = 2.0
     max_interval = 32.0
     #: per-payload retry budget; exhaustion is recorded in
-    #: ``stats.retransmit_giveups`` and the payload is abandoned.
+    #: ``stats.retransmit_giveups`` and the payload is abandoned, with
+    #: the payloads held behind it.
     #: Toward a site that is down for good that is the expected end
     #: (its bases end the run unsettled); any other give-up is a lost
     #: message, kept in :attr:`lost` for the scheduler to report as a
@@ -118,6 +148,9 @@ class ReliableNetwork:
         self.lost: list[tuple[str, str, str, int]] = []
         #: one session per (src, dst), replaced on ``reset_site``
         self._sessions: dict[tuple[str, str], _Session] = {}
+        #: when a packet from ``peer`` last reached ``site``, keyed
+        #: ``(peer, site)``: what tells a lost packet from a silent peer
+        self._heard: dict[tuple[str, str], float] = {}
         # bound once: the fabric's entries and the timers hold these
         self._deliver = self._deliver
         self._deliver_local = self._deliver_local
@@ -192,6 +225,7 @@ class ReliableNetwork:
             (key, epoch, seq, kind, pending.payload, pending.handler),
             self._deliver,
         )
+        pending.sent = pending.armed = self.sim.now
         pending.timer = self.sim.schedule(
             pending.interval, self._on_timeout, key, epoch, seq
         )
@@ -200,35 +234,98 @@ class ReliableNetwork:
         session = self._sessions[key]
         if epoch != session.epoch:
             return  # session re-established; the backlog was re-queued
-        pending = session.unacked.get(seq)
+        unacked = session.unacked
+        pending = unacked.get(seq)
         if pending is None:
             return  # acked in the meantime
         src, dst = key
         if self.faults is not None and self.faults.is_down(src):
             return  # our own site is down; restart wipes this state
+        for older in unacked:  # in seq order
+            if older == seq:
+                break
+            if unacked[older].sent >= pending.armed:
+                # an older payload went out since this timer was armed:
+                # its cumulative ack answers this one too, so wait one
+                # more interval for it
+                if not pending.held:
+                    pending.held = True
+                    session.held += 1
+                pending.armed = self.sim.now
+                pending.timer = self.sim.schedule(
+                    pending.interval, self._on_timeout, key, epoch, seq
+                )
+                return
+        if pending.held:
+            pending.held = False
+            session.held -= 1
+        heard = self._heard
+        if (dst, src) in heard and heard[dst, src] >= pending.sent:
+            interval = self.timeout  # the peer is up: the channel lost it
+        else:
+            interval = min(pending.interval * self.backoff, self.max_interval)
+        self._retransmit(key, session, seq, pending, interval)
+
+    def _retransmit(
+        self,
+        key: tuple[str, str],
+        session: _Session,
+        seq: int,
+        pending: _Pending,
+        interval: float,
+    ) -> None:
+        """Resend ``pending`` with its timer at ``interval``; once its
+        retries are spent, give it up instead, and with it what is held
+        behind it (its attempts were theirs too)."""
         if pending.retries >= self.max_retries:
-            del session.unacked[seq]
-            self._note(
-                "retransmit_giveups", src, "giveup",
-                dst=dst, kind=pending.kind, seq=seq, retries=pending.retries,
-            )
-            faults = self.faults  # a site down for good: the expected end
-            if faults is None or not faults.is_down(dst) or (
-                faults.restart_time(dst) is not None
-            ):
-                self.lost.append((src, dst, pending.kind, seq))
+            self._give_up(key, session, seq, pending)
+            if session.held:
+                for held_seq, held in self._release(session, seq):
+                    self._give_up(key, session, held_seq, held)
             return
         pending.retries += 1
-        pending.interval = min(pending.interval * self.backoff, self.max_interval)
+        pending.interval = interval
         self._note_retransmit(key, seq, pending)
         profiler = self.net.profiler  # per message: no call unprofiled
         if profiler is not None:
-            profiler.push("retransmit", site=src)
+            profiler.push("retransmit", site=key[0])
         try:
-            self._transmit(key, epoch, seq, pending)
+            self._transmit(key, session.epoch, seq, pending)
         finally:
             if profiler is not None:
                 profiler.pop()
+
+    def _release(
+        self, session: _Session, after: int
+    ) -> list[tuple[int, _Pending]]:
+        """Lift the holds on ``session``'s payloads above ``after``:
+        their timers cancelled, ``(seq, pending)`` in seq order."""
+        released = [
+            (seq, pending) for seq, pending in session.unacked.items()
+            if seq > after and pending.held
+        ]
+        for _seq, pending in released:
+            pending.held = False
+            self.sim.cancel(pending.timer)
+        session.held -= len(released)
+        return released
+
+    def _give_up(
+        self, key: tuple[str, str], session: _Session, seq: int, pending: _Pending
+    ) -> None:
+        """Abandon ``pending``: counted, and kept in :attr:`lost` unless
+        its destination is down for good."""
+        src, dst = key
+        del session.unacked[seq]
+        self._note(
+            "retransmit_giveups", src, "giveup",
+            dst=dst, kind=pending.kind, seq=seq, retries=pending.retries,
+        )
+        faults = self.faults  # a site down for good: the expected end
+        if faults is None or not faults.is_down(dst) or (
+            faults.restart_time(dst) is not None
+        ):
+            self.lost.append((src, dst, pending.kind, seq))
 
     # ------------------------------------------------------------------
     # receiving
@@ -251,6 +348,7 @@ class ReliableNetwork:
                 "crash_lost", dst, "crash_lost", src=src, kind=kind, seq=seq
             )
             return  # no ack: the sender keeps retransmitting
+        self._heard[key] = self.sim.now
         session = self._sessions[key]
         if epoch != session.epoch:
             self._note(
@@ -302,6 +400,7 @@ class ReliableNetwork:
                 src=dst, kind=ACK_KIND, upto=upto,
             )
             return
+        self._heard[dst, src] = self.sim.now
         session = self._sessions[key]
         if epoch != session.epoch:
             self._note(
@@ -313,6 +412,12 @@ class ReliableNetwork:
         for seq in range(next(iter(unacked), upto + 1), upto + 1):
             if (pending := unacked.pop(seq, None)) is not None:
                 self.sim.cancel(pending.timer)
+                session.held -= pending.held
+        if session.held:
+            # the ack stops short of payloads held behind a probe: the
+            # receiver lacks them, so they go out now
+            for seq, pending in self._release(session, upto):
+                self._retransmit(key, session, seq, pending, self.timeout)
 
     # ------------------------------------------------------------------
     # crash recovery

@@ -278,3 +278,147 @@ class TestOneAckPerInstant:
         assert net.stats.dedup_discards == 1
         assert got == ["x"]
         assert rel.lost == [] and rel.in_flight() == 0
+
+
+def _script(sim, net, drop=lambda now, src, kind, number: False):
+    """Hand each transmission to the fabric unless ``drop(now, src,
+    kind, number)`` holds, and log ``(now, src, kind, number)`` of
+    every one, lost or not; ``number`` is a payload's seq or an ack's
+    upto."""
+    log = []
+    send = net.send
+
+    def scripted(src, dst, kind, packet, handler):
+        number = packet[2]
+        log.append((sim.now, src, kind, number))
+        if not drop(sim.now, src, kind, number):
+            send(src, dst, kind, packet, handler)
+
+    net.send = scripted
+    return log
+
+
+def _payloads(log, src="a"):
+    """``(time, seq)`` of the payload transmissions from ``src``."""
+    return [(t, n) for t, s, kind, n in log if s == src and kind != "ack"]
+
+
+class TestRetransmitOnWhatTheSenderKnows:
+    """A sender backs off only while its peer is silent, probes a
+    timed-out batch with its oldest payload, and resends what a short
+    ack leaves out at once."""
+
+    def test_toward_a_silent_down_peer_the_backoff_and_horizon_stand(self):
+        plan = FaultPlan.of([SiteCrash("b", at=0.0)])  # down for good
+        sim, net, rel, faults = _rig(plan=plan, timeout=4.0)
+        faults.arm()
+        sim.run()
+        log = _script(sim, net)
+        rel.send("a", "b", "msg", "x", lambda p: None)
+        sim.run()
+        times = [t for t, _seq in _payloads(log)]
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        assert gaps == [4.0, 8.0, 16.0] + [32.0] * 17
+        # given up at the 21st timeout, 4 + 8 + 16 + 18 * 32 after the send
+        assert sim.now == 604.0
+        assert net.stats.retransmit_giveups == 1
+        assert rel.lost == []  # a site down for good: the expected end
+
+    def test_a_batch_toward_a_down_peer_gives_up_with_its_probe(self):
+        plan = FaultPlan.of([SiteCrash("b", at=0.0)])
+        sim, net, rel, faults = _rig(plan=plan, timeout=4.0)
+        faults.arm()
+        sim.run()
+        log = _script(sim, net)
+        for i in range(3):
+            rel.send("a", "b", "msg", i, lambda p: None)
+        sim.run()
+        assert sim.now == 604.0  # a lone payload's horizon
+        assert net.stats.retransmit_giveups == 3
+        assert rel.in_flight() == 0
+        # the probe made all 21 attempts; 2 and 3 went out on their own
+        # only while it was silent for one of their intervals
+        sent = [seq for _t, seq in _payloads(log)]
+        assert [sent.count(seq) for seq in (1, 2, 3)] == [21, 3, 3]
+
+    def test_a_peer_heard_from_since_the_last_transmission_resets_backoff(self):
+        sim, net, rel, _ = _rig(timeout=4.0)
+        # a -> b payloads are lost until t = 13; b talks to a at t = 5
+        log = _script(
+            sim, net,
+            drop=lambda now, src, kind, n: src == "a" and kind == "msg"
+            and now < 13,
+        )
+        got = []
+        rel.send("a", "b", "msg", "x", got.append)
+        sim.schedule_at(5.0, rel.send, "b", "a", "msg", "y", got.append)
+        sim.run()
+        # at 4 a has not heard from b: the interval doubles to 8; at 12
+        # it has (b's payload landed at 6): the next leaves after 4
+        assert [t for t, _seq in _payloads(log)] == [0.0, 4.0, 12.0, 16.0]
+        assert got == ["y", "x"]
+        assert rel.lost == [] and rel.in_flight() == 0
+
+    def test_a_dropped_shared_ack_costs_one_probe(self):
+        sim, net, rel, _ = _rig(timeout=4.0)
+        acks = []
+
+        def drop(now, src, kind, n):
+            if kind == "ack":
+                acks.append(n)
+            return acks == [n]  # the first ack only
+
+        log = _script(sim, net, drop=drop)
+        got = []
+        for i in range(3):
+            rel.send("a", "b", "msg", i, got.append)  # all land at 1
+        sim.run()
+        assert acks == [3, 3]  # the shared ack, dropped, then the probe's
+        # only the oldest goes out again; its ack retires all three, so
+        # no held timer fires after it
+        assert _payloads(log) == [(0.0, 1), (0.0, 2), (0.0, 3), (4.0, 1)]
+        assert net.stats.retransmits == 1
+        assert got == [0, 1, 2]
+        assert sim.now == 6.0
+        assert rel.in_flight() == 0
+
+    def test_a_short_ack_sends_the_held_payloads_at_once(self):
+        sim, net, rel, _ = _rig(timeout=4.0)
+        firsts = []
+
+        def drop(now, src, kind, n):
+            # seq 2's first transmission, and the first ack (upto 1)
+            if (kind, n) in firsts:
+                return False
+            firsts.append((kind, n))
+            return (kind, n) in (("msg", 2), ("ack", 1))
+
+        log = _script(sim, net, drop=drop)
+        got = []
+        for i in range(3):
+            rel.send("a", "b", "msg", i, got.append)
+        sim.run()
+        # 1 probes at 4 and is answered at 6 with upto 1, short of the
+        # held 2 and 3: both go out at once, not at their timers
+        assert _payloads(log) == [
+            (0.0, 1), (0.0, 2), (0.0, 3), (4.0, 1), (6.0, 2), (6.0, 3)
+        ]
+        assert got == [0, 1, 2]
+        assert rel.lost == [] and rel.in_flight() == 0
+
+    def test_a_reset_leaves_nothing_held(self):
+        sim, net, rel, _ = _rig(timeout=4.0)
+        _script(sim, net, drop=lambda now, src, kind, n: kind == "ack")
+        got = []
+        for i in range(3):
+            rel.send("a", "b", "msg", i, got.append)
+        sim.run(until=4.0)  # 1 probes; 2 and 3 are held
+        old = rel._sessions["a", "b"]
+        assert old.held == 2
+        assert [p.held for p in old.unacked.values()] == [False, True, True]
+        rel.reset_site("b")
+        fresh = rel._sessions["a", "b"]
+        assert fresh.held == 0
+        assert len(fresh.unacked) == 3
+        assert not any(p.held for p in fresh.unacked.values())
+        assert got == [0, 1, 2]
