@@ -115,37 +115,45 @@ def test_bench_raw_vs_reliable_baseline(benchmark):
 
 
 #: means over seeds 0-39 of makespan, decision latency, messages and
-#: retransmits that a sweep must not exceed: the values before sessions
-#: backed off only toward a silent peer and probed a timed-out batch
-#: with its oldest payload (lower them as they improve, never raise)
-SWEEP_CEILINGS = {0.3: (168.5, 57.6, 154.7, 78.2), 0.0: (28.0, 10.0, 86, 8)}
+#: retransmits that a sweep must not exceed: this tree's means, with
+#: sessions that back off only toward a silent peer and probe a
+#: timed-out batch with its oldest payload (lower them as they improve,
+#: never raise)
+SWEEP_CEILINGS = {0.3: (124.9, 41.8, 136.7, 56.3), 0.0: (28.0, 10.0, 84, 6)}
+
+
+def chaos_sweep(drop: float) -> list[float]:
+    """Travel's failure path, drop = duplication, the airline down from
+    t=2 to 10, seeds 0-39: every run settles without a violation; the
+    means of makespan, decision latency, messages and retransmits."""
+    plan = FaultPlan.of([SiteCrash("airline", at=2.0, restart_at=10.0)])
+    rows = []
+    for seed in range(40):
+        sched, _, result = _run(drop, plan, seed=seed, outcome="failure")
+        assert not result.unsettled and not result.violations, seed
+        network = sched.metrics_report()["network"]
+        rows.append((
+            result.makespan, result.mean_decision_latency(),
+            network["messages"], network["retransmits"],
+        ))
+    return [mean(column) for column in zip(*rows)]
+
+
+def under_ceilings(drop: float, means: list[float]) -> bool:
+    return all(
+        got <= ceiling for got, ceiling in zip(means, SWEEP_CEILINGS[drop])
+    )
 
 
 @pytest.mark.parametrize("drop", sorted(SWEEP_CEILINGS))
 def test_bench_chaos_seed_sweep(benchmark, drop):
-    """Travel's failure path, drop = duplication, the airline down from
-    t=2 to 10, seeds 0-39: every run settles without a violation, and
-    the means stay at or under their ceilings."""
-    plan = FaultPlan.of([SiteCrash("airline", at=2.0, restart_at=10.0)])
-
-    def run():
-        rows = []
-        for seed in range(40):
-            sched, _, result = _run(drop, plan, seed=seed, outcome="failure")
-            assert not result.unsettled and not result.violations, seed
-            network = sched.metrics_report()["network"]
-            rows.append((
-                result.makespan, result.mean_decision_latency(),
-                network["messages"], network["retransmits"],
-            ))
-        return [mean(column) for column in zip(*rows)]
-
-    means = benchmark(run)
+    """:func:`chaos_sweep`'s means stay at or under their ceilings (the
+    tier-1 suite runs the same sweep untimed,
+    ``tests/sim/test_chaos_sweep.py``)."""
+    means = benchmark(chaos_sweep, drop)
     print(
         f"\n[chaos sweep drop={drop:.1f} +crash, 40 seeds] "
         "makespan={:.1f} latency={:.1f} messages={:.1f} "
         "retransmits={:.1f}".format(*means)
     )
-    assert all(
-        got <= ceiling for got, ceiling in zip(means, SWEEP_CEILINGS[drop])
-    ), (means, SWEEP_CEILINGS[drop])
+    assert under_ceilings(drop, means), (means, SWEEP_CEILINGS[drop])

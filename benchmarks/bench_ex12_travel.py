@@ -2,14 +2,20 @@
 
 Example 4's three dependencies drive both outcome paths; Example 12
 re-keys the workflow by customer id, and instances must not interfere.
+PF2 times Example 12's N instances synthesized one by one against one
+template stamped N times.
 """
+
+import pytest
 
 from repro.algebra.symbols import Event, Variable
 from repro.params.workflows import ParametrizedWorkflow
 from repro.scheduler import CentralizedScheduler, DistributedScheduler
+from repro.temporal.guards import render, workflow_guards
+from repro.workflows import WorkflowTemplate
 from repro.workloads.scenarios import make_travel_booking
 
-from benchmarks.helpers import run_scenario
+from benchmarks.helpers import clear_symbolic_caches, run_scenario
 
 
 def test_bench_travel_success_distributed(benchmark):
@@ -60,3 +66,28 @@ def test_bench_example12_template_instantiation(benchmark):
     assert template.variables() == frozenset({cid})
     first = instances[0].dependencies[0]
     assert Event("s_book", params=("c0",)) in first.bases()
+
+
+def _pf2_per_instance():
+    """PF2's first arm: each of 64 suffixed instances synthesized on
+    its own names (``workflow_guards``)."""
+    table = {}
+    for i in range(64):
+        deps = make_travel_booking(suffix=f"_i{i}").workflow.dependencies
+        table.update(workflow_guards(deps))
+    return table
+
+
+def _pf2_template():
+    """PF2's second arm: one template synthesized once, 64 rows stamped."""
+    template = WorkflowTemplate(make_travel_booking().workflow)
+    return render(template.instantiate_merged([f"_i{i}" for i in range(64)])[1])
+
+
+@pytest.mark.parametrize("arm", [_pf2_per_instance, _pf2_template],
+                         ids=["per_instance", "template"])
+def test_bench_pf2_synthesis_n64(benchmark, arm):
+    """PF2 (EXPERIMENTS.md): 64 travel instances' guard tables from
+    cold symbolic caches; both arms build the same table."""
+    table = benchmark.pedantic(arm, setup=clear_symbolic_caches, rounds=5)
+    assert table == _pf2_per_instance()

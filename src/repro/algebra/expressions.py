@@ -22,7 +22,8 @@ an event together with its complement).  Heavier rewriting lives in
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.symbols import (
     Event,
@@ -32,14 +33,19 @@ from repro.algebra.symbols import (
     rename_event,
 )
 
-# Hash-consing: every expression node is interned here, keyed by its
-# structural identity, so constructing the same expression twice yields
-# the same object.  Equality then short-circuits on identity, the hash
-# is computed once per node (and is O(children), not O(tree), because
-# child hashes are themselves cached), and derived views -- events(),
+# Hash-consing: every expression node is interned, so constructing the
+# same expression twice yields the same object.  Equality then
+# short-circuits on identity, and derived views -- events(),
 # alphabet(), bases(), the canonical sort key -- are computed once and
-# memoized on the node.
+# memoized on the node.  A node's hash is structural and computed once,
+# at construction, from its children's stored hashes.  An atom's table
+# is keyed by its event, and an n-ary node is filed under its hash, so
+# interning one hashes its parts once, not once per probe of a
+# structural key (nodes whose hashes collide are kept apart by
+# structure in ``_SPILL``).
+_ATOMS: dict = {}
 _INTERN: dict = {}
+_SPILL: dict = {}
 
 
 class _Counters:
@@ -47,12 +53,12 @@ class _Counters:
     misses = 0
 
 
-def _init_node(node: "Expr", node_hash: int) -> None:
-    object.__setattr__(node, "_hash", node_hash)
-    object.__setattr__(node, "_events", None)
-    object.__setattr__(node, "_alpha", None)
-    object.__setattr__(node, "_bases", None)
-    object.__setattr__(node, "_skey", None)
+def _new_node(cls, node_hash: int) -> "Expr":
+    """A bare node of ``cls`` with ``node_hash`` and empty memos."""
+    node = object.__new__(cls)
+    node._hash = node_hash
+    node._events = node._alpha = node._bases = node._skey = None
+    return node
 
 
 def intern_stats() -> dict:
@@ -60,7 +66,7 @@ def intern_stats() -> dict:
     tables (exposed through ``metrics_report()`` and ``run --json``)."""
     return {
         "exprs": {
-            "size": len(_INTERN),
+            "size": len(_ATOMS) + len(_INTERN) + len(_SPILL),
             "hits": _Counters.hits,
             "misses": _Counters.misses,
         },
@@ -75,14 +81,20 @@ def clear_intern_tables() -> None:
     structural comparison and all hashes are structural -- they just
     stop being ``is``-identical to nodes built afterwards.  Events
     compare by identity and are never dropped; their counters reset."""
+    _ATOMS.clear()
     _INTERN.clear()
+    _SPILL.clear()
     _Counters.hits = 0
     _Counters.misses = 0
     clear_event_intern_table()
 
 
 class Expr:
-    """Base class for event expressions.  Instances are immutable."""
+    """Base class for event expressions.  Instances are immutable: no
+    code writes a node's slots but its constructor and the memo fills
+    below.  Nodes define no ``__setattr__`` guard, which would send
+    every one of those writes through ``object.__setattr__`` (about
+    four times the cost of a slot store on the hot interning path)."""
 
     __slots__ = ("_hash", "_events", "_alpha", "_bases", "_skey")
 
@@ -115,7 +127,7 @@ class Expr:
             out: set[Event] = set()
             self._collect_events(out)
             cached = frozenset(out)
-            object.__setattr__(self, "_events", cached)
+            self._events = cached
         return cached
 
     def alphabet(self) -> frozenset[Event]:
@@ -123,7 +135,7 @@ class Expr:
         cached = self._alpha
         if cached is None:
             cached = alphabet_of(self.events())
-            object.__setattr__(self, "_alpha", cached)
+            self._alpha = cached
         return cached
 
     def bases(self) -> frozenset[Event]:
@@ -131,7 +143,7 @@ class Expr:
         cached = self._bases
         if cached is None:
             cached = frozenset(e.base for e in self.events())
-            object.__setattr__(self, "_bases", cached)
+            self._bases = cached
         return cached
 
     def __hash__(self) -> int:
@@ -141,8 +153,7 @@ class Expr:
         # back through the interning constructor with the node's own
         # slots (none / event / parts): a copy or an unpickled node *is*
         # the interned one, in whichever process it lands
-        cls = type(self)
-        return cls, tuple(getattr(self, slot) for slot in cls.__slots__)
+        return type(self), ()
 
     def _collect_events(self, out: set[Event]) -> None:
         raise NotImplementedError
@@ -175,9 +186,7 @@ class Zero(Expr):
     def __new__(cls):
         inst = cls._instance
         if inst is None:
-            inst = super().__new__(cls)
-            _init_node(inst, hash("Zero"))
-            cls._instance = inst
+            inst = cls._instance = _new_node(cls, hash("Zero"))
         return inst
 
     def _collect_events(self, out: set[Event]) -> None:
@@ -201,9 +210,7 @@ class Top(Expr):
     def __new__(cls):
         inst = cls._instance
         if inst is None:
-            inst = super().__new__(cls)
-            _init_node(inst, hash("Top"))
-            cls._instance = inst
+            inst = cls._instance = _new_node(cls, hash("Top"))
         return inst
 
     def _collect_events(self, out: set[Event]) -> None:
@@ -228,22 +235,20 @@ class Atom(Expr):
     __slots__ = ("event",)
 
     def __new__(cls, event: Event):
-        key = ("Atom", event)
-        found = _INTERN.get(key)
-        if found is not None:
+        if event in _ATOMS:
             _Counters.hits += 1
-            return found
-        if not isinstance(event, Event):
+            return _ATOMS[event]
+        if type(event) is not Event:
             raise TypeError(f"Atom requires an Event, got {event!r}")
         _Counters.misses += 1
-        self = super().__new__(cls)
-        object.__setattr__(self, "event", event)
-        _init_node(self, hash(key))
-        _INTERN[key] = self
+        self = _ATOMS[event] = object.__new__(cls)
+        self._hash = hash(("Atom", event))
+        self._events = self._alpha = self._bases = self._skey = None
+        self.event = event
         return self
 
-    def __setattr__(self, key, value):  # pragma: no cover
-        raise AttributeError("Atom is immutable")
+    def __reduce__(self):
+        return Atom, (self.event,)
 
     def _collect_events(self, out: set[Event]) -> None:
         out.add(self.event)
@@ -266,7 +271,53 @@ class Atom(Expr):
         return repr(self.event)
 
 
-class Seq(Expr):
+class _Nary(Expr):
+    """The n-ary operators' shared node: its ``parts``, interned under
+    its structural hash (see the module's interning note)."""
+
+    __slots__ = ("parts",)
+
+    def __new__(cls, parts: tuple[Expr, ...]):
+        parts = tuple(parts)
+        node_hash = hash((cls.__name__, parts))
+        if node_hash in _INTERN:
+            found = _INTERN[node_hash]
+            if type(found) is not cls or found.parts != parts:
+                found = _SPILL.get((cls, parts))
+            if found is not None:
+                _Counters.hits += 1
+                return found
+            table, key = _SPILL, (cls, parts)
+        else:
+            table, key = _INTERN, node_hash
+        _Counters.misses += 1
+        self = table[key] = object.__new__(cls)
+        self._hash = node_hash
+        self._events = self._alpha = self._bases = self._skey = None
+        self.parts = parts
+        return self
+
+    def __reduce__(self):
+        return type(self), (self.parts,)
+
+    def _collect_events(self, out: set[Event]) -> None:
+        for p in self.parts:
+            p._collect_events(out)
+
+    def walk(self) -> Iterator[Expr]:
+        yield self
+        for p in self.parts:
+            yield from p.walk()
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        return type(other) is type(self) and other.parts == self.parts
+
+    __hash__ = Expr.__hash__
+
+
+class Seq(_Nary):
     """Sequence ``E1 . E2 ... En`` (Semantics 3), flattened n-ary.
 
     ``Seq.of`` applies sound unit/annihilator laws: ``T`` parts are
@@ -278,24 +329,7 @@ class Seq(Expr):
     (no trace in ``U_E`` may contain either combination, Definition 1).
     """
 
-    __slots__ = ("parts",)
-
-    def __new__(cls, parts: tuple[Expr, ...]):
-        parts = tuple(parts)
-        key = ("Seq", parts)
-        found = _INTERN.get(key)
-        if found is not None:
-            _Counters.hits += 1
-            return found
-        _Counters.misses += 1
-        self = super().__new__(cls)
-        object.__setattr__(self, "parts", parts)
-        _init_node(self, hash(key))
-        _INTERN[key] = self
-        return self
-
-    def __setattr__(self, key, value):  # pragma: no cover
-        raise AttributeError("Seq is immutable")
+    __slots__ = ()
 
     @staticmethod
     def of(items: Iterable[Expr]) -> Expr:
@@ -325,30 +359,14 @@ class Seq(Expr):
             seen.add(e)
         return Seq(tuple(flat))
 
-    def _collect_events(self, out: set[Event]) -> None:
-        for p in self.parts:
-            p._collect_events(out)
-
-    def walk(self) -> Iterator[Expr]:
-        yield self
-        for p in self.parts:
-            yield from p.walk()
-
     def substitute(self, binding: dict) -> Expr:
         return Seq.of([p.substitute(binding) for p in self.parts])
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return isinstance(other, Seq) and other.parts == self.parts
-
-    __hash__ = Expr.__hash__
 
     def __repr__(self) -> str:
         return " . ".join(_wrap(p, for_seq=True) for p in self.parts)
 
 
-class Choice(Expr):
+class Choice(_Nary):
     """Choice ``E1 + E2 ... + En`` (Semantics 2), flattened n-ary.
 
     Canonicalization: flattening, deduplication, sorting (both ``+``
@@ -357,24 +375,7 @@ class Choice(Expr):
     any summand is ``T``.
     """
 
-    __slots__ = ("parts",)
-
-    def __new__(cls, parts: tuple[Expr, ...]):
-        parts = tuple(parts)
-        key = ("Choice", parts)
-        found = _INTERN.get(key)
-        if found is not None:
-            _Counters.hits += 1
-            return found
-        _Counters.misses += 1
-        self = super().__new__(cls)
-        object.__setattr__(self, "parts", parts)
-        _init_node(self, hash(key))
-        _INTERN[key] = self
-        return self
-
-    def __setattr__(self, key, value):  # pragma: no cover
-        raise AttributeError("Choice is immutable")
+    __slots__ = ()
 
     @staticmethod
     def of(items: Iterable[Expr]) -> Expr:
@@ -396,54 +397,21 @@ class Choice(Expr):
             return unique[0]
         return Choice(tuple(unique))
 
-    def _collect_events(self, out: set[Event]) -> None:
-        for p in self.parts:
-            p._collect_events(out)
-
-    def walk(self) -> Iterator[Expr]:
-        yield self
-        for p in self.parts:
-            yield from p.walk()
-
     def substitute(self, binding: dict) -> Expr:
         return Choice.of([p.substitute(binding) for p in self.parts])
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return isinstance(other, Choice) and other.parts == self.parts
-
-    __hash__ = Expr.__hash__
 
     def __repr__(self) -> str:
         return " + ".join(_wrap(p, for_seq=False) for p in self.parts)
 
 
-class Conj(Expr):
+class Conj(_Nary):
     """Conjunction ``E1 | E2 ... | En`` (Semantics 4), flattened n-ary.
 
     Canonicalization mirrors :class:`Choice` with the dual constants:
     ``T`` parts are dropped and any ``0`` part collapses to ``0``.
     """
 
-    __slots__ = ("parts",)
-
-    def __new__(cls, parts: tuple[Expr, ...]):
-        parts = tuple(parts)
-        key = ("Conj", parts)
-        found = _INTERN.get(key)
-        if found is not None:
-            _Counters.hits += 1
-            return found
-        _Counters.misses += 1
-        self = super().__new__(cls)
-        object.__setattr__(self, "parts", parts)
-        _init_node(self, hash(key))
-        _INTERN[key] = self
-        return self
-
-    def __setattr__(self, key, value):  # pragma: no cover
-        raise AttributeError("Conj is immutable")
+    __slots__ = ()
 
     @staticmethod
     def of(items: Iterable[Expr]) -> Expr:
@@ -470,24 +438,8 @@ class Conj(Expr):
             return ZERO
         return Conj(tuple(unique))
 
-    def _collect_events(self, out: set[Event]) -> None:
-        for p in self.parts:
-            p._collect_events(out)
-
-    def walk(self) -> Iterator[Expr]:
-        yield self
-        for p in self.parts:
-            yield from p.walk()
-
     def substitute(self, binding: dict) -> Expr:
         return Conj.of([p.substitute(binding) for p in self.parts])
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return isinstance(other, Conj) and other.parts == self.parts
-
-    __hash__ = Expr.__hash__
 
     def __repr__(self) -> str:
         return " | ".join(_wrap(p, for_seq=False, for_conj=True) for p in self.parts)
@@ -527,7 +479,7 @@ def _struct_key(expr: Expr) -> tuple:
         skey = (5, tuple(_struct_key(p) for p in expr.parts))
     else:  # pragma: no cover
         raise TypeError(f"unknown expression: {expr!r}")
-    object.__setattr__(expr, "_skey", skey)
+    expr._skey = skey
     return skey
 
 
@@ -551,39 +503,89 @@ def rename_expr(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
     return expr  # Zero / Top carry no events
 
 
-def rename_ordered(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
-    """:func:`rename_expr` of a canonical expression (one the ``.of``
-    constructors built) under a rename that is injective and keeps the
-    ``Event.sort_key`` order of the bases it maps.
+def picker(positions: Sequence[int]) -> itemgetter:
+    """``pick(row)``: the row's items at ``positions``, always a sequence
+    (``itemgetter`` of one index would give the item itself)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    if not positions:
+        return itemgetter(slice(0))
+    return itemgetter(*positions)
 
-    Such a rename commutes with every canonicalization step: it keeps
-    distinct parts distinct (no dedupe), the structural order of the
-    parts (no re-sort), and every repeat or complementary pair absent
-    (no collapse).  The copy is therefore rebuilt straight through the
+
+class RowCopies:
+    """Structural copies of canonical expressions (ones the ``.of``
+    constructors built) onto *rows*: each expression's bases replaced by
+    the events at the same positions of another row of as many events.
+
+    A row whose events keep the ``Event.sort_key`` order of the planned
+    row renames injectively and order-preservingly, and such a rename
+    commutes with every canonicalization step: it keeps distinct parts
+    distinct (no dedupe), the structural order of the parts (no
+    re-sort), and every repeat or complementary pair absent (no
+    collapse).  Each copy is therefore rebuilt straight through the
     interning constructors, parts in the order they stand, and *is*
-    the node :func:`rename_expr` returns.  Its bases are the images of
-    ``expr``'s, so a fresh copy is handed them and never walked for
-    them.
+    the node :func:`rename_expr` returns.  The expressions are planned
+    once as a flat list of steps, children before parents and each
+    shared node once, so a copy takes one constructor call per node.
+    Its bases are the row's events at the original's positions, so a
+    fresh copy is handed them and never walked for them.
     """
-    copy = _rename_ordered(expr, mapping)
-    if copy._bases is None:
-        bases = expr.bases()
-        images = frozenset(map(mapping.get, bases, bases))
-        object.__setattr__(copy, "_bases", images)
-    return copy
 
+    __slots__ = ("steps", "outputs", "bases")
 
-def _rename_ordered(expr: Expr, mapping: Mapping[Event, Event]) -> Expr:
-    cls = type(expr)
-    if cls is Atom:
-        event = expr.event
-        target = mapping.get(event.base)
-        if target is None:
-            return expr
-        return Atom(target.complement if event.negated else target)
-    if cls is Zero or cls is Top:
-        return expr
-    return cls(tuple([_rename_ordered(p, mapping) for p in expr.parts]))
+    def __init__(self, exprs: Iterable[Expr], row: Sequence[Event]):
+        position = {base: i for i, base in enumerate(row)}
+        #: ``(kind, arg, negated)`` per node: an atom at row position
+        #: ``arg``, a constant node ``arg`` (kind ``None``), or an n-ary
+        #: node of class ``kind`` over the steps ``arg`` picks
+        self.steps: list[tuple] = []
+        #: the step of each expression, in the order given
+        self.outputs: list[int] = []
+        #: each expression's base positions, as a picker of the row
+        self.bases: list[itemgetter] = []
+        step_of: dict[Expr, int] = {}
+        for expr in exprs:
+            self.outputs.append(self._plan(expr, position, step_of))
+            self.bases.append(picker([position[b] for b in expr.bases()]))
+
+    def _plan(
+        self, node: Expr, position: dict[Event, int], step_of: dict
+    ) -> int:
+        """The step that builds ``node``'s copy, planned after its
+        parts' steps unless ``step_of`` has one."""
+        step = step_of.get(node)
+        if step is None:
+            if type(node) is Atom:
+                event = node.event
+                made = (Atom, position[event.base], event.negated)
+            elif isinstance(node, _Nary):
+                picks = [
+                    self._plan(part, position, step_of) for part in node.parts
+                ]
+                made = (type(node), picker(picks), False)
+            else:  # Zero / Top carry no events
+                made = (None, node, False)
+            step = step_of[node] = len(self.steps)
+            self.steps.append(made)
+        return step
+
+    def __call__(self, row: Sequence[Event]) -> list[Expr]:
+        """The copies on ``row``, in the order planned."""
+        made: list = [None] * len(self.steps)
+        for i, (kind, arg, negated) in enumerate(self.steps):
+            if kind is Atom:
+                event = row[arg]
+                made[i] = Atom(event.complement if negated else event)
+            elif kind is None:
+                made[i] = arg
+            else:
+                made[i] = kind(arg(made))
+        copies = [made[i] for i in self.outputs]
+        for copy, bases in zip(copies, self.bases):
+            if copy._bases is None:
+                copy._bases = frozenset(bases(row))
+        return copies
 
 
 def _wrap(expr: Expr, for_seq: bool, for_conj: bool = False) -> str:

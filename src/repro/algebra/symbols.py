@@ -60,8 +60,9 @@ class Event:
     inserts keyed by events run ``object``'s C slots.  Both polarities
     of a symbol are created together and linked: ``base`` is the
     positive form, ``complement`` the other polarity (the paper's
-    overline).  The intern table is thus every event's identity and is
-    never dropped; copies and unpickled events are the interned object.
+    overline).  The intern table, keyed by (name, params) and holding
+    the positive form, is thus every event's identity and is never
+    dropped; copies and unpickled events are the interned object.
 
     Parameters
     ----------
@@ -80,31 +81,21 @@ class Event:
     _misses = 0
 
     def __new__(cls, name: str, negated: bool = False, params: tuple = ()):
-        key = (name, bool(negated), tuple(params))
+        key = (name, tuple(params))
         table = cls._intern
-        found = table.get(key)
-        if found is not None:
+        if key in table:
             cls._hits += 1
-            return found
-        if not name:
-            raise ValueError("event name must be non-empty")
-        if not _RESERVED.isdisjoint(name):
-            raise ValueError(f"event name contains reserved characters: {name!r}")
-        cls._misses += 1
-        params = key[2]
-        order = (name, tuple(map(repr, params)))
-        # a new symbol: both polarities at once, each holding the other
-        positive, negative = super().__new__(cls), super().__new__(cls)
-        fill = object.__setattr__
-        for self, other in ((positive, negative), (negative, positive)):
-            fill(self, "name", name)
-            fill(self, "negated", self is negative)
-            fill(self, "params", params)
-            fill(self, "base", positive)
-            fill(self, "complement", other)
-            fill(self, "_skey", order + (self.negated,))
-            table[(name, self.negated, params)] = self
-        return negative if key[1] else positive
+            positive = table[key]
+        else:
+            if not name:
+                raise ValueError("event name must be non-empty")
+            if not _RESERVED.isdisjoint(name):
+                raise ValueError(
+                    f"event name contains reserved characters: {name!r}"
+                )
+            params = key[1]
+            positive = _new_symbol(key, tuple(map(repr, params)))
+        return positive.complement if negated else positive
 
     def __reduce__(self):
         return Event, (self.name, self.negated, self.params)
@@ -177,13 +168,67 @@ class Event:
         return f"~{body}" if self.negated else body
 
 
+def _new_symbol(key: tuple, shown: tuple) -> Event:
+    """Intern a new symbol under ``key``, its (valid) name and its
+    parameters, ``shown`` the ``repr`` of each parameter: both
+    polarities at once, each holding the other; the positive one is
+    returned."""
+    Event._misses += 1
+    name, params = key
+    positive, negative = object.__new__(Event), object.__new__(Event)
+    _set_name(positive, name)
+    _set_name(negative, name)
+    _set_negated(positive, False)
+    _set_negated(negative, True)
+    _set_params(positive, params)
+    _set_params(negative, params)
+    _set_base(positive, positive)
+    _set_base(negative, positive)
+    _set_complement(positive, negative)
+    _set_complement(negative, positive)
+    _set_skey(positive, (name, shown, False))
+    _set_skey(negative, (name, shown, True))
+    Event._intern[key] = positive
+    return positive
+
+
+# the slots' own setters, past ``Event.__setattr__``'s guard: a third
+# quicker than ``object.__setattr__``, which looks each slot up again
+_set_name = Event.name.__set__
+_set_negated = Event.negated.__set__
+_set_params = Event.params.__set__
+_set_base = Event.base.__set__
+_set_complement = Event.complement.__set__
+_set_skey = Event._skey.__set__
+
+
+def suffixed(bases: Iterable[Event], suffix: str) -> tuple[Event, ...]:
+    """``Event(f"{base.name}{suffix}", params=base.params)`` for each
+    positive event of ``bases``, in order: a stamped instance's row.
+
+    The suffix is checked once; a base's name is valid already, so
+    each new name is, and a new symbol is interned with no check."""
+    if not _RESERVED.isdisjoint(suffix):
+        raise ValueError(f"event name contains reserved characters: {suffix!r}")
+    table = Event._intern
+    row = []
+    for base in bases:
+        key = (base.name + suffix, base.params)
+        if key in table:
+            Event._hits += 1
+            row += (table[key],)
+        else:
+            row += (_new_symbol(key, base._skey[1]),)
+    return tuple(row)
+
+
 def event_intern_stats() -> dict:
     """Hit/miss counters and size of the :class:`Event` intern table.
 
     ``size`` counts both polarities of every symbol (they are created
     together); a miss is one new symbol."""
     return {
-        "size": len(Event._intern),
+        "size": 2 * len(Event._intern),
         "hits": Event._hits,
         "misses": Event._misses,
     }

@@ -947,26 +947,31 @@ class BaseActor:
             role.recover()
 
 
-class Fanout:
+class Fanout(list):
     """The addressee of a base's announcement at a site where more than
-    one party hears it: the site's actors subscribing to the base, in
-    subscription order, then the site's requirement monitor if it
-    watches the base.  A site where one actor alone hears the base has
-    none: the actor is its own addressee.  The scheduler builds them
-    with the subscriptions (:func:`join`), so a fact crosses to each
-    site once and a publish groups nothing; a monitor rebuilt after a
-    crash gets a fresh fanout, so an announcement sent before the
-    restart still reaches the monitor it was sent to."""
+    one party hears it: the site's actors subscribing to the base (the
+    list itself), in subscription order, then the site's requirement
+    monitor if it watches the base.  A site where one actor alone hears
+    the base has none: the actor is its own addressee.  The scheduler
+    builds them with the subscriptions (:func:`join`), so a fact crosses
+    to each site once and a publish groups nothing; a monitor rebuilt
+    after a crash gets a fresh fanout, so an announcement sent before
+    the restart still reaches the monitor it was sent to.  A fanout is
+    one object, its actors' list, and compares by identity."""
 
-    __slots__ = "site", "actors", "monitor"
+    __slots__ = "site", "monitor"
 
     def __init__(self, site: str, actors: list[BaseActor], monitor=None):
+        super().__init__(actors)
         self.site = site
-        self.actors = actors
         self.monitor = monitor
 
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
     def __call__(self, msg: Announce) -> None:
-        for actor in self.actors:
+        for actor in self:
             actor.on_announce(msg)
         if self.monitor is not None:
             self.monitor.observe(msg.event)
@@ -980,15 +985,15 @@ def join(addressees: dict, site: str, actor: BaseActor) -> None:
     if held is None:
         addressees[site] = actor
     elif type(held) is Fanout:
-        held.actors.append(actor)
+        held.append(actor)
     else:
-        addressees[site] = Fanout(site, [held, actor])
+        addressees[site] = Fanout(site, (held, actor))
 
 
 def members(addressee) -> list[BaseActor]:
     """The actors an addressee of :func:`join` hands an announcement
     to."""
-    return addressee.actors if type(addressee) is Fanout else [addressee]
+    return addressee if type(addressee) is Fanout else [addressee]
 
 
 #: the handler of each message type, by the class of its addressee:

@@ -15,6 +15,7 @@ once, in :meth:`RunBase.finish`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Mapping
 
 from repro.algebra.expressions import Expr
@@ -90,7 +91,8 @@ class RunBase:
     # the workflow's bases
 
     def site_of(self, base: Event) -> str:
-        return self._sites.get(base.base, f"site_{base.base.name}")
+        site = self._sites.get(base.base)
+        return site if site is not None else f"site_{base.base.name}"
 
     def attributes(self, base: Event) -> EventAttributes:
         return self._attributes.get(base.base, _DEFAULT_ATTRS)
@@ -126,20 +128,23 @@ class RunBase:
             self._schedule_gated(attempt)
 
     def _schedule_gated(self, attempt: ScriptedAttempt) -> None:
-        def fire() -> None:
-            if attempt.after is not None:
-                gate = self._settled.get(attempt.after.base)
-                if gate is None:
-                    # prerequisite pending: re-run when the base settles
-                    self._waiters.setdefault(
-                        attempt.after.base, []
-                    ).append(fire)
-                    return
-                if gate != attempt.after:
-                    return  # settled against us: the task path is dead
-            self.attempt(attempt.event)
+        self.sim.schedule(attempt.time, self._fire_gated, attempt)
 
-        self.sim.schedule(attempt.time, fire)
+    def _fire_gated(self, attempt: ScriptedAttempt) -> None:
+        """``attempt``'s time has come (or its gate's base settled)."""
+        if attempt.after is not None:
+            gate = self._settled.get(attempt.after.base)
+            if gate is None:
+                # prerequisite pending: re-run when the base settles (a
+                # partial, not a closure over itself: a fired attempt
+                # is freed at once, not left for the cycle collector)
+                self._waiters.setdefault(attempt.after.base, []).append(
+                    partial(self._fire_gated, attempt)
+                )
+                return
+            if gate != attempt.after:
+                return  # settled against us: the task path is dead
+        self.attempt(attempt.event)
 
     # ------------------------------------------------------------------
     # lifecycle records: one method per event of Section 4.3.  The ones

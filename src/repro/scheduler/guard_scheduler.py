@@ -148,8 +148,11 @@ class DistributedScheduler(RunBase):
             # recovery protocol runs over the fresh sessions
             self.faults.on_restart(self.channel.reset_site)
             self.faults.on_restart(self._recover_site)
-        # bound once: every trigger message holds this one method
+        # bound once: every trigger message holds this one method, and
+        # every monitor reports through the other two
         self._on_trigger = self._on_trigger
+        self._monitor_trigger = self._monitor_trigger
+        self._monitor_doomed = self._monitor_doomed
         self._recovering: dict[str, dict] = {}
         self._round_counter = 0
         #: base -> its crossing group (a member standing for the group),
@@ -191,11 +194,9 @@ class DistributedScheduler(RunBase):
         #: (``BaseActor.on_announce`` decides)
         self.watch = WakeCounts()
         # per-site requirement monitors for triggerable events
-        self._monitors: list[tuple[str, RequirementMonitor]] = []
-        self._monitor_subs: defaultdict[Event, list[int]] = defaultdict(list)
-        #: construction spec per monitor index, kept so a crashed
-        #: site's monitors can be rebuilt and resynced
-        self._monitor_specs: list[tuple[list[Expr], frozenset[Event]]] = []
+        #: one per site of a triggerable base; a crashed site's is
+        #: rebuilt from its own dependencies and triggerable bases
+        self._monitors: list[RequirementMonitor] = []
         self._build_monitors()
         #: sampled telemetry series (None until enabled); the sampler
         #: only reads state, so an instrumented run stays bit-identical
@@ -246,9 +247,9 @@ class DistributedScheduler(RunBase):
                         if held is None:
                             at[site] = actor
                         elif type(held) is Fanout:
-                            held.actors.append(actor)
+                            held.append(actor)
                         else:
-                            at[site] = Fanout(site, [held, actor])
+                            at[site] = Fanout(site, (held, actor))
                 heard = bases
 
     def add_role(
@@ -305,19 +306,12 @@ class DistributedScheduler(RunBase):
                 site = site_of[base]
                 by_site[site].add(base)
                 positions[site].add(position)
-        for index, (site, at) in enumerate(
-            sorted(positions.items()), start=len(self._monitors)
-        ):
+        for site, at in sorted(positions.items()):
             deps = [self.dependencies[position] for position in sorted(at)]
-            bases = frozenset(by_site[site])
-            monitor = self._new_monitor(site, deps, bases)
-            self._monitors.append((site, monitor))
-            self._monitor_specs.append((deps, bases))
+            monitor = self._new_monitor(site, deps, frozenset(by_site[site]))
+            self._monitors.append(monitor)
             # once per base, however many of its dependencies mention it
-            watched = {b for dep in deps for b in dep.bases()}
-            for base in watched:
-                self._monitor_subs[base].append(index)
-            self._watch(site, watched, monitor)
+            self._watch(site, _watched(deps), monitor)
 
     def _watch(self, site: str, bases, monitor) -> None:
         """``monitor`` (None: no monitor) hears ``bases`` at ``site``:
@@ -341,32 +335,37 @@ class DistributedScheduler(RunBase):
         self, site: str, deps: list[Expr], bases: frozenset[Event]
     ) -> RequirementMonitor:
         """A monitor in its initial state: at construction, and again
-        from its ``_monitor_specs`` entry after its site crashed.  The
-        monitor decides; what it decides is reported here."""
+        from the old one's dependencies and bases after its site
+        crashed.  The monitor decides; what it decides is reported
+        here."""
+        return RequirementMonitor(
+            deps, bases, self._monitor_trigger,
+            partial(self._monitor_doomed, site), site=site,
+        )
 
-        def trigger(event: Event) -> None:
-            self.tracer.monitor(self.sim.now, site, "trigger", event=event)
-            self.note_triggered(site)
-            self.channel.send(
-                site,
-                self.site_of(event.base),
-                TriggerMsg.kind,
-                TriggerMsg(event=event),
-                self._on_trigger,
-            )
+    def _monitor_trigger(self, event: Event) -> None:
+        """A monitor requires ``event``: it runs at the event's site, the
+        site of each base it may trigger."""
+        site = self.site_of(event.base)
+        self.tracer.monitor(self.sim.now, site, "trigger", event=event)
+        self.note_triggered(site)
+        self.channel.send(
+            site, site, TriggerMsg.kind, TriggerMsg(event=event),
+            self._on_trigger,
+        )
 
-        def doomed(dep: Expr, residual: Expr) -> None:
-            self.tracer.monitor(
-                self.sim.now, site, "doomed", dependency=dep, residual=residual
+    def _monitor_doomed(self, site: str, dep: Expr, residual: Expr) -> None:
+        """The monitor at ``site`` finds ``dep`` with no accepting
+        completion left."""
+        self.tracer.monitor(
+            self.sim.now, site, "doomed", dependency=dep, residual=residual
+        )
+        self.result.violations.append(
+            Violation(
+                "doomed",
+                f"{dep!r} has no accepting completion ({residual!r})",
             )
-            self.result.violations.append(
-                Violation(
-                    "doomed",
-                    f"{dep!r} has no accepting completion ({residual!r})",
-                )
-            )
-
-        return RequirementMonitor(deps, bases, trigger, doomed, site=site)
+        )
 
     def _on_trigger(self, msg: TriggerMsg) -> None:
         """A monitor's trigger reached its event's site."""
@@ -459,7 +458,7 @@ class DistributedScheduler(RunBase):
                 if type(addressee) is not Fanout:
                     targets = (addressee,)
                 elif addressee.monitor is None:
-                    targets = addressee.actors
+                    targets = addressee
                 else:  # a monitor hears every occurrence it watches
                     send(src, addressee.site, "announce", announce, addressee)
                     continue
@@ -578,14 +577,11 @@ class DistributedScheduler(RunBase):
     def _rebuild_monitors(self) -> None:
         """Recreate requirement monitors after a modification and
         replay the settled history into them."""
-        for base, indices in self._monitor_subs.items():
-            for index in indices:
-                self._watch(self._monitors[index][0], (base,), None)
+        for monitor in self._monitors:
+            self._watch(monitor.site, _watched(monitor.dependencies), None)
         self._monitors = []
-        self._monitor_subs = defaultdict(list)
-        self._monitor_specs = []
         self._build_monitors()
-        for _site, monitor in self._monitors:
+        for monitor in self._monitors:
             for event in self._settled_sequence():
                 monitor.observe(event)
 
@@ -665,13 +661,13 @@ class DistributedScheduler(RunBase):
             self._finish_recovery(site, record)
 
     def _recover_monitors(self, site: str) -> None:
-        for index, (monitor_site, _monitor) in enumerate(self._monitors):
-            if monitor_site != site:
+        for index, monitor in enumerate(self._monitors):
+            if monitor.site != site:
                 continue
-            deps, bases = self._monitor_specs[index]
-            fresh = self._new_monitor(site, deps, bases)
-            self._monitors[index] = (site, fresh)
-            self._watch(site, {b for dep in deps for b in dep.bases()}, fresh)
+            deps = monitor.dependencies
+            fresh = self._new_monitor(site, deps, monitor.triggerable)
+            self._monitors[index] = fresh
+            self._watch(site, _watched(deps), fresh)
             self._resync_monitor(site, fresh, deps)
 
     def _resync_monitor(
@@ -767,7 +763,7 @@ class DistributedScheduler(RunBase):
     def snapshot_sites(self) -> list[str]:
         """Every site a snapshot reads."""
         sites = {a.site for a in self.actors.values()}
-        sites.update(site for site, _m in self._monitors)
+        sites.update(monitor.site for monitor in self._monitors)
         return sorted(sites)
 
     def site_state(self, site: str) -> dict:
@@ -796,8 +792,8 @@ class DistributedScheduler(RunBase):
             },
             "monitors": [
                 monitor.snapshot_state()
-                for m_site, monitor in self._monitors
-                if m_site == site
+                for monitor in self._monitors
+                if monitor.site == site
             ],
         }
 
@@ -883,7 +879,7 @@ class DistributedScheduler(RunBase):
         super().start(scripts)
         if self.faults is not None:
             self.faults.arm()
-        for _site, monitor in self._monitors:
+        for monitor in self._monitors:
             monitor.evaluate()
 
     def finish(self, verify: bool = True) -> ExecutionResult:
@@ -1080,3 +1076,8 @@ class DistributedScheduler(RunBase):
         """Settlement attempts the complement, if it has a role."""
         if self.role(base.complement) is not None:
             self.attempt(base.complement)
+
+
+def _watched(deps: Iterable[Expr]) -> set[Event]:
+    """The bases a monitor of ``deps`` hears."""
+    return {base for dep in deps for base in dep.bases()}

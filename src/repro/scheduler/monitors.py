@@ -24,12 +24,15 @@ state.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Iterable
 
 from repro.algebra.expressions import Expr, Top, Zero
 from repro.algebra.symbols import Event
 from repro.temporal.guards import ResidualCursor, accepting_paths
+
+
+#: the triggers fired by a monitor that has fired none
+_NO_TRIGGERS: frozenset[Event] = frozenset()
 
 
 def required_events(residual: Expr, settled_bases: frozenset[Event]) -> frozenset[Event] | None:
@@ -89,21 +92,27 @@ class RequirementMonitor:
         site: str = "monitor",
     ):
         self._tracks = {dep: ResidualCursor(dep) for dep in dependencies}
-        #: base -> the tracks it can move (to the rest it is foreign)
-        self._mentioning: defaultdict[Event, list[ResidualCursor]] = (
-            defaultdict(list)
-        )
+        #: base -> the tracks it can move (to the rest it is foreign); a
+        #: base that one track alone mentions holds that track's 1-tuple
+        self._mentioning: dict[Event, tuple[ResidualCursor, ...]] = {}
         for track in self._tracks.values():
+            alone = (track,)
             for base in track.to_slot:
-                self._mentioning[base].append(track)
-        self._triggerable = frozenset(triggerable)
+                held = self._mentioning.get(base)
+                self._mentioning[base] = alone if held is None else held + alone
+        self.triggerable = frozenset(triggerable)
         self._trigger = trigger
         self._doomed = doomed
-        self._site = site
-        self._settled: set[Event] = set()
-        #: signed occurrences in observation order (snapshot record)
-        self._observed: list[Event] = []
-        self._already_triggered: set[Event] = set()
+        self.site = site
+        #: base -> its signed occurrence, in observation order (each
+        #: base settles once; the snapshot record)
+        self._observed: dict[Event, Event] = {}
+        self._already_triggered: frozenset[Event] = _NO_TRIGGERS
+
+    @property
+    def dependencies(self) -> list[Expr]:
+        """The dependencies tracked, each once, in the order given."""
+        return list(self._tracks)
 
     def observe(self, event: Event) -> None:
         """Assimilate an occurrence and fire any newly-required triggers.
@@ -113,10 +122,9 @@ class RequirementMonitor:
         duplicate and is dropped -- residuating twice by the same event
         would corrupt the residual."""
         base = event.base
-        if base in self._settled:
+        if base in self._observed:
             return
-        self._settled.add(base)
-        self._observed.append(event)
+        self._observed[base] = event
         for track in self._mentioning.get(base, ()):
             slot = track.to_slot[base]
             track.state = track.closure.transitions[track.state].get(
@@ -139,8 +147,8 @@ class RequirementMonitor:
                 if slot.negated:  # complements settle via agent policy
                     continue
                 ev = track.from_slot[slot]
-                if ev in self._triggerable and ev not in self._already_triggered:
-                    self._already_triggered.add(ev)
+                if ev in self.triggerable and ev not in self._already_triggered:
+                    self._already_triggered |= {ev}
                     self._trigger(ev)
 
     def residual(self, dependency: Expr) -> Expr:
@@ -153,8 +161,8 @@ class RequirementMonitor:
     def snapshot_state(self) -> dict:
         """JSON-ready copy of the monitor's state for a global snapshot."""
         return {
-            "site": self._site,
-            "settled": sorted(repr(e) for e in self._observed),
+            "site": self.site,
+            "settled": sorted(repr(e) for e in self._observed.values()),
             "triggered": sorted(repr(e) for e in self._already_triggered),
             "residuals": {
                 repr(dep): repr(res) for dep, res in self.residuals.items()

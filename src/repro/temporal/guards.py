@@ -60,11 +60,12 @@ from repro.algebra.expressions import (
     Choice,
     Conj,
     Expr,
+    RowCopies,
     Seq,
     Top,
     Zero,
+    picker,
     rename_expr,
-    rename_ordered,
 )
 from repro.algebra.normal_form import to_normal_form
 from repro.algebra.residuation import residuate, residuate_nf
@@ -255,7 +256,7 @@ _SHAPES: dict[
 _SLOTS: list[tuple[Event, Event]] = []
 
 #: ``dependency -> binding``: :func:`dependency_binding`'s memo, which
-#: :func:`stamp_dependencies` fills for the copies it stamps.
+#: :meth:`RowPlan.stamp` fills for the copies it stamps.
 _DEPENDENCY_BINDINGS: dict[Expr, Binding] = {}
 
 #: ``dependency shape -> its waits``: :func:`shape_waits`' memo
@@ -460,33 +461,42 @@ class RowPlan:
     and with synthesis (see :func:`_bindings_modulo_renaming`): each
     copy is the binding a from-scratch normal form or synthesis on the
     row's names gives.  Bindings over the same positions share one
-    pair of slot maps per row.
+    pair of slot maps per row, and a binding over no position (a
+    constant guard) is one object every row shares.
+
+    ``dependencies``, canonical expressions whose bindings come first,
+    are planned too: :meth:`stamp` copies them onto a row
+    (:class:`~repro.algebra.expressions.RowCopies`) and enters each
+    copy with its binding.
     """
 
-    __slots__ = ("shapes", "groups")
+    __slots__ = ("shapes", "groups", "copies")
 
-    def __init__(self, bindings: Iterable[Binding], row: Sequence[Event]):
+    def __init__(
+        self,
+        bindings: Iterable[Binding],
+        row: Sequence[Event],
+        dependencies: Iterable[Expr] = (),
+    ):
         position = {base: i for i, base in enumerate(row)}
         group_of: dict[tuple[int, ...], int] = {}
         #: ``(slots, pick)`` per distinct slot placement, ``pick(row)``
         #: giving the tuple of the row's events at those positions
         self.groups: list[tuple[tuple[Event, ...], itemgetter]] = []
-        #: ``(shape, group)`` per binding, in the order given
-        self.shapes: list[tuple[GuardExpr | Expr, int]] = []
+        #: ``(shape, group)`` per binding, in the order given, or
+        #: ``(binding, None)`` for one over no position
+        self.shapes: list[tuple[GuardExpr | Expr | Binding, int | None]] = []
         for binding in bindings:
             placed = tuple([position[b] for b in binding.from_slot.values()])
+            if not placed:
+                self.shapes.append((Binding(binding.shape, {}, {}), None))
+                continue
             group = group_of.get(placed)
             if group is None:
                 group = group_of[placed] = len(self.groups)
-                if not placed:
-                    pick = itemgetter(slice(0))
-                elif len(placed) == 1:
-                    # one index would pick the event, not a tuple of it
-                    pick = itemgetter(slice(placed[0], placed[0] + 1))
-                else:
-                    pick = itemgetter(*placed)
-                self.groups.append((tuple(binding.from_slot), pick))
+                self.groups.append((tuple(binding.from_slot), picker(placed)))
             self.shapes.append((binding.shape, group))
+        self.copies = RowCopies(dependencies, row)
 
     def bind(self, row: Sequence[Event]) -> list[Binding]:
         """Every binding's copy on ``row``, in the order planned."""
@@ -495,7 +505,23 @@ class RowPlan:
             for slots, pick in self.groups
             for reals in (pick(row),)
         ]
-        return [Binding(shape, *maps[group]) for shape, group in self.shapes]
+        return [
+            shape if group is None else Binding(shape, *maps[group])
+            for shape, group in self.shapes
+        ]
+
+    def stamp(self, row: Sequence[Event]) -> tuple[list[Expr], list[Binding]]:
+        """The planned dependencies' copies on ``row``, each entered in
+        :func:`dependency_binding`'s memo with its binding, and every
+        binding on ``row`` (:meth:`bind`).  ``row`` must be
+        :func:`in_order`; the check is the row's, once, so it covers
+        the bases a normal form dropped too.  (A copy stamped before,
+        or bound by :func:`dependency_binding`, gets an equal binding
+        again.)"""
+        bindings = self.bind(row)
+        copies = self.copies(row)
+        _DEPENDENCY_BINDINGS.update(zip(copies, bindings))
+        return copies, bindings
 
 
 def dependency_binding(dependency: Expr) -> Binding:
@@ -505,8 +531,8 @@ def dependency_binding(dependency: Expr) -> Binding:
 
     Memoized per dependency (``binding_hits`` / ``binding_misses`` in
     :func:`synthesis_stats`).  A stamped copy is entered by stamping
-    (:func:`stamp_dependencies`); any other dependency pays one normal
-    form and one rename here, once.
+    (:meth:`RowPlan.stamp`); any other dependency pays one normal form
+    and one rename here, once.
     """
     binding = _DEPENDENCY_BINDINGS.get(dependency)
     if binding is None:
@@ -518,28 +544,6 @@ def dependency_binding(dependency: Expr) -> Binding:
     else:
         _SynthStats.binding_hits += 1
     return binding
-
-
-def stamp_dependencies(
-    dependencies: Iterable[Expr],
-    bindings: Iterable[Binding],
-    mapping: Mapping[Event, Event],
-) -> list[Expr]:
-    """``rename_expr(dep, mapping)`` for each canonical dependency of
-    ``dependencies``, entered in :func:`dependency_binding`'s memo with
-    its binding from ``bindings`` (the same order; extra bindings are
-    ignored): a :class:`RowPlan`'s bindings on the row ``mapping``
-    renames the planned row onto, which must be :func:`in_order`.
-
-    Each copy is the structural copy (:func:`rename_ordered`), and a
-    cursor on it enters the shared closure with no normal form and no
-    rename.  The order check is the row's, once, so it covers the bases
-    a normal form dropped too.  (A copy stamped before, or bound by
-    :func:`dependency_binding`, gets an equal binding again.)
-    """
-    copies = [rename_ordered(dep, mapping) for dep in dependencies]
-    _DEPENDENCY_BINDINGS.update(zip(copies, bindings))
-    return copies
 
 
 class ResidualCursor:

@@ -14,12 +14,16 @@ each guard's and each dependency's shape, with its slots given as
 positions among the template's bases, plus each base's site and
 attributes.  Stamping a row writes, straight into the merged workflow
 and table, each dependency's structural copy -- rebuilt through the
-interning constructors with no sort, dedupe or collapse, and entered
-with its binding, the key of the residual closure every copy walks --
-each guard's binding of its shared shape onto the row, and the row's
-sites and attributes.  No cube is touched and no per-instance workflow
-is built; the real-name guard is rendered only where a real name is
-read.  Cold start is ``O(synthesis + N * (bases + entries))``.
+interning constructors with no sort, dedupe or collapse, one
+constructor call per node of a recipe planned once
+(:class:`~repro.algebra.expressions.RowCopies`), and entered with its
+binding, the key of the residual closure every copy walks -- each
+guard's binding of its shared shape onto the row, and the row's sites
+and attributes.  A row's events are interned with the suffix checked
+once (:func:`~repro.algebra.symbols.suffixed`).  No cube is touched
+and no per-instance workflow is built; the real-name guard is rendered
+only where a real name is read.  Cold start is
+``O(synthesis + N * (bases + entries))``.
 
 Correctness note: guard synthesis and normal forms fold in canonical
 event order (``Event.sort_key``), so a row's bindings render exactly
@@ -42,7 +46,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.algebra.expressions import rename_expr
-from repro.algebra.symbols import Event, rename_event
+from repro.algebra.symbols import Event, rename_event, suffixed
 from repro.obs.profile import span
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.temporal.guards import (
@@ -50,7 +54,6 @@ from repro.temporal.guards import (
     RowPlan,
     dependency_binding,
     in_order,
-    stamp_dependencies,
     workflow_bindings,
 )
 from repro.workflows.spec import Workflow
@@ -77,31 +80,28 @@ def rename_script(
 
 class _Row:
     """One instance of a template: its suffix, the template's bases
-    renamed (``events``, in the template's canonical order), that
-    rename as a mapping (empty for the empty suffix) and whether it
-    keeps the canonical order."""
+    renamed (``events``, in the template's canonical order), whether it
+    keeps the canonical order, and that rename as a mapping once a
+    caller asks for it (:meth:`WorkflowTemplate.mapping_for`)."""
 
-    __slots__ = ("suffix", "events", "mapping", "ordered")
+    __slots__ = ("suffix", "events", "ordered", "mapping")
 
     def __init__(self, suffix: str, bases: tuple[Event, ...]):
         self.suffix = suffix
         if suffix:
-            self.events = tuple([
-                Event(f"{base.name}{suffix}", params=base.params)
-                for base in bases
-            ])
-            self.mapping = dict(zip(bases, self.events))
+            self.events = suffixed(bases, suffix)
             self.ordered = in_order(self.events)
         else:
-            self.events, self.mapping, self.ordered = bases, {}, True
+            self.events, self.ordered = bases, True
+        self.mapping: dict[Event, Event] | None = None
 
 
 class _Plan:
     """What every row of a template reads: its canonical dependencies
-    with their bindings placed on the template's bases, and each site
-    and attribute entry as ``(position, negated, value)``."""
+    and their bindings, and each site and attribute entry as
+    ``(position, negated, value)``."""
 
-    __slots__ = ("dependencies", "bindings", "rows", "sites", "attributes")
+    __slots__ = ("dependencies", "bindings", "sites", "attributes")
 
     def __init__(self, workflow: Workflow, bases: tuple[Event, ...]):
         position = {base: i for i, base in enumerate(bases)}
@@ -111,7 +111,6 @@ class _Plan:
             rename_expr(dep, {}) for dep in workflow.dependencies
         ]
         self.bindings = [dependency_binding(dep) for dep in self.dependencies]
-        self.rows = RowPlan(self.bindings, bases)
         self.sites = [
             (position[event.base], event.negated, site)
             for event, site in workflow.sites.items()
@@ -164,16 +163,28 @@ class WorkflowTemplate:
         return _Plan(self.workflow, self.bases)
 
     @cached_property
-    def _guard_plan(self) -> tuple[int, list[tuple[int, bool]], RowPlan]:
+    def _dependency_rows(self) -> RowPlan:
+        """The dependencies' copies and bindings, planned on the
+        template's bases (what a row stamps when no guard is)."""
+        plan = self._plan
+        return RowPlan(plan.bindings, self.bases, plan.dependencies)
+
+    @cached_property
+    def _guard_plan(self) -> tuple[list[tuple[int, int, bool]], RowPlan]:
         """The dependencies' bindings then the guard table's, placed on
-        the template's bases, with where the guards start and their keys
-        as ``(position, negated)`` (read by the first stamped guard
-        table, so a template that stamps none synthesizes none)."""
+        the template's bases, with each guard's key as ``(binding index,
+        position, negated)`` (read by the first stamped guard table, so
+        a template that stamps none synthesizes none)."""
         plan, guards = self._plan, self.guards
         position = {base: i for i, base in enumerate(self.bases)}
-        keys = [(position[event.base], event.negated) for event in guards]
-        rows = RowPlan([*plan.bindings, *guards.values()], self.bases)
-        return len(plan.bindings), keys, rows
+        keys = [
+            (index, position[event.base], event.negated)
+            for index, event in enumerate(guards, start=len(plan.bindings))
+        ]
+        rows = RowPlan(
+            [*plan.bindings, *guards.values()], self.bases, plan.dependencies
+        )
+        return keys, rows
 
     def _row(self, suffix: str) -> _Row:
         row = self._rows.get(suffix)
@@ -186,7 +197,15 @@ class WorkflowTemplate:
         suffixed, its parameters kept, so distinct bases stay distinct.
         Computed once per suffix; the dict is shared with every caller,
         so it must not be mutated."""
-        return self._row(suffix).mapping
+        return self._mapping(self._row(suffix))
+
+    def _mapping(self, row: _Row) -> dict[Event, Event]:
+        mapping = row.mapping
+        if mapping is None:
+            mapping = row.mapping = (
+                dict(zip(self.bases, row.events)) if row.suffix else {}
+            )
+        return mapping
 
     def _stamp(
         self,
@@ -199,20 +218,26 @@ class WorkflowTemplate:
         """Append ``row``'s dependency copies to ``dependencies``, write
         its sites and attributes, and its guard table into ``guards``
         unless that is ``None``."""
-        plan = self._plan
+        plan, events = self._plan, row.events
         if row.suffix and row.ordered:
-            copies = stamp_dependencies(
-                plan.dependencies, self._bind(row, guards), row.mapping
-            )
+            if guards is None:
+                copies, _ = self._dependency_rows.stamp(events)
+            else:
+                keys, rows = self._guard_plan
+                copies, bindings = rows.stamp(events)
+                for index, at, negated in keys:
+                    event = events[at]
+                    guards[event.complement if negated else event] = (
+                        bindings[index]
+                    )
         elif not row.suffix:
             copies = plan.dependencies
             if guards is not None:
                 guards.update(self.guards)
         else:
             # an order-violating row: its copies' own bindings
-            copies = [
-                rename_expr(dep, row.mapping) for dep in plan.dependencies
-            ]
+            mapping = self._mapping(row)
+            copies = [rename_expr(dep, mapping) for dep in plan.dependencies]
             if guards is not None:
                 guards.update(workflow_bindings(copies))
         if row.ordered:
@@ -220,29 +245,13 @@ class WorkflowTemplate:
         else:
             self.fallback_instantiations += 1
         dependencies += copies
-        events, suffix = row.events, row.suffix
+        suffix = row.suffix
         for at, negated, site in plan.sites:
             event = events[at]
             sites[event.complement if negated else event] = f"{site}{suffix}"
         for at, negated, attrs in plan.attributes:
             event = events[at]
             attributes[event.complement if negated else event] = attrs
-
-    def _bind(
-        self, row: _Row, guards: dict[Event, Binding] | None
-    ) -> list[Binding]:
-        """The template's bindings on an ordered ``row``: its dependency
-        bindings first, in order, and its guard table written into
-        ``guards`` unless that is ``None``."""
-        if guards is None:
-            return self._plan.rows.bind(row.events)
-        start, keys, rows = self._guard_plan
-        bindings = rows.bind(row.events)
-        events = row.events
-        for (at, negated), binding in zip(keys, bindings[start:]):
-            event = events[at]
-            guards[event.complement if negated else event] = binding
-        return bindings
 
     def _rows_of(self, suffixes: Iterable[str]) -> list[_Row]:
         """The rows of ``suffixes``; raise :class:`ValueError` naming a

@@ -16,7 +16,6 @@ from repro.temporal.guards import (
     RowPlan,
     dependency_binding,
     in_order,
-    stamp_dependencies,
 )
 from repro.workflows.primitives import klein_precedes, mutex
 from repro.workflows.spec import Workflow
@@ -206,7 +205,7 @@ def make_mutex_family(
     mutex dependencies, so a later task's entry waits on its
     predecessor's exit -- which is why a cluster must share a scheduler.
     The pairs are stamped copies of one canonical pair
-    (:func:`~repro.temporal.guards.stamp_dependencies`): the very nodes
+    (:meth:`~repro.temporal.guards.RowPlan.stamp`): the very nodes
     :func:`~repro.workflows.primitives.mutex` builds, already bound.
     """
     if count < 1:
@@ -243,7 +242,7 @@ def make_mutex_family(
     b0, e0, b1, e1 = Event("b0"), Event("e0"), Event("b1"), Event("e1")
     pair = [mutex(b0, e0, b1, e1), mutex(b1, e1, b0, e0)]
     canonical = (b0, b1, e0, e1)
-    plan = RowPlan(map(dependency_binding, pair), canonical)
+    plan = RowPlan(map(dependency_binding, pair), canonical, pair)
     cross = []
     clusters: list[tuple[int, ...]] = []
     for start in range(0, count, cluster):
@@ -258,9 +257,7 @@ def make_mutex_family(
             row, order = (bj, bk, ej, ek), 1
             if not in_order(row):
                 row, order = (bk, bj, ek, ej), -1
-            copies = stamp_dependencies(
-                pair, plan.bind(row), dict(zip(canonical, row))
-            )
+            copies, _ = plan.stamp(row)
             cross.extend(copies[::order])
     return MutexFamily(
         template=template,

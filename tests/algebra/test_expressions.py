@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algebra import expressions
 from repro.algebra.denotation import equivalent
 from repro.algebra.expressions import (
     Atom,
@@ -92,6 +93,23 @@ class TestConstructors:
         assert Choice.of([e]) == e
         assert Conj.of([e]) == e
         assert Seq.of([e]) == e
+
+    def test_nodes_whose_hashes_collide_stay_apart(self, monkeypatch):
+        """An n-ary node is filed under its structural hash; a second,
+        different node with the same hash is kept apart by structure
+        and interned as firmly as the first."""
+        e, f, g = atom("coll_e"), atom("coll_f"), atom("coll_g")
+        first = Choice((e, f))
+        parts = (e, g)
+        # stand ``first`` where the new node's hash is filed
+        monkeypatch.setitem(
+            expressions._INTERN, hash(("Seq", parts)), first
+        )
+        monkeypatch.setattr(expressions, "_SPILL", {})
+        second = Seq(parts)
+        assert type(second) is Seq and second.parts == parts
+        assert Seq(parts) is second
+        assert Choice((e, f)) is first
 
 
 class TestOperators:

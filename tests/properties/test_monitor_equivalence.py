@@ -211,10 +211,10 @@ def monitored_run(fault_plan=None, tracer=None):
         fault_plan=fault_plan,
         tracer=tracer,
     )
-    ((_, built),) = sched._monitors
+    (built,) = sched._monitors
     result = sched.run([AgentScript("x", [ScriptedAttempt(0.0, A)])])
     assert result.ok, (result.violations, result.unsettled)
-    ((_, standing),) = sched._monitors
+    (standing,) = sched._monitors
     return built, standing
 
 

@@ -346,18 +346,28 @@ class TestMonitorDependencyIndex:
             sites=merged.sites,
             attributes=merged.attributes,
         )
-        assert sched._monitor_specs
+        assert sched._monitors
         subs: dict = {}
-        for index, (deps, bases) in enumerate(sched._monitor_specs):
-            assert deps == [
+        for monitor in sched._monitors:
+            assert monitor.dependencies == [
                 d
                 for d in sched.dependencies
-                if any(b in d.bases() for b in bases)
+                if any(b in d.bases() for b in monitor.triggerable)
             ]
-            for dep in deps:
+            for dep in monitor.dependencies:
                 for base in dep.bases():
-                    subs.setdefault(base, []).append(index)
-        assert sched._monitor_subs == subs
+                    subs.setdefault(base, set()).add(monitor.site)
+        # each base reaches the monitor of each dependency mentioning
+        # it, and no other
+        heard = {
+            base: {
+                site
+                for site, addressee in at.items()
+                if getattr(addressee, "monitor", None) is not None
+            }
+            for base, at in sched._fanouts.items()
+        }
+        assert subs == {base: sites for base, sites in heard.items() if sites}
 
 
 class TestOneGuardEngine:
@@ -626,7 +636,7 @@ class TestIdleFootprint:
         sched.channel.send = spy
         result = sched.run(scenario.scripts)
         assert result.ok and result.triggered
-        monitors = {id(monitor) for _site, monitor in sched._monitors}
+        monitors = {id(monitor) for monitor in sched._monitors}
         to_monitors = [
             (p, h) for p, h in handlers if type(h) is Fanout and h.monitor
         ]

@@ -212,13 +212,17 @@ class TestMonitorSubscriptions:
             [parse("~a + b"), parse("~a + ~c + b")],
             attributes={b: EventAttributes(triggerable=True)},
         )
-        assert sched._monitor_subs == {a: [0], b: [0], c: [0]}
+        ((site, monitor),) = [(m.site, m) for m in sched._monitors]
+        assert {
+            base
+            for base, at in sched._fanouts.items()
+            if getattr(at.get(site), "monitor", None) is monitor
+        } == {a, b, c}
         heard = self._heard_by_monitors(sched)
         result = sched.run(
             [AgentScript("site_a", [ScriptedAttempt(0.0, a)])]
         )
         assert result.ok
-        ((site, _monitor),) = sched._monitors
         # one announcement per (occurrence, monitor), none repeated
         assert sorted(heard, key=repr) == sorted(
             ((site, entry.event) for entry in result.entries), key=repr

@@ -22,7 +22,6 @@ from repro.temporal.guards import (
     in_order,
     path_guard,
     render,
-    stamp_dependencies,
     synthesis_stats,
     workflow_bindings,
     workflow_guards,
@@ -391,10 +390,8 @@ class TestStampDependency:
             first, second = second, first
             row = [self.mapping(first, second)[b] for b in self.ROW]
         assert in_order(row)
-        plan = RowPlan([dependency_binding(dep)], self.ROW)
-        (copy,) = stamp_dependencies(
-            [dep], plan.bind(row), self.mapping(first, second)
-        )
+        plan = RowPlan([dependency_binding(dep)], self.ROW, [dep])
+        (copy,), _bindings = plan.stamp(row)
         assert copy is expected
         stamped = dependency_binding(copy)
         # the copy's own normal form on the slots of its own bases
@@ -417,10 +414,8 @@ class TestStampDependency:
         assert not in_order((Event("z"), Event("y"), Event("x")))
         mapping = {base: Event(f"{base.name}_i1") for base in canonical}
         row = [mapping[base] for base in canonical]
-        plan = RowPlan([dependency_binding(dep)], canonical)
-        assert stamp_dependencies([dep], plan.bind(row), mapping) == [
-            rename_expr(dep, mapping)
-        ]
+        plan = RowPlan([dependency_binding(dep)], canonical, [dep])
+        assert plan.stamp(row)[0] == [rename_expr(dep, mapping)]
 
 
 class TestSynthesisCaches:

@@ -24,10 +24,12 @@ from repro.workloads.scenarios import make_mutex_family, make_travel_booking
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: total cProfile calls of stamping ``n`` travel instances and building
-#: their scheduler, in a fresh interpreter (argv[1] is ``n``)
+#: what stamping ``n`` travel instances and building their scheduler
+#: costs, in a fresh interpreter (argv[1] is ``n``): with argv[2]
+#: ``calls``, the total cProfile calls; with ``objects``, the GC-tracked
+#: objects they leave alive
 STAMP_AND_BUILD = r"""
-import cProfile, random, sys
+import cProfile, gc, random, sys
 from repro.scheduler import DistributedScheduler
 from repro.sim import ConstantLatency
 from repro.workflows import WorkflowTemplate
@@ -35,43 +37,69 @@ from repro.workloads.scenarios import make_travel_booking
 
 travel = make_travel_booking().workflow
 suffixes = [f"_i{k}" for k in range(int(sys.argv[1]))]
+counting = sys.argv[2] == "calls"
 profile = cProfile.Profile()
-profile.enable()
+gc.collect()
+before = len(gc.get_objects())
+if counting:
+    profile.enable()
 merged, guards = WorkflowTemplate(travel).instantiate_merged(suffixes)
-DistributedScheduler(
+sched = DistributedScheduler(
     merged.dependencies, sites=merged.sites, attributes=merged.attributes,
     guards=guards, latency=ConstantLatency(1.0), rng=random.Random(1),
 )
-profile.disable()
-print(sum(entry.callcount for entry in profile.getstats()))
+if counting:
+    profile.disable()
+    print(sum(entry.callcount for entry in profile.getstats()))
+else:
+    gc.collect()
+    print(len(gc.get_objects()) - before)
 """
 
 #: calls one more stamped travel instance may cost (the template's own
 #: five bases, ten guards and three dependencies included)
-CALLS_PER_INSTANCE = 300
+CALLS_PER_INSTANCE = 197
+
+#: GC-tracked objects one more stamped travel instance may leave alive:
+#: its ten events, its dependency copies, its bindings and their slot
+#: maps, and its actors, roles, cursors, fanouts and monitor
+OBJECTS_PER_INSTANCE = 109
 
 
-def stamp_and_build_calls(instances: int) -> int:
+def stamp_and_build(instances: int, measure: str) -> int:
     env = dict(
         os.environ,
         PYTHONHASHSEED="0",
         PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]),
     )
     done = subprocess.run(
-        [sys.executable, "-c", STAMP_AND_BUILD, str(instances)],
+        [sys.executable, "-c", STAMP_AND_BUILD, str(instances), measure],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return int(done.stdout)
 
 
+def per_instance(measure: str) -> float:
+    """``measure`` of one more instance, between 64 and 128 of them."""
+    return (stamp_and_build(128, measure) - stamp_and_build(64, measure)) / 64
+
+
 def test_a_stamped_instance_costs_a_fixed_budget_of_calls():
     """Stamping plus building is linear in the instances, at no more
     than :data:`CALLS_PER_INSTANCE` calls each: no per-instance
     workflow, mapping pass or fresh-copy walk."""
-    calls = {n: stamp_and_build_calls(n) for n in (64, 128)}
-    per_instance = (calls[128] - calls[64]) / 64
-    assert per_instance <= CALLS_PER_INSTANCE, per_instance
+    calls = per_instance("calls")
+    assert calls <= CALLS_PER_INSTANCE, calls
+
+
+def test_a_stamped_instance_leaves_a_fixed_budget_of_objects():
+    """What a stamped instance leaves for the garbage collector to scan
+    is bounded too, at :data:`OBJECTS_PER_INSTANCE`: no intern key
+    tuple per node, no binding per constant guard, no container an idle
+    role or a monitor has not written."""
+    objects = per_instance("objects")
+    assert objects <= OBJECTS_PER_INSTANCE, objects
 
 
 def build(workflow, guards):
@@ -91,13 +119,19 @@ def structure(sched) -> dict:
     return {
         "subscribers": {
             base: [
-                (site, [actor.base for actor in members(addressee)])
+                (
+                    site,
+                    [actor.base for actor in members(addressee)],
+                    getattr(addressee, "monitor", None) is not None,
+                )
                 for site, addressee in at.items()
             ]
             for base, at in sched._fanouts.items()
         },
-        "monitor_specs": sched._monitor_specs,
-        "monitor_subs": sched._monitor_subs,
+        "monitors": [
+            (monitor.site, monitor.dependencies, monitor.triggerable)
+            for monitor in sched._monitors
+        ],
         "actors": [actor.base for actor in sched._sorted_actors()],
     }
 
