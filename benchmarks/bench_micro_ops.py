@@ -1,15 +1,19 @@
-"""Micro-benchmarks of the hot symbolic operations.
+"""Micro-benchmarks of the hot symbolic operations and the simulator.
 
 Not tied to a single paper artifact; these keep the core primitives
 honest (parse, residuate, cube conjunction, joint-completion search,
-entailment, guard minimization) and give downstream users cost expectations.
+entailment, guard minimization, the simulator's calendar) and give
+downstream users cost expectations.
 """
+
+import random
 
 from repro.algebra.normal_form import joint_completion_exists
 from repro.algebra.parser import parse
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event
 from repro.algebra.traces import Trace
+from repro.sim import ConstantLatency, Network, Simulator
 from repro.temporal.cubes import literal
 from repro.temporal.simplify import minimize
 
@@ -104,3 +108,80 @@ def test_bench_guard_synthesis_single(benchmark):
 
     result = benchmark(run)
     assert repr(result) == "!f"
+
+
+#: a constant-latency fan-out: this many messages land in each instant
+PER_INSTANT, INSTANTS = 1_000, 8
+SITES = [f"s{k}" for k in range(8)]
+
+
+def test_bench_sim_fabric_fan_out(benchmark):
+    """Raw fabric, 1 000 messages sent per instant over 8 instants, to
+    handlers that only note the arrival: each instant's messages land
+    together one time unit later and leave its FIFO in send order."""
+
+    def run():
+        sim = Simulator()
+        network = Network(
+            sim, latency=ConstantLatency(1.0), rng=random.Random(0)
+        )
+        got = []
+
+        def note(payload):
+            got.append((sim.now, payload))
+
+        def burst(instant):
+            for k in range(PER_INSTANT):
+                network.send(
+                    SITES[k % 8], SITES[(k + 1) % 8], "msg", (instant, k), note
+                )
+
+        for instant in range(INSTANTS):
+            sim.schedule_at(float(instant), burst, instant)
+        sim.run()
+        return sim, got
+
+    sim, got = benchmark(run)
+    assert sim.processed == INSTANTS + INSTANTS * PER_INSTANT
+    assert got == [
+        (instant + 1.0, (instant, k))
+        for instant in range(INSTANTS)
+        for k in range(PER_INSTANT)
+    ]
+
+
+def test_bench_sim_session_timers(benchmark):
+    """Retransmission timers as the session layer arms them: 1 000 per
+    instant, due four units later, of which the next instant cancels
+    nine in ten (their acks arrived); the survivors fire in the order
+    they were armed and a cancelled timer never moves the clock."""
+
+    def run():
+        sim = Simulator()
+        fired = []
+        armed = []
+
+        def arm(instant):
+            for handle in armed:
+                sim.cancel(handle)
+            armed[:] = [
+                sim.schedule(4.0, fired.append, (instant, k))
+                for k in range(PER_INSTANT)
+            ]
+            del armed[::10]  # these stay armed and fire
+
+        for instant in range(INSTANTS):
+            sim.schedule_at(float(instant), arm, instant)
+        sim.run()
+        return sim, fired
+
+    sim, fired = benchmark(run)
+    survivors = [
+        (instant, k)
+        for instant in range(INSTANTS - 1)
+        for k in range(0, PER_INSTANT, 10)
+    ]
+    last = [(INSTANTS - 1, k) for k in range(PER_INSTANT)]
+    assert fired == survivors + last
+    assert sim.processed == INSTANTS + len(fired)
+    assert sim.now == INSTANTS - 1 + 4.0

@@ -7,7 +7,7 @@ site's state and every undelivered message can be read directly.
 :meth:`DistributedScheduler.schedule_snapshots` reads them at the
 boundaries of a virtual-time cadence through the simulator's read-only
 sampling hook (:meth:`repro.sim.clock.Simulator.sample_every`), which
-runs before the due heap entry is popped.  A snapshot sends nothing,
+runs before the due instant's entries fire.  A snapshot sends nothing,
 schedules nothing, draws nothing from the fabric's rng and writes no
 trace record, so a run with snapshots is the run without them.
 

@@ -18,7 +18,7 @@ Series sampled by the scheduler tick:
   raw channel)
 * ``inflight_messages`` -- messages sent but not yet delivered by the
   simulated network
-* ``sim_pending`` -- simulator heap size (scheduled callbacks)
+* ``sim_pending`` -- live simulator entries (scheduled callbacks)
 * ``fires_per_interval`` / ``messages_per_interval`` -- deltas of the
   settled bases and messages since the previous sample
 

@@ -408,7 +408,7 @@ class DistributedScheduler(RunBase):
 
     def _send(self, sender, target, message) -> None:
         # the addressee is its own handler (it is callable), so the
-        # message's heap entry holds no bound method
+        # message's simulator entry holds no bound method
         self.channel.send(
             sender.site, target.site, message.kind, message, target
         )
@@ -828,11 +828,11 @@ class DistributedScheduler(RunBase):
         """Sample telemetry gauges every ``every`` units of sim time.
 
         Series: parked events, session-layer channel backlog,
-        network-level in-flight messages, simulator heap depth, and
+        network-level in-flight messages, live simulator entries, and
         per-interval deltas of fires and messages.  Sampling
         piggybacks on the simulator's clock advance
         (:meth:`Simulator.sample_every`): it is read-only, adds no
-        heap events, and never changes the makespan or message
+        simulator entries, and never changes the makespan or message
         streams; :meth:`run` takes one closing sample at quiescence so
         the series end at the final state.
         """

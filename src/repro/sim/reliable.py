@@ -102,8 +102,8 @@ class ReliableNetwork:
     A payload crosses the fabric as one packet, ``(key, epoch, seq,
     kind, payload, handler)``, handed to :meth:`_deliver`; an ack is
     ``(key, epoch, upto)`` to :meth:`_on_ack`, sent by the zero-delay
-    entry ``(time, seq, _flush_ack, key, session)``, and a
-    retransmission timer is ``(time, seq, _on_timeout, key, epoch,
+    simulator entry ``(_flush_ack, key, session)``, and a
+    retransmission timer is the entry ``(_on_timeout, key, epoch,
     seq)``.  The five handlers are bound once, at construction, so no
     function object is built per message or per timer.  Each ``(src,
     dst)`` channel is one :class:`_Session`, made on its first send.

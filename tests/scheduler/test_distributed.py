@@ -550,7 +550,7 @@ def _fanin_table(pairs: int = 98, hubs: int = 3) -> dict:
 
 class TestIdleFootprint:
     """An idle role holds no container of its own and a message in
-    flight is one flat heap entry: the per-actor object budget."""
+    flight is one flat simulator entry: the per-actor object budget."""
 
     def test_a_fresh_role_holds_the_shared_empties(self):
         sched = DistributedScheduler([D_PREC, D_ARROW])
@@ -608,7 +608,7 @@ class TestIdleFootprint:
         sched = DistributedScheduler([D_PREC])
         sender, target = sched.actors[E], sched.actors[F]
         sched._send(sender, target, Announce(event=E))
-        (entry,) = sched.sim._heap
+        (entry,) = sched.sim.queued()
         _time, _seq, deliver, src, dst, kind, payload, handler, stamp = entry
         assert deliver is sched.network._deliver
         assert (src, dst, kind) == (sender.site, target.site, "announce")
