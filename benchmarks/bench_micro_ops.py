@@ -13,7 +13,7 @@ from repro.algebra.parser import parse
 from repro.algebra.residuation import residuate
 from repro.algebra.symbols import Event
 from repro.algebra.traces import Trace
-from repro.sim import ConstantLatency, Network, Simulator
+from repro.sim import ConstantLatency, Network, Simulator, UniformLatency
 from repro.temporal.cubes import literal
 from repro.temporal.simplify import minimize
 
@@ -148,6 +148,69 @@ def test_bench_sim_fabric_fan_out(benchmark):
         for instant in range(INSTANTS)
         for k in range(PER_INSTANT)
     ]
+
+
+#: a jittered fabric: every source sends to every destination once per
+#: round, a round every quarter time unit
+SOURCES = [f"src{k}" for k in range(40)]
+DESTINATIONS = [f"dst{k}" for k in range(400)]
+ROUNDS, ROUND_GAP = 5, 0.25
+
+
+def test_bench_sim_fabric_jittered_channels(benchmark):
+    """Raw fabric at ``UniformLatency(0.5, 1.5)``: 40 sources x 400
+    destinations x 5 rounds, so few arrivals share an instant and a
+    later round's sample often lands first; the per-channel high-water
+    marks keep every channel's arrivals in send order, and the journal
+    holds every transmission, in send order."""
+
+    def run():
+        sim = Simulator()
+        network = Network(
+            sim, latency=UniformLatency(0.5, 1.5), rng=random.Random(0)
+        )
+        got = []
+
+        def burst(round_):
+            for src in SOURCES:
+                for dst in DESTINATIONS:
+                    network.send(
+                        src, dst, "msg", (src, dst, round_), got.append
+                    )
+
+        for round_ in range(ROUNDS):
+            sim.schedule_at(round_ * ROUND_GAP, burst, round_)
+        sim.run()
+        return network, got
+
+    network, got = benchmark(run)
+    sends = len(SOURCES) * len(DESTINATIONS) * ROUNDS
+    assert len(got) == sends
+    rounds_seen = {}
+    for src, dst, round_ in got:
+        assert rounds_seen.get((src, dst), -1) == round_ - 1, (src, dst)
+        rounds_seen[src, dst] = round_
+    journal = network.journal
+    assert len(journal) == network.stats.messages == sends
+    assert [row[2:4] for row in journal] == [
+        (src, dst)
+        for _round in range(ROUNDS)
+        for src in SOURCES
+        for dst in DESTINATIONS
+    ]
+    # a mark holds an arrival back to an earlier round's, which is due
+    # before this round's latest sample; a held-back arrival shares its
+    # instant with the one it waited for
+    assert all(
+        sent + 0.5 <= delivered <= sent + 1.5
+        for sent, delivered, *_row in journal
+    )
+    due = {}
+    held_back = 0
+    for _sent, delivered, src, dst, _kind in journal:
+        held_back += due.get((src, dst)) == delivered
+        due[src, dst] = delivered
+    assert held_back > sends // 10, held_back
 
 
 def test_bench_sim_session_timers(benchmark):

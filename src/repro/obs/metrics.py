@@ -11,15 +11,17 @@ per-site shape).  Three instrument kinds:
 * **histogram** -- summary statistics of observed values (count, sum,
   min, max, mean), e.g. guard-evaluation latency or time-to-allow.
 
-Counters and gauges are cheap dict updates and are always on, and
-everything in the registry is a deterministic function of the run: a
-run's wall-clock time is the profiler's alone.  The registry is where
-a run's counts live; ``ExecutionResult`` reads its own off it when the
-run finishes (:meth:`totals`).
+Updates are always on and write numbers into per-site columns, so
+they allocate nothing the cycle collector tracks, and everything in
+the registry is a deterministic function of the run: a run's
+wall-clock time is the profiler's alone.  The registry is where a
+run's counts live; ``ExecutionResult`` reads its own off it when the
+run finishes (:meth:`MetricsRegistry.totals`).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any
 
 _TOTAL = ""  # label key under which the cross-site total is reported
@@ -53,38 +55,52 @@ def _pool_histograms(items) -> dict[str, float]:
 POOL = {"counters": sum, "gauges": _pool_gauges, "histograms": _pool_histograms}
 
 
+def _rows(columns: dict[str, tuple], *stats: str) -> dict[str, dict]:
+    """``name -> site -> {stat: value}``, from per-stat site columns."""
+    return {
+        name: {s: dict(zip(stats, [c[s] for c in by_stat]))
+               for s in by_stat[0]}
+        for name, by_stat in columns.items()
+    }
+
+
 class MetricsRegistry:
-    """Counters, gauges, and summary histograms, labelled per site."""
+    """Counters, gauges, and summary histograms, labelled per site.
+
+    One ``{site: number}`` column per statistic, made on a name's first
+    update: a counter's count, a gauge's level and peak, a histogram's
+    count, sum, min and max.  Reading never inserts."""
 
     def __init__(self) -> None:
-        self._counters: dict[tuple[str, str], int] = {}
-        self._gauges: dict[tuple[str, str], dict[str, float]] = {}
-        self._histograms: dict[tuple[str, str], dict[str, float]] = {}
+        self._counters = defaultdict(lambda: defaultdict(int))
+        self._gauges = defaultdict(
+            lambda: (defaultdict(float), defaultdict(float))
+        )
+        self._histograms = defaultdict(lambda: ({}, {}, {}, {}))
 
     # ------------------------------------------------------------------
 
     def inc(self, name: str, n: int = 1, site: str = _TOTAL) -> None:
-        key = (name, site)
-        self._counters[key] = self._counters.get(key, 0) + n
+        self._counters[name][site] += n
 
     def gauge_adjust(self, name: str, delta: float, site: str = _TOTAL) -> None:
-        key = (name, site)
-        gauge = self._gauges.setdefault(key, {"value": 0.0, "peak": 0.0})
-        gauge["value"] += delta
-        gauge["peak"] = max(gauge["peak"], gauge["value"])
+        level, peak = self._gauges[name]
+        level[site] += delta
+        if level[site] > peak[site]:
+            peak[site] = level[site]
 
     def observe(self, name: str, value: float, site: str = _TOTAL) -> None:
-        key = (name, site)
-        h = self._histograms.get(key)
-        if h is None:
-            self._histograms[key] = {
-                "count": 1, "sum": value, "min": value, "max": value,
-            }
+        count, total, low, high = self._histograms[name]
+        if site not in count:
+            count[site] = 1
+            total[site] = low[site] = high[site] = value
             return
-        h["count"] += 1
-        h["sum"] += value
-        h["min"] = min(h["min"], value)
-        h["max"] = max(h["max"], value)
+        count[site] += 1
+        total[site] += value
+        if value < low[site]:
+            low[site] = value
+        if value > high[site]:
+            high[site] = value
 
     # ------------------------------------------------------------------
     # reading
@@ -93,14 +109,14 @@ class MetricsRegistry:
         """Cross-site total unless a specific site is asked for."""
         if site is _TOTAL:
             return self.totals(name)[name]
-        return self._counters.get((name, site), 0)
+        return self._counters.get(name, {}).get(site, 0)
 
     def totals(self, *names: str) -> dict[str, int]:
-        """The cross-site total of each counter in ``names``, summed in
-        one pass over the store."""
+        """The cross-site total of each counter in ``names``, its sites
+        summed in the order they were first counted."""
         out = dict.fromkeys(names, 0)
-        for (name, _site), value in self._counters.items():
-            if name in out:
+        for name in out:
+            for value in self._counters.get(name, {}).values():
                 out[name] += value
         return out
 
@@ -108,21 +124,23 @@ class MetricsRegistry:
         """JSON-ready snapshot: totals plus per-site breakdowns."""
         return {
             "counters": self._group(self._counters, lambda v: v, sum),
-            "gauges": self._group(self._gauges, dict, _pool_gauges),
+            "gauges": self._group(
+                _rows(self._gauges, "value", "peak"), lambda v: v, _pool_gauges
+            ),
             "histograms": self._group(
-                self._histograms, _finish_histogram, _pool_histograms
+                _rows(self._histograms, "count", "sum", "min", "max"),
+                _finish_histogram, _pool_histograms,
             ),
         }
 
     @staticmethod
-    def _group(store: dict, finish, combine) -> dict[str, Any]:
-        names: dict[str, dict[str, Any]] = {}
-        for (name, site), value in sorted(store.items()):
-            names.setdefault(name, {})[site] = value
+    def _group(columns: dict, finish, combine) -> dict[str, Any]:
         out: dict[str, Any] = {}
-        for name, by_site in names.items():
-            entry: dict[str, Any] = {"total": combine(list(by_site.values()))}
-            sites = {s: finish(v) for s, v in by_site.items() if s != _TOTAL}
+        for name in sorted(columns):
+            by_site = columns[name]
+            ordered = sorted(by_site)
+            entry = {"total": combine([by_site[s] for s in ordered])}
+            sites = {s: finish(by_site[s]) for s in ordered if s != _TOTAL}
             if sites:
                 entry["sites"] = sites
             if _TOTAL in by_site and sites:

@@ -13,9 +13,9 @@ schedulers' bottleneck node is modeled (the distributed scheduler
 spreads its actors over many sites, so no single queue forms).
 
 All delivery is FIFO per (source, destination) pair -- latencies are
-sampled once per message and a per-pair high-water mark enforces
-ordering, matching TCP-like channels, which the paper's message
-protocols implicitly assume.
+sampled once per message and a per-pair high-water mark, kept by
+source and then by destination, enforces ordering, matching TCP-like
+channels, which the paper's message protocols implicitly assume.
 """
 
 from __future__ import annotations
@@ -159,7 +159,8 @@ class Network:
     it has always been, behind every entry queued at that instant, with
     none of a transmission's fate, accounting, journal row or FIFO
     state (the simulator already fires one instant's entries in send
-    order).
+    order).  A delivered transmission leaves only numbers and strings
+    behind (journal atoms, a high-water mark, counts): no GC object.
 
     Parameters
     ----------
@@ -209,11 +210,11 @@ class Network:
         #: (drops never count); the time-series sampler reads this as
         #: a point-in-time gauge
         self.inflight = 0
-        #: chronological record of every transmission:
-        #: (send_time, deliver_time, src, dst, kind) -- the raw
-        #: material for message-sequence rendering and debugging
-        self.journal: list[tuple[float, float, str, str, str]] = []
-        self._fifo_high_water: dict[tuple[str, str], float] = {}
+        #: every transmission's send time, delivery time, src, dst and
+        #: kind, flat and in send order: :attr:`journal` reads it as rows
+        self._journal: list[float | str] = []
+        #: src -> dst -> when the channel's latest transmission arrives
+        self._fifo_high_water = defaultdict(dict)
         self._site_busy_until: dict[str, float] = {}
         #: bound once: every delivery entry holds this one object
         self._deliver = self._deliver
@@ -270,12 +271,10 @@ class Network:
                 self.send(src, dst, kind, payload, handler)
         arrival = now + self.latency.sample(self.rng, src, dst)
         # FIFO per channel.
-        key = (src, dst)
-        high_water = self._fifo_high_water
-        queued_until = high_water.get(key, 0.0)
-        if queued_until > arrival:
-            arrival = queued_until
-        high_water[key] = arrival
+        high_water = self._fifo_high_water[src]
+        if dst in high_water and high_water[dst] > arrival:
+            arrival = high_water[dst]
+        high_water[dst] = arrival
         # Service queue at the destination site.
         service = self.service_times.get(dst, 0.0)
         if service > 0.0:
@@ -291,7 +290,7 @@ class Network:
         handled = stats.per_site_handled
         handled[dst] = handled.get(dst, 0) + 1
         stats.total_latency += deliver_at - now
-        self.journal.append((now, deliver_at, src, dst, kind))
+        self._journal += (now, deliver_at, src, dst, kind)
         self.inflight += 1
         # the stamp of the physical transmission; the delivery records
         # its receive against the same message id and send stamp
@@ -323,6 +322,14 @@ class Network:
             handler(payload)
         finally:
             profiler.pop()
+
+    @property
+    def journal(self) -> list[tuple[float, float, str, str, str]]:
+        """Chronological record of every transmission, one ``(send_time,
+        deliver_time, src, dst, kind)`` row each, built on each read --
+        the raw material for message-sequence rendering and debugging."""
+        atoms = iter(self._journal)
+        return list(zip(atoms, atoms, atoms, atoms, atoms))
 
     def undelivered(self) -> list[tuple[str, str, str, Any]]:
         """``(src, dst, kind, payload)`` of every message sent and not

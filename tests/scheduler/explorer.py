@@ -5,11 +5,12 @@ pops its callbacks.  :class:`ChoosingSimulator` pops, at each step, the
 callback a *choice prefix* names among the enabled ones, and the
 default, oldest-first one past the prefix.  The enabled callbacks are
 the oldest pending delivery of each ``(src, dst)`` channel -- the raw
-fabric is FIFO per pair (``Network._fifo_high_water``), so no other
-delivery order can happen -- and every other callback: scripted
-attempts and timers.  It is installed by patching the ``Simulator``
-name that :mod:`repro.scheduler.base` builds each run's simulator
-from, so the scheduler under test is the production one, unchanged.
+fabric is FIFO per pair (``Network._fifo_high_water``, a mark per
+source and then destination), so no other delivery order can happen --
+and every other callback: scripted attempts and timers.  It is
+installed by patching the ``Simulator`` name that
+:mod:`repro.scheduler.base` builds each run's simulator from, so the
+scheduler under test is the production one, unchanged.
 
 :func:`explore` re-runs a scenario from the start along each prefix,
 depth first, over every schedule that deviates from the default pick at
