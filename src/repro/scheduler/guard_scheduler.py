@@ -895,8 +895,9 @@ class DistributedScheduler(RunBase):
                     Violation(
                         "transport",
                         f"{kind} #{seq} from {src} to {dst} was given up "
-                        f"on after {self.channel.max_retries} "
-                        "retransmissions",
+                        "on with its session's backlog, after the oldest "
+                        "payload of the session went unanswered through "
+                        f"{self.channel.max_retries} retransmissions",
                     )
                 )
         for role in self.roles():

@@ -12,24 +12,17 @@ with sequence numbers, cumulative acks, and timeout retransmission:
   out-of-order arrivals and discarding duplicates, and acknowledges
   once per session per instant, at its end and cumulatively (the
   highest in-order sequence delivered by then);
-* the sender retransmits an unacknowledged payload on a timeout, by
-  what it knows of the peer:
+* the sender keeps one retransmission timer per session (RFC 6298
+  §5), due ``timeout`` after its oldest unacknowledged payload last
+  went out:
 
-  - it backs off only while the peer is silent: a payload whose peer
-    has been heard from (a payload or an ack) since the payload's last
-    transmission goes out again after the base ``timeout``; otherwise
-    its interval doubles, up to ``max_interval``;
-  - one probe per timed-out batch: a payload that times out while an
-    older unacknowledged payload of its session went out since its
-    timer was armed is *held* -- not resent, its retries and interval
-    unchanged, its timer re-armed -- as that payload's cumulative ack
-    answers both; a held payload whose probe then stays silent for a
-    whole interval of its own goes out itself;
-  - a short ack releases what is held: an ack that stops short of held
-    payloads says the receiver lacks them, so they go out at once at
-    the base interval;
-  - after ``max_retries`` attempts a payload is given up, and what is
-    held behind it with it (a bounded channel -- exhaustion is
+  - when it fires, that payload alone goes out again: a *probe*,
+    whose cumulative ack answers the whole batch behind it;
+  - an ack that advances the window re-arms the timer for the new
+    oldest payload, and resends at once what went out before the last
+    probe and is still unacknowledged: the receiver lacks it;
+  - once the oldest payload has been probed ``max_retries`` times the
+    whole backlog is given up (a bounded channel -- exhaustion is
     counted, never silent);
 
 * a site restart re-establishes every session touching the site
@@ -59,38 +52,34 @@ ACK_KIND = "ack"
 
 @dataclass(slots=True)
 class _Pending:
-    """Sender-side record of one unacknowledged payload."""
+    """Sender-side record of one unacknowledged payload: when it last
+    went out, and how many times it went out again."""
 
     kind: str
     payload: Any
     handler: Callable[[Any], None]
     retries: int = 0
-    interval: float = 0.0
-    timer: int = 0
-    #: when it last went out and when its timer was last armed (at that
-    #: transmission or at a hold since), and whether it waits behind an
-    #: older payload's probe
     sent: float = 0.0
-    armed: float = 0.0
-    held: bool = False
 
 
 class _Session:
     """All state of one ``(src, dst)`` channel, both ends: the sender's
-    next sequence number, unacknowledged payloads by it and how many of
-    them are held, the receiver's next expected one, its out-of-order
-    arrivals ``seq -> (payload, handler)`` and whether it owes an ack
-    this instant."""
+    next sequence number, unacknowledged payloads by it, its
+    retransmission timer and when that last probed, the receiver's next
+    expected one, its out-of-order arrivals ``seq -> (payload,
+    handler)`` and whether it owes an ack this instant."""
 
     __slots__ = (
-        "epoch", "next_seq", "unacked", "held", "expected", "buffer", "owed"
+        "epoch", "next_seq", "unacked", "timer", "probed", "expected",
+        "buffer", "owed",
     )
 
     def __init__(self, epoch: int = 0) -> None:
         self.epoch = epoch
         self.next_seq = 1
         self.unacked: dict[int, _Pending] = {}
-        self.held = 0
+        self.timer = 0
+        self.probed = 0.0
         self.expected = 1
         self.buffer: dict[int, tuple[Any, Callable[[Any], None]]] = {}
         self.owed = False
@@ -102,11 +91,11 @@ class ReliableNetwork:
     A payload crosses the fabric as one packet, ``(key, epoch, seq,
     kind, payload, handler)``, handed to :meth:`_deliver`; an ack is
     ``(key, epoch, upto)`` to :meth:`_on_ack`, sent by the zero-delay
-    simulator entry ``(_flush_ack, key, session)``, and a
-    retransmission timer is the entry ``(_on_timeout, key, epoch,
-    seq)``.  The five handlers are bound once, at construction, so no
-    function object is built per message or per timer.  Each ``(src,
-    dst)`` channel is one :class:`_Session`, made on its first send.
+    simulator entry ``(_flush_ack, key, session)``, and a session's
+    retransmission timer is the entry ``(_on_timeout, key)``.  The five
+    handlers are bound once, at construction, so no function object is
+    built per message or per timer.  Each ``(src, dst)`` channel is one
+    :class:`_Session`, made on its first send.
 
     Parameters
     ----------
@@ -118,23 +107,20 @@ class ReliableNetwork:
         (and retransmitted until the site returns or retries exhaust).
     """
 
-    #: initial retransmission timeout, a small multiple of the round trip:
-    #: too small wastes duplicates, too large stretches recovery; also
-    #: the interval of a resend toward a peer heard from since
+    #: the retransmission timeout, a small multiple of the round trip:
+    #: too small wastes duplicates, too large stretches recovery.  It
+    #: does not back off: a lost ack makes a live peer look silent, and
+    #: doubling toward it stretched the chaos sweep's makespan by 31 %
     timeout = 4.0
-    #: backoff factor per retry toward a silent peer, and the cap that
-    #: keeps a long crash window from pushing the next probe arbitrarily
-    #: far
-    backoff = 2.0
-    max_interval = 32.0
-    #: per-payload retry budget; exhaustion is recorded in
-    #: ``stats.retransmit_giveups`` and the payload is abandoned, with
-    #: the payloads held behind it.
-    #: Toward a site that is down for good that is the expected end
-    #: (its bases end the run unsettled); any other give-up is a lost
-    #: message, kept in :attr:`lost` for the scheduler to report as a
-    #: violation.  A test that needs other values sets them on its own.
-    max_retries = 20
+    #: probes of one oldest payload before its session's backlog is
+    #: given up, ``(max_retries + 1) * timeout`` = 604 after it first
+    #: went out; each give-up is recorded in
+    #: ``stats.retransmit_giveups``.  Toward a site that is down for
+    #: good that is the expected end (its bases end the run unsettled);
+    #: any other give-up is a lost message, kept in :attr:`lost` for the
+    #: scheduler to report as a violation.  A test that needs other
+    #: values sets them on its own.
+    max_retries = 150
 
     def __init__(self, network: Network, faults: FaultInjector | None = None):
         self.net = network
@@ -148,9 +134,6 @@ class ReliableNetwork:
         self.lost: list[tuple[str, str, str, int]] = []
         #: one session per (src, dst), replaced on ``reset_site``
         self._sessions: dict[tuple[str, str], _Session] = {}
-        #: when a packet from ``peer`` last reached ``site``, keyed
-        #: ``(peer, site)``: what tells a lost packet from a silent peer
-        self._heard: dict[tuple[str, str], float] = {}
         # bound once: the fabric's entries and the timers hold these
         self._deliver = self._deliver
         self._deliver_local = self._deliver_local
@@ -210,14 +193,17 @@ class ReliableNetwork:
             session = self._sessions[key] = _Session()
         seq = session.next_seq
         session.next_seq = seq + 1
-        pending = _Pending(kind, payload, handler, interval=self.timeout)
-        session.unacked[seq] = pending
+        pending = session.unacked[seq] = _Pending(kind, payload, handler)
         self._transmit(key, session.epoch, seq, pending)
+        if len(session.unacked) == 1:
+            session.timer = self.sim.schedule(
+                self.timeout, self._on_timeout, key
+            )
 
     def _transmit(
         self, key: tuple[str, str], epoch: int, seq: int, pending: _Pending
     ) -> None:
-        """Put the payload on the fabric and arm its retransmit timer."""
+        """Put the payload on the fabric."""
         src, dst = key
         kind = pending.kind
         self.net.send(
@@ -225,66 +211,13 @@ class ReliableNetwork:
             (key, epoch, seq, kind, pending.payload, pending.handler),
             self._deliver,
         )
-        pending.sent = pending.armed = self.sim.now
-        pending.timer = self.sim.schedule(
-            pending.interval, self._on_timeout, key, epoch, seq
-        )
-
-    def _on_timeout(self, key: tuple[str, str], epoch: int, seq: int) -> None:
-        session = self._sessions[key]
-        if epoch != session.epoch:
-            return  # session re-established; the backlog was re-queued
-        unacked = session.unacked
-        pending = unacked.get(seq)
-        if pending is None:
-            return  # acked in the meantime
-        src, dst = key
-        if self.faults is not None and self.faults.is_down(src):
-            return  # our own site is down; restart wipes this state
-        for older in unacked:  # in seq order
-            if older == seq:
-                break
-            if unacked[older].sent >= pending.armed:
-                # an older payload went out since this timer was armed:
-                # its cumulative ack answers this one too, so wait one
-                # more interval for it
-                if not pending.held:
-                    pending.held = True
-                    session.held += 1
-                pending.armed = self.sim.now
-                pending.timer = self.sim.schedule(
-                    pending.interval, self._on_timeout, key, epoch, seq
-                )
-                return
-        if pending.held:
-            pending.held = False
-            session.held -= 1
-        heard = self._heard
-        if (dst, src) in heard and heard[dst, src] >= pending.sent:
-            interval = self.timeout  # the peer is up: the channel lost it
-        else:
-            interval = min(pending.interval * self.backoff, self.max_interval)
-        self._retransmit(key, session, seq, pending, interval)
+        pending.sent = self.sim.now
 
     def _retransmit(
-        self,
-        key: tuple[str, str],
-        session: _Session,
-        seq: int,
+        self, key: tuple[str, str], session: _Session, seq: int,
         pending: _Pending,
-        interval: float,
     ) -> None:
-        """Resend ``pending`` with its timer at ``interval``; once its
-        retries are spent, give it up instead, and with it what is held
-        behind it (its attempts were theirs too)."""
-        if pending.retries >= self.max_retries:
-            self._give_up(key, session, seq, pending)
-            if session.held:
-                for held_seq, held in self._release(session, seq):
-                    self._give_up(key, session, held_seq, held)
-            return
         pending.retries += 1
-        pending.interval = interval
         self._note_retransmit(key, seq, pending)
         profiler = self.net.profiler  # per message: no call unprofiled
         if profiler is not None:
@@ -295,28 +228,28 @@ class ReliableNetwork:
             if profiler is not None:
                 profiler.pop()
 
-    def _release(
-        self, session: _Session, after: int
-    ) -> list[tuple[int, _Pending]]:
-        """Lift the holds on ``session``'s payloads above ``after``:
-        their timers cancelled, ``(seq, pending)`` in seq order."""
-        released = [
-            (seq, pending) for seq, pending in session.unacked.items()
-            if seq > after and pending.held
-        ]
-        for _seq, pending in released:
-            pending.held = False
-            self.sim.cancel(pending.timer)
-        session.held -= len(released)
-        return released
+    def _on_timeout(self, key: tuple[str, str]) -> None:
+        """The session's oldest payload went unanswered for ``timeout``:
+        probe with it, or give the backlog up once its retries are
+        spent.  An ack re-arms the timer and a reset cancels it, and a
+        give-up arms none, so it fires for a current session's backlog."""
+        if self.faults is not None and self.faults.is_down(key[0]):
+            return  # our own site is down; restart wipes this state
+        session = self._sessions[key]
+        seq, pending = next(iter(session.unacked.items()))
+        if pending.retries >= self.max_retries:
+            backlog, session.unacked = session.unacked, {}
+            for seq, pending in backlog.items():
+                self._give_up(key, seq, pending)
+            return
+        self._retransmit(key, session, seq, pending)
+        session.probed = pending.sent
+        session.timer = self.sim.schedule(self.timeout, self._on_timeout, key)
 
-    def _give_up(
-        self, key: tuple[str, str], session: _Session, seq: int, pending: _Pending
-    ) -> None:
+    def _give_up(self, key: tuple[str, str], seq: int, pending: _Pending) -> None:
         """Abandon ``pending``: counted, and kept in :attr:`lost` unless
         its destination is down for good."""
         src, dst = key
-        del session.unacked[seq]
         self._note(
             "retransmit_giveups", src, "giveup",
             dst=dst, kind=pending.kind, seq=seq, retries=pending.retries,
@@ -348,7 +281,6 @@ class ReliableNetwork:
                 "crash_lost", dst, "crash_lost", src=src, kind=kind, seq=seq
             )
             return  # no ack: the sender keeps retransmitting
-        self._heard[key] = self.sim.now
         session = self._sessions[key]
         if epoch != session.epoch:
             self._note(
@@ -400,7 +332,6 @@ class ReliableNetwork:
                 src=dst, kind=ACK_KIND, upto=upto,
             )
             return
-        self._heard[dst, src] = self.sim.now
         session = self._sessions[key]
         if epoch != session.epoch:
             self._note(
@@ -409,15 +340,23 @@ class ReliableNetwork:
             )
             return
         unacked = session.unacked  # in seq order; a give-up leaves a gap
-        for seq in range(next(iter(unacked), upto + 1), upto + 1):
-            if (pending := unacked.pop(seq, None)) is not None:
-                self.sim.cancel(pending.timer)
-                session.held -= pending.held
-        if session.held:
-            # the ack stops short of payloads held behind a probe: the
-            # receiver lacks them, so they go out now
-            for seq, pending in self._release(session, upto):
-                self._retransmit(key, session, seq, pending, self.timeout)
+        first = next(iter(unacked), upto + 1)
+        if first > upto:
+            return  # it advances nothing
+        self.sim.cancel(session.timer)
+        for seq in range(first, upto + 1):
+            unacked.pop(seq, None)
+        if not unacked:
+            return
+        for seq, pending in unacked.items():
+            if pending.sent < session.probed:
+                # it went out before the last probe and this ack stops
+                # short of it: the receiver lacks it, so it goes out now
+                self._retransmit(key, session, seq, pending)
+        session.timer = self.sim.schedule_at(
+            next(iter(unacked.values())).sent + self.timeout,
+            self._on_timeout, key,
+        )
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -437,8 +376,7 @@ class ReliableNetwork:
         for key in keys:
             old = sessions[key]
             sessions[key] = _Session(old.epoch + 1)
-            for pending in old.unacked.values():
-                self.sim.cancel(pending.timer)
+            self.sim.cancel(old.timer)
             if key[0] != site and old.unacked:
                 # unacked holds its payloads in send (= seq) order
                 backlog.append((key, list(old.unacked.values())))

@@ -177,7 +177,7 @@ ROWS = {
     "sc1_n16": (partial(travel, 16), counts(18.0, 349, 80, 69)),
     "sc1_n64": (partial(travel, 64), counts(18.0, 1521, 320, 281)),
     "sc1_n64_sharded": (partial(travel, 64, 4), counts(18.0, 1521, 320, 281)),
-    "sc5_chaos": (travel_chaos, counts(107.0, 130, 5)),
+    "sc5_chaos": (travel_chaos, counts(121.0, 122, 5)),
     **{f"sc7_mutex_n{n}_{placement}": (
         partial(mutex, n, placement), counts(8.0, messages, 2 * n, **cut))
        for n, messages in ((64, 870), (256, 3510))

@@ -85,9 +85,9 @@ class TestExplorer:
         session.send("a", "b", "msg", 1, got.append)
         session.send("a", "b", "msg", 2, got.append)
         channels = [sim._channels[seq] for _t, seq, *_ in sim.queued()]
-        # two payloads, then their two timers (due later)
-        assert channels == [("a", "b"), ("a", "b"), None, None]
-        assert len(sim.enabled()) == 3  # the second payload waits
+        # two payloads, then their session's one timer (due later)
+        assert channels == [("a", "b"), ("a", "b"), None]
+        assert len(sim.enabled()) == 2  # the second payload waits
 
         def acks():
             return [
@@ -98,7 +98,7 @@ class TestExplorer:
 
         sim.step()  # the first payload lands; its session owes an ack
         assert got == [1] and acks() == []
-        assert len(sim.enabled()) == 4  # the flush is one more choice
+        assert len(sim.enabled()) == 3  # the flush is one more choice
         sim.step()  # the second lands in the same instant
         assert got == [1, 2] and acks() == []
         sim.step()  # the flush: one ack answers both

@@ -16,6 +16,7 @@ from repro.algebra.parser import parse
 from repro.algebra.residuation import residuate_trace
 from repro.algebra.symbols import Event
 from repro.algebra.traces import satisfies
+from repro.obs.tracer import Tracer
 from repro.scheduler import DistributedScheduler
 from repro.scheduler.agents import AgentScript, ScriptedAttempt
 from repro.sim import FaultPlan, SiteCrash
@@ -211,7 +212,7 @@ class TestLostMessagesFailClosed:
     """A payload the session layer gives up on is a violation, unless
     its destination is down for good (whose bases end unsettled)."""
 
-    def _run(self, plan=None, max_retries=0):
+    def _run(self, plan=None, max_retries=0, tracer=None):
         scenario = make_travel_booking("success")
         sched = DistributedScheduler(
             scenario.workflow.dependencies,
@@ -221,6 +222,7 @@ class TestLostMessagesFailClosed:
             drop_probability=DROP,
             reliable=True,
             fault_plan=plan,
+            tracer=tracer,
         )
         sched.channel.max_retries = max_retries
         return sched, sched.run(scenario.scripts)
@@ -235,6 +237,26 @@ class TestLostMessagesFailClosed:
         for part in (src, dst, kind, f"#{seq}"):
             assert part in lost[0].detail, lost[0].detail
         assert not result.ok
+
+    def test_a_backlog_given_up_behind_its_oldest_payload_says_so(self):
+        """A session gives up its whole backlog once its oldest payload
+        has spent its retries, so a lost payload need not have gone out
+        again itself: the violation says what was spent."""
+        tracer = Tracer()
+        sched, result = self._run(max_retries=1, tracer=tracer)
+        retries = [
+            r["retries"] for r in tracer.records
+            if r["cat"] == "session" and r["op"] == "giveup"
+        ]
+        assert 0 in retries and 1 in retries
+        lost = [v for v in result.violations if v.kind == "transport"]
+        assert len(lost) == len(retries)
+        for violation in lost:
+            assert violation.detail.endswith(
+                "was given up on with its session's backlog, after the "
+                "oldest payload of the session went unanswered through 1 "
+                "retransmissions"
+            ), violation.detail
 
     def test_a_budget_that_suffices_reports_nothing(self):
         sched, result = self._run(max_retries=20)

@@ -6,7 +6,8 @@ lossy fabric (drop 0.3, duplicate 0.2) and a crash of the airline site
 from 3 to 9, at seed 0.  The other golden traces run on the raw fabric,
 so this one pins sequence numbers, acks, retransmission timers, dedup
 and the session reset on restart: a rerun must make the same decisions
-in the same order at every site (``repro diff`` exit 0).
+in the same order at every site (``repro diff`` exit 0), and write the
+same trace to the byte, as CI's ``cmp`` holds the other goldens.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from pathlib import Path
 
 from repro.obs.diff import diff_traces
-from repro.obs.tracer import Tracer, read_jsonl
+from repro.obs.tracer import Tracer, read_jsonl, to_jsonl
 from repro.scheduler import DistributedScheduler
 from repro.sim import FaultPlan, SiteCrash
 from repro.workloads.scenarios import make_travel_booking
@@ -49,5 +50,7 @@ def chaos_trace() -> Tracer:
 def test_chaos_run_matches_the_golden_trace():
     golden = read_jsonl(GOLDEN)
     assert any(r["cat"] == "session" for r in golden)
-    diff = diff_traces(golden, chaos_trace().records)
+    records = chaos_trace().records
+    diff = diff_traces(golden, records)
     assert diff.identical, diff.summary()
+    assert to_jsonl(records) == GOLDEN.read_text()

@@ -30,14 +30,13 @@ def _rig(drop=0.0, dup=0.0, plan=None, seed=7, **kw):
 class TestConstants:
     def test_the_tuning_is_constants_not_parameters(self):
         """The session layer takes the fabric and the crash injector;
-        its timeout, backoff, cap and retry budget are constants."""
+        its timeout and retry budget are constants."""
         import inspect
 
         params = inspect.signature(ReliableNetwork.__init__).parameters
         assert list(params) == ["self", "network", "faults"]
         rel = ReliableNetwork(Network(Simulator()))
-        assert (rel.timeout, rel.backoff, rel.max_interval, rel.max_retries) \
-            == (4.0, 2.0, 32.0, 20)
+        assert (rel.timeout, rel.max_retries) == (4.0, 150)
 
 
 class TestCleanFabric:
@@ -109,33 +108,6 @@ class TestLossyFabric:
         assert net.stats.retransmit_giveups == 1
         assert net.stats.retransmits == 3
         assert rel.in_flight() == 0
-
-
-class TestBackoff:
-    def test_retransmit_intervals_grow_and_cap(self):
-        sim = Simulator()
-        net = Network(
-            sim,
-            latency=ConstantLatency(1.0),
-            rng=random.Random(0),
-            drop_probability=0.999999,
-        )
-        rel = ReliableNetwork(net)
-        rel.timeout, rel.max_interval, rel.max_retries = 2.0, 8.0, 5
-        sends = []
-        orig = net.send
-
-        def spy(src, dst, kind, payload, handler):
-            if kind != "ack":
-                sends.append(sim.now)
-            orig(src, dst, kind, payload, handler)
-
-        net.send = spy
-        rel.send("a", "b", "msg", 1, lambda p: None)
-        sim.run()
-        gaps = [b - a for a, b in zip(sends, sends[1:])]
-        # 2, 4, 8, then capped at 8
-        assert gaps == [2.0, 4.0, 8.0, 8.0, 8.0]
 
 
 class TestCrashInteraction:
@@ -304,11 +276,11 @@ def _payloads(log, src="a"):
 
 
 class TestRetransmitOnWhatTheSenderKnows:
-    """A sender backs off only while its peer is silent, probes a
-    timed-out batch with its oldest payload, and resends what a short
-    ack leaves out at once."""
+    """A session's one timer probes a timed-out batch with its oldest
+    payload, at a fixed interval, and an ack resends at once what went
+    out before the probe and it leaves out."""
 
-    def test_toward_a_silent_down_peer_the_backoff_and_horizon_stand(self):
+    def test_toward_a_silent_down_peer_the_horizon_stands(self):
         plan = FaultPlan.of([SiteCrash("b", at=0.0)])  # down for good
         sim, net, rel, faults = _rig(plan=plan, timeout=4.0)
         faults.arm()
@@ -317,12 +289,27 @@ class TestRetransmitOnWhatTheSenderKnows:
         rel.send("a", "b", "msg", "x", lambda p: None)
         sim.run()
         times = [t for t, _seq in _payloads(log)]
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        assert gaps == [4.0, 8.0, 16.0] + [32.0] * 17
-        # given up at the 21st timeout, 4 + 8 + 16 + 18 * 32 after the send
+        assert [b - a for a, b in zip(times, times[1:])] == [4.0] * 150
+        # given up at the 151st timeout, 604 after the send
         assert sim.now == 604.0
         assert net.stats.retransmit_giveups == 1
         assert rel.lost == []  # a site down for good: the expected end
+
+    def test_a_restart_within_the_horizon_loses_nothing(self):
+        plan = FaultPlan.of([SiteCrash("b", at=0.0, restart_at=603.0)])
+        sim, net, rel, faults = _rig(plan=plan, timeout=4.0)
+        faults.on_restart(rel.reset_site)
+        faults.arm()
+        sim.run(until=0.0)
+        got = []
+        rel.send("a", "b", "msg", "x", got.append)
+        sim.run()
+        # 150 probes die at the down site; the restart at 603 re-sends
+        # the payload on the fresh session before the give-up due at 604
+        assert got == ["x"]
+        assert net.stats.retransmits == 151
+        assert net.stats.retransmit_giveups == 0
+        assert rel.lost == [] and rel.in_flight() == 0
 
     def test_a_batch_toward_a_down_peer_gives_up_with_its_probe(self):
         plan = FaultPlan.of([SiteCrash("b", at=0.0)])
@@ -336,28 +323,10 @@ class TestRetransmitOnWhatTheSenderKnows:
         assert sim.now == 604.0  # a lone payload's horizon
         assert net.stats.retransmit_giveups == 3
         assert rel.in_flight() == 0
-        # the probe made all 21 attempts; 2 and 3 went out on their own
-        # only while it was silent for one of their intervals
+        # the probe made all 151 attempts; 2 and 3 went out once, as no
+        # ack ever says the receiver lacks them
         sent = [seq for _t, seq in _payloads(log)]
-        assert [sent.count(seq) for seq in (1, 2, 3)] == [21, 3, 3]
-
-    def test_a_peer_heard_from_since_the_last_transmission_resets_backoff(self):
-        sim, net, rel, _ = _rig(timeout=4.0)
-        # a -> b payloads are lost until t = 13; b talks to a at t = 5
-        log = _script(
-            sim, net,
-            drop=lambda now, src, kind, n: src == "a" and kind == "msg"
-            and now < 13,
-        )
-        got = []
-        rel.send("a", "b", "msg", "x", got.append)
-        sim.schedule_at(5.0, rel.send, "b", "a", "msg", "y", got.append)
-        sim.run()
-        # at 4 a has not heard from b: the interval doubles to 8; at 12
-        # it has (b's payload landed at 6): the next leaves after 4
-        assert [t for t, _seq in _payloads(log)] == [0.0, 4.0, 12.0, 16.0]
-        assert got == ["y", "x"]
-        assert rel.lost == [] and rel.in_flight() == 0
+        assert [sent.count(seq) for seq in (1, 2, 3)] == [151, 1, 1]
 
     def test_a_dropped_shared_ack_costs_one_probe(self):
         sim, net, rel, _ = _rig(timeout=4.0)
@@ -375,7 +344,7 @@ class TestRetransmitOnWhatTheSenderKnows:
         sim.run()
         assert acks == [3, 3]  # the shared ack, dropped, then the probe's
         # only the oldest goes out again; its ack retires all three, so
-        # no held timer fires after it
+        # no timer fires after it
         assert _payloads(log) == [(0.0, 1), (0.0, 2), (0.0, 3), (4.0, 1)]
         assert net.stats.retransmits == 1
         assert got == [0, 1, 2]
@@ -398,27 +367,78 @@ class TestRetransmitOnWhatTheSenderKnows:
         for i in range(3):
             rel.send("a", "b", "msg", i, got.append)
         sim.run()
-        # 1 probes at 4 and is answered at 6 with upto 1, short of the
-        # held 2 and 3: both go out at once, not at their timers
+        # 1 probes at 4 and is answered at 6 with upto 1, short of 2
+        # and 3, which went out before the probe: both go out at once,
+        # not a timeout later
         assert _payloads(log) == [
             (0.0, 1), (0.0, 2), (0.0, 3), (4.0, 1), (6.0, 2), (6.0, 3)
         ]
         assert got == [0, 1, 2]
         assert rel.lost == [] and rel.in_flight() == 0
 
-    def test_a_reset_leaves_nothing_held(self):
+    def test_a_reset_cancels_the_session_timer(self):
         sim, net, rel, _ = _rig(timeout=4.0)
         _script(sim, net, drop=lambda now, src, kind, n: kind == "ack")
         got = []
         for i in range(3):
             rel.send("a", "b", "msg", i, got.append)
-        sim.run(until=4.0)  # 1 probes; 2 and 3 are held
+        sim.run(until=4.0)  # 1 probes; its timer is due at 8
         old = rel._sessions["a", "b"]
-        assert old.held == 2
-        assert [p.held for p in old.unacked.values()] == [False, True, True]
+        assert old.probed == 4.0
         rel.reset_site("b")
         fresh = rel._sessions["a", "b"]
-        assert fresh.held == 0
-        assert len(fresh.unacked) == 3
-        assert not any(p.held for p in fresh.unacked.values())
+        assert len(fresh.unacked) == 3 and fresh.probed == 0.0
+        # one live timer, the fresh session's, due a timeout from now
+        timers = [
+            (t, seq) for t, seq, fn, *_ in sim.queued()
+            if fn == rel._on_timeout
+        ]
+        assert timers == [(8.0, fresh.timer)]
         assert got == [0, 1, 2]
+
+
+def _count_firings(channel, tally):
+    """Wrap ``channel``'s timer callback: ``tally`` counts its firings
+    (``"fired"``) and those that neither retransmit nor give up while
+    their own site is up (``"idle"``)."""
+    stats, on_timeout = channel.stats, channel._on_timeout
+
+    def timer(key, *args):
+        before = stats.retransmits + stats.retransmit_giveups
+        on_timeout(key, *args)
+        tally["fired"] += 1
+        sent = stats.retransmits + stats.retransmit_giveups - before
+        tally["idle"] += not sent and not channel.faults.is_down(key[0])
+
+    channel._on_timeout = timer
+
+
+class TestEveryFiringSends:
+    """In the exact-observables chaos setting (travel's failure path,
+    drop = duplication = 0.3, the airline down from 2 to 10), every
+    firing of a session's timer retransmits or gives up, unless its own
+    site is down: a timer that an ack made moot was cancelled."""
+
+    def test_no_firing_is_idle(self):
+        from repro.scheduler import DistributedScheduler
+        from repro.workloads.scenarios import make_travel_booking
+
+        scenario = make_travel_booking("failure")
+        tally = {"fired": 0, "idle": 0}
+        for seed in range(40):
+            sched = DistributedScheduler(
+                scenario.workflow.dependencies,
+                sites=scenario.workflow.sites,
+                attributes=scenario.workflow.attributes,
+                rng=random.Random(seed),
+                drop_probability=0.3,
+                duplicate_probability=0.3,
+                reliable=True,
+                fault_plan=FaultPlan.of(
+                    [SiteCrash("airline", at=2.0, restart_at=10.0)]
+                ),
+            )
+            _count_firings(sched.channel, tally)
+            sched.run(scenario.scripts, verify=False)
+        assert tally["fired"] > 40
+        assert tally["idle"] == 0, tally
