@@ -3,11 +3,10 @@
 SC6 (bench_scale_schedulers / bench_scale_latency) shards *independent*
 instances; here every cluster of critical-section tasks is coupled by
 cross-instance mutex dependencies, so the sharded runs exercise
-coupled planning end to end: constraint-aware min-cut placement (cut 0,
-nothing fused) and round-robin placement whose split clusters the
-planner fuses back onto one shard.  This bench pins the *shape* at a
-CI-friendly size: every variant settles exactly the merged baseline's
-event set.  The N=64 and N=256 rows' exact counts are pinned by
+coupled planning end to end: each cluster is a coupled component,
+placed whole on one shard.  This bench pins the *shape* at a
+CI-friendly size: the sharded run settles exactly the merged
+baseline's event set.  The N=64 and N=256 rows' exact counts are pinned by
 ``tests/integration/test_exact_observables.py``; wall clock is
 measured end to end by ``benchmarks/e2e`` (the ``mutex_sharded``
 workload).
@@ -43,7 +42,7 @@ def merged_baseline():
     return result
 
 
-def sharded_run(**plan_kwargs):
+def sharded_run():
     fam = family()
     instances = [
         instance_spec(suffix, scripts) for suffix, scripts in fam.instances
@@ -54,7 +53,6 @@ def sharded_run(**plan_kwargs):
         SHARDS,
         seed=1,
         cross_deps=fam.cross_dependencies,
-        **plan_kwargs,
     )
     return tasks, run_sharded(tasks, workers=1)
 
@@ -74,24 +72,9 @@ def test_bench_mutex_merged(benchmark):
 
 
 def test_bench_mutex_min_cut(benchmark, baseline):
-    tasks, run = benchmark.pedantic(
-        lambda: sharded_run(placement="min_cut"), rounds=3, iterations=1
-    )
-    # clusters colocate: nothing crosses the cut, nothing is fused
-    assert tasks.cut_weight == 0
+    tasks, run = benchmark.pedantic(sharded_run, rounds=3, iterations=1)
+    # one cluster per shard: nothing crosses between shards
     assert len(tasks) == SHARDS
     assert run.cross_messages == 0
     assert run.result.ok, run.result.violations
     assert settled(run.result) == settled(baseline)
-
-
-def test_bench_mutex_round_robin_routed(benchmark, baseline):
-    tasks, run = benchmark.pedantic(sharded_run, rounds=3, iterations=1)
-    # round-robin splits every cluster: the planner fuses the shards
-    # back together, so the coupling stays inside one scheduler
-    assert tasks.cut_weight > 0
-    assert len(tasks) < SHARDS
-    assert run.cross_messages == 0
-    assert run.result.ok, run.result.violations
-    assert settled(run.result) == settled(baseline)
-

@@ -46,11 +46,12 @@ a virtual-time cadence, read without sending), ``--snapshot-out FILE``
 wall-time profile: text table, flamegraph collapsed stacks, or
 chrome://tracing JSON), ``--sample-every T`` (gauge time series on a
 virtual-time cadence, merged per shard in scale-out mode), and
-``--shards N [--instances K] [--workers M] [--placement P]
-[--cross-dep EXPR]`` (scale-out mode: the spec becomes a template, K
-suffixed instances are stamped out by renaming its compiled guards,
-and N schedulers run them in a process pool; timeline, trace, and
-metrics come back merged; the four bracketed flags need ``--shards``).
+``--shards N [--instances K] [--workers M] [--cross-dep EXPR]``
+(scale-out mode: the spec becomes a template, K suffixed instances are
+stamped out by renaming its compiled guards, and N schedulers run them
+in a process pool -- instances coupled by a ``--cross-dep`` run
+together on one; timeline, trace, and metrics come back merged; the
+three bracketed flags need ``--shards``).
 An ``--attempt`` names an event of the spec (of the template under
 ``--shards``) at a time >= 0.
 
@@ -270,22 +271,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "one per shard, capped by CPU count; 1 = run in-process)",
     )
     p_run.add_argument(
-        "--placement",
-        choices=("round-robin", "min-cut"),
-        help="with --shards: how instances are placed -- round-robin "
-        "(the default, the baseline) or min-cut (the constraint-aware "
-        "partitioner colocates instances coupled by --cross-dep "
-        "dependencies, so fewer shards have to be fused)",
-    )
-    p_run.add_argument(
         "--cross-dep",
         action="append",
         default=[],
         metavar="EXPR",
         help="with --shards: a dependency over events of *different* "
         "instances (suffixed names, e.g. \"~b_i1 + e_i0 . b_i1\"); "
-        "repeatable.  One shard enforces each: shards a dependency "
-        "would span are fused into one",
+        "repeatable.  One shard enforces each: the instances it couples "
+        "run together on one shard",
     )
     p_run.add_argument(
         "--profile",
@@ -665,7 +658,6 @@ def _cmd_run(args) -> int:
         for flag, given in (
             ("--instances", args.instances is not None),
             ("--workers", args.workers is not None),
-            ("--placement", args.placement is not None),
             ("--cross-dep", bool(args.cross_dep)),
         ):
             if given:
@@ -1041,7 +1033,6 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
     if args.workers is not None and args.workers < 1:
         print("--workers must be at least 1", file=sys.stderr)
         return 2
-    placement = args.placement or "round-robin"
     template = WorkflowTemplate(workflow)
     template_script = AgentScript("cli", attempts) if attempts else None
     instances = []
@@ -1070,7 +1061,6 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
             latency=args.latency,
             profile=args.profile,
             sample_every=args.sample_every,
-            placement=placement.replace("-", "_"),
             cross_deps=args.cross_dep,
             flight_record=args.flight_record,
         )
@@ -1101,14 +1091,10 @@ def _cmd_run_sharded(args, workflow, attempts, slo_doc=None) -> int:
         f"sharded: {count} instances over {sharded.shards} shard(s), "
         f"{sharded.workers} worker(s)"
     )
-    if args.cross_dep:
-        summary += f", cut {tasks.cut_weight}"
     sharding = {
         "shards": sharded.shards,
         "instances": count,
         "workers": sharded.workers,
-        "placement": placement,
-        "cut_weight": tasks.cut_weight,
     }
     return _finish_run(
         args, slo_doc, sharded.result, sharded.metrics,

@@ -17,31 +17,23 @@ exclusion, resource pools).  A dependency is enforced by the one
 scheduler holding all its events, so the unit of placement is the
 coupled *component*:
 
-* :mod:`repro.scale.partition` -- a planning pass over the
-  per-dependency guard tables builds the inter-instance shared-event
-  graph, places instances to keep coupled ones together
-  (``placement="min_cut"``), and fuses whatever shards a dependency
-  still spans into one;
+* :mod:`repro.scale.partition` -- a planning pass takes the connected
+  components of the instances under "a cross dependency mentions
+  them" and places each whole onto the lightest-loaded shard;
 * :func:`repro.scale.shards.run_shard` -- the one shard runner: a plain
   scheduler whose dependencies are the stamped instances' plus the
   cross dependencies its shard carries.
 
-Determinism contract: for a fixed ``(seed, shard count, placement)``
-the merged outcome is identical regardless of worker count -- the
-partition is a pure function of the plan inputs, each shard's RNG
-seed is derived from the run seed and the shard index alone, and
-nothing travels between shards.  Changing the *shard count* or
-placement regroups instances and therefore legitimately changes
-message interleavings within each scheduler (settled outcomes stay the
-same; timings may not).
+Determinism contract: for a fixed ``(seed, shard count)`` the merged
+outcome is identical regardless of worker count -- the partition is a
+pure function of the plan inputs, each shard's RNG seed is derived
+from the run seed and the shard index alone, and nothing travels
+between shards.  Changing the *shard count* regroups instances and
+therefore legitimately changes message interleavings within each
+scheduler (settled outcomes stay the same; timings may not).
 """
 
-from repro.scale.partition import (
-    PartitionPlan,
-    partition_instances,
-    plan_partition,
-    shared_event_graph,
-)
+from repro.scale.partition import PartitionPlan, plan_partition
 from repro.scale.shards import (
     InstanceSpec,
     ShardOutcome,
@@ -63,11 +55,9 @@ __all__ = [
     "ShardTask",
     "ShardedResult",
     "instance_spec",
-    "partition_instances",
     "plan_partition",
     "plan_shards",
     "run_sharded",
     "shard_seed",
-    "shared_event_graph",
     "shutdown_pool",
 ]

@@ -155,14 +155,12 @@ class ShardedResult:
 
 
 class ShardPlan(list):
-    """A ``list[ShardTask]`` plus the planning pass's metadata: how
-    the partitioner placed the instances (benchmarks and the CLI
-    report it)."""
+    """A ``list[ShardTask]`` plus the plan's assignment: per shard,
+    the instance indices it owns (benchmarks and tests read it)."""
 
-    placement: str = "round_robin"
-    cut_weight: int = 0
-    total_weight: int = 0
-    #: per shard, the instance indices it owns
+    #: always 0: no coupled component is split.  Kept only because
+    #: ``benchmarks/e2e`` reads it (see ROADMAP)
+    cut_weight = 0
     assignment: tuple[tuple[int, ...], ...] = ()
 
 
@@ -177,66 +175,53 @@ def plan_shards(
     latency: float | None = None,
     profile: bool = False,
     sample_every: float | None = None,
-    placement: str = "round_robin",
+    placement: str = "min_cut",
     cross_deps: Sequence = (),
     flight_record: int | None = None,
 ) -> ShardPlan:
-    """Partition ``instances`` into ``shards`` tasks.
+    """Partition ``instances`` into at most ``shards`` tasks.
 
     ``workflow`` is the un-suffixed template.  ``cross_deps`` are
     dependencies (expressions or their texts) coupling *different*
-    instances; each is carried by the one shard owning all its
-    instances -- shards a dependency would span are fused
-    (:func:`~repro.scale.partition.plan_partition`), so a placement
-    that splits coupled instances yields fewer tasks than ``shards``.
-    ``placement`` chooses the partitioner: ``"round_robin"`` (the
-    baseline) or ``"min_cut"`` (the constraint-aware greedy
-    partitioner over the shared-event graph).  Raises
+    instances; the instances they couple form components, each placed
+    whole on one shard, which carries the component's dependencies
+    (:func:`~repro.scale.partition.plan_partition`), so there are as
+    many tasks as components when those are fewer than ``shards``.
+    ``placement`` accepts only ``"min_cut"``: it is kept only because
+    ``benchmarks/e2e`` passes it (see ROADMAP).  Raises
     :class:`ValueError` for instances that share a base (a suffix
     given twice) and for a cross dependency naming an event of no
     planned instance.
 
     The partition and the per-shard seeds depend only on
-    ``(instances, shards, seed, placement, cross_deps)`` -- never on
-    worker count -- which is what makes sharded runs reproducible
-    across machines and pool sizes.
+    ``(instances, shards, seed, cross_deps)`` -- never on worker count
+    -- which is what makes sharded runs reproducible across machines
+    and pool sizes.
     """
-    if shards < 1:
-        raise ValueError(f"need at least one shard, got {shards}")
     if not instances:
         raise ValueError("plan_shards needs at least one instance")
-    if placement not in ("round_robin", "min_cut"):
+    if placement != "min_cut":
         raise ValueError(
-            f"unknown placement {placement!r}; "
-            "expected 'round_robin' or 'min_cut'"
+            f"unknown placement {placement!r}; expected 'min_cut'"
         )
     # instances in different shards never meet in one
     # ``instantiate_merged``: a shared base would settle once per shard
     WorkflowTemplate(workflow).check_disjoint(
         instance.suffix for instance in instances
     )
-    if shards > len(instances):
-        logger.warning(
-            "plan_shards: clamping %d shards to %d instance(s) -- "
-            "a shard cannot own less than one instance",
-            shards, len(instances),
-        )
-        shards = len(instances)
-    suffixes = SuffixIndex([instance.suffix for instance in instances])
     cross = [
         parse(dep) if isinstance(dep, str) else dep for dep in cross_deps
     ]
-    assignment = None
-    if placement == "round_robin":
-        # the legacy layout, expressed as an explicit assignment so the
-        # same planning pass derives the cut and the fusing for it
-        assignment = [
-            list(range(len(instances)))[shard::shards]
-            for shard in range(shards)
-        ]
     partition = plan_partition(
-        len(instances), shards, cross, suffixes, assignment=assignment
+        len(instances), shards, cross,
+        SuffixIndex([instance.suffix for instance in instances]),
     )
+    if len(partition.assignment) < shards:
+        logger.warning(
+            "plan_shards: clamping %d shards to %d coupled component(s) "
+            "-- a component runs whole on one shard",
+            shards, len(partition.assignment),
+        )
     per_shard_cross: dict[int, list[Expr]] = {}
     for dep, carrier in zip(cross, partition.carriers):
         per_shard_cross.setdefault(carrier, []).append(dep)
@@ -255,11 +240,7 @@ def plan_shards(
             flight_record=flight_record,
         )
         for shard, part in enumerate(partition.assignment)
-        if part
     )
-    plan.placement = placement
-    plan.cut_weight = partition.cut_weight
-    plan.total_weight = partition.total_weight
     plan.assignment = partition.assignment
     return plan
 
@@ -429,7 +410,7 @@ def run_sharded(
 
     ``workers`` defaults to one per shard (capped by CPU count); any
     value <= 1 runs in-process.  Shards are independent of each other
-    by construction (the planner fused what a dependency spanned).
+    by construction (the planner places each coupled component whole).
     The merged :class:`ExecutionResult` pools entries across shards in
     virtual-time order, sums the additive counters, maxes the
     per-scheduler aggregates (makespan, peak site load), and ends

@@ -23,7 +23,8 @@ with sequence numbers, cumulative acks, and timeout retransmission:
     probe and is still unacknowledged: the receiver lacks it;
   - once the oldest payload has been probed ``max_retries`` times the
     whole backlog is given up (a bounded channel -- exhaustion is
-    counted, never silent);
+    counted, never silent) and the session starts over under the next
+    epoch, so later payloads do not queue behind the gap;
 
 * a site restart re-establishes every session touching the site
   (``reset_site``): epochs bump so pre-crash straggler packets are
@@ -238,8 +239,9 @@ class ReliableNetwork:
         session = self._sessions[key]
         seq, pending = next(iter(session.unacked.items()))
         if pending.retries >= self.max_retries:
-            backlog, session.unacked = session.unacked, {}
-            for seq, pending in backlog.items():
+            # a fresh session: the receiver must not wait on the gap
+            self._sessions[key] = _Session(session.epoch + 1)
+            for seq, pending in session.unacked.items():
                 self._give_up(key, seq, pending)
             return
         self._retransmit(key, session, seq, pending)

@@ -259,9 +259,6 @@ _SLOTS: list[tuple[Event, Event]] = []
 #: :meth:`RowPlan.stamp` fills for the copies it stamps.
 _DEPENDENCY_BINDINGS: dict[Expr, Binding] = {}
 
-#: ``dependency shape -> its waits``: :func:`shape_waits`' memo
-_WAITS: dict[Expr, tuple[tuple[int, int, int], ...]] = {}
-
 #: ``(guard shape, own slot) -> its wants``: :func:`promise_wants`' memo
 _WANTS: dict[tuple[GuardExpr, Event | None], frozenset[Event]] = {}
 
@@ -320,7 +317,6 @@ def clear_synthesis_caches() -> None:
     _SLOTS.clear()
     _CLOSURES.clear()
     _DEPENDENCY_BINDINGS.clear()
-    _WAITS.clear()
     _WANTS.clear()
     _EVENTUALLY_CACHE.clear()
     guard_formula.cache_clear()
@@ -695,44 +691,6 @@ def guard_table(dependency: Expr) -> dict[Event, GuardExpr]:
         (dependency_binding(dependency),), events
     )
     return render(dict(zip(events, found)))
-
-
-def shape_waits(shape: Expr) -> tuple[tuple[int, int, int], ...]:
-    """Which slot of a dependency shape waits on which, in slot space:
-    ``(i, j, n)`` says that ``n`` of the guards ``G(shape, e)`` on slot
-    ``i``'s two events mention slot ``j`` (``i != j``).  Slot ``i`` is
-    the ``i``-th base of the shape (a copy's ``i``-th ``from_slot``
-    entry); slot ``len(shape.bases())`` stands for a base a copy
-    mentions and its normal form dropped, whose events are foreign to
-    the shape.
-
-    The guards come from :func:`_bindings_modulo_renaming` on the shape
-    itself, bound onto its own slots, so no guard is rendered; the
-    result is memoized per shape, and a copy reads its waits on the
-    real names through its binding.
-    """
-    waits = _WAITS.get(shape)
-    if waits is None:
-        own = sorted(shape.bases(), key=Event.sort_key)
-        _grow_slots(len(own) + 1)
-        beyond = _SLOTS[len(own)][0]
-        index = {slot: i for i, slot in enumerate((*own, beyond))}
-        events = [e for slot in index for e in (slot, slot.complement)]
-        identity = dict(zip(own, own))
-        found = _bindings_modulo_renaming(
-            (Binding(shape, identity, identity),), events
-        )
-        counts: dict[tuple[int, int], int] = {}
-        for event, binding in zip(events, found):
-            i = index[event.base]
-            for base in binding.bases():
-                j = index[base]
-                if i != j:
-                    counts[i, j] = counts.get((i, j), 0) + 1
-        waits = _WAITS[shape] = tuple(
-            (i, j, n) for (i, j), n in counts.items()
-        )
-    return waits
 
 
 def wanted_eventualities(

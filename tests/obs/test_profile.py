@@ -226,9 +226,9 @@ class TestVerifySpan:
         ]
         tasks = plan_shards(
             family.template, instances, 2, seed=7, profile=True,
-            cross_deps=family.cross_dependencies,  # round robin: fused
+            cross_deps=family.cross_dependencies,  # a cluster per shard
         )
-        assert tasks.cut_weight > 0
+        assert len(tasks) == 2
         sharded = run_sharded(tasks, workers=1)
         assert sharded.result.ok, sharded.result.violations
         per_shard = [

@@ -5,15 +5,14 @@
   as the reference and the two must agree on any suffix list --
   overlapping (``_i1`` / ``_i11``), repeated and empty suffixes
   included.
-* The coupling graph read off bindings equals the one read off each
-  dependency's guard table on the real names.
-* A coupled component is one scheduler: whatever shard count or
-  placement is requested on a mutex family, every cross dependency is
-  carried by exactly one task, that task owns all the dependency's
-  instances, every instance is placed once, and the run settles what
-  the single merged scheduler settles.  The planner underneath
-  (``plan_partition``) gives the same ownership for any explicit
-  assignment, empty shards included.
+* A coupled component is one scheduler: whatever shard count is
+  requested on a mutex family, every cross dependency is carried by
+  exactly one task, that task owns all the dependency's instances,
+  every instance is placed once, there are ``min(shards, components)``
+  tasks, and the run settles what the single merged scheduler
+  settles.  The planner underneath (``plan_partition``) keeps every
+  component whole for any coupling, and deals an uncoupled family
+  round robin.
 """
 
 import random
@@ -21,6 +20,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.scale import instance_spec, plan_shards, run_sharded
 from repro.scale.partition import (
@@ -28,12 +28,9 @@ from repro.scale.partition import (
     dependency_instances,
     instance_of,
     plan_partition,
-    shared_event_graph,
 )
 from repro.scheduler import DistributedScheduler
 from repro.workloads.scenarios import make_mutex_family
-
-from tests.scale.test_partition import guard_table_graph
 
 
 def instance_of_by_scan(base, suffixes):
@@ -73,73 +70,104 @@ def mutex_plans(draw):
     cluster = draw(st.integers(min_value=1, max_value=4))
     count = draw(st.integers(min_value=1, max_value=9))
     shards = draw(st.integers(min_value=1, max_value=5))
-    placement = draw(st.sampled_from(["round_robin", "min_cut"]))
-    return count, cluster, shards, placement
+    return count, cluster, shards
+
+
+def components_by_search(count, couplings):
+    """The components of ``0..count-1`` under ``couplings`` (pairs),
+    found by a plain graph search."""
+    neighbours = {i: set() for i in range(count)}
+    for x, y in couplings:
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    seen, components = set(), []
+    for start in range(count):
+        if start in seen:
+            continue
+        component, frontier = set(), [start]
+        while frontier:
+            i = frontier.pop()
+            if i not in component:
+                component.add(i)
+                frontier.extend(neighbours[i])
+        seen |= component
+        components.append(component)
+    return components
 
 
 @st.composite
-def explicit_plans(draw):
-    count, cluster, shards, _placement = draw(mutex_plans())
-    owner = draw(
+def couplings(draw):
+    count = draw(st.integers(min_value=1, max_value=12))
+    pairs = draw(
         st.lists(
-            st.integers(min_value=0, max_value=shards - 1),
-            min_size=count, max_size=count,
+            st.tuples(
+                st.integers(min_value=0, max_value=count - 1),
+                st.integers(min_value=0, max_value=count - 1),
+            ),
+            max_size=10,
         )
     )
-    assignment = [
-        [i for i in range(count) if owner[i] == shard]
-        for shard in range(shards)
-    ]
-    return count, cluster, shards, assignment
+    shards = draw(st.integers(min_value=1, max_value=6))
+    return count, pairs, shards
 
 
-@given(mutex_plans())
-def test_coupling_graph_equals_the_guard_table_reference(plan):
-    count, cluster, _shards, _placement = plan
-    family = make_mutex_family(count, cluster=cluster)
-    cross, suffixes = family.cross_dependencies, family.suffixes()
-    assert shared_event_graph(cross, suffixes) == guard_table_graph(
-        cross, suffixes
+@given(couplings())
+def test_random_couplings_place_each_component_whole(plan):
+    count, pairs, shards = plan
+    cross = [parse(f"~b_i{x} + b_i{y}") for x, y in pairs]
+    suffixes = [f"_i{k}" for k in range(count)]
+    placed = plan_partition(count, shards, cross, suffixes)
+    components = components_by_search(count, pairs)
+    assert len(placed.assignment) == min(shards, len(components))
+    assert all(placed.assignment)
+    assert sorted(i for part in placed.assignment for i in part) == list(
+        range(count)
     )
+    for component in components:
+        owners = [part for part in placed.assignment if component & set(part)]
+        assert len(owners) == 1 and component <= set(owners[0])
+    for (x, y), carrier in zip(pairs, placed.carriers):
+        assert {x, y} <= set(placed.assignment[carrier])
 
 
-@given(explicit_plans())
-def test_explicit_assignment_fuses_to_one_owner_per_dependency(plan):
-    count, cluster, shards, assignment = plan
-    family = make_mutex_family(count, cluster=cluster)
-    suffixes = family.suffixes()
-    fused = plan_partition(
-        count, shards, family.cross_dependencies, suffixes,
-        assignment=assignment,
-    ).assignment
-    assert len(fused) == shards
-    assert sorted(i for part in fused for i in part) == list(range(count))
-    for dep in family.cross_dependencies:
-        members = dependency_instances(dep, suffixes)
-        assert sum(1 for part in fused if members <= set(part)) == 1
-    # a shard is absorbed whole (left empty) or keeps what it was given
-    for shard, part in enumerate(fused):
-        assert not part or set(assignment[shard]) <= set(part)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=9),
+)
+def test_an_uncoupled_plan_deals_round_robin(count, shards):
+    family = make_mutex_family(count, cluster=1)
+    assert family.cross_dependencies == []
+    tasks = plan_shards(
+        family.template,
+        [instance_spec(*instance) for instance in family.instances],
+        shards,
+    )
+    lanes = min(shards, count)
+    assert tasks.assignment == tuple(
+        tuple(range(count)[s::lanes]) for s in range(lanes)
+    )
+    assert [task.shard for task in tasks] == list(range(lanes))
 
 
 @settings(max_examples=40)
 @given(mutex_plans())
 def test_each_cross_dependency_has_exactly_one_owner(plan):
-    count, cluster, shards, placement = plan
+    count, cluster, shards = plan
     family = make_mutex_family(count, cluster=cluster)
     instances = [
         instance_spec(suffix, scripts) for suffix, scripts in family.instances
     ]
     tasks = plan_shards(
         family.template, instances, shards, seed=5,
-        placement=placement, cross_deps=family.cross_dependencies,
+        cross_deps=family.cross_dependencies,
     )
     suffixes = family.suffixes()
     owned = {
         task.shard: {suffixes.index(i.suffix) for i in task.instances}
         for task in tasks
     }
-    assert len(owned) == len(tasks) <= shards
+    # a family's components are its clusters
+    assert len(owned) == len(tasks) == min(shards, len(family.clusters))
     # ``assignment`` covers each instance once and is what the tasks run
     placed = sorted(i for part in tasks.assignment for i in part)
     assert placed == list(range(count))

@@ -1,5 +1,6 @@
-"""Coupled components on one scheduler: fused plans and the one shard
-runner (repro.scale.shards.run_shard)."""
+"""Coupled components on one scheduler: plans that place each
+component whole, and the one shard runner
+(repro.scale.shards.run_shard)."""
 
 import dataclasses
 import json
@@ -50,7 +51,7 @@ def settled(result):
 
 class TestDifferential:
     def test_min_cut_colocates_and_matches_merged(self):
-        family, tasks = mutex_tasks(8, 4, placement="min_cut")
+        family, tasks = mutex_tasks(8, 4)
         assert tasks.cut_weight == 0
         assert len(tasks) == 4
         sharded = run_sharded(tasks, workers=1)
@@ -60,31 +61,14 @@ class TestDifferential:
         assert merged.ok
         assert settled(sharded.result) == settled(merged)
 
-    def test_round_robin_routes_and_matches_merged(self):
-        # round robin splits every cluster, so the planner fuses the
-        # shards each dependency spans: fewer tasks, nothing routed
-        family, tasks = mutex_tasks(8, 4)
-        assert tasks.cut_weight > 0
-        assert len(tasks) < 4
-        sharded = run_sharded(tasks, workers=1)
-        assert sharded.result.ok, sharded.result.violations
-        assert sharded.cross_messages == 0
-        merged = merged_baseline(family)
-        assert settled(sharded.result) == settled(merged)
-
     @pytest.mark.parametrize(
-        "placement, shards", [("round_robin", [0]), ("min_cut", [0, 1, 2, 3])]
+        "plan, shards", [("one_shard", [0]), ("min_cut", [0, 1, 2, 3])]
     )
-    def test_fused_and_min_cut_plans_settle_like_merged(
-        self, placement, shards
-    ):
-        # clusters of four over four shards: round robin spreads every
-        # cluster over all shards, so everything fuses into shard 0;
-        # min-cut keeps one cluster per shard.  A shard is the unit of
-        # work either way, and its sites are prefixed ``s<shard>/``
-        family, tasks = mutex_tasks(
-            16, 4, cluster=4, placement=placement, trace=True
-        )
+    def test_fused_and_min_cut_plans_settle_like_merged(self, plan, shards):
+        # four clusters of four over one shard, which holds them all,
+        # or over four, one cluster each.  A shard is the unit of work
+        # either way, and its sites are prefixed ``s<shard>/``
+        family, tasks = mutex_tasks(16, len(shards), cluster=4, trace=True)
         assert [task.shard for task in tasks] == shards
         sharded = run_sharded(tasks, workers=1)
         assert sharded.result.ok, sharded.result.violations
@@ -97,7 +81,7 @@ class TestDifferential:
 
     def test_faulty_cross_channel_still_settles(self):
         # there is no cross-shard channel left to make faulty: the
-        # options are gone, and the fused plan settles like the merged
+        # options are gone, and the plan settles like the merged
         # scheduler with a checkable trace
         family = make_mutex_family(8)
         instances = [
@@ -149,8 +133,8 @@ class TestRunGroup:
     """The runner of a coupled group is now the runner of any shard."""
 
     def test_direct_group_run_reports_channel_stats(self):
-        _family, tasks = mutex_tasks(4, 2)
-        [task] = tasks  # both clusters span both shards: one fused shard
+        _family, tasks = mutex_tasks(4, 1)
+        [task] = tasks  # both clusters on the one shard
         assert len(task.instances) == 4
         outcome = run_shard(task)
         assert outcome.result.violations == [] == outcome.result.unsettled
@@ -189,10 +173,11 @@ class TestRunGroup:
 
     def test_idle_group_settles_to_a_maximal_run(self):
         # nothing is attempted, so every base is left to complement
-        # settlement over several rounds.  Whatever the requested plan,
-        # the one fused shard settles it all and ends maximal; the only
-        # violations are the guaranteed exits promised to the entries
-        # and never attempted by their idle agents
+        # settlement over several rounds.  Whatever the requested shard
+        # count, the coupled pair runs on one shard, which settles it
+        # all and ends maximal; the only violations are the guaranteed
+        # exits promised to the entries and never attempted by their
+        # idle agents
         family = make_mutex_family(2)
         idle = [instance_spec(suffix, []) for suffix, _ in family.instances]
         for shards in (1, 2):
@@ -213,7 +198,7 @@ class TestRunGroup:
     def test_merged_run_is_stuck_when_a_shard_is(self):
         # one shard attempts nothing and skips settlement: it ends
         # stuck, and so does the merged run, though the others settle
-        _family, tasks = mutex_tasks(8, 4, placement="min_cut")
+        _family, tasks = mutex_tasks(8, 4)
         idle = dataclasses.replace(
             tasks[1],
             settle=False,
@@ -257,13 +242,13 @@ class TestRunGroup:
         assert not sharded.result.ok
 
     def test_fused_shard_is_a_single_scheduler_record_for_record(self):
-        # round robin over 3 shards splits both clusters of three;
-        # fusing leaves one shard, whose run is exactly the run of one
+        # six coupled instances are one component: over 3 shards the
+        # plan holds one shard, whose run is exactly the run of one
         # DistributedScheduler over the same instances, cross
         # dependencies and seed
-        family, tasks = mutex_tasks(6, 3, cluster=3, trace=True)
+        family, tasks = mutex_tasks(6, 3, cluster=6, trace=True)
         [task] = tasks
-        assert len(task.instances) == 6 and tasks.cut_weight > 0
+        assert len(task.instances) == 6
         outcome = run_shard(task)
 
         merged, _stamped = WorkflowTemplate(task.workflow).instantiate_merged(

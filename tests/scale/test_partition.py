@@ -1,4 +1,4 @@
-"""Constraint-aware placement planning (repro.scale.partition)."""
+"""Shard placement planning (repro.scale.partition)."""
 
 import pytest
 
@@ -6,18 +6,14 @@ from repro.algebra.normal_form import to_normal_form
 from repro.algebra.parser import parse
 from repro.algebra.symbols import Event
 from repro.scale.partition import (
-    SuffixIndex,
     dependency_instances,
     instance_of,
-    partition_instances,
     plan_partition,
-    shared_event_graph,
 )
 from repro.temporal.guards import (
     Binding,
     clear_synthesis_caches,
     dependency_binding,
-    guard_table,
     synthesis_stats,
 )
 from repro.workflows.primitives import mutex
@@ -27,25 +23,6 @@ from repro.workloads.scenarios import make_mutex_family
 def family(count, cluster=2):
     fam = make_mutex_family(count, cluster=cluster)
     return fam.cross_dependencies, fam.suffixes()
-
-
-def guard_table_graph(cross_deps, suffixes):
-    """The coupling graph read off each dependency's guard table on the
-    real names: the reference ``shared_event_graph`` must equal."""
-    suffixes = SuffixIndex(suffixes)
-    edges = {}
-    for dep in cross_deps:
-        for event, g in guard_table(dep).items():
-            i = instance_of(event.base, suffixes)
-            if i is None:
-                continue
-            for base in g.bases():
-                j = instance_of(base, suffixes)
-                if j is None or j == i:
-                    continue
-                key = (min(i, j), max(i, j))
-                edges[key] = edges.get(key, 0) + 1
-    return edges
 
 
 #: family sizes whose suffixes cross ``_i9`` / ``_i10`` and
@@ -98,81 +75,57 @@ class TestInstanceMapping:
             assert len(dependency_instances(dep, suffixes)) == 2
 
 
-class TestSharedEventGraph:
-    def test_mutex_pair_weights_symmetric_edge(self):
-        cross, suffixes = family(2)
-        edges = shared_event_graph(cross, suffixes)
-        assert set(edges) == {(0, 1)}
-        assert edges[(0, 1)] > 0
-
-    def test_clusters_stay_disjoint(self):
-        cross, suffixes = family(6, cluster=2)
-        edges = shared_event_graph(cross, suffixes)
-        assert set(edges) == {(0, 1), (2, 3), (4, 5)}
-
-    def test_independent_instances_have_no_edges(self):
-        _cross, suffixes = family(4)
-        assert shared_event_graph([], suffixes) == {}
-
-    @pytest.mark.parametrize("count, cluster", FAMILIES)
-    def test_equals_the_guard_table_reference(self, count, cluster):
-        cross, suffixes = family(count, cluster=cluster)
-        assert shared_event_graph(cross, suffixes) == guard_table_graph(
-            cross, suffixes
-        )
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "~b_i0 + e_i1 . b_i0",
-            "(a_i0 + ~a_i0) | (b_i1 + c_i0 . d_i1)",
-            # normalizes to 0: every base the normal form dropped
-            "((d_i1 . b_i1) | (~d_i1 + c_i0) | (d_i1 . d_i1 + ~b_i1)) . d_i1",
-            "q + b_i0",  # a base of no instance waits on nothing
-        ],
-    )
-    def test_hand_written_dependencies_equal_the_reference(self, text):
-        suffixes = ["_i0", "_i1"]
-        dep = parse(text)
-        assert shared_event_graph([dep], suffixes) == guard_table_graph(
-            [dep], suffixes
-        )
-
-
 class TestGreedyPartition:
+    """Components go whole, in order of their smallest member, to the
+    lightest-loaded shard, ties to the lower shard number."""
+
     def test_colocates_coupled_pairs(self):
-        cross, suffixes = family(8, cluster=2)
-        edges = shared_event_graph(cross, suffixes)
-        placed = partition_instances(8, 4, edges)
-        # every cluster lands on a single shard: the cut is zero
-        shard_of = {i: s for s, part in enumerate(placed) for i in part}
-        for (i, j), _w in edges.items():
-            assert shard_of[i] == shard_of[j]
+        cross, suffixes = family(10, cluster=3)
+        plan = plan_partition(10, 2, cross, suffixes)
+        # four clusters on two shards: each lands on a single one
+        assert plan.assignment == ((0, 1, 2, 6, 7, 8), (3, 4, 5, 9))
+        shard_of = {
+            i: s for s, part in enumerate(plan.assignment) for i in part
+        }
+        for dep in cross:
+            owners = {shard_of[i] for i in dependency_instances(dep, suffixes)}
+            assert len(owners) == 1
 
     def test_balances_under_capacity(self):
         cross, suffixes = family(9, cluster=3)
-        edges = shared_event_graph(cross, suffixes)
-        placed = partition_instances(9, 3, edges)
-        assert sorted(len(part) for part in placed) == [3, 3, 3]
+        plan = plan_partition(9, 3, cross, suffixes)
+        assert sorted(len(part) for part in plan.assignment) == [3, 3, 3]
+
+    def test_components_go_whole_to_the_lightest_shard(self):
+        suffixes = [f"_i{k}" for k in range(7)]
+        cross = [
+            parse(text) for text in (
+                "~b_i5 + b_i6", "~b_i0 + b_i1", "~b_i1 + b_i2",
+            )
+        ]
+        plan = plan_partition(7, 2, cross, suffixes)
+        # {0, 1, 2} to shard 0, {3} to shard 1, then {4} and {5, 6} to
+        # shard 1 too: it holds fewer instances each time
+        assert plan.assignment == ((0, 1, 2), (3, 4, 5, 6))
+        assert plan.carriers == (1, 0, 0)
 
     def test_deterministic(self):
         cross, suffixes = family(16, cluster=4)
-        edges = shared_event_graph(cross, suffixes)
-        assert partition_instances(16, 4, edges) == partition_instances(
-            16, 4, edges
+        assert plan_partition(16, 4, cross, suffixes) == plan_partition(
+            16, 4, cross, suffixes
         )
 
     def test_rejects_zero_shards(self):
+        _cross, suffixes = family(4)
         with pytest.raises(ValueError):
-            partition_instances(4, 0, {})
+            plan_partition(4, 0, [], suffixes)
 
 
 class TestPlanPartition:
     def test_min_cut_plan_has_no_spanning_deps(self):
         cross, suffixes = family(8, cluster=2)
         plan = plan_partition(8, 4, cross, suffixes)
-        assert plan.cut_weight == 0
-        # nothing to fuse: every shard keeps its two coupled instances
+        # every shard holds one cluster, its two coupled instances
         assert sorted(plan.assignment) == [(0, 1), (2, 3), (4, 5), (6, 7)]
         shard_of = {
             i: s for s, part in enumerate(plan.assignment) for i in part
@@ -181,48 +134,18 @@ class TestPlanPartition:
             owners = {shard_of[i] for i in dependency_instances(dep, suffixes)}
             assert len(owners) == 1
 
-    def test_round_robin_layout_exposes_the_cut(self, caplog):
-        cross, suffixes = family(4, cluster=2)
-        with caplog.at_level("WARNING", logger="repro.scale.partition"):
-            plan = plan_partition(
-                4, 2, cross, suffixes, assignment=[[0, 2], [1, 3]]
-            )
-        # the cut is what the *requested* layout separated ...
-        assert plan.cut_weight == plan.total_weight > 0
-        # ... and both clusters span both shards, so they are fused
-        # into the lower-numbered one, loudly
-        assert plan.assignment == ((0, 1, 2, 3), ())
-        assert any("fusing" in record.message for record in caplog.records)
-
-    def test_fusing_leaves_uncoupled_shards_alone(self):
-        cross, suffixes = family(6, cluster=2)
-        plan = plan_partition(
-            6, 3, cross, suffixes, assignment=[[0, 2], [1, 3], [4, 5]]
-        )
-        assert plan.assignment == ((0, 1, 2, 3), (), (4, 5))
-
     def test_dependency_on_an_unknown_instance_is_rejected(self):
         cross, suffixes = family(2)
         for text in ("~b_i7 + e_i9 . b_i7", "~b_i0 + e_i9 . b_i0", "0"):
             with pytest.raises(ValueError, match="planned instance"):
                 plan_partition(2, 2, [parse(text)], suffixes)
 
-    def test_explicit_assignment_must_cover_every_instance(self):
-        cross, suffixes = family(4)
-        with pytest.raises(ValueError):
-            plan_partition(4, 2, cross, suffixes, assignment=[[0, 1], [2]])
-        with pytest.raises(ValueError):
-            plan_partition(
-                4, 2, cross, suffixes, assignment=[[0, 1, 2], [2, 3]]
-            )
-
     def test_planning_a_stamped_family_normalizes_and_renders_nothing(
         self, monkeypatch
     ):
-        # the coupling is read off bindings: a stamped family's cross
-        # dependencies are bound already, their waits are synthesized
-        # once per dependency shape, and no guard is rendered on the
-        # real names (planning used to take a guard table per copy)
+        # planning reads only which instances each dependency mentions:
+        # no normal form, no binding, no closure and no shape is made,
+        # and no guard is rendered
         rendered = []
         guard = Binding.guard
         monkeypatch.setattr(
@@ -230,33 +153,21 @@ class TestPlanPartition:
             "guard",
             property(lambda b: rendered.append(b) or guard.fget(b)),
         )
-        costs = []
         for count in (16, 64):
             clear_synthesis_caches()
             cross, suffixes = family(count, cluster=4)
             before = synthesis_stats()
             normal_forms = to_normal_form.cache_info().misses
-            plan = plan_partition(count, 4, cross, suffixes)
+            plan_partition(count, 4, cross, suffixes)
             after = synthesis_stats()
-            assert plan.cut_weight == 0 < plan.total_weight
             assert to_normal_form.cache_info().misses == normal_forms
-            shapes = {dependency_binding(dep).shape for dep in cross}
-            assert len(shapes) == 2
-            delta = {
-                key: after[key] - before[key]
-                for key in ("binding_misses", "closure_misses", "shape_misses")
-            }
-            assert delta["binding_misses"] == 0
-            assert delta["closure_misses"] == len(shapes)
-            costs.append(delta)
+            for key in ("binding_misses", "closure_misses", "shape_misses"):
+                assert after[key] == before[key], key
         assert rendered == []
-        assert costs[0] == costs[1]
 
     def test_carriers_own_every_instance_of_their_dependency(self):
         cross, suffixes = family(6, cluster=3)
-        plan = plan_partition(
-            6, 3, cross, suffixes, assignment=[[0, 3], [1, 4], [2, 5]]
-        )
+        plan = plan_partition(6, 3, cross, suffixes)
         assert len(plan.carriers) == len(cross)
         for dep, carrier in zip(cross, plan.carriers):
             assert dependency_instances(dep, suffixes) <= set(

@@ -15,7 +15,6 @@ from repro.obs.prom import lint_prometheus, render_prometheus
 from repro.scale import (
     InstanceSpec,
     instance_spec,
-    plan_partition,
     plan_shards,
     run_sharded,
     shard_seed,
@@ -117,23 +116,14 @@ class TestPlanning:
             "clamping" in record.message for record in caplog.records
         )
 
-    def test_explicit_assignment_may_leave_shards_empty(self):
-        # as fusing does: the plan keeps the slot (the others keep their
-        # ids) and ``plan_shards`` emits no task for it, see the fused
-        # plan of ``test_plan_carries_partition_metadata``
-        plan = plan_partition(
-            3, 3, [], ["_i0", "_i1", "_i2"], assignment=[[], [0, 1, 2], []]
-        )
-        assert plan.assignment == ((), (0, 1, 2), ())
-
     def test_plan_carries_partition_metadata(self):
         tasks = plan_shards(TEMPLATE, travel_instances(4), 2, seed=0)
-        assert tasks.placement == "round_robin"
         assert tasks.cut_weight == 0
         assert tasks.assignment == ((0, 2), (1, 3))
         assert not hasattr(tasks, "groups")
-        # a coupled request: the cut is what round robin separated, the
-        # assignment is what runs -- each cross dependency on one task
+        assert not hasattr(tasks, "placement")
+        # a coupled request: each cluster of two is placed whole, and
+        # its shard carries the cluster's cross dependencies
         family = make_mutex_family(4)
         coupled = plan_shards(
             family.template,
@@ -141,17 +131,37 @@ class TestPlanning:
             2,
             cross_deps=family.cross_dependencies,
         )
-        assert coupled.cut_weight == coupled.total_weight > 0
-        assert coupled.assignment == ((0, 1, 2, 3), ())
-        [task] = coupled
-        assert task.shard == 0
-        assert len(task.cross_dependencies) == len(family.cross_dependencies)
-        assert all(
-            carried is dep
-            for carried, dep in zip(
-                task.cross_dependencies, family.cross_dependencies
-            )
+        assert coupled.cut_weight == 0
+        assert coupled.assignment == ((0, 1), (2, 3))
+        assert [task.shard for task in coupled] == [0, 1]
+        pairs = family.cross_dependencies
+        assert [list(task.cross_dependencies) for task in coupled] == [
+            pairs[:2], pairs[2:],
+        ]
+
+    def test_the_benchmark_plan_puts_cluster_k_on_shard_k_mod_4(self):
+        # N = 192 in clusters of four over four shards, as e2e's
+        # ``mutex_sharded`` plans it
+        family = make_mutex_family(192, cluster=4)
+        tasks = plan_shards(
+            family.template,
+            [instance_spec(sfx, scripts) for sfx, scripts in family.instances],
+            4,
+            cross_deps=family.cross_dependencies,
         )
+        assert tasks.assignment == tuple(
+            tuple(
+                i for k, members in enumerate(family.clusters)
+                if k % 4 == shard for i in members
+            )
+            for shard in range(4)
+        )
+
+    def test_min_cut_is_the_only_placement(self):
+        instances = travel_instances(2)
+        plan_shards(TEMPLATE, instances, 2, placement="min_cut")
+        with pytest.raises(ValueError, match="unknown placement"):
+            plan_shards(TEMPLATE, instances, 2, placement="round_robin")
 
     @pytest.mark.parametrize(
         "text, unknown",

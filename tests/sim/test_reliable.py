@@ -442,3 +442,22 @@ class TestEveryFiringSends:
             sched.run(scenario.scripts, verify=False)
         assert tally["fired"] > 40
         assert tally["idle"] == 0, tally
+
+
+class TestGiveUpStartsOver:
+    def test_a_payload_after_a_give_up_toward_a_live_peer_is_delivered(self):
+        # the fabric drops every payload before 10: p1 (sent at 0,
+        # probed at 4) is given up at 8; p2, sent at 12 on a clean
+        # fabric, must not wait behind p1's gap at the receiver
+        sim, net, rel, _ = _rig(timeout=4.0, max_retries=1)
+        _script(sim, net, drop=lambda now, src, kind, n: (
+            kind != "ack" and now < 10.0
+        ))
+        got = []
+        rel.send("a", "b", "msg", "p1", got.append)
+        sim.schedule_at(12.0, rel.send, "a", "b", "msg", "p2", got.append)
+        sim.run()
+        assert got == ["p2"]
+        assert rel.lost == [("a", "b", "msg", 1)]  # p1 alone
+        assert net.stats.retransmit_giveups == 1
+        assert rel.in_flight() == 0

@@ -603,7 +603,6 @@ class TestShardedRun:
         report = json.loads(capsys.readouterr().out)
         assert report["sharding"] == {
             "shards": 2, "instances": 6, "workers": 1,
-            "placement": "round-robin", "cut_weight": 0,
         }
         assert report["ok"] is True
 
@@ -648,9 +647,8 @@ class TestShardedRun:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
-        # round robin separated the coupled pair; the planner fused
-        # the two shards, so one scheduler enforces the mutex
-        assert report["sharding"]["cut_weight"] > 0
+        # the coupled pair is one component: of the two requested
+        # shards the plan holds one, so one scheduler enforces the mutex
         assert report["sharding"]["shards"] == 1
         assert "cross_messages" not in report["sharding"]
         assert sorted(entry["event"] for entry in report["timeline"]) == [
@@ -663,13 +661,25 @@ class TestShardedRun:
                 "run", mutex_spec, "--scheduler", "distributed",
                 "--attempt", "b=0", "--attempt", "e=3",
                 "--shards", "2", "--instances", "4", "--workers", "1",
-                "--placement", "min-cut", *self.MUTEX_CROSS,
+                *self.MUTEX_CROSS,
             ]
         )
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "2 shard(s)" in out and "cut 0" in out
-        assert "routed" not in out
+        # the coupled pair i0, i1 on shard 0; i2 and i3 on shard 1
+        assert "over 2 shard(s)" in out
+        assert "cut" not in out and "routed" not in out
+
+    def test_placement_flag_is_gone(self, travel_spec, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "run", travel_spec, *self.ATTEMPTS,
+                    "--shards", "2", "--placement", "min-cut",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--placement" in capsys.readouterr().err
 
     def test_steal_flag_is_gone(self, travel_spec, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -1696,10 +1706,8 @@ class TestFailsClosed:
             ["--cross-dep", "~s_book_i0 + s_buy_i1"],
             ["--instances", "2"],
             ["--workers", "1"],
-            ["--placement", "min-cut"],
-            ["--placement", "round-robin"],
         ],
-        ids=["cross-dep", "instances", "workers", "min-cut", "round-robin"],
+        ids=["cross-dep", "instances", "workers"],
     )
     def test_shard_flag_without_shards_exits_two(
         self, travel_spec, capsys, flags
